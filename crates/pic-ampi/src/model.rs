@@ -48,20 +48,20 @@ pub fn model_ampi(cfg: &ModelConfig, params: &AmpiParams) -> ModelOutcome {
 
     // Cached per-VP geometry.
     let vp_bounds: Vec<((usize, usize), (usize, usize))> =
-        (0..nvps).map(|vp| grid.decomp.bounds(vp)).collect();
+        (0..nvps).map(|vp| grid.decomp().bounds(vp)).collect();
     let vp_cells: Vec<f64> = (0..nvps).map(|vp| grid.vp_cells(vp) as f64).collect();
     // Downstream x-neighbor of each VP (same VP row).
-    let vpx = grid.decomp.px;
+    let vpx = grid.decomp().px;
     let rightward = cfg.dir >= 0;
     let x_neighbor: Vec<usize> = (0..nvps)
         .map(|vp| {
-            let (vx, vy) = grid.decomp.coords_of(vp);
+            let (vx, vy) = grid.decomp().coords_of(vp);
             let nx = if rightward {
                 (vx + 1) % vpx
             } else {
                 (vx + vpx - 1) % vpx
             };
-            grid.decomp.rank_of(nx, vy)
+            grid.decomp().rank_of(nx, vy)
         })
         .collect();
 
@@ -84,9 +84,9 @@ pub fn model_ampi(cfg: &ModelConfig, params: &AmpiParams) -> ModelOutcome {
             compute[core] += vp_loads[vp] + cfg.cost.vp_sched_ns;
             // Neighbor exchange: leavers cross the VP's downstream cut.
             let cut = if rightward {
-                grid.decomp.xcuts[grid.decomp.coords_of(vp).0 + 1] % cfg.ncells
+                grid.decomp().xcuts[grid.decomp().coords_of(vp).0 + 1] % cfg.ncells
             } else {
-                grid.decomp.xcuts[grid.decomp.coords_of(vp).0]
+                grid.decomp().xcuts[grid.decomp().coords_of(vp).0]
             };
             let frac = if load.total() == 0 {
                 0.0

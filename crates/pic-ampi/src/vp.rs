@@ -6,13 +6,18 @@
 //! (`a · b = d`), so the starting placement is locality-preserving — the
 //! paper's assumption before the load balancer starts scattering VPs.
 
-use pic_par::decomp::{factor_2d, Decomp2d};
+use pic_par::decomp::{factor_2d, Decomp2d, OwnerTable};
 
 /// The VP-level decomposition plus the core-grid geometry.
 #[derive(Debug, Clone)]
 pub struct VpGrid {
     /// VP-level Cartesian decomposition of the mesh (`vpx × vpy` blocks).
-    pub decomp: Decomp2d,
+    /// Fixed at construction — VP balancing moves the VP→core assignment,
+    /// never these cuts — which is what lets `owners` be built once.
+    decomp: Decomp2d,
+    /// O(1) cell → VP table of `decomp` (the routing scan asks this once
+    /// per resident particle per step).
+    owners: OwnerTable,
     /// Physical core grid.
     pub px: usize,
     pub py: usize,
@@ -31,12 +36,19 @@ impl VpGrid {
         let (a, b) = factor_2d(d);
         let decomp = Decomp2d::uniform_grid(ncells, px * a, py * b);
         VpGrid {
+            owners: OwnerTable::new(&decomp),
             decomp,
             px,
             py,
             a,
             b,
         }
+    }
+
+    /// The VP-level decomposition.
+    #[inline]
+    pub fn decomp(&self) -> &Decomp2d {
+        &self.decomp
     }
 
     /// Total VP count (`d · P`).
@@ -67,7 +79,7 @@ impl VpGrid {
     /// VP owning cell `(col, row)`.
     #[inline]
     pub fn vp_of_cell(&self, col: usize, row: usize) -> usize {
-        self.decomp.owner_of_cell(col, row)
+        self.owners.owner_of_cell(col, row)
     }
 
     /// Cells in one VP's subgrid.
@@ -85,8 +97,8 @@ mod tests {
         let g = VpGrid::new(192, 24, 4); // cores 24 → (6,4); d 4 → (2,2)
         assert_eq!((g.px, g.py), (6, 4));
         assert_eq!((g.a, g.b), (2, 2));
-        assert_eq!(g.decomp.px, 12);
-        assert_eq!(g.decomp.py, 8);
+        assert_eq!(g.decomp().px, 12);
+        assert_eq!(g.decomp().py, 8);
         assert_eq!(g.vp_count(), 96);
         assert_eq!(g.cores(), 24);
     }
@@ -103,7 +115,7 @@ mod tests {
         // Compactness: the VPs of core 0 form a contiguous block.
         let mine: Vec<usize> = (0..g.vp_count()).filter(|&v| asg[v] == 0).collect();
         for &vp in &mine {
-            let (vx, vy) = g.decomp.coords_of(vp);
+            let (vx, vy) = g.decomp().coords_of(vp);
             assert!(vx < g.a && vy < g.b);
         }
     }

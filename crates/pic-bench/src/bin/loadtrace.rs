@@ -89,7 +89,7 @@ fn main() {
     for s in 0..steps {
         let mut loads = vec![0.0f64; cores];
         for vp in 0..vps.vp_count() {
-            let (cols, rows) = vps.decomp.bounds(vp);
+            let (cols, rows) = vps.decomp().bounds(vp);
             vp_loads[vp] = load.count_in_rect(cols, rows);
             loads[assignment[vp]] += vp_loads[vp];
         }

@@ -30,6 +30,23 @@
 //! whose strides are corrupted out-of-spec (failure-injection mutants)
 //! must rebin every step to stay exact.
 //!
+//! ## Ordered interior, mixed border (migration in O(leavers))
+//!
+//! A rebin leaves every bin *ordered*: one column, one parity. The store
+//! tracks the contiguous bin range for which that still holds
+//! (`ordered`); every particle outside it — bins a drain has already
+//! touched, and exchange arrivals ([`BinnedStore::push_tail`]) — forms the
+//! dense, unordered *mixed* region at the two ends of the batch. A drain
+//! ([`BinnedStore::drain_leavers_cols_into`]) first trims the bins it is
+//! told may hold leavers off the ordered range, scans only the mixed
+//! region, and refills each hole with a survivor from the end of the batch:
+//! no shifting, the arrays stay dense, and ordered particles are never
+//! moved relative to their bins. The ordered range only shrinks between
+//! rebins. The sweep runs the hoisted kernel over the ordered bins and the
+//! same kernel with a *per-particle* corner charge (read from the live
+//! column) over the mixed region, so every particle is advanced exactly
+//! once per step by the same arithmetic wherever it sits.
+//!
 //! ## Bit-exactness
 //!
 //! [`advance_bin_span`] performs, per particle, the *same sequence of
@@ -41,7 +58,7 @@
 //! cross-mode property tests for rebin intervals {1, 3, 16}. Canonical
 //! (ascending-id) order is restored on export by [`BinnedStore::to_particles`].
 
-use crate::charge::{coulomb, mesh_charge, SimConstants};
+use crate::charge::{coulomb, mesh_charge, ColumnParity, CornerCharge, SimConstants};
 use crate::charge_grid::ChargeGrid;
 use crate::events::Region;
 use crate::geometry::Grid;
@@ -50,6 +67,7 @@ use crate::pool::{self, SyncMutPtr};
 use crate::simd::{self, SimdBackend};
 use crate::soa::ParticleBatch;
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Default rebin interval, chosen from the measured amortization curve
 /// (`BENCH_sweep.json`, rebin sensitivity rows): the counting sort plus
@@ -92,17 +110,28 @@ impl KernelTier {
 /// Cell-binned structure-of-arrays particle store (see module docs).
 #[derive(Debug, Clone)]
 pub struct BinnedStore {
-    /// Particle data in bin (cell-column) order; within a bin the order is
-    /// stable under rebinning.
+    /// Particle data: the ordered bins in cell-column order (stable under
+    /// rebinning), with the mixed region before and after them.
     batch: ParticleBatch,
     /// Gather target, swapped with `batch` on each non-identity rebin;
     /// retains capacity so steady-state rebins allocate nothing.
     scratch: ParticleBatch,
     /// `ncols + 1` prefix sums: bin `b` (column `col_lo + b`) is
-    /// `offsets[b]..offsets[b+1]`. Indices past `offsets[ncols]` are the
-    /// *tail*: exchange arrivals appended by [`BinnedStore::push_tail`]
-    /// that have not been folded into bin order yet.
+    /// `offsets[b]..offsets[b+1]`. Only the entries of the `ordered` bins
+    /// are maintained between rebins; `offsets[0]` is always 0.
     offsets: Vec<usize>,
+    /// The bins whose invariants still hold (all of them after a rebin).
+    /// Indices below `offsets[ordered.start]` and from
+    /// `offsets[ordered.end]` up are the *mixed* region. A range holding
+    /// no particle is normalised to `0..0`; `dirty` overrides it (nothing
+    /// is ordered).
+    ordered: Range<usize>,
+    /// Indices the current drain vacated, ascending (`u32`: half the
+    /// footprint of `usize`; capacity retained across drains).
+    holes: Vec<u32>,
+    /// Drains that ran out of mixed survivors and closed the remaining
+    /// holes by shifting the ordered block (telemetry for the tests).
+    shift_fallbacks: u64,
     /// First grid column this store bins (0 for a whole-grid store; the
     /// rank's subgrid origin for a distributed store).
     col_lo: usize,
@@ -167,6 +196,9 @@ impl BinnedStore {
             batch: ParticleBatch::from_particles(particles),
             scratch: ParticleBatch::new(),
             offsets: vec![0; ncols + 1],
+            ordered: 0..0,
+            holes: Vec::new(),
+            shift_fallbacks: 0,
             col_lo,
             ncols,
             perm: Vec::new(),
@@ -262,8 +294,9 @@ impl BinnedStore {
         self.rebin_interval = rebin_interval.max(1);
     }
 
-    /// Direct view of the underlying batch — **bin order**, not canonical
-    /// order; use [`BinnedStore::to_particles`] for the canonical view.
+    /// Direct view of the underlying batch — **storage order**, not
+    /// canonical order; use [`BinnedStore::to_particles`] for the canonical
+    /// view.
     pub fn batch(&self) -> &ParticleBatch {
         &self.batch
     }
@@ -306,6 +339,7 @@ impl BinnedStore {
             gather(&self.batch, &mut self.scratch, &self.perm);
             std::mem::swap(&mut self.batch, &mut self.scratch);
         }
+        self.ordered = 0..ncols;
         self.age = 0;
         self.dirty = false;
         self.rebins += 1;
@@ -321,8 +355,7 @@ impl BinnedStore {
     /// particle counts at bin granularity. Capacity-retaining (steady
     /// state allocates nothing once warm).
     fn compute_owner_spans(&mut self, slots: usize) {
-        // Spans cover the binned region only; tail arrivals are swept
-        // serially by their owner step and merge at the next rebin.
+        // `advance_all` only dispatches a fully ordered store.
         let n = self.offsets[self.ncols];
         self.owner_spans.clear();
         let mut prev = 0usize;
@@ -347,19 +380,17 @@ impl BinnedStore {
         self.rebins
     }
 
-    /// Advance every particle one step: rebin if structurally dirty, sweep
-    /// bin spans through the pool with the parity-hoisted kernel, then
-    /// rebin at the *end* of the sweep if the interval is due — so with
-    /// `R = 1` the histogram fast path is always fresh when balancer
-    /// layers read it between steps.
+    /// Advance every particle one step: rebin unless every particle sits in
+    /// an ordered bin (structural edits, or a drain/arrival of the rank
+    /// path — absent in the serial engine), sweep bin spans through the
+    /// pool with the parity-hoisted kernel, then rebin at the *end* of the
+    /// sweep if the interval is due — so with `R = 1` the histogram fast
+    /// path is always fresh when balancer layers read it between steps.
     pub fn advance_all(&mut self, grid: &Grid, consts: &SimConstants, chunk_size: usize) {
-        if self.dirty {
+        if !self.fully_ordered() {
             self.rebin(grid);
         }
-        // Pool dispatch covers the binned region; tail arrivals (absent in
-        // the serial engine, where every push marks the store dirty) are
-        // swept per-particle afterwards.
-        let n = self.offsets[self.ncols];
+        let n = self.batch.len();
         let bound = self.bind && n > 0;
         let slots = if bound {
             let slots = pool::global().active_threads();
@@ -455,7 +486,6 @@ impl BinnedStore {
         } else {
             pool::global().run_chunked(n, chunk_size, &sweep_range);
         }
-        self.sweep_tail(grid, consts, None);
         self.age += 1;
         if self.age >= self.rebin_interval {
             self.rebin(grid);
@@ -465,12 +495,13 @@ impl BinnedStore {
     /// One serial sweep on the *calling* thread — the distributed rank
     /// path, where each rank is already its own parallel unit and pool
     /// dispatch would contend across rank threads. Rebins first if
-    /// structurally dirty, runs the tier kernel over every bin span plus
-    /// the per-particle tail, and does **not** rebin at the end: the rank
-    /// step rebins after the exchange ([`BinnedStore::rebin_due`]) so the
-    /// counting sort only ever sees homed particles.
+    /// structurally dirty, runs the tier kernel over every ordered bin
+    /// span and the per-lane-charge kernel over the mixed region, and does
+    /// **not** rebin at the end: the rank step rebins after the exchange
+    /// ([`BinnedStore::rebin_due`]) so the counting sort only ever sees
+    /// homed particles.
     ///
-    /// With `charges`, per-bin corner charges are read from the rank's
+    /// With `charges`, corner charges are read from the rank's
     /// ghost-ringed [`ChargeGrid`] window instead of the parity formula.
     /// The two sources are bitwise-identical (the grid stores exactly
     /// `mesh_charge(col, q)`, and the age-parity flip is an exact
@@ -482,7 +513,7 @@ impl BinnedStore {
         charges: Option<&ChargeGrid>,
     ) {
         self.prepare_sweep(grid);
-        self.sweep_bins(grid, consts, charges, 0, self.ncols);
+        self.sweep_bins(grid, consts, charges, 0..self.ncols);
         self.sweep_tail_pass(grid, consts, charges);
         self.end_sweep();
     }
@@ -492,68 +523,92 @@ impl BinnedStore {
     /// [`Self::sweep_local`] is exactly
     /// `prepare_sweep → sweep_cols(all) → sweep_tail_pass → end_sweep`,
     /// so a split sweep is bit-identical to the one-call form no matter
-    /// how the column range is partitioned: every bin runs the same tier
-    /// kernel with the same age parity against the same fixed per-step
-    /// mesh, and particles never interact within a step.
+    /// how the column range is partitioned: [`Self::sweep_cols`] reaches
+    /// exactly the ordered bins, [`Self::sweep_tail_pass`] exactly the
+    /// rest, every particle runs the same arithmetic against the same
+    /// fixed per-step mesh, and particles never interact within a step.
     pub fn prepare_sweep(&mut self, grid: &Grid) {
         if self.dirty {
             self.rebin(grid);
         }
     }
 
-    /// Sweep only the bins of the **global** columns in `cols` (clamped to
-    /// this store's slab). The overlapped rank step uses this to advance
-    /// border columns first, launch their exchange, then advance the
-    /// interior while messages are in flight. Requires
-    /// [`Self::prepare_sweep`]; no structural edits may intervene before
-    /// [`Self::end_sweep`].
+    /// Sweep the *ordered* bins of the **global** columns in `cols`
+    /// (clamped to this store's slab and to the ordered range — bins a
+    /// drain already made mixed belong to [`Self::sweep_tail_pass`]). The
+    /// overlapped rank step uses this to advance border columns first,
+    /// launch their exchange, then advance the interior while messages are
+    /// in flight. Requires [`Self::prepare_sweep`]; no structural edits
+    /// may intervene before [`Self::end_sweep`].
     pub fn sweep_cols(
         &mut self,
         grid: &Grid,
         consts: &SimConstants,
         charges: Option<&ChargeGrid>,
-        cols: std::ops::Range<usize>,
+        cols: Range<usize>,
     ) {
         assert!(!self.dirty, "sweep_cols requires prepare_sweep");
         let hi = self.col_lo + self.ncols;
         let b_lo = cols.start.clamp(self.col_lo, hi) - self.col_lo;
         let b_hi = cols.end.clamp(self.col_lo, hi) - self.col_lo;
-        self.sweep_bins(grid, consts, charges, b_lo, b_hi);
+        self.sweep_bins(grid, consts, charges, b_lo..b_hi);
     }
 
-    /// Advance the tail region (exchange arrivals) — the per-particle
-    /// stage of a split sweep. Must run before new arrivals are appended
-    /// with [`Self::push_tail`].
+    /// Advance the mixed region (drained border bins and exchange
+    /// arrivals) one step through the exact span kernel with each
+    /// particle's *live* column charge per lane — no parity flip, because
+    /// the column is read fresh rather than remembered from a rebin. Exact
+    /// in both tiers. Must run before the step's drain and before new
+    /// arrivals are appended with [`Self::push_tail`]; mixed particles are
+    /// homed, so with `charges` the lookup stays inside the ghost-ringed
+    /// window (read at the window's first row: the charge does not depend
+    /// on the row, and one row stays cache-resident).
     pub fn sweep_tail_pass(
         &mut self,
         grid: &Grid,
         consts: &SimConstants,
         charges: Option<&ChargeGrid>,
     ) {
-        self.sweep_tail(grid, consts, charges);
+        let (lo_end, hi_start) = self.ordered_span();
+        for span in [0..lo_end, hi_start..self.batch.len()] {
+            let x = &mut self.batch.x[span.clone()];
+            let y = &mut self.batch.y[span.clone()];
+            let vx = &mut self.batch.vx[span.clone()];
+            let vy = &mut self.batch.vy[span.clone()];
+            let q = &self.batch.q[span];
+            match charges {
+                Some(cg) => {
+                    let row = cg.row(cg.bounds().1 .0);
+                    simd::advance_bin_span_simd(self.backend, grid, consts, row, x, y, vx, vy, q)
+                }
+                None => {
+                    let parity = ColumnParity(consts.q);
+                    simd::advance_bin_span_simd(self.backend, grid, consts, parity, x, y, vx, vy, q)
+                }
+            }
+        }
     }
 
     /// Close a split sweep: bump the age so the next sweep flips charge
     /// parity. Call exactly once per step, after every column range and
-    /// the tail have been swept.
+    /// the mixed region have been swept.
     pub fn end_sweep(&mut self) {
         self.age += 1;
     }
 
-    /// The tier kernel over bins `b_lo..b_hi` (local bin indices) at the
-    /// current age parity.
+    /// The tier kernel over the ordered bins among `bins` (local bin
+    /// indices) at the current age parity.
     fn sweep_bins(
         &mut self,
         grid: &Grid,
         consts: &SimConstants,
         charges: Option<&ChargeGrid>,
-        b_lo: usize,
-        b_hi: usize,
+        bins: Range<usize>,
     ) {
         let parity = self.age & 1;
         let row0 = charges.map(|cg| cg.bounds().1 .0);
-        let binned = self.offsets[self.ncols];
-        for b in b_lo..b_hi {
+        let n = self.batch.len();
+        for b in bins.start.max(self.ordered.start)..bins.end.min(self.ordered.end) {
             let (i, span_end) = (self.offsets[b], self.offsets[b + 1]);
             if i == span_end {
                 continue;
@@ -564,7 +619,7 @@ impl BinnedStore {
                 None => mesh_charge(col, consts.q),
             };
             let q_left = if parity == 1 { -base } else { base };
-            if self.tier == KernelTier::Fast && span_end < binned {
+            if self.tier == KernelTier::Fast && span_end < n {
                 // Pull the next span's columns towards the cache while
                 // this one computes (spans are contiguous in index).
                 simd::prefetch_read(self.batch.x[span_end..].as_ptr());
@@ -587,32 +642,25 @@ impl BinnedStore {
         }
     }
 
-    /// Advance the tail region (exchange arrivals past `offsets[ncols]`)
-    /// one step, per particle, through the exact scalar span kernel with
-    /// the particle's *live* column charge — no parity flip, because the
-    /// column is read fresh rather than remembered from a rebin. Tail
-    /// particles are homed on arrival, so with `charges` the lookup stays
-    /// inside the ghost-ringed window.
-    fn sweep_tail(&mut self, grid: &Grid, consts: &SimConstants, charges: Option<&ChargeGrid>) {
-        let n = self.batch.len();
-        let start = self.offsets[self.ncols];
-        for i in start..n {
-            let (col, row) = grid.cell_of_point(self.batch.x[i], self.batch.y[i]);
-            let q_left = match charges {
-                Some(cg) => cg.charge_at(col, row),
-                None => mesh_charge(col, consts.q),
-            };
-            advance_bin_span(
-                grid,
-                consts,
-                q_left,
-                &mut self.batch.x[i..i + 1],
-                &mut self.batch.y[i..i + 1],
-                &mut self.batch.vx[i..i + 1],
-                &mut self.batch.vy[i..i + 1],
-                &self.batch.q[i..i + 1],
-            );
+    /// Index span `(start, end)` of the ordered block; everything outside
+    /// it is mixed. `(0, 0)` when nothing is ordered.
+    fn ordered_span(&self) -> (usize, usize) {
+        if self.dirty {
+            (0, 0)
+        } else {
+            (
+                self.offsets[self.ordered.start],
+                self.offsets[self.ordered.end],
+            )
         }
+    }
+
+    /// Whether every particle sits in an ordered bin (fresh from a rebin,
+    /// or swept since without a drain or an arrival).
+    fn fully_ordered(&self) -> bool {
+        !self.dirty
+            && self.ordered == (0..self.ncols)
+            && self.offsets[self.ncols] == self.batch.len()
     }
 
     /// Sweeps since the last rebin. Between rebins a particle in bin `b`
@@ -640,15 +688,17 @@ impl BinnedStore {
         self.dirty || self.age >= self.rebin_interval
     }
 
-    /// Number of exchange arrivals not yet folded into bin order.
+    /// Number of particles outside the ordered bins (the mixed region:
+    /// drained border bins and exchange arrivals).
     pub fn tail_len(&self) -> usize {
-        self.batch.len() - self.offsets[self.ncols].min(self.batch.len())
+        let (lo_end, hi_start) = self.ordered_span();
+        self.batch.len() - (hi_start - lo_end)
     }
 
     /// Fill `h` with the per-column particle counts. When the binning is
-    /// fresh (just rebinned, no structural edits since) this is the
-    /// O(columns) prefix-sum difference; otherwise it falls back to the
-    /// O(n) position scan the unbinned stores use.
+    /// fresh (just rebinned; no sweep, drain, arrival or structural edit
+    /// since) this is the O(columns) prefix-sum difference; otherwise it
+    /// falls back to the O(n) position scan the unbinned stores use.
     pub fn column_histogram_into(&self, grid: &Grid, h: &mut Vec<u64>) {
         h.clear();
         h.resize(grid.ncells(), 0);
@@ -667,11 +717,11 @@ impl BinnedStore {
     /// O(columns) fast path (true whenever the store was rebinned after
     /// the last sweep/edit — always the case in steady state with R = 1).
     pub fn histogram_is_fresh(&self) -> bool {
-        self.age == 0 && !self.dirty && self.offsets[self.ncols] == self.batch.len()
+        self.age == 0 && self.fully_ordered()
     }
 
-    /// Append a particle (goes to the tail, outside bin order → marks the
-    /// store dirty; the next sweep rebins first).
+    /// Append a particle that may lie anywhere (marks the store dirty; the
+    /// next sweep rebins first).
     pub fn push(&mut self, p: Particle) {
         self.batch.push(p);
         self.dirty = true;
@@ -684,20 +734,21 @@ impl BinnedStore {
         self.dirty = true;
     }
 
-    /// Append an exchange arrival **without** disturbing bin order: the
-    /// particle joins the tail region (`offsets[ncols]..len`), is swept
-    /// per-particle until the next rebin, and does not force an early
-    /// counting sort — this is what keeps the rebin amortized under
-    /// steady migration traffic. The particle must be homed (inside this
-    /// store's column range) so the eventual rebin stays in range.
+    /// Append an exchange arrival **without** disturbing the ordered bins:
+    /// the particle joins the mixed region at the end of the batch, is
+    /// swept by [`Self::sweep_tail_pass`] until the next rebin, and does
+    /// not force an early counting sort — this is what keeps the rebin
+    /// amortized under steady migration traffic. The particle must be
+    /// homed (inside this store's column range) so the eventual rebin
+    /// stays in range.
     pub fn push_tail(&mut self, p: Particle) {
         self.batch.push(p);
     }
 
     /// Drain every particle whose *current* cell fails `keep(col, row)`
-    /// into `out`, preserving bin order (stable in-place compaction of
-    /// all eleven arrays with an offsets fix-up) — the exchange path, run
-    /// every step without an AoS round-trip. Returns the drain count.
+    /// into `out` — the exchange path, run every step without an AoS
+    /// round-trip. Every bin becomes mixed; see
+    /// [`Self::drain_leavers_cols_into`]. Returns the drain count.
     pub fn drain_leavers_into(
         &mut self,
         grid: &Grid,
@@ -707,92 +758,113 @@ impl BinnedStore {
         self.drain_leavers_cols_into(grid, |_| true, keep, out)
     }
 
-    /// [`Self::drain_leavers_into`] restricted to the bins of global
-    /// columns for which `active(col)` is true, plus the tail region
-    /// (arrivals may sit in any column and are always tested). Inactive
-    /// bins compact wholesale without the `keep` test — the overlapped
-    /// exchange drains only *border* columns this way, because interior
-    /// particles cannot out-run the border width in one step. The caller
-    /// guarantees inactive columns hold no leavers; when the store is
-    /// dirty the binning is stale, so every particle is tested regardless.
+    /// [`Self::drain_leavers_into`] restricted to the mixed region plus the
+    /// bins of global columns for which `active(col)` is true (module docs,
+    /// "Ordered interior, mixed border"). The caller guarantees inactive
+    /// columns hold no leavers — the overlapped exchange passes the
+    /// *border* columns, because interior particles cannot out-run the
+    /// border width in one step.
+    ///
+    /// The ordered range shrinks to its first run of inactive bins; every
+    /// bin trimmed off joins the mixed region, so a caller draining
+    /// mid-sweep must have swept those bins already (with `active` the
+    /// complement of one column interval, as in the overlapped step, they
+    /// are exactly the active ones). Should the mixed suffix run out of
+    /// survivors to refill with — a border that empties leftwards faster
+    /// than arrivals replace it — the remaining holes are closed by
+    /// sliding the ordered block left wholesale: its bins keep their
+    /// contents and order, their offsets drop by a constant. When the
+    /// store is dirty nothing is ordered and every particle is tested.
     pub fn drain_leavers_cols_into(
         &mut self,
         grid: &Grid,
-        mut active: impl FnMut(usize) -> bool,
+        active: impl FnMut(usize) -> bool,
         mut keep: impl FnMut(usize, usize) -> bool,
         mut out: impl FnMut(Particle),
     ) -> usize {
         let n = self.batch.len();
-        let mut w = 0usize;
-        let mut r = 0usize;
-        if self.dirty {
-            // Structural edits queued a rebin: offsets are stale, so the
-            // whole batch compacts as one unbinned region and the next
-            // sweep's rebin rebuilds the prefix sums.
-            while r < n {
-                let (c, row) = grid.cell_of_point(self.batch.x[r], self.batch.y[r]);
-                if keep(c, row) {
-                    if w != r {
-                        self.batch.copy_element(r, w);
-                    }
-                    w += 1;
-                } else {
-                    out(self.batch.get(r));
+        assert!(n <= u32::MAX as usize, "hole indices are u32");
+        if !self.dirty {
+            self.trim_ordered(active);
+        }
+        let (lo_end, hi_start) = self.ordered_span();
+
+        // Scan the two mixed spans in index order.
+        self.holes.clear();
+        for span in [0..lo_end, hi_start..n] {
+            let (x, y) = (&self.batch.x[span.clone()], &self.batch.y[span.clone()]);
+            // Zipped slices: no bounds checks, and a `keep` that ignores
+            // the row leaves the `y` load dead.
+            for (i, (&x, &y)) in span.zip(x.iter().zip(y)) {
+                let (c, r) = grid.cell_of_point(x, y);
+                if !keep(c, r) {
+                    out(self.batch.get(i));
+                    self.holes.push(i as u32);
                 }
-                r += 1;
-            }
-        } else {
-            for b in 0..self.ncols {
-                // `offsets[b+1]` still holds the *old* end of bin `b`:
-                // the fix-up below only rewrites entries already walked.
-                let end = self.offsets[b + 1];
-                if !active(self.col_lo + b) {
-                    // Whole span keeps; shift it left past earlier holes.
-                    if w != r {
-                        for i in r..end {
-                            self.batch.copy_element(i, w + (i - r));
-                        }
-                    }
-                    w += end - r;
-                    r = end;
-                    self.offsets[b + 1] = w;
-                    continue;
-                }
-                while r < end {
-                    let (c, row) = grid.cell_of_point(self.batch.x[r], self.batch.y[r]);
-                    if keep(c, row) {
-                        if w != r {
-                            self.batch.copy_element(r, w);
-                        }
-                        w += 1;
-                    } else {
-                        out(self.batch.get(r));
-                    }
-                    r += 1;
-                }
-                self.offsets[b + 1] = w;
-            }
-            // Tail arrivals compact too; they stay outside the offsets.
-            while r < n {
-                let (c, row) = grid.cell_of_point(self.batch.x[r], self.batch.y[r]);
-                if keep(c, row) {
-                    if w != r {
-                        self.batch.copy_element(r, w);
-                    }
-                    w += 1;
-                } else {
-                    out(self.batch.get(r));
-                }
-                r += 1;
             }
         }
-        self.batch.truncate(w);
-        let removed = n - w;
-        if removed > 0 {
-            // Span ends moved: recompute the bin→worker assignment lazily.
-            self.owner_slots = 0;
+        let holes = &self.holes[..];
+        let removed = holes.len();
+        let new_len = n - removed;
+
+        // Refill the holes below `new_len`, lowest first, with survivors
+        // taken from the end of the batch (`holes[top..]` are the holes
+        // `src` has already stepped over).
+        let floor = new_len.max(hi_start);
+        let (mut src, mut top, mut filled) = (n, removed, 0);
+        let exhausted = loop {
+            if filled == removed || holes[filled] as usize >= new_len {
+                break false;
+            }
+            while src > floor && top > filled && holes[top - 1] as usize == src - 1 {
+                src -= 1;
+                top -= 1;
+            }
+            if src == floor {
+                break true;
+            }
+            src -= 1;
+            self.batch.copy_element(src, holes[filled] as usize);
+            filled += 1;
+        };
+        if exhausted {
+            // Every mixed survivor above the ordered block is spent and
+            // the holes in `open` (all below the block) remain: slide each
+            // hole-free run left over the holes before it. The last run
+            // carries the ordered block, intact.
+            let open = &holes[filled..holes.partition_point(|&h| (h as usize) < lo_end)];
+            let mut w = open[0] as usize;
+            for (j, &h) in open.iter().enumerate() {
+                let run = h as usize + 1..open.get(j + 1).map_or(hi_start, |&h| h as usize);
+                self.batch.copy_within(run.clone(), w);
+                w += run.len();
+            }
+            for o in &mut self.offsets[self.ordered.start..=self.ordered.end] {
+                *o -= open.len();
+            }
+            self.shift_fallbacks += 1;
         }
+        self.batch.truncate(new_len);
         removed
+    }
+
+    /// Shrink the ordered range to its first run of bins that are not
+    /// `active` (an empty result is normalised to `0..0`).
+    fn trim_ordered(&mut self, mut active: impl FnMut(usize) -> bool) {
+        let Range { start, end } = self.ordered;
+        let mut lo = start;
+        while lo < end && active(self.col_lo + lo) {
+            lo += 1;
+        }
+        let mut hi = lo;
+        while hi < end && !active(self.col_lo + hi) {
+            hi += 1;
+        }
+        self.ordered = if self.offsets[lo] == self.offsets[hi] {
+            0..0
+        } else {
+            lo..hi
+        };
     }
 
     /// Apply a removal event: up to `count` particles inside `region`,
@@ -888,11 +960,13 @@ fn gather(src: &ParticleBatch, dst: &mut ParticleBatch, perm: &[usize]) {
 
 /// The force-and-integrate half of the parity-specialized sweep kernel
 /// ([`advance_bin_span`]), exposed separately so the SIMD layer can run
-/// span tails (`len mod 4`) through exactly this code.
+/// span tails (`len mod 4`) through exactly this code. `charge` is the
+/// hoisted `q_left` of an ordered bin (an `f64`) or a per-column source
+/// for the mixed region.
 #[inline(always)]
-pub(crate) fn force_span(
+pub(crate) fn force_span<C: CornerCharge>(
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -901,7 +975,6 @@ pub(crate) fn force_span(
 ) {
     let dt = consts.dt;
     let h = consts.h;
-    let q_right = -q_left;
     for i in 0..x.len() {
         let xi = x[i];
         let yi = y[i];
@@ -909,6 +982,8 @@ pub(crate) fn force_span(
         // [0, L), where the truncation alone yields the identical index.
         let col = xi as usize;
         let row = yi as usize;
+        let q_left = charge.at(col);
+        let q_right = -q_left;
         // The parity invariant (module docs): every particle in the span
         // agrees with the hoisted corner charge.
         debug_assert_eq!(mesh_charge(col, consts.q), q_left, "parity drift at x={xi}");
@@ -928,9 +1003,10 @@ pub(crate) fn force_span(
     }
 }
 
-/// The parity-specialized sweep kernel: eqs. 1–2 over one bin-clipped
-/// span whose particles all share mesh-corner charges `q_left` (left
-/// column) and `−q_left` (right column). This is the scalar reference
+/// The parity-specialized sweep kernel: eqs. 1–2 over one span whose
+/// mesh-corner charges `q_left` (left column) and `−q_left` (right
+/// column) come from `charge` — one hoisted value shared by a bin-clipped
+/// span, or each particle's live column. This is the scalar reference
 /// the SIMD backends ([`crate::simd`]) are proven bit-identical against,
 /// and the kernel the `Scalar` backend runs directly.
 ///
@@ -947,10 +1023,10 @@ pub(crate) fn force_span(
 /// unchanged.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn advance_bin_span(
+pub(crate) fn advance_bin_span<C: CornerCharge>(
     grid: &Grid,
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -964,7 +1040,7 @@ pub(crate) fn advance_bin_span(
             grid.cell_of_point(x[i], y[i])
         );
     }
-    force_span(consts, q_left, x, y, vx, vy, q);
+    force_span(consts, charge, x, y, vx, vy, q);
     for i in 0..x.len() {
         x[i] = grid.wrap_coord(x[i]);
         y[i] = grid.wrap_coord(y[i]);
@@ -1399,14 +1475,26 @@ mod tests {
         );
         assert_eq!(a, b);
         assert!(!tested_inactive, "inactive bins must skip the keep test");
-        assert_eq!(gone_full.len(), gone_restricted.len());
+        gone_full.sort_unstable_by_key(|p| p.id);
+        gone_restricted.sort_unstable_by_key(|p| p.id);
+        assert_eq!(gone_full, gone_restricted);
         assert_eq!(full.to_particles(), restricted.to_particles());
-        assert!(restricted.histogram_is_fresh(), "offsets fixed up");
+        // A drain leaves mixed bins behind: the histogram takes the scan
+        // path until the next rebin restores the O(columns) one.
+        assert!(!restricted.histogram_is_fresh(), "drained bins are mixed");
         let mut fa = Vec::new();
         let mut fb = Vec::new();
         full.column_histogram_into(&grid, &mut fa);
         restricted.column_histogram_into(&grid, &mut fb);
         assert_eq!(fa, fb);
+        restricted.rebin(&grid);
+        assert!(restricted.histogram_is_fresh(), "rebin restores the order");
+        restricted.column_histogram_into(&grid, &mut fb);
+        assert_eq!(fa, fb);
+        let cols: Vec<usize> = (restricted.batch().x.iter())
+            .map(|&x| grid.cell_of(x))
+            .collect();
+        assert!(cols.windows(2).all(|w| w[0] <= w[1]), "order broken");
     }
 
     #[test]
@@ -1419,21 +1507,148 @@ mod tests {
         let removed = store.drain_leavers_into(&grid, |c, _| c < mid, |p| gone.push(p));
         assert_eq!(removed, gone.len());
         assert_eq!(store.len() + removed, 800);
-        // Offsets were fixed up in place: still fresh, histogram matches a
-        // scan and the survivors stay column-sorted.
-        assert!(store.histogram_is_fresh());
-        let mut fast = Vec::new();
-        store.column_histogram_into(&grid, &mut fast);
-        let mut scan = vec![0u64; grid.ncells()];
-        for &x in &store.batch().x {
-            scan[grid.cell_of(x)] += 1;
-        }
-        assert_eq!(fast, scan);
-        assert!(scan[mid..].iter().all(|&c| c == 0));
-        let cols: Vec<usize> = store.batch().x.iter().map(|&x| grid.cell_of(x)).collect();
-        assert!(cols.windows(2).all(|w| w[0] <= w[1]), "order broken");
         let gone_sum: u128 = gone.iter().map(|p| p.id as u128).sum();
         assert_eq!(store.id_sum() + gone_sum, triangular_id_sum(800));
+        // Holes were refilled from the end, so the drained store is mixed:
+        // the histogram (scan path) still matches, and the next rebin
+        // makes it fresh and column-sorted again.
+        assert!(!store.histogram_is_fresh());
+        let scan_of = |store: &BinnedStore| {
+            let mut scan = vec![0u64; grid.ncells()];
+            for &x in &store.batch().x {
+                scan[grid.cell_of(x)] += 1;
+            }
+            scan
+        };
+        let mut hist = Vec::new();
+        store.column_histogram_into(&grid, &mut hist);
+        assert_eq!(hist, scan_of(&store));
+        assert!(hist[mid..].iter().all(|&c| c == 0));
+        store.rebin(&grid);
+        assert!(store.histogram_is_fresh());
+        store.column_histogram_into(&grid, &mut hist);
+        assert_eq!(hist, scan_of(&store));
+        let cols: Vec<usize> = store.batch().x.iter().map(|&x| grid.cell_of(x)).collect();
+        assert!(cols.windows(2).all(|w| w[0] <= w[1]), "order broken");
+    }
+
+    /// One randomized two-store run against the unbinned reference: every
+    /// step both stores sweep, drain under `active` and exchange through
+    /// `push_tail`; the union must equal `ParticleBatch::advance_all` of
+    /// the whole population bit for bit after every step (so every
+    /// particle was advanced exactly once, and none was lost, duplicated
+    /// or dropped by a hole refill). `overlapped` runs the border-first
+    /// ordering with the age-widened border as the active set; otherwise
+    /// the drain follows a full sweep and `active` is the border plus
+    /// arbitrary extra columns picked by `extra`. Returns how many drains
+    /// fell back to shifting the ordered block.
+    fn check_drain_sequence(
+        n: u64,
+        k: u32,
+        dir: i8,
+        rebin: u32,
+        steps: u32,
+        overlapped: bool,
+        charges: bool,
+        extra: u64,
+    ) -> u64 {
+        let grid = Grid::new(32).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let ps = InitConfig::new(grid, n, Distribution::Geometric { r: 0.9 })
+            .with_k(k)
+            .with_m(1)
+            .with_dir(dir)
+            .build()
+            .unwrap()
+            .particles;
+        let stride = 2 * k as usize + 1;
+        let ncells = grid.ncells();
+        let mid = ncells / 2;
+        let mut reference = ParticleBatch::from_particles(&ps);
+        let mut halves = [(0, mid), (mid, ncells)].map(|(lo, hi)| {
+            let mine: Vec<Particle> = (ps.iter().copied())
+                .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
+                .collect();
+            let cg = ChargeGrid::build(&grid, &consts, (lo, hi), (0, ncells));
+            (BinnedStore::new_subdomain(&mine, &grid, rebin, lo, hi), cg)
+        });
+        for step in 0..steps {
+            reference.advance_all(&grid, &consts);
+            let mut moved = [Vec::new(), Vec::new()];
+            for (h, (store, cg)) in halves.iter_mut().enumerate() {
+                let (lo, hi) = store.columns();
+                let cg = charges.then_some(&*cg);
+                store.prepare_sweep(&grid);
+                let w = store.border_width(stride);
+                let b_lo = (lo + w).min(hi);
+                let b_hi = hi.saturating_sub(w).max(b_lo);
+                let border = |c: usize| !(b_lo..b_hi).contains(&c);
+                let keep = |c: usize, _| (lo..hi).contains(&c);
+                let out = |p| moved[1 - h].push(p);
+                if overlapped {
+                    store.sweep_cols(&grid, &consts, cg, lo..b_lo);
+                    store.sweep_cols(&grid, &consts, cg, b_hi..hi);
+                    store.sweep_tail_pass(&grid, &consts, cg);
+                    store.drain_leavers_cols_into(&grid, border, keep, out);
+                    store.sweep_cols(&grid, &consts, cg, b_lo..b_hi);
+                } else {
+                    store.sweep_cols(&grid, &consts, cg, lo..hi);
+                    store.sweep_tail_pass(&grid, &consts, cg);
+                    let pick = |c: usize| (extra >> ((c + step as usize) % 64)) & 1 == 1;
+                    store.drain_leavers_cols_into(&grid, |c| border(c) || pick(c), keep, out);
+                }
+                store.end_sweep();
+            }
+            for ((store, _), arrivals) in halves.iter_mut().zip(moved) {
+                arrivals.into_iter().for_each(|p| store.push_tail(p));
+                if store.rebin_due() {
+                    store.rebin(&grid);
+                }
+            }
+            let mut got = [halves[0].0.to_particles(), halves[1].0.to_particles()].concat();
+            got.sort_unstable_by_key(|p| p.id);
+            let mut want = reference.to_particles();
+            want.sort_unstable_by_key(|p| p.id);
+            assert_eq!(want, got, "diverged at step {step}");
+        }
+        halves.iter().map(|(store, _)| store.shift_fallbacks).sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn drain_sequences_keep_the_reference_multiset_and_sweep_once(
+            n in 100u64..500,
+            k in 0u32..2,
+            leftwards in proptest::prelude::prop::bool::ANY,
+            rebin in proptest::prelude::prop::sample::select(vec![1u32, 3, 16]),
+            steps in 10u32..40,
+            overlapped in proptest::prelude::prop::bool::ANY,
+            charges in proptest::prelude::prop::bool::ANY,
+            extra in proptest::prelude::any::<u64>(),
+        ) {
+            let dir = if leftwards { -1 } else { 1 };
+            check_drain_sequence(n, k, dir, rebin, steps, overlapped, charges, extra);
+        }
+    }
+
+    #[test]
+    fn exhausted_refill_shifts_the_ordered_block() {
+        // Leftward drift down the geometric slope: the low border loses
+        // more particles per step than the high border and the arrivals
+        // hold, so the refill runs dry and the fallback must fire — and
+        // `check_drain_sequence` proves it kept every unswept bin intact.
+        for overlapped in [false, true] {
+            let fallbacks: u64 = [3, 16]
+                .map(|rebin| check_drain_sequence(400, 1, -1, rebin, 24, overlapped, true, 0))
+                .iter()
+                .sum();
+            assert!(
+                fallbacks > 0,
+                "overlapped={overlapped}: fallback never fired"
+            );
+        }
     }
 
     #[test]

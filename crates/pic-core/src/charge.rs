@@ -113,6 +113,57 @@ pub(crate) fn coulomb_lanes<V: crate::simd::Lanes>(dx: V, dy: V, q1: V, q2: V) -
     (f_over_r.mul(dx), f_over_r.mul(dy))
 }
 
+/// Where a span kernel reads its left-corner mesh charge from — the one
+/// thing that differs between the *ordered* bins of a
+/// [`crate::bin::BinnedStore`] (every particle of the span shares one
+/// hoisted value) and its unordered *mixed* region (each particle reads
+/// the charge of its own live column). The right-corner charge is always
+/// the exact negation. Every source yields `mesh_charge(col, q)` bit for
+/// bit, so the choice never changes a result (DESIGN.md §9).
+pub(crate) trait CornerCharge: Copy {
+    /// `q_left` for a particle in mesh column `col`.
+    fn at(self, col: usize) -> f64;
+    /// `(q_left, q_right)` per lane; `col` holds the lanes' truncated
+    /// (integer-valued) column coordinates.
+    fn lanes<V: crate::simd::Lanes>(self, col: V) -> (V, V);
+}
+
+/// A span-wide hoisted `q_left`: the parity invariant of an ordered bin.
+impl CornerCharge for f64 {
+    #[inline(always)]
+    fn at(self, _col: usize) -> f64 {
+        self
+    }
+
+    #[inline(always)]
+    fn lanes<V: crate::simd::Lanes>(self, _col: V) -> (V, V) {
+        (V::splat(self), V::splat(-self))
+    }
+}
+
+/// The formulaic mesh (`mesh_charge(col, q)`) evaluated per particle from
+/// the live column's parity, in registers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnParity(pub f64);
+
+impl CornerCharge for ColumnParity {
+    #[inline(always)]
+    fn at(self, col: usize) -> f64 {
+        mesh_charge(col, self.0)
+    }
+
+    #[inline(always)]
+    fn lanes<V: crate::simd::Lanes>(self, col: V) -> (V, V) {
+        // Columns are integers below 2³¹, so halving, truncating and
+        // doubling are all exact: `odd` is 0.0 or 1.0 and `sign` is ±1.0,
+        // which makes both products exactly `±q` — `mesh_charge`'s values.
+        let half = col.mul(V::splat(0.5)).trunc();
+        let odd = col.sub(half.add(half));
+        let sign = V::splat(1.0).sub(odd.add(odd));
+        (V::splat(self.0).mul(sign), V::splat(-self.0).mul(sign))
+    }
+}
+
 /// Fast-tier [`coulomb`] magnitude: returns only `f/r = q1q2/(r²·√r²)`,
 /// computed as `q1q2·rs³` with `rs = rsqrt(r²)` — a hardware reciprocal
 /// square-root estimate refined by Newton–Raphson instead of the exact

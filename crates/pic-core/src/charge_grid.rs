@@ -10,8 +10,9 @@
 //! migrate) the same data a real port would, and so tests can prove the
 //! stored-mesh force path is bit-identical to the formulaic one.
 
-use crate::charge::{coulomb, mesh_charge, SimConstants};
+use crate::charge::{coulomb, mesh_charge, CornerCharge, SimConstants};
 use crate::geometry::Grid;
+use crate::simd::Lanes;
 
 /// Charges of the mesh points of an owned cell rectangle plus one ghost
 /// ring. Owning cells `[x0, x1) × [y0, y1)` requires mesh points
@@ -95,6 +96,19 @@ impl ChargeGrid {
         self.data[dy as usize * (self.w + 3) + dx as usize]
     }
 
+    /// The stored charges of mesh row `row` as a per-column corner-charge
+    /// source for the span kernels: one contiguous `w + 3` slice, so a
+    /// sweep that reads it touches a few cache lines instead of walking
+    /// the whole subgrid by particle row.
+    pub(crate) fn row(&self, row: usize) -> MeshRow<'_> {
+        let stride = self.w + 3;
+        let dy = row + 1 - self.y0;
+        MeshRow {
+            charges: &self.data[dy * stride..(dy + 1) * stride],
+            x0: self.x0,
+        }
+    }
+
     /// Total Coulomb force on a particle inside the owned rectangle, read
     /// from the stored mesh — the same arithmetic as
     /// [`crate::charge::total_force`], so results are bit-identical.
@@ -152,6 +166,40 @@ impl ChargeGrid {
     /// stored point) — used by cost accounting and tests.
     pub fn wire_bytes(&self) -> usize {
         self.data.len() * 8
+    }
+}
+
+/// One stored mesh row of a [`ChargeGrid`] ([`ChargeGrid::row`]): element
+/// `col + 1 − x0` is the charge of global mesh column `col`, ghost column
+/// first. Reading outside the stored window panics, like
+/// [`ChargeGrid::charge_at`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MeshRow<'a> {
+    charges: &'a [f64],
+    x0: usize,
+}
+
+impl CornerCharge for MeshRow<'_> {
+    #[inline(always)]
+    fn at(self, col: usize) -> f64 {
+        self.charges[(col + 1).wrapping_sub(self.x0)]
+    }
+
+    #[inline(always)]
+    fn lanes<V: Lanes>(self, col: V) -> (V, V) {
+        // Widest backend (AVX-512) has eight lanes.
+        let mut c = [0.0f64; 8];
+        let (mut left, mut right) = ([0.0f64; 8], [0.0f64; 8]);
+        assert!(V::WIDTH <= c.len());
+        // SAFETY: the three arrays hold at least `V::WIDTH` elements.
+        unsafe {
+            col.store(c.as_mut_ptr());
+            for k in 0..V::WIDTH {
+                left[k] = self.at(c[k] as usize);
+                right[k] = -left[k];
+            }
+            (V::load(left.as_ptr()), V::load(right.as_ptr()))
+        }
     }
 }
 

@@ -247,7 +247,10 @@ impl Pool {
             return;
         }
 
-        let _token = self.submit.lock().unwrap();
+        let token = self
+            .submit
+            .lock()
+            .expect("submit token is released before a panic is re-raised");
         // Publish. The lifetime erasure is sound because this function
         // drains every worker out of the job before returning.
         let job = JobPtr {
@@ -284,7 +287,11 @@ impl Pool {
                 st = self.shared.done_cv.wait(st).unwrap();
             }
         }
-        if self.shared.panicked.load(Ordering::SeqCst) {
+        // Release the submit token *before* re-raising: unwinding with the
+        // guard alive would poison the mutex and kill every later sweep.
+        let panicked = self.shared.panicked.load(Ordering::SeqCst);
+        drop(token);
+        if panicked {
             panic!("a sweep chunk panicked on a pool worker");
         }
     }
@@ -318,7 +325,10 @@ impl Pool {
         let bridge = move |s: usize, _e: usize| body(s);
         let bridge: &(dyn Fn(usize, usize) + Sync) = &bridge;
 
-        let _token = self.submit.lock().unwrap();
+        let token = self
+            .submit
+            .lock()
+            .expect("submit token is released before a panic is re-raised");
         let job = JobPtr {
             body: unsafe {
                 std::mem::transmute::<
@@ -357,7 +367,10 @@ impl Pool {
             }
             st.job = None;
         }
-        if self.shared.panicked.load(Ordering::SeqCst) {
+        // As in `run_chunked`: never unwind while holding the token.
+        let panicked = self.shared.panicked.load(Ordering::SeqCst);
+        drop(token);
+        if panicked {
             panic!("an owned sweep slot panicked on a pool worker");
         }
     }

@@ -62,7 +62,7 @@
 //!
 //! [`coulomb`]: crate::charge::coulomb
 
-use crate::charge::{coulomb_f_over_r_fast, coulomb_lanes, SimConstants};
+use crate::charge::{coulomb_f_over_r_fast, coulomb_lanes, CornerCharge, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -660,16 +660,20 @@ pub(crate) fn prefetch_read(p: *const f64) {
 /// Force-and-integrate over `groups` quartets starting at the span base —
 /// the vector transcription of the scalar kernel's first loop, lane per
 /// particle, four corner evaluations unrolled in the scalar pairing and
-/// summation order.
+/// summation order. The corner charges come from `charge`: a hoisted
+/// `f64` splats once outside the loop (an ordered bin), the per-column
+/// sources resolve each lane's own column (the mixed region) — the
+/// arithmetic downstream of the charge is the same instruction sequence
+/// either way.
 ///
 /// # Safety
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
 /// the x/y/vx/vy regions must be disjoint (they are distinct SoA columns).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn force_groups<V: Lanes>(
+unsafe fn force_groups<V: Lanes, C: CornerCharge>(
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: *mut f64,
     y: *mut f64,
     vx: *mut f64,
@@ -680,8 +684,6 @@ unsafe fn force_groups<V: Lanes>(
     let dt = V::splat(consts.dt);
     let h = V::splat(consts.h);
     let half = V::splat(0.5);
-    let ql = V::splat(q_left);
-    let qr = V::splat(-q_left);
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -691,6 +693,7 @@ unsafe fn force_groups<V: Lanes>(
         // the identical column/row index.
         let col = xi.trunc();
         let row = yi.trunc();
+        let (ql, qr) = charge.lanes(col);
         let rx = xi.sub(col);
         let ry = yi.sub(row);
         let qp = V::load(q.add(o));
@@ -801,10 +804,10 @@ unsafe fn force_groups_fast<V: Lanes>(
 /// guarantees this via [`SimdBackend`] dispatch.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn advance_span_lanes<V: Lanes>(
+unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
     grid: &Grid,
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -821,16 +824,16 @@ unsafe fn advance_span_lanes<V: Lanes>(
         debug_assert_eq!((col, row), (x[i] as usize, y[i] as usize));
         debug_assert_eq!(
             crate::charge::mesh_charge(col, consts.q),
-            q_left,
+            charge.at(col),
             "parity drift at x={}",
             x[i]
         );
     }
     let groups = n / V::WIDTH;
     let tail = groups * V::WIDTH;
-    force_groups::<V>(
+    force_groups::<V, C>(
         consts,
-        q_left,
+        charge,
         x.as_mut_ptr(),
         y.as_mut_ptr(),
         vx.as_mut_ptr(),
@@ -840,7 +843,7 @@ unsafe fn advance_span_lanes<V: Lanes>(
     );
     crate::bin::force_span(
         consts,
-        q_left,
+        charge,
         &mut x[tail..],
         &mut y[tail..],
         &mut vx[tail..],
@@ -915,17 +918,17 @@ unsafe fn advance_span_lanes_fast<V: Lanes>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_avx2(
+unsafe fn advance_span_avx2<C: CornerCharge>(
     grid: &Grid,
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
 ) {
-    advance_span_lanes::<x86::Avx2>(grid, consts, q_left, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx2, C>(grid, consts, charge, x, y, vx, vy, q)
 }
 
 /// Exact-kernel AVX-512 instantiation: 8 lanes per group, still
@@ -936,17 +939,17 @@ unsafe fn advance_span_avx2(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_avx512(
+unsafe fn advance_span_avx512<C: CornerCharge>(
     grid: &Grid,
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
 ) {
-    advance_span_lanes::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx512, C>(grid, consts, charge, x, y, vx, vy, q)
 }
 
 /// Fast-tier AVX2 instantiation; `fma` is enabled so [`Lanes::mul_add`]
@@ -990,15 +993,17 @@ unsafe fn advance_span_fast_avx512(
     advance_span_lanes_fast::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
-/// Advance one bin-clipped span with the selected backend — the SIMD
-/// counterpart of [`crate::bin::advance_bin_span`], bit-identical to it
-/// (and therefore to every other sweep mode) on every backend.
+/// Advance one span with the selected backend — the SIMD counterpart of
+/// [`crate::bin::advance_bin_span`], bit-identical to it (and therefore to
+/// every other sweep mode) on every backend and for every corner-charge
+/// source: a hoisted `f64` for a bin-clipped span of an ordered bin, a
+/// per-column source for the store's mixed region.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_bin_span_simd(
+pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
     backend: SimdBackend,
     grid: &Grid,
     consts: &SimConstants,
-    q_left: f64,
+    charge: C,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -1008,21 +1013,21 @@ pub(crate) fn advance_bin_span_simd(
     match backend {
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx512 => unsafe {
-            advance_span_avx512(grid, consts, q_left, x, y, vx, vy, q)
+            advance_span_avx512(grid, consts, charge, x, y, vx, vy, q)
         },
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q) },
+        SimdBackend::Avx2 => unsafe { advance_span_avx2(grid, consts, charge, x, y, vx, vy, q) },
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Sse2 => unsafe {
             // SSE2 is unconditionally present on x86-64.
-            advance_span_lanes::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
+            advance_span_lanes::<x86::Sse2, C>(grid, consts, charge, x, y, vx, vy, q)
         },
         #[cfg(target_arch = "aarch64")]
         SimdBackend::Neon => unsafe {
             // NEON is unconditionally present on aarch64.
-            advance_span_lanes::<arm::Neon>(grid, consts, q_left, x, y, vx, vy, q)
+            advance_span_lanes::<arm::Neon, C>(grid, consts, charge, x, y, vx, vy, q)
         },
-        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, q_left, x, y, vx, vy, q),
+        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, charge, x, y, vx, vy, q),
     }
 }
 
@@ -1172,6 +1177,79 @@ mod tests {
                     "backend {} diverged at span length {len}",
                     backend.name()
                 );
+            }
+        }
+    }
+
+    /// The per-lane-charge instantiation (the store's mixed region) is
+    /// bit-identical to running the scalar kernel one particle at a time
+    /// with that particle's own hoisted charge — for both per-column
+    /// sources, every backend, every span length up to two groups plus
+    /// one, with neighbouring lanes in columns of opposite parity, one lane
+    /// exactly on a mesh point, and column-7 lanes that leave the domain
+    /// and take the scalar wrap.
+    #[test]
+    fn per_lane_charge_kernel_bitwise_matches_scalar_per_particle() {
+        use crate::charge::ColumnParity;
+        use crate::charge_grid::ChargeGrid;
+        let grid = Grid::new(8).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let cg = ChargeGrid::build(&grid, &consts, (0, 8), (0, 8));
+        for backend in SimdBackend::available() {
+            for len in 0..=2 * backend.lanes() + 1 {
+                let mut seed = ParticleBatch::new();
+                for i in 0..len {
+                    let col = [6, 7, 1, 4, 3][i % 5];
+                    seed.push(column_population(&grid, col, i + 1, 0).get(i));
+                }
+                if len > 0 {
+                    seed.x[len / 2] = seed.x[len / 2].floor();
+                    seed.y[len / 2] = seed.y[len / 2].floor();
+                }
+                let mut want = seed.clone();
+                let mut parity = seed.clone();
+                let mut row = seed;
+                for step in 0..4 {
+                    for i in 0..len {
+                        crate::bin::advance_bin_span(
+                            &grid,
+                            &consts,
+                            mesh_charge(want.x[i] as usize, consts.q),
+                            &mut want.x[i..i + 1],
+                            &mut want.y[i..i + 1],
+                            &mut want.vx[i..i + 1],
+                            &mut want.vy[i..i + 1],
+                            &want.q[i..i + 1],
+                        );
+                    }
+                    let b = &mut parity;
+                    advance_bin_span_simd(
+                        backend,
+                        &grid,
+                        &consts,
+                        ColumnParity(consts.q),
+                        &mut b.x[..len],
+                        &mut b.y[..len],
+                        &mut b.vx[..len],
+                        &mut b.vy[..len],
+                        &b.q[..len],
+                    );
+                    let b = &mut row;
+                    advance_bin_span_simd(
+                        backend,
+                        &grid,
+                        &consts,
+                        cg.row(0),
+                        &mut b.x[..len],
+                        &mut b.y[..len],
+                        &mut b.vx[..len],
+                        &mut b.vy[..len],
+                        &b.q[..len],
+                    );
+                    let at = format!("backend {} len {len} step {step}", backend.name());
+                    assert_eq!(want, parity, "{at}: column-parity source diverged");
+                    assert_eq!(want, row, "{at}: mesh-row source diverged");
+                }
             }
         }
     }

@@ -246,7 +246,7 @@ impl ParticleBatch {
     }
 
     /// Copy element `src` over element `dst` across all eleven arrays —
-    /// the stable-compaction step of the binned drain.
+    /// the hole-refill step of the binned drain.
     pub(crate) fn copy_element(&mut self, src: usize, dst: usize) {
         self.id[dst] = self.id[src];
         self.x[dst] = self.x[src];
@@ -259,6 +259,22 @@ impl ParticleBatch {
         self.k[dst] = self.k[src];
         self.m[dst] = self.m[src];
         self.born_at[dst] = self.born_at[src];
+    }
+
+    /// Move the elements of `src` to start at `dst` across all eleven
+    /// arrays (overlap allowed, like `slice::copy_within`).
+    pub(crate) fn copy_within(&mut self, src: std::ops::Range<usize>, dst: usize) {
+        self.id.copy_within(src.clone(), dst);
+        self.x.copy_within(src.clone(), dst);
+        self.y.copy_within(src.clone(), dst);
+        self.vx.copy_within(src.clone(), dst);
+        self.vy.copy_within(src.clone(), dst);
+        self.q.copy_within(src.clone(), dst);
+        self.x0.copy_within(src.clone(), dst);
+        self.y0.copy_within(src.clone(), dst);
+        self.k.copy_within(src.clone(), dst);
+        self.m.copy_within(src.clone(), dst);
+        self.born_at.copy_within(src, dst);
     }
 
     /// Shorten the batch to `len` particles.

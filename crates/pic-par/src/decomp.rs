@@ -214,9 +214,96 @@ impl Decomp2d {
     }
 }
 
+/// O(1) cell → rank lookup for one [`Decomp2d`]: `rank = col[c] + row[r]`
+/// instead of the two binary searches of [`Decomp2d::owner_of_cell`] — the
+/// per-particle question of every exchange scan.
+///
+/// The cuts are public and balancers move them in place, so the table
+/// keeps a copy of the cuts it was built from and [`OwnerTable::refresh`]
+/// compares them (O(px + py)) before every use; a stale table cannot
+/// survive a cut move, however the move was made.
+#[derive(Debug, Clone, Default)]
+pub struct OwnerTable {
+    xcuts: Vec<usize>,
+    ycuts: Vec<usize>,
+    /// Processor column of each mesh column.
+    col: Vec<u32>,
+    /// `px ·` processor row of each mesh row.
+    row: Vec<u32>,
+}
+
+impl OwnerTable {
+    pub fn new(decomp: &Decomp2d) -> OwnerTable {
+        let mut t = OwnerTable::default();
+        t.refresh(decomp);
+        t
+    }
+
+    /// Rebuild the table unless it was built from exactly `decomp`'s cuts
+    /// (capacity is retained: steady-state refreshes allocate nothing).
+    pub fn refresh(&mut self, decomp: &Decomp2d) {
+        if self.xcuts == decomp.xcuts && self.ycuts == decomp.ycuts {
+            return;
+        }
+        assert!(decomp.ranks() <= u32::MAX as usize, "ranks fit in u32");
+        let fill = |tab: &mut Vec<u32>, cuts: &[usize], scale: usize| {
+            tab.clear();
+            for (i, w) in cuts.windows(2).enumerate() {
+                tab.resize(w[1], (i * scale) as u32);
+            }
+        };
+        fill(&mut self.col, &decomp.xcuts, 1);
+        fill(&mut self.row, &decomp.ycuts, decomp.px);
+        self.xcuts.clone_from(&decomp.xcuts);
+        self.ycuts.clone_from(&decomp.ycuts);
+    }
+
+    /// Rank owning cell `(col, row)` — [`Decomp2d::owner_of_cell`].
+    #[inline]
+    pub fn owner_of_cell(&self, col: usize, row: usize) -> usize {
+        (self.col[col] + self.row[row]) as usize
+    }
+
+    /// [`Self::owner_of_cell`] for a single processor row (`py == 1`),
+    /// where the row cannot matter: no row lookup, and a caller that only
+    /// needs this never has to load the particle's `y`.
+    #[inline]
+    pub fn owner_of_col(&self, col: usize) -> usize {
+        debug_assert_eq!(self.ycuts.len(), 2, "owner_of_col needs py == 1");
+        self.col[col] as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn owner_table_matches_binary_search_and_follows_cut_moves() {
+        let mut d = Decomp2d::uniform_grid(24, 3, 2);
+        let mut t = OwnerTable::new(&d);
+        let check = |d: &Decomp2d, t: &OwnerTable| {
+            for c in 0..d.ncells {
+                for r in 0..d.ncells {
+                    assert_eq!(t.owner_of_cell(c, r), d.owner_of_cell(c, r), "({c},{r})");
+                }
+            }
+        };
+        check(&d, &t);
+        // Cuts moved through the setter and by direct field mutation: the
+        // refresh notices both.
+        d.set_xcuts(vec![0, 1, 23, 24]);
+        t.refresh(&d);
+        check(&d, &t);
+        d.ycuts[1] = 5;
+        t.refresh(&d);
+        check(&d, &t);
+        let strip = Decomp2d::columns(24, 4);
+        t.refresh(&strip);
+        for c in 0..24 {
+            assert_eq!(t.owner_of_col(c), strip.owner_of_cell(c, 7));
+        }
+    }
 
     #[test]
     fn factor_near_square() {

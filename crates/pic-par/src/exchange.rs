@@ -8,7 +8,7 @@
 //! load imbalances have a more (pseudo-)random nature" — via an
 //! owner-directed personalized all-to-all.
 
-use crate::decomp::Decomp2d;
+use crate::decomp::{Decomp2d, OwnerTable};
 use pic_comm::comm::Communicator;
 use pic_comm::sparse::{
     alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
@@ -88,6 +88,9 @@ pub struct ExchangeBuffers {
     plan: Option<SparsePlan>,
     /// Wire representation of particle payloads.
     format: WireFormat,
+    /// O(1) cell → rank table of the Cartesian decomposition, revalidated
+    /// against the live cuts by every [`rehome_binned_start`].
+    owners: OwnerTable,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
     /// Payload messages the sparse protocol elided since the last take.
@@ -321,10 +324,10 @@ where
 }
 
 /// The binned-path exchange: drain every mis-homed particle straight out
-/// of the rank's [`BinnedStore`] (stable in-place compaction — no AoS
-/// round-trip), route it to `owner(col, row)`, and append arrivals to the
-/// store's tail region, leaving the amortized rebin schedule untouched.
-/// Returns `(sent, received)` particle counts.
+/// of the rank's [`BinnedStore`] (holes refilled from the end of the batch
+/// — no shifting, no AoS round-trip), route it to `owner(col, row)`, and
+/// append arrivals to the store's mixed region, leaving the amortized
+/// rebin schedule untouched. Returns `(sent, received)` particle counts.
 pub fn route_binned_with<F>(
     comm: &Communicator,
     my_rank: usize,
@@ -362,7 +365,7 @@ impl ExchangeInFlight {
 }
 
 /// First half of the split-phase binned exchange: drain the leavers of the
-/// bins whose **global column** satisfies `active` (plus the tail region,
+/// bins whose **global column** satisfies `active` (plus the mixed region,
 /// which is always tested), stage them per destination, and post all sends.
 /// The overlapped rank step passes the border-column predicate here, then
 /// advances the interior while the messages are in flight, and calls
@@ -404,9 +407,8 @@ where
 }
 
 /// Second half of the split-phase binned exchange: complete the receives
-/// and append every arrival to the store's tail region (in source-rank
-/// order, so the result is identical to the synchronous exchange). Returns
-/// the number of particles received.
+/// and append every arrival to the store's mixed region. Returns the
+/// number of particles received.
 pub fn route_binned_finish(
     comm: &Communicator,
     inflight: ExchangeInFlight,
@@ -416,8 +418,36 @@ pub fn route_binned_finish(
     bufs.finish_arrivals(comm, inflight.handle, |p| store.push_tail(p))
 }
 
-/// [`route_binned_with`] under the Cartesian decomposition — the binned
-/// analogue of [`rehome_particles_with`].
+/// [`route_binned_start`] under the Cartesian decomposition, with
+/// ownership answered by the buffers' [`OwnerTable`] (refreshed against
+/// `decomp` first). A single processor row never looks at the row, which
+/// spares the scan the particle's `y`.
+pub(crate) fn rehome_binned_start(
+    comm: &Communicator,
+    decomp: &Decomp2d,
+    grid: &Grid,
+    my_rank: usize,
+    active: impl FnMut(usize) -> bool,
+    store: &mut BinnedStore,
+    bufs: &mut ExchangeBuffers,
+) -> ExchangeInFlight {
+    debug_assert_eq!(comm.size(), decomp.ranks());
+    // Out of `bufs` while the owner closure borrows it.
+    let mut owners = std::mem::take(&mut bufs.owners);
+    owners.refresh(decomp);
+    let inflight = if decomp.py == 1 {
+        let owner = |c, _| owners.owner_of_col(c);
+        route_binned_start(comm, my_rank, owner, active, store, grid, bufs)
+    } else {
+        let owner = |c, r| owners.owner_of_cell(c, r);
+        route_binned_start(comm, my_rank, owner, active, store, grid, bufs)
+    };
+    bufs.owners = owners;
+    inflight
+}
+
+/// The synchronous [`rehome_binned_start`] + [`route_binned_finish`] — the
+/// binned analogue of [`rehome_particles_with`].
 pub fn rehome_binned_with(
     comm: &Communicator,
     decomp: &Decomp2d,
@@ -426,15 +456,10 @@ pub fn rehome_binned_with(
     store: &mut BinnedStore,
     bufs: &mut ExchangeBuffers,
 ) -> (usize, usize) {
-    debug_assert_eq!(comm.size(), decomp.ranks());
-    route_binned_with(
-        comm,
-        my_rank,
-        |c, r| decomp.owner_of_cell(c, r),
-        store,
-        grid,
-        bufs,
-    )
+    let inflight = rehome_binned_start(comm, decomp, grid, my_rank, |_| true, store, bufs);
+    let sent = inflight.sent;
+    let received = route_binned_finish(comm, inflight, store, bufs);
+    (sent, received)
 }
 
 /// Route every particle not owned by `my_rank` under the Cartesian

@@ -4,8 +4,8 @@
 use crate::decomp::Decomp2d;
 pub use crate::exchange::WireFormat;
 use crate::exchange::{
-    local_slice, rehome_binned_with, rehome_particles_with, route_binned_finish,
-    route_binned_start, ExchangeBuffers,
+    local_slice, rehome_binned_start, rehome_binned_with, rehome_particles_with,
+    route_binned_finish, ExchangeBuffers,
 };
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
@@ -605,13 +605,13 @@ impl RankState {
     /// The overlapped step (paper-faithful split-phase exchange): advance
     /// the *border* columns first, launch the exchange for their leavers,
     /// advance the *interior* while the messages are in flight, then
-    /// complete the receives into the tail. Bit-identical to the
-    /// synchronous step: bins run the same tier kernel at the same age
-    /// parity against the same fixed per-step mesh regardless of the
-    /// column partition, the stable drain visits leavers in the same
-    /// order (interior bins cannot produce leavers — that is what
-    /// [`BinnedStore::border_width`] guarantees), and arrivals append in
-    /// source-rank order either way.
+    /// complete the receives into the mixed region. Bit-identical to the
+    /// synchronous step: every particle is advanced exactly once by the
+    /// same arithmetic against the same fixed per-step mesh wherever the
+    /// store keeps it (ordered bin or mixed region), the border drain
+    /// finds exactly the leavers the full drain would (interior bins
+    /// cannot produce any — that is what [`BinnedStore::border_width`]
+    /// guarantees), and storage order is not observable.
     fn step_overlapped(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         let RankStore::Binned(b) = &mut self.store else {
             unreachable!("overlap_ready checked the store path");
@@ -630,14 +630,13 @@ impl RankState {
         tracer.phase_end(Phase::Advance);
 
         tracer.phase_start(Phase::Exchange);
-        let decomp = &self.decomp;
-        let inflight = route_binned_start(
+        let inflight = rehome_binned_start(
             comm,
+            &self.decomp,
+            &self.grid,
             self.rank,
-            |c, r| decomp.owner_of_cell(c, r),
             |c| !(b_lo..b_hi).contains(&c),
             b,
-            &self.grid,
             &mut self.bufs,
         );
         let sent = inflight.sent;
@@ -735,9 +734,15 @@ impl RankState {
     /// Distributed verification: local analytic check, global reduction of
     /// failures, checksum, and max error.
     pub fn verify(&self, comm: &Communicator) -> VerifyReport {
+        self.verify_particles(comm, &self.local_particles())
+    }
+
+    /// [`RankState::verify`] over an already materialized
+    /// [`RankState::local_particles`].
+    fn verify_particles(&self, comm: &Communicator, particles: &[Particle]) -> VerifyReport {
         let local = verify_all(
             &self.grid,
-            &self.local_particles(),
+            particles,
             self.step,
             0, // expected sum handled globally below
             DEFAULT_TOLERANCE,
@@ -774,7 +779,10 @@ impl RankState {
     /// the `verify` phase.
     pub fn finish_traced(&self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
-        let verify = self.verify(comm);
+        // Materialized once (SoA → AoS copy plus a sort of the whole
+        // rank), shared by the verifier and the outcome.
+        let local_particles = self.local_particles();
+        let verify = self.verify_particles(comm, &local_particles);
         tracer.phase_end(Phase::Verify);
         let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
@@ -784,7 +792,7 @@ impl RankState {
             total_count,
             steps: self.step,
             kernel: self.kernel_desc(),
-            local_particles: self.local_particles(),
+            local_particles,
         }
     }
 }

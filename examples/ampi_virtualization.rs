@@ -34,8 +34,8 @@ fn main() {
         "over-decomposition: {} cores × d=8 → {} VPs on a {}×{} VP grid",
         cores,
         grid.vp_count(),
-        grid.decomp.px,
-        grid.decomp.py
+        grid.decomp().px,
+        grid.decomp().py
     );
     let asg = grid.initial_assignment();
     let loads: Vec<f64> = (0..grid.vp_count()).map(|v| (v % 7) as f64 + 1.0).collect();

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (SIMD on and forced off) -> fmt ->
-#   clippy (deny warnings) -> benches compile.
-# Run from anywhere; operates on the repository root.
+#   clippy (deny warnings) -> benches compile -> CLI and benchmark smokes.
+# Run from anywhere; operates on the repository root. CI
+# (.github/workflows/verify.yml) calls this script rather than repeating
+# its steps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,11 +14,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> PIC_NO_SIMD=1 cargo test -q (distributed rank suites, then workspace)"
+echo "==> cargo test -q -p pic-core (store, kernels, pool), SIMD on and forced off"
+# `cargo test -q` above covers the root package only; the binned store,
+# the span kernels (ordered and per-lane-charge) and the sweep pool are
+# pinned by pic-core's own suites.
+cargo test -q -p pic-core
+PIC_NO_SIMD=1 cargo test -q -p pic-core
+
+echo "==> PIC_NO_SIMD=1 cargo test -q (distributed rank suites, then the root package)"
 # The distributed rank loop defaults to the binned SIMD kernel; its
 # bit-identity contract must also hold with the vector path forced off.
 # Run the rank suites explicitly first so a scalar-path regression there
-# is reported against the responsible crate, then the whole workspace.
+# is reported against the responsible crate, then the root package.
 PIC_NO_SIMD=1 cargo test -q -p pic-par -p pic-ampi
 PIC_NO_SIMD=1 cargo test -q
 
@@ -111,5 +120,14 @@ echo "==> fast-tier analytic gate (--sweep soa-binned-fast must PASS)"
 PIC_NO_SIMD=1 ./target/release/pic --sweep soa-binned-fast --grid 64 \
     --particles 20000 --steps 60 --k 1 --m 1 --rebin 3 \
     --dist geometric:0.95 --quiet | grep -qx PASS
+
+echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry point)"
+# The repo benchmark at its small shape, as a correctness gate: each
+# repetition must verify, end with the expected particle count, and agree
+# with the traced run of the same input (bench/README.md). Those checks
+# are deterministic; the harness also bounds span coverage and tracing
+# cost, which one preemption of a 40 ms smoke run can trip — so a failed
+# pass is repeated once, and only a failure that repeats fails the gate.
+bash bench/run.sh --smoke >/dev/null || bash bench/run.sh --smoke >/dev/null
 
 echo "verify: OK"
