@@ -137,8 +137,10 @@ pub struct BinnedStore {
     col_lo: usize,
     /// Number of binned columns (`col_hi − col_lo`).
     ncols: usize,
-    /// Counting-sort destination per source index (reused across rebins).
-    perm: Vec<usize>,
+    /// The counting-sort permutation of the last rebin, run-coalesced
+    /// (capacity for one run per particle is reserved once, so rebins
+    /// allocate nothing however the run count varies).
+    runs: Vec<Run>,
     /// Counting-sort write cursors (reused across rebins).
     cursor: Vec<usize>,
     /// Sweeps executed since the last rebin.
@@ -201,7 +203,7 @@ impl BinnedStore {
             shift_fallbacks: 0,
             col_lo,
             ncols,
-            perm: Vec::new(),
+            runs: Vec::new(),
             cursor: vec![0; ncols],
             age: 0,
             dirty: false,
@@ -325,18 +327,18 @@ impl BinnedStore {
         }
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.offsets[..ncols]);
-        self.perm.clear();
-        self.perm.resize(n, 0);
-        let mut identity = true;
+        assert!(n <= u32::MAX as usize, "run indices are u32");
+        self.runs.clear();
+        self.runs.reserve(n);
         for (i, &x) in self.batch.x.iter().enumerate() {
             let c = grid.cell_of(x) - self.col_lo;
-            let dst = self.cursor[c];
+            push_run(&mut self.runs, i as u32, self.cursor[c] as u32);
             self.cursor[c] += 1;
-            self.perm[i] = dst;
-            identity &= dst == i;
         }
-        if !identity {
-            gather(&self.batch, &mut self.scratch, &self.perm);
+        // A permutation that is one run (or none, when empty) is the
+        // identity: the gather is skipped.
+        if self.runs.len() > 1 {
+            gather(&self.batch, &mut self.scratch, &self.runs);
             std::mem::swap(&mut self.batch, &mut self.scratch);
         }
         self.ordered = 0..ncols;
@@ -932,30 +934,51 @@ impl BinnedStore {
     }
 }
 
-/// Gather `src` into `dst` under `perm` (`dst[perm[i]] = src[i]`),
-/// resizing `dst` only when capacity must grow.
-fn gather(src: &ParticleBatch, dst: &mut ParticleBatch, perm: &[usize]) {
-    let n = src.len();
-    macro_rules! gather_field {
-        ($f:ident, $zero:expr) => {
-            dst.$f.clear();
-            dst.$f.resize(n, $zero);
-            for (i, &d) in perm.iter().enumerate() {
-                dst.$f[d] = src.$f[i];
-            }
-        };
+/// `len` consecutive source indices from `src` whose rebin destinations
+/// are consecutive from `dst`. The stable counting sort of particles that
+/// move in lock-step keeps whole bins together, so a rebin permutation is
+/// typically about one run per bin; isolated arrivals are runs of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    src: u32,
+    dst: u32,
+    len: u32,
+}
+
+/// Record that source `src` goes to `dst`. Sources must be pushed in
+/// ascending order without gaps, so only the destination decides whether
+/// the last run grows.
+#[inline(always)]
+fn push_run(runs: &mut Vec<Run>, src: u32, dst: u32) {
+    match runs.last_mut() {
+        Some(r) if r.dst + r.len == dst => r.len += 1,
+        _ => runs.push(Run { src, dst, len: 1 }),
     }
-    gather_field!(id, 0);
-    gather_field!(x, 0.0);
-    gather_field!(y, 0.0);
-    gather_field!(vx, 0.0);
-    gather_field!(vy, 0.0);
-    gather_field!(q, 0.0);
-    gather_field!(x0, 0.0);
-    gather_field!(y0, 0.0);
-    gather_field!(k, 0);
-    gather_field!(m, 0);
-    gather_field!(born_at, 0);
+}
+
+/// Gather `src` into `dst` under the permutation `runs`, one block copy
+/// per run and field. `dst` is resized, not cleared: every element is
+/// overwritten (the runs cover a permutation), so only a length change
+/// touches memory beyond the copies.
+fn gather(src: &ParticleBatch, dst: &mut ParticleBatch, runs: &[Run]) {
+    fn field<T: Copy + Default>(src: &[T], dst: &mut Vec<T>, runs: &[Run]) {
+        dst.resize(src.len(), T::default());
+        for r in runs {
+            let (s, d, len) = (r.src as usize, r.dst as usize, r.len as usize);
+            dst[d..d + len].copy_from_slice(&src[s..s + len]);
+        }
+    }
+    field(&src.id, &mut dst.id, runs);
+    field(&src.x, &mut dst.x, runs);
+    field(&src.y, &mut dst.y, runs);
+    field(&src.vx, &mut dst.vx, runs);
+    field(&src.vy, &mut dst.vy, runs);
+    field(&src.q, &mut dst.q, runs);
+    field(&src.x0, &mut dst.x0, runs);
+    field(&src.y0, &mut dst.y0, runs);
+    field(&src.k, &mut dst.k, runs);
+    field(&src.m, &mut dst.m, runs);
+    field(&src.born_at, &mut dst.born_at, runs);
 }
 
 /// The force-and-integrate half of the parity-specialized sweep kernel
@@ -1077,6 +1100,70 @@ mod tests {
         for c in 0..grid.ncells() {
             let span = &b.id[store.offsets[c]..store.offsets[c + 1]];
             assert!(span.windows(2).all(|w| w[0] < w[1]), "bin {c} unstable");
+        }
+    }
+
+    /// The run-coalesced gather is the element-wise scatter
+    /// `dst[perm[i]] = src[i]` on all eleven fields, whatever the shape of
+    /// the permutation and whatever the scratch batch held before — and
+    /// lock-step permutations really do collapse to a handful of runs.
+    #[test]
+    fn run_coalesced_gather_matches_elementwise_scatter() {
+        let n = 257usize;
+        let src: ParticleBatch = (0..n)
+            .map(|i| {
+                let f = i as f64;
+                Particle {
+                    id: i as u64 + 1,
+                    x: f + 0.5,
+                    y: f + 0.25,
+                    vx: -f,
+                    vy: 2.0 * f,
+                    q: 1.0 / (f + 1.0),
+                    x0: f + 0.125,
+                    y0: f + 0.75,
+                    k: i as u32,
+                    m: -(i as i32),
+                    born_at: 3 * i as u32,
+                }
+            })
+            .collect();
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(2016);
+        let mut random: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            random.swap(i, rng.gen_range(0..i + 1));
+        }
+        // The last element (an exchange arrival) sorts into the middle.
+        let arrival = |i: usize| match i {
+            i if i == n - 1 => 100,
+            i if i >= 100 => i + 1,
+            i => i,
+        };
+        let cases: [(&str, Vec<usize>, Option<usize>); 4] = [
+            ("identity", (0..n).collect(), Some(1)),
+            ("rotation", (0..n).map(|i| (i + 40) % n).collect(), Some(2)),
+            ("single arrival", (0..n).map(arrival).collect(), Some(3)),
+            ("random", random, None),
+        ];
+        for (name, perm, want_runs) in cases {
+            let mut runs = Vec::new();
+            for (i, &d) in perm.iter().enumerate() {
+                push_run(&mut runs, i as u32, d as u32);
+            }
+            if let Some(want) = want_runs {
+                assert_eq!(runs.len(), want, "{name}: {runs:?}");
+            }
+            assert_eq!(runs.iter().map(|r| r.len as usize).sum::<usize>(), n);
+            // Stale scratch of another length: the gather must not rely on
+            // a cleared or zeroed destination.
+            for stale in [0, n / 2, n + 9] {
+                let mut dst: ParticleBatch = (0..stale).map(|i| src.get(i % n)).collect();
+                gather(&src, &mut dst, &runs);
+                assert_eq!(dst.len(), n, "{name}");
+                for (i, &d) in perm.iter().enumerate() {
+                    assert_eq!(dst.get(d), src.get(i), "{name}: source {i} → {d}");
+                }
+            }
         }
     }
 

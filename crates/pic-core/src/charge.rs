@@ -99,18 +99,32 @@ pub fn coulomb(dx: f64, dy: f64, q1: f64, q2: f64) -> (f64, f64) {
     (f_over_r * dx, f_over_r * dy)
 }
 
-/// Lane-wise [`coulomb`]: the identical operation sequence — two squares,
-/// one add, one sqrt, two multiplies, one divide, the zero-distance value
-/// select, two multiplies — applied to four particles at once, one per
-/// lane. Because every lane operation is IEEE-754 correctly rounded and
-/// no term is reassociated or fused, each lane's result is bit-identical
-/// to the scalar evaluation on that lane's operands (DESIGN.md §10).
+/// The magnitude half of a lane-wise [`coulomb`]: `f/r = q1·q2/(r²·√r²)`,
+/// zero at zero distance, by the identical operation sequence — two
+/// squares, one add, one sqrt, two multiplies, one divide, the
+/// zero-distance value select — applied to one particle per lane; the
+/// caller multiplies by `dx` and `dy`. Because every lane operation is
+/// IEEE-754 correctly rounded and no term is reassociated or fused, each
+/// lane's result is bit-identical to the scalar evaluation on that lane's
+/// operands (DESIGN.md §10). It depends on `dy` only through `dy·dy`,
+/// which is what lets the span kernel share it between the bottom and the
+/// top corner of a column when [`mid_height_lanes`] holds.
 #[inline(always)]
-pub(crate) fn coulomb_lanes<V: crate::simd::Lanes>(dx: V, dy: V, q1: V, q2: V) -> (V, V) {
+pub(crate) fn f_over_r_lanes<V: crate::simd::Lanes>(dx: V, dy: V, q1: V, q2: V) -> V {
     let r2 = dx.mul(dx).add(dy.mul(dy));
-    let f_over_r = q1.mul(q2).div(r2.mul(r2.sqrt()));
-    let f_over_r = f_over_r.zero_where_zero(r2);
-    (f_over_r.mul(dx), f_over_r.mul(dy))
+    q1.mul(q2).div(r2.mul(r2.sqrt())).zero_where_zero(r2)
+}
+
+/// The premise of the span kernel's corner fold (DESIGN.md §10): in every
+/// lane the top-corner displacement `ryh = ry − h` the kernel computed is
+/// *exactly* the negated bottom one, i.e. the particle sits at cell
+/// mid-height. Then `ryh·ryh ≡ ry·ry`, so `r²` and with it `f/r` of the
+/// top corner of each column are the bottom corner's bits and need not be
+/// evaluated again. No tolerance: one lane one ulp off (or NaN) is
+/// `false`, and the kernel evaluates all four corners.
+#[inline(always)]
+pub(crate) fn mid_height_lanes<V: crate::simd::Lanes>(ry: V, ryh: V) -> bool {
+    ryh.all_eq(V::splat(0.0).sub(ry))
 }
 
 /// Where a span kernel reads its left-corner mesh charge from — the one

@@ -32,7 +32,7 @@ use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
 use crate::soa::ParticleBatch;
-use crate::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
+use crate::verify::{verify_all, verify_batch, VerifyReport, DEFAULT_TOLERANCE};
 
 /// Execution mode for the per-step particle sweep. Also selects the
 /// particle storage layout (see the module docs).
@@ -463,9 +463,16 @@ impl Simulation {
         }
     }
 
+    /// Streams over the store where it lies (storage order for the SoA
+    /// layouts — no AoS copy, no sort); the report is the one
+    /// [`verify_all`] gives for [`Simulation::particles`].
     pub fn verify_with_tolerance(&self, tol: f64) -> VerifyReport {
-        let particles = self.store.to_particles();
-        verify_all(&self.grid, &particles, self.step, self.expected_id_sum, tol)
+        let (grid, step, sum) = (&self.grid, self.step, self.expected_id_sum);
+        match &self.store {
+            ParticleStore::Aos(v) => verify_all(grid, v, step, sum, tol),
+            ParticleStore::Soa(b) => verify_batch(grid, b, step, sum, tol),
+            ParticleStore::Binned(b) => verify_batch(grid, b.batch(), step, sum, tol),
+        }
     }
 
     /// Verify against the fast-tier analytic drift bound
@@ -475,14 +482,15 @@ impl Simulation {
     /// clamped to `[1e-10, DEFAULT_TOLERANCE]`. Usable in any mode (the
     /// exact tiers pass it trivially — their error is at the 1e-13 floor).
     pub fn verify_analytic(&self) -> VerifyReport {
-        let particles = self.store.to_particles();
-        let max_stride = particles
-            .iter()
-            .map(|p| (2 * p.k as u64 + 1).max(p.m.unsigned_abs() as u64))
-            .max()
-            .unwrap_or(1);
-        let tol = crate::verify::analytic_tolerance(self.step as u64, max_stride);
-        verify_all(&self.grid, &particles, self.step, self.expected_id_sum, tol)
+        let stride = |k: u32, m: i32| (2 * k as u64 + 1).max(m.unsigned_abs() as u64);
+        let of_batch = |b: &ParticleBatch| b.k.iter().zip(&b.m).map(|(&k, &m)| stride(k, m)).max();
+        let max_stride = match &self.store {
+            ParticleStore::Aos(v) => v.iter().map(|p| stride(p.k, p.m)).max(),
+            ParticleStore::Soa(b) => of_batch(b),
+            ParticleStore::Binned(b) => of_batch(b.batch()),
+        };
+        let tol = crate::verify::analytic_tolerance(self.step as u64, max_stride.unwrap_or(1));
+        self.verify_with_tolerance(tol)
     }
 
     /// Histogram of particle counts per cell column — the quantity the

@@ -39,13 +39,17 @@
 //! in the same order* as the scalar kernel — the four corner evaluations
 //! are unrolled across the lane group in the scalar kernel's pairing and
 //! summation order, nothing is reassociated across a particle's own
-//! arithmetic, and no FMA contraction is permitted. Span tails (`len mod
-//! 4`) run the scalar kernel unchanged, and the wrap pass takes each lane
-//! through the exact scalar [`Grid::wrap_coord`] whenever any lane left
-//! the domain. Particles are independent within a step, so processing
-//! them four at a time changes *where* arithmetic happens, never *what*
-//! arithmetic happens — asserted by the SIMD-vs-scalar property-test
-//! family across every backend the host can run.
+//! arithmetic, and no FMA contraction is permitted. The one licensed
+//! shortcut reuses a value instead of recomputing it: a group whose lanes
+//! all sit at exact cell mid-height takes each column's top-corner `f/r`
+//! from the bottom corner, whose bits it provably shares (the corner
+//! fold, see `force_groups`). Span tails (`len mod WIDTH`) run the scalar
+//! kernel unchanged, and the wrap pass takes each lane through the exact
+//! scalar [`Grid::wrap_coord`] whenever any lane left the domain.
+//! Particles are independent within a step, so processing them four at a
+//! time changes *where* arithmetic happens, never *what* arithmetic
+//! happens — asserted by the SIMD-vs-scalar property-test family across
+//! every backend the host can run.
 //!
 //! ## The fast tier (DESIGN.md §12)
 //!
@@ -62,7 +66,9 @@
 //!
 //! [`coulomb`]: crate::charge::coulomb
 
-use crate::charge::{coulomb_f_over_r_fast, coulomb_lanes, CornerCharge, SimConstants};
+use crate::charge::{
+    coulomb_f_over_r_fast, f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants,
+};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -268,6 +274,10 @@ pub(crate) trait Lanes: Copy {
     /// Whether every lane lies in `[0.0, hi)` — the wrap pass's fast-path
     /// test.
     fn all_in_range(self, hi: f64) -> bool;
+    /// Whether every lane of `self` equals its lane in `o` — the exact
+    /// IEEE `==` per lane (so `-0.0 == 0.0`, and a NaN on either side is
+    /// `false`). The corner fold's premise test.
+    fn all_eq(self, o: Self) -> bool;
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -344,6 +354,11 @@ mod x86 {
                 let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, _mm512_set1_pd(hi));
                 ge & lt == 0xff
             }
+        }
+
+        #[inline(always)]
+        fn all_eq(self, o: Self) -> bool {
+            unsafe { _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, o.0) == 0xff }
         }
 
         #[inline(always)]
@@ -436,6 +451,11 @@ mod x86 {
                 let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, _mm256_set1_pd(hi));
                 _mm256_movemask_pd(_mm256_and_pd(ge, lt)) == 0b1111
             }
+        }
+
+        #[inline(always)]
+        fn all_eq(self, o: Self) -> bool {
+            unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0)) == 0b1111 }
         }
 
         /// Fused only when inlined under a `fma`-enabled instantiation
@@ -542,6 +562,14 @@ mod x86 {
                 _mm_movemask_pd(lo) == 0b11 && _mm_movemask_pd(hi_half) == 0b11
             }
         }
+
+        #[inline(always)]
+        fn all_eq(self, o: Self) -> bool {
+            unsafe {
+                let eq = _mm_and_pd(_mm_cmpeq_pd(self.0, o.0), _mm_cmpeq_pd(self.1, o.1));
+                _mm_movemask_pd(eq) == 0b11
+            }
+        }
     }
 }
 
@@ -632,6 +660,14 @@ mod arm {
             }
         }
 
+        #[inline(always)]
+        fn all_eq(self, o: Self) -> bool {
+            unsafe {
+                let eq = vandq_u64(vceqq_f64(self.0, o.0), vceqq_f64(self.1, o.1));
+                vminvq_u32(vreinterpretq_u32_u64(eq)) == u32::MAX
+            }
+        }
+
         /// NEON fuses natively (`vfmaq_f64` is baseline aarch64); the
         /// fast tier keeps the exact `1/sqrt` (trait default) — FMA and
         /// reassociation are the NEON fast-tier wins.
@@ -666,6 +702,18 @@ pub(crate) fn prefetch_read(p: *const f64) {
 /// arithmetic downstream of the charge is the same instruction sequence
 /// either way.
 ///
+/// **The corner fold.** When every lane of a group is exactly at cell
+/// mid-height ([`mid_height_lanes`], tested on the `ryh` the kernel itself
+/// computed), the top corner of each column has the bottom corner's `r²`
+/// bit for bit, so its `f/r` — the `sqrt` and the `div` — is reused
+/// instead of evaluated: two divider chains per particle, not four. Every
+/// multiply and add downstream still runs, on identical operands, so the
+/// result is bit-identical by construction (DESIGN.md §10). A group with
+/// any lane off-centre evaluates all four corners, as a whole — as the
+/// scalar kernel ([`crate::bin::force_span`]: span tails, the `Scalar`
+/// backend) always does: it is not divider-bound, and a premise test
+/// there costs more than the fold saves.
+///
 /// # Safety
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
 /// the x/y/vx/vy regions must be disjoint (they are distinct SoA columns).
@@ -696,13 +744,22 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
         let (ql, qr) = charge.lanes(col);
         let rx = xi.sub(col);
         let ry = yi.sub(row);
+        let rxh = rx.sub(h);
+        let ryh = ry.sub(h);
         let qp = V::load(q.add(o));
-        let (fx0, fy0) = coulomb_lanes(rx, ry, ql, qp); // bottom-left
-        let (fx1, fy1) = coulomb_lanes(rx, ry.sub(h), ql, qp); // top-left
-        let (fx2, fy2) = coulomb_lanes(rx.sub(h), ry, qr, qp); // bottom-right
-        let (fx3, fy3) = coulomb_lanes(rx.sub(h), ry.sub(h), qr, qp); // top-right
-        let ax = (fx0.add(fx1)).add(fx2.add(fx3));
-        let ay = (fy0.add(fy1)).add(fy2.add(fy3));
+        let f0 = f_over_r_lanes(rx, ry, ql, qp); // bottom-left
+        let f2 = f_over_r_lanes(rxh, ry, qr, qp); // bottom-right
+        let (f1, f3) = if mid_height_lanes(ry, ryh) {
+            debug_assert_same_r2(rx, rxh, ry, ryh);
+            (f0, f2)
+        } else {
+            (
+                f_over_r_lanes(rx, ryh, ql, qp),  // top-left
+                f_over_r_lanes(rxh, ryh, qr, qp), // top-right
+            )
+        };
+        let ax = (f0.mul(rx).add(f1.mul(rx))).add(f2.mul(rxh).add(f3.mul(rxh)));
+        let ay = (f0.mul(ry).add(f1.mul(ryh))).add(f2.mul(ry).add(f3.mul(ryh)));
         let vxi = V::load(vx.add(o));
         let vyi = V::load(vy.add(o));
         // x += (vx + 0.5·ax·dt)·dt — same association as the scalar kernel.
@@ -712,6 +769,31 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
             .store(y.add(o));
         vxi.add(ax.mul(dt)).store(vx.add(o));
         vyi.add(ay.mul(dt)).store(vy.add(o));
+    }
+}
+
+/// Debug builds check the fold's claim on every folded group: the `r²` of
+/// each skipped top corner carries the bits of the bottom corner's `r²`
+/// whose `f/r` is reused (a NaN `x` lane makes both NaN, which also
+/// agrees).
+#[inline(always)]
+fn debug_assert_same_r2<V: Lanes>(rx: V, rxh: V, ry: V, ryh: V) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for dx in [rx, rxh] {
+        let (mut bottom, mut top) = ([0.0; 8], [0.0; 8]);
+        // SAFETY: both arrays hold the widest backend's eight lanes.
+        unsafe {
+            dx.mul(dx).add(ry.mul(ry)).store(bottom.as_mut_ptr());
+            dx.mul(dx).add(ryh.mul(ryh)).store(top.as_mut_ptr());
+        }
+        for (b, t) in bottom.iter().zip(&top).take(V::WIDTH) {
+            assert!(
+                b.to_bits() == t.to_bits() || (b.is_nan() && t.is_nan()),
+                "corner fold: top r² {t:e} is not the bottom r² {b:e}"
+            );
+        }
     }
 }
 
@@ -779,10 +861,20 @@ unsafe fn force_groups_fast<V: Lanes>(
         let qp = V::load(q.add(o));
         let qlp = ql.mul(qp);
         let qrp = qr.mul(qp);
+        // The corner fold, as in `force_groups`: this tier's `r²` is
+        // `fma(dx, dx, dy·dy)`, just as sign-symmetric in `dy`, so at
+        // mid-height the top `rsqrt` chains would recompute `f0` and `f2`
+        // bit for bit.
         let f0 = coulomb_f_over_r_fast(rx, ry, qlp); // bottom-left
-        let f1 = coulomb_f_over_r_fast(rx, ryh, qlp); // top-left
         let f2 = coulomb_f_over_r_fast(rxh, ry, qrp); // bottom-right
-        let f3 = coulomb_f_over_r_fast(rxh, ryh, qrp); // top-right
+        let (f1, f3) = if mid_height_lanes(ry, ryh) {
+            (f0, f2)
+        } else {
+            (
+                coulomb_f_over_r_fast(rx, ryh, qlp),  // top-left
+                coulomb_f_over_r_fast(rxh, ryh, qrp), // top-right
+            )
+        };
         let ax = rx.mul_add(f0.add(f1), rxh.mul(f2.add(f3)));
         let ay = ry.mul_add(f0.add(f2), ryh.mul(f1.add(f3)));
         let vxi = V::load(vx.add(o));
@@ -1249,6 +1341,194 @@ mod tests {
                     let at = format!("backend {} len {len} step {step}", backend.name());
                     assert_eq!(want, parity, "{at}: column-parity source diverged");
                     assert_eq!(want, row, "{at}: mesh-row source diverged");
+                }
+            }
+        }
+    }
+
+    /// How the corner-fold test displaces one lane per group off cell
+    /// mid-height (`None`: every lane stays spec-conforming).
+    #[derive(Debug, Clone, Copy)]
+    enum OffCentre {
+        /// `ry` = this fraction of the cell.
+        At(f64),
+        /// `y = NaN` (release builds only: the kernel's and the reference's
+        /// debug range checks reject NaN before any arithmetic).
+        Nan,
+    }
+
+    /// The corner fold never changes a bit: for every backend, span length
+    /// (empty, every tail of both group widths, two groups plus one),
+    /// charge source, vertical stride `m` (rows wrap in both directions,
+    /// the column-7 lanes wrap in x) and off-centre variant, the span
+    /// kernel equals the **unfolded** scalar reference — `total_force` and
+    /// the eqs. 1–2 integration of [`crate::motion::advance_particle`] —
+    /// per particle, bitwise. Groups whose lanes all sit at mid-height
+    /// take the fold; one lane at `0.5 ± 1 ulp`, `0.25`, on a mesh row
+    /// (`0.0`) or NaN must send its whole group down the four-evaluation
+    /// path while its neighbours' results stay untouched.
+    #[test]
+    fn corner_fold_bitwise_matches_unfolded_reference() {
+        use crate::charge::ColumnParity;
+        use crate::charge_grid::ChargeGrid;
+        use crate::motion::advance_particle;
+        let grid = Grid::new(8).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let cg = ChargeGrid::build(&grid, &consts, (0, 8), (0, 8));
+        let mut variants = vec![
+            None,
+            Some(OffCentre::At(0.5f64.next_up())),
+            Some(OffCentre::At(0.5f64.next_down())),
+            Some(OffCentre::At(0.25)),
+            Some(OffCentre::At(0.0)),
+        ];
+        if !cfg!(debug_assertions) {
+            variants.push(Some(OffCentre::Nan));
+        }
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for backend in SimdBackend::available() {
+            let width = backend.lanes();
+            for len in 0..=2 * width + 1 {
+                for (source, m, variant) in product3(&[0, 1, 2], &[-2, 0, 3], &variants) {
+                    let mut b = ParticleBatch::new();
+                    for i in 0..len {
+                        // One hoisted charge needs one column parity; the
+                        // per-column sources mix parities within a group.
+                        let col = if source == 0 {
+                            7
+                        } else {
+                            [6, 7, 1, 4, 3][i % 5]
+                        };
+                        let mut p = column_population(&grid, col, i + 1, 0).get(i);
+                        (p.m, p.vy) = (m, m as f64);
+                        b.push(p);
+                    }
+                    // One lane per group, at a lane position that moves
+                    // from group to group (span tails included).
+                    for g in 0..len.div_ceil(width) {
+                        let i = g * width + (3 * g + 1) % width;
+                        match variant {
+                            Some(OffCentre::At(ry)) if i < len => b.y[i] = b.y[i].floor() + ry,
+                            Some(OffCentre::Nan) if i < len => b.y[i] = f64::NAN,
+                            _ => {}
+                        }
+                    }
+                    // An off-centre particle leaves the column lattice, so
+                    // only the conforming population runs on (and wraps).
+                    let steps = if variant.is_none() { 3 } else { 1 };
+                    let mut want = b.to_particles();
+                    for step in 0..steps {
+                        want.iter_mut()
+                            .for_each(|p| advance_particle(&grid, &consts, p));
+                        let (x, y, vx, vy) =
+                            (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                        match source {
+                            0 => {
+                                let ql = x
+                                    .first()
+                                    .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
+                                advance_bin_span_simd(
+                                    backend, &grid, &consts, ql, x, y, vx, vy, &b.q,
+                                )
+                            }
+                            1 => {
+                                let parity = ColumnParity(consts.q);
+                                advance_bin_span_simd(
+                                    backend, &grid, &consts, parity, x, y, vx, vy, &b.q,
+                                )
+                            }
+                            _ => advance_bin_span_simd(
+                                backend,
+                                &grid,
+                                &consts,
+                                cg.row(0),
+                                x,
+                                y,
+                                vx,
+                                vy,
+                                &b.q,
+                            ),
+                        }
+                        for (i, w) in want.iter().enumerate() {
+                            assert!(
+                                same(w.x, b.x[i]) && same(w.y, b.y[i]) && same(w.vx, b.vx[i]) && same(w.vy, b.vy[i]),
+                                "backend {} len {len} source {source} m {m} {variant:?} step {step}: \
+                                 particle {i} is {:?}, reference {w:?}",
+                                backend.name(),
+                                b.get(i),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cartesian product of three small test axes.
+    fn product3<'a, A: Copy, B: Copy, C: Copy>(
+        a: &'a [A],
+        b: &'a [B],
+        c: &'a [C],
+    ) -> impl Iterator<Item = (A, B, C)> + 'a {
+        a.iter().flat_map(move |&a| {
+            b.iter()
+                .flat_map(move |&b| c.iter().map(move |&c| (a, b, c)))
+        })
+    }
+
+    /// The fold premise on eight `ry` values through one backend's lanes.
+    #[inline(always)]
+    unsafe fn premise<V: Lanes>(ry: &[f64; 8]) -> bool {
+        let ry = V::load(ry.as_ptr());
+        mid_height_lanes(ry, ry.sub(V::splat(1.0)))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn premise_avx2(ry: &[f64; 8]) -> bool {
+        premise::<x86::Avx2>(ry)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn premise_avx512(ry: &[f64; 8]) -> bool {
+        premise::<x86::Avx512>(ry)
+    }
+
+    /// The premise helper is exact: true at `ry = h/2` in every lane,
+    /// false as soon as any single lane is one ulp either side, elsewhere
+    /// in the cell, or NaN — on every vector backend.
+    #[test]
+    fn fold_premise_is_exact_in_every_lane() {
+        let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0, f64::NAN];
+        // The scalar kernel evaluates all four corners: no premise there.
+        for backend in SimdBackend::available()
+            .into_iter()
+            .filter(|b| b.is_vector())
+        {
+            let holds = |ry: &[f64; 8]| unsafe {
+                match backend {
+                    #[cfg(target_arch = "x86_64")]
+                    SimdBackend::Avx512 => premise_avx512(ry),
+                    #[cfg(target_arch = "x86_64")]
+                    SimdBackend::Avx2 => premise_avx2(ry),
+                    #[cfg(target_arch = "x86_64")]
+                    SimdBackend::Sse2 => premise::<x86::Sse2>(ry),
+                    #[cfg(target_arch = "aarch64")]
+                    SimdBackend::Neon => premise::<arm::Neon>(ry),
+                    SimdBackend::Scalar => unreachable!(),
+                }
+            };
+            assert!(holds(&[0.5; 8]), "backend {}", backend.name());
+            for lane in 0..backend.lanes() {
+                for ry in off {
+                    let mut lanes = [0.5; 8];
+                    lanes[lane] = ry;
+                    assert!(
+                        !holds(&lanes),
+                        "backend {} lane {lane} ry {ry:e}",
+                        backend.name()
+                    );
                 }
             }
         }

@@ -17,6 +17,7 @@
 use crate::charge::SimConstants;
 use crate::geometry::Grid;
 use crate::particle::Particle;
+use crate::soa::ParticleBatch;
 
 /// Default absolute position tolerance, matching the PRK reference codes.
 pub const DEFAULT_TOLERANCE: f64 = 1e-5;
@@ -58,18 +59,30 @@ pub const MAX_FAILING_IDS: usize = 16;
 /// `steps` time steps, per paper eqs. 5–6. Exact integer-cell arithmetic:
 /// the result is an exact cell center, immune to accumulation error.
 pub fn expected_position(grid: &Grid, p: &Particle, steps: u64) -> (f64, f64) {
-    let col0 = grid.cell_of(p.x0) as i128;
-    let row0 = grid.cell_of(p.y0) as i128;
-    let dx = p.cells_per_step_x(grid) as i128 * steps as i128;
-    let dy = p.cells_per_step_y() as i128 * steps as i128;
-    let n = grid.ncells() as i128;
-    let col = (((col0 + dx) % n) + n) % n;
-    let row = (((row0 + dy) % n) + n) % n;
+    let n = grid.ncells();
+    let col = wrapped_cell(grid.cell_of(p.x0), p.cells_per_step_x(grid), steps, n);
+    let row = wrapped_cell(grid.cell_of(p.y0), p.cells_per_step_y(), steps, n);
     // Preserve the sub-cell offset of the initial position (h/2 for
     // spec-conforming placements).
     let fx = p.x0 - p.x0.floor();
     let fy = p.y0 - p.y0.floor();
     (col as f64 + fx, row as f64 + fy)
+}
+
+/// The cell `(c0 + per_step·steps) mod n`, in `0..n`. Every run the
+/// engines can express fits `i64` (one hardware division); the 128-bit
+/// path is kept for the products that overflow it, which only a
+/// hand-built `(k, steps)` reaches.
+#[inline]
+fn wrapped_cell(c0: usize, per_step: i64, steps: u64, n: usize) -> usize {
+    let narrow = i64::try_from(steps)
+        .ok()
+        .and_then(|s| per_step.checked_mul(s))
+        .and_then(|d| d.checked_add(c0 as i64));
+    match narrow {
+        Some(c) => c.rem_euclid(n as i64) as usize,
+        None => (c0 as i128 + per_step as i128 * steps as i128).rem_euclid(n as i128) as usize,
+    }
 }
 
 /// Expected velocity after `steps` steps (starting from the spec's rest
@@ -157,6 +170,31 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    fn empty(expected_id_sum: u128, tol: f64) -> VerifyReport {
+        VerifyReport {
+            checked: 0,
+            position_failures: 0,
+            max_error: 0.0,
+            failing_ids: Vec::new(),
+            id_sum: 0,
+            expected_id_sum,
+            tolerance: tol,
+        }
+    }
+
+    /// Fold one particle into every order-free field (`failing_ids` is the
+    /// caller's); returns whether its position is within tolerance.
+    #[inline]
+    fn check(&mut self, grid: &Grid, p: &Particle, final_step: u32) -> bool {
+        let steps = final_step.saturating_sub(p.born_at) as u64;
+        let v = verify_particle(grid, p, steps, self.tolerance);
+        self.checked += 1;
+        self.id_sum += p.id as u128;
+        self.max_error = self.max_error.max(v.error);
+        self.position_failures += !v.ok as u64;
+        v.ok
+    }
+
     /// True if both the trajectory check and the checksum pass.
     pub fn passed(&self) -> bool {
         self.position_failures == 0 && self.id_sum == self.expected_id_sum
@@ -188,28 +226,42 @@ pub fn verify_all(
     expected_id_sum: u128,
     tol: f64,
 ) -> VerifyReport {
-    let mut report = VerifyReport {
-        checked: 0,
-        position_failures: 0,
-        max_error: 0.0,
-        failing_ids: Vec::new(),
-        id_sum: 0,
-        expected_id_sum,
-        tolerance: tol,
-    };
+    let mut report = VerifyReport::empty(expected_id_sum, tol);
     for p in particles {
-        let steps = final_step.saturating_sub(p.born_at) as u64;
-        let v = verify_particle(grid, p, steps, tol);
-        report.checked += 1;
-        report.id_sum += p.id as u128;
-        report.max_error = report.max_error.max(v.error);
-        if !v.ok {
-            report.position_failures += 1;
-            if report.failing_ids.len() < MAX_FAILING_IDS {
-                report.failing_ids.push(p.id);
+        if !report.check(grid, p, final_step) && report.failing_ids.len() < MAX_FAILING_IDS {
+            report.failing_ids.push(p.id);
+        }
+    }
+    report
+}
+
+/// [`verify_all`] folded over an SoA store in *storage* order, with no AoS
+/// copy and no sort: every field but `failing_ids` is order-free, and
+/// `failing_ids` is the [`MAX_FAILING_IDS`] smallest failing ids,
+/// ascending — exactly what `verify_all` reports for the same population
+/// in canonical (ascending-id) order.
+pub fn verify_batch(
+    grid: &Grid,
+    batch: &ParticleBatch,
+    final_step: u32,
+    expected_id_sum: u128,
+    tol: f64,
+) -> VerifyReport {
+    let mut report = VerifyReport::empty(expected_id_sum, tol);
+    let mut failing = Vec::new();
+    for i in 0..batch.len() {
+        let p = batch.get(i);
+        if !report.check(grid, &p, final_step) {
+            failing.push(p.id);
+            if failing.len() == 2 * MAX_FAILING_IDS {
+                failing.sort_unstable();
+                failing.truncate(MAX_FAILING_IDS);
             }
         }
     }
+    failing.sort_unstable();
+    failing.truncate(MAX_FAILING_IDS);
+    report.failing_ids = failing;
     report
 }
 
@@ -272,6 +324,89 @@ mod tests {
         p.k = 1_000_000_000;
         let (x, _) = expected_position(&g, &p, u64::from(u32::MAX));
         assert!((0.0..g.extent()).contains(&x));
+    }
+
+    #[test]
+    fn narrow_cell_arithmetic_matches_wide_and_falls_back_on_overflow() {
+        let wide = |c0: usize, per_step: i64, steps: u64, n: usize| {
+            (c0 as i128 + per_step as i128 * steps as i128).rem_euclid(n as i128) as usize
+        };
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(65537);
+        for case in 0..20_000 {
+            let n = 2 * rng.gen_range(1..3000);
+            let c0 = rng.gen_range(0..n);
+            // Strides up to ±(2·u32::MAX + 1) and m over all of i32; step
+            // counts from a handful up to all of u64, so both the i64
+            // path and the overflow fallback are drawn.
+            let per_step = (rng.next_u64() >> (30 + case % 34)) as i64 - (1 << (33 - case % 34));
+            let steps = rng.next_u64() >> (case % 64);
+            assert_eq!(
+                wrapped_cell(c0, per_step, steps, n),
+                wide(c0, per_step, steps, n),
+                "c0={c0} per_step={per_step} steps={steps} n={n}"
+            );
+        }
+        // The extremes, by hand: the product alone overflows i64, then
+        // only the final add does.
+        let stride = 2 * u32::MAX as i64 + 1;
+        for (c0, per_step, steps) in [
+            (7, stride, u64::MAX),
+            (7, -stride, u64::MAX),
+            (5997, 1, i64::MAX as u64),
+            (0, i64::from(i32::MIN), u64::from(u32::MAX)),
+        ] {
+            assert_eq!(
+                wrapped_cell(c0, per_step, steps, 5998),
+                wide(c0, per_step, steps, 5998)
+            );
+        }
+    }
+
+    /// The streamed SoA fold reports what `verify_all` reports for the
+    /// canonical (ascending-id) view, field for field — on a clean store
+    /// and on one with more failures than `failing_ids` holds, scattered
+    /// through a storage order that rebins have shuffled.
+    #[test]
+    fn streamed_report_equals_canonical_verify_all() {
+        use crate::bin::BinnedStore;
+        use crate::dist::Distribution;
+        use crate::init::InitConfig;
+        let grid = Grid::new(32).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let ps = InitConfig::new(grid, 900, Distribution::Geometric { r: 0.9 })
+            .with_k(1)
+            .with_m(-1)
+            .build()
+            .unwrap()
+            .particles;
+        let mut store = BinnedStore::new(&ps, &grid, 3);
+        for _ in 0..20 {
+            store.advance_all(&grid, &consts, 64);
+        }
+        let ids = &store.batch().id;
+        assert!(ids.windows(2).any(|w| w[0] > w[1]), "storage is canonical");
+        let sum = triangular_id_sum(900);
+        let clean = verify_batch(&grid, store.batch(), 20, sum, DEFAULT_TOLERANCE);
+        assert!(clean.passed() && clean.checked == 900, "{clean:?}");
+        assert_eq!(
+            clean,
+            verify_all(&grid, &store.to_particles(), 20, sum, DEFAULT_TOLERANCE)
+        );
+        // 40 failures (> 2·MAX_FAILING_IDS, so the bounded id buffer
+        // compacts mid-scan).
+        for j in 0..40 {
+            let idx = (j * 37 + 11) % 900;
+            let mut p = store.particle_at(idx);
+            p.x = grid.wrap_coord(p.x + 1.0 + j as f64 * 0.125);
+            store.set(idx, p);
+        }
+        let streamed = verify_batch(&grid, store.batch(), 20, sum, DEFAULT_TOLERANCE);
+        assert_eq!(streamed.position_failures, 40);
+        assert_eq!(streamed.failing_ids.len(), MAX_FAILING_IDS);
+        assert_eq!(
+            streamed,
+            verify_all(&grid, &store.to_particles(), 20, sum, DEFAULT_TOLERANCE)
+        );
     }
 
     #[test]

@@ -680,3 +680,77 @@ fn partitioned_verification_merges() {
     assert_eq!(merged.id_sum, whole.id_sum);
     assert_eq!(merged.passed(), whole.passed());
 }
+
+/// The input property the span kernels' corner fold is keyed on (DESIGN.md
+/// §10): every particle the initializer or an injection event places sits
+/// at exact cell mid-height, and stays there — `a_y ≡ 0`, `y += m·h` is
+/// exact, the wrap adds an integer — so `y.fract()` is `0.5` bit for bit
+/// on every particle at every step. A placement change that breaks this
+/// would silently send every group down the four-evaluation path; it fails
+/// here instead of in a benchmark.
+#[test]
+fn conforming_populations_stay_at_exact_mid_height() {
+    use pic_core::engine::SweepMode;
+    use pic_core::init::{RowSpread, SkewAxis};
+    let grid = Grid::new(32).unwrap();
+    let dists = [
+        Distribution::Uniform,
+        Distribution::Geometric { r: 0.9 },
+        Distribution::Sinusoidal,
+        Distribution::Linear {
+            alpha: 1.0,
+            beta: 3.0,
+        },
+        Distribution::Patch {
+            x0: 4,
+            x1: 20,
+            y0: 8,
+            y1: 30,
+        },
+    ];
+    for (i, dist) in dists.into_iter().enumerate() {
+        for (k, m, dir) in [(0, 1, 1), (1, -2, -1), (2, 3, 1), (0, 0, -1)] {
+            let setup = InitConfig::new(grid, 700, dist)
+                .with_k(k)
+                .with_m(m)
+                .with_dir(dir)
+                .with_spread(if i % 2 == 0 {
+                    RowSpread::Even
+                } else {
+                    RowSpread::Random { seed: 2016 }
+                })
+                .with_skew_axis(if k == 2 { SkewAxis::Y } else { SkewAxis::X })
+                .build()
+                .unwrap()
+                .with_event(Event::inject(
+                    0,
+                    Region {
+                        x0: 0,
+                        x1: 8,
+                        y0: 0,
+                        y1: 32,
+                    },
+                    90,
+                    1,
+                    -m,
+                    -dir,
+                ))
+                .with_event(Event::inject(37, Region::whole(32), 150, k, 5, dir))
+                .with_event(Event::remove(60, Region::whole(32), 100));
+            let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned).with_rebin_interval(3);
+            for step in 0..=100 {
+                let batch = sim.batch().unwrap();
+                assert!(
+                    batch
+                        .y
+                        .iter()
+                        .all(|y| y.fract().to_bits() == 0.5f64.to_bits()),
+                    "{dist:?} k={k} m={m}: a particle left mid-height by step {step}"
+                );
+                sim.step();
+            }
+            assert_eq!(sim.particle_count(), 700 + 90 + 150 - 100);
+            assert!(sim.verify().passed());
+        }
+    }
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
-#   build (release) -> tests (SIMD on and forced off) -> fmt ->
+#   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
 #   clippy (deny warnings) -> benches compile -> CLI and benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
@@ -20,6 +20,14 @@ echo "==> cargo test -q -p pic-core (store, kernels, pool), SIMD on and forced o
 # pinned by pic-core's own suites.
 cargo test -q -p pic-core
 PIC_NO_SIMD=1 cargo test -q -p pic-core
+# The corner-fold suite's NaN-lane case needs a build without the
+# kernels' debug range checks (they reject NaN before any arithmetic).
+cargo test -q --release -p pic-core --lib simd::
+
+echo "==> cargo test -q -p pic-comm -p pic-cluster -p pic-trace"
+# Message fabric, balancer decisions and tracer: green, and until this
+# line run by no gate.
+cargo test -q -p pic-comm -p pic-cluster -p pic-trace
 
 echo "==> PIC_NO_SIMD=1 cargo test -q (distributed rank suites, then the root package)"
 # The distributed rank loop defaults to the binned SIMD kernel; its
@@ -129,5 +137,8 @@ echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry
 # cost, which one preemption of a 40 ms smoke run can trip — so a failed
 # pass is repeated once, and only a failure that repeats fails the gate.
 bash bench/run.sh --smoke >/dev/null || bash bench/run.sh --smoke >/dev/null
+# Once more on the scalar reference kernel (what a host without a vector
+# backend runs), under the benchmark's own correctness checks.
+PIC_NO_SIMD=1 bash bench/run.sh --smoke >/dev/null || PIC_NO_SIMD=1 bash bench/run.sh --smoke >/dev/null
 
 echo "verify: OK"
