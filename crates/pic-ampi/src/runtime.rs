@@ -15,22 +15,17 @@
 use crate::model::AmpiParams;
 use crate::vp::VpGrid;
 use pic_cluster::balancer::{AdaptiveLb, BalanceInput, Layout, LoadBalancer, VpLb};
-use pic_comm::collective::{
-    allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, decode_u64s, decode_u64s_into,
-    encode_u64s,
-};
+use pic_comm::collective::{allgatherv, allreduce_u64, decode_u64s, decode_u64s_into, encode_u64s};
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::events::{Event, EventKind};
 use pic_core::init::build_injection;
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
-use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
 use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
 use pic_par::runner::{
-    merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
-    RankStore,
+    snapshot_loads, trace_interval, verify_store, ExchangeMode, ParConfig, ParOutcome, RankStore,
 };
-use pic_trace::{Phase, Tracer};
+use pic_trace::{Counter, Phase, Tracer};
 
 /// Run the AMPI-style implementation on this core. All ranks must call it
 /// with identical `cfg` and `params`.
@@ -94,11 +89,10 @@ fn run_ampi_lb(
     let cores = comm.size();
     let me = comm.rank();
     let vps = VpGrid::new(grid.ncells(), cores, d);
-    let nvps = vps.vp_count();
     let mut assignment = vps.initial_assignment();
 
     let owner_of = |p: &Particle, vps: &VpGrid, assignment: &[usize]| -> usize {
-        let (c, r) = p_cell(&grid, p);
+        let (c, r) = grid.cell_of_point(p.x, p.y);
         assignment[vps.vp_of_cell(c, r)]
     };
 
@@ -189,6 +183,7 @@ fn run_ampi_lb(
 
         // Advance each VP's particles (one pass — VP membership only
         // matters for routing and accounting).
+        let rebins_before = store.rebin_count();
         tracer.phase_start(Phase::Advance);
         match &mut store {
             RankStore::Aos(particles) => advance_all(&grid, &consts, particles),
@@ -196,13 +191,11 @@ fn run_ampi_lb(
         }
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
+        // No timer rebin: the route drains every column every step, so no
+        // order survives to be read; the sweep re-sorts a dirty store.
         let (sent, _received) =
             route_store(comm, me, &grid, &vps, &assignment, &mut store, &mut bufs);
-        if let RankStore::Binned(b) = &mut store {
-            if b.rebin_due() {
-                b.rebin(&grid);
-            }
-        }
+        tracer.add(Counter::Rebins, store.rebin_count() - rebins_before);
         tracer.phase_end(Phase::Exchange);
         sent_window += sent as u64;
 
@@ -233,37 +226,21 @@ fn run_ampi_lb(
         tracer.end_step(global_count);
     }
 
-    // Distributed verification.
-    let particles = store.to_particles();
     tracer.phase_start(Phase::Verify);
-    let local = verify_all(&grid, &particles, cfg.steps, 0, DEFAULT_TOLERANCE);
-    let checked = allreduce_u64(comm, local.checked, ReduceOp::Sum);
-    let failures = allreduce_u64(comm, local.position_failures, ReduceOp::Sum);
-    let max_error = allreduce_f64(comm, local.max_error, ReduceOp::Max);
-    let id_sum = allreduce_u128(comm, local.id_sum, ReduceOp::Sum);
-    let failing_ids = merge_failing_ids(comm, &local.failing_ids);
+    let verify = verify_store(comm, &grid, &store, cfg.steps, expected_id_sum);
     tracer.phase_end(Phase::Verify);
-    let local_count = particles.len() as u64;
+    let local_count = store.len() as u64;
     let max_count = allreduce_u64(comm, local_count, ReduceOp::Max);
     let total_count = allreduce_u64(comm, local_count, ReduceOp::Sum);
     tracer.set_final_particles(total_count);
-    let _ = nvps;
     ParOutcome {
-        verify: VerifyReport {
-            checked,
-            position_failures: failures,
-            max_error,
-            failing_ids,
-            id_sum,
-            expected_id_sum,
-            tolerance: DEFAULT_TOLERANCE,
-        },
-        local_count: particles.len(),
+        verify,
+        local_count: store.len(),
         max_count,
         total_count,
         steps: cfg.steps,
         kernel: store.kernel_desc(),
-        local_particles: particles,
+        local_particles: store.to_particles(),
     }
 }
 
@@ -300,11 +277,6 @@ fn route_store(
     }
 }
 
-#[inline]
-fn p_cell(grid: &pic_core::geometry::Grid, p: &Particle) -> (usize, usize) {
-    grid.cell_of_point(p.x, p.y)
-}
-
 /// One LB round: allgather per-VP loads, let the balancer decide
 /// deterministically on every core, migrate the particles of reassigned
 /// VPs. Returns the number of particles this core sent during the
@@ -326,25 +298,21 @@ fn rebalance(
     // Local per-VP counts (VPs are 2D tiles, so this is a position scan,
     // not a column-histogram read).
     let mut counts = vec![0u64; nvps];
+    let mut count = |x: f64, y: f64| {
+        let (c, r) = grid.cell_of_point(x, y);
+        counts[vps.vp_of_cell(c, r)] += 1;
+    };
     match store {
-        RankStore::Aos(v) => {
-            for p in v.iter() {
-                let (c, r) = p_cell(grid, p);
-                counts[vps.vp_of_cell(c, r)] += 1;
-            }
-        }
+        RankStore::Aos(v) => v.iter().for_each(|p| count(p.x, p.y)),
         RankStore::Binned(b) => {
             let batch = b.batch();
-            for i in 0..batch.len() {
-                let (c, r) = grid.cell_of_point(batch.x[i], batch.y[i]);
-                counts[vps.vp_of_cell(c, r)] += 1;
-            }
+            (0..batch.len()).for_each(|i| count(batch.x[i], batch.y[i]));
         }
     }
     // Sum across cores (each VP lives on exactly one core, but the vector
     // sum is the simplest way to assemble the global view).
     let gathered = allgatherv(comm, encode_u64s(&counts));
-    tracer.add(pic_trace::Counter::CollectiveBytes, counts.len() as u64 * 8);
+    tracer.add(Counter::CollectiveBytes, counts.len() as u64 * 8);
     let mut global = vec![0u64; nvps];
     let mut scratch = Vec::with_capacity(nvps);
     for buf in &gathered {

@@ -25,6 +25,9 @@ pub enum GridError {
     OddSize(usize),
     /// Fewer than two cells per side.
     TooSmall(usize),
+    /// A side whose last cell index does not fit `u32`, the type
+    /// [`Grid::cell_of`] truncates through.
+    TooLarge(usize),
 }
 
 impl fmt::Display for GridError {
@@ -35,6 +38,7 @@ impl fmt::Display for GridError {
                 "grid size {n} is odd; periodic boundaries require an even number of cells"
             ),
             GridError::TooSmall(n) => write!(f, "grid size {n} is too small (minimum 2)"),
+            GridError::TooLarge(n) => write!(f, "grid size {n} is too large (maximum 2^32)"),
         }
     }
 }
@@ -49,6 +53,9 @@ impl Grid {
         }
         if !ncells.is_multiple_of(2) {
             return Err(GridError::OddSize(ncells));
+        }
+        if u32::try_from(ncells - 1).is_err() {
+            return Err(GridError::TooLarge(ncells));
         }
         Ok(Grid { ncells })
     }
@@ -110,6 +117,13 @@ impl Grid {
     }
 
     /// Cell column containing coordinate `x ∈ [0, L)`.
+    ///
+    /// The truncation narrows through `u32` before the clamp: x86-64 has
+    /// no instruction for the saturating f64 → u64 cast `x as usize` asks
+    /// for, and the ownership scans pay this per resident per step. The
+    /// result is the same for every `f64` (NaN and negatives give 0,
+    /// anything from `L` up gives `ncells − 1`) because `ncells − 1` fits
+    /// `u32`, which [`Grid::new`] guarantees.
     #[inline]
     pub fn cell_of(&self, x: f64) -> usize {
         debug_assert!(
@@ -117,8 +131,7 @@ impl Grid {
             "coordinate {x} outside [0, {})",
             self.extent()
         );
-        let c = x as usize;
-        c.min(self.ncells - 1)
+        truncate_cell(x, self.ncells - 1)
     }
 
     /// Cell (column, row) containing the point `(x, y)`, both in `[0, L)`.
@@ -149,6 +162,13 @@ impl Grid {
     }
 }
 
+/// `(x as usize).min(last)` for any `last` that fits `u32`, through the
+/// narrow cast (see [`Grid::cell_of`]).
+#[inline]
+fn truncate_cell(x: f64, last: usize) -> usize {
+    (x as u32 as usize).min(last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +180,75 @@ mod tests {
         assert_eq!(Grid::new(0).unwrap_err(), GridError::TooSmall(0));
         assert!(Grid::new(2).is_ok());
         assert!(Grid::new(5998).is_ok());
+    }
+
+    /// The last cell index must fit the `u32` that `cell_of` truncates
+    /// through: 2³² − 2 is the largest even side that does.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn grid_rejects_a_side_wider_than_the_narrow_cast() {
+        let edge = 1usize << 32;
+        assert!(Grid::new(edge - 2).is_ok());
+        assert!(Grid::new(edge).is_ok(), "last cell u32::MAX still fits");
+        assert_eq!(
+            Grid::new(edge + 2).unwrap_err(),
+            GridError::TooLarge(edge + 2)
+        );
+        assert_eq!(
+            Grid::new(usize::MAX - 1).unwrap_err(),
+            GridError::TooLarge(usize::MAX - 1)
+        );
+    }
+
+    /// The narrow truncation is the wide one, `(x as usize).min(last)`,
+    /// on every class of `f64`: both sides of every cell edge, the domain
+    /// end, both integer-width boundaries, and everything that saturates.
+    #[test]
+    fn narrow_cell_index_equals_the_wide_reference() {
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let (two31, two32) = ((1u64 << 31) as f64, (1u64 << 32) as f64);
+        for ncells in [2usize, 64, 1024, 1 << 20] {
+            let g = Grid::new(ncells).unwrap();
+            let l = g.extent();
+            let mut inside = vec![0.0, -0.0, f64::MIN_POSITIVE / 4.0, 0.5, ulp_down(l)];
+            for c in 1..ncells {
+                let c = c as f64;
+                inside.extend([ulp_down(c), c, ulp_up(c)]);
+            }
+            let outside = [
+                l,
+                l + 1.0,
+                two31 - 1.0,
+                two31,
+                two31 + 1.0,
+                two32 - 1.0,
+                two32,
+                two32 + 1.0,
+                1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::MIN_POSITIVE,
+                -0.5,
+                -1.0,
+                -two32,
+                -1e300,
+            ];
+            let reference = |x: f64| (x as usize).min(ncells - 1);
+            for &x in inside.iter().chain(&outside) {
+                assert_eq!(
+                    truncate_cell(x, ncells - 1),
+                    reference(x),
+                    "{x:e} of {ncells}"
+                );
+            }
+            // `cell_of` itself on its whole domain (the debug range check
+            // rejects the rest before the cast).
+            for &x in &inside {
+                assert_eq!(g.cell_of(x), reference(x), "{x:e} of {ncells}");
+            }
+        }
     }
 
     #[test]

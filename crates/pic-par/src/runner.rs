@@ -22,7 +22,9 @@ use pic_core::init::{build_injection, SimulationSetup};
 use pic_core::motion::advance_with_acceleration;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
-use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
+use pic_core::verify::{
+    verify_all, verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS,
+};
 use pic_trace::{Counter, Phase, Tracer};
 
 /// Which particle container the rank hot loop advances through.
@@ -227,8 +229,8 @@ pub struct ParOutcome {
     /// the binned path, `"none"` for the AoS reference loop — the same
     /// convention the serial engine emits).
     pub kernel: String,
-    /// This rank's final particles (for cross-implementation equivalence
-    /// checks; cheap at test scales, and callers can drop it).
+    /// This rank's final particles, **unordered** (storage order; consumers
+    /// key or sort by id) — for cross-implementation equivalence checks.
     pub local_particles: Vec<Particle>,
 }
 
@@ -279,11 +281,21 @@ impl RankStore {
         self.len() == 0
     }
 
-    /// Materialize the particles (allocates; verification path).
+    /// Copy the particles out in storage order (allocates; the outcome's
+    /// `local_particles`, not the verification path).
     pub fn to_particles(&self) -> Vec<Particle> {
         match self {
             RankStore::Aos(v) => v.clone(),
-            RankStore::Binned(b) => b.to_particles(),
+            RankStore::Binned(b) => b.batch().to_particles(),
+        }
+    }
+
+    /// Lifetime counting sorts of the binned store (0 for AoS); its
+    /// per-step delta feeds the trace `rebins` counter.
+    pub fn rebin_count(&self) -> u64 {
+        match self {
+            RankStore::Aos(_) => 0,
+            RankStore::Binned(b) => b.rebin_count(),
         }
     }
 
@@ -426,11 +438,6 @@ impl RankState {
         self.store.len()
     }
 
-    /// This rank's particles, materialized. Allocates; verification path.
-    pub fn local_particles(&self) -> Vec<Particle> {
-        self.store.to_particles()
-    }
-
     /// Kernel descriptor of the hot loop (see [`RankStore::kernel_desc`]).
     pub fn kernel_desc(&self) -> String {
         self.store.kernel_desc()
@@ -557,10 +564,7 @@ impl RankState {
     /// at traced steps by [`snapshot_loads`]).
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
-        let rebins_before = match &self.store {
-            RankStore::Binned(b) => b.rebin_count(),
-            RankStore::Aos(_) => 0,
-        };
+        let rebins_before = self.store.rebin_count();
         let sent = if self.overlap_ready() {
             self.step_overlapped(comm, tracer)
         } else {
@@ -595,8 +599,8 @@ impl RankState {
             if b.rebin_due() {
                 b.rebin(&self.grid);
             }
-            tracer.add(Counter::Rebins, b.rebin_count() - rebins_before);
         }
+        tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
         tracer.phase_end(Phase::Exchange);
         self.step += 1;
         sent
@@ -731,35 +735,15 @@ impl RankState {
         allreduce_vec_u64(comm, h, ReduceOp::Sum)
     }
 
-    /// Distributed verification: local analytic check, global reduction of
-    /// failures, checksum, and max error.
+    /// Distributed verification of this rank's store ([`verify_store`]).
     pub fn verify(&self, comm: &Communicator) -> VerifyReport {
-        self.verify_particles(comm, &self.local_particles())
-    }
-
-    /// [`RankState::verify`] over an already materialized
-    /// [`RankState::local_particles`].
-    fn verify_particles(&self, comm: &Communicator, particles: &[Particle]) -> VerifyReport {
-        let local = verify_all(
+        verify_store(
+            comm,
             &self.grid,
-            particles,
+            &self.store,
             self.step,
-            0, // expected sum handled globally below
-            DEFAULT_TOLERANCE,
-        );
-        let checked = allreduce_u64(comm, local.checked, ReduceOp::Sum);
-        let failures = allreduce_u64(comm, local.position_failures, ReduceOp::Sum);
-        let max_error = allreduce_f64(comm, local.max_error, ReduceOp::Max);
-        let id_sum = allreduce_u128(comm, local.id_sum, ReduceOp::Sum);
-        VerifyReport {
-            checked,
-            position_failures: failures,
-            max_error,
-            failing_ids: merge_failing_ids(comm, &local.failing_ids),
-            id_sum,
-            expected_id_sum: self.expected_id_sum,
-            tolerance: DEFAULT_TOLERANCE,
-        }
+            self.expected_id_sum,
+        )
     }
 
     /// Collective imbalance probe: (max per-rank count, total count).
@@ -779,10 +763,8 @@ impl RankState {
     /// the `verify` phase.
     pub fn finish_traced(&self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
-        // Materialized once (SoA → AoS copy plus a sort of the whole
-        // rank), shared by the verifier and the outcome.
-        let local_particles = self.local_particles();
-        let verify = self.verify_particles(comm, &local_particles);
+        let verify = self.verify(comm);
+        let local_particles = self.store.to_particles();
         tracer.phase_end(Phase::Verify);
         let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
@@ -856,6 +838,34 @@ fn motion_bounds(setup: &SimulationSetup) -> (usize, i64) {
         }
     }
     (2 * max_k as usize + 1, max_m)
+}
+
+/// Distributed verification of one rank's `store` at `final_step`, shared
+/// by the cut-family finish and the AMPI runtime: the local analytic check
+/// streams over the binned store in place (no AoS copy, no sort — see
+/// [`verify_batch`]; the AoS oracle checks its vector as it lies), then
+/// failures, checksum, max error and failing ids are merged globally, so
+/// every rank returns the identical report.
+pub fn verify_store(
+    comm: &Communicator,
+    grid: &Grid,
+    store: &RankStore,
+    final_step: u32,
+    expected_id_sum: u128,
+) -> VerifyReport {
+    let local = match store {
+        RankStore::Aos(v) => verify_all(grid, v, final_step, 0, DEFAULT_TOLERANCE),
+        RankStore::Binned(b) => verify_batch(grid, b.batch(), final_step, 0, DEFAULT_TOLERANCE),
+    };
+    VerifyReport {
+        checked: allreduce_u64(comm, local.checked, ReduceOp::Sum),
+        position_failures: allreduce_u64(comm, local.position_failures, ReduceOp::Sum),
+        max_error: allreduce_f64(comm, local.max_error, ReduceOp::Max),
+        id_sum: allreduce_u128(comm, local.id_sum, ReduceOp::Sum),
+        failing_ids: merge_failing_ids(comm, &local.failing_ids),
+        expected_id_sum,
+        tolerance: DEFAULT_TOLERANCE,
+    }
 }
 
 /// Globally merge per-rank failing-id diagnostics: allgather, sort, dedup,

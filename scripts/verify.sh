@@ -29,11 +29,14 @@ echo "==> cargo test -q -p pic-comm -p pic-cluster -p pic-trace"
 # line run by no gate.
 cargo test -q -p pic-comm -p pic-cluster -p pic-trace
 
-echo "==> PIC_NO_SIMD=1 cargo test -q (distributed rank suites, then the root package)"
-# The distributed rank loop defaults to the binned SIMD kernel; its
-# bit-identity contract must also hold with the vector path forced off.
-# Run the rank suites explicitly first so a scalar-path regression there
-# is reported against the responsible crate, then the root package.
+echo "==> cargo test -q -p pic-par -p pic-ampi, SIMD on and forced off; then the root package forced off"
+# The distributed rank loop defaults to the binned SIMD kernel: the full
+# rank suites (equivalence, wire-format, balancer conformance, alloc
+# audits) run on the vector path and again with it forced off, where the
+# bit-identity contract must hold just the same. The rank suites run
+# before the root package so a scalar-path regression is reported against
+# the responsible crate.
+cargo test -q -p pic-par -p pic-ampi
 PIC_NO_SIMD=1 cargo test -q -p pic-par -p pic-ampi
 PIC_NO_SIMD=1 cargo test -q
 
@@ -87,11 +90,9 @@ PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
 
 echo "==> overlap-mode equivalence pass (overlapped sparse vs dense oracle)"
 # The overlapped sparse exchange (the default) must be bit-identical to
-# the dense synchronous oracle. The proptests pin this in-process; this
-# gate re-runs the cross-mode equivalence suites end to end, vector and
-# forced-scalar, and smokes both CLI modes on every implementation.
-cargo test -q -p pic-par --test rank_kernel_equivalence
-PIC_NO_SIMD=1 cargo test -q -p pic-par --test rank_kernel_equivalence
+# the dense synchronous oracle. The rank suites above pin this in-process
+# (vector and forced-scalar); this gate smokes both CLI modes on every
+# implementation.
 for impl in baseline diffusion ampi; do
     for overlap in on off; do
         ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \
@@ -103,13 +104,9 @@ done
 echo "==> typed-wire equivalence pass (zero-copy lane vs byte oracle)"
 # The typed zero-copy particle wire (the default) must be bit-identical
 # to the byte-serialization oracle on every implementation and exchange
-# mode. The proptests pin this in-process; this gate re-runs the
-# cross-wire suites end to end, vector and forced-scalar, and smokes
-# both CLI wire formats (crossed with --overlap auto) on every
-# implementation.
-cargo test -q -p pic-par --test wire_format_equivalence
-PIC_NO_SIMD=1 cargo test -q -p pic-par --test wire_format_equivalence
-cargo test -q -p pic-ampi --test rank_kernel_equivalence ampi_typed_wire
+# mode. The rank suites above pin this in-process (vector and
+# forced-scalar); this gate smokes both CLI wire formats (crossed with
+# --overlap auto) on every implementation.
 for impl in baseline diffusion ampi; do
     for wire in typed bytes; do
         ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \

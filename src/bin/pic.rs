@@ -89,7 +89,9 @@ Kernel selection (all implementations):
                       default without --sweep is soa-binned (bit-identical
                       to the AoS loop)
   --rebin R           counting-sort interval for the binned sweeps
-                      (steps between re-sorts, default {rebin})
+                      (steps between re-sorts, default {rebin}); no effect
+                      on --impl ampi, whose store is sorted only at
+                      construction and after a removal event
   --overlap MODE      on | off | auto — particle exchange strategy for
                       the parallel implementations (default on): on =
                       sparse neighbor-aware all-to-all, split-phase
