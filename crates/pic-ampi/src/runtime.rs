@@ -109,14 +109,10 @@ fn run_ampi_lb(
         .collect();
     let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
     let mut bufs = ExchangeBuffers::new();
-    bufs.set_wire_format(cfg.kernel.wire);
-    // VP routing can target any core, so the declared neighborhood is
-    // all-pairs (degree = cores − 1): `Auto` therefore resolves dense —
-    // the sparse protocol can never elide a message it has to count.
-    if cfg.kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
-        // The escape path never fires under an all-pairs plan, but empty
-        // payloads are still elided (sparse wins whenever traffic is, in
-        // fact, sparse).
+    if cfg.kernel.exchange == ExchangeMode::OverlappedSparse {
+        // VP routing can target any core, so the declared neighborhood is
+        // all-pairs: the escape path never fires, but empty payloads are
+        // still elided (sparse wins whenever traffic is, in fact, sparse).
         bufs.enable_sparse(cores, me, 0..cores);
     }
 

@@ -74,8 +74,7 @@ mod oracle {
             .collect();
         let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
         let mut bufs = ExchangeBuffers::new();
-        bufs.set_wire_format(cfg.kernel.wire);
-        if cfg.kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
+        if cfg.kernel.exchange == ExchangeMode::OverlappedSparse {
             bufs.enable_sparse(cores, me, 0..cores);
         }
 

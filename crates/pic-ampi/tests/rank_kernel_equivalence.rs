@@ -14,7 +14,7 @@ use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::verify::analytic_tolerance;
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
 
 const STEPS: u32 = 30;
 
@@ -96,31 +96,6 @@ fn ampi_binned_exact_bitwise_matches_aos() {
                 let got = bit_finals(&run(kernel, ranks, Balancer::paper_default()));
                 assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}, {exchange:?}");
             }
-        }
-    }
-}
-
-#[test]
-fn ampi_typed_wire_bitwise_matches_byte_oracle() {
-    // DESIGN.md §15: the zero-copy typed particle wire is physics-
-    // invisible under VP routing too — every migration wave must land on
-    // the same bits whether the buckets cross the fabric as owned
-    // `Vec<Particle>`s or as the 76-byte serialized oracle records, in
-    // both exchange modes (sparse here runs the all-pairs plan).
-    for ranks in [1usize, 2, 4] {
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let base = RankKernel::default().with_exchange(exchange);
-            let bytes = bit_finals(&run(
-                base.with_wire(WireFormat::Bytes),
-                ranks,
-                Balancer::paper_default(),
-            ));
-            let typed = bit_finals(&run(
-                base.with_wire(WireFormat::Typed),
-                ranks,
-                Balancer::paper_default(),
-            ));
-            assert_eq!(bytes, typed, "{ranks} ranks, {exchange:?}");
         }
     }
 }

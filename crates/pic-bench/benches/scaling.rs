@@ -13,10 +13,10 @@ use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::model_impl::{model_baseline, model_diffusion, ModelConfig};
 use pic_par::runner::ParConfig;
+use pic_par::{run_config, BalancerSpec};
 
 const SCALE: u64 = 100; // 60-step modeled runs
 
@@ -95,24 +95,18 @@ fn bench_functional_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("functional");
     group.sample_size(10);
     group.bench_function("baseline/4ranks", |b| {
-        b.iter(|| run_threads(4, |comm| run_baseline(&comm, &cfg).verify.passed()))
+        b.iter(|| run_threads(4, |comm| run_config(&comm, &cfg).verify.passed()))
+    });
+    let lb_cfg = cfg.clone().with_balancer(BalancerSpec::Diffusion {
+        params: DiffusionParams {
+            interval: 4,
+            tau: 0,
+            border_w: 4,
+        },
+        mode: DiffusionMode::XOnly,
     });
     group.bench_function("diffusion/4ranks", |b| {
-        b.iter(|| {
-            run_threads(4, |comm| {
-                run_diffusion(
-                    &comm,
-                    &cfg,
-                    DiffusionParams {
-                        interval: 4,
-                        tau: 0,
-                        border_w: 4,
-                    },
-                )
-                .verify
-                .passed()
-            })
-        })
+        b.iter(|| run_threads(4, |comm| run_config(&comm, &lb_cfg).verify.passed()))
     });
     group.bench_function("ampi/4ranks", |b| {
         b.iter(|| {

@@ -1,5 +1,5 @@
-//! Sweep-engine benchmark: the four `SweepMode` strategies head-to-head,
-//! plus the chunk-size sensitivity of the chunked sweep.
+//! Sweep-engine benchmark: the three `SweepMode` strategies head-to-head,
+//! plus the chunk-size sensitivity of the binned sweep.
 //!
 //! This is the microbenchmark behind `BENCH_sweep.json` (see the
 //! `bench_sweep` binary for the machine-readable emitter); the Criterion
@@ -11,10 +11,9 @@ use pic_core::charge::SimConstants;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_core::motion::{advance_all, advance_all_parallel};
+use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
 use pic_core::pool::DEFAULT_CHUNK;
-use pic_core::soa::ParticleBatch;
 
 fn population(n: u64) -> (Grid, Vec<Particle>) {
     let grid = Grid::new(512).unwrap();
@@ -30,33 +29,11 @@ fn bench_sweep_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
     for &n in &[10_000u64, 100_000, 1_000_000] {
         let (grid, particles) = population(n);
-        let batch = ParticleBatch::from_particles(&particles);
         group.throughput(Throughput::Elements(n));
         group.bench_with_input(BenchmarkId::new("aos-serial", n), &n, |b, _| {
             b.iter_batched(
                 || particles.clone(),
                 |mut ps| advance_all(&grid, &consts, &mut ps),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("aos-parallel", n), &n, |b, _| {
-            b.iter_batched(
-                || particles.clone(),
-                |mut ps| advance_all_parallel(&grid, &consts, &mut ps),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("soa-serial", n), &n, |b, _| {
-            b.iter_batched(
-                || batch.clone(),
-                |mut bt| bt.advance_all(&grid, &consts),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("soa-chunked", n), &n, |b, _| {
-            b.iter_batched(
-                || batch.clone(),
-                |mut bt| bt.advance_all_chunked(&grid, &consts, DEFAULT_CHUNK),
                 criterion::BatchSize::LargeInput,
             )
         });
@@ -86,17 +63,16 @@ fn bench_chunk_sensitivity(c: &mut Criterion) {
     let consts = SimConstants::CANONICAL;
     let n = 100_000u64;
     let (grid, particles) = population(n);
-    let batch = ParticleBatch::from_particles(&particles);
     let mut group = c.benchmark_group("sweep-chunk");
     group.throughput(Throughput::Elements(n));
     for &chunk in &[64usize, 1_024, 4_096, 16_384, 65_536] {
         group.bench_with_input(
-            BenchmarkId::new("soa-chunked-100k", chunk),
+            BenchmarkId::new("soa-binned-100k", chunk),
             &chunk,
             |b, &ch| {
                 b.iter_batched(
-                    || batch.clone(),
-                    |mut bt| bt.advance_all_chunked(&grid, &consts, ch),
+                    || BinnedStore::new(&particles, &grid, 1),
+                    |mut st| st.advance_all(&grid, &consts, ch),
                     criterion::BatchSize::LargeInput,
                 )
             },

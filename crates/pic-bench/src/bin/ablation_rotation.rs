@@ -8,9 +8,9 @@
 use pic_comm::world::run_threads;
 use pic_core::init::SkewAxis;
 use pic_core::prelude::*;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion_mode, DiffusionMode, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::ParConfig;
+use pic_par::{run_config, BalancerSpec};
 
 fn main() {
     let ranks = 4;
@@ -37,7 +37,7 @@ fn main() {
             48,
         );
         let ideal = 4_000 / ranks as u64;
-        let base = run_threads(ranks, |comm| run_baseline(&comm, &cfg));
+        let base = run_threads(ranks, |comm| run_config(&comm, &cfg));
         println!(
             "{axis_name},none,{},{ideal},{}",
             base[0].max_count,
@@ -48,7 +48,10 @@ fn main() {
             ("y-only", DiffusionMode::YOnly),
             ("two-phase", DiffusionMode::TwoPhase),
         ] {
-            let out = run_threads(ranks, |comm| run_diffusion_mode(&comm, &cfg, params, mode));
+            let lb_cfg = cfg
+                .clone()
+                .with_balancer(BalancerSpec::Diffusion { params, mode });
+            let out = run_threads(ranks, |comm| run_config(&comm, &lb_cfg));
             println!(
                 "{axis_name},{mode_name},{},{ideal},{}",
                 out[0].max_count,

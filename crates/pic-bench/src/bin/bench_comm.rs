@@ -320,8 +320,8 @@ fn main() {
     }
 }
 
-/// The dense/sparse crossover and wire-format contrast tables the
-/// `--overlap auto` heuristic is tuned against, as a markdown section.
+/// The dense/sparse crossover and byte/typed payload contrast tables, as a
+/// markdown section.
 fn crossover_table(rows: &[Row]) -> String {
     let find = |variant: &str, ranks: usize, payload: usize| -> Option<f64> {
         rows.iter()
@@ -333,8 +333,7 @@ fn crossover_table(rows: &[Row]) -> String {
          Per-iteration wall time of the dense synchronous alltoallv vs the \
          sparse split-phase protocol, by world size and payload. The sparse \
          protocol's fixed overhead (escape dissemination + per-neighbor \
-         count wires) dominates at small world sizes — `--overlap auto` \
-         picks dense below the crossover. The wire pair carries the same \
+         count wires) dominates at small world sizes. The wire pair carries the same \
          bytes as particle records: `bytes-wire` encodes/decodes the \
          76-byte oracle format, `typed-wire` moves the buckets by \
          ownership.\n\n\

@@ -28,16 +28,14 @@ use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi_traced;
 use pic_bench::report::trace_summary_markdown;
-use pic_comm::sparse::{alltoallv_finish_into, alltoallv_start};
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
-use pic_par::baseline::run_baseline_traced;
-use pic_par::diffusion::{run_diffusion_mode_traced, DiffusionMode, DiffusionParams};
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
+use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
+use pic_par::{run_config_traced, BalancerSpec};
 use pic_trace::{Counter, Phase, TraceSummary, Tracer};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,13 +72,9 @@ enum Kernel {
     /// Binned fast forced to the scalar kernel — which *is* the exact
     /// scalar kernel, the fast tier's `PIC_NO_SIMD` baseline.
     BinnedFastScalar,
-    /// Binned exact over the dense synchronous exchange (the oracle) —
+    /// Binned exact over the dense synchronous exchange (the reference) —
     /// the before-row for the overlapped-sparse exchange contrast.
     BinnedDense,
-    /// Binned exact on the byte-serialized particle wire (the
-    /// serialization oracle) — the before-row for the typed zero-copy
-    /// wire contrast (every other kernel runs the typed default).
-    BinnedBytesWire,
 }
 
 impl Kernel {
@@ -95,7 +89,6 @@ impl Kernel {
                 RankKernel::from_sweep(SweepMode::SoaBinnedFast).with_backend(SimdBackend::Scalar)
             }
             Kernel::BinnedDense => RankKernel::default().with_exchange(ExchangeMode::DenseSync),
-            Kernel::BinnedBytesWire => RankKernel::default().with_wire(WireFormat::Bytes),
         }
     }
 
@@ -107,7 +100,6 @@ impl Kernel {
             Kernel::BinnedScalar => "binned/scalar",
             Kernel::BinnedFastScalar => "binned-fast/scalar",
             Kernel::BinnedDense => "binned/dense-sync",
-            Kernel::BinnedBytesWire => "binned/bytes-wire",
         }
     }
 
@@ -119,15 +111,6 @@ impl Kernel {
             _ => "sparse-overlap",
         }
     }
-
-    /// The particle wire format (all kernels except the byte-wire
-    /// contrast row use the typed zero-copy default).
-    fn wire_name(self) -> &'static str {
-        match self {
-            Kernel::BinnedBytesWire => "bytes",
-            _ => "typed",
-        }
-    }
 }
 
 struct Row {
@@ -137,8 +120,6 @@ struct Row {
     kernel_desc: String,
     /// Exchange strategy: `sparse-overlap` (default) or `dense-sync`.
     exchange: &'static str,
-    /// Particle wire format: `typed` (default) or `bytes`.
-    wire: &'static str,
     n: u64,
     ranks: usize,
     steps: u32,
@@ -170,23 +151,25 @@ fn run_one(imp: Impl, kernel: RankKernel, n: u64, ranks: usize, steps: u32) -> R
         .with_m(1)
         .build()
         .unwrap();
-    let cfg = ParConfig::new(setup, steps).with_kernel(kernel);
+    let balancer = match imp {
+        Impl::Diffusion => BalancerSpec::Diffusion {
+            params: DiffusionParams {
+                interval: 5,
+                tau: 0,
+                border_w: 2,
+            },
+            mode: DiffusionMode::XOnly,
+        },
+        Impl::Baseline | Impl::Ampi => BalancerSpec::Static,
+    };
+    let cfg = ParConfig::new(setup, steps)
+        .with_kernel(kernel)
+        .with_balancer(balancer);
     let t = Instant::now();
     let outcomes = run_threads(ranks, |comm| {
         let mut tracer = Tracer::in_memory(steps.max(1));
         let o = match imp {
-            Impl::Baseline => run_baseline_traced(&comm, &cfg, &mut tracer),
-            Impl::Diffusion => run_diffusion_mode_traced(
-                &comm,
-                &cfg,
-                DiffusionParams {
-                    interval: 5,
-                    tau: 0,
-                    border_w: 2,
-                },
-                DiffusionMode::XOnly,
-                &mut tracer,
-            ),
+            Impl::Baseline | Impl::Diffusion => run_config_traced(&comm, &cfg, &mut tracer),
             Impl::Ampi => run_ampi_traced(
                 &comm,
                 &cfg,
@@ -250,7 +233,6 @@ fn measure(imp: Impl, kernel: Kernel, n: u64, ranks: usize, host_cores: usize) -
         kernel: kernel.name(),
         kernel_desc: r.outcomes[0].0.kernel.clone(),
         exchange: kernel.exchange_name(),
-        wire: kernel.wire_name(),
         n,
         ranks,
         steps,
@@ -299,108 +281,6 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// One migrant for the in-situ transport contrast (field values are
-/// irrelevant to timing; the id feeds the sink).
-fn sample_migrant(id: u64) -> Particle {
-    Particle {
-        id,
-        x: 1.5 + (id % 97) as f64,
-        y: 2.5,
-        vx: 3.0,
-        vy: -1.0,
-        q: 0.3535533905932738,
-        x0: 1.5,
-        y0: 2.5,
-        k: 1,
-        m: 1,
-        born_at: 0,
-    }
-}
-
-/// In-situ transport contrast: move `np` particles per rank per
-/// exchange — a measured migrant volume — through the byte wire
-/// (encode → alltoallv → decode) and the typed wire (buckets cross by
-/// ownership) on ring traffic at `ranks` ranks, on the same fabric the
-/// runtime uses. Returns max-over-ranks ns per exchange for
-/// `(bytes, typed)`. This isolates the serialization the zero-copy
-/// lane deletes from the store-side drain/pack work and the receive
-/// waits that the end-to-end exchange phase also contains.
-fn wire_transport_contrast(ranks: usize, np: usize) -> (f64, f64) {
-    const WARM: u32 = 20;
-    const ITERS: u32 = 200;
-    const REPEATS: usize = 3;
-    let np = np.max(2);
-    let run_once = |typed: bool| -> f64 {
-        let per_rank = run_threads(ranks, move |comm| {
-            let size = comm.size();
-            let rank = comm.rank();
-            let (left, right) = ((rank + size - 1) % size, (rank + 1) % size);
-            let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); size];
-            let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); size];
-            let mut incoming: Vec<Vec<u8>> = Vec::new();
-            let mut typed_incoming: Vec<Vec<Particle>> = Vec::new();
-            let mut arrivals: Vec<Particle> = Vec::new();
-            let mut sink = 0u64;
-            let mut t0 = Instant::now();
-            for it in 0..(WARM + ITERS) {
-                if it == WARM {
-                    t0 = Instant::now();
-                }
-                for (d, b) in buckets.iter_mut().enumerate() {
-                    b.clear();
-                    if d == left || d == right {
-                        b.extend((0..(np / 2) as u64).map(|i| sample_migrant(i + it as u64)));
-                    }
-                }
-                if typed {
-                    let h = alltoallv_start(&comm, &mut buckets);
-                    alltoallv_finish_into(&comm, h, &mut typed_incoming);
-                    arrivals.clear();
-                    for b in &typed_incoming {
-                        arrivals.extend_from_slice(b);
-                    }
-                    // Recycle arrival capacity into the staging slots the
-                    // way the runtime's spare free-list does.
-                    for (slot, b) in buckets.iter_mut().zip(typed_incoming.drain(..)) {
-                        *slot = b;
-                    }
-                } else {
-                    for (d, buf) in outgoing.iter_mut().enumerate() {
-                        buf.clear();
-                        for p in &buckets[d] {
-                            p.encode(buf);
-                        }
-                    }
-                    let h = alltoallv_start(&comm, &mut outgoing);
-                    alltoallv_finish_into(&comm, h, &mut incoming);
-                    arrivals.clear();
-                    for buf in &incoming {
-                        Particle::decode_each(buf, |p| arrivals.push(p))
-                            .expect("wire-aligned buffer");
-                    }
-                }
-                sink ^= arrivals.last().map_or(0, |p| p.id);
-            }
-            std::hint::black_box(sink);
-            t0.elapsed().as_nanos() as f64 / ITERS as f64
-        });
-        per_rank.into_iter().fold(0.0, f64::max)
-    };
-    // Min over repeats: scheduler stragglers only ever inflate a
-    // max-over-ranks wall measurement, so the best repeat is the
-    // cleanest estimate of the wire cost itself.
-    let run = |typed: bool| -> f64 {
-        (0..REPEATS)
-            .map(|_| run_once(typed))
-            .fold(f64::INFINITY, f64::min)
-    };
-    // One throwaway pass warms both lanes (thread pools, allocator,
-    // branch predictors) before anything is recorded.
-    let _ = run_once(false);
-    let _ = run_once(true);
-    (run(false), run(true))
 }
 
 fn main() {
@@ -464,21 +344,10 @@ fn main() {
                 }
             }
             // Dense-exchange contrast row at the largest rank count: the
-            // synchronous P²-message oracle against the overlapped-sparse
+            // synchronous P²-message reference against the overlapped-sparse
             // default (same binned kernel, only the exchange changes).
             if max_ranks > 1 {
                 rows.push(measure(imp, Kernel::BinnedDense, n, max_ranks, host_cores));
-                // Byte-wire contrast row: the serialization oracle
-                // against the typed zero-copy wire every headline row
-                // runs (same kernel, same exchange, only the wire
-                // representation changes).
-                rows.push(measure(
-                    imp,
-                    Kernel::BinnedBytesWire,
-                    n,
-                    max_ranks,
-                    host_cores,
-                ));
             }
         }
     }
@@ -515,8 +384,7 @@ fn main() {
         rows.iter()
             .find(|r| r.imp == imp && r.kernel == kernel && r.n == n_head && r.ranks == max_ranks)
     };
-    // Each headline entry is a preformatted JSON object; the `contrast`
-    // key discriminates the two before/after pairs sharing the array.
+    // Each headline entry is a preformatted JSON object.
     let mut exchange_headline: Vec<String> = Vec::new();
     for imp in Impl::ALL {
         if let (Some(dense), Some(sparse)) = (
@@ -544,58 +412,6 @@ fn main() {
                 sparse.exchange_ns,
                 dense.msgs_per_step,
                 sparse.msgs_per_step
-            ));
-        }
-        // Typed-vs-bytes wire contrast on the same (sparse-overlap)
-        // exchange. Three views, most to least end-to-end:
-        //   * exchange wall ns/pstep — includes receive waits, which
-        //     dominate whenever load is imbalanced and are identical on
-        //     both lanes (so the ratio is mostly noise there);
-        //   * exchange *work* ns/pstep — CPU-clock phase totals, waits
-        //     excluded; still contains the lane-invariant store-side
-        //     drain/compaction and arrival-fold work;
-        //   * wire transport ns/exchange — the in-situ
-        //     [`wire_transport_contrast`] moving this run's measured
-        //     per-rank migrant volume through each wire on the same
-        //     fabric: exactly the serialization the typed lane deletes.
-        //     `wire_speedup` is this ratio.
-        if let (Some(bytes), Some(typed)) = (
-            row_of(imp.name(), "binned/bytes-wire"),
-            row_of(imp.name(), "binned"),
-        ) {
-            let work_ratio = bytes.exchange_work_ns / typed.exchange_work_ns;
-            let np_per_rank = ((typed.migrants_per_step / max_ranks as f64).ceil() as usize).max(2);
-            let (wire_bytes_ns, wire_typed_ns) = wire_transport_contrast(max_ranks, np_per_rank);
-            let speedup = wire_bytes_ns / wire_typed_ns;
-            eprintln!(
-                "wire     {:>9} n={n_head}: exchange work bytes {:.2} -> typed {:.2} \
-                 ns/pstep ({work_ratio:.2}x); transport at {np_per_rank} \
-                 migrants/rank: bytes {:.0} -> typed {:.0} ns/exchange ({speedup:.2}x)",
-                imp.name(),
-                bytes.exchange_work_ns,
-                typed.exchange_work_ns,
-                wire_bytes_ns,
-                wire_typed_ns
-            );
-            exchange_headline.push(format!(
-                "{{\"impl\": \"{}\", \"contrast\": \"bytes-vs-typed\", \
-                 \"n\": {n_head}, \"ranks\": {max_ranks}, \
-                 \"bytes_exchange_ns_per_particle_step\": {:.3}, \
-                 \"typed_exchange_ns_per_particle_step\": {:.3}, \
-                 \"bytes_exchange_work_ns_per_particle_step\": {:.3}, \
-                 \"typed_exchange_work_ns_per_particle_step\": {:.3}, \
-                 \"exchange_work_ratio\": {work_ratio:.3}, \
-                 \"migrants_per_rank_per_step\": {np_per_rank}, \
-                 \"wire_payload_bytes\": {}, \
-                 \"bytes_wire_ns_per_exchange\": {wire_bytes_ns:.0}, \
-                 \"typed_wire_ns_per_exchange\": {wire_typed_ns:.0}, \
-                 \"wire_speedup\": {speedup:.3}}}",
-                imp.name(),
-                bytes.exchange_ns,
-                typed.exchange_ns,
-                bytes.exchange_work_ns,
-                typed.exchange_work_ns,
-                np_per_rank * Particle::WIRE_SIZE
             ));
         }
     }
@@ -639,7 +455,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"impl\": \"{}\", \"kernel\": \"{}\", \"kernel_desc\": \"{}\", \
-             \"exchange\": \"{}\", \"wire\": \"{}\", \
+             \"exchange\": \"{}\", \
              \"n\": {}, \"ranks\": {}, \"steps\": {}, \"oversubscribed\": {}, \
              \"wall_s\": {:.4}, \"advance_ns_per_particle_step\": {:.3}, \
              \"exchange_ns_per_particle_step\": {:.3}, \
@@ -650,7 +466,6 @@ fn main() {
             r.kernel,
             r.kernel_desc,
             r.exchange,
-            r.wire,
             r.n,
             r.ranks,
             r.steps,
@@ -710,12 +525,6 @@ fn write_scaling_artifacts(dir: &str, rank_counts: &[usize], host_cores: usize, 
          |---|---|---|---|---|\n",
     );
     let mut summaries: Vec<(usize, &'static str, TraceSummary)> = Vec::new();
-    // Typed-vs-bytes transport contrast at each strong run's measured
-    // migrant volume (mpi-2d's), skipping the degenerate 1-rank ring.
-    let mut wire_md = String::from(
-        "| ranks | migrants/rank/step | payload B | bytes wire ns | typed wire ns | speedup |\n\
-         |---|---|---|---|---|---|\n",
-    );
 
     for &ranks in rank_counts {
         let mut strong = [0.0f64; 3];
@@ -734,20 +543,6 @@ fn write_scaling_artifacts(dir: &str, rank_counts: &[usize], host_cores: usize, 
                 summary.counters[Counter::MsgsSkipped.idx()] as f64 / steps as f64,
                 ranks * ranks.saturating_sub(1),
             );
-            if *imp == Impl::Baseline && ranks > 1 {
-                let np_per_rank = ((summary.counters[Counter::Rehomed.idx()] as f64
-                    / steps as f64
-                    / ranks as f64)
-                    .ceil() as usize)
-                    .max(2);
-                let (b_ns, t_ns) = wire_transport_contrast(ranks, np_per_rank);
-                let _ = writeln!(
-                    wire_md,
-                    "| {ranks} | {np_per_rank} | {} | {b_ns:.0} | {t_ns:.0} | {:.2}x |",
-                    np_per_rank * Particle::WIRE_SIZE,
-                    b_ns / t_ns,
-                );
-            }
             summaries.push((ranks, imp.name(), summary));
             weak[i] = run_one(*imp, RankKernel::default(), weak_n, ranks, steps).wall_s;
         }
@@ -781,23 +576,8 @@ fn write_scaling_artifacts(dir: &str, rank_counts: &[usize], host_cores: usize, 
          Overlapped-sparse exchange (the default): per-neighbor count \
          wires always travel, payload wires only when non-empty; the \
          *elided* column counts payloads the sparse protocol skipped. The \
-         dense oracle (`--overlap off`) would send `ranks·(ranks−1)` \
+         dense reference (`ExchangeMode::DenseSync`) would send `ranks·(ranks−1)` \
          payload wires every step regardless of occupancy.\n\n{msg_md}"
-    );
-    let _ = writeln!(
-        md,
-        "## Typed wire vs byte wire at measured migrant volume (strong runs)\n\n\
-         The in-situ transport contrast: each strong run's per-rank \
-         migrant volume moved through the byte wire (encode \u{2192} \
-         alltoallv \u{2192} decode) and the typed zero-copy wire \
-         (`--wire typed`, the default) on ring traffic over the same \
-         in-process fabric. This isolates the serialization the typed \
-         lane deletes; the end-to-end exchange-phase clock additionally \
-         contains store-side drain/fold work (lane-invariant) and \
-         receive waits (load imbalance, also lane-invariant), so its \
-         bytes-vs-typed ratio is much closer to 1 \u{2014} see the \
-         `exchange_headline` bytes-vs-typed rows in `BENCH_par.json` for \
-         both views side by side.\n\n{wire_md}"
     );
     let _ = writeln!(
         md,

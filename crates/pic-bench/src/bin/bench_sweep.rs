@@ -1,8 +1,8 @@
 //! Emit `BENCH_sweep.json`: wall-clock ns/particle/step for every sweep
 //! mode of the single-process engine, across a thread-count grid, plus
-//! the chunk-size sensitivity of the chunked sweep, the rebin-interval
-//! sensitivity of the binned sweep, and a SIMD-on/SIMD-off pair for the
-//! binned sweep (vector backend vs forced-scalar kernel).
+//! the chunk-size and rebin-interval sensitivity of the binned sweep, and
+//! a SIMD-on/SIMD-off pair for the binned sweep (vector backend vs
+//! forced-scalar kernel).
 //!
 //! ```text
 //! bench_sweep [--out PATH] [--quick] [--threads LIST] [--modes LIST]
@@ -14,10 +14,10 @@
 //! `1,2,4,8`); the process pre-sizes the worker pool to the largest
 //! requested count (via `PIC_THREADS`) and then caps the active threads
 //! per measurement, so one process covers the whole scaling grid.
-//! `--modes soa-serial,soa-binned` restricts the run to a subset of sweep
-//! modes (default: all six; the sensitivity scans only run when their
-//! mode is selected). Single-thread-by-construction modes (`aos-serial`,
-//! `soa-serial`) are measured once at 1 thread. The output is one JSON
+//! `--modes aos-serial,soa-binned` restricts the run to a subset of sweep
+//! modes (default: all three; the sensitivity scans only run when
+//! `soa-binned` is selected). The single-thread-by-construction
+//! `aos-serial` is measured once at 1 thread. The output is one JSON
 //! object with host metadata (core count, detected SIMD backend and its
 //! lane width, FMA availability, git commit, rustc version) and a record
 //! per (mode, n, threads, chunk, rebin, simd) configuration;
@@ -44,9 +44,6 @@ const GRID: usize = 512;
 fn mode_name(mode: SweepMode) -> &'static str {
     match mode {
         SweepMode::Serial => "aos-serial",
-        SweepMode::Parallel => "aos-parallel",
-        SweepMode::Soa => "soa-serial",
-        SweepMode::SoaChunked => "soa-chunked",
         SweepMode::SoaBinned => "soa-binned",
         SweepMode::SoaBinnedFast => "soa-binned-fast",
     }
@@ -55,9 +52,6 @@ fn mode_name(mode: SweepMode) -> &'static str {
 fn mode_from_name(name: &str) -> Option<SweepMode> {
     Some(match name {
         "aos-serial" => SweepMode::Serial,
-        "aos-parallel" => SweepMode::Parallel,
-        "soa-serial" => SweepMode::Soa,
-        "soa-chunked" => SweepMode::SoaChunked,
         "soa-binned" => SweepMode::SoaBinned,
         "soa-binned-fast" => SweepMode::SoaBinnedFast,
         _ => return None,
@@ -67,7 +61,7 @@ fn mode_from_name(name: &str) -> Option<SweepMode> {
 /// Whether a mode's sweep goes through the worker pool (and therefore
 /// belongs in the thread-scaling grid).
 fn mode_is_pooled(mode: SweepMode) -> bool {
-    !matches!(mode, SweepMode::Serial | SweepMode::Soa)
+    mode != SweepMode::Serial
 }
 
 #[derive(Clone, Copy)]
@@ -190,14 +184,6 @@ fn main() {
         !thread_counts.is_empty(),
         "--threads needs at least one count"
     );
-    let all_modes = [
-        SweepMode::Serial,
-        SweepMode::Parallel,
-        SweepMode::Soa,
-        SweepMode::SoaChunked,
-        SweepMode::SoaBinned,
-        SweepMode::SoaBinnedFast,
-    ];
     let fast_report_path = args
         .iter()
         .position(|a| a == "--fast-report")
@@ -214,7 +200,7 @@ fn main() {
                     .unwrap_or_else(|| panic!("bad --modes entry: {m} (see --help of pic)"))
             })
             .collect(),
-        None => all_modes.to_vec(),
+        None => SweepMode::ALL.to_vec(),
     };
     assert!(!modes.is_empty(), "--modes needs at least one mode");
 
@@ -276,10 +262,10 @@ fn main() {
     // under study is the only variable (explicit chunk sizes here; the
     // grid above uses the adaptive default).
     let n = *sizes.last().unwrap();
-    if modes.contains(&SweepMode::SoaChunked) {
+    if modes.contains(&SweepMode::SoaBinned) {
         for chunk in [256usize, 1_024, 4_096, 16_384, 65_536] {
             records.push(run_record(
-                SweepMode::SoaChunked,
+                SweepMode::SoaBinned,
                 Some(chunk),
                 DEFAULT_REBIN,
                 None,
@@ -287,8 +273,6 @@ fn main() {
                 1,
             ));
         }
-    }
-    if modes.contains(&SweepMode::SoaBinned) {
         for rebin in [1u32, 3] {
             if rebin == DEFAULT_REBIN {
                 continue; // already measured above

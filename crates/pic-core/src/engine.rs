@@ -9,25 +9,26 @@
 //!
 //! ## Sweep modes and the memory layout contract
 //!
-//! The particle store follows the sweep mode: [`SweepMode::Serial`] and
-//! [`SweepMode::Parallel`] keep the population AoS (`Vec<Particle>`),
-//! [`SweepMode::Soa`] and [`SweepMode::SoaChunked`] keep it in the
-//! structure-of-arrays [`ParticleBatch`] for the whole run — events,
-//! checkpoints and histograms operate on the SoA store natively, with no
-//! per-step AoS round-trip. Every mode runs the same per-particle
-//! instruction sequence (eqs. 1–2 behind the same force evaluation), and
-//! every mode applies events by the same deterministic rules (injections
-//! append in build order; removals take lowest ids first,
-//! order-preserving), so **all four modes produce bit-identical particle
-//! populations in identical order** — asserted by this module's tests and
-//! the cross-layout property tests.
+//! The particle store follows the sweep mode: [`SweepMode::Serial`] keeps
+//! the population AoS (`Vec<Particle>`) and is the scalar reference;
+//! [`SweepMode::SoaBinned`] (production) and [`SweepMode::SoaBinnedFast`]
+//! keep it in the cell-binned structure-of-arrays [`BinnedStore`] for the
+//! whole run — events, checkpoints and histograms operate on the store
+//! natively, with no per-step AoS round-trip. The reference and the exact
+//! binned mode run the same per-particle instruction sequence (eqs. 1–2
+//! behind the same force evaluation) and apply events by the same
+//! deterministic rules (injections append in build order; removals take
+//! lowest ids first), so **they produce bit-identical particle
+//! populations in identical canonical order** — asserted by this module's
+//! tests and the cross-layout property tests. The fast tier is gated by
+//! the analytic tolerance instead (DESIGN.md §12).
 
 use crate::bin::{BinnedStore, KernelTier, DEFAULT_REBIN};
 use crate::charge::SimConstants;
 use crate::events::{Event, EventKind};
 use crate::geometry::Grid;
 use crate::init::{apply_removal, build_injection, validate_event, InitError, SimulationSetup};
-use crate::motion::{advance_all, advance_all_parallel};
+use crate::motion::advance_all;
 use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
@@ -38,17 +39,10 @@ use crate::verify::{verify_all, verify_batch, VerifyReport, DEFAULT_TOLERANCE};
 /// particle storage layout (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
-    /// One thread, AoS storage, deterministic order.
+    /// One thread, AoS storage, deterministic order — the scalar
+    /// reference every bit-identity suite compares against.
     #[default]
     Serial,
-    /// Pool-parallel sweep over AoS storage; bitwise identical results
-    /// (particles are independent within a step).
-    Parallel,
-    /// One thread, structure-of-arrays storage.
-    Soa,
-    /// Pool-parallel chunked sweep over SoA storage; chunk size is the
-    /// [`Simulation::with_chunk_size`] tunable.
-    SoaChunked,
     /// Pool-parallel chunked sweep over cell-binned SoA storage
     /// ([`BinnedStore`]): particles are kept counting-sorted by cell
     /// column (re-sorted every [`Simulation::with_rebin_interval`] steps)
@@ -66,24 +60,15 @@ pub enum SweepMode {
 
 impl SweepMode {
     /// Every sweep mode, in CLI/help order.
-    pub const ALL: [SweepMode; 6] = [
+    pub const ALL: [SweepMode; 3] = [
         SweepMode::Serial,
-        SweepMode::Parallel,
-        SweepMode::Soa,
-        SweepMode::SoaChunked,
         SweepMode::SoaBinned,
         SweepMode::SoaBinnedFast,
     ];
 
     /// Whether this mode stores particles in SoA layout.
     pub fn is_soa(self) -> bool {
-        matches!(
-            self,
-            SweepMode::Soa
-                | SweepMode::SoaChunked
-                | SweepMode::SoaBinned
-                | SweepMode::SoaBinnedFast
-        )
+        matches!(self, SweepMode::SoaBinned | SweepMode::SoaBinnedFast)
     }
 
     /// Whether this mode runs the fast-math kernel tier (not bit-identical
@@ -98,9 +83,6 @@ impl SweepMode {
     pub fn cli_name(self) -> &'static str {
         match self {
             SweepMode::Serial => "serial",
-            SweepMode::Parallel => "parallel",
-            SweepMode::Soa => "soa",
-            SweepMode::SoaChunked => "soa-chunked",
             SweepMode::SoaBinned => "soa-binned",
             SweepMode::SoaBinnedFast => "soa-binned-fast",
         }
@@ -117,12 +99,11 @@ impl SweepMode {
 
 /// The particle population in whichever layout the sweep mode selected.
 // One store exists per Simulation (never in arrays), so the size gap
-// between the 11-vector SoA batch and the single AoS vec is irrelevant.
+// between the binned SoA store and the single AoS vec is irrelevant.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum ParticleStore {
     Aos(Vec<Particle>),
-    Soa(ParticleBatch),
     Binned(BinnedStore),
 }
 
@@ -132,10 +113,7 @@ impl ParticleStore {
     /// one home).
     fn for_mode(particles: Vec<Particle>, grid: &Grid, mode: SweepMode) -> ParticleStore {
         match mode {
-            SweepMode::Serial | SweepMode::Parallel => ParticleStore::Aos(particles),
-            SweepMode::Soa | SweepMode::SoaChunked => {
-                ParticleStore::Soa(ParticleBatch::from_particles(&particles))
-            }
+            SweepMode::Serial => ParticleStore::Aos(particles),
             SweepMode::SoaBinned => {
                 ParticleStore::Binned(BinnedStore::new(&particles, grid, DEFAULT_REBIN))
             }
@@ -151,7 +129,6 @@ impl ParticleStore {
     fn len(&self) -> usize {
         match self {
             ParticleStore::Aos(v) => v.len(),
-            ParticleStore::Soa(b) => b.len(),
             ParticleStore::Binned(b) => b.len(),
         }
     }
@@ -160,7 +137,6 @@ impl ParticleStore {
     fn to_particles(&self) -> Vec<Particle> {
         match self {
             ParticleStore::Aos(v) => v.clone(),
-            ParticleStore::Soa(b) => b.to_particles(),
             ParticleStore::Binned(b) => b.to_particles(),
         }
     }
@@ -168,11 +144,6 @@ impl ParticleStore {
     fn extend(&mut self, particles: Vec<Particle>) {
         match self {
             ParticleStore::Aos(v) => v.extend(particles),
-            ParticleStore::Soa(b) => {
-                for p in particles {
-                    b.push(p);
-                }
-            }
             ParticleStore::Binned(b) => b.extend(particles),
         }
     }
@@ -227,8 +198,8 @@ impl Simulation {
         }
     }
 
-    /// Set an explicit chunk size for [`SweepMode::SoaChunked`] and
-    /// [`SweepMode::SoaBinned`] (ignored by the other modes). Values are
+    /// Set an explicit chunk size for the binned sweeps (ignored by
+    /// [`SweepMode::Serial`]) — the schedule-independence test handle. Values are
     /// clamped to at least 1. Without this, the engine picks an adaptive
     /// default — [`pool::adaptive_chunk`] — that scales with the
     /// population and the active thread count so per-chunk dispatch
@@ -247,8 +218,8 @@ impl Simulation {
         })
     }
 
-    /// Set the rebin interval `R` used by [`SweepMode::SoaBinned`]
-    /// (ignored by the other modes): the counting sort re-runs every `R`
+    /// Set the rebin interval `R` used by the binned sweeps (ignored by
+    /// [`SweepMode::Serial`]): the counting sort re-runs every `R`
     /// sweeps. Clamped to at least 1. The result is bit-identical for any
     /// `R`; the trade is sort amortization against histogram freshness
     /// and sweep locality.
@@ -265,9 +236,8 @@ impl Simulation {
         self.rebin_interval
     }
 
-    /// Force a specific SIMD backend for the [`SweepMode::SoaBinned`]
-    /// kernel (no-op in the other modes, which don't use the explicit
-    /// SIMD layer). The default is [`SimdBackend::detect`] at
+    /// Force a specific SIMD backend for the binned kernel (no-op in
+    /// [`SweepMode::Serial`], which doesn't use the explicit SIMD layer). The default is [`SimdBackend::detect`] at
     /// construction. Every backend is bit-identical; this is the A/B
     /// handle behind the `PIC_NO_SIMD` environment variable and the
     /// cross-backend identity tests.
@@ -278,8 +248,8 @@ impl Simulation {
         self
     }
 
-    /// The SIMD backend the binned sweep kernel runs on (`None` for modes
-    /// that don't use the explicit SIMD layer).
+    /// The SIMD backend the binned sweep kernel runs on (`None` for
+    /// [`SweepMode::Serial`]).
     pub fn simd_backend(&self) -> Option<SimdBackend> {
         match &self.store {
             ParticleStore::Binned(b) => Some(b.simd_backend()),
@@ -289,7 +259,7 @@ impl Simulation {
 
     /// The kernel tier the binned sweep runs ([`KernelTier::Fast`] for
     /// [`SweepMode::SoaBinnedFast`], [`KernelTier::Exact`] for
-    /// [`SweepMode::SoaBinned`]; `None` for the non-binned modes).
+    /// [`SweepMode::SoaBinned`]; `None` for [`SweepMode::Serial`]).
     pub fn kernel_tier(&self) -> Option<KernelTier> {
         match &self.store {
             ParticleStore::Binned(b) => Some(b.kernel_tier()),
@@ -299,8 +269,7 @@ impl Simulation {
 
     /// Short kernel descriptor for telemetry and driver output:
     /// `"<backend>/<tier>"` for the binned modes (e.g. `"avx512/fast"`,
-    /// `"scalar/exact"`), `"none"` for modes outside the explicit SIMD
-    /// layer. This is the trace run-header `simd` field.
+    /// `"scalar/exact"`), `"none"` for [`SweepMode::Serial`]. This is the trace run-header `simd` field.
     pub fn kernel_desc(&self) -> String {
         match (self.simd_backend(), self.kernel_tier()) {
             (Some(b), Some(t)) => format!("{}/{}", b.name(), t.name()),
@@ -343,13 +312,12 @@ impl Simulation {
     }
 
     /// Direct view of the SoA store, when the mode keeps one (`None` for
-    /// the AoS modes). For [`SweepMode::SoaBinned`] the batch is in bin
+    /// [`SweepMode::Serial`]). The batch is in bin
     /// order, not canonical order — use [`Simulation::particles`] when
     /// ordering matters.
     pub fn batch(&self) -> Option<&ParticleBatch> {
         match &self.store {
             ParticleStore::Aos(_) => None,
-            ParticleStore::Soa(b) => Some(b),
             ParticleStore::Binned(b) => Some(b.batch()),
         }
     }
@@ -358,8 +326,8 @@ impl Simulation {
         self.store.len()
     }
 
-    /// Lifetime counting-sort (rebin) invocations; 0 for the non-binned
-    /// stores. Telemetry hook for the trace `rebins` counter.
+    /// Lifetime counting-sort (rebin) invocations; 0 for the AoS
+    /// store. Telemetry hook for the trace `rebins` counter.
     pub fn rebin_count(&self) -> u64 {
         match &self.store {
             ParticleStore::Binned(b) => b.rebin_count(),
@@ -402,7 +370,6 @@ impl Simulation {
                 EventKind::Remove { count } => {
                     let removed = match &mut self.store {
                         ParticleStore::Aos(v) => apply_removal(v, e.region, count),
-                        ParticleStore::Soa(b) => b.remove_in_region(&e.region, count),
                         ParticleStore::Binned(b) => b.remove_in_region(&e.region, count),
                     };
                     for p in &removed {
@@ -417,27 +384,14 @@ impl Simulation {
     /// sweep (force + eqs. 1–2 + periodic wrap).
     pub fn step(&mut self) {
         self.apply_due_events();
-        match (&mut self.store, self.mode) {
-            (ParticleStore::Aos(v), SweepMode::Serial) => advance_all(&self.grid, &self.consts, v),
-            (ParticleStore::Aos(v), SweepMode::Parallel) => {
-                advance_all_parallel(&self.grid, &self.consts, v)
-            }
-            (ParticleStore::Soa(b), SweepMode::Soa) => b.advance_all(&self.grid, &self.consts),
-            (ParticleStore::Soa(b), SweepMode::SoaChunked) => {
-                let chunk = self.chunk_size.unwrap_or_else(|| {
-                    pool::adaptive_chunk(b.len(), pool::global().active_threads())
-                });
-                b.advance_all_chunked(&self.grid, &self.consts, chunk)
-            }
-            (ParticleStore::Binned(b), SweepMode::SoaBinned | SweepMode::SoaBinnedFast) => {
+        match &mut self.store {
+            ParticleStore::Aos(v) => advance_all(&self.grid, &self.consts, v),
+            ParticleStore::Binned(b) => {
                 let chunk = self.chunk_size.unwrap_or_else(|| {
                     pool::adaptive_chunk(b.len(), pool::global().active_threads())
                 });
                 b.advance_all(&self.grid, &self.consts, chunk)
             }
-            // The constructor ties store layout to mode; the pairs above
-            // are exhaustive in practice.
-            (_, mode) => unreachable!("store layout inconsistent with sweep mode {mode:?}"),
         }
         self.step += 1;
     }
@@ -470,7 +424,6 @@ impl Simulation {
         let (grid, step, sum) = (&self.grid, self.step, self.expected_id_sum);
         match &self.store {
             ParticleStore::Aos(v) => verify_all(grid, v, step, sum, tol),
-            ParticleStore::Soa(b) => verify_batch(grid, b, step, sum, tol),
             ParticleStore::Binned(b) => verify_batch(grid, b.batch(), step, sum, tol),
         }
     }
@@ -483,11 +436,12 @@ impl Simulation {
     /// exact tiers pass it trivially — their error is at the 1e-13 floor).
     pub fn verify_analytic(&self) -> VerifyReport {
         let stride = |k: u32, m: i32| (2 * k as u64 + 1).max(m.unsigned_abs() as u64);
-        let of_batch = |b: &ParticleBatch| b.k.iter().zip(&b.m).map(|(&k, &m)| stride(k, m)).max();
         let max_stride = match &self.store {
             ParticleStore::Aos(v) => v.iter().map(|p| stride(p.k, p.m)).max(),
-            ParticleStore::Soa(b) => of_batch(b),
-            ParticleStore::Binned(b) => of_batch(b.batch()),
+            ParticleStore::Binned(b) => {
+                let b = b.batch();
+                b.k.iter().zip(&b.m).map(|(&k, &m)| stride(k, m)).max()
+            }
         };
         let tol = crate::verify::analytic_tolerance(self.step as u64, max_stride.unwrap_or(1));
         self.verify_with_tolerance(tol)
@@ -508,23 +462,15 @@ impl Simulation {
     /// O(columns) prefix-sum read instead of an O(n) scan — the quantity
     /// the diffusion balancer polls every step comes for free.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
-        if let ParticleStore::Binned(b) = &self.store {
-            return b.column_histogram_into(&self.grid, h);
-        }
-        h.clear();
-        h.resize(self.grid.ncells(), 0);
         match &self.store {
             ParticleStore::Aos(v) => {
+                h.clear();
+                h.resize(self.grid.ncells(), 0);
                 for p in v {
                     h[self.grid.cell_of(p.x)] += 1;
                 }
             }
-            ParticleStore::Soa(b) => {
-                for &x in &b.x {
-                    h[self.grid.cell_of(x)] += 1;
-                }
-            }
-            ParticleStore::Binned(_) => unreachable!(),
+            ParticleStore::Binned(b) => b.column_histogram_into(&self.grid, h),
         }
     }
 
@@ -549,11 +495,6 @@ impl Simulation {
                     h[self.grid.cell_of(p.y)] += 1;
                 }
             }
-            ParticleStore::Soa(b) => {
-                for &y in &b.y {
-                    h[self.grid.cell_of(y)] += 1;
-                }
-            }
             ParticleStore::Binned(b) => {
                 for &y in &b.batch().y {
                     h[self.grid.cell_of(y)] += 1;
@@ -567,11 +508,6 @@ impl Simulation {
     pub fn mutate_particle(&mut self, idx: usize, f: impl FnOnce(&mut Particle)) {
         match &mut self.store {
             ParticleStore::Aos(v) => f(&mut v[idx]),
-            ParticleStore::Soa(b) => {
-                let mut p = b.get(idx);
-                f(&mut p);
-                b.set(idx, p);
-            }
             ParticleStore::Binned(b) => {
                 let mut p = b.particle_at(idx);
                 f(&mut p);
@@ -586,7 +522,6 @@ impl Simulation {
     pub fn particle_at(&self, idx: usize) -> Particle {
         match &self.store {
             ParticleStore::Aos(v) => v[idx],
-            ParticleStore::Soa(b) => b.get(idx),
             ParticleStore::Binned(b) => b.particle_at(idx),
         }
     }
@@ -596,7 +531,6 @@ impl Simulation {
     pub fn pop_particle(&mut self) -> Option<Particle> {
         match &mut self.store {
             ParticleStore::Aos(v) => v.pop(),
-            ParticleStore::Soa(b) => b.pop(),
             ParticleStore::Binned(b) => b.pop(),
         }
     }
@@ -607,7 +541,6 @@ impl Simulation {
     pub fn push_particle(&mut self, p: Particle) {
         match &mut self.store {
             ParticleStore::Aos(v) => v.push(p),
-            ParticleStore::Soa(b) => b.push(p),
             ParticleStore::Binned(b) => b.push(p),
         }
     }
@@ -674,17 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_bitwise() {
-        let s = setup(300, Distribution::Sinusoidal);
-        let mut a = Simulation::with_mode(s.clone(), SweepMode::Serial);
-        let mut b = Simulation::with_mode(s, SweepMode::Parallel);
-        a.run(50);
-        b.run(50);
-        assert_eq!(a.particles(), b.particles());
-    }
-
-    #[test]
-    fn all_sweep_modes_match_serial_bitwise() {
+    fn binned_sweep_matches_serial_bitwise() {
         let region = Region {
             x0: 0,
             x1: 8,
@@ -696,24 +619,17 @@ mod tests {
             .with_event(Event::remove(25, Region::whole(32), 25));
         let mut reference = Simulation::with_mode(s.clone(), SweepMode::Serial);
         reference.run(40);
-        for mode in [
-            SweepMode::Parallel,
-            SweepMode::Soa,
-            SweepMode::SoaChunked,
-            SweepMode::SoaBinned,
-        ] {
-            let mut sim = Simulation::with_mode(s.clone(), mode)
-                .with_chunk_size(37)
-                .with_rebin_interval(3);
-            sim.run(40);
-            assert_eq!(
-                reference.particles(),
-                sim.particles(),
-                "{mode:?} diverged from serial (same order, same bits)"
-            );
-            assert_eq!(reference.expected_id_sum(), sim.expected_id_sum());
-            assert!(sim.verify().passed());
-        }
+        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned)
+            .with_chunk_size(37)
+            .with_rebin_interval(3);
+        sim.run(40);
+        assert_eq!(
+            reference.particles(),
+            sim.particles(),
+            "soa-binned diverged from serial (same order, same bits)"
+        );
+        assert_eq!(reference.expected_id_sum(), sim.expected_id_sum());
+        assert!(sim.verify().passed());
     }
 
     #[test]
@@ -767,7 +683,7 @@ mod tests {
     #[test]
     fn soa_store_is_native_no_aos_roundtrip() {
         let s = setup(100, Distribution::Uniform);
-        let mut sim = Simulation::with_mode(s, SweepMode::Soa);
+        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned);
         assert!(sim.batch().is_some(), "SoA mode exposes the batch");
         sim.run(5);
         assert_eq!(sim.batch().unwrap().len(), 100);
@@ -781,7 +697,7 @@ mod tests {
         // Checkpoint taken in an SoA-mode run restores into an AoS-mode
         // run (and vice versa) with bit-identical continuation.
         let s = setup(150, Distribution::Sinusoidal);
-        let mut soa = Simulation::with_mode(s.clone(), SweepMode::SoaChunked).with_chunk_size(16);
+        let mut soa = Simulation::with_mode(s.clone(), SweepMode::SoaBinned).with_chunk_size(16);
         soa.run(20);
         let cp = soa.checkpoint().encode();
         let cp = crate::checkpoint::CheckpointData::decode(&cp).unwrap();

@@ -48,23 +48,6 @@ pub fn advance_all(grid: &Grid, consts: &SimConstants, particles: &mut [Particle
     }
 }
 
-/// Advance every particle in a slice by one step using all available cores
-/// (shared-memory parallel path; results bit-identical to [`advance_all`]
-/// because particles are independent within a step and every index runs
-/// the same instruction sequence).
-pub fn advance_all_parallel(grid: &Grid, consts: &SimConstants, particles: &mut [Particle]) {
-    let len = particles.len();
-    let base = crate::pool::SyncMutPtr::new(particles.as_mut_ptr());
-    let chunk = crate::pool::adaptive_chunk(len, crate::pool::global().active_threads());
-    crate::pool::global().run_chunked(len, chunk, &|start, end| {
-        // Chunks are disjoint, so each subslice is exclusively owned here.
-        let span = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        for p in span {
-            advance_particle(grid, consts, p);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,38 +148,6 @@ mod tests {
                 "step {step}: x = {}, want {want}",
                 p.x
             );
-        }
-    }
-
-    #[test]
-    fn serial_and_parallel_advance_agree_bitwise() {
-        let g = Grid::new(32).unwrap();
-        let c = SimConstants::default();
-        let mut a: Vec<Particle> = (0..200)
-            .map(|i| {
-                let mut p = make(
-                    &g,
-                    &c,
-                    (i * 7) % 32,
-                    (i * 3) % 32,
-                    (i % 3) as u32,
-                    (i % 5) as i32 - 2,
-                    if i % 2 == 0 { 1 } else { -1 },
-                );
-                p.id = i as u64 + 1;
-                p
-            })
-            .collect();
-        let mut b = a.clone();
-        for _ in 0..10 {
-            advance_all(&g, &c, &mut a);
-            advance_all_parallel(&g, &c, &mut b);
-        }
-        for (pa, pb) in a.iter().zip(&b) {
-            assert_eq!(pa.x.to_bits(), pb.x.to_bits());
-            assert_eq!(pa.y.to_bits(), pb.y.to_bits());
-            assert_eq!(pa.vx.to_bits(), pb.vx.to_bits());
-            assert_eq!(pa.vy.to_bits(), pb.vy.to_bits());
         }
     }
 

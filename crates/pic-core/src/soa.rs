@@ -11,13 +11,9 @@
 use crate::charge::{total_force, SimConstants};
 use crate::geometry::Grid;
 use crate::particle::Particle;
-use crate::pool::{self, SyncMutPtr};
 
-/// The one sweep kernel every SoA path runs: eqs. 1–2 over a contiguous
-/// span of the arrays. Serial, parallel, and chunked sweeps all reduce to
-/// calls of this function over disjoint spans, which is what makes their
-/// results bit-identical by construction — per particle, the instruction
-/// sequence is the same no matter how the index space was partitioned.
+/// The scalar SoA sweep kernel: eqs. 1–2 over a contiguous span of the
+/// arrays, the same per-particle instruction sequence as the AoS sweep.
 #[inline(always)]
 fn advance_span(
     grid: &Grid,
@@ -29,10 +25,7 @@ fn advance_span(
     q: &[f64],
 ) {
     let dt = consts.dt;
-    // Re-slice everything to one length so the bounds checks fold away
-    // even when this body is compiled out of line (callers always pass
-    // equal-length spans; the serial path's inlining used to prove that
-    // implicitly, the outlined path cannot).
+    // Re-slice everything to one length so the bounds checks fold away.
     let n = x.len();
     let (y, vx, vy, q) = (&mut y[..n], &mut vx[..n], &mut vy[..n], &q[..n]);
     for i in 0..n {
@@ -42,27 +35,6 @@ fn advance_span(
         vx[i] += ax * dt;
         vy[i] += ay * dt;
     }
-}
-
-/// Out-of-line shell around [`advance_span`] for callers whose spans are
-/// reconstructed from raw pointers (the pool closures). The real function
-/// boundary is what hands LLVM the `noalias` guarantee on the four
-/// `&mut [f64]` parameters; inlined straight into a closure the slices'
-/// provenance is four raw pointers whose disjointness is unprovable, every
-/// store blocks the next iteration's loads, and the sweep measures ~45%
-/// slower at 10⁶ particles. Callers whose slices visibly come from
-/// distinct struct fields (the serial path) call `advance_span` directly.
-#[inline(never)]
-pub(crate) fn advance_span_outlined(
-    grid: &Grid,
-    consts: &SimConstants,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    advance_span(grid, consts, x, y, vx, vy, q);
 }
 
 /// A batch of particles in structure-of-arrays layout.
@@ -311,40 +283,6 @@ impl ParticleBatch {
         );
     }
 
-    /// Pool-parallel sweep with the adaptive chunk size; bit-identical to
-    /// [`ParticleBatch::advance_all`].
-    pub fn advance_all_parallel(&mut self, grid: &Grid, consts: &SimConstants) {
-        let chunk = pool::adaptive_chunk(self.len(), pool::global().active_threads());
-        self.advance_all_chunked(grid, consts, chunk);
-    }
-
-    /// Deterministic chunked parallel sweep: the index space is split into
-    /// fixed-size chunks claimed dynamically by the global sweep pool.
-    /// Chunk scheduling affects only *where* a particle is processed,
-    /// never *how* — every path funnels into [`advance_span`] — so the
-    /// result is bit-identical to the serial sweep for any `chunk_size`.
-    pub fn advance_all_chunked(&mut self, grid: &Grid, consts: &SimConstants, chunk_size: usize) {
-        let n = self.len();
-        let xp = SyncMutPtr::new(self.x.as_mut_ptr());
-        let yp = SyncMutPtr::new(self.y.as_mut_ptr());
-        let vxp = SyncMutPtr::new(self.vx.as_mut_ptr());
-        let vyp = SyncMutPtr::new(self.vy.as_mut_ptr());
-        let q = &self.q[..n];
-        pool::global().run_chunked(n, chunk_size, &|start, end| {
-            // Chunks are disjoint, so each span is exclusively owned here.
-            let len = end - start;
-            let (x, y, vx, vy) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(xp.get().add(start), len),
-                    std::slice::from_raw_parts_mut(yp.get().add(start), len),
-                    std::slice::from_raw_parts_mut(vxp.get().add(start), len),
-                    std::slice::from_raw_parts_mut(vyp.get().add(start), len),
-                )
-            };
-            advance_span_outlined(grid, consts, x, y, vx, vy, &q[start..end]);
-        });
-    }
-
     /// Remove and return every particle for which `leaves` is true (used
     /// by exchange phases). Order of the survivors is not preserved.
     ///
@@ -439,19 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_soa_sweep_bitwise_matches_serial() {
-        let (grid, ps) = population(400);
-        let consts = SimConstants::CANONICAL;
-        let mut a = ParticleBatch::from_particles(&ps);
-        let mut b = a.clone();
-        for _ in 0..10 {
-            a.advance_all(&grid, &consts);
-            b.advance_all_parallel(&grid, &consts);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn soa_run_verifies() {
         let (grid, ps) = population(300);
         let consts = SimConstants::CANONICAL;
@@ -506,22 +431,6 @@ mod tests {
         assert_eq!(soa.len(), 3);
         assert!((0..soa.len()).all(|i| soa.x[i] >= 5.0), "{:?}", soa.x);
         assert!(gone.iter().all(|p| p.x < 5.0));
-    }
-
-    #[test]
-    fn chunked_sweep_bitwise_matches_serial_for_all_chunk_sizes() {
-        let (grid, ps) = population(631);
-        let consts = SimConstants::CANONICAL;
-        let n = ps.len();
-        for chunk in [1, 7, 64, n, n + 100] {
-            let mut a = ParticleBatch::from_particles(&ps);
-            let mut b = a.clone();
-            for _ in 0..8 {
-                a.advance_all(&grid, &consts);
-                b.advance_all_chunked(&grid, &consts, chunk);
-            }
-            assert_eq!(a, b, "chunk={chunk} diverged from serial");
-        }
     }
 
     #[test]

@@ -120,9 +120,6 @@ fn steady_state_step_loop_allocates_nothing() {
     // recomputed at every rebin and must reuse its capacity).
     for (mode, rebin, backend) in [
         (SweepMode::Serial, 1, None),
-        (SweepMode::Parallel, 1, None),
-        (SweepMode::Soa, 1, None),
-        (SweepMode::SoaChunked, 1, None),
         (SweepMode::SoaBinned, 1, None),
         (SweepMode::SoaBinned, 3, None),
         (SweepMode::SoaBinned, 1, Some(SimdBackend::Scalar)),

@@ -358,9 +358,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The chunked SoA sweep is bit-identical to the serial AoS sweep for
-    /// every distribution family, with injection and removal events firing
-    /// mid-run, across degenerate and non-dividing chunk sizes.
+    /// The chunked (binned) SoA sweep is bit-identical to the serial AoS
+    /// sweep for every distribution family, with injection and removal
+    /// events firing mid-run, across degenerate and non-dividing chunk sizes.
     #[test]
     fn chunked_soa_bitwise_matches_aos_serial_all_distributions(
         which in 0usize..5,
@@ -392,7 +392,7 @@ proptest! {
         reference.run(steps);
         let expect = reference.particles();
         for chunk in [1usize, 7, 64, n as usize] {
-            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaChunked)
+            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
                 .with_chunk_size(chunk);
             sim.run(steps);
             // PartialEq on Particle is field-exact over the raw f64s, so

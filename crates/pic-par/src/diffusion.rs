@@ -10,12 +10,6 @@
 //! a Cartesian product: communication stays regular nearest-neighbor, the
 //! property the paper credits for this scheme's strong-scaling advantage.
 
-use crate::balance::run_balanced_traced;
-use crate::runner::{ParConfig, ParOutcome};
-use pic_cluster::balancer::{Axes, DiffusionLb};
-use pic_comm::comm::Communicator;
-use pic_trace::Tracer;
-
 // The pure decision functions live in `pic_cluster::balancer` now (shared
 // with every other strategy); re-exported here for source compatibility.
 pub use pic_cluster::balancer::{
@@ -64,47 +58,11 @@ pub enum DiffusionMode {
     TwoPhase,
 }
 
-/// Run the diffusion-balanced implementation on this rank with the
-/// paper's experimental x-only balancing.
-pub fn run_diffusion(comm: &Communicator, cfg: &ParConfig, params: DiffusionParams) -> ParOutcome {
-    run_diffusion_mode(comm, cfg, params, DiffusionMode::XOnly)
-}
-
-/// Run with an explicit phase selection.
-pub fn run_diffusion_mode(
-    comm: &Communicator,
-    cfg: &ParConfig,
-    params: DiffusionParams,
-    mode: DiffusionMode,
-) -> ParOutcome {
-    run_diffusion_mode_traced(comm, cfg, params, mode, &mut Tracer::disabled())
-}
-
-/// [`run_diffusion_mode`] with telemetry: per-step phase timing, a
-/// `"cuts"` record for every cut-movement decision (old cuts, the counts
-/// the decision saw, new cuts), border-cell handover and rehome counters,
-/// and per-rank load snapshots at the agreed sampling interval.
-pub fn run_diffusion_mode_traced(
-    comm: &Communicator,
-    cfg: &ParConfig,
-    params: DiffusionParams,
-    mode: DiffusionMode,
-    tracer: &mut Tracer,
-) -> ParOutcome {
-    assert!(params.interval > 0, "interval must be positive");
-    assert!(params.border_w > 0, "border width must be positive");
-    let axes = match mode {
-        DiffusionMode::XOnly => Axes::X,
-        DiffusionMode::YOnly => Axes::Y,
-        DiffusionMode::TwoPhase => Axes::XY,
-    };
-    let mut lb = DiffusionLb::new(params.interval as u64, params.tau, params.border_w, axes);
-    run_balanced_traced(comm, cfg, "diffusion", &mut lb, tracer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::{run_config, BalancerSpec};
+    use crate::runner::ParConfig;
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
     use pic_core::geometry::Grid;
@@ -119,6 +77,12 @@ mod tests {
                 .unwrap(),
             steps,
         )
+    }
+
+    /// `cfg` under the diffusion balancer.
+    fn diffusing(cfg: &ParConfig, params: DiffusionParams, mode: DiffusionMode) -> ParConfig {
+        cfg.clone()
+            .with_balancer(BalancerSpec::Diffusion { params, mode })
     }
 
     #[test]
@@ -260,7 +224,8 @@ mod tests {
             tau: 0,
             border_w: 2,
         };
-        let outcomes = run_threads(4, |comm| run_diffusion(&comm, &c, params));
+        let lb = diffusing(&c, params, DiffusionMode::XOnly);
+        let outcomes = run_threads(4, |comm| run_config(&comm, &lb));
         for o in &outcomes {
             assert!(o.verify.passed(), "{:?}", o.verify);
             assert_eq!(o.total_count, 600);
@@ -271,7 +236,7 @@ mod tests {
     #[test]
     fn balancing_reduces_max_count_vs_baseline() {
         let c = cfg(2000, Distribution::Geometric { r: 0.8 }, 40);
-        let base = run_threads(4, |comm| crate::baseline::run_baseline(&comm, &c));
+        let base = run_threads(4, |comm| run_config(&comm, &c));
         // The skew drifts one cell per step, so the cut must be able to
         // move faster than that: border_w / interval > 1.
         let params = DiffusionParams {
@@ -279,7 +244,8 @@ mod tests {
             tau: 0,
             border_w: 2,
         };
-        let balanced = run_threads(4, |comm| run_diffusion(&comm, &c, params));
+        let lb = diffusing(&c, params, DiffusionMode::XOnly);
+        let balanced = run_threads(4, |comm| run_config(&comm, &lb));
         assert!(base[0].verify.passed());
         assert!(balanced[0].verify.passed());
         assert!(
@@ -294,9 +260,8 @@ mod tests {
     fn single_column_world_is_a_noop_balancer() {
         // px = 1 (p = 1): no internal cuts, balancer must be harmless.
         let c = cfg(100, Distribution::Geometric { r: 0.9 }, 12);
-        let outcomes = run_threads(1, |comm| {
-            run_diffusion(&comm, &c, DiffusionParams::default())
-        });
+        let lb = diffusing(&c, DiffusionParams::default(), DiffusionMode::XOnly);
+        let outcomes = run_threads(1, |comm| run_config(&comm, &lb));
         assert!(outcomes[0].verify.passed());
     }
 
@@ -323,13 +288,11 @@ mod tests {
             tau: 0,
             border_w: 2,
         };
-        let base = run_threads(4, |comm| crate::baseline::run_baseline(&comm, &c));
-        let xonly = run_threads(4, |comm| {
-            run_diffusion_mode(&comm, &c, params, DiffusionMode::XOnly)
-        });
-        let twophase = run_threads(4, |comm| {
-            run_diffusion_mode(&comm, &c, params, DiffusionMode::TwoPhase)
-        });
+        let base = run_threads(4, |comm| run_config(&comm, &c));
+        let lb = diffusing(&c, params, DiffusionMode::XOnly);
+        let xonly = run_threads(4, |comm| run_config(&comm, &lb));
+        let lb = diffusing(&c, params, DiffusionMode::TwoPhase);
+        let twophase = run_threads(4, |comm| run_config(&comm, &lb));
         for o in [&base[0], &xonly[0], &twophase[0]] {
             assert!(o.verify.passed(), "{:?}", o.verify);
         }
@@ -365,9 +328,8 @@ mod tests {
             tau: 0,
             border_w: 2,
         };
-        let out = run_threads(4, |comm| {
-            run_diffusion_mode(&comm, &c, params, DiffusionMode::YOnly)
-        });
+        let lb = diffusing(&c, params, DiffusionMode::YOnly);
+        let out = run_threads(4, |comm| run_config(&comm, &lb));
         assert!(out[0].verify.passed(), "{:?}", out[0].verify);
     }
 
@@ -379,7 +341,8 @@ mod tests {
             tau: 10,
             border_w: 1,
         };
-        let outcomes = run_threads(6, |comm| run_diffusion(&comm, &c, params));
+        let lb = diffusing(&c, params, DiffusionMode::XOnly);
+        let outcomes = run_threads(6, |comm| run_config(&comm, &lb));
         for o in outcomes {
             assert!(o.verify.passed(), "{:?}", o.verify);
         }

@@ -18,76 +18,34 @@ use pic_core::bin::BinnedStore;
 use pic_core::geometry::Grid;
 use pic_core::particle::Particle;
 
-/// Upper bound on recycled wire buffers held between steps (bounds the
+/// Upper bound on recycled buckets held between steps (bounds the
 /// capacity the free-list can pin on wildly asymmetric traffic).
 const MAX_SPARE_BUFS: usize = 64;
 
-/// How particle payloads are represented on the wire.
-///
-/// The transport is in-process, so serialization is a choice, not a
-/// necessity. `Typed` (the default) moves the per-destination staging
-/// buckets — `Vec<Particle>` — through the channel as-is: zero encode and
-/// decode passes, zero per-particle copies, ownership transfer only.
-/// `Bytes` is the original [`Particle::encode`] wire, kept as the
-/// bit-exact oracle and as the representation a checkpoint or a real-MPI
-/// backend would need. Both formats are bit-identical in outcome (the
-/// equivalence suites pin this); only the exchange cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// Serialize into `Vec<u8>` via [`Particle::encode`] / decode on
-    /// arrival — the oracle lane.
-    Bytes,
-    /// Route owned `Vec<Particle>` buffers — the zero-copy fast lane.
-    #[default]
-    Typed,
-}
-
-impl WireFormat {
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Bytes => "bytes",
-            WireFormat::Typed => "typed",
-        }
-    }
-}
-
 /// Reusable scratch for the exchange path: per-destination staging
-/// buckets, the kept-particle buffer, and the wire-side scratch. Holding
-/// one of these in per-rank state makes the steady-state exchange loop
-/// allocation-free on the staging side — buckets are `clear()`ed, not
-/// dropped, and wire buffers are *recycled*: every payload handed to
-/// the transport surrenders its ownership (channel transfer, like an MPI
-/// send buffer), but the buffers received from other ranks donate their
-/// capacity back to the free-list afterwards, so steady symmetric
-/// traffic circulates buffers instead of allocating them.
-///
-/// On the [`WireFormat::Typed`] lane the staging buckets themselves are
-/// the wire payloads — `encode_wire` and the decode pass disappear, and
-/// the typed free-list (`spare_t`) recycles arrival buckets into the next
-/// step's staging slots.
+/// buckets, the kept-particle buffer, and the arrival side. Holding one of
+/// these in per-rank state makes the steady-state exchange loop
+/// allocation-free — buckets are `clear()`ed, not dropped, and *recycled*:
+/// the staging buckets themselves are the wire payloads (owned
+/// `Vec<Particle>`, no encode or decode pass), so every send surrenders its
+/// bucket (channel transfer, like an MPI send buffer), but the buckets
+/// received from other ranks donate their capacity back to the free-list
+/// afterwards, so steady symmetric traffic circulates buffers instead of
+/// allocating them.
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
-    /// Per-destination staging buckets. On the typed lane these go on the
-    /// wire as-is (slots are emptied by the take-based all-to-all and
-    /// refilled from `spare_t` next step).
+    /// Per-destination staging buckets; they go on the wire as-is (slots
+    /// are emptied by the take-based all-to-all and refilled from `spare`
+    /// next step).
     outgoing: Vec<Vec<Particle>>,
     kept: Vec<Particle>,
-    /// Per-destination byte wire payloads (bytes lane only); slots are
-    /// emptied by the take-based all-to-all and refilled from `spare`.
-    wire: Vec<Vec<u8>>,
-    /// Arrival payloads, bytes lane (outer vector reused across steps).
-    inbox: Vec<Vec<u8>>,
-    /// Recycled byte buffers feeding the next encode pass.
-    spare: Vec<Vec<u8>>,
-    /// Arrival payloads, typed lane (outer vector reused across steps).
-    inbox_t: Vec<Vec<Particle>>,
-    /// Recycled typed buckets feeding the next staging pass.
-    spare_t: Vec<Vec<Particle>>,
+    /// Arrival payloads (outer vector reused across steps).
+    inbox: Vec<Vec<Particle>>,
+    /// Recycled buckets feeding the next staging pass.
+    spare: Vec<Vec<Particle>>,
     /// Neighbor topology for the sparse exchange; `None` routes every
-    /// payload through the dense synchronous all-to-all (the oracle path).
+    /// payload through the dense synchronous all-to-all (the reference path).
     plan: Option<SparsePlan>,
-    /// Wire representation of particle payloads.
-    format: WireFormat,
     /// O(1) cell → rank table of the Cartesian decomposition, revalidated
     /// against the live cuts by every [`rehome_binned_start`].
     owners: OwnerTable,
@@ -123,18 +81,6 @@ impl ExchangeBuffers {
         self.plan.is_some()
     }
 
-    /// Select the wire representation for subsequent exchanges (see
-    /// [`WireFormat`]). Safe to change between steps; both formats are
-    /// bit-identical in outcome.
-    pub fn set_wire_format(&mut self, format: WireFormat) {
-        self.format = format;
-    }
-
-    /// The active wire representation.
-    pub fn wire_format(&self) -> WireFormat {
-        self.format
-    }
-
     /// Drain the accumulated `(sent, skipped)` wire-message counters —
     /// payload messages actually sent vs. elided by the sparse protocol
     /// since the previous take. Feeds the `msgs_sent` / `msgs_skipped`
@@ -147,40 +93,27 @@ impl ExchangeBuffers {
     }
 
     /// Prepare the per-destination staging buckets for a new exchange:
-    /// size the outer vector, clear every bucket, and — on the typed lane,
-    /// where sends consume the buckets themselves — refill empty-capacity
-    /// slots from the typed free-list.
+    /// size the outer vector, clear every bucket, and — sends consume the
+    /// buckets themselves — refill empty-capacity slots from the free-list.
     fn begin_staging(&mut self, nranks: usize) {
         self.outgoing.resize_with(nranks, Vec::new);
         self.outgoing.iter_mut().for_each(Vec::clear);
-        if self.format == WireFormat::Typed {
-            for slot in &mut self.outgoing {
-                if slot.capacity() == 0 {
-                    if let Some(mut recycled) = self.spare_t.pop() {
-                        recycled.clear();
-                        *slot = recycled;
-                    }
+        for slot in &mut self.outgoing {
+            if slot.capacity() == 0 {
+                if let Some(mut recycled) = self.spare.pop() {
+                    recycled.clear();
+                    *slot = recycled;
                 }
             }
         }
     }
 
     /// Put the staged buckets on the wire through the configured (sparse
-    /// or dense) all-to-all and account the message counters. The bytes
-    /// lane encodes first; the typed lane sends the buckets themselves.
+    /// or dense) all-to-all and account the message counters.
     fn start_wire(&mut self, comm: &Communicator) -> AlltoallvHandle {
-        let h = match self.format {
-            WireFormat::Bytes => {
-                self.encode_wire(comm.size());
-                match &mut self.plan {
-                    Some(plan) => alltoallv_sparse_start(comm, &mut self.wire, plan),
-                    None => alltoallv_start(comm, &mut self.wire),
-                }
-            }
-            WireFormat::Typed => match &mut self.plan {
-                Some(plan) => alltoallv_sparse_start(comm, &mut self.outgoing, plan),
-                None => alltoallv_start(comm, &mut self.outgoing),
-            },
+        let h = match &mut self.plan {
+            Some(plan) => alltoallv_sparse_start(comm, &mut self.outgoing, plan),
+            None => alltoallv_start(comm, &mut self.outgoing),
         };
         self.msgs_sent += h.messages_sent();
         self.msgs_skipped += h.messages_skipped();
@@ -189,9 +122,8 @@ impl ExchangeBuffers {
 
     /// Complete an exchange started by [`ExchangeBuffers::start_wire`] and
     /// deliver every arrival (in source-rank order, self excluded) to
-    /// `sink`, recycling the arrival buffers afterwards. Returns the
-    /// particle count delivered. The bytes lane decodes; the typed lane
-    /// drains the received buckets directly — no per-particle decode pass.
+    /// `sink`, recycling the arrival buckets afterwards. Returns the
+    /// particle count delivered.
     fn finish_arrivals(
         &mut self,
         comm: &Communicator,
@@ -200,72 +132,25 @@ impl ExchangeBuffers {
     ) -> usize {
         let me = comm.rank();
         let mut received = 0usize;
-        match self.format {
-            WireFormat::Bytes => {
-                match &mut self.plan {
-                    Some(plan) => alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox),
-                    None => alltoallv_finish_into(comm, handle, &mut self.inbox),
-                }
-                for (src, buf) in self.inbox.iter().enumerate() {
-                    if src == me || buf.is_empty() {
-                        continue;
-                    }
-                    received +=
-                        Particle::decode_each(buf, &mut sink).expect("corrupt particle payload");
-                }
-                for buf in self.inbox.drain(..) {
-                    if buf.capacity() > 0 && self.spare.len() < MAX_SPARE_BUFS {
-                        self.spare.push(buf);
-                    }
-                }
+        match &mut self.plan {
+            Some(plan) => alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox),
+            None => alltoallv_finish_into(comm, handle, &mut self.inbox),
+        }
+        for (src, bucket) in self.inbox.iter_mut().enumerate() {
+            if src == me {
+                continue;
             }
-            WireFormat::Typed => {
-                match &mut self.plan {
-                    Some(plan) => {
-                        alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox_t)
-                    }
-                    None => alltoallv_finish_into(comm, handle, &mut self.inbox_t),
-                }
-                for (src, bucket) in self.inbox_t.iter_mut().enumerate() {
-                    if src == me {
-                        continue;
-                    }
-                    received += bucket.len();
-                    for p in bucket.drain(..) {
-                        sink(p);
-                    }
-                }
-                for bucket in self.inbox_t.drain(..) {
-                    if bucket.capacity() > 0 && self.spare_t.len() < MAX_SPARE_BUFS {
-                        self.spare_t.push(bucket);
-                    }
-                }
+            received += bucket.len();
+            for p in bucket.drain(..) {
+                sink(p);
+            }
+        }
+        for bucket in self.inbox.drain(..) {
+            if bucket.capacity() > 0 && self.spare.len() < MAX_SPARE_BUFS {
+                self.spare.push(bucket);
             }
         }
         received
-    }
-
-    /// Encode the staged `outgoing` buckets into per-destination byte wire
-    /// payloads, drawing capacity from the recycled free-list (bytes lane).
-    fn encode_wire(&mut self, nranks: usize) {
-        self.wire.resize_with(nranks, Vec::new);
-        for (dst, bucket) in self.outgoing.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let buf = &mut self.wire[dst];
-            debug_assert!(buf.is_empty(), "wire slot {dst} not drained");
-            if buf.capacity() == 0 {
-                if let Some(mut recycled) = self.spare.pop() {
-                    recycled.clear();
-                    *buf = recycled;
-                }
-            }
-            buf.reserve(bucket.len() * Particle::WIRE_SIZE);
-            for p in bucket {
-                p.encode(buf);
-            }
-        }
     }
 }
 

@@ -2,7 +2,6 @@
 //! event application, and distributed verification.
 
 use crate::decomp::Decomp2d;
-pub use crate::exchange::WireFormat;
 use crate::exchange::{
     local_slice, rehome_binned_start, rehome_binned_with, rehome_particles_with,
     route_binned_finish, ExchangeBuffers,
@@ -44,7 +43,7 @@ pub enum RankPath {
 pub enum ExchangeMode {
     /// Dense synchronous all-to-all after the full sweep: every rank sends
     /// `P` payloads (most of them empty markers) and blocks until all are
-    /// received. Kept selectable as the equivalence oracle.
+    /// received. The reference the equivalence suites compare against.
     DenseSync,
     /// Sparse neighbor-aware exchange (counts to the Cartesian 8-stencil,
     /// payloads only where non-empty, global escape flag for fast
@@ -54,45 +53,6 @@ pub enum ExchangeMode {
     /// [`ExchangeMode::DenseSync`].
     #[default]
     OverlappedSparse,
-    /// Decide per run from the world size and the declared neighbor
-    /// density (see [`ExchangeMode::resolve`]): the sparse protocol pays a
-    /// fixed per-step overhead (escape dissemination plus per-neighbor
-    /// count wires) that only amortizes when it elides enough payload
-    /// messages — at small world sizes the dense oracle is measurably
-    /// faster (`BENCH_par.json` `comm` rows). Resolved to one of the two
-    /// concrete modes before the first step.
-    Auto,
-}
-
-impl ExchangeMode {
-    /// Resolve [`ExchangeMode::Auto`] against a concrete topology; the
-    /// concrete modes return themselves.
-    ///
-    /// The model behind the crossover: per step, dense sends `P − 1`
-    /// wire messages; sparse sends `⌈log₂P⌉` escape-flag messages plus
-    /// `degree` count messages plus the non-empty payloads, and elides up
-    /// to `P − 1 − degree` empty-marker messages. Sparse wins when the
-    /// elided messages exceed the protocol overhead:
-    /// `P − 1 − degree > ⌈log₂P⌉ + degree`. The `bench_comm` crossover
-    /// table (results/par_scaling.md) confirms the break-even on a ring
-    /// topology sits between P=8 and P=16 — dense is faster at P≤8,
-    /// sparse from P=16 up — matching this inequality (ties go dense).
-    pub fn resolve(self, world_size: usize, neighbor_degree: usize) -> ExchangeMode {
-        match self {
-            ExchangeMode::Auto => {
-                let elided = world_size.saturating_sub(1 + neighbor_degree);
-                let overhead = (usize::BITS - world_size.next_power_of_two().leading_zeros() - 1)
-                    as usize
-                    + neighbor_degree;
-                if elided > overhead {
-                    ExchangeMode::OverlappedSparse
-                } else {
-                    ExchangeMode::DenseSync
-                }
-            }
-            concrete => concrete,
-        }
-    }
 }
 
 /// Rank-loop kernel selection, threaded from the CLI's `--sweep`/`--rebin`
@@ -107,11 +67,8 @@ pub struct RankKernel {
     /// Sweeps between counting sorts (binned path).
     pub rebin_interval: u32,
     /// Exchange routing (default: overlapped sparse; dense synchronous is
-    /// the oracle escape hatch).
+    /// the reference).
     pub exchange: ExchangeMode,
-    /// Wire representation for particle payloads (default: typed
-    /// zero-copy; the byte wire is the serialization oracle).
-    pub wire: WireFormat,
 }
 
 impl Default for RankKernel {
@@ -122,7 +79,6 @@ impl Default for RankKernel {
             backend: None,
             rebin_interval: DEFAULT_REBIN,
             exchange: ExchangeMode::OverlappedSparse,
-            wire: WireFormat::Typed,
         }
     }
 }
@@ -145,13 +101,13 @@ impl RankKernel {
     }
 
     /// Map the CLI sweep mode onto a rank kernel: the binned modes select
-    /// the binned path at their tier; every unbinned serial mode selects
-    /// the AoS rank loop (bit-identical to all of them).
+    /// the binned path at their tier; `serial` selects the AoS reference
+    /// rank loop.
     pub fn from_sweep(mode: SweepMode) -> RankKernel {
         match mode {
+            SweepMode::Serial => RankKernel::aos(),
             SweepMode::SoaBinned => RankKernel::binned(KernelTier::Exact),
             SweepMode::SoaBinnedFast => RankKernel::binned(KernelTier::Fast),
-            _ => RankKernel::aos(),
         }
     }
 
@@ -167,11 +123,6 @@ impl RankKernel {
 
     pub fn with_exchange(mut self, exchange: ExchangeMode) -> RankKernel {
         self.exchange = exchange;
-        self
-    }
-
-    pub fn with_wire(mut self, wire: WireFormat) -> RankKernel {
-        self.wire = wire;
         self
     }
 }
@@ -407,11 +358,8 @@ impl RankState {
         let store = RankStore::build(particles, &setup.grid, kernel, cols);
         let (stride_x, max_abs_m) = motion_bounds(setup);
         let mut bufs = ExchangeBuffers::new();
-        bufs.set_wire_format(kernel.wire);
-        let neighbors = decomp.neighbors_of(rank);
-        let exchange = kernel.exchange.resolve(decomp.ranks(), neighbors.len());
-        if exchange == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(decomp.ranks(), rank, neighbors);
+        if kernel.exchange == ExchangeMode::OverlappedSparse {
+            bufs.enable_sparse(decomp.ranks(), rank, decomp.neighbors_of(rank));
         }
         RankState {
             grid: setup.grid,
@@ -427,7 +375,7 @@ impl RankState {
             next_id: setup.next_id,
             bufs,
             lb_scratch: Vec::new(),
-            exchange,
+            exchange: kernel.exchange,
             stride_x,
             max_abs_m,
         }
@@ -889,30 +837,6 @@ mod tests {
     use pic_core::events::Region;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
-
-    #[test]
-    fn auto_exchange_resolves_from_topology() {
-        use ExchangeMode::{Auto, DenseSync, OverlappedSparse};
-        // Concrete modes pass through untouched, whatever the topology.
-        assert_eq!(DenseSync.resolve(64, 8), DenseSync);
-        assert_eq!(OverlappedSparse.resolve(2, 1), OverlappedSparse);
-        // 8-stencil decompositions: a 1×P row of columns has degree 2
-        // (left/right wrap). P−1−2 elided vs ⌈log₂P⌉+2 overhead:
-        // dense through P=8 (5 elided vs 5 overhead — tie goes dense),
-        // sparse from P=16 (13 vs 6). Matches the bench_comm crossover.
-        assert_eq!(Auto.resolve(2, 1), DenseSync);
-        assert_eq!(Auto.resolve(4, 2), DenseSync);
-        assert_eq!(Auto.resolve(8, 2), DenseSync);
-        assert_eq!(Auto.resolve(16, 2), OverlappedSparse);
-        assert_eq!(Auto.resolve(64, 2), OverlappedSparse);
-        // Square 2-D decompositions keep degree 8; still sparse at scale.
-        assert_eq!(Auto.resolve(16, 8), DenseSync);
-        assert_eq!(Auto.resolve(64, 8), OverlappedSparse);
-        // All-pairs neighborhoods (the AMPI VP router) can never elide
-        // a message: always dense.
-        assert_eq!(Auto.resolve(64, 63), DenseSync);
-        assert_eq!(Auto.resolve(1, 0), DenseSync);
-    }
 
     #[test]
     fn rank_states_partition_the_population() {

@@ -4,12 +4,11 @@
 //! (`pic-core/tests/alloc_steady_state.rs`). The rank loop cannot promise
 //! zero — message payloads surrender their ownership to the transport on
 //! every send, like MPI eager buffers — but it does promise *steady state*:
-//! once warmed, a step's staging side (per-destination buckets, wire
-//! encode/decode scratch, the binned store's bins and tail) reuses its
-//! capacity, and recycled arrival buffers circulate back into the next
-//! encode pass. Before the exchange-scratch rework, every step allocated
-//! fresh encode buffers per destination and a decoded `Vec<Particle>` per
-//! source; this audit pins the reworked behavior with a per-rank counting
+//! once warmed, a step's staging side (per-destination buckets, the binned
+//! store's bins and tail) reuses its capacity, and recycled arrival
+//! buckets circulate back into the next staging pass. Before the
+//! exchange-scratch rework, every step allocated fresh buffers per
+//! destination and a `Vec<Particle>` per source; this audit pins the reworked behavior with a per-rank counting
 //! allocator: a later measurement window must not allocate more than an
 //! earlier one, and the absolute per-step budget stays small.
 //!
@@ -24,7 +23,7 @@ use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_par::decomp::Decomp2d;
-use pic_par::runner::{ExchangeMode, RankKernel, RankState, WireFormat};
+use pic_par::runner::{ExchangeMode, RankKernel, RankState};
 
 struct CountingAlloc;
 
@@ -111,19 +110,14 @@ fn audit(kernel: RankKernel) -> Vec<(usize, usize)> {
 fn rank_step_loop_reaches_allocation_steady_state() {
     // The drifting uniform cloud keeps the exchange busy: every step moves
     // boundary particles across at least one cut. Audit the binned default
-    // (typed zero-copy wire over the overlapped sparse exchange — escape
-    // dissemination, per-neighbor counts, the split-phase handle, and the
-    // typed spare-buffer free-list must all run off pooled buffers), the
-    // dense synchronous oracle, the byte-wire serialization oracle under
-    // both exchange modes, the fast tier, and the AoS reference loop
+    // (the overlapped sparse exchange — escape dissemination,
+    // per-neighbor counts, the split-phase handle, and the spare-bucket
+    // free-list must all run off pooled buffers), the dense synchronous
+    // reference, the fast tier, and the AoS reference loop
     // (sparse-synchronous: AoS has no column split to overlap).
     for kernel in [
         RankKernel::default(),
         RankKernel::default().with_exchange(ExchangeMode::DenseSync),
-        RankKernel::default().with_wire(WireFormat::Bytes),
-        RankKernel::default()
-            .with_wire(WireFormat::Bytes)
-            .with_exchange(ExchangeMode::DenseSync),
         RankKernel::default().with_rebin_interval(1),
         RankKernel::from_sweep(pic_core::engine::SweepMode::SoaBinnedFast),
         RankKernel::aos(),
@@ -140,8 +134,8 @@ fn rank_step_loop_reaches_allocation_steady_state() {
                  windows ({first} then {second})"
             );
             // Absolute budget: the old per-step staging path allocated at
-            // least one encode buffer per active destination plus one
-            // decoded vector per source every step (≥ 2 per step per rank
+            // least one buffer per active destination plus one
+            // vector per source every step (≥ 2 per step per rank
             // even with a single active neighbor). The reworked path's
             // residue is occasional capacity growth only — far under one
             // allocation per step.

@@ -26,9 +26,9 @@ use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_par::baseline::run_baseline_traced;
-use pic_par::diffusion::{run_diffusion_mode_traced, DiffusionMode, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::{ParConfig, ParOutcome};
+use pic_par::{run_config_traced, BalancerSpec};
 use pic_trace::{Counter, TraceReport, Tracer};
 
 /// Pre-refactor runner loops, copied verbatim from the last commit before
@@ -89,7 +89,7 @@ mod oracle {
             * ncells as u64
     }
 
-    pub fn run_baseline_traced(
+    pub fn static_loop_traced(
         comm: &Communicator,
         cfg: &ParConfig,
         tracer: &mut Tracer,
@@ -123,7 +123,7 @@ mod oracle {
         out
     }
 
-    pub fn run_diffusion_mode_traced(
+    pub fn diffusion_loop_traced(
         comm: &Communicator,
         cfg: &ParConfig,
         params: DiffusionParams,
@@ -330,12 +330,9 @@ fn baseline_matches_pre_refactor_loop() {
     for dist in DISTS {
         for ranks in [1usize, 2, 4] {
             let c = cfg(1200, dist, 24);
-            let (new, old) = run_pair(
-                &c,
-                ranks,
-                |comm, c, t| run_baseline_traced(comm, c, t),
-                |comm, c, t| oracle::run_baseline_traced(comm, c, t),
-            );
+            let (new, old) = run_pair(&c, ranks, run_config_traced, |comm, c, t| {
+                oracle::static_loop_traced(comm, c, t)
+            });
             assert_identical(&format!("baseline {dist:?} ranks={ranks}"), &new, &old);
         }
     }
@@ -351,17 +348,13 @@ fn diffusion_xonly_matches_pre_refactor_loop() {
                     tau: 0,
                     border_w: 2,
                 };
-                let c = cfg(1200, dist, 24);
-                let (new, old) = run_pair(
-                    &c,
-                    ranks,
-                    |comm, c, t| {
-                        run_diffusion_mode_traced(comm, c, params, DiffusionMode::XOnly, t)
-                    },
-                    |comm, c, t| {
-                        oracle::run_diffusion_mode_traced(comm, c, params, DiffusionMode::XOnly, t)
-                    },
-                );
+                let c = cfg(1200, dist, 24).with_balancer(BalancerSpec::Diffusion {
+                    params,
+                    mode: DiffusionMode::XOnly,
+                });
+                let (new, old) = run_pair(&c, ranks, run_config_traced, |comm, c, t| {
+                    oracle::diffusion_loop_traced(comm, c, params, DiffusionMode::XOnly, t)
+                });
                 assert_identical(
                     &format!("diffusion-x {dist:?} ranks={ranks} F={interval}"),
                     &new,
@@ -385,15 +378,13 @@ fn diffusion_twophase_matches_pre_refactor_loop() {
                 tau: 0,
                 border_w: 1,
             };
-            let c = cfg(1500, dist, 30);
-            let (new, old) = run_pair(
-                &c,
-                ranks,
-                |comm, c, t| run_diffusion_mode_traced(comm, c, params, DiffusionMode::TwoPhase, t),
-                |comm, c, t| {
-                    oracle::run_diffusion_mode_traced(comm, c, params, DiffusionMode::TwoPhase, t)
-                },
-            );
+            let c = cfg(1500, dist, 30).with_balancer(BalancerSpec::Diffusion {
+                params,
+                mode: DiffusionMode::TwoPhase,
+            });
+            let (new, old) = run_pair(&c, ranks, run_config_traced, |comm, c, t| {
+                oracle::diffusion_loop_traced(comm, c, params, DiffusionMode::TwoPhase, t)
+            });
             assert_identical(&format!("diffusion-2p {dist:?} ranks={ranks}"), &new, &old);
         }
     }
@@ -409,10 +400,14 @@ fn adaptive_switch_sequence_is_replicated_on_every_rank() {
         tau: 0,
         border_w: 2,
     };
-    let c = cfg(2000, Distribution::Geometric { r: 0.9 }, 60);
+    let c =
+        cfg(2000, Distribution::Geometric { r: 0.9 }, 60).with_balancer(BalancerSpec::Adaptive {
+            params,
+            mode: DiffusionMode::XOnly,
+        });
     let outcomes = run_threads(4, |comm| {
         let mut t = Tracer::in_memory(1);
-        let o = pic_par::run_adaptive_traced(&comm, &c, params, DiffusionMode::XOnly, &mut t);
+        let o = run_config_traced(&comm, &c, &mut t);
         (o, t.finish())
     });
     let reference = outcomes[0]

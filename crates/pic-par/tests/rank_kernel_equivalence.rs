@@ -22,9 +22,9 @@ use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
 use pic_core::simd::SimdBackend;
 use pic_core::verify::analytic_tolerance;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
+use pic_par::{run_config, BalancerSpec};
 use proptest::prelude::*;
 
 const STEPS: u32 = 30;
@@ -92,21 +92,23 @@ fn run_impl(
     diffusion: bool,
     kernel: RankKernel,
 ) -> Vec<ParOutcome> {
-    let cfg = ParConfig::new(setup(dist), STEPS).with_kernel(kernel);
+    let balancer = if diffusion {
+        BalancerSpec::Diffusion {
+            params: DiffusionParams {
+                interval: 3,
+                tau: 0,
+                border_w: 3,
+            },
+            mode: DiffusionMode::XOnly,
+        }
+    } else {
+        BalancerSpec::Static
+    };
+    let cfg = ParConfig::new(setup(dist), STEPS)
+        .with_kernel(kernel)
+        .with_balancer(balancer);
     run_threads(ranks, |comm| {
-        let o = if diffusion {
-            run_diffusion(
-                &comm,
-                &cfg,
-                DiffusionParams {
-                    interval: 3,
-                    tau: 0,
-                    border_w: 3,
-                },
-            )
-        } else {
-            run_baseline(&comm, &cfg)
-        };
+        let o = run_config(&comm, &cfg);
         assert!(o.verify.passed(), "{:?}", o.verify);
         o
     })
@@ -211,7 +213,7 @@ fn overlapped_split_phase_matches_dense_oracle_bitwise() {
                     .with_exchange(exchange);
                 let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
                 let outcomes = run_threads(ranks, |comm| {
-                    let o = run_baseline(&comm, &cfg);
+                    let o = run_config(&comm, &cfg);
                     assert!(o.verify.passed(), "{:?}", o.verify);
                     o
                 });

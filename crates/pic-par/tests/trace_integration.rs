@@ -7,8 +7,9 @@ use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::verify::MAX_FAILING_IDS;
 use pic_par::decomp::Decomp2d;
-use pic_par::diffusion::{run_diffusion_mode_traced, DiffusionMode, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::{ParConfig, RankKernel, RankState, RankStore};
+use pic_par::{run_config_traced, BalancerSpec};
 use pic_trace::{validate_ndjson, Tracer};
 
 fn cfg(n: u64, dist: Distribution, steps: u32) -> ParConfig {
@@ -112,20 +113,22 @@ fn failing_ids_capped_and_identical_across_ranks() {
 /// snapshots it emitted, and the ndjson stream must parse.
 #[test]
 fn traced_diffusion_imbalance_matches_recomputed() {
-    let c = cfg(800, Distribution::PAPER_SKEW, 24);
     let params = DiffusionParams {
         interval: 4,
         tau: 0,
         border_w: 1,
     };
+    let c = cfg(800, Distribution::PAPER_SKEW, 24).with_balancer(BalancerSpec::Diffusion {
+        params,
+        mode: DiffusionMode::TwoPhase,
+    });
     let results = run_threads(4, |comm| {
         let mut tracer = if comm.rank() == 0 {
             Tracer::in_memory(2)
         } else {
             Tracer::disabled()
         };
-        let out =
-            run_diffusion_mode_traced(&comm, &c, params, DiffusionMode::TwoPhase, &mut tracer);
+        let out = run_config_traced(&comm, &c, &mut tracer);
         (out, tracer.finish())
     });
     for (out, _) in &results {
@@ -170,14 +173,18 @@ fn traced_diffusion_imbalance_matches_recomputed() {
 /// schedule and produce identical load snapshots.
 #[test]
 fn all_ranks_tracing_agree_on_snapshots() {
-    let c = cfg(300, Distribution::Geometric { r: 0.85 }, 12);
     let params = DiffusionParams {
         interval: 3,
         ..DiffusionParams::default()
     };
+    let c =
+        cfg(300, Distribution::Geometric { r: 0.85 }, 12).with_balancer(BalancerSpec::Diffusion {
+            params,
+            mode: DiffusionMode::XOnly,
+        });
     let results = run_threads(3, |comm| {
         let mut tracer = Tracer::in_memory(3);
-        let out = run_diffusion_mode_traced(&comm, &c, params, DiffusionMode::XOnly, &mut tracer);
+        let out = run_config_traced(&comm, &c, &mut tracer);
         (
             out,
             tracer.finish().expect("enabled tracer yields a report"),
@@ -196,5 +203,46 @@ fn all_ranks_tracing_agree_on_snapshots() {
             report.summary.max_imbalance, reference.summary.max_imbalance,
             "rank {rank}"
         );
+    }
+}
+
+/// `run_config_traced` is the one door for every cut-family balancer: each
+/// [`BalancerSpec`] must stamp the run header with the historical `impl`
+/// name and the strategy's own `balancer` name.
+#[test]
+fn run_header_names_impl_and_balancer_per_spec() {
+    use pic_trace::Json;
+    let params = DiffusionParams {
+        interval: 3,
+        ..DiffusionParams::default()
+    };
+    let mode = DiffusionMode::XOnly;
+    for (spec, want_impl, want_balancer) in [
+        (BalancerSpec::Static, "baseline", "static"),
+        (
+            BalancerSpec::Diffusion { params, mode },
+            "diffusion",
+            "diffusion",
+        ),
+        (
+            BalancerSpec::Adaptive { params, mode },
+            "adaptive",
+            "adaptive",
+        ),
+    ] {
+        let c = cfg(200, Distribution::Geometric { r: 0.85 }, 6).with_balancer(spec);
+        let reports = run_threads(2, |comm| {
+            let mut tracer = Tracer::in_memory(1);
+            let out = run_config_traced(&comm, &c, &mut tracer);
+            assert!(out.verify.passed(), "{spec:?}: {:?}", out.verify);
+            tracer.finish().expect("enabled tracer yields a report")
+        });
+        for report in &reports {
+            let run = Json::parse(report.ndjson.lines().next().unwrap()).unwrap();
+            assert_eq!(run.get("type").unwrap().as_str(), Some("run"));
+            assert_eq!(run.get("impl").unwrap().as_str(), Some(want_impl));
+            assert_eq!(run.get("balancer").unwrap().as_str(), Some(want_balancer));
+            assert_eq!(report.summary.balancer, want_balancer);
+        }
     }
 }

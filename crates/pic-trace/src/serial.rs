@@ -128,9 +128,9 @@ mod tests {
 
     #[test]
     fn disabled_tracer_changes_nothing() {
-        let mut plain = sim(SweepMode::Soa);
+        let mut plain = sim(SweepMode::SoaBinned);
         plain.run(10);
-        let mut traced = sim(SweepMode::Soa);
+        let mut traced = sim(SweepMode::SoaBinned);
         let mut t = Tracer::disabled();
         trace_simulation(&mut traced, 10, &mut t);
         assert_eq!(plain.particles(), traced.particles());

@@ -75,11 +75,7 @@ fn warmed_sim(mode: SweepMode) -> Simulation {
 
 #[test]
 fn disabled_tracer_step_loop_allocates_nothing() {
-    for mode in [
-        SweepMode::Serial,
-        SweepMode::SoaChunked,
-        SweepMode::SoaBinned,
-    ] {
+    for mode in [SweepMode::Serial, SweepMode::SoaBinned] {
         let mut sim = warmed_sim(mode);
         let mut tracer = Tracer::disabled();
 

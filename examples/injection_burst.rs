@@ -7,9 +7,9 @@
 //! ```
 
 use pic_comm::world::run_threads;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::ParConfig;
+use pic_par::{run_config, BalancerSpec};
 use pic_prk::prelude::*;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
 
     println!("population schedule: 10,000 → +30,000 @step 50 → −5,000 @step 150 → 35,000");
 
-    let base = run_threads(8, |comm| run_baseline(&comm, &cfg));
+    let base = run_threads(8, |comm| run_config(&comm, &cfg));
     println!(
         "\nmpi-2d     : verified={} total={} max/rank={}",
         base[0].verify.passed(),
@@ -52,7 +52,11 @@ fn main() {
         tau: 100,
         border_w: 2,
     };
-    let diff = run_threads(8, |comm| run_diffusion(&comm, &cfg, params));
+    let lb_cfg = cfg.clone().with_balancer(BalancerSpec::Diffusion {
+        params,
+        mode: DiffusionMode::XOnly,
+    });
+    let diff = run_threads(8, |comm| run_config(&comm, &lb_cfg));
     println!(
         "mpi-2d-LB  : verified={} total={} max/rank={}",
         diff[0].verify.passed(),

@@ -7,9 +7,9 @@
 //! ```
 
 use pic_comm::world::run_threads;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::ParConfig;
+use pic_par::{run_config, BalancerSpec};
 use pic_prk::prelude::*;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let ideal = 20_000 / ranks as u64;
 
     println!("== mpi-2d (static, no load balancing) on {ranks} thread-ranks ==");
-    let base = run_threads(ranks, |comm| run_baseline(&comm, &cfg));
+    let base = run_threads(ranks, |comm| run_config(&comm, &cfg));
     report(&base[0].verify, base[0].max_count, ideal);
 
     // The skew drifts one cell per step, so the balancer must be able to
@@ -42,7 +42,11 @@ fn main() {
         "\n== mpi-2d-LB (diffusion, interval={}, τ={}, w={}) ==",
         params.interval, params.tau, params.border_w
     );
-    let diff = run_threads(ranks, |comm| run_diffusion(&comm, &cfg, params));
+    let lb_cfg = cfg.clone().with_balancer(BalancerSpec::Diffusion {
+        params,
+        mode: DiffusionMode::XOnly,
+    });
+    let diff = run_threads(ranks, |comm| run_config(&comm, &lb_cfg));
     report(&diff[0].verify, diff[0].max_count, ideal);
 
     let gain = base[0].max_count as f64 / diff[0].max_count as f64;

@@ -8,9 +8,9 @@
 //! ```
 
 use pic_comm::world::run_threads;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion_mode, DiffusionMode, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::ParConfig;
+use pic_par::{run_config, BalancerSpec};
 use pic_prk::core::init::SkewAxis;
 use pic_prk::prelude::*;
 
@@ -39,7 +39,7 @@ fn main() {
         );
         let ideal = 12_000 / ranks as u64;
         println!("== {label} ==");
-        let base = run_threads(ranks, |comm| run_baseline(&comm, &cfg));
+        let base = run_threads(ranks, |comm| run_config(&comm, &cfg));
         println!(
             "  static         : max/rank {} (ideal {ideal})",
             base[0].max_count
@@ -49,7 +49,10 @@ fn main() {
             ("y-only LB     ", DiffusionMode::YOnly),
             ("two-phase LB  ", DiffusionMode::TwoPhase),
         ] {
-            let out = run_threads(ranks, |comm| run_diffusion_mode(&comm, &cfg, params, mode));
+            let lb_cfg = cfg
+                .clone()
+                .with_balancer(BalancerSpec::Diffusion { params, mode });
+            let out = run_threads(ranks, |comm| run_config(&comm, &lb_cfg));
             assert!(out[0].verify.passed());
             println!("  {name}: max/rank {}", out[0].max_count);
         }

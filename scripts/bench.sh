@@ -8,10 +8,10 @@
 #   scripts/bench.sh --threads 1,2,4 thread counts for the scaling grid
 #                                    (default 1,2,4,8; pooled modes only —
 #                                    pre-sizes the pool via PIC_THREADS)
-#   scripts/bench.sh --modes soa-serial,soa-binned
+#   scripts/bench.sh --modes aos-serial,soa-binned
 #                                    restrict to a subset of sweep modes
-#                                    (default: all six; sensitivity scans
-#                                    run only when their mode is selected)
+#                                    (default: all three; sensitivity scans
+#                                    run only when soa-binned is selected)
 #   scripts/bench.sh --fast-report results/sweep_fast.md
 #                                    also write the markdown exact-vs-fast
 #                                    comparison (soa-binned vs

@@ -11,40 +11,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (every crate), SIMD on and forced off"
+# `default-members` makes the tier-1 command cover every crate's suite.
+# The serial engine and the rank loops default to the binned SIMD kernel;
+# the bit-identity contract must hold just the same with it forced off.
 cargo test -q
-
-echo "==> cargo test -q -p pic-core (store, kernels, pool), SIMD on and forced off"
-# `cargo test -q` above covers the root package only; the binned store,
-# the span kernels (ordered and per-lane-charge) and the sweep pool are
-# pinned by pic-core's own suites.
-cargo test -q -p pic-core
-PIC_NO_SIMD=1 cargo test -q -p pic-core
+PIC_NO_SIMD=1 cargo test -q
 # The corner-fold suite's NaN-lane case needs a build without the
 # kernels' debug range checks (they reject NaN before any arithmetic).
 cargo test -q --release -p pic-core --lib simd::
 
-echo "==> cargo test -q -p pic-comm -p pic-cluster -p pic-trace"
-# Message fabric, balancer decisions and tracer: green, and until this
-# line run by no gate.
-cargo test -q -p pic-comm -p pic-cluster -p pic-trace
-
-echo "==> cargo test -q -p pic-par -p pic-ampi, SIMD on and forced off; then the root package forced off"
-# The distributed rank loop defaults to the binned SIMD kernel: the full
-# rank suites (equivalence, wire-format, balancer conformance, alloc
-# audits) run on the vector path and again with it forced off, where the
-# bit-identity contract must hold just the same. The rank suites run
-# before the root package so a scalar-path regression is reported against
-# the responsible crate.
-cargo test -q -p pic-par -p pic-ampi
-PIC_NO_SIMD=1 cargo test -q -p pic-par -p pic-ampi
-PIC_NO_SIMD=1 cargo test -q
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy -p pic-prk --all-targets -- -D warnings"
+# The root package's targets plus every crate's library, as before
+# `default-members`; the crates' own test targets are not lint-clean yet
+# (ROADMAP, first open item).
+cargo clippy -p pic-prk --all-targets -- -D warnings
 
 echo "==> cargo check --all-targets"
 # Stable-toolchain compile gate over every target (the AVX-512 kernel
@@ -87,33 +71,6 @@ rm -f "$trace_file"
 PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
     --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
-
-echo "==> overlap-mode equivalence pass (overlapped sparse vs dense oracle)"
-# The overlapped sparse exchange (the default) must be bit-identical to
-# the dense synchronous oracle. The rank suites above pin this in-process
-# (vector and forced-scalar); this gate smokes both CLI modes on every
-# implementation.
-for impl in baseline diffusion ampi; do
-    for overlap in on off; do
-        ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \
-            --particles 2000 --steps 30 --k 1 --dist geometric:0.9 \
-            --overlap "$overlap" --quiet | grep -qx PASS
-    done
-done
-
-echo "==> typed-wire equivalence pass (zero-copy lane vs byte oracle)"
-# The typed zero-copy particle wire (the default) must be bit-identical
-# to the byte-serialization oracle on every implementation and exchange
-# mode. The rank suites above pin this in-process (vector and
-# forced-scalar); this gate smokes both CLI wire formats (crossed with
-# --overlap auto) on every implementation.
-for impl in baseline diffusion ampi; do
-    for wire in typed bytes; do
-        ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \
-            --particles 2000 --steps 30 --k 1 --dist geometric:0.9 \
-            --wire "$wire" --overlap auto --quiet | grep -qx PASS
-    done
-done
 
 echo "==> fast-tier analytic gate (--sweep soa-binned-fast must PASS)"
 # The fast kernel relaxes bit-identity; its correctness gate is the

@@ -16,10 +16,10 @@ use pic_prk::ampi::model::AmpiParams;
 use pic_prk::ampi::runtime::{run_ampi_adaptive_traced, run_ampi_traced};
 use pic_prk::comm::world::run_threads;
 use pic_prk::core::init::SkewAxis;
-use pic_prk::par::balance::run_adaptive_traced;
-use pic_prk::par::baseline::run_baseline_traced;
-use pic_prk::par::diffusion::{run_diffusion_mode_traced, DiffusionMode, DiffusionParams};
-use pic_prk::par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_prk::par::decomp::factor_2d;
+use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
+use pic_prk::par::runner::{ParConfig, ParOutcome, RankKernel};
+use pic_prk::par::{run_config_traced, BalancerSpec};
 use pic_prk::prelude::*;
 use pic_prk::trace::{trace_simulation, Phase, Tracer};
 use std::io::Write;
@@ -70,50 +70,29 @@ Load balancing:
                       (baseline/static -> mpi-2d, diffusion -> mpi-2d-LB,
                       ampi/refine/greedy/none -> the AMPI runtime,
                       adaptive -> the online-switching cut balancer).
-                      With --impl ampi the historical values
-                      refine | greedy | none pick the VP strategy
-                      (default refine) and adaptive switches VP
-                      strategies online; with other --impl values the
-                      implementation wins as before.
+                      With --impl ampi the values refine | greedy | none
+                      pick the VP strategy (default refine) and adaptive
+                      switches VP strategies online; --impl diffusion
+                      takes adaptive as an upgrade to the online-switching
+                      balancer. A balancer the chosen --impl cannot host
+                      is an error.
 
 Kernel selection (all implementations):
   --sweep MODE        {sweep_modes} :
-                      particle sweep strategy and memory layout (default
-                      serial; every mode except soa-binned-fast is
-                      bit-identical — soa-binned-fast trades bit-identity
-                      for speed and is verified against the analytic
-                      trajectory bound instead)
-                      for the parallel implementations, soa-binned[-fast]
-                      select the binned SIMD rank loop at that tier, any
-                      other mode selects the scalar AoS reference loop;
-                      default without --sweep is soa-binned (bit-identical
-                      to the AoS loop)
+                      particle sweep and memory layout — production by
+                      default, reference by request. soa-binned (default)
+                      is the cell-binned SIMD sweep; serial is the scalar
+                      AoS reference it is bit-identical to; soa-binned-fast
+                      trades bit-identity for speed and is verified against
+                      the analytic trajectory bound instead. On the
+                      parallel implementations the mode selects the rank
+                      loop the same way.
   --rebin R           counting-sort interval for the binned sweeps
                       (steps between re-sorts, default {rebin}); no effect
                       on --impl ampi, whose store is sorted only at
                       construction and after a removal event
-  --overlap MODE      on | off | auto — particle exchange strategy for
-                      the parallel implementations (default on): on =
-                      sparse neighbor-aware all-to-all, split-phase
-                      overlapped with the interior sweep where the
-                      decomposition allows; off = dense synchronous
-                      alltoallv (the oracle both paths are verified
-                      against); auto = pick per run from the world size
-                      and neighbor density (dense at small P, sparse once
-                      elided messages outweigh the protocol overhead) —
-                      bit-identical results in every mode
-  --wire bytes|typed  particle wire representation for the parallel
-                      implementations (default typed): typed moves the
-                      per-destination particle buffers through the
-                      in-process fabric by ownership — zero serialization,
-                      zero per-particle copies; bytes encodes to the
-                      76-byte portable wire record first (kept as the
-                      serialization oracle) — bit-identical results
-                      either way
 
 Single-process engine (--impl serial):
-  --chunk N           chunk size for --sweep soa-chunked / soa-binned
-                      (default: adaptive, max(4096, n / (threads * 4)))
   --threads T         cap the sweep worker pool at T threads (default:
                       all cores; PIC_THREADS overrides the pool size)
                       the binned sweeps auto-select the widest SIMD backend
@@ -156,9 +135,61 @@ Output:
 /// which is useless at CLI-scale step counts, so the driver keeps its own.
 const AMPI_LB_INTERVAL_DEFAULT: u32 = 10;
 
+/// Options that take a value, and bare flags. Anything else on the
+/// command line is an error, so a removed or misspelt option can never
+/// turn into a silent no-op.
+const VALUE_OPTS: &[&str] = &[
+    "--grid",
+    "--particles",
+    "--steps",
+    "--dist",
+    "--k",
+    "--m",
+    "--dir",
+    "--skew-axis",
+    "--inject",
+    "--remove",
+    "--impl",
+    "--ranks",
+    "--balancer",
+    "--sweep",
+    "--rebin",
+    "--threads",
+    "--lb-interval",
+    "--tau",
+    "--border",
+    "--mode",
+    "--d",
+    "--trace",
+    "--trace-every",
+];
+const FLAGS: &[&str] = &["--quiet", "--help", "-h"];
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// The process arguments, rejecting unknown options and value options
+    /// with no value after them (a following `--option` is not a value;
+    /// `-1` is).
+    fn from_env() -> Args {
+        let raw: Vec<String> = std::env::args().skip(1).collect();
+        let mut i = 0;
+        while i < raw.len() {
+            let a = raw[i].as_str();
+            if FLAGS.contains(&a) {
+                i += 1;
+            } else if VALUE_OPTS.contains(&a) {
+                match raw.get(i + 1) {
+                    Some(v) if !v.starts_with("--") => i += 2,
+                    _ => bail(&format!("{a} needs a value")),
+                }
+            } else {
+                bail(&format!("unknown option: {a}"))
+            }
+        }
+        Args(raw)
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
@@ -171,14 +202,24 @@ impl Args {
             .map(|s| s.as_str())
     }
 
+    fn parse_opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| bail(&format!("invalid value for {name}: {v}")))
+        })
+    }
+
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.value(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {name}: {v}");
-                exit(2);
-            }),
+        self.parse_opt(name).unwrap_or(default)
+    }
+
+    /// A count that must be at least 1 (`None` when the option is absent).
+    fn positive<T: std::str::FromStr + Default + PartialEq>(&self, name: &str) -> Option<T> {
+        let v: T = self.parse_opt(name)?;
+        if v == T::default() {
+            bail(&format!("{name} must be at least 1 (got 0)"))
         }
+        Some(v)
     }
 }
 
@@ -195,7 +236,7 @@ fn parse_dist(spec: &str) -> Distribution {
         "linear" => {
             let parts: Vec<&str> = rest.split(',').collect();
             if parts.len() != 2 {
-                bail::<f64>("linear needs ALPHA,BETA");
+                bail("linear needs ALPHA,BETA");
             }
             Distribution::Linear {
                 alpha: parts[0].parse().unwrap_or_else(|_| bail("bad alpha")),
@@ -208,7 +249,7 @@ fn parse_dist(spec: &str) -> Distribution {
                 .map(|s| s.parse().unwrap_or_else(|_| bail("bad patch coordinate")))
                 .collect();
             if p.len() != 4 {
-                bail::<usize>("patch needs X0,X1,Y0,Y1");
+                bail("patch needs X0,X1,Y0,Y1");
             }
             Distribution::Patch {
                 x0: p[0],
@@ -227,7 +268,7 @@ fn parse_event(spec: &str, inject: bool) -> Event {
         .map(|s| s.parse().unwrap_or_else(|_| bail("bad event field")))
         .collect();
     if p.len() != 6 {
-        bail::<usize>("event needs S,X0,X1,Y0,Y1,N");
+        bail("event needs S,X0,X1,Y0,Y1,N");
     }
     let region = Region {
         x0: p[1] as usize,
@@ -242,13 +283,13 @@ fn parse_event(spec: &str, inject: bool) -> Event {
     }
 }
 
-fn bail<T>(msg: &str) -> T {
+fn bail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     exit(2);
 }
 
 fn main() {
-    let args = Args(std::env::args().skip(1).collect());
+    let args = Args::from_env();
     if args.flag("--help") || args.flag("-h") {
         print!("{}", help());
         return;
@@ -284,24 +325,75 @@ fn main() {
         setup = setup.with_event(parse_event(spec, false));
     }
 
-    // Implementation resolution: an explicit --impl always wins (the
-    // historical contract — --balancer then only refines the strategy
-    // inside it). Without --impl, --balancer picks the implementation
-    // hosting the requested strategy, so `pic --balancer adaptive` is a
-    // complete invocation.
+    // Implementation resolution: an explicit --impl always wins, and
+    // --balancer then only refines the strategy inside it (a strategy the
+    // implementation cannot host is an error). Without --impl, --balancer
+    // picks the implementation hosting the requested strategy, so
+    // `pic --balancer adaptive` is a complete invocation.
     let balancer_flag = args.value("--balancer");
     let implementation = match args.value("--impl") {
-        Some(i) => i.to_string(),
+        Some(i) => i,
         None => match balancer_flag {
-            None => "serial".to_string(),
-            Some("baseline") | Some("static") => "baseline".to_string(),
-            Some("diffusion") => "diffusion".to_string(),
-            Some("adaptive") => "adaptive".to_string(),
-            Some("ampi") | Some("refine") | Some("greedy") | Some("none") => "ampi".to_string(),
+            None => "serial",
+            Some("baseline" | "static") => "baseline",
+            Some("diffusion") => "diffusion",
+            Some("adaptive") => "adaptive",
+            Some("ampi" | "refine" | "greedy" | "none") => "ampi",
             Some(other) => bail(&format!("bad balancer: {other}")),
         },
     };
-    let ranks: usize = args.parse("--ranks", 4);
+    let hosted: &[&str] = match implementation {
+        "serial" => &[],
+        "baseline" => &["baseline", "static"],
+        "diffusion" => &["diffusion", "adaptive"],
+        "adaptive" => &["adaptive"],
+        "ampi" => &["ampi", "refine", "greedy", "none", "adaptive"],
+        other => bail(&format!("unknown implementation: {other}")),
+    };
+    if let Some(b) = balancer_flag.filter(|b| !hosted.contains(b)) {
+        bail(&format!(
+            "--impl {implementation} cannot host --balancer {b}"
+        ));
+    }
+
+    // Counts that must be positive, and decompositions that must fit the
+    // grid — rejected here, before any rank thread exists to panic.
+    let ranks: usize = args.positive("--ranks").unwrap_or(4);
+    let lb_interval: Option<u32> = args.positive("--lb-interval");
+    let border_w: usize = args
+        .positive("--border")
+        .unwrap_or(DiffusionParams::default().border_w);
+    let d: usize = args.positive("--d").unwrap_or(4);
+    let (px, _) = factor_2d(ranks);
+    match implementation {
+        "serial" => {}
+        "ampi" => {
+            let vp_cols = px * factor_2d(d).0;
+            if vp_cols > ncells {
+                bail(&format!(
+                    "--ranks {ranks} with --d {d} needs {vp_cols} VP columns, \
+                     more than the {ncells} cells of --grid {ncells}"
+                ));
+            }
+        }
+        _ if px > ncells => bail(&format!(
+            "--ranks {ranks} needs {px} processor columns, \
+             more than the {ncells} cells of --grid {ncells}"
+        )),
+        _ => {}
+    }
+
+    // Kernel selection, one rule for every implementation: production
+    // (soa-binned) by default, the scalar AoS reference or the fast tier
+    // by request. On the parallel implementations the mode maps onto the
+    // rank hot loop.
+    let sweep = match args.value("--sweep") {
+        Some(name) => SweepMode::from_cli_name(name)
+            .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
+        None => SweepMode::SoaBinned,
+    };
+    let rebin: u32 = args.parse("--rebin", pic_prk::core::bin::DEFAULT_REBIN);
+    let rank_kernel = RankKernel::from_sweep(sweep).with_rebin_interval(rebin);
 
     // Telemetry: the file is opened up front (so a bad path fails before
     // the run), then handed to exactly one tracer — rank 0's in the
@@ -331,51 +423,12 @@ fn main() {
         );
     }
 
-    // Rank-kernel selection for the parallel implementations: --sweep maps
-    // onto the rank hot loop (binned modes → binned SIMD path at that
-    // tier, anything else → the AoS reference loop); without --sweep the
-    // ranks run the binned exact tier, bit-identical to the AoS loop.
-    let rebin: u32 = args.parse("--rebin", pic_prk::core::bin::DEFAULT_REBIN);
-    let exchange = match args.value("--overlap").unwrap_or("on") {
-        "on" => ExchangeMode::OverlappedSparse,
-        "off" => ExchangeMode::DenseSync,
-        "auto" => ExchangeMode::Auto,
-        other => bail(&format!("bad --overlap value: {other}")),
-    };
-    let wire = match args.value("--wire").unwrap_or("typed") {
-        "typed" => WireFormat::Typed,
-        "bytes" => WireFormat::Bytes,
-        other => bail(&format!("bad --wire value: {other}")),
-    };
-    let rank_kernel = match args.value("--sweep") {
-        Some(name) => RankKernel::from_sweep(
-            SweepMode::from_cli_name(name)
-                .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
-        ),
-        None => RankKernel::default(),
-    }
-    .with_rebin_interval(rebin)
-    .with_exchange(exchange)
-    .with_wire(wire);
-
-    let outcome: Option<ParOutcome> = match implementation.as_str() {
+    let outcome: Option<ParOutcome> = match implementation {
         "serial" => {
-            let sweep_name = args.value("--sweep").unwrap_or("serial");
-            let sweep = SweepMode::from_cli_name(sweep_name)
-                .unwrap_or_else(|| bail(&format!("bad sweep mode: {sweep_name}")));
-            let chunk: Option<usize> = args.value("--chunk").map(|v| match v.parse() {
-                Ok(c) => c,
-                Err(_) => bail("bad --chunk"),
-            });
-            let rebin: u32 = args.parse("--rebin", pic_prk::core::bin::DEFAULT_REBIN);
-            if let Some(t) = args.value("--threads") {
-                let t: usize = t.parse().unwrap_or_else(|_| bail("bad --threads"));
+            if let Some(t) = args.parse_opt::<usize>("--threads") {
                 pic_prk::core::pool::global().set_active_threads(t.max(1));
             }
             let mut sim = Simulation::with_mode(setup, sweep).with_rebin_interval(rebin);
-            if let Some(chunk) = chunk {
-                sim = sim.with_chunk_size(chunk);
-            }
             if !quiet {
                 println!(
                     "sweep mode            : {} (kernel {})",
@@ -396,42 +449,36 @@ fn main() {
             }
             None
         }
-        "baseline" => {
-            let cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
+        "baseline" | "diffusion" | "adaptive" => {
+            let balancer = if implementation == "baseline" {
+                BalancerSpec::Static
+            } else {
+                let params = DiffusionParams {
+                    interval: lb_interval.unwrap_or(DiffusionParams::default().interval),
+                    tau: args.parse("--tau", DiffusionParams::default().tau),
+                    border_w,
+                };
+                let mode = match args.value("--mode").unwrap_or("x") {
+                    "x" => DiffusionMode::XOnly,
+                    "y" => DiffusionMode::YOnly,
+                    "2phase" => DiffusionMode::TwoPhase,
+                    other => bail(&format!("bad mode: {other}")),
+                };
+                // `--impl diffusion --balancer adaptive` upgrades to the
+                // online-switching balancer over the same cut machinery.
+                if implementation == "adaptive" || balancer_flag == Some("adaptive") {
+                    BalancerSpec::Adaptive { params, mode }
+                } else {
+                    BalancerSpec::Diffusion { params, mode }
+                }
+            };
+            let cfg = ParConfig::new(setup, steps)
+                .with_kernel(rank_kernel)
+                .with_balancer(balancer);
             Some(
                 run_threads(ranks, |comm| {
                     let mut tracer = rank0_tracer(comm.rank());
-                    let out = run_baseline_traced(&comm, &cfg, &mut tracer);
-                    tracer.finish();
-                    out
-                })
-                .swap_remove(0),
-            )
-        }
-        "diffusion" | "adaptive" => {
-            let params = DiffusionParams {
-                interval: args.parse("--lb-interval", DiffusionParams::default().interval),
-                tau: args.parse("--tau", DiffusionParams::default().tau),
-                border_w: args.parse("--border", DiffusionParams::default().border_w),
-            };
-            let mode = match args.value("--mode").unwrap_or("x") {
-                "x" => DiffusionMode::XOnly,
-                "y" => DiffusionMode::YOnly,
-                "2phase" => DiffusionMode::TwoPhase,
-                other => bail(&format!("bad mode: {other}")),
-            };
-            // `--impl diffusion --balancer adaptive` upgrades to the
-            // online-switching balancer over the same cut machinery.
-            let adaptive = implementation == "adaptive" || balancer_flag == Some("adaptive");
-            let cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
-            Some(
-                run_threads(ranks, |comm| {
-                    let mut tracer = rank0_tracer(comm.rank());
-                    let out = if adaptive {
-                        run_adaptive_traced(&comm, &cfg, params, mode, &mut tracer)
-                    } else {
-                        run_diffusion_mode_traced(&comm, &cfg, params, mode, &mut tracer)
-                    };
+                    let out = run_config_traced(&comm, &cfg, &mut tracer);
                     tracer.finish();
                     out
                 })
@@ -439,8 +486,7 @@ fn main() {
             )
         }
         "ampi" => {
-            let d: usize = args.parse("--d", 4);
-            let interval: u32 = args.parse("--lb-interval", AMPI_LB_INTERVAL_DEFAULT);
+            let interval = lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT);
             let cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
             if balancer_flag == Some("adaptive") {
                 Some(
@@ -454,10 +500,9 @@ fn main() {
                 )
             } else {
                 let balancer = match balancer_flag.unwrap_or("refine") {
-                    "refine" | "ampi" => Balancer::paper_default(),
                     "greedy" => Balancer::Greedy,
                     "none" => Balancer::None,
-                    other => bail(&format!("bad balancer: {other}")),
+                    _ => Balancer::paper_default(),
                 };
                 let params = AmpiParams {
                     d,
@@ -475,7 +520,7 @@ fn main() {
                 )
             }
         }
-        other => bail(&format!("unknown implementation: {other}")),
+        _ => unreachable!("implementation names were checked above"),
     };
 
     if let Some(o) = outcome {

@@ -23,6 +23,19 @@ fn run_env(args: &[&str], env: &[(&str, &str)]) -> (bool, String, String) {
     )
 }
 
+/// The invocation must be rejected before anything runs: exit code 2, an
+/// `error:` line naming `needle`, and no panic or backtrace.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = pic().args(args).output().expect("spawn pic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(needle),
+        "{args:?}: expected an error naming {needle:?}, got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, stdout, _) = run(&["--help"]);
@@ -157,6 +170,65 @@ fn bad_arguments_fail_cleanly() {
     let (ok, _, stderr) = run(&["--grid", "15"]);
     assert!(!ok);
     assert!(stderr.contains("odd"));
+    // What the driver does not understand it refuses, naming the flag and
+    // the value, before any rank thread is spawned.
+    assert_rejected(&["--bogus", "3", "--quiet"], "--bogus");
+    assert_rejected(&["--steps"], "--steps needs a value");
+    assert_rejected(&["--steps", "--quiet"], "--steps needs a value");
+    assert_rejected(
+        &["--impl", "diffusion", "--balancer", "greedy"],
+        "--impl diffusion cannot host --balancer greedy",
+    );
+    assert_rejected(&["--impl", "baseline", "--ranks", "0"], "--ranks");
+    assert_rejected(
+        &["--impl", "diffusion", "--lb-interval", "0"],
+        "--lb-interval",
+    );
+    assert_rejected(&["--impl", "ampi", "--lb-interval", "0"], "--lb-interval");
+    assert_rejected(&["--impl", "diffusion", "--border", "0"], "--border");
+    assert_rejected(&["--impl", "ampi", "--d", "0"], "--d");
+    assert_rejected(
+        &["--impl", "baseline", "--ranks", "100", "--grid", "8"],
+        "--ranks 100 needs 10 processor columns",
+    );
+    assert_rejected(
+        &["--impl", "ampi", "--ranks", "4", "--d", "64", "--grid", "8"],
+        "--ranks 4 with --d 64 needs 16 VP columns",
+    );
+}
+
+#[test]
+fn removed_options_and_modes_are_rejected() {
+    // The collapsed variants left no silent no-op behind: the three flags
+    // and the three sweep modes are errors that name the offender.
+    assert_rejected(&["--wire", "bytes"], "--wire");
+    assert_rejected(&["--overlap", "off"], "--overlap");
+    assert_rejected(&["--chunk", "64"], "--chunk");
+    for mode in ["parallel", "soa", "soa-chunked"] {
+        assert_rejected(&["--sweep", mode], &format!("bad sweep mode: {mode}"));
+    }
+    let (_, help, _) = run(&["--help"]);
+    for gone in ["--wire", "--overlap", "--chunk"] {
+        assert!(!help.contains(gone), "{gone} still in --help");
+    }
+}
+
+#[test]
+fn serial_defaults_to_the_production_sweep() {
+    // One default rule for every --impl: soa-binned unless --sweep asks
+    // for the reference.
+    let (ok, stdout, _) = run(&["--steps", "5"]);
+    assert!(ok);
+    assert!(
+        stdout.contains("sweep mode            : soa-binned (kernel"),
+        "{stdout}"
+    );
+    let (ok, stdout, _) = run(&["--steps", "5", "--sweep", "serial"]);
+    assert!(ok);
+    assert!(
+        stdout.contains("sweep mode            : serial (kernel none)"),
+        "{stdout}"
+    );
 }
 
 #[test]

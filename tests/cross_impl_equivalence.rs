@@ -8,9 +8,9 @@ use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
 use pic_comm::world::run_threads;
-use pic_par::baseline::run_baseline;
-use pic_par::diffusion::{run_diffusion, DiffusionParams};
+use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::{ParConfig, ParOutcome};
+use pic_par::{run_config, BalancerSpec};
 use pic_prk::prelude::*;
 
 fn make_cfg(steps: u32) -> ParConfig {
@@ -86,7 +86,7 @@ fn baseline_bitwise_matches_serial() {
     let serial = serial_final(&cfg);
     for p in [1usize, 2, 4, 6] {
         let outcomes = run_threads(p, |comm| {
-            let o = run_baseline(&comm, &cfg);
+            let o = run_config(&comm, &cfg);
             assert!(o.verify.passed(), "p={p}: {:?}", o.verify);
             o
         });
@@ -97,18 +97,17 @@ fn baseline_bitwise_matches_serial() {
 
 #[test]
 fn diffusion_bitwise_matches_serial() {
-    let cfg = make_cfg(48);
+    let cfg = make_cfg(48).with_balancer(BalancerSpec::Diffusion {
+        params: DiffusionParams {
+            interval: 3,
+            tau: 0,
+            border_w: 3,
+        },
+        mode: DiffusionMode::XOnly,
+    });
     let serial = serial_final(&cfg);
     let outcomes = run_threads(4, |comm| {
-        let o = run_diffusion(
-            &comm,
-            &cfg,
-            DiffusionParams {
-                interval: 3,
-                tau: 0,
-                border_w: 3,
-            },
-        );
+        let o = run_config(&comm, &cfg);
         assert!(o.verify.passed(), "{:?}", o.verify);
         o
     });
@@ -139,7 +138,6 @@ fn ampi_bitwise_matches_serial() {
 
 #[test]
 fn two_phase_diffusion_bitwise_matches_serial() {
-    use pic_par::diffusion::{run_diffusion_mode, DiffusionMode};
     use pic_prk::core::init::SkewAxis;
     // A rotated workload with vertical drift — the case the two-phase
     // scheme exists for. The physics must still match the serial engine
@@ -169,17 +167,16 @@ fn two_phase_diffusion_bitwise_matches_serial() {
     let cfg = ParConfig::new(setup, 36);
     let serial = serial_final(&cfg);
     for mode in [DiffusionMode::YOnly, DiffusionMode::TwoPhase] {
+        let cfg = cfg.clone().with_balancer(BalancerSpec::Diffusion {
+            params: DiffusionParams {
+                interval: 2,
+                tau: 0,
+                border_w: 3,
+            },
+            mode,
+        });
         let outcomes = run_threads(4, |comm| {
-            let o = run_diffusion_mode(
-                &comm,
-                &cfg,
-                DiffusionParams {
-                    interval: 2,
-                    tau: 0,
-                    border_w: 3,
-                },
-                mode,
-            );
+            let o = run_config(&comm, &cfg);
             assert!(o.verify.passed(), "{mode:?}: {:?}", o.verify);
             o
         });
@@ -197,7 +194,7 @@ fn leftward_and_fast_configs_agree() {
         .unwrap();
     let cfg = ParConfig::new(setup, 25);
     let serial = serial_final(&cfg);
-    let base = run_threads(4, |comm| run_baseline(&comm, &cfg));
+    let base = run_threads(4, |comm| run_config(&comm, &cfg));
     assert!(base[0].verify.passed());
     assert_eq!(serial, gather_finals(base));
     let ampi = run_threads(4, |comm| {
@@ -220,7 +217,7 @@ fn checksum_matches_ledger_after_events() {
     let cfg = make_cfg(30);
     let serial = serial_final(&cfg);
     let expected: u128 = serial.iter().map(|t| t.0 as u128).sum();
-    let out = run_threads(3, |comm| run_baseline(&comm, &cfg));
+    let out = run_threads(3, |comm| run_config(&comm, &cfg));
     assert_eq!(out[0].verify.id_sum, expected);
     assert_eq!(out[0].verify.expected_id_sum, expected);
 }

@@ -5,9 +5,9 @@
 //! and an event scheduled past the final step.
 
 use pic_prk::comm::world::run_threads;
-use pic_prk::par::baseline::run_baseline;
-use pic_prk::par::diffusion::{run_diffusion, DiffusionParams};
+use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_prk::par::runner::{ParConfig, ParOutcome};
+use pic_prk::par::{run_config, BalancerSpec};
 use pic_prk::prelude::*;
 
 const N: u64 = 200;
@@ -46,15 +46,15 @@ fn run_all_impls(events: &[Event]) -> (u64, u128) {
             );
         }
     };
-    check(run_threads(4, |comm| run_baseline(&comm, &cfg)), "baseline");
-    let params = DiffusionParams {
-        interval: 5,
-        ..DiffusionParams::default()
-    };
-    check(
-        run_threads(4, |comm| run_diffusion(&comm, &cfg, params)),
-        "diffusion",
-    );
+    check(run_threads(4, |comm| run_config(&comm, &cfg)), "baseline");
+    let cfg = cfg.with_balancer(BalancerSpec::Diffusion {
+        params: DiffusionParams {
+            interval: 5,
+            ..DiffusionParams::default()
+        },
+        mode: DiffusionMode::XOnly,
+    });
+    check(run_threads(4, |comm| run_config(&comm, &cfg)), "diffusion");
     (serial_count, serial_report.id_sum)
 }
 

@@ -5,8 +5,8 @@
 
 use pic_cluster::loadmodel::ColumnLoadModel;
 use pic_comm::world::run_threads;
-use pic_par::baseline::run_baseline;
 use pic_par::decomp::Decomp2d;
+use pic_par::run_config;
 use pic_par::runner::ParConfig;
 use pic_prk::prelude::*;
 
@@ -23,7 +23,7 @@ fn model_rank_counts_match_functional_baseline() {
         steps,
     );
     let ranks = 4usize;
-    let outcomes = run_threads(ranks, |comm| run_baseline(&comm, &cfg));
+    let outcomes = run_threads(ranks, |comm| run_config(&comm, &cfg));
     assert!(outcomes[0].verify.passed());
 
     let decomp = Decomp2d::uniform(ncells, ranks);
