@@ -27,5 +27,5 @@ pub mod vp;
 
 pub use balancer::Balancer;
 pub use model::{model_ampi, AmpiParams};
-pub use runtime::{run_ampi, run_ampi_adaptive};
+pub use runtime::run_ampi;
 pub use vp::VpGrid;

@@ -50,17 +50,8 @@ pub fn run_ampi_traced(
 
 /// Run the AMPI runtime under the online adaptive balancer: the VP-family
 /// escalation ladder (keep → refine → greedy) switched on measured
-/// imbalance, every switch recorded as a `"switch"` trace event.
-pub fn run_ampi_adaptive(
-    comm: &Communicator,
-    cfg: &ParConfig,
-    d: usize,
-    interval: u32,
-) -> ParOutcome {
-    run_ampi_adaptive_traced(comm, cfg, d, interval, &mut Tracer::disabled())
-}
-
-/// [`run_ampi_adaptive`] with telemetry.
+/// imbalance, every switch recorded as a `"switch"` trace event (pass
+/// [`Tracer::disabled`] to run untraced).
 pub fn run_ampi_adaptive_traced(
     comm: &Communicator,
     cfg: &ParConfig,

@@ -140,8 +140,9 @@ mod tests {
         let total: usize = counts.iter().sum();
         assert_eq!(total, 32 * 32);
         assert!(counts.iter().all(|&c| c > 0));
-        for vp in 0..g.vp_count() {
-            assert_eq!(counts[vp], g.vp_cells(vp));
+        assert_eq!(counts.len(), g.vp_count());
+        for (vp, &count) in counts.iter().enumerate() {
+            assert_eq!(count, g.vp_cells(vp));
         }
     }
 }

@@ -82,7 +82,7 @@ proptest! {
         // Grid must be even and at least as wide as the VP grid.
         let g_probe = VpGrid::new(1 << 12, cores, d); // probe dims
         let need = g_probe.decomp().px.max(g_probe.decomp().py);
-        let ncells = ((need * ncells_mult).max(need) + 1) / 2 * 2;
+        let ncells = (need * ncells_mult).max(need).div_ceil(2) * 2;
         let g = VpGrid::new(ncells, cores, d);
         prop_assert_eq!(g.vp_count(), cores * d);
         let asg = g.initial_assignment();

@@ -14,8 +14,8 @@
 //! `1024,4096,16384`); the typed variants carry the equivalent particle
 //! count (`payload / 76`, the wire-record size). The rows are spliced
 //! into `BENCH_par.json` (default `--out`) as the top-level `"comm"`
-//! section, replacing an existing one, so running `bench_par` then
-//! `bench_comm` yields one artifact; a dense/sparse crossover table is
+//! section, replacing an existing one, so the archived artifact stays
+//! one file; a dense/sparse crossover table is
 //! also spliced into `results/par_scaling.md` when that file exists.
 //! All exchange variants perform the identical compute kernel per
 //! iteration; only its position relative to the wire traffic moves.
@@ -367,8 +367,7 @@ fn crossover_table(rows: &[Row]) -> String {
 
 /// Insert (or replace) the crossover section in `par_scaling.md`. The
 /// section spans from its `## ` heading to the next `## ` heading (or
-/// EOF); `bench_par` rewrites the whole file, so this re-splice keeps the
-/// table alive across regenerations in either order.
+/// EOF), so a rerun replaces the table in place.
 fn splice_crossover_table(existing: &str, section: &str) -> String {
     const HEADING: &str = "## Exchange microbenchmark crossover";
     let mut out = String::new();
@@ -400,7 +399,7 @@ fn splice_crossover_table(existing: &str, section: &str) -> String {
     out
 }
 
-/// Insert (or replace) the `"comm"` section in the `bench_par` artifact.
+/// Insert (or replace) the `"comm"` section in the `BENCH_par.json` artifact.
 /// The artifact is our own line-oriented emission, so a line-based splice
 /// is reliable: the section starts at the `  "comm": [` line and ends at
 /// the next `  ],` (or `  ]`) line. Without an existing artifact a

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! bench_sweep [--out PATH] [--quick] [--threads LIST] [--modes LIST]
-//!             [--fast-report PATH]
 //! ```
 //!
 //! `--quick` drops the 1e6-particle tier (for CI smoke runs).
@@ -15,19 +14,14 @@
 //! requested count (via `PIC_THREADS`) and then caps the active threads
 //! per measurement, so one process covers the whole scaling grid.
 //! `--modes aos-serial,soa-binned` restricts the run to a subset of sweep
-//! modes (default: all three; the sensitivity scans only run when
+//! modes (default: both; the sensitivity scans only run when
 //! `soa-binned` is selected). The single-thread-by-construction
 //! `aos-serial` is measured once at 1 thread. The output is one JSON
 //! object with host metadata (core count, detected SIMD backend and its
-//! lane width, FMA availability, git commit, rustc version) and a record
+//! lane width, git commit, rustc version) and a record
 //! per (mode, n, threads, chunk, rebin, simd) configuration;
 //! `scripts/bench.sh` runs this from the repository root so the artifact
 //! lands next to the other `BENCH_*` files.
-//!
-//! `--fast-report PATH` additionally writes a markdown exact-vs-fast
-//! comparison (`soa-binned` vs `soa-binned-fast`, vector and
-//! forced-scalar, per population tier) — the `results/sweep_fast.md`
-//! artifact. Requires both binned modes in the run.
 
 use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
@@ -45,7 +39,6 @@ fn mode_name(mode: SweepMode) -> &'static str {
     match mode {
         SweepMode::Serial => "aos-serial",
         SweepMode::SoaBinned => "soa-binned",
-        SweepMode::SoaBinnedFast => "soa-binned-fast",
     }
 }
 
@@ -53,7 +46,6 @@ fn mode_from_name(name: &str) -> Option<SweepMode> {
     Some(match name {
         "aos-serial" => SweepMode::Serial,
         "soa-binned" => SweepMode::SoaBinned,
-        "soa-binned-fast" => SweepMode::SoaBinnedFast,
         _ => return None,
     })
 }
@@ -132,8 +124,8 @@ fn run_record(
     let steps = steps_for(n);
     let (ns, effective_chunk) = time_mode(mode, chunk, rebin, backend, n, steps);
     let simd = match (mode, backend) {
-        (SweepMode::SoaBinned | SweepMode::SoaBinnedFast, Some(b)) => b.name(),
-        (SweepMode::SoaBinned | SweepMode::SoaBinnedFast, None) => SimdBackend::detect().name(),
+        (SweepMode::SoaBinned, Some(b)) => b.name(),
+        (SweepMode::SoaBinned, None) => SimdBackend::detect().name(),
         _ => "-",
     };
     eprintln!(
@@ -184,10 +176,6 @@ fn main() {
         !thread_counts.is_empty(),
         "--threads needs at least one count"
     );
-    let fast_report_path = args
-        .iter()
-        .position(|a| a == "--fast-report")
-        .and_then(|i| args.get(i + 1).cloned());
     let modes: Vec<SweepMode> = match args
         .iter()
         .position(|a| a == "--modes")
@@ -238,24 +226,19 @@ fn main() {
                 records.push(run_record(mode, None, DEFAULT_REBIN, None, n, 1));
             }
         }
-        // SIMD-off contrast rows: the binned sweeps with the vector path
+        // SIMD-off contrast row: the binned sweep with the vector path
         // forced to the scalar kernel, at 1 thread so the backend is the
         // only variable. Skipped when the host has no vector backend —
-        // the default rows already are the scalar numbers. (For
-        // soa-binned-fast the scalar backend runs the *exact* scalar
-        // kernel, so its contrast row doubles as the fast tier's
-        // PIC_NO_SIMD baseline.)
-        for mode in [SweepMode::SoaBinned, SweepMode::SoaBinnedFast] {
-            if modes.contains(&mode) && simd_backend.is_vector() {
-                records.push(run_record(
-                    mode,
-                    None,
-                    DEFAULT_REBIN,
-                    Some(SimdBackend::Scalar),
-                    n,
-                    1,
-                ));
-            }
+        // the default rows already are the scalar numbers.
+        if modes.contains(&SweepMode::SoaBinned) && simd_backend.is_vector() {
+            records.push(run_record(
+                SweepMode::SoaBinned,
+                None,
+                DEFAULT_REBIN,
+                Some(SimdBackend::Scalar),
+                n,
+                1,
+            ));
         }
     }
     // Sensitivity scans at the largest tier, single-threaded so the knob
@@ -289,7 +272,6 @@ fn main() {
     let _ = writeln!(json, "  \"pool_threads\": {pool_threads},");
     let _ = writeln!(json, "  \"simd_backend\": \"{}\",", simd_backend.name());
     let _ = writeln!(json, "  \"simd_lanes\": {},", simd_backend.lanes());
-    let _ = writeln!(json, "  \"fma\": {},", simd_backend.fast_tier_fuses());
     let _ = writeln!(json, "  \"git_commit\": \"{git_commit}\",");
     let _ = writeln!(json, "  \"rustc_version\": \"{rustc_version}\",");
     let _ = writeln!(json, "  \"results\": [");
@@ -307,83 +289,4 @@ fn main() {
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, &json).expect("write benchmark artifact");
     eprintln!("wrote {out_path}");
-
-    if let Some(path) = fast_report_path {
-        let md = fast_report(&records, sizes, simd_backend, host_cores);
-        std::fs::write(&path, &md).expect("write fast-tier report");
-        eprintln!("wrote {path}");
-    }
-}
-
-/// Markdown exact-vs-fast comparison from the collected records: for each
-/// population tier, the lowest-thread-count `soa-binned` and
-/// `soa-binned-fast` rows on the vector backend and on the forced-scalar
-/// kernel, with the fast/exact speedup.
-fn fast_report(
-    records: &[Record],
-    sizes: &[u64],
-    backend: SimdBackend,
-    host_cores: usize,
-) -> String {
-    // Lowest-thread-count default-rebin row for (mode, n, simd).
-    let row = |mode: &str, n: u64, simd: &str| -> Option<&Record> {
-        records
-            .iter()
-            .filter(|r| r.mode == mode && r.n == n && r.simd == simd && r.rebin == DEFAULT_REBIN)
-            .min_by_key(|r| r.threads)
-    };
-    let mut md = String::new();
-    let _ = writeln!(
-        md,
-        "# Exact vs fast sweep tier (`soa-binned` vs `soa-binned-fast`)\n"
-    );
-    let _ = writeln!(
-        md,
-        "Host: {host_cores} core(s), widest backend `{}` ({} lanes, fma: {}). \
-         ns/particle/step, lowest measured thread count per row; rebin {DEFAULT_REBIN}.\n",
-        backend.name(),
-        backend.lanes(),
-        backend.fast_tier_fuses(),
-    );
-    let _ = writeln!(md, "| n | simd | exact ns | fast ns | fast/exact speedup |");
-    let _ = writeln!(md, "|---|------|----------|---------|--------------------|");
-    for &n in sizes {
-        let mut simds: Vec<&str> = vec![backend.name()];
-        if backend.is_vector() {
-            simds.push("scalar");
-        }
-        for simd in simds {
-            let (exact, fast) = (row("soa-binned", n, simd), row("soa-binned-fast", n, simd));
-            let fmt = |r: Option<&Record>| match r {
-                Some(r) => format!("{:.2}", r.ns),
-                None => "-".to_string(),
-            };
-            let speedup = match (exact, fast) {
-                (Some(e), Some(f)) if f.ns > 0.0 => format!("{:.2}x", e.ns / f.ns),
-                _ => "-".to_string(),
-            };
-            let _ = writeln!(
-                md,
-                "| {n} | {simd} | {} | {} | {speedup} |",
-                fmt(exact),
-                fmt(fast)
-            );
-        }
-    }
-    let _ = writeln!(
-        md,
-        "\nThe `scalar` rows run the exact scalar kernel in *both* modes \
-         (the fast tier falls back to bit-exact scalar under `PIC_NO_SIMD=1` \
-         or a scalar backend override), so they should agree to noise — \
-         they isolate the vector-kernel contribution from the tier change."
-    );
-    let _ = writeln!(
-        md,
-        "\nThe fast tier relaxes bit-identity (FMA, reciprocal square root, \
-         reassociated corner accumulation — DESIGN.md §12) and is verified \
-         against the analytic trajectory bound \
-         (`pic_core::verify::analytic_tolerance`) instead of bitwise \
-         equality; every timed run above passed that gate."
-    );
-    md
 }

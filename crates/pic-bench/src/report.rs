@@ -54,35 +54,6 @@ pub fn max_count_markdown(row: &MaxCountRow) -> String {
     )
 }
 
-/// Render a [`pic_trace::TraceSummary`] as a markdown table: total time
-/// per phase, the migration/collective counters, and the imbalance
-/// aggregates — the end-of-run digest the experiment binaries append
-/// under their results tables.
-pub fn trace_summary_markdown(s: &pic_trace::TraceSummary) -> String {
-    use pic_trace::{Counter, Phase};
-    let mut out = String::from("| metric | value |\n|---|---|\n");
-    let _ = writeln!(out, "| steps | {} |", s.steps);
-    let _ = writeln!(out, "| step records | {} |", s.records);
-    for p in Phase::ALL {
-        let _ = writeln!(
-            out,
-            "| {} time | {:.3} ms |",
-            p.name(),
-            s.phase_ns[p.idx()] as f64 / 1e6
-        );
-    }
-    for c in Counter::ALL {
-        let _ = writeln!(out, "| {} | {} |", c.name(), s.counters[c.idx()]);
-    }
-    let _ = writeln!(out, "| max imbalance | {:.3} |", s.max_imbalance);
-    let _ = writeln!(out, "| mean imbalance | {:.3} |", s.mean_imbalance);
-    let _ = writeln!(out, "| max gini | {:.3} |", s.max_gini);
-    let _ = writeln!(out, "| final particles | {} |", s.final_particles);
-    let _ = writeln!(out, "| balancer | {} |", s.balancer);
-    let _ = writeln!(out, "| strategy switches | {} |", s.switches);
-    out
-}
-
 /// Parse `--scale N` from argv (default 1 = the paper's full 6,000 steps).
 pub fn scale_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
@@ -127,33 +98,6 @@ mod tests {
         let csv = tuning_csv(&pts, "F");
         assert!(csv.starts_with("factor,F,seconds\n"));
         assert!(csv.contains("8,160,43.000"));
-    }
-
-    #[test]
-    fn trace_summary_table() {
-        let s = pic_trace::TraceSummary {
-            steps: 100,
-            records: 10,
-            phase_ns: [2_000_000, 500_000, 250_000, 1_000_000],
-            phase_cpu_ns: [1_900_000, 100_000, 250_000, 1_000_000],
-            counters: [1234, 56, 7890, 6, 300, 900, 12_000],
-            max_imbalance: 2.345,
-            mean_imbalance: 1.5,
-            max_gini: 0.25,
-            final_particles: 42_000,
-            balancer: String::from("adaptive"),
-            switches: 2,
-        };
-        let md = trace_summary_markdown(&s);
-        assert!(md.contains("| advance time | 2.000 ms |"), "{md}");
-        assert!(md.contains("| rehomed | 1234 |"), "{md}");
-        assert!(md.contains("| msgs_sent | 300 |"), "{md}");
-        assert!(md.contains("| msgs_skipped | 900 |"), "{md}");
-        assert!(md.contains("| overlap_ns | 12000 |"), "{md}");
-        assert!(md.contains("| max imbalance | 2.345 |"), "{md}");
-        assert!(md.contains("| final particles | 42000 |"), "{md}");
-        assert!(md.contains("| balancer | adaptive |"), "{md}");
-        assert!(md.contains("| strategy switches | 2 |"), "{md}");
     }
 
     #[test]

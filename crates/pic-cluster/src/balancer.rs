@@ -962,10 +962,7 @@ mod tests {
 
     #[test]
     fn diffusion_lb_matches_pure_functions() {
-        let mut hist = vec![0u64; 16];
-        for c in 0..16 {
-            hist[c] = (16 - c) as u64 * 10;
-        }
+        let hist: Vec<u64> = (0..16).map(|c| (16 - c) * 10).collect();
         let xcuts = vec![0, 4, 8, 12, 16];
         let ycuts = vec![0, 16];
         let mut lb = DiffusionLb::new(5, 0, 1, Axes::X);

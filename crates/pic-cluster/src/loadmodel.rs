@@ -221,8 +221,8 @@ mod tests {
         let d = Distribution::Geometric { r: 0.9 };
         let m = model(d, 16, 10_000);
         let counts = d.column_counts(16, 10_000);
-        for j in 0..16 {
-            assert_eq!(m.count_in_column(j), counts[j]);
+        for (j, &count) in counts.iter().enumerate() {
+            assert_eq!(m.count_in_column(j), count);
         }
         assert_eq!(m.count_in_columns(0, 16), 10_000);
         assert_eq!(m.total(), 10_000);
@@ -234,8 +234,8 @@ mod tests {
         let mut m = model(d, 8, 1_000);
         let before: Vec<u64> = (0..8).map(|j| m.count_in_column(j)).collect();
         m.advance(3);
-        for j in 0..8 {
-            assert_eq!(m.count_in_column((j + 3) % 8), before[j]);
+        for (j, &was) in before.iter().enumerate() {
+            assert_eq!(m.count_in_column((j + 3) % 8), was);
         }
     }
 
@@ -245,8 +245,8 @@ mod tests {
         assert_eq!(m.stride(), -3);
         let before: Vec<u64> = (0..8).map(|j| m.count_in_column(j)).collect();
         m.advance(1);
-        for j in 0..8 {
-            assert_eq!(m.count_in_column((j + 8 - 3) % 8), before[j]);
+        for (j, &was) in before.iter().enumerate() {
+            assert_eq!(m.count_in_column((j + 8 - 3) % 8), was);
         }
     }
 
@@ -350,8 +350,9 @@ mod tests {
         let mut hist = Vec::new();
         for step in 0..20 {
             sim.column_histogram_into(&mut hist);
-            for j in 0..32 {
-                assert_eq!(m.count_in_column(j), hist[j], "step {step}, column {j}");
+            assert_eq!(hist.len(), 32);
+            for (j, &seen) in hist.iter().enumerate() {
+                assert_eq!(m.count_in_column(j), seen, "step {step}, column {j}");
             }
             sim.step();
             m.advance(1);
@@ -376,8 +377,9 @@ mod tests {
         m.advance(13);
         let mut hist = Vec::new();
         sim.column_histogram_into(&mut hist);
-        for j in 0..32 {
-            assert_eq!(m.count_in_column(j), hist[j], "column {j}");
+        assert_eq!(hist.len(), 32);
+        for (j, &seen) in hist.iter().enumerate() {
+            assert_eq!(m.count_in_column(j), seen, "column {j}");
         }
     }
 }

@@ -150,9 +150,9 @@ mod tests {
             .map(|j| m.count_in_rect((0, 8), (j, j + 1)))
             .collect();
         m.advance(1);
-        for j in 0..8 {
+        for (j, &was) in before.iter().enumerate() {
             let after = m.count_in_rect((0, 8), ((j + 3) % 8, (j + 3) % 8 + 1));
-            assert!((after - before[j]).abs() < 1e-9, "row {j}");
+            assert!((after - was).abs() < 1e-9, "row {j}");
         }
     }
 
@@ -185,12 +185,12 @@ mod tests {
         m.advance(9);
         let mut hist = Vec::new();
         sim.row_histogram_into(&mut hist);
-        for j in 0..32 {
+        assert_eq!(hist.len(), 32);
+        for (j, &seen) in hist.iter().enumerate() {
             let pred = m.count_in_rect((0, 32), (j, j + 1));
             assert!(
-                (pred - hist[j] as f64).abs() < 1e-9,
-                "row {j}: model {pred} vs engine {}",
-                hist[j]
+                (pred - seen as f64).abs() < 1e-9,
+                "row {j}: model {pred} vs engine {seen}"
             );
         }
     }

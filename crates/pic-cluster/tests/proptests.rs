@@ -110,7 +110,7 @@ proptest! {
         splits in any::<u64>(),
     ) {
         let c = chalf * 2;
-        prop_assume!(2 * k as usize + 1 <= c);
+        prop_assume!(2 * (k as usize) < c);
         let mut m = ColumnLoadModel::new(Distribution::Geometric { r: 0.97 }, c, n, k, 1);
         m.advance(adv);
         let a = (splits % c as u64) as usize;
@@ -160,7 +160,7 @@ proptest! {
         adv in 0u64..100,
     ) {
         let c = chalf * 2;
-        prop_assume!(2 * k as u64 + 1 <= c as u64);
+        prop_assume!(2 * (k as u64) < c as u64);
         let mut m = ColumnLoadModel::new(Distribution::Geometric { r: 0.9 }, c, n, k, 1);
         m.advance(adv);
         let cut = (cut_sel % c as u64) as usize;
@@ -244,7 +244,7 @@ proptest! {
         let mut loads: Vec<f64> = (0..nvps)
             .map(|i| (seed.rotate_left((i % 64) as u32) % 1000) as f64)
             .collect();
-        if nan_sel % 3 == 0 {
+        if nan_sel.is_multiple_of(3) {
             loads[(nan_sel % nvps as u64) as usize] = f64::NAN;
         }
         let greedy = greedy_assign(&loads, cores);

@@ -820,7 +820,7 @@ mod tests {
             assert_eq!(cs, 2);
             let row = r / 3;
             let col = r % 3;
-            assert_eq!(row_sum, (3 * row) as u64 * 3 / 1 + 3, "row {row}");
+            assert_eq!(row_sum, (3 * row) as u64 * 3 + 3, "row {row}");
             assert_eq!(col_sum, (col + col + 3) as u64);
         }
     }

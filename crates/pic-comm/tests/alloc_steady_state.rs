@@ -91,7 +91,7 @@ fn particle(id: u64) -> Particle {
 fn typed_ring_iter(
     comm: &Communicator,
     sparse: Option<&mut SparsePlan>,
-    outgoing: &mut Vec<Vec<Particle>>,
+    outgoing: &mut [Vec<Particle>],
     incoming: &mut Vec<Vec<Particle>>,
     it: u64,
 ) {

@@ -82,31 +82,6 @@ use std::ops::Range;
 /// [`Simulation::with_rebin_interval`]: crate::engine::Simulation::with_rebin_interval
 pub const DEFAULT_REBIN: u32 = 16;
 
-/// Which force kernel the binned sweep runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelTier {
-    /// The bit-identity contract: every backend produces the scalar
-    /// reference's bits (DESIGN.md §10). The default.
-    #[default]
-    Exact,
-    /// The fast-math contract: FMA, reciprocal-sqrt, reassociated corner
-    /// accumulation (DESIGN.md §12). Verified analytically against
-    /// eqs. 5–6 within [`crate::verify::analytic_tolerance`], not
-    /// bitwise. The scalar backend ignores this and stays exact, so
-    /// `PIC_NO_SIMD=1` forces bit-identity in either tier.
-    Fast,
-}
-
-impl KernelTier {
-    /// Lower-case label for telemetry and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelTier::Exact => "exact",
-            KernelTier::Fast => "fast",
-        }
-    }
-}
-
 /// Cell-binned structure-of-arrays particle store (see module docs).
 #[derive(Debug, Clone)]
 pub struct BinnedStore {
@@ -155,20 +130,6 @@ pub struct BinnedStore {
     /// construction ([`SimdBackend::detect`]); every backend is
     /// bit-identical, so this is a pure throughput knob.
     backend: SimdBackend,
-    /// Exact (bit-identical) or fast (analytically-verified) span kernel.
-    tier: KernelTier,
-    /// Particle–thread binding: when true the sweep dispatches by
-    /// [`pool::Pool::run_owned`] slot instead of self-scheduling chunks,
-    /// so each pool thread sweeps the same bins every step between
-    /// rebins (cache/NUMA locality). Results are identical either way —
-    /// binding is pure scheduling.
-    bind: bool,
-    /// Per-slot `(start, end)` particle spans (bin-aligned, contiguous,
-    /// covering `0..n`), recomputed lazily when invalidated by a rebin or
-    /// a pool-width change; capacity is retained.
-    owner_spans: Vec<(usize, usize)>,
-    /// Slot count `owner_spans` was computed for (0 = invalid).
-    owner_slots: usize,
 }
 
 impl BinnedStore {
@@ -210,10 +171,6 @@ impl BinnedStore {
             rebin_interval: rebin_interval.max(1),
             rebins: 0,
             backend: SimdBackend::detect(),
-            tier: KernelTier::Exact,
-            bind: false,
-            owner_spans: Vec::new(),
-            owner_slots: 0,
         };
         store.rebin(grid);
         store
@@ -248,31 +205,6 @@ impl BinnedStore {
     /// identity tests; results are bit-identical on every backend).
     pub fn set_simd_backend(&mut self, backend: SimdBackend) {
         self.backend = backend;
-    }
-
-    /// The force-kernel tier the sweep runs ([`KernelTier::Exact`] unless
-    /// overridden).
-    pub fn kernel_tier(&self) -> KernelTier {
-        self.tier
-    }
-
-    /// Select the force-kernel tier. Switching to [`KernelTier::Fast`]
-    /// trades bit-identity for throughput; verify such runs with
-    /// [`crate::verify::analytic_tolerance`].
-    pub fn set_kernel_tier(&mut self, tier: KernelTier) {
-        self.tier = tier;
-    }
-
-    /// Whether sweeps use the persistent bin→worker assignment.
-    pub fn thread_binding(&self) -> bool {
-        self.bind
-    }
-
-    /// Enable/disable particle–thread binding (see the `bind` field docs).
-    /// Takes effect at the next sweep; never changes results.
-    pub fn set_thread_binding(&mut self, bind: bool) {
-        self.bind = bind;
-        self.owner_slots = 0;
     }
 
     #[inline]
@@ -345,35 +277,6 @@ impl BinnedStore {
         self.age = 0;
         self.dirty = false;
         self.rebins += 1;
-        // Bin boundaries moved: the persistent bin→worker assignment is
-        // recomputed lazily at the next bound sweep. Rebin boundaries are
-        // the *only* points where ownership is rebalanced.
-        self.owner_slots = 0;
-    }
-
-    /// Recompute the per-slot owner spans: a contiguous, bin-aligned
-    /// partition of `0..n` whose boundaries sit at the first bin boundary
-    /// at or past each ideal `s·n/slots` cut, so slots carry near-equal
-    /// particle counts at bin granularity. Capacity-retaining (steady
-    /// state allocates nothing once warm).
-    fn compute_owner_spans(&mut self, slots: usize) {
-        // `advance_all` only dispatches a fully ordered store.
-        let n = self.offsets[self.ncols];
-        self.owner_spans.clear();
-        let mut prev = 0usize;
-        for s in 1..=slots {
-            let end = if s == slots {
-                n
-            } else {
-                let target = s * n / slots;
-                let b = self.offsets.partition_point(|&o| o < target);
-                self.offsets[b.min(self.offsets.len() - 1)]
-            };
-            let end = end.max(prev);
-            self.owner_spans.push((prev, end));
-            prev = end;
-        }
-        self.owner_slots = slots;
     }
 
     /// Lifetime number of counting-sort (rebin) invocations, including the
@@ -393,21 +296,8 @@ impl BinnedStore {
             self.rebin(grid);
         }
         let n = self.batch.len();
-        let bound = self.bind && n > 0;
-        let slots = if bound {
-            let slots = pool::global().active_threads();
-            // Rebalance the persistent assignment only when invalidated —
-            // by a rebin or a pool-width change — never mid-interval.
-            if self.owner_slots != slots {
-                self.compute_owner_spans(slots);
-            }
-            slots
-        } else {
-            0
-        };
         let parity = self.age & 1;
         let backend = self.backend;
-        let tier = self.tier;
         let col_lo = self.col_lo;
         let offsets = &self.offsets[..];
         let xp = SyncMutPtr::new(self.batch.x.as_mut_ptr());
@@ -437,57 +327,21 @@ impl BinnedStore {
                         std::slice::from_raw_parts_mut(vyp.get().add(i), len),
                     )
                 };
-                match tier {
-                    KernelTier::Exact => simd::advance_bin_span_simd(
-                        backend,
-                        grid,
-                        consts,
-                        q_left,
-                        x,
-                        y,
-                        vx,
-                        vy,
-                        &q[i..span_end],
-                    ),
-                    KernelTier::Fast => {
-                        // Pull the next span's columns towards the cache
-                        // while this one computes (spans are contiguous
-                        // in particle index, so the next span starts at
-                        // `span_end`).
-                        if span_end < end {
-                            unsafe {
-                                simd::prefetch_read(xp.get().add(span_end));
-                                simd::prefetch_read(yp.get().add(span_end));
-                            }
-                            simd::prefetch_read(q[span_end..].as_ptr());
-                        }
-                        simd::advance_bin_span_fast(
-                            backend,
-                            grid,
-                            consts,
-                            q_left,
-                            x,
-                            y,
-                            vx,
-                            vy,
-                            &q[i..span_end],
-                        )
-                    }
-                }
+                simd::advance_bin_span_simd(
+                    backend,
+                    grid,
+                    consts,
+                    q_left,
+                    x,
+                    y,
+                    vx,
+                    vy,
+                    &q[i..span_end],
+                );
                 i = span_end;
             }
         };
-        if bound {
-            let spans = &self.owner_spans[..];
-            pool::global().run_owned(slots, &|s| {
-                let (start, end) = spans[s];
-                if start < end {
-                    sweep_range(start, end);
-                }
-            });
-        } else {
-            pool::global().run_chunked(n, chunk_size, &sweep_range);
-        }
+        pool::global().run_chunked(n, chunk_size, &sweep_range);
         self.age += 1;
         if self.age >= self.rebin_interval {
             self.rebin(grid);
@@ -497,7 +351,7 @@ impl BinnedStore {
     /// One serial sweep on the *calling* thread — the distributed rank
     /// path, where each rank is already its own parallel unit and pool
     /// dispatch would contend across rank threads. Rebins first if
-    /// structurally dirty, runs the tier kernel over every ordered bin
+    /// structurally dirty, runs the hoisted kernel over every ordered bin
     /// span and the per-lane-charge kernel over the mixed region, and does
     /// **not** rebin at the end: the rank step rebins after the exchange
     /// ([`BinnedStore::rebin_due`]) so the counting sort only ever sees
@@ -559,8 +413,8 @@ impl BinnedStore {
     /// Advance the mixed region (drained border bins and exchange
     /// arrivals) one step through the exact span kernel with each
     /// particle's *live* column charge per lane — no parity flip, because
-    /// the column is read fresh rather than remembered from a rebin. Exact
-    /// in both tiers. Must run before the step's drain and before new
+    /// the column is read fresh rather than remembered from a rebin. Must
+    /// run before the step's drain and before new
     /// arrivals are appended with [`Self::push_tail`]; mixed particles are
     /// homed, so with `charges` the lookup stays inside the ghost-ringed
     /// window (read at the window's first row: the charge does not depend
@@ -598,7 +452,7 @@ impl BinnedStore {
         self.age += 1;
     }
 
-    /// The tier kernel over the ordered bins among `bins` (local bin
+    /// The hoisted kernel over the ordered bins among `bins` (local bin
     /// indices) at the current age parity.
     fn sweep_bins(
         &mut self,
@@ -609,7 +463,6 @@ impl BinnedStore {
     ) {
         let parity = self.age & 1;
         let row0 = charges.map(|cg| cg.bounds().1 .0);
-        let n = self.batch.len();
         for b in bins.start.max(self.ordered.start)..bins.end.min(self.ordered.end) {
             let (i, span_end) = (self.offsets[b], self.offsets[b + 1]);
             if i == span_end {
@@ -621,26 +474,12 @@ impl BinnedStore {
                 None => mesh_charge(col, consts.q),
             };
             let q_left = if parity == 1 { -base } else { base };
-            if self.tier == KernelTier::Fast && span_end < n {
-                // Pull the next span's columns towards the cache while
-                // this one computes (spans are contiguous in index).
-                simd::prefetch_read(self.batch.x[span_end..].as_ptr());
-                simd::prefetch_read(self.batch.y[span_end..].as_ptr());
-                simd::prefetch_read(self.batch.q[span_end..].as_ptr());
-            }
             let x = &mut self.batch.x[i..span_end];
             let y = &mut self.batch.y[i..span_end];
             let vx = &mut self.batch.vx[i..span_end];
             let vy = &mut self.batch.vy[i..span_end];
             let q = &self.batch.q[i..span_end];
-            match self.tier {
-                KernelTier::Exact => {
-                    simd::advance_bin_span_simd(self.backend, grid, consts, q_left, x, y, vx, vy, q)
-                }
-                KernelTier::Fast => {
-                    simd::advance_bin_span_fast(self.backend, grid, consts, q_left, x, y, vx, vy, q)
-                }
-            }
+            simd::advance_bin_span_simd(self.backend, grid, consts, q_left, x, y, vx, vy, q);
         }
     }
 
@@ -1265,121 +1104,6 @@ mod tests {
         assert_eq!(reference.to_particles(), store.to_particles());
     }
 
-    #[test]
-    fn fast_tier_stays_within_analytic_bound_and_verifies() {
-        use crate::verify::analytic_tolerance;
-        let (grid, ps) = population(400, Distribution::PAPER_SKEW);
-        let consts = SimConstants::CANONICAL;
-        let steps = 40u32;
-        for backend in SimdBackend::available() {
-            let mut exact = BinnedStore::new(&ps, &grid, 3);
-            exact.set_simd_backend(backend);
-            let mut fast = BinnedStore::new(&ps, &grid, 3);
-            fast.set_simd_backend(backend);
-            fast.set_kernel_tier(KernelTier::Fast);
-            for _ in 0..steps {
-                exact.advance_all(&grid, &consts, DEFAULT_CHUNK);
-                fast.advance_all(&grid, &consts, DEFAULT_CHUNK);
-            }
-            // Drift vs the exact tier is bounded by the derived tolerance
-            // (k = 1 → stride 3).
-            let tol = analytic_tolerance(steps as u64, 3);
-            let we = exact.to_particles();
-            let wf = fast.to_particles();
-            for (e, f) in we.iter().zip(&wf) {
-                let d = grid
-                    .periodic_delta(e.x, f.x)
-                    .abs()
-                    .max(grid.periodic_delta(e.y, f.y).abs());
-                assert!(
-                    d <= tol,
-                    "backend {}: fast tier drifted {d:e} > {tol:e} (id {})",
-                    backend.name(),
-                    e.id
-                );
-            }
-            // And the fast run itself passes the analytic eqs. 5–6 gate.
-            let report = verify_all(&grid, &wf, steps, triangular_id_sum(400), tol);
-            assert!(report.passed(), "backend {}: {report:?}", backend.name());
-        }
-    }
-
-    #[test]
-    fn fast_tier_scalar_backend_is_bit_identical() {
-        // PIC_NO_SIMD semantics: the scalar backend must run the exact
-        // kernel even in fast mode.
-        let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
-        let consts = SimConstants::CANONICAL;
-        let mut exact = BinnedStore::new(&ps, &grid, 1);
-        exact.set_simd_backend(SimdBackend::Scalar);
-        let mut fast = BinnedStore::new(&ps, &grid, 1);
-        fast.set_simd_backend(SimdBackend::Scalar);
-        fast.set_kernel_tier(KernelTier::Fast);
-        for _ in 0..30 {
-            exact.advance_all(&grid, &consts, DEFAULT_CHUNK);
-            fast.advance_all(&grid, &consts, DEFAULT_CHUNK);
-        }
-        assert_eq!(exact.to_particles(), fast.to_particles());
-    }
-
-    #[test]
-    fn thread_binding_is_bit_neutral() {
-        // Binding changes scheduling only: an exact-tier bound sweep stays
-        // bit-identical to the unbound sweep for every rebin interval.
-        let (grid, ps) = population(500, Distribution::Geometric { r: 0.8 });
-        let consts = SimConstants::CANONICAL;
-        for rebin in [1u32, 3, 16] {
-            let mut plain = BinnedStore::new(&ps, &grid, rebin);
-            let mut bound = BinnedStore::new(&ps, &grid, rebin);
-            bound.set_thread_binding(true);
-            assert!(bound.thread_binding());
-            for _ in 0..25 {
-                plain.advance_all(&grid, &consts, DEFAULT_CHUNK);
-                bound.advance_all(&grid, &consts, DEFAULT_CHUNK);
-            }
-            assert_eq!(
-                plain.to_particles(),
-                bound.to_particles(),
-                "rebin={rebin} binding changed results"
-            );
-        }
-    }
-
-    #[test]
-    fn owner_spans_cover_bin_aligned_and_balanced() {
-        let (grid, ps) = population(1000, Distribution::Geometric { r: 0.85 });
-        let mut store = BinnedStore::new(&ps, &grid, 1);
-        for slots in [1usize, 2, 3, 7] {
-            store.compute_owner_spans(slots);
-            let spans = store.owner_spans.clone();
-            assert_eq!(spans.len(), slots);
-            // Contiguous cover of 0..n…
-            assert_eq!(spans[0].0, 0);
-            assert_eq!(spans[slots - 1].1, store.len());
-            for w in spans.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-            }
-            // …with every boundary on a bin boundary…
-            for &(s, e) in &spans {
-                assert!(store.offsets.contains(&s), "start {s} not bin-aligned");
-                assert!(store.offsets.contains(&e), "end {e} not bin-aligned");
-            }
-            // …and no slot overloaded beyond the ideal share plus one bin.
-            let max_bin = store
-                .offsets
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .max()
-                .unwrap_or(0);
-            for &(s, e) in &spans {
-                assert!(
-                    e - s <= store.len() / slots + max_bin,
-                    "slots={slots}: span {s}..{e} overloaded"
-                );
-            }
-        }
-    }
-
     /// Reference rank loop: two subdomain stores exchanging via
     /// drain/push_tail, compared bitwise against the unbinned sweep.
     fn run_split_stores(
@@ -1629,6 +1353,7 @@ mod tests {
     /// the drain follows a full sweep and `active` is the border plus
     /// arbitrary extra columns picked by `extra`. Returns how many drains
     /// fell back to shifting the ordered block.
+    #[allow(clippy::too_many_arguments)]
     fn check_drain_sequence(
         n: u64,
         k: u32,

@@ -178,23 +178,6 @@ impl CornerCharge for ColumnParity {
     }
 }
 
-/// Fast-tier [`coulomb`] magnitude: returns only `f/r = q1q2/(r²·√r²)`,
-/// computed as `q1q2·rs³` with `rs = rsqrt(r²)` — a hardware reciprocal
-/// square-root estimate refined by Newton–Raphson instead of the exact
-/// `sqrt + div` chain — with `r²` itself accumulated by a fused
-/// multiply-add. Relative error is a few ulps (DESIGN.md §12); the caller
-/// multiplies by the displacement components, which lets it factor the
-/// four-corner sum. The zero-distance guard is value-selected exactly as
-/// in the exact kernel (`rsqrt(0)` lanes come back `inf`/`NaN` and are
-/// cleared here).
-#[inline(always)]
-pub(crate) fn coulomb_f_over_r_fast<V: crate::simd::Lanes>(dx: V, dy: V, q1q2: V) -> V {
-    let r2 = dx.mul_add(dx, dy.mul(dy));
-    let rs = r2.rsqrt();
-    let f_over_r = q1q2.mul(rs).mul(rs.mul(rs));
-    f_over_r.zero_where_zero(r2)
-}
-
 /// Total Coulomb force on a particle with charge `qp` at position `(x, y)`
 /// from the four fixed charges at the corners of its containing cell.
 ///

@@ -11,19 +11,18 @@
 //!
 //! The particle store follows the sweep mode: [`SweepMode::Serial`] keeps
 //! the population AoS (`Vec<Particle>`) and is the scalar reference;
-//! [`SweepMode::SoaBinned`] (production) and [`SweepMode::SoaBinnedFast`]
-//! keep it in the cell-binned structure-of-arrays [`BinnedStore`] for the
-//! whole run — events, checkpoints and histograms operate on the store
-//! natively, with no per-step AoS round-trip. The reference and the exact
-//! binned mode run the same per-particle instruction sequence (eqs. 1–2
+//! [`SweepMode::SoaBinned`] (production) keeps it in the cell-binned
+//! structure-of-arrays [`BinnedStore`] for the whole run — events,
+//! checkpoints and histograms operate on the store natively, with no
+//! per-step AoS round-trip. The reference and the binned mode run the
+//! same per-particle instruction sequence (eqs. 1–2
 //! behind the same force evaluation) and apply events by the same
 //! deterministic rules (injections append in build order; removals take
 //! lowest ids first), so **they produce bit-identical particle
 //! populations in identical canonical order** — asserted by this module's
-//! tests and the cross-layout property tests. The fast tier is gated by
-//! the analytic tolerance instead (DESIGN.md §12).
+//! tests and the cross-layout property tests.
 
-use crate::bin::{BinnedStore, KernelTier, DEFAULT_REBIN};
+use crate::bin::{BinnedStore, DEFAULT_REBIN};
 use crate::charge::SimConstants;
 use crate::events::{Event, EventKind};
 use crate::geometry::Grid;
@@ -49,33 +48,11 @@ pub enum SweepMode {
     /// and swept with the parity-specialized kernel; the per-column load
     /// histogram becomes an O(columns) read while the binning is fresh.
     SoaBinned,
-    /// [`SweepMode::SoaBinned`] with the fast-math kernel tier
-    /// ([`KernelTier::Fast`]: FMA, reciprocal-sqrt, reassociated corner
-    /// accumulation, widest available vectors) and persistent
-    /// particle-thread binding. Results are *not* bit-identical to the
-    /// exact tiers; they are gated by the analytic tolerance instead
-    /// ([`Simulation::verify_analytic`], DESIGN.md §12).
-    SoaBinnedFast,
 }
 
 impl SweepMode {
     /// Every sweep mode, in CLI/help order.
-    pub const ALL: [SweepMode; 3] = [
-        SweepMode::Serial,
-        SweepMode::SoaBinned,
-        SweepMode::SoaBinnedFast,
-    ];
-
-    /// Whether this mode stores particles in SoA layout.
-    pub fn is_soa(self) -> bool {
-        matches!(self, SweepMode::SoaBinned | SweepMode::SoaBinnedFast)
-    }
-
-    /// Whether this mode runs the fast-math kernel tier (not bit-identical
-    /// to the exact modes; verified analytically instead).
-    pub fn is_fast(self) -> bool {
-        matches!(self, SweepMode::SoaBinnedFast)
-    }
+    pub const ALL: [SweepMode; 2] = [SweepMode::Serial, SweepMode::SoaBinned];
 
     /// The name this mode goes by on the `pic --sweep` command line. The
     /// single source for CLI parsing, help text, and the bench harness —
@@ -84,7 +61,6 @@ impl SweepMode {
         match self {
             SweepMode::Serial => "serial",
             SweepMode::SoaBinned => "soa-binned",
-            SweepMode::SoaBinnedFast => "soa-binned-fast",
         }
     }
 
@@ -109,19 +85,13 @@ enum ParticleStore {
 
 impl ParticleStore {
     /// Build the store layout a sweep mode requires (the constructor and
-    /// checkpoint-restore share this, so the mode→layout/tier mapping has
+    /// checkpoint-restore share this, so the mode→layout mapping has
     /// one home).
     fn for_mode(particles: Vec<Particle>, grid: &Grid, mode: SweepMode) -> ParticleStore {
         match mode {
             SweepMode::Serial => ParticleStore::Aos(particles),
             SweepMode::SoaBinned => {
                 ParticleStore::Binned(BinnedStore::new(&particles, grid, DEFAULT_REBIN))
-            }
-            SweepMode::SoaBinnedFast => {
-                let mut b = BinnedStore::new(&particles, grid, DEFAULT_REBIN);
-                b.set_kernel_tier(KernelTier::Fast);
-                b.set_thread_binding(true);
-                ParticleStore::Binned(b)
             }
         }
     }
@@ -257,23 +227,14 @@ impl Simulation {
         }
     }
 
-    /// The kernel tier the binned sweep runs ([`KernelTier::Fast`] for
-    /// [`SweepMode::SoaBinnedFast`], [`KernelTier::Exact`] for
-    /// [`SweepMode::SoaBinned`]; `None` for [`SweepMode::Serial`]).
-    pub fn kernel_tier(&self) -> Option<KernelTier> {
-        match &self.store {
-            ParticleStore::Binned(b) => Some(b.kernel_tier()),
-            _ => None,
-        }
-    }
-
     /// Short kernel descriptor for telemetry and driver output:
-    /// `"<backend>/<tier>"` for the binned modes (e.g. `"avx512/fast"`,
-    /// `"scalar/exact"`), `"none"` for [`SweepMode::Serial`]. This is the trace run-header `simd` field.
+    /// `"<backend>/exact"` for the binned mode (e.g. `"avx512/exact"`,
+    /// `"scalar/exact"`), `"none"` for [`SweepMode::Serial`]. This is the
+    /// trace run-header `simd` field of schema v1, suffix included.
     pub fn kernel_desc(&self) -> String {
-        match (self.simd_backend(), self.kernel_tier()) {
-            (Some(b), Some(t)) => format!("{}/{}", b.name(), t.name()),
-            _ => "none".to_string(),
+        match self.simd_backend() {
+            Some(b) => format!("{}/exact", b.name()),
+            None => "none".to_string(),
         }
     }
 
@@ -403,48 +364,18 @@ impl Simulation {
         }
     }
 
-    /// Verify the current population against eqs. 5–6 and the checksum.
-    /// The exact modes check against [`DEFAULT_TOLERANCE`]; the fast tier
-    /// ([`SweepMode::SoaBinnedFast`]) checks against the *analytic* bound
-    /// ([`Simulation::verify_analytic`]) — which is clamped to never
-    /// exceed the default tolerance, so the fast gate is always at least
-    /// as strict.
+    /// Verify the current population against eqs. 5–6 (within
+    /// [`DEFAULT_TOLERANCE`]) and the checksum. Streams over the store
+    /// where it lies (storage order for the SoA layout — no AoS copy, no
+    /// sort); the report is the one [`verify_all`] gives for
+    /// [`Simulation::particles`].
     pub fn verify(&self) -> VerifyReport {
-        if self.mode.is_fast() {
-            self.verify_analytic()
-        } else {
-            self.verify_with_tolerance(DEFAULT_TOLERANCE)
-        }
-    }
-
-    /// Streams over the store where it lies (storage order for the SoA
-    /// layouts — no AoS copy, no sort); the report is the one
-    /// [`verify_all`] gives for [`Simulation::particles`].
-    pub fn verify_with_tolerance(&self, tol: f64) -> VerifyReport {
         let (grid, step, sum) = (&self.grid, self.step, self.expected_id_sum);
+        let tol = DEFAULT_TOLERANCE;
         match &self.store {
             ParticleStore::Aos(v) => verify_all(grid, v, step, sum, tol),
             ParticleStore::Binned(b) => verify_batch(grid, b.batch(), step, sum, tol),
         }
-    }
-
-    /// Verify against the fast-tier analytic drift bound
-    /// ([`crate::verify::analytic_tolerance`], DESIGN.md §12): per-step
-    /// relative error [`crate::verify::FAST_KERNEL_REL_ERR`] accumulated
-    /// quadratically over the run, scaled by the fastest particle stride,
-    /// clamped to `[1e-10, DEFAULT_TOLERANCE]`. Usable in any mode (the
-    /// exact tiers pass it trivially — their error is at the 1e-13 floor).
-    pub fn verify_analytic(&self) -> VerifyReport {
-        let stride = |k: u32, m: i32| (2 * k as u64 + 1).max(m.unsigned_abs() as u64);
-        let max_stride = match &self.store {
-            ParticleStore::Aos(v) => v.iter().map(|p| stride(p.k, p.m)).max(),
-            ParticleStore::Binned(b) => {
-                let b = b.batch();
-                b.k.iter().zip(&b.m).map(|(&k, &m)| stride(k, m)).max()
-            }
-        };
-        let tol = crate::verify::analytic_tolerance(self.step as u64, max_stride.unwrap_or(1));
-        self.verify_with_tolerance(tol)
     }
 
     /// Histogram of particle counts per cell column — the quantity the
@@ -633,50 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_with_events_passes_analytic_gate() {
-        let region = Region {
-            x0: 0,
-            x1: 8,
-            y0: 0,
-            y1: 8,
-        };
-        let s = setup(400, Distribution::Geometric { r: 0.9 })
-            .with_event(Event::inject(30, region, 10, 0, 1, 1))
-            .with_event(Event::remove(25, Region::whole(32), 25));
-        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinnedFast).with_rebin_interval(3);
-        assert_eq!(sim.kernel_tier(), Some(crate::bin::KernelTier::Fast));
-        assert!(sim.mode().is_fast() && sim.mode().is_soa());
-        sim.run(40);
-        let report = sim.verify(); // routes to the analytic gate
-        assert!(report.passed(), "{report:?}");
-        assert_eq!(report.id_sum, report.expected_id_sum);
-        // The analytic gate is at least as strict as the default gate.
-        assert!(sim.verify_analytic().passed());
-    }
-
-    #[test]
-    fn fast_mode_checkpoint_restores_fast_tier() {
-        let s = setup(150, Distribution::Sinusoidal);
-        let mut fast = Simulation::with_mode(s, SweepMode::SoaBinnedFast);
-        fast.run(10);
-        let cp = fast.checkpoint().encode();
-        let cp = crate::checkpoint::CheckpointData::decode(&cp).unwrap();
-        let resumed = Simulation::restore(cp, SweepMode::SoaBinnedFast);
-        assert_eq!(resumed.kernel_tier(), Some(crate::bin::KernelTier::Fast));
-        let mut resumed = resumed;
-        resumed.run(10);
-        assert!(resumed.verify().passed());
-    }
-
-    #[test]
     fn cli_names_round_trip_for_every_mode() {
         for mode in SweepMode::ALL {
             assert_eq!(SweepMode::from_cli_name(mode.cli_name()), Some(mode));
         }
-        assert_eq!(
-            SweepMode::from_cli_name("soa-binned-fast"),
-            Some(SweepMode::SoaBinnedFast)
-        );
         assert_eq!(SweepMode::from_cli_name("nope"), None);
     }
 

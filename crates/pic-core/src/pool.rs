@@ -22,14 +22,6 @@
 //! * **Caller participation.** The submitting thread claims chunks too, so
 //!   a 1-core machine (pool size 0) degenerates to an ordinary inlined
 //!   loop with no synchronization at all.
-//! * **Stable slots.** Every participant has a fixed slot id — submitter
-//!   0, worker `i` (spawn order) `i + 1` — for the lifetime of the
-//!   process. [`Pool::run_owned`] dispatches *by slot* instead of by
-//!   chunk claim: slot `s` executes exactly `body(s)`, on the same OS
-//!   thread every time. This is the substrate for particle–thread
-//!   binding: the binned store partitions bins into per-slot spans at
-//!   rebin time, and each worker then sweeps the same bins step after
-//!   step, keeping their particles hot in that core's cache.
 //!
 //! Safety model: `run_chunked` publishes a borrowed closure to the workers
 //! as a raw pointer and does not return until every worker has finished
@@ -95,17 +87,6 @@ impl<T> SyncMutPtr<T> {
     }
 }
 
-/// How a published job hands out work.
-#[derive(Clone, Copy, PartialEq)]
-enum JobKind {
-    /// Self-scheduling: any joined thread claims `[fetch_add, +chunk)`
-    /// spans until the cursor passes `len`.
-    Chunked,
-    /// Bound dispatch: the thread with slot `s < len` executes
-    /// `body(s, s + 1)` exactly once; nothing is stolen.
-    Owned,
-}
-
 /// One published job: body + index space + chunk size, copied by each
 /// worker under the state mutex while the submitter is known to be alive.
 #[derive(Clone, Copy)]
@@ -114,10 +95,8 @@ struct JobPtr {
     len: usize,
     chunk: usize,
     /// Workers allowed to join this job (the submitter participates on
-    /// top); the scaling harness caps this below the spawned count. For
-    /// [`JobKind::Owned`] jobs eligibility is by slot id instead.
+    /// top); the scaling harness caps this below the spawned count.
     max_workers: usize,
-    kind: JobKind,
 }
 
 unsafe impl Send for JobPtr {}
@@ -191,9 +170,7 @@ impl Pool {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("pic-sweep-{i}"))
-                // Slot 0 is the submitter; worker i owns slot i + 1 for
-                // the lifetime of the process.
-                .spawn(move || worker_loop(&shared, i + 1))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawn sweep worker");
         }
         Pool {
@@ -263,7 +240,6 @@ impl Pool {
             len,
             chunk,
             max_workers: cap,
-            kind: JobKind::Chunked,
         };
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -295,85 +271,6 @@ impl Pool {
             panic!("a sweep chunk panicked on a pool worker");
         }
     }
-
-    /// Run `body(s)` once for every slot `s in 0..slots`, each on the
-    /// thread that *owns* that slot: the submitter executes slot 0,
-    /// spawned worker `i` executes slot `i + 1`. Unlike [`run_chunked`]
-    /// there is no stealing — the slot→thread mapping is fixed for the
-    /// process lifetime, so state a slot touches stays on one core's
-    /// cache across calls. Returns after every slot completes; panics if
-    /// any slot panicked.
-    ///
-    /// `slots` beyond `threads()` (or a 0-worker pool) run inline on the
-    /// submitter — correct, just unbound. Callers that want cap-aware
-    /// sizing should pass `active_threads()`.
-    ///
-    /// [`run_chunked`]: Pool::run_chunked
-    pub fn run_owned(&self, slots: usize, body: &(dyn Fn(usize) + Sync)) {
-        if slots == 0 {
-            return;
-        }
-        if slots == 1 || self.workers == 0 || slots > self.workers + 1 {
-            for s in 0..slots {
-                body(s);
-            }
-            return;
-        }
-
-        // Bridge to the published `Fn(usize, usize)` shape; owned workers
-        // call it as `(slot, slot + 1)`.
-        let bridge = move |s: usize, _e: usize| body(s);
-        let bridge: &(dyn Fn(usize, usize) + Sync) = &bridge;
-
-        let token = self
-            .submit
-            .lock()
-            .expect("submit token is released before a panic is re-raised");
-        let job = JobPtr {
-            body: unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize, usize) + Sync + '_),
-                    *const (dyn Fn(usize, usize) + Sync + 'static),
-                >(bridge)
-            },
-            len: slots,
-            chunk: 1,
-            max_workers: slots - 1,
-            kind: JobKind::Owned,
-        };
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            self.shared.panicked.store(false, Ordering::SeqCst);
-            st.epoch += 1;
-            st.joined = 0;
-            st.job = Some(job);
-        }
-        self.shared.work_cv.notify_all();
-
-        // The submitter owns slot 0.
-        if catch_unwind(AssertUnwindSafe(|| body(0))).is_err() {
-            self.shared.panicked.store(true, Ordering::SeqCst);
-        }
-
-        // Drain. Every eligible worker *must* run its slot (nobody else
-        // will), so wait for all of them to have joined and left before
-        // unpublishing — the reverse order of the chunked drain, safe
-        // because owned eligibility is by slot and each worker joins an
-        // epoch at most once.
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            while st.joined < slots - 1 || st.running > 0 {
-                st = self.shared.done_cv.wait(st).unwrap();
-            }
-            st.job = None;
-        }
-        // As in `run_chunked`: never unwind while holding the token.
-        let panicked = self.shared.panicked.load(Ordering::SeqCst);
-        drop(token);
-        if panicked {
-            panic!("an owned sweep slot panicked on a pool worker");
-        }
-    }
 }
 
 /// The self-scheduling claim loop, shared by workers and the submitter.
@@ -390,7 +287,7 @@ fn claim_chunks(shared: &Shared, body: &(dyn Fn(usize, usize) + Sync), len: usiz
     }
 }
 
-fn worker_loop(shared: &Shared, slot: usize) {
+fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
@@ -401,14 +298,7 @@ fn worker_loop(shared: &Shared, slot: usize) {
                         // Mark the epoch seen whether or not we join, so a
                         // capped-out worker doesn't spin on the same job.
                         seen_epoch = st.epoch;
-                        let eligible = match j.kind {
-                            JobKind::Chunked => st.joined < j.max_workers,
-                            // Owned jobs are keyed to slots: this thread
-                            // joins iff its slot has work (slot 0 is the
-                            // submitter's, executed there).
-                            JobKind::Owned => slot < j.len,
-                        };
-                        if eligible {
+                        if st.joined < j.max_workers {
                             st.joined += 1;
                             st.running += 1;
                             break j;
@@ -422,18 +312,9 @@ fn worker_loop(shared: &Shared, slot: usize) {
         // The submitter cannot return (and invalidate `body`) until
         // `running` drops back to zero.
         let body = unsafe { &*job.body };
-        match job.kind {
-            JobKind::Chunked => claim_chunks(shared, body, job.len, job.chunk),
-            JobKind::Owned => {
-                if catch_unwind(AssertUnwindSafe(|| body(slot, slot + 1))).is_err() {
-                    shared.panicked.store(true, Ordering::SeqCst);
-                }
-            }
-        }
+        claim_chunks(shared, body, job.len, job.chunk);
         let mut st = shared.state.lock().unwrap();
         st.running -= 1;
-        // Owned drains also wait on `joined`; running hitting zero is the
-        // only transition that can complete either predicate.
         if st.running == 0 {
             shared.done_cv.notify_all();
         }
@@ -529,62 +410,6 @@ mod tests {
         assert_eq!(pool.set_active_threads(0), 1);
         assert_eq!(pool.set_active_threads(usize::MAX), full);
         assert_eq!(pool.active_threads(), full);
-    }
-
-    #[test]
-    fn owned_runs_every_slot_exactly_once() {
-        let pool = global();
-        for slots in [1, 2, pool.threads(), pool.threads() + 3] {
-            let hits: Vec<AtomicUsize> = (0..slots).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_owned(slots, &|s| {
-                hits[s].fetch_add(1, Ordering::SeqCst);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                "slots={slots}: some slot not run exactly once"
-            );
-        }
-        pool.run_owned(0, &|_| panic!("zero slots must not run"));
-    }
-
-    #[test]
-    fn owned_slot_to_thread_mapping_is_stable() {
-        // Each slot must land on the same OS thread every dispatch — the
-        // whole point of binding. (On a 0-worker pool everything runs
-        // inline on the submitter, which satisfies the property trivially.)
-        let pool = global();
-        let slots = pool.threads();
-        let first: Vec<Mutex<Option<std::thread::ThreadId>>> =
-            (0..slots).map(|_| Mutex::new(None)).collect();
-        for round in 0..20 {
-            pool.run_owned(slots, &|s| {
-                let me = std::thread::current().id();
-                let mut owner = first[s].lock().unwrap();
-                match *owner {
-                    None => *owner = Some(me),
-                    Some(t) => assert_eq!(t, me, "slot {s} moved threads at round {round}"),
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn owned_panic_propagates_and_pool_survives() {
-        let pool = global();
-        let result = std::panic::catch_unwind(|| {
-            pool.run_owned(pool.threads().max(2), &|s| {
-                if s == 0 {
-                    panic!("boom");
-                }
-            });
-        });
-        assert!(result.is_err());
-        let total = AtomicUsize::new(0);
-        pool.run_owned(pool.threads(), &|_| {
-            total.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(total.load(Ordering::SeqCst), pool.threads());
-        pool.run_chunked(100, 10, &|_, _| {});
     }
 
     #[test]

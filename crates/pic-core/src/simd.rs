@@ -51,24 +51,9 @@
 //! happens — asserted by the SIMD-vs-scalar property-test family across
 //! every backend the host can run.
 //!
-//! ## The fast tier (DESIGN.md §12)
-//!
-//! [`advance_bin_span_fast`] is a second kernel instantiation that trades
-//! bit-identity for speed: FMA contraction everywhere ([`Lanes::mul_add`]),
-//! the per-corner `sqrt + div` chain replaced by a hardware reciprocal
-//! square-root estimate refined with Newton–Raphson ([`Lanes::rsqrt`]),
-//! and the four corner contributions reassociated into a factored fused
-//! tree-sum. Its results differ from the scalar reference in the last few
-//! ulps per step; correctness is gated *analytically* against the paper's
-//! eqs. 5–6 (see [`crate::verify::analytic_tolerance`]) instead of
-//! bitwise. The scalar backend ignores the tier and runs the exact kernel,
-//! so `PIC_NO_SIMD=1` forces full bit-identity even in fast mode.
-//!
 //! [`coulomb`]: crate::charge::coulomb
 
-use crate::charge::{
-    coulomb_f_over_r_fast, f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants,
-};
+use crate::charge::{f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -82,7 +67,7 @@ pub enum SimdBackend {
     #[cfg(target_arch = "x86_64")]
     Avx512,
     /// 4 × f64 in one 256-bit register (x86-64, runtime-detected; FMA
-    /// deliberately unused by the exact kernel).
+    /// deliberately unused).
     #[cfg(target_arch = "x86_64")]
     Avx2,
     /// 4 × f64 in two 128-bit registers (x86-64 baseline).
@@ -182,23 +167,6 @@ impl SimdBackend {
             SimdBackend::Scalar => 1,
         }
     }
-
-    /// Whether the *fast tier* on this backend fuses multiply-adds. AVX-512
-    /// implies FMA; AVX2 hosts almost always have it but it is detected
-    /// separately; NEON fuses natively; SSE2 and scalar never fuse.
-    pub fn fast_tier_fuses(self) -> bool {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => std::arch::is_x86_feature_detected!("fma"),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Sse2 => false,
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => true,
-            SimdBackend::Scalar => false,
-        }
-    }
 }
 
 /// `PIC_NO_SIMD` semantics, factored out so the parse is testable without
@@ -218,11 +186,8 @@ fn scalar_forced_by(val: Option<&str>) -> bool {
 /// lane-wise arithmetic. Every operation maps to one (or two, for the
 /// split-register backends) machine instruction whose per-lane result is
 /// bit-identical to the corresponding scalar instruction — the property
-/// the whole module rests on. The two provided methods ([`Lanes::mul_add`]
-/// and [`Lanes::rsqrt`]) are used **only** by the fast tier and may round
-/// differently from the scalar kernel. Implementations are
-/// `#[inline(always)]` so they fuse into the per-backend kernel
-/// instantiations below.
+/// the whole module rests on. Implementations are `#[inline(always)]` so
+/// they fuse into the per-backend kernel instantiations below.
 pub(crate) trait Lanes: Copy {
     /// f64 lanes per group (4 on the 256-bit and split-register backends,
     /// 8 on AVX-512).
@@ -243,24 +208,6 @@ pub(crate) trait Lanes: Copy {
     fn mul(self, o: Self) -> Self;
     fn div(self, o: Self) -> Self;
     fn sqrt(self) -> Self;
-    /// `self · m + a`, fused where the backend has FMA (fast tier only —
-    /// the single rounding breaks bit-identity with the scalar kernel).
-    /// The default is the unfused two-rounding form.
-    #[inline(always)]
-    fn mul_add(self, m: Self, a: Self) -> Self {
-        self.mul(m).add(a)
-    }
-    /// Approximate `1/sqrt(self)` refined to ≲ 1 ulp (fast tier only).
-    /// Backends without a hardware estimate fall back to the exact
-    /// `1.0 / sqrt(x)`, which costs the very chain the fast tier tries to
-    /// avoid but keeps the kernel correct everywhere. Lanes equal to
-    /// `+0.0` produce `inf`/`NaN`; the caller's zero-distance guard
-    /// ([`Lanes::zero_where_zero`]) must clear them, exactly as with the
-    /// exact kernel's `0/0` lanes.
-    #[inline(always)]
-    fn rsqrt(self) -> Self {
-        Self::splat(1.0).div(self.sqrt())
-    }
     /// Truncate toward zero through the arch's f64→int→f64 round trip —
     /// exactly the scalar kernel's `x as usize as f64` for in-domain
     /// coordinates (which fit comfortably in the narrowest intermediate,
@@ -285,9 +232,8 @@ mod x86 {
     use super::Lanes;
     use std::arch::x86_64::*;
 
-    /// 8 × f64 in one zmm register. Exact-kernel use is bit-identical to
-    /// scalar (bit-identity is per-lane; only the grouping widens); the
-    /// fast tier additionally gets true FMA and `vrsqrt14pd`.
+    /// 8 × f64 in one zmm register, bit-identical to scalar (bit-identity
+    /// is per-lane; only the grouping widens).
     #[derive(Clone, Copy)]
     pub struct Avx512(__m512d);
 
@@ -359,28 +305,6 @@ mod x86 {
         #[inline(always)]
         fn all_eq(self, o: Self) -> bool {
             unsafe { _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, o.0) == 0xff }
-        }
-
-        #[inline(always)]
-        fn mul_add(self, m: Self, a: Self) -> Self {
-            Avx512(unsafe { _mm512_fmadd_pd(self.0, m.0, a.0) })
-        }
-
-        /// `vrsqrt14pd` (2⁻¹⁴ relative error) + two Newton–Raphson steps
-        /// `y ← y·(1.5 − 0.5·x·y²)`, each of which squares the relative
-        /// error (×1.5): 6.1e-5 → 5.6e-9 → 4.7e-17, i.e. ≲ 1 ulp.
-        #[inline(always)]
-        fn rsqrt(self) -> Self {
-            unsafe {
-                let three_half = _mm512_set1_pd(1.5);
-                let xh = _mm512_mul_pd(self.0, _mm512_set1_pd(0.5));
-                let mut y = _mm512_rsqrt14_pd(self.0);
-                for _ in 0..2 {
-                    let t = _mm512_fnmadd_pd(_mm512_mul_pd(xh, y), y, three_half);
-                    y = _mm512_mul_pd(y, t);
-                }
-                Avx512(y)
-            }
         }
     }
 
@@ -456,30 +380,6 @@ mod x86 {
         #[inline(always)]
         fn all_eq(self, o: Self) -> bool {
             unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0)) == 0b1111 }
-        }
-
-        /// Fused only when inlined under a `fma`-enabled instantiation
-        /// (the fast-tier dispatch checks `is_x86_feature_detected!`).
-        #[inline(always)]
-        fn mul_add(self, m: Self, a: Self) -> Self {
-            Avx2(unsafe { _mm256_fmadd_pd(self.0, m.0, a.0) })
-        }
-
-        /// No f64 estimate below AVX-512: round-trip through the f32
-        /// `rsqrtps` estimate (2⁻¹² relative error) and refine with three
-        /// Newton–Raphson steps (6e-4 → 2e-7 → 6e-14 → ≲ 1 ulp).
-        #[inline(always)]
-        fn rsqrt(self) -> Self {
-            unsafe {
-                let three_half = _mm256_set1_pd(1.5);
-                let xh = _mm256_mul_pd(self.0, _mm256_set1_pd(0.5));
-                let mut y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(self.0)));
-                for _ in 0..3 {
-                    let t = _mm256_mul_pd(_mm256_mul_pd(xh, y), y);
-                    y = _mm256_mul_pd(y, _mm256_sub_pd(three_half, t));
-                }
-                Avx2(y)
-            }
         }
     }
 
@@ -667,30 +567,7 @@ mod arm {
                 vminvq_u32(vreinterpretq_u32_u64(eq)) == u32::MAX
             }
         }
-
-        /// NEON fuses natively (`vfmaq_f64` is baseline aarch64); the
-        /// fast tier keeps the exact `1/sqrt` (trait default) — FMA and
-        /// reassociation are the NEON fast-tier wins.
-        #[inline(always)]
-        fn mul_add(self, m: Self, a: Self) -> Self {
-            unsafe { Neon(vfmaq_f64(a.0, self.0, m.0), vfmaq_f64(a.1, self.1, m.1)) }
-        }
     }
-}
-
-/// Software-prefetch the cache line at `p` for reading. The binned fast
-/// tier issues this for the next bin span while the current one is in
-/// flight, hiding the gather latency of short spans. No-op on
-/// architectures without a stable prefetch intrinsic.
-#[inline(always)]
-pub(crate) fn prefetch_read(p: *const f64) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// Force-and-integrate over `groups` quartets starting at the span base —
@@ -818,75 +695,6 @@ unsafe fn wrap_groups<V: Lanes>(grid: &Grid, c: *mut f64, groups: usize) {
     }
 }
 
-/// Fast-tier force-and-integrate: the same lane-per-particle structure as
-/// [`force_groups`] with three deliberate departures from bit-identity
-/// (DESIGN.md §12):
-///
-/// 1. the per-corner `1/(r²·√r²)` chain becomes `rs³` with
-///    `rs = rsqrt(r²)` ([`coulomb_f_over_r_fast`]);
-/// 2. the four corner contributions are factored by shared displacement
-///    and accumulated with a fused tree-sum
-///    (`ax = rx·(f0+f1) + (rx−h)·(f2+f3)`, outer add fused);
-/// 3. the leap-frog integration fuses its multiply-adds.
-///
-/// # Safety
-/// As [`force_groups`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn force_groups_fast<V: Lanes>(
-    consts: &SimConstants,
-    q_left: f64,
-    x: *mut f64,
-    y: *mut f64,
-    vx: *mut f64,
-    vy: *mut f64,
-    q: *const f64,
-    groups: usize,
-) {
-    let dt = V::splat(consts.dt);
-    let h = V::splat(consts.h);
-    let half_dt = V::splat(0.5 * consts.dt);
-    let ql = V::splat(q_left);
-    let qr = V::splat(-q_left);
-    for g in 0..groups {
-        let o = g * V::WIDTH;
-        let xi = V::load(x.add(o));
-        let yi = V::load(y.add(o));
-        let col = xi.trunc();
-        let row = yi.trunc();
-        let rx = xi.sub(col);
-        let ry = yi.sub(row);
-        let rxh = rx.sub(h);
-        let ryh = ry.sub(h);
-        let qp = V::load(q.add(o));
-        let qlp = ql.mul(qp);
-        let qrp = qr.mul(qp);
-        // The corner fold, as in `force_groups`: this tier's `r²` is
-        // `fma(dx, dx, dy·dy)`, just as sign-symmetric in `dy`, so at
-        // mid-height the top `rsqrt` chains would recompute `f0` and `f2`
-        // bit for bit.
-        let f0 = coulomb_f_over_r_fast(rx, ry, qlp); // bottom-left
-        let f2 = coulomb_f_over_r_fast(rxh, ry, qrp); // bottom-right
-        let (f1, f3) = if mid_height_lanes(ry, ryh) {
-            (f0, f2)
-        } else {
-            (
-                coulomb_f_over_r_fast(rx, ryh, qlp),  // top-left
-                coulomb_f_over_r_fast(rxh, ryh, qrp), // top-right
-            )
-        };
-        let ax = rx.mul_add(f0.add(f1), rxh.mul(f2.add(f3)));
-        let ay = ry.mul_add(f0.add(f2), ryh.mul(f1.add(f3)));
-        let vxi = V::load(vx.add(o));
-        let vyi = V::load(vy.add(o));
-        // x += (vx + (0.5·dt)·ax)·dt, fused.
-        ax.mul_add(half_dt, vxi).mul_add(dt, xi).store(x.add(o));
-        ay.mul_add(half_dt, vyi).mul_add(dt, yi).store(y.add(o));
-        ax.mul_add(dt, vxi).store(vx.add(o));
-        ay.mul_add(dt, vyi).store(vy.add(o));
-    }
-}
-
 /// The full span kernel for one vector backend: quartets through
 /// [`force_groups`], the `len mod 4` tail through the scalar kernel, then
 /// the wrap pass (vector fast-path test, scalar wrap for escaped lanes).
@@ -950,57 +758,6 @@ unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
     }
 }
 
-/// The fast-tier span kernel: full groups through [`force_groups_fast`],
-/// the `len mod WIDTH` tail through the **exact** scalar kernel (a more
-/// accurate subset is always within the analytic bound), and the exact
-/// wrap pass — wrapping is control flow, not force arithmetic, and stays
-/// identical in both tiers.
-///
-/// # Safety
-/// As [`advance_span_lanes`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn advance_span_lanes_fast<V: Lanes>(
-    grid: &Grid,
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    let n = x.len();
-    debug_assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
-    let groups = n / V::WIDTH;
-    let tail = groups * V::WIDTH;
-    force_groups_fast::<V>(
-        consts,
-        q_left,
-        x.as_mut_ptr(),
-        y.as_mut_ptr(),
-        vx.as_mut_ptr(),
-        vy.as_mut_ptr(),
-        q.as_ptr(),
-        groups,
-    );
-    crate::bin::force_span(
-        consts,
-        q_left,
-        &mut x[tail..],
-        &mut y[tail..],
-        &mut vx[tail..],
-        &mut vy[tail..],
-        &q[tail..],
-    );
-    wrap_groups::<V>(grid, x.as_mut_ptr(), groups);
-    wrap_groups::<V>(grid, y.as_mut_ptr(), groups);
-    for i in tail..n {
-        x[i] = grid.wrap_coord(x[i]);
-        y[i] = grid.wrap_coord(y[i]);
-    }
-}
-
 /// AVX2 instantiation. `#[target_feature]` licenses 256-bit codegen for
 /// everything inlined beneath it — but not FMA contraction, which stays
 /// disabled to preserve bit-identity.
@@ -1023,7 +780,7 @@ unsafe fn advance_span_avx2<C: CornerCharge>(
     advance_span_lanes::<x86::Avx2, C>(grid, consts, charge, x, y, vx, vy, q)
 }
 
-/// Exact-kernel AVX-512 instantiation: 8 lanes per group, still
+/// AVX-512 instantiation: 8 lanes per group, still
 /// bit-identical (per-lane ops only; no FMA, no reassociation).
 ///
 /// # Safety
@@ -1042,47 +799,6 @@ unsafe fn advance_span_avx512<C: CornerCharge>(
     q: &[f64],
 ) {
     advance_span_lanes::<x86::Avx512, C>(grid, consts, charge, x, y, vx, vy, q)
-}
-
-/// Fast-tier AVX2 instantiation; `fma` is enabled so [`Lanes::mul_add`]
-/// actually fuses (dispatch verifies the CPU has it).
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_fast_avx2(
-    grid: &Grid,
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    advance_span_lanes_fast::<x86::Avx2>(grid, consts, q_left, x, y, vx, vy, q)
-}
-
-/// Fast-tier AVX-512 instantiation (FMA is part of AVX-512F).
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_fast_avx512(
-    grid: &Grid,
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    advance_span_lanes_fast::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
 /// Advance one span with the selected backend — the SIMD counterpart of
@@ -1120,51 +836,6 @@ pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
             advance_span_lanes::<arm::Neon, C>(grid, consts, charge, x, y, vx, vy, q)
         },
         SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, charge, x, y, vx, vy, q),
-    }
-}
-
-/// Advance one bin-clipped span with the selected backend's **fast tier**
-/// (FMA + rsqrt + reassociated accumulation — see the module docs). Not
-/// bit-identical to the exact kernel; gated by the analytic eqs. 5–6
-/// verification instead. The scalar backend runs the exact reference
-/// kernel, so `PIC_NO_SIMD=1` keeps forcing full bit-identity; an AVX2
-/// host without FMA (vanishingly rare) falls back to the exact AVX2 path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_bin_span_fast(
-    backend: SimdBackend,
-    grid: &Grid,
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => unsafe {
-            advance_span_fast_avx512(grid, consts, q_left, x, y, vx, vy, q)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => {
-            if std::arch::is_x86_feature_detected!("fma") {
-                unsafe { advance_span_fast_avx2(grid, consts, q_left, x, y, vx, vy, q) }
-            } else {
-                unsafe { advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q) }
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => unsafe {
-            // Unfused `mul_add`/exact `rsqrt` defaults: the SSE2 fast tier
-            // is reassociation-only.
-            advance_span_lanes_fast::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
-        },
-        #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => unsafe {
-            advance_span_lanes_fast::<arm::Neon>(grid, consts, q_left, x, y, vx, vy, q)
-        },
-        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, q_left, x, y, vx, vy, q),
     }
 }
 
@@ -1536,100 +1207,35 @@ mod tests {
 
     /// The zero-distance guard survives vectorization: a particle sitting
     /// exactly on a mesh corner gets zero force from that corner in every
-    /// lane position — in both kernel tiers (the fast tier's `rsqrt(0)`
-    /// produces `inf`/`NaN` lanes that its guard must clear).
+    /// lane position.
     #[test]
     fn corner_particle_is_finite_in_every_lane() {
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
         for backend in SimdBackend::available() {
             let width = backend.lanes().max(LANES);
-            for fast in [false, true] {
-                for lane in 0..width {
-                    let mut b = column_population(&grid, 2, width, 0);
-                    b.x[lane] = 2.0; // exactly on the bottom-left corner
-                    b.y[lane] = 3.0;
-                    let q = b.q.clone();
-                    let n = b.len();
-                    let advance = if fast {
-                        advance_bin_span_fast
-                    } else {
-                        advance_bin_span_simd
-                    };
-                    advance(
-                        backend,
-                        &grid,
-                        &consts,
-                        mesh_charge(2, consts.q),
-                        &mut b.x[..n],
-                        &mut b.y[..n],
-                        &mut b.vx[..n],
-                        &mut b.vy[..n],
-                        &q,
-                    );
-                    for i in 0..n {
-                        assert!(
-                            b.x[i].is_finite() && b.y[i].is_finite(),
-                            "backend {} tier {} lane {lane}: non-finite state",
-                            backend.name(),
-                            if fast { "fast" } else { "exact" },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fast-tier span kernel across every tail length 0..=16: stays within
-    /// a few-ulp-per-step neighbourhood of the exact scalar kernel (the
-    /// tail itself runs the exact kernel, so only full groups may differ)
-    /// and never desynchronizes the trajectory.
-    #[test]
-    fn fast_tier_matches_scalar_within_per_step_bound_for_all_tail_lengths() {
-        let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
-        let steps = 5u32;
-        // 5 steps of stride 1: comfortably inside the derived bound.
-        let tol = crate::verify::analytic_tolerance(steps as u64, 1);
-        for backend in SimdBackend::available() {
-            for len in (0..=16).chain([17, 37]) {
-                let seed = column_population(&grid, 6, len, 0);
-                let scalar = run_kernel(seed.clone(), &grid, steps, &mut |g, ql, b| {
-                    let n = b.len();
-                    crate::bin::advance_bin_span(
-                        g,
-                        &consts,
-                        ql,
-                        &mut b.x[..n],
-                        &mut b.y[..n],
-                        &mut b.vx[..n],
-                        &mut b.vy[..n],
-                        &b.q[..n],
-                    );
-                });
-                let fast = run_kernel(seed, &grid, steps, &mut |g, ql, b| {
-                    let n = b.len();
-                    advance_bin_span_fast(
-                        backend,
-                        g,
-                        &consts,
-                        ql,
-                        &mut b.x[..n],
-                        &mut b.y[..n],
-                        &mut b.vx[..n],
-                        &mut b.vy[..n],
-                        &b.q[..n],
-                    );
-                });
-                for i in 0..scalar.len() {
-                    let d = grid
-                        .periodic_delta(scalar.x[i], fast.x[i])
-                        .abs()
-                        .max(grid.periodic_delta(scalar.y[i], fast.y[i]).abs());
+            for lane in 0..width {
+                let mut b = column_population(&grid, 2, width, 0);
+                b.x[lane] = 2.0; // exactly on the bottom-left corner
+                b.y[lane] = 3.0;
+                let q = b.q.clone();
+                let n = b.len();
+                advance_bin_span_simd(
+                    backend,
+                    &grid,
+                    &consts,
+                    mesh_charge(2, consts.q),
+                    &mut b.x[..n],
+                    &mut b.y[..n],
+                    &mut b.vx[..n],
+                    &mut b.vy[..n],
+                    &q,
+                );
+                for i in 0..n {
                     assert!(
-                        d <= tol,
-                        "backend {} len {len} lane {i}: fast drifted {d:e} > {tol:e}",
-                        backend.name()
+                        b.x[i].is_finite() && b.y[i].is_finite(),
+                        "backend {} lane {lane}: non-finite state",
+                        backend.name(),
                     );
                 }
             }

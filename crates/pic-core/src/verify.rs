@@ -22,36 +22,6 @@ use crate::soa::ParticleBatch;
 /// Default absolute position tolerance, matching the PRK reference codes.
 pub const DEFAULT_TOLERANCE: f64 = 1e-5;
 
-/// Per-step relative error budget of the fast-math kernel tier
-/// (DESIGN.md §12). The refined reciprocal-square-root is within a few
-/// ulps (≲ 5e-16 relative) and the FMA/reassociation differences are of
-/// the same order; 1e-13 leaves two orders of headroom so the analytic
-/// gate never flakes on a conforming kernel while still catching any
-/// real force miscalculation, which displaces a particle by ≥ h/2 within
-/// a step or two.
-pub const FAST_KERNEL_REL_ERR: f64 = 1e-13;
-
-/// Absolute position tolerance for verifying the **fast** kernel tier
-/// analytically against eqs. 5–6 after `steps` steps, for particles whose
-/// largest per-step displacement is `max_stride` cells.
-///
-/// Derivation: the fast tier perturbs each step's acceleration by a
-/// relative error ε = [`FAST_KERNEL_REL_ERR`] on a displacement of at most
-/// `stride · h` per step. An acceleration error at step `i` displaces
-/// every later step through the velocity, so after `s` steps the
-/// accumulated bound is `Σ_{i=1..s} i · ε · stride · h` ≈
-/// `ε · stride · s(s+1)/2 · h` — quadratic in `s`, which is why the fast
-/// tier is gated by this *derived* bound rather than a fixed epsilon. The
-/// result is clamped to never exceed the paper's [`DEFAULT_TOLERANCE`]
-/// (the gate must stay at least as strict as the spec's own check) and to
-/// a 1e-10 floor (below which the bound would be tighter than what exact
-/// integer-cell positions can even express after periodic wrapping).
-pub fn analytic_tolerance(steps: u64, max_stride: u64) -> f64 {
-    let s = steps as f64;
-    let bound = FAST_KERNEL_REL_ERR * max_stride.max(1) as f64 * s * (s + 1.0) * 0.5;
-    bound.clamp(1e-10, DEFAULT_TOLERANCE)
-}
-
 /// Cap on `failing_ids` kept for diagnostics, locally and after merging.
 pub const MAX_FAILING_IDS: usize = 16;
 
@@ -475,21 +445,6 @@ mod tests {
         assert_eq!(merged.id_sum, 3);
         assert_eq!(merged.failing_ids, vec![2]);
         assert!(!merged.passed());
-    }
-
-    #[test]
-    fn analytic_tolerance_bounds() {
-        // Monotone in both arguments, floored, and never looser than the
-        // paper's default tolerance.
-        assert_eq!(analytic_tolerance(0, 1), 1e-10);
-        assert_eq!(analytic_tolerance(10, 1), 1e-10); // still under the floor
-        let t_mid = analytic_tolerance(1_000, 3);
-        assert!(t_mid > 1e-10 && t_mid < DEFAULT_TOLERANCE, "{t_mid}");
-        assert!(analytic_tolerance(2_000, 3) >= analytic_tolerance(1_000, 3));
-        assert!(analytic_tolerance(1_000, 9) >= analytic_tolerance(1_000, 3));
-        assert_eq!(analytic_tolerance(u32::MAX as u64, 999), DEFAULT_TOLERANCE);
-        // Typical CI smoke shape: tiny, far below the spec tolerance.
-        assert!(analytic_tolerance(50, 1) < 1e-8);
     }
 
     #[test]

@@ -114,20 +114,13 @@ fn steady_state_step_loop_allocates_nothing() {
     // sweeps, exercising both the fresh and stale histogram paths). The
     // binned rows run once on the detected SIMD backend and once with the
     // vector path forced off: the quartet body, the scalar remainder loop,
-    // and the forced-scalar kernel must all stay allocation-free. The
-    // SoaBinnedFast rows additionally pin the fast-tier kernel and the
-    // particle–thread binding bookkeeping (the owner-span partition is
-    // recomputed at every rebin and must reuse its capacity).
+    // and the forced-scalar kernel must all stay allocation-free.
     for (mode, rebin, backend) in [
         (SweepMode::Serial, 1, None),
         (SweepMode::SoaBinned, 1, None),
         (SweepMode::SoaBinned, 3, None),
         (SweepMode::SoaBinned, 1, Some(SimdBackend::Scalar)),
         (SweepMode::SoaBinned, 3, Some(SimdBackend::Scalar)),
-        (SweepMode::SoaBinnedFast, 1, None),
-        (SweepMode::SoaBinnedFast, 3, None),
-        (SweepMode::SoaBinnedFast, 1, Some(SimdBackend::Scalar)),
-        (SweepMode::SoaBinnedFast, 3, Some(SimdBackend::Scalar)),
     ] {
         let mut sim = warmed_sim(mode, rebin, backend);
         let mut cols = Vec::new();

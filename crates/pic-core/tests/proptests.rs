@@ -150,7 +150,7 @@ proptest! {
         which in 0usize..3,
     ) {
         let grid = Grid::new(gridhalf * 2).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= grid.ncells() as u64);
+        prop_assume!(2 * (k as u64) < grid.ncells() as u64);
         let dist = match which {
             0 => Distribution::Uniform,
             1 => Distribution::Geometric { r: 0.93 },
@@ -304,7 +304,7 @@ proptest! {
         use pic_core::checkpoint::CheckpointData;
         use pic_core::engine::SweepMode;
         let grid = Grid::new(32).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= 32);
+        prop_assume!(2 * (k as u64) < 32);
         let setup = InitConfig::new(grid, n, Distribution::Geometric { r: 0.93 })
             .with_k(k)
             .with_m(m)
@@ -335,7 +335,7 @@ proptest! {
         use pic_core::charge::{particle_charge, sign_for_direction};
         use pic_core::motion::advance_particle;
         let grid = Grid::new(gridhalf * 2).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= grid.ncells() as u64);
+        prop_assume!(2 * (k as u64) < grid.ncells() as u64);
         let consts = SimConstants::CANONICAL;
         let dir = if dirb { 1i8 } else { -1 };
         let (x, y) = grid.cell_center(col, row);
@@ -453,71 +453,6 @@ proptest! {
                     "rebin {} backend {} diverged", rebin, backend.name()
                 );
                 prop_assert_eq!(sim.expected_id_sum(), reference.expected_id_sum());
-                let report = sim.verify();
-                prop_assert!(report.passed(), "rebin {rebin} backend {}: {report:?}", backend.name());
-            }
-        }
-    }
-
-    /// The fast kernel tier (`soa-binned-fast`) never drifts from the
-    /// exact binned sweep by more than the analytic tolerance, for every
-    /// distribution family, across rebin intervals {1, 3, 16} and every
-    /// SIMD backend executable on this host — and with the scalar backend
-    /// it is bit-identical (the fast dispatcher falls back to the exact
-    /// scalar kernel, which is what `PIC_NO_SIMD=1` forces).
-    #[test]
-    fn fast_tier_drift_bounded_by_analytic_tolerance(
-        which in 0usize..5,
-        n in 50u64..300,
-        k in 0u32..2,
-        m in -2i32..3,
-        steps in 10u32..50,
-        r in 0.8f64..1.2,
-    ) {
-        use pic_core::engine::SweepMode;
-        use pic_core::simd::SimdBackend;
-        use pic_core::verify::analytic_tolerance;
-        let grid = Grid::new(32).unwrap();
-        let dist = match which {
-            0 => Distribution::Uniform,
-            1 => Distribution::Geometric { r },
-            2 => Distribution::Sinusoidal,
-            3 => Distribution::Linear { alpha: 1.0, beta: 2.0 },
-            _ => Distribution::Patch { x0: 4, x1: 16, y0: 4, y1: 16 },
-        };
-        let setup = InitConfig::new(grid, n, dist)
-            .with_k(k)
-            .with_m(m)
-            .build()
-            .unwrap();
-        let max_stride = (2 * k as u64 + 1).max(m.unsigned_abs() as u64);
-        for rebin in [1u32, 3, 16] {
-            let mut exact = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                .with_rebin_interval(rebin);
-            exact.run(steps);
-            let expect = exact.particles();
-            for backend in SimdBackend::available() {
-                let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinnedFast)
-                    .with_rebin_interval(rebin)
-                    .with_simd_backend(backend);
-                sim.run(steps);
-                let got = sim.particles();
-                prop_assert_eq!(got.len(), expect.len());
-                if backend == SimdBackend::Scalar {
-                    prop_assert_eq!(&got, &expect,
-                        "scalar fast tier must stay bit-identical (rebin {})", rebin);
-                } else {
-                    let tol = analytic_tolerance(steps as u64, max_stride);
-                    for (g, e) in got.iter().zip(&expect) {
-                        prop_assert_eq!(g.id, e.id);
-                        let dx = grid.periodic_delta(g.x, e.x).abs();
-                        let dy = grid.periodic_delta(g.y, e.y).abs();
-                        prop_assert!(dx <= tol && dy <= tol,
-                            "id {} drift ({dx:.3e}, {dy:.3e}) > {tol:.3e} \
-                             (rebin {}, backend {})", g.id, rebin, backend.name());
-                    }
-                }
-                // The analytic verification gate the CLI applies.
                 let report = sim.verify();
                 prop_assert!(report.passed(), "rebin {rebin} backend {}: {report:?}", backend.name());
             }

@@ -179,44 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_tier_histogram_drives_cut_movement_within_analytic_gate() {
-        // The soa-binned-fast tier feeds the same O(columns) histogram
-        // fast path: cut decisions steered by a fast-kernel run match the
-        // load-balance behavior of the exact tier (same cells-per-step
-        // motion — the tiers differ only below the analytic drift bound),
-        // and the run passes its analytic verification gate.
-        use pic_core::engine::{Simulation, SweepMode};
-        let grid = Grid::new(32).unwrap();
-        let setup = InitConfig::new(grid, 2000, Distribution::Geometric { r: 0.8 })
-            .with_m(1)
-            .build()
-            .unwrap();
-        let mut fast =
-            Simulation::with_mode(setup.clone(), SweepMode::SoaBinnedFast).with_rebin_interval(1);
-        let mut exact = Simulation::with_mode(setup, SweepMode::SoaBinned).with_rebin_interval(1);
-        let ncells = grid.ncells();
-        let px = 4;
-        let mut cuts_fast: Vec<usize> = (0..=px).map(|i| i * ncells / px).collect();
-        let mut cuts_exact = cuts_fast.clone();
-        let (mut hist_fast, mut hist_exact) = (Vec::new(), Vec::new());
-        for _ in 0..40 {
-            fast.step();
-            exact.step();
-            fast.column_histogram_into(&mut hist_fast);
-            exact.column_histogram_into(&mut hist_exact);
-            // Sub-tolerance kernel drift never moves a particle across a
-            // cell boundary here, so the histograms — and therefore every
-            // cut decision — are identical between tiers.
-            assert_eq!(hist_fast, hist_exact);
-            cuts_fast = diffuse_xcuts_from_histogram(&cuts_fast, &hist_fast, 0, 2);
-            cuts_exact = diffuse_xcuts_from_histogram(&cuts_exact, &hist_exact, 0, 2);
-            assert_eq!(cuts_fast, cuts_exact);
-        }
-        assert!(fast.verify().passed(), "{:?}", fast.verify());
-        assert!(exact.verify().passed());
-    }
-
-    #[test]
     fn verified_run_with_balancing() {
         let c = cfg(600, Distribution::Geometric { r: 0.85 }, 60);
         let params = DiffusionParams {

@@ -11,7 +11,7 @@ use pic_comm::collective::{
     allreduce_vec_u64_into, decode_u64s, encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::bin::{BinnedStore, KernelTier, DEFAULT_REBIN};
+use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
 use pic_core::charge_grid::ChargeGrid;
 use pic_core::engine::SweepMode;
@@ -33,7 +33,7 @@ pub enum RankPath {
     /// the cross-implementation equivalence contract and bench contrast.
     Aos,
     /// The SoA cell-binned SIMD path (the serial engine's kernel stack,
-    /// subdomain-aware). Exact tier is bit-identical to [`RankPath::Aos`].
+    /// subdomain-aware). Bit-identical to [`RankPath::Aos`].
     #[default]
     Binned,
 }
@@ -60,8 +60,6 @@ pub enum ExchangeMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKernel {
     pub path: RankPath,
-    /// Force-kernel tier for the binned path (ignored by AoS).
-    pub tier: KernelTier,
     /// Instruction-set override; `None` = runtime detection.
     pub backend: Option<SimdBackend>,
     /// Sweeps between counting sorts (binned path).
@@ -75,7 +73,6 @@ impl Default for RankKernel {
     fn default() -> RankKernel {
         RankKernel {
             path: RankPath::Binned,
-            tier: KernelTier::Exact,
             backend: None,
             rebin_interval: DEFAULT_REBIN,
             exchange: ExchangeMode::OverlappedSparse,
@@ -92,22 +89,12 @@ impl RankKernel {
         }
     }
 
-    /// The binned path at a given tier.
-    pub fn binned(tier: KernelTier) -> RankKernel {
-        RankKernel {
-            tier,
-            ..RankKernel::default()
-        }
-    }
-
-    /// Map the CLI sweep mode onto a rank kernel: the binned modes select
-    /// the binned path at their tier; `serial` selects the AoS reference
-    /// rank loop.
+    /// Map the CLI sweep mode onto a rank kernel: `soa-binned` selects the
+    /// (default) binned path, `serial` the AoS reference rank loop.
     pub fn from_sweep(mode: SweepMode) -> RankKernel {
         match mode {
             SweepMode::Serial => RankKernel::aos(),
-            SweepMode::SoaBinned => RankKernel::binned(KernelTier::Exact),
-            SweepMode::SoaBinnedFast => RankKernel::binned(KernelTier::Fast),
+            SweepMode::SoaBinned => RankKernel::default(),
         }
     }
 
@@ -132,8 +119,8 @@ impl RankKernel {
 pub struct ParConfig {
     pub setup: SimulationSetup,
     pub steps: u32,
-    /// Hot-loop kernel every rank runs (default: binned, exact tier —
-    /// bit-identical to the AoS loop it replaced).
+    /// Hot-loop kernel every rank runs (default: binned — bit-identical
+    /// to the AoS loop it replaced).
     pub kernel: RankKernel,
     /// Load-balancing strategy for [`crate::balance::run_config`]
     /// dispatch (default: static, i.e. the baseline).
@@ -176,7 +163,7 @@ pub struct ParOutcome {
     pub total_count: u64,
     /// Steps executed.
     pub steps: u32,
-    /// Kernel descriptor of the rank hot loop (`"<backend>/<tier>"` for
+    /// Kernel descriptor of the rank hot loop (`"<backend>/exact"` for
     /// the binned path, `"none"` for the AoS reference loop — the same
     /// convention the serial engine emits).
     pub kernel: String,
@@ -214,7 +201,6 @@ impl RankStore {
                 if let Some(backend) = kernel.backend {
                     b.set_simd_backend(backend);
                 }
-                b.set_kernel_tier(kernel.tier);
                 RankStore::Binned(Box::new(b))
             }
         }
@@ -260,14 +246,12 @@ impl RankStore {
     }
 
     /// Kernel descriptor of the hot loop this store drives:
-    /// `"<backend>/<tier>"` for the binned path, `"none"` for the AoS loop
+    /// `"<backend>/exact"` for the binned path, `"none"` for the AoS loop
     /// (the serial engine's convention for unbinned stores).
     pub fn kernel_desc(&self) -> String {
         match self {
             RankStore::Aos(_) => "none".to_string(),
-            RankStore::Binned(b) => {
-                format!("{}/{}", b.simd_backend().name(), b.kernel_tier().name())
-            }
+            RankStore::Binned(b) => format!("{}/exact", b.simd_backend().name()),
         }
     }
 
@@ -338,7 +322,7 @@ pub struct RankState {
 
 impl RankState {
     /// Build rank-local state from the (deterministically shared) setup,
-    /// with the default (binned, exact-tier) rank kernel.
+    /// with the default (binned) rank kernel.
     pub fn new(setup: &SimulationSetup, decomp: Decomp2d, rank: usize) -> RankState {
         RankState::with_kernel(setup, decomp, rank, RankKernel::default())
     }

@@ -301,15 +301,15 @@ fn assert_identical(
     }
 }
 
+/// Every rank's outcome with its trace.
+type Traced = Vec<(ParOutcome, Option<TraceReport>)>;
+
 fn run_pair(
     c: &ParConfig,
     ranks: usize,
     run_new: impl Fn(&pic_comm::comm::Communicator, &ParConfig, &mut Tracer) -> ParOutcome + Send + Sync,
     run_old: impl Fn(&pic_comm::comm::Communicator, &ParConfig, &mut Tracer) -> ParOutcome + Send + Sync,
-) -> (
-    Vec<(ParOutcome, Option<TraceReport>)>,
-    Vec<(ParOutcome, Option<TraceReport>)>,
-) {
+) -> (Traced, Traced) {
     // Every rank traces, so conformance is checked on all replicas, not
     // just rank 0's view.
     let new = run_threads(ranks, |comm| {

@@ -101,9 +101,9 @@ proptest! {
         widths in prop::collection::vec(1usize..20, 2..16),
     ) {
         let ncells_raw: usize = widths.iter().sum();
-        let ncells = if ncells_raw % 2 == 0 { ncells_raw } else { ncells_raw + 1 };
+        let ncells = ncells_raw.next_multiple_of(2);
         let mut widths = widths;
-        if ncells_raw % 2 != 0 {
+        if ncells != ncells_raw {
             *widths.last_mut().unwrap() += 1;
         }
         let px = widths.len();

@@ -113,16 +113,14 @@ mod tests {
         let run = Json::parse(report.ndjson.lines().next().unwrap()).unwrap();
         assert_eq!(run.get("simd").unwrap().as_str(), Some("none"));
 
-        // Fast binned mode: "<backend>/fast", and the traced run still
-        // passes its analytic verification gate.
-        let mut s = sim(SweepMode::SoaBinnedFast);
+        // Binned mode: "<backend>/exact" (the schema-v1 spelling).
+        let mut s = sim(SweepMode::SoaBinned);
         let mut tracer = Tracer::in_memory(1);
         trace_simulation(&mut s, 20, &mut tracer);
-        assert!(s.verify().passed());
         let report = tracer.finish().unwrap();
         let run = Json::parse(report.ndjson.lines().next().unwrap()).unwrap();
         let desc = run.get("simd").unwrap().as_str().unwrap().to_string();
-        assert!(desc.ends_with("/fast"), "descriptor was {desc}");
+        assert!(desc.ends_with("/exact"), "descriptor was {desc}");
         assert_eq!(desc, s.kernel_desc());
     }
 

@@ -730,8 +730,7 @@ mod tests {
 
     /// A phase spent blocked accrues wall time but (on Linux) almost no
     /// CPU time; a phase spent computing accrues both. This is the
-    /// work-vs-wait separation `bench_par`'s exchange-work metric rests
-    /// on.
+    /// work-vs-wait separation every CPU-clock metric rests on.
     #[test]
     fn phase_cpu_clock_excludes_blocked_time() {
         let mut t = Tracer::in_memory(1);

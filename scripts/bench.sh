@@ -10,40 +10,28 @@
 #                                    pre-sizes the pool via PIC_THREADS)
 #   scripts/bench.sh --modes aos-serial,soa-binned
 #                                    restrict to a subset of sweep modes
-#                                    (default: all three; sensitivity scans
+#                                    (default: both; sensitivity scans
 #                                    run only when soa-binned is selected)
-#   scripts/bench.sh --fast-report results/sweep_fast.md
-#                                    also write the markdown exact-vs-fast
-#                                    comparison (soa-binned vs
-#                                    soa-binned-fast; needs both modes in
-#                                    the run)
-#   scripts/bench.sh --par           benchmark the *distributed* rank loop
-#                                    instead: rank grid × implementation ×
-#                                    kernel tier, writes BENCH_par.json and
-#                                    the results/par_* scaling artifacts.
-#                                    Remaining flags go to bench_par
-#                                    (--quick, --ranks 1,2,4, --out,
-#                                    --results DIR; default results dir:
-#                                    results/)
 #
-# The binned sweeps auto-select the widest SIMD backend the host supports
-# (reported in the artifact's "simd_backend"/"simd_lanes"/"fma" fields and
-# per record); both runs include forced-scalar contrast rows for the exact
-# and the fast binned tier. PIC_NO_SIMD=1 forces the scalar kernel for the
-# whole run.
+# The binned sweep auto-selects the widest SIMD backend the host supports
+# (reported in the artifact's "simd_backend"/"simd_lanes" fields and per
+# record); the run includes a forced-scalar contrast row for it.
+# PIC_NO_SIMD=1 forces the scalar kernel for the whole run.
 #
-# All flags are forwarded to the selected binary. Interpretation notes
-# live in results/sweep_baseline.md, results/sweep_scaling.md,
-# results/sweep_simd.md, results/sweep_fast.md, and results/par_scaling.md.
+# All flags are forwarded to bench_sweep. Interpretation notes live in
+# results/sweep_baseline.md, results/sweep_scaling.md and
+# results/sweep_simd.md. The distributed rank loop is measured by the repo
+# benchmark (bench/run.sh); BENCH_par.json and results/par_* are archived
+# one-core snapshots.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 HOST_CORES=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
-# Warn when a requested thread/rank grid exceeds the host's cores: the
-# run still works (worker threads and thread-ranks oversubscribe
-# deliberately), but wall-clock columns then measure contention, not
-# scaling — the artifacts flag this too (host_cores / oversubscribed).
+# Warn when a requested thread grid exceeds the host's cores: the run
+# still works (worker threads oversubscribe deliberately), but wall-clock
+# columns then measure contention, not scaling — the artifact flags this
+# too (host_cores).
 warn_oversubscription() {
     local flag="$1" list="" max=0 t
     shift
@@ -64,18 +52,7 @@ warn_oversubscription() {
     fi
 }
 
-if [ "${1:-}" = "--par" ]; then
-    shift
-    # Defaults first so an explicit flag later in "$@" overrides them.
-    warn_oversubscription --ranks --ranks 1,2,4 "$@"
-    cargo build --release -p pic-bench --bin bench_par
-    if [[ " $* " == *" --results "* ]]; then
-        ./target/release/bench_par "$@"
-    else
-        ./target/release/bench_par --results results "$@"
-    fi
-else
-    warn_oversubscription --threads --threads 1,2,4,8 "$@"
-    cargo build --release -p pic-bench --bin bench_sweep
-    ./target/release/bench_sweep "$@"
-fi
+# Defaults first so an explicit flag later in "$@" overrides them.
+warn_oversubscription --threads --threads 1,2,4,8 "$@"
+cargo build --release -p pic-bench --bin bench_sweep
+./target/release/bench_sweep "$@"

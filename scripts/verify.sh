@@ -24,11 +24,8 @@ cargo test -q --release -p pic-core --lib simd::
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -p pic-prk --all-targets -- -D warnings"
-# The root package's targets plus every crate's library, as before
-# `default-members`; the crates' own test targets are not lint-clean yet
-# (ROADMAP, first open item).
-cargo clippy -p pic-prk --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo check --all-targets"
 # Stable-toolchain compile gate over every target (the AVX-512 kernel
@@ -39,16 +36,16 @@ echo "==> cargo bench --no-run"
 cargo bench --no-run
 
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"
-# 4 thread-ranks on the binned fast-tier rank kernel: the summary must
+# 4 thread-ranks on the default (binned) rank kernel: the summary must
 # name the kernel, verification must PASS, the trace run header must
 # record the kernel descriptor, and the ndjson must validate.
 trace_file="$(mktemp /tmp/pic-trace-smoke.XXXXXX.ndjson)"
 out="$(./target/release/pic --impl diffusion --ranks 4 --grid 32 \
     --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
-    --sweep soa-binned-fast --trace "$trace_file" --trace-every 2)"
-echo "$out" | grep -E "rank kernel *: .*/fast"
+    --trace "$trace_file" --trace-every 2)"
+echo "$out" | grep -E "rank kernel *: .*/exact"
 echo "$out" | grep -q "verification          : PASS"
-head -1 "$trace_file" | grep -q '"simd":"[a-z0-9]*/fast"'
+head -1 "$trace_file" | grep -q '"simd":"[a-z0-9]*/exact"'
 cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
 
@@ -71,17 +68,6 @@ rm -f "$trace_file"
 PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
     --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
-
-echo "==> fast-tier analytic gate (--sweep soa-binned-fast must PASS)"
-# The fast kernel relaxes bit-identity; its correctness gate is the
-# analytic trajectory bound (DESIGN.md §12), which verify() applies in
-# this mode. A tolerance breach makes the run FAIL and exit non-zero.
-./target/release/pic --sweep soa-binned-fast --grid 64 --particles 20000 \
-    --steps 60 --k 1 --m 1 --rebin 3 --dist geometric:0.95 --quiet \
-    | grep -qx PASS
-PIC_NO_SIMD=1 ./target/release/pic --sweep soa-binned-fast --grid 64 \
-    --particles 20000 --steps 60 --k 1 --m 1 --rebin 3 \
-    --dist geometric:0.95 --quiet | grep -qx PASS
 
 echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry point)"
 # The repo benchmark at its small shape, as a correctness gate: each

@@ -82,9 +82,7 @@ Kernel selection (all implementations):
                       particle sweep and memory layout — production by
                       default, reference by request. soa-binned (default)
                       is the cell-binned SIMD sweep; serial is the scalar
-                      AoS reference it is bit-identical to; soa-binned-fast
-                      trades bit-identity for speed and is verified against
-                      the analytic trajectory bound instead. On the
+                      AoS reference it is bit-identical to. On the
                       parallel implementations the mode selects the rank
                       loop the same way.
   --rebin R           counting-sort interval for the binned sweeps
@@ -97,8 +95,7 @@ Single-process engine (--impl serial):
                       all cores; PIC_THREADS overrides the pool size)
                       the binned sweeps auto-select the widest SIMD backend
                       the host supports; set PIC_NO_SIMD=1 to force the
-                      scalar kernel on every tier (the fast tier then runs
-                      the exact scalar kernel, bit-identical to soa-binned)
+                      scalar kernel (same bits, slower)
 
 Diffusion / adaptive balancer (--impl diffusion | adaptive):
   --lb-interval F     steps between LB invocations (default {diff_interval})
@@ -168,9 +165,10 @@ const FLAGS: &[&str] = &["--quiet", "--help", "-h"];
 struct Args(Vec<String>);
 
 impl Args {
-    /// The process arguments, rejecting unknown options and value options
+    /// The process arguments, rejecting unknown options, value options
     /// with no value after them (a following `--option` is not a value;
-    /// `-1` is).
+    /// `-1` is) and a value option given twice ([`Args::value`] reads one
+    /// occurrence, so the other would be dropped silently).
     fn from_env() -> Args {
         let raw: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -179,6 +177,11 @@ impl Args {
             if FLAGS.contains(&a) {
                 i += 1;
             } else if VALUE_OPTS.contains(&a) {
+                // Values never start with `--`, so an earlier equal
+                // argument is the same option.
+                if raw[..i].contains(&raw[i]) {
+                    bail(&format!("{a} given more than once"))
+                }
                 match raw.get(i + 1) {
                     Some(v) if !v.starts_with("--") => i += 2,
                     _ => bail(&format!("{a} needs a value")),
@@ -384,9 +387,8 @@ fn main() {
     }
 
     // Kernel selection, one rule for every implementation: production
-    // (soa-binned) by default, the scalar AoS reference or the fast tier
-    // by request. On the parallel implementations the mode maps onto the
-    // rank hot loop.
+    // (soa-binned) by default, the scalar AoS reference by request. On
+    // the parallel implementations the mode maps onto the rank hot loop.
     let sweep = match args.value("--sweep") {
         Some(name) => SweepMode::from_cli_name(name)
             .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),

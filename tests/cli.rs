@@ -1,5 +1,6 @@
 //! End-to-end tests of the `pic` command-line driver.
 
+use pic_prk::core::engine::SweepMode;
 use std::process::Command;
 
 fn pic() -> Command {
@@ -195,16 +196,28 @@ fn bad_arguments_fail_cleanly() {
         &["--impl", "ampi", "--ranks", "4", "--d", "64", "--grid", "8"],
         "--ranks 4 with --d 64 needs 16 VP columns",
     );
+    // One occurrence per value option: a second one would be dropped.
+    assert_rejected(
+        &["--inject", "5,0,4,0,4,100", "--inject", "9,0,4,0,4,100"],
+        "--inject given more than once",
+    );
+    assert_rejected(
+        &["--grid", "32", "--steps", "5", "--grid", "64"],
+        "--grid given more than once",
+    );
 }
 
 #[test]
 fn removed_options_and_modes_are_rejected() {
     // The collapsed variants left no silent no-op behind: the three flags
-    // and the three sweep modes are errors that name the offender.
+    // and the four sweep modes are errors that name the offender.
     assert_rejected(&["--wire", "bytes"], "--wire");
     assert_rejected(&["--overlap", "off"], "--overlap");
     assert_rejected(&["--chunk", "64"], "--chunk");
-    for mode in ["parallel", "soa", "soa-chunked"] {
+    // The fourth is the fast tier PR 17 deleted: the production name
+    // plus `-fast`.
+    let fast = format!("{}-fast", SweepMode::SoaBinned.cli_name());
+    for mode in ["parallel", "soa", "soa-chunked", fast.as_str()] {
         assert_rejected(&["--sweep", mode], &format!("bad sweep mode: {mode}"));
     }
     let (_, help, _) = run(&["--help"]);
@@ -261,7 +274,7 @@ fn help_defaults_match_library_defaults() {
     assert!(stdout.contains("--trace-every N"));
     // The sweep-mode list is generated from SweepMode::ALL, so a new mode
     // can never be missing from the help text.
-    let modes = pic_prk::core::engine::SweepMode::ALL
+    let modes = SweepMode::ALL
         .iter()
         .map(|m| m.cli_name())
         .collect::<Vec<_>>()
@@ -275,9 +288,8 @@ fn help_defaults_match_library_defaults() {
 #[test]
 fn every_sweep_mode_passes_via_cli() {
     // PIC_THREADS=4 sizes the worker pool to 4 even on smaller hosts, so
-    // the pooled modes — including the fast tier's bound (run_owned)
-    // dispatch across real worker threads — get multi-thread coverage.
-    for mode in pic_prk::core::engine::SweepMode::ALL {
+    // the pooled sweep gets multi-thread coverage.
+    for mode in SweepMode::ALL {
         let (ok, stdout, stderr) = run_env(
             &[
                 "--sweep",
@@ -314,43 +326,35 @@ fn every_sweep_mode_passes_via_cli() {
 
 #[test]
 fn pic_no_simd_forces_scalar_kernel_on_every_tier() {
-    // The PIC_NO_SIMD=1 override must reach both binned tiers: the exact
-    // tier drops to the scalar kernel, and the fast tier falls back to the
-    // exact scalar kernel (full bit-identity) — both runs still PASS and
-    // report the scalar backend in the kernel descriptor.
-    for (mode, want) in [
-        ("soa-binned", "kernel scalar/exact"),
-        ("soa-binned-fast", "kernel scalar/fast"),
-        ("soa-binned-fast", "PASS"),
-    ] {
-        let (ok, stdout, stderr) = run_env(
-            &[
-                "--sweep",
-                mode,
-                "--grid",
-                "32",
-                "--particles",
-                "1000",
-                "--steps",
-                "30",
-                "--m",
-                "1",
-            ],
-            &[("PIC_NO_SIMD", "1")],
-        );
-        assert!(ok, "sweep {mode}: {stdout} {stderr}");
-        assert!(
-            stdout.contains(want),
-            "sweep {mode} missing {want}: {stdout}"
-        );
+    // The PIC_NO_SIMD=1 override must reach the binned sweep: it drops to
+    // the scalar kernel, still PASSes, and reports the scalar backend in
+    // the kernel descriptor.
+    let (ok, stdout, stderr) = run_env(
+        &[
+            "--sweep",
+            "soa-binned",
+            "--grid",
+            "32",
+            "--particles",
+            "1000",
+            "--steps",
+            "30",
+            "--m",
+            "1",
+        ],
+        &[("PIC_NO_SIMD", "1")],
+    );
+    assert!(ok, "{stdout} {stderr}");
+    for want in ["kernel scalar/exact", "PASS"] {
+        assert!(stdout.contains(want), "missing {want}: {stdout}");
     }
-    // Without the override the binned tiers report the detected backend,
+    // Without the override the binned sweep reports the detected backend,
     // never scalar on hosts with any vector ISA (informational only — on a
     // scalar-only host this still holds because detect() returns scalar
     // and the assertion flips to exact equality).
     let (ok, stdout, _) = run(&[
         "--sweep",
-        "soa-binned-fast",
+        "soa-binned",
         "--grid",
         "32",
         "--particles",
@@ -361,7 +365,7 @@ fn pic_no_simd_forces_scalar_kernel_on_every_tier() {
     assert!(ok);
     let detected = pic_prk::core::simd::SimdBackend::detect();
     assert!(
-        stdout.contains(&format!("kernel {}/fast", detected.name())),
+        stdout.contains(&format!("kernel {}/exact", detected.name())),
         "expected detected backend {} in: {stdout}",
         detected.name()
     );
