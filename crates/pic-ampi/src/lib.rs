@@ -8,10 +8,13 @@
 //!
 //! * [`vp`] — the VP grid (an over-decomposed Cartesian decomposition) and
 //!   the locality-preserving initial VP→core placement;
-//! * [`balancer`] — runtime strategies: [`balancer::Balancer::Refine`]
-//!   ("migrates VPs from the most loaded to the least loaded core", the
-//!   strategy the paper selected), [`balancer::Balancer::Greedy`] (full
-//!   Charm++-GreedyLB-style remap) and `None`;
+//! * [`Balancer`] — the runtime strategy selector (decision logic in
+//!   [`pic_cluster::balancer`]): [`Balancer::Refine`] ("migrates VPs from
+//!   the most loaded to the least loaded core", the strategy the paper
+//!   selected), [`Balancer::Greedy`] (full Charm++-GreedyLB-style remap)
+//!   and `None`. Object-migration strategies in the Charm++ mold, and
+//!   deliberately locality-oblivious — the property the paper's
+//!   experiments probe;
 //! * [`runtime`] — a functional threaded execution: each `pic-comm` rank
 //!   plays a core driving its assigned VPs, with VP migration, particle
 //!   routing through the VP ownership map, and full verification;
@@ -20,12 +23,12 @@
 //!   invocation overhead, migration volume, and the post-migration
 //!   fragmentation penalty (interior VP traffic turning remote).
 
-pub mod balancer;
 pub mod model;
 pub mod runtime;
 pub mod vp;
 
-pub use balancer::Balancer;
 pub use model::{model_ampi, AmpiParams};
+/// Strategy selector of the VP runtime.
+pub use pic_cluster::balancer::VpStrategy as Balancer;
 pub use runtime::run_ampi;
 pub use vp::VpGrid;

@@ -15,15 +15,14 @@
 use crate::model::AmpiParams;
 use crate::vp::VpGrid;
 use pic_cluster::balancer::{AdaptiveLb, BalanceInput, Layout, LoadBalancer, VpLb};
-use pic_comm::collective::{allgatherv, allreduce_u64, decode_u64s, decode_u64s_into, encode_u64s};
+use pic_comm::collective::{allgatherv, allreduce_u64, decode_u64s_into, encode_u64s};
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::events::{Event, EventKind};
-use pic_core::init::build_injection;
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
 use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
 use pic_par::runner::{
-    snapshot_loads, trace_interval, verify_store, ExchangeMode, ParConfig, ParOutcome, RankStore,
+    snapshot_loads, trace_interval, verify_store, EventLedger, ExchangeMode, ParConfig, ParOutcome,
+    RankStore,
 };
 use pic_trace::{Counter, Phase, Tracer};
 
@@ -82,11 +81,6 @@ fn run_ampi_lb(
     let vps = VpGrid::new(grid.ncells(), cores, d);
     let mut assignment = vps.initial_assignment();
 
-    let owner_of = |p: &Particle, vps: &VpGrid, assignment: &[usize]| -> usize {
-        let (c, r) = grid.cell_of_point(p.x, p.y);
-        assignment[vps.vp_of_cell(c, r)]
-    };
-
     // Local population: particles whose VP is initially assigned to me.
     // VP ownership is not column-contiguous, so the binned path bins the
     // whole grid (forces come from the mesh-charge formula — the whole
@@ -95,7 +89,10 @@ fn run_ampi_lb(
         .setup
         .particles
         .iter()
-        .filter(|p| owner_of(p, &vps, &assignment) == me)
+        .filter(|p| {
+            let (c, r) = grid.cell_of_point(p.x, p.y);
+            assignment[vps.vp_of_cell(c, r)] == me
+        })
         .copied()
         .collect();
     let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
@@ -107,11 +104,7 @@ fn run_ampi_lb(
         bufs.enable_sparse(cores, me, 0..cores);
     }
 
-    let mut events = cfg.setup.events.clone();
-    events.sort_by_key(|e| e.at_step);
-    let mut next_event = 0usize;
-    let mut expected_id_sum = cfg.setup.initial_id_sum();
-    let mut next_id = cfg.setup.next_id;
+    let mut ledger = EventLedger::new(&cfg.setup);
 
     let every = trace_interval(comm, tracer);
     tracer.emit_run_header(
@@ -126,47 +119,11 @@ fn run_ampi_lb(
     let mut global_count = cfg.setup.particles.len() as u64;
 
     for s in 1..=cfg.steps {
-        let step_idx = s - 1;
         tracer.begin_step(s as u64);
-        // Events due at the start of this step.
-        while next_event < events.len() && events[next_event].at_step == step_idx {
-            let e: Event = events[next_event];
-            next_event += 1;
-            match e.kind {
-                EventKind::Inject { count, k, m, dir } => {
-                    let newcomers = build_injection(
-                        grid,
-                        consts,
-                        e.region,
-                        count,
-                        k,
-                        m,
-                        dir,
-                        step_idx,
-                        &mut next_id,
-                    );
-                    for p in &newcomers {
-                        expected_id_sum += p.id as u128;
-                        if owner_of(p, &vps, &assignment) == me {
-                            store.push(*p);
-                        }
-                    }
-                }
-                EventKind::Remove { count } => {
-                    let mut local_ids = store.ids_in_region(&e.region);
-                    local_ids.sort_unstable();
-                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
-                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-                    all.sort_unstable();
-                    all.truncate(count as usize);
-                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
-                    for &id in &all {
-                        expected_id_sum -= id as u128;
-                    }
-                    store.remove_ids(&doomed);
-                }
-            }
-        }
+        // Events due at the start of this step (0-based index `s - 1`).
+        ledger.apply_due(comm, s - 1, &mut store, |c, r| {
+            assignment[vps.vp_of_cell(c, r)] == me
+        });
 
         // Advance each VP's particles (one pass — VP membership only
         // matters for routing and accounting).
@@ -214,7 +171,7 @@ fn run_ampi_lb(
     }
 
     tracer.phase_start(Phase::Verify);
-    let verify = verify_store(comm, &grid, &store, cfg.steps, expected_id_sum);
+    let verify = verify_store(comm, &grid, &store, cfg.steps, ledger.expected_id_sum());
     tracer.phase_end(Phase::Verify);
     let local_count = store.len() as u64;
     let max_count = allreduce_u64(comm, local_count, ReduceOp::Max);
@@ -341,10 +298,10 @@ fn rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balancer::Balancer;
+    use crate::Balancer;
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
-    use pic_core::events::Region;
+    use pic_core::events::{Event, Region};
     use pic_core::geometry::Grid;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;

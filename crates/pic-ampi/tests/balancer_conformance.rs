@@ -10,9 +10,9 @@
 //! final particle sets, the id checksum, every `'v'` reassignment record,
 //! and the deterministic per-step trace fields.
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi_traced;
+use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
@@ -25,9 +25,9 @@ use pic_trace::{Counter, TraceReport, Tracer};
 /// run header's added `balancer` argument (the header string is not part
 /// of the comparison; the structured records are).
 mod oracle {
-    use pic_ampi::balancer::Balancer;
     use pic_ampi::model::AmpiParams;
     use pic_ampi::vp::VpGrid;
+    use pic_ampi::Balancer;
     use pic_comm::collective::{
         allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, decode_u64s, decode_u64s_into,
         encode_u64s,

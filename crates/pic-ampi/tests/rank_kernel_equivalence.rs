@@ -3,9 +3,9 @@
 //! physics-identical to the AoS reference loop, whatever the balancer
 //! does to VP placement: bit-identical. Also passes under `PIC_NO_SIMD=1`.
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
+use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::events::{Event, Region};

@@ -4,9 +4,9 @@
 //! traced `rebins` counter audits that the sort only runs after a
 //! structural edit. Also passes under `PIC_NO_SIMD=1`.
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi_traced;
+use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;

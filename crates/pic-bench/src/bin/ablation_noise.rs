@@ -10,8 +10,8 @@
 //!
 //! Usage: `ablation_noise [--scale N]`
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::{model_ampi, AmpiParams};
+use pic_ampi::Balancer;
 use pic_bench::report::scale_from_args;
 use pic_cluster::noise::NoiseModel;
 use pic_core::dist::Distribution;

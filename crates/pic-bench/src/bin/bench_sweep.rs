@@ -1,4 +1,4 @@
-//! Emit `BENCH_sweep.json`: wall-clock ns/particle/step for every sweep
+//! `bench_sweep` — wall-clock ns/particle/step for every sweep
 //! mode of the single-process engine, across a thread-count grid, plus
 //! the chunk-size and rebin-interval sensitivity of the binned sweep, and
 //! a SIMD-on/SIMD-off pair for the binned sweep (vector backend vs
@@ -19,9 +19,9 @@
 //! `aos-serial` is measured once at 1 thread. The output is one JSON
 //! object with host metadata (core count, detected SIMD backend and its
 //! lane width, git commit, rustc version) and a record
-//! per (mode, n, threads, chunk, rebin, simd) configuration;
-//! `scripts/bench.sh` runs this from the repository root so the artifact
-//! lands next to the other `BENCH_*` files.
+//! per (mode, n, threads, chunk, rebin, simd) configuration, written to
+//! `--out PATH` or to stdout without it (`results/BENCH_sweep.json` is an
+//! archived run).
 
 use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
@@ -161,8 +161,7 @@ fn main() {
     let out_path = args
         .iter()
         .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_sweep.json".to_string());
+        .and_then(|i| args.get(i + 1));
     let thread_counts: Vec<usize> = args
         .iter()
         .position(|a| a == "--threads")
@@ -287,6 +286,5 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    std::fs::write(&out_path, &json).expect("write benchmark artifact");
-    eprintln!("wrote {out_path}");
+    pic_bench::report::write_or_print(out_path.map(|s| s.as_str()), &json);
 }

@@ -4,14 +4,14 @@
 //!
 //! Usage: `loadtrace [--scale N] [--cores P]`
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::vp::VpGrid;
+use pic_ampi::Balancer;
 use pic_bench::report::scale_from_args;
+use pic_cluster::balancer::diffuse_xcuts;
 use pic_cluster::loadmodel::ColumnLoadModel;
 use pic_cluster::stats::LoadTrace;
 use pic_core::dist::Distribution;
 use pic_par::decomp::Decomp2d;
-use pic_par::diffusion::diffuse_xcuts;
 use std::fs;
 
 fn arg_usize(name: &str, default: usize) -> usize {

@@ -5,8 +5,8 @@
 //! implementation we tuned the relevant parameters and picked the best
 //! performing execution at each level of concurrency").
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::{model_ampi, model_ampi_tuned, AmpiParams};
+use pic_ampi::Balancer;
 use pic_par::model_impl::{model_baseline, model_diffusion_tuned, ModelConfig, ModelOutcome};
 
 /// A point on one of the scaling figures.

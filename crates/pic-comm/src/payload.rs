@@ -188,7 +188,8 @@ mod tests {
     #[test]
     fn byte_accounting_is_lane_invariant() {
         let ps = vec![particle(1), particle(2), particle(3)];
-        let encoded = Particle::encode_all(&ps);
+        let mut encoded = Vec::new();
+        ps.iter().for_each(|p| p.encode(&mut encoded));
         assert_eq!(WirePayload::len_bytes(&ps), encoded.len());
         assert_eq!(ps.clone().into_payload().len_bytes(), encoded.len());
         assert_eq!(encoded.clone().into_payload().len_bytes(), encoded.len());

@@ -612,17 +612,20 @@ mod tests {
             for step in 0..steps {
                 let mut outgoing: Vec<Vec<u8>> = (0..p)
                     .map(|d| {
+                        let mut buf = Vec::new();
                         if d == (rank + 1) % p {
-                            Particle::encode_all(&[tp((100 * step + 10 * rank + d) as u64)])
-                        } else {
-                            Vec::new()
+                            tp((100 * step + 10 * rank + d) as u64).encode(&mut buf);
                         }
+                        buf
                     })
                     .collect();
                 let h = alltoallv_sparse_start(&comm, &mut outgoing, &mut plan);
                 alltoallv_sparse_finish_into(&comm, h, &mut plan, &mut incoming);
                 for buf in &incoming {
-                    all_got.extend(Particle::decode_all(buf).unwrap());
+                    all_got.extend(
+                        buf.chunks(Particle::WIRE_SIZE)
+                            .map(|rec| Particle::decode(rec).expect("whole record")),
+                    );
                 }
             }
             all_got

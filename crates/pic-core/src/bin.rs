@@ -70,8 +70,8 @@ use std::collections::HashSet;
 use std::ops::Range;
 
 /// Default rebin interval, chosen from the measured amortization curve
-/// (`BENCH_sweep.json`, rebin sensitivity rows): the counting sort plus
-/// 11-array gather costs roughly three binned sweeps, so re-sorting every
+/// (`results/BENCH_sweep.json`, rebin sensitivity rows): the counting sort
+/// plus 11-array gather costs roughly three binned sweeps, so re-sorting every
 /// step erases the locality win while 16 steps of drift still leaves the
 /// order column-coherent enough to keep the kernel fast. Set the interval
 /// to 1 (`--rebin 1`, [`Simulation::with_rebin_interval`]) when a consumer
@@ -873,7 +873,7 @@ pub(crate) fn force_span<C: CornerCharge>(
 /// and the kernel the `Scalar` backend runs directly.
 ///
 /// Per particle this is the *same operation sequence* as
-/// `total_force` + the unbinned `advance_span`: the same four [`coulomb`]
+/// `total_force` + [`crate::motion::advance_particle`]: the same four [`coulomb`]
 /// corner evaluations in the same pairing, the same half-acceleration
 /// integration, the same wrap. What the binning removes is per-particle
 /// work that is invariant across the span: the `mesh_charge` parity
@@ -914,6 +914,7 @@ mod tests {
     use super::*;
     use crate::dist::Distribution;
     use crate::init::InitConfig;
+    use crate::motion::advance_all;
     use crate::pool::DEFAULT_CHUNK;
     use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
 
@@ -1019,13 +1020,13 @@ mod tests {
         let (grid, ps) = population(400, Distribution::Geometric { r: 0.9 });
         let consts = SimConstants::CANONICAL;
         for rebin in [1u32, 3, 16] {
-            let mut reference = ParticleBatch::from_particles(&ps);
+            let mut reference = ps.clone();
             let mut binned = BinnedStore::new(&ps, &grid, rebin);
             for _ in 0..40 {
-                reference.advance_all(&grid, &consts);
+                advance_all(&grid, &consts, &mut reference);
                 binned.advance_all(&grid, &consts, DEFAULT_CHUNK);
             }
-            let mut want = reference.to_particles();
+            let mut want = reference.clone();
             want.sort_unstable_by_key(|p| p.id);
             assert_eq!(want, binned.to_particles(), "rebin={rebin} diverged");
         }
@@ -1096,12 +1097,12 @@ mod tests {
         assert!(!store.histogram_is_fresh());
         // The dirty rebin runs at the start of the next sweep; the sweep
         // itself then matches an unbinned sweep of the same survivors.
-        let mut reference = ParticleBatch::from_particles(&store.to_particles());
+        let mut reference = store.to_particles();
         store.advance_all(&grid, &consts, DEFAULT_CHUNK);
-        reference.advance_all(&grid, &consts);
+        advance_all(&grid, &consts, &mut reference);
         assert_eq!(store.len(), 90);
         assert_eq!(store.offsets[grid.ncells()], 90, "rebin saw the removal");
-        assert_eq!(reference.to_particles(), store.to_particles());
+        assert_eq!(reference, store.to_particles());
     }
 
     /// Reference rank loop: two subdomain stores exchanging via
@@ -1119,7 +1120,7 @@ mod tests {
         let mid = ncells / 2;
         let cg_left = ChargeGrid::build(&grid, &consts, (0, mid), (0, ncells));
         let cg_right = ChargeGrid::build(&grid, &consts, (mid, ncells), (0, ncells));
-        let mut reference = ParticleBatch::from_particles(&ps);
+        let mut reference = ps.clone();
         let split = |lo: usize, hi: usize| -> Vec<Particle> {
             ps.iter()
                 .copied()
@@ -1129,7 +1130,7 @@ mod tests {
         let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, rebin, 0, mid);
         let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
         for _ in 0..steps {
-            reference.advance_all(&grid, &consts);
+            advance_all(&grid, &consts, &mut reference);
             left.sweep_local(&grid, &consts, charges.then_some(&cg_left));
             right.sweep_local(&grid, &consts, charges.then_some(&cg_right));
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
@@ -1146,7 +1147,7 @@ mod tests {
         }
         let mut got = [left.to_particles(), right.to_particles()].concat();
         got.sort_unstable_by_key(|p| p.id);
-        let mut want = reference.to_particles();
+        let mut want = reference.clone();
         want.sort_unstable_by_key(|p| p.id);
         (want, got)
     }
@@ -1345,7 +1346,7 @@ mod tests {
 
     /// One randomized two-store run against the unbinned reference: every
     /// step both stores sweep, drain under `active` and exchange through
-    /// `push_tail`; the union must equal `ParticleBatch::advance_all` of
+    /// `push_tail`; the union must equal [`advance_all`] of
     /// the whole population bit for bit after every step (so every
     /// particle was advanced exactly once, and none was lost, duplicated
     /// or dropped by a hole refill). `overlapped` runs the border-first
@@ -1376,7 +1377,7 @@ mod tests {
         let stride = 2 * k as usize + 1;
         let ncells = grid.ncells();
         let mid = ncells / 2;
-        let mut reference = ParticleBatch::from_particles(&ps);
+        let mut reference = ps.clone();
         let mut halves = [(0, mid), (mid, ncells)].map(|(lo, hi)| {
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
@@ -1385,7 +1386,7 @@ mod tests {
             (BinnedStore::new_subdomain(&mine, &grid, rebin, lo, hi), cg)
         });
         for step in 0..steps {
-            reference.advance_all(&grid, &consts);
+            advance_all(&grid, &consts, &mut reference);
             let mut moved = [Vec::new(), Vec::new()];
             for (h, (store, cg)) in halves.iter_mut().enumerate() {
                 let (lo, hi) = store.columns();
@@ -1419,7 +1420,7 @@ mod tests {
             }
             let mut got = [halves[0].0.to_particles(), halves[1].0.to_particles()].concat();
             got.sort_unstable_by_key(|p| p.id);
-            let mut want = reference.to_particles();
+            let mut want = reference.clone();
             want.sort_unstable_by_key(|p| p.id);
             assert_eq!(want, got, "diverged at step {step}");
         }

@@ -26,7 +26,7 @@ use crate::bin::{BinnedStore, DEFAULT_REBIN};
 use crate::charge::SimConstants;
 use crate::events::{Event, EventKind};
 use crate::geometry::Grid;
-use crate::init::{apply_removal, build_injection, validate_event, InitError, SimulationSetup};
+use crate::init::{apply_removal, build_injection, SimulationSetup};
 use crate::motion::advance_all;
 use crate::particle::Particle;
 use crate::pool;
@@ -241,14 +241,6 @@ impl Simulation {
     /// The active sweep mode.
     pub fn mode(&self) -> SweepMode {
         self.mode
-    }
-
-    /// Validate all scheduled events against the grid.
-    pub fn validate_events(&self) -> Result<(), InitError> {
-        for e in &self.events {
-            validate_event(&self.grid, e)?;
-        }
-        Ok(())
     }
 
     /// Current step index (number of steps executed so far).

@@ -101,43 +101,6 @@ impl Particle {
             born_at: u32::from_le_bytes(buf[72..76].try_into().unwrap()),
         })
     }
-
-    /// Encode a slice of particles into a byte buffer.
-    pub fn encode_all(particles: &[Particle]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(particles.len() * Self::WIRE_SIZE);
-        for p in particles {
-            p.encode(&mut out);
-        }
-        out
-    }
-
-    /// Decode a buffer of concatenated records, handing each particle to
-    /// `f` without materializing an intermediate `Vec` — the steady-state
-    /// arrival path. Returns the record count, or `None` if the buffer
-    /// length is not a multiple of the record size.
-    pub fn decode_each(buf: &[u8], mut f: impl FnMut(Particle)) -> Option<usize> {
-        if !buf.len().is_multiple_of(Self::WIRE_SIZE) {
-            return None;
-        }
-        let mut n = 0usize;
-        for chunk in buf.chunks_exact(Self::WIRE_SIZE) {
-            f(Particle::decode(chunk)?);
-            n += 1;
-        }
-        Some(n)
-    }
-
-    /// Decode a buffer of concatenated particle records.
-    /// Returns `None` if the buffer length is not a multiple of the record
-    /// size or any record is malformed.
-    pub fn decode_all(buf: &[u8]) -> Option<Vec<Particle>> {
-        if !buf.len().is_multiple_of(Self::WIRE_SIZE) {
-            return None;
-        }
-        buf.chunks_exact(Self::WIRE_SIZE)
-            .map(Particle::decode)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -189,46 +152,17 @@ mod tests {
 
     #[test]
     fn batch_roundtrip() {
+        // `encode` appends, so a buffer of concatenated records (the
+        // checkpoint layout) decodes back record by record.
         let ps: Vec<Particle> = (1..=9).map(sample).collect();
-        let buf = Particle::encode_all(&ps);
-        let qs = Particle::decode_all(&buf).unwrap();
+        let mut buf = Vec::new();
+        ps.iter().for_each(|p| p.encode(&mut buf));
+        assert_eq!(buf.len(), 9 * Particle::WIRE_SIZE);
+        let qs: Vec<Particle> = buf
+            .chunks(Particle::WIRE_SIZE)
+            .map(|rec| Particle::decode(rec).unwrap())
+            .collect();
         assert_eq!(ps, qs);
-        assert!(Particle::decode_all(&buf[..buf.len() - 1]).is_none());
-    }
-
-    #[test]
-    fn decode_each_rejects_truncated_and_padded_buffers() {
-        let ps: Vec<Particle> = (1..=3).map(sample).collect();
-        let buf = Particle::encode_all(&ps);
-
-        // Truncated mid-record: nothing is delivered, even the records
-        // that were complete — a corrupt exchange must fail loudly as a
-        // whole, not deliver a particle subset (the id-sum ledger would
-        // otherwise mask the loss until end-of-run verification).
-        let mut seen = Vec::new();
-        assert!(Particle::decode_each(&buf[..buf.len() - 7], |p| seen.push(p)).is_none());
-        assert!(seen.is_empty());
-
-        // Trailing garbage (non-multiple length): same contract.
-        let mut padded = buf.clone();
-        padded.extend_from_slice(&[0xAB; 5]);
-        assert!(Particle::decode_each(&padded, |p| seen.push(p)).is_none());
-        assert!(Particle::decode_all(&padded).is_none());
-        assert!(seen.is_empty());
-
-        // Exactly one whole record short is still a clean multiple and
-        // decodes fine — the length check is per-record, not a checksum.
-        let n = Particle::decode_each(&buf[..2 * Particle::WIRE_SIZE], |p| seen.push(p));
-        assert_eq!(n, Some(2));
-        assert_eq!(seen, ps[..2]);
-    }
-
-    #[test]
-    fn decode_each_empty_buffer_is_zero_records() {
-        let mut called = false;
-        assert_eq!(Particle::decode_each(&[], |_| called = true), Some(0));
-        assert!(!called);
-        assert_eq!(Particle::decode_all(&[]), Some(Vec::new()));
     }
 
     #[test]

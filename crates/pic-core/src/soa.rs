@@ -5,37 +5,10 @@
 //! keeps the sweep's working set dense and lets the compiler vectorize the
 //! kinematics. The arithmetic per particle is identical (same operation
 //! order), so an SoA sweep produces bit-identical state to the AoS sweep —
-//! asserted by tests, and the property that lets implementations pick
-//! either layout freely.
+//! asserted by the [`crate::bin`] tests, and the property that lets
+//! implementations pick either layout freely.
 
-use crate::charge::{total_force, SimConstants};
-use crate::geometry::Grid;
 use crate::particle::Particle;
-
-/// The scalar SoA sweep kernel: eqs. 1–2 over a contiguous span of the
-/// arrays, the same per-particle instruction sequence as the AoS sweep.
-#[inline(always)]
-fn advance_span(
-    grid: &Grid,
-    consts: &SimConstants,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    let dt = consts.dt;
-    // Re-slice everything to one length so the bounds checks fold away.
-    let n = x.len();
-    let (y, vx, vy, q) = (&mut y[..n], &mut vx[..n], &mut vy[..n], &q[..n]);
-    for i in 0..n {
-        let (ax, ay) = total_force(grid, consts, x[i], y[i], q[i]);
-        x[i] = grid.wrap_coord(x[i] + (vx[i] + 0.5 * ax * dt) * dt);
-        y[i] = grid.wrap_coord(y[i] + (vy[i] + 0.5 * ay * dt) * dt);
-        vx[i] += ax * dt;
-        vy[i] += ay * dt;
-    }
-}
 
 /// A batch of particles in structure-of-arrays layout.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -268,54 +241,6 @@ impl ParticleBatch {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
-    /// Advance every particle one step — same math, same order as the AoS
-    /// sweep, so the resulting state is bit-identical.
-    pub fn advance_all(&mut self, grid: &Grid, consts: &SimConstants) {
-        let n = self.len();
-        advance_span(
-            grid,
-            consts,
-            &mut self.x[..n],
-            &mut self.y[..n],
-            &mut self.vx[..n],
-            &mut self.vy[..n],
-            &self.q[..n],
-        );
-    }
-
-    /// Remove and return every particle for which `leaves` is true (used
-    /// by exchange phases). Order of the survivors is not preserved.
-    ///
-    /// After a `swap_remove` the element swapped into position `i` has not
-    /// been tested yet, so the loop deliberately does **not** advance `i`
-    /// on removal — the regression test `drain_retests_swapped_in_leaver`
-    /// pins this down.
-    pub fn drain_leavers<F>(&mut self, leaves: F) -> Vec<Particle>
-    where
-        F: Fn(f64, f64) -> bool,
-    {
-        // Steady state has few leavers (border cells only), but reserving
-        // a small slab up front keeps the common case to at most one
-        // allocation instead of the doubling ramp from empty.
-        let mut out = Vec::with_capacity((self.len() / 8).clamp(4, 1024));
-        let mut i = 0;
-        while i < self.len() {
-            if self.leaves_at(i, &leaves) {
-                out.push(self.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Predicate application for [`ParticleBatch::drain_leavers`], kept on
-    /// the inline path so the closure call vanishes into the scan loop.
-    #[inline(always)]
-    fn leaves_at<F: Fn(f64, f64) -> bool>(&self, i: usize, leaves: &F) -> bool {
-        leaves(self.x[i], self.y[i])
-    }
-
     /// Sum of ids (checksum contribution).
     pub fn id_sum(&self) -> u128 {
         self.id.iter().map(|&i| i as u128).sum()
@@ -336,9 +261,9 @@ impl FromIterator<Particle> for ParticleBatch {
 mod tests {
     use super::*;
     use crate::dist::Distribution;
+    use crate::geometry::Grid;
     use crate::init::InitConfig;
-    use crate::motion::advance_all as advance_all_aos;
-    use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
+    use crate::verify::triangular_id_sum;
 
     fn population(n: u64) -> (Grid, Vec<Particle>) {
         let grid = Grid::new(32).unwrap();
@@ -360,77 +285,19 @@ mod tests {
     }
 
     #[test]
-    fn soa_sweep_bitwise_matches_aos() {
-        let (grid, mut aos) = population(500);
-        let consts = SimConstants::CANONICAL;
-        let mut soa = ParticleBatch::from_particles(&aos);
-        for _ in 0..25 {
-            advance_all_aos(&grid, &consts, &mut aos);
-            soa.advance_all(&grid, &consts);
-        }
-        for (i, p) in aos.iter().enumerate() {
-            assert_eq!(p.x.to_bits(), soa.x[i].to_bits(), "x[{i}]");
-            assert_eq!(p.y.to_bits(), soa.y[i].to_bits());
-            assert_eq!(p.vx.to_bits(), soa.vx[i].to_bits());
-            assert_eq!(p.vy.to_bits(), soa.vy[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn soa_run_verifies() {
-        let (grid, ps) = population(300);
-        let consts = SimConstants::CANONICAL;
-        let mut soa = ParticleBatch::from_particles(&ps);
-        for _ in 0..60 {
-            soa.advance_all(&grid, &consts);
-        }
-        let report = verify_all(
-            &grid,
-            &soa.to_particles(),
-            60,
-            triangular_id_sum(300),
-            DEFAULT_TOLERANCE,
-        );
-        assert!(report.passed(), "{report:?}");
-    }
-
-    #[test]
     fn swap_remove_and_drain() {
-        let (grid, ps) = population(100);
+        let (_, ps) = population(100);
         let mut soa = ParticleBatch::from_particles(&ps);
         let victim = soa.get(10);
         let removed = soa.swap_remove(10);
         assert_eq!(victim, removed);
         assert_eq!(soa.len(), 99);
-        // Drain everything in the left half of the domain.
-        let half = grid.extent() / 2.0;
-        let gone = soa.drain_leavers(|x, _| x < half);
-        assert!(gone.iter().all(|p| p.x < half));
-        assert!((0..soa.len()).all(|i| soa.x[i] >= half));
-        assert_eq!(gone.len() + soa.len(), 99);
-    }
-
-    #[test]
-    fn drain_retests_swapped_in_leaver() {
-        // Regression for the swap_remove scan: when position i is drained,
-        // the element swapped in from the back may itself be a leaver and
-        // must be re-tested at the same index, not skipped. Lay out the
-        // batch so every removal at i swaps *another* leaver into i.
-        let (_, ps) = population(8);
-        let mut soa = ParticleBatch::new();
-        // x pattern: leaver, stayer, stayer, ..., then leavers at the back
-        // that will be swapped into the holes.
-        let xs = [1.0, 10.0, 10.0, 10.0, 2.0, 3.0, 4.0, 0.5];
-        for (p, &x) in ps.iter().zip(&xs) {
-            let mut p = *p;
-            p.x = x;
-            soa.push(p);
-        }
-        let gone = soa.drain_leavers(|x, _| x < 5.0);
-        assert_eq!(gone.len(), 5, "all five leavers removed: {gone:?}");
-        assert_eq!(soa.len(), 3);
-        assert!((0..soa.len()).all(|i| soa.x[i] >= 5.0), "{:?}", soa.x);
-        assert!(gone.iter().all(|p| p.x < 5.0));
+        // Drain the rest from the back: every other record exactly once.
+        let mut gone: Vec<u64> = std::iter::from_fn(|| soa.pop()).map(|p| p.id).collect();
+        assert!(soa.is_empty());
+        gone.push(removed.id);
+        gone.sort_unstable();
+        assert_eq!(gone, (1..=100).collect::<Vec<u64>>());
     }
 
     #[test]

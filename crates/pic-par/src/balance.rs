@@ -4,10 +4,10 @@
 //! The baseline (`StaticLb`, paper §IV-A `mpi-2d`), diffusion
 //! (`DiffusionLb`, §IV-B `mpi-2d-LB`), and adaptive (`AdaptiveLb`)
 //! implementations are selected by [`BalancerSpec`] through
-//! [`run_config`] and all execute through [`run_balanced_traced`] (public
-//! as the seam for callers bringing their own balancer): the runner owns the collectives (gathering
-//! exactly the load arrays the strategy's [`BalanceNeeds`] requests, in a
-//! fixed order) and the application of the returned [`BalanceDecision`];
+//! [`run_config`] and all execute through one private rank loop: the
+//! runner owns the collectives (gathering exactly the load arrays the
+//! strategy's [`BalanceNeeds`] requests, in a fixed order) and the
+//! application of the returned [`BalanceDecision`];
 //! the strategy itself is a pure replicated function. Decisions are
 //! derived only from allreduced data, so every rank computes the same
 //! cuts — and, for the adaptive balancer, the same strategy switches —
@@ -66,8 +66,8 @@ pub fn run_config(comm: &Communicator, cfg: &ParConfig) -> ParOutcome {
 }
 
 /// [`run_config`] with telemetry: builds the [`LoadBalancer`] that
-/// [`ParConfig::balancer`] names and runs it through
-/// [`run_balanced_traced`], keeping the historical `impl` names
+/// [`ParConfig::balancer`] names and runs it through the trait-driven
+/// rank loop, keeping the historical `impl` names
 /// (`baseline` / `diffusion` / `adaptive`) in the trace header. Every rank
 /// passes its own tracer (typically enabled on rank 0 only); the
 /// collective telemetry steps are agreed via [`trace_interval`], so all
@@ -105,7 +105,7 @@ pub fn run_config_traced(comm: &Communicator, cfg: &ParConfig, tracer: &mut Trac
 /// and whenever `balancer.wants(step)` (except the final step, matching
 /// the historical cadence) gather the requested load arrays, call
 /// `balancer.decide`, and apply the returned decision.
-pub fn run_balanced_traced(
+fn run_balanced_traced(
     comm: &Communicator,
     cfg: &ParConfig,
     impl_name: &str,

@@ -10,12 +10,6 @@
 //! a Cartesian product: communication stays regular nearest-neighbor, the
 //! property the paper credits for this scheme's strong-scaling advantage.
 
-// The pure decision functions live in `pic_cluster::balancer` now (shared
-// with every other strategy); re-exported here for source compatibility.
-pub use pic_cluster::balancer::{
-    diffuse_xcuts, diffuse_xcuts_from_histogram, per_column_counts_into,
-};
-
 /// Tuning knobs of the diffusion balancer (the paper's three interfering
 /// parameters: frequency, threshold, border width — "should be co-tuned").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +57,9 @@ mod tests {
     use super::*;
     use crate::balance::{run_config, BalancerSpec};
     use crate::runner::ParConfig;
+    use pic_cluster::balancer::{
+        diffuse_xcuts, diffuse_xcuts_from_histogram, per_column_counts_into,
+    };
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
     use pic_core::geometry::Grid;

@@ -629,16 +629,15 @@ mod tests {
     #[test]
     fn binned_route_rehomes_and_matches_serial_sweep() {
         use pic_core::charge::SimConstants;
-        use pic_core::soa::ParticleBatch;
+        use pic_core::motion::advance_all;
         let (grid, all) = setup(400);
         let decomp = Decomp2d::columns(16, 4);
         let consts = SimConstants::CANONICAL;
         let steps = 12;
-        let mut reference = ParticleBatch::from_particles(&all);
+        let mut want = all.clone();
         for _ in 0..steps {
-            reference.advance_all(&grid, &consts);
+            advance_all(&grid, &consts, &mut want);
         }
-        let mut want = reference.to_particles();
         want.sort_unstable_by_key(|p| p.id);
         let per_rank = run_threads(4, |comm| {
             let rank = comm.rank();

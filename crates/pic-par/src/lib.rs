@@ -3,8 +3,7 @@
 //! The paper's two MPI reference implementations, ported onto the
 //! `pic-comm` substrate. One door, [`run_config`] (traced form
 //! [`run_config_traced`]), runs whichever [`BalancerSpec`] the
-//! [`ParConfig`] names through the one trait-driven rank loop
-//! [`run_balanced_traced`]:
+//! [`ParConfig`] names through the one trait-driven rank loop:
 //!
 //! * `BalancerSpec::Static` — **`mpi-2d`** (paper §IV-A): static 2D block
 //!   decomposition, no load balancing. Each rank advances the particles in
@@ -34,7 +33,7 @@ pub mod exchange;
 pub mod model_impl;
 pub mod runner;
 
-pub use balance::{run_balanced_traced, run_config, run_config_traced, BalancerSpec};
+pub use balance::{run_config, run_config_traced, BalancerSpec};
 pub use decomp::Decomp2d;
 pub use diffusion::{DiffusionMode, DiffusionParams};
 pub use model_impl::{model_baseline, model_diffusion, ModelConfig, ModelOutcome};

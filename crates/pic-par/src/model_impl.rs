@@ -1,14 +1,15 @@
 //! The baseline and diffusion strategies expressed against the analytic
 //! load model, for full-scale modeled runs.
 //!
-//! The decision logic (decomposition, [`crate::diffusion::diffuse_xcuts`])
+//! The decision logic (decomposition, [`pic_cluster::balancer::diffuse_xcuts`])
 //! is shared verbatim with the functional threaded implementations; only
 //! the particle bookkeeping is replaced by O(1) count queries, and time is
 //! charged through [`pic_cluster::CostModel`] + [`pic_cluster::BspSimulator`].
 //! This is what lets Figures 6–7 run at 24–3,072 modeled cores on one host.
 
 use crate::decomp::Decomp2d;
-use crate::diffusion::{diffuse_xcuts, DiffusionParams};
+use crate::diffusion::DiffusionParams;
+use pic_cluster::balancer::diffuse_xcuts;
 use pic_cluster::bsp::{BspSimulator, RunStats};
 use pic_cluster::cost::CostModel;
 use pic_cluster::loadmodel::ColumnLoadModel;

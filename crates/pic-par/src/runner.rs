@@ -284,6 +284,95 @@ impl RankStore {
     }
 }
 
+/// The distributed event ledger: the step-sorted schedule with its cursor,
+/// the id counter injections draw from, and the id checksum the final
+/// population must add up to. Every rank holds one and applies every event,
+/// so the ledgers stay identical across ranks without a broadcast; what
+/// differs per implementation is only which newcomers a rank keeps.
+pub struct EventLedger {
+    grid: Grid,
+    consts: SimConstants,
+    events: Vec<Event>,
+    next_event: usize,
+    next_id: u64,
+    expected_id_sum: u128,
+}
+
+impl EventLedger {
+    pub fn new(setup: &SimulationSetup) -> EventLedger {
+        let mut events = setup.events.clone();
+        events.sort_by_key(|e| e.at_step);
+        EventLedger {
+            grid: setup.grid,
+            consts: setup.consts,
+            events,
+            next_event: 0,
+            next_id: setup.next_id,
+            expected_id_sum: setup.initial_id_sum(),
+        }
+    }
+
+    /// Sum of the ids that must be alive after the events applied so far.
+    pub fn expected_id_sum(&self) -> u128 {
+        self.expected_id_sum
+    }
+
+    /// Apply the events due at `step` (0-based) to this rank's `store`.
+    /// Injections are materialized identically on every rank (same id
+    /// assignment) and kept where `owns(col, row)` holds; removals are
+    /// resolved collectively — the lowest `count` in-region ids of the
+    /// allgathered candidates — so all ranks agree on the doomed set.
+    pub fn apply_due(
+        &mut self,
+        comm: &Communicator,
+        step: u32,
+        store: &mut RankStore,
+        owns: impl Fn(usize, usize) -> bool,
+    ) {
+        while self.next_event < self.events.len() && self.events[self.next_event].at_step == step {
+            let e = self.events[self.next_event];
+            self.next_event += 1;
+            match e.kind {
+                EventKind::Inject { count, k, m, dir } => {
+                    let newcomers = build_injection(
+                        self.grid,
+                        self.consts,
+                        e.region,
+                        count,
+                        k,
+                        m,
+                        dir,
+                        step,
+                        &mut self.next_id,
+                    );
+                    for p in &newcomers {
+                        self.expected_id_sum += p.id as u128;
+                        let (c, r) = self.grid.cell_of_point(p.x, p.y);
+                        if owns(c, r) {
+                            // Homed by the owner filter, so the binned
+                            // tail append keeps the rebin amortized.
+                            store.push(*p);
+                        }
+                    }
+                }
+                EventKind::Remove { count } => {
+                    let mut local_ids = store.ids_in_region(&e.region);
+                    local_ids.sort_unstable();
+                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
+                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
+                    all.sort_unstable();
+                    all.truncate(count as usize);
+                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
+                    for &id in &all {
+                        self.expected_id_sum -= id as u128;
+                    }
+                    store.remove_ids(&doomed);
+                }
+            }
+        }
+    }
+}
+
 /// Per-rank simulation state.
 pub struct RankState {
     pub grid: Grid,
@@ -298,12 +387,7 @@ pub struct RankState {
     /// is rebuilt whenever the balancer changes this rank's subdomain.
     pub charges: ChargeGrid,
     pub step: u32,
-    events: Vec<Event>,
-    next_event: usize,
-    /// Global id ledger — identical on every rank because events are
-    /// applied deterministically everywhere.
-    expected_id_sum: u128,
-    next_id: u64,
+    ledger: EventLedger,
     /// Reused exchange staging buffers: the steady-state step loop routes
     /// particles without reallocating the per-destination buckets.
     bufs: ExchangeBuffers,
@@ -335,8 +419,6 @@ impl RankState {
         kernel: RankKernel,
     ) -> RankState {
         let particles = local_slice(&decomp, &setup.grid, rank, &setup.particles);
-        let mut events = setup.events.clone();
-        events.sort_by_key(|e| e.at_step);
         let (cols, rows) = decomp.bounds(rank);
         let charges = ChargeGrid::build(&setup.grid, &setup.consts, cols, rows);
         let store = RankStore::build(particles, &setup.grid, kernel, cols);
@@ -353,10 +435,7 @@ impl RankState {
             store,
             charges,
             step: 0,
-            events,
-            next_event: 0,
-            expected_id_sum: setup.initial_id_sum(),
-            next_id: setup.next_id,
+            ledger: EventLedger::new(setup),
             bufs,
             lb_scratch: Vec::new(),
             exchange: kernel.exchange,
@@ -416,59 +495,16 @@ impl RankState {
     }
 
     pub fn expected_id_sum(&self) -> u128 {
-        self.expected_id_sum
+        self.ledger.expected_id_sum()
     }
 
-    /// Apply events due at the current step. Injections are materialized
-    /// identically on every rank (same id assignment) and filtered to the
-    /// local subdomain; removals are resolved collectively so all ranks
-    /// agree on the doomed id set.
+    /// Apply events due at the current step ([`EventLedger::apply_due`]
+    /// with this rank's subdomain as the ownership filter).
     pub fn apply_due_events(&mut self, comm: &Communicator) {
-        while self.next_event < self.events.len()
-            && self.events[self.next_event].at_step == self.step
-        {
-            let e = self.events[self.next_event];
-            self.next_event += 1;
-            match e.kind {
-                EventKind::Inject { count, k, m, dir } => {
-                    let newcomers = build_injection(
-                        self.grid,
-                        self.consts,
-                        e.region,
-                        count,
-                        k,
-                        m,
-                        dir,
-                        self.step,
-                        &mut self.next_id,
-                    );
-                    for p in &newcomers {
-                        self.expected_id_sum += p.id as u128;
-                        let (c, r) = self.grid.cell_of_point(p.x, p.y);
-                        if self.decomp.owner_of_cell(c, r) == self.rank {
-                            // Homed by the owner filter, so the binned
-                            // tail append keeps the rebin amortized.
-                            self.store.push(*p);
-                        }
-                    }
-                }
-                EventKind::Remove { count } => {
-                    // Gather candidate ids (in-region residents) globally,
-                    // pick the lowest `count`, remove the local ones.
-                    let mut local_ids = self.store.ids_in_region(&e.region);
-                    local_ids.sort_unstable();
-                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
-                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-                    all.sort_unstable();
-                    all.truncate(count as usize);
-                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
-                    for &id in &all {
-                        self.expected_id_sum -= id as u128;
-                    }
-                    self.store.remove_ids(&doomed);
-                }
-            }
-        }
+        self.ledger
+            .apply_due(comm, self.step, &mut self.store, |c, r| {
+                self.decomp.owner_of_cell(c, r) == self.rank
+            });
     }
 
     /// One full step: events, advance (forces read from the stored mesh —
@@ -658,7 +694,7 @@ impl RankState {
 
     /// Collectively aggregate the global per-cell-column histogram from
     /// every rank's own store — O(columns) local work on a fresh binned
-    /// store. [`crate::diffusion::per_column_counts_into`] folds the
+    /// store. [`pic_cluster::balancer::per_column_counts_into`] folds the
     /// result onto processor columns, giving bit-identical cut decisions
     /// to [`RankState::aggregate_axis_counts`] (both count homed
     /// particles per column). Reuses `h` as local scratch.
@@ -674,7 +710,7 @@ impl RankState {
             &self.grid,
             &self.store,
             self.step,
-            self.expected_id_sum,
+            self.expected_id_sum(),
         )
     }
 

@@ -1,7 +1,7 @@
 //! Property tests of the decomposition and the diffusion decision logic.
 
+use pic_cluster::balancer::diffuse_xcuts;
 use pic_par::decomp::{factor_2d, Decomp2d};
-use pic_par::diffusion::diffuse_xcuts;
 use proptest::prelude::*;
 
 proptest! {

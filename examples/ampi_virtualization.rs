@@ -6,10 +6,11 @@
 //! cargo run --release --example ampi_virtualization
 //! ```
 
-use pic_ampi::balancer::{imbalance, Balancer};
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
 use pic_ampi::vp::VpGrid;
+use pic_ampi::Balancer;
+use pic_cluster::balancer::imbalance;
 use pic_comm::world::run_threads;
 use pic_par::runner::ParConfig;
 use pic_prk::prelude::*;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
-#   clippy (deny warnings) -> benches compile -> CLI and benchmark smokes.
+#   clippy (deny warnings) -> CLI and benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
 # its steps.
@@ -32,15 +32,12 @@ echo "==> cargo check --all-targets"
 # instantiations included) even when the test steps above were filtered.
 cargo check --all-targets
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"
 # 4 thread-ranks on the default (binned) rank kernel: the summary must
 # name the kernel, verification must PASS, the trace run header must
 # record the kernel descriptor, and the ndjson must validate.
 trace_file="$(mktemp /tmp/pic-trace-smoke.XXXXXX.ndjson)"
-out="$(./target/release/pic --impl diffusion --ranks 4 --grid 32 \
+out="$(./target/release/pic --balancer diffusion --ranks 4 --grid 32 \
     --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --trace "$trace_file" --trace-every 2)"
 echo "$out" | grep -E "rank kernel *: .*/exact"
@@ -68,6 +65,15 @@ rm -f "$trace_file"
 PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
     --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
+
+echo "==> traced vp-refine smoke run (the VP family through trace_check)"
+trace_file="$(mktemp /tmp/pic-trace-vp.XXXXXX.ndjson)"
+./target/release/pic --balancer vp-refine --ranks 4 --grid 32 \
+    --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
+    --trace "$trace_file" --quiet | grep -qx PASS
+head -1 "$trace_file" | grep -q '"impl":"ampi".*"balancer":"vp-refine"'
+cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
+rm -f "$trace_file"
 
 echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry point)"
 # The repo benchmark at its small shape, as a correctness gate: each

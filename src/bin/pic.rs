@@ -1,21 +1,21 @@
 //! `pic` — command-line driver for the PIC Parallel Research Kernel.
 //!
-//! Runs a configurable simulation with any of the implementations and
-//! prints the verification verdict plus load-balance statistics, in the
-//! spirit of the original PRK driver binaries.
+//! Runs a configurable simulation under any balancing strategy (or the
+//! serial engine) and prints the verification verdict plus load-balance
+//! statistics, in the spirit of the original PRK driver binaries.
 //!
 //! ```text
 //! pic --grid 64 --particles 20000 --steps 200 --dist geometric:0.95 \
-//!     --impl diffusion --ranks 8 --lb-interval 1 --border 3
+//!     --balancer diffusion --ranks 8 --lb-interval 1 --border 3
 //! ```
 //!
 //! Run `pic --help` for all options.
 
-use pic_prk::ampi::balancer::Balancer;
 use pic_prk::ampi::model::AmpiParams;
 use pic_prk::ampi::runtime::{run_ampi_adaptive_traced, run_ampi_traced};
+use pic_prk::ampi::Balancer;
 use pic_prk::comm::world::run_threads;
-use pic_prk::core::init::SkewAxis;
+use pic_prk::core::init::{validate_event, SkewAxis};
 use pic_prk::par::decomp::factor_2d;
 use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_prk::par::runner::{ParConfig, ParOutcome, RankKernel};
@@ -57,63 +57,58 @@ Workload:
   --inject S,X0,X1,Y0,Y1,N   inject N particles at step S in the region
   --remove S,X0,X1,Y0,Y1,N   remove up to N particles at step S
 
-Implementation:
-  --impl NAME         serial | baseline | diffusion | ampi | adaptive
-                      (default serial)
-  --ranks P           thread-ranks for the parallel implementations (default 4)
+Strategy:
+  --balancer NAME     what runs; without it, the single-process engine
+                        static       mpi-2d: static 2D blocks, no balancing
+                        diffusion    mpi-2d-LB: cut diffusion
+                        adaptive     cut ladder, switched online
+                                     (static -> diffusion -> wide diffusion)
+                        vp-none      VP runtime, assignment never changes
+                        vp-refine    ampi: VP runtime, RefineLB
+                        vp-greedy    VP runtime, GreedyLB
+                        vp-adaptive  VP ladder, switched online
+                                     (vp-none -> vp-refine -> vp-greedy)
+  --ranks P           thread-ranks (any --balancer; default 4)
 
-Load balancing:
-  --balancer B        baseline | static | diffusion | ampi | adaptive |
-                      refine | greedy | none
-                      selects the balancing strategy; without --impl it
-                      also picks the implementation that hosts it
-                      (baseline/static -> mpi-2d, diffusion -> mpi-2d-LB,
-                      ampi/refine/greedy/none -> the AMPI runtime,
-                      adaptive -> the online-switching cut balancer).
-                      With --impl ampi the values refine | greedy | none
-                      pick the VP strategy (default refine) and adaptive
-                      switches VP strategies online; --impl diffusion
-                      takes adaptive as an upgrade to the online-switching
-                      balancer. A balancer the chosen --impl cannot host
-                      is an error.
-
-Kernel selection (all implementations):
+Kernel selection:
   --sweep MODE        {sweep_modes} :
                       particle sweep and memory layout — production by
                       default, reference by request. soa-binned (default)
                       is the cell-binned SIMD sweep; serial is the scalar
-                      AoS reference it is bit-identical to. On the
-                      parallel implementations the mode selects the rank
-                      loop the same way.
+                      AoS reference it is bit-identical to. Under a
+                      --balancer the mode selects the rank loop the same
+                      way.
   --rebin R           counting-sort interval for the binned sweeps
-                      (steps between re-sorts, default {rebin}); no effect
-                      on --impl ampi, whose store is sorted only at
-                      construction and after a removal event
+                      (steps between re-sorts, default {rebin}); not for
+                      vp-*, whose store is sorted only at construction
+                      and after a removal event
 
-Single-process engine (--impl serial):
+Single-process engine (no --balancer):
   --threads T         cap the sweep worker pool at T threads (default:
                       all cores; PIC_THREADS overrides the pool size)
                       the binned sweeps auto-select the widest SIMD backend
                       the host supports; set PIC_NO_SIMD=1 to force the
                       scalar kernel (same bits, slower)
 
-Diffusion / adaptive balancer (--impl diffusion | adaptive):
+Cut family (--balancer diffusion | adaptive):
   --lb-interval F     steps between LB invocations (default {diff_interval})
   --tau T             count-difference threshold (default {diff_tau})
   --border W          border width in cells (default {diff_border})
   --mode M            x | y | 2phase (default x)
 
-AMPI runtime (--impl ampi):
+VP family (--balancer vp-none | vp-refine | vp-greedy | vp-adaptive):
   --d D               over-decomposition degree (default 4)
   --lb-interval F     steps between LB invocations (default {ampi_interval})
-  --balancer B        refine | greedy | none | adaptive (default refine)
+
+An option the selected strategy does not read is an error.
 
 Telemetry:
   --trace FILE        write ndjson load-balance telemetry to FILE
                       (per-step phase times, counters, per-rank loads,
                       cut decisions, end-of-run summary)
   --trace-every N     sample a step record every N steps (default 1;
-                      cut decisions and the summary are never sampled away)
+                      cut decisions and the summary are never sampled
+                      away); needs --trace
 
 Output:
   --quiet             only print PASS/FAIL
@@ -146,7 +141,6 @@ const VALUE_OPTS: &[&str] = &[
     "--skew-axis",
     "--inject",
     "--remove",
-    "--impl",
     "--ranks",
     "--balancer",
     "--sweep",
@@ -161,6 +155,44 @@ const VALUE_OPTS: &[&str] = &[
     "--trace-every",
 ];
 const FLAGS: &[&str] = &["--quiet", "--help", "-h"];
+
+/// The `--balancer` values: the names the balancers report through
+/// `LoadBalancer::name()`, with the VP ladder under its family prefix.
+const BALANCERS: &[&str] = &[
+    "static",
+    "diffusion",
+    "adaptive",
+    "vp-none",
+    "vp-refine",
+    "vp-greedy",
+    "vp-adaptive",
+];
+
+/// What runs without `--balancer`, as [`OPTION_SCOPE`] and its error name it.
+const SERIAL: &str = "the serial engine";
+
+/// Options only some strategies read, with the strategies that do. Given
+/// to any other strategy they are an error, not a silent no-op.
+const OPTION_SCOPE: &[(&str, &[&str])] = &[
+    ("--threads", &[SERIAL]),
+    ("--ranks", BALANCERS),
+    (
+        "--lb-interval",
+        &[
+            "diffusion",
+            "adaptive",
+            "vp-none",
+            "vp-refine",
+            "vp-greedy",
+            "vp-adaptive",
+        ],
+    ),
+    ("--tau", &["diffusion", "adaptive"]),
+    ("--border", &["diffusion", "adaptive"]),
+    ("--mode", &["diffusion", "adaptive"]),
+    ("--d", &["vp-none", "vp-refine", "vp-greedy", "vp-adaptive"]),
+    ("--rebin", &[SERIAL, "static", "diffusion", "adaptive"]),
+];
 
 struct Args(Vec<String>);
 
@@ -265,25 +297,36 @@ fn parse_dist(spec: &str) -> Distribution {
     }
 }
 
-fn parse_event(spec: &str, inject: bool) -> Event {
-    let p: Vec<u64> = spec
-        .split(',')
-        .map(|s| s.parse().unwrap_or_else(|_| bail("bad event field")))
-        .collect();
-    if p.len() != 6 {
-        bail("event needs S,X0,X1,Y0,Y1,N");
+/// Parse `S,X0,X1,Y0,Y1,N` for `opt` (`--inject` / `--remove`), each field
+/// in its own type, and refuse an event the grid cannot hold.
+fn parse_event(opt: &str, spec: &str, grid: &Grid) -> Event {
+    fn field<T: std::str::FromStr>(opt: &str, spec: &str, s: &str) -> T {
+        s.parse()
+            .unwrap_or_else(|_| bail(&format!("{opt} {spec}: bad field {s}")))
+    }
+    let f: Vec<&str> = spec.split(',').collect();
+    if f.len() != 6 {
+        bail(&format!("{opt} needs S,X0,X1,Y0,Y1,N"));
     }
     let region = Region {
-        x0: p[1] as usize,
-        x1: p[2] as usize,
-        y0: p[3] as usize,
-        y1: p[4] as usize,
+        x0: field(opt, spec, f[1]),
+        x1: field(opt, spec, f[2]),
+        y0: field(opt, spec, f[3]),
+        y1: field(opt, spec, f[4]),
     };
-    if inject {
-        Event::inject(p[0] as u32, region, p[5], 0, 0, 1)
+    let (at_step, count) = (field(opt, spec, f[0]), field(opt, spec, f[5]));
+    let event = if opt == "--inject" {
+        Event::inject(at_step, region, count, 0, 0, 1)
     } else {
-        Event::remove(p[0] as u32, region, p[5])
+        Event::remove(at_step, region, count)
+    };
+    if let Err(e) = validate_event(grid, &event) {
+        let n = grid.ncells();
+        bail(&format!(
+            "{opt} {spec}: {e}; a region needs X0 < X1 <= {n} and Y0 < Y1 <= {n}"
+        ));
     }
+    event
 }
 
 fn bail(msg: &str) -> ! {
@@ -298,6 +341,31 @@ fn main() {
         return;
     }
     let quiet = args.flag("--quiet");
+
+    // The strategy, and the options it does not read.
+    let balancer = args.value("--balancer");
+    if let Some(b) = balancer.filter(|b| !BALANCERS.contains(b)) {
+        bail(&format!(
+            "bad balancer: {b} (one of: {})",
+            BALANCERS.join(", ")
+        ));
+    }
+    let strategy = balancer.unwrap_or(SERIAL);
+    for (opt, readers) in OPTION_SCOPE {
+        if args.value(opt).is_some() && !readers.contains(&strategy) {
+            let given = match balancer {
+                Some(b) => format!("--balancer {b}"),
+                None => format!("{SERIAL} (no --balancer)"),
+            };
+            bail(&format!(
+                "{opt} is not read by {given}; it applies to: {}",
+                readers.join(", ")
+            ));
+        }
+    }
+    if args.value("--trace-every").is_some() && args.value("--trace").is_none() {
+        bail("--trace-every needs --trace");
+    }
 
     // Workload.
     let ncells: usize = args.parse("--grid", 64);
@@ -321,42 +389,10 @@ fn main() {
         .with_skew_axis(axis)
         .build()
         .unwrap_or_else(|e| bail(&e.to_string()));
-    if let Some(spec) = args.value("--inject") {
-        setup = setup.with_event(parse_event(spec, true));
-    }
-    if let Some(spec) = args.value("--remove") {
-        setup = setup.with_event(parse_event(spec, false));
-    }
-
-    // Implementation resolution: an explicit --impl always wins, and
-    // --balancer then only refines the strategy inside it (a strategy the
-    // implementation cannot host is an error). Without --impl, --balancer
-    // picks the implementation hosting the requested strategy, so
-    // `pic --balancer adaptive` is a complete invocation.
-    let balancer_flag = args.value("--balancer");
-    let implementation = match args.value("--impl") {
-        Some(i) => i,
-        None => match balancer_flag {
-            None => "serial",
-            Some("baseline" | "static") => "baseline",
-            Some("diffusion") => "diffusion",
-            Some("adaptive") => "adaptive",
-            Some("ampi" | "refine" | "greedy" | "none") => "ampi",
-            Some(other) => bail(&format!("bad balancer: {other}")),
-        },
-    };
-    let hosted: &[&str] = match implementation {
-        "serial" => &[],
-        "baseline" => &["baseline", "static"],
-        "diffusion" => &["diffusion", "adaptive"],
-        "adaptive" => &["adaptive"],
-        "ampi" => &["ampi", "refine", "greedy", "none", "adaptive"],
-        other => bail(&format!("unknown implementation: {other}")),
-    };
-    if let Some(b) = balancer_flag.filter(|b| !hosted.contains(b)) {
-        bail(&format!(
-            "--impl {implementation} cannot host --balancer {b}"
-        ));
+    for opt in ["--inject", "--remove"] {
+        if let Some(spec) = args.value(opt) {
+            setup = setup.with_event(parse_event(opt, spec, &grid));
+        }
     }
 
     // Counts that must be positive, and decompositions that must fit the
@@ -368,9 +404,9 @@ fn main() {
         .unwrap_or(DiffusionParams::default().border_w);
     let d: usize = args.positive("--d").unwrap_or(4);
     let (px, _) = factor_2d(ranks);
-    match implementation {
-        "serial" => {}
-        "ampi" => {
+    match balancer {
+        None => {}
+        Some(b) if b.starts_with("vp-") => {
             let vp_cols = px * factor_2d(d).0;
             if vp_cols > ncells {
                 bail(&format!(
@@ -379,16 +415,16 @@ fn main() {
                 ));
             }
         }
-        _ if px > ncells => bail(&format!(
+        Some(_) if px > ncells => bail(&format!(
             "--ranks {ranks} needs {px} processor columns, \
              more than the {ncells} cells of --grid {ncells}"
         )),
-        _ => {}
+        Some(_) => {}
     }
 
-    // Kernel selection, one rule for every implementation: production
-    // (soa-binned) by default, the scalar AoS reference by request. On
-    // the parallel implementations the mode maps onto the rank hot loop.
+    // Kernel selection, one rule for every strategy: production
+    // (soa-binned) by default, the scalar AoS reference by request. Under
+    // a balancer the mode maps onto the rank hot loop.
     let sweep = match args.value("--sweep") {
         Some(name) => SweepMode::from_cli_name(name)
             .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
@@ -398,8 +434,8 @@ fn main() {
     let rank_kernel = RankKernel::from_sweep(sweep).with_rebin_interval(rebin);
 
     // Telemetry: the file is opened up front (so a bad path fails before
-    // the run), then handed to exactly one tracer — rank 0's in the
-    // parallel implementations.
+    // the run), then handed to exactly one tracer — rank 0's in a
+    // distributed run.
     let trace_every: u32 = args.parse("--trace-every", 1);
     let trace_writer: Mutex<Option<Box<dyn Write + Send>>> =
         Mutex::new(args.value("--trace").map(|path| {
@@ -421,116 +457,103 @@ fn main() {
     if !quiet {
         println!(
             "PIC PRK: {ncells}x{ncells} cells, {n} particles, {steps} steps, \
-             dist {dist:?}, k={k} m={m} dir={dir}, impl {implementation}"
+             dist {dist:?}, k={k} m={m} dir={dir}, balancer {}",
+            balancer.unwrap_or("none (serial engine)")
         );
     }
 
-    let outcome: Option<ParOutcome> = match implementation {
-        "serial" => {
-            if let Some(t) = args.parse_opt::<usize>("--threads") {
-                pic_prk::core::pool::global().set_active_threads(t.max(1));
-            }
-            let mut sim = Simulation::with_mode(setup, sweep).with_rebin_interval(rebin);
-            if !quiet {
-                println!(
-                    "sweep mode            : {} (kernel {})",
-                    sweep.cli_name(),
-                    sim.kernel_desc()
-                );
-            }
-            let mut tracer = rank0_tracer(0);
-            trace_simulation(&mut sim, steps, &mut tracer);
-            tracer.phase_start(Phase::Verify);
-            let report = sim.verify();
-            tracer.phase_end(Phase::Verify);
-            tracer.set_final_particles(sim.particle_count() as u64);
-            tracer.finish();
-            summarize_serial(&report, sim.particle_count(), quiet);
-            if !report.passed() {
-                exit(1);
-            }
-            None
+    let Some(balancer) = balancer else {
+        if let Some(t) = args.parse_opt::<usize>("--threads") {
+            pic_prk::core::pool::global().set_active_threads(t.max(1));
         }
-        "baseline" | "diffusion" | "adaptive" => {
-            let balancer = if implementation == "baseline" {
-                BalancerSpec::Static
-            } else {
-                let params = DiffusionParams {
-                    interval: lb_interval.unwrap_or(DiffusionParams::default().interval),
-                    tau: args.parse("--tau", DiffusionParams::default().tau),
-                    border_w,
-                };
-                let mode = match args.value("--mode").unwrap_or("x") {
-                    "x" => DiffusionMode::XOnly,
-                    "y" => DiffusionMode::YOnly,
-                    "2phase" => DiffusionMode::TwoPhase,
-                    other => bail(&format!("bad mode: {other}")),
-                };
-                // `--impl diffusion --balancer adaptive` upgrades to the
-                // online-switching balancer over the same cut machinery.
-                if implementation == "adaptive" || balancer_flag == Some("adaptive") {
-                    BalancerSpec::Adaptive { params, mode }
-                } else {
-                    BalancerSpec::Diffusion { params, mode }
-                }
-            };
-            let cfg = ParConfig::new(setup, steps)
-                .with_kernel(rank_kernel)
-                .with_balancer(balancer);
-            Some(
-                run_threads(ranks, |comm| {
-                    let mut tracer = rank0_tracer(comm.rank());
-                    let out = run_config_traced(&comm, &cfg, &mut tracer);
-                    tracer.finish();
-                    out
-                })
-                .swap_remove(0),
-            )
+        let mut sim = Simulation::with_mode(setup, sweep).with_rebin_interval(rebin);
+        if !quiet {
+            println!(
+                "sweep mode            : {} (kernel {})",
+                sweep.cli_name(),
+                sim.kernel_desc()
+            );
         }
-        "ampi" => {
-            let interval = lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT);
-            let cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
-            if balancer_flag == Some("adaptive") {
-                Some(
-                    run_threads(ranks, |comm| {
-                        let mut tracer = rank0_tracer(comm.rank());
-                        let out = run_ampi_adaptive_traced(&comm, &cfg, d, interval, &mut tracer);
-                        tracer.finish();
-                        out
-                    })
-                    .swap_remove(0),
-                )
-            } else {
-                let balancer = match balancer_flag.unwrap_or("refine") {
-                    "greedy" => Balancer::Greedy,
-                    "none" => Balancer::None,
-                    _ => Balancer::paper_default(),
-                };
-                let params = AmpiParams {
-                    d,
-                    interval,
-                    balancer,
-                };
-                Some(
-                    run_threads(ranks, |comm| {
-                        let mut tracer = rank0_tracer(comm.rank());
-                        let out = run_ampi_traced(&comm, &cfg, &params, &mut tracer);
-                        tracer.finish();
-                        out
-                    })
-                    .swap_remove(0),
-                )
-            }
-        }
-        _ => unreachable!("implementation names were checked above"),
-    };
-
-    if let Some(o) = outcome {
-        summarize_parallel(&o, ranks, quiet);
-        if !o.verify.passed() {
+        let mut tracer = rank0_tracer(0);
+        trace_simulation(&mut sim, steps, &mut tracer);
+        tracer.phase_start(Phase::Verify);
+        let report = sim.verify();
+        tracer.phase_end(Phase::Verify);
+        tracer.set_final_particles(sim.particle_count() as u64);
+        tracer.finish();
+        summarize_serial(&report, sim.particle_count(), quiet);
+        if !report.passed() {
             exit(1);
         }
+        return;
+    };
+
+    // Resolve the name once into the library's spec types, then one run.
+    let vp_interval = lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT);
+    let vp = |balancer| {
+        Distributed::Vp(AmpiParams {
+            d,
+            interval: vp_interval,
+            balancer,
+        })
+    };
+    let run = match balancer {
+        "static" => Distributed::Cut(BalancerSpec::Static),
+        "diffusion" | "adaptive" => {
+            let params = DiffusionParams {
+                interval: lb_interval.unwrap_or(DiffusionParams::default().interval),
+                tau: args.parse("--tau", DiffusionParams::default().tau),
+                border_w,
+            };
+            let mode = match args.value("--mode").unwrap_or("x") {
+                "x" => DiffusionMode::XOnly,
+                "y" => DiffusionMode::YOnly,
+                "2phase" => DiffusionMode::TwoPhase,
+                other => bail(&format!("bad mode: {other}")),
+            };
+            Distributed::Cut(if balancer == "adaptive" {
+                BalancerSpec::Adaptive { params, mode }
+            } else {
+                BalancerSpec::Diffusion { params, mode }
+            })
+        }
+        "vp-none" => vp(Balancer::None),
+        "vp-refine" => vp(Balancer::paper_default()),
+        "vp-greedy" => vp(Balancer::Greedy),
+        "vp-adaptive" => Distributed::VpAdaptive,
+        _ => unreachable!("--balancer was checked against BALANCERS"),
+    };
+    let mut cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
+    if let Distributed::Cut(spec) = run {
+        cfg = cfg.with_balancer(spec);
     }
+    let o = run_threads(ranks, |comm| {
+        let mut tracer = rank0_tracer(comm.rank());
+        let out = match &run {
+            Distributed::Cut(_) => run_config_traced(&comm, &cfg, &mut tracer),
+            Distributed::Vp(params) => run_ampi_traced(&comm, &cfg, params, &mut tracer),
+            Distributed::VpAdaptive => {
+                run_ampi_adaptive_traced(&comm, &cfg, d, vp_interval, &mut tracer)
+            }
+        };
+        tracer.finish();
+        out
+    })
+    .swap_remove(0);
+    summarize_parallel(&o, ranks, quiet);
+    if !o.verify.passed() {
+        exit(1);
+    }
+}
+
+/// A distributed run in the library's own spec types.
+enum Distributed {
+    /// The cut family (`static`, `diffusion`, `adaptive`).
+    Cut(BalancerSpec),
+    /// The VP runtime under one fixed strategy.
+    Vp(AmpiParams),
+    /// The VP runtime under the online-switching ladder.
+    VpAdaptive,
 }
 
 fn summarize_serial(report: &pic_prk::core::verify::VerifyReport, count: usize, quiet: bool) {

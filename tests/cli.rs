@@ -3,6 +3,17 @@
 use pic_prk::core::engine::SweepMode;
 use std::process::Command;
 
+/// Every `--balancer` value.
+const BALANCERS: [&str; 7] = [
+    "static",
+    "diffusion",
+    "adaptive",
+    "vp-none",
+    "vp-refine",
+    "vp-greedy",
+    "vp-adaptive",
+];
+
 fn pic() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pic"))
 }
@@ -55,24 +66,27 @@ fn default_serial_run_passes() {
 
 #[test]
 fn all_implementations_pass() {
-    for imp in ["serial", "baseline", "diffusion", "ampi"] {
-        let (ok, stdout, stderr) = run(&[
-            "--impl",
-            imp,
-            "--ranks",
-            "3",
-            "--grid",
-            "32",
-            "--particles",
-            "500",
-            "--steps",
-            "40",
-            "--m",
-            "1",
-            "--quiet",
-        ]);
-        assert!(ok, "impl {imp}: stdout={stdout} stderr={stderr}");
-        assert_eq!(stdout.trim(), "PASS", "impl {imp}");
+    // The serial engine, then every `--balancer` name on 3 ranks.
+    let workload = [
+        "--grid",
+        "32",
+        "--particles",
+        "500",
+        "--steps",
+        "40",
+        "--m",
+        "1",
+        "--quiet",
+    ];
+    let (ok, stdout, stderr) = run(&workload);
+    assert!(ok, "serial: stdout={stdout} stderr={stderr}");
+    assert_eq!(stdout.trim(), "PASS", "serial");
+    for name in BALANCERS {
+        let mut args = vec!["--balancer", name, "--ranks", "3"];
+        args.extend_from_slice(&workload);
+        let (ok, stdout, stderr) = run(&args);
+        assert!(ok, "balancer {name}: stdout={stdout} stderr={stderr}");
+        assert_eq!(stdout.trim(), "PASS", "balancer {name}");
     }
 }
 
@@ -104,8 +118,8 @@ fn distribution_specs_parse() {
 #[test]
 fn events_via_cli() {
     let (ok, stdout, _) = run(&[
-        "--impl",
-        "baseline",
+        "--balancer",
+        "static",
         "--ranks",
         "2",
         "--steps",
@@ -140,7 +154,7 @@ fn rotated_workload_via_cli() {
 #[test]
 fn two_phase_diffusion_via_cli() {
     let (ok, stdout, _) = run(&[
-        "--impl",
+        "--balancer",
         "diffusion",
         "--mode",
         "2phase",
@@ -165,9 +179,6 @@ fn bad_arguments_fail_cleanly() {
     let (ok, _, stderr) = run(&["--dist", "bogus"]);
     assert!(!ok);
     assert!(stderr.contains("unknown distribution"));
-    let (ok, _, stderr) = run(&["--impl", "quantum"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown implementation"));
     let (ok, _, stderr) = run(&["--grid", "15"]);
     assert!(!ok);
     assert!(stderr.contains("odd"));
@@ -176,24 +187,33 @@ fn bad_arguments_fail_cleanly() {
     assert_rejected(&["--bogus", "3", "--quiet"], "--bogus");
     assert_rejected(&["--steps"], "--steps needs a value");
     assert_rejected(&["--steps", "--quiet"], "--steps needs a value");
+    assert_rejected(&["--balancer", "quantum"], "bad balancer: quantum");
+    assert_rejected(&["--balancer", "static", "--ranks", "0"], "--ranks");
     assert_rejected(
-        &["--impl", "diffusion", "--balancer", "greedy"],
-        "--impl diffusion cannot host --balancer greedy",
-    );
-    assert_rejected(&["--impl", "baseline", "--ranks", "0"], "--ranks");
-    assert_rejected(
-        &["--impl", "diffusion", "--lb-interval", "0"],
+        &["--balancer", "diffusion", "--lb-interval", "0"],
         "--lb-interval",
     );
-    assert_rejected(&["--impl", "ampi", "--lb-interval", "0"], "--lb-interval");
-    assert_rejected(&["--impl", "diffusion", "--border", "0"], "--border");
-    assert_rejected(&["--impl", "ampi", "--d", "0"], "--d");
     assert_rejected(
-        &["--impl", "baseline", "--ranks", "100", "--grid", "8"],
+        &["--balancer", "vp-refine", "--lb-interval", "0"],
+        "--lb-interval",
+    );
+    assert_rejected(&["--balancer", "diffusion", "--border", "0"], "--border");
+    assert_rejected(&["--balancer", "vp-refine", "--d", "0"], "--d");
+    assert_rejected(
+        &["--balancer", "static", "--ranks", "100", "--grid", "8"],
         "--ranks 100 needs 10 processor columns",
     );
     assert_rejected(
-        &["--impl", "ampi", "--ranks", "4", "--d", "64", "--grid", "8"],
+        &[
+            "--balancer",
+            "vp-refine",
+            "--ranks",
+            "4",
+            "--d",
+            "64",
+            "--grid",
+            "8",
+        ],
         "--ranks 4 with --d 64 needs 16 VP columns",
     );
     // One occurrence per value option: a second one would be dropped.
@@ -208,12 +228,101 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn options_the_strategy_does_not_read_are_rejected() {
+    // One row per line of the option table: each names the option and
+    // the strategy that does not read it.
+    for (args, option, strategy) in [
+        (
+            &["--balancer", "static", "--threads", "4"][..],
+            "--threads",
+            "--balancer static",
+        ),
+        (&["--ranks", "3"][..], "--ranks", "the serial engine"),
+        (
+            &["--balancer", "static", "--lb-interval", "3"][..],
+            "--lb-interval",
+            "--balancer static",
+        ),
+        (
+            &["--lb-interval", "3"][..],
+            "--lb-interval",
+            "the serial engine",
+        ),
+        (
+            &["--balancer", "vp-refine", "--tau", "7"][..],
+            "--tau",
+            "--balancer vp-refine",
+        ),
+        (
+            &["--balancer", "static", "--border", "2"][..],
+            "--border",
+            "--balancer static",
+        ),
+        (
+            &["--balancer", "vp-refine", "--mode", "y"][..],
+            "--mode",
+            "--balancer vp-refine",
+        ),
+        (
+            &["--balancer", "diffusion", "--d", "7"][..],
+            "--d",
+            "--balancer diffusion",
+        ),
+        (
+            &["--balancer", "vp-greedy", "--rebin", "3"][..],
+            "--rebin",
+            "--balancer vp-greedy",
+        ),
+    ] {
+        assert_rejected(args, &format!("{option} is not read by {strategy}"));
+    }
+    assert_rejected(&["--trace-every", "2"], "--trace-every needs --trace");
+}
+
+#[test]
+fn events_the_grid_cannot_hold_are_rejected() {
+    // Out of range, reversed, and a step that does not fit `u32`: each was
+    // a FAIL, a silent no-op or a wrapped step before.
+    for (opt, spec) in [
+        ("--inject", "1,0,100,0,100,10"),
+        ("--inject", "1,8,4,0,16,10"),
+        ("--inject", "4294967297,0,16,0,16,10"),
+        ("--remove", "1,0,16,0,17,10"),
+    ] {
+        assert_rejected(
+            &[
+                "--grid",
+                "16",
+                "--particles",
+                "100",
+                "--steps",
+                "5",
+                opt,
+                spec,
+            ],
+            &format!("{opt} {spec}"),
+        );
+    }
+}
+
+#[test]
 fn removed_options_and_modes_are_rejected() {
-    // The collapsed variants left no silent no-op behind: the three flags
-    // and the four sweep modes are errors that name the offender.
+    // The collapsed variants left no silent no-op behind: the four flags,
+    // the five selector aliases and the four sweep modes are errors that
+    // name the offender.
     assert_rejected(&["--wire", "bytes"], "--wire");
     assert_rejected(&["--overlap", "off"], "--overlap");
     assert_rejected(&["--chunk", "64"], "--chunk");
+    assert_rejected(&["--impl", "diffusion"], "unknown option: --impl");
+    for alias in ["baseline", "ampi", "refine", "greedy", "none"] {
+        let out = pic().args(["--balancer", alias]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{alias}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{alias}: {stderr}");
+        for name in BALANCERS {
+            assert!(stderr.contains(name), "{alias}: {name} missing in {stderr}");
+        }
+    }
     // The fourth is the fast tier PR 17 deleted: the production name
     // plus `-fast`.
     let fast = format!("{}-fast", SweepMode::SoaBinned.cli_name());
@@ -221,14 +330,14 @@ fn removed_options_and_modes_are_rejected() {
         assert_rejected(&["--sweep", mode], &format!("bad sweep mode: {mode}"));
     }
     let (_, help, _) = run(&["--help"]);
-    for gone in ["--wire", "--overlap", "--chunk"] {
+    for gone in ["--wire", "--overlap", "--chunk", "--impl"] {
         assert!(!help.contains(gone), "{gone} still in --help");
     }
 }
 
 #[test]
 fn serial_defaults_to_the_production_sweep() {
-    // One default rule for every --impl: soa-binned unless --sweep asks
+    // One default rule for every strategy: soa-binned unless --sweep asks
     // for the reference.
     let (ok, stdout, _) = run(&["--steps", "5"]);
     assert!(ok);
@@ -377,15 +486,33 @@ fn trace_flag_writes_valid_ndjson() {
     std::fs::create_dir_all(&dir).unwrap();
     for (imp, extra) in [
         ("serial", &[][..]),
-        ("baseline", &["--ranks", "3"][..]),
-        ("diffusion", &["--ranks", "3", "--lb-interval", "4"][..]),
-        ("ampi", &["--ranks", "3", "--lb-interval", "4"][..]),
+        ("static", &["--balancer", "static", "--ranks", "3"][..]),
+        (
+            "diffusion",
+            &[
+                "--balancer",
+                "diffusion",
+                "--ranks",
+                "3",
+                "--lb-interval",
+                "4",
+            ][..],
+        ),
+        (
+            "vp-refine",
+            &[
+                "--balancer",
+                "vp-refine",
+                "--ranks",
+                "3",
+                "--lb-interval",
+                "4",
+            ][..],
+        ),
     ] {
         let path = dir.join(format!("{imp}.ndjson"));
         let path = path.to_str().unwrap();
         let mut args = vec![
-            "--impl",
-            imp,
             "--grid",
             "32",
             "--particles",

@@ -4,9 +4,9 @@
 //! reorders the sweep *between* particles, and particles never interact,
 //! so even floating-point state must agree exactly.
 
-use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
+use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_par::runner::{ParConfig, ParOutcome};
@@ -220,4 +220,15 @@ fn checksum_matches_ledger_after_events() {
     let out = run_threads(3, |comm| run_config(&comm, &cfg));
     assert_eq!(out[0].verify.id_sum, expected);
     assert_eq!(out[0].verify.expected_id_sum, expected);
+    // Both families apply events through the one `EventLedger`, so the VP
+    // runtime ends with the same population and ledger as the static run.
+    let params = AmpiParams {
+        d: 4,
+        interval: 6,
+        balancer: Balancer::paper_default(),
+    };
+    let vp = run_threads(2, |comm| run_ampi(&comm, &cfg, &params));
+    assert_eq!(vp[0].total_count, out[0].total_count);
+    assert_eq!(vp[0].verify.id_sum, expected);
+    assert_eq!(vp[0].verify.expected_id_sum, expected);
 }

@@ -51,10 +51,9 @@ fn buggy_exchange(
             }
         }
     }
-    let payloads: Vec<Vec<u8>> = outgoing.iter().map(|v| Particle::encode_all(v)).collect();
-    for (src, buf) in alltoallv(comm, payloads).into_iter().enumerate() {
-        if src != me && !buf.is_empty() {
-            particles.extend(Particle::decode_all(&buf).unwrap());
+    for (src, arrivals) in alltoallv(comm, outgoing).into_iter().enumerate() {
+        if src != me {
+            particles.extend(arrivals);
         }
     }
 }
