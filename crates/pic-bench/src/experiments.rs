@@ -7,7 +7,7 @@
 
 use pic_ampi::model::{model_ampi, model_ampi_tuned, AmpiParams};
 use pic_ampi::Balancer;
-use pic_par::model_impl::{model_baseline, model_diffusion_tuned, ModelConfig, ModelOutcome};
+use pic_par::model_impl::{model_baseline, model_diffusion_tuned, ModelConfig};
 
 /// A point on one of the scaling figures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,19 +168,6 @@ pub fn table_max_count(scale: u64) -> MaxCountRow {
 /// denominators).
 pub fn strong_serial_seconds(scale: u64) -> f64 {
     model_baseline(&scaled(ModelConfig::paper_strong(1), scale)).seconds * scale as f64
-}
-
-/// Convenience wrapper for ablation studies: one modeled diffusion run
-/// with explicit parameters.
-pub fn diffusion_with(cfg: &ModelConfig, interval: u32, tau: u64, border_w: usize) -> ModelOutcome {
-    pic_par::model_impl::model_diffusion(
-        cfg,
-        pic_par::diffusion::DiffusionParams {
-            interval,
-            tau,
-            border_w,
-        },
-    )
 }
 
 #[cfg(test)]

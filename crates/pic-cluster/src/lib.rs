@@ -2,7 +2,7 @@
 //!
 //! The paper's experiments ran on NERSC's Edison (Cray XC30: 2×12-core
 //! Xeon E5-2695 v2 per node, Aries Dragonfly interconnect) at up to 3,072
-//! cores. This host has one core, so the scaling figures are reproduced
+//! cores. This host has 2 vCPUs, so the scaling figures are reproduced
 //! through a deterministic **performance model**:
 //!
 //! * [`machine`] — a node/socket/core hierarchy with distance classes;
@@ -25,7 +25,6 @@ pub mod balancer;
 pub mod bsp;
 pub mod cost;
 pub mod loadmodel;
-pub mod loadmodel2d;
 pub mod machine;
 pub mod noise;
 pub mod stats;
@@ -38,7 +37,6 @@ pub use balancer::{
 pub use bsp::{BspSimulator, RunStats};
 pub use cost::CostModel;
 pub use loadmodel::ColumnLoadModel;
-pub use loadmodel2d::LoadModel2d;
 pub use machine::{Distance, MachineModel};
 pub use noise::NoiseModel;
 pub use stats::{BalanceStats, LoadTrace};

@@ -61,16 +61,6 @@ impl MachineModel {
         }
     }
 
-    /// A single-socket workstation with `cores` cores.
-    pub fn workstation(cores: usize) -> MachineModel {
-        assert!(cores > 0);
-        MachineModel {
-            nodes: 1,
-            sockets_per_node: 1,
-            cores_per_socket: cores,
-        }
-    }
-
     /// Total number of cores.
     #[inline]
     pub fn total_cores(&self) -> usize {
@@ -145,13 +135,6 @@ mod tests {
         for &(a, b) in &[(0usize, 13), (5, 40), (70, 95), (12, 12)] {
             assert_eq!(m.distance(a, b), m.distance(b, a));
         }
-    }
-
-    #[test]
-    fn workstation_all_same_socket() {
-        let m = MachineModel::workstation(8);
-        assert_eq!(m.distance(0, 7), Distance::SameSocket);
-        assert_eq!(m.total_cores(), 8);
     }
 
     #[test]

@@ -102,20 +102,6 @@ impl<T> Receiver<T> {
             queue = self.inner.ready.wait(queue).unwrap();
         }
     }
-
-    /// Non-blocking receive; `None` when the queue is currently empty.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.queue.lock().unwrap().pop_front()
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.queue.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Drop for Receiver<T> {

@@ -1,7 +1,7 @@
 //! Collective operations over a [`Communicator`].
 //!
-//! Implemented with the classic binomial-tree / dissemination algorithms on
-//! top of point-to-point messages — the same structure an MPI
+//! Implemented with the classic binomial-tree algorithms on top of
+//! point-to-point messages — the same structure an MPI
 //! implementation uses — so message counts scale as `O(P log P)` per
 //! collective and the substrate exercises realistic traffic patterns.
 //!
@@ -9,7 +9,7 @@
 //! in the same order (the usual MPI rule); tag-sequence bookkeeping relies
 //! on it.
 
-use crate::comm::{splitmix64, Communicator, ReduceOp};
+use crate::comm::{Communicator, ReduceOp};
 
 // ---------------------------------------------------------------------------
 // byte codecs
@@ -40,56 +40,6 @@ pub fn decode_u64s_into(buf: &[u8], out: &mut Vec<u64>) {
         buf.chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
     );
-}
-
-/// Encode a slice of `f64` little-endian (bit-exact).
-pub fn encode_f64s(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a buffer of `f64`s.
-pub fn decode_f64s(buf: &[u8]) -> Vec<f64> {
-    let mut out = Vec::new();
-    decode_f64s_into(buf, &mut out);
-    out
-}
-
-/// [`decode_f64s`] into a caller-owned vector (cleared, capacity retained).
-pub fn decode_f64s_into(buf: &[u8], out: &mut Vec<f64>) {
-    assert_eq!(buf.len() % 8, 0, "f64 buffer misaligned");
-    out.clear();
-    out.extend(
-        buf.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-    );
-}
-
-// ---------------------------------------------------------------------------
-// barrier
-// ---------------------------------------------------------------------------
-
-/// Dissemination barrier: `⌈log₂ P⌉` rounds of pairwise signals.
-pub fn barrier(comm: &Communicator) {
-    let base = comm.next_coll_base();
-    let size = comm.size();
-    let rank = comm.rank();
-    if size == 1 {
-        return;
-    }
-    let mut round = 0u64;
-    let mut dist = 1usize;
-    while dist < size {
-        let dst = (rank + dist) % size;
-        let src = (rank + size - dist) % size;
-        comm.send_coll(dst, base + round, Vec::<u8>::new());
-        let _: Vec<u8> = comm.recv_coll(src, base + round);
-        dist <<= 1;
-        round += 1;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -300,35 +250,15 @@ pub fn allreduce_u64(comm: &Communicator, mine: u64, op: ReduceOp) -> u64 {
     allreduce_vec_u64(comm, &[mine], op)[0]
 }
 
-/// Element-wise allreduce of equal-length `f64` vectors (deterministic
-/// fold order: fixed binomial tree).
-pub fn allreduce_vec_f64(comm: &Communicator, mine: &[f64], op: ReduceOp) -> Vec<f64> {
-    let mut out = Vec::new();
-    allreduce_vec_f64_into(comm, mine, op, &mut out);
-    out
-}
-
-/// [`allreduce_vec_f64`] into a caller-owned vector (cleared, capacity
-/// retained). The fold rewrites the accumulator's bytes in place.
-pub fn allreduce_vec_f64_into(comm: &Communicator, mine: &[f64], op: ReduceOp, out: &mut Vec<f64>) {
-    let n = mine.len();
-    let mut bv: Vec<f64> = Vec::new();
-    let reduced = reduce_bytes(comm, 0, encode_f64s(mine), move |mut a, b| {
-        decode_f64s_into(&b, &mut bv);
-        assert_eq!(a.len(), n * 8);
-        for (chunk, y) in a.chunks_exact_mut(8).zip(&bv) {
-            let x = f64::from_le_bytes(chunk.try_into().unwrap());
-            chunk.copy_from_slice(&op.fold_f64(x, *y).to_le_bytes());
-        }
-        a
+/// Scalar f64 allreduce (deterministic fold order: fixed binomial tree).
+pub fn allreduce_f64(comm: &Communicator, mine: f64, op: ReduceOp) -> f64 {
+    let reduced = reduce_bytes(comm, 0, mine.to_le_bytes().to_vec(), move |a, b| {
+        let x = f64::from_le_bytes(a.try_into().unwrap());
+        let y = f64::from_le_bytes(b.try_into().unwrap());
+        op.fold_f64(x, y).to_le_bytes().to_vec()
     });
     let packed = reduced.unwrap_or_default();
-    broadcast_visit(comm, 0, packed, |b| decode_f64s_into(b, out));
-}
-
-/// Scalar f64 allreduce.
-pub fn allreduce_f64(comm: &Communicator, mine: f64, op: ReduceOp) -> f64 {
-    allreduce_vec_f64(comm, &[mine], op)[0]
+    f64::from_le_bytes(broadcast(comm, 0, packed).try_into().unwrap())
 }
 
 /// u128 allreduce (for the id checksum, which can exceed u64).
@@ -340,151 +270,6 @@ pub fn allreduce_u128(comm: &Communicator, mine: u128, op: ReduceOp) -> u128 {
     });
     let packed = reduced.unwrap_or_default();
     u128::from_le_bytes(broadcast(comm, 0, packed).try_into().unwrap())
-}
-
-/// Logical AND allreduce (verification merging).
-pub fn allreduce_bool_and(comm: &Communicator, mine: bool) -> bool {
-    allreduce_u64(comm, mine as u64, ReduceOp::Min) == 1
-}
-
-// ---------------------------------------------------------------------------
-// scans
-// ---------------------------------------------------------------------------
-
-/// Inclusive prefix reduction: rank `r` receives `fold(v₀, …, v_r)`.
-/// Linear-chain algorithm (deterministic order, O(P) latency — scans are
-/// off the per-step critical path in this kernel).
-pub fn scan_u64(comm: &Communicator, mine: u64, op: ReduceOp) -> u64 {
-    let base = comm.next_coll_base();
-    let rank = comm.rank();
-    let mut acc = mine;
-    if rank > 0 {
-        let buf: Vec<u8> = comm.recv_coll(rank - 1, base);
-        let upstream = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        acc = op.fold_u64(upstream, acc);
-    }
-    if rank + 1 < comm.size() {
-        comm.send_coll(rank + 1, base, encode_u64s(&[acc]));
-    }
-    acc
-}
-
-/// Exclusive prefix sum: rank `r` receives `Σ_{q<r} v_q` (0 at rank 0).
-/// The classic offset computation for ordered global ids.
-pub fn exscan_sum_u64(comm: &Communicator, mine: u64) -> u64 {
-    let inclusive = scan_u64(comm, mine, ReduceOp::Sum);
-    inclusive - mine
-}
-
-// ---------------------------------------------------------------------------
-// reduce_scatter
-// ---------------------------------------------------------------------------
-
-/// Element-wise sum of per-rank `u64` vectors of length `P`, scattering
-/// element `r` to rank `r` — the one-call form of the diffusion balancer's
-/// "every processor column learns its own aggregated count".
-///
-/// Pairwise recursive-halving algorithm: the exchanged data volume halves
-/// every round, so no rank ever materializes the full reduced `P`-vector
-/// (unlike the allreduce-based oracle,
-/// [`reduce_scatter_sum_u64_via_allreduce`]). Non-power-of-two sizes fold
-/// the top `P - 2^k` ranks into partners first and scatter their slots
-/// back at the end.
-pub fn reduce_scatter_sum_u64(comm: &Communicator, mine: &[u64]) -> u64 {
-    let size = comm.size();
-    assert_eq!(mine.len(), size, "one element per rank");
-    if size == 1 {
-        return mine[0];
-    }
-    let base = comm.next_coll_base();
-    let rank = comm.rank();
-    let pow2 = if size.is_power_of_two() {
-        size
-    } else {
-        size.next_power_of_two() >> 1
-    };
-    let rem = size - pow2;
-    // Tag layout: base for the pre-phase, base + 1 + round for the halving
-    // rounds (round < 20), base + 30 for the post-phase scatter.
-    const POST_TAG: u64 = 30;
-
-    let mut acc: Vec<u64> = mine.to_vec();
-    if rank >= pow2 {
-        // Fold into the partner, then wait for our scattered slot.
-        comm.send_coll(rank - pow2, base, encode_u64s(&acc));
-        let buf: Vec<u8> = comm.recv_coll(rank - pow2, base + POST_TAG);
-        return u64::from_le_bytes(buf[..8].try_into().unwrap());
-    }
-    if rank < rem {
-        let theirs: Vec<u8> = comm.recv_coll(rank + pow2, base);
-        assert_eq!(theirs.len(), size * 8, "reduce_scatter framing");
-        for (x, chunk) in acc.iter_mut().zip(theirs.chunks_exact(8)) {
-            *x += u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-    }
-
-    // Group range [a, b) owns final slots a..b plus the slots of the
-    // pre-folded ranks a+pow2..min(b+pow2, size), serialized ascending.
-    let push_slots = |a: usize, b: usize, acc: &[u64], out: &mut Vec<u8>| {
-        for i in (a..b).chain(a + pow2..(b + pow2).min(size)) {
-            out.extend_from_slice(&acc[i].to_le_bytes());
-        }
-    };
-    let mut lo = 0usize;
-    let mut len = pow2;
-    let mut round = 1u64;
-    while len > 1 {
-        let half = len / 2;
-        let lower = rank < lo + half;
-        let (my_a, my_b, their_a, their_b) = if lower {
-            (lo, lo + half, lo + half, lo + len)
-        } else {
-            (lo + half, lo + len, lo, lo + half)
-        };
-        let partner = if lower { rank + half } else { rank - half };
-        let mut buf = Vec::new();
-        push_slots(their_a, their_b, &acc, &mut buf);
-        comm.send_coll(partner, base + round, buf);
-        let got: Vec<u8> = comm.recv_coll(partner, base + round);
-        let mut chunks = got.chunks_exact(8);
-        for i in (my_a..my_b).chain(my_a + pow2..(my_b + pow2).min(size)) {
-            let c = chunks.next().expect("reduce_scatter framing");
-            acc[i] += u64::from_le_bytes(c.try_into().unwrap());
-        }
-        assert!(chunks.next().is_none(), "reduce_scatter framing");
-        lo = my_a;
-        len = half;
-        round += 1;
-    }
-    debug_assert_eq!(lo, rank);
-    if rank < rem {
-        comm.send_coll(
-            rank + pow2,
-            base + POST_TAG,
-            acc[rank + pow2].to_le_bytes().to_vec(),
-        );
-    }
-    acc[rank]
-}
-
-/// The pre-PR-8 implementation — a full vector allreduce followed by
-/// picking one's own slot. Kept as the test oracle for the pairwise
-/// algorithm above.
-pub fn reduce_scatter_sum_u64_via_allreduce(comm: &Communicator, mine: &[u64]) -> u64 {
-    assert_eq!(mine.len(), comm.size(), "one element per rank");
-    let all = allreduce_vec_u64(comm, mine, ReduceOp::Sum);
-    all[comm.rank()]
-}
-
-// ---------------------------------------------------------------------------
-// sendrecv
-// ---------------------------------------------------------------------------
-
-/// Combined send+receive (deadlock-free pairwise exchange): sends `data`
-/// to `dst` and returns the message received from `src`, both with `tag`.
-pub fn sendrecv(comm: &Communicator, dst: usize, src: usize, tag: u64, data: Vec<u8>) -> Vec<u8> {
-    comm.send(dst, tag, data);
-    comm.recv(src, tag)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,41 +304,6 @@ pub fn alltoallv_take_into<P: crate::payload::WirePayload>(
     crate::sparse::alltoallv_finish_into(comm, handle, incoming);
 }
 
-// ---------------------------------------------------------------------------
-// split
-// ---------------------------------------------------------------------------
-
-/// Collective communicator split: ranks with equal `color` form a new
-/// communicator, ordered by `(key, old rank)`. Analogous to
-/// `MPI_Comm_split`.
-pub fn split(comm: &Communicator, color: u64, key: u64) -> Communicator {
-    let seq = comm.next_split_seq();
-    let triple = [color, key, comm.rank() as u64];
-    let all = allgatherv(comm, encode_u64s(&triple));
-    let mut members: Vec<(u64, usize)> = all
-        .iter()
-        .map(|b| decode_u64s(b))
-        .filter(|t| t[0] == color)
-        .map(|t| (t[1], t[2] as usize))
-        .collect();
-    members.sort_unstable();
-    let my_rank = members
-        .iter()
-        .position(|&(_, r)| r == comm.rank())
-        .expect("split: caller missing from its own color group");
-    let world_members: Vec<usize> = members
-        .iter()
-        .map(|&(_, r)| comm.world_rank_of(r))
-        .collect();
-    let ctx = splitmix64(splitmix64(comm.ctx() ^ (seq << 32)) ^ color);
-    Communicator::from_parts(
-        comm.endpoint().clone(),
-        ctx,
-        std::sync::Arc::new(world_members),
-        my_rank,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,8 +313,6 @@ mod tests {
     fn codec_roundtrip() {
         let v = vec![0u64, 1, u64::MAX, 42];
         assert_eq!(decode_u64s(&encode_u64s(&v)), v);
-        let f = vec![0.0f64, -1.5, f64::MAX, f64::MIN_POSITIVE];
-        assert_eq!(decode_f64s(&encode_f64s(&f)), f);
     }
 
     #[test]
@@ -575,10 +323,6 @@ mod tests {
         decode_u64s_into(&encode_u64s(&v), &mut out);
         assert_eq!(out, v);
         assert_eq!(out.capacity(), cap, "no reallocation under capacity");
-        let f = vec![1.5f64, -2.5];
-        let mut fout = Vec::with_capacity(4);
-        decode_f64s_into(&encode_f64s(&f), &mut fout);
-        assert_eq!(fout, f);
     }
 
     #[test]
@@ -606,46 +350,14 @@ mod tests {
     fn allreduce_vec_into_reuses_scratch() {
         let got = run_threads(3, |comm| {
             let mut out = Vec::new();
-            let mut fout = Vec::new();
             for step in 0..3u64 {
                 let mine = vec![comm.rank() as u64 + step, 1];
                 allreduce_vec_u64_into(&comm, &mine, ReduceOp::Sum, &mut out);
-                let fmine = vec![comm.rank() as f64];
-                allreduce_vec_f64_into(&comm, &fmine, ReduceOp::Max, &mut fout);
             }
-            (out, fout)
+            out
         });
-        for (out, fout) in got {
+        for out in got {
             assert_eq!(out, vec![3 + 3 * 2, 3]);
-            assert_eq!(fout, vec![2.0]);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_matches_allreduce_oracle() {
-        for p in [1usize, 2, 3, 4, 5, 6, 7, 8] {
-            let got = run_threads(p, move |comm| {
-                let mine: Vec<u64> = (0..p)
-                    .map(|i| (comm.rank() * 31 + i * 7 + 1) as u64)
-                    .collect();
-                let pairwise = reduce_scatter_sum_u64(&comm, &mine);
-                let oracle = reduce_scatter_sum_u64_via_allreduce(&comm, &mine);
-                (pairwise, oracle)
-            });
-            for (r, (pairwise, oracle)) in got.into_iter().enumerate() {
-                assert_eq!(pairwise, oracle, "size {p} rank {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_completes_all_sizes() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            run_threads(p, |comm| {
-                for _ in 0..3 {
-                    barrier(&comm);
-                }
-            });
         }
     }
 
@@ -734,62 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn bool_and_detects_any_false() {
-        let got = run_threads(4, |comm| allreduce_bool_and(&comm, comm.rank() != 2));
-        assert!(got.iter().all(|&g| !g));
-        let got = run_threads(4, |comm| allreduce_bool_and(&comm, true));
-        assert!(got.iter().all(|&g| g));
-    }
-
-    #[test]
-    fn scan_inclusive_prefixes() {
-        let got = run_threads(5, |comm| {
-            scan_u64(&comm, comm.rank() as u64 + 1, ReduceOp::Sum)
-        });
-        assert_eq!(got, vec![1, 3, 6, 10, 15]);
-        let got = run_threads(4, |comm| {
-            scan_u64(&comm, 10 - comm.rank() as u64, ReduceOp::Min)
-        });
-        assert_eq!(got, vec![10, 9, 8, 7]);
-    }
-
-    #[test]
-    fn exscan_offsets() {
-        let got = run_threads(4, |comm| {
-            exscan_sum_u64(&comm, (comm.rank() as u64 + 1) * 100)
-        });
-        assert_eq!(got, vec![0, 100, 300, 600]);
-    }
-
-    #[test]
-    fn scan_single_rank() {
-        let got = run_threads(1, |comm| scan_u64(&comm, 7, ReduceOp::Sum));
-        assert_eq!(got, vec![7]);
-    }
-
-    #[test]
-    fn reduce_scatter_gives_own_slot() {
-        let got = run_threads(3, |comm| {
-            let mine: Vec<u64> = (0..3).map(|i| (comm.rank() * 10 + i) as u64).collect();
-            reduce_scatter_sum_u64(&comm, &mine)
-        });
-        // Element i summed over ranks: (0+10+20) + 3i = 30 + 3i.
-        assert_eq!(got, vec![30, 33, 36]);
-    }
-
-    #[test]
-    fn sendrecv_ring_shift() {
-        let got = run_threads(5, |comm| {
-            let p = comm.size();
-            let right = (comm.rank() + 1) % p;
-            let left = (comm.rank() + p - 1) % p;
-            let back = sendrecv(&comm, right, left, 9, vec![comm.rank() as u8]);
-            back[0]
-        });
-        assert_eq!(got, vec![4, 0, 1, 2, 3]);
-    }
-
-    #[test]
     fn alltoallv_personalized_exchange() {
         let got = run_threads(4, |comm| {
             let outgoing: Vec<Vec<u8>> =
@@ -801,53 +457,5 @@ mod tests {
                 assert_eq!(payload, vec![(10 * s + r) as u8]);
             }
         }
-    }
-
-    #[test]
-    fn split_into_rows_and_columns() {
-        // 2×3 grid: color by row then by column, reduce within each.
-        let got = run_threads(6, |comm| {
-            let row = comm.rank() / 3;
-            let col = comm.rank() % 3;
-            let row_comm = split(&comm, row as u64, col as u64);
-            let col_comm = split(&comm, 100 + col as u64, row as u64);
-            let row_sum = allreduce_u64(&row_comm, comm.rank() as u64, ReduceOp::Sum);
-            let col_sum = allreduce_u64(&col_comm, comm.rank() as u64, ReduceOp::Sum);
-            (row_comm.size(), col_comm.size(), row_sum, col_sum)
-        });
-        for (r, (rs, cs, row_sum, col_sum)) in got.into_iter().enumerate() {
-            assert_eq!(rs, 3);
-            assert_eq!(cs, 2);
-            let row = r / 3;
-            let col = r % 3;
-            assert_eq!(row_sum, (3 * row) as u64 * 3 + 3, "row {row}");
-            assert_eq!(col_sum, (col + col + 3) as u64);
-        }
-    }
-
-    #[test]
-    fn split_orders_by_key() {
-        let got = run_threads(4, |comm| {
-            // Reverse order: key = size - rank.
-            let sub = split(&comm, 0, (comm.size() - comm.rank()) as u64);
-            sub.rank()
-        });
-        assert_eq!(got, vec![3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn subcomm_messages_do_not_leak_to_parent() {
-        run_threads(2, |comm| {
-            let sub = split(&comm, 0, comm.rank() as u64);
-            if comm.rank() == 0 {
-                sub.send(1, 5, vec![1]);
-                comm.send(1, 5, vec![2]);
-            } else {
-                // Receive in the opposite order: context isolation must
-                // route each message to the right receive.
-                assert_eq!(comm.recv(0, 5), vec![2]);
-                assert_eq!(sub.recv(0, 5), vec![1]);
-            }
-        });
     }
 }

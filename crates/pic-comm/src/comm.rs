@@ -1,12 +1,13 @@
-//! The [`Communicator`] — a rank's handle on a (sub-)communicator.
+//! The [`Communicator`] — a rank's handle on the world.
 
 use crate::endpoint::{CommMetrics, Endpoint};
 use crate::payload::WirePayload;
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// User-visible message tag. Must stay below [`Tag::MAX_USER`]; larger
-/// values are reserved for collectives.
+/// User-visible message tag. Must not exceed
+/// [`Communicator::MAX_USER_TAG`]; larger values are reserved for
+/// collectives.
 pub type Tag = u64;
 
 /// Reduction operators for the numeric collectives.
@@ -49,63 +50,12 @@ impl ReduceOp {
 /// Highest tag bit flags a collective-internal message.
 const COLLECTIVE_FLAG: u64 = 1 << 63;
 
-/// Completion handle for a nonblocking send started with
-/// [`Communicator::isend`]. Sends never block on this transport (unbounded
-/// channels), so the handle completes trivially — it exists so call sites
-/// are written against the MPI-shaped API and keep working if the
-/// transport grows backpressure.
-#[derive(Debug)]
-#[must_use = "an isend must be completed with wait()"]
-pub struct SendHandle {
-    _priv: (),
-}
-
-impl SendHandle {
-    /// Has the send completed? Always true on this transport.
-    pub fn test(&self) -> bool {
-        true
-    }
-
-    /// Block until the send completes (a no-op here).
-    pub fn wait(self) {}
-}
-
-/// Completion handle for a nonblocking receive posted with
-/// [`Communicator::irecv`]. The message is claimed when `test` first
-/// matches or when `wait` is called; the handle pins `(src, tag)` so the
-/// match is exactly the one the post described.
-#[derive(Debug)]
-#[must_use = "an irecv must be completed with test() or wait()"]
-pub struct RecvHandle {
-    src: usize,
-    tag: Tag,
-}
-
-impl RecvHandle {
-    /// Non-blocking completion probe: returns the payload when the
-    /// matching message has arrived, `None` otherwise. Call with the same
-    /// communicator the handle was created from.
-    pub fn test(&self, comm: &Communicator) -> Option<Vec<u8>> {
-        comm.try_recv(self.src, self.tag)
-    }
-
-    /// Block until the matching message arrives and return its payload.
-    pub fn wait(self, comm: &Communicator) -> Vec<u8> {
-        comm.recv(self.src, self.tag)
-    }
-}
-
-/// A communicator: an ordered group of ranks with an isolated message
-/// context. Clone-free by design — each rank holds exactly one
-/// `Communicator` per group it belongs to.
+/// A communicator: this rank's handle on the one world of ranks.
+/// Clone-free by design — each rank holds exactly one `Communicator`.
 pub struct Communicator {
     ep: Arc<Endpoint>,
-    ctx: u64,
-    /// World ranks of the members, indexed by communicator rank.
-    members: Arc<Vec<usize>>,
     my_rank: usize,
     coll_seq: Cell<u64>,
-    split_seq: Cell<u64>,
 }
 
 impl Communicator {
@@ -114,31 +64,11 @@ impl Communicator {
 
     /// Wrap an endpoint as the world communicator.
     pub fn world(ep: Arc<Endpoint>) -> Communicator {
-        let size = ep.world_size();
-        let rank = ep.world_rank();
+        let my_rank = ep.world_rank();
         Communicator {
             ep,
-            ctx: 0,
-            members: Arc::new((0..size).collect()),
-            my_rank: rank,
-            coll_seq: Cell::new(0),
-            split_seq: Cell::new(0),
-        }
-    }
-
-    pub(crate) fn from_parts(
-        ep: Arc<Endpoint>,
-        ctx: u64,
-        members: Arc<Vec<usize>>,
-        my_rank: usize,
-    ) -> Communicator {
-        Communicator {
-            ep,
-            ctx,
-            members,
             my_rank,
             coll_seq: Cell::new(0),
-            split_seq: Cell::new(0),
         }
     }
 
@@ -151,13 +81,7 @@ impl Communicator {
     /// Number of ranks in the communicator.
     #[inline]
     pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// World rank of communicator member `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
+        self.ep.world_size()
     }
 
     /// Send a buffer to communicator rank `dst` with a user tag,
@@ -165,14 +89,14 @@ impl Communicator {
     /// lane — `Vec<u8>` (oracle) or `Vec<Particle>` (typed fast lane).
     pub fn send_payload<P: WirePayload>(&self, dst: usize, tag: Tag, data: P) {
         assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        self.ep.send_payload(self.members[dst], self.ctx, tag, data);
+        self.ep.send_payload(dst, tag, data);
     }
 
     /// Blocking receive of a `P` buffer from communicator rank `src` with
     /// a user tag. A matching message of the wrong payload kind panics.
     pub fn recv_payload<P: WirePayload>(&self, src: usize, tag: Tag) -> P {
         assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        self.ep.recv_payload(self.members[src], self.ctx, tag)
+        self.ep.recv_payload(src, tag)
     }
 
     /// Send `data` to communicator rank `dst` with a user tag.
@@ -185,37 +109,14 @@ impl Communicator {
         self.recv_payload(src, tag)
     }
 
-    /// Non-blocking receive from communicator rank `src` with a user tag.
-    /// Returns `None` when no matching message has arrived yet.
-    pub fn try_recv(&self, src: usize, tag: Tag) -> Option<Vec<u8>> {
-        assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        self.ep.try_recv(self.members[src], self.ctx, tag)
-    }
-
-    /// Nonblocking send. The transport is eager (sends never block), so the
-    /// returned handle is trivially complete; see [`SendHandle`].
-    pub fn isend(&self, dst: usize, tag: Tag, data: Vec<u8>) -> SendHandle {
-        self.send(dst, tag, data);
-        SendHandle { _priv: () }
-    }
-
-    /// Post a nonblocking receive for `(src, tag)`. Complete it with
-    /// [`RecvHandle::test`] or [`RecvHandle::wait`].
-    pub fn irecv(&self, src: usize, tag: Tag) -> RecvHandle {
-        assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        RecvHandle { src, tag }
-    }
-
     /// Internal: send/recv with a collective-reserved tag. Generic over
     /// the wire lane so the alltoallv family can route typed buffers.
     pub(crate) fn send_coll<P: WirePayload>(&self, dst: usize, tag: u64, data: P) {
-        self.ep
-            .send_payload(self.members[dst], self.ctx, COLLECTIVE_FLAG | tag, data);
+        self.ep.send_payload(dst, COLLECTIVE_FLAG | tag, data);
     }
 
     pub(crate) fn recv_coll<P: WirePayload>(&self, src: usize, tag: u64) -> P {
-        self.ep
-            .recv_payload(self.members[src], self.ctx, COLLECTIVE_FLAG | tag)
+        self.ep.recv_payload(src, COLLECTIVE_FLAG | tag)
     }
 
     /// Allocate a fresh tag block for one collective operation. All members
@@ -227,34 +128,10 @@ impl Communicator {
         seq << 20 // up to 2^20 sub-messages per collective
     }
 
-    pub(crate) fn next_split_seq(&self) -> u64 {
-        let s = self.split_seq.get();
-        self.split_seq.set(s + 1);
-        s
-    }
-
-    pub(crate) fn ctx(&self) -> u64 {
-        self.ctx
-    }
-
-    pub(crate) fn endpoint(&self) -> &Arc<Endpoint> {
-        &self.ep
-    }
-
-    /// Traffic counters of the underlying endpoint (whole world, all
-    /// communicators of this rank).
+    /// Traffic counters of this rank's endpoint.
     pub fn metrics(&self) -> CommMetrics {
         self.ep.metrics()
     }
-}
-
-/// splitmix64 — deterministic context-id derivation for `split`.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -267,7 +144,6 @@ mod tests {
         let c = Communicator::world(eps[1].clone());
         assert_eq!(c.rank(), 1);
         assert_eq!(c.size(), 3);
-        assert_eq!(c.world_rank_of(2), 2);
     }
 
     #[test]
@@ -285,36 +161,5 @@ mod tests {
         assert_eq!(ReduceOp::Max.fold_u64(2, 3), 3);
         assert_eq!(ReduceOp::Sum.fold_f64(0.5, 0.25), 0.75);
         assert_eq!(ReduceOp::Max.fold_u128(7, 9), 9);
-    }
-
-    #[test]
-    fn isend_irecv_roundtrip() {
-        let eps = Endpoint::world(1);
-        let c = Communicator::world(eps[0].clone());
-        let r = c.irecv(0, 4);
-        assert!(r.test(&c).is_none(), "nothing sent yet");
-        let s = c.isend(0, 4, vec![1, 2]);
-        assert!(s.test());
-        s.wait();
-        assert_eq!(r.test(&c), Some(vec![1, 2]));
-    }
-
-    #[test]
-    fn irecv_wait_blocks_until_match() {
-        let eps = Endpoint::world(1);
-        let c = Communicator::world(eps[0].clone());
-        let r = c.irecv(0, 8);
-        c.send(0, 8, vec![3]);
-        assert_eq!(r.wait(&c), vec![3]);
-        assert_eq!(c.try_recv(0, 8), None);
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_spread() {
-        let a = splitmix64(1);
-        let b = splitmix64(1);
-        let c = splitmix64(2);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

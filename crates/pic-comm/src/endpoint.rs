@@ -6,17 +6,26 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A raw wire message. `ctx` isolates communicators, `src` is the sender's
-/// *world* rank, `tag` is the user/collective tag. The body is a
-/// [`Payload`] — matching is on `(ctx, src, tag)` only; the *receiver*
-/// names the type it expects and a kind mismatch panics at claim time.
+/// A raw wire message. `src` is the sender's rank, `tag` is the
+/// user/collective tag. The body is a [`Payload`] — matching is on
+/// `(src, tag)` only; the *receiver* names the type it expects and a kind
+/// mismatch panics at claim time.
 #[derive(Debug)]
 pub struct RawMsg {
-    pub ctx: u64,
     pub src: usize,
     pub tag: u64,
     pub data: Payload,
 }
+
+/// Tag of the poison message a panicking rank leaves in every inbox (see
+/// [`Endpoint::poison_world`]). No user tag (≤ `MAX_USER_TAG`) and no
+/// collective tag (bit 63 + a sequence number that would have to reach
+/// 2⁴³) can equal it.
+const POISON_TAG: u64 = u64::MAX;
+
+/// How the panic of a rank that pulled the poison ends — what
+/// `run_threads` tells a collateral panic from the original by.
+pub(crate) const WORLD_ABORTED: &str = "panicked; world aborted";
 
 /// Snapshot of an endpoint's traffic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,13 +89,12 @@ impl Endpoint {
     /// Send a buffer to a world rank, surrendering its ownership to the
     /// transport. Never blocks (unbounded channels, like an eager-protocol
     /// MPI for the message sizes this kernel uses).
-    pub fn send_payload<P: WirePayload>(&self, dst_world: usize, ctx: u64, tag: u64, data: P) {
+    pub fn send_payload<P: WirePayload>(&self, dst_world: usize, tag: u64, data: P) {
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent
             .fetch_add(data.len_bytes() as u64, Ordering::Relaxed);
         self.senders[dst_world]
             .send(RawMsg {
-                ctx,
                 src: self.world_rank,
                 tag,
                 data: data.into_payload(),
@@ -95,21 +103,36 @@ impl Endpoint {
     }
 
     /// [`Endpoint::send_payload`] on the byte lane.
-    pub fn send(&self, dst_world: usize, ctx: u64, tag: u64, data: Vec<u8>) {
-        self.send_payload(dst_world, ctx, tag, data);
+    pub fn send(&self, dst_world: usize, tag: u64, data: Vec<u8>) {
+        self.send_payload(dst_world, tag, data);
     }
 
-    /// Blocking receive matching `(ctx, src_world, tag)`, claiming the
+    /// Called for a rank whose closure panicked: leave one poison message
+    /// in every inbox, so that a peer blocked in (or later entering) a
+    /// receive this rank will never satisfy panics too instead of waiting
+    /// forever. An inbox whose rank is already gone is skipped.
+    pub(crate) fn poison_world(&self) {
+        for tx in &self.senders {
+            let _ = tx.send(RawMsg {
+                src: self.world_rank,
+                tag: POISON_TAG,
+                data: Vec::<u8>::new().into_payload(),
+            });
+        }
+    }
+
+    /// Blocking receive matching `(src_world, tag)`, claiming the
     /// message as buffer type `P`. Non-matching arrivals are parked for
     /// later receives; a matching message of the wrong payload kind panics
-    /// (see [`WirePayload::from_payload`]).
-    pub fn recv_payload<P: WirePayload>(&self, src_world: usize, ctx: u64, tag: u64) -> P {
+    /// (see [`WirePayload::from_payload`]). Pulling another rank's poison
+    /// off the wire panics: that rank is gone and so is the world.
+    pub fn recv_payload<P: WirePayload>(&self, src_world: usize, tag: u64) -> P {
         // First scan the unexpected-message queue.
         {
             let mut pending = self.pending.lock().unwrap();
             if let Some(pos) = pending
                 .iter()
-                .position(|m| m.ctx == ctx && m.src == src_world && m.tag == tag)
+                .position(|m| m.src == src_world && m.tag == tag)
             {
                 let m = pending.remove(pos).unwrap();
                 self.note_recv(&m);
@@ -122,52 +145,20 @@ impl Endpoint {
                 .inbox
                 .recv()
                 .expect("all senders dropped while a receive was outstanding");
-            if m.ctx == ctx && m.src == src_world && m.tag == tag {
+            if m.src == src_world && m.tag == tag {
                 self.note_recv(&m);
                 return P::from_payload(m.data);
+            }
+            if m.tag == POISON_TAG {
+                panic!("rank {} {WORLD_ABORTED}", m.src);
             }
             self.pending.lock().unwrap().push_back(m);
         }
     }
 
     /// [`Endpoint::recv_payload`] on the byte lane.
-    pub fn recv(&self, src_world: usize, ctx: u64, tag: u64) -> Vec<u8> {
-        self.recv_payload(src_world, ctx, tag)
-    }
-
-    /// Non-blocking receive matching `(ctx, src_world, tag)`. Drains the
-    /// wire into the unexpected-message queue but never waits; returns
-    /// `None` when no matching message has arrived yet.
-    pub fn try_recv_payload<P: WirePayload>(
-        &self,
-        src_world: usize,
-        ctx: u64,
-        tag: u64,
-    ) -> Option<P> {
-        {
-            let mut pending = self.pending.lock().unwrap();
-            if let Some(pos) = pending
-                .iter()
-                .position(|m| m.ctx == ctx && m.src == src_world && m.tag == tag)
-            {
-                let m = pending.remove(pos).unwrap();
-                self.note_recv(&m);
-                return Some(P::from_payload(m.data));
-            }
-        }
-        while let Some(m) = self.inbox.try_recv() {
-            if m.ctx == ctx && m.src == src_world && m.tag == tag {
-                self.note_recv(&m);
-                return Some(P::from_payload(m.data));
-            }
-            self.pending.lock().unwrap().push_back(m);
-        }
-        None
-    }
-
-    /// [`Endpoint::try_recv_payload`] on the byte lane.
-    pub fn try_recv(&self, src_world: usize, ctx: u64, tag: u64) -> Option<Vec<u8>> {
-        self.try_recv_payload(src_world, ctx, tag)
+    pub fn recv(&self, src_world: usize, tag: u64) -> Vec<u8> {
+        self.recv_payload(src_world, tag)
     }
 
     fn note_recv(&self, m: &RawMsg) {
@@ -185,12 +176,6 @@ impl Endpoint {
             bytes_received: self.bytes_recv.load(Ordering::Relaxed),
         }
     }
-
-    /// Number of parked (unexpected) messages — should be zero at clean
-    /// shutdown; tests assert on this to catch protocol leaks.
-    pub fn pending_count(&self) -> usize {
-        self.pending.lock().unwrap().len()
-    }
 }
 
 #[cfg(test)]
@@ -201,8 +186,8 @@ mod tests {
     #[test]
     fn self_send_and_recv() {
         let eps = Endpoint::world(1);
-        eps[0].send(0, 7, 42, vec![1, 2, 3]);
-        assert_eq!(eps[0].recv(0, 7, 42), vec![1, 2, 3]);
+        eps[0].send(0, 42, vec![1, 2, 3]);
+        assert_eq!(eps[0].recv(0, 42), vec![1, 2, 3]);
         let m = eps[0].metrics();
         assert_eq!(m.messages_sent, 1);
         assert_eq!(m.bytes_sent, 3);
@@ -212,22 +197,13 @@ mod tests {
     #[test]
     fn out_of_order_matching() {
         let eps = Endpoint::world(1);
-        eps[0].send(0, 1, 10, vec![10]);
-        eps[0].send(0, 1, 20, vec![20]);
-        eps[0].send(0, 1, 30, vec![30]);
-        assert_eq!(eps[0].recv(0, 1, 30), vec![30]);
-        assert_eq!(eps[0].recv(0, 1, 10), vec![10]);
-        assert_eq!(eps[0].recv(0, 1, 20), vec![20]);
-        assert_eq!(eps[0].pending_count(), 0);
-    }
-
-    #[test]
-    fn context_isolation() {
-        let eps = Endpoint::world(1);
-        eps[0].send(0, 100, 5, vec![1]);
-        eps[0].send(0, 200, 5, vec![2]);
-        assert_eq!(eps[0].recv(0, 200, 5), vec![2]);
-        assert_eq!(eps[0].recv(0, 100, 5), vec![1]);
+        eps[0].send(0, 10, vec![10]);
+        eps[0].send(0, 20, vec![20]);
+        eps[0].send(0, 30, vec![30]);
+        assert_eq!(eps[0].recv(0, 30), vec![30]);
+        assert_eq!(eps[0].recv(0, 10), vec![10]);
+        assert_eq!(eps[0].recv(0, 20), vec![20]);
+        assert!(eps[0].pending.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -236,26 +212,12 @@ mod tests {
         let a = eps[0].clone();
         let b = eps[1].clone();
         let t = thread::spawn(move || {
-            let got = b.recv(0, 0, 1);
-            b.send(0, 0, 2, got.iter().map(|x| x * 2).collect());
+            let got = b.recv(0, 1);
+            b.send(0, 2, got.iter().map(|x| x * 2).collect());
         });
-        a.send(1, 0, 1, vec![5, 6]);
-        assert_eq!(a.recv(1, 0, 2), vec![10, 12]);
+        a.send(1, 1, vec![5, 6]);
+        assert_eq!(a.recv(1, 2), vec![10, 12]);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let eps = Endpoint::world(1);
-        assert_eq!(eps[0].try_recv(0, 3, 1), None);
-        eps[0].send(0, 3, 2, vec![9]);
-        eps[0].send(0, 3, 1, vec![7]);
-        // Match arrives after a non-match; the non-match parks.
-        assert_eq!(eps[0].try_recv(0, 3, 1), Some(vec![7]));
-        assert_eq!(eps[0].pending_count(), 1);
-        assert_eq!(eps[0].try_recv(0, 3, 2), Some(vec![9]));
-        assert_eq!(eps[0].pending_count(), 0);
-        assert_eq!(eps[0].try_recv(0, 3, 2), None);
     }
 
     #[test]
@@ -275,8 +237,8 @@ mod tests {
             born_at: 0,
         };
         let eps = Endpoint::world(1);
-        eps[0].send_payload(0, 4, 11, vec![p, p]);
-        let got: Vec<Particle> = eps[0].recv_payload(0, 4, 11);
+        eps[0].send_payload(0, 11, vec![p, p]);
+        let got: Vec<Particle> = eps[0].recv_payload(0, 11);
         assert_eq!(got, vec![p, p]);
         let m = eps[0].metrics();
         assert_eq!(m.bytes_sent, 2 * Particle::WIRE_SIZE as u64);
@@ -288,18 +250,18 @@ mod tests {
     fn typed_message_claimed_as_bytes_panics() {
         use pic_core::particle::Particle;
         let eps = Endpoint::world(1);
-        eps[0].send_payload(0, 0, 1, Vec::<Particle>::new());
-        let _ = eps[0].recv(0, 0, 1);
+        eps[0].send_payload(0, 1, Vec::<Particle>::new());
+        let _ = eps[0].recv(0, 1);
     }
 
     #[test]
     fn fifo_per_same_signature() {
-        // Two messages with identical (ctx, src, tag) are received in send
+        // Two messages with identical (src, tag) are received in send
         // order (MPI non-overtaking rule).
         let eps = Endpoint::world(1);
-        eps[0].send(0, 0, 9, vec![1]);
-        eps[0].send(0, 0, 9, vec![2]);
-        assert_eq!(eps[0].recv(0, 0, 9), vec![1]);
-        assert_eq!(eps[0].recv(0, 0, 9), vec![2]);
+        eps[0].send(0, 9, vec![1]);
+        eps[0].send(0, 9, vec![2]);
+        assert_eq!(eps[0].recv(0, 9), vec![1]);
+        assert_eq!(eps[0].recv(0, 9), vec![2]);
     }
 }

@@ -185,12 +185,6 @@ impl SparsePlan {
         }
     }
 
-    /// Plan where every other rank is a neighbor — no escape is ever
-    /// possible, and the exchange still elides empty payloads.
-    pub fn all_pairs(size: usize, my_rank: usize) -> Self {
-        SparsePlan::new(size, my_rank, 0..size)
-    }
-
     /// The neighbor ranks, sorted ascending, self excluded.
     pub fn neighbors(&self) -> &[usize] {
         &self.neighbors
@@ -471,7 +465,7 @@ mod tests {
     #[test]
     fn sparse_single_rank_degenerate() {
         let got = run_threads(1, |comm| {
-            let mut plan = SparsePlan::all_pairs(1, 0);
+            let mut plan = SparsePlan::new(1, 0, 0..1);
             let mut outgoing = vec![vec![7u8, 8]];
             let mut incoming: Vec<Vec<u8>> = Vec::new();
             let h = alltoallv_sparse_start(&comm, &mut outgoing, &mut plan);
@@ -486,7 +480,7 @@ mod tests {
     fn sparse_empty_world_sends_no_payloads() {
         let p = 4usize;
         let got = run_threads(p, move |comm| {
-            let mut plan = SparsePlan::all_pairs(p, comm.rank());
+            let mut plan = SparsePlan::new(p, comm.rank(), 0..p);
             let mut outgoing = vec![Vec::<u8>::new(); p];
             let mut incoming: Vec<Vec<u8>> = Vec::new();
             let before = comm.metrics();

@@ -1,74 +1,115 @@
 //! Spawning a world of ranks as OS threads.
 
 use crate::comm::Communicator;
-use crate::endpoint::{CommMetrics, Endpoint};
-use std::sync::Arc;
-
-/// A constructed world: one communicator handle per rank, to be moved into
-/// rank threads (or driven round-robin by a test).
-pub struct ThreadWorld {
-    comms: Vec<Communicator>,
-    endpoints: Vec<Arc<Endpoint>>,
-}
-
-impl ThreadWorld {
-    /// Create a `size`-rank world.
-    pub fn new(size: usize) -> ThreadWorld {
-        let endpoints = Endpoint::world(size);
-        let comms = endpoints
-            .iter()
-            .map(|ep| Communicator::world(ep.clone()))
-            .collect();
-        ThreadWorld { comms, endpoints }
-    }
-
-    /// Take the per-rank communicators (consumes the handles).
-    pub fn into_comms(self) -> Vec<Communicator> {
-        self.comms
-    }
-
-    /// Aggregate traffic metrics across all ranks.
-    pub fn total_metrics(&self) -> CommMetrics {
-        let mut total = CommMetrics::default();
-        for ep in &self.endpoints {
-            let m = ep.metrics();
-            total.messages_sent += m.messages_sent;
-            total.bytes_sent += m.bytes_sent;
-            total.messages_received += m.messages_received;
-            total.bytes_received += m.bytes_received;
-        }
-        total
-    }
-}
+use crate::endpoint::{Endpoint, WORLD_ABORTED};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Run `f(comm)` on `size` rank threads and return the per-rank results in
 /// rank order. This is the substrate's `mpiexec`.
 ///
-/// Panics in any rank propagate (the join unwraps), so a deadlock-free
-/// failing assertion in one rank fails the whole run.
+/// A rank that panics brings the world down instead of hanging it: its
+/// endpoint poisons every inbox, a peer blocked in (or later
+/// entering) a receive that can no longer be satisfied panics in turn,
+/// every rank is joined, and the panic is re-raised naming the lowest rank
+/// that failed on its own account.
 pub fn run_threads<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Communicator) -> R + Send + Sync,
 {
-    let comms = ThreadWorld::new(size).into_comms();
-    let mut slots: Vec<Option<R>> = (0..size).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(size);
-        for (rank, comm) in comms.into_iter().enumerate() {
-            let fref = &f;
-            handles.push((rank, scope.spawn(move || fref(comm))));
-        }
-        for (rank, h) in handles {
-            slots[rank] = Some(h.join().expect("rank thread panicked"));
-        }
+    // The endpoints outlive every rank thread, so a send to a rank that is
+    // already gone still finds its inbox.
+    let endpoints = Endpoint::world(size);
+    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .iter()
+            .map(|ep| {
+                let f = &f;
+                scope.spawn(move || {
+                    let comm = Communicator::world(ep.clone());
+                    catch_unwind(AssertUnwindSafe(|| f(comm))).inspect_err(|_| ep.poison_world())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank panics are caught inside the thread"))
+            .collect()
     });
-    slots.into_iter().map(|s| s.unwrap()).collect()
+    let failed = results
+        .iter()
+        .enumerate()
+        .filter_map(|(rank, r)| Some((rank, panic_message(r.as_ref().err()?.as_ref()))))
+        .find(|(_, msg)| !msg.ends_with(WORLD_ABORTED));
+    if let Some((rank, msg)) = failed {
+        panic!("rank {rank} panicked: {msg}");
+    }
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|cause| resume_unwind(cause)))
+        .collect()
+}
+
+/// The message of a caught panic (`panic!` payloads are `&str` or `String`).
+fn panic_message(cause: &(dyn Any + Send)) -> &str {
+    cause
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| cause.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic payload>")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::allreduce_u64;
+    use crate::comm::ReduceOp;
+    use std::time::Duration;
+
+    /// Run a world that is expected to panic on a helper thread, under a
+    /// 10 s watchdog: a hang fails the test instead of stalling the suite.
+    /// Returns the message the world went down with.
+    fn panic_of(world: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(catch_unwind(AssertUnwindSafe(world))));
+        let ended = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a rank panicked and the world hung");
+        let cause = ended.expect_err("the world must not survive a panicked rank");
+        panic_message(&*cause).to_string()
+    }
+
+    #[test]
+    fn panicking_rank_aborts_the_world() {
+        for p in [2usize, 4] {
+            // Before any collective: the peers are already in their receive.
+            let msg = panic_of(move || {
+                run_threads(p, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("boom before");
+                    }
+                    allreduce_u64(&comm, 1, ReduceOp::Sum)
+                });
+            });
+            assert_eq!(msg, "rank 1 panicked: boom before", "{p} ranks");
+            // Between two collectives, on the last rank.
+            let msg = panic_of(move || {
+                run_threads(p, |comm| {
+                    let n = allreduce_u64(&comm, 1, ReduceOp::Sum);
+                    if comm.rank() == p - 1 {
+                        panic!("boom between");
+                    }
+                    allreduce_u64(&comm, n, ReduceOp::Sum)
+                });
+            });
+            assert_eq!(
+                msg,
+                format!("rank {} panicked: boom between", p - 1),
+                "{p} ranks"
+            );
+        }
+    }
 
     #[test]
     fn run_threads_returns_in_rank_order() {
@@ -99,14 +140,15 @@ mod tests {
 
     #[test]
     fn metrics_accumulate() {
-        let world = ThreadWorld::new(2);
-        let comms = world.comms.iter().collect::<Vec<_>>();
+        let comms: Vec<Communicator> = Endpoint::world(2)
+            .into_iter()
+            .map(Communicator::world)
+            .collect();
         comms[0].send(1, 3, vec![0; 100]);
         let _ = comms[1].recv(0, 3);
-        let m = world.total_metrics();
-        assert_eq!(m.messages_sent, 1);
-        assert_eq!(m.bytes_sent, 100);
-        assert_eq!(m.bytes_received, 100);
+        let (m0, m1) = (comms[0].metrics(), comms[1].metrics());
+        assert_eq!((m0.messages_sent, m0.bytes_sent), (1, 100));
+        assert_eq!((m1.messages_received, m1.bytes_received), (1, 100));
     }
 
     #[test]

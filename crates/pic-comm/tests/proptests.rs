@@ -1,10 +1,7 @@
 //! Property tests of the message-passing substrate: arbitrary payload
-//! matrices, random tag/receive orders, and random split geometries must
-//! all deliver exactly what was sent.
+//! matrices, world sizes and roots must all deliver exactly what was sent.
 
-use pic_comm::collective::{
-    allgatherv, allreduce_u64, allreduce_vec_u64, alltoallv, broadcast, split,
-};
+use pic_comm::collective::{allgatherv, allreduce_vec_u64, alltoallv, broadcast};
 use pic_comm::comm::ReduceOp;
 use pic_comm::world::run_threads;
 use proptest::prelude::*;
@@ -73,30 +70,6 @@ proptest! {
         });
         for g in got {
             prop_assert_eq!(&g, &payload);
-        }
-    }
-
-    /// split() by arbitrary colors forms consistent groups: every member
-    /// of a group computes the same group sum, and group sizes add up.
-    #[test]
-    fn split_partitions_consistently(
-        p in 2usize..7,
-        seed in any::<u64>(),
-    ) {
-        let colors: Vec<u64> = (0..p).map(|r| (seed >> (r % 32)) % 3).collect();
-        let colors2 = colors.clone();
-        let got = run_threads(p, move |comm| {
-            let color = colors2[comm.rank()];
-            let sub = split(&comm, color, comm.rank() as u64);
-            let sum = allreduce_u64(&sub, comm.rank() as u64, ReduceOp::Sum);
-            (color, sub.size(), sum)
-        });
-        for (r, (color, size, sum)) in got.iter().enumerate() {
-            let members: Vec<usize> =
-                (0..p).filter(|&q| colors[q] == *color).collect();
-            prop_assert_eq!(*size, members.len(), "rank {} group size", r);
-            let expect: u64 = members.iter().map(|&q| q as u64).sum();
-            prop_assert_eq!(*sum, expect);
         }
     }
 

@@ -49,7 +49,7 @@
 //!
 //! ## Bit-exactness
 //!
-//! [`advance_bin_span`] performs, per particle, the *same sequence of
+//! `advance_bin_span` performs, per particle, the *same sequence of
 //! floating-point operations* as the unbinned sweep (`total_force` +
 //! eqs. 1–2): same `coulomb` corner evaluations in the same pairing, same
 //! integration, same wrap. Binning changes traversal order only, and

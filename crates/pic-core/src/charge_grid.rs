@@ -73,11 +73,6 @@ impl ChargeGrid {
         ((self.x0, self.x0 + self.w), (self.y0, self.y0 + self.h))
     }
 
-    /// Number of stored mesh points (owned + fringe + ghosts).
-    pub fn stored_points(&self) -> usize {
-        self.data.len()
-    }
-
     /// Charge at global mesh column/row. The point must lie within the
     /// stored window (owned + one ghost ring); panics otherwise — the
     /// equivalent of reading out of your halo in a real code.
@@ -161,12 +156,6 @@ impl ChargeGrid {
         }
         true
     }
-
-    /// Serialized size in bytes if this subgrid were migrated (one f64 per
-    /// stored point) — used by cost accounting and tests.
-    pub fn wire_bytes(&self) -> usize {
-        self.data.len() * 8
-    }
 }
 
 /// One stored mesh row of a [`ChargeGrid`] ([`ChargeGrid::row`]): element
@@ -219,8 +208,6 @@ mod tests {
         let cg = ChargeGrid::build(&g, &c, (4, 8), (4, 8));
         assert!(cg.verify_against_formula(&g, &c));
         assert_eq!(cg.bounds(), ((4, 8), (4, 8)));
-        assert_eq!(cg.stored_points(), 7 * 7);
-        assert_eq!(cg.wire_bytes(), 49 * 8);
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl Distribution {
         let weights: Vec<f64> = (0..c).map(|i| self.weight(i, c)).collect();
         largest_remainder(&weights, n)
     }
-
-    /// Expected *fraction* of particles in columns `[a, b)` (real-valued,
-    /// used by closed-form analyses and tests).
-    pub fn column_fraction(&self, c: usize, a: usize, b: usize) -> f64 {
-        let total: f64 = (0..c).map(|i| self.weight(i, c)).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        (a..b.min(c)).map(|i| self.weight(i, c)).sum::<f64>() / total
-    }
 }
 
 /// Apportion `n` items over real-valued weights with the largest-remainder
@@ -238,16 +228,5 @@ mod tests {
         assert_eq!(counts, vec![7, 2]); // 6.75 → 7 (larger remainder), 2.25 → 2
         let counts = largest_remainder(&[0.0, 0.0], 5);
         assert_eq!(counts.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn column_fraction_matches_counts() {
-        let d = Distribution::Geometric { r: 0.99 };
-        let c = 200;
-        let n = 1_000_000u64;
-        let counts = d.column_counts(c, n);
-        let exact: u64 = counts[..50].iter().sum();
-        let frac = d.column_fraction(c, 0, 50);
-        assert!(((exact as f64 / n as f64) - frac).abs() < 1e-3);
     }
 }

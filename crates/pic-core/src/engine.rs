@@ -252,10 +252,6 @@ impl Simulation {
         &self.grid
     }
 
-    pub fn constants(&self) -> &SimConstants {
-        &self.consts
-    }
-
     /// The current population, materialized as AoS records (allocates; the
     /// store itself may be SoA). Ordering is identical across all sweep
     /// modes. For allocation-free bulk reads use the histogram `_into`
@@ -397,18 +393,10 @@ impl Simulation {
         }
     }
 
-    /// Histogram of particle counts per cell row (for rotated workloads
-    /// and the two-phase balancer's y phase). Allocates; balancer loops
-    /// should use [`Simulation::row_histogram_into`].
-    pub fn row_histogram(&self) -> Vec<u64> {
-        let mut h = Vec::new();
-        self.row_histogram_into(&mut h);
-        h
-    }
-
-    /// Fill `h` with the per-row histogram, reusing its storage. (Bins
-    /// are per *column*, so the binned store has no row fast path — this
-    /// is always the O(n) scan.)
+    /// Fill `h` with the histogram of particle counts per cell row (for
+    /// rotated workloads and the two-phase balancer's y phase), reusing
+    /// its storage. (Bins are per *column*, so the binned store has no row
+    /// fast path — this is always the O(n) scan.)
     pub fn row_histogram_into(&self, h: &mut Vec<u64>) {
         h.clear();
         h.resize(self.grid.ncells(), 0);

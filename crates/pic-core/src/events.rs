@@ -45,11 +45,6 @@ impl Region {
     pub fn contains_point(&self, x: f64, y: f64) -> bool {
         x >= self.x0 as f64 && x < self.x1 as f64 && y >= self.y0 as f64 && y < self.y1 as f64
     }
-
-    /// Column span `[x0, x1)`.
-    pub fn col_span(&self) -> (usize, usize) {
-        (self.x0, self.x1)
-    }
 }
 
 /// What a timed event does.

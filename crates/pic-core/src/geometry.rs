@@ -78,13 +78,6 @@ impl Grid {
         self.ncells * self.ncells
     }
 
-    /// Total number of distinct mesh points (one per cell because of
-    /// periodicity: the point at column `L` *is* the point at column 0).
-    #[inline]
-    pub fn mesh_point_count(&self) -> usize {
-        self.ncells * self.ncells
-    }
-
     /// Wrap a continuous coordinate into `[0, L)`.
     ///
     /// Particle displacements per step are bounded by `(2k+1) ≤ L` in

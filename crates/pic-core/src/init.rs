@@ -85,6 +85,12 @@ pub enum InitError {
     },
     /// Empty patch/region cannot receive particles.
     EmptyRegion,
+    /// Distribution parameters outside their documented domain, or a
+    /// patch reaching beyond the grid.
+    BadDistribution {
+        dist: Distribution,
+        ncells: usize,
+    },
 }
 
 impl fmt::Display for InitError {
@@ -96,6 +102,21 @@ impl fmt::Display for InitError {
                 write!(f, "per-step stride {stride} exceeds grid size {ncells}")
             }
             InitError::EmptyRegion => write!(f, "target region contains no cells"),
+            InitError::BadDistribution { dist, ncells } => match dist {
+                Distribution::Geometric { r } => {
+                    write!(f, "geometric ratio must be finite and > 0, got {r}")
+                }
+                Distribution::Linear { alpha, beta } => write!(
+                    f,
+                    "linear ramp needs finite alpha <= beta and beta > 0, \
+                     got alpha {alpha}, beta {beta}"
+                ),
+                Distribution::Patch { x0, x1, y0, y1 } => write!(
+                    f,
+                    "patch [{x0}, {x1}) x [{y0}, {y1}) reaches outside the {ncells}-cell grid"
+                ),
+                other => write!(f, "bad distribution {other:?}"),
+            },
         }
     }
 }
@@ -134,11 +155,6 @@ impl InitConfig {
         self
     }
 
-    pub fn with_consts(mut self, consts: SimConstants) -> Self {
-        self.consts = consts;
-        self
-    }
-
     pub fn with_spread(mut self, spread: RowSpread) -> Self {
         self.spread = spread;
         self
@@ -161,10 +177,28 @@ impl InitConfig {
                 ncells: self.grid.ncells(),
             });
         }
+        let ncells = self.grid.ncells();
         if let Distribution::Patch { x0, x1, y0, y1 } = self.dist {
-            if x0 >= x1 || y0 >= y1 || x0 >= self.grid.ncells() || y0 >= self.grid.ncells() {
+            if x0 >= x1 || y0 >= y1 || x0 >= ncells || y0 >= ncells {
                 return Err(InitError::EmptyRegion);
             }
+        }
+        // Outside these domains the column weights come out NaN, infinite,
+        // alternating in sign, clipped or all zero — a panic or, worse, a
+        // population that silently is not the one asked for.
+        let in_domain = match self.dist {
+            Distribution::Uniform | Distribution::Sinusoidal => true,
+            Distribution::Geometric { r } => r.is_finite() && r > 0.0,
+            Distribution::Linear { alpha, beta } => {
+                alpha.is_finite() && beta.is_finite() && alpha <= beta && beta > 0.0
+            }
+            Distribution::Patch { x1, y1, .. } => x1 <= ncells && y1 <= ncells,
+        };
+        if !in_domain {
+            return Err(InitError::BadDistribution {
+                dist: self.dist,
+                ncells,
+            });
         }
         Ok(())
     }

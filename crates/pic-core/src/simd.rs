@@ -23,7 +23,7 @@
 //!   would break bit-identity.
 //! * [`SimdBackend::Sse2`] — two 128-bit registers per quartet; SSE2 is
 //!   part of the x86-64 baseline, so this backend needs no detection.
-//! * [`SimdBackend::Neon`] — two 128-bit registers per quartet; NEON is
+//! * `SimdBackend::Neon` — two 128-bit registers per quartet; NEON is
 //!   mandatory on aarch64, so this backend needs no detection.
 //! * [`SimdBackend::Scalar`] — the scalar reference kernel itself. Always
 //!   available, and forcible at runtime with `PIC_NO_SIMD=1` for A/B
@@ -57,10 +57,10 @@ use crate::charge::{f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
-/// fixed width; AVX-512 runs [`Lanes::WIDTH`] = 8).
+/// fixed width; AVX-512 runs `Lanes::WIDTH` = 8).
 pub const LANES: usize = 4;
 
-/// The instruction-set backend driving [`advance_bin_span_simd`].
+/// The instruction-set backend driving `advance_bin_span_simd`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// 8 × f64 in one 512-bit register (x86-64, runtime-detected).

@@ -240,12 +240,6 @@ pub fn triangular_id_sum(n: u64) -> u128 {
     n as u128 * (n as u128 + 1) / 2
 }
 
-/// Scaled verification constants are not needed: this re-exports the
-/// canonical constants for harnesses that want a single import.
-pub fn canonical_constants() -> SimConstants {
-    SimConstants::CANONICAL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,8 @@
 //! implementations are selected by [`BalancerSpec`] through
 //! [`run_config`] and all execute through one private rank loop: the
 //! runner owns the collectives (gathering exactly the load arrays the
-//! strategy's [`BalanceNeeds`] requests, in a fixed order) and the
-//! application of the returned [`BalanceDecision`];
+//! strategy's [`pic_cluster::BalanceNeeds`] requests, in a fixed order)
+//! and the application of the returned [`pic_cluster::BalanceDecision`];
 //! the strategy itself is a pure replicated function. Decisions are
 //! derived only from allreduced data, so every rank computes the same
 //! cuts — and, for the adaptive balancer, the same strategy switches —

@@ -384,20 +384,30 @@ mod tests {
 
     #[test]
     fn row_decomposition_defeated_by_rotated_skew() {
-        // The §III-E1 argument, in counts: a block-ROW decomposition is
+        // The §III-E1 argument, in particles: a block-ROW decomposition is
         // immune to a column skew, but the 90°-rotated skew hits it with
         // exactly the imbalance the column skew inflicts on block columns.
-        use pic_cluster::loadmodel2d::LoadModel2d;
         use pic_core::dist::Distribution;
-        use pic_core::init::SkewAxis;
+        use pic_core::geometry::Grid;
+        use pic_core::init::{InitConfig, SkewAxis};
+        let grid = Grid::new(64).unwrap();
         let dist = Distribution::Geometric { r: 0.8 };
         let p = 8usize;
         let max_load = |decomp: &Decomp2d, axis: SkewAxis| {
-            let m = LoadModel2d::new(dist, axis, 64, 64_000, 0, 1, 1);
+            let setup = InitConfig::new(grid, 64_000, dist)
+                .with_m(1)
+                .with_skew_axis(axis)
+                .build()
+                .unwrap();
             (0..p)
                 .map(|r| {
-                    let (cols, rows) = decomp.bounds(r);
-                    m.count_in_rect(cols, rows)
+                    let ((x0, x1), (y0, y1)) = decomp.bounds(r);
+                    setup
+                        .particles
+                        .iter()
+                        .map(|q| grid.cell_of_point(q.x, q.y))
+                        .filter(|&(cx, cy)| (x0..x1).contains(&cx) && (y0..y1).contains(&cy))
+                        .count() as f64
                 })
                 .fold(0.0f64, f64::max)
         };

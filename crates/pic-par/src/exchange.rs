@@ -76,11 +76,6 @@ impl ExchangeBuffers {
         }
     }
 
-    /// Is the sparse protocol active for these buffers?
-    pub fn sparse_enabled(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Drain the accumulated `(sent, skipped)` wire-message counters —
     /// payload messages actually sent vs. elided by the sparse protocol
     /// since the previous take. Feeds the `msgs_sent` / `msgs_skipped`
@@ -156,26 +151,12 @@ impl ExchangeBuffers {
 
 /// Route every particle whose `owner(particle)` is not `my_rank` to that
 /// owner (a communicator rank). Appends the arrivals to `particles`.
-/// Returns `(sent, received)` particle counts.
+/// Returns `(sent, received)` particle counts. Scratch is caller-owned
+/// (see [`ExchangeBuffers`]).
 ///
 /// This is the general routing primitive: the baseline/diffusion codes
 /// derive ownership from the Cartesian decomposition; the AMPI runtime
 /// derives it from the VP→core assignment table.
-pub fn route_particles<F>(
-    comm: &Communicator,
-    my_rank: usize,
-    owner: F,
-    particles: &mut Vec<Particle>,
-) -> (usize, usize)
-where
-    F: Fn(&Particle) -> usize,
-{
-    let mut bufs = ExchangeBuffers::new();
-    route_particles_with(comm, my_rank, owner, particles, &mut bufs)
-}
-
-/// [`route_particles`] with caller-owned scratch buffers (see
-/// [`ExchangeBuffers`]). The hot path for per-step rehoming.
 pub fn route_particles_with<F>(
     comm: &Communicator,
     my_rank: usize,
@@ -331,7 +312,7 @@ pub(crate) fn rehome_binned_start(
     inflight
 }
 
-/// The synchronous [`rehome_binned_start`] + [`route_binned_finish`] — the
+/// The synchronous `rehome_binned_start` + [`route_binned_finish`] — the
 /// binned analogue of [`rehome_particles_with`].
 pub fn rehome_binned_with(
     comm: &Communicator,

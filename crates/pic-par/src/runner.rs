@@ -660,18 +660,9 @@ impl RankState {
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row
-    /// particle counts for the diffusion balancer. This rank's contribution
-    /// vector lives in a reused scratch buffer; the reduced result is
-    /// allocated by the collective (message ownership crosses the
-    /// transport, as with any MPI receive buffer).
-    pub fn aggregate_axis_counts(&mut self, comm: &Communicator, along_x: bool) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.aggregate_axis_counts_into(comm, along_x, &mut out);
-        out
-    }
-
-    /// [`RankState::aggregate_axis_counts`] into a caller-owned buffer —
-    /// the fully allocation-free form for steady-state balancer loops.
+    /// particle counts for the diffusion balancer into a caller-owned
+    /// buffer. This rank's contribution vector lives in a reused scratch
+    /// buffer, so steady-state balancer loops stay allocation-free.
     pub fn aggregate_axis_counts_into(
         &mut self,
         comm: &Communicator,
@@ -696,7 +687,7 @@ impl RankState {
     /// every rank's own store — O(columns) local work on a fresh binned
     /// store. [`pic_cluster::balancer::per_column_counts_into`] folds the
     /// result onto processor columns, giving bit-identical cut decisions
-    /// to [`RankState::aggregate_axis_counts`] (both count homed
+    /// to [`RankState::aggregate_axis_counts_into`] (both count homed
     /// particles per column). Reuses `h` as local scratch.
     pub fn aggregate_column_histogram(&self, comm: &Communicator, h: &mut Vec<u64>) -> Vec<u64> {
         self.column_histogram_into(h);
@@ -868,6 +859,39 @@ mod tests {
             .map(|r| RankState::new(&setup, decomp.clone(), r).local_count())
             .sum();
         assert_eq!(counts, 500);
+    }
+
+    #[test]
+    fn rank_panic_inside_a_step_exchange_aborts_the_run() {
+        // Rank 1 dies after its third step while rank 0 enters the fourth
+        // exchange: rank 0 must go down with it, naming rank 1, instead of
+        // waiting for migrants that will never come. The run sits on a
+        // helper thread under a 10 s watchdog so a hang fails, not stalls.
+        let setup = InitConfig::new(Grid::new(16).unwrap(), 400, Distribution::Uniform)
+            .with_m(1)
+            .build()
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = || {
+                run_threads(2, |comm| {
+                    let mut st = RankState::new(&setup, Decomp2d::uniform(16, 2), comm.rank());
+                    for step in 0..6 {
+                        if comm.rank() == 1 && step == 3 {
+                            panic!("store corrupted");
+                        }
+                        st.step(&comm);
+                    }
+                });
+            };
+            tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)))
+        });
+        let ended = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("rank 1 panicked and rank 0 hung in the exchange");
+        let cause = ended.expect_err("the run must not survive a panicked rank");
+        let msg = cause.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(msg, "rank 1 panicked: store corrupted");
     }
 
     #[test]

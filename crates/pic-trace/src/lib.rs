@@ -19,8 +19,8 @@
 //! timing and migration counters) as ndjson during the run itself.
 //!
 //! The disabled tracer ([`Tracer::disabled`]) is free: every hot-path
-//! method inlines to a null check, verified by a counting-allocator test
-//! and a bench guard. See DESIGN.md ("Trace record schema").
+//! method inlines to a null check, verified by a counting-allocator test.
+//! See DESIGN.md ("Trace record schema").
 
 pub mod json;
 pub mod serial;

@@ -314,15 +314,6 @@ impl Tracer {
         Tracer::build(Some(w), every)
     }
 
-    /// Convenience: [`Tracer::to_writer`] over a buffered file.
-    pub fn to_file(path: &str, every: u32) -> std::io::Result<Tracer> {
-        let f = std::fs::File::create(path)?;
-        Ok(Tracer::to_writer(
-            Box::new(std::io::BufWriter::new(f)),
-            every,
-        ))
-    }
-
     fn build(writer: Option<Box<dyn Write + Send>>, every: u32) -> Tracer {
         Tracer {
             inner: Some(Box::new(Inner {

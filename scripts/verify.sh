@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
-#   clippy (deny warnings) -> CLI and benchmark smokes.
+#   clippy and rustdoc (deny warnings) -> CLI and benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
 # its steps.
@@ -26,6 +26,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (deny warnings)"
+# What a deletion leaves behind: intra-doc links to items that are gone.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo check --all-targets"
 # Stable-toolchain compile gate over every target (the AVX-512 kernel

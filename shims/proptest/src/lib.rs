@@ -230,7 +230,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: a fixed size or a range.
+    /// Element-count specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -216,6 +216,24 @@ fn bad_arguments_fail_cleanly() {
         ],
         "--ranks 4 with --d 64 needs 16 VP columns",
     );
+    // Distribution parameters outside their domain: each used to panic
+    // with a backtrace or run to PASS on a different population.
+    for (spec, value) in [
+        ("geometric:nan", "NaN"),
+        ("geometric:inf", "inf"),
+        ("geometric:-1", "-1"),
+        ("geometric:0", "got 0"),
+        ("linear:nan,1", "NaN"),
+        ("linear:1,inf", "inf"),
+        ("linear:0,0", "beta 0"),
+        ("linear:5,1", "alpha 5"),
+        ("patch:0,100,0,16", "100"),
+    ] {
+        assert_rejected(&["--grid", "16", "--dist", spec], value);
+    }
+    // A negative alpha is a rising ramp, not an error.
+    let (ok, stdout, _) = run(&["--dist", "linear:-5,1", "--steps", "20", "--quiet"]);
+    assert!(ok && stdout.trim() == "PASS", "{stdout}");
     // One occurrence per value option: a second one would be dropped.
     assert_rejected(
         &["--inject", "5,0,4,0,4,100", "--inject", "9,0,4,0,4,100"],

@@ -51,6 +51,32 @@ fn init_errors_name_the_offending_value() {
     .build()
     .unwrap_err();
     assert!(as_error(&empty).contains("no cells"));
+
+    // Parameters outside the distribution's domain: an `Err` naming the
+    // value, where there used to be a panic or a silently different
+    // population.
+    let bad_dist = |dist| {
+        let err = InitConfig::new(grid, 100, dist).build().unwrap_err();
+        assert!(matches!(err, InitError::BadDistribution { .. }), "{err:?}");
+        as_error(&err)
+    };
+    assert!(bad_dist(Distribution::Geometric { r: f64::NAN }).contains("NaN"));
+    assert!(bad_dist(Distribution::Geometric { r: -1.0 }).contains("-1"));
+    let ramp = bad_dist(Distribution::Linear {
+        alpha: 5.0,
+        beta: 1.0,
+    });
+    assert!(
+        ramp.contains("alpha 5") && ramp.contains("beta 1"),
+        "{ramp}"
+    );
+    let patch = bad_dist(Distribution::Patch {
+        x0: 0,
+        x1: 100,
+        y0: 0,
+        y1: 8,
+    });
+    assert!(patch.contains("100") && patch.contains("8-cell"), "{patch}");
 }
 
 #[test]
