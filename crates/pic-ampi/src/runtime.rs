@@ -17,12 +17,11 @@ use crate::vp::VpGrid;
 use pic_cluster::balancer::{AdaptiveLb, BalanceInput, Layout, LoadBalancer, VpLb};
 use pic_comm::collective::{allgatherv, allreduce_u64, decode_u64s_into, encode_u64s};
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::motion::advance_all;
+use pic_core::bin::BinnedStore;
 use pic_core::particle::Particle;
-use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
+use pic_par::exchange::{route_binned_with, ExchangeBuffers};
 use pic_par::runner::{
     snapshot_loads, trace_interval, verify_store, EventLedger, ExchangeMode, ParConfig, ParOutcome,
-    RankStore,
 };
 use pic_trace::{Counter, Phase, Tracer};
 
@@ -82,7 +81,7 @@ fn run_ampi_lb(
     let mut assignment = vps.initial_assignment();
 
     // Local population: particles whose VP is initially assigned to me.
-    // VP ownership is not column-contiguous, so the binned path bins the
+    // VP ownership is not column-contiguous, so the store bins the
     // whole grid (forces come from the mesh-charge formula — the whole
     // mesh is replicated knowledge, eq. 3).
     let locals: Vec<Particle> = cfg
@@ -95,7 +94,7 @@ fn run_ampi_lb(
         })
         .copied()
         .collect();
-    let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
+    let mut store = cfg.kernel.build_store(locals, &grid, (0, grid.ncells()));
     let mut bufs = ExchangeBuffers::new();
     if cfg.kernel.exchange == ExchangeMode::OverlappedSparse {
         // VP routing can target any core, so the declared neighborhood is
@@ -129,10 +128,7 @@ fn run_ampi_lb(
         // matters for routing and accounting).
         let rebins_before = store.rebin_count();
         tracer.phase_start(Phase::Advance);
-        match &mut store {
-            RankStore::Aos(particles) => advance_all(&grid, &consts, particles),
-            RankStore::Binned(b) => b.sweep_local(&grid, &consts, None),
-        }
+        store.sweep_local(&grid, &consts, None);
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
         // No timer rebin: the route drains every column every step, so no
@@ -184,41 +180,23 @@ fn run_ampi_lb(
         total_count,
         steps: cfg.steps,
         kernel: store.kernel_desc(),
-        local_particles: store.to_particles(),
+        local_particles: store.batch().to_particles(),
     }
 }
 
-/// Route mis-assigned particles to the core owning their VP, through
-/// whichever store the run uses (the binned path drains leavers in place).
+/// Route mis-assigned particles to the core owning their VP (the store
+/// drains leavers in place).
 fn route_store(
     comm: &Communicator,
     me: usize,
     grid: &pic_core::geometry::Grid,
     vps: &VpGrid,
     assignment: &[usize],
-    store: &mut RankStore,
+    store: &mut BinnedStore,
     bufs: &mut ExchangeBuffers,
 ) -> (usize, usize) {
-    match store {
-        RankStore::Aos(particles) => route_particles_with(
-            comm,
-            me,
-            |p| {
-                let (c, r) = grid.cell_of_point(p.x, p.y);
-                assignment[vps.vp_of_cell(c, r)]
-            },
-            particles,
-            bufs,
-        ),
-        RankStore::Binned(b) => route_binned_with(
-            comm,
-            me,
-            |c, r| assignment[vps.vp_of_cell(c, r)],
-            b,
-            grid,
-            bufs,
-        ),
-    }
+    let owner = |c, r| assignment[vps.vp_of_cell(c, r)];
+    route_binned_with(comm, me, owner, store, grid, bufs)
 }
 
 /// One LB round: allgather per-VP loads, let the balancer decide
@@ -232,7 +210,7 @@ fn rebalance(
     assignment: &mut Vec<usize>,
     step: u64,
     lb: &mut dyn LoadBalancer,
-    store: &mut RankStore,
+    store: &mut BinnedStore,
     bufs: &mut ExchangeBuffers,
     me: usize,
     grid: &pic_core::geometry::Grid,
@@ -242,16 +220,10 @@ fn rebalance(
     // Local per-VP counts (VPs are 2D tiles, so this is a position scan,
     // not a column-histogram read).
     let mut counts = vec![0u64; nvps];
-    let mut count = |x: f64, y: f64| {
-        let (c, r) = grid.cell_of_point(x, y);
+    let batch = store.batch();
+    for i in 0..batch.len() {
+        let (c, r) = grid.cell_of_point(batch.x[i], batch.y[i]);
         counts[vps.vp_of_cell(c, r)] += 1;
-    };
-    match store {
-        RankStore::Aos(v) => v.iter().for_each(|p| count(p.x, p.y)),
-        RankStore::Binned(b) => {
-            let batch = b.batch();
-            (0..batch.len()).for_each(|i| count(batch.x[i], batch.y[i]));
-        }
     }
     // Sum across cores (each VP lives on exactly one core, but the vector
     // sum is the simplest way to assemble the global view).

@@ -33,15 +33,14 @@ mod oracle {
         encode_u64s,
     };
     use pic_comm::comm::{Communicator, ReduceOp};
+    use pic_core::bin::BinnedStore;
     use pic_core::events::{Event, EventKind};
     use pic_core::init::build_injection;
-    use pic_core::motion::advance_all;
     use pic_core::particle::Particle;
     use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
-    use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
+    use pic_par::exchange::{route_binned_with, ExchangeBuffers};
     use pic_par::runner::{
         merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
-        RankStore,
     };
     use pic_trace::{Phase, Tracer};
 
@@ -72,7 +71,7 @@ mod oracle {
             .filter(|p| owner_of(p, &vps, &assignment) == me)
             .copied()
             .collect();
-        let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
+        let mut store = cfg.kernel.build_store(locals, &grid, (0, grid.ncells()));
         let mut bufs = ExchangeBuffers::new();
         if cfg.kernel.exchange == ExchangeMode::OverlappedSparse {
             bufs.enable_sparse(cores, me, 0..cores);
@@ -118,12 +117,16 @@ mod oracle {
                         for p in &newcomers {
                             expected_id_sum += p.id as u128;
                             if owner_of(p, &vps, &assignment) == me {
-                                store.push(*p);
+                                store.push_tail(*p);
                             }
                         }
                     }
                     EventKind::Remove { count } => {
-                        let mut local_ids = store.ids_in_region(&e.region);
+                        let batch = store.batch();
+                        let mut local_ids: Vec<u64> = (0..batch.len())
+                            .filter(|&i| e.region.contains_point(batch.x[i], batch.y[i]))
+                            .map(|i| batch.id[i])
+                            .collect();
                         local_ids.sort_unstable();
                         let gathered = allgatherv(comm, encode_u64s(&local_ids));
                         let mut all: Vec<u64> =
@@ -140,18 +143,13 @@ mod oracle {
             }
 
             tracer.phase_start(Phase::Advance);
-            match &mut store {
-                RankStore::Aos(particles) => advance_all(&grid, &consts, particles),
-                RankStore::Binned(b) => b.sweep_local(&grid, &consts, None),
-            }
+            store.sweep_local(&grid, &consts, None);
             tracer.phase_end(Phase::Advance);
             tracer.phase_start(Phase::Exchange);
             let (sent, _received) =
                 route_store(comm, me, &grid, &vps, &assignment, &mut store, &mut bufs);
-            if let RankStore::Binned(b) = &mut store {
-                if b.rebin_due() {
-                    b.rebin(&grid);
-                }
+            if store.rebin_due() {
+                store.rebin(&grid);
             }
             tracer.phase_end(Phase::Exchange);
             sent_window += sent as u64;
@@ -219,29 +217,17 @@ mod oracle {
         grid: &pic_core::geometry::Grid,
         vps: &VpGrid,
         assignment: &[usize],
-        store: &mut RankStore,
+        store: &mut BinnedStore,
         bufs: &mut ExchangeBuffers,
     ) -> (usize, usize) {
-        match store {
-            RankStore::Aos(particles) => route_particles_with(
-                comm,
-                me,
-                |p| {
-                    let (c, r) = grid.cell_of_point(p.x, p.y);
-                    assignment[vps.vp_of_cell(c, r)]
-                },
-                particles,
-                bufs,
-            ),
-            RankStore::Binned(b) => route_binned_with(
-                comm,
-                me,
-                |c, r| assignment[vps.vp_of_cell(c, r)],
-                b,
-                grid,
-                bufs,
-            ),
-        }
+        route_binned_with(
+            comm,
+            me,
+            |c, r| assignment[vps.vp_of_cell(c, r)],
+            store,
+            grid,
+            bufs,
+        )
     }
 
     #[inline]
@@ -255,7 +241,7 @@ mod oracle {
         vps: &VpGrid,
         assignment: &mut Vec<usize>,
         balancer: Balancer,
-        store: &mut RankStore,
+        store: &mut BinnedStore,
         bufs: &mut ExchangeBuffers,
         me: usize,
         grid: &pic_core::geometry::Grid,
@@ -263,20 +249,10 @@ mod oracle {
     ) -> usize {
         let nvps = vps.vp_count();
         let mut counts = vec![0u64; nvps];
-        match store {
-            RankStore::Aos(v) => {
-                for p in v.iter() {
-                    let (c, r) = p_cell(grid, p);
-                    counts[vps.vp_of_cell(c, r)] += 1;
-                }
-            }
-            RankStore::Binned(b) => {
-                let batch = b.batch();
-                for i in 0..batch.len() {
-                    let (c, r) = grid.cell_of_point(batch.x[i], batch.y[i]);
-                    counts[vps.vp_of_cell(c, r)] += 1;
-                }
-            }
+        let batch = store.batch();
+        for i in 0..batch.len() {
+            let (c, r) = grid.cell_of_point(batch.x[i], batch.y[i]);
+            counts[vps.vp_of_cell(c, r)] += 1;
         }
         let gathered = allgatherv(comm, encode_u64s(&counts));
         tracer.add(pic_trace::Counter::CollectiveBytes, counts.len() as u64 * 8);

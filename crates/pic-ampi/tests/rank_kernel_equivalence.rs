@@ -1,22 +1,24 @@
-//! Rank-path equivalence for the AMPI-style runtime (DESIGN.md §13):
-//! the full-grid binned store the VP scheduler advances must be
-//! physics-identical to the AoS reference loop, whatever the balancer
-//! does to VP placement: bit-identical. Also passes under `PIC_NO_SIMD=1`.
+//! Rank-loop equivalence for the AMPI-style runtime (DESIGN.md §13):
+//! the full-grid binned store the VP scheduler advances must end in the
+//! serial AoS engine's final state, per id, bit for bit, whatever the
+//! balancer does to VP placement. Also passes under `PIC_NO_SIMD=1`.
 
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
 use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
+use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
-use pic_core::init::InitConfig;
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
+use pic_core::init::{InitConfig, SimulationSetup};
+use pic_core::particle::Particle;
+use pic_par::runner::{ExchangeMode, ParConfig, RankKernel};
 
 const STEPS: u32 = 30;
 
-fn cfg(kernel: RankKernel) -> ParConfig {
-    let setup = InitConfig::new(
+fn setup() -> SimulationSetup {
+    InitConfig::new(
         Grid::new(32).unwrap(),
         600,
         Distribution::Geometric { r: 0.9 },
@@ -38,13 +40,20 @@ fn cfg(kernel: RankKernel) -> ParConfig {
         1,
         1,
     ))
-    .with_event(Event::remove(15, Region::whole(32), 25));
-    ParConfig::new(setup, STEPS).with_kernel(kernel)
+    .with_event(Event::remove(15, Region::whole(32), 25))
 }
 
-fn run(kernel: RankKernel, ranks: usize, balancer: Balancer) -> Vec<ParOutcome> {
-    let cfg = cfg(kernel);
-    run_threads(ranks, |comm| {
+/// The oracle: the single-process AoS engine's final population.
+fn serial() -> Vec<Particle> {
+    let mut sim = Simulation::new(setup());
+    sim.run(STEPS);
+    sim.particles()
+}
+
+/// Every core's final particles.
+fn run(kernel: RankKernel, ranks: usize, balancer: Balancer) -> Vec<Particle> {
+    let cfg = ParConfig::new(setup(), STEPS).with_kernel(kernel);
+    let outcomes = run_threads(ranks, |comm| {
         let o = run_ampi(
             &comm,
             &cfg,
@@ -56,13 +65,16 @@ fn run(kernel: RankKernel, ranks: usize, balancer: Balancer) -> Vec<ParOutcome> 
         );
         assert!(o.verify.passed(), "{balancer:?}: {:?}", o.verify);
         o
-    })
+    });
+    outcomes
+        .into_iter()
+        .flat_map(|o| o.local_particles)
+        .collect()
 }
 
-fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
-    let mut v: Vec<_> = outcomes
+fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
+    let mut v: Vec<_> = particles
         .iter()
-        .flat_map(|o| o.local_particles.iter())
         .map(|p| {
             (
                 p.id,
@@ -79,12 +91,11 @@ fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
 
 #[test]
 fn ampi_binned_exact_bitwise_matches_aos() {
-    // The AoS reference runs the dense synchronous exchange (the oracle);
-    // the binned kernel must match it bit for bit under both that oracle
-    // and the sparse VP routing (all-pairs plan — empty payloads elided).
+    // The VP runtime must match the serial engine bit for bit under both
+    // the dense synchronous exchange and the sparse VP routing (all-pairs
+    // plan — empty payloads elided).
+    let aos = bit_finals(&serial());
     for ranks in [1usize, 2, 4] {
-        let aos_kernel = RankKernel::aos().with_exchange(ExchangeMode::DenseSync);
-        let aos = bit_finals(&run(aos_kernel, ranks, Balancer::paper_default()));
         for rebin in [1u32, 3, 16] {
             for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
                 let kernel = RankKernel::default()
@@ -99,8 +110,8 @@ fn ampi_binned_exact_bitwise_matches_aos() {
 
 #[test]
 fn ampi_binned_exact_bitwise_matches_aos_across_balancers() {
+    let aos = bit_finals(&serial());
     for balancer in [Balancer::Greedy, Balancer::None] {
-        let aos = bit_finals(&run(RankKernel::aos(), 4, balancer));
         let got = bit_finals(&run(RankKernel::default(), 4, balancer));
         assert_eq!(aos, got, "{balancer:?}");
     }

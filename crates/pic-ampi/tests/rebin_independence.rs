@@ -10,10 +10,12 @@ use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
+use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_par::runner::{ParConfig, ParOutcome, RankKernel};
+use pic_core::particle::Particle;
+use pic_par::runner::{ParConfig, RankKernel};
 use pic_trace::{Counter, Tracer};
 
 const STEPS: u32 = 3 * DEFAULT_REBIN + 2;
@@ -43,9 +45,9 @@ fn cfg(kernel: RankKernel) -> ParConfig {
     ParConfig::new(setup, STEPS).with_kernel(kernel)
 }
 
-/// Run on 4 cores; returns every core's outcome and core 0's per-step
-/// `rebins` counter (one record per step).
-fn run(kernel: RankKernel) -> (Vec<ParOutcome>, Vec<u64>) {
+/// Run on 4 cores; returns every core's final particles and core 0's
+/// per-step `rebins` counter (one record per step).
+fn run(kernel: RankKernel) -> (Vec<Particle>, Vec<u64>) {
     let cfg = cfg(kernel);
     let params = AmpiParams {
         d: 4,
@@ -70,13 +72,13 @@ fn run(kernel: RankKernel) -> (Vec<ParOutcome>, Vec<u64>) {
         .iter()
         .map(|s| s.counters[Counter::Rebins.idx()])
         .collect();
-    (results.into_iter().map(|(o, _)| o).collect(), rebins)
+    let world = results.into_iter().flat_map(|(o, _)| o.local_particles);
+    (world.collect(), rebins)
 }
 
-fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
-    let mut v: Vec<_> = outcomes
+fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
+    let mut v: Vec<_> = particles
         .iter()
-        .flat_map(|o| o.local_particles.iter())
         .map(|p| {
             (
                 p.id,
@@ -93,12 +95,10 @@ fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
 
 #[test]
 fn rebin_interval_cannot_change_an_ampi_run() {
-    let (aos, aos_rebins) = run(RankKernel::aos());
-    assert!(
-        aos_rebins.iter().all(|&r| r == 0),
-        "AoS has nothing to sort"
-    );
-    let want = bit_finals(&aos);
+    // The reference is the single-process AoS engine, which has no rebin.
+    let mut sim = Simulation::new(cfg(RankKernel::default()).setup);
+    sim.run(STEPS);
+    let want = bit_finals(&sim.particles());
     assert_eq!(want.len(), 730);
     for rebin in [1u32, 3, 16] {
         let (got, rebins) = run(RankKernel::default().with_rebin_interval(rebin));

@@ -564,29 +564,14 @@ impl LoadBalancer for VpLb {
     }
 }
 
-/// Thresholds and window shape for [`AdaptiveLb`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Balance rounds averaged before a switch is considered.
-    pub window: usize,
-    /// Mean imbalance above this escalates to the next arm.
-    pub hi: f64,
-    /// Mean imbalance below this de-escalates to the previous arm.
-    pub lo: f64,
-    /// Balance rounds to wait after a switch before reconsidering.
-    pub cooldown: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            window: 3,
-            hi: 1.4,
-            lo: 1.1,
-            cooldown: 2,
-        }
-    }
-}
+/// Balance rounds [`AdaptiveLb`] averages before a switch is considered.
+const ADAPTIVE_WINDOW: usize = 3;
+/// Mean imbalance above this escalates to the next arm.
+const ADAPTIVE_HI: f64 = 1.4;
+/// Mean imbalance below this de-escalates to the previous arm.
+const ADAPTIVE_LO: f64 = 1.1;
+/// Balance rounds to wait after a switch before reconsidering.
+const ADAPTIVE_COOLDOWN: usize = 2;
 
 /// Online adaptive balancer: owns an escalation ladder of arms, watches
 /// the measured imbalance over a sliding window of balance rounds, and
@@ -600,7 +585,6 @@ pub struct AdaptiveLb {
     arms: Vec<Box<dyn LoadBalancer>>,
     active: usize,
     interval: u64,
-    cfg: AdaptiveConfig,
     window: Vec<f64>,
     cooldown_left: usize,
     scratch: Vec<u64>,
@@ -608,15 +592,13 @@ pub struct AdaptiveLb {
 }
 
 impl AdaptiveLb {
-    pub fn new(arms: Vec<Box<dyn LoadBalancer>>, interval: u64, cfg: AdaptiveConfig) -> Self {
+    pub fn new(arms: Vec<Box<dyn LoadBalancer>>, interval: u64) -> Self {
         assert!(!arms.is_empty(), "adaptive balancer needs at least one arm");
         assert!(interval > 0, "balance interval must be positive");
-        assert!(cfg.window > 0, "adaptive window must be positive");
         AdaptiveLb {
             arms,
             active: 0,
             interval,
-            cfg,
             window: Vec::new(),
             cooldown_left: 0,
             scratch: Vec::new(),
@@ -645,7 +627,7 @@ impl AdaptiveLb {
                 axes,
             )),
         ];
-        AdaptiveLb::new(arms, interval, AdaptiveConfig::default())
+        AdaptiveLb::new(arms, interval)
     }
 
     /// The VP-family escalation ladder: keep → refine → greedy repack.
@@ -655,7 +637,7 @@ impl AdaptiveLb {
             Box::new(VpLb::new(interval, VpStrategy::paper_default())),
             Box::new(VpLb::new(interval, VpStrategy::Greedy)),
         ];
-        AdaptiveLb::new(arms, interval, AdaptiveConfig::default())
+        AdaptiveLb::new(arms, interval)
     }
 
     /// Name of the currently active arm.
@@ -704,19 +686,19 @@ impl LoadBalancer for AdaptiveLb {
     fn decide(&mut self, input: &BalanceInput, layout: &Layout) -> BalanceDecision {
         let signal = self.signal(input, layout);
         self.window.push(signal);
-        if self.window.len() > self.cfg.window {
+        if self.window.len() > ADAPTIVE_WINDOW {
             self.window.remove(0);
         }
 
         let mut switched = None;
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
-        } else if self.window.len() == self.cfg.window {
-            let mean = self.window.iter().sum::<f64>() / self.cfg.window as f64;
+        } else if self.window.len() == ADAPTIVE_WINDOW {
+            let mean = self.window.iter().sum::<f64>() / ADAPTIVE_WINDOW as f64;
             // NaN means compare false on both branches: no switch.
-            let target = if mean > self.cfg.hi && self.active + 1 < self.arms.len() {
+            let target = if mean > ADAPTIVE_HI && self.active + 1 < self.arms.len() {
                 Some(self.active + 1)
-            } else if mean < self.cfg.lo && self.active > 0 {
+            } else if mean < ADAPTIVE_LO && self.active > 0 {
                 Some(self.active - 1)
             } else {
                 None
@@ -730,7 +712,7 @@ impl LoadBalancer for AdaptiveLb {
                 });
                 self.active = next;
                 self.window.clear();
-                self.cooldown_left = self.cfg.cooldown;
+                self.cooldown_left = ADAPTIVE_COOLDOWN;
             }
         }
 
@@ -1055,7 +1037,7 @@ mod tests {
             .switched
             .expect("window full + high imbalance must switch");
         assert_eq!((sw.from, sw.to, sw.step), ("static", "diffusion", 15));
-        assert!(sw.imbalance > lb.cfg.hi);
+        assert!(sw.imbalance > ADAPTIVE_HI);
         assert_eq!(lb.active_arm(), "diffusion");
         assert!(!d.cuts.is_empty(), "new arm decides in the same round");
         // The window refills during the 2-round cooldown; once it is full

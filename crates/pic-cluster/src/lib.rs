@@ -31,8 +31,8 @@ pub mod stats;
 
 pub use balancer::{
     diffuse_xcuts, diffuse_xcuts_from_histogram, greedy_assign, imbalance, per_column_counts_into,
-    refine_assign, AdaptiveConfig, AdaptiveLb, Axes, BalanceDecision, BalanceInput, BalanceNeeds,
-    CutMove, DiffusionLb, Layout, LoadBalancer, StaticLb, SwitchEvent, VpLb, VpMove, VpStrategy,
+    refine_assign, AdaptiveLb, Axes, BalanceDecision, BalanceInput, BalanceNeeds, CutMove,
+    DiffusionLb, Layout, LoadBalancer, StaticLb, SwitchEvent, VpLb, VpMove, VpStrategy,
 };
 pub use bsp::{BspSimulator, RunStats};
 pub use cost::CostModel;

@@ -201,6 +201,13 @@ impl BinnedStore {
         self.backend
     }
 
+    /// Short kernel descriptor for telemetry and driver output:
+    /// `"<backend>/exact"` (e.g. `"avx512/exact"`, `"scalar/exact"`) — the
+    /// trace run-header `simd` field of schema v1, suffix included.
+    pub fn kernel_desc(&self) -> String {
+        format!("{}/exact", self.backend.name())
+    }
+
     /// Override the kernel backend (A/B measurements and the cross-backend
     /// identity tests; results are bit-identical on every backend).
     pub fn set_simd_backend(&mut self, backend: SimdBackend) {

@@ -10,7 +10,7 @@
 //! migrate) the same data a real port would, and so tests can prove the
 //! stored-mesh force path is bit-identical to the formulaic one.
 
-use crate::charge::{coulomb, mesh_charge, CornerCharge, SimConstants};
+use crate::charge::{mesh_charge, CornerCharge, SimConstants};
 use crate::geometry::Grid;
 use crate::simd::Lanes;
 
@@ -104,43 +104,6 @@ impl ChargeGrid {
         }
     }
 
-    /// Total Coulomb force on a particle inside the owned rectangle, read
-    /// from the stored mesh — the same arithmetic as
-    /// [`crate::charge::total_force`], so results are bit-identical.
-    #[inline]
-    pub fn total_force(
-        &self,
-        grid: &Grid,
-        consts: &SimConstants,
-        x: f64,
-        y: f64,
-        qp: f64,
-    ) -> (f64, f64) {
-        let (col, row) = grid.cell_of_point(x, y);
-        let rx = x - col as f64;
-        let ry = y - row as f64;
-        let q_left = self.charge_at(col, row);
-        // The right corner may be the periodic image; the stored fringe
-        // holds the already-wrapped charge value.
-        let q_right = self.charge_at_wrapped(grid, col + 1, row);
-
-        let (fx0, fy0) = coulomb(rx, ry, q_left, qp);
-        let (fx1, fy1) = coulomb(rx, ry - consts.h, q_left, qp);
-        let (fx2, fy2) = coulomb(rx - consts.h, ry, q_right, qp);
-        let (fx3, fy3) = coulomb(rx - consts.h, ry - consts.h, q_right, qp);
-        ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3))
-    }
-
-    #[inline]
-    fn charge_at_wrapped(&self, grid: &Grid, col: usize, row: usize) -> f64 {
-        // Columns x1 (fringe) are stored directly; beyond that wrap.
-        if col <= self.x0 + self.w + 1 {
-            self.charge_at(col, row.min(self.y0 + self.h + 1))
-        } else {
-            self.charge_at(grid.wrap_cell(col as i64), row.min(self.y0 + self.h + 1))
-        }
-    }
-
     /// Check every stored point against the formulaic pattern — the
     /// subgrid equivalent of a halo-consistency check.
     pub fn verify_against_formula(&self, grid: &Grid, consts: &SimConstants) -> bool {
@@ -195,7 +158,6 @@ impl CornerCharge for MeshRow<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::charge::total_force;
 
     fn grid() -> Grid {
         Grid::new(16).unwrap()
@@ -231,35 +193,6 @@ mod tests {
         let g = grid();
         let cg = ChargeGrid::build(&g, &SimConstants::CANONICAL, (4, 8), (4, 8));
         let _ = cg.charge_at(12, 5); // two past the fringe
-    }
-
-    #[test]
-    fn gridded_force_bitwise_matches_formulaic() {
-        let g = grid();
-        let c = SimConstants::CANONICAL;
-        let cg = ChargeGrid::build(&g, &c, (4, 12), (2, 10));
-        for &(x, y, qp) in &[
-            (4.5, 2.5, 0.3535),
-            (11.5, 9.5, -0.7),
-            (7.25, 5.75, 1.5),
-            (4.0, 2.0, 0.1),
-        ] {
-            let (fx_a, fy_a) = total_force(&g, &c, x, y, qp);
-            let (fx_b, fy_b) = cg.total_force(&g, &c, x, y, qp);
-            assert_eq!(fx_a.to_bits(), fx_b.to_bits(), "fx at ({x},{y})");
-            assert_eq!(fy_a.to_bits(), fy_b.to_bits(), "fy at ({x},{y})");
-        }
-    }
-
-    #[test]
-    fn last_column_force_uses_wrapped_corner() {
-        let g = grid();
-        let c = SimConstants::CANONICAL;
-        let cg = ChargeGrid::build(&g, &c, (12, 16), (0, 16));
-        let (fx_a, fy_a) = total_force(&g, &c, 15.5, 3.5, 0.5);
-        let (fx_b, fy_b) = cg.total_force(&g, &c, 15.5, 3.5, 0.5);
-        assert_eq!(fx_a.to_bits(), fx_b.to_bits());
-        assert_eq!(fy_a.to_bits(), fy_b.to_bits());
     }
 
     #[test]

@@ -228,13 +228,12 @@ impl Simulation {
     }
 
     /// Short kernel descriptor for telemetry and driver output:
-    /// `"<backend>/exact"` for the binned mode (e.g. `"avx512/exact"`,
-    /// `"scalar/exact"`), `"none"` for [`SweepMode::Serial`]. This is the
-    /// trace run-header `simd` field of schema v1, suffix included.
+    /// [`BinnedStore::kernel_desc`] for the binned mode, `"none"` for
+    /// [`SweepMode::Serial`].
     pub fn kernel_desc(&self) -> String {
-        match self.simd_backend() {
-            Some(b) => format!("{}/exact", b.name()),
-            None => "none".to_string(),
+        match &self.store {
+            ParticleStore::Binned(b) => b.kernel_desc(),
+            ParticleStore::Aos(_) => "none".to_string(),
         }
     }
 

@@ -234,18 +234,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Gridded force (stored mesh) is bit-identical to the formulaic force
-    /// for arbitrary subgrids and particle positions inside them.
+    /// The stored mesh — the span kernels' force source — holds the
+    /// formulaic charge at every point, ghost ring included, for arbitrary
+    /// subgrids.
     #[test]
-    fn charge_grid_force_equivalence(
-        gridhalf in 4usize..32,
-        block in any::<u64>(),
-        fx in 0.0f64..1.0,
-        fy in 0.0f64..1.0,
-        qp in -2.0f64..2.0,
-    ) {
+    fn charge_grid_force_equivalence(gridhalf in 4usize..32, block in any::<u64>()) {
         use pic_core::charge_grid::ChargeGrid;
-        use pic_core::charge::total_force;
         let grid = Grid::new(gridhalf * 2).unwrap();
         let n = grid.ncells();
         let x0 = (block % n as u64) as usize;
@@ -255,14 +249,6 @@ proptest! {
         let consts = SimConstants::CANONICAL;
         let cg = ChargeGrid::build(&grid, &consts, (x0, x0 + w), (y0, y0 + h));
         prop_assert!(cg.verify_against_formula(&grid, &consts));
-        prop_assume!(qp.abs() > 1e-6);
-        // A position inside the owned block.
-        let x = x0 as f64 + fx * w as f64 * 0.999;
-        let y = y0 as f64 + fy * h as f64 * 0.999;
-        let (ax, ay) = total_force(&grid, &consts, x, y, qp);
-        let (bx, by) = cg.total_force(&grid, &consts, x, y, qp);
-        prop_assert_eq!(ax.to_bits(), bx.to_bits());
-        prop_assert_eq!(ay.to_bits(), by.to_bits());
     }
 
     /// SoA batches behave exactly like Vec<Particle> under random

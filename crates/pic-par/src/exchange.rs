@@ -23,9 +23,9 @@ use pic_core::particle::Particle;
 const MAX_SPARE_BUFS: usize = 64;
 
 /// Reusable scratch for the exchange path: per-destination staging
-/// buckets, the kept-particle buffer, and the arrival side. Holding one of
-/// these in per-rank state makes the steady-state exchange loop
-/// allocation-free — buckets are `clear()`ed, not dropped, and *recycled*:
+/// buckets and the arrival side. Holding one of these in per-rank state
+/// makes the steady-state exchange loop allocation-free — buckets are
+/// `clear()`ed, not dropped, and *recycled*:
 /// the staging buckets themselves are the wire payloads (owned
 /// `Vec<Particle>`, no encode or decode pass), so every send surrenders its
 /// bucket (channel transfer, like an MPI send buffer), but the buckets
@@ -38,7 +38,6 @@ pub struct ExchangeBuffers {
     /// are emptied by the take-based all-to-all and refilled from `spare`
     /// next step).
     outgoing: Vec<Vec<Particle>>,
-    kept: Vec<Particle>,
     /// Arrival payloads (outer vector reused across steps).
     inbox: Vec<Vec<Particle>>,
     /// Recycled buckets feeding the next staging pass.
@@ -149,51 +148,15 @@ impl ExchangeBuffers {
     }
 }
 
-/// Route every particle whose `owner(particle)` is not `my_rank` to that
-/// owner (a communicator rank). Appends the arrivals to `particles`.
-/// Returns `(sent, received)` particle counts. Scratch is caller-owned
-/// (see [`ExchangeBuffers`]).
-///
-/// This is the general routing primitive: the baseline/diffusion codes
-/// derive ownership from the Cartesian decomposition; the AMPI runtime
-/// derives it from the VP→core assignment table.
-pub fn route_particles_with<F>(
-    comm: &Communicator,
-    my_rank: usize,
-    owner: F,
-    particles: &mut Vec<Particle>,
-    bufs: &mut ExchangeBuffers,
-) -> (usize, usize)
-where
-    F: Fn(&Particle) -> usize,
-{
-    debug_assert_eq!(comm.rank(), my_rank);
-    bufs.begin_staging(comm.size());
-    bufs.kept.clear();
-    bufs.kept.reserve(particles.len());
-    let mut sent = 0usize;
-    for p in particles.drain(..) {
-        let dst = owner(&p);
-        debug_assert!(dst < comm.size(), "owner {dst} out of range");
-        if dst == my_rank {
-            bufs.kept.push(p);
-        } else {
-            sent += 1;
-            bufs.outgoing[dst].push(p);
-        }
-    }
-    std::mem::swap(particles, &mut bufs.kept);
-
-    let handle = bufs.start_wire(comm);
-    let received = bufs.finish_arrivals(comm, handle, |p| particles.push(p));
-    (sent, received)
-}
-
-/// The binned-path exchange: drain every mis-homed particle straight out
-/// of the rank's [`BinnedStore`] (holes refilled from the end of the batch
-/// — no shifting, no AoS round-trip), route it to `owner(col, row)`, and
+/// The exchange: drain every mis-homed particle straight out of the rank's
+/// [`BinnedStore`] (holes refilled from the end of the batch — no
+/// shifting), route it to `owner(col, row)` (a communicator rank), and
 /// append arrivals to the store's mixed region, leaving the amortized
 /// rebin schedule untouched. Returns `(sent, received)` particle counts.
+///
+/// This is the general routing primitive: the cut family derives ownership
+/// from the Cartesian decomposition, the AMPI runtime from its VP→core
+/// assignment table.
 pub fn route_binned_with<F>(
     comm: &Communicator,
     my_rank: usize,
@@ -312,8 +275,7 @@ pub(crate) fn rehome_binned_start(
     inflight
 }
 
-/// The synchronous `rehome_binned_start` + [`route_binned_finish`] — the
-/// binned analogue of [`rehome_particles_with`].
+/// The synchronous `rehome_binned_start` + [`route_binned_finish`].
 pub fn rehome_binned_with(
     comm: &Communicator,
     decomp: &Decomp2d,
@@ -326,41 +288,6 @@ pub fn rehome_binned_with(
     let sent = inflight.sent;
     let received = route_binned_finish(comm, inflight, store, bufs);
     (sent, received)
-}
-
-/// Route every particle not owned by `my_rank` under the Cartesian
-/// decomposition to its owner. Returns `(sent, received)` counts.
-pub fn rehome_particles(
-    comm: &Communicator,
-    decomp: &Decomp2d,
-    grid: &Grid,
-    my_rank: usize,
-    particles: &mut Vec<Particle>,
-) -> (usize, usize) {
-    let mut bufs = ExchangeBuffers::new();
-    rehome_particles_with(comm, decomp, grid, my_rank, particles, &mut bufs)
-}
-
-/// [`rehome_particles`] with caller-owned scratch buffers.
-pub fn rehome_particles_with(
-    comm: &Communicator,
-    decomp: &Decomp2d,
-    grid: &Grid,
-    my_rank: usize,
-    particles: &mut Vec<Particle>,
-    bufs: &mut ExchangeBuffers,
-) -> (usize, usize) {
-    debug_assert_eq!(comm.size(), decomp.ranks());
-    route_particles_with(
-        comm,
-        my_rank,
-        |p| {
-            let (col, row) = grid.cell_of_point(p.x, p.y);
-            decomp.owner_of_cell(col, row)
-        },
-        particles,
-        bufs,
-    )
 }
 
 /// Partition a full population down to the particles owned by `rank`.
@@ -378,6 +305,7 @@ pub fn local_slice(decomp: &Decomp2d, grid: &Grid, rank: usize, all: &[Particle]
 mod tests {
     use super::*;
     use pic_comm::world::run_threads;
+    use pic_core::bin::DEFAULT_REBIN;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
 
@@ -400,27 +328,40 @@ mod tests {
         assert_eq!(seen, 333);
     }
 
+    /// A whole-grid store over the deliberately mis-assigned strided subset
+    /// `id % 4 == rank`, regardless of ownership.
+    fn strided_store(grid: &Grid, all: &[Particle], rank: usize) -> BinnedStore {
+        let mine: Vec<Particle> = all
+            .iter()
+            .filter(|p| (p.id as usize) % 4 == rank)
+            .copied()
+            .collect();
+        BinnedStore::new(&mine, grid, DEFAULT_REBIN)
+    }
+
+    /// Assert every held particle is owned by `rank`; `(count, id sum)`.
+    fn settled(store: &BinnedStore, grid: &Grid, d: &Decomp2d, rank: usize) -> (usize, u128) {
+        let mine = store.to_particles();
+        for p in &mine {
+            let (c, r) = grid.cell_of_point(p.x, p.y);
+            assert_eq!(d.owner_of_cell(c, r), rank);
+        }
+        (mine.len(), mine.iter().map(|p| p.id as u128).sum::<u128>())
+    }
+
     #[test]
     fn rehome_moves_everything_to_owners() {
         let (grid, all) = setup(200);
         let decomp = Decomp2d::uniform(16, 4);
         let totals = run_threads(4, |comm| {
             let rank = comm.rank();
-            // Deliberately mis-assign: every rank starts with a strided
-            // subset regardless of ownership.
-            let mut mine: Vec<Particle> = all
-                .iter()
-                .filter(|p| (p.id as usize) % 4 == rank)
-                .copied()
-                .collect();
+            let mut store = strided_store(&grid, &all, rank);
             let d = decomp.clone();
-            rehome_particles(&comm, &d, &grid, rank, &mut mine);
+            let owner = |c, r| d.owner_of_cell(c, r);
+            let mut bufs = ExchangeBuffers::new();
+            route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
             // Now everything local must be owned.
-            for p in &mine {
-                let (c, r) = grid.cell_of_point(p.x, p.y);
-                assert_eq!(d.owner_of_cell(c, r), rank);
-            }
-            (mine.len(), mine.iter().map(|p| p.id as u128).sum::<u128>())
+            settled(&store, &grid, &d, rank)
         });
         let total: usize = totals.iter().map(|t| t.0).sum();
         let idsum: u128 = totals.iter().map(|t| t.1).sum();
@@ -438,27 +379,21 @@ mod tests {
         let decomp = Decomp2d::columns(16, 4);
         let totals = run_threads(4, |comm| {
             let rank = comm.rank();
-            let mut mine: Vec<Particle> = all
-                .iter()
-                .filter(|p| (p.id as usize) % 4 == rank)
-                .copied()
-                .collect();
+            let mut store = strided_store(&grid, &all, rank);
             let d = decomp.clone();
+            let owner = |c, r| d.owner_of_cell(c, r);
             let mut bufs = ExchangeBuffers::new();
             bufs.enable_sparse(4, rank, d.neighbors_of(rank));
-            rehome_particles_with(&comm, &d, &grid, rank, &mut mine, &mut bufs);
-            for p in &mine {
-                let (c, r) = grid.cell_of_point(p.x, p.y);
-                assert_eq!(d.owner_of_cell(c, r), rank);
-            }
+            route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
+            let held = settled(&store, &grid, &d, rank);
             // Once settled, a second pass stays on the sparse path and
             // sends no payloads at all.
             bufs.take_message_counts();
-            rehome_particles_with(&comm, &d, &grid, rank, &mut mine, &mut bufs);
+            route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
             let (sent_msgs, skipped) = bufs.take_message_counts();
             assert_eq!(sent_msgs, 0, "settled world must skip every payload");
             assert_eq!(skipped, 4);
-            (mine.len(), mine.iter().map(|p| p.id as u128).sum::<u128>())
+            held
         });
         let total: usize = totals.iter().map(|t| t.0).sum();
         let idsum: u128 = totals.iter().map(|t| t.1).sum();
@@ -578,30 +513,28 @@ mod tests {
     fn reused_buffers_match_fresh_allocation_routing() {
         // Route the same mis-assigned population twice per rank through one
         // ExchangeBuffers — the second pass (warm buffers) must behave
-        // exactly like the allocating wrapper.
+        // exactly like routing through freshly allocated ones.
         let (grid, all) = setup(240);
         let decomp = Decomp2d::uniform(16, 4);
         let totals = run_threads(4, |comm| {
             let rank = comm.rank();
+            let owner = |c, r| decomp.owner_of_cell(c, r);
             let mut bufs = ExchangeBuffers::new();
-            let mut fresh: Vec<Particle> = all
-                .iter()
-                .filter(|p| (p.id as usize) % 4 == rank)
-                .copied()
-                .collect();
-            let mut warm = fresh.clone();
-            rehome_particles(&comm, &decomp, &grid, rank, &mut fresh);
+            let mut fresh = strided_store(&grid, &all, rank);
+            let mut warm = strided_store(&grid, &all, rank);
+            let mut cold = ExchangeBuffers::new();
+            route_binned_with(&comm, rank, owner, &mut fresh, &grid, &mut cold);
             // First pass warms the buckets, second pass reuses them.
-            rehome_particles_with(&comm, &decomp, &grid, rank, &mut warm, &mut bufs);
+            route_binned_with(&comm, rank, owner, &mut warm, &grid, &mut bufs);
             let (sent, received) =
-                rehome_particles_with(&comm, &decomp, &grid, rank, &mut warm, &mut bufs);
+                route_binned_with(&comm, rank, owner, &mut warm, &grid, &mut bufs);
             assert_eq!(sent, 0, "second pass must already be settled");
             assert_eq!(received, 0);
-            let mut a: Vec<u64> = fresh.iter().map(|p| p.id).collect();
-            let mut b: Vec<u64> = warm.iter().map(|p| p.id).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "warm-buffer routing must match fresh routing");
+            assert_eq!(
+                fresh.to_particles(),
+                warm.to_particles(),
+                "warm-buffer routing must match fresh routing"
+            );
             warm.len()
         });
         assert_eq!(totals.iter().sum::<usize>(), 240);
@@ -651,13 +584,16 @@ mod tests {
         let decomp = Decomp2d::uniform(16, 2);
         let counts = run_threads(2, |comm| {
             let rank = comm.rank();
-            let mut mine = local_slice(&decomp, &grid, rank, &all);
-            let before = mine.len();
-            let (sent, received) = rehome_particles(&comm, &decomp, &grid, rank, &mut mine);
+            let mine = local_slice(&decomp, &grid, rank, &all);
+            let ((x0, x1), _) = decomp.bounds(rank);
+            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
+            let mut bufs = ExchangeBuffers::new();
+            let (sent, received) =
+                rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
             assert_eq!(sent, 0);
             assert_eq!(received, 0);
-            assert_eq!(mine.len(), before);
-            before
+            assert_eq!(store.len(), mine.len());
+            mine.len()
         });
         assert_eq!(counts.iter().sum::<usize>(), 100);
     }

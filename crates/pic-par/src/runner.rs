@@ -3,8 +3,7 @@
 
 use crate::decomp::Decomp2d;
 use crate::exchange::{
-    local_slice, rehome_binned_start, rehome_binned_with, rehome_particles_with,
-    route_binned_finish, ExchangeBuffers,
+    local_slice, rehome_binned_start, rehome_binned_with, route_binned_finish, ExchangeBuffers,
 };
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
@@ -14,29 +13,13 @@ use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
 use pic_core::charge_grid::ChargeGrid;
-use pic_core::engine::SweepMode;
-use pic_core::events::{Event, EventKind};
+use pic_core::events::{Event, EventKind, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{build_injection, SimulationSetup};
-use pic_core::motion::advance_with_acceleration;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
-use pic_core::verify::{
-    verify_all, verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS,
-};
+use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
-
-/// Which particle container the rank hot loop advances through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankPath {
-    /// The original scalar AoS loop — kept selectable as the reference for
-    /// the cross-implementation equivalence contract and bench contrast.
-    Aos,
-    /// The SoA cell-binned SIMD path (the serial engine's kernel stack,
-    /// subdomain-aware). Bit-identical to [`RankPath::Aos`].
-    #[default]
-    Binned,
-}
 
 /// How the per-step exchange routes particle payloads between ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,14 +38,13 @@ pub enum ExchangeMode {
     OverlappedSparse,
 }
 
-/// Rank-loop kernel selection, threaded from the CLI's `--sweep`/`--rebin`
-/// into every distributed implementation.
+/// Rank-loop kernel selection, threaded from the CLI's `--rebin` into
+/// every distributed implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKernel {
-    pub path: RankPath,
     /// Instruction-set override; `None` = runtime detection.
     pub backend: Option<SimdBackend>,
-    /// Sweeps between counting sorts (binned path).
+    /// Sweeps between counting sorts.
     pub rebin_interval: u32,
     /// Exchange routing (default: overlapped sparse; dense synchronous is
     /// the reference).
@@ -72,7 +54,6 @@ pub struct RankKernel {
 impl Default for RankKernel {
     fn default() -> RankKernel {
         RankKernel {
-            path: RankPath::Binned,
             backend: None,
             rebin_interval: DEFAULT_REBIN,
             exchange: ExchangeMode::OverlappedSparse,
@@ -81,21 +62,22 @@ impl Default for RankKernel {
 }
 
 impl RankKernel {
-    /// The reference AoS rank loop.
-    pub fn aos() -> RankKernel {
-        RankKernel {
-            path: RankPath::Aos,
-            ..RankKernel::default()
+    /// Build the rank's particle store over `particles`, binning the
+    /// columns `cols.0..cols.1` (a rank subdomain, or the whole grid for
+    /// ownership maps that are not column-contiguous). Takes the vector so
+    /// the AoS copy is freed here, not at the end of the caller's run.
+    pub fn build_store(
+        &self,
+        particles: Vec<Particle>,
+        grid: &Grid,
+        cols: (usize, usize),
+    ) -> BinnedStore {
+        let mut b =
+            BinnedStore::new_subdomain(&particles, grid, self.rebin_interval, cols.0, cols.1);
+        if let Some(backend) = self.backend {
+            b.set_simd_backend(backend);
         }
-    }
-
-    /// Map the CLI sweep mode onto a rank kernel: `soa-binned` selects the
-    /// (default) binned path, `serial` the AoS reference rank loop.
-    pub fn from_sweep(mode: SweepMode) -> RankKernel {
-        match mode {
-            SweepMode::Serial => RankKernel::aos(),
-            SweepMode::SoaBinned => RankKernel::default(),
-        }
+        b
     }
 
     pub fn with_rebin_interval(mut self, rebin: u32) -> RankKernel {
@@ -119,8 +101,7 @@ impl RankKernel {
 pub struct ParConfig {
     pub setup: SimulationSetup,
     pub steps: u32,
-    /// Hot-loop kernel every rank runs (default: binned — bit-identical
-    /// to the AoS loop it replaced).
+    /// Hot-loop kernel every rank runs.
     pub kernel: RankKernel,
     /// Load-balancing strategy for [`crate::balance::run_config`]
     /// dispatch (default: static, i.e. the baseline).
@@ -163,125 +144,12 @@ pub struct ParOutcome {
     pub total_count: u64,
     /// Steps executed.
     pub steps: u32,
-    /// Kernel descriptor of the rank hot loop (`"<backend>/exact"` for
-    /// the binned path, `"none"` for the AoS reference loop — the same
-    /// convention the serial engine emits).
+    /// Kernel descriptor of the rank hot loop, `"<backend>/exact"` (the
+    /// serial engine's convention; `"none"` is its AoS mode alone).
     pub kernel: String,
     /// This rank's final particles, **unordered** (storage order; consumers
     /// key or sort by id) — for cross-implementation equivalence checks.
     pub local_particles: Vec<Particle>,
-}
-
-/// The rank's particle container (see [`RankPath`]).
-pub enum RankStore {
-    Aos(Vec<Particle>),
-    Binned(Box<BinnedStore>),
-}
-
-impl RankStore {
-    /// Build a store over `particles` per the kernel selection. The binned
-    /// store bins the columns `cols.0..cols.1` (a rank subdomain, or the
-    /// whole grid for ownership maps that are not column-contiguous).
-    pub fn build(
-        particles: Vec<Particle>,
-        grid: &Grid,
-        kernel: RankKernel,
-        cols: (usize, usize),
-    ) -> RankStore {
-        match kernel.path {
-            RankPath::Aos => RankStore::Aos(particles),
-            RankPath::Binned => {
-                let mut b = BinnedStore::new_subdomain(
-                    &particles,
-                    grid,
-                    kernel.rebin_interval,
-                    cols.0,
-                    cols.1,
-                );
-                if let Some(backend) = kernel.backend {
-                    b.set_simd_backend(backend);
-                }
-                RankStore::Binned(Box::new(b))
-            }
-        }
-    }
-
-    /// Number of particles currently held.
-    pub fn len(&self) -> usize {
-        match self {
-            RankStore::Aos(v) => v.len(),
-            RankStore::Binned(b) => b.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy the particles out in storage order (allocates; the outcome's
-    /// `local_particles`, not the verification path).
-    pub fn to_particles(&self) -> Vec<Particle> {
-        match self {
-            RankStore::Aos(v) => v.clone(),
-            RankStore::Binned(b) => b.batch().to_particles(),
-        }
-    }
-
-    /// Lifetime counting sorts of the binned store (0 for AoS); its
-    /// per-step delta feeds the trace `rebins` counter.
-    pub fn rebin_count(&self) -> u64 {
-        match self {
-            RankStore::Aos(_) => 0,
-            RankStore::Binned(b) => b.rebin_count(),
-        }
-    }
-
-    /// Append a particle that is already homed on this rank (binned: tail
-    /// append, folded in at the next amortized rebin).
-    pub fn push(&mut self, p: Particle) {
-        match self {
-            RankStore::Aos(v) => v.push(p),
-            RankStore::Binned(b) => b.push_tail(p),
-        }
-    }
-
-    /// Kernel descriptor of the hot loop this store drives:
-    /// `"<backend>/exact"` for the binned path, `"none"` for the AoS loop
-    /// (the serial engine's convention for unbinned stores).
-    pub fn kernel_desc(&self) -> String {
-        match self {
-            RankStore::Aos(_) => "none".to_string(),
-            RankStore::Binned(b) => format!("{}/exact", b.simd_backend().name()),
-        }
-    }
-
-    /// Ids of held particles inside `region`, for collective removal.
-    pub fn ids_in_region(&self, region: &pic_core::events::Region) -> Vec<u64> {
-        match self {
-            RankStore::Aos(v) => v
-                .iter()
-                .filter(|p| region.contains_point(p.x, p.y))
-                .map(|p| p.id)
-                .collect(),
-            RankStore::Binned(b) => {
-                let batch = b.batch();
-                (0..batch.len())
-                    .filter(|&i| region.contains_point(batch.x[i], batch.y[i]))
-                    .map(|i| batch.id[i])
-                    .collect()
-            }
-        }
-    }
-
-    /// Remove every particle whose id is in `doomed`.
-    pub fn remove_ids(&mut self, doomed: &std::collections::HashSet<u64>) {
-        match self {
-            RankStore::Aos(v) => v.retain(|p| !doomed.contains(&p.id)),
-            RankStore::Binned(b) => {
-                b.remove_ids(doomed);
-            }
-        }
-    }
 }
 
 /// The distributed event ledger: the step-sorted schedule with its cursor,
@@ -326,7 +194,7 @@ impl EventLedger {
         &mut self,
         comm: &Communicator,
         step: u32,
-        store: &mut RankStore,
+        store: &mut BinnedStore,
         owns: impl Fn(usize, usize) -> bool,
     ) {
         while self.next_event < self.events.len() && self.events[self.next_event].at_step == step {
@@ -349,14 +217,14 @@ impl EventLedger {
                         self.expected_id_sum += p.id as u128;
                         let (c, r) = self.grid.cell_of_point(p.x, p.y);
                         if owns(c, r) {
-                            // Homed by the owner filter, so the binned
-                            // tail append keeps the rebin amortized.
-                            store.push(*p);
+                            // Homed by the owner filter, so the tail
+                            // append keeps the rebin amortized.
+                            store.push_tail(*p);
                         }
                     }
                 }
                 EventKind::Remove { count } => {
-                    let mut local_ids = store.ids_in_region(&e.region);
+                    let mut local_ids = ids_in_region(store, &e.region);
                     local_ids.sort_unstable();
                     let gathered = allgatherv(comm, encode_u64s(&local_ids));
                     let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
@@ -373,15 +241,24 @@ impl EventLedger {
     }
 }
 
+/// Ids of the particles `store` holds inside `region`, for collective
+/// removal.
+fn ids_in_region(store: &BinnedStore, region: &Region) -> Vec<u64> {
+    let batch = store.batch();
+    (0..batch.len())
+        .filter(|&i| region.contains_point(batch.x[i], batch.y[i]))
+        .map(|i| batch.id[i])
+        .collect()
+}
+
 /// Per-rank simulation state.
 pub struct RankState {
     pub grid: Grid,
     pub consts: SimConstants,
     pub decomp: Decomp2d,
     pub rank: usize,
-    /// Local particles: the AoS vector of the reference loop, or the
-    /// subdomain-aware binned store of the vectorized path.
-    pub store: RankStore,
+    /// Local particles, binned over this rank's subdomain columns.
+    pub store: BinnedStore,
     /// Materialized mesh-charge subgrid with ghost ring (paper §IV-A:
     /// fringe mesh points are replicated). Forces are read from it, and it
     /// is rebuilt whenever the balancer changes this rank's subdomain.
@@ -421,7 +298,7 @@ impl RankState {
         let particles = local_slice(&decomp, &setup.grid, rank, &setup.particles);
         let (cols, rows) = decomp.bounds(rank);
         let charges = ChargeGrid::build(&setup.grid, &setup.consts, cols, rows);
-        let store = RankStore::build(particles, &setup.grid, kernel, cols);
+        let store = kernel.build_store(particles, &setup.grid, cols);
         let (stride_x, max_abs_m) = motion_bounds(setup);
         let mut bufs = ExchangeBuffers::new();
         if kernel.exchange == ExchangeMode::OverlappedSparse {
@@ -449,38 +326,27 @@ impl RankState {
         self.store.len()
     }
 
-    /// Kernel descriptor of the hot loop (see [`RankStore::kernel_desc`]).
+    /// Kernel descriptor of the hot loop ([`BinnedStore::kernel_desc`]).
     pub fn kernel_desc(&self) -> String {
         self.store.kernel_desc()
     }
 
     /// Fill `h` with this rank's per-column particle counts (global column
-    /// indexing, zero outside the subdomain) — O(columns) when the binned
+    /// indexing, zero outside the subdomain) — O(columns) when the store's
     /// histogram is fresh, O(n) otherwise. Summed across ranks this is the
     /// balancer's input histogram.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
-        match &self.store {
-            RankStore::Aos(v) => {
-                h.clear();
-                h.resize(self.grid.ncells(), 0);
-                for p in v {
-                    h[self.grid.cell_of(p.x)] += 1;
-                }
-            }
-            RankStore::Binned(b) => b.column_histogram_into(&self.grid, h),
-        }
+        self.store.column_histogram_into(&self.grid, h);
     }
 
-    /// Re-anchor the binned store's column range after a decomposition
-    /// change. Leavers must already have been drained under the *new*
+    /// Re-anchor the store's column range after a decomposition change.
+    /// Leavers must already have been drained under the *new*
     /// decomposition (the balancer rehomes first); a no-op when the range
-    /// is unchanged or the store is AoS.
+    /// is unchanged.
     pub fn rebind_store(&mut self) {
-        if let RankStore::Binned(b) = &mut self.store {
-            let ((x0, x1), _) = self.decomp.bounds(self.rank);
-            if b.columns() != (x0, x1) {
-                b.set_columns(&self.grid, x0, x1);
-            }
+        let ((x0, x1), _) = self.decomp.bounds(self.rank);
+        if self.store.columns() != (x0, x1) {
+            self.store.set_columns(&self.grid, x0, x1);
         }
     }
 
@@ -521,7 +387,6 @@ impl RankState {
     /// full drain catches row leavers from any column).
     fn overlap_ready(&self) -> bool {
         self.exchange == ExchangeMode::OverlappedSparse
-            && matches!(self.store, RankStore::Binned(_))
             && (self.decomp.py == 1 || self.max_abs_m == 0)
     }
 
@@ -537,22 +402,11 @@ impl RankState {
             self.step_overlapped(comm, tracer)
         } else {
             tracer.phase_start(Phase::Advance);
-            match &mut self.store {
-                RankStore::Aos(particles) => {
-                    for p in particles.iter_mut() {
-                        let (ax, ay) =
-                            self.charges
-                                .total_force(&self.grid, &self.consts, p.x, p.y, p.q);
-                        advance_with_acceleration(&self.grid, &self.consts, p, ax, ay);
-                    }
-                }
-                // The serial engine's kernel stack, serial on this rank's
-                // own thread (each rank is already a parallel unit), forces
-                // read from the ghost-ringed charge subgrid.
-                RankStore::Binned(b) => {
-                    b.sweep_local(&self.grid, &self.consts, Some(&self.charges))
-                }
-            }
+            // The serial engine's kernel stack, serial on this rank's own
+            // thread (each rank is already a parallel unit), forces read
+            // from the ghost-ringed charge subgrid.
+            self.store
+                .sweep_local(&self.grid, &self.consts, Some(&self.charges));
             tracer.phase_end(Phase::Advance);
             tracer.phase_start(Phase::Exchange);
             let (sent, _received) = self.rehome(comm);
@@ -563,10 +417,8 @@ impl RankState {
         // sort only ever sees homed particles (arrivals fold in from the
         // tail; column range is exactly the subdomain).
         tracer.phase_start(Phase::Exchange);
-        if let RankStore::Binned(b) = &mut self.store {
-            if b.rebin_due() {
-                b.rebin(&self.grid);
-            }
+        if self.store.rebin_due() {
+            self.store.rebin(&self.grid);
         }
         tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
         tracer.phase_end(Phase::Exchange);
@@ -585,9 +437,7 @@ impl RankState {
     /// cannot produce any — that is what [`BinnedStore::border_width`]
     /// guarantees), and storage order is not observable.
     fn step_overlapped(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
-        let RankStore::Binned(b) = &mut self.store else {
-            unreachable!("overlap_ready checked the store path");
-        };
+        let b = &mut self.store;
         tracer.phase_start(Phase::Advance);
         b.prepare_sweep(&self.grid);
         let ((x0, x1), _) = self.decomp.bounds(self.rank);
@@ -636,27 +486,17 @@ impl RankState {
     }
 
     /// Route every mis-homed particle to its owner, reusing this rank's
-    /// staging buffers (steady-state: no staging allocation). The binned
-    /// store drains leavers in place — no AoS round-trip.
+    /// staging buffers (steady-state: no staging allocation). The store
+    /// drains leavers in place.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
-        match &mut self.store {
-            RankStore::Aos(particles) => rehome_particles_with(
-                comm,
-                &self.decomp,
-                &self.grid,
-                self.rank,
-                particles,
-                &mut self.bufs,
-            ),
-            RankStore::Binned(store) => rehome_binned_with(
-                comm,
-                &self.decomp,
-                &self.grid,
-                self.rank,
-                store,
-                &mut self.bufs,
-            ),
-        }
+        rehome_binned_with(
+            comm,
+            &self.decomp,
+            &self.grid,
+            self.rank,
+            &mut self.store,
+            &mut self.bufs,
+        )
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row
@@ -684,8 +524,7 @@ impl RankState {
     }
 
     /// Collectively aggregate the global per-cell-column histogram from
-    /// every rank's own store — O(columns) local work on a fresh binned
-    /// store. [`pic_cluster::balancer::per_column_counts_into`] folds the
+    /// every rank's own store — O(columns) local work on a fresh store. [`pic_cluster::balancer::per_column_counts_into`] folds the
     /// result onto processor columns, giving bit-identical cut decisions
     /// to [`RankState::aggregate_axis_counts_into`] (both count homed
     /// particles per column). Reuses `h` as local scratch.
@@ -723,7 +562,8 @@ impl RankState {
     pub fn finish_traced(&self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
         let verify = self.verify(comm);
-        let local_particles = self.store.to_particles();
+        // Storage order: no sort on the way out.
+        let local_particles = self.store.batch().to_particles();
         tracer.phase_end(Phase::Verify);
         let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
@@ -801,21 +641,17 @@ fn motion_bounds(setup: &SimulationSetup) -> (usize, i64) {
 
 /// Distributed verification of one rank's `store` at `final_step`, shared
 /// by the cut-family finish and the AMPI runtime: the local analytic check
-/// streams over the binned store in place (no AoS copy, no sort — see
-/// [`verify_batch`]; the AoS oracle checks its vector as it lies), then
-/// failures, checksum, max error and failing ids are merged globally, so
-/// every rank returns the identical report.
+/// streams over the store in place (no AoS copy, no sort — see
+/// [`verify_batch`]), then failures, checksum, max error and failing ids
+/// are merged globally, so every rank returns the identical report.
 pub fn verify_store(
     comm: &Communicator,
     grid: &Grid,
-    store: &RankStore,
+    store: &BinnedStore,
     final_step: u32,
     expected_id_sum: u128,
 ) -> VerifyReport {
-    let local = match store {
-        RankStore::Aos(v) => verify_all(grid, v, final_step, 0, DEFAULT_TOLERANCE),
-        RankStore::Binned(b) => verify_batch(grid, b.batch(), final_step, 0, DEFAULT_TOLERANCE),
-    };
+    let local = verify_batch(grid, store.batch(), final_step, 0, DEFAULT_TOLERANCE);
     VerifyReport {
         checked: allreduce_u64(comm, local.checked, ReduceOp::Sum),
         position_failures: allreduce_u64(comm, local.position_failures, ReduceOp::Sum),
@@ -845,7 +681,6 @@ mod tests {
     use super::*;
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
-    use pic_core::events::Region;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
 

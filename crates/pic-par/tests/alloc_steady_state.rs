@@ -113,13 +113,11 @@ fn rank_step_loop_reaches_allocation_steady_state() {
     // (the overlapped sparse exchange — escape dissemination,
     // per-neighbor counts, the split-phase handle, and the spare-bucket
     // free-list must all run off pooled buffers), the dense synchronous
-    // reference, and the AoS reference loop
-    // (sparse-synchronous: AoS has no column split to overlap).
+    // reference, and a rebin on every step.
     for kernel in [
         RankKernel::default(),
         RankKernel::default().with_exchange(ExchangeMode::DenseSync),
         RankKernel::default().with_rebin_interval(1),
-        RankKernel::aos(),
     ] {
         let windows = audit(kernel);
         for (rank, &(first, second)) in windows.iter().enumerate() {

@@ -1,22 +1,25 @@
-//! Rank-path equivalence (DESIGN.md §13): the binned SIMD rank loop is a
-//! drop-in replacement for the AoS reference loop: bit-identical final
-//! state — same surviving ids, same position/velocity bit patterns —
-//! across distributions, rank counts, rebin intervals, SIMD backends, and
-//! both distributed implementations in this crate (static baseline and
-//! diffusion LB). Particles never interact, so binning may reorder the
-//! sweep but must not change one bit of any particle's trajectory.
+//! Rank-loop equivalence (DESIGN.md §13): the binned SIMD rank loop ends
+//! in the serial AoS engine's final state, per id, bit for bit — same
+//! surviving ids, same position/velocity bit patterns — across
+//! distributions, rank counts, rebin intervals, SIMD backends, and both
+//! distributed implementations in this crate (static baseline and
+//! diffusion LB). Particles never interact, so decomposition, exchange and
+//! binning may reorder the sweep but must not change one bit of any
+//! particle's trajectory; the oracle shares no rank machinery with them.
 //!
 //! The whole file also passes with `PIC_NO_SIMD=1` (CI runs it both
 //! ways): forcing scalar must change nothing.
 
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
+use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
+use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
 use pic_par::diffusion::{DiffusionMode, DiffusionParams};
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
+use pic_par::runner::{ExchangeMode, ParConfig, RankKernel};
 use pic_par::{run_config, BalancerSpec};
 use proptest::prelude::*;
 
@@ -60,11 +63,10 @@ fn distributions() -> Vec<Distribution> {
     ]
 }
 
-/// Sorted (id, x-bits, y-bits, vx-bits, vy-bits) across all ranks.
-fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
-    let mut v: Vec<_> = outcomes
+/// Sorted (id, x-bits, y-bits, vx-bits, vy-bits) of a whole population.
+fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
+    let mut v: Vec<_> = particles
         .iter()
-        .flat_map(|o| o.local_particles.iter())
         .map(|p| {
             (
                 p.id,
@@ -79,12 +81,32 @@ fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
     v
 }
 
+/// The oracle: the single-process AoS engine's final population.
+fn serial(setup: SimulationSetup) -> Vec<Particle> {
+    let mut sim = Simulation::new(setup);
+    sim.run(STEPS);
+    sim.particles()
+}
+
+/// Run `cfg` on `ranks` verified thread-ranks; every rank's final particles.
+fn run_ranks(cfg: &ParConfig, ranks: usize) -> Vec<Particle> {
+    let outcomes = run_threads(ranks, |comm| {
+        let o = run_config(&comm, cfg);
+        assert!(o.verify.passed(), "{:?}", o.verify);
+        o
+    });
+    outcomes
+        .into_iter()
+        .flat_map(|o| o.local_particles)
+        .collect()
+}
+
 fn run_impl(
     dist: Distribution,
     ranks: usize,
     diffusion: bool,
     kernel: RankKernel,
-) -> Vec<ParOutcome> {
+) -> Vec<Particle> {
     let balancer = if diffusion {
         BalancerSpec::Diffusion {
             params: DiffusionParams {
@@ -100,21 +122,16 @@ fn run_impl(
     let cfg = ParConfig::new(setup(dist), STEPS)
         .with_kernel(kernel)
         .with_balancer(balancer);
-    run_threads(ranks, |comm| {
-        let o = run_config(&comm, &cfg);
-        assert!(o.verify.passed(), "{:?}", o.verify);
-        o
-    })
+    run_ranks(&cfg, ranks)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole contract: Binned/Exact ≡ AoS, bit for bit, across the
-    /// sampled cross product of distribution × rank count × rebin
-    /// interval × implementation × exchange mode. The AoS reference runs
-    /// the dense synchronous exchange (the oracle); the binned kernel must
-    /// match it under both the oracle and the overlapped sparse default.
+    /// The tentpole contract: rank loop ≡ serial AoS engine, bit for bit,
+    /// across the sampled cross product of distribution × rank count ×
+    /// rebin interval × implementation × exchange mode — under both the
+    /// dense synchronous exchange and the overlapped sparse default.
     #[test]
     fn binned_exact_bitwise_matches_aos_rank_loop(
         dist_i in 0usize..4,
@@ -123,8 +140,7 @@ proptest! {
         diffusion in any::<bool>(),
     ) {
         let dist = distributions()[dist_i];
-        let aos_kernel = RankKernel::aos().with_exchange(ExchangeMode::DenseSync);
-        let aos = bit_finals(&run_impl(dist, ranks, diffusion, aos_kernel));
+        let aos = bit_finals(&serial(setup(dist)));
         for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
             let kernel = RankKernel::default()
                 .with_rebin_interval(rebin)
@@ -140,17 +156,12 @@ proptest! {
 }
 
 /// Every SIMD backend the host offers produces the same bits as the AoS
-/// loop on the exact tier — the lane width is an implementation detail —
-/// under both exchange modes.
+/// engine — the lane width is an implementation detail — under both
+/// exchange modes.
 #[test]
 fn binned_exact_bitwise_identical_across_backends() {
     let dist = Distribution::Geometric { r: 0.9 };
-    let aos = bit_finals(&run_impl(
-        dist,
-        4,
-        true,
-        RankKernel::aos().with_exchange(ExchangeMode::DenseSync),
-    ));
+    let aos = bit_finals(&serial(setup(dist)));
     for backend in SimdBackend::available() {
         for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
             let kernel = RankKernel::default()
@@ -205,12 +216,7 @@ fn overlapped_split_phase_matches_dense_oracle_bitwise() {
                     .with_rebin_interval(rebin)
                     .with_exchange(exchange);
                 let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
-                let outcomes = run_threads(ranks, |comm| {
-                    let o = run_config(&comm, &cfg);
-                    assert!(o.verify.passed(), "{:?}", o.verify);
-                    o
-                });
-                finals.push(bit_finals(&outcomes));
+                finals.push(bit_finals(&run_ranks(&cfg, ranks)));
             }
             assert_eq!(
                 finals[0], finals[1],

@@ -12,7 +12,7 @@ use pic_core::init::InitConfig;
 use pic_core::particle::Particle;
 use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_par::decomp::Decomp2d;
-use pic_par::runner::{RankKernel, RankState, RankStore};
+use pic_par::runner::{RankKernel, RankState};
 
 const STEPS: u32 = 40;
 /// Corrupted particles per rank: rank 1 alone exceeds the cap, so its own
@@ -49,9 +49,7 @@ fn streamed_distributed_verify_equals_verify_all_over_the_sorted_world() {
             st.step(&comm);
         }
         let clean = (st.verify(&comm), st.store.to_particles());
-        let RankStore::Binned(b) = &mut st.store else {
-            panic!("the default rank kernel is binned");
-        };
+        let b = &mut st.store;
         let ids = &b.batch().id;
         let storage_is_shuffled = ids.windows(2).any(|w| w[0] > w[1]);
         let n = b.len();

@@ -8,7 +8,7 @@ use pic_core::init::InitConfig;
 use pic_core::verify::MAX_FAILING_IDS;
 use pic_par::decomp::Decomp2d;
 use pic_par::diffusion::{DiffusionMode, DiffusionParams};
-use pic_par::runner::{ParConfig, RankKernel, RankState, RankStore};
+use pic_par::runner::{ParConfig, RankState};
 use pic_par::{run_config_traced, BalancerSpec};
 use pic_trace::{validate_ndjson, Tracer};
 
@@ -22,15 +22,6 @@ fn cfg(n: u64, dist: Distribution, steps: u32) -> ParConfig {
     )
 }
 
-/// Direct mutable access to an AoS rank store (the corruption tests run
-/// on the AoS kernel so they can reach into the particle records).
-fn aos_particles(st: &mut RankState) -> &mut Vec<pic_core::particle::Particle> {
-    match &mut st.store {
-        RankStore::Aos(v) => v,
-        RankStore::Binned(_) => panic!("test requires the AoS kernel"),
-    }
-}
-
 /// A corrupted particle on one rank must show up in *every* rank's
 /// `failing_ids` — the report is gathered, not rank-local (the bug this
 /// guards against: each rank reporting only its own local failures).
@@ -39,18 +30,19 @@ fn corrupted_particle_reported_on_all_ranks() {
     let c = cfg(400, Distribution::Uniform, 6);
     let results = run_threads(4, |comm| {
         let decomp = Decomp2d::uniform(c.setup.grid.ncells(), comm.size());
-        let mut st = RankState::with_kernel(&c.setup, decomp, comm.rank(), RankKernel::aos());
+        let mut st = RankState::new(&c.setup, decomp, comm.rank());
         for _ in 0..c.steps {
             st.step(&comm);
         }
         let corrupted = if comm.rank() == 2 {
-            let particles = aos_particles(&mut st);
             assert!(
-                !particles.is_empty(),
+                !st.store.is_empty(),
                 "rank 2 must own particles for this test to bite"
             );
-            particles[0].x += 1.5;
-            Some(particles[0].id)
+            let mut p = st.store.particle_at(0);
+            p.x += 1.5;
+            st.store.set(0, p);
+            Some(p.id)
         } else {
             None
         };
@@ -83,15 +75,17 @@ fn failing_ids_capped_and_identical_across_ranks() {
     let c = cfg(600, Distribution::Uniform, 4);
     let results = run_threads(4, |comm| {
         let decomp = Decomp2d::uniform(c.setup.grid.ncells(), comm.size());
-        let mut st = RankState::with_kernel(&c.setup, decomp, comm.rank(), RankKernel::aos());
+        let mut st = RankState::new(&c.setup, decomp, comm.rank());
         for _ in 0..c.steps {
             st.step(&comm);
         }
         // Two ranks corrupt 12 particles each: 24 global failures, above
         // the cap of 16.
         if comm.rank() == 1 || comm.rank() == 3 {
-            for p in aos_particles(&mut st).iter_mut().take(12) {
+            for idx in 0..12 {
+                let mut p = st.store.particle_at(idx);
                 p.y += 2.5;
+                st.store.set(idx, p);
             }
         }
         st.verify(&comm)

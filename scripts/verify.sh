@@ -49,6 +49,8 @@ echo "$out" | grep -q "verification          : PASS"
 head -1 "$trace_file" | grep -q '"simd":"[a-z0-9]*/exact"'
 cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
+# The sweep mode is the serial engine's: under a balancer it must exit 2.
+./target/release/pic --balancer static --sweep serial 2>/dev/null && exit 1 || test $? -eq 2
 
 echo "==> traced adaptive smoke run (online strategy switching)"
 # Sustained geometric skew must drive the adaptive balancer through at

@@ -71,19 +71,18 @@ Strategy:
   --ranks P           thread-ranks (any --balancer; default 4)
 
 Kernel selection:
-  --sweep MODE        {sweep_modes} :
-                      particle sweep and memory layout — production by
-                      default, reference by request. soa-binned (default)
-                      is the cell-binned SIMD sweep; serial is the scalar
-                      AoS reference it is bit-identical to. Under a
-                      --balancer the mode selects the rank loop the same
-                      way.
   --rebin R           counting-sort interval for the binned sweeps
                       (steps between re-sorts, default {rebin}); not for
                       vp-*, whose store is sorted only at construction
                       and after a removal event
 
 Single-process engine (no --balancer):
+  --sweep MODE        {sweep_modes} :
+                      particle sweep and memory layout — production by
+                      default, reference by request. soa-binned (default)
+                      is the cell-binned SIMD sweep every strategy runs;
+                      serial is the scalar AoS reference it is
+                      bit-identical to.
   --threads T         cap the sweep worker pool at T threads (default:
                       all cores; PIC_THREADS overrides the pool size)
                       the binned sweeps auto-select the widest SIMD backend
@@ -174,6 +173,7 @@ const SERIAL: &str = "the serial engine";
 /// Options only some strategies read, with the strategies that do. Given
 /// to any other strategy they are an error, not a silent no-op.
 const OPTION_SCOPE: &[(&str, &[&str])] = &[
+    ("--sweep", &[SERIAL]),
     ("--threads", &[SERIAL]),
     ("--ranks", BALANCERS),
     (
@@ -298,8 +298,9 @@ fn parse_dist(spec: &str) -> Distribution {
 }
 
 /// Parse `S,X0,X1,Y0,Y1,N` for `opt` (`--inject` / `--remove`), each field
-/// in its own type, and refuse an event the grid cannot hold.
-fn parse_event(opt: &str, spec: &str, grid: &Grid) -> Event {
+/// in its own type, and refuse an event the grid cannot hold or a run of
+/// `steps` steps never reaches.
+fn parse_event(opt: &str, spec: &str, grid: &Grid, steps: u32) -> Event {
     fn field<T: std::str::FromStr>(opt: &str, spec: &str, s: &str) -> T {
         s.parse()
             .unwrap_or_else(|_| bail(&format!("{opt} {spec}: bad field {s}")))
@@ -324,6 +325,13 @@ fn parse_event(opt: &str, spec: &str, grid: &Grid) -> Event {
         let n = grid.ncells();
         bail(&format!(
             "{opt} {spec}: {e}; a region needs X0 < X1 <= {n} and Y0 < Y1 <= {n}"
+        ));
+    }
+    // Events fire at the start of 0-based step S; the last one is steps - 1.
+    if event.at_step >= steps {
+        bail(&format!(
+            "{opt} step {} is not reached in a run of {steps} steps",
+            event.at_step
         ));
     }
     event
@@ -391,7 +399,7 @@ fn main() {
         .unwrap_or_else(|e| bail(&e.to_string()));
     for opt in ["--inject", "--remove"] {
         if let Some(spec) = args.value(opt) {
-            setup = setup.with_event(parse_event(opt, spec, &grid));
+            setup = setup.with_event(parse_event(opt, spec, &grid, steps));
         }
     }
 
@@ -403,6 +411,11 @@ fn main() {
         .positive("--border")
         .unwrap_or(DiffusionParams::default().border_w);
     let d: usize = args.positive("--d").unwrap_or(4);
+    let rebin: u32 = args
+        .positive("--rebin")
+        .unwrap_or(pic_prk::core::bin::DEFAULT_REBIN);
+    let threads: Option<usize> = args.positive("--threads");
+    let trace_every: u32 = args.positive("--trace-every").unwrap_or(1);
     let (px, _) = factor_2d(ranks);
     match balancer {
         None => {}
@@ -422,21 +435,18 @@ fn main() {
         Some(_) => {}
     }
 
-    // Kernel selection, one rule for every strategy: production
-    // (soa-binned) by default, the scalar AoS reference by request. Under
-    // a balancer the mode maps onto the rank hot loop.
+    // The serial engine's sweep: production (soa-binned) by default, the
+    // scalar AoS reference by request.
     let sweep = match args.value("--sweep") {
         Some(name) => SweepMode::from_cli_name(name)
             .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
         None => SweepMode::SoaBinned,
     };
-    let rebin: u32 = args.parse("--rebin", pic_prk::core::bin::DEFAULT_REBIN);
-    let rank_kernel = RankKernel::from_sweep(sweep).with_rebin_interval(rebin);
+    let rank_kernel = RankKernel::default().with_rebin_interval(rebin);
 
     // Telemetry: the file is opened up front (so a bad path fails before
     // the run), then handed to exactly one tracer — rank 0's in a
     // distributed run.
-    let trace_every: u32 = args.parse("--trace-every", 1);
     let trace_writer: Mutex<Option<Box<dyn Write + Send>>> =
         Mutex::new(args.value("--trace").map(|path| {
             let f = std::fs::File::create(path)
@@ -463,8 +473,8 @@ fn main() {
     }
 
     let Some(balancer) = balancer else {
-        if let Some(t) = args.parse_opt::<usize>("--threads") {
-            pic_prk::core::pool::global().set_active_threads(t.max(1));
+        if let Some(t) = threads {
+            pic_prk::core::pool::global().set_active_threads(t);
         }
         let mut sim = Simulation::with_mode(setup, sweep).with_rebin_interval(rebin);
         if !quiet {

@@ -199,6 +199,19 @@ fn bad_arguments_fail_cleanly() {
     );
     assert_rejected(&["--balancer", "diffusion", "--border", "0"], "--border");
     assert_rejected(&["--balancer", "vp-refine", "--d", "0"], "--d");
+    for opt in ["--rebin", "--threads", "--trace-every"] {
+        let args = ["--trace", "/dev/null", opt, "0"];
+        assert_rejected(&args, &format!("{opt} must be at least 1 (got 0)"));
+    }
+    // An event at or past the last step (0-based) can never fire.
+    for strategy in [&[][..], &["--balancer", "static"][..]] {
+        for (opt, step) in [("--inject", 10), ("--remove", 12)] {
+            let spec = format!("{step},0,8,0,8,50");
+            let args = [&["--steps", "10", opt, &spec], strategy].concat();
+            let needle = format!("{opt} step {step} is not reached in a run of 10 steps");
+            assert_rejected(&args, &needle);
+        }
+    }
     assert_rejected(
         &["--balancer", "static", "--ranks", "100", "--grid", "8"],
         "--ranks 100 needs 10 processor columns",
@@ -293,6 +306,16 @@ fn options_the_strategy_does_not_read_are_rejected() {
         ),
     ] {
         assert_rejected(args, &format!("{option} is not read by {strategy}"));
+    }
+    // The sweep mode is the serial engine's: every strategy runs the one
+    // rank loop, so either mode under a balancer is refused by the table.
+    for balancer in ["static", "diffusion", "vp-refine"] {
+        for mode in ["serial", "soa-binned"] {
+            assert_rejected(
+                &["--balancer", balancer, "--sweep", mode],
+                &format!("--sweep is not read by --balancer {balancer}"),
+            );
+        }
     }
     assert_rejected(&["--trace-every", "2"], "--trace-every needs --trace");
 }
