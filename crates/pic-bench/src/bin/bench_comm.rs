@@ -11,7 +11,7 @@
 //! `--payload` takes a comma list of payload sizes in bytes (default
 //! `1024,4096,16384`). The rows are written as one JSON object to
 //! `--out PATH`, or to stdout without it; the dense/sparse crossover
-//! table in `results/par_scaling.md` was read off such a run.
+//! table kept in CHANGES.md (PR 21) was read off such a run.
 //! All exchange variants perform the identical compute kernel per
 //! iteration; only its position relative to the wire traffic moves.
 //! Ranks are OS threads, so counts beyond the host's cores

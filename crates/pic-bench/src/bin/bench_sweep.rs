@@ -1,8 +1,7 @@
 //! `bench_sweep` — wall-clock ns/particle/step for every sweep
 //! mode of the single-process engine, across a thread-count grid, plus
-//! the chunk-size and rebin-interval sensitivity of the binned sweep, and
-//! a SIMD-on/SIMD-off pair for the binned sweep (vector backend vs
-//! forced-scalar kernel).
+//! the chunk-size sensitivity of the binned sweep, and a SIMD-on/SIMD-off
+//! pair for the binned sweep (vector backend vs forced-scalar kernel).
 //!
 //! ```text
 //! bench_sweep [--out PATH] [--quick] [--threads LIST] [--modes LIST]
@@ -14,16 +13,14 @@
 //! requested count (via `PIC_THREADS`) and then caps the active threads
 //! per measurement, so one process covers the whole scaling grid.
 //! `--modes aos-serial,soa-binned` restricts the run to a subset of sweep
-//! modes (default: both; the sensitivity scans only run when
+//! modes (default: both; the sensitivity scan only runs when
 //! `soa-binned` is selected). The single-thread-by-construction
 //! `aos-serial` is measured once at 1 thread. The output is one JSON
 //! object with host metadata (core count, detected SIMD backend and its
 //! lane width, git commit, rustc version) and a record
-//! per (mode, n, threads, chunk, rebin, simd) configuration, written to
-//! `--out PATH` or to stdout without it (`results/BENCH_sweep.json` is an
-//! archived run).
+//! per (mode, n, threads, chunk, simd) configuration, written to
+//! `--out PATH` or to stdout without it.
 
-use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
 use pic_core::engine::{Simulation, SweepMode};
 use pic_core::geometry::Grid;
@@ -62,7 +59,6 @@ struct Record {
     n: u64,
     threads: usize,
     chunk: usize,
-    rebin: u32,
     /// SIMD backend the sweep kernel ran on: a vector ISA name or
     /// "scalar" for `soa-binned`, "-" for modes without a SIMD path.
     simd: &'static str,
@@ -77,7 +73,6 @@ struct Record {
 fn time_mode(
     mode: SweepMode,
     chunk: Option<usize>,
-    rebin: u32,
     backend: Option<SimdBackend>,
     n: u64,
     steps: u32,
@@ -87,7 +82,7 @@ fn time_mode(
         .with_m(1)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_mode(setup, mode).with_rebin_interval(rebin);
+    let mut sim = Simulation::with_mode(setup, mode);
     if let Some(chunk) = chunk {
         sim = sim.with_chunk_size(chunk);
     }
@@ -115,21 +110,20 @@ fn steps_for(n: u64) -> u32 {
 fn run_record(
     mode: SweepMode,
     chunk: Option<usize>,
-    rebin: u32,
     backend: Option<SimdBackend>,
     n: u64,
     threads: usize,
 ) -> Record {
     let threads = pool::global().set_active_threads(threads);
     let steps = steps_for(n);
-    let (ns, effective_chunk) = time_mode(mode, chunk, rebin, backend, n, steps);
+    let (ns, effective_chunk) = time_mode(mode, chunk, backend, n, steps);
     let simd = match (mode, backend) {
         (SweepMode::SoaBinned, Some(b)) => b.name(),
         (SweepMode::SoaBinned, None) => SimdBackend::detect().name(),
         _ => "-",
     };
     eprintln!(
-        "{:>12} n={n:<9} threads={threads} chunk={effective_chunk:<6} rebin={rebin:<3} \
+        "{:>12} n={n:<9} threads={threads} chunk={effective_chunk:<6} \
          simd={simd:<6} {ns:.2} ns/particle/step",
         mode_name(mode)
     );
@@ -138,7 +132,6 @@ fn run_record(
         n,
         threads,
         chunk: effective_chunk,
-        rebin,
         simd,
         steps,
         ns,
@@ -219,10 +212,10 @@ fn main() {
         for &mode in &modes {
             if mode_is_pooled(mode) {
                 for &t in &thread_counts {
-                    records.push(run_record(mode, None, DEFAULT_REBIN, None, n, t));
+                    records.push(run_record(mode, None, None, n, t));
                 }
             } else {
-                records.push(run_record(mode, None, DEFAULT_REBIN, None, n, 1));
+                records.push(run_record(mode, None, None, n, 1));
             }
         }
         // SIMD-off contrast row: the binned sweep with the vector path
@@ -233,33 +226,19 @@ fn main() {
             records.push(run_record(
                 SweepMode::SoaBinned,
                 None,
-                DEFAULT_REBIN,
                 Some(SimdBackend::Scalar),
                 n,
                 1,
             ));
         }
     }
-    // Sensitivity scans at the largest tier, single-threaded so the knob
+    // Sensitivity scan at the largest tier, single-threaded so the knob
     // under study is the only variable (explicit chunk sizes here; the
     // grid above uses the adaptive default).
     let n = *sizes.last().unwrap();
     if modes.contains(&SweepMode::SoaBinned) {
         for chunk in [256usize, 1_024, 4_096, 16_384, 65_536] {
-            records.push(run_record(
-                SweepMode::SoaBinned,
-                Some(chunk),
-                DEFAULT_REBIN,
-                None,
-                n,
-                1,
-            ));
-        }
-        for rebin in [1u32, 3] {
-            if rebin == DEFAULT_REBIN {
-                continue; // already measured above
-            }
-            records.push(run_record(SweepMode::SoaBinned, None, rebin, None, n, 1));
+            records.push(run_record(SweepMode::SoaBinned, Some(chunk), None, n, 1));
         }
     }
 
@@ -279,9 +258,9 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"mode\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"chunk\": {}, \"rebin\": {}, \"simd\": \"{}\", \"steps\": {}, \
+             \"chunk\": {}, \"simd\": \"{}\", \"steps\": {}, \
              \"ns_per_particle_step\": {:.3}}}{comma}",
-            r.mode, r.n, r.threads, r.chunk, r.rebin, r.simd, r.steps, r.ns
+            r.mode, r.n, r.threads, r.chunk, r.simd, r.steps, r.ns
         );
     }
     let _ = writeln!(json, "  ]");

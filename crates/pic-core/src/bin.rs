@@ -4,12 +4,14 @@
 //! *column* — bin `c` is the contiguous span `offsets[c]..offsets[c+1]` —
 //! so the sweep walks memory in cell order and the per-column load
 //! histogram falls out of the prefix sums for free (O(columns) instead of
-//! an O(n) scan). The permutation is rebuilt every `rebin_interval` steps
-//! with a stable counting sort and one gather pass through a persistent
-//! double buffer, so the amortized cost is O(n / R) per step and the
-//! steady state allocates nothing (scratch capacity is retained between
-//! rebins; when the population is column-homogeneous the permutation is
-//! the identity and the gather is skipped entirely).
+//! an O(n) scan). The permutation is rebuilt with a stable counting sort
+//! and one gather pass through a persistent double buffer, and only when
+//! something is about to read the order it restores ([`DEFAULT_REBIN`]): a
+//! structural edit before the next sweep, and on the rank path the timer
+//! [`BinnedStore::rebin_due`]. The steady state allocates nothing (scratch
+//! capacity is retained between rebins; when the population is
+//! column-homogeneous the permutation is the identity and the gather is
+//! skipped entirely).
 //!
 //! ## The parity invariant (why `q_left` can be hoisted)
 //!
@@ -69,17 +71,19 @@ use crate::soa::ParticleBatch;
 use std::collections::HashSet;
 use std::ops::Range;
 
-/// Default rebin interval, chosen from the measured amortization curve
-/// (`results/BENCH_sweep.json`, rebin sensitivity rows): the counting sort
-/// plus 11-array gather costs roughly three binned sweeps, so re-sorting every
-/// step erases the locality win while 16 steps of drift still leaves the
-/// order column-coherent enough to keep the kernel fast. Set the interval
-/// to 1 (`--rebin 1`, [`Simulation::with_rebin_interval`]) when a consumer
-/// wants the O(columns) histogram fast path fresh *every* step — e.g. a
-/// load balancer invoked more often than every 16 steps; the natural
-/// co-tuning is rebin = balancer interval.
-///
-/// [`Simulation::with_rebin_interval`]: crate::engine::Simulation::with_rebin_interval
+/// Default interval of the *rank path's* rebin timer
+/// ([`BinnedStore::rebin_due`]). What the sort buys, measured at PR 21
+/// (300 k particles, `avx512/exact`): the hoisted kernel over ordered bins
+/// runs 4.3–4.5 ns per particle-step against 4.9–5.0 for the per-lane
+/// kernel over the mixed region, so order is worth ≈ 0.5 ns per
+/// particle-step, while one counting sort plus 11-array gather costs
+/// ≈ 17 ns per particle — kernel speed alone never repays it. On the rank
+/// path it pays through the exchange: the border a drain must scan is
+/// `stride × (age + 1)` columns wide ([`BinnedStore::border_width`]) and
+/// arrivals pile up in the mixed tail, both reset by the sort; never
+/// sorting there costs ≈ 20 % of a `static_geo` run. The serial engine
+/// ([`BinnedStore::advance_all`]) has no exchange and therefore no timer:
+/// it sorts only after a structural edit.
 pub const DEFAULT_REBIN: u32 = 16;
 
 /// Cell-binned structure-of-arrays particle store (see module docs).
@@ -92,8 +96,8 @@ pub struct BinnedStore {
     /// retains capacity so steady-state rebins allocate nothing.
     scratch: ParticleBatch,
     /// `ncols + 1` prefix sums: bin `b` (column `col_lo + b`) is
-    /// `offsets[b]..offsets[b+1]`. Only the entries of the `ordered` bins
-    /// are maintained between rebins; `offsets[0]` is always 0.
+    /// `offsets[b]..offsets[b+1]`. Only the entries
+    /// `ordered.start..=ordered.end` are maintained between rebins.
     offsets: Vec<usize>,
     /// The bins whose invariants still hold (all of them after a rebin).
     /// Indices below `offsets[ordered.start]` and from
@@ -123,6 +127,8 @@ pub struct BinnedStore {
     /// Set by any structural edit (push/remove/mutate); forces a rebin
     /// before the next sweep and disables the histogram fast path.
     dirty: bool,
+    /// Sweeps after which [`BinnedStore::rebin_due`] asks the rank step
+    /// for a sort (the serial engine does not read it).
     rebin_interval: u32,
     /// Lifetime count of [`BinnedStore::rebin`] invocations (telemetry).
     rebins: u64,
@@ -182,18 +188,43 @@ impl BinnedStore {
     }
 
     /// Re-anchor the store to a new column range (a load-balancer cut
-    /// move) and rebin immediately. All particles must already lie inside
-    /// the new range — callers drain leavers under the new decomposition
-    /// first.
+    /// move) by relabelling: the ordered bins keep their contents and
+    /// their *global* columns, so only `col_lo` / `ncols` change and the
+    /// maintained offsets move to their new bin indices — no particle is
+    /// touched, the mixed region stays mixed and the age carries on, so
+    /// the ordinary [`Self::rebin_due`] timer decides when to sort next.
+    /// Every particle must already lie inside the new range, and so must
+    /// every ordered bin — callers drain leavers under the new
+    /// decomposition first, trimming the bins a leaver can sit in. A dirty
+    /// store has no order to keep and takes the sort.
     pub fn set_columns(&mut self, grid: &Grid, col_lo: usize, col_hi: usize) {
         assert!(
             col_lo < col_hi && col_hi <= grid.ncells(),
             "bad column range {col_lo}..{col_hi} on a {}-column grid",
             grid.ncells()
         );
-        self.col_lo = col_lo;
-        self.ncols = col_hi - col_lo;
-        self.rebin(grid);
+        let ncols = col_hi - col_lo;
+        let Range { start, end } = self.ordered;
+        // Global columns of the ordered bins.
+        let (first, last) = (self.col_lo + start, self.col_lo + end);
+        (self.col_lo, self.ncols) = (col_lo, ncols);
+        if self.dirty {
+            return self.rebin(grid);
+        }
+        if self.offsets[start] == self.offsets[end] {
+            // No ordered particle, so no label to keep.
+            self.ordered = 0..0;
+            self.offsets.resize(ncols + 1, 0);
+            return;
+        }
+        assert!(
+            col_lo <= first && last <= col_hi,
+            "ordered bins {first}..{last} outside the new range {col_lo}..{col_hi}"
+        );
+        self.offsets.resize(self.offsets.len().max(ncols + 1), 0);
+        self.offsets.copy_within(start..=end, first - col_lo);
+        self.offsets.truncate(ncols + 1);
+        self.ordered = first - col_lo..last - col_lo;
     }
 
     /// The instruction-set backend the sweep kernel runs on.
@@ -224,15 +255,9 @@ impl BinnedStore {
         self.batch.is_empty()
     }
 
-    /// The rebin interval `R` (sweeps between counting sorts).
+    /// The rebin interval `R` of the [`Self::rebin_due`] timer.
     pub fn rebin_interval(&self) -> u32 {
         self.rebin_interval
-    }
-
-    /// Change the rebin interval (clamped to ≥ 1); takes effect at the
-    /// next sweep.
-    pub fn set_rebin_interval(&mut self, rebin_interval: u32) {
-        self.rebin_interval = rebin_interval.max(1);
     }
 
     /// Direct view of the underlying batch — **storage order**, not
@@ -292,12 +317,14 @@ impl BinnedStore {
         self.rebins
     }
 
-    /// Advance every particle one step: rebin unless every particle sits in
-    /// an ordered bin (structural edits, or a drain/arrival of the rank
-    /// path — absent in the serial engine), sweep bin spans through the
-    /// pool with the parity-hoisted kernel, then rebin at the *end* of the
-    /// sweep if the interval is due — so with `R = 1` the histogram fast
-    /// path is always fresh when balancer layers read it between steps.
+    /// Advance every particle one step — the serial engine's sweep: rebin
+    /// unless every particle sits in an ordered bin (a structural edit
+    /// came before), then sweep bin spans through the pool with the
+    /// parity-hoisted kernel, which is exact at any age (module docs,
+    /// *parity invariant*). There is no timer: nothing here reads the
+    /// column order a periodic sort would restore, and
+    /// [`Self::column_histogram_into`] falls back to the scan when the
+    /// binning is not fresh.
     pub fn advance_all(&mut self, grid: &Grid, consts: &SimConstants, chunk_size: usize) {
         if !self.fully_ordered() {
             self.rebin(grid);
@@ -350,9 +377,6 @@ impl BinnedStore {
         };
         pool::global().run_chunked(n, chunk_size, &sweep_range);
         self.age += 1;
-        if self.age >= self.rebin_interval {
-            self.rebin(grid);
-        }
     }
 
     /// One serial sweep on the *calling* thread — the distributed rank
@@ -493,7 +517,7 @@ impl BinnedStore {
     /// Index span `(start, end)` of the ordered block; everything outside
     /// it is mixed. `(0, 0)` when nothing is ordered.
     fn ordered_span(&self) -> (usize, usize) {
-        if self.dirty {
+        if self.dirty || self.ordered.is_empty() {
             (0, 0)
         } else {
             (
@@ -504,10 +528,12 @@ impl BinnedStore {
     }
 
     /// Whether every particle sits in an ordered bin (fresh from a rebin,
-    /// or swept since without a drain or an arrival).
+    /// or swept since without a drain or an arrival): every bin ordered and
+    /// no mixed particle below the first or above the last.
     fn fully_ordered(&self) -> bool {
         !self.dirty
             && self.ordered == (0..self.ncols)
+            && self.offsets[0] == 0
             && self.offsets[self.ncols] == self.batch.len()
     }
 
@@ -563,7 +589,7 @@ impl BinnedStore {
 
     /// Whether [`BinnedStore::column_histogram_into`] will take the
     /// O(columns) fast path (true whenever the store was rebinned after
-    /// the last sweep/edit — always the case in steady state with R = 1).
+    /// the last sweep/edit).
     pub fn histogram_is_fresh(&self) -> bool {
         self.age == 0 && self.fully_ordered()
     }
@@ -1024,15 +1050,22 @@ mod tests {
 
     #[test]
     fn binned_sweep_bitwise_matches_unbinned_for_rebin_intervals() {
+        // `advance_all` runs no timer: the hoisted kernel is exact at any
+        // age, and a caller's explicit sort at any cadence (or never)
+        // changes traversal order only.
         let (grid, ps) = population(400, Distribution::Geometric { r: 0.9 });
         let consts = SimConstants::CANONICAL;
-        for rebin in [1u32, 3, 16] {
+        for rebin in [1u32, 3, 16, u32::MAX] {
             let mut reference = ps.clone();
-            let mut binned = BinnedStore::new(&ps, &grid, rebin);
-            for _ in 0..40 {
+            let mut binned = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+            for step in 1..=40u32 {
                 advance_all(&grid, &consts, &mut reference);
                 binned.advance_all(&grid, &consts, DEFAULT_CHUNK);
+                if step % rebin == 0 {
+                    binned.rebin(&grid);
+                }
             }
+            assert_eq!(binned.rebin_count(), 1 + 40 / rebin as u64, "no timer");
             let mut want = reference.clone();
             want.sort_unstable_by_key(|p| p.id);
             assert_eq!(want, binned.to_particles(), "rebin={rebin} diverged");
@@ -1061,12 +1094,16 @@ mod tests {
     fn histogram_fast_path_matches_scan() {
         let (grid, ps) = population(700, Distribution::Geometric { r: 0.8 });
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, 1);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let mut fast = Vec::new();
         let mut scan = vec![0u64; grid.ncells()];
         for _ in 0..5 {
             store.advance_all(&grid, &consts, DEFAULT_CHUNK);
-            assert!(store.histogram_is_fresh(), "R=1 must stay fresh");
+            // The serial sweep has no timer; a consumer that wants the
+            // O(columns) path sorts first.
+            assert!(!store.histogram_is_fresh(), "a sweep leaves the bins stale");
+            store.rebin(&grid);
+            assert!(store.histogram_is_fresh(), "a sort makes them fresh");
             store.column_histogram_into(&grid, &mut fast);
             scan.iter_mut().for_each(|c| *c = 0);
             for &x in &store.batch().x {
@@ -1500,11 +1537,135 @@ mod tests {
         assert_eq!(store.tail_len(), 1);
         store.sweep_local(&grid, &consts, None);
         assert_eq!(store.rebin_count(), before, "tail push forced a rebin");
-        // …and a cut move re-anchors the column range (everything is
-        // inside [0, mid), so widening the range is always legal).
+        // …and neither does a cut move: it re-anchors the column range
+        // (everything is inside [0, mid), so widening the range is always
+        // legal) by relabelling. Since PR 21 the tail is *not* folded —
+        // the rebin timer does that when it is due.
         store.set_columns(&grid, 0, ncells);
         assert_eq!(store.columns(), (0, ncells));
-        assert_eq!(store.tail_len(), 0, "set_columns folds the tail");
+        assert_eq!(store.rebin_count(), before, "set_columns sorted");
+        assert_eq!(store.tail_len(), 1, "the arrival stays in the tail");
+        assert_eq!(store.age(), 2, "the age carries on");
+        assert!(!store.histogram_is_fresh());
+    }
+
+    /// A `[8, 24)` store of a rightward `k = 0` population (stride 1) that
+    /// starts in columns `8..20`, swept `age` steps: nothing has left, and
+    /// a particle of bin `c` sits in column `c + age`.
+    fn drifted_store(age: u32) -> (Grid, BinnedStore) {
+        let grid = Grid::new(32).unwrap();
+        let ps = InitConfig::new(grid, 600, Distribution::Uniform)
+            .with_m(1)
+            .build()
+            .unwrap()
+            .particles;
+        let mine: Vec<Particle> = (ps.into_iter())
+            .filter(|p| (8..20).contains(&grid.cell_of(p.x)))
+            .collect();
+        let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, 8, 24);
+        for _ in 0..age {
+            store.sweep_local(&grid, &SimConstants::CANONICAL, None);
+        }
+        (grid, store)
+    }
+
+    /// `(global column, ids)` of every non-empty ordered bin.
+    fn ordered_bins(store: &BinnedStore) -> Vec<(usize, Vec<u64>)> {
+        (store.ordered.clone())
+            .map(|b| {
+                let ids = &store.batch.id[store.offsets[b]..store.offsets[b + 1]];
+                (store.col_lo + b, ids.to_vec())
+            })
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn set_columns_relabels_ordered_bins_without_sorting() {
+        let consts = SimConstants::CANONICAL;
+        // Shifted up, shifted down, grown at both ends, shrunk at both.
+        for (lo, hi) in [(10, 28), (4, 22), (2, 30), (11, 22)] {
+            for age in [0u32, 3] {
+                let (grid, mut store) = drifted_store(age);
+                // Rehome under the new bounds first, as the rank loop does:
+                // only bins within the drift of a new bound can hold a
+                // leaver.
+                let drift = age as usize;
+                let mut gone = Vec::new();
+                store.drain_leavers_cols_into(
+                    &grid,
+                    |c| !(lo + drift..hi - drift).contains(&c),
+                    |c, _| (lo..hi).contains(&c),
+                    |p| gone.push(p),
+                );
+                let (bins, tail, sorts) =
+                    (ordered_bins(&store), store.tail_len(), store.rebin_count());
+                assert!(!bins.is_empty(), "{lo}..{hi} age {age}: nothing to relabel");
+                store.set_columns(&grid, lo, hi);
+                assert_eq!(store.columns(), (lo, hi));
+                assert_eq!(store.rebin_count(), sorts, "{lo}..{hi}: sorted");
+                assert_eq!(store.age(), age);
+                assert_eq!(ordered_bins(&store), bins, "{lo}..{hi} age {age}");
+                assert_eq!(store.tail_len(), tail);
+                let mut h = Vec::new();
+                store.column_histogram_into(&grid, &mut h);
+                let mut scan = vec![0u64; grid.ncells()];
+                for &x in &store.batch().x {
+                    scan[grid.cell_of(x)] += 1;
+                }
+                assert_eq!(h, scan);
+                // The next sweep is the one a freshly built store runs.
+                let mut fresh =
+                    BinnedStore::new_subdomain(&store.to_particles(), &grid, 16, lo, hi);
+                store.sweep_local(&grid, &consts, None);
+                fresh.sweep_local(&grid, &consts, None);
+                assert_eq!(store.to_particles(), fresh.to_particles());
+                // …and the timer sort still folds everything back.
+                store.drain_leavers_into(&grid, |c, _| (lo..hi).contains(&c), |p| gone.push(p));
+                store.rebin(&grid);
+                assert_eq!(store.tail_len(), 0);
+                assert!(store.histogram_is_fresh());
+            }
+        }
+    }
+
+    #[test]
+    fn relabelled_store_with_a_mixed_prefix_is_not_fully_ordered() {
+        // Trim the two lowest bins (their particles now sit in columns
+        // 10 and 11) and drop those columns from the range: every bin of
+        // the new range is ordered and nothing follows the last one, but
+        // a mixed prefix precedes the first.
+        let (grid, mut store) = drifted_store(2);
+        let drained = store.drain_leavers_cols_into(&grid, |c| c < 10, |_, _| true, |_| ());
+        assert_eq!(drained, 0);
+        let prefix = store.tail_len();
+        assert!(prefix > 0);
+        store.set_columns(&grid, 10, 24);
+        assert_eq!(store.ordered, 0..14);
+        assert_eq!(store.offsets[14], store.len());
+        assert_eq!(store.tail_len(), prefix);
+        assert!(!store.fully_ordered());
+        // The serial sweep therefore sorts first instead of walking the
+        // bins from index 0.
+        let mut reference = store.to_particles();
+        store.advance_all(&grid, &SimConstants::CANONICAL, DEFAULT_CHUNK);
+        advance_all(&grid, &SimConstants::CANONICAL, &mut reference);
+        assert_eq!(store.to_particles(), reference);
+        assert_eq!(store.tail_len(), 0);
+    }
+
+    #[test]
+    fn set_columns_on_a_dirty_store_sorts() {
+        let (grid, mut store) = drifted_store(2);
+        let newcomer = Particle {
+            id: 10_000,
+            ..store.particle_at(0)
+        };
+        store.push(newcomer);
+        let sorts = store.rebin_count();
+        store.set_columns(&grid, 6, 26);
+        assert_eq!(store.columns(), (6, 26));
+        assert_eq!(store.rebin_count(), sorts + 1, "nothing ordered to keep");
         assert!(store.histogram_is_fresh());
     }
 

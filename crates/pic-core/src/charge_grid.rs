@@ -38,6 +38,26 @@ impl ChargeGrid {
         cols: (usize, usize),
         rows: (usize, usize),
     ) -> ChargeGrid {
+        let mut cg = ChargeGrid {
+            x0: 0,
+            y0: 0,
+            w: 0,
+            h: 0,
+            data: Vec::new(),
+        };
+        cg.rebuild(grid, consts, cols, rows);
+        cg
+    }
+
+    /// Re-materialize the subgrid for a new owned rectangle in place (a
+    /// balancer moved this rank's bounds), keeping the allocation.
+    pub fn rebuild(
+        &mut self,
+        grid: &Grid,
+        consts: &SimConstants,
+        cols: (usize, usize),
+        rows: (usize, usize),
+    ) {
         assert!(
             cols.0 < cols.1 && cols.1 <= grid.ncells(),
             "bad column range {cols:?}"
@@ -49,23 +69,19 @@ impl ChargeGrid {
         let w = cols.1 - cols.0;
         let h = rows.1 - rows.0;
         let stride = w + 3;
-        let mut data = Vec::with_capacity(stride * (h + 3));
-        for dy in 0..h + 3 {
-            let _row = grid.wrap_cell(rows.0 as i64 + dy as i64 - 1);
-            for dx in 0..w + 3 {
-                let col = grid.wrap_cell(cols.0 as i64 + dx as i64 - 1);
-                // Charge depends only on the (wrapped) column parity; rows
-                // are stored anyway to mirror a real field array.
-                data.push(mesh_charge(col, consts.q));
-            }
+        self.data.clear();
+        self.data.reserve(stride * (h + 3));
+        // Charge depends only on the (wrapped) column parity: one row from
+        // the formula, copied into the rest — rows are stored anyway to
+        // mirror a real field array.
+        self.data.extend((0..stride).map(|dx| {
+            let col = grid.wrap_cell(cols.0 as i64 + dx as i64 - 1);
+            mesh_charge(col, consts.q)
+        }));
+        for _ in 1..h + 3 {
+            self.data.extend_from_within(..stride);
         }
-        ChargeGrid {
-            x0: cols.0,
-            y0: rows.0,
-            w,
-            h,
-            data,
-        }
+        (self.x0, self.y0, self.w, self.h) = (cols.0, rows.0, w, h);
     }
 
     /// Owned cell rectangle.
@@ -193,6 +209,33 @@ mod tests {
         let g = grid();
         let cg = ChargeGrid::build(&g, &SimConstants::CANONICAL, (4, 8), (4, 8));
         let _ = cg.charge_at(12, 5); // two past the fringe
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_build() {
+        let g = grid();
+        let c = SimConstants::CANONICAL;
+        let mut cg = ChargeGrid::build(&g, &c, (4, 8), (0, 16));
+        // Grown, shrunk, shifted by an odd and an even distance, against
+        // both domain edges, and a changed row range.
+        for (cols, rows) in [
+            ((2, 12), (0, 16)),
+            ((5, 7), (0, 16)),
+            ((8, 10), (0, 16)),
+            ((9, 16), (0, 16)),
+            ((0, 3), (0, 16)),
+            ((0, 16), (4, 9)),
+            ((1, 2), (15, 16)),
+        ] {
+            cg.rebuild(&g, &c, cols, rows);
+            assert_eq!(
+                cg,
+                ChargeGrid::build(&g, &c, cols, rows),
+                "{cols:?} x {rows:?}"
+            );
+            assert!(cg.verify_against_formula(&g, &c));
+            assert_eq!(cg.bounds(), (cols, rows));
+        }
     }
 
     #[test]

@@ -43,10 +43,11 @@ pub enum SweepMode {
     #[default]
     Serial,
     /// Pool-parallel chunked sweep over cell-binned SoA storage
-    /// ([`BinnedStore`]): particles are kept counting-sorted by cell
-    /// column (re-sorted every [`Simulation::with_rebin_interval`] steps)
-    /// and swept with the parity-specialized kernel; the per-column load
-    /// histogram becomes an O(columns) read while the binning is fresh.
+    /// ([`BinnedStore`]): particles are counting-sorted by cell column at
+    /// construction and after every event, and swept with the
+    /// parity-specialized kernel, which needs no re-sort in between; the
+    /// per-column load histogram is an O(columns) read while the binning
+    /// is fresh.
     SoaBinned,
 }
 
@@ -135,7 +136,6 @@ pub struct Simulation {
     /// selects [`pool::adaptive_chunk`] from the population size and the
     /// active thread count at each step.
     chunk_size: Option<usize>,
-    rebin_interval: u32,
 }
 
 pub use crate::init::SimulationSetup as Setup;
@@ -164,7 +164,6 @@ impl Simulation {
             expected_id_sum,
             mode,
             chunk_size: None,
-            rebin_interval: DEFAULT_REBIN,
         }
     }
 
@@ -186,24 +185,6 @@ impl Simulation {
         self.chunk_size.unwrap_or_else(|| {
             pool::adaptive_chunk(self.store.len(), pool::global().active_threads())
         })
-    }
-
-    /// Set the rebin interval `R` used by the binned sweeps (ignored by
-    /// [`SweepMode::Serial`]): the counting sort re-runs every `R`
-    /// sweeps. Clamped to at least 1. The result is bit-identical for any
-    /// `R`; the trade is sort amortization against histogram freshness
-    /// and sweep locality.
-    pub fn with_rebin_interval(mut self, rebin_interval: u32) -> Simulation {
-        self.rebin_interval = rebin_interval.max(1);
-        if let ParticleStore::Binned(b) = &mut self.store {
-            b.set_rebin_interval(self.rebin_interval);
-        }
-        self
-    }
-
-    /// The rebin interval the binned sweep would use.
-    pub fn rebin_interval(&self) -> u32 {
-        self.rebin_interval
     }
 
     /// Force a specific SIMD backend for the binned kernel (no-op in
@@ -376,9 +357,9 @@ impl Simulation {
 
     /// Fill `h` with the per-column histogram, reusing its storage
     /// (allocation-free once `h` has reached grid capacity). In
-    /// [`SweepMode::SoaBinned`] with a fresh binning this is an
-    /// O(columns) prefix-sum read instead of an O(n) scan — the quantity
-    /// the diffusion balancer polls every step comes for free.
+    /// [`SweepMode::SoaBinned`] with a fresh binning (no sweep since the
+    /// last sort) this is an O(columns) prefix-sum read; otherwise the
+    /// O(n) scan.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
         match &self.store {
             ParticleStore::Aos(v) => {
@@ -485,7 +466,6 @@ impl Simulation {
             expected_id_sum: cp.expected_id_sum,
             mode,
             chunk_size: None,
-            rebin_interval: DEFAULT_REBIN,
         }
     }
 }
@@ -529,9 +509,7 @@ mod tests {
             .with_event(Event::remove(25, Region::whole(32), 25));
         let mut reference = Simulation::with_mode(s.clone(), SweepMode::Serial);
         reference.run(40);
-        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned)
-            .with_chunk_size(37)
-            .with_rebin_interval(3);
+        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned).with_chunk_size(37);
         sim.run(40);
         assert_eq!(
             reference.particles(),

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Default sweep chunk size: big enough that the claim `fetch_add` is
 /// amortized to noise, small enough that a skewed tail still spreads over
-/// the pool (see `results/BENCH_sweep.json` for the measured sensitivity).
+/// the pool (the chunk rows of `bench_sweep` measure the sensitivity).
 /// This is also the *floor* of [`adaptive_chunk`] — the engine's default
 /// when no explicit chunk size is configured.
 pub const DEFAULT_CHUNK: usize = 4096;

@@ -391,7 +391,7 @@ proptest! {
     }
     /// The cell-binned sweep is bit-identical to the serial AoS sweep for
     /// every distribution family, with injection and removal events firing
-    /// mid-run, across rebin intervals {1, 3, 16} and across every SIMD
+    /// mid-run, across every SIMD
     /// backend executable on this host (widest vector down to forced
     /// scalar) — the counting-sort traversal reorder, the parity-hoisted
     /// kernel, and the lane-per-particle vectorization change scheduling
@@ -426,22 +426,19 @@ proptest! {
         let mut reference = Simulation::with_mode(setup.clone(), SweepMode::Serial);
         reference.run(steps);
         let expect = reference.particles();
-        for rebin in [1u32, 3, 16] {
-            for backend in pic_core::simd::SimdBackend::available() {
-                let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                    .with_rebin_interval(rebin)
-                    .with_simd_backend(backend);
-                sim.run(steps);
-                // PartialEq on Particle is field-exact over the raw f64s, so
-                // equality here means bit-for-bit identical trajectories.
-                prop_assert_eq!(
-                    &sim.particles(), &expect,
-                    "rebin {} backend {} diverged", rebin, backend.name()
-                );
-                prop_assert_eq!(sim.expected_id_sum(), reference.expected_id_sum());
-                let report = sim.verify();
-                prop_assert!(report.passed(), "rebin {rebin} backend {}: {report:?}", backend.name());
-            }
+        for backend in pic_core::simd::SimdBackend::available() {
+            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
+                .with_simd_backend(backend);
+            sim.run(steps);
+            // PartialEq on Particle is field-exact over the raw f64s, so
+            // equality here means bit-for-bit identical trajectories.
+            prop_assert_eq!(
+                &sim.particles(), &expect,
+                "backend {} diverged", backend.name()
+            );
+            prop_assert_eq!(sim.expected_id_sum(), reference.expected_id_sum());
+            let report = sim.verify();
+            prop_assert!(report.passed(), "backend {}: {report:?}", backend.name());
         }
     }
 
@@ -475,7 +472,6 @@ proptest! {
         let expect = reference.particles();
         for backend in SimdBackend::available() {
             let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                .with_rebin_interval(1)
                 .with_simd_backend(backend);
             sim.run(steps);
             prop_assert_eq!(
@@ -522,9 +518,11 @@ proptest! {
         prop_assert!(negates(ay_e, ay_n), "{ay_e} vs {ay_n}");
     }
 
-    /// The binned store's O(columns) histogram fast path agrees with the
-    /// O(n) scan for every distribution family with mid-run injection and
-    /// removal, at every step of the run.
+    /// The binned store's histogram — the O(columns) prefix sums while
+    /// the binning is fresh (before the first sweep), the store's own scan
+    /// afterwards — agrees with a count over the canonical view for every
+    /// distribution family with mid-run injection and removal, at every
+    /// step of the run.
     #[test]
     fn binned_histogram_matches_scan_all_distributions(
         which in 0usize..5,
@@ -532,7 +530,6 @@ proptest! {
         k in 0u32..2,
         m in -2i32..3,
         steps in 10u32..30,
-        rebin in 1u32..6,
         inject_n in 1u64..60,
         remove_n in 1u64..60,
     ) {
@@ -552,17 +549,16 @@ proptest! {
             .unwrap()
             .with_event(Event::inject(3, Region { x0: 0, x1: 16, y0: 0, y1: 16 }, inject_n, 0, 0, 1))
             .with_event(Event::remove(7, Region::whole(32), remove_n));
-        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned)
-            .with_rebin_interval(rebin);
+        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
         let mut h = Vec::new();
-        for _ in 0..steps {
-            sim.step();
+        for _ in 0..=steps {
             sim.column_histogram_into(&mut h);
             let mut scan = vec![0u64; grid.ncells()];
             for p in sim.particles() {
                 scan[grid.cell_of(p.x)] += 1;
             }
             prop_assert_eq!(&h, &scan, "histogram diverged at step {}", sim.step_index());
+            sim.step();
         }
     }
 }
@@ -658,7 +654,7 @@ fn conforming_populations_stay_at_exact_mid_height() {
                 ))
                 .with_event(Event::inject(37, Region::whole(32), 150, k, 5, dir))
                 .with_event(Event::remove(60, Region::whole(32), 100));
-            let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned).with_rebin_interval(3);
+            let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
             for step in 0..=100 {
                 let batch = sim.batch().unwrap();
                 assert!(

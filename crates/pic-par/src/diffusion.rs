@@ -131,17 +131,18 @@ mod tests {
 
     #[test]
     fn binned_histogram_fast_path_drives_cut_movement() {
-        // End-to-end tentpole path: a SoaBinned simulation at rebin 1 keeps
-        // its column histogram fresh (O(columns) prefix-sum read, no
-        // per-particle scan), and that readback alone steers the diffusion
-        // cuts after the paper's drifting skewed cloud.
+        // End to end: the column histogram a SoaBinned simulation reads
+        // back from its store (the serial engine never re-sorts, so after
+        // the first sweep that is the store's scan, not the O(columns)
+        // prefix sums) alone steers the diffusion cuts after the paper's
+        // drifting skewed cloud.
         use pic_core::engine::{Simulation, SweepMode};
         let grid = Grid::new(32).unwrap();
         let setup = InitConfig::new(grid, 2000, Distribution::Geometric { r: 0.8 })
             .with_m(1)
             .build()
             .unwrap();
-        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned).with_rebin_interval(1);
+        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
         let ncells = grid.ncells();
         let px = 4;
         let mut cuts: Vec<usize> = (0..=px).map(|i| i * ncells / px).collect();
@@ -152,7 +153,7 @@ mod tests {
         for _ in 0..40 {
             sim.step();
             sim.column_histogram_into(&mut hist);
-            // The fast-path histogram agrees with an O(n) rescan of the
+            // The store's histogram agrees with a count over the
             // canonical population.
             let mut scan = vec![0u64; ncells];
             for p in sim.particles() {

@@ -275,16 +275,18 @@ pub(crate) fn rehome_binned_start(
     inflight
 }
 
-/// The synchronous `rehome_binned_start` + [`route_binned_finish`].
+/// The synchronous `rehome_binned_start` + [`route_binned_finish`];
+/// `active` as in [`route_binned_start`].
 pub fn rehome_binned_with(
     comm: &Communicator,
     decomp: &Decomp2d,
     grid: &Grid,
     my_rank: usize,
+    active: impl FnMut(usize) -> bool,
     store: &mut BinnedStore,
     bufs: &mut ExchangeBuffers,
 ) -> (usize, usize) {
-    let inflight = rehome_binned_start(comm, decomp, grid, my_rank, |_| true, store, bufs);
+    let inflight = rehome_binned_start(comm, decomp, grid, my_rank, active, store, bufs);
     let sent = inflight.sent;
     let received = route_binned_finish(comm, inflight, store, bufs);
     (sent, received)
@@ -423,7 +425,15 @@ mod tests {
                 }
                 for _ in 0..steps {
                     store.sweep_local(&grid, &consts, None);
-                    rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
+                    rehome_binned_with(
+                        &comm,
+                        &decomp,
+                        &grid,
+                        rank,
+                        |_| true,
+                        &mut store,
+                        &mut bufs,
+                    );
                     if store.rebin_due() {
                         store.rebin(&grid);
                     }
@@ -490,7 +500,15 @@ mod tests {
                         store.end_sweep();
                     } else {
                         store.sweep_local(&grid, &consts, None);
-                        rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
+                        rehome_binned_with(
+                            &comm,
+                            &decomp,
+                            &grid,
+                            rank,
+                            |_| true,
+                            &mut store,
+                            &mut bufs,
+                        );
                     }
                     if store.rebin_due() {
                         store.rebin(&grid);
@@ -561,7 +579,7 @@ mod tests {
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
                 store.sweep_local(&grid, &consts, None);
-                rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
+                rehome_binned_with(&comm, &decomp, &grid, rank, |_| true, &mut store, &mut bufs);
                 if store.rebin_due() {
                     store.rebin(&grid);
                 }
@@ -589,7 +607,7 @@ mod tests {
             let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
             let mut bufs = ExchangeBuffers::new();
             let (sent, received) =
-                rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
+                rehome_binned_with(&comm, &decomp, &grid, rank, |_| true, &mut store, &mut bufs);
             assert_eq!(sent, 0);
             assert_eq!(received, 0);
             assert_eq!(store.len(), mine.len());

@@ -279,6 +279,13 @@ pub struct RankState {
     /// Largest `|m|` over the population and injections: the exact
     /// per-step row hop. Zero means no particle ever crosses a row.
     max_abs_m: i64,
+    /// The row range every particle of the store is known to lie in (and
+    /// in the column range of that moment): set when an exchange
+    /// completes, `None` from the start of a sweep until then.
+    /// [`RankState::rehome`] reads it to tell a re-decomposition of a
+    /// settled store (only bins near a new column bound can hold a
+    /// leaver) from the step's own exchange (any bin can).
+    homed_rows: Option<(usize, usize)>,
 }
 
 impl RankState {
@@ -318,6 +325,7 @@ impl RankState {
             exchange: kernel.exchange,
             stride_x,
             max_abs_m,
+            homed_rows: Some(rows),
         }
     }
 
@@ -339,10 +347,10 @@ impl RankState {
         self.store.column_histogram_into(&self.grid, h);
     }
 
-    /// Re-anchor the store's column range after a decomposition change.
-    /// Leavers must already have been drained under the *new*
-    /// decomposition (the balancer rehomes first); a no-op when the range
-    /// is unchanged.
+    /// Re-anchor the store's column range after a decomposition change —
+    /// a relabel, not a sort ([`BinnedStore::set_columns`]). Leavers must
+    /// already have been drained under the *new* decomposition (the
+    /// balancer rehomes first); a no-op when the range is unchanged.
     pub fn rebind_store(&mut self) {
         let ((x0, x1), _) = self.decomp.bounds(self.rank);
         if self.store.columns() != (x0, x1) {
@@ -350,11 +358,11 @@ impl RankState {
         }
     }
 
-    /// Rebuild the charge subgrid after a re-decomposition (the functional
-    /// analogue of migrating border subgrids).
+    /// Rebuild the charge subgrid in place after a re-decomposition (the
+    /// functional analogue of migrating border subgrids).
     pub fn rebuild_charges(&mut self) {
         let (cols, rows) = self.decomp.bounds(self.rank);
-        self.charges = ChargeGrid::build(&self.grid, &self.consts, cols, rows);
+        self.charges.rebuild(&self.grid, &self.consts, cols, rows);
         debug_assert!(self
             .charges
             .verify_against_formula(&self.grid, &self.consts));
@@ -398,6 +406,7 @@ impl RankState {
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         let rebins_before = self.store.rebin_count();
+        self.homed_rows = None;
         let sent = if self.overlap_ready() {
             self.step_overlapped(comm, tracer)
         } else {
@@ -473,6 +482,7 @@ impl RankState {
         tracer.phase_start(Phase::Exchange);
         route_binned_finish(comm, inflight, b, &mut self.bufs);
         b.end_sweep();
+        self.homed_rows = Some(self.decomp.bounds(self.rank).1);
         tracer.add(Counter::OverlapNs, overlap_ns);
         tracer.phase_end(Phase::Exchange);
         sent
@@ -487,16 +497,34 @@ impl RankState {
 
     /// Route every mis-homed particle to its owner, reusing this rank's
     /// staging buffers (steady-state: no staging allocation). The store
-    /// drains leavers in place.
+    /// drains leavers in place, and only where one can be: when the last
+    /// exchange left every particle inside bounds with the same rows as
+    /// now (a balance round moved x-cuts, or nothing), a particle of
+    /// ordered bin `c` sits within `stride · age` columns of `c` and is in
+    /// its old rows, so only bins within that drift of a *new* column bound
+    /// are drained — a margin at both ends, which also covers a bin whose
+    /// particles wrapped, and leaves nothing inactive when the range is no
+    /// wider than twice the drift. After a sweep, or when the rows moved,
+    /// every bin is drained.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
-        rehome_binned_with(
+        let ((x0, x1), rows) = self.decomp.bounds(self.rank);
+        let quiet = if self.homed_rows == Some(rows) {
+            let drift = self.stride_x * self.store.age() as usize;
+            x0 + drift..x1.saturating_sub(drift)
+        } else {
+            0..0
+        };
+        let moved = rehome_binned_with(
             comm,
             &self.decomp,
             &self.grid,
             self.rank,
+            |c| !quiet.contains(&c),
             &mut self.store,
             &mut self.bufs,
-        )
+        );
+        self.homed_rows = Some(rows);
+        moved
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row

@@ -63,13 +63,8 @@ fn warmed_sim(mode: SweepMode) -> Simulation {
         .with_m(1)
         .build()
         .unwrap();
-    // Rebin interval 3 so the warm-up (like pic-core's steady-state audit)
-    // includes non-identity rebins: the gather scratch must be sized before
-    // the counted region starts.
-    let mut sim = Simulation::with_mode(setup, mode)
-        .with_chunk_size(256)
-        .with_rebin_interval(3);
-    sim.run(8); // pool spawned, binned scratch warmed
+    let mut sim = Simulation::with_mode(setup, mode).with_chunk_size(256);
+    sim.run(8); // pool spawned
     sim
 }
 

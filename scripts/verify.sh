@@ -51,6 +51,8 @@ cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
 # The sweep mode is the serial engine's: under a balancer it must exit 2.
 ./target/release/pic --balancer static --sweep serial 2>/dev/null && exit 1 || test $? -eq 2
+# The rebin timer is the cut family's: the serial engine runs none.
+./target/release/pic --rebin 4 2>/dev/null && exit 1 || test $? -eq 2
 
 echo "==> traced adaptive smoke run (online strategy switching)"
 # Sustained geometric skew must drive the adaptive balancer through at

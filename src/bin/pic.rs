@@ -71,10 +71,11 @@ Strategy:
   --ranks P           thread-ranks (any --balancer; default 4)
 
 Kernel selection:
-  --rebin R           counting-sort interval for the binned sweeps
-                      (steps between re-sorts, default {rebin}); not for
-                      vp-*, whose store is sorted only at construction
-                      and after a removal event
+  --rebin R           counting-sort interval of the cut-family rank loops
+                      (static | diffusion | adaptive;
+                      steps between re-sorts, default {rebin}); the serial
+                      engine and vp-* sort only at construction and
+                      after an event
 
 Single-process engine (no --balancer):
   --sweep MODE        {sweep_modes} :
@@ -191,7 +192,7 @@ const OPTION_SCOPE: &[(&str, &[&str])] = &[
     ("--border", &["diffusion", "adaptive"]),
     ("--mode", &["diffusion", "adaptive"]),
     ("--d", &["vp-none", "vp-refine", "vp-greedy", "vp-adaptive"]),
-    ("--rebin", &[SERIAL, "static", "diffusion", "adaptive"]),
+    ("--rebin", &["static", "diffusion", "adaptive"]),
 ];
 
 struct Args(Vec<String>);
@@ -442,7 +443,10 @@ fn main() {
             .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
         None => SweepMode::SoaBinned,
     };
-    let rank_kernel = RankKernel::default().with_rebin_interval(rebin);
+    let rank_kernel = RankKernel {
+        rebin_interval: rebin,
+        ..RankKernel::default()
+    };
 
     // Telemetry: the file is opened up front (so a bad path fails before
     // the run), then handed to exactly one tracer — rank 0's in a
@@ -476,7 +480,7 @@ fn main() {
         if let Some(t) = threads {
             pic_prk::core::pool::global().set_active_threads(t);
         }
-        let mut sim = Simulation::with_mode(setup, sweep).with_rebin_interval(rebin);
+        let mut sim = Simulation::with_mode(setup, sweep);
         if !quiet {
             println!(
                 "sweep mode            : {} (kernel {})",

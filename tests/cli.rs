@@ -199,10 +199,14 @@ fn bad_arguments_fail_cleanly() {
     );
     assert_rejected(&["--balancer", "diffusion", "--border", "0"], "--border");
     assert_rejected(&["--balancer", "vp-refine", "--d", "0"], "--d");
-    for opt in ["--rebin", "--threads", "--trace-every"] {
+    for opt in ["--threads", "--trace-every"] {
         let args = ["--trace", "/dev/null", opt, "0"];
         assert_rejected(&args, &format!("{opt} must be at least 1 (got 0)"));
     }
+    assert_rejected(
+        &["--balancer", "static", "--rebin", "0"],
+        "--rebin must be at least 1 (got 0)",
+    );
     // An event at or past the last step (0-based) can never fire.
     for strategy in [&[][..], &["--balancer", "static"][..]] {
         for (opt, step) in [("--inject", 10), ("--remove", 12)] {
@@ -304,6 +308,8 @@ fn options_the_strategy_does_not_read_are_rejected() {
             "--rebin",
             "--balancer vp-greedy",
         ),
+        // The serial engine has no rebin timer (PR 21).
+        (&["--rebin", "4"][..], "--rebin", "the serial engine"),
     ] {
         assert_rejected(args, &format!("{option} is not read by {strategy}"));
     }
@@ -454,8 +460,6 @@ fn every_sweep_mode_passes_via_cli() {
                 "1",
                 "--m",
                 "1",
-                "--rebin",
-                "3",
                 "--threads",
                 "4",
             ],
