@@ -39,4 +39,4 @@ pub use cost::CostModel;
 pub use loadmodel::ColumnLoadModel;
 pub use machine::{Distance, MachineModel};
 pub use noise::NoiseModel;
-pub use stats::{BalanceStats, LoadTrace};
+pub use stats::BalanceStats;

@@ -89,64 +89,6 @@ impl BalanceStats {
     }
 }
 
-/// Per-step time series of balance statistics — the raw material behind
-/// "how fast does a balancer converge and how well does it track the
-/// drift" plots.
-#[derive(Debug, Clone, Default)]
-pub struct LoadTrace {
-    pub steps: Vec<u64>,
-    pub max: Vec<f64>,
-    pub mean: Vec<f64>,
-    pub imbalance: Vec<f64>,
-    pub gini: Vec<f64>,
-}
-
-impl LoadTrace {
-    pub fn new() -> LoadTrace {
-        LoadTrace::default()
-    }
-
-    /// Record one step's per-core loads.
-    pub fn push(&mut self, step: u64, loads: &[f64]) {
-        let s = BalanceStats::from_loads(loads);
-        self.steps.push(step);
-        self.max.push(s.max);
-        self.mean.push(s.mean);
-        self.imbalance.push(s.imbalance);
-        self.gini.push(s.gini);
-    }
-
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Mean imbalance over the recorded window.
-    pub fn mean_imbalance(&self) -> f64 {
-        if self.imbalance.is_empty() {
-            return 1.0;
-        }
-        self.imbalance.iter().sum::<f64>() / self.imbalance.len() as f64
-    }
-
-    /// CSV rendering: `step,max,mean,imbalance,gini`.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("step,max,mean,imbalance,gini\n");
-        for i in 0..self.len() {
-            let _ = writeln!(
-                out,
-                "{},{:.1},{:.1},{:.4},{:.4}",
-                self.steps[i], self.max[i], self.mean[i], self.imbalance[i], self.gini[i]
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +150,5 @@ mod tests {
         // Infinities are not NaN and pass through arithmetic untouched.
         let s = BalanceStats::from_loads(&[f64::INFINITY, 1.0]);
         assert_eq!(s.max, f64::INFINITY);
-    }
-
-    #[test]
-    fn trace_accumulates_and_renders() {
-        let mut t = LoadTrace::new();
-        t.push(0, &[1.0, 1.0]);
-        t.push(1, &[3.0, 1.0]);
-        assert_eq!(t.len(), 2);
-        assert!((t.mean_imbalance() - 1.25).abs() < 1e-12);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("step,max,mean,imbalance,gini\n"));
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("1,3.0,2.0,1.5000"));
     }
 }

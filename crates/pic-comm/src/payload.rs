@@ -2,8 +2,8 @@
 //!
 //! The transport is in-process, so a message need not be a byte string —
 //! ownership of any `Send` buffer can move through the channel. [`Payload`]
-//! is the closed set of buffer types the fabric routes: raw bytes (the
-//! oracle encoding, and what every control-plane collective uses) and
+//! is the closed set of buffer types the fabric routes: raw bytes (what
+//! every control-plane collective uses) and
 //! *typed particle buffers* (the zero-copy fast lane: no serialization, no
 //! per-particle copies — the staging bucket itself crosses the channel).
 //!
@@ -24,8 +24,7 @@ use pic_core::particle::Particle;
 /// Discriminant of a [`Payload`] — which lane a message travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// Raw little-endian bytes ([`Particle::encode`] records on the
-    /// particle wire; ad-hoc encodings in the collectives).
+    /// Raw little-endian bytes (the collectives' ad-hoc encodings).
     Bytes,
     /// An owned particle buffer, moved through the channel as-is.
     Typed,
@@ -188,8 +187,7 @@ mod tests {
     #[test]
     fn byte_accounting_is_lane_invariant() {
         let ps = vec![particle(1), particle(2), particle(3)];
-        let mut encoded = Vec::new();
-        ps.iter().for_each(|p| p.encode(&mut encoded));
+        let encoded = vec![0u8; ps.len() * Particle::WIRE_SIZE];
         assert_eq!(WirePayload::len_bytes(&ps), encoded.len());
         assert_eq!(ps.clone().into_payload().len_bytes(), encoded.len());
         assert_eq!(encoded.clone().into_payload().len_bytes(), encoded.len());

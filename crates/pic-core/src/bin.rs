@@ -758,7 +758,7 @@ impl BinnedStore {
 
     /// Materialize the population in **canonical order** (ascending id —
     /// the order every unbinned store maintains physically). Allocates;
-    /// verification/checkpoint path, not the steady state.
+    /// verification path, not the steady state.
     pub fn to_particles(&self) -> Vec<Particle> {
         let mut ps = self.batch.to_particles();
         ps.sort_unstable_by_key(|p| p.id);

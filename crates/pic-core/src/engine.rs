@@ -12,9 +12,9 @@
 //! The particle store follows the sweep mode: [`SweepMode::Serial`] keeps
 //! the population AoS (`Vec<Particle>`) and is the scalar reference;
 //! [`SweepMode::SoaBinned`] (production) keeps it in the cell-binned
-//! structure-of-arrays [`BinnedStore`] for the whole run — events,
-//! checkpoints and histograms operate on the store natively, with no
-//! per-step AoS round-trip. The reference and the binned mode run the
+//! structure-of-arrays [`BinnedStore`] for the whole run — events and
+//! histograms operate on the store natively, with no per-step AoS
+//! round-trip. The reference and the binned mode run the
 //! same per-particle instruction sequence (eqs. 1–2
 //! behind the same force evaluation) and apply events by the same
 //! deterministic rules (injections append in build order; removals take
@@ -85,18 +85,6 @@ enum ParticleStore {
 }
 
 impl ParticleStore {
-    /// Build the store layout a sweep mode requires (the constructor and
-    /// checkpoint-restore share this, so the mode→layout mapping has
-    /// one home).
-    fn for_mode(particles: Vec<Particle>, grid: &Grid, mode: SweepMode) -> ParticleStore {
-        match mode {
-            SweepMode::Serial => ParticleStore::Aos(particles),
-            SweepMode::SoaBinned => {
-                ParticleStore::Binned(BinnedStore::new(&particles, grid, DEFAULT_REBIN))
-            }
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             ParticleStore::Aos(v) => v.len(),
@@ -152,7 +140,14 @@ impl Simulation {
         let expected_id_sum = setup.initial_id_sum();
         let mut events = setup.events;
         events.sort_by_key(|e| e.at_step);
-        let store = ParticleStore::for_mode(setup.particles, &setup.grid, mode);
+        let store = match mode {
+            SweepMode::Serial => ParticleStore::Aos(setup.particles),
+            SweepMode::SoaBinned => ParticleStore::Binned(BinnedStore::new(
+                &setup.particles,
+                &setup.grid,
+                DEFAULT_REBIN,
+            )),
+        };
         Simulation {
             grid: setup.grid,
             consts: setup.consts,
@@ -435,39 +430,6 @@ impl Simulation {
             ParticleStore::Binned(b) => b.push(p),
         }
     }
-
-    /// Snapshot the complete state for checkpoint/restart. The wire format
-    /// is layout-independent (AoS records), so a checkpoint taken in any
-    /// sweep mode restores into any other.
-    pub fn checkpoint(&self) -> crate::checkpoint::CheckpointData {
-        crate::checkpoint::CheckpointData {
-            grid: self.grid,
-            consts: self.consts,
-            step: self.step,
-            next_id: self.next_id,
-            expected_id_sum: self.expected_id_sum,
-            particles: self.store.to_particles(),
-            pending_events: self.events[self.next_event..].to_vec(),
-        }
-    }
-
-    /// Resume from a checkpoint; the continuation is bit-exact with an
-    /// uninterrupted run.
-    pub fn restore(cp: crate::checkpoint::CheckpointData, mode: SweepMode) -> Simulation {
-        let store = ParticleStore::for_mode(cp.particles, &cp.grid, mode);
-        Simulation {
-            grid: cp.grid,
-            consts: cp.consts,
-            store,
-            events: cp.pending_events,
-            next_event: 0,
-            step: cp.step,
-            next_id: cp.next_id,
-            expected_id_sum: cp.expected_id_sum,
-            mode,
-            chunk_size: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -538,21 +500,6 @@ mod tests {
         let mut h = Vec::new();
         sim.column_histogram_into(&mut h);
         assert_eq!(h.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn checkpoint_crosses_layouts_bit_exactly() {
-        // Checkpoint taken in an SoA-mode run restores into an AoS-mode
-        // run (and vice versa) with bit-identical continuation.
-        let s = setup(150, Distribution::Sinusoidal);
-        let mut soa = Simulation::with_mode(s.clone(), SweepMode::SoaBinned).with_chunk_size(16);
-        soa.run(20);
-        let cp = soa.checkpoint().encode();
-        let cp = crate::checkpoint::CheckpointData::decode(&cp).unwrap();
-        let mut aos = Simulation::restore(cp, SweepMode::Serial);
-        soa.run(20);
-        aos.run(20);
-        assert_eq!(soa.particles(), aos.particles());
     }
 
     #[test]
@@ -658,57 +605,6 @@ mod tests {
     fn zero_step_run_trivially_verifies() {
         let sim = Simulation::new(setup(10, Distribution::Uniform));
         assert!(sim.verify().passed());
-    }
-
-    #[test]
-    fn checkpoint_resume_is_bit_exact() {
-        let region = Region {
-            x0: 0,
-            x1: 8,
-            y0: 0,
-            y1: 8,
-        };
-        let setup = setup(200, Distribution::Geometric { r: 0.9 })
-            .with_event(Event::inject(25, region, 30, 0, 1, 1))
-            .with_event(Event::remove(40, Region::whole(32), 20));
-        // Uninterrupted run.
-        let mut full = Simulation::new(setup.clone());
-        full.run(60);
-        // Interrupted at step 20 (before the events), checkpointed, and
-        // resumed.
-        let mut first = Simulation::new(setup);
-        first.run(20);
-        let bytes = first.checkpoint().encode();
-        let cp = crate::checkpoint::CheckpointData::decode(&bytes).unwrap();
-        let mut resumed = Simulation::restore(cp, SweepMode::Serial);
-        resumed.run(40);
-        assert_eq!(full.step_index(), resumed.step_index());
-        assert_eq!(full.particles(), resumed.particles());
-        assert_eq!(full.expected_id_sum(), resumed.expected_id_sum());
-        assert!(resumed.verify().passed());
-    }
-
-    #[test]
-    fn checkpoint_mid_events_keeps_pending_only() {
-        let region = Region {
-            x0: 0,
-            x1: 8,
-            y0: 0,
-            y1: 8,
-        };
-        let setup = setup(100, Distribution::Uniform)
-            .with_event(Event::inject(5, region, 10, 0, 0, 1))
-            .with_event(Event::inject(50, region, 10, 0, 0, 1));
-        let mut sim = Simulation::new(setup);
-        sim.run(20); // first event applied, second pending
-        let cp = sim.checkpoint();
-        assert_eq!(cp.pending_events.len(), 1);
-        assert_eq!(cp.pending_events[0].at_step, 50);
-        assert_eq!(cp.particles.len(), 110);
-        let mut resumed = Simulation::restore(cp, SweepMode::Serial);
-        resumed.run(40);
-        assert_eq!(resumed.particle_count(), 120);
-        assert!(resumed.verify().passed());
     }
 
     #[test]

@@ -40,7 +40,6 @@
 pub mod bin;
 pub mod charge;
 pub mod charge_grid;
-pub mod checkpoint;
 pub mod dist;
 pub mod engine;
 pub mod events;

@@ -60,47 +60,9 @@ impl Particle {
         self.m as i64
     }
 
-    /// Number of bytes in the wire encoding (see [`Particle::encode`]).
-    pub const WIRE_SIZE: usize = 8 * 8 + 4 + 4 + 4; // id + 7 f64 + k + m + born
-
-    /// Encode into a fixed-size little-endian byte record, appending to
-    /// `out`. Used by the message-passing substrate; safe (no transmutes)
-    /// and bit-exact for all f64 payloads.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.to_le_bytes());
-        out.extend_from_slice(&self.x.to_le_bytes());
-        out.extend_from_slice(&self.y.to_le_bytes());
-        out.extend_from_slice(&self.vx.to_le_bytes());
-        out.extend_from_slice(&self.vy.to_le_bytes());
-        out.extend_from_slice(&self.q.to_le_bytes());
-        out.extend_from_slice(&self.x0.to_le_bytes());
-        out.extend_from_slice(&self.y0.to_le_bytes());
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&self.m.to_le_bytes());
-        out.extend_from_slice(&self.born_at.to_le_bytes());
-    }
-
-    /// Decode a record previously produced by [`Particle::encode`].
-    /// Returns `None` if `buf` is too short.
-    pub fn decode(buf: &[u8]) -> Option<Particle> {
-        if buf.len() < Self::WIRE_SIZE {
-            return None;
-        }
-        let f = |o: usize| f64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        Some(Particle {
-            id: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-            x: f(8),
-            y: f(16),
-            vx: f(24),
-            vy: f(32),
-            q: f(40),
-            x0: f(48),
-            y0: f(56),
-            k: u32::from_le_bytes(buf[64..68].try_into().unwrap()),
-            m: i32::from_le_bytes(buf[68..72].try_into().unwrap()),
-            born_at: u32::from_le_bytes(buf[72..76].try_into().unwrap()),
-        })
-    }
+    /// Bytes one particle is accounted as on the wire, whichever lane
+    /// carries it (`pic-comm::payload`): id + 7 `f64` + `k`, `m`, `born_at`.
+    pub const WIRE_SIZE: usize = 8 * 8 + 4 + 4 + 4;
 }
 
 #[cfg(test)]
@@ -121,48 +83,6 @@ mod tests {
             m: -1,
             born_at: 17,
         }
-    }
-
-    #[test]
-    fn wire_roundtrip_is_bit_exact() {
-        let p = sample(42);
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        assert_eq!(buf.len(), Particle::WIRE_SIZE);
-        let q = Particle::decode(&buf).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_nan_payload_free_values() {
-        let mut p = sample(1);
-        p.x = f64::MIN_POSITIVE;
-        p.vx = -0.0;
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        let q = Particle::decode(&buf).unwrap();
-        assert_eq!(p.x.to_bits(), q.x.to_bits());
-        assert_eq!(p.vx.to_bits(), q.vx.to_bits());
-    }
-
-    #[test]
-    fn decode_rejects_short_buffer() {
-        assert!(Particle::decode(&[0u8; 10]).is_none());
-    }
-
-    #[test]
-    fn batch_roundtrip() {
-        // `encode` appends, so a buffer of concatenated records (the
-        // checkpoint layout) decodes back record by record.
-        let ps: Vec<Particle> = (1..=9).map(sample).collect();
-        let mut buf = Vec::new();
-        ps.iter().for_each(|p| p.encode(&mut buf));
-        assert_eq!(buf.len(), 9 * Particle::WIRE_SIZE);
-        let qs: Vec<Particle> = buf
-            .chunks(Particle::WIRE_SIZE)
-            .map(|rec| Particle::decode(rec).unwrap())
-            .collect();
-        assert_eq!(ps, qs);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the same symmetry argument (paper Figure 2 and §III-D) determines the
 //! full state at **every** step: the particle hops `±(2k+1)` cells in x
 //! and `m` cells in y per step, with the x velocity alternating between 0
-//! and `±2(2k+1)·h/dt`. This module exposes that as an iterator — the
-//! oracle tests compare simulated state against, step by step.
+//! and `±2(2k+1)·h/dt`. [`state_at`] exposes that — the closed form
+//! tests compare simulated state against, step by step.
 
 use crate::charge::SimConstants;
 use crate::geometry::Grid;
@@ -36,61 +36,6 @@ pub fn state_at(grid: &Grid, consts: &SimConstants, p: &Particle, steps: u64) ->
     }
 }
 
-/// Iterator over the analytic trajectory, starting at step 0 (the initial
-/// state).
-pub struct Trajectory<'a> {
-    grid: &'a Grid,
-    consts: &'a SimConstants,
-    particle: Particle,
-    next_step: u64,
-}
-
-impl<'a> Trajectory<'a> {
-    pub fn new(grid: &'a Grid, consts: &'a SimConstants, particle: Particle) -> Trajectory<'a> {
-        Trajectory {
-            grid,
-            consts,
-            particle,
-            next_step: 0,
-        }
-    }
-}
-
-impl Iterator for Trajectory<'_> {
-    type Item = TrajectoryPoint;
-
-    fn next(&mut self) -> Option<TrajectoryPoint> {
-        let pt = state_at(self.grid, self.consts, &self.particle, self.next_step);
-        self.next_step += 1;
-        Some(pt)
-    }
-}
-
-/// The period of a particle's trajectory in steps: after this many steps
-/// the particle returns to its initial state (position *and* velocity).
-/// This is `lcm(period_x, period_y, 2)` where `period_x = L / gcd(L, s_x)`
-/// etc.; the factor 2 accounts for the velocity alternation.
-pub fn period(grid: &Grid, p: &Particle) -> u64 {
-    let l = grid.ncells() as u64;
-    let sx = p.cells_per_step_x(grid).unsigned_abs();
-    let sy = p.cells_per_step_y().unsigned_abs();
-    let px = if sx == 0 { 1 } else { l / gcd(l, sx) };
-    let py = if sy == 0 { 1 } else { l / gcd(l, sy) };
-    lcm(lcm(px, py), 2)
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,61 +64,23 @@ mod tests {
     fn trajectory_matches_simulation_step_by_step() {
         let grid = Grid::new(16).unwrap();
         let consts = SimConstants::CANONICAL;
-        let mut sim_p = make(&grid, 3, 5, 1, -2, -1);
-        let mut traj = Trajectory::new(&grid, &consts, sim_p);
-        let first = traj.next().unwrap();
-        assert_eq!(first.x, sim_p.x);
+        let start = make(&grid, 3, 5, 1, -2, -1);
+        let first = state_at(&grid, &consts, &start, 0);
+        assert_eq!(first.x, start.x);
         assert_eq!(first.vx, 0.0);
-        for (s, pt) in traj.take(40).enumerate() {
+        let mut sim_p = start;
+        for s in 1..=40 {
+            let pt = state_at(&grid, &consts, &start, s);
             advance_particle(&grid, &consts, &mut sim_p);
             assert!(
                 grid.periodic_delta(sim_p.x, pt.x).abs() < 1e-9,
-                "step {}: x {} vs analytic {}",
-                s + 1,
+                "step {s}: x {} vs analytic {}",
                 sim_p.x,
                 pt.x
             );
             assert!(grid.periodic_delta(sim_p.y, pt.y).abs() < 1e-9);
-            assert!((sim_p.vx - pt.vx).abs() < 1e-9, "step {}: vx", s + 1);
+            assert!((sim_p.vx - pt.vx).abs() < 1e-9, "step {s}: vx");
             assert!((sim_p.vy - pt.vy).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn period_returns_to_initial_state() {
-        let grid = Grid::new(12).unwrap();
-        let consts = SimConstants::CANONICAL;
-        for (k, m, dir) in [(0u32, 0i32, 1i8), (1, 1, 1), (0, -3, -1), (2, 4, 1)] {
-            let p = make(&grid, 2, 7, k, m, dir);
-            let t = period(&grid, &p);
-            let at_period = state_at(&grid, &consts, &p, t);
-            assert_eq!(at_period.x, p.x, "k={k} m={m}: x after period {t}");
-            assert_eq!(at_period.y, p.y);
-            assert_eq!(at_period.vx, 0.0);
-        }
-    }
-
-    #[test]
-    fn period_values() {
-        let grid = Grid::new(12).unwrap();
-        // stride 1, m = 0 → x period 12, total lcm(12, 1, 2) = 12.
-        let p = make(&grid, 0, 0, 0, 0, 1);
-        assert_eq!(period(&grid, &p), 12);
-        // stride 3 → x period 4; m = 2 → y period 6; lcm(4, 6, 2) = 12.
-        let p = make(&grid, 0, 0, 1, 2, 1);
-        assert_eq!(period(&grid, &p), 12);
-        // stride 1, m = 0, but velocity alternation forces even period:
-        // grid 6 → lcm(6, 1, 2) = 6 (already even).
-        let g6 = Grid::new(6).unwrap();
-        let p = make(&g6, 0, 0, 0, 0, 1);
-        assert_eq!(period(&g6, &p), 6);
-    }
-
-    #[test]
-    fn gcd_lcm_basics() {
-        assert_eq!(gcd(12, 8), 4);
-        assert_eq!(gcd(7, 13), 1);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(1, 9), 9);
     }
 }

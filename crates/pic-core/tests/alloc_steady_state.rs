@@ -12,8 +12,8 @@
 //! audit.
 //!
 //! Scope: the counted region is the engine step + histogram readback loop.
-//! `verify()` and `checkpoint()` materialize particle vectors by design and
-//! are not part of the steady-state loop.
+//! `verify()` materializes a particle vector by design and is not part of
+//! the steady-state loop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -209,26 +209,6 @@ proptest! {
         prop_assert!(report.passed(), "{report:?}");
         prop_assert_eq!(sim.particle_count() as u64, 200 + inject_n - remove_n.min(200 + inject_n));
     }
-
-    /// Particle wire encoding round-trips arbitrary field values bit-exactly.
-    #[test]
-    fn particle_wire_roundtrip(
-        id in any::<u64>(),
-        x in -1e9f64..1e9,
-        y in -1e9f64..1e9,
-        vx in -1e9f64..1e9,
-        vy in -1e9f64..1e9,
-        q in -1e3f64..1e3,
-        k in any::<u32>(),
-        m in any::<i32>(),
-        born in any::<u32>(),
-    ) {
-        let p = Particle { id, x, y, vx, vy, q, x0: x, y0: y, k, m, born_at: born };
-        let mut buf = Vec::new();
-        p.encode(&mut buf);
-        let back = Particle::decode(&buf).unwrap();
-        prop_assert_eq!(p, back);
-    }
 }
 
 proptest! {
@@ -277,32 +257,6 @@ proptest! {
             prop_assert_eq!(model.len(), batch.len());
         }
         prop_assert_eq!(&batch.to_particles(), &model);
-    }
-
-    /// Checkpoints round-trip arbitrary simulation states.
-    #[test]
-    fn checkpoint_roundtrip_random_state(
-        n in 1u64..200,
-        steps in 0u32..60,
-        k in 0u32..3,
-        m in -2i32..3,
-    ) {
-        use pic_core::checkpoint::CheckpointData;
-        use pic_core::engine::SweepMode;
-        let grid = Grid::new(32).unwrap();
-        prop_assume!(2 * (k as u64) < 32);
-        let setup = InitConfig::new(grid, n, Distribution::Geometric { r: 0.93 })
-            .with_k(k)
-            .with_m(m)
-            .build()
-            .unwrap();
-        let mut sim = Simulation::new(setup);
-        sim.run(steps);
-        let cp = sim.checkpoint();
-        let back = CheckpointData::decode(&cp.encode()).unwrap();
-        prop_assert_eq!(&cp, &back);
-        let resumed = Simulation::restore(back, SweepMode::Serial);
-        prop_assert_eq!(sim.particles(), resumed.particles());
     }
 
     /// Analytic trajectories agree with simulation for arbitrary particles

@@ -38,8 +38,8 @@ pub enum ExchangeMode {
     OverlappedSparse,
 }
 
-/// Rank-loop kernel selection, threaded from the CLI's `--rebin` into
-/// every distributed implementation.
+/// Rank-loop kernel selection of every distributed implementation. The
+/// CLI runs the default; the `with_*` handles are the bit-identity suites'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankKernel {
     /// Instruction-set override; `None` = runtime detection.
@@ -144,8 +144,8 @@ pub struct ParOutcome {
     pub total_count: u64,
     /// Steps executed.
     pub steps: u32,
-    /// Kernel descriptor of the rank hot loop, `"<backend>/exact"` (the
-    /// serial engine's convention; `"none"` is its AoS mode alone).
+    /// Kernel descriptor of the rank hot loop, `"<backend>/exact"`
+    /// ([`BinnedStore::kernel_desc`]).
     pub kernel: String,
     /// This rank's final particles, **unordered** (storage order; consumers
     /// key or sort by id) — for cross-implementation equivalence checks.

@@ -12,11 +12,7 @@
 //!
 //! Output is newline-delimited JSON (one record per line) plus an
 //! end-of-run summary; [`validate_ndjson`] and the [`Json`] parser let
-//! tests and the CI smoke check read it back without serde. The
-//! relationship to [`pic_cluster::stats::LoadTrace`] is deliberate:
-//! `LoadTrace` is the in-memory CSV time series used by harness-side
-//! experiments, while the tracer streams the same statistics (plus
-//! timing and migration counters) as ndjson during the run itself.
+//! tests and the CI smoke check read it back without serde.
 //!
 //! The disabled tracer ([`Tracer::disabled`]) is free: every hot-path
 //! method inlines to a null check, verified by a counting-allocator test.

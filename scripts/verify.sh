@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
-#   clippy and rustdoc (deny warnings) -> CLI and benchmark smokes.
+#   clippy, rustdoc (deny warnings) and the stale-reference gate over the
+#   docs -> CLI and benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
 # its steps.
@@ -31,6 +32,23 @@ echo "==> cargo doc --workspace --no-deps (deny warnings)"
 # What a deletion leaves behind: intra-doc links to items that are gone.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> stale-reference gate (what the docs name exists)"
+# What a deletion leaves behind in prose: every `--bin NAME`, `--example
+# NAME`, `scripts/*.sh` and `results/*` path (globs allowed) that README,
+# DESIGN, EXPERIMENTS or a results note names must be in the tree.
+docs=(README.md DESIGN.md EXPERIMENTS.md results/*.md)
+stale=0
+while read -r kind name; do
+    case "$kind" in
+    --bin) compgen -G "crates/*/src/bin/$name.rs" >/dev/null || compgen -G "src/bin/$name.rs" >/dev/null ;;
+    --example) test -f "examples/$name.rs" ;;
+    esac || { echo "stale reference: $kind $name" >&2; stale=1; }
+done < <(grep -ohE -- '--(bin|example) [A-Za-z0-9_-]+' "${docs[@]}" | sort -u)
+while read -r path; do
+    compgen -G "$path" >/dev/null || { echo "stale reference: $path" >&2; stale=1; }
+done < <(grep -ohE '(scripts/[A-Za-z0-9_.*-]+\.sh|results/[A-Za-z0-9_.*-]+)' "${docs[@]}" | sed 's/[.]$//' | sort -u)
+test "$stale" -eq 0
+
 echo "==> cargo check --all-targets"
 # Stable-toolchain compile gate over every target (the AVX-512 kernel
 # instantiations included) even when the test steps above were filtered.
@@ -51,7 +69,7 @@ cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
 # The sweep mode is the serial engine's: under a balancer it must exit 2.
 ./target/release/pic --balancer static --sweep serial 2>/dev/null && exit 1 || test $? -eq 2
-# The rebin timer is the cut family's: the serial engine runs none.
+# The rebin interval is a constant (DEFAULT_REBIN), not an option.
 ./target/release/pic --rebin 4 2>/dev/null && exit 1 || test $? -eq 2
 
 echo "==> traced adaptive smoke run (online strategy switching)"

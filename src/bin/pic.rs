@@ -18,7 +18,7 @@ use pic_prk::comm::world::run_threads;
 use pic_prk::core::init::{validate_event, SkewAxis};
 use pic_prk::par::decomp::factor_2d;
 use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
-use pic_prk::par::runner::{ParConfig, ParOutcome, RankKernel};
+use pic_prk::par::runner::{ParConfig, ParOutcome};
 use pic_prk::par::{run_config_traced, BalancerSpec};
 use pic_prk::prelude::*;
 use pic_prk::trace::{trace_simulation, Phase, Tracer};
@@ -28,8 +28,8 @@ use std::sync::Mutex;
 
 /// Help text. Defaults that mirror library defaults are injected from the
 /// source constants so the text can never drift out of date again (it
-/// previously advertised `--lb-interval` 10 vs the library's 20, `--border`
-/// 2 vs 1, and `--rebin` 1 vs 16).
+/// previously advertised `--lb-interval` 10 vs the library's 20 and
+/// `--border` 2 vs 1).
 fn help() -> String {
     let diff = DiffusionParams::default();
     let sweep_modes = SweepMode::ALL
@@ -70,13 +70,6 @@ Strategy:
                                      (vp-none -> vp-refine -> vp-greedy)
   --ranks P           thread-ranks (any --balancer; default 4)
 
-Kernel selection:
-  --rebin R           counting-sort interval of the cut-family rank loops
-                      (static | diffusion | adaptive;
-                      steps between re-sorts, default {rebin}); the serial
-                      engine and vp-* sort only at construction and
-                      after an event
-
 Single-process engine (no --balancer):
   --sweep MODE        {sweep_modes} :
                       particle sweep and memory layout — production by
@@ -114,7 +107,6 @@ Output:
   --quiet             only print PASS/FAIL
   --help              this text
 ",
-        rebin = pic_prk::core::bin::DEFAULT_REBIN,
         diff_interval = diff.interval,
         diff_tau = diff.tau,
         diff_border = diff.border_w,
@@ -144,7 +136,6 @@ const VALUE_OPTS: &[&str] = &[
     "--ranks",
     "--balancer",
     "--sweep",
-    "--rebin",
     "--threads",
     "--lb-interval",
     "--tau",
@@ -192,7 +183,6 @@ const OPTION_SCOPE: &[(&str, &[&str])] = &[
     ("--border", &["diffusion", "adaptive"]),
     ("--mode", &["diffusion", "adaptive"]),
     ("--d", &["vp-none", "vp-refine", "vp-greedy", "vp-adaptive"]),
-    ("--rebin", &["static", "diffusion", "adaptive"]),
 ];
 
 struct Args(Vec<String>);
@@ -316,7 +306,10 @@ fn parse_event(opt: &str, spec: &str, grid: &Grid, steps: u32) -> Event {
         y0: field(opt, spec, f[3]),
         y1: field(opt, spec, f[4]),
     };
-    let (at_step, count) = (field(opt, spec, f[0]), field(opt, spec, f[5]));
+    let (at_step, count): (u32, u64) = (field(opt, spec, f[0]), field(opt, spec, f[5]));
+    if count == 0 {
+        bail(&format!("{opt} {spec}: count must be at least 1 (got 0)"));
+    }
     let event = if opt == "--inject" {
         Event::inject(at_step, region, count, 0, 0, 1)
     } else {
@@ -412,9 +405,6 @@ fn main() {
         .positive("--border")
         .unwrap_or(DiffusionParams::default().border_w);
     let d: usize = args.positive("--d").unwrap_or(4);
-    let rebin: u32 = args
-        .positive("--rebin")
-        .unwrap_or(pic_prk::core::bin::DEFAULT_REBIN);
     let threads: Option<usize> = args.positive("--threads");
     let trace_every: u32 = args.positive("--trace-every").unwrap_or(1);
     let (px, _) = factor_2d(ranks);
@@ -442,10 +432,6 @@ fn main() {
         Some(name) => SweepMode::from_cli_name(name)
             .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
         None => SweepMode::SoaBinned,
-    };
-    let rank_kernel = RankKernel {
-        rebin_interval: rebin,
-        ..RankKernel::default()
     };
 
     // Telemetry: the file is opened up front (so a bad path fails before
@@ -537,7 +523,7 @@ fn main() {
         "vp-adaptive" => Distributed::VpAdaptive,
         _ => unreachable!("--balancer was checked against BALANCERS"),
     };
-    let mut cfg = ParConfig::new(setup, steps).with_kernel(rank_kernel);
+    let mut cfg = ParConfig::new(setup, steps);
     if let Distributed::Cut(spec) = run {
         cfg = cfg.with_balancer(spec);
     }

@@ -203,16 +203,16 @@ fn bad_arguments_fail_cleanly() {
         let args = ["--trace", "/dev/null", opt, "0"];
         assert_rejected(&args, &format!("{opt} must be at least 1 (got 0)"));
     }
-    assert_rejected(
-        &["--balancer", "static", "--rebin", "0"],
-        "--rebin must be at least 1 (got 0)",
-    );
-    // An event at or past the last step (0-based) can never fire.
+    // An event at or past the last step (0-based) can never fire, and one
+    // of zero particles fires nothing (it used to run to PASS).
     for strategy in [&[][..], &["--balancer", "static"][..]] {
         for (opt, step) in [("--inject", 10), ("--remove", 12)] {
             let spec = format!("{step},0,8,0,8,50");
             let args = [&["--steps", "10", opt, &spec], strategy].concat();
             let needle = format!("{opt} step {step} is not reached in a run of 10 steps");
+            assert_rejected(&args, &needle);
+            let args = [&[opt, "5,0,4,0,4,0"], strategy].concat();
+            let needle = format!("{opt} 5,0,4,0,4,0: count must be at least 1 (got 0)");
             assert_rejected(&args, &needle);
         }
     }
@@ -303,13 +303,6 @@ fn options_the_strategy_does_not_read_are_rejected() {
             "--d",
             "--balancer diffusion",
         ),
-        (
-            &["--balancer", "vp-greedy", "--rebin", "3"][..],
-            "--rebin",
-            "--balancer vp-greedy",
-        ),
-        // The serial engine has no rebin timer (PR 21).
-        (&["--rebin", "4"][..], "--rebin", "the serial engine"),
     ] {
         assert_rejected(args, &format!("{option} is not read by {strategy}"));
     }
@@ -361,6 +354,10 @@ fn removed_options_and_modes_are_rejected() {
     assert_rejected(&["--overlap", "off"], "--overlap");
     assert_rejected(&["--chunk", "64"], "--chunk");
     assert_rejected(&["--impl", "diffusion"], "unknown option: --impl");
+    assert_rejected(
+        &["--balancer", "static", "--rebin", "4"],
+        "unknown option: --rebin",
+    );
     for alias in ["baseline", "ampi", "refine", "greedy", "none"] {
         let out = pic().args(["--balancer", alias]).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -377,7 +374,7 @@ fn removed_options_and_modes_are_rejected() {
         assert_rejected(&["--sweep", mode], &format!("bad sweep mode: {mode}"));
     }
     let (_, help, _) = run(&["--help"]);
-    for gone in ["--wire", "--overlap", "--chunk", "--impl"] {
+    for gone in ["--wire", "--overlap", "--chunk", "--impl", "--rebin"] {
         assert!(!help.contains(gone), "{gone} still in --help");
     }
 }
@@ -418,13 +415,6 @@ fn help_defaults_match_library_defaults() {
     assert!(
         stdout.contains(&format!("border width in cells (default {})", d.border_w)),
         "border default drifted"
-    );
-    assert!(
-        stdout.contains(&format!(
-            "steps between re-sorts, default {}",
-            pic_prk::core::bin::DEFAULT_REBIN
-        )),
-        "rebin default drifted"
     );
     assert!(stdout.contains("--trace FILE"));
     assert!(stdout.contains("--trace-every N"));

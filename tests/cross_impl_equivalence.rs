@@ -97,42 +97,57 @@ fn baseline_bitwise_matches_serial() {
 
 #[test]
 fn diffusion_bitwise_matches_serial() {
-    let cfg = make_cfg(48).with_balancer(BalancerSpec::Diffusion {
-        params: DiffusionParams {
-            interval: 3,
-            tau: 0,
-            border_w: 3,
-        },
-        mode: DiffusionMode::XOnly,
-    });
-    let serial = serial_final(&cfg);
-    let outcomes = run_threads(4, |comm| {
-        let o = run_config(&comm, &cfg);
-        assert!(o.verify.passed(), "{:?}", o.verify);
-        o
-    });
-    assert_eq!(serial, gather_finals(outcomes));
+    let serial = serial_final(&make_cfg(48));
+    // (interval, border width, mode): the suite's own point, then the
+    // parameter points of the `decision_digests` matrix — balancing every
+    // step, every fifth, and two-phase on an x-skewed input.
+    for (interval, border_w, mode) in [
+        (3, 3, DiffusionMode::XOnly),
+        (1, 2, DiffusionMode::XOnly),
+        (5, 2, DiffusionMode::XOnly),
+        (5, 1, DiffusionMode::TwoPhase),
+    ] {
+        let cfg = make_cfg(48).with_balancer(BalancerSpec::Diffusion {
+            params: DiffusionParams {
+                interval,
+                tau: 0,
+                border_w,
+            },
+            mode,
+        });
+        let outcomes = run_threads(4, |comm| {
+            let o = run_config(&comm, &cfg);
+            assert!(o.verify.passed(), "F={interval} {mode:?}: {:?}", o.verify);
+            o
+        });
+        assert_eq!(serial, gather_finals(outcomes), "F={interval} {mode:?}");
+    }
 }
 
 #[test]
 fn ampi_bitwise_matches_serial() {
     let cfg = make_cfg(48);
     let serial = serial_final(&cfg);
-    for balancer in [Balancer::paper_default(), Balancer::Greedy, Balancer::None] {
-        let outcomes = run_threads(4, |comm| {
-            let o = run_ampi(
-                &comm,
-                &cfg,
-                &AmpiParams {
-                    d: 4,
-                    interval: 6,
-                    balancer,
-                },
+    // 4 cores at F = 6, then the `decision_digests` matrix's smaller
+    // worlds at its F = 4.
+    for (cores, interval) in [(4usize, 6u32), (2, 4), (1, 4)] {
+        for balancer in [Balancer::paper_default(), Balancer::Greedy, Balancer::None] {
+            let params = AmpiParams {
+                d: 4,
+                interval,
+                balancer,
+            };
+            let outcomes = run_threads(cores, |comm| {
+                let o = run_ampi(&comm, &cfg, &params);
+                assert!(o.verify.passed(), "{balancer:?}: {:?}", o.verify);
+                o
+            });
+            assert_eq!(
+                serial,
+                gather_finals(outcomes),
+                "{balancer:?} on {cores} cores"
             );
-            assert!(o.verify.passed(), "{balancer:?}: {:?}", o.verify);
-            o
-        });
-        assert_eq!(serial, gather_finals(outcomes), "{balancer:?}");
+        }
     }
 }
 

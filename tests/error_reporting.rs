@@ -2,7 +2,6 @@
 //! and implements `std::error::Error` (so callers can `?` them into
 //! `Box<dyn Error>` pipelines).
 
-use pic_prk::core::checkpoint::{CheckpointData, CheckpointError};
 use pic_prk::core::geometry::{Grid, GridError};
 use pic_prk::core::init::InitError;
 use pic_prk::prelude::*;
@@ -77,16 +76,6 @@ fn init_errors_name_the_offending_value() {
         y1: 8,
     });
     assert!(patch.contains("100") && patch.contains("8-cell"), "{patch}");
-}
-
-#[test]
-fn checkpoint_errors_are_descriptive() {
-    let bad = CheckpointData::decode(b"not a checkpoint at all....");
-    assert!(matches!(bad, Err(CheckpointError::BadMagic)));
-    assert!(as_error(&bad.unwrap_err()).contains("not a PIC PRK checkpoint"));
-
-    let truncated = CheckpointData::decode(b"PICPRKv\0");
-    assert!(as_error(&truncated.unwrap_err()).contains("truncated"));
 }
 
 #[test]
