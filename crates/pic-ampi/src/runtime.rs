@@ -128,7 +128,7 @@ fn run_ampi_lb(
         // matters for routing and accounting).
         let rebins_before = store.rebin_count();
         tracer.phase_start(Phase::Advance);
-        store.sweep_local(&grid, &consts, None);
+        store.sweep_local(&grid, &consts);
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
         // No timer rebin: the route drains every column every step, so no

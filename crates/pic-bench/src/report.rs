@@ -67,18 +67,6 @@ pub fn scale_from_args() -> u64 {
     1
 }
 
-/// Write an emitter's artifact to `out`, or to stdout when no path was
-/// given (the emitters own no default file).
-pub fn write_or_print(out: Option<&str>, text: &str) {
-    match out {
-        Some(path) => {
-            std::fs::write(path, text).expect("write benchmark artifact");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

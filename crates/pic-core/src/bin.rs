@@ -24,7 +24,7 @@
 //! preserves parity because the grid has an even number of columns).
 //! A bin's parity at sweep time is therefore
 //! `bin_column_parity XOR (steps_since_rebin & 1)`, valid for *any*
-//! rebin interval, and the corner charges `q_left = ±q`, `q_right =
+//! rebin interval, and the corner pair `q_left = ±q`, `q_right =
 //! −q_left` hoist out of the inner loop. The actual column (needed for
 //! the corner displacement `rx`) is still derived per particle — that is
 //! one float-to-int truncation, with the branchy `mesh_charge` lookups
@@ -61,7 +61,6 @@
 //! (ascending-id) order is restored on export by [`BinnedStore::to_particles`].
 
 use crate::charge::{coulomb, mesh_charge, ColumnParity, CornerCharge, SimConstants};
-use crate::charge_grid::ChargeGrid;
 use crate::events::Region;
 use crate::geometry::Grid;
 use crate::particle::Particle;
@@ -387,21 +386,10 @@ impl BinnedStore {
     /// **not** rebin at the end: the rank step rebins after the exchange
     /// ([`BinnedStore::rebin_due`]) so the counting sort only ever sees
     /// homed particles.
-    ///
-    /// With `charges`, corner charges are read from the rank's
-    /// ghost-ringed [`ChargeGrid`] window instead of the parity formula.
-    /// The two sources are bitwise-identical (the grid stores exactly
-    /// `mesh_charge(col, q)`, and the age-parity flip is an exact
-    /// negation), so this is a data-path choice, not a numeric one.
-    pub fn sweep_local(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-    ) {
+    pub fn sweep_local(&mut self, grid: &Grid, consts: &SimConstants) {
         self.prepare_sweep(grid);
-        self.sweep_bins(grid, consts, charges, 0..self.ncols);
-        self.sweep_tail_pass(grid, consts, charges);
+        self.sweep_bins(grid, consts, 0..self.ncols);
+        self.sweep_tail_pass(grid, consts);
         self.end_sweep();
     }
 
@@ -427,18 +415,12 @@ impl BinnedStore {
     /// launch their exchange, then advance the interior while messages are
     /// in flight. Requires [`Self::prepare_sweep`]; no structural edits
     /// may intervene before [`Self::end_sweep`].
-    pub fn sweep_cols(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-        cols: Range<usize>,
-    ) {
+    pub fn sweep_cols(&mut self, grid: &Grid, consts: &SimConstants, cols: Range<usize>) {
         assert!(!self.dirty, "sweep_cols requires prepare_sweep");
         let hi = self.col_lo + self.ncols;
         let b_lo = cols.start.clamp(self.col_lo, hi) - self.col_lo;
         let b_hi = cols.end.clamp(self.col_lo, hi) - self.col_lo;
-        self.sweep_bins(grid, consts, charges, b_lo..b_hi);
+        self.sweep_bins(grid, consts, b_lo..b_hi);
     }
 
     /// Advance the mixed region (drained border bins and exchange
@@ -446,33 +428,17 @@ impl BinnedStore {
     /// particle's *live* column charge per lane — no parity flip, because
     /// the column is read fresh rather than remembered from a rebin. Must
     /// run before the step's drain and before new
-    /// arrivals are appended with [`Self::push_tail`]; mixed particles are
-    /// homed, so with `charges` the lookup stays inside the ghost-ringed
-    /// window (read at the window's first row: the charge does not depend
-    /// on the row, and one row stays cache-resident).
-    pub fn sweep_tail_pass(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-    ) {
+    /// arrivals are appended with [`Self::push_tail`].
+    pub fn sweep_tail_pass(&mut self, grid: &Grid, consts: &SimConstants) {
         let (lo_end, hi_start) = self.ordered_span();
+        let parity = ColumnParity(consts.q);
         for span in [0..lo_end, hi_start..self.batch.len()] {
             let x = &mut self.batch.x[span.clone()];
             let y = &mut self.batch.y[span.clone()];
             let vx = &mut self.batch.vx[span.clone()];
             let vy = &mut self.batch.vy[span.clone()];
             let q = &self.batch.q[span];
-            match charges {
-                Some(cg) => {
-                    let row = cg.row(cg.bounds().1 .0);
-                    simd::advance_bin_span_simd(self.backend, grid, consts, row, x, y, vx, vy, q)
-                }
-                None => {
-                    let parity = ColumnParity(consts.q);
-                    simd::advance_bin_span_simd(self.backend, grid, consts, parity, x, y, vx, vy, q)
-                }
-            }
+            simd::advance_bin_span_simd(self.backend, grid, consts, parity, x, y, vx, vy, q);
         }
     }
 
@@ -485,25 +451,14 @@ impl BinnedStore {
 
     /// The hoisted kernel over the ordered bins among `bins` (local bin
     /// indices) at the current age parity.
-    fn sweep_bins(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-        bins: Range<usize>,
-    ) {
+    fn sweep_bins(&mut self, grid: &Grid, consts: &SimConstants, bins: Range<usize>) {
         let parity = self.age & 1;
-        let row0 = charges.map(|cg| cg.bounds().1 .0);
         for b in bins.start.max(self.ordered.start)..bins.end.min(self.ordered.end) {
             let (i, span_end) = (self.offsets[b], self.offsets[b + 1]);
             if i == span_end {
                 continue;
             }
-            let col = self.col_lo + b;
-            let base = match charges {
-                Some(cg) => cg.charge_at(col, row0.unwrap()),
-                None => mesh_charge(col, consts.q),
-            };
+            let base = mesh_charge(self.col_lo + b, consts.q);
             let q_left = if parity == 1 { -base } else { base };
             let x = &mut self.batch.x[i..span_end];
             let y = &mut self.batch.y[i..span_end];
@@ -899,7 +854,7 @@ pub(crate) fn force_span<C: CornerCharge>(
 }
 
 /// The parity-specialized sweep kernel: eqs. 1–2 over one span whose
-/// mesh-corner charges `q_left` (left column) and `−q_left` (right
+/// mesh-corner pair `q_left` (left column) and `−q_left` (right
 /// column) come from `charge` — one hoisted value shared by a bin-clipped
 /// span, or each particle's live column. This is the scalar reference
 /// the SIMD backends ([`crate::simd`]) are proven bit-identical against,
@@ -1152,7 +1107,6 @@ mod tests {
     /// Reference rank loop: two subdomain stores exchanging via
     /// drain/push_tail, compared bitwise against the unbinned sweep.
     fn run_split_stores(
-        charges: bool,
         rebin: u32,
         steps: u32,
         n: u64,
@@ -1162,8 +1116,6 @@ mod tests {
         let consts = SimConstants::CANONICAL;
         let ncells = grid.ncells();
         let mid = ncells / 2;
-        let cg_left = ChargeGrid::build(&grid, &consts, (0, mid), (0, ncells));
-        let cg_right = ChargeGrid::build(&grid, &consts, (mid, ncells), (0, ncells));
         let mut reference = ps.clone();
         let split = |lo: usize, hi: usize| -> Vec<Particle> {
             ps.iter()
@@ -1175,8 +1127,8 @@ mod tests {
         let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
         for _ in 0..steps {
             advance_all(&grid, &consts, &mut reference);
-            left.sweep_local(&grid, &consts, charges.then_some(&cg_left));
-            right.sweep_local(&grid, &consts, charges.then_some(&cg_right));
+            left.sweep_local(&grid, &consts);
+            right.sweep_local(&grid, &consts);
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
             left.drain_leavers_into(&grid, |c, _| c < mid, |p| to_right.push(p));
             right.drain_leavers_into(&grid, |c, _| c >= mid, |p| to_left.push(p));
@@ -1199,19 +1151,8 @@ mod tests {
     #[test]
     fn subdomain_stores_with_drain_match_unbinned_sweep() {
         for rebin in [1u32, 3, 16] {
-            let (want, got) =
-                run_split_stores(false, rebin, 40, 600, Distribution::Geometric { r: 0.9 });
+            let (want, got) = run_split_stores(rebin, 40, 600, Distribution::Geometric { r: 0.9 });
             assert_eq!(want, got, "rebin={rebin} diverged");
-        }
-    }
-
-    #[test]
-    fn subdomain_charge_grid_source_is_bit_identical() {
-        // The ghost-ringed ChargeGrid stores exactly `mesh_charge(col, q)`,
-        // so reading per-bin corner charges from it must not change a bit.
-        for rebin in [1u32, 3] {
-            let (want, got) = run_split_stores(true, rebin, 40, 500, Distribution::PAPER_SKEW);
-            assert_eq!(want, got, "rebin={rebin}: charge-grid source diverged");
         }
     }
 
@@ -1219,7 +1160,6 @@ mod tests {
     /// drain, interior sweep, arrivals, age bump — run on the same
     /// two-store split as [`run_split_stores`].
     fn run_split_stores_overlapped(
-        charges: bool,
         rebin: u32,
         steps: u32,
         n: u64,
@@ -1230,8 +1170,6 @@ mod tests {
         let consts = SimConstants::CANONICAL;
         let ncells = grid.ncells();
         let mid = ncells / 2;
-        let cg_left = ChargeGrid::build(&grid, &consts, (0, mid), (0, ncells));
-        let cg_right = ChargeGrid::build(&grid, &consts, (mid, ncells), (0, ncells));
         let split = |lo: usize, hi: usize| -> Vec<Particle> {
             ps.iter()
                 .copied()
@@ -1242,11 +1180,10 @@ mod tests {
         let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
         for _ in 0..steps {
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
-            for (store, lo, hi, cg, out) in [
-                (&mut left, 0, mid, &cg_left, &mut to_right),
-                (&mut right, mid, ncells, &cg_right, &mut to_left),
+            for (store, lo, hi, out) in [
+                (&mut left, 0, mid, &mut to_right),
+                (&mut right, mid, ncells, &mut to_left),
             ] {
-                let cg = charges.then_some(cg);
                 store.prepare_sweep(&grid);
                 // Bins are indexed by the column at the last rebin;
                 // particles drift up to stride·age from it, so the border
@@ -1254,9 +1191,9 @@ mod tests {
                 let w = store.border_width(border);
                 let b_lo = (lo + w).min(hi);
                 let b_hi = hi.saturating_sub(w).max(b_lo);
-                store.sweep_cols(&grid, &consts, cg, lo..b_lo);
-                store.sweep_cols(&grid, &consts, cg, b_hi..hi);
-                store.sweep_tail_pass(&grid, &consts, cg);
+                store.sweep_cols(&grid, &consts, lo..b_lo);
+                store.sweep_cols(&grid, &consts, b_hi..hi);
+                store.sweep_tail_pass(&grid, &consts);
                 let is_border = |c: usize| !(b_lo..b_hi).contains(&c);
                 store.drain_leavers_cols_into(
                     &grid,
@@ -1265,7 +1202,7 @@ mod tests {
                     |p| out.push(p),
                 );
                 // Interior advances "while messages are in flight".
-                store.sweep_cols(&grid, &consts, cg, b_lo..b_hi);
+                store.sweep_cols(&grid, &consts, b_lo..b_hi);
             }
             to_right.into_iter().for_each(|p| right.push_tail(p));
             to_left.into_iter().for_each(|p| left.push_tail(p));
@@ -1288,23 +1225,14 @@ mod tests {
         // Border width 3 covers the k = 1 stride (2k + 1); the overlapped
         // ordering must not change a single bit vs the one-call sweep.
         for rebin in [1u32, 3, 16] {
-            for charges in [false, true] {
-                let (want, got) =
-                    run_split_stores(charges, rebin, 40, 600, Distribution::Geometric { r: 0.9 });
-                assert_eq!(want, got, "sync harness self-check failed");
-                let overlapped = run_split_stores_overlapped(
-                    charges,
-                    rebin,
-                    40,
-                    600,
-                    Distribution::Geometric { r: 0.9 },
-                    3,
-                );
-                assert_eq!(
-                    got, overlapped,
-                    "rebin={rebin} charges={charges}: overlapped ordering diverged"
-                );
-            }
+            let (want, got) = run_split_stores(rebin, 40, 600, Distribution::Geometric { r: 0.9 });
+            assert_eq!(want, got, "sync harness self-check failed");
+            let overlapped =
+                run_split_stores_overlapped(rebin, 40, 600, Distribution::Geometric { r: 0.9 }, 3);
+            assert_eq!(
+                got, overlapped,
+                "rebin={rebin}: overlapped ordering diverged"
+            );
         }
     }
 
@@ -1398,7 +1326,6 @@ mod tests {
     /// the drain follows a full sweep and `active` is the border plus
     /// arbitrary extra columns picked by `extra`. Returns how many drains
     /// fell back to shifting the ordered block.
-    #[allow(clippy::too_many_arguments)]
     fn check_drain_sequence(
         n: u64,
         k: u32,
@@ -1406,7 +1333,6 @@ mod tests {
         rebin: u32,
         steps: u32,
         overlapped: bool,
-        charges: bool,
         extra: u64,
     ) -> u64 {
         let grid = Grid::new(32).unwrap();
@@ -1426,15 +1352,13 @@ mod tests {
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect();
-            let cg = ChargeGrid::build(&grid, &consts, (lo, hi), (0, ncells));
-            (BinnedStore::new_subdomain(&mine, &grid, rebin, lo, hi), cg)
+            BinnedStore::new_subdomain(&mine, &grid, rebin, lo, hi)
         });
         for step in 0..steps {
             advance_all(&grid, &consts, &mut reference);
             let mut moved = [Vec::new(), Vec::new()];
-            for (h, (store, cg)) in halves.iter_mut().enumerate() {
+            for (h, store) in halves.iter_mut().enumerate() {
                 let (lo, hi) = store.columns();
-                let cg = charges.then_some(&*cg);
                 store.prepare_sweep(&grid);
                 let w = store.border_width(stride);
                 let b_lo = (lo + w).min(hi);
@@ -1443,32 +1367,32 @@ mod tests {
                 let keep = |c: usize, _| (lo..hi).contains(&c);
                 let out = |p| moved[1 - h].push(p);
                 if overlapped {
-                    store.sweep_cols(&grid, &consts, cg, lo..b_lo);
-                    store.sweep_cols(&grid, &consts, cg, b_hi..hi);
-                    store.sweep_tail_pass(&grid, &consts, cg);
+                    store.sweep_cols(&grid, &consts, lo..b_lo);
+                    store.sweep_cols(&grid, &consts, b_hi..hi);
+                    store.sweep_tail_pass(&grid, &consts);
                     store.drain_leavers_cols_into(&grid, border, keep, out);
-                    store.sweep_cols(&grid, &consts, cg, b_lo..b_hi);
+                    store.sweep_cols(&grid, &consts, b_lo..b_hi);
                 } else {
-                    store.sweep_cols(&grid, &consts, cg, lo..hi);
-                    store.sweep_tail_pass(&grid, &consts, cg);
+                    store.sweep_cols(&grid, &consts, lo..hi);
+                    store.sweep_tail_pass(&grid, &consts);
                     let pick = |c: usize| (extra >> ((c + step as usize) % 64)) & 1 == 1;
                     store.drain_leavers_cols_into(&grid, |c| border(c) || pick(c), keep, out);
                 }
                 store.end_sweep();
             }
-            for ((store, _), arrivals) in halves.iter_mut().zip(moved) {
+            for (store, arrivals) in halves.iter_mut().zip(moved) {
                 arrivals.into_iter().for_each(|p| store.push_tail(p));
                 if store.rebin_due() {
                     store.rebin(&grid);
                 }
             }
-            let mut got = [halves[0].0.to_particles(), halves[1].0.to_particles()].concat();
+            let mut got = [halves[0].to_particles(), halves[1].to_particles()].concat();
             got.sort_unstable_by_key(|p| p.id);
             let mut want = reference.clone();
             want.sort_unstable_by_key(|p| p.id);
             assert_eq!(want, got, "diverged at step {step}");
         }
-        halves.iter().map(|(store, _)| store.shift_fallbacks).sum()
+        halves.iter().map(|store| store.shift_fallbacks).sum()
     }
 
     proptest::proptest! {
@@ -1482,11 +1406,10 @@ mod tests {
             rebin in proptest::prelude::prop::sample::select(vec![1u32, 3, 16]),
             steps in 10u32..40,
             overlapped in proptest::prelude::prop::bool::ANY,
-            charges in proptest::prelude::prop::bool::ANY,
             extra in proptest::prelude::any::<u64>(),
         ) {
             let dir = if leftwards { -1 } else { 1 };
-            check_drain_sequence(n, k, dir, rebin, steps, overlapped, charges, extra);
+            check_drain_sequence(n, k, dir, rebin, steps, overlapped, extra);
         }
     }
 
@@ -1498,7 +1421,7 @@ mod tests {
         // `check_drain_sequence` proves it kept every unswept bin intact.
         for overlapped in [false, true] {
             let fallbacks: u64 = [3, 16]
-                .map(|rebin| check_drain_sequence(400, 1, -1, rebin, 24, overlapped, true, 0))
+                .map(|rebin| check_drain_sequence(400, 1, -1, rebin, 24, overlapped, 0))
                 .iter()
                 .sum();
             assert!(
@@ -1521,7 +1444,7 @@ mod tests {
             .collect();
         let mut store = BinnedStore::new_subdomain(&left_ps, &grid, 16, 0, mid);
         assert_eq!(store.columns(), (0, mid));
-        store.sweep_local(&grid, &consts, None);
+        store.sweep_local(&grid, &consts);
         let before = store.rebin_count();
         // A tail arrival must not force an early counting sort…
         let arrival = ps
@@ -1535,7 +1458,7 @@ mod tests {
             .unwrap();
         store.push_tail(arrival);
         assert_eq!(store.tail_len(), 1);
-        store.sweep_local(&grid, &consts, None);
+        store.sweep_local(&grid, &consts);
         assert_eq!(store.rebin_count(), before, "tail push forced a rebin");
         // …and neither does a cut move: it re-anchors the column range
         // (everything is inside [0, mid), so widening the range is always
@@ -1547,6 +1470,25 @@ mod tests {
         assert_eq!(store.tail_len(), 1, "the arrival stays in the tail");
         assert_eq!(store.age(), 2, "the age carries on");
         assert!(!store.histogram_is_fresh());
+    }
+
+    /// Nothing in a sweep reads the column range, so the sort is where a
+    /// particle outside it is caught: by the named assertion in debug
+    /// builds, by the offsets index in release.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "rebin with un-homed particle")
+    )]
+    #[cfg_attr(not(debug_assertions), should_panic)]
+    fn rebin_rejects_an_unhomed_particle() {
+        let (grid, ps) = population(300, Distribution::Uniform);
+        let mid = grid.ncells() / 2;
+        let (left, right): (Vec<Particle>, Vec<Particle>) =
+            ps.iter().partition(|p| grid.cell_of(p.x) < mid);
+        let mut store = BinnedStore::new_subdomain(&left, &grid, 16, 0, mid);
+        store.push_tail(right[0]);
+        store.rebin(&grid);
     }
 
     /// A `[8, 24)` store of a rightward `k = 0` population (stride 1) that
@@ -1564,7 +1506,7 @@ mod tests {
             .collect();
         let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, 8, 24);
         for _ in 0..age {
-            store.sweep_local(&grid, &SimConstants::CANONICAL, None);
+            store.sweep_local(&grid, &SimConstants::CANONICAL);
         }
         (grid, store)
     }
@@ -1617,8 +1559,8 @@ mod tests {
                 // The next sweep is the one a freshly built store runs.
                 let mut fresh =
                     BinnedStore::new_subdomain(&store.to_particles(), &grid, 16, lo, hi);
-                store.sweep_local(&grid, &consts, None);
-                fresh.sweep_local(&grid, &consts, None);
+                store.sweep_local(&grid, &consts);
+                fresh.sweep_local(&grid, &consts);
                 assert_eq!(store.to_particles(), fresh.to_particles());
                 // …and the timer sort still folds everything back.
                 store.drain_leavers_into(&grid, |c, _| (lo..hi).contains(&c), |p| gone.push(p));

@@ -132,7 +132,7 @@ pub(crate) fn mid_height_lanes<V: crate::simd::Lanes>(ry: V, ryh: V) -> bool {
 /// [`crate::bin::BinnedStore`] (every particle of the span shares one
 /// hoisted value) and its unordered *mixed* region (each particle reads
 /// the charge of its own live column). The right-corner charge is always
-/// the exact negation. Every source yields `mesh_charge(col, q)` bit for
+/// the exact negation. Both sources yield `mesh_charge(col, q)` bit for
 /// bit, so the choice never changes a result (DESIGN.md §9).
 pub(crate) trait CornerCharge: Copy {
     /// `q_left` for a particle in mesh column `col`.
@@ -182,8 +182,9 @@ impl CornerCharge for ColumnParity {
 /// from the four fixed charges at the corners of its containing cell.
 ///
 /// Corner charges are derived from the column parity rule; no mesh array is
-/// required (the mesh is formulaic), though parallel implementations may
-/// keep one for fidelity of data-migration costs.
+/// required (the mesh is formulaic) and none is kept — the modeled runs
+/// charge for migrating one (`CostModel::migration_ns`), the functional
+/// runs do not store it.
 #[inline]
 pub fn total_force(grid: &Grid, consts: &SimConstants, x: f64, y: f64, qp: f64) -> (f64, f64) {
     let (col, row) = grid.cell_of_point(x, y);

@@ -39,7 +39,6 @@
 
 pub mod bin;
 pub mod charge;
-pub mod charge_grid;
 pub mod dist;
 pub mod engine;
 pub mod events;
@@ -58,7 +57,6 @@ pub mod verify;
 pub mod prelude {
     pub use crate::bin::BinnedStore;
     pub use crate::charge::{mesh_charge, total_force, SimConstants};
-    pub use crate::charge_grid::ChargeGrid;
     pub use crate::dist::Distribution;
     pub use crate::engine::{Simulation, SweepMode};
     pub use crate::events::{Event, EventKind, Region};

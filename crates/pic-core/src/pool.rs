@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Default sweep chunk size: big enough that the claim `fetch_add` is
 /// amortized to noise, small enough that a skewed tail still spreads over
-/// the pool (the chunk rows of `bench_sweep` measure the sensitivity).
+/// the pool.
 /// This is also the *floor* of [`adaptive_chunk`] — the engine's default
 /// when no explicit chunk size is configured.
 pub const DEFAULT_CHUNK: usize = 4096;

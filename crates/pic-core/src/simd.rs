@@ -575,7 +575,7 @@ mod arm {
 /// particle, four corner evaluations unrolled in the scalar pairing and
 /// summation order. The corner charges come from `charge`: a hoisted
 /// `f64` splats once outside the loop (an ordered bin), the per-column
-/// sources resolve each lane's own column (the mixed region) — the
+/// source resolves each lane's own column (the mixed region) — the
 /// arithmetic downstream of the charge is the same instruction sequence
 /// either way.
 ///
@@ -946,18 +946,15 @@ mod tests {
 
     /// The per-lane-charge instantiation (the store's mixed region) is
     /// bit-identical to running the scalar kernel one particle at a time
-    /// with that particle's own hoisted charge — for both per-column
-    /// sources, every backend, every span length up to two groups plus
-    /// one, with neighbouring lanes in columns of opposite parity, one lane
-    /// exactly on a mesh point, and column-7 lanes that leave the domain
-    /// and take the scalar wrap.
+    /// with that particle's own hoisted charge — for every backend, every
+    /// span length up to two groups plus one, with neighbouring lanes in
+    /// columns of opposite parity, one lane exactly on a mesh point, and
+    /// column-7 lanes that leave the domain and take the scalar wrap.
     #[test]
     fn per_lane_charge_kernel_bitwise_matches_scalar_per_particle() {
         use crate::charge::ColumnParity;
-        use crate::charge_grid::ChargeGrid;
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
-        let cg = ChargeGrid::build(&grid, &consts, (0, 8), (0, 8));
         for backend in SimdBackend::available() {
             for len in 0..=2 * backend.lanes() + 1 {
                 let mut seed = ParticleBatch::new();
@@ -970,8 +967,7 @@ mod tests {
                     seed.y[len / 2] = seed.y[len / 2].floor();
                 }
                 let mut want = seed.clone();
-                let mut parity = seed.clone();
-                let mut row = seed;
+                let mut parity = seed;
                 for step in 0..4 {
                     for i in 0..len {
                         crate::bin::advance_bin_span(
@@ -997,21 +993,8 @@ mod tests {
                         &mut b.vy[..len],
                         &b.q[..len],
                     );
-                    let b = &mut row;
-                    advance_bin_span_simd(
-                        backend,
-                        &grid,
-                        &consts,
-                        cg.row(0),
-                        &mut b.x[..len],
-                        &mut b.y[..len],
-                        &mut b.vx[..len],
-                        &mut b.vy[..len],
-                        &b.q[..len],
-                    );
                     let at = format!("backend {} len {len} step {step}", backend.name());
                     assert_eq!(want, parity, "{at}: column-parity source diverged");
-                    assert_eq!(want, row, "{at}: mesh-row source diverged");
                 }
             }
         }
@@ -1041,11 +1024,9 @@ mod tests {
     #[test]
     fn corner_fold_bitwise_matches_unfolded_reference() {
         use crate::charge::ColumnParity;
-        use crate::charge_grid::ChargeGrid;
         use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
-        let cg = ChargeGrid::build(&grid, &consts, (0, 8), (0, 8));
         let mut variants = vec![
             None,
             Some(OffCentre::At(0.5f64.next_up())),
@@ -1060,11 +1041,11 @@ mod tests {
         for backend in SimdBackend::available() {
             let width = backend.lanes();
             for len in 0..=2 * width + 1 {
-                for (source, m, variant) in product3(&[0, 1, 2], &[-2, 0, 3], &variants) {
+                for (source, m, variant) in product3(&[0, 1], &[-2, 0, 3], &variants) {
                     let mut b = ParticleBatch::new();
                     for i in 0..len {
                         // One hoisted charge needs one column parity; the
-                        // per-column sources mix parities within a group.
+                        // per-column source mixes parities within a group.
                         let col = if source == 0 {
                             7
                         } else {
@@ -1102,23 +1083,12 @@ mod tests {
                                     backend, &grid, &consts, ql, x, y, vx, vy, &b.q,
                                 )
                             }
-                            1 => {
+                            _ => {
                                 let parity = ColumnParity(consts.q);
                                 advance_bin_span_simd(
                                     backend, &grid, &consts, parity, x, y, vx, vy, &b.q,
                                 )
                             }
-                            _ => advance_bin_span_simd(
-                                backend,
-                                &grid,
-                                &consts,
-                                cg.row(0),
-                                x,
-                                y,
-                                vx,
-                                vy,
-                                &b.q,
-                            ),
                         }
                         for (i, w) in want.iter().enumerate() {
                             assert!(

@@ -214,23 +214,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The stored mesh — the span kernels' force source — holds the
-    /// formulaic charge at every point, ghost ring included, for arbitrary
-    /// subgrids.
-    #[test]
-    fn charge_grid_force_equivalence(gridhalf in 4usize..32, block in any::<u64>()) {
-        use pic_core::charge_grid::ChargeGrid;
-        let grid = Grid::new(gridhalf * 2).unwrap();
-        let n = grid.ncells();
-        let x0 = (block % n as u64) as usize;
-        let w = 1 + ((block >> 16) % (n - x0) as u64) as usize;
-        let y0 = ((block >> 32) % n as u64) as usize;
-        let h = 1 + ((block >> 48) % (n - y0) as u64) as usize;
-        let consts = SimConstants::CANONICAL;
-        let cg = ChargeGrid::build(&grid, &consts, (x0, x0 + w), (y0, y0 + h));
-        prop_assert!(cg.verify_against_formula(&grid, &consts));
-    }
-
     /// SoA batches behave exactly like Vec<Particle> under random
     /// push/swap_remove sequences.
     #[test]

@@ -193,7 +193,6 @@ fn lb_round(
     if let Some(sw) = &decision.switched {
         tracer.record_switch(sw.from, sw.to, sw.imbalance);
     }
-    let mut changed = false;
     for mv in &decision.cuts {
         let old = match mv.axis {
             'x' => st.decomp.xcuts.clone(),
@@ -209,15 +208,9 @@ fn lb_round(
                 'x' => st.decomp.set_xcuts(mv.new_cuts.clone()),
                 _ => st.decomp.set_ycuts(mv.new_cuts.clone()),
             }
-            changed = true;
         }
     }
-    if changed {
-        debug_assert!(st.decomp.is_partition());
-        // The functional analogue of receiving the migrated border
-        // subgrid: rebuild this rank's stored mesh for its new bounds.
-        st.rebuild_charges();
-    }
+    debug_assert!(st.decomp.is_partition());
     // Rehome particles under the new ownership map (border-cell residents
     // migrate to the adjacent ranks), through the rank's reused buffers.
     let (sent, _received) = st.rehome(comm);

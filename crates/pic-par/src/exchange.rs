@@ -424,7 +424,7 @@ mod tests {
                     bufs.enable_sparse(4, rank, decomp.neighbors_of(rank));
                 }
                 for _ in 0..steps {
-                    store.sweep_local(&grid, &consts, None);
+                    store.sweep_local(&grid, &consts);
                     rehome_binned_with(
                         &comm,
                         &decomp,
@@ -483,9 +483,9 @@ mod tests {
                         let w = store.border_width(stride);
                         let b_lo = (x0 + w).min(x1);
                         let b_hi = x1.saturating_sub(w).max(b_lo);
-                        store.sweep_cols(&grid, &consts, None, x0..b_lo);
-                        store.sweep_cols(&grid, &consts, None, b_hi..x1);
-                        store.sweep_tail_pass(&grid, &consts, None);
+                        store.sweep_cols(&grid, &consts, x0..b_lo);
+                        store.sweep_cols(&grid, &consts, b_hi..x1);
+                        store.sweep_tail_pass(&grid, &consts);
                         let inflight = route_binned_start(
                             &comm,
                             rank,
@@ -495,11 +495,11 @@ mod tests {
                             &grid,
                             &mut bufs,
                         );
-                        store.sweep_cols(&grid, &consts, None, b_lo..b_hi);
+                        store.sweep_cols(&grid, &consts, b_lo..b_hi);
                         route_binned_finish(&comm, inflight, &mut store, &mut bufs);
                         store.end_sweep();
                     } else {
-                        store.sweep_local(&grid, &consts, None);
+                        store.sweep_local(&grid, &consts);
                         rehome_binned_with(
                             &comm,
                             &decomp,
@@ -578,7 +578,7 @@ mod tests {
             let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
-                store.sweep_local(&grid, &consts, None);
+                store.sweep_local(&grid, &consts);
                 rehome_binned_with(&comm, &decomp, &grid, rank, |_| true, &mut store, &mut bufs);
                 if store.rebin_due() {
                     store.rebin(&grid);

@@ -123,7 +123,7 @@ pub struct ModelOutcome {
     pub remote_neighbor_frac: f64,
 }
 
-/// Per-step per-core compute and communication charges for a Cartesian
+/// Per-step per-core compute and communication costs for a Cartesian
 /// decomposition with identity rank→core placement.
 // Takes the full modeled-run context piecewise so callers can keep the
 // output buffers borrowed separately from the config.

@@ -12,7 +12,6 @@ use pic_comm::collective::{
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
-use pic_core::charge_grid::ChargeGrid;
 use pic_core::events::{Event, EventKind, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{build_injection, SimulationSetup};
@@ -259,10 +258,6 @@ pub struct RankState {
     pub rank: usize,
     /// Local particles, binned over this rank's subdomain columns.
     pub store: BinnedStore,
-    /// Materialized mesh-charge subgrid with ghost ring (paper §IV-A:
-    /// fringe mesh points are replicated). Forces are read from it, and it
-    /// is rebuilt whenever the balancer changes this rank's subdomain.
-    pub charges: ChargeGrid,
     pub step: u32,
     ledger: EventLedger,
     /// Reused exchange staging buffers: the steady-state step loop routes
@@ -304,7 +299,6 @@ impl RankState {
     ) -> RankState {
         let particles = local_slice(&decomp, &setup.grid, rank, &setup.particles);
         let (cols, rows) = decomp.bounds(rank);
-        let charges = ChargeGrid::build(&setup.grid, &setup.consts, cols, rows);
         let store = kernel.build_store(particles, &setup.grid, cols);
         let (stride_x, max_abs_m) = motion_bounds(setup);
         let mut bufs = ExchangeBuffers::new();
@@ -317,7 +311,6 @@ impl RankState {
             decomp,
             rank,
             store,
-            charges,
             step: 0,
             ledger: EventLedger::new(setup),
             bufs,
@@ -358,15 +351,9 @@ impl RankState {
         }
     }
 
-    /// Rebuild the charge subgrid in place after a re-decomposition (the
-    /// functional analogue of migrating border subgrids).
-    pub fn rebuild_charges(&mut self) {
-        let (cols, rows) = self.decomp.bounds(self.rank);
-        self.charges.rebuild(&self.grid, &self.consts, cols, rows);
-        debug_assert!(self
-            .charges
-            .verify_against_formula(&self.grid, &self.consts));
-    }
+    /// Does nothing: the mesh is the parity formula, so a cut move leaves no
+    /// stored mesh to refill; the name stays while `bench/` calls it.
+    pub fn rebuild_charges(&mut self) {}
 
     pub fn expected_id_sum(&self) -> u128 {
         self.ledger.expected_id_sum()
@@ -381,8 +368,7 @@ impl RankState {
             });
     }
 
-    /// One full step: events, advance (forces read from the stored mesh —
-    /// bit-identical to the formulaic path), exchange.
+    /// One full step: events, advance, exchange.
     pub fn step(&mut self, comm: &Communicator) {
         self.step_traced(comm, &mut Tracer::disabled());
     }
@@ -412,10 +398,8 @@ impl RankState {
         } else {
             tracer.phase_start(Phase::Advance);
             // The serial engine's kernel stack, serial on this rank's own
-            // thread (each rank is already a parallel unit), forces read
-            // from the ghost-ringed charge subgrid.
-            self.store
-                .sweep_local(&self.grid, &self.consts, Some(&self.charges));
+            // thread (each rank is already a parallel unit).
+            self.store.sweep_local(&self.grid, &self.consts);
             tracer.phase_end(Phase::Advance);
             tracer.phase_start(Phase::Exchange);
             let (sent, _received) = self.rehome(comm);
@@ -455,9 +439,9 @@ impl RankState {
         let w = b.border_width(self.stride_x);
         let b_lo = (x0 + w).min(x1);
         let b_hi = x1.saturating_sub(w).max(b_lo);
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), x0..b_lo);
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), b_hi..x1);
-        b.sweep_tail_pass(&self.grid, &self.consts, Some(&self.charges));
+        b.sweep_cols(&self.grid, &self.consts, x0..b_lo);
+        b.sweep_cols(&self.grid, &self.consts, b_hi..x1);
+        b.sweep_tail_pass(&self.grid, &self.consts);
         tracer.phase_end(Phase::Advance);
 
         tracer.phase_start(Phase::Exchange);
@@ -475,7 +459,7 @@ impl RankState {
 
         tracer.phase_start(Phase::Advance);
         let window_start = std::time::Instant::now();
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), b_lo..b_hi);
+        b.sweep_cols(&self.grid, &self.consts, b_lo..b_hi);
         let overlap_ns = window_start.elapsed().as_nanos() as u64;
         tracer.phase_end(Phase::Advance);
 

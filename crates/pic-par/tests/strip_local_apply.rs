@@ -1,6 +1,6 @@
 //! The strip-local apply of a balance round (DESIGN.md §13) against the one
 //! oracle: scripted cut moves driven through the three pinned steps —
-//! `rebuild_charges` (in-place mesh refill), `rehome` (drift-bounded
+//! `rebuild_charges` (empty since PR 24), `rehome` (drift-bounded
 //! drain), `rebind_store` (relabel, no sort) — must end in the serial AoS
 //! engine's final state, per id, bit for bit, on the degenerate shapes a
 //! balancer can produce: any store age, moves wider than what is still
@@ -82,9 +82,8 @@ fn apply_round(comm: &Communicator, st: &mut RankState, round: &Round) {
     }
     st.rehome(comm);
     st.rebind_store();
-    let (cols, rows) = st.decomp.bounds(st.rank);
+    let (cols, _) = st.decomp.bounds(st.rank);
     assert_eq!(st.store.columns(), cols);
-    assert_eq!(st.charges.bounds(), (cols, rows));
     let batch = st.store.batch();
     for (&x, &y) in batch.x.iter().zip(&batch.y) {
         let (c, r) = st.grid.cell_of_point(x, y);

@@ -258,13 +258,19 @@ pub struct TraceReport {
     pub steps: Vec<StepRecord>,
     pub cuts: Vec<CutRecord>,
     pub switches: Vec<SwitchRecord>,
-    /// The full ndjson stream, byte-identical to what the writer received.
+    /// The full ndjson stream, byte-identical to what the writer received
+    /// unless `write_error` is set.
     pub ndjson: String,
+    /// The first I/O error of the writer, as it displays (`None` in memory
+    /// or when every line and the final flush went through). The stream was
+    /// closed at that point, so the file is incomplete.
+    pub write_error: Option<String>,
 }
 
 struct Inner {
     every: u32,
     writer: Option<Box<dyn Write + Send>>,
+    write_error: Option<String>,
     ndjson: String,
     steps: Vec<StepRecord>,
     cuts: Vec<CutRecord>,
@@ -319,6 +325,7 @@ impl Tracer {
             inner: Some(Box::new(Inner {
                 every: every.max(1),
                 writer,
+                write_error: None,
                 ndjson: String::new(),
                 steps: Vec::new(),
                 cuts: Vec::new(),
@@ -537,7 +544,8 @@ impl Tracer {
     }
 
     /// Emit the summary line, flush the writer, and hand back everything
-    /// recorded. `None` for a disabled tracer.
+    /// recorded — a failed write included ([`TraceReport::write_error`]).
+    /// `None` for a disabled tracer.
     pub fn finish(self) -> Option<TraceReport> {
         let mut i = self.inner?;
         let summary = TraceSummary {
@@ -583,15 +591,14 @@ impl Tracer {
             summary.switches
         );
         i.emit(&line);
-        if let Some(w) = &mut i.writer {
-            let _ = w.flush();
-        }
+        i.stream(|w| w.flush());
         Some(TraceReport {
             summary,
             steps: std::mem::take(&mut i.steps),
             cuts: std::mem::take(&mut i.cuts),
             switches: std::mem::take(&mut i.switches),
             ndjson: std::mem::take(&mut i.ndjson),
+            write_error: i.write_error.take(),
         })
     }
 }
@@ -600,8 +607,19 @@ impl Inner {
     fn emit(&mut self, line: &str) {
         self.ndjson.push_str(line);
         self.ndjson.push('\n');
+        self.stream(|w| writeln!(w, "{line}"));
+    }
+
+    /// Run one operation on the writer. The first failure is kept for
+    /// [`TraceReport::write_error`] and closes the stream: the run goes on
+    /// (other ranks may be inside a collective), the file is not appended
+    /// to past a hole.
+    fn stream(&mut self, op: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) {
         if let Some(w) = &mut self.writer {
-            let _ = writeln!(w, "{line}");
+            if let Err(e) = op(w) {
+                self.write_error = Some(e.to_string());
+                self.writer = None;
+            }
         }
     }
 
@@ -876,29 +894,69 @@ mod tests {
         assert_eq!(v.get("schema").unwrap().as_u64(), Some(SCHEMA_VERSION));
     }
 
-    #[test]
-    fn writer_receives_the_same_bytes() {
-        use std::sync::{Arc, Mutex};
+    /// A shared byte sink that takes `room` lines and refuses every write
+    /// after them, numbering the refusals.
+    #[derive(Clone)]
+    struct Sink {
+        bytes: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+        room: usize,
+        refused: usize,
+    }
 
-        #[derive(Clone)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
+    impl Sink {
+        fn with_room(room: usize) -> Sink {
+            Sink {
+                bytes: Default::default(),
+                room,
+                refused: 0,
             }
         }
 
-        let sink = Sink(Arc::new(Mutex::new(Vec::new())));
+        fn written(&self) -> String {
+            String::from_utf8(self.bytes.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut bytes = self.bytes.lock().unwrap();
+            if bytes.iter().filter(|&&b| b == b'\n').count() >= self.room {
+                self.refused += 1;
+                return Err(std::io::Error::other(format!("refusal {}", self.refused)));
+            }
+            bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_receives_the_same_bytes() {
+        let sink = Sink::with_room(usize::MAX);
         let mut t = Tracer::to_writer(Box::new(sink.clone()), 1);
         t.emit_run_header("w", 1, 10, 1, "none", "none");
         t.begin_step(1);
         t.end_step(10);
         let report = t.finish().unwrap();
-        let written = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(written, report.ndjson);
+        assert_eq!(sink.written(), report.ndjson);
+        assert_eq!(report.write_error, None);
+    }
+
+    #[test]
+    fn first_write_error_is_kept_and_closes_the_stream() {
+        // Room for the header only: the step record is refused, and the
+        // summary must not be appended past the hole.
+        let sink = Sink::with_room(1);
+        let mut t = Tracer::to_writer(Box::new(sink.clone()), 1);
+        t.emit_run_header("w", 1, 10, 1, "none", "none");
+        t.begin_step(1);
+        t.end_step(10);
+        let report = t.finish().unwrap();
+        assert_eq!(report.write_error.as_deref(), Some("refusal 1"));
+        assert_eq!(report.ndjson.lines().count(), 3, "memory keeps every line");
+        let header = report.ndjson.lines().next().unwrap();
+        assert_eq!(sink.written(), format!("{header}\n"));
     }
 }

@@ -33,17 +33,19 @@ echo "==> cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> stale-reference gate (what the docs name exists)"
-# What a deletion leaves behind in prose: every `--bin NAME`, `--example
-# NAME`, `scripts/*.sh` and `results/*` path (globs allowed) that README,
-# DESIGN, EXPERIMENTS or a results note names must be in the tree.
-docs=(README.md DESIGN.md EXPERIMENTS.md results/*.md)
+# What a deletion leaves behind in prose: every `--bin NAME`,
+# `target/release/NAME`, `--example NAME`, `scripts/*.sh` and `results/*`
+# path (globs allowed) that README, DESIGN, EXPERIMENTS, a results note or
+# the verify skill names must be in the tree.
+docs=(README.md DESIGN.md EXPERIMENTS.md results/*.md .claude/skills/verify/SKILL.md)
 stale=0
 while read -r kind name; do
     case "$kind" in
     --bin) compgen -G "crates/*/src/bin/$name.rs" >/dev/null || compgen -G "src/bin/$name.rs" >/dev/null ;;
     --example) test -f "examples/$name.rs" ;;
     esac || { echo "stale reference: $kind $name" >&2; stale=1; }
-done < <(grep -ohE -- '--(bin|example) [A-Za-z0-9_-]+' "${docs[@]}" | sort -u)
+done < <(grep -ohE -- '(--(bin|example) |target/release/)[A-Za-z0-9_-]+' "${docs[@]}" |
+    sed 's|^target/release/|--bin |' | sort -u)
 while read -r path; do
     compgen -G "$path" >/dev/null || { echo "stale reference: $path" >&2; stale=1; }
 done < <(grep -ohE '(scripts/[A-Za-z0-9_.*-]+\.sh|results/[A-Za-z0-9_.*-]+)' "${docs[@]}" | sed 's/[.]$//' | sort -u)
@@ -71,6 +73,13 @@ rm -f "$trace_file"
 ./target/release/pic --balancer static --sweep serial 2>/dev/null && exit 1 || test $? -eq 2
 # The rebin interval is a constant (DEFAULT_REBIN), not an option.
 ./target/release/pic --rebin 4 2>/dev/null && exit 1 || test $? -eq 2
+# A sampling interval past the last step would write no step record.
+./target/release/pic --steps 5 --trace /dev/null --trace-every 50 2>/dev/null && exit 1 || test $? -eq 2
+# A trace that could not be written fails the run, serial and distributed.
+for strategy in "" "--balancer static --ranks 2"; do
+    ./target/release/pic --trace /dev/full --grid 16 --particles 100 --steps 5 \
+        $strategy >/dev/null 2>&1 && exit 1 || test $? -eq 1
+done
 
 echo "==> traced adaptive smoke run (online strategy switching)"
 # Sustained geometric skew must drive the adaptive balancer through at

@@ -101,7 +101,7 @@ Telemetry:
                       cut decisions, end-of-run summary)
   --trace-every N     sample a step record every N steps (default 1;
                       cut decisions and the summary are never sampled
-                      away); needs --trace
+                      away); needs --trace, at most --steps
 
 Output:
   --quiet             only print PASS/FAIL
@@ -407,6 +407,13 @@ fn main() {
     let d: usize = args.positive("--d").unwrap_or(4);
     let threads: Option<usize> = args.positive("--threads");
     let trace_every: u32 = args.positive("--trace-every").unwrap_or(1);
+    // Step records are written at 1-based steps N, 2N, …: an interval past
+    // the last step leaves a stream `trace_check` refuses.
+    if args.value("--trace").is_some() && trace_every > steps {
+        bail(&format!(
+            "--trace-every {trace_every} samples no step of a {steps}-step run"
+        ));
+    }
     let (px, _) = factor_2d(ranks);
     match balancer {
         None => {}
@@ -480,12 +487,9 @@ fn main() {
         let report = sim.verify();
         tracer.phase_end(Phase::Verify);
         tracer.set_final_particles(sim.particle_count() as u64);
-        tracer.finish();
+        let trace_error = tracer.finish().and_then(|r| r.write_error);
         summarize_serial(&report, sim.particle_count(), quiet);
-        if !report.passed() {
-            exit(1);
-        }
-        return;
+        finish_run(report.passed(), args.value("--trace"), trace_error);
     };
 
     // Resolve the name once into the library's spec types, then one run.
@@ -527,7 +531,7 @@ fn main() {
     if let Distributed::Cut(spec) = run {
         cfg = cfg.with_balancer(spec);
     }
-    let o = run_threads(ranks, |comm| {
+    let (o, trace_error) = run_threads(ranks, |comm| {
         let mut tracer = rank0_tracer(comm.rank());
         let out = match &run {
             Distributed::Cut(_) => run_config_traced(&comm, &cfg, &mut tracer),
@@ -536,14 +540,25 @@ fn main() {
                 run_ampi_adaptive_traced(&comm, &cfg, d, vp_interval, &mut tracer)
             }
         };
-        tracer.finish();
-        out
+        (out, tracer.finish().and_then(|r| r.write_error))
     })
     .swap_remove(0);
     summarize_parallel(&o, ranks, quiet);
-    if !o.verify.passed() {
-        exit(1);
+    finish_run(o.verify.passed(), args.value("--trace"), trace_error);
+}
+
+/// End the process after the verdict is printed: exit 1 when verification
+/// failed or the trace could not be written (the run was not stopped for
+/// it — ranks may have been inside a collective), 0 otherwise.
+fn finish_run(passed: bool, trace_path: Option<&str>, trace_error: Option<String>) -> ! {
+    if let (Some(path), Some(e)) = (trace_path, &trace_error) {
+        eprintln!("error: trace file {path}: {e}");
     }
+    exit(if passed && trace_error.is_none() {
+        0
+    } else {
+        1
+    })
 }
 
 /// A distributed run in the library's own spec types.

@@ -203,6 +203,34 @@ fn bad_arguments_fail_cleanly() {
         let args = ["--trace", "/dev/null", opt, "0"];
         assert_rejected(&args, &format!("{opt} must be at least 1 (got 0)"));
     }
+    // An interval past the last step samples nothing: the stream would
+    // hold no step record, which `trace_check` refuses.
+    assert_rejected(
+        &[
+            "--steps",
+            "5",
+            "--trace",
+            "/dev/null",
+            "--trace-every",
+            "50",
+        ],
+        "--trace-every 50 samples no step of a 5-step run",
+    );
+    // A trace that could not be written is not a success: the verdict is
+    // still printed, then the file and the OS error, and the exit is 1.
+    #[cfg(unix)]
+    for strategy in [&[][..], &["--balancer", "static", "--ranks", "2"][..]] {
+        let args = ["--trace", "/dev/full", "--grid", "16", "--particles", "100"];
+        let args = [&args[..], &["--steps", "5", "--quiet"], strategy].concat();
+        let out = pic().args(&args).output().expect("spawn pic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "PASS");
+        assert!(
+            stderr.starts_with("error: trace file /dev/full: "),
+            "{args:?}: {stderr}"
+        );
+    }
     // An event at or past the last step (0-based) can never fire, and one
     // of zero particles fires nothing (it used to run to PASS).
     for strategy in [&[][..], &["--balancer", "static"][..]] {
