@@ -18,7 +18,6 @@ use pic_cluster::balancer::{AdaptiveLb, BalanceInput, Layout, LoadBalancer, VpLb
 use pic_comm::collective::{allgatherv, allreduce_u64, decode_u64s_into, encode_u64s};
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::BinnedStore;
-use pic_core::particle::Particle;
 use pic_par::exchange::{route_binned_with, ExchangeBuffers};
 use pic_par::runner::{
     snapshot_loads, trace_interval, verify_store, EventLedger, ExchangeMode, ParConfig, ParOutcome,
@@ -80,21 +79,15 @@ fn run_ampi_lb(
     let vps = VpGrid::new(grid.ncells(), cores, d);
     let mut assignment = vps.initial_assignment();
 
-    // Local population: particles whose VP is initially assigned to me.
-    // VP ownership is not column-contiguous, so the store bins the
-    // whole grid (forces come from the mesh-charge formula — the whole
-    // mesh is replicated knowledge, eq. 3).
-    let locals: Vec<Particle> = cfg
-        .setup
-        .particles
-        .iter()
-        .filter(|p| {
-            let (c, r) = grid.cell_of_point(p.x, p.y);
-            assignment[vps.vp_of_cell(c, r)] == me
-        })
-        .copied()
-        .collect();
-    let mut store = cfg.kernel.build_store(locals, &grid, (0, grid.ncells()));
+    // Local population: particles whose VP is initially assigned to me,
+    // scattered straight from the shared setup. VP ownership is not
+    // column-contiguous, so the store bins the whole grid (forces come
+    // from the mesh-charge formula — the whole mesh is replicated
+    // knowledge, eq. 3).
+    let owns = |c, r| assignment[vps.vp_of_cell(c, r)] == me;
+    let mut store = cfg
+        .kernel
+        .build_store(&cfg.setup.particles, &grid, (0, grid.ncells()), owns);
     let mut bufs = ExchangeBuffers::new();
     if cfg.kernel.exchange == ExchangeMode::OverlappedSparse {
         // VP routing can target any core, so the declared neighborhood is
@@ -180,7 +173,7 @@ fn run_ampi_lb(
         total_count,
         steps: cfg.steps,
         kernel: store.kernel_desc(),
-        local_particles: store.batch().to_particles(),
+        particles: store.take_batch(),
     }
 }
 

@@ -68,7 +68,7 @@ fn run(kernel: RankKernel, ranks: usize, balancer: Balancer) -> Vec<Particle> {
     });
     outcomes
         .into_iter()
-        .flat_map(|o| o.local_particles)
+        .flat_map(|o| o.particles.to_particles())
         .collect()
 }
 

@@ -72,7 +72,9 @@ fn run(kernel: RankKernel) -> (Vec<Particle>, Vec<u64>) {
         .iter()
         .map(|s| s.counters[Counter::Rebins.idx()])
         .collect();
-    let world = results.into_iter().flat_map(|(o, _)| o.local_particles);
+    let world = results
+        .into_iter()
+        .flat_map(|(o, _)| o.particles.to_particles());
     (world.collect(), rebins)
 }
 

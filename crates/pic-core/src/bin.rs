@@ -5,13 +5,17 @@
 //! so the sweep walks memory in cell order and the per-column load
 //! histogram falls out of the prefix sums for free (O(columns) instead of
 //! an O(n) scan). The permutation is rebuilt with a stable counting sort
-//! and one gather pass through a persistent double buffer, and only when
-//! something is about to read the order it restores ([`DEFAULT_REBIN`]): a
-//! structural edit before the next sweep, and on the rank path the timer
-//! [`BinnedStore::rebin_due`]. The steady state allocates nothing (scratch
-//! capacity is retained between rebins; when the population is
-//! column-homogeneous the permutation is the identity and the gather is
-//! skipped entirely).
+//! and a gather that moves one field at a time through one scratch column
+//! per element type, and only when something is about to read the order
+//! it restores ([`DEFAULT_REBIN`]): a structural edit before the next
+//! sweep, and on the rank path the timer [`BinnedStore::rebin_due`]. The
+//! steady state allocates nothing (scratch capacity is retained between
+//! rebins; when the population is column-homogeneous the permutation is
+//! the identity and the gather is skipped entirely). Construction is the
+//! same sort done once straight from the caller's records
+//! ([`BinnedStore::new_owned`]), and a finished rank hands the batch on
+//! without a copy ([`BinnedStore::take_batch`]), so a particle is resident
+//! once plus 24 B of scratch.
 //!
 //! ## The parity invariant (why `q_left` can be hoisted)
 //!
@@ -67,7 +71,6 @@ use crate::particle::Particle;
 use crate::pool::{self, SyncMutPtr};
 use crate::simd::{self, SimdBackend};
 use crate::soa::ParticleBatch;
-use std::collections::HashSet;
 use std::ops::Range;
 
 /// Default interval of the *rank path's* rebin timer
@@ -91,9 +94,9 @@ pub struct BinnedStore {
     /// Particle data: the ordered bins in cell-column order (stable under
     /// rebinning), with the mixed region before and after them.
     batch: ParticleBatch,
-    /// Gather target, swapped with `batch` on each non-identity rebin;
-    /// retains capacity so steady-state rebins allocate nothing.
-    scratch: ParticleBatch,
+    /// Gather targets of a non-identity rebin, one column per element
+    /// type; they retain capacity so steady-state rebins allocate nothing.
+    scratch: GatherScratch,
     /// `ncols + 1` prefix sums: bin `b` (column `col_lo + b`) is
     /// `offsets[b]..offsets[b+1]`. Only the entries
     /// `ordered.start..=ordered.end` are maintained between rebins.
@@ -116,8 +119,8 @@ pub struct BinnedStore {
     /// Number of binned columns (`col_hi − col_lo`).
     ncols: usize,
     /// The counting-sort permutation of the last rebin, run-coalesced
-    /// (capacity for one run per particle is reserved once, so rebins
-    /// allocate nothing however the run count varies).
+    /// (typically about one run per bin; the capacity of the longest list
+    /// so far is retained, so steady-state rebins allocate nothing).
     runs: Vec<Run>,
     /// Counting-sort write cursors (reused across rebins).
     cursor: Vec<usize>,
@@ -154,17 +157,71 @@ impl BinnedStore {
         col_lo: usize,
         col_hi: usize,
     ) -> BinnedStore {
+        BinnedStore::new_owned(particles, grid, rebin_interval, col_lo, col_hi, |_, _| true)
+    }
+
+    /// Bin the particles of `particles` whose cell `owns(col, row)`
+    /// accepts over the column range `[col_lo, col_hi)` — the one
+    /// construction path, which a rank runs over the whole shared setup
+    /// with its ownership map. A count pass sizes the bins and a stable
+    /// scatter writes each owned record straight to its place in column
+    /// order: the result (storage order, offsets, ordered range) is
+    /// exactly that of collecting the owned particles, converting them to
+    /// SoA and sorting, without the two intermediate copies. It counts as
+    /// the store's first rebin. Panics if an owned particle lies outside
+    /// the column range.
+    pub fn new_owned(
+        particles: &[Particle],
+        grid: &Grid,
+        rebin_interval: u32,
+        col_lo: usize,
+        col_hi: usize,
+        owns: impl Fn(usize, usize) -> bool,
+    ) -> BinnedStore {
+        let mut store = BinnedStore::empty(grid, rebin_interval, col_lo, col_hi);
+        let bin_of = |p: &Particle| {
+            let (c, r) = grid.cell_of_point(p.x, p.y);
+            owns(c, r).then(|| {
+                assert!(
+                    (col_lo..col_hi).contains(&c),
+                    "owned particle {} in column {c}, outside {col_lo}..{col_hi}",
+                    p.id
+                );
+                c - col_lo
+            })
+        };
+        for b in particles.iter().filter_map(bin_of) {
+            store.offsets[b + 1] += 1;
+        }
+        for b in 0..store.ncols {
+            store.offsets[b + 1] += store.offsets[b];
+        }
+        store.batch = ParticleBatch::zeroed(store.offsets[store.ncols]);
+        store.cursor.copy_from_slice(&store.offsets[..store.ncols]);
+        for p in particles {
+            if let Some(b) = bin_of(p) {
+                store.batch.set(store.cursor[b], *p);
+                store.cursor[b] += 1;
+            }
+        }
+        store.rebins = 1;
+        store
+    }
+
+    /// A store over `[col_lo, col_hi)` holding nothing: every bin ordered
+    /// and empty, as a sort of no particles leaves it.
+    fn empty(grid: &Grid, rebin_interval: u32, col_lo: usize, col_hi: usize) -> BinnedStore {
         assert!(
             col_lo < col_hi && col_hi <= grid.ncells(),
             "bad column range {col_lo}..{col_hi} on a {}-column grid",
             grid.ncells()
         );
         let ncols = col_hi - col_lo;
-        let mut store = BinnedStore {
-            batch: ParticleBatch::from_particles(particles),
-            scratch: ParticleBatch::new(),
+        BinnedStore {
+            batch: ParticleBatch::new(),
+            scratch: GatherScratch::default(),
             offsets: vec![0; ncols + 1],
-            ordered: 0..0,
+            ordered: 0..ncols,
             holes: Vec::new(),
             shift_fallbacks: 0,
             col_lo,
@@ -176,9 +233,20 @@ impl BinnedStore {
             rebin_interval: rebin_interval.max(1),
             rebins: 0,
             backend: SimdBackend::detect(),
-        };
-        store.rebin(grid);
-        store
+        }
+    }
+
+    /// Move the particles out, in storage order, leaving the store as one
+    /// built from no particles over the same columns, its scratch
+    /// released — how a finished rank hands its population to the outcome
+    /// without a copy.
+    pub fn take_batch(&mut self) -> ParticleBatch {
+        self.scratch = GatherScratch::default();
+        (self.runs, self.holes) = (Vec::new(), Vec::new());
+        self.offsets.fill(0);
+        self.ordered = 0..self.ncols;
+        (self.age, self.dirty) = (0, false);
+        std::mem::take(&mut self.batch)
     }
 
     /// The binned column range `[col_lo, col_hi)`.
@@ -269,7 +337,9 @@ impl BinnedStore {
     /// Rebuild the counting-sort permutation from current positions.
     /// Stable (equal columns keep their relative order), skips the gather
     /// when the permutation is the identity, and reuses all scratch
-    /// storage — after warm-up this allocates nothing.
+    /// storage — after warm-up this allocates nothing. The gather moves
+    /// one field at a time, so the scratch it needs is one column of each
+    /// element type, not a second batch.
     pub fn rebin(&mut self, grid: &Grid) {
         let n = self.batch.len();
         let ncols = self.ncols;
@@ -292,7 +362,6 @@ impl BinnedStore {
         self.cursor.extend_from_slice(&self.offsets[..ncols]);
         assert!(n <= u32::MAX as usize, "run indices are u32");
         self.runs.clear();
-        self.runs.reserve(n);
         for (i, &x) in self.batch.x.iter().enumerate() {
             let c = grid.cell_of(x) - self.col_lo;
             push_run(&mut self.runs, i as u32, self.cursor[c] as u32);
@@ -301,8 +370,7 @@ impl BinnedStore {
         // A permutation that is one run (or none, when empty) is the
         // identity: the gather is skipped.
         if self.runs.len() > 1 {
-            gather(&self.batch, &mut self.scratch, &self.runs);
-            std::mem::swap(&mut self.batch, &mut self.scratch);
+            self.scratch.gather(&mut self.batch, &self.runs);
         }
         self.ordered = 0..ncols;
         self.age = 0;
@@ -703,12 +771,13 @@ impl BinnedStore {
         self.batch.remove_in_region(region, count)
     }
 
-    /// Remove every particle whose id is in `doomed` (the distributed
-    /// removal event, where the global lowest-id selection is computed
-    /// across ranks first). Order-preserving; marks the store dirty.
-    pub fn remove_ids(&mut self, doomed: &HashSet<u64>) -> Vec<Particle> {
+    /// Remove every particle inside `region` whose id is at most `max_id`
+    /// — the distributed removal event, whose cutoff is the global
+    /// lowest-id selection agreed across ranks first. Order-preserving;
+    /// marks the store dirty. Returns the number removed.
+    pub fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
         self.dirty = true;
-        self.batch.remove_ids(doomed)
+        self.batch.remove_in_region_upto(region, max_id, |_| ())
     }
 
     /// Materialize the population in **canonical order** (ascending id —
@@ -783,29 +852,58 @@ fn push_run(runs: &mut Vec<Run>, src: u32, dst: u32) {
     }
 }
 
-/// Gather `src` into `dst` under the permutation `runs`, one block copy
-/// per run and field. `dst` is resized, not cleared: every element is
-/// overwritten (the runs cover a permutation), so only a length change
-/// touches memory beyond the copies.
-fn gather(src: &ParticleBatch, dst: &mut ParticleBatch, runs: &[Run]) {
-    fn field<T: Copy + Default>(src: &[T], dst: &mut Vec<T>, runs: &[Run]) {
-        dst.resize(src.len(), T::default());
-        for r in runs {
-            let (s, d, len) = (r.src as usize, r.dst as usize, r.len as usize);
-            dst[d..d + len].copy_from_slice(&src[s..s + len]);
+/// The gather targets of a rebin: one column per element type of
+/// [`ParticleBatch`]. Each field is gathered into the column of its type
+/// and swapped in, and the field it replaces becomes that column for the
+/// next field of the type — 24 B per particle of scratch (`u64`, `f64`,
+/// `u32`, `i32`) where a second batch would hold 76, for the same bytes
+/// copied.
+#[derive(Debug, Clone, Default)]
+struct GatherScratch {
+    id: Vec<u64>,
+    f64s: Vec<f64>,
+    u32s: Vec<u32>,
+    m: Vec<i32>,
+}
+
+impl GatherScratch {
+    /// Permute every field of `batch` by `runs`.
+    fn gather(&mut self, batch: &mut ParticleBatch, runs: &[Run]) {
+        let ParticleBatch {
+            id,
+            x,
+            y,
+            vx,
+            vy,
+            q,
+            x0,
+            y0,
+            k,
+            m,
+            born_at,
+        } = batch;
+        gather_field(id, &mut self.id, runs);
+        for field in [x, y, vx, vy, q, x0, y0] {
+            gather_field(field, &mut self.f64s, runs);
         }
+        for field in [k, born_at] {
+            gather_field(field, &mut self.u32s, runs);
+        }
+        gather_field(m, &mut self.m, runs);
     }
-    field(&src.id, &mut dst.id, runs);
-    field(&src.x, &mut dst.x, runs);
-    field(&src.y, &mut dst.y, runs);
-    field(&src.vx, &mut dst.vx, runs);
-    field(&src.vy, &mut dst.vy, runs);
-    field(&src.q, &mut dst.q, runs);
-    field(&src.x0, &mut dst.x0, runs);
-    field(&src.y0, &mut dst.y0, runs);
-    field(&src.k, &mut dst.k, runs);
-    field(&src.m, &mut dst.m, runs);
-    field(&src.born_at, &mut dst.born_at, runs);
+}
+
+/// Gather `field` into `scratch` under the permutation `runs`, one block
+/// copy per run, and swap the result in. `scratch` is resized, not
+/// cleared: every element is overwritten (the runs cover a permutation),
+/// so only a length change touches memory beyond the copies.
+fn gather_field<T: Copy + Default>(field: &mut Vec<T>, scratch: &mut Vec<T>, runs: &[Run]) {
+    scratch.resize(field.len(), T::default());
+    for r in runs {
+        let (s, d, len) = (r.src as usize, r.dst as usize, r.len as usize);
+        scratch[d..d + len].copy_from_slice(&field[s..s + len]);
+    }
+    std::mem::swap(field, scratch);
 }
 
 /// The force-and-integrate half of the parity-specialized sweep kernel
@@ -931,9 +1029,82 @@ mod tests {
         }
     }
 
-    /// The run-coalesced gather is the element-wise scatter
+    /// The direct scatter of [`BinnedStore::new_owned`] is the
+    /// construction it replaced — collect the owned records, convert them
+    /// to SoA, sort — to the bit: storage order, offsets, ordered range and
+    /// sort count, for a rank that keeps nothing, one that keeps
+    /// everything, column slabs and 2-D ownership, over an input whose
+    /// order is not column order.
+    #[test]
+    fn owned_scatter_matches_filter_convert_and_sort() {
+        let (grid, mut ps) = population(700, Distribution::Geometric { r: 0.9 });
+        for _ in 0..3 {
+            advance_all(&grid, &SimConstants::CANONICAL, &mut ps);
+        }
+        let (n, half) = (grid.ncells(), grid.ncells() / 2);
+        type Owns = Box<dyn Fn(usize, usize) -> bool>;
+        let cases: [(&str, usize, usize, Owns); 6] = [
+            ("keeps nothing", 0, n, Box::new(|_, _| false)),
+            ("keeps everything", 0, n, Box::new(|_, _| true)),
+            ("left slab", 0, half, Box::new(move |c, _| c < half)),
+            ("right slab", half, n, Box::new(move |c, _| c >= half)),
+            (
+                "2-D block",
+                half,
+                n,
+                Box::new(move |c, r| c >= half && r < half),
+            ),
+            ("VP tiles", 0, n, Box::new(|c, r| (c / 4 + r / 4) % 3 == 1)),
+        ];
+        for (name, lo, hi, owns) in cases {
+            let got = BinnedStore::new_owned(&ps, &grid, 5, lo, hi, &owns);
+            let mine: Vec<Particle> = (ps.iter().copied())
+                .filter(|p| {
+                    let (c, r) = grid.cell_of_point(p.x, p.y);
+                    owns(c, r)
+                })
+                .collect();
+            let mut want = BinnedStore::empty(&grid, 5, lo, hi);
+            want.batch = mine.into_iter().collect();
+            want.rebin(&grid);
+            assert_eq!(got.batch, want.batch, "{name}: storage order");
+            assert_eq!(got.offsets, want.offsets, "{name}");
+            assert_eq!(got.ordered, want.ordered, "{name}");
+            assert_eq!(got.rebin_count(), 1, "{name}: the build is one sort");
+            assert_eq!((got.age, got.dirty), (0, false), "{name}");
+            assert!(got.histogram_is_fresh(), "{name}");
+            assert_eq!(got.len() == ps.len(), name == "keeps everything");
+            assert_eq!(got.is_empty(), name == "keeps nothing", "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..16")]
+    fn owned_scatter_rejects_an_owned_particle_outside_the_columns() {
+        let (grid, ps) = population(300, Distribution::Uniform);
+        BinnedStore::new_owned(&ps, &grid, 16, 0, 16, |_, _| true);
+    }
+
+    #[test]
+    fn take_batch_moves_the_particles_out_and_leaves_an_empty_store() {
+        let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
+        let consts = SimConstants::CANONICAL;
+        let mut store = BinnedStore::new(&ps, &grid, 4);
+        store.sweep_local(&grid, &consts);
+        let before = store.batch().clone();
+        assert_eq!(store.take_batch(), before, "storage order, no copy-sort");
+        assert!(store.is_empty());
+        assert!(store.histogram_is_fresh(), "as built from no particles");
+        let mut h = Vec::new();
+        store.column_histogram_into(&grid, &mut h);
+        assert!(h.iter().all(|&c| c == 0));
+        store.advance_all(&grid, &consts, DEFAULT_CHUNK);
+        assert!(store.is_empty());
+    }
+
+    /// The run-coalesced per-field gather is the element-wise scatter
     /// `dst[perm[i]] = src[i]` on all eleven fields, whatever the shape of
-    /// the permutation and whatever the scratch batch held before — and
+    /// the permutation and whatever the scratch columns held before — and
     /// lock-step permutations really do collapse to a handful of runs.
     #[test]
     fn run_coalesced_gather_matches_elementwise_scatter() {
@@ -982,14 +1153,28 @@ mod tests {
                 assert_eq!(runs.len(), want, "{name}: {runs:?}");
             }
             assert_eq!(runs.iter().map(|r| r.len as usize).sum::<usize>(), n);
-            // Stale scratch of another length: the gather must not rely on
-            // a cleared or zeroed destination.
+            // Stale scratch columns shorter and longer than the batch (and
+            // of different lengths per type): the gather must not rely on a
+            // cleared or zeroed destination.
             for stale in [0, n / 2, n + 9] {
-                let mut dst: ParticleBatch = (0..stale).map(|i| src.get(i % n)).collect();
-                gather(&src, &mut dst, &runs);
+                let garbage = |i: usize| src.get((i * 7) % n);
+                let mut scratch = GatherScratch {
+                    id: (0..stale).map(|i| garbage(i).id).collect(),
+                    f64s: (0..stale + 3).map(|i| garbage(i).vy).collect(),
+                    u32s: (0..stale / 2).map(|i| garbage(i).born_at).collect(),
+                    m: (0..n + 9 - stale).map(|i| garbage(i).m).collect(),
+                };
+                let mut dst = src.clone();
+                scratch.gather(&mut dst, &runs);
                 assert_eq!(dst.len(), n, "{name}");
                 for (i, &d) in perm.iter().enumerate() {
                     assert_eq!(dst.get(d), src.get(i), "{name}: source {i} → {d}");
+                }
+                // Reused as-is, the scratch left behind serves the next
+                // gather just as well.
+                scratch.gather(&mut dst, &runs);
+                for (i, &d) in perm.iter().enumerate() {
+                    assert_eq!(dst.get(perm[d]), src.get(i), "{name}: second pass, {i}");
                 }
             }
         }

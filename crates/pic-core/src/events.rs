@@ -75,6 +75,22 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// The removal rule's selection: keep the `count` smallest of the distinct
+/// `ids` (in no particular order) and return the largest one kept, `None`
+/// when none is. Inside the event's region, `id <= cutoff` then names
+/// exactly the doomed particles, so a store can remove them in one
+/// order-preserving pass without a set. A selection, not a sort: O(len).
+pub fn lowest_ids(ids: &mut Vec<u64>, count: u64) -> Option<u64> {
+    let keep = usize::try_from(count).map_or(ids.len(), |c| c.min(ids.len()));
+    if keep == 0 {
+        ids.clear();
+        return None;
+    }
+    let cutoff = *ids.select_nth_unstable(keep - 1).1;
+    ids.truncate(keep);
+    Some(cutoff)
+}
+
 impl Event {
     pub fn inject(at_step: u32, region: Region, count: u64, k: u32, m: i32, dir: i8) -> Event {
         Event {
@@ -120,6 +136,25 @@ mod tests {
         let r = Region::whole(8);
         assert_eq!(r.cell_count(), 64);
         assert!(r.contains_cell(7, 7));
+    }
+
+    #[test]
+    fn lowest_ids_keeps_the_smallest_and_names_the_cutoff() {
+        let all = [17u64, 3, 99, 42, 8, 23];
+        for (count, want) in [
+            (0u64, vec![]),
+            (1, vec![3]),
+            (3, vec![3, 8, 17]),
+            (6, vec![3, 8, 17, 23, 42, 99]),
+            (u64::MAX, vec![3, 8, 17, 23, 42, 99]),
+        ] {
+            let mut ids = all.to_vec();
+            let cutoff = lowest_ids(&mut ids, count);
+            ids.sort_unstable();
+            assert_eq!(ids, want, "count {count}");
+            assert_eq!(cutoff, want.last().copied(), "count {count}");
+        }
+        assert_eq!(lowest_ids(&mut Vec::new(), 5), None);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! asserted by the [`crate::bin`] tests, and the property that lets
 //! implementations pick either layout freely.
 
+use crate::events::{lowest_ids, Region};
 use crate::particle::Particle;
 
 /// A batch of particles in structure-of-arrays layout.
@@ -31,28 +32,23 @@ impl ParticleBatch {
         ParticleBatch::default()
     }
 
-    pub fn with_capacity(n: usize) -> ParticleBatch {
+    /// `n` zero-filled particles: the target of a scatter that writes
+    /// every element (zeroed allocations map their pages lazily, so
+    /// nothing but the scatter touches the memory).
+    pub(crate) fn zeroed(n: usize) -> ParticleBatch {
         ParticleBatch {
-            id: Vec::with_capacity(n),
-            x: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
-            vx: Vec::with_capacity(n),
-            vy: Vec::with_capacity(n),
-            q: Vec::with_capacity(n),
-            x0: Vec::with_capacity(n),
-            y0: Vec::with_capacity(n),
-            k: Vec::with_capacity(n),
-            m: Vec::with_capacity(n),
-            born_at: Vec::with_capacity(n),
+            id: vec![0; n],
+            x: vec![0.0; n],
+            y: vec![0.0; n],
+            vx: vec![0.0; n],
+            vy: vec![0.0; n],
+            q: vec![0.0; n],
+            x0: vec![0.0; n],
+            y0: vec![0.0; n],
+            k: vec![0; n],
+            m: vec![0; n],
+            born_at: vec![0; n],
         }
-    }
-
-    pub fn from_particles(particles: &[Particle]) -> ParticleBatch {
-        let mut b = ParticleBatch::with_capacity(particles.len());
-        for p in particles {
-            b.push(*p);
-        }
-        b
     }
 
     #[inline]
@@ -138,56 +134,48 @@ impl ParticleBatch {
         Some(self.swap_remove(self.len() - 1))
     }
 
-    /// Remove every particle whose id is in `doomed`, preserving the order
-    /// of the survivors (the SoA counterpart of `Vec::retain`, used by
-    /// removal events so an SoA-stored run keeps the same particle order
-    /// as an AoS-stored one). Returns the removed particles in their
-    /// original order.
-    pub fn remove_ids(&mut self, doomed: &std::collections::HashSet<u64>) -> Vec<Particle> {
+    /// Remove every particle inside `region` whose id is at most `max_id`,
+    /// preserving the order of the survivors (the SoA counterpart of
+    /// `Vec::retain`, so an SoA-stored run keeps the same particle order
+    /// as an AoS-stored one). Each removed particle goes to `removed`, in
+    /// its original order; returns how many were removed.
+    pub(crate) fn remove_in_region_upto(
+        &mut self,
+        region: &Region,
+        max_id: u64,
+        mut removed: impl FnMut(Particle),
+    ) -> usize {
         let n = self.len();
-        let mut removed = Vec::with_capacity(doomed.len());
         let mut w = 0;
         for r in 0..n {
-            if doomed.contains(&self.id[r]) {
-                removed.push(self.get(r));
+            if self.id[r] <= max_id && region.contains_point(self.x[r], self.y[r]) {
+                removed(self.get(r));
             } else {
                 if w != r {
-                    self.id[w] = self.id[r];
-                    self.x[w] = self.x[r];
-                    self.y[w] = self.y[r];
-                    self.vx[w] = self.vx[r];
-                    self.vy[w] = self.vy[r];
-                    self.q[w] = self.q[r];
-                    self.x0[w] = self.x0[r];
-                    self.y0[w] = self.y0[r];
-                    self.k[w] = self.k[r];
-                    self.m[w] = self.m[r];
-                    self.born_at[w] = self.born_at[r];
+                    self.copy_element(r, w);
                 }
                 w += 1;
             }
         }
         self.truncate(w);
-        removed
+        n - w
     }
 
     /// Apply a removal event directly on the SoA store: remove up to
     /// `count` particles inside `region`, lowest ids first — the same
     /// deterministic rule as [`crate::init::apply_removal`] on AoS, so
     /// both layouts shed exactly the same particles.
-    pub fn remove_in_region(
-        &mut self,
-        region: &crate::events::Region,
-        count: u64,
-    ) -> Vec<Particle> {
+    pub fn remove_in_region(&mut self, region: &Region, count: u64) -> Vec<Particle> {
         let mut candidate_ids: Vec<u64> = (0..self.len())
             .filter(|&i| region.contains_point(self.x[i], self.y[i]))
             .map(|i| self.id[i])
             .collect();
-        candidate_ids.sort_unstable();
-        candidate_ids.truncate(count as usize);
-        let doomed: std::collections::HashSet<u64> = candidate_ids.into_iter().collect();
-        self.remove_ids(&doomed)
+        let mut removed = Vec::new();
+        if let Some(max_id) = lowest_ids(&mut candidate_ids, count) {
+            removed.reserve_exact(candidate_ids.len());
+            self.remove_in_region_upto(region, max_id, |p| removed.push(p));
+        }
+        removed
     }
 
     /// Copy element `src` over element `dst` across all eleven arrays —
@@ -278,7 +266,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_records() {
         let (_, ps) = population(257);
-        let batch = ParticleBatch::from_particles(&ps);
+        let batch: ParticleBatch = ps.iter().copied().collect();
         assert_eq!(batch.len(), 257);
         assert_eq!(batch.to_particles(), ps);
         assert_eq!(batch.id_sum(), triangular_id_sum(257));
@@ -287,7 +275,7 @@ mod tests {
     #[test]
     fn swap_remove_and_drain() {
         let (_, ps) = population(100);
-        let mut soa = ParticleBatch::from_particles(&ps);
+        let mut soa: ParticleBatch = ps.iter().copied().collect();
         let victim = soa.get(10);
         let removed = soa.swap_remove(10);
         assert_eq!(victim, removed);

@@ -14,11 +14,17 @@
 //! Scope: the counted region is the engine step + histogram readback loop.
 //! `verify()` materializes a particle vector by design and is not part of
 //! the steady-state loop.
+//!
+//! The same allocator also keeps a per-thread balance of live bytes and its
+//! high-water mark, so the footprint contract of the store — one resident
+//! copy of each particle plus 24 B of sort scratch (DESIGN.md §9) — is
+//! pinned by bytes, not by reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::dist::Distribution;
 use pic_core::engine::{Simulation, SweepMode};
 use pic_core::events::{Event, Region};
@@ -33,6 +39,13 @@ static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// True only on the auditing thread, only inside the counted region.
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+    /// True only on the thread measuring a footprint (a separate region,
+    /// so the two audits can run on parallel test threads).
+    static IN_FOOTPRINT: Cell<bool> = const { Cell::new(false) };
+    /// Bytes allocated minus bytes freed inside the footprint region.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE`.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note_alloc() {
@@ -42,25 +55,50 @@ fn note_alloc() {
     }
 }
 
+fn note_bytes(delta: isize) {
+    if IN_FOOTPRINT.try_with(Cell::get).unwrap_or(false) {
+        let live = LIVE.with(|l| {
+            l.set(l.get() + delta);
+            l.get()
+        });
+        PEAK.with(|p| p.set(p.get().max(live)));
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_bytes(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        note_bytes(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_alloc();
+        note_bytes(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_bytes(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
+}
+
+/// Run `f` on this thread and return its result with the peak of live
+/// heap bytes it reached above the level at entry.
+fn peak_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    IN_FOOTPRINT.with(|s| s.set(true));
+    let r = f();
+    IN_FOOTPRINT.with(|s| s.set(false));
+    (r, PEAK.with(Cell::get) as usize)
 }
 
 #[global_allocator]
@@ -144,4 +182,48 @@ fn steady_state_step_loop_allocates_nothing() {
         // particle.
         assert_eq!(cols.iter().sum::<u64>(), 3_000 + 64 - 32);
     }
+}
+
+/// Bytes of one particle in the SoA batch: `id`, seven `f64` fields,
+/// `k`, `m`, `born_at`.
+const BATCH_BYTES: usize = 8 + 7 * 8 + 3 * 4;
+/// Sort scratch per particle: one gather column per element type.
+const SCRATCH_BYTES: usize = 8 + 8 + 4 + 4;
+
+#[test]
+fn store_build_and_rebin_hold_one_batch_plus_one_scratch_column_per_type() {
+    // Building straight from the records keeps no intermediate copy, and a
+    // non-identity sort gathers field by field: the peak beyond the input
+    // is the batch, one column of each element type, and per-column (not
+    // per-particle) bookkeeping — where a double-buffered sort held a
+    // second batch.
+    let grid = Grid::new(64).unwrap();
+    let n = 20_000;
+    let setup = InitConfig::new(grid, n as u64, Distribution::Geometric { r: 0.95 })
+        .with_k(1)
+        .with_m(1)
+        .build()
+        .unwrap();
+    // Order-sensitive fingerprint of the storage order, computed in place.
+    let order = |store: &BinnedStore| {
+        (store.batch().id.iter()).fold(0u64, |h, &id| h.wrapping_mul(0x100_0000_01b3) ^ id)
+    };
+    let ((swept, sorted, len, sorts), peak) = peak_bytes(|| {
+        let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
+        // One sweep moves the cloud three columns right; the columns that
+        // wrap around the grid reorder the bins, so the sort must gather.
+        store.sweep_local(&grid, &setup.consts);
+        let swept = order(&store);
+        store.rebin(&grid);
+        (swept, order(&store), store.len(), store.rebin_count())
+    });
+    assert_eq!(len, n);
+    assert_eq!(sorts, 2, "the build and the forced sort");
+    assert_ne!(swept, sorted, "the forced sort must not be the identity");
+    let columns = 128 * grid.ncells() + 4096;
+    assert!(
+        peak <= (BATCH_BYTES + SCRATCH_BYTES) * n + columns,
+        "peak {peak} B for {n} particles: {:.1} B per particle",
+        peak as f64 / n as f64
+    );
 }

@@ -292,17 +292,6 @@ pub fn rehome_binned_with(
     (sent, received)
 }
 
-/// Partition a full population down to the particles owned by `rank`.
-pub fn local_slice(decomp: &Decomp2d, grid: &Grid, rank: usize, all: &[Particle]) -> Vec<Particle> {
-    all.iter()
-        .filter(|p| {
-            let (col, row) = grid.cell_of_point(p.x, p.y);
-            decomp.owner_of_cell(col, row) == rank
-        })
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +299,17 @@ mod tests {
     use pic_core::bin::DEFAULT_REBIN;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
+
+    /// The particles of a full population owned by `rank`.
+    fn local_slice(decomp: &Decomp2d, grid: &Grid, rank: usize, all: &[Particle]) -> Vec<Particle> {
+        all.iter()
+            .filter(|p| {
+                let (col, row) = grid.cell_of_point(p.x, p.y);
+                decomp.owner_of_cell(col, row) == rank
+            })
+            .copied()
+            .collect()
+    }
 
     fn setup(n: u64) -> (Grid, Vec<Particle>) {
         let grid = Grid::new(16).unwrap();

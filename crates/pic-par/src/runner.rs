@@ -3,7 +3,7 @@
 
 use crate::decomp::Decomp2d;
 use crate::exchange::{
-    local_slice, rehome_binned_start, rehome_binned_with, route_binned_finish, ExchangeBuffers,
+    rehome_binned_start, rehome_binned_with, route_binned_finish, ExchangeBuffers,
 };
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
@@ -12,11 +12,12 @@ use pic_comm::collective::{
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
-use pic_core::events::{Event, EventKind, Region};
+use pic_core::events::{lowest_ids, Event, EventKind, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{build_injection, SimulationSetup};
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
+use pic_core::soa::ParticleBatch;
 use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
 
@@ -61,18 +62,21 @@ impl Default for RankKernel {
 }
 
 impl RankKernel {
-    /// Build the rank's particle store over `particles`, binning the
+    /// Build the rank's particle store from the shared `particles`,
+    /// keeping those whose cell `owns(col, row)` accepts and binning the
     /// columns `cols.0..cols.1` (a rank subdomain, or the whole grid for
-    /// ownership maps that are not column-contiguous). Takes the vector so
-    /// the AoS copy is freed here, not at the end of the caller's run.
+    /// ownership maps that are not column-contiguous) — one scatter
+    /// straight into column order, no rank-local copy of the records
+    /// ([`BinnedStore::new_owned`]).
     pub fn build_store(
         &self,
-        particles: Vec<Particle>,
+        particles: &[Particle],
         grid: &Grid,
         cols: (usize, usize),
+        owns: impl Fn(usize, usize) -> bool,
     ) -> BinnedStore {
         let mut b =
-            BinnedStore::new_subdomain(&particles, grid, self.rebin_interval, cols.0, cols.1);
+            BinnedStore::new_owned(particles, grid, self.rebin_interval, cols.0, cols.1, owns);
         if let Some(backend) = self.backend {
             b.set_simd_backend(backend);
         }
@@ -147,8 +151,9 @@ pub struct ParOutcome {
     /// ([`BinnedStore::kernel_desc`]).
     pub kernel: String,
     /// This rank's final particles, **unordered** (storage order; consumers
-    /// key or sort by id) — for cross-implementation equivalence checks.
-    pub local_particles: Vec<Particle>,
+    /// key or sort by id) — the rank store's own batch, moved out rather
+    /// than copied; for cross-implementation equivalence checks.
+    pub particles: ParticleBatch,
 }
 
 /// The distributed event ledger: the step-sorted schedule with its cursor,
@@ -187,8 +192,11 @@ impl EventLedger {
     /// Apply the events due at `step` (0-based) to this rank's `store`.
     /// Injections are materialized identically on every rank (same id
     /// assignment) and kept where `owns(col, row)` holds; removals are
-    /// resolved collectively — the lowest `count` in-region ids of the
-    /// allgathered candidates — so all ranks agree on the doomed set.
+    /// resolved collectively so all ranks agree on the doomed set: each
+    /// rank offers only its own `count` lowest in-region ids (the global
+    /// `count` lowest are among them), and the largest of the global
+    /// selection is the cutoff every rank removes at or below — an
+    /// order-preserving pass, no id set.
     pub fn apply_due(
         &mut self,
         comm: &Communicator,
@@ -223,17 +231,14 @@ impl EventLedger {
                     }
                 }
                 EventKind::Remove { count } => {
-                    let mut local_ids = ids_in_region(store, &e.region);
-                    local_ids.sort_unstable();
-                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
+                    let mut offered = ids_in_region(store, &e.region);
+                    lowest_ids(&mut offered, count);
+                    let gathered = allgatherv(comm, encode_u64s(&offered));
                     let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-                    all.sort_unstable();
-                    all.truncate(count as usize);
-                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
-                    for &id in &all {
-                        self.expected_id_sum -= id as u128;
+                    if let Some(cutoff) = lowest_ids(&mut all, count) {
+                        self.expected_id_sum -= all.iter().map(|&id| id as u128).sum::<u128>();
+                        store.remove_in_region_upto(&e.region, cutoff);
                     }
-                    store.remove_ids(&doomed);
                 }
             }
         }
@@ -297,9 +302,9 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let particles = local_slice(&decomp, &setup.grid, rank, &setup.particles);
         let (cols, rows) = decomp.bounds(rank);
-        let store = kernel.build_store(particles, &setup.grid, cols);
+        let owns = |c, r| decomp.owner_of_cell(c, r) == rank;
+        let store = kernel.build_store(&setup.particles, &setup.grid, cols, owns);
         let (stride_x, max_abs_m) = motion_bounds(setup);
         let mut bufs = ExchangeBuffers::new();
         if kernel.exchange == ExchangeMode::OverlappedSparse {
@@ -564,18 +569,19 @@ impl RankState {
         (max, total)
     }
 
-    /// Final outcome assembly.
-    pub fn finish(&self, comm: &Communicator) -> ParOutcome {
+    /// Final outcome assembly: verify, count, and move the store's batch
+    /// into the outcome. The store is left **empty** (as built from no
+    /// particles; [`BinnedStore::take_batch`]) — the run is over, and the
+    /// outcome holds the rank's one copy of its particles.
+    pub fn finish(&mut self, comm: &Communicator) -> ParOutcome {
         self.finish_traced(comm, &mut Tracer::disabled())
     }
 
     /// [`RankState::finish`] with the verification collectives timed as
     /// the `verify` phase.
-    pub fn finish_traced(&self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
+    pub fn finish_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
         let verify = self.verify(comm);
-        // Storage order: no sort on the way out.
-        let local_particles = self.store.batch().to_particles();
         tracer.phase_end(Phase::Verify);
         let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
@@ -585,7 +591,7 @@ impl RankState {
             total_count,
             steps: self.step,
             kernel: self.kernel_desc(),
-            local_particles,
+            particles: self.store.take_batch(),
         }
     }
 }
@@ -769,7 +775,11 @@ mod tests {
         );
         let total: u64 = outcomes.iter().map(|o| o.1).sum();
         assert_eq!(total, 160);
-        assert!(ledger0 < triangular_id_sum(200));
+        // Each rank offers only its own 40 lowest candidates; the doomed
+        // set is still the serial engine's.
+        let mut serial = pic_core::engine::Simulation::new(setup.clone());
+        serial.apply_due_events();
+        assert_eq!(ledger0, serial.expected_id_sum());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! earlier one, and the absolute per-step budget stays small.
 //!
 //! Counters are thread-local, so each rank audits exactly its own work and
-//! the harness threads cannot pollute the numbers.
+//! the harness threads cannot pollute the numbers. The same allocator
+//! records the largest single request in the window, which pins that a
+//! finishing rank hands its store to the outcome rather than copying it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,28 +34,31 @@ thread_local! {
     /// reading it never allocates).
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
     static LOCAL_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// The largest single allocation request of the window, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+fn note_alloc(size: usize) {
     let counted = IN_SCOPE.try_with(Cell::get).unwrap_or(false);
     if counted {
         let _ = LOCAL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -143,4 +148,37 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             );
         }
     }
+}
+
+#[test]
+fn finish_moves_the_store_into_the_outcome() {
+    // The rank loop `run_config` runs under the static balancer — build,
+    // step, finish — on 2 ranks, with the window around `finish` alone:
+    // verification streams over the store and the outcome takes the
+    // store's batch, so no request is as large as one 8-byte column of the
+    // rank's particles (an AoS copy would be ten of them).
+    let setup = InitConfig::new(Grid::new(32).unwrap(), 3_000, Distribution::Uniform)
+        .with_m(1)
+        .build()
+        .unwrap();
+    run_threads(2, |comm| {
+        let mut st = RankState::new(&setup, Decomp2d::uniform(32, 2), comm.rank());
+        for _ in 0..WARM_STEPS {
+            st.step(&comm);
+        }
+        let local = st.local_count();
+        LARGEST.with(|c| c.set(0));
+        IN_SCOPE.with(|s| s.set(true));
+        let out = st.finish(&comm);
+        IN_SCOPE.with(|s| s.set(false));
+        let largest = LARGEST.with(Cell::get);
+        assert!(out.verify.passed(), "{:?}", out.verify);
+        assert_eq!((out.local_count, out.particles.len()), (local, local));
+        assert!(
+            largest < 8 * local,
+            "rank {}: a {largest} B allocation inside finish ({local} particles)",
+            comm.rank()
+        );
+        assert!(st.store.is_empty(), "finish leaves the store empty");
+    });
 }

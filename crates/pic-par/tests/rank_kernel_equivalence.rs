@@ -97,7 +97,7 @@ fn run_ranks(cfg: &ParConfig, ranks: usize) -> Vec<Particle> {
     });
     outcomes
         .into_iter()
-        .flat_map(|o| o.local_particles)
+        .flat_map(|o| o.particles.to_particles())
         .collect()
 }
 

@@ -49,6 +49,15 @@ done < <(grep -ohE -- '(--(bin|example) |target/release/)[A-Za-z0-9_-]+' "${docs
 while read -r path; do
     compgen -G "$path" >/dev/null || { echo "stale reference: $path" >&2; stale=1; }
 done < <(grep -ohE '(scripts/[A-Za-z0-9_.*-]+\.sh|results/[A-Za-z0-9_.*-]+)' "${docs[@]}" | sed 's/[.]$//' | sort -u)
+# Every backticked `Type::member` README, DESIGN or EXPERIMENTS names must
+# have its member defined in the sources: a fn or const, a field, or a
+# variant of that name.
+while read -r item; do
+    member="${item##*::}"
+    grep -rqE "\b(fn|const|static|type) $member\b|\b$member *:([^:]|$)|^\s*$member\b" crates/*/src src ||
+        { echo "stale reference: $item" >&2; stale=1; }
+done < <(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md |
+    tr -d '`' | sort -u)
 test "$stale" -eq 0
 
 echo "==> cargo check --all-targets"

@@ -65,7 +65,7 @@ fn serial_final(cfg: &ParConfig) -> Vec<(u64, u64, u64, u64, u64)> {
 fn gather_finals(outcomes: Vec<ParOutcome>) -> Vec<(u64, u64, u64, u64, u64)> {
     let mut v: Vec<_> = outcomes
         .iter()
-        .flat_map(|o| o.local_particles.iter())
+        .flat_map(|o| o.particles.to_particles())
         .map(|p| {
             (
                 p.id,

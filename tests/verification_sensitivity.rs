@@ -10,7 +10,6 @@ use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
 use pic_core::verify::{verify_all, DEFAULT_TOLERANCE};
 use pic_par::decomp::Decomp2d;
-use pic_par::exchange::local_slice;
 use pic_prk::prelude::*;
 
 fn setup(n: u64) -> SimulationSetup {
@@ -18,6 +17,17 @@ fn setup(n: u64) -> SimulationSetup {
         .with_m(1)
         .build()
         .unwrap()
+}
+
+/// The particles of a full population owned by `rank`.
+fn local_slice(decomp: &Decomp2d, grid: &Grid, rank: usize, all: &[Particle]) -> Vec<Particle> {
+    all.iter()
+        .filter(|p| {
+            let (col, row) = grid.cell_of_point(p.x, p.y);
+            decomp.owner_of_cell(col, row) == rank
+        })
+        .copied()
+        .collect()
 }
 
 /// A deliberately buggy exchange that silently drops one particle from one
