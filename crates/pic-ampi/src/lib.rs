@@ -4,10 +4,13 @@
 //! algorithm over-decomposed onto `d · P` **virtual processors** (VPs) and
 //! delegates balancing to the runtime: every `F` steps a load balancer
 //! migrates VPs between cores, oblivious of the application's spatial
-//! locality. This crate reproduces those mechanics:
+//! locality. The functional runtime is `pic-par`'s one rank loop under a
+//! VP ownership map (`BalancerSpec::Vp`); this crate holds what is AMPI's
+//! own:
 //!
-//! * [`vp`] — the VP grid (an over-decomposed Cartesian decomposition) and
-//!   the locality-preserving initial VP→core placement;
+//! * [`VpGrid`] — the VP grid (an over-decomposed Cartesian decomposition)
+//!   and the locality-preserving initial VP→core placement, re-exported
+//!   from [`pic_par::decomp`];
 //! * [`Balancer`] — the runtime strategy selector (decision logic in
 //!   [`pic_cluster::balancer`]): [`Balancer::Refine`] ("migrates VPs from
 //!   the most loaded to the least loaded core", the strategy the paper
@@ -15,9 +18,10 @@
 //!   and `None`. Object-migration strategies in the Charm++ mold, and
 //!   deliberately locality-oblivious — the property the paper's
 //!   experiments probe;
-//! * [`runtime`] — a functional threaded execution: each `pic-comm` rank
-//!   plays a core driving its assigned VPs, with VP migration, particle
-//!   routing through the VP ownership map, and full verification;
+//! * [`runtime`] — [`run_ampi`], the [`AmpiParams`] door into that loop:
+//!   each `pic-comm` rank plays a core driving its assigned VPs, with VP
+//!   migration, particle routing through the VP ownership map, and full
+//!   verification;
 //! * [`model`] — the same mechanics against the analytic load model for
 //!   full-scale modeled runs (Figures 5–7), including the runtime's
 //!   invocation overhead, migration volume, and the post-migration
@@ -25,10 +29,9 @@
 
 pub mod model;
 pub mod runtime;
-pub mod vp;
 
 pub use model::{model_ampi, AmpiParams};
 /// Strategy selector of the VP runtime.
 pub use pic_cluster::balancer::VpStrategy as Balancer;
+pub use pic_par::decomp::VpGrid;
 pub use runtime::run_ampi;
-pub use vp::VpGrid;

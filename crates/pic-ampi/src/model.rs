@@ -8,10 +8,10 @@
 //! Each LB invocation is charged the runtime's fixed cost (instrumentation
 //! gather + centralized strategy) plus the migration volume.
 
-use crate::vp::VpGrid;
 use crate::Balancer;
 use pic_cluster::bsp::BspSimulator;
 use pic_cluster::loadmodel::ColumnLoadModel;
+use pic_par::decomp::VpGrid;
 use pic_par::model_impl::{ModelConfig, ModelOutcome};
 
 /// AMPI runtime parameters: the two knobs of the paper's Figure 5.

@@ -1,8 +1,8 @@
 //! Property tests of the VP grid and the balancing strategies.
 
-use pic_ampi::vp::VpGrid;
 use pic_ampi::Balancer;
 use pic_cluster::balancer::{greedy_assign, imbalance, refine_assign};
+use pic_par::decomp::VpGrid;
 use proptest::prelude::*;
 
 fn arb_loads() -> impl Strategy<Value = Vec<f64>> {

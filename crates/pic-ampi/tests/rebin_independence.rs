@@ -1,11 +1,9 @@
-//! The AMPI rank loop runs no timer rebin (DESIGN.md §9): its route drains
-//! every column every step, so no ordered region survives for a counting
-//! sort to serve. `kernel.rebin` therefore cannot change a result, and the
+//! The rank loop runs no timer rebin under a VP map (DESIGN.md §9): its
+//! route drains every column every step, so no ordered region survives for
+//! a counting sort to serve. `kernel.rebin` therefore cannot change a result, and the
 //! traced `rebins` counter audits that the sort only runs after a
 //! structural edit. Also passes under `PIC_NO_SIMD=1`.
 
-use pic_ampi::model::AmpiParams;
-use pic_ampi::runtime::run_ampi_traced;
 use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::bin::DEFAULT_REBIN;
@@ -16,6 +14,7 @@ use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::particle::Particle;
 use pic_par::runner::{ParConfig, RankKernel};
+use pic_par::{run_config_traced, BalancerSpec};
 use pic_trace::{Counter, Tracer};
 
 const STEPS: u32 = 3 * DEFAULT_REBIN + 2;
@@ -42,25 +41,26 @@ fn cfg(kernel: RankKernel) -> ParConfig {
     .unwrap()
     .with_event(Event::remove(REMOVE_AT, Region::whole(32), 60))
     .with_event(Event::inject(INJECT_AT, region, 90, 1, -2, -1));
-    ParConfig::new(setup, STEPS).with_kernel(kernel)
+    ParConfig::new(setup, STEPS)
+        .with_kernel(kernel)
+        .with_balancer(BalancerSpec::Vp {
+            d: 4,
+            interval: 5,
+            strategy: Balancer::paper_default(),
+        })
 }
 
 /// Run on 4 cores; returns every core's final particles and core 0's
 /// per-step `rebins` counter (one record per step).
 fn run(kernel: RankKernel) -> (Vec<Particle>, Vec<u64>) {
     let cfg = cfg(kernel);
-    let params = AmpiParams {
-        d: 4,
-        interval: 5,
-        balancer: Balancer::paper_default(),
-    };
     let mut results = run_threads(4, |comm| {
         let mut tracer = if comm.rank() == 0 {
             Tracer::in_memory(1)
         } else {
             Tracer::disabled()
         };
-        let o = run_ampi_traced(&comm, &cfg, &params, &mut tracer);
+        let o = run_config_traced(&comm, &cfg, &mut tracer);
         assert!(o.verify.passed(), "{:?}", o.verify);
         assert_eq!(o.total_count, 700 - 60 + 90);
         (o, tracer.finish())

@@ -1,23 +1,24 @@
-//! The trait-driven rank loop: one runner for every cut-family
-//! [`LoadBalancer`].
+//! The trait-driven rank loop: one runner for every [`LoadBalancer`].
 //!
 //! The baseline (`StaticLb`, paper §IV-A `mpi-2d`), diffusion
-//! (`DiffusionLb`, §IV-B `mpi-2d-LB`), and adaptive (`AdaptiveLb`)
-//! implementations are selected by [`BalancerSpec`] through
-//! [`run_config`] and all execute through one private rank loop: the
-//! runner owns the collectives (gathering exactly the load arrays the
-//! strategy's [`pic_cluster::BalanceNeeds`] requests, in a fixed order)
-//! and the application of the returned [`pic_cluster::BalanceDecision`];
-//! the strategy itself is a pure replicated function. Decisions are
-//! derived only from allreduced data, so every rank computes the same
-//! cuts — and, for the adaptive balancer, the same strategy switches —
+//! (`DiffusionLb`, §IV-B `mpi-2d-LB`), the VP runtime (`VpLb`, §IV-C
+//! `ampi`) and the two adaptive ladders (`AdaptiveLb`) are selected by
+//! [`BalancerSpec`] through [`run_config`] and all execute through one
+//! private rank loop. What differs is the ownership map the rank state is
+//! built with — the Cartesian cuts, or a [`VpGrid`] and its VP→core table.
+//! The runner owns the collectives (gathering exactly the load arrays the
+//! strategy's [`pic_cluster::BalanceNeeds`] requests, in a fixed order) and
+//! the application of the returned [`pic_cluster::BalanceDecision`]; the
+//! strategy itself is a pure replicated function. Decisions are derived
+//! only from allreduced data, so every rank computes the same cuts or VP
+//! table — and, for the adaptive balancers, the same strategy switches —
 //! without any decision broadcast.
 
-use crate::decomp::Decomp2d;
+use crate::decomp::{Decomp2d, VpGrid};
 use crate::diffusion::{DiffusionMode, DiffusionParams};
 use crate::runner::{snapshot_loads, trace_interval, ParConfig, ParOutcome, RankState};
 use pic_cluster::balancer::{
-    AdaptiveLb, Axes, BalanceInput, DiffusionLb, Layout, LoadBalancer, StaticLb,
+    AdaptiveLb, Axes, BalanceInput, DiffusionLb, LoadBalancer, StaticLb, VpLb, VpStrategy,
 };
 use pic_comm::comm::Communicator;
 use pic_trace::{Counter, Phase, Tracer};
@@ -38,17 +39,16 @@ pub enum BalancerSpec {
         params: DiffusionParams,
         mode: DiffusionMode,
     },
-}
-
-impl BalancerSpec {
-    /// The strategy name as recorded in trace run headers.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BalancerSpec::Static => "static",
-            BalancerSpec::Diffusion { .. } => "diffusion",
-            BalancerSpec::Adaptive { .. } => "adaptive",
-        }
-    }
+    /// The VP runtime (`ampi`): over-decomposition `d`, VPs reassigned by
+    /// `strategy` every `interval` steps.
+    Vp {
+        d: usize,
+        interval: u32,
+        strategy: VpStrategy,
+    },
+    /// The VP runtime under online switching over the vp-none → vp-refine
+    /// → vp-greedy ladder.
+    VpAdaptive { d: usize, interval: u32 },
 }
 
 fn axes_of(mode: DiffusionMode) -> Axes {
@@ -68,16 +68,39 @@ pub fn run_config(comm: &Communicator, cfg: &ParConfig) -> ParOutcome {
 /// [`run_config`] with telemetry: builds the [`LoadBalancer`] that
 /// [`ParConfig::balancer`] names and runs it through the trait-driven
 /// rank loop, keeping the historical `impl` names
-/// (`baseline` / `diffusion` / `adaptive`) in the trace header. Every rank
-/// passes its own tracer (typically enabled on rank 0 only); the
-/// collective telemetry steps are agreed via [`trace_interval`], so all
-/// ranks stay in lockstep regardless of which one records. Panics (in the
-/// balancer constructors) on a zero `interval` or `border_w`.
+/// (`baseline` / `diffusion` / `adaptive` / `ampi`) in the trace header.
+/// Every rank passes its own tracer (typically enabled on rank 0 only);
+/// the collective telemetry steps are agreed up front, so all ranks stay
+/// in lockstep regardless of which one records. Panics (in the balancer
+/// constructors) on a zero `interval`, `border_w` or `d`.
 pub fn run_config_traced(comm: &Communicator, cfg: &ParConfig, tracer: &mut Tracer) -> ParOutcome {
-    match cfg.balancer {
+    run_spec_traced(comm, cfg, cfg.balancer, tracer)
+}
+
+/// [`run_config_traced`] under `spec` in place of `cfg.balancer`, for a
+/// caller that holds the configuration by reference and names the
+/// balancer apart (`pic_ampi::run_ampi`): no run copies a [`ParConfig`].
+pub fn run_spec_traced(
+    comm: &Communicator,
+    cfg: &ParConfig,
+    spec: BalancerSpec,
+    tracer: &mut Tracer,
+) -> ParOutcome {
+    let ncells = cfg.setup.grid.ncells();
+    let cuts = || {
+        let decomp = Decomp2d::uniform(ncells, comm.size());
+        RankState::with_kernel(&cfg.setup, decomp, comm.rank(), cfg.kernel)
+    };
+    let vps = |d| {
+        let grid = VpGrid::new(ncells, comm.size(), d);
+        RankState::with_vps(&cfg.setup, grid, comm.rank(), cfg.kernel)
+    };
+    match spec {
         // `StaticLb::wants` is always false, so no balance phase ever
         // opens: the static 2D block decomposition of the paper's baseline.
-        BalancerSpec::Static => run_balanced_traced(comm, cfg, "baseline", &mut StaticLb, tracer),
+        BalancerSpec::Static => {
+            run_balanced_traced(comm, cfg, cuts(), "baseline", &mut StaticLb, tracer)
+        }
         BalancerSpec::Diffusion { params, mode } => {
             let mut lb = DiffusionLb::new(
                 params.interval as u64,
@@ -85,7 +108,7 @@ pub fn run_config_traced(comm: &Communicator, cfg: &ParConfig, tracer: &mut Trac
                 params.border_w,
                 axes_of(mode),
             );
-            run_balanced_traced(comm, cfg, "diffusion", &mut lb, tracer)
+            run_balanced_traced(comm, cfg, cuts(), "diffusion", &mut lb, tracer)
         }
         // The cut-family ladder (static → diffusion → wide diffusion);
         // every strategy switch is emitted as a `"switch"` trace record.
@@ -96,7 +119,19 @@ pub fn run_config_traced(comm: &Communicator, cfg: &ParConfig, tracer: &mut Trac
                 params.border_w,
                 axes_of(mode),
             );
-            run_balanced_traced(comm, cfg, "adaptive", &mut lb, tracer)
+            run_balanced_traced(comm, cfg, cuts(), "adaptive", &mut lb, tracer)
+        }
+        BalancerSpec::Vp {
+            d,
+            interval,
+            strategy,
+        } => {
+            let mut lb = VpLb::new(interval as u64, strategy);
+            run_balanced_traced(comm, cfg, vps(d), "ampi", &mut lb, tracer)
+        }
+        BalancerSpec::VpAdaptive { d, interval } => {
+            let mut lb = AdaptiveLb::vp_arms(interval as u64);
+            run_balanced_traced(comm, cfg, vps(d), "ampi", &mut lb, tracer)
         }
     }
 }
@@ -108,12 +143,11 @@ pub fn run_config_traced(comm: &Communicator, cfg: &ParConfig, tracer: &mut Trac
 fn run_balanced_traced(
     comm: &Communicator,
     cfg: &ParConfig,
+    mut st: RankState,
     impl_name: &str,
     balancer: &mut dyn LoadBalancer,
     tracer: &mut Tracer,
 ) -> ParOutcome {
-    let decomp = Decomp2d::uniform(cfg.setup.grid.ncells(), comm.size());
-    let mut st = RankState::with_kernel(&cfg.setup, decomp, comm.rank(), cfg.kernel);
     let every = trace_interval(comm, tracer);
     tracer.emit_run_header(
         impl_name,
@@ -146,9 +180,10 @@ fn run_balanced_traced(
 }
 
 /// One balance round: gather what the strategy needs (fixed order —
-/// column histogram, then row counts — so collective traffic is
-/// identical on every rank), decide, apply cut moves, and rehome border
-/// residents. Returns the number of particles this rank sent.
+/// column histogram, then row counts, then VP counts — so collective
+/// traffic is identical on every rank), decide, apply cut moves or the new
+/// VP table, and rehome the particles whose owner changed. Returns the
+/// number of particles this rank sent.
 fn lb_round(
     comm: &Communicator,
     st: &mut RankState,
@@ -172,22 +207,20 @@ fn lb_round(
         st.aggregate_axis_counts_into(comm, false, &mut row_counts);
         tracer.add(Counter::CollectiveBytes, row_counts.len() as u64 * 8);
     }
+    let mut vp_counts = Vec::new();
+    if needs.vp_counts {
+        st.aggregate_vp_counts_into(comm, &mut vp_counts);
+        tracer.add(Counter::CollectiveBytes, vp_counts.len() as u64 * 8);
+    }
 
     let decision = {
-        let layout = Layout {
-            ncells: st.decomp.ncells,
-            ranks: comm.size(),
-            xcuts: &st.decomp.xcuts,
-            ycuts: &st.decomp.ycuts,
-            vp_assignment: &[],
-        };
         let input = BalanceInput {
             step,
             col_hist: &hist,
             row_counts: &row_counts,
-            vp_counts: &[],
+            vp_counts: &vp_counts,
         };
-        balancer.decide(&input, &layout)
+        balancer.decide(&input, &st.layout())
     };
 
     if let Some(sw) = &decision.switched {
@@ -211,8 +244,15 @@ fn lb_round(
         }
     }
     debug_assert!(st.decomp.is_partition());
+    if let Some(vp) = decision.vps {
+        // The VP-table analogue of a cut record: old table, the per-VP
+        // counts the balancer saw, new table.
+        tracer.record_cuts('v', st.layout().vp_assignment, &vp.counts, &vp.assignment);
+        st.set_vp_assignment(vp.assignment);
+    }
     // Rehome particles under the new ownership map (border-cell residents
-    // migrate to the adjacent ranks), through the rank's reused buffers.
+    // migrate to the adjacent ranks; a moved VP's residents to its new
+    // core), through the rank's reused buffers.
     let (sent, _received) = st.rehome(comm);
     // Every surviving particle is now inside the new bounds, so a binned
     // store can re-anchor its column range to the moved cuts.

@@ -8,7 +8,7 @@
 //! load imbalances have a more (pseudo-)random nature" — via an
 //! owner-directed personalized all-to-all.
 
-use crate::decomp::{Decomp2d, OwnerTable};
+use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
 use pic_comm::comm::Communicator;
 use pic_comm::sparse::{
     alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
@@ -273,6 +273,21 @@ pub(crate) fn rehome_binned_start(
     };
     bufs.owners = owners;
     inflight
+}
+
+/// [`route_binned_with`] under a VP map: every bin drained, each leaver
+/// routed to the core its VP is assigned to.
+pub(crate) fn route_vps(
+    comm: &Communicator,
+    vps: &VpGrid,
+    assignment: &[usize],
+    my_rank: usize,
+    store: &mut BinnedStore,
+    grid: &Grid,
+    bufs: &mut ExchangeBuffers,
+) -> (usize, usize) {
+    let owner = |c, r| assignment[vps.vp_of_cell(c, r)];
+    route_binned_with(comm, my_rank, owner, store, grid, bufs)
 }
 
 /// The synchronous `rehome_binned_start` + [`route_binned_finish`];

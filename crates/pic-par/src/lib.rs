@@ -1,9 +1,10 @@
 //! # pic-par — parallel PIC PRK implementations
 //!
-//! The paper's two MPI reference implementations, ported onto the
+//! The paper's three distributed implementations, ported onto the
 //! `pic-comm` substrate. One door, [`run_config`] (traced form
 //! [`run_config_traced`]), runs whichever [`BalancerSpec`] the
-//! [`ParConfig`] names through the one trait-driven rank loop:
+//! [`ParConfig`] names through the one trait-driven rank loop, whose rank
+//! state owns cells through the Cartesian cuts or a [`VpGrid`]:
 //!
 //! * `BalancerSpec::Static` — **`mpi-2d`** (paper §IV-A): static 2D block
 //!   decomposition, no load balancing. Each rank advances the particles in
@@ -19,11 +20,16 @@
 //!   decomposition stays a Cartesian product (rectangular subdomains,
 //!   regular neighbor communication) exactly as the paper argues for.
 //! * `BalancerSpec::Adaptive` — online switching over that ladder.
+//! * `BalancerSpec::Vp` — **`ampi`** (paper §IV-C): the baseline
+//!   over-decomposed onto `d · P` virtual processors, with a runtime
+//!   balancer migrating VPs between cores every `interval` steps
+//!   (`pic-ampi` holds its strategy selector and the model).
+//! * `BalancerSpec::VpAdaptive` — online switching over the VP ladder.
 //!
 //! All are *verified*: each rank checks its final particles against the
 //! analytic trajectories and the world reduces the id checksum.
 //!
-//! [`model_impl`] re-expresses the same two strategies against the
+//! [`model_impl`] re-expresses the two cut strategies against the
 //! analytic load model for full-scale modeled runs (Figures 6–7).
 
 pub mod balance;
@@ -33,8 +39,8 @@ pub mod exchange;
 pub mod model_impl;
 pub mod runner;
 
-pub use balance::{run_config, run_config_traced, BalancerSpec};
-pub use decomp::Decomp2d;
+pub use balance::{run_config, run_config_traced, run_spec_traced, BalancerSpec};
+pub use decomp::{Decomp2d, VpGrid};
 pub use diffusion::{DiffusionMode, DiffusionParams};
 pub use model_impl::{model_baseline, model_diffusion, ModelConfig, ModelOutcome};
 pub use runner::{ExchangeMode, ParConfig, ParOutcome};

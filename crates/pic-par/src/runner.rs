@@ -1,10 +1,11 @@
 //! Shared machinery for the rank-parallel runs: per-rank state, collective
 //! event application, and distributed verification.
 
-use crate::decomp::Decomp2d;
+use crate::decomp::{Decomp2d, VpGrid};
 use crate::exchange::{
-    rehome_binned_start, rehome_binned_with, route_binned_finish, ExchangeBuffers,
+    rehome_binned_start, rehome_binned_with, route_binned_finish, route_vps, ExchangeBuffers,
 };
+use pic_cluster::balancer::Layout;
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
     allreduce_vec_u64_into, decode_u64s, encode_u64s,
@@ -160,8 +161,8 @@ pub struct ParOutcome {
 /// the id counter injections draw from, and the id checksum the final
 /// population must add up to. Every rank holds one and applies every event,
 /// so the ledgers stay identical across ranks without a broadcast; what
-/// differs per implementation is only which newcomers a rank keeps.
-pub struct EventLedger {
+/// differs per ownership map is only which newcomers a rank keeps.
+struct EventLedger {
     grid: Grid,
     consts: SimConstants,
     events: Vec<Event>,
@@ -171,7 +172,7 @@ pub struct EventLedger {
 }
 
 impl EventLedger {
-    pub fn new(setup: &SimulationSetup) -> EventLedger {
+    fn new(setup: &SimulationSetup) -> EventLedger {
         let mut events = setup.events.clone();
         events.sort_by_key(|e| e.at_step);
         EventLedger {
@@ -185,7 +186,7 @@ impl EventLedger {
     }
 
     /// Sum of the ids that must be alive after the events applied so far.
-    pub fn expected_id_sum(&self) -> u128 {
+    fn expected_id_sum(&self) -> u128 {
         self.expected_id_sum
     }
 
@@ -197,7 +198,7 @@ impl EventLedger {
     /// `count` lowest are among them), and the largest of the global
     /// selection is the cutoff every rank removes at or below — an
     /// order-preserving pass, no id set.
-    pub fn apply_due(
+    fn apply_due(
         &mut self,
         comm: &Communicator,
         step: u32,
@@ -255,30 +256,61 @@ fn ids_in_region(store: &BinnedStore, region: &Region) -> Vec<u64> {
         .collect()
 }
 
+/// Who owns a cell — the question every store scatter, event, exchange and
+/// rehome asks.
+enum Ownership {
+    /// The Cartesian cuts of [`RankState::decomp`] (`mpi-2d`, `mpi-2d-LB`),
+    /// with the motion bounds a column border is drawn from.
+    Cuts {
+        /// Per-step column stride bound: `2·k_max + 1` over the initial
+        /// population and every injection event — no particle can hop
+        /// more columns than this in one sweep (the analytic motion
+        /// contract).
+        stride_x: usize,
+        /// Largest `|m|` over the population and injections: the exact
+        /// per-step row hop. Zero means no particle ever crosses a row.
+        max_abs_m: i64,
+    },
+    /// A VP grid and its replicated VP→core table (`ampi`). It has no
+    /// column border, so it needs no motion bounds.
+    Vps {
+        grid: Box<VpGrid>,
+        assignment: Vec<usize>,
+    },
+}
+
+impl Ownership {
+    /// Rank owning cell `(col, row)`.
+    fn owner_of_cell(&self, decomp: &Decomp2d, col: usize, row: usize) -> usize {
+        match self {
+            Ownership::Cuts { .. } => decomp.owner_of_cell(col, row),
+            Ownership::Vps { grid, assignment } => assignment[grid.vp_of_cell(col, row)],
+        }
+    }
+}
+
 /// Per-rank simulation state.
 pub struct RankState {
     pub grid: Grid,
     pub consts: SimConstants,
+    /// The Cartesian decomposition. Under a VP map it is the core grid the
+    /// initial VP blocks tile, and ownership is never read from it.
     pub decomp: Decomp2d,
     pub rank: usize,
-    /// Local particles, binned over this rank's subdomain columns.
+    /// Local particles, binned over this rank's subdomain columns (the
+    /// whole grid under a VP map, which is not column-contiguous).
     pub store: BinnedStore,
     pub step: u32,
+    owners: Ownership,
     ledger: EventLedger,
     /// Reused exchange staging buffers: the steady-state step loop routes
     /// particles without reallocating the per-destination buckets.
     bufs: ExchangeBuffers,
-    /// Reused per-axis count scratch for the diffusion balancer.
+    /// Reused count scratch of the balancers' gathers (per-axis counts for
+    /// diffusion, per-VP counts for the VP family).
     lb_scratch: Vec<u64>,
     /// Exchange routing mode (from the rank kernel).
     exchange: ExchangeMode,
-    /// Per-step column stride bound: `2·k_max + 1` over the initial
-    /// population and every injection event — no particle can hop more
-    /// columns than this in one sweep (the analytic motion contract).
-    stride_x: usize,
-    /// Largest `|m|` over the population and injections: the exact
-    /// per-step row hop. Zero means no particle ever crosses a row.
-    max_abs_m: i64,
     /// The row range every particle of the store is known to lie in (and
     /// in the column range of that moment): set when an exchange
     /// completes, `None` from the start of a sweep until then.
@@ -302,14 +334,56 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let (cols, rows) = decomp.bounds(rank);
-        let owns = |c, r| decomp.owner_of_cell(c, r) == rank;
-        let store = kernel.build_store(&setup.particles, &setup.grid, cols, owns);
         let (stride_x, max_abs_m) = motion_bounds(setup);
+        let owners = Ownership::Cuts {
+            stride_x,
+            max_abs_m,
+        };
+        RankState::build(setup, decomp, owners, rank, kernel)
+    }
+
+    /// A core of the VP runtime (paper §IV-C): cells are owned through
+    /// `vps` and a replicated VP→core table, starting from the compact
+    /// blocks of [`VpGrid::initial_assignment`]. The step drains every bin
+    /// synchronously and runs no timer sort; a VP balancer's round moves
+    /// the table.
+    pub fn with_vps(
+        setup: &SimulationSetup,
+        vps: VpGrid,
+        rank: usize,
+        kernel: RankKernel,
+    ) -> RankState {
+        let decomp = Decomp2d::uniform_grid(setup.grid.ncells(), vps.px, vps.py);
+        let assignment = vps.initial_assignment();
+        let owners = Ownership::Vps {
+            grid: Box::new(vps),
+            assignment,
+        };
+        RankState::build(setup, decomp, owners, rank, kernel)
+    }
+
+    fn build(
+        setup: &SimulationSetup,
+        decomp: Decomp2d,
+        owners: Ownership,
+        rank: usize,
+        kernel: RankKernel,
+    ) -> RankState {
+        let ((x0, x1), rows) = decomp.bounds(rank);
+        let ranks = decomp.ranks();
+        let (cols, neighbors) = match owners {
+            Ownership::Cuts { .. } => ((x0, x1), decomp.neighbors_of(rank)),
+            // VP routing can target any core, so the declared neighborhood
+            // is all-pairs: the escape path never fires, but empty payloads
+            // are still elided.
+            Ownership::Vps { .. } => ((0, setup.grid.ncells()), (0..ranks).collect()),
+        };
         let mut bufs = ExchangeBuffers::new();
         if kernel.exchange == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(decomp.ranks(), rank, decomp.neighbors_of(rank));
+            bufs.enable_sparse(ranks, rank, neighbors);
         }
+        let owns = |c, r| owners.owner_of_cell(&decomp, c, r) == rank;
+        let store = kernel.build_store(&setup.particles, &setup.grid, cols, owns);
         RankState {
             grid: setup.grid,
             consts: setup.consts,
@@ -317,12 +391,11 @@ impl RankState {
             rank,
             store,
             step: 0,
+            owners,
             ledger: EventLedger::new(setup),
             bufs,
             lb_scratch: Vec::new(),
             exchange: kernel.exchange,
-            stride_x,
-            max_abs_m,
             homed_rows: Some(rows),
         }
     }
@@ -348,10 +421,11 @@ impl RankState {
     /// Re-anchor the store's column range after a decomposition change —
     /// a relabel, not a sort ([`BinnedStore::set_columns`]). Leavers must
     /// already have been drained under the *new* decomposition (the
-    /// balancer rehomes first); a no-op when the range is unchanged.
+    /// balancer rehomes first); a no-op when the range is unchanged, and
+    /// under a VP map, whose store always bins the whole grid.
     pub fn rebind_store(&mut self) {
         let ((x0, x1), _) = self.decomp.bounds(self.rank);
-        if self.store.columns() != (x0, x1) {
+        if matches!(self.owners, Ownership::Cuts { .. }) && self.store.columns() != (x0, x1) {
             self.store.set_columns(&self.grid, x0, x1);
         }
     }
@@ -364,12 +438,13 @@ impl RankState {
         self.ledger.expected_id_sum()
     }
 
-    /// Apply events due at the current step ([`EventLedger::apply_due`]
-    /// with this rank's subdomain as the ownership filter).
+    /// Apply events due at the current step: every rank materialises every
+    /// injection and keeps the newcomers it owns; removals are resolved
+    /// collectively.
     pub fn apply_due_events(&mut self, comm: &Communicator) {
         self.ledger
             .apply_due(comm, self.step, &mut self.store, |c, r| {
-                self.decomp.owner_of_cell(c, r) == self.rank
+                self.owners.owner_of_cell(&self.decomp, c, r) == self.rank
             });
     }
 
@@ -378,28 +453,38 @@ impl RankState {
         self.step_traced(comm, &mut Tracer::disabled());
     }
 
-    /// Can this step run the overlapped border/interior split? The split
-    /// is column-based, so it only catches leavers through the x-cuts: it
-    /// is sound when the rank rows cannot be crossed at all — a single
-    /// processor row, or a population with no vertical motion. Otherwise
-    /// the step falls back to the sparse-but-synchronous exchange (the
-    /// full drain catches row leavers from any column).
-    fn overlap_ready(&self) -> bool {
-        self.exchange == ExchangeMode::OverlappedSparse
-            && (self.decomp.py == 1 || self.max_abs_m == 0)
+    /// The column stride of the overlapped border/interior split, when
+    /// this step can run it. The split is column-based, so it only catches
+    /// leavers through the x-cuts: it is sound when the rank rows cannot be
+    /// crossed at all — a single processor row, or a population with no
+    /// vertical motion. Otherwise the step falls back to the
+    /// sparse-but-synchronous exchange (the full drain catches row leavers
+    /// from any column). A VP map has no column border, so it always takes
+    /// the full drain.
+    fn overlap_stride(&self) -> Option<usize> {
+        let Ownership::Cuts {
+            stride_x,
+            max_abs_m,
+        } = self.owners
+        else {
+            return None;
+        };
+        let ready = self.exchange == ExchangeMode::OverlappedSparse
+            && (self.decomp.py == 1 || max_abs_m == 0);
+        ready.then_some(stride_x)
     }
 
     /// [`RankState::step`] with telemetry: the advance loop is timed as
     /// the `advance` phase, rehoming as `exchange` (interleaved when the
     /// overlapped path runs). Returns the number of particles this rank
-    /// sent away (feeds the `rehomed` counter, which is globally summed
-    /// at traced steps by [`snapshot_loads`]).
+    /// sent away (feeds the `rehomed` counter, which the rank loop sums
+    /// globally at traced steps).
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         let rebins_before = self.store.rebin_count();
         self.homed_rows = None;
-        let sent = if self.overlap_ready() {
-            self.step_overlapped(comm, tracer)
+        let sent = if let Some(stride_x) = self.overlap_stride() {
+            self.step_overlapped(comm, stride_x, tracer)
         } else {
             tracer.phase_start(Phase::Advance);
             // The serial engine's kernel stack, serial on this rank's own
@@ -413,9 +498,11 @@ impl RankState {
         };
         // The amortized rebin runs *after* the exchange so the counting
         // sort only ever sees homed particles (arrivals fold in from the
-        // tail; column range is exactly the subdomain).
+        // tail; column range is exactly the subdomain). A VP map runs no
+        // timer: its full drain reads no order, and the sweep sorts a
+        // store a structural edit left dirty.
         tracer.phase_start(Phase::Exchange);
-        if self.store.rebin_due() {
+        if matches!(self.owners, Ownership::Cuts { .. }) && self.store.rebin_due() {
             self.store.rebin(&self.grid);
         }
         tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
@@ -434,14 +521,19 @@ impl RankState {
     /// finds exactly the leavers the full drain would (interior bins
     /// cannot produce any — that is what [`BinnedStore::border_width`]
     /// guarantees), and storage order is not observable.
-    fn step_overlapped(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
+    fn step_overlapped(
+        &mut self,
+        comm: &Communicator,
+        stride_x: usize,
+        tracer: &mut Tracer,
+    ) -> usize {
         let b = &mut self.store;
         tracer.phase_start(Phase::Advance);
         b.prepare_sweep(&self.grid);
         let ((x0, x1), _) = self.decomp.bounds(self.rank);
         // Bin-space border: particles drift from their bin column between
         // rebins, so the border widens with the store's age.
-        let w = b.border_width(self.stride_x);
+        let w = b.border_width(stride_x);
         let b_lo = (x0 + w).min(x1);
         let b_hi = x1.saturating_sub(w).max(b_lo);
         b.sweep_cols(&self.grid, &self.consts, x0..b_lo);
@@ -494,11 +586,19 @@ impl RankState {
     /// are drained — a margin at both ends, which also covers a bin whose
     /// particles wrapped, and leaves nothing inactive when the range is no
     /// wider than twice the drift. After a sweep, or when the rows moved,
-    /// every bin is drained.
+    /// every bin is drained — and always under a VP map, where any bin can
+    /// hold a leaver.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
+        let stride_x = match &self.owners {
+            Ownership::Cuts { stride_x, .. } => *stride_x,
+            Ownership::Vps { grid, assignment } => {
+                let (store, bufs) = (&mut self.store, &mut self.bufs);
+                return route_vps(comm, grid, assignment, self.rank, store, &self.grid, bufs);
+            }
+        };
         let ((x0, x1), rows) = self.decomp.bounds(self.rank);
         let quiet = if self.homed_rows == Some(rows) {
-            let drift = self.stride_x * self.store.age() as usize;
+            let drift = stride_x * self.store.age() as usize;
             x0 + drift..x1.saturating_sub(drift)
         } else {
             0..0
@@ -550,15 +650,73 @@ impl RankState {
         allreduce_vec_u64(comm, h, ReduceOp::Sum)
     }
 
-    /// Distributed verification of this rank's store ([`verify_store`]).
+    /// Collectively sum the global per-VP particle counts into `out`: this
+    /// rank's contribution is a position scan into the reused scratch
+    /// (VPs are 2D tiles, not column ranges), then one vector allreduce.
+    /// Leaves `out` empty under the cuts, which have no VPs.
+    pub(crate) fn aggregate_vp_counts_into(&mut self, comm: &Communicator, out: &mut Vec<u64>) {
+        out.clear();
+        let Ownership::Vps { grid, .. } = &self.owners else {
+            return;
+        };
+        self.lb_scratch.clear();
+        self.lb_scratch.resize(grid.vp_count(), 0);
+        let batch = self.store.batch();
+        for (&x, &y) in batch.x.iter().zip(&batch.y) {
+            let (c, r) = self.grid.cell_of_point(x, y);
+            self.lb_scratch[grid.vp_of_cell(c, r)] += 1;
+        }
+        allreduce_vec_u64_into(comm, &self.lb_scratch, ReduceOp::Sum, out);
+    }
+
+    /// The ownership map as a balancer reads it: the cuts under the
+    /// Cartesian decomposition, the VP→core table under a VP map (the
+    /// other kind is empty).
+    pub(crate) fn layout(&self) -> Layout<'_> {
+        let (xcuts, ycuts, vp_assignment) = match &self.owners {
+            Ownership::Cuts { .. } => (&self.decomp.xcuts[..], &self.decomp.ycuts[..], &[][..]),
+            Ownership::Vps { assignment, .. } => (&[][..], &[][..], &assignment[..]),
+        };
+        Layout {
+            ncells: self.decomp.ncells,
+            ranks: self.decomp.ranks(),
+            xcuts,
+            ycuts,
+            vp_assignment,
+        }
+    }
+
+    /// Adopt a VP balancer's new VP→core table; the next
+    /// [`RankState::rehome`] routes the particles of every moved VP.
+    pub(crate) fn set_vp_assignment(&mut self, new: Vec<usize>) {
+        let Ownership::Vps { assignment, .. } = &mut self.owners else {
+            panic!("a VP reassignment under the Cartesian cuts");
+        };
+        *assignment = new;
+    }
+
+    /// Distributed verification of this rank's store at the current step:
+    /// the local analytic check streams over the store in place (no AoS
+    /// copy, no sort — see [`verify_batch`]), then failures, checksum, max
+    /// error and failing ids are merged globally, so every rank returns the
+    /// identical report.
     pub fn verify(&self, comm: &Communicator) -> VerifyReport {
-        verify_store(
-            comm,
+        let local = verify_batch(
             &self.grid,
-            &self.store,
+            self.store.batch(),
             self.step,
-            self.expected_id_sum(),
-        )
+            0,
+            DEFAULT_TOLERANCE,
+        );
+        VerifyReport {
+            checked: allreduce_u64(comm, local.checked, ReduceOp::Sum),
+            position_failures: allreduce_u64(comm, local.position_failures, ReduceOp::Sum),
+            max_error: allreduce_f64(comm, local.max_error, ReduceOp::Max),
+            id_sum: allreduce_u128(comm, local.id_sum, ReduceOp::Sum),
+            failing_ids: merge_failing_ids(comm, &local.failing_ids),
+            expected_id_sum: self.expected_id_sum(),
+            tolerance: DEFAULT_TOLERANCE,
+        }
     }
 
     /// Collective imbalance probe: (max per-rank count, total count).
@@ -601,7 +759,7 @@ impl RankState {
 /// path must be entered by *every* rank at the same steps even though
 /// typically only rank 0 holds an enabled tracer — runners call this once
 /// up front and gate [`snapshot_loads`] on the agreed value.
-pub fn trace_interval(comm: &Communicator, tracer: &Tracer) -> u64 {
+pub(crate) fn trace_interval(comm: &Communicator, tracer: &Tracer) -> u64 {
     allreduce_u64(comm, tracer.sample_every() as u64, ReduceOp::Max)
 }
 
@@ -612,7 +770,7 @@ pub fn trace_interval(comm: &Communicator, tracer: &Tracer) -> u64 {
 /// statistics and the `rehomed` / `msgs_sent` / `msgs_skipped` /
 /// `collective_bytes` counters; returns the global particle count. Must
 /// be called by every rank at the same step.
-pub fn snapshot_loads(
+pub(crate) fn snapshot_loads(
     comm: &Communicator,
     tracer: &mut Tracer,
     local_count: u64,
@@ -657,35 +815,11 @@ fn motion_bounds(setup: &SimulationSetup) -> (usize, i64) {
     (2 * max_k as usize + 1, max_m)
 }
 
-/// Distributed verification of one rank's `store` at `final_step`, shared
-/// by the cut-family finish and the AMPI runtime: the local analytic check
-/// streams over the store in place (no AoS copy, no sort — see
-/// [`verify_batch`]), then failures, checksum, max error and failing ids
-/// are merged globally, so every rank returns the identical report.
-pub fn verify_store(
-    comm: &Communicator,
-    grid: &Grid,
-    store: &BinnedStore,
-    final_step: u32,
-    expected_id_sum: u128,
-) -> VerifyReport {
-    let local = verify_batch(grid, store.batch(), final_step, 0, DEFAULT_TOLERANCE);
-    VerifyReport {
-        checked: allreduce_u64(comm, local.checked, ReduceOp::Sum),
-        position_failures: allreduce_u64(comm, local.position_failures, ReduceOp::Sum),
-        max_error: allreduce_f64(comm, local.max_error, ReduceOp::Max),
-        id_sum: allreduce_u128(comm, local.id_sum, ReduceOp::Sum),
-        failing_ids: merge_failing_ids(comm, &local.failing_ids),
-        expected_id_sum,
-        tolerance: DEFAULT_TOLERANCE,
-    }
-}
-
 /// Globally merge per-rank failing-id diagnostics: allgather, sort, dedup,
 /// cap at [`MAX_FAILING_IDS`]. Every rank ends with the identical list no
 /// matter which rank held the failing particles — previously each rank
 /// reported only its local ids while the rest of the report was global.
-pub fn merge_failing_ids(comm: &Communicator, local: &[u64]) -> Vec<u64> {
+fn merge_failing_ids(comm: &Communicator, local: &[u64]) -> Vec<u64> {
     let gathered = allgatherv(comm, encode_u64s(local));
     let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
     all.sort_unstable();

@@ -24,7 +24,7 @@ use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_par::decomp::Decomp2d;
+use pic_par::decomp::{Decomp2d, VpGrid};
 use pic_par::runner::{ExchangeMode, RankKernel, RankState};
 
 struct CountingAlloc;
@@ -87,7 +87,16 @@ fn measured_window(st: &mut RankState, comm: &pic_comm::comm::Communicator) -> u
     LOCAL_ALLOCS.with(Cell::get)
 }
 
-fn audit(kernel: RankKernel) -> Vec<(usize, usize)> {
+/// Which ownership map the audited ranks are built with.
+#[derive(Debug, Clone, Copy)]
+enum Owners {
+    /// The Cartesian cuts of the uniform decomposition.
+    Cuts,
+    /// The VP runtime's map at over-decomposition 4.
+    Vps,
+}
+
+fn audit(kernel: RankKernel, owners: Owners) -> Vec<(usize, usize)> {
     // A *uniform* drifting cloud: per-rank populations are stationary (what
     // leaves a subdomain each step is replaced from the neighbor), so any
     // allocation in a warmed window is staging churn, not workload growth.
@@ -98,8 +107,13 @@ fn audit(kernel: RankKernel) -> Vec<(usize, usize)> {
         .build()
         .unwrap();
     run_threads(RANKS, |comm| {
-        let decomp = Decomp2d::uniform(32, RANKS);
-        let mut st = RankState::with_kernel(&setup, decomp, comm.rank(), kernel);
+        let rank = comm.rank();
+        let mut st = match owners {
+            Owners::Cuts => {
+                RankState::with_kernel(&setup, Decomp2d::uniform(32, RANKS), rank, kernel)
+            }
+            Owners::Vps => RankState::with_vps(&setup, VpGrid::new(32, RANKS, 4), rank, kernel),
+        };
         for _ in 0..WARM_STEPS {
             st.step(&comm);
         }
@@ -118,13 +132,18 @@ fn rank_step_loop_reaches_allocation_steady_state() {
     // (the overlapped sparse exchange — escape dissemination,
     // per-neighbor counts, the split-phase handle, and the spare-bucket
     // free-list must all run off pooled buffers), the dense synchronous
-    // reference, and a rebin on every step.
-    for kernel in [
-        RankKernel::default(),
-        RankKernel::default().with_exchange(ExchangeMode::DenseSync),
-        RankKernel::default().with_rebin_interval(1),
+    // reference, a rebin on every step, and a VP-owned rank (the full
+    // synchronous drain over an all-pairs sparse plan, no timer sort).
+    for (kernel, owners) in [
+        (RankKernel::default(), Owners::Cuts),
+        (
+            RankKernel::default().with_exchange(ExchangeMode::DenseSync),
+            Owners::Cuts,
+        ),
+        (RankKernel::default().with_rebin_interval(1), Owners::Cuts),
+        (RankKernel::default(), Owners::Vps),
     ] {
-        let windows = audit(kernel);
+        let windows = audit(kernel, owners);
         for (rank, &(first, second)) in windows.iter().enumerate() {
             // Steady state: a later warmed window allocates no more than
             // the one before it, modulo transport-queue jitter (channel
@@ -132,8 +151,8 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // thread interleaving, not on the staging code under audit).
             assert!(
                 second <= first + 2,
-                "{kernel:?} rank {rank}: allocation growth between warmed \
-                 windows ({first} then {second})"
+                "{kernel:?} {owners:?} rank {rank}: allocation growth between \
+                 warmed windows ({first} then {second})"
             );
             // Absolute budget: the old per-step staging path allocated at
             // least one buffer per active destination plus one
@@ -143,7 +162,7 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // allocation per step.
             assert!(
                 second as u32 <= WINDOW_STEPS / 2,
-                "{kernel:?} rank {rank}: {second} allocations in a \
+                "{kernel:?} {owners:?} rank {rank}: {second} allocations in a \
                  {WINDOW_STEPS}-step warmed window"
             );
         }

@@ -1,15 +1,17 @@
 //! Rank-loop equivalence (DESIGN.md §13): the binned SIMD rank loop ends
 //! in the serial AoS engine's final state, per id, bit for bit — same
 //! surviving ids, same position/velocity bit patterns — across
-//! distributions, rank counts, rebin intervals, SIMD backends, and both
-//! distributed implementations in this crate (static baseline and
-//! diffusion LB). Particles never interact, so decomposition, exchange and
-//! binning may reorder the sweep but must not change one bit of any
-//! particle's trajectory; the oracle shares no rank machinery with them.
+//! distributions, rank counts, rebin intervals, SIMD backends, and all
+//! three distributed implementations (static baseline, diffusion LB, and
+//! the VP runtime whatever its balancer does to VP placement). Particles
+//! never interact, so decomposition, exchange and binning may reorder the
+//! sweep but must not change one bit of any particle's trajectory; the
+//! oracle shares no rank machinery with them.
 //!
 //! The whole file also passes with `PIC_NO_SIMD=1` (CI runs it both
 //! ways): forcing scalar must change nothing.
 
+use pic_cluster::balancer::VpStrategy;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::engine::Simulation;
@@ -101,13 +103,11 @@ fn run_ranks(cfg: &ParConfig, ranks: usize) -> Vec<Particle> {
         .collect()
 }
 
-fn run_impl(
-    dist: Distribution,
-    ranks: usize,
-    diffusion: bool,
-    kernel: RankKernel,
-) -> Vec<Particle> {
-    let balancer = if diffusion {
+/// The three implementations the matrix samples: static baseline,
+/// x-only diffusion, and the VP runtime under the paper's refinement.
+fn specs() -> [BalancerSpec; 3] {
+    [
+        BalancerSpec::Static,
         BalancerSpec::Diffusion {
             params: DiffusionParams {
                 interval: 3,
@@ -115,10 +115,26 @@ fn run_impl(
                 border_w: 3,
             },
             mode: DiffusionMode::XOnly,
-        }
-    } else {
-        BalancerSpec::Static
-    };
+        },
+        vp(VpStrategy::paper_default()),
+    ]
+}
+
+/// The VP runtime at over-decomposition 4, rebalanced every 6 steps.
+fn vp(strategy: VpStrategy) -> BalancerSpec {
+    BalancerSpec::Vp {
+        d: 4,
+        interval: 6,
+        strategy,
+    }
+}
+
+fn run_impl(
+    dist: Distribution,
+    ranks: usize,
+    balancer: BalancerSpec,
+    kernel: RankKernel,
+) -> Vec<Particle> {
     let cfg = ParConfig::new(setup(dist), STEPS)
         .with_kernel(kernel)
         .with_balancer(balancer);
@@ -137,19 +153,20 @@ proptest! {
         dist_i in 0usize..4,
         ranks in prop::sample::select(vec![1usize, 2, 4]),
         rebin in prop::sample::select(vec![1u32, 3, 16]),
-        diffusion in any::<bool>(),
+        spec_i in 0usize..3,
     ) {
         let dist = distributions()[dist_i];
+        let spec = specs()[spec_i];
         let aos = bit_finals(&serial(setup(dist)));
         for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
             let kernel = RankKernel::default()
                 .with_rebin_interval(rebin)
                 .with_exchange(exchange);
-            let binned = bit_finals(&run_impl(dist, ranks, diffusion, kernel));
+            let binned = bit_finals(&run_impl(dist, ranks, spec, kernel));
             prop_assert_eq!(
                 &aos, &binned,
-                "dist {:?}, {} ranks, rebin {}, diffusion={}, exchange={:?}",
-                dist, ranks, rebin, diffusion, exchange
+                "dist {:?}, {} ranks, rebin {}, {:?}, exchange={:?}",
+                dist, ranks, rebin, spec, exchange
             );
         }
     }
@@ -167,7 +184,7 @@ fn binned_exact_bitwise_identical_across_backends() {
             let kernel = RankKernel::default()
                 .with_backend(backend)
                 .with_exchange(exchange);
-            let got = bit_finals(&run_impl(dist, 4, true, kernel));
+            let got = bit_finals(&run_impl(dist, 4, specs()[1], kernel));
             assert_eq!(
                 aos,
                 got,
@@ -176,6 +193,39 @@ fn binned_exact_bitwise_identical_across_backends() {
                 exchange
             );
         }
+    }
+}
+
+/// The VP runtime's full deterministic matrix: the paper's refinement at
+/// every rank count × rebin interval × exchange mode (the VP step runs no
+/// timer sort, so the interval must change nothing either).
+#[test]
+fn ampi_binned_exact_bitwise_matches_aos() {
+    let dist = Distribution::Geometric { r: 0.9 };
+    let aos = bit_finals(&serial(setup(dist)));
+    for ranks in [1usize, 2, 4] {
+        for rebin in [1u32, 3, 16] {
+            for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
+                let kernel = RankKernel::default()
+                    .with_rebin_interval(rebin)
+                    .with_exchange(exchange);
+                let spec = vp(VpStrategy::paper_default());
+                let got = bit_finals(&run_impl(dist, ranks, spec, kernel));
+                assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}, {exchange:?}");
+            }
+        }
+    }
+}
+
+/// The other two VP strategies: a full greedy repack scatters VPs, and
+/// `None` never moves one.
+#[test]
+fn ampi_binned_exact_bitwise_matches_aos_across_balancers() {
+    let dist = Distribution::Geometric { r: 0.9 };
+    let aos = bit_finals(&serial(setup(dist)));
+    for strategy in [VpStrategy::Greedy, VpStrategy::None] {
+        let got = bit_finals(&run_impl(dist, 4, vp(strategy), RankKernel::default()));
+        assert_eq!(aos, got, "{strategy:?}");
     }
 }
 

@@ -1,4 +1,4 @@
-//! The shared distributed verify (`runner::verify_store`, DESIGN.md §6)
+//! The shared distributed verify (`RankState::verify`, DESIGN.md §6)
 //! streams over each rank's binned store in storage order. Its report must
 //! equal, field for field, `verify_all` over the whole world materialised
 //! and sorted by id — on a clean world and on one with more corrupted

@@ -8,10 +8,10 @@
 
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
-use pic_ampi::vp::VpGrid;
 use pic_ampi::Balancer;
 use pic_cluster::balancer::imbalance;
 use pic_comm::world::run_threads;
+use pic_par::decomp::VpGrid;
 use pic_par::runner::ParConfig;
 use pic_prk::prelude::*;
 

@@ -11,8 +11,6 @@
 //!
 //! Run `pic --help` for all options.
 
-use pic_prk::ampi::model::AmpiParams;
-use pic_prk::ampi::runtime::{run_ampi_adaptive_traced, run_ampi_traced};
 use pic_prk::ampi::Balancer;
 use pic_prk::comm::world::run_threads;
 use pic_prk::core::init::{validate_event, SkewAxis};
@@ -492,17 +490,15 @@ fn main() {
         finish_run(report.passed(), args.value("--trace"), trace_error);
     };
 
-    // Resolve the name once into the library's spec types, then one run.
+    // Resolve the name once into the library's spec type, then one run.
     let vp_interval = lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT);
-    let vp = |balancer| {
-        Distributed::Vp(AmpiParams {
-            d,
-            interval: vp_interval,
-            balancer,
-        })
+    let vp = |strategy| BalancerSpec::Vp {
+        d,
+        interval: vp_interval,
+        strategy,
     };
-    let run = match balancer {
-        "static" => Distributed::Cut(BalancerSpec::Static),
+    let spec = match balancer {
+        "static" => BalancerSpec::Static,
         "diffusion" | "adaptive" => {
             let params = DiffusionParams {
                 interval: lb_interval.unwrap_or(DiffusionParams::default().interval),
@@ -515,31 +511,25 @@ fn main() {
                 "2phase" => DiffusionMode::TwoPhase,
                 other => bail(&format!("bad mode: {other}")),
             };
-            Distributed::Cut(if balancer == "adaptive" {
+            if balancer == "adaptive" {
                 BalancerSpec::Adaptive { params, mode }
             } else {
                 BalancerSpec::Diffusion { params, mode }
-            })
+            }
         }
         "vp-none" => vp(Balancer::None),
         "vp-refine" => vp(Balancer::paper_default()),
         "vp-greedy" => vp(Balancer::Greedy),
-        "vp-adaptive" => Distributed::VpAdaptive,
+        "vp-adaptive" => BalancerSpec::VpAdaptive {
+            d,
+            interval: vp_interval,
+        },
         _ => unreachable!("--balancer was checked against BALANCERS"),
     };
-    let mut cfg = ParConfig::new(setup, steps);
-    if let Distributed::Cut(spec) = run {
-        cfg = cfg.with_balancer(spec);
-    }
+    let cfg = ParConfig::new(setup, steps).with_balancer(spec);
     let (o, trace_error) = run_threads(ranks, |comm| {
         let mut tracer = rank0_tracer(comm.rank());
-        let out = match &run {
-            Distributed::Cut(_) => run_config_traced(&comm, &cfg, &mut tracer),
-            Distributed::Vp(params) => run_ampi_traced(&comm, &cfg, params, &mut tracer),
-            Distributed::VpAdaptive => {
-                run_ampi_adaptive_traced(&comm, &cfg, d, vp_interval, &mut tracer)
-            }
-        };
+        let out = run_config_traced(&comm, &cfg, &mut tracer);
         (out, tracer.finish().and_then(|r| r.write_error))
     })
     .swap_remove(0);
@@ -559,16 +549,6 @@ fn finish_run(passed: bool, trace_path: Option<&str>, trace_error: Option<String
     } else {
         1
     })
-}
-
-/// A distributed run in the library's own spec types.
-enum Distributed {
-    /// The cut family (`static`, `diffusion`, `adaptive`).
-    Cut(BalancerSpec),
-    /// The VP runtime under one fixed strategy.
-    Vp(AmpiParams),
-    /// The VP runtime under the online-switching ladder.
-    VpAdaptive,
 }
 
 fn summarize_serial(report: &pic_prk::core::verify::VerifyReport, count: usize, quiet: bool) {

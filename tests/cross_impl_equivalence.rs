@@ -1,5 +1,5 @@
-//! All implementations — serial engine, `mpi-2d`, `mpi-2d-LB`, `ampi` —
-//! must produce the *same* physics: identical surviving id sets and
+//! All implementations — serial engine, `mpi-2d`, `mpi-2d-LB`, `ampi`, and
+//! every `BalancerSpec` arm — must produce the *same* physics: identical surviving id sets and
 //! bit-identical final positions for identical setups. Parallelism only
 //! reorders the sweep *between* particles, and particles never interact,
 //! so even floating-point state must agree exactly.
@@ -148,6 +148,41 @@ fn ampi_bitwise_matches_serial() {
                 "{balancer:?} on {cores} cores"
             );
         }
+    }
+}
+
+#[test]
+fn every_balancer_spec_matches_serial() {
+    // All seven `--balancer` values, the two adaptive ladders included,
+    // through the one `run_config` door on a skew that makes them move.
+    let serial = serial_final(&make_cfg(48));
+    let params = DiffusionParams {
+        interval: 3,
+        tau: 0,
+        border_w: 2,
+    };
+    let mode = DiffusionMode::XOnly;
+    let vp = |strategy| BalancerSpec::Vp {
+        d: 4,
+        interval: 4,
+        strategy,
+    };
+    for spec in [
+        BalancerSpec::Static,
+        BalancerSpec::Diffusion { params, mode },
+        BalancerSpec::Adaptive { params, mode },
+        vp(Balancer::None),
+        vp(Balancer::paper_default()),
+        vp(Balancer::Greedy),
+        BalancerSpec::VpAdaptive { d: 4, interval: 4 },
+    ] {
+        let cfg = make_cfg(48).with_balancer(spec);
+        let outcomes = run_threads(4, |comm| {
+            let o = run_config(&comm, &cfg);
+            assert!(o.verify.passed(), "{spec:?}: {:?}", o.verify);
+            o
+        });
+        assert_eq!(serial, gather_finals(outcomes), "{spec:?}");
     }
 }
 

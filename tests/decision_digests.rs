@@ -19,8 +19,6 @@
 //! for the VP runtime. When a change moves a decision on purpose, the
 //! failure message lists `("case name", 0x…)` rows to paste over the pins.
 
-use pic_ampi::model::AmpiParams;
-use pic_ampi::runtime::{run_ampi_adaptive_traced, run_ampi_traced};
 use pic_ampi::Balancer;
 use pic_comm::comm::Communicator;
 use pic_comm::world::run_threads;
@@ -183,7 +181,8 @@ fn diffusion_x(interval: u32) -> (DiffusionParams, DiffusionMode) {
     (params, DiffusionMode::XOnly)
 }
 
-fn cut_case(label: String, c: &ParConfig, ranks: usize) -> (String, u64) {
+/// One case of the matrix: `c` under its own balancer, every rank traced.
+fn case_digest(label: String, c: &ParConfig, ranks: usize) -> (String, u64) {
     let d = digest(&decisions(&label, ranks, |comm, t| {
         run_config_traced(comm, c, t)
     }));
@@ -254,7 +253,7 @@ fn baseline_decisions_match_pinned_digests() {
     for dist in DISTS {
         for ranks in [1usize, 2, 4] {
             let c = cfg(1200, dist, 24);
-            got.push(cut_case(
+            got.push(case_digest(
                 format!("baseline {dist:?} ranks={ranks}"),
                 &c,
                 ranks,
@@ -273,7 +272,7 @@ fn diffusion_xonly_decisions_match_pinned_digests() {
                 let (params, mode) = diffusion_x(interval);
                 let c = cfg(1200, dist, 24).with_balancer(BalancerSpec::Diffusion { params, mode });
                 let label = format!("diffusion-x {dist:?} ranks={ranks} F={interval}");
-                got.push(cut_case(label, &c, ranks));
+                got.push(case_digest(label, &c, ranks));
             }
         }
     }
@@ -298,7 +297,7 @@ fn diffusion_twophase_decisions_match_pinned_digests() {
                 params,
                 mode: DiffusionMode::TwoPhase,
             });
-            got.push(cut_case(
+            got.push(case_digest(
                 format!("diffusion-2p {dist:?} ranks={ranks}"),
                 &c,
                 ranks,
@@ -311,19 +310,20 @@ fn diffusion_twophase_decisions_match_pinned_digests() {
 #[test]
 fn ampi_decisions_match_pinned_digests() {
     let mut got = Vec::new();
-    for balancer in [Balancer::paper_default(), Balancer::Greedy, Balancer::None] {
+    for strategy in [Balancer::paper_default(), Balancer::Greedy, Balancer::None] {
         for ranks in [1usize, 2, 4] {
-            let params = AmpiParams {
-                d: 4,
-                interval: 4,
-                balancer,
-            };
-            let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 24);
-            let label = format!("ampi {balancer:?} ranks={ranks}");
-            let d = digest(&decisions(&label, ranks, |comm, t| {
-                run_ampi_traced(comm, &c, &params, t)
-            }));
-            got.push((label, d));
+            let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 24).with_balancer(
+                BalancerSpec::Vp {
+                    d: 4,
+                    interval: 4,
+                    strategy,
+                },
+            );
+            got.push(case_digest(
+                format!("ampi {strategy:?} ranks={ranks}"),
+                &c,
+                ranks,
+            ));
         }
     }
     assert_pinned(&AMPI, &got);
@@ -435,9 +435,8 @@ fn adaptive_switch_sequence_is_replicated_on_every_rank() {
 
 #[test]
 fn ampi_adaptive_switch_sequence_is_replicated_on_every_rank() {
-    let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 40);
-    let outcomes = traced("vp-adaptive", 4, |comm, t| {
-        run_ampi_adaptive_traced(comm, &c, 4, 4, t)
-    });
+    let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 40)
+        .with_balancer(BalancerSpec::VpAdaptive { d: 4, interval: 4 });
+    let outcomes = traced("vp-adaptive", 4, |comm, t| run_config_traced(comm, &c, t));
     replicated_switches(&outcomes);
 }

@@ -4,6 +4,7 @@
 //! the region holds, an injection into a degenerate (zero-cell) region,
 //! and an event scheduled past the final step.
 
+use pic_prk::ampi::Balancer;
 use pic_prk::comm::world::run_threads;
 use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_prk::par::runner::{ParConfig, ParOutcome};
@@ -24,9 +25,9 @@ fn setup(events: &[Event]) -> SimulationSetup {
     s
 }
 
-/// Run serial + baseline + diffusion on the same setup; assert every
-/// implementation verifies and all agree on final count and id checksum.
-/// Returns (final_count, id_sum).
+/// Run serial + baseline + diffusion + the VP runtime on the same setup;
+/// assert every implementation verifies and all agree on final count and
+/// id checksum. Returns (final_count, id_sum).
 fn run_all_impls(events: &[Event]) -> (u64, u128) {
     let mut sim = Simulation::new(setup(events));
     sim.run(STEPS);
@@ -55,6 +56,12 @@ fn run_all_impls(events: &[Event]) -> (u64, u128) {
         mode: DiffusionMode::XOnly,
     });
     check(run_threads(4, |comm| run_config(&comm, &cfg)), "diffusion");
+    let cfg = cfg.with_balancer(BalancerSpec::Vp {
+        d: 4,
+        interval: 5,
+        strategy: Balancer::paper_default(),
+    });
+    check(run_threads(4, |comm| run_config(&comm, &cfg)), "ampi");
     (serial_count, serial_report.id_sum)
 }
 
