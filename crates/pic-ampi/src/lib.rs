@@ -18,20 +18,18 @@
 //!   and `None`. Object-migration strategies in the Charm++ mold, and
 //!   deliberately locality-oblivious — the property the paper's
 //!   experiments probe;
-//! * [`runtime`] — [`run_ampi`], the [`AmpiParams`] door into that loop:
-//!   each `pic-comm` rank plays a core driving its assigned VPs, with VP
-//!   migration, particle routing through the VP ownership map, and full
-//!   verification;
-//! * [`model`] — the same mechanics against the analytic load model for
-//!   full-scale modeled runs (Figures 5–7), including the runtime's
-//!   invocation overhead, migration volume, and the post-migration
-//!   fragmentation penalty (interior VP traffic turning remote).
+//! * [`runtime`] — [`run_ampi`], the [`AmpiParams`] door into that loop
+//!   (the parameters are re-exported from [`pic_par`]): each `pic-comm`
+//!   rank plays a core driving its assigned VPs, with VP migration,
+//!   particle routing through the VP ownership map, and full verification.
+//!
+//! The same mechanics against the analytic load model, for the full-scale
+//! Figures 5–7, are `pic_par::model_impl::model_ampi`.
 
-pub mod model;
 pub mod runtime;
 
-pub use model::{model_ampi, AmpiParams};
 /// Strategy selector of the VP runtime.
 pub use pic_cluster::balancer::VpStrategy as Balancer;
 pub use pic_par::decomp::VpGrid;
+pub use pic_par::AmpiParams;
 pub use runtime::run_ampi;

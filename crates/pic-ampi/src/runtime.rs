@@ -13,20 +13,9 @@
 //! is the point of the PRK: a lost particle in any migration or exchange
 //! fails the run.
 
-use crate::model::AmpiParams;
 use pic_comm::comm::Communicator;
-use pic_par::{run_spec_traced, BalancerSpec, ParConfig, ParOutcome};
+use pic_par::{run_spec_traced, AmpiParams, ParConfig, ParOutcome};
 use pic_trace::Tracer;
-
-impl From<AmpiParams> for BalancerSpec {
-    fn from(p: AmpiParams) -> BalancerSpec {
-        BalancerSpec::Vp {
-            d: p.d,
-            interval: p.interval,
-            strategy: p.balancer,
-        }
-    }
-}
 
 /// Run the AMPI-style implementation on this core — `cfg` under
 /// `BalancerSpec::Vp` with `params`, whatever `cfg.balancer` says. All
@@ -45,7 +34,7 @@ mod tests {
     use pic_core::geometry::Grid;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
-    use pic_par::run_config_traced;
+    use pic_par::{run_config_traced, BalancerSpec};
 
     fn cfg(n: u64, dist: Distribution, steps: u32) -> ParConfig {
         ParConfig::new(

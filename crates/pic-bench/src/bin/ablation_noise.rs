@@ -10,13 +10,12 @@
 //!
 //! Usage: `ablation_noise [--scale N]`
 
-use pic_ampi::model::{model_ampi, AmpiParams};
-use pic_ampi::Balancer;
+use pic_ampi::{AmpiParams, Balancer};
 use pic_bench::report::scale_from_args;
 use pic_cluster::noise::NoiseModel;
 use pic_core::dist::Distribution;
 use pic_par::diffusion::DiffusionParams;
-use pic_par::model_impl::{model_baseline, model_diffusion, ModelConfig};
+use pic_par::model_impl::{model_ampi, model_baseline, model_diffusion, ModelConfig};
 
 fn main() {
     let scale = scale_from_args();

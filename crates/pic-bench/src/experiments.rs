@@ -5,9 +5,10 @@
 //! implementation we tuned the relevant parameters and picked the best
 //! performing execution at each level of concurrency").
 
-use pic_ampi::model::{model_ampi, model_ampi_tuned, AmpiParams};
-use pic_ampi::Balancer;
-use pic_par::model_impl::{model_baseline, model_diffusion_tuned, ModelConfig};
+use pic_ampi::{AmpiParams, Balancer};
+use pic_par::model_impl::{
+    model_ampi, model_ampi_tuned, model_baseline, model_diffusion_tuned, ModelConfig,
+};
 
 /// A point on one of the scaling figures.
 #[derive(Debug, Clone, Copy, PartialEq)]

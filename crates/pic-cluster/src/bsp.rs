@@ -18,7 +18,6 @@ use crate::machine::MachineModel;
 /// Accumulating BSP time model for one run.
 #[derive(Debug, Clone)]
 pub struct BspSimulator {
-    machine: MachineModel,
     cost: CostModel,
     cores: usize,
     steps: u64,
@@ -35,7 +34,6 @@ impl BspSimulator {
     pub fn new(machine: MachineModel, cost: CostModel, cores: usize) -> BspSimulator {
         assert!(cores >= 1 && cores <= machine.total_cores());
         BspSimulator {
-            machine,
             cost,
             cores,
             steps: 0,
@@ -46,18 +44,6 @@ impl BspSimulator {
             lb_ns: 0.0,
             migrated_bytes: 0.0,
         }
-    }
-
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
-    }
-
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    pub fn cores(&self) -> usize {
-        self.cores
     }
 
     /// Record one simulation step given per-core compute and communication

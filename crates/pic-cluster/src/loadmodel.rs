@@ -10,7 +10,6 @@
 //! counts are exactly what the particle-level engine would produce for
 //! even-row-spread initializations (verified against it in tests).
 
-use crate::cost::CostModel;
 use pic_core::dist::Distribution;
 
 /// The rotating column histogram of a drifting particle population.
@@ -39,29 +38,8 @@ impl ColumnLoadModel {
     /// `stride = dir·(2k+1)` cells per step.
     pub fn new(dist: Distribution, c: usize, n: u64, k: u32, dir: i8) -> ColumnLoadModel {
         assert!(dir == 1 || dir == -1);
-        let counts = dist.column_counts(c, n);
-        Self::from_counts(counts, dist.row_range(c), k, dir)
-    }
-
-    /// Build from explicit per-column counts (e.g. after an injection).
-    pub fn from_counts(
-        counts: Vec<u64>,
-        row_range: (usize, usize),
-        k: u32,
-        dir: i8,
-    ) -> ColumnLoadModel {
-        Self::from_counts_stride(counts, row_range, dir as i64 * (2 * k as i64 + 1))
-    }
-
-    /// Build with an arbitrary signed stride per step (used by the 2D model
-    /// to track the y axis, whose stride is `m` rather than `2k+1`).
-    pub fn from_counts_stride(
-        counts: Vec<u64>,
-        row_range: (usize, usize),
-        stride: i64,
-    ) -> ColumnLoadModel {
-        let c = counts.len();
         assert!(c > 0);
+        let counts = dist.column_counts(c, n);
         let mut prefix = Vec::with_capacity(c + 1);
         prefix.push(0u64);
         for &x in &counts {
@@ -72,16 +50,11 @@ impl ColumnLoadModel {
             counts,
             prefix,
             c,
-            stride,
+            stride: dir as i64 * (2 * k as i64 + 1),
             shift: 0,
             total,
-            row_range,
+            row_range: dist.row_range(c),
         }
-    }
-
-    #[inline]
-    pub fn ncells(&self) -> usize {
-        self.c
     }
 
     #[inline]
@@ -92,11 +65,6 @@ impl ColumnLoadModel {
     #[inline]
     pub fn stride(&self) -> i64 {
         self.stride
-    }
-
-    #[inline]
-    pub fn row_range(&self) -> (usize, usize) {
-        self.row_range
     }
 
     /// Advance the model by `steps` time steps.
@@ -169,41 +137,6 @@ impl ColumnLoadModel {
                 self.count_in_columns(b, self.c) + self.count_in_columns(0, b + s - self.c)
             }
         }
-    }
-
-    /// Inject `extra` particles distributed per `per_col` (current column
-    /// indexing) — used to model injection events. Rebuilds prefix sums.
-    pub fn inject(&mut self, per_col: &[u64]) {
-        assert_eq!(per_col.len(), self.c);
-        for (j, &cnt) in per_col.iter().enumerate() {
-            let orig = (j as i64 - self.shift).rem_euclid(self.c as i64) as usize;
-            self.counts[orig] += cnt;
-        }
-        self.rebuild();
-    }
-
-    /// Remove up to `per_col[j]` particles from current column `j`.
-    pub fn remove(&mut self, per_col: &[u64]) {
-        assert_eq!(per_col.len(), self.c);
-        for (j, &cnt) in per_col.iter().enumerate() {
-            let orig = (j as i64 - self.shift).rem_euclid(self.c as i64) as usize;
-            self.counts[orig] = self.counts[orig].saturating_sub(cnt);
-        }
-        self.rebuild();
-    }
-
-    fn rebuild(&mut self) {
-        self.prefix.clear();
-        self.prefix.push(0);
-        for &x in &self.counts {
-            self.prefix.push(self.prefix.last().unwrap() + x);
-        }
-        self.total = *self.prefix.last().unwrap();
-    }
-
-    /// Compute time (ns) for a core owning the given rectangle this step.
-    pub fn compute_ns(&self, cost: &CostModel, cols: (usize, usize), rows: (usize, usize)) -> f64 {
-        self.count_in_rect(cols, rows) * cost.particle_ns
     }
 }
 
@@ -314,21 +247,6 @@ mod tests {
         let m = ColumnLoadModel::new(Distribution::Uniform, 16, 1_600, 0, -1);
         assert_eq!(m.crossing_cut(8), 100); // column 8 moves left past cut 8
         assert_eq!(m.crossing_cut(15), 100);
-    }
-
-    #[test]
-    fn inject_and_remove_update_totals() {
-        let mut m = model(Distribution::Uniform, 8, 800);
-        let mut add = vec![0u64; 8];
-        add[3] = 50;
-        m.inject(&add);
-        assert_eq!(m.total(), 850);
-        assert_eq!(m.count_in_column(3), 150);
-        let mut del = vec![0u64; 8];
-        del[3] = 200; // saturates at the 150 present
-        m.remove(&del);
-        assert_eq!(m.count_in_column(3), 0);
-        assert_eq!(m.total(), 700);
     }
 
     #[test]

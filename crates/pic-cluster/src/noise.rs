@@ -60,11 +60,6 @@ impl NoiseModel {
             }
         }
     }
-
-    /// Whether the model perturbs anything (fast-path check).
-    pub fn is_none(&self) -> bool {
-        matches!(self, NoiseModel::None)
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,6 @@ mod tests {
         let n = NoiseModel::None;
         assert_eq!(n.factor(0, 0), 1.0);
         assert_eq!(n.factor(100, 9999), 1.0);
-        assert!(n.is_none());
     }
 
     #[test]
@@ -86,7 +80,6 @@ mod tests {
         assert_eq!(n.factor(5, 0), 1.0);
         assert_eq!(n.factor(6, 0), 3.0);
         assert_eq!(n.factor(7, 123), 3.0);
-        assert!(!n.is_none());
     }
 
     #[test]

@@ -51,6 +51,29 @@ pub enum BalancerSpec {
     VpAdaptive { d: usize, interval: u32 },
 }
 
+/// The VP runtime's parameters: the two knobs of the paper's Figure 5 and
+/// the strategy. The door of `pic_ampi::run_ampi` and of the modeled
+/// [`crate::model_impl::model_ampi`]; as a [`BalancerSpec`] it is `Vp`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AmpiParams {
+    /// Over-decomposition degree `d` (VPs per core).
+    pub d: usize,
+    /// Steps between load-balancer invocations (`F`).
+    pub interval: u32,
+    /// Strategy.
+    pub balancer: VpStrategy,
+}
+
+impl From<AmpiParams> for BalancerSpec {
+    fn from(p: AmpiParams) -> BalancerSpec {
+        BalancerSpec::Vp {
+            d: p.d,
+            interval: p.interval,
+            strategy: p.balancer,
+        }
+    }
+}
+
 fn axes_of(mode: DiffusionMode) -> Axes {
     match mode {
         DiffusionMode::XOnly => Axes::X,

@@ -23,14 +23,15 @@
 //! * `BalancerSpec::Vp` — **`ampi`** (paper §IV-C): the baseline
 //!   over-decomposed onto `d · P` virtual processors, with a runtime
 //!   balancer migrating VPs between cores every `interval` steps
-//!   (`pic-ampi` holds its strategy selector and the model).
+//!   ([`AmpiParams`] names the same run; `pic-ampi` holds its door).
 //! * `BalancerSpec::VpAdaptive` — online switching over the VP ladder.
 //!
 //! All are *verified*: each rank checks its final particles against the
 //! analytic trajectories and the world reduces the id checksum.
 //!
-//! [`model_impl`] re-expresses the two cut strategies against the
-//! analytic load model for full-scale modeled runs (Figures 6–7).
+//! [`model_impl`] re-expresses the three strategies against the analytic
+//! load model for full-scale modeled runs (Figures 5–7): one step loop
+//! over the same two ownership maps.
 
 pub mod balance;
 pub mod decomp;
@@ -39,8 +40,8 @@ pub mod exchange;
 pub mod model_impl;
 pub mod runner;
 
-pub use balance::{run_config, run_config_traced, run_spec_traced, BalancerSpec};
+pub use balance::{run_config, run_config_traced, run_spec_traced, AmpiParams, BalancerSpec};
 pub use decomp::{Decomp2d, VpGrid};
 pub use diffusion::{DiffusionMode, DiffusionParams};
-pub use model_impl::{model_baseline, model_diffusion, ModelConfig, ModelOutcome};
+pub use model_impl::{model_ampi, model_baseline, model_diffusion, ModelConfig, ModelOutcome};
 pub use runner::{ExchangeMode, ParConfig, ParOutcome};

@@ -1,19 +1,32 @@
-//! The baseline and diffusion strategies expressed against the analytic
-//! load model, for full-scale modeled runs.
+//! The three strategies expressed against the analytic load model, for
+//! full-scale modeled runs: one step loop over two ownership maps.
 //!
-//! The decision logic (decomposition, [`pic_cluster::balancer::diffuse_xcuts`])
-//! is shared verbatim with the functional threaded implementations; only
-//! the particle bookkeeping is replaced by O(1) count queries, and time is
-//! charged through [`pic_cluster::CostModel`] + [`pic_cluster::BspSimulator`].
-//! This is what lets Figures 6–7 run at 24–3,072 modeled cores on one host.
+//! The units of work are the rectangles of a [`Decomp2d`]. Under the cut
+//! map they are its ranks, each on its own core, and a round moves the
+//! x-cuts through [`pic_cluster::balancer::diffuse_xcuts`] (`mpi-2d-LB`;
+//! the `mpi-2d` baseline never balances). Under the VP map they are the
+//! virtual processors of a [`VpGrid`], owned through the VP→core table a
+//! round moves through [`VpStrategy::rebalance`] (`ampi`). The decisions
+//! are the functional runtimes' own; only the particle bookkeeping is
+//! replaced by O(1) count queries, and time is charged through
+//! [`pic_cluster::CostModel`] + [`pic_cluster::BspSimulator`]. This is what
+//! lets Figures 5–7 run at 24–3,072 modeled cores on one host.
+//!
+//! Every step charges each unit, in index order, its compute and one
+//! message to its downstream neighbour at the distance between the two
+//! owning cores — so after the VP balancer scatters VPs, formerly on-node
+//! traffic is charged at remote rates, the fragmentation effect the paper
+//! describes. The VP map adds the virtualized runtime's per-VP scheduling
+//! and per-message overheads.
 
-use crate::decomp::Decomp2d;
+use crate::balance::AmpiParams;
+use crate::decomp::{Decomp2d, VpGrid};
 use crate::diffusion::DiffusionParams;
-use pic_cluster::balancer::diffuse_xcuts;
+use pic_cluster::balancer::{diffuse_xcuts, VpStrategy};
 use pic_cluster::bsp::{BspSimulator, RunStats};
 use pic_cluster::cost::CostModel;
 use pic_cluster::loadmodel::ColumnLoadModel;
-use pic_cluster::machine::MachineModel;
+use pic_cluster::machine::{Distance, MachineModel};
 use pic_cluster::noise::NoiseModel;
 use pic_core::dist::Distribution;
 
@@ -112,9 +125,9 @@ pub struct ModelOutcome {
     pub stats: RunStats,
     /// Modeled wall seconds (= `stats.seconds`).
     pub seconds: f64,
-    /// Max particles on any rank at the end (paper §V-B).
+    /// Max particles on any core at the end (paper §V-B).
     pub max_particles_end: f64,
-    /// Ideal particles per rank.
+    /// Ideal particles per core.
     pub ideal_particles: f64,
     /// Fraction of neighbor-exchange channels that cross a node boundary
     /// at the end of the run — the fragmentation indicator behind the
@@ -123,245 +136,314 @@ pub struct ModelOutcome {
     pub remote_neighbor_frac: f64,
 }
 
-/// Per-step per-core compute and communication costs for a Cartesian
-/// decomposition with identity rank→core placement.
-// Takes the full modeled-run context piecewise so callers can keep the
-// output buffers borrowed separately from the config.
-#[allow(clippy::too_many_arguments)]
-fn charge_step(
-    decomp: &Decomp2d,
-    load: &ColumnLoadModel,
-    machine: &MachineModel,
-    cost: &CostModel,
-    noise: &NoiseModel,
-    step: u64,
-    compute: &mut [f64],
-    comm: &mut [f64],
-) {
-    let px = decomp.px;
-    let py = decomp.py;
-    let ncells = decomp.ncells;
-    for cy in 0..py {
-        let rows = decomp.row_range(cy);
-        for cx in 0..px {
-            let rank = decomp.rank_of(cx, cy);
-            let cols = decomp.col_range(cx);
-            compute[rank] =
-                load.count_in_rect(cols, rows) * cost.particle_ns * noise.factor(rank, step);
+/// Who owns a unit, and how a balance round moves it.
+enum Ownership {
+    /// The units are the ranks of the Cartesian decomposition, on the
+    /// identity rank→core placement; a round diffuses the x-cuts (`None`:
+    /// the static baseline, which never balances).
+    Cuts(Option<DiffusionParams>),
+    /// The units are VPs, owned through the replicated VP→core table.
+    Vps {
+        params: AmpiParams,
+        assignment: Vec<usize>,
+    },
+}
+
+impl Ownership {
+    #[inline]
+    fn core(&self, unit: usize) -> usize {
+        match self {
+            Ownership::Cuts(_) => unit,
+            Ownership::Vps { assignment, .. } => assignment[unit],
         }
     }
-    // Horizontal neighbor exchange: leavers cross each processor column's
-    // downstream cut. (The model assumes the stride does not skip over a
-    // whole processor column; the functional implementation handles the
-    // general case.)
+
+    /// One balance round: decide, move the map, and return the round's
+    /// critical path (ns) and migrated bytes. `unit_ns` is the last step's
+    /// measured per-unit compute.
+    fn round(
+        &mut self,
+        cfg: &ModelConfig,
+        units: &mut Decomp2d,
+        load: &ColumnLoadModel,
+        unit_ns: &[f64],
+    ) -> (f64, f64) {
+        match self {
+            Ownership::Cuts(None) => unreachable!("the static baseline never balances"),
+            // Aggregate per-processor-column counts (the two reductions of
+            // the paper's two-phase scheme collapse to one here); the phase
+            // costs a sync, the decision, and the largest single transfer.
+            Ownership::Cuts(Some(params)) => {
+                let px = units.px;
+                let col_counts: Vec<u64> = (0..px)
+                    .map(|cx| {
+                        let (a, b) = units.col_range(cx);
+                        load.count_in_columns(a, b)
+                    })
+                    .collect();
+                let new_cuts = diffuse_xcuts(
+                    &units.xcuts,
+                    &col_counts,
+                    params.tau,
+                    params.border_w,
+                    cfg.ncells,
+                );
+                let mut max_migration_ns = 0.0f64;
+                let mut bytes = 0.0f64;
+                let interior = units.xcuts.iter().zip(&new_cuts).enumerate();
+                for (i, (&old, &new)) in interior.take(px).skip(1) {
+                    if old == new {
+                        continue;
+                    }
+                    let (a, b) = (old.min(new), old.max(new));
+                    let moved_particles = load.count_in_columns(a, b) as f64;
+                    let moved_cols = (b - a) as f64;
+                    for cy in 0..units.py {
+                        let rows = units.row_range(cy);
+                        let d = cfg
+                            .machine
+                            .distance(units.rank_of(i - 1, cy), units.rank_of(i, cy));
+                        let cells = moved_cols * (rows.1 - rows.0) as f64;
+                        let parts = moved_particles * (rows.1 - rows.0) as f64 / cfg.ncells as f64;
+                        let ns = cfg.cost.migration_ns(d, cells, parts);
+                        max_migration_ns = max_migration_ns.max(ns);
+                        bytes += cells * cfg.cost.cell_bytes + parts * cfg.cost.particle_bytes;
+                    }
+                }
+                units.set_xcuts(new_cuts);
+                let lb_ns =
+                    cfg.cost.sync_ns(cfg.cores) + cfg.cost.lb_decision_ns + max_migration_ns;
+                (lb_ns, bytes)
+            }
+            // The runtime's fixed invocation cost, plus the migration: each
+            // core sends and receives its moved VPs, and the phase ends when
+            // the busiest core finishes.
+            Ownership::Vps { params, assignment } => {
+                let new_assignment = params.balancer.rebalance(unit_ns, assignment, cfg.cores);
+                let mut per_core_ns = vec![0.0f64; cfg.cores];
+                let mut bytes = 0.0f64;
+                for vp in 0..units.ranks() {
+                    let (from, to) = (assignment[vp], new_assignment[vp]);
+                    if from == to {
+                        continue;
+                    }
+                    let (cols, rows) = units.bounds(vp);
+                    let cells = units.cell_count(vp) as f64;
+                    let parts = load.count_in_rect(cols, rows);
+                    let ns = cfg
+                        .cost
+                        .migration_ns(cfg.machine.distance(from, to), cells, parts);
+                    per_core_ns[from] += ns;
+                    per_core_ns[to] += ns;
+                    bytes += cells * cfg.cost.cell_bytes + parts * cfg.cost.particle_bytes;
+                }
+                *assignment = new_assignment;
+                let max_migration = per_core_ns.iter().copied().fold(0.0f64, f64::max);
+                let lb_ns =
+                    cfg.cost.ampi_lb_invocation_ns(cfg.cores, units.ranks()) + max_migration;
+                (lb_ns, bytes)
+            }
+        }
+    }
+}
+
+/// The unit downstream of `(cx, cy)` in the drift direction, and the cut
+/// its leavers cross.
+fn downstream(units: &Decomp2d, cx: usize, cy: usize, rightward: bool) -> (usize, usize) {
+    let px = units.px;
+    if rightward {
+        (
+            units.rank_of((cx + 1) % px, cy),
+            units.xcuts[cx + 1] % units.ncells,
+        )
+    } else {
+        (units.rank_of((cx + px - 1) % px, cy), units.xcuts[cx])
+    }
+}
+
+/// The one modeled loop: `cfg.steps` steps over `units` owned through
+/// `map`, with a balance round every interval (never on the last step).
+fn run_model(cfg: &ModelConfig, mut units: Decomp2d, mut map: Ownership) -> ModelOutcome {
+    let mut load = ColumnLoadModel::new(cfg.dist, cfg.ncells, cfg.n, cfg.k, cfg.dir);
+    let mut bsp = BspSimulator::new(cfg.machine, cfg.cost, cfg.cores);
+    // Steps between rounds, if any. Every VP is scheduled, and every VP
+    // message routed, by the runtime — even between co-located VPs; the
+    // cut map has no runtime.
+    let (interval, sched_ns, msg_overhead_ns) = match &map {
+        Ownership::Cuts(params) => (params.map(|p| p.interval as u64), 0.0, 0.0),
+        Ownership::Vps { params, .. } => (
+            Some(params.interval as u64),
+            cfg.cost.vp_sched_ns,
+            cfg.cost.ampi_msg_overhead_ns,
+        ),
+    };
     let rightward = load.stride() >= 0;
-    for cy in 0..py {
-        let rows = decomp.row_range(cy);
-        let frac = {
-            // Fraction of a column's particles lying in this row block.
-            let total = load.total();
-            if total == 0 {
+    let mut unit_ns = vec![0.0f64; units.ranks()];
+    let mut compute = vec![0.0f64; cfg.cores];
+    let mut comm = vec![0.0f64; cfg.cores];
+    for s in 1..=cfg.steps {
+        compute.fill(0.0);
+        comm.fill(0.0);
+        for cy in 0..units.py {
+            let rows = units.row_range(cy);
+            // Fraction of a column's particles lying in this unit row.
+            let frac = if load.total() == 0 {
                 0.0
             } else {
-                load.count_in_rect((0, ncells), rows) / total as f64
-            }
-        };
-        for cx in 0..px {
-            let rank = decomp.rank_of(cx, cy);
-            let (nb_out, cut_out) = if rightward {
-                (
-                    decomp.rank_of((cx + 1) % px, cy),
-                    decomp.xcuts[cx + 1] % ncells,
-                )
-            } else {
-                (decomp.rank_of((cx + px - 1) % px, cy), decomp.xcuts[cx])
+                load.count_in_rect((0, cfg.ncells), rows) / load.total() as f64
             };
-            let sent = load.crossing_cut(cut_out) as f64 * frac;
-            let d_out = machine.distance(rank, nb_out);
-            comm[rank] += cost.particle_msg_ns(d_out, sent);
-            comm[nb_out] += cost.particle_msg_ns(d_out, sent);
+            for cx in 0..units.px {
+                let unit = units.rank_of(cx, cy);
+                let core = map.core(unit);
+                // The measured load includes the core's speed perturbation:
+                // runtime balancers instrument wall time, so (unlike the
+                // count-based diffusion scheme) they see and compensate for
+                // system non-uniformity.
+                unit_ns[unit] = load.count_in_rect(units.col_range(cx), rows)
+                    * cfg.cost.particle_ns
+                    * cfg.noise.factor(core, s);
+                compute[core] += unit_ns[unit] + sched_ns;
+                // Leavers cross the unit's downstream cut. (The model
+                // assumes the stride does not skip a whole unit column; the
+                // functional runtimes handle the general case.)
+                let (next, cut) = downstream(&units, cx, cy, rightward);
+                let dest = map.core(next);
+                let sent = load.crossing_cut(cut) as f64 * frac;
+                let ns = cfg
+                    .cost
+                    .particle_msg_ns(cfg.machine.distance(core, dest), sent)
+                    + msg_overhead_ns;
+                comm[core] += ns;
+                comm[dest] += ns;
+            }
+        }
+        bsp.step(&compute, &comm);
+        load.advance(1);
+        if interval.is_some_and(|f| s % f == 0) && s < cfg.steps {
+            let (lb_ns, bytes) = map.round(cfg, &mut units, &load, &unit_ns);
+            bsp.lb_phase(lb_ns, bytes);
         }
     }
-}
 
-/// Fraction of (rank → x-neighbor) channels that cross a node boundary.
-fn remote_neighbor_fraction(decomp: &Decomp2d, machine: &MachineModel) -> f64 {
-    use pic_cluster::machine::Distance;
-    let total = decomp.ranks();
-    if total == 0 {
-        return 0.0;
-    }
+    // The end state, read from the same unit table: particles per core,
+    // and how many neighbour channels cross a node boundary.
+    let mut per_core = vec![0.0f64; cfg.cores];
     let mut remote = 0usize;
-    for r in 0..total {
-        let (cx, cy) = decomp.coords_of(r);
-        let nb = decomp.rank_of((cx + 1) % decomp.px, cy);
-        if machine.distance(r, nb) == Distance::Remote {
-            remote += 1;
+    for cy in 0..units.py {
+        for cx in 0..units.px {
+            let unit = units.rank_of(cx, cy);
+            let core = map.core(unit);
+            let (cols, rows) = units.bounds(unit);
+            per_core[core] += load.count_in_rect(cols, rows);
+            let next = downstream(&units, cx, cy, rightward).0;
+            if cfg.machine.distance(core, map.core(next)) == Distance::Remote {
+                remote += 1;
+            }
         }
     }
-    remote as f64 / total as f64
-}
-
-/// Max per-rank particle count under the current decomposition.
-fn max_rank_count(decomp: &Decomp2d, load: &ColumnLoadModel) -> f64 {
-    let mut max = 0.0f64;
-    for r in 0..decomp.ranks() {
-        let (cols, rows) = decomp.bounds(r);
-        max = max.max(load.count_in_rect(cols, rows));
+    let stats = bsp.stats();
+    ModelOutcome {
+        stats,
+        seconds: stats.seconds,
+        max_particles_end: per_core.iter().copied().fold(0.0f64, f64::max),
+        ideal_particles: cfg.n as f64 / cfg.cores as f64,
+        remote_neighbor_frac: remote as f64 / units.ranks() as f64,
     }
-    max
 }
 
 /// Modeled `mpi-2d` baseline run.
 pub fn model_baseline(cfg: &ModelConfig) -> ModelOutcome {
-    let decomp = Decomp2d::uniform(cfg.ncells, cfg.cores);
-    let mut load = ColumnLoadModel::new(cfg.dist, cfg.ncells, cfg.n, cfg.k, cfg.dir);
-    let mut bsp = BspSimulator::new(cfg.machine, cfg.cost, cfg.cores);
-    let mut compute = vec![0.0; cfg.cores];
-    let mut comm = vec![0.0; cfg.cores];
-    for s in 0..cfg.steps {
-        compute.iter_mut().for_each(|v| *v = 0.0);
-        comm.iter_mut().for_each(|v| *v = 0.0);
-        charge_step(
-            &decomp,
-            &load,
-            &cfg.machine,
-            &cfg.cost,
-            &cfg.noise,
-            s,
-            &mut compute,
-            &mut comm,
-        );
-        bsp.step(&compute, &comm);
-        load.advance(1);
-    }
-    ModelOutcome {
-        stats: bsp.stats(),
-        seconds: bsp.stats().seconds,
-        max_particles_end: max_rank_count(&decomp, &load),
-        ideal_particles: cfg.n as f64 / cfg.cores as f64,
-        remote_neighbor_frac: remote_neighbor_fraction(&decomp, &cfg.machine),
-    }
+    run_model(
+        cfg,
+        Decomp2d::uniform(cfg.ncells, cfg.cores),
+        Ownership::Cuts(None),
+    )
 }
 
 /// Modeled `mpi-2d-LB` (diffusion) run.
 pub fn model_diffusion(cfg: &ModelConfig, params: DiffusionParams) -> ModelOutcome {
     assert!(params.interval > 0 && params.border_w > 0);
-    let mut decomp = Decomp2d::uniform(cfg.ncells, cfg.cores);
-    let mut load = ColumnLoadModel::new(cfg.dist, cfg.ncells, cfg.n, cfg.k, cfg.dir);
-    let mut bsp = BspSimulator::new(cfg.machine, cfg.cost, cfg.cores);
-    let mut compute = vec![0.0; cfg.cores];
-    let mut comm = vec![0.0; cfg.cores];
-    // Reused across LB invocations: per-processor-column counts and the
-    // proposed cuts never reallocate in steady state.
-    let mut col_counts: Vec<u64> = Vec::with_capacity(decomp.px);
-    let px = decomp.px;
-    let py = decomp.py;
-    for s in 1..=cfg.steps {
-        compute.iter_mut().for_each(|v| *v = 0.0);
-        comm.iter_mut().for_each(|v| *v = 0.0);
-        charge_step(
-            &decomp,
-            &load,
-            &cfg.machine,
-            &cfg.cost,
-            &cfg.noise,
-            s,
-            &mut compute,
-            &mut comm,
-        );
-        bsp.step(&compute, &comm);
-        load.advance(1);
-        if s % params.interval as u64 == 0 && s < cfg.steps {
-            // Aggregate per-processor-column counts (the two reductions of
-            // the paper's two-phase scheme collapse to one here).
-            col_counts.clear();
-            col_counts.extend((0..px).map(|cx| {
-                let (a, b) = decomp.col_range(cx);
-                load.count_in_columns(a, b)
-            }));
-            let new_cuts = diffuse_xcuts(
-                &decomp.xcuts,
-                &col_counts,
-                params.tau,
-                params.border_w,
-                cfg.ncells,
-            );
-            // Charge the LB phase: reduction + decision + migration.
-            let mut max_migration_ns = 0.0f64;
-            let mut total_bytes = 0.0f64;
-            let moved_cuts = decomp
-                .xcuts
-                .iter()
-                .zip(&new_cuts)
-                .enumerate()
-                .take(px)
-                .skip(1);
-            for (i, (&old, &new)) in moved_cuts {
-                if old == new {
-                    continue;
-                }
-                let (a, b) = (old.min(new), old.max(new));
-                let moved_particles = load.count_in_columns(a, b) as f64;
-                let moved_cols = (b - a) as f64;
-                for cy in 0..py {
-                    let rows = decomp.row_range(cy);
-                    let rank_l = decomp.rank_of(i - 1, cy);
-                    let rank_r = decomp.rank_of(i, cy);
-                    let d = cfg.machine.distance(rank_l, rank_r);
-                    let cells = moved_cols * (rows.1 - rows.0) as f64;
-                    let parts = moved_particles * (rows.1 - rows.0) as f64 / cfg.ncells as f64;
-                    let ns = cfg.cost.migration_ns(d, cells, parts);
-                    max_migration_ns = max_migration_ns.max(ns);
-                    total_bytes += cells * cfg.cost.cell_bytes + parts * cfg.cost.particle_bytes;
-                }
-            }
-            let lb_ns = cfg.cost.sync_ns(cfg.cores) + cfg.cost.lb_decision_ns + max_migration_ns;
-            bsp.lb_phase(lb_ns, total_bytes);
-            decomp.set_xcuts(new_cuts);
-        }
-    }
-    ModelOutcome {
-        stats: bsp.stats(),
-        seconds: bsp.stats().seconds,
-        max_particles_end: max_rank_count(&decomp, &load),
-        ideal_particles: cfg.n as f64 / cfg.cores as f64,
-        remote_neighbor_frac: remote_neighbor_fraction(&decomp, &cfg.machine),
-    }
+    run_model(
+        cfg,
+        Decomp2d::uniform(cfg.ncells, cfg.cores),
+        Ownership::Cuts(Some(params)),
+    )
 }
 
-/// Sweep diffusion parameters and keep the best run — the paper "tuned the
-/// relevant parameters and picked the best performing execution at each
-/// level of concurrency".
-pub fn model_diffusion_tuned(cfg: &ModelConfig) -> (ModelOutcome, DiffusionParams) {
-    let mut best: Option<(ModelOutcome, DiffusionParams)> = None;
-    // Candidate intervals scale with the run length (the paper's tuned
-    // values are for 6,000-step runs); the border width must cover the
-    // drift accumulated between invocations, so it is tied to the
-    // interval × stride.
-    // Interval candidates span the practical co-tuning range (the paper's
-    // 6,000-step runs → F ∈ {5, 10, 20, 50}); balancing every other step
-    // is outside what an MPI implementation would realistically sweep.
-    let steps = cfg.steps;
-    let mut intervals: Vec<u32> = [steps / 1200, steps / 600, steps / 300, steps / 120]
-        .iter()
-        .map(|&i| (i.max(1)) as u32)
-        .collect();
-    intervals.dedup();
-    for &interval in &intervals {
-        for &w_per_step in &[1usize, 2, 4, 8, 12] {
-            let params = DiffusionParams {
-                interval,
-                tau: (cfg.n / cfg.cores as u64 / 20).max(1),
-                border_w: w_per_step * interval as usize * (2 * cfg.k as usize + 1),
-            };
-            let out = model_diffusion(cfg, params);
-            if best.as_ref().is_none_or(|(b, _)| out.seconds < b.seconds) {
-                best = Some((out, params));
-            }
+/// Modeled `ampi` run: the VP grid of `params.d` VPs per core, starting
+/// from its compact block placement.
+pub fn model_ampi(cfg: &ModelConfig, params: &AmpiParams) -> ModelOutcome {
+    assert!(params.interval > 0);
+    let grid = VpGrid::new(cfg.ncells, cfg.cores, params.d);
+    let map = Ownership::Vps {
+        params: *params,
+        assignment: grid.initial_assignment(),
+    };
+    run_model(cfg, grid.decomp().clone(), map)
+}
+
+/// Run every candidate and keep the fastest (the first, on a tie) — the
+/// paper "tuned the relevant parameters and picked the best performing
+/// execution at each level of concurrency".
+fn fastest<P: Copy>(
+    candidates: impl IntoIterator<Item = P>,
+    run: impl Fn(P) -> ModelOutcome,
+) -> (ModelOutcome, P) {
+    let mut best: Option<(ModelOutcome, P)> = None;
+    for params in candidates {
+        let out = run(params);
+        if best.as_ref().is_none_or(|(b, _)| out.seconds < b.seconds) {
+            best = Some((out, params));
         }
     }
-    best.unwrap()
+    best.expect("at least one candidate")
+}
+
+/// LB-interval candidates `steps / divisor` (at least 1, repeats dropped):
+/// the paper's tuned values are for 6,000-step runs, so the candidates
+/// scale with the run length.
+fn intervals(steps: u64, divisors: &[u64]) -> Vec<u32> {
+    let mut out: Vec<u32> = divisors
+        .iter()
+        .map(|&d| (steps / d).max(1) as u32)
+        .collect();
+    out.dedup();
+    out
+}
+
+/// Sweep diffusion parameters and keep the best run.
+pub fn model_diffusion_tuned(cfg: &ModelConfig) -> (ModelOutcome, DiffusionParams) {
+    // Intervals span the practical co-tuning range (6,000 steps → F ∈ {5,
+    // 10, 20, 50}); balancing every other step is outside what an MPI
+    // implementation would realistically sweep. The border width must
+    // cover the drift accumulated between invocations, so it is tied to
+    // the interval × stride.
+    let tau = (cfg.n / cfg.cores as u64 / 20).max(1);
+    let stride = 2 * cfg.k as usize + 1;
+    let candidates = intervals(cfg.steps, &[1200, 600, 300, 120])
+        .into_iter()
+        .flat_map(|interval| {
+            [1usize, 2, 4, 8, 12].map(|w_per_step| DiffusionParams {
+                interval,
+                tau,
+                border_w: w_per_step * interval as usize * stride,
+            })
+        });
+    fastest(candidates, |params| model_diffusion(cfg, params))
+}
+
+/// Sweep `d` and `F` jointly and keep the best run.
+pub fn model_ampi_tuned(cfg: &ModelConfig) -> (ModelOutcome, AmpiParams) {
+    // The paper's best-performing F ≈ 160–1,000 for 6,000-step runs.
+    let intervals = intervals(cfg.steps, &[40, 10, 6]);
+    let candidates = [4usize, 16].into_iter().flat_map(|d| {
+        intervals.iter().map(move |&interval| AmpiParams {
+            d,
+            interval,
+            balancer: VpStrategy::paper_default(),
+        })
+    });
+    fastest(candidates, |params| model_ampi(cfg, &params))
 }
 
 #[cfg(test)]
@@ -380,6 +462,24 @@ mod tests {
             machine: MachineModel::edison(cores),
             cost: CostModel::edison_like(),
             noise: NoiseModel::None,
+        }
+    }
+
+    // Large enough that compute dominates the (paper-scale-calibrated)
+    // fixed VP-balancer invocation cost, as in the real experiments.
+    fn ampi_cfg(cores: usize) -> ModelConfig {
+        ModelConfig {
+            n: 2_560_000,
+            dist: Distribution::Geometric { r: 0.98 },
+            ..small_cfg(cores)
+        }
+    }
+
+    fn ampi(d: usize, interval: u32, balancer: VpStrategy) -> AmpiParams {
+        AmpiParams {
+            d,
+            interval,
+            balancer,
         }
     }
 
@@ -434,6 +534,24 @@ mod tests {
     }
 
     #[test]
+    fn diffusion_without_rounds_prices_the_baseline() {
+        // Every modeled run samples the same noise steps: with no round
+        // inside the run, diffusion is the baseline bit for bit, per-step
+        // jitter included.
+        let mut cfg = small_cfg(16);
+        cfg.noise = NoiseModel::Jitter {
+            amplitude: 0.5,
+            seed: 7,
+        };
+        let idle = DiffusionParams {
+            interval: cfg.steps as u32 + 1,
+            tau: 0,
+            border_w: 4,
+        };
+        assert_eq!(model_diffusion(&cfg, idle), model_baseline(&cfg));
+    }
+
+    #[test]
     fn strong_scaling_reduces_time() {
         let t1 = model_baseline(&small_cfg(1)).seconds;
         let t4 = model_baseline(&small_cfg(4)).seconds;
@@ -472,5 +590,144 @@ mod tests {
             ratio_lb < ratio * 0.7,
             "diffusion should cut the max count substantially: {ratio_lb} vs {ratio}"
         );
+    }
+
+    #[test]
+    fn ampi_beats_baseline_on_skew() {
+        let cfg = ampi_cfg(16);
+        let base = model_baseline(&cfg);
+        let ampi = model_ampi(&cfg, &ampi(8, 40, VpStrategy::paper_default()));
+        assert!(
+            ampi.seconds < base.seconds,
+            "ampi {:.3}s must beat baseline {:.3}s",
+            ampi.seconds,
+            base.seconds
+        );
+        assert!(ampi.max_particles_end < base.max_particles_end);
+    }
+
+    #[test]
+    fn no_balancer_is_baseline_plus_overhead() {
+        let cfg = ampi_cfg(8);
+        let base = model_baseline(&cfg);
+        let ampi = model_ampi(&cfg, &ampi(4, 100, VpStrategy::None));
+        // Over-decomposition without balancing only adds overhead.
+        assert!(ampi.seconds >= base.seconds * 0.95);
+        assert!((ampi.stats.imbalance - base.stats.imbalance).abs() < 0.5);
+    }
+
+    #[test]
+    fn too_frequent_lb_hurts() {
+        // The Figure 5 effect: F too small → invocation overhead dominates.
+        let cfg = ampi_cfg(16);
+        let mk =
+            |interval| model_ampi(&cfg, &ampi(4, interval, VpStrategy::paper_default())).seconds;
+        let frequent = mk(2);
+        let moderate = mk(80);
+        assert!(
+            frequent > moderate,
+            "F=2 ({frequent:.3}s) must be slower than F=80 ({moderate:.3}s)"
+        );
+    }
+
+    #[test]
+    fn over_decomposition_improves_balance() {
+        // The other Figure 5 effect: d = 1 gives the balancer nothing to
+        // move; larger d improves balance.
+        let cfg = ampi_cfg(16);
+        let mk = |d| model_ampi(&cfg, &ampi(d, 50, VpStrategy::paper_default()));
+        let d1 = mk(1);
+        let d8 = mk(8);
+        assert!(
+            d8.stats.imbalance < d1.stats.imbalance,
+            "d=8 imbalance {} must beat d=1 {}",
+            d8.stats.imbalance,
+            d1.stats.imbalance
+        );
+        assert!(d8.seconds < d1.seconds);
+    }
+
+    #[test]
+    fn d_one_refine_swaps_cannot_balance() {
+        let out = model_ampi(&ampi_cfg(8), &ampi(1, 50, VpStrategy::paper_default()));
+        assert!(
+            out.stats.imbalance > 1.3,
+            "imbalance {}",
+            out.stats.imbalance
+        );
+    }
+
+    #[test]
+    fn runtime_lb_compensates_for_slow_cores() {
+        // Category-1 imbalance (paper §I): a straggler socket. The
+        // particle distribution is uniform, so the count-based diffusion
+        // scheme sees nothing to fix — but the runtime balancer measures
+        // wall time and shifts VPs off the slow cores.
+        let mut cfg = ampi_cfg(16);
+        cfg.dist = Distribution::Uniform;
+        cfg.noise = NoiseModel::slow_tail(16, 4, 2.0);
+        let base = model_baseline(&cfg);
+        let diff = model_diffusion(
+            &cfg,
+            DiffusionParams {
+                interval: 10,
+                tau: 0,
+                border_w: 4,
+            },
+        );
+        let ampi = model_ampi(&cfg, &ampi(8, 40, VpStrategy::paper_default()));
+        // Baseline suffers the full 2× straggler penalty.
+        assert!(
+            base.stats.imbalance > 1.5,
+            "baseline imbalance {}",
+            base.stats.imbalance
+        );
+        // Count-based diffusion cannot help (counts are already equal).
+        assert!(
+            diff.seconds > 0.9 * base.seconds,
+            "diffusion should not help: {} vs {}",
+            diff.seconds,
+            base.seconds
+        );
+        // The runtime balancer does.
+        assert!(
+            ampi.seconds < 0.8 * base.seconds,
+            "runtime LB must compensate: {} vs {}",
+            ampi.seconds,
+            base.seconds
+        );
+    }
+
+    #[test]
+    fn locality_oblivious_migration_fragments_neighborhoods() {
+        // The paper's §V-B locality argument, quantified: the compact
+        // initial placement keeps most VP neighbor channels on-node; after
+        // locality-oblivious balancing rounds many cross node boundaries.
+        let cfg = ampi_cfg(48); // 2 nodes on the Edison layout
+        let before = model_ampi(&cfg, &ampi(8, 40, VpStrategy::None));
+        let after = model_ampi(&cfg, &ampi(8, 40, VpStrategy::Greedy));
+        assert!(
+            before.remote_neighbor_frac < 0.2,
+            "compact placement should be mostly local: {}",
+            before.remote_neighbor_frac
+        );
+        assert!(
+            after.remote_neighbor_frac > 2.0 * before.remote_neighbor_frac,
+            "greedy scattering must fragment: {} vs {}",
+            after.remote_neighbor_frac,
+            before.remote_neighbor_frac
+        );
+    }
+
+    #[test]
+    fn greedy_and_refine_both_balance() {
+        let cfg = ampi_cfg(8);
+        let refine = model_ampi(&cfg, &ampi(8, 40, VpStrategy::paper_default()));
+        let greedy = model_ampi(&cfg, &ampi(8, 40, VpStrategy::Greedy));
+        assert!(refine.stats.imbalance < 1.6);
+        assert!(greedy.stats.imbalance < 1.6);
+        // Both strategies actually move data.
+        assert!(greedy.stats.migrated_bytes > 0.0);
+        assert!(refine.stats.migrated_bytes > 0.0);
     }
 }

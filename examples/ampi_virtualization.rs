@@ -6,8 +6,8 @@
 //! cargo run --release --example ampi_virtualization
 //! ```
 
-use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
+use pic_ampi::AmpiParams;
 use pic_ampi::Balancer;
 use pic_cluster::balancer::imbalance;
 use pic_comm::world::run_threads;

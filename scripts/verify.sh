@@ -2,7 +2,8 @@
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
 #   clippy, rustdoc (deny warnings) and the stale-reference gate over the
-#   docs -> CLI and benchmark smokes.
+#   docs -> CLI smokes -> the paper figures regenerated and diffed against
+#   results/ -> benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
 # its steps.
@@ -136,6 +137,15 @@ trace_file="$(mktemp /tmp/pic-trace-vp.XXXXXX.ndjson)"
 head -1 "$trace_file" | grep -q '"impl":"ampi".*"balancer":"vp-refine"'
 cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
+
+echo "==> paper_all reproduces results/ byte for byte (~2 min)"
+# Every E1–E5 number in EXPERIMENTS.md is read from results/; the modeled
+# runs are deterministic, so the committed figures must be exactly what
+# the code writes at full scale.
+results_dir="$(mktemp -d /tmp/pic-results.XXXXXX)"
+./target/release/paper_all --out "$results_dir" >/dev/null 2>&1
+diff -r "$results_dir" results/
+rm -rf "$results_dir"
 
 echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry point)"
 # The repo benchmark at its small shape, as a correctness gate: each

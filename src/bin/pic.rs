@@ -112,9 +112,8 @@ Output:
     )
 }
 
-/// CLI default for the AMPI `--lb-interval`. The library's
-/// `AmpiParams::paper_default()` uses the paper's full-scale `F = 160`,
-/// which is useless at CLI-scale step counts, so the driver keeps its own.
+/// CLI default for the AMPI `--lb-interval`, sized for CLI-scale step
+/// counts (the paper's full-scale runs balance every `F = 160` steps).
 const AMPI_LB_INTERVAL_DEFAULT: u32 = 10;
 
 /// Options that take a value, and bare flags. Anything else on the

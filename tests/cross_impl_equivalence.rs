@@ -4,8 +4,8 @@
 //! reorders the sweep *between* particles, and particles never interact,
 //! so even floating-point state must agree exactly.
 
-use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi;
+use pic_ampi::AmpiParams;
 use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_par::diffusion::{DiffusionMode, DiffusionParams};

@@ -7,7 +7,8 @@
 //! the three hand-written step loops (`model_baseline`, `model_diffusion`
 //! and the VP runtime's `model_ampi`) before they became one loop over two
 //! ownership maps, so a row compares the code with that answer, not with
-//! itself.
+//! itself. The two baseline-under-jitter rows are the exception; their
+//! comment says why.
 //!
 //! The matrix, on a 256-cell grid over 48 modeled cores (two Edison nodes,
 //! so the remote-neighbour fraction is not trivially zero): the baseline,
@@ -17,13 +18,13 @@
 //! a number on purpose, the failure message lists the rows to paste over
 //! the pins.
 
-use pic_ampi::{model_ampi, AmpiParams, Balancer};
+use pic_ampi::{AmpiParams, Balancer};
 use pic_cluster::cost::CostModel;
 use pic_cluster::machine::MachineModel;
 use pic_cluster::noise::NoiseModel;
 use pic_core::dist::Distribution;
 use pic_par::diffusion::DiffusionParams;
-use pic_par::model_impl::{model_baseline, model_diffusion, ModelConfig, ModelOutcome};
+use pic_par::model_impl::{model_ampi, model_baseline, model_diffusion, ModelConfig, ModelOutcome};
 
 const CORES: usize = 48;
 
@@ -192,8 +193,11 @@ const BASELINE: [(&str, Row); 6] = [
     ("baseline none k=1 dir=-1", [0x3fd2b55e59142588, 0x3fd2b55e59142588, 0x0000000000000078, 0x3fd28fb40ca1f9e6, 0x3f598a9efe565495, 0x0000000000000000, 0x0000000000000000, 0x4009e50ce631f8a1, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
     ("baseline slow-tail k=0 dir=+1", [0x3fe26ebcdcbe6e96, 0x3fe26ebcdcbe6e96, 0x0000000000000078, 0x3fe2642750e74e2e, 0x3f427af20c120034, 0x0000000000000000, 0x0000000000000000, 0x4015133784e5102e, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
     ("baseline slow-tail k=1 dir=-1", [0x3fe2a0ef2663c0c8, 0x3fe2a0ef2663c0c8, 0x0000000000000078, 0x3fe28fb40ca1f9e6, 0x3f598a9efe565495, 0x0000000000000000, 0x0000000000000000, 0x40149a99067cb3aa, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
-    ("baseline jitter k=0 dir=+1", [0x3fda2be20c861930, 0x3fda2be20c861930, 0x0000000000000078, 0x3fda1661732bcde8, 0x3f427af20c120034, 0x0000000000000000, 0x0000000000000000, 0x400d307493ee7359, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
-    ("baseline jitter k=1 dir=-1", [0x3fda9598c5f810cd, 0x3fda9598c5f810cd, 0x0000000000000078, 0x3fda74925d32dd32, 0x3f598a9efe565495, 0x0000000000000000, 0x0000000000000000, 0x400d76ccb70e7c54, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
+    // Re-pinned when the baseline began charging steps 1..=steps like every
+    // other modeled run (it charged 0..steps): under per-step jitter it now
+    // samples the same noise steps as the balanced runs it is compared with.
+    ("baseline jitter k=0 dir=+1", [0x3fda2af88323028d, 0x3fda2af88323028d, 0x0000000000000078, 0x3fda1574e6e0783d, 0x3f427af20c120034, 0x0000000000000000, 0x0000000000000000, 0x400d302ee830b59f, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
+    ("baseline jitter k=1 dir=-1", [0x3fda949f682e7308, 0x3fda949f682e7308, 0x0000000000000078, 0x3fda73cd916a3f2f, 0x3f598a9efe565495, 0x0000000000000000, 0x0000000000000000, 0x400d753481922d4a, 0x40d11b5d80000000, 0x40b4d55555555555, 0x0000000000000000]),
 ];
 
 #[rustfmt::skip]
