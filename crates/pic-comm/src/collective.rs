@@ -10,6 +10,7 @@
 //! on it.
 
 use crate::comm::{Communicator, ReduceOp};
+use crate::payload::{PayloadKind, WirePayload};
 
 // ---------------------------------------------------------------------------
 // byte codecs
@@ -280,7 +281,7 @@ pub fn allreduce_u128(comm: &Communicator, mine: u128, op: ReduceOp) -> u128 {
 /// payload received from every rank (in rank order). Zero-length payloads
 /// are delivered too (they serve as "nothing for you" markers). Generic
 /// over the wire lane — byte buffers or typed particle buffers.
-pub fn alltoallv<P: crate::payload::WirePayload>(comm: &Communicator, outgoing: Vec<P>) -> Vec<P> {
+pub fn alltoallv<P: WirePayload>(comm: &Communicator, outgoing: Vec<P>) -> Vec<P> {
     let mut outgoing = outgoing;
     let mut incoming = Vec::new();
     alltoallv_take_into(comm, &mut outgoing, &mut incoming);
@@ -295,13 +296,67 @@ pub fn alltoallv<P: crate::payload::WirePayload>(comm: &Communicator, outgoing: 
 /// like an MPI send buffer — but receivers can recycle the buffers they
 /// get, so a steady-state exchange *circulates* capacity instead of
 /// allocating it.
-pub fn alltoallv_take_into<P: crate::payload::WirePayload>(
+pub fn alltoallv_take_into<P: WirePayload>(
     comm: &Communicator,
     outgoing: &mut [P],
     incoming: &mut Vec<P>,
 ) {
-    let handle = crate::sparse::alltoallv_start(comm, outgoing);
-    crate::sparse::alltoallv_finish_into(comm, handle, incoming);
+    let handle = alltoallv_start(comm, outgoing);
+    alltoallv_finish_into(comm, handle, incoming);
+}
+
+/// Completion handle for an in-flight (split-phase) all-to-all. All sends
+/// have been posted when the handle exists; dropping it without calling
+/// [`alltoallv_finish_into`] strands the matching receives, so it is
+/// `#[must_use]`.
+#[derive(Debug)]
+#[must_use = "an alltoallv start must be completed with alltoallv_finish_into"]
+pub struct AlltoallvHandle {
+    base: u64,
+    /// Wire lane the start call put on the wire; the finish call must
+    /// claim the same lane (asserted) — the receives would otherwise
+    /// panic deep in the payload layer or, worse, mis-deliver.
+    payload_kind: PayloadKind,
+}
+
+/// Start a split-phase all-to-all: `outgoing[d]` is surrendered to the
+/// transport (replaced by `P::empty()`) and sent to rank `d` — including
+/// empty payloads, which serve as "nothing for you" markers. Sends never
+/// block, so the call returns without waiting for any peer: the caller can
+/// compute while the messages are in flight and complete the receives
+/// later with [`alltoallv_finish_into`] naming the same lane.
+pub fn alltoallv_start<P: WirePayload>(comm: &Communicator, outgoing: &mut [P]) -> AlltoallvHandle {
+    assert_eq!(
+        outgoing.len(),
+        comm.size(),
+        "alltoallv needs one payload per rank"
+    );
+    let base = comm.next_coll_base();
+    for (dst, payload) in outgoing.iter_mut().enumerate() {
+        comm.send_coll(dst, base, std::mem::replace(payload, P::empty()));
+    }
+    AlltoallvHandle {
+        base,
+        payload_kind: P::KIND,
+    }
+}
+
+/// Complete a split-phase all-to-all: receives one payload from every
+/// rank, in rank order, into `incoming` (cleared, capacity retained).
+pub fn alltoallv_finish_into<P: WirePayload>(
+    comm: &Communicator,
+    handle: AlltoallvHandle,
+    incoming: &mut Vec<P>,
+) {
+    assert_eq!(
+        handle.payload_kind,
+        P::KIND,
+        "alltoallv started on the {} lane but finished on the {} lane",
+        handle.payload_kind.name(),
+        P::KIND.name()
+    );
+    incoming.clear();
+    incoming.extend((0..comm.size()).map(|src| comm.recv_coll::<P>(src, handle.base)));
 }
 
 #[cfg(test)]
@@ -457,5 +512,47 @@ mod tests {
                 assert_eq!(payload, vec![(10 * s + r) as u8]);
             }
         }
+    }
+
+    #[test]
+    fn dense_split_phase_matches_alltoallv() {
+        let got = run_threads(4, |comm| {
+            let mut outgoing: Vec<Vec<u8>> =
+                (0..4).map(|d| vec![(10 * comm.rank() + d) as u8]).collect();
+            let mut incoming: Vec<Vec<u8>> = Vec::new();
+            let h = alltoallv_start(&comm, &mut outgoing);
+            alltoallv_finish_into(&comm, h, &mut incoming);
+            assert!(outgoing.iter().all(|p| p.is_empty()), "payloads taken");
+            incoming
+        });
+        for (r, incoming) in got.into_iter().enumerate() {
+            let want: Vec<Vec<u8>> = (0..4).map(|s| vec![(10 * s + r) as u8]).collect();
+            assert_eq!(incoming, want);
+        }
+    }
+
+    #[test]
+    fn dense_split_phase_single_rank_and_empty() {
+        let got = run_threads(1, |comm| {
+            let mut outgoing = vec![Vec::<u8>::new()];
+            let mut incoming: Vec<Vec<u8>> = Vec::new();
+            let h = alltoallv_start(&comm, &mut outgoing);
+            alltoallv_finish_into(&comm, h, &mut incoming);
+            incoming
+        });
+        assert_eq!(got[0], vec![Vec::<u8>::new()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "started on the typed lane but finished on the bytes lane")]
+    fn lane_mismatch_between_start_and_finish_is_loud() {
+        // Single-rank world on the test thread itself, so the panic is the
+        // test's own (run_threads would wrap a rank-thread panic).
+        let eps = crate::endpoint::Endpoint::world(1);
+        let comm = Communicator::world(eps[0].clone());
+        let mut outgoing: Vec<Vec<pic_core::particle::Particle>> = vec![Vec::new()];
+        let mut incoming: Vec<Vec<u8>> = Vec::new();
+        let h = alltoallv_start(&comm, &mut outgoing);
+        alltoallv_finish_into(&comm, h, &mut incoming);
     }
 }

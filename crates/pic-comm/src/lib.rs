@@ -5,11 +5,11 @@
 //! backend**: each rank is an OS thread of one world ([`run_threads`]),
 //! point-to-point messages are tag-matched payloads over in-process
 //! channels, and the collectives (broadcast, gatherv/allgatherv, `u64`
-//! vector reduce/allreduce, scalar `u64`/`f64`/`u128` allreduce, dense and
-//! sparse alltoallv, both split-phase) are built on top of point-to-point
-//! exactly as a textbook MPI would build them — so the communication
-//! *structure* of the ported kernels is faithful even though the transport
-//! is shared memory.
+//! vector reduce/allreduce, scalar `u64`/`f64`/`u128` allreduce, and the
+//! personalized alltoallv, synchronous or split-phase) are built on top of
+//! point-to-point exactly as a textbook MPI would build them — so the
+//! communication *structure* of the ported kernels is faithful even though
+//! the transport is shared memory.
 //!
 //! Key MPI semantics preserved:
 //!
@@ -18,6 +18,9 @@
 //!   collective-internal tags live apart from user tags.
 //! * **Deterministic collectives** — reductions fold along a fixed
 //!   binomial tree, so floating-point results are reproducible run to run.
+//! * **Sends never block** — a split-phase start
+//!   ([`alltoallv_start`]) posts every message and returns without waiting
+//!   for a peer, so a rank can compute while its messages are in flight.
 //! * **A failed rank fails the job** — a rank that panics aborts the world
 //!   with an error naming it; no peer is left blocked in a receive.
 //!
@@ -37,14 +40,9 @@ pub mod collective;
 pub mod comm;
 pub mod endpoint;
 pub mod payload;
-pub mod sparse;
 pub mod world;
 
 pub use collective::*;
 pub use comm::{Communicator, ReduceOp, Tag};
 pub use payload::{Payload, PayloadKind, WirePayload};
-pub use sparse::{
-    alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
-    AlltoallvHandle, SparsePlan,
-};
 pub use world::run_threads;

@@ -48,12 +48,6 @@ pub enum Payload {
     Typed(Vec<Particle>),
 }
 
-impl Default for Payload {
-    fn default() -> Payload {
-        Payload::Bytes(Vec::new())
-    }
-}
-
 impl Payload {
     pub fn kind(&self) -> PayloadKind {
         match self {
@@ -71,13 +65,6 @@ impl Payload {
             Payload::Typed(p) => p.len() * Particle::WIRE_SIZE,
         }
     }
-
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Payload::Bytes(b) => b.is_empty(),
-            Payload::Typed(p) => p.is_empty(),
-        }
-    }
 }
 
 /// A buffer type the fabric can route. Implemented by `Vec<u8>` (oracle
@@ -92,8 +79,6 @@ pub trait WirePayload: Sized + Send + 'static {
 
     /// A fresh empty buffer (no allocation).
     fn empty() -> Self;
-
-    fn is_empty(&self) -> bool;
 
     /// Surrender this buffer to the transport.
     fn into_payload(self) -> Payload;
@@ -113,10 +98,6 @@ impl WirePayload for Vec<u8> {
 
     fn empty() -> Self {
         Vec::new()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
     }
 
     fn into_payload(self) -> Payload {
@@ -143,10 +124,6 @@ impl WirePayload for Vec<Particle> {
 
     fn empty() -> Self {
         Vec::new()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
     }
 
     fn into_payload(self) -> Payload {

@@ -2,26 +2,21 @@
 //! typed zero-copy particle lane (DESIGN.md §15).
 //!
 //! The rank-loop audit (`pic-par/tests/alloc_steady_state.rs`) covers the
-//! full step; this one isolates the transport: a warmed
-//! alltoallv iteration — dense or sparse, with staging buffers recycled
-//! the way the runtime's spare free-list does — must not allocate. Typed
-//! payload buffers circulate by ownership (send surrenders them, arrivals
-//! come back with capacity), the sparse protocol's count/escape wires
-//! recycle through the plan's `small_spares` pool, and the channels reuse
-//! their queue capacity, so a later measurement window must not allocate
-//! more than an earlier one and the absolute budget stays far under one
-//! allocation per iteration.
+//! full step; this one isolates the transport: a warmed split-phase
+//! alltoallv iteration, with staging buffers recycled the way the
+//! runtime's spare free-list does, must not allocate. Typed payload
+//! buffers circulate by ownership (send surrenders them, arrivals come
+//! back with capacity) and the channels reuse their queue capacity, so a
+//! later measurement window must not allocate more than an earlier one and
+//! the absolute budget stays far under one allocation per iteration.
 //!
 //! Counters are thread-local, so each rank audits exactly its own work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pic_comm::collective::{alltoallv_finish_into, alltoallv_start};
 use pic_comm::comm::Communicator;
-use pic_comm::sparse::{
-    alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
-    SparsePlan,
-};
 use pic_comm::world::run_threads;
 use pic_core::particle::Particle;
 
@@ -90,7 +85,6 @@ fn particle(id: u64) -> Particle {
 /// slots — the same circulation the runtime's spare free-list performs.
 fn typed_ring_iter(
     comm: &Communicator,
-    sparse: Option<&mut SparsePlan>,
     outgoing: &mut [Vec<Particle>],
     incoming: &mut Vec<Vec<Particle>>,
     it: u64,
@@ -104,16 +98,8 @@ fn typed_ring_iter(
             bucket.extend((0..NP as u64).map(|i| particle(it + i)));
         }
     }
-    match sparse {
-        Some(plan) => {
-            let h = alltoallv_sparse_start(comm, outgoing, plan);
-            alltoallv_sparse_finish_into(comm, h, plan, incoming);
-        }
-        None => {
-            let h = alltoallv_start(comm, outgoing);
-            alltoallv_finish_into(comm, h, incoming);
-        }
-    }
+    let h = alltoallv_start(comm, outgoing);
+    alltoallv_finish_into(comm, h, incoming);
     let arrived: usize = incoming.iter().map(Vec::len).sum();
     assert_eq!(arrived, 2 * NP, "rank {rank}: lost typed particles");
     for (slot, buf) in outgoing.iter_mut().zip(incoming.drain(..)) {
@@ -121,57 +107,43 @@ fn typed_ring_iter(
     }
 }
 
-fn audit(use_sparse: bool) -> Vec<(usize, usize)> {
-    run_threads(RANKS, move |comm| {
-        let rank = comm.rank();
-        let mut plan = use_sparse.then(|| {
-            SparsePlan::new(
-                RANKS,
-                rank,
-                [(rank + 1) % RANKS, (rank + RANKS - 1) % RANKS],
-            )
-        });
+#[test]
+fn typed_wire_exchange_reaches_allocation_steady_state() {
+    let windows = run_threads(RANKS, |comm| {
         let mut outgoing: Vec<Vec<Particle>> = vec![Vec::new(); RANKS];
         let mut incoming: Vec<Vec<Particle>> = Vec::new();
         let mut it = 0u64;
-        let mut window = |n: u32, outgoing: &mut _, incoming: &mut _, plan: &mut Option<_>| {
+        let mut window = |n: u32, outgoing: &mut _, incoming: &mut _| {
             LOCAL_ALLOCS.with(|c| c.set(0));
             IN_SCOPE.with(|s| s.set(true));
             for _ in 0..n {
-                typed_ring_iter(&comm, plan.as_mut(), outgoing, incoming, it);
+                typed_ring_iter(&comm, outgoing, incoming, it);
                 it += 1;
             }
             IN_SCOPE.with(|s| s.set(false));
             LOCAL_ALLOCS.with(Cell::get)
         };
-        let _ = window(WARM_ITERS, &mut outgoing, &mut incoming, &mut plan);
-        let first = window(WINDOW_ITERS, &mut outgoing, &mut incoming, &mut plan);
-        let second = window(WINDOW_ITERS, &mut outgoing, &mut incoming, &mut plan);
+        let _ = window(WARM_ITERS, &mut outgoing, &mut incoming);
+        let first = window(WINDOW_ITERS, &mut outgoing, &mut incoming);
+        let second = window(WINDOW_ITERS, &mut outgoing, &mut incoming);
         (first, second)
-    })
-}
-
-#[test]
-fn typed_wire_exchange_reaches_allocation_steady_state() {
-    for use_sparse in [false, true] {
-        let windows = audit(use_sparse);
-        for (rank, &(first, second)) in windows.iter().enumerate() {
-            // Steady state: no growth between warmed windows, modulo
-            // transport-queue jitter (channel queue depth depends on
-            // thread interleaving, not on the lane under audit).
-            assert!(
-                second <= first + 2,
-                "sparse={use_sparse} rank {rank}: allocation growth between \
-                 warmed windows ({first} then {second})"
-            );
-            // Absolute budget: a serializing lane would pay at least one
-            // encode buffer and one decode vector per iteration; the
-            // typed lane's residue is rare capacity growth only.
-            assert!(
-                second as u32 <= WINDOW_ITERS / 2,
-                "sparse={use_sparse} rank {rank}: {second} allocations in a \
-                 {WINDOW_ITERS}-iteration warmed window"
-            );
-        }
+    });
+    for (rank, &(first, second)) in windows.iter().enumerate() {
+        // Steady state: no growth between warmed windows, modulo
+        // transport-queue jitter (channel queue depth depends on thread
+        // interleaving, not on the lane under audit).
+        assert!(
+            second <= first + 2,
+            "rank {rank}: allocation growth between warmed windows \
+             ({first} then {second})"
+        );
+        // Absolute budget: a serializing lane would pay at least one
+        // encode buffer and one decode vector per iteration; the typed
+        // lane's residue is rare capacity growth only.
+        assert!(
+            second as u32 <= WINDOW_ITERS / 2,
+            "rank {rank}: {second} allocations in a {WINDOW_ITERS}-iteration \
+             warmed window"
+        );
     }
 }

@@ -301,7 +301,7 @@ impl BinnedStore {
 
     /// Short kernel descriptor for telemetry and driver output:
     /// `"<backend>/exact"` (e.g. `"avx512/exact"`, `"scalar/exact"`) — the
-    /// trace run-header `simd` field of schema v1, suffix included.
+    /// trace run-header `simd` field of schema v2, suffix included.
     pub fn kernel_desc(&self) -> String {
         format!("{}/exact", self.backend.name())
     }

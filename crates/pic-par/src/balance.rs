@@ -191,8 +191,7 @@ fn run_balanced_traced(
             tracer.phase_end(Phase::Balance);
         }
         if every > 0 && (s as u64).is_multiple_of(every) {
-            let msgs = st.take_message_counts();
-            global_count = snapshot_loads(comm, tracer, st.local_count() as u64, sent_window, msgs);
+            global_count = snapshot_loads(comm, tracer, &mut st, sent_window);
             sent_window = 0;
         }
         tracer.end_step(global_count);

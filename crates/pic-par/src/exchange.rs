@@ -9,11 +9,8 @@
 //! owner-directed personalized all-to-all.
 
 use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
+use pic_comm::collective::{alltoallv_finish_into, alltoallv_start, AlltoallvHandle};
 use pic_comm::comm::Communicator;
-use pic_comm::sparse::{
-    alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
-    AlltoallvHandle, SparsePlan,
-};
 use pic_core::bin::BinnedStore;
 use pic_core::geometry::Grid;
 use pic_core::particle::Particle;
@@ -42,16 +39,11 @@ pub struct ExchangeBuffers {
     inbox: Vec<Vec<Particle>>,
     /// Recycled buckets feeding the next staging pass.
     spare: Vec<Vec<Particle>>,
-    /// Neighbor topology for the sparse exchange; `None` routes every
-    /// payload through the dense synchronous all-to-all (the reference path).
-    plan: Option<SparsePlan>,
     /// O(1) cell → rank table of the Cartesian decomposition, revalidated
     /// against the live cuts by every [`rehome_binned_start`].
     owners: OwnerTable,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
-    /// Payload messages the sparse protocol elided since the last take.
-    msgs_skipped: u64,
 }
 
 impl ExchangeBuffers {
@@ -59,31 +51,23 @@ impl ExchangeBuffers {
         ExchangeBuffers::default()
     }
 
-    /// Route subsequent exchanges through the sparse neighbor-aware
-    /// protocol. `neighbors` must be symmetric across ranks (see
-    /// [`SparsePlan`]); calling again replaces the topology while keeping
-    /// the plan's recycled scratch, and must keep `size`/`my_rank` fixed.
+    /// Does nothing: every exchange runs the one dense wire. Kept only
+    /// because the benchmark's route probe (`bench/src/probe.rs:158`) calls
+    /// it; adapter v2 deletes it.
+    #[doc(hidden)]
     pub fn enable_sparse(
         &mut self,
-        size: usize,
-        my_rank: usize,
-        neighbors: impl IntoIterator<Item = usize>,
+        _size: usize,
+        _my_rank: usize,
+        _neighbors: impl IntoIterator<Item = usize>,
     ) {
-        match &mut self.plan {
-            Some(p) => p.set_neighbors(neighbors),
-            None => self.plan = Some(SparsePlan::new(size, my_rank, neighbors)),
-        }
     }
 
-    /// Drain the accumulated `(sent, skipped)` wire-message counters —
-    /// payload messages actually sent vs. elided by the sparse protocol
-    /// since the previous take. Feeds the `msgs_sent` / `msgs_skipped`
-    /// trace counters.
-    pub fn take_message_counts(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.msgs_sent),
-            std::mem::take(&mut self.msgs_skipped),
-        )
+    /// Drain the wire-message counter: payload messages put on the wire
+    /// (one per rank per exchange, the self-delivery included) since the
+    /// previous take. Feeds the `msgs_sent` trace counter.
+    pub(crate) fn take_messages_sent(&mut self) -> u64 {
+        std::mem::take(&mut self.msgs_sent)
     }
 
     /// Prepare the per-destination staging buckets for a new exchange:
@@ -102,16 +86,10 @@ impl ExchangeBuffers {
         }
     }
 
-    /// Put the staged buckets on the wire through the configured (sparse
-    /// or dense) all-to-all and account the message counters.
+    /// Put the staged buckets on the wire and account the message counter.
     fn start_wire(&mut self, comm: &Communicator) -> AlltoallvHandle {
-        let h = match &mut self.plan {
-            Some(plan) => alltoallv_sparse_start(comm, &mut self.outgoing, plan),
-            None => alltoallv_start(comm, &mut self.outgoing),
-        };
-        self.msgs_sent += h.messages_sent();
-        self.msgs_skipped += h.messages_skipped();
-        h
+        self.msgs_sent += comm.size() as u64;
+        alltoallv_start(comm, &mut self.outgoing)
     }
 
     /// Complete an exchange started by [`ExchangeBuffers::start_wire`] and
@@ -126,10 +104,7 @@ impl ExchangeBuffers {
     ) -> usize {
         let me = comm.rank();
         let mut received = 0usize;
-        match &mut self.plan {
-            Some(plan) => alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox),
-            None => alltoallv_finish_into(comm, handle, &mut self.inbox),
-        }
+        alltoallv_finish_into(comm, handle, &mut self.inbox);
         for (src, bucket) in self.inbox.iter_mut().enumerate() {
             if src == me {
                 continue;
@@ -185,18 +160,11 @@ pub struct ExchangeInFlight {
     pub sent: usize,
 }
 
-impl ExchangeInFlight {
-    /// Did the sparse protocol fall back to the dense pattern because some
-    /// rank had a payload for a non-neighbor?
-    pub fn escaped(&self) -> bool {
-        self.handle.escaped()
-    }
-}
-
 /// First half of the split-phase binned exchange: drain the leavers of the
 /// bins whose **global column** satisfies `active` (plus the mixed region,
 /// which is always tested), stage them per destination, and post all sends.
-/// The overlapped rank step passes the border-column predicate here, then
+/// It returns without waiting for any peer (the sends never block), so the
+/// overlapped rank step passes the border-column predicate here, then
 /// advances the interior while the messages are in flight, and calls
 /// [`route_binned_finish`] afterwards. Passing `|_| true` drains everything
 /// — the synchronous pattern.
@@ -346,11 +314,11 @@ mod tests {
     }
 
     /// A whole-grid store over the deliberately mis-assigned strided subset
-    /// `id % 4 == rank`, regardless of ownership.
-    fn strided_store(grid: &Grid, all: &[Particle], rank: usize) -> BinnedStore {
+    /// `id % ranks == rank`, regardless of ownership.
+    fn strided_store(grid: &Grid, all: &[Particle], rank: usize, ranks: usize) -> BinnedStore {
         let mine: Vec<Particle> = all
             .iter()
-            .filter(|p| (p.id as usize) % 4 == rank)
+            .filter(|p| (p.id as usize) % ranks == rank)
             .copied()
             .collect();
         BinnedStore::new(&mine, grid, DEFAULT_REBIN)
@@ -372,7 +340,7 @@ mod tests {
         let decomp = Decomp2d::uniform(16, 4);
         let totals = run_threads(4, |comm| {
             let rank = comm.rank();
-            let mut store = strided_store(&grid, &all, rank);
+            let mut store = strided_store(&grid, &all, rank, 4);
             let d = decomp.clone();
             let owner = |c, r| d.owner_of_cell(c, r);
             let mut bufs = ExchangeBuffers::new();
@@ -387,90 +355,41 @@ mod tests {
     }
 
     #[test]
-    fn sparse_escape_rehomes_strided_misassignment() {
-        // Strided mis-assignment scatters particles across *non-adjacent*
-        // ranks of a 4-column world (neighbor stencil = {left, right}), so
-        // the very first sparse exchange must raise the escape flag and
-        // fall back to the dense pattern — and still deliver everything.
+    fn split_phase_start_posts_without_waiting_for_a_peer() {
+        // Rank 1 starts only once rank 0's start has returned (a barrier
+        // outside the communicator): a start that waited for a peer would
+        // deadlock here. The world runs on a helper thread under a 10 s
+        // watchdog so a hang fails, not stalls.
         let (grid, all) = setup(200);
-        let decomp = Decomp2d::columns(16, 4);
-        let totals = run_threads(4, |comm| {
-            let rank = comm.rank();
-            let mut store = strided_store(&grid, &all, rank);
-            let d = decomp.clone();
-            let owner = |c, r| d.owner_of_cell(c, r);
-            let mut bufs = ExchangeBuffers::new();
-            bufs.enable_sparse(4, rank, d.neighbors_of(rank));
-            route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
-            let held = settled(&store, &grid, &d, rank);
-            // Once settled, a second pass stays on the sparse path and
-            // sends no payloads at all.
-            bufs.take_message_counts();
-            route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
-            let (sent_msgs, skipped) = bufs.take_message_counts();
-            assert_eq!(sent_msgs, 0, "settled world must skip every payload");
-            assert_eq!(skipped, 4);
-            held
+        let decomp = Decomp2d::columns(16, 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let started = std::sync::Barrier::new(2);
+            let totals = run_threads(2, |comm| {
+                let rank = comm.rank();
+                let mut store = strided_store(&grid, &all, rank, 2);
+                let mut bufs = ExchangeBuffers::new();
+                if rank == 1 {
+                    started.wait();
+                }
+                let owner = |c, r| decomp.owner_of_cell(c, r);
+                let inflight =
+                    route_binned_start(&comm, rank, owner, |_| true, &mut store, &grid, &mut bufs);
+                if rank == 0 {
+                    started.wait();
+                }
+                route_binned_finish(&comm, inflight, &mut store, &mut bufs);
+                settled(&store, &grid, &decomp, rank)
+            });
+            tx.send(totals)
         });
+        let totals = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("rank 0's start waited for rank 1");
         let total: usize = totals.iter().map(|t| t.0).sum();
         let idsum: u128 = totals.iter().map(|t| t.1).sum();
         assert_eq!(total, 200);
         assert_eq!(idsum, 200u128 * 201 / 2, "no particle lost or duplicated");
-    }
-
-    #[test]
-    fn sparse_binned_route_matches_dense_oracle() {
-        // The sparse neighbor path must be bit-identical to the dense
-        // synchronous exchange over a multi-step binned run — and must
-        // actually elide messages while doing so.
-        use pic_core::charge::SimConstants;
-        let (grid, all) = setup(400);
-        let decomp = Decomp2d::columns(16, 4);
-        let consts = SimConstants::CANONICAL;
-        let steps = 12;
-        let run = |sparse: bool| {
-            run_threads(4, |comm| {
-                let rank = comm.rank();
-                let mine = local_slice(&decomp, &grid, rank, &all);
-                let ((x0, x1), _) = decomp.bounds(rank);
-                let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
-                let mut bufs = ExchangeBuffers::new();
-                if sparse {
-                    bufs.enable_sparse(4, rank, decomp.neighbors_of(rank));
-                }
-                for _ in 0..steps {
-                    store.sweep_local(&grid, &consts);
-                    rehome_binned_with(
-                        &comm,
-                        &decomp,
-                        &grid,
-                        rank,
-                        |_| true,
-                        &mut store,
-                        &mut bufs,
-                    );
-                    if store.rebin_due() {
-                        store.rebin(&grid);
-                    }
-                }
-                let (sent_msgs, skipped) = bufs.take_message_counts();
-                (store.to_particles(), sent_msgs, skipped)
-            })
-        };
-        let dense = run(false);
-        let sparse = run(true);
-        let flat = |rs: &[(Vec<Particle>, u64, u64)]| {
-            let mut v: Vec<Particle> = rs.iter().flat_map(|r| r.0.clone()).collect();
-            v.sort_unstable_by_key(|p| p.id);
-            v
-        };
-        assert_eq!(flat(&dense), flat(&sparse), "sparse diverged from dense");
-        let dense_msgs: u64 = dense.iter().map(|r| r.1).sum();
-        let sparse_msgs: u64 = sparse.iter().map(|r| r.1).sum();
-        let skipped: u64 = sparse.iter().map(|r| r.2).sum();
-        assert_eq!(dense_msgs, 4 * 4 * steps, "dense sends P per rank per step");
-        assert!(sparse_msgs < dense_msgs, "sparse must elide messages");
-        assert_eq!(sparse_msgs + skipped, dense_msgs, "counters must partition");
     }
 
     #[test]
@@ -491,7 +410,6 @@ mod tests {
                 let ((x0, x1), _) = decomp.bounds(rank);
                 let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
                 let mut bufs = ExchangeBuffers::new();
-                bufs.enable_sparse(4, rank, decomp.neighbors_of(rank));
                 for _ in 0..steps {
                     if split {
                         store.prepare_sweep(&grid);
@@ -553,8 +471,8 @@ mod tests {
             let rank = comm.rank();
             let owner = |c, r| decomp.owner_of_cell(c, r);
             let mut bufs = ExchangeBuffers::new();
-            let mut fresh = strided_store(&grid, &all, rank);
-            let mut warm = strided_store(&grid, &all, rank);
+            let mut fresh = strided_store(&grid, &all, rank, 4);
+            let mut warm = strided_store(&grid, &all, rank, 4);
             let mut cold = ExchangeBuffers::new();
             route_binned_with(&comm, rank, owner, &mut fresh, &grid, &mut cold);
             // First pass warms the buckets, second pass reuses them.

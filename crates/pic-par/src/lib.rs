@@ -44,4 +44,4 @@ pub use balance::{run_config, run_config_traced, run_spec_traced, AmpiParams, Ba
 pub use decomp::{Decomp2d, VpGrid};
 pub use diffusion::{DiffusionMode, DiffusionParams};
 pub use model_impl::{model_ampi, model_baseline, model_diffusion, ModelConfig, ModelOutcome};
-pub use runner::{ExchangeMode, ParConfig, ParOutcome};
+pub use runner::{ParConfig, ParOutcome};

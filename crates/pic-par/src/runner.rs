@@ -22,23 +22,6 @@ use pic_core::soa::ParticleBatch;
 use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
 
-/// How the per-step exchange routes particle payloads between ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// Dense synchronous all-to-all after the full sweep: every rank sends
-    /// `P` payloads (most of them empty markers) and blocks until all are
-    /// received. The reference the equivalence suites compare against.
-    DenseSync,
-    /// Sparse neighbor-aware exchange (counts to the Cartesian 8-stencil,
-    /// payloads only where non-empty, global escape flag for fast
-    /// particles), split-phase overlapped with the interior sweep whenever
-    /// the decomposition permits (`py == 1`, or no vertical motion at
-    /// all); sparse-but-synchronous otherwise. Bit-identical results to
-    /// [`ExchangeMode::DenseSync`].
-    #[default]
-    OverlappedSparse,
-}
-
 /// Rank-loop kernel selection of every distributed implementation. The
 /// CLI runs the default; the `with_*` handles are the bit-identity suites'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +30,6 @@ pub struct RankKernel {
     pub backend: Option<SimdBackend>,
     /// Sweeps between counting sorts.
     pub rebin_interval: u32,
-    /// Exchange routing (default: overlapped sparse; dense synchronous is
-    /// the reference).
-    pub exchange: ExchangeMode,
 }
 
 impl Default for RankKernel {
@@ -57,7 +37,6 @@ impl Default for RankKernel {
         RankKernel {
             backend: None,
             rebin_interval: DEFAULT_REBIN,
-            exchange: ExchangeMode::OverlappedSparse,
         }
     }
 }
@@ -91,11 +70,6 @@ impl RankKernel {
 
     pub fn with_backend(mut self, backend: SimdBackend) -> RankKernel {
         self.backend = Some(backend);
-        self
-    }
-
-    pub fn with_exchange(mut self, exchange: ExchangeMode) -> RankKernel {
-        self.exchange = exchange;
         self
     }
 }
@@ -309,8 +283,6 @@ pub struct RankState {
     /// Reused count scratch of the balancers' gathers (per-axis counts for
     /// diffusion, per-VP counts for the VP family).
     lb_scratch: Vec<u64>,
-    /// Exchange routing mode (from the rank kernel).
-    exchange: ExchangeMode,
     /// The row range every particle of the store is known to lie in (and
     /// in the column range of that moment): set when an exchange
     /// completes, `None` from the start of a sweep until then.
@@ -370,18 +342,10 @@ impl RankState {
         kernel: RankKernel,
     ) -> RankState {
         let ((x0, x1), rows) = decomp.bounds(rank);
-        let ranks = decomp.ranks();
-        let (cols, neighbors) = match owners {
-            Ownership::Cuts { .. } => ((x0, x1), decomp.neighbors_of(rank)),
-            // VP routing can target any core, so the declared neighborhood
-            // is all-pairs: the escape path never fires, but empty payloads
-            // are still elided.
-            Ownership::Vps { .. } => ((0, setup.grid.ncells()), (0..ranks).collect()),
+        let cols = match owners {
+            Ownership::Cuts { .. } => (x0, x1),
+            Ownership::Vps { .. } => (0, setup.grid.ncells()),
         };
-        let mut bufs = ExchangeBuffers::new();
-        if kernel.exchange == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(ranks, rank, neighbors);
-        }
         let owns = |c, r| owners.owner_of_cell(&decomp, c, r) == rank;
         let store = kernel.build_store(&setup.particles, &setup.grid, cols, owns);
         RankState {
@@ -393,9 +357,8 @@ impl RankState {
             step: 0,
             owners,
             ledger: EventLedger::new(setup),
-            bufs,
+            bufs: ExchangeBuffers::new(),
             lb_scratch: Vec::new(),
-            exchange: kernel.exchange,
             homed_rows: Some(rows),
         }
     }
@@ -457,10 +420,9 @@ impl RankState {
     /// this step can run it. The split is column-based, so it only catches
     /// leavers through the x-cuts: it is sound when the rank rows cannot be
     /// crossed at all — a single processor row, or a population with no
-    /// vertical motion. Otherwise the step falls back to the
-    /// sparse-but-synchronous exchange (the full drain catches row leavers
-    /// from any column). A VP map has no column border, so it always takes
-    /// the full drain.
+    /// vertical motion. Otherwise the step falls back to the synchronous
+    /// exchange (the full drain catches row leavers from any column). A VP
+    /// map has no column border, so it always takes the full drain.
     fn overlap_stride(&self) -> Option<usize> {
         let Ownership::Cuts {
             stride_x,
@@ -469,9 +431,7 @@ impl RankState {
         else {
             return None;
         };
-        let ready = self.exchange == ExchangeMode::OverlappedSparse
-            && (self.decomp.py == 1 || max_abs_m == 0);
-        ready.then_some(stride_x)
+        (self.decomp.py == 1 || max_abs_m == 0).then_some(stride_x)
     }
 
     /// [`RankState::step`] with telemetry: the advance loop is timed as
@@ -569,11 +529,12 @@ impl RankState {
         sent
     }
 
-    /// Drain the `(sent, skipped)` wire-message counters accumulated by
-    /// this rank's exchanges since the previous take (see
-    /// [`ExchangeBuffers::take_message_counts`]).
+    /// Drain the wire messages this rank's exchanges sent since the
+    /// previous take, as `(sent, 0)`: the all-to-all skips no message. The
+    /// pair stays only because the benchmark's adapter
+    /// (`bench/src/adapter.rs:446`) reads it; adapter v2 deletes it.
     pub fn take_message_counts(&mut self) -> (u64, u64) {
-        self.bufs.take_message_counts()
+        (self.bufs.take_messages_sent(), 0)
     }
 
     /// Route every mis-homed particle to its owner, reusing this rank's
@@ -764,29 +725,26 @@ pub(crate) fn trace_interval(comm: &Communicator, tracer: &Tracer) -> u64 {
 }
 
 /// Collective telemetry snapshot at a traced step: the per-rank load
-/// vector plus three windowed scalars (particles rehomed, wire messages
-/// sent, wire messages elided by the sparse protocol) merged into a
-/// single `(size + 3)`-slot vector allreduce. Feeds the tracer's load
-/// statistics and the `rehomed` / `msgs_sent` / `msgs_skipped` /
-/// `collective_bytes` counters; returns the global particle count. Must
-/// be called by every rank at the same step.
+/// vector plus two windowed scalars (particles rehomed, and the wire
+/// messages `st` sent since the previous snapshot) merged into a single
+/// `(size + 2)`-slot vector allreduce. Feeds the tracer's load statistics
+/// and the `rehomed` / `msgs_sent` / `collective_bytes` counters; returns
+/// the global particle count. Must be called by every rank at the same
+/// step.
 pub(crate) fn snapshot_loads(
     comm: &Communicator,
     tracer: &mut Tracer,
-    local_count: u64,
+    st: &mut RankState,
     sent_window: u64,
-    msgs_window: (u64, u64),
 ) -> u64 {
     let n = comm.size();
-    let mut slots = vec![0u64; n + 3];
-    slots[comm.rank()] = local_count;
+    let mut slots = vec![0u64; n + 2];
+    slots[comm.rank()] = st.local_count() as u64;
     slots[n] = sent_window;
-    slots[n + 1] = msgs_window.0;
-    slots[n + 2] = msgs_window.1;
+    slots[n + 1] = st.bufs.take_messages_sent();
     let counts = allreduce_vec_u64(comm, &slots, ReduceOp::Sum);
     tracer.add(Counter::Rehomed, counts[n]);
     tracer.add(Counter::MsgsSent, counts[n + 1]);
-    tracer.add(Counter::MsgsSkipped, counts[n + 2]);
     tracer.add(Counter::CollectiveBytes, slots.len() as u64 * 8);
     let loads: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
     tracer.record_loads(&loads);

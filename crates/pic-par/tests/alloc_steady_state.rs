@@ -25,7 +25,7 @@ use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_par::decomp::{Decomp2d, VpGrid};
-use pic_par::runner::{ExchangeMode, RankKernel, RankState};
+use pic_par::runner::{RankKernel, RankState};
 
 struct CountingAlloc;
 
@@ -90,8 +90,12 @@ fn measured_window(st: &mut RankState, comm: &pic_comm::comm::Communicator) -> u
 /// Which ownership map the audited ranks are built with.
 #[derive(Debug, Clone, Copy)]
 enum Owners {
-    /// The Cartesian cuts of the uniform decomposition.
+    /// The Cartesian cuts of the uniform (2 × 2) decomposition: with
+    /// `m = 1` every step takes the synchronous exchange.
     Cuts,
+    /// One processor row of columns: every step takes the overlapped
+    /// split-phase exchange.
+    Columns,
     /// The VP runtime's map at over-decomposition 4.
     Vps,
 }
@@ -112,6 +116,9 @@ fn audit(kernel: RankKernel, owners: Owners) -> Vec<(usize, usize)> {
             Owners::Cuts => {
                 RankState::with_kernel(&setup, Decomp2d::uniform(32, RANKS), rank, kernel)
             }
+            Owners::Columns => {
+                RankState::with_kernel(&setup, Decomp2d::columns(32, RANKS), rank, kernel)
+            }
             Owners::Vps => RankState::with_vps(&setup, VpGrid::new(32, RANKS, 4), rank, kernel),
         };
         for _ in 0..WARM_STEPS {
@@ -128,18 +135,14 @@ fn audit(kernel: RankKernel, owners: Owners) -> Vec<(usize, usize)> {
 #[test]
 fn rank_step_loop_reaches_allocation_steady_state() {
     // The drifting uniform cloud keeps the exchange busy: every step moves
-    // boundary particles across at least one cut. Audit the binned default
-    // (the overlapped sparse exchange — escape dissemination,
-    // per-neighbor counts, the split-phase handle, and the spare-bucket
-    // free-list must all run off pooled buffers), the dense synchronous
-    // reference, a rebin on every step, and a VP-owned rank (the full
-    // synchronous drain over an all-pairs sparse plan, no timer sort).
+    // boundary particles across at least one cut. Audit the synchronous
+    // step on a 2 × 2 grid, the overlapped step on a column world (the
+    // split-phase handle and the spare-bucket free-list must run off
+    // recycled buffers), a rebin on every step, and a VP-owned rank (the
+    // full synchronous drain, no timer sort).
     for (kernel, owners) in [
         (RankKernel::default(), Owners::Cuts),
-        (
-            RankKernel::default().with_exchange(ExchangeMode::DenseSync),
-            Owners::Cuts,
-        ),
+        (RankKernel::default(), Owners::Columns),
         (RankKernel::default().with_rebin_interval(1), Owners::Cuts),
         (RankKernel::default(), Owners::Vps),
     ] {

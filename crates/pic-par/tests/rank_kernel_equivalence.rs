@@ -21,7 +21,7 @@ use pic_core::init::{InitConfig, SimulationSetup};
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
 use pic_par::diffusion::{DiffusionMode, DiffusionParams};
-use pic_par::runner::{ExchangeMode, ParConfig, RankKernel};
+use pic_par::runner::{ParConfig, RankKernel};
 use pic_par::{run_config, BalancerSpec};
 use proptest::prelude::*;
 
@@ -146,8 +146,7 @@ proptest! {
 
     /// The tentpole contract: rank loop ≡ serial AoS engine, bit for bit,
     /// across the sampled cross product of distribution × rank count ×
-    /// rebin interval × implementation × exchange mode — under both the
-    /// dense synchronous exchange and the overlapped sparse default.
+    /// rebin interval × implementation.
     #[test]
     fn binned_exact_bitwise_matches_aos_rank_loop(
         dist_i in 0usize..4,
@@ -158,61 +157,42 @@ proptest! {
         let dist = distributions()[dist_i];
         let spec = specs()[spec_i];
         let aos = bit_finals(&serial(setup(dist)));
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let kernel = RankKernel::default()
-                .with_rebin_interval(rebin)
-                .with_exchange(exchange);
-            let binned = bit_finals(&run_impl(dist, ranks, spec, kernel));
-            prop_assert_eq!(
-                &aos, &binned,
-                "dist {:?}, {} ranks, rebin {}, {:?}, exchange={:?}",
-                dist, ranks, rebin, spec, exchange
-            );
-        }
+        let kernel = RankKernel::default().with_rebin_interval(rebin);
+        let binned = bit_finals(&run_impl(dist, ranks, spec, kernel));
+        prop_assert_eq!(
+            &aos, &binned,
+            "dist {:?}, {} ranks, rebin {}, {:?}",
+            dist, ranks, rebin, spec
+        );
     }
 }
 
 /// Every SIMD backend the host offers produces the same bits as the AoS
-/// engine — the lane width is an implementation detail — under both
-/// exchange modes.
+/// engine — the lane width is an implementation detail.
 #[test]
 fn binned_exact_bitwise_identical_across_backends() {
     let dist = Distribution::Geometric { r: 0.9 };
     let aos = bit_finals(&serial(setup(dist)));
     for backend in SimdBackend::available() {
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let kernel = RankKernel::default()
-                .with_backend(backend)
-                .with_exchange(exchange);
-            let got = bit_finals(&run_impl(dist, 4, specs()[1], kernel));
-            assert_eq!(
-                aos,
-                got,
-                "backend {} exchange {:?}",
-                backend.name(),
-                exchange
-            );
-        }
+        let kernel = RankKernel::default().with_backend(backend);
+        let got = bit_finals(&run_impl(dist, 4, specs()[1], kernel));
+        assert_eq!(aos, got, "backend {}", backend.name());
     }
 }
 
 /// The VP runtime's full deterministic matrix: the paper's refinement at
-/// every rank count × rebin interval × exchange mode (the VP step runs no
-/// timer sort, so the interval must change nothing either).
+/// every rank count × rebin interval (the VP step runs no timer sort, so
+/// the interval must change nothing either).
 #[test]
 fn ampi_binned_exact_bitwise_matches_aos() {
     let dist = Distribution::Geometric { r: 0.9 };
     let aos = bit_finals(&serial(setup(dist)));
     for ranks in [1usize, 2, 4] {
         for rebin in [1u32, 3, 16] {
-            for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-                let kernel = RankKernel::default()
-                    .with_rebin_interval(rebin)
-                    .with_exchange(exchange);
-                let spec = vp(VpStrategy::paper_default());
-                let got = bit_finals(&run_impl(dist, ranks, spec, kernel));
-                assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}, {exchange:?}");
-            }
+            let kernel = RankKernel::default().with_rebin_interval(rebin);
+            let spec = vp(VpStrategy::paper_default());
+            let got = bit_finals(&run_impl(dist, ranks, spec, kernel));
+            assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}");
         }
     }
 }
@@ -229,12 +209,12 @@ fn ampi_binned_exact_bitwise_matches_aos_across_balancers() {
     }
 }
 
-/// The split-phase overlapped path specifically (not the sparse-synchronous
+/// The split-phase overlapped path specifically (not the synchronous
 /// fallback): horizontal-only motion keeps every rank row uncrossable, so
 /// the border/interior column split is active on every binned rank even
 /// under a 2D decomposition. Fast stride (k=2 ⇒ 5 cells/step) plus a
-/// mid-run injection keeps the exchange and the escape machinery busy; the
-/// result must still match the dense synchronous oracle bit for bit.
+/// mid-run injection keeps the exchange busy; the result must still match
+/// the serial engine bit for bit.
 #[test]
 fn overlapped_split_phase_matches_dense_oracle_bitwise() {
     let setup = InitConfig::new(
@@ -258,19 +238,15 @@ fn overlapped_split_phase_matches_dense_oracle_bitwise() {
         0,
         -1,
     ));
+    let aos = bit_finals(&serial(setup.clone()));
     for ranks in [1usize, 2, 4] {
         for rebin in [1u32, 3, 16] {
-            let mut finals = Vec::new();
-            for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-                let kernel = RankKernel::default()
-                    .with_rebin_interval(rebin)
-                    .with_exchange(exchange);
-                let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
-                finals.push(bit_finals(&run_ranks(&cfg, ranks)));
-            }
+            let kernel = RankKernel::default().with_rebin_interval(rebin);
+            let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
             assert_eq!(
-                finals[0], finals[1],
-                "overlapped sparse diverged from dense oracle ({ranks} ranks, rebin {rebin})"
+                aos,
+                bit_finals(&run_ranks(&cfg, ranks)),
+                "overlapped step diverged from the serial engine ({ranks} ranks, rebin {rebin})"
             );
         }
     }

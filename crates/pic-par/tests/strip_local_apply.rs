@@ -17,7 +17,7 @@ use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
 use pic_core::particle::Particle;
 use pic_par::decomp::Decomp2d;
-use pic_par::runner::{ExchangeMode, RankKernel, RankState};
+use pic_par::runner::{RankKernel, RankState};
 use proptest::prelude::*;
 
 /// One balance round of a script: the cuts in force after step `after`.
@@ -290,16 +290,13 @@ fn two_by_two_with_x_y_and_two_phase_moves() {
     ];
     for m in [0, 1] {
         let setup = drifting(32, 900, Distribution::Geometric { r: 0.9 }, 0, m, 1);
-        for exchange in [ExchangeMode::OverlappedSparse, ExchangeMode::DenseSync] {
-            let kernel = rebin(16).with_exchange(exchange);
-            check(
-                &setup,
-                &Decomp2d::uniform_grid(32, 2, 2),
-                kernel,
-                20,
-                &script,
-            );
-        }
+        check(
+            &setup,
+            &Decomp2d::uniform_grid(32, 2, 2),
+            rebin(16),
+            20,
+            &script,
+        );
     }
 }
 

@@ -119,7 +119,7 @@ mod tests {
         let run = Json::parse(report.ndjson.lines().next().unwrap()).unwrap();
         assert_eq!(run.get("simd").unwrap().as_str(), Some("none"));
 
-        // Binned mode: "<backend>/exact" (the schema-v1 spelling).
+        // Binned mode: "<backend>/exact" (the schema-v2 spelling).
         let mut s = sim(SweepMode::SoaBinned);
         let mut tracer = Tracer::in_memory(1);
         trace_simulation(&mut s, 20, &mut tracer);

@@ -32,7 +32,7 @@ use std::io::Write;
 use std::time::Instant;
 
 /// Trace schema version, stamped into run-header and summary records.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Nanoseconds of CPU time consumed by the calling thread.
 ///
@@ -133,19 +133,16 @@ pub enum Counter {
     CollectiveBytes,
     /// Counting-sort (rebin) invocations in the binned store.
     Rebins,
-    /// Exchange payload messages actually put on the wire (global sum at
-    /// traced steps; the dense pattern sends one per rank pair per step).
+    /// Exchange payload messages put on the wire (global sum at traced
+    /// steps; the all-to-all sends one per rank pair per exchange).
     MsgsSent,
-    /// Exchange payload messages the sparse protocol elided (global sum at
-    /// traced steps); `sent + skipped` = what dense would have sent.
-    MsgsSkipped,
     /// Nanoseconds the recording rank spent advancing interior columns
     /// while exchange messages were in flight (the overlap window).
     OverlapNs,
 }
 
 /// Number of [`Counter`] variants (array-index bound).
-pub const COUNTER_COUNT: usize = 7;
+pub const COUNTER_COUNT: usize = 6;
 
 impl Counter {
     /// All counters, in emission order.
@@ -155,7 +152,6 @@ impl Counter {
         Counter::CollectiveBytes,
         Counter::Rebins,
         Counter::MsgsSent,
-        Counter::MsgsSkipped,
         Counter::OverlapNs,
     ];
 
@@ -167,7 +163,6 @@ impl Counter {
             Counter::CollectiveBytes => "collective_bytes",
             Counter::Rebins => "rebins",
             Counter::MsgsSent => "msgs_sent",
-            Counter::MsgsSkipped => "msgs_skipped",
             Counter::OverlapNs => "overlap_ns",
         }
     }
@@ -232,7 +227,7 @@ pub struct TraceSummary {
     pub phase_ns: [u64; PHASE_COUNT],
     /// Whole-run per-phase *CPU* nanoseconds ([`thread_cpu_ns`] deltas):
     /// work only, excluding blocked time, where `phase_ns` includes the
-    /// waiting. In-memory only — the ndjson summary record (schema 1)
+    /// waiting. In-memory only — the ndjson summary record (schema 2)
     /// carries the wall totals.
     pub phase_cpu_ns: [u64; PHASE_COUNT],
     /// Whole-run counter totals.

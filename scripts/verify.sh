@@ -3,7 +3,7 @@
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
 #   clippy, rustdoc (deny warnings) and the stale-reference gate over the
 #   docs -> CLI smokes -> the paper figures regenerated and diffed against
-#   results/ -> benchmark smokes.
+#   results/ -> the benchmark harness's unit tests -> benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
 # its steps.
@@ -146,6 +146,12 @@ results_dir="$(mktemp -d /tmp/pic-results.XXXXXX)"
 ./target/release/paper_all --out "$results_dir" >/dev/null 2>&1
 diff -r "$results_dir" results/
 rm -rf "$results_dir"
+
+echo "==> the benchmark harness's own unit tests"
+# The smoke below builds only the harness binary; its test code (including
+# the check that BENCHMARK.json equals its generator) compiles against the
+# pinned API only here. Same target directory as bench/run.sh.
+CARGO_TARGET_DIR=target/e2e cargo test -q --offline --manifest-path bench/Cargo.toml
 
 echo "==> bench/run.sh --smoke (every workload verifies, counts, traced == entry point)"
 # The repo benchmark at its small shape, as a correctness gate: each

@@ -249,6 +249,7 @@ impl Args {
 fn parse_dist(spec: &str) -> Distribution {
     let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
     match kind {
+        "uniform" | "sinusoidal" if !rest.is_empty() => bail(&format!("{kind} takes no parameter")),
         "uniform" => Distribution::Uniform,
         "geometric" => Distribution::Geometric {
             r: rest

@@ -273,6 +273,8 @@ fn bad_arguments_fail_cleanly() {
         ("linear:0,0", "beta 0"),
         ("linear:5,1", "alpha 5"),
         ("patch:0,100,0,16", "100"),
+        ("uniform:3", "uniform takes no parameter"),
+        ("sinusoidal:0.5", "sinusoidal takes no parameter"),
     ] {
         assert_rejected(&["--grid", "16", "--dist", spec], value);
     }
