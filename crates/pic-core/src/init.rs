@@ -687,6 +687,44 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the bits of every particle's `(id, x, y, q)`, in build
+    /// order.
+    fn placement_digest(particles: &[Particle]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in particles {
+            for word in [p.id, p.x.to_bits(), p.y.to_bits(), p.q.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn placement_matches_pinned_digests() {
+        // Pinned while the column and row placements were still two
+        // routines: both skew axes under both spreads must keep placing
+        // the same particles, in the same order, bit for bit.
+        let random = RowSpread::Random { seed: 2016 };
+        for (axis, spread, want) in [
+            (SkewAxis::X, RowSpread::Even, 0x5927_db68_71ee_384f),
+            (SkewAxis::X, random, 0x4b40_63ad_6f51_ff68),
+            (SkewAxis::Y, RowSpread::Even, 0x4ef4_5966_c61a_b9cf),
+            (SkewAxis::Y, random, 0xee44_a87e_792e_ed38),
+        ] {
+            let setup = InitConfig::new(grid(), 3_001, Distribution::Geometric { r: 0.8 })
+                .with_k(1)
+                .with_dir(-1)
+                .with_spread(spread)
+                .with_skew_axis(axis)
+                .build()
+                .unwrap();
+            let got = placement_digest(&setup.particles);
+            assert_eq!(got, want, "{axis:?} {spread:?}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn row_skew_population_verifies_after_run() {
         use crate::engine::Simulation;
