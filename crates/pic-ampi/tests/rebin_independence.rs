@@ -8,7 +8,6 @@ use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
 use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
-use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
@@ -97,10 +96,11 @@ fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
 
 #[test]
 fn rebin_interval_cannot_change_an_ampi_run() {
-    // The reference is the single-process AoS engine, which has no rebin.
-    let mut sim = Simulation::new(cfg(RankKernel::default()).setup);
-    sim.run(STEPS);
-    let want = bit_finals(&sim.particles());
+    // The reference is the AoS oracle, which has no store to rebin.
+    let want = bit_finals(&pic_core::reference::run(
+        cfg(RankKernel::default()).setup,
+        STEPS,
+    ));
     assert_eq!(want.len(), 730);
     for rebin in [1u32, 3, 16] {
         let (got, rebins) = run(RankKernel::default().with_rebin_interval(rebin));

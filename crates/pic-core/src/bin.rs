@@ -60,8 +60,9 @@
 //! eqs. 1–2): same `coulomb` corner evaluations in the same pairing, same
 //! integration, same wrap. Binning changes traversal order only, and
 //! particles are independent within a step, so the resulting population
-//! is bit-identical to every other sweep mode — asserted by the
-//! cross-mode property tests for rebin intervals {1, 3, 16}. Canonical
+//! is bit-identical to the AoS oracle ([`crate::reference`]) — asserted by
+//! the property tests, and by the rank suites for rebin intervals
+//! {1, 3, 16}. Canonical
 //! (ascending-id) order is restored on export by [`BinnedStore::to_particles`].
 
 use crate::charge::{coulomb, mesh_charge, ColumnParity, CornerCharge, SimConstants};
@@ -85,7 +86,7 @@ use std::ops::Range;
 /// arrivals pile up in the mixed tail, both reset by the sort; never
 /// sorting there costs ≈ 20 % of a `static_geo` run. The serial engine
 /// ([`BinnedStore::advance_all`]) has no exchange and therefore no timer:
-/// it sorts only after a structural edit.
+/// it sorts only after an event.
 pub const DEFAULT_REBIN: u32 = 16;
 
 /// Cell-binned structure-of-arrays particle store (see module docs).
@@ -385,8 +386,8 @@ impl BinnedStore {
     }
 
     /// Advance every particle one step — the serial engine's sweep: rebin
-    /// unless every particle sits in an ordered bin (a structural edit
-    /// came before), then sweep bin spans through the pool with the
+    /// unless every particle sits in an ordered bin (an event's structural
+    /// edit or tail appends came before), then sweep bin spans through the pool with the
     /// parity-hoisted kernel, which is exact at any age (module docs,
     /// *parity invariant*). There is no timer: nothing here reads the
     /// column order a periodic sort would restore, and
@@ -624,13 +625,6 @@ impl BinnedStore {
         self.dirty = true;
     }
 
-    pub fn extend(&mut self, particles: Vec<Particle>) {
-        for p in particles {
-            self.batch.push(p);
-        }
-        self.dirty = true;
-    }
-
     /// Append an exchange arrival **without** disturbing the ordered bins:
     /// the particle joins the mixed region at the end of the batch, is
     /// swept by [`Self::sweep_tail_pass`] until the next rebin, and does
@@ -764,20 +758,13 @@ impl BinnedStore {
         };
     }
 
-    /// Apply a removal event: up to `count` particles inside `region`,
-    /// lowest ids first — identical selection rule to the other stores.
-    pub fn remove_in_region(&mut self, region: &Region, count: u64) -> Vec<Particle> {
-        self.dirty = true;
-        self.batch.remove_in_region(region, count)
-    }
-
     /// Remove every particle inside `region` whose id is at most `max_id`
-    /// — the distributed removal event, whose cutoff is the global
-    /// lowest-id selection agreed across ranks first. Order-preserving;
-    /// marks the store dirty. Returns the number removed.
+    /// — a removal event, whose cutoff is the lowest-id selection agreed
+    /// across the stores first ([`crate::events::EventLedger`]).
+    /// Order-preserving; marks the store dirty. Returns the number removed.
     pub fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
         self.dirty = true;
-        self.batch.remove_in_region_upto(region, max_id, |_| ())
+        self.batch.remove_in_region_upto(region, max_id)
     }
 
     /// Materialize the population in **canonical order** (ascending id —
@@ -1276,8 +1263,8 @@ mod tests {
         let (grid, ps) = population(100, Distribution::Uniform);
         let consts = SimConstants::CANONICAL;
         let mut store = BinnedStore::new(&ps, &grid, 8);
-        let doomed = store.remove_in_region(&Region::whole(32), 10);
-        assert_eq!(doomed.len(), 10);
+        let doomed = store.remove_in_region_upto(&Region::whole(32), 10);
+        assert_eq!(doomed, 10);
         assert!(!store.histogram_is_fresh());
         // The dirty rebin runs at the start of the next sweep; the sweep
         // itself then matches an unbinned sweep of the same survivors.

@@ -81,11 +81,11 @@ pub fn column_sign(col: usize) -> f64 {
 /// The evaluation costs one square root and one division per corner:
 /// `f⃗ = q1·q2/(r²·r) · (dx, dy)`. Because this function is the *only*
 /// force arithmetic in the kernel — charge assignment
-/// ([`charge_denominator`]) and every sweep mode's per-step evaluation all
+/// ([`charge_denominator`]) and every sweep's per-step evaluation all
 /// route through it — the paper's reordering constraint (assignment and
 /// realized force computed by the same operation sequence) is preserved by
-/// construction, and every sweep layout stays bit-identical to the serial
-/// reference.
+/// construction, and every sweep layout stays bit-identical to the AoS
+/// oracle ([`crate::reference`]).
 ///
 /// A particle sitting exactly on a mesh corner (`r² = 0`) receives zero
 /// force from that corner instead of the `0/0 → NaN` a naive evaluation

@@ -1,174 +1,77 @@
-//! Serial (and shared-memory parallel) reference engine.
+//! The serial engine: the whole population in one cell-binned SoA store
+//! ([`BinnedStore`]), swept through the worker pool with the SIMD span
+//! kernel, events applied through the same [`EventLedger`] as every rank.
 //!
-//! The engine is the executable form of the paper-and-pencil specification:
-//! it applies scheduled injection/removal events, advances every particle by
-//! the constant-acceleration kinematics, and maintains the id-checksum
-//! ledger that the final verification compares against. All parallel
-//! implementations must produce exactly the population this engine produces
-//! (same ids, positions within tolerance).
-//!
-//! ## Sweep modes and the memory layout contract
-//!
-//! The particle store follows the sweep mode: [`SweepMode::Serial`] keeps
-//! the population AoS (`Vec<Particle>`) and is the scalar reference;
-//! [`SweepMode::SoaBinned`] (production) keeps it in the cell-binned
-//! structure-of-arrays [`BinnedStore`] for the whole run — events and
-//! histograms operate on the store natively, with no per-step AoS
-//! round-trip. The reference and the binned mode run the
-//! same per-particle instruction sequence (eqs. 1–2
-//! behind the same force evaluation) and apply events by the same
-//! deterministic rules (injections append in build order; removals take
-//! lowest ids first), so **they produce bit-identical particle
-//! populations in identical canonical order** — asserted by this module's
-//! tests and the cross-layout property tests.
+//! The engine applies scheduled injection/removal events, advances every
+//! particle by the constant-acceleration kinematics, and keeps the
+//! id-checksum ledger that the final verification compares against. It
+//! ends, per id and bit for bit, in the population of the AoS oracle
+//! [`crate::reference::run`] — asserted by this module's tests and the
+//! property tests — as does every distributed implementation.
 
 use crate::bin::{BinnedStore, DEFAULT_REBIN};
 use crate::charge::SimConstants;
-use crate::events::{Event, EventKind};
+use crate::events::EventLedger;
 use crate::geometry::Grid;
-use crate::init::{apply_removal, build_injection, SimulationSetup};
-use crate::motion::advance_all;
+use crate::init::SimulationSetup;
 use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
 use crate::soa::ParticleBatch;
-use crate::verify::{verify_all, verify_batch, VerifyReport, DEFAULT_TOLERANCE};
+use crate::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE};
 
-/// Execution mode for the per-step particle sweep. Also selects the
-/// particle storage layout (see the module docs).
+/// What [`Simulation::with_mode`] once chose between; the binned store is
+/// now the only one. Kept only because the benchmark's adapter
+/// (`bench/src/adapter.rs:394`) names it; adapter v2 deletes it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepMode {
-    /// One thread, AoS storage, deterministic order — the scalar
-    /// reference every bit-identity suite compares against.
     #[default]
-    Serial,
-    /// Pool-parallel chunked sweep over cell-binned SoA storage
-    /// ([`BinnedStore`]): particles are counting-sorted by cell column at
-    /// construction and after every event, and swept with the
-    /// parity-specialized kernel, which needs no re-sort in between; the
-    /// per-column load histogram is an O(columns) read while the binning
-    /// is fresh.
     SoaBinned,
 }
 
-impl SweepMode {
-    /// Every sweep mode, in CLI/help order.
-    pub const ALL: [SweepMode; 2] = [SweepMode::Serial, SweepMode::SoaBinned];
-
-    /// The name this mode goes by on the `pic --sweep` command line. The
-    /// single source for CLI parsing, help text, and the bench harness —
-    /// kept here so they can never drift apart.
-    pub fn cli_name(self) -> &'static str {
-        match self {
-            SweepMode::Serial => "serial",
-            SweepMode::SoaBinned => "soa-binned",
-        }
-    }
-
-    /// Inverse of [`SweepMode::cli_name`].
-    pub fn from_cli_name(name: &str) -> Option<SweepMode> {
-        SweepMode::ALL
-            .iter()
-            .copied()
-            .find(|m| m.cli_name() == name)
-    }
-}
-
-/// The particle population in whichever layout the sweep mode selected.
-// One store exists per Simulation (never in arrays), so the size gap
-// between the binned SoA store and the single AoS vec is irrelevant.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum ParticleStore {
-    Aos(Vec<Particle>),
-    Binned(BinnedStore),
-}
-
-impl ParticleStore {
-    fn len(&self) -> usize {
-        match self {
-            ParticleStore::Aos(v) => v.len(),
-            ParticleStore::Binned(b) => b.len(),
-        }
-    }
-
-    /// Canonical (ascending-id) materialization, identical across layouts.
-    fn to_particles(&self) -> Vec<Particle> {
-        match self {
-            ParticleStore::Aos(v) => v.clone(),
-            ParticleStore::Binned(b) => b.to_particles(),
-        }
-    }
-
-    fn extend(&mut self, particles: Vec<Particle>) {
-        match self {
-            ParticleStore::Aos(v) => v.extend(particles),
-            ParticleStore::Binned(b) => b.extend(particles),
-        }
-    }
-}
-
-/// The reference simulation.
+/// The serial simulation.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     grid: Grid,
     consts: SimConstants,
-    store: ParticleStore,
-    events: Vec<Event>,
-    next_event: usize,
+    store: BinnedStore,
+    ledger: EventLedger,
     step: u32,
-    next_id: u64,
-    expected_id_sum: u128,
-    mode: SweepMode,
-    /// Explicit chunk size for the pooled sweeps; `None` (the default)
+    /// Explicit chunk size for the pooled sweep; `None` (the default)
     /// selects [`pool::adaptive_chunk`] from the population size and the
     /// active thread count at each step.
     chunk_size: Option<usize>,
 }
 
-pub use crate::init::SimulationSetup as Setup;
-
 impl Simulation {
     /// Build a simulation from a setup produced by
     /// [`crate::init::InitConfig::build`].
     pub fn new(setup: SimulationSetup) -> Simulation {
-        Self::with_mode(setup, SweepMode::Serial)
-    }
-
-    /// Build with an explicit sweep mode.
-    pub fn with_mode(setup: SimulationSetup, mode: SweepMode) -> Simulation {
-        let expected_id_sum = setup.initial_id_sum();
-        let mut events = setup.events;
-        events.sort_by_key(|e| e.at_step);
-        let store = match mode {
-            SweepMode::Serial => ParticleStore::Aos(setup.particles),
-            SweepMode::SoaBinned => ParticleStore::Binned(BinnedStore::new(
-                &setup.particles,
-                &setup.grid,
-                DEFAULT_REBIN,
-            )),
-        };
         Simulation {
             grid: setup.grid,
             consts: setup.consts,
-            store,
-            events,
-            next_event: 0,
+            store: BinnedStore::new(&setup.particles, &setup.grid, DEFAULT_REBIN),
+            ledger: EventLedger::new(&setup),
             step: 0,
-            next_id: setup.next_id,
-            expected_id_sum,
-            mode,
             chunk_size: None,
         }
     }
 
-    /// Set an explicit chunk size for the binned sweeps (ignored by
-    /// [`SweepMode::Serial`]) — the schedule-independence test handle. Values are
-    /// clamped to at least 1. Without this, the engine picks an adaptive
-    /// default — [`pool::adaptive_chunk`] — that scales with the
-    /// population and the active thread count so per-chunk dispatch
-    /// overhead never dominates. Chunk size affects scheduling only;
-    /// results are bit-identical for any value.
+    /// [`Simulation::new`]; the mode has one value. Kept only for the
+    /// benchmark's adapter, like [`SweepMode`].
+    #[doc(hidden)]
+    pub fn with_mode(setup: SimulationSetup, _mode: SweepMode) -> Simulation {
+        Simulation::new(setup)
+    }
+
+    /// Set an explicit chunk size for the pooled sweep — the
+    /// schedule-independence test handle. Values are clamped to at least 1.
+    /// Without this, the engine picks an adaptive default —
+    /// [`pool::adaptive_chunk`] — that scales with the population and the
+    /// active thread count so per-chunk dispatch overhead never dominates.
+    /// Chunk size affects scheduling only; results are bit-identical for
+    /// any value.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Simulation {
         self.chunk_size = Some(chunk_size.max(1));
         self
@@ -182,40 +85,19 @@ impl Simulation {
         })
     }
 
-    /// Force a specific SIMD backend for the binned kernel (no-op in
-    /// [`SweepMode::Serial`], which doesn't use the explicit SIMD layer). The default is [`SimdBackend::detect`] at
-    /// construction. Every backend is bit-identical; this is the A/B
-    /// handle behind the `PIC_NO_SIMD` environment variable and the
-    /// cross-backend identity tests.
+    /// Force a specific SIMD backend for the sweep kernel. The default is
+    /// [`SimdBackend::detect`] at construction. Every backend is
+    /// bit-identical; this is the A/B handle behind the `PIC_NO_SIMD`
+    /// environment variable and the cross-backend identity tests.
     pub fn with_simd_backend(mut self, backend: SimdBackend) -> Simulation {
-        if let ParticleStore::Binned(b) = &mut self.store {
-            b.set_simd_backend(backend);
-        }
+        self.store.set_simd_backend(backend);
         self
     }
 
-    /// The SIMD backend the binned sweep kernel runs on (`None` for
-    /// [`SweepMode::Serial`]).
-    pub fn simd_backend(&self) -> Option<SimdBackend> {
-        match &self.store {
-            ParticleStore::Binned(b) => Some(b.simd_backend()),
-            _ => None,
-        }
-    }
-
-    /// Short kernel descriptor for telemetry and driver output:
-    /// [`BinnedStore::kernel_desc`] for the binned mode, `"none"` for
-    /// [`SweepMode::Serial`].
+    /// Short kernel descriptor for telemetry and driver output
+    /// ([`BinnedStore::kernel_desc`]).
     pub fn kernel_desc(&self) -> String {
-        match &self.store {
-            ParticleStore::Binned(b) => b.kernel_desc(),
-            ParticleStore::Aos(_) => "none".to_string(),
-        }
-    }
-
-    /// The active sweep mode.
-    pub fn mode(&self) -> SweepMode {
-        self.mode
+        self.store.kernel_desc()
     }
 
     /// Current step index (number of steps executed so far).
@@ -227,96 +109,50 @@ impl Simulation {
         &self.grid
     }
 
-    /// The current population, materialized as AoS records (allocates; the
-    /// store itself may be SoA). Ordering is identical across all sweep
-    /// modes. For allocation-free bulk reads use the histogram `_into`
-    /// methods or [`Simulation::batch`].
+    /// The current population, materialized as AoS records in ascending-id
+    /// order (allocates). For allocation-free bulk reads use the histogram
+    /// `_into` methods or [`Simulation::batch`].
     pub fn particles(&self) -> Vec<Particle> {
         self.store.to_particles()
     }
 
-    /// Direct view of the SoA store, when the mode keeps one (`None` for
-    /// [`SweepMode::Serial`]). The batch is in bin
-    /// order, not canonical order — use [`Simulation::particles`] when
-    /// ordering matters.
-    pub fn batch(&self) -> Option<&ParticleBatch> {
-        match &self.store {
-            ParticleStore::Aos(_) => None,
-            ParticleStore::Binned(b) => Some(b.batch()),
-        }
+    /// Direct view of the SoA store — in bin order, not canonical order;
+    /// use [`Simulation::particles`] when ordering matters.
+    pub fn batch(&self) -> &ParticleBatch {
+        self.store.batch()
     }
 
     pub fn particle_count(&self) -> usize {
         self.store.len()
     }
 
-    /// Lifetime counting-sort (rebin) invocations; 0 for the AoS
-    /// store. Telemetry hook for the trace `rebins` counter.
+    /// Lifetime counting-sort (rebin) invocations. Telemetry hook for the
+    /// trace `rebins` counter.
     pub fn rebin_count(&self) -> u64 {
-        match &self.store {
-            ParticleStore::Binned(b) => b.rebin_count(),
-            _ => 0,
-        }
+        self.store.rebin_count()
     }
 
     /// The checksum ledger: what the id sum of the surviving particles
     /// must equal.
     pub fn expected_id_sum(&self) -> u128 {
-        self.expected_id_sum
+        self.ledger.expected_id_sum()
     }
 
     /// Apply all events scheduled for the current step. Called by
     /// [`Simulation::step`], exposed for harnesses that drive sub-phases.
+    /// The store holds the whole population, so the removal set it offers
+    /// is already agreed.
     pub fn apply_due_events(&mut self) {
-        while self.next_event < self.events.len()
-            && self.events[self.next_event].at_step == self.step
-        {
-            let e = self.events[self.next_event];
-            self.next_event += 1;
-            match e.kind {
-                EventKind::Inject { count, k, m, dir } => {
-                    let newcomers = build_injection(
-                        self.grid,
-                        self.consts,
-                        e.region,
-                        count,
-                        k,
-                        m,
-                        dir,
-                        self.step,
-                        &mut self.next_id,
-                    );
-                    for p in &newcomers {
-                        self.expected_id_sum += p.id as u128;
-                    }
-                    self.store.extend(newcomers);
-                }
-                EventKind::Remove { count } => {
-                    let removed = match &mut self.store {
-                        ParticleStore::Aos(v) => apply_removal(v, e.region, count),
-                        ParticleStore::Binned(b) => b.remove_in_region(&e.region, count),
-                    };
-                    for p in &removed {
-                        self.expected_id_sum -= p.id as u128;
-                    }
-                }
-            }
-        }
+        self.ledger
+            .apply_due(self.step, &mut self.store, |_, _| true, |ids| ids);
     }
 
     /// Execute one time step: events due at this step, then the particle
     /// sweep (force + eqs. 1–2 + periodic wrap).
     pub fn step(&mut self) {
         self.apply_due_events();
-        match &mut self.store {
-            ParticleStore::Aos(v) => advance_all(&self.grid, &self.consts, v),
-            ParticleStore::Binned(b) => {
-                let chunk = self.chunk_size.unwrap_or_else(|| {
-                    pool::adaptive_chunk(b.len(), pool::global().active_threads())
-                });
-                b.advance_all(&self.grid, &self.consts, chunk)
-            }
-        }
+        let chunk = self.chunk_size();
+        self.store.advance_all(&self.grid, &self.consts, chunk);
         self.step += 1;
     }
 
@@ -328,17 +164,18 @@ impl Simulation {
     }
 
     /// Verify the current population against eqs. 5–6 (within
-    /// [`DEFAULT_TOLERANCE`]) and the checksum. Streams over the store
-    /// where it lies (storage order for the SoA layout — no AoS copy, no
-    /// sort); the report is the one [`verify_all`] gives for
-    /// [`Simulation::particles`].
+    /// [`DEFAULT_TOLERANCE`]) and the checksum. Streams over the store in
+    /// storage order — no AoS copy, no sort; the report is the one
+    /// [`crate::verify::verify_all`] gives for [`Simulation::particles`].
     pub fn verify(&self) -> VerifyReport {
-        let (grid, step, sum) = (&self.grid, self.step, self.expected_id_sum);
-        let tol = DEFAULT_TOLERANCE;
-        match &self.store {
-            ParticleStore::Aos(v) => verify_all(grid, v, step, sum, tol),
-            ParticleStore::Binned(b) => verify_batch(grid, b.batch(), step, sum, tol),
-        }
+        let sum = self.expected_id_sum();
+        verify_batch(
+            &self.grid,
+            self.store.batch(),
+            self.step,
+            sum,
+            DEFAULT_TOLERANCE,
+        )
     }
 
     /// Histogram of particle counts per cell column — the quantity the
@@ -351,84 +188,40 @@ impl Simulation {
     }
 
     /// Fill `h` with the per-column histogram, reusing its storage
-    /// (allocation-free once `h` has reached grid capacity). In
-    /// [`SweepMode::SoaBinned`] with a fresh binning (no sweep since the
-    /// last sort) this is an O(columns) prefix-sum read; otherwise the
-    /// O(n) scan.
+    /// (allocation-free once `h` has reached grid capacity). With a fresh
+    /// binning (no sweep since the last sort) this is an O(columns)
+    /// prefix-sum read; otherwise the O(n) scan.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
-        match &self.store {
-            ParticleStore::Aos(v) => {
-                h.clear();
-                h.resize(self.grid.ncells(), 0);
-                for p in v {
-                    h[self.grid.cell_of(p.x)] += 1;
-                }
-            }
-            ParticleStore::Binned(b) => b.column_histogram_into(&self.grid, h),
-        }
+        self.store.column_histogram_into(&self.grid, h)
     }
 
-    /// Fill `h` with the histogram of particle counts per cell row (for
-    /// rotated workloads and the two-phase balancer's y phase), reusing
-    /// its storage. (Bins are per *column*, so the binned store has no row
-    /// fast path — this is always the O(n) scan.)
-    pub fn row_histogram_into(&self, h: &mut Vec<u64>) {
-        h.clear();
-        h.resize(self.grid.ncells(), 0);
-        match &self.store {
-            ParticleStore::Aos(v) => {
-                for p in v {
-                    h[self.grid.cell_of(p.y)] += 1;
-                }
-            }
-            ParticleStore::Binned(b) => {
-                for &y in &b.batch().y {
-                    h[self.grid.cell_of(y)] += 1;
-                }
-            }
-        }
-    }
-
-    /// Corrupt one particle in place — failure-injection tests *only*.
+    /// Corrupt one particle (by canonical index) in place —
+    /// failure-injection tests *only*.
     #[doc(hidden)]
     pub fn mutate_particle(&mut self, idx: usize, f: impl FnOnce(&mut Particle)) {
-        match &mut self.store {
-            ParticleStore::Aos(v) => f(&mut v[idx]),
-            ParticleStore::Binned(b) => {
-                let mut p = b.particle_at(idx);
-                f(&mut p);
-                b.set(idx, p);
-            }
-        }
+        let mut p = self.store.particle_at(idx);
+        f(&mut p);
+        self.store.set(idx, p);
     }
 
     /// Read one particle by canonical index — failure-injection tests
-    /// *only*. (`idx` addresses the same particle in every sweep mode.)
+    /// *only*.
     #[doc(hidden)]
     pub fn particle_at(&self, idx: usize) -> Particle {
-        match &self.store {
-            ParticleStore::Aos(v) => v[idx],
-            ParticleStore::Binned(b) => b.particle_at(idx),
-        }
+        self.store.particle_at(idx)
     }
 
     /// Drop the canonically-last particle — failure-injection tests *only*.
     #[doc(hidden)]
     pub fn pop_particle(&mut self) -> Option<Particle> {
-        match &mut self.store {
-            ParticleStore::Aos(v) => v.pop(),
-            ParticleStore::Binned(b) => b.pop(),
-        }
+        self.store.pop()
     }
 
     /// Append a particle without touching the ledger — failure-injection
     /// tests *only*.
     #[doc(hidden)]
     pub fn push_particle(&mut self, p: Particle) {
-        match &mut self.store {
-            ParticleStore::Aos(v) => v.push(p),
-            ParticleStore::Binned(b) => b.push(p),
-        }
+        self.store.push(p);
     }
 }
 
@@ -436,7 +229,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::dist::Distribution;
-    use crate::events::Region;
+    use crate::events::{Event, Region};
     use crate::init::InitConfig;
     use crate::verify::triangular_id_sum;
 
@@ -469,34 +262,24 @@ mod tests {
         let s = setup(400, Distribution::Geometric { r: 0.9 })
             .with_event(Event::inject(30, region, 10, 0, 1, 1))
             .with_event(Event::remove(25, Region::whole(32), 25));
-        let mut reference = Simulation::with_mode(s.clone(), SweepMode::Serial);
-        reference.run(40);
-        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned).with_chunk_size(37);
+        let reference = crate::reference::run(s.clone(), 40);
+        let mut sim = Simulation::new(s).with_chunk_size(37);
         sim.run(40);
         assert_eq!(
-            reference.particles(),
+            reference,
             sim.particles(),
-            "soa-binned diverged from serial (same order, same bits)"
+            "the binned engine diverged from the AoS oracle (same order, same bits)"
         );
-        assert_eq!(reference.expected_id_sum(), sim.expected_id_sum());
+        let ids: u128 = reference.iter().map(|p| p.id as u128).sum();
+        assert_eq!(sim.expected_id_sum(), ids);
         assert!(sim.verify().passed());
     }
 
     #[test]
-    fn cli_names_round_trip_for_every_mode() {
-        for mode in SweepMode::ALL {
-            assert_eq!(SweepMode::from_cli_name(mode.cli_name()), Some(mode));
-        }
-        assert_eq!(SweepMode::from_cli_name("nope"), None);
-    }
-
-    #[test]
     fn soa_store_is_native_no_aos_roundtrip() {
-        let s = setup(100, Distribution::Uniform);
-        let mut sim = Simulation::with_mode(s, SweepMode::SoaBinned);
-        assert!(sim.batch().is_some(), "SoA mode exposes the batch");
+        let mut sim = Simulation::new(setup(100, Distribution::Uniform));
         sim.run(5);
-        assert_eq!(sim.batch().unwrap().len(), 100);
+        assert_eq!(sim.batch().len(), 100);
         let mut h = Vec::new();
         sim.column_histogram_into(&mut h);
         assert_eq!(h.iter().sum::<u64>(), 100);

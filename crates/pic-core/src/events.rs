@@ -8,6 +8,15 @@
 //! Events are applied deterministically at the *start* of the step whose
 //! index they name, before any particle moves in that step, so an injected
 //! particle participates in `T − t'` steps.
+//!
+//! [`EventLedger`] is the one place these rules run on a binned store: the
+//! serial engine holds one, and so does every rank. The AoS oracle
+//! ([`crate::reference`]) keeps its own copy of the rules, on purpose.
+
+use crate::bin::BinnedStore;
+use crate::charge::SimConstants;
+use crate::geometry::Grid;
+use crate::init::{build_injection, SimulationSetup};
 
 /// A rectangular cell region `[x0, x1) × [y0, y1)` of the mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +116,107 @@ impl Event {
             kind: EventKind::Remove { count },
         }
     }
+}
+
+/// The event ledger of one store: the step-sorted schedule with its cursor,
+/// the id counter injections draw from, and the id checksum the final
+/// population must add up to. A store that holds a share of the population
+/// (a rank) applies every event through its own ledger, so the ledgers stay
+/// identical across stores without a broadcast; what differs is only which
+/// newcomers a store keeps, and how the stores agree on a removal.
+#[derive(Debug, Clone)]
+pub struct EventLedger {
+    grid: Grid,
+    consts: SimConstants,
+    events: Vec<Event>,
+    next_event: usize,
+    next_id: u64,
+    expected_id_sum: u128,
+}
+
+impl EventLedger {
+    pub fn new(setup: &SimulationSetup) -> EventLedger {
+        let mut events = setup.events.clone();
+        events.sort_by_key(|e| e.at_step);
+        EventLedger {
+            grid: setup.grid,
+            consts: setup.consts,
+            events,
+            next_event: 0,
+            next_id: setup.next_id,
+            expected_id_sum: setup.initial_id_sum(),
+        }
+    }
+
+    /// Sum of the ids that must be alive after the events applied so far.
+    pub fn expected_id_sum(&self) -> u128 {
+        self.expected_id_sum
+    }
+
+    /// Apply the events due at `step` (0-based) to `store`. Injections are
+    /// materialized identically by every ledger (same id assignment) and
+    /// appended to the tail where `owns(col, row)` holds. A removal takes
+    /// the `count` lowest in-region ids of the whole population: the store
+    /// offers its own `count` lowest (the global ones are among them),
+    /// `agree` turns that offer into every store's offers — the identity
+    /// for a store that holds the whole population, a gather across ranks
+    /// otherwise — and the largest id of the selection from those is the
+    /// cutoff at or below which the store removes in its region: one
+    /// order-preserving pass, no id set.
+    pub fn apply_due(
+        &mut self,
+        step: u32,
+        store: &mut BinnedStore,
+        owns: impl Fn(usize, usize) -> bool,
+        mut agree: impl FnMut(Vec<u64>) -> Vec<u64>,
+    ) {
+        while self.next_event < self.events.len() && self.events[self.next_event].at_step == step {
+            let e = self.events[self.next_event];
+            self.next_event += 1;
+            match e.kind {
+                EventKind::Inject { count, k, m, dir } => {
+                    let newcomers = build_injection(
+                        self.grid,
+                        self.consts,
+                        e.region,
+                        count,
+                        k,
+                        m,
+                        dir,
+                        step,
+                        &mut self.next_id,
+                    );
+                    for p in &newcomers {
+                        self.expected_id_sum += p.id as u128;
+                        let (c, r) = self.grid.cell_of_point(p.x, p.y);
+                        if owns(c, r) {
+                            // Inside the store's columns, so the tail
+                            // append keeps the rebin amortized.
+                            store.push_tail(*p);
+                        }
+                    }
+                }
+                EventKind::Remove { count } => {
+                    let mut offered = ids_in_region(store, &e.region);
+                    lowest_ids(&mut offered, count);
+                    let mut all = agree(offered);
+                    if let Some(cutoff) = lowest_ids(&mut all, count) {
+                        self.expected_id_sum -= all.iter().map(|&id| id as u128).sum::<u128>();
+                        store.remove_in_region_upto(&e.region, cutoff);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Ids of the particles `store` holds inside `region`.
+fn ids_in_region(store: &BinnedStore, region: &Region) -> Vec<u64> {
+    let batch = store.batch();
+    (0..batch.len())
+        .filter(|&i| region.contains_point(batch.x[i], batch.y[i]))
+        .map(|i| batch.id[i])
+        .collect()
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use crate::geometry::{Grid, GridError};
 use crate::particle::Particle;
 use crate::rng::SplitMix64;
 use std::fmt;
+use std::ops::Range;
 
 /// Which axis the distribution's profile applies to.
 ///
@@ -208,44 +209,29 @@ impl InitConfig {
         self.validate()?;
         let counts = self.dist.column_counts(self.grid.ncells(), self.n);
         let (range_lo, range_hi) = self.dist.row_range(self.grid.ncells());
-        let mut placer = Placer::new(self.grid, self.consts, self.spread);
+        let mut placer = Placer::new(
+            self.grid,
+            self.consts,
+            self.spread,
+            self.k,
+            self.m,
+            self.dir,
+            0,
+        );
         let mut particles = Vec::with_capacity(self.n as usize);
         let mut next_id = 1u64;
-        match self.skew_axis {
-            SkewAxis::X => {
-                for (col, &count) in counts.iter().enumerate() {
-                    placer.place_column(
-                        col,
-                        range_lo,
-                        range_hi,
-                        count,
-                        self.k,
-                        self.m,
-                        self.dir,
-                        0,
-                        &mut next_id,
-                        &mut particles,
-                    );
-                }
-            }
-            SkewAxis::Y => {
-                // Transposed placement: `counts[j]` particles in row `j`,
-                // spread across columns `[range_lo, range_hi)`.
-                for (row, &count) in counts.iter().enumerate() {
-                    placer.place_row(
-                        row,
-                        range_lo,
-                        range_hi,
-                        count,
-                        self.k,
-                        self.m,
-                        self.dir,
-                        0,
-                        &mut next_id,
-                        &mut particles,
-                    );
-                }
-            }
+        // Under the Y axis the profile is transposed: `counts[j]`
+        // particles in row `j`, spread across columns `[range_lo, range_hi)`.
+        for (line, &count) in counts.iter().enumerate() {
+            let span = range_lo..range_hi;
+            placer.place(
+                self.skew_axis,
+                line,
+                span,
+                count,
+                &mut next_id,
+                &mut particles,
+            );
         }
         debug_assert_eq!(particles.len() as u64, self.n);
         Ok(SimulationSetup {
@@ -284,151 +270,101 @@ impl SimulationSetup {
     }
 }
 
-/// Shared placement machinery, also used for injections.
-pub(crate) struct Placer {
+/// Shared placement machinery, also used for injections: one motion recipe
+/// (`k`, `m`, `dir`) and birth step placed line by line.
+struct Placer {
     grid: Grid,
-    consts: SimConstants,
-    spread: RowSpread,
+    /// `None` for the even spread.
     rng: Option<SplitMix64>,
+    /// Eq. 3 charge in an even and in an odd column: the sign is all that
+    /// depends on the cell, so two evaluations serve every particle.
+    q: [f64; 2],
+    vy0: f64,
+    k: u32,
+    m: i32,
+    born_at: u32,
 }
 
 impl Placer {
-    pub(crate) fn new(grid: Grid, consts: SimConstants, spread: RowSpread) -> Placer {
+    fn new(
+        grid: Grid,
+        consts: SimConstants,
+        spread: RowSpread,
+        k: u32,
+        m: i32,
+        dir: i8,
+        born_at: u32,
+    ) -> Placer {
         let rng = match spread {
             RowSpread::Even => None,
             RowSpread::Random { seed } => Some(SplitMix64::seed_from_u64(seed)),
         };
         Placer {
             grid,
-            consts,
-            spread,
             rng,
+            q: [0, 1].map(|col| particle_charge(&consts, 0.5, k, sign_for_direction(col, dir))),
+            vy0: m as f64 * consts.h / consts.dt,
+            k,
+            m,
+            born_at,
         }
     }
 
-    /// Place `count` particles in column `col`, rows `[row_lo, row_hi)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn place_column(
+    /// Place `count` particles on one grid line, spread over the cells
+    /// `span` across it: column `line`, rows `span` under [`SkewAxis::X`];
+    /// row `line`, columns `span` under [`SkewAxis::Y`].
+    fn place(
         &mut self,
-        col: usize,
-        row_lo: usize,
-        row_hi: usize,
+        axis: SkewAxis,
+        line: usize,
+        span: Range<usize>,
         count: u64,
-        k: u32,
-        m: i32,
-        dir: i8,
-        born_at: u32,
         next_id: &mut u64,
         out: &mut Vec<Particle>,
     ) {
-        if count == 0 || row_hi <= row_lo {
+        if count == 0 || span.is_empty() {
             return;
         }
-        let qp = particle_charge(&self.consts, 0.5, k, sign_for_direction(col, dir));
-        let vy0 = m as f64 * self.consts.h / self.consts.dt;
-        let emit = |row: usize, next_id: &mut u64, out: &mut Vec<Particle>| {
+        let mut emit = |across: usize| {
+            let (col, row) = match axis {
+                SkewAxis::X => (line, across),
+                SkewAxis::Y => (across, line),
+            };
             let (x, y) = self.grid.cell_center(col, row);
             out.push(Particle {
                 id: *next_id,
                 x,
                 y,
                 vx: 0.0,
-                vy: vy0,
-                q: qp,
+                vy: self.vy0,
+                q: self.q[col % 2],
                 x0: x,
                 y0: y,
-                k,
-                m,
-                born_at,
+                k: self.k,
+                m: self.m,
+                born_at: self.born_at,
             });
             *next_id += 1;
         };
-        match self.spread {
-            RowSpread::Even => {
-                // floor share per row plus a Bresenham-spread remainder, so
-                // the extras land evenly across the row range instead of
-                // piling onto the first rows (keeps any contiguous row
-                // block within ±1 of its uniform share — the property the
-                // analytic load model relies on).
-                let nrows = (row_hi - row_lo) as u64;
-                let base = count / nrows;
-                let rem = count % nrows;
-                for ri in 0..nrows {
-                    let extra = ((ri + 1) * rem) / nrows - (ri * rem) / nrows;
+        match &mut self.rng {
+            None => {
+                // floor share per cell plus a Bresenham-spread remainder, so
+                // the extras land evenly across the span instead of piling
+                // onto its first cells (keeps any contiguous block within
+                // ±1 of its uniform share — the property the analytic load
+                // model relies on).
+                let cells = span.len() as u64;
+                let (base, rem) = (count / cells, count % cells);
+                for i in 0..cells {
+                    let extra = ((i + 1) * rem) / cells - (i * rem) / cells;
                     for _ in 0..base + extra {
-                        emit(row_lo + ri as usize, next_id, out);
+                        emit(span.start + i as usize);
                     }
                 }
             }
-            RowSpread::Random { .. } => {
-                let rng = self.rng.as_mut().expect("random spread has an RNG");
+            Some(rng) => {
                 for _ in 0..count {
-                    let row = rng.gen_range(row_lo..row_hi);
-                    emit(row, next_id, out);
-                }
-            }
-        }
-    }
-}
-
-impl Placer {
-    /// Place `count` particles in row `row`, columns `[col_lo, col_hi)` —
-    /// the transposed counterpart of [`Placer::place_column`]. The charge
-    /// depends on each particle's *column* parity, so it is computed per
-    /// emitted particle.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn place_row(
-        &mut self,
-        row: usize,
-        col_lo: usize,
-        col_hi: usize,
-        count: u64,
-        k: u32,
-        m: i32,
-        dir: i8,
-        born_at: u32,
-        next_id: &mut u64,
-        out: &mut Vec<Particle>,
-    ) {
-        if count == 0 || col_hi <= col_lo {
-            return;
-        }
-        let vy0 = m as f64 * self.consts.h / self.consts.dt;
-        let emit = |col: usize, next_id: &mut u64, out: &mut Vec<Particle>| {
-            let qp = particle_charge(&self.consts, 0.5, k, sign_for_direction(col, dir));
-            let (x, y) = self.grid.cell_center(col, row);
-            out.push(Particle {
-                id: *next_id,
-                x,
-                y,
-                vx: 0.0,
-                vy: vy0,
-                q: qp,
-                x0: x,
-                y0: y,
-                k,
-                m,
-                born_at,
-            });
-            *next_id += 1;
-        };
-        match self.spread {
-            RowSpread::Even => {
-                let ncols = (col_hi - col_lo) as u64;
-                let base = count / ncols;
-                let rem = count % ncols;
-                for ci in 0..ncols {
-                    let extra = ((ci + 1) * rem) / ncols - (ci * rem) / ncols;
-                    for _ in 0..base + extra {
-                        emit(col_lo + ci as usize, next_id, out);
-                    }
-                }
-            }
-            RowSpread::Random { .. } => {
-                let rng = self.rng.as_mut().expect("random spread has an RNG");
-                for _ in 0..count {
-                    let col = rng.gen_range(col_lo..col_hi);
-                    emit(col, next_id, out);
+                    emit(rng.gen_range(span.clone()));
                 }
             }
         }
@@ -458,21 +394,11 @@ pub fn build_injection(
     }
     let weights = vec![1.0f64; ncols];
     let per_col = largest_remainder(&weights, count);
-    let mut placer = Placer::new(grid, consts, RowSpread::Even);
+    let mut placer = Placer::new(grid, consts, RowSpread::Even, k, m, dir, born_at);
     let mut out = Vec::with_capacity(count as usize);
     for (ci, &cnt) in per_col.iter().enumerate() {
-        placer.place_column(
-            region.x0 + ci,
-            region.y0,
-            region.y1,
-            cnt,
-            k,
-            m,
-            dir,
-            born_at,
-            next_id,
-            &mut out,
-        );
+        let rows = region.y0..region.y1;
+        placer.place(SkewAxis::X, region.x0 + ci, rows, cnt, next_id, &mut out);
     }
     out
 }

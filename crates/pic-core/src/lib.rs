@@ -15,7 +15,9 @@
 //! * the initial particle distributions that control the induced load
 //!   imbalance — geometric, sinusoidal, linear, patch, uniform ([`dist`]);
 //! * dynamic particle injection/removal events (paper §III-E5) ([`events`]);
-//! * a serial (and shared-memory parallel) reference engine ([`engine`]).
+//! * the serial engine, swept in parallel by a worker pool ([`engine`]),
+//!   and the scalar AoS oracle every implementation is held to
+//!   ([`mod@reference`]).
 //!
 //! The kernel is deliberately *unphysical*: mesh charges never change and the
 //! force on a particle is constant within a macroscopic step. What it is
@@ -47,10 +49,10 @@ pub mod init;
 pub mod motion;
 pub mod particle;
 pub mod pool;
+pub mod reference;
 pub mod rng;
 pub mod simd;
 pub mod soa;
-pub mod trajectory;
 pub mod verify;
 
 /// Commonly used items, re-exported for convenience.
@@ -58,7 +60,7 @@ pub mod prelude {
     pub use crate::bin::BinnedStore;
     pub use crate::charge::{mesh_charge, total_force, SimConstants};
     pub use crate::dist::Distribution;
-    pub use crate::engine::{Simulation, SweepMode};
+    pub use crate::engine::Simulation;
     pub use crate::events::{Event, EventKind, Region};
     pub use crate::geometry::Grid;
     pub use crate::init::SimulationSetup;

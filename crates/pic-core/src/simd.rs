@@ -803,7 +803,7 @@ unsafe fn advance_span_avx512<C: CornerCharge>(
 
 /// Advance one span with the selected backend — the SIMD counterpart of
 /// [`crate::bin::advance_bin_span`], bit-identical to it (and therefore to
-/// every other sweep mode) on every backend and for every corner-charge
+/// the AoS oracle) on every backend and for every corner-charge
 /// source: a hoisted `f64` for a bin-clipped span of an ordered bin, a
 /// per-column source for the store's mixed region.
 #[allow(clippy::too_many_arguments)]

@@ -8,7 +8,7 @@
 //! asserted by the [`crate::bin`] tests, and the property that lets
 //! implementations pick either layout freely.
 
-use crate::events::{lowest_ids, Region};
+use crate::events::Region;
 use crate::particle::Particle;
 
 /// A batch of particles in structure-of-arrays layout.
@@ -136,21 +136,12 @@ impl ParticleBatch {
 
     /// Remove every particle inside `region` whose id is at most `max_id`,
     /// preserving the order of the survivors (the SoA counterpart of
-    /// `Vec::retain`, so an SoA-stored run keeps the same particle order
-    /// as an AoS-stored one). Each removed particle goes to `removed`, in
-    /// its original order; returns how many were removed.
-    pub(crate) fn remove_in_region_upto(
-        &mut self,
-        region: &Region,
-        max_id: u64,
-        mut removed: impl FnMut(Particle),
-    ) -> usize {
+    /// `Vec::retain`). Returns how many were removed.
+    pub(crate) fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
         let n = self.len();
         let mut w = 0;
         for r in 0..n {
-            if self.id[r] <= max_id && region.contains_point(self.x[r], self.y[r]) {
-                removed(self.get(r));
-            } else {
+            if self.id[r] > max_id || !region.contains_point(self.x[r], self.y[r]) {
                 if w != r {
                     self.copy_element(r, w);
                 }
@@ -159,23 +150,6 @@ impl ParticleBatch {
         }
         self.truncate(w);
         n - w
-    }
-
-    /// Apply a removal event directly on the SoA store: remove up to
-    /// `count` particles inside `region`, lowest ids first — the same
-    /// deterministic rule as [`crate::init::apply_removal`] on AoS, so
-    /// both layouts shed exactly the same particles.
-    pub fn remove_in_region(&mut self, region: &Region, count: u64) -> Vec<Particle> {
-        let mut candidate_ids: Vec<u64> = (0..self.len())
-            .filter(|&i| region.contains_point(self.x[i], self.y[i]))
-            .map(|i| self.id[i])
-            .collect();
-        let mut removed = Vec::new();
-        if let Some(max_id) = lowest_ids(&mut candidate_ids, count) {
-            removed.reserve_exact(candidate_ids.len());
-            self.remove_in_region_upto(region, max_id, |p| removed.push(p));
-        }
-        removed
     }
 
     /// Copy element `src` over element `dst` across all eleven arrays —

@@ -1,10 +1,10 @@
 //! Steady-state allocation audit for the single-process engine.
 //!
-//! The perf contract (see `DESIGN.md`, "Sweep modes and the memory layout
-//! contract") is that once the simulation is warmed up — events exhausted,
-//! sweep pool spawned, histogram scratch sized — the per-step loop performs
-//! **zero heap allocations** in every sweep mode. This test installs a
-//! counting `#[global_allocator]` and asserts exactly that.
+//! The perf contract (see `DESIGN.md`, "The serial engine and the memory
+//! layout contract") is that once the simulation is warmed up — events
+//! exhausted, sweep pool spawned, histogram scratch sized — the per-step
+//! loop performs **zero heap allocations** on every kernel backend. This
+//! test installs a counting `#[global_allocator]` and asserts exactly that.
 //!
 //! The counter is scoped to the test's own thread (const-initialized TLS
 //! flag, so reading it never allocates): the libtest harness's main thread
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::dist::Distribution;
-use pic_core::engine::{Simulation, SweepMode};
+use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
@@ -104,7 +104,7 @@ fn peak_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn warmed_sim(mode: SweepMode, backend: Option<SimdBackend>) -> Simulation {
+fn warmed_sim(backend: Option<SimdBackend>) -> Simulation {
     let grid = Grid::new(32).unwrap();
     let setup = InitConfig::new(grid, 3_000, Distribution::Geometric { r: 0.9 })
         .with_m(1)
@@ -135,7 +135,7 @@ fn warmed_sim(mode: SweepMode, backend: Option<SimdBackend>) -> Simulation {
             },
             32,
         ));
-    let mut sim = Simulation::with_mode(setup, mode).with_chunk_size(256);
+    let mut sim = Simulation::new(setup).with_chunk_size(256);
     if let Some(b) = backend {
         sim = sim.with_simd_backend(b);
     }
@@ -145,37 +145,30 @@ fn warmed_sim(mode: SweepMode, backend: Option<SimdBackend>) -> Simulation {
 
 #[test]
 fn steady_state_step_loop_allocates_nothing() {
-    // The binned row runs once on the detected SIMD backend and once with
-    // the vector path forced off: the quartet body, the scalar remainder
-    // loop, and the forced-scalar kernel must all stay allocation-free.
-    // (The serial engine sorts only after an event, so no counting sort
-    // runs in the counted region; the rank path's timer sort is held to
-    // the same bound by `pic-par/tests/alloc_steady_state.rs`.)
-    for (mode, backend) in [
-        (SweepMode::Serial, None),
-        (SweepMode::SoaBinned, None),
-        (SweepMode::SoaBinned, Some(SimdBackend::Scalar)),
-    ] {
-        let mut sim = warmed_sim(mode, backend);
+    // Once on the detected SIMD backend and once with the vector path
+    // forced off: the quartet body, the scalar remainder loop, and the
+    // forced-scalar kernel must all stay allocation-free. (The serial
+    // engine sorts only after an event, so no counting sort runs in the
+    // counted region; the rank path's timer sort is held to the same bound
+    // by `pic-par/tests/alloc_steady_state.rs`.)
+    for backend in [None, Some(SimdBackend::Scalar)] {
+        let mut sim = warmed_sim(backend);
         let mut cols = Vec::new();
-        let mut rows = Vec::new();
         // Size the histogram scratch once, then go quiet.
         sim.column_histogram_into(&mut cols);
-        sim.row_histogram_into(&mut rows);
 
         let before = ALLOC_CALLS.load(Ordering::SeqCst);
         IN_SCOPE.with(|s| s.set(true));
         for _ in 0..50 {
             sim.step();
             sim.column_histogram_into(&mut cols);
-            sim.row_histogram_into(&mut rows);
         }
         IN_SCOPE.with(|s| s.set(false));
         let after = ALLOC_CALLS.load(Ordering::SeqCst);
         assert_eq!(
             after - before,
             0,
-            "{mode:?}: steady-state loop must not allocate ({} allocations in 50 steps)",
+            "{backend:?}: steady-state loop must not allocate ({} allocations in 50 steps)",
             after - before
         );
         // The loop actually did work: the histograms account for every

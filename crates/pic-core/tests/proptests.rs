@@ -11,6 +11,7 @@ use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::motion::advance_particle;
 use pic_core::particle::Particle;
+use pic_core::reference;
 use pic_core::verify::{expected_position, triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
 use proptest::prelude::*;
 
@@ -254,8 +255,8 @@ proptest! {
         dirb in prop::bool::ANY,
         probe in 0u64..50,
     ) {
-        use pic_core::trajectory::state_at;
         use pic_core::charge::{particle_charge, sign_for_direction};
+        use pic_core::verify::expected_velocity;
         use pic_core::motion::advance_particle;
         let grid = Grid::new(gridhalf * 2).unwrap();
         prop_assume!(2 * (k as u64) < grid.ncells() as u64);
@@ -270,19 +271,20 @@ proptest! {
         for _ in 0..probe {
             advance_particle(&grid, &consts, &mut p);
         }
-        let oracle = state_at(&grid, &consts, &p, probe);
-        prop_assert!(grid.periodic_delta(p.x, oracle.x).abs() < 1e-8);
-        prop_assert!(grid.periodic_delta(p.y, oracle.y).abs() < 1e-8);
-        prop_assert!((p.vx - oracle.vx).abs() < 1e-8, "vx {} vs {}", p.vx, oracle.vx);
-        prop_assert!((p.vy - oracle.vy).abs() < 1e-8);
+        let (x, y) = expected_position(&grid, &p, probe);
+        let (vx, vy) = expected_velocity(&grid, &consts, &p, probe);
+        prop_assert!(grid.periodic_delta(p.x, x).abs() < 1e-8);
+        prop_assert!(grid.periodic_delta(p.y, y).abs() < 1e-8);
+        prop_assert!((p.vx - vx).abs() < 1e-8, "vx {} vs {}", p.vx, vx);
+        prop_assert!((p.vy - vy).abs() < 1e-8);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The chunked (binned) SoA sweep is bit-identical to the serial AoS
-    /// sweep for every distribution family, with injection and removal
+    /// The chunked (binned) SoA sweep is bit-identical to the AoS oracle
+    /// for every distribution family, with injection and removal
     /// events firing mid-run, across degenerate and non-dividing chunk sizes.
     #[test]
     fn chunked_soa_bitwise_matches_aos_serial_all_distributions(
@@ -295,7 +297,6 @@ proptest! {
         remove_n in 1u64..60,
         r in 0.8f64..1.2,
     ) {
-        use pic_core::engine::SweepMode;
         let grid = Grid::new(32).unwrap();
         let dist = match which {
             0 => Distribution::Uniform,
@@ -311,22 +312,20 @@ proptest! {
             .unwrap()
             .with_event(Event::inject(3, Region { x0: 0, x1: 16, y0: 0, y1: 16 }, inject_n, 0, 0, 1))
             .with_event(Event::remove(7, Region::whole(32), remove_n));
-        let mut reference = Simulation::with_mode(setup.clone(), SweepMode::Serial);
-        reference.run(steps);
-        let expect = reference.particles();
+        let expect = reference::run(setup.clone(), steps);
+        let expect_sum: u128 = expect.iter().map(|p| p.id as u128).sum();
         for chunk in [1usize, 7, 64, n as usize] {
-            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                .with_chunk_size(chunk);
+            let mut sim = Simulation::new(setup.clone()).with_chunk_size(chunk);
             sim.run(steps);
             // PartialEq on Particle is field-exact over the raw f64s, so
             // equality here means bit-for-bit identical trajectories.
             prop_assert_eq!(&sim.particles(), &expect, "chunk {} diverged", chunk);
-            prop_assert_eq!(sim.expected_id_sum(), reference.expected_id_sum());
+            prop_assert_eq!(sim.expected_id_sum(), expect_sum);
             let report = sim.verify();
             prop_assert!(report.passed(), "chunk {chunk}: {report:?}");
         }
     }
-    /// The cell-binned sweep is bit-identical to the serial AoS sweep for
+    /// The cell-binned sweep is bit-identical to the AoS oracle for
     /// every distribution family, with injection and removal events firing
     /// mid-run, across every SIMD
     /// backend executable on this host (widest vector down to forced
@@ -344,7 +343,6 @@ proptest! {
         remove_n in 1u64..60,
         r in 0.8f64..1.2,
     ) {
-        use pic_core::engine::SweepMode;
         let grid = Grid::new(32).unwrap();
         let dist = match which {
             0 => Distribution::Uniform,
@@ -360,12 +358,10 @@ proptest! {
             .unwrap()
             .with_event(Event::inject(3, Region { x0: 0, x1: 16, y0: 0, y1: 16 }, inject_n, 0, 0, 1))
             .with_event(Event::remove(7, Region::whole(32), remove_n));
-        let mut reference = Simulation::with_mode(setup.clone(), SweepMode::Serial);
-        reference.run(steps);
-        let expect = reference.particles();
+        let expect = reference::run(setup.clone(), steps);
+        let expect_sum: u128 = expect.iter().map(|p| p.id as u128).sum();
         for backend in pic_core::simd::SimdBackend::available() {
-            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                .with_simd_backend(backend);
+            let mut sim = Simulation::new(setup.clone()).with_simd_backend(backend);
             sim.run(steps);
             // PartialEq on Particle is field-exact over the raw f64s, so
             // equality here means bit-for-bit identical trajectories.
@@ -373,7 +369,7 @@ proptest! {
                 &sim.particles(), &expect,
                 "backend {} diverged", backend.name()
             );
-            prop_assert_eq!(sim.expected_id_sum(), reference.expected_id_sum());
+            prop_assert_eq!(sim.expected_id_sum(), expect_sum);
             let report = sim.verify();
             prop_assert!(report.passed(), "backend {}: {report:?}", backend.name());
         }
@@ -383,7 +379,7 @@ proptest! {
     /// yields per-cell spans of every length in 0..=7, exercising the
     /// quartet body (4-lane groups) and the scalar remainder loop at every
     /// possible tail length. All executable backends must be bit-identical
-    /// to the serial AoS reference.
+    /// to the AoS oracle.
     #[test]
     fn simd_span_tails_bitwise_match_aos_serial(
         span_len in 0u64..8,
@@ -392,7 +388,6 @@ proptest! {
         m in -2i32..3,
         steps in 5u32..25,
     ) {
-        use pic_core::engine::SweepMode;
         use pic_core::simd::SimdBackend;
         let grid = Grid::new(32).unwrap();
         // One narrow patch column plus a few neighbours: per-cell spans of
@@ -404,12 +399,9 @@ proptest! {
             .with_m(m)
             .build()
             .unwrap();
-        let mut reference = Simulation::with_mode(setup.clone(), SweepMode::Serial);
-        reference.run(steps);
-        let expect = reference.particles();
+        let expect = reference::run(setup.clone(), steps);
         for backend in SimdBackend::available() {
-            let mut sim = Simulation::with_mode(setup.clone(), SweepMode::SoaBinned)
-                .with_simd_backend(backend);
+            let mut sim = Simulation::new(setup.clone()).with_simd_backend(backend);
             sim.run(steps);
             prop_assert_eq!(
                 &sim.particles(), &expect,
@@ -470,7 +462,6 @@ proptest! {
         inject_n in 1u64..60,
         remove_n in 1u64..60,
     ) {
-        use pic_core::engine::SweepMode;
         let grid = Grid::new(32).unwrap();
         let dist = match which {
             0 => Distribution::Uniform,
@@ -486,7 +477,7 @@ proptest! {
             .unwrap()
             .with_event(Event::inject(3, Region { x0: 0, x1: 16, y0: 0, y1: 16 }, inject_n, 0, 0, 1))
             .with_event(Event::remove(7, Region::whole(32), remove_n));
-        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
+        let mut sim = Simulation::new(setup);
         let mut h = Vec::new();
         for _ in 0..=steps {
             sim.column_histogram_into(&mut h);
@@ -544,7 +535,6 @@ fn partitioned_verification_merges() {
 /// here instead of in a benchmark.
 #[test]
 fn conforming_populations_stay_at_exact_mid_height() {
-    use pic_core::engine::SweepMode;
     use pic_core::init::{RowSpread, SkewAxis};
     let grid = Grid::new(32).unwrap();
     let dists = [
@@ -591,9 +581,9 @@ fn conforming_populations_stay_at_exact_mid_height() {
                 ))
                 .with_event(Event::inject(37, Region::whole(32), 150, k, 5, dir))
                 .with_event(Event::remove(60, Region::whole(32), 100));
-            let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
+            let mut sim = Simulation::new(setup);
             for step in 0..=100 {
-                let batch = sim.batch().unwrap();
+                let batch = sim.batch();
                 assert!(
                     batch
                         .y

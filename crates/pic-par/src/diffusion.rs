@@ -131,18 +131,17 @@ mod tests {
 
     #[test]
     fn binned_histogram_fast_path_drives_cut_movement() {
-        // End to end: the column histogram a SoaBinned simulation reads
-        // back from its store (the serial engine never re-sorts, so after
-        // the first sweep that is the store's scan, not the O(columns)
-        // prefix sums) alone steers the diffusion cuts after the paper's
+        // End to end: the column histogram the serial engine reads back
+        // from its store (it never re-sorts, so after the first sweep that
+        // is the store's scan, not the O(columns) prefix sums) alone steers the diffusion cuts after the paper's
         // drifting skewed cloud.
-        use pic_core::engine::{Simulation, SweepMode};
+        use pic_core::engine::Simulation;
         let grid = Grid::new(32).unwrap();
         let setup = InitConfig::new(grid, 2000, Distribution::Geometric { r: 0.8 })
             .with_m(1)
             .build()
             .unwrap();
-        let mut sim = Simulation::with_mode(setup, SweepMode::SoaBinned);
+        let mut sim = Simulation::new(setup);
         let ncells = grid.ncells();
         let px = 4;
         let mut cuts: Vec<usize> = (0..=px).map(|i| i * ncells / px).collect();

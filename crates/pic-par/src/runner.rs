@@ -13,9 +13,9 @@ use pic_comm::collective::{
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
-use pic_core::events::{lowest_ids, Event, EventKind, Region};
+use pic_core::events::{EventKind, EventLedger};
 use pic_core::geometry::Grid;
-use pic_core::init::{build_injection, SimulationSetup};
+use pic_core::init::SimulationSetup;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
 use pic_core::soa::ParticleBatch;
@@ -129,105 +129,6 @@ pub struct ParOutcome {
     /// key or sort by id) — the rank store's own batch, moved out rather
     /// than copied; for cross-implementation equivalence checks.
     pub particles: ParticleBatch,
-}
-
-/// The distributed event ledger: the step-sorted schedule with its cursor,
-/// the id counter injections draw from, and the id checksum the final
-/// population must add up to. Every rank holds one and applies every event,
-/// so the ledgers stay identical across ranks without a broadcast; what
-/// differs per ownership map is only which newcomers a rank keeps.
-struct EventLedger {
-    grid: Grid,
-    consts: SimConstants,
-    events: Vec<Event>,
-    next_event: usize,
-    next_id: u64,
-    expected_id_sum: u128,
-}
-
-impl EventLedger {
-    fn new(setup: &SimulationSetup) -> EventLedger {
-        let mut events = setup.events.clone();
-        events.sort_by_key(|e| e.at_step);
-        EventLedger {
-            grid: setup.grid,
-            consts: setup.consts,
-            events,
-            next_event: 0,
-            next_id: setup.next_id,
-            expected_id_sum: setup.initial_id_sum(),
-        }
-    }
-
-    /// Sum of the ids that must be alive after the events applied so far.
-    fn expected_id_sum(&self) -> u128 {
-        self.expected_id_sum
-    }
-
-    /// Apply the events due at `step` (0-based) to this rank's `store`.
-    /// Injections are materialized identically on every rank (same id
-    /// assignment) and kept where `owns(col, row)` holds; removals are
-    /// resolved collectively so all ranks agree on the doomed set: each
-    /// rank offers only its own `count` lowest in-region ids (the global
-    /// `count` lowest are among them), and the largest of the global
-    /// selection is the cutoff every rank removes at or below — an
-    /// order-preserving pass, no id set.
-    fn apply_due(
-        &mut self,
-        comm: &Communicator,
-        step: u32,
-        store: &mut BinnedStore,
-        owns: impl Fn(usize, usize) -> bool,
-    ) {
-        while self.next_event < self.events.len() && self.events[self.next_event].at_step == step {
-            let e = self.events[self.next_event];
-            self.next_event += 1;
-            match e.kind {
-                EventKind::Inject { count, k, m, dir } => {
-                    let newcomers = build_injection(
-                        self.grid,
-                        self.consts,
-                        e.region,
-                        count,
-                        k,
-                        m,
-                        dir,
-                        step,
-                        &mut self.next_id,
-                    );
-                    for p in &newcomers {
-                        self.expected_id_sum += p.id as u128;
-                        let (c, r) = self.grid.cell_of_point(p.x, p.y);
-                        if owns(c, r) {
-                            // Homed by the owner filter, so the tail
-                            // append keeps the rebin amortized.
-                            store.push_tail(*p);
-                        }
-                    }
-                }
-                EventKind::Remove { count } => {
-                    let mut offered = ids_in_region(store, &e.region);
-                    lowest_ids(&mut offered, count);
-                    let gathered = allgatherv(comm, encode_u64s(&offered));
-                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-                    if let Some(cutoff) = lowest_ids(&mut all, count) {
-                        self.expected_id_sum -= all.iter().map(|&id| id as u128).sum::<u128>();
-                        store.remove_in_region_upto(&e.region, cutoff);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Ids of the particles `store` holds inside `region`, for collective
-/// removal.
-fn ids_in_region(store: &BinnedStore, region: &Region) -> Vec<u64> {
-    let batch = store.batch();
-    (0..batch.len())
-        .filter(|&i| region.contains_point(batch.x[i], batch.y[i]))
-        .map(|i| batch.id[i])
-        .collect()
 }
 
 /// Who owns a cell — the question every store scatter, event, exchange and
@@ -402,13 +303,16 @@ impl RankState {
     }
 
     /// Apply events due at the current step: every rank materialises every
-    /// injection and keeps the newcomers it owns; removals are resolved
-    /// collectively.
+    /// injection and keeps the newcomers it owns; a removal's offers are
+    /// gathered from every rank, so all ranks agree on the doomed set.
     pub fn apply_due_events(&mut self, comm: &Communicator) {
+        let owns = |c, r| self.owners.owner_of_cell(&self.decomp, c, r) == self.rank;
+        let agree = |offered: Vec<u64>| {
+            let gathered = allgatherv(comm, encode_u64s(&offered));
+            gathered.iter().flat_map(|b| decode_u64s(b)).collect()
+        };
         self.ledger
-            .apply_due(comm, self.step, &mut self.store, |c, r| {
-                self.owners.owner_of_cell(&self.decomp, c, r) == self.rank
-            });
+            .apply_due(self.step, &mut self.store, owns, agree);
     }
 
     /// One full step: events, advance, exchange.
@@ -791,6 +695,7 @@ mod tests {
     use super::*;
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
+    use pic_core::events::{Event, Region};
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
 
@@ -858,20 +763,23 @@ mod tests {
         let outcomes = run_threads(4, |comm| {
             let mut st = RankState::new(&setup, Decomp2d::uniform(16, 4), comm.rank());
             st.apply_due_events(&comm);
-            (st.expected_id_sum(), st.local_count() as u64)
+            (st.expected_id_sum(), st.store.batch().id.clone())
         });
         let ledger0 = outcomes[0].0;
         assert!(
             outcomes.iter().all(|o| o.0 == ledger0),
             "ledgers must agree"
         );
-        let total: u64 = outcomes.iter().map(|o| o.1).sum();
-        assert_eq!(total, 160);
+        let mut survivors: Vec<u64> = outcomes.into_iter().flat_map(|o| o.1).collect();
+        survivors.sort_unstable();
         // Each rank offers only its own 40 lowest candidates; the doomed
-        // set is still the serial engine's.
-        let mut serial = pic_core::engine::Simulation::new(setup.clone());
-        serial.apply_due_events();
-        assert_eq!(ledger0, serial.expected_id_sum());
+        // set is still the AoS oracle's.
+        let oracle: Vec<u64> = (pic_core::reference::run(setup, 1).iter())
+            .map(|p| p.id)
+            .collect();
+        assert_eq!(survivors.len(), 160);
+        assert_eq!(survivors, oracle);
+        assert_eq!(ledger0, oracle.iter().map(|&id| id as u128).sum::<u128>());
     }
 
     #[test]

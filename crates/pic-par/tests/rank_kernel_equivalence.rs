@@ -1,5 +1,5 @@
 //! Rank-loop equivalence (DESIGN.md §13): the binned SIMD rank loop ends
-//! in the serial AoS engine's final state, per id, bit for bit — same
+//! in the AoS oracle's final state (`pic_core::reference`), per id, bit for bit — same
 //! surviving ids, same position/velocity bit patterns — across
 //! distributions, rank counts, rebin intervals, SIMD backends, and all
 //! three distributed implementations (static baseline, diffusion LB, and
@@ -14,7 +14,6 @@
 use pic_cluster::balancer::VpStrategy;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
-use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
@@ -83,11 +82,9 @@ fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
     v
 }
 
-/// The oracle: the single-process AoS engine's final population.
+/// The oracle's final population.
 fn serial(setup: SimulationSetup) -> Vec<Particle> {
-    let mut sim = Simulation::new(setup);
-    sim.run(STEPS);
-    sim.particles()
+    pic_core::reference::run(setup, STEPS)
 }
 
 /// Run `cfg` on `ranks` verified thread-ranks; every rank's final particles.
@@ -144,7 +141,7 @@ fn run_impl(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole contract: rank loop ≡ serial AoS engine, bit for bit,
+    /// The tentpole contract: rank loop ≡ AoS oracle, bit for bit,
     /// across the sampled cross product of distribution × rank count ×
     /// rebin interval × implementation.
     #[test]
@@ -168,7 +165,7 @@ proptest! {
 }
 
 /// Every SIMD backend the host offers produces the same bits as the AoS
-/// engine — the lane width is an implementation detail.
+/// oracle — the lane width is an implementation detail.
 #[test]
 fn binned_exact_bitwise_identical_across_backends() {
     let dist = Distribution::Geometric { r: 0.9 };
@@ -214,7 +211,7 @@ fn ampi_binned_exact_bitwise_matches_aos_across_balancers() {
 /// the border/interior column split is active on every binned rank even
 /// under a 2D decomposition. Fast stride (k=2 ⇒ 5 cells/step) plus a
 /// mid-run injection keeps the exchange busy; the result must still match
-/// the serial engine bit for bit.
+/// the oracle bit for bit.
 #[test]
 fn overlapped_split_phase_matches_dense_oracle_bitwise() {
     let setup = InitConfig::new(
@@ -246,7 +243,7 @@ fn overlapped_split_phase_matches_dense_oracle_bitwise() {
             assert_eq!(
                 aos,
                 bit_finals(&run_ranks(&cfg, ranks)),
-                "overlapped step diverged from the serial engine ({ranks} ranks, rebin {rebin})"
+                "overlapped step diverged from the oracle ({ranks} ranks, rebin {rebin})"
             );
         }
     }

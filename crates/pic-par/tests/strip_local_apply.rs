@@ -1,8 +1,8 @@
 //! The strip-local apply of a balance round (DESIGN.md §13) against the one
 //! oracle: scripted cut moves driven through the three pinned steps —
 //! `rebuild_charges` (empty since PR 24), `rehome` (drift-bounded
-//! drain), `rebind_store` (relabel, no sort) — must end in the serial AoS
-//! engine's final state, per id, bit for bit, on the degenerate shapes a
+//! drain), `rebind_store` (relabel, no sort) — must end in the AoS oracle's
+//! final state (`pic_core::reference`), per id, bit for bit, on the degenerate shapes a
 //! balancer can produce: any store age, moves wider than what is still
 //! ordered, emptied ranks, ranks at the domain edges with a wrapping
 //! population, mixed strides, events beside a round, 2 × 2 decompositions
@@ -11,7 +11,6 @@
 use pic_comm::comm::Communicator;
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
-use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
@@ -92,7 +91,7 @@ fn apply_round(comm: &Communicator, st: &mut RankState, round: &Round) {
 }
 
 /// Run `steps` steps from `decomp` under `script` and hold the union of
-/// the ranks' final particles to the serial engine, per id, bit for bit.
+/// the ranks' final particles to the oracle, per id, bit for bit.
 fn check(
     setup: &SimulationSetup,
     decomp: &Decomp2d,
@@ -112,10 +111,9 @@ fn check(
         assert!(report.passed(), "{report:?}");
         st.store.batch().to_particles()
     });
-    let mut oracle = Simulation::new(setup.clone());
-    oracle.run(steps);
+    let oracle = pic_core::reference::run(setup.clone(), steps);
     assert_eq!(
-        bit_finals(&oracle.particles()),
+        bit_finals(&oracle),
         bit_finals(&per_rank.concat()),
         "{decomp:?} {kernel:?} {script:?}"
     );

@@ -54,7 +54,6 @@ pub fn trace_simulation(sim: &mut Simulation, steps: u32, tracer: &mut Tracer) {
 mod tests {
     use super::*;
     use pic_core::dist::Distribution;
-    use pic_core::engine::SweepMode;
     use pic_core::geometry::Grid;
     use pic_core::init::{InitConfig, SimulationSetup};
 
@@ -66,15 +65,15 @@ mod tests {
             .unwrap()
     }
 
-    fn sim(mode: SweepMode) -> Simulation {
-        Simulation::with_mode(setup(), mode)
+    fn sim() -> Simulation {
+        Simulation::new(setup())
     }
 
     #[test]
     fn traced_run_matches_untraced() {
-        let mut plain = sim(SweepMode::Serial);
+        let mut plain = sim();
         plain.run(20);
-        let mut traced = sim(SweepMode::Serial);
+        let mut traced = sim();
         let mut tracer = Tracer::in_memory(4);
         trace_simulation(&mut traced, 20, &mut tracer);
         assert_eq!(plain.particles(), traced.particles());
@@ -95,7 +94,7 @@ mod tests {
     fn binned_mode_reports_rebins() {
         use pic_core::events::{Event, Region};
         let setup = setup().with_event(Event::remove(20, Region::whole(16), 50));
-        let mut s = Simulation::with_mode(setup, SweepMode::SoaBinned);
+        let mut s = Simulation::new(setup);
         let mut tracer = Tracer::in_memory(1);
         trace_simulation(&mut s, 32, &mut tracer);
         let report = tracer.finish().unwrap();
@@ -111,16 +110,8 @@ mod tests {
     #[test]
     fn run_header_records_kernel_descriptor() {
         use crate::json::Json;
-        // AoS serial mode: no explicit SIMD layer.
-        let mut s = sim(SweepMode::Serial);
-        let mut tracer = Tracer::in_memory(1);
-        trace_simulation(&mut s, 1, &mut tracer);
-        let report = tracer.finish().unwrap();
-        let run = Json::parse(report.ndjson.lines().next().unwrap()).unwrap();
-        assert_eq!(run.get("simd").unwrap().as_str(), Some("none"));
-
-        // Binned mode: "<backend>/exact" (the schema-v2 spelling).
-        let mut s = sim(SweepMode::SoaBinned);
+        // "<backend>/exact" (the schema-v2 spelling).
+        let mut s = sim();
         let mut tracer = Tracer::in_memory(1);
         trace_simulation(&mut s, 20, &mut tracer);
         let report = tracer.finish().unwrap();
@@ -132,9 +123,9 @@ mod tests {
 
     #[test]
     fn disabled_tracer_changes_nothing() {
-        let mut plain = sim(SweepMode::SoaBinned);
+        let mut plain = sim();
         plain.run(10);
-        let mut traced = sim(SweepMode::SoaBinned);
+        let mut traced = sim();
         let mut t = Tracer::disabled();
         trace_simulation(&mut traced, 10, &mut t);
         assert_eq!(plain.particles(), traced.particles());

@@ -372,9 +372,9 @@ impl Tracer {
     }
 
     /// Emit the one-line run header. `simd` is the kernel descriptor
-    /// (`Simulation::kernel_desc`: `"<backend>/exact"`, or `"none"` for
-    /// the serial AoS sweep), recorded so a trace always states which
-    /// force kernel produced it. `balancer` is the load-balancing strategy in effect
+    /// (`Simulation::kernel_desc`: `"<backend>/exact"`), recorded so a
+    /// trace always states which force kernel produced it. `balancer` is
+    /// the load-balancing strategy in effect
     /// (`"none"`, `"static"`, `"diffusion"`, `"vp-refine"`, `"adaptive"`,
     /// ...), recorded here and in the summary so downstream tables can
     /// attribute results to the strategy that produced them.

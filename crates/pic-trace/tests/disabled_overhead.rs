@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pic_core::dist::Distribution;
-use pic_core::engine::{Simulation, SweepMode};
+use pic_core::engine::Simulation;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_trace::{trace_simulation, Counter, Phase, Tracer};
@@ -57,36 +57,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn warmed_sim(mode: SweepMode) -> Simulation {
+fn warmed_sim() -> Simulation {
     let grid = Grid::new(32).unwrap();
     let setup = InitConfig::new(grid, 2_000, Distribution::Geometric { r: 0.9 })
         .with_m(1)
         .build()
         .unwrap();
-    let mut sim = Simulation::with_mode(setup, mode).with_chunk_size(256);
+    let mut sim = Simulation::new(setup).with_chunk_size(256);
     sim.run(8); // pool spawned
     sim
 }
 
 #[test]
 fn disabled_tracer_step_loop_allocates_nothing() {
-    for mode in [SweepMode::Serial, SweepMode::SoaBinned] {
-        let mut sim = warmed_sim(mode);
-        let mut tracer = Tracer::disabled();
+    let mut sim = warmed_sim();
+    let mut tracer = Tracer::disabled();
 
-        let before = ALLOC_CALLS.load(Ordering::SeqCst);
-        IN_SCOPE.with(|s| s.set(true));
-        trace_simulation(&mut sim, 50, &mut tracer);
-        IN_SCOPE.with(|s| s.set(false));
-        let after = ALLOC_CALLS.load(Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "{mode:?}: disabled-tracer loop must not allocate ({} allocations in 50 steps)",
-            after - before
-        );
-        assert!(tracer.finish().is_none());
-    }
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    IN_SCOPE.with(|s| s.set(true));
+    trace_simulation(&mut sim, 50, &mut tracer);
+    IN_SCOPE.with(|s| s.set(false));
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "disabled-tracer loop must not allocate ({} allocations in 50 steps)",
+        after - before
+    );
+    assert!(tracer.finish().is_none());
 }
 
 #[test]

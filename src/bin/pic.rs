@@ -30,11 +30,6 @@ use std::sync::Mutex;
 /// `--border` 2 vs 1).
 fn help() -> String {
     let diff = DiffusionParams::default();
-    let sweep_modes = SweepMode::ALL
-        .iter()
-        .map(|m| m.cli_name())
-        .collect::<Vec<_>>()
-        .join(" | ");
     format!(
         "\
 pic — the PIC Parallel Research Kernel (IPDPS 2016 reproduction)
@@ -69,12 +64,6 @@ Strategy:
   --ranks P           thread-ranks (any --balancer; default 4)
 
 Single-process engine (no --balancer):
-  --sweep MODE        {sweep_modes} :
-                      particle sweep and memory layout — production by
-                      default, reference by request. soa-binned (default)
-                      is the cell-binned SIMD sweep every strategy runs;
-                      serial is the scalar AoS reference it is
-                      bit-identical to.
   --threads T         cap the sweep worker pool at T threads (default:
                       all cores; PIC_THREADS overrides the pool size)
                       the binned sweeps auto-select the widest SIMD backend
@@ -132,7 +121,6 @@ const VALUE_OPTS: &[&str] = &[
     "--remove",
     "--ranks",
     "--balancer",
-    "--sweep",
     "--threads",
     "--lb-interval",
     "--tau",
@@ -162,7 +150,6 @@ const SERIAL: &str = "the serial engine";
 /// Options only some strategies read, with the strategies that do. Given
 /// to any other strategy they are an error, not a silent no-op.
 const OPTION_SCOPE: &[(&str, &[&str])] = &[
-    ("--sweep", &[SERIAL]),
     ("--threads", &[SERIAL]),
     ("--ranks", BALANCERS),
     (
@@ -405,8 +392,12 @@ fn main() {
     let d: usize = args.positive("--d").unwrap_or(4);
     let threads: Option<usize> = args.positive("--threads");
     let trace_every: u32 = args.positive("--trace-every").unwrap_or(1);
-    // Step records are written at 1-based steps N, 2N, …: an interval past
-    // the last step leaves a stream `trace_check` refuses.
+    // Step records are written at 1-based steps N, 2N, …: a run with no
+    // step, or an interval past the last one, leaves a stream
+    // `trace_check` refuses.
+    if args.value("--trace").is_some() && steps == 0 {
+        bail("--trace needs at least one step");
+    }
     if args.value("--trace").is_some() && trace_every > steps {
         bail(&format!(
             "--trace-every {trace_every} samples no step of a {steps}-step run"
@@ -430,14 +421,6 @@ fn main() {
         )),
         Some(_) => {}
     }
-
-    // The serial engine's sweep: production (soa-binned) by default, the
-    // scalar AoS reference by request.
-    let sweep = match args.value("--sweep") {
-        Some(name) => SweepMode::from_cli_name(name)
-            .unwrap_or_else(|| bail(&format!("bad sweep mode: {name}"))),
-        None => SweepMode::SoaBinned,
-    };
 
     // Telemetry: the file is opened up front (so a bad path fails before
     // the run), then handed to exactly one tracer — rank 0's in a
@@ -471,13 +454,9 @@ fn main() {
         if let Some(t) = threads {
             pic_prk::core::pool::global().set_active_threads(t);
         }
-        let mut sim = Simulation::with_mode(setup, sweep);
+        let mut sim = Simulation::new(setup);
         if !quiet {
-            println!(
-                "sweep mode            : {} (kernel {})",
-                sweep.cli_name(),
-                sim.kernel_desc()
-            );
+            println!("serial kernel         : {}", sim.kernel_desc());
         }
         let mut tracer = rank0_tracer(0);
         trace_simulation(&mut sim, steps, &mut tracer);

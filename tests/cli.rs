@@ -1,6 +1,5 @@
 //! End-to-end tests of the `pic` command-line driver.
 
-use pic_prk::core::engine::SweepMode;
 use std::process::Command;
 
 /// Every `--balancer` value.
@@ -216,6 +215,11 @@ fn bad_arguments_fail_cleanly() {
         ],
         "--trace-every 50 samples no step of a 5-step run",
     );
+    // Nor is there a step to sample in a run of none.
+    assert_rejected(
+        &["--steps", "0", "--trace", "/dev/null"],
+        "--trace needs at least one step",
+    );
     // A trace that could not be written is not a success: the verdict is
     // still printed, then the file and the OS error, and the exit is 1.
     #[cfg(unix)]
@@ -336,16 +340,6 @@ fn options_the_strategy_does_not_read_are_rejected() {
     ] {
         assert_rejected(args, &format!("{option} is not read by {strategy}"));
     }
-    // The sweep mode is the serial engine's: every strategy runs the one
-    // rank loop, so either mode under a balancer is refused by the table.
-    for balancer in ["static", "diffusion", "vp-refine"] {
-        for mode in ["serial", "soa-binned"] {
-            assert_rejected(
-                &["--balancer", balancer, "--sweep", mode],
-                &format!("--sweep is not read by --balancer {balancer}"),
-            );
-        }
-    }
     assert_rejected(&["--trace-every", "2"], "--trace-every needs --trace");
 }
 
@@ -377,9 +371,9 @@ fn events_the_grid_cannot_hold_are_rejected() {
 
 #[test]
 fn removed_options_and_modes_are_rejected() {
-    // The collapsed variants left no silent no-op behind: the four flags,
-    // the five selector aliases and the four sweep modes are errors that
-    // name the offender.
+    // The collapsed variants left no silent no-op behind: the removed
+    // options and the five selector aliases are errors that name the
+    // offender.
     assert_rejected(&["--wire", "bytes"], "--wire");
     assert_rejected(&["--overlap", "off"], "--overlap");
     assert_rejected(&["--chunk", "64"], "--chunk");
@@ -397,34 +391,23 @@ fn removed_options_and_modes_are_rejected() {
             assert!(stderr.contains(name), "{alias}: {name} missing in {stderr}");
         }
     }
-    // The fourth is the fast tier PR 17 deleted: the production name
-    // plus `-fast`.
-    let fast = format!("{}-fast", SweepMode::SoaBinned.cli_name());
-    for mode in ["parallel", "soa", "soa-chunked", fast.as_str()] {
-        assert_rejected(&["--sweep", mode], &format!("bad sweep mode: {mode}"));
+    // The serial engine has one store, so the sweep-mode selector went
+    // with the AoS one, for every strategy.
+    for strategy in [&[][..], &["--balancer", "static"][..]] {
+        let args = [&["--sweep", "serial"], strategy].concat();
+        assert_rejected(&args, "unknown option: --sweep");
     }
     let (_, help, _) = run(&["--help"]);
-    for gone in ["--wire", "--overlap", "--chunk", "--impl", "--rebin"] {
+    for gone in [
+        "--wire",
+        "--overlap",
+        "--chunk",
+        "--impl",
+        "--rebin",
+        "--sweep",
+    ] {
         assert!(!help.contains(gone), "{gone} still in --help");
     }
-}
-
-#[test]
-fn serial_defaults_to_the_production_sweep() {
-    // One default rule for every strategy: soa-binned unless --sweep asks
-    // for the reference.
-    let (ok, stdout, _) = run(&["--steps", "5"]);
-    assert!(ok);
-    assert!(
-        stdout.contains("sweep mode            : soa-binned (kernel"),
-        "{stdout}"
-    );
-    let (ok, stdout, _) = run(&["--steps", "5", "--sweep", "serial"]);
-    assert!(ok);
-    assert!(
-        stdout.contains("sweep mode            : serial (kernel none)"),
-        "{stdout}"
-    );
 }
 
 #[test]
@@ -448,54 +431,32 @@ fn help_defaults_match_library_defaults() {
     );
     assert!(stdout.contains("--trace FILE"));
     assert!(stdout.contains("--trace-every N"));
-    // The sweep-mode list is generated from SweepMode::ALL, so a new mode
-    // can never be missing from the help text.
-    let modes = SweepMode::ALL
-        .iter()
-        .map(|m| m.cli_name())
-        .collect::<Vec<_>>()
-        .join(" | ");
-    assert!(
-        stdout.contains(&modes),
-        "sweep mode list drifted from SweepMode::ALL: {stdout}"
-    );
 }
 
 #[test]
-fn every_sweep_mode_passes_via_cli() {
+fn pooled_sweep_passes_via_cli() {
     // PIC_THREADS=4 sizes the worker pool to 4 even on smaller hosts, so
     // the pooled sweep gets multi-thread coverage.
-    for mode in SweepMode::ALL {
-        let (ok, stdout, stderr) = run_env(
-            &[
-                "--sweep",
-                mode.cli_name(),
-                "--grid",
-                "32",
-                "--particles",
-                "2000",
-                "--steps",
-                "40",
-                "--k",
-                "1",
-                "--m",
-                "1",
-                "--threads",
-                "4",
-            ],
-            &[("PIC_THREADS", "4")],
-        );
-        assert!(ok, "sweep {}: {stdout} {stderr}", mode.cli_name());
-        assert!(stdout.contains("PASS"), "sweep {}", mode.cli_name());
-        assert!(
-            stdout.contains(&format!("sweep mode            : {}", mode.cli_name())),
-            "mode line missing for {}: {stdout}",
-            mode.cli_name()
-        );
-    }
-    let (ok, _, stderr) = run(&["--sweep", "warp-drive"]);
-    assert!(!ok);
-    assert!(stderr.contains("bad sweep mode"), "{stderr}");
+    let (ok, stdout, stderr) = run_env(
+        &[
+            "--grid",
+            "32",
+            "--particles",
+            "2000",
+            "--steps",
+            "40",
+            "--k",
+            "1",
+            "--m",
+            "1",
+            "--threads",
+            "4",
+        ],
+        &[("PIC_THREADS", "4")],
+    );
+    assert!(ok, "{stdout} {stderr}");
+    assert!(stdout.contains("verification          : PASS"), "{stdout}");
+    assert!(stdout.contains("serial kernel         : "), "{stdout}");
 }
 
 #[test]
@@ -505,8 +466,6 @@ fn pic_no_simd_forces_scalar_kernel_on_every_tier() {
     // the kernel descriptor.
     let (ok, stdout, stderr) = run_env(
         &[
-            "--sweep",
-            "soa-binned",
             "--grid",
             "32",
             "--particles",
@@ -519,27 +478,21 @@ fn pic_no_simd_forces_scalar_kernel_on_every_tier() {
         &[("PIC_NO_SIMD", "1")],
     );
     assert!(ok, "{stdout} {stderr}");
-    for want in ["kernel scalar/exact", "PASS"] {
+    for want in ["serial kernel         : scalar/exact", "PASS"] {
         assert!(stdout.contains(want), "missing {want}: {stdout}");
     }
     // Without the override the binned sweep reports the detected backend,
     // never scalar on hosts with any vector ISA (informational only — on a
     // scalar-only host this still holds because detect() returns scalar
     // and the assertion flips to exact equality).
-    let (ok, stdout, _) = run(&[
-        "--sweep",
-        "soa-binned",
-        "--grid",
-        "32",
-        "--particles",
-        "500",
-        "--steps",
-        "10",
-    ]);
+    let (ok, stdout, _) = run(&["--grid", "32", "--particles", "500", "--steps", "10"]);
     assert!(ok);
     let detected = pic_prk::core::simd::SimdBackend::detect();
     assert!(
-        stdout.contains(&format!("kernel {}/exact", detected.name())),
+        stdout.contains(&format!(
+            "serial kernel         : {}/exact",
+            detected.name()
+        )),
         "expected detected backend {} in: {stdout}",
         detected.name()
     );

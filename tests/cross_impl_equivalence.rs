@@ -1,5 +1,6 @@
 //! All implementations — serial engine, `mpi-2d`, `mpi-2d-LB`, `ampi`, and
-//! every `BalancerSpec` arm — must produce the *same* physics: identical surviving id sets and
+//! every `BalancerSpec` arm — must produce the *same* physics as the AoS
+//! oracle (`pic_core::reference`): identical surviving id sets and
 //! bit-identical final positions for identical setups. Parallelism only
 //! reorders the sweep *between* particles, and particles never interact,
 //! so even floating-point state must agree exactly.
@@ -40,14 +41,11 @@ fn make_cfg(steps: u32) -> ParConfig {
     ParConfig::new(setup, steps)
 }
 
-/// (id, x-bits, y-bits, vx-bits, vy-bits) of a serial reference run.
-fn serial_final(cfg: &ParConfig) -> Vec<(u64, u64, u64, u64, u64)> {
-    let mut sim = Simulation::new(cfg.setup.clone());
-    sim.run(cfg.steps);
-    assert!(sim.verify().passed());
-    let mut v: Vec<_> = sim
-        .particles()
-        .iter()
+type Finals = Vec<(u64, u64, u64, u64, u64)>;
+
+/// (id, x-bits, y-bits, vx-bits, vy-bits) of a population, in id order.
+fn bit_finals(particles: impl IntoIterator<Item = Particle>) -> Finals {
+    let mut v: Finals = (particles.into_iter())
         .map(|p| {
             (
                 p.id,
@@ -62,22 +60,14 @@ fn serial_final(cfg: &ParConfig) -> Vec<(u64, u64, u64, u64, u64)> {
     v
 }
 
-fn gather_finals(outcomes: Vec<ParOutcome>) -> Vec<(u64, u64, u64, u64, u64)> {
-    let mut v: Vec<_> = outcomes
-        .iter()
-        .flat_map(|o| o.particles.to_particles())
-        .map(|p| {
-            (
-                p.id,
-                p.x.to_bits(),
-                p.y.to_bits(),
-                p.vx.to_bits(),
-                p.vy.to_bits(),
-            )
-        })
-        .collect();
-    v.sort_by_key(|t| t.0);
-    v
+/// The oracle's final population. (The binned serial engine is held to it
+/// by the `pic-core` property tests.)
+fn serial_final(cfg: &ParConfig) -> Finals {
+    bit_finals(pic_prk::core::reference::run(cfg.setup.clone(), cfg.steps))
+}
+
+fn gather_finals(outcomes: Vec<ParOutcome>) -> Finals {
+    bit_finals(outcomes.iter().flat_map(|o| o.particles.to_particles()))
 }
 
 #[test]

@@ -1,11 +1,14 @@
 //! Edge cases of the dynamic injection/removal events (§III-E5), checked
 //! for graceful handling and ledger agreement across the serial engine and
-//! the parallel implementations: a removal asking for more particles than
-//! the region holds, an injection into a degenerate (zero-cell) region,
+//! the parallel implementations, against the AoS oracle: a removal asking
+//! for more particles than the region holds, an injection into a
+//! degenerate (zero-cell) region, events on the first and the last step,
 //! and an event scheduled past the final step.
 
 use pic_prk::ampi::Balancer;
 use pic_prk::comm::world::run_threads;
+use pic_prk::core::reference;
+use pic_prk::core::verify::VerifyReport;
 use pic_prk::par::diffusion::{DiffusionMode, DiffusionParams};
 use pic_prk::par::runner::{ParConfig, ParOutcome};
 use pic_prk::par::{run_config, BalancerSpec};
@@ -26,25 +29,27 @@ fn setup(events: &[Event]) -> SimulationSetup {
 }
 
 /// Run serial + baseline + diffusion + the VP runtime on the same setup;
-/// assert every implementation verifies and all agree on final count and
-/// id checksum. Returns (final_count, id_sum).
+/// assert every implementation verifies (its ledger agrees with its
+/// population) and ends with the oracle's count and id checksum. Returns
+/// the oracle's (final_count, id_sum).
 fn run_all_impls(events: &[Event]) -> (u64, u128) {
+    let oracle = reference::run(setup(events), STEPS);
+    let want = (
+        oracle.len() as u64,
+        oracle.iter().map(|p| p.id as u128).sum::<u128>(),
+    );
+    let check_one = |name: &str, report: &VerifyReport, count: u64| {
+        assert!(report.passed(), "{name}: {report:?}");
+        assert_eq!((count, report.id_sum), want, "{name} vs the oracle");
+    };
     let mut sim = Simulation::new(setup(events));
     sim.run(STEPS);
-    let serial_report = sim.verify();
-    assert!(serial_report.passed(), "serial: {serial_report:?}");
-    let serial_count = sim.particle_count() as u64;
+    check_one("serial", &sim.verify(), sim.particle_count() as u64);
 
     let cfg = ParConfig::new(setup(events), STEPS);
     let check = |outcomes: Vec<ParOutcome>, name: &str| {
         for o in &outcomes {
-            assert!(o.verify.passed(), "{name}: {:?}", o.verify);
-            assert_eq!(o.total_count, serial_count, "{name} vs serial count");
-            assert_eq!(o.verify.id_sum, serial_report.id_sum, "{name} id_sum");
-            assert_eq!(
-                o.verify.id_sum, o.verify.expected_id_sum,
-                "{name} ledger consistency"
-            );
+            check_one(name, &o.verify, o.total_count);
         }
     };
     check(run_threads(4, |comm| run_config(&comm, &cfg)), "baseline");
@@ -62,7 +67,7 @@ fn run_all_impls(events: &[Event]) -> (u64, u128) {
         strategy: Balancer::paper_default(),
     });
     check(run_threads(4, |comm| run_config(&comm, &cfg)), "ampi");
-    (serial_count, serial_report.id_sum)
+    want
 }
 
 #[test]
@@ -113,6 +118,26 @@ fn inject_into_zero_cell_region_is_a_noop() {
     let (count, id_sum) = run_all_impls(&events);
     assert_eq!(count, N, "zero-cell injections must add nothing");
     assert_eq!(id_sum, (N as u128) * (N as u128 + 1) / 2);
+}
+
+#[test]
+fn events_on_the_first_and_last_step_fire() {
+    // Step 0 fires before the first sweep, step STEPS − 1 before the last
+    // one: each pair must reach every implementation.
+    let corner = Region {
+        x0: 0,
+        x1: 8,
+        y0: 0,
+        y1: 8,
+    };
+    let events = [
+        Event::inject(0, corner, 30, 0, 1, 1),
+        Event::remove(0, Region::whole(32), 20),
+        Event::inject(STEPS - 1, corner, 25, 0, 1, -1),
+        Event::remove(STEPS - 1, Region::whole(32), 10),
+    ];
+    let (count, _) = run_all_impls(&events);
+    assert_eq!(count, N + 30 - 20 + 25 - 10);
 }
 
 #[test]
