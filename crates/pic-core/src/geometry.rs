@@ -162,6 +162,43 @@ fn truncate_cell(x: f64, last: usize) -> usize {
     (x as u32 as usize).min(last)
 }
 
+/// The coordinates the cell-index tests run on a grid of `ncells` cells
+/// per side: `(inside, outside)` its `[0, L)` domain — both sides of every
+/// cell edge and of the domain end, both integer-width boundaries, and
+/// everything that saturates (±∞, NaN, negatives).
+#[cfg(test)]
+pub(crate) fn cell_index_cases(ncells: usize) -> (Vec<f64>, Vec<f64>) {
+    let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let (two31, two32) = ((1u64 << 31) as f64, (1u64 << 32) as f64);
+    let l = ncells as f64;
+    let mut inside = vec![0.0, -0.0, f64::MIN_POSITIVE / 4.0, 0.5, ulp_down(l)];
+    for c in 1..ncells {
+        let c = c as f64;
+        inside.extend([ulp_down(c), c, ulp_up(c)]);
+    }
+    let outside = vec![
+        l,
+        l + 1.0,
+        two31 - 1.0,
+        two31,
+        two31 + 1.0,
+        two32 - 1.0,
+        two32,
+        two32 + 1.0,
+        1e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::MIN_POSITIVE,
+        -0.5,
+        -1.0,
+        -two32,
+        -1e300,
+    ];
+    (inside, outside)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,36 +235,9 @@ mod tests {
     /// end, both integer-width boundaries, and everything that saturates.
     #[test]
     fn narrow_cell_index_equals_the_wide_reference() {
-        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
-        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
-        let (two31, two32) = ((1u64 << 31) as f64, (1u64 << 32) as f64);
         for ncells in [2usize, 64, 1024, 1 << 20] {
             let g = Grid::new(ncells).unwrap();
-            let l = g.extent();
-            let mut inside = vec![0.0, -0.0, f64::MIN_POSITIVE / 4.0, 0.5, ulp_down(l)];
-            for c in 1..ncells {
-                let c = c as f64;
-                inside.extend([ulp_down(c), c, ulp_up(c)]);
-            }
-            let outside = [
-                l,
-                l + 1.0,
-                two31 - 1.0,
-                two31,
-                two31 + 1.0,
-                two32 - 1.0,
-                two32,
-                two32 + 1.0,
-                1e300,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::NAN,
-                -f64::MIN_POSITIVE,
-                -0.5,
-                -1.0,
-                -two32,
-                -1e300,
-            ];
+            let (inside, outside) = cell_index_cases(ncells);
             let reference = |x: f64| (x as usize).min(ncells - 1);
             for &x in inside.iter().chain(&outside) {
                 assert_eq!(

@@ -53,6 +53,7 @@
 //!
 //! [`coulomb`]: crate::charge::coulomb
 
+use crate::bin::{CellTable, OwnerMap};
 use crate::charge::{f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants};
 use crate::geometry::Grid;
 
@@ -227,9 +228,43 @@ pub(crate) trait Lanes: Copy {
     fn all_eq(self, o: Self) -> bool;
 }
 
+/// The ops of the owner classifiers ([`crate::bin::OwnerMap`]): the
+/// saturating cell index of [`Grid::cell_of`] per lane, and `u32` table
+/// lanes beside the `f64` ones. Implemented by the two backends with a
+/// gather (AVX-512 and AVX2); the others classify through the scalar rule.
+pub(crate) trait OwnerLanes: Lanes {
+    /// [`Lanes::WIDTH`] `u32` lanes.
+    type Index: Copy;
+    /// `min(max(x, 0), last)` per lane, NaN → 0: the value whose
+    /// truncation is `Grid::cell_of(x)` for every `f64`, `last` the last
+    /// cell index. A kept interval `lo..hi` of columns is then
+    /// `lo <= v < hi` on the clamped value, with no conversion.
+    fn clamp_cell(self, last: Self) -> Self;
+    /// Bit `j` set where lane `j` lies in `[lo, hi)`.
+    fn within(self, lo: Self, hi: Self) -> u64;
+    /// Truncate clamped lanes (each in `[0, 2³²)`) to `u32`, over the
+    /// whole range: a signed 32-bit convert breaks from 2³¹ up.
+    fn index(self) -> Self::Index;
+    /// `tab[i]` per lane, the index zero-extended (so it never reads
+    /// below `tab`, whatever its top bit).
+    ///
+    /// # Safety
+    /// Every lane of `i` must index inside the table at `tab`.
+    unsafe fn gather(tab: *const u32, i: Self::Index) -> Self::Index;
+    /// Lane-wise wrapping `a + b`.
+    fn add_index(a: Self::Index, b: Self::Index) -> Self::Index;
+    /// Bit `j` set where lane `j` of `i` equals `v`.
+    fn index_eq(i: Self::Index, v: u32) -> u64;
+    /// Store the lanes to `out` (unaligned).
+    ///
+    /// # Safety
+    /// `out` must be valid for writing `WIDTH` `u32` values.
+    unsafe fn store_index(i: Self::Index, out: *mut u32);
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::Lanes;
+    use super::{Lanes, OwnerLanes};
     use std::arch::x86_64::*;
 
     /// 8 × f64 in one zmm register, bit-identical to scalar (bit-identity
@@ -308,6 +343,57 @@ mod x86 {
         }
     }
 
+    impl OwnerLanes for Avx512 {
+        type Index = __m256i;
+
+        #[inline(always)]
+        fn clamp_cell(self, last: Self) -> Self {
+            // `max` answers its second operand when either is NaN.
+            unsafe {
+                Avx512(_mm512_min_pd(
+                    _mm512_max_pd(self.0, _mm512_setzero_pd()),
+                    last.0,
+                ))
+            }
+        }
+
+        #[inline(always)]
+        fn within(self, lo: Self, hi: Self) -> u64 {
+            unsafe {
+                let ge = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(self.0, lo.0);
+                (ge & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, hi.0)) as u64
+            }
+        }
+
+        #[inline(always)]
+        fn index(self) -> __m256i {
+            unsafe { _mm512_cvttpd_epu32(self.0) }
+        }
+
+        #[inline(always)]
+        unsafe fn gather(tab: *const u32, i: __m256i) -> __m256i {
+            _mm512_i64gather_epi32::<4>(_mm512_cvtepu32_epi64(i), tab.cast())
+        }
+
+        #[inline(always)]
+        fn add_index(a: __m256i, b: __m256i) -> __m256i {
+            unsafe { _mm256_add_epi32(a, b) }
+        }
+
+        #[inline(always)]
+        fn index_eq(i: __m256i, v: u32) -> u64 {
+            unsafe {
+                let eq = _mm256_cmpeq_epi32(i, _mm256_set1_epi32(v as i32));
+                _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u64
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store_index(i: __m256i, out: *mut u32) {
+            _mm256_storeu_si256(out.cast(), i)
+        }
+    }
+
     /// 4 × f64 in one ymm register.
     #[derive(Clone, Copy)]
     pub struct Avx2(__m256d);
@@ -380,6 +466,64 @@ mod x86 {
         #[inline(always)]
         fn all_eq(self, o: Self) -> bool {
             unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0)) == 0b1111 }
+        }
+    }
+
+    impl OwnerLanes for Avx2 {
+        type Index = __m128i;
+
+        #[inline(always)]
+        fn clamp_cell(self, last: Self) -> Self {
+            // `max` answers its second operand when either is NaN.
+            unsafe {
+                Avx2(_mm256_min_pd(
+                    _mm256_max_pd(self.0, _mm256_setzero_pd()),
+                    last.0,
+                ))
+            }
+        }
+
+        #[inline(always)]
+        fn within(self, lo: Self, hi: Self) -> u64 {
+            unsafe {
+                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(self.0, lo.0);
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, hi.0);
+                _mm256_movemask_pd(_mm256_and_pd(ge, lt)) as u64
+            }
+        }
+
+        #[inline(always)]
+        fn index(self) -> __m128i {
+            // No unsigned convert below AVX-512: floor, move the range down
+            // by 2³¹ (exact), convert signed, and flip the top bit back.
+            unsafe {
+                let floor = _mm256_floor_pd(self.0);
+                let low = _mm256_sub_pd(floor, _mm256_set1_pd(2_147_483_648.0));
+                _mm_xor_si128(_mm256_cvttpd_epi32(low), _mm_set1_epi32(i32::MIN))
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn gather(tab: *const u32, i: __m128i) -> __m128i {
+            _mm256_i64gather_epi32::<4>(tab.cast(), _mm256_cvtepu32_epi64(i))
+        }
+
+        #[inline(always)]
+        fn add_index(a: __m128i, b: __m128i) -> __m128i {
+            unsafe { _mm_add_epi32(a, b) }
+        }
+
+        #[inline(always)]
+        fn index_eq(i: __m128i, v: u32) -> u64 {
+            unsafe {
+                let eq = _mm_cmpeq_epi32(i, _mm_set1_epi32(v as i32));
+                _mm_movemask_ps(_mm_castsi128_ps(eq)) as u64
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store_index(i: __m128i, out: *mut u32) {
+            _mm_storeu_si128(out.cast(), i)
         }
     }
 
@@ -839,6 +983,185 @@ pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
     }
 }
 
+/// The table index `col[c] + row[r]` of each lane's cell, for one group.
+///
+/// # Safety
+/// `x` and `y` must be valid for `V::WIDTH` reads.
+#[inline(always)]
+unsafe fn cell_index<V: OwnerLanes>(
+    t: &CellTable,
+    last: V,
+    x: *const f64,
+    y: *const f64,
+) -> V::Index {
+    let (col, row, _, _) = t.parts();
+    let c = V::load(x).clamp_cell(last).index();
+    let r = V::load(y).clamp_cell(last).index();
+    // SAFETY: `c` and `r` are at most `last`, and `CellTable::new` checked
+    // that both tables have a side's worth of cells.
+    V::add_index(V::gather(col.as_ptr(), c), V::gather(row.as_ptr(), r))
+}
+
+/// The owner classifier on one vector backend: whole groups through the
+/// lane ops, the `len mod WIDTH` tail through the scalar rule. Sets bit
+/// `j % 64` of `leave[j / 64]` for each lane `j` that leaves.
+///
+/// # Safety
+/// Vector ops of `V` must be executable on the current CPU.
+#[inline(always)]
+unsafe fn owner_leavers_lanes<V: OwnerLanes>(
+    grid: &Grid,
+    map: &OwnerMap,
+    x: &[f64],
+    y: &[f64],
+    leave: &mut [u64],
+) {
+    let groups = x.len() / V::WIDTH;
+    let last = V::splat((grid.ncells() - 1) as f64);
+    let (xp, yp) = (x.as_ptr(), y.as_ptr());
+    let lanes = u64::MAX >> (64 - V::WIDTH);
+    // `WIDTH` divides 64, so a group's lanes share one word.
+    let mut put = |o: usize, keep: u64| leave[o / 64] |= (!keep & lanes) << (o % 64);
+    match map {
+        OwnerMap::Columns { lo, hi } => {
+            let (lo, hi) = (V::splat(*lo as f64), V::splat(*hi as f64));
+            for o in (0..groups).map(|g| g * V::WIDTH) {
+                // SAFETY: whole groups lie inside `x`.
+                put(o, V::load(xp.add(o)).clamp_cell(last).within(lo, hi));
+            }
+        }
+        OwnerMap::Cells(t) => {
+            let (_, _, owner, me) = t.parts();
+            for o in (0..groups).map(|g| g * V::WIDTH) {
+                // SAFETY: whole groups lie inside `x` and `y` (equal
+                // lengths, asserted by the caller).
+                let i = cell_index::<V>(t, last, xp.add(o), yp.add(o));
+                // SAFETY: `CellTable::new` checked every `col[c] + row[r]`
+                // against the owner table.
+                put(o, V::index_eq(V::gather(owner.as_ptr(), i), me));
+            }
+        }
+    }
+    let tail = groups * V::WIDTH;
+    map.mark_leavers(grid, &x[tail..], &y[tail..], leave, tail);
+}
+
+/// `counts[col[c] + row[r]] += 1` for each point's cell on one vector
+/// backend (the scalar rule for the tail).
+///
+/// # Safety
+/// Vector ops of `V` must be executable on the current CPU.
+#[inline(always)]
+unsafe fn count_cells_lanes<V: OwnerLanes>(
+    grid: &Grid,
+    t: &CellTable,
+    x: &[f64],
+    y: &[f64],
+    counts: &mut [u64],
+) {
+    let groups = x.len() / V::WIDTH;
+    let last = V::splat((grid.ncells() - 1) as f64);
+    let mut idx = [0u32; 8];
+    for o in (0..groups).map(|g| g * V::WIDTH) {
+        let i = cell_index::<V>(t, last, x.as_ptr().add(o), y.as_ptr().add(o));
+        V::store_index(i, idx.as_mut_ptr());
+        for &i in &idx[..V::WIDTH] {
+            counts[i as usize] += 1;
+        }
+    }
+    let tail = groups * V::WIDTH;
+    t.count_scalar(grid, &x[tail..], &y[tail..], counts);
+}
+
+/// AVX-512 instantiations of the owner classifier and the cell count.
+///
+/// # Safety
+/// The CPU must support AVX-512F (guaranteed by [`SimdBackend::detect`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn owner_leavers_avx512(
+    grid: &Grid,
+    map: &OwnerMap,
+    x: &[f64],
+    y: &[f64],
+    leave: &mut [u64],
+) {
+    owner_leavers_lanes::<x86::Avx512>(grid, map, x, y, leave)
+}
+
+/// See [`owner_leavers_avx512`].
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn count_cells_avx512(grid: &Grid, t: &CellTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+    count_cells_lanes::<x86::Avx512>(grid, t, x, y, c)
+}
+
+/// AVX2 instantiations of the owner classifier and the cell count.
+///
+/// # Safety
+/// The CPU must support AVX2 (guaranteed by [`SimdBackend::detect`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn owner_leavers_avx2(grid: &Grid, map: &OwnerMap, x: &[f64], y: &[f64], leave: &mut [u64]) {
+    owner_leavers_lanes::<x86::Avx2>(grid, map, x, y, leave)
+}
+
+/// See [`owner_leavers_avx2`].
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn count_cells_avx2(grid: &Grid, t: &CellTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+    count_cells_lanes::<x86::Avx2>(grid, t, x, y, c)
+}
+
+/// Classify `x`/`y` against `map` with the selected backend — bit for bit
+/// the scalar rule on every backend; the backends without a gather (SSE2,
+/// NEON, scalar) run that rule itself.
+pub(crate) fn owner_leavers(
+    backend: SimdBackend,
+    grid: &Grid,
+    map: &OwnerMap,
+    x: &[f64],
+    y: &[f64],
+    leave: &mut [u64],
+) {
+    // SAFETY: a vector backend is only ever one the CPU was detected to
+    // run (`SimdBackend::detect` / `available`).
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 => unsafe { owner_leavers_avx512(grid, map, x, y, leave) },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => unsafe { owner_leavers_avx2(grid, map, x, y, leave) },
+        _ => map.mark_leavers(grid, x, y, leave, 0),
+    }
+}
+
+/// Count the points per table index with the selected backend
+/// ([`CellTable::count_into`]).
+pub(crate) fn count_cells(
+    backend: SimdBackend,
+    grid: &Grid,
+    t: &CellTable,
+    x: &[f64],
+    y: &[f64],
+    counts: &mut [u64],
+) {
+    // SAFETY: as in `owner_leavers`; `CellTable::count_into` asserted
+    // equal `x` and `y` lengths.
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 => unsafe { count_cells_avx512(grid, t, x, y, counts) },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => unsafe { count_cells_avx2(grid, t, x, y, counts) },
+        _ => t.count_scalar(grid, x, y, counts),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1170,6 +1493,61 @@ mod tests {
                         "backend {} lane {lane} ry {ry:e}",
                         backend.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// Eight coordinates through one backend's clamp and `u32` convert.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lane_cells<V: OwnerLanes>(x: &[f64; 8], last: f64) -> [u32; 8] {
+        let mut out = [0u32; 8];
+        for o in (0..8).step_by(V::WIDTH) {
+            let i = V::load(x.as_ptr().add(o))
+                .clamp_cell(V::splat(last))
+                .index();
+            V::store_index(i, out.as_mut_ptr().add(o));
+        }
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_cells_avx2(x: &[f64; 8], last: f64) -> [u32; 8] {
+        lane_cells::<x86::Avx2>(x, last)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn lane_cells_avx512(x: &[f64; 8], last: f64) -> [u32; 8] {
+        lane_cells::<x86::Avx512>(x, last)
+    }
+
+    /// The owner classifiers' cell index is `Grid::cell_of`'s,
+    /// `(x as usize).min(last)`, in every lane of every backend with the
+    /// ops, up to the widest grid ([`Grid::new`] caps the last index at
+    /// `u32::MAX`) — past 2³¹, where a signed 32-bit convert breaks — and
+    /// for NaN, ±∞ and negatives.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn cell_index_lanes_cover_the_whole_u32_range() {
+        let (_, edges) = crate::geometry::cell_index_cases(2);
+        for last in [1usize, 1023, (1 << 31) + 1, u32::MAX as usize] {
+            let mut values = edges.clone();
+            let top = last as f64;
+            values.extend([top - 0.5, top, top + 0.5, (top / 2.0).floor() + 0.5]);
+            for chunk in values.chunks(8) {
+                let mut x = [0.0; 8];
+                x[..chunk.len()].copy_from_slice(chunk);
+                let want = x.map(|x| (x as usize).min(last) as u32);
+                for backend in SimdBackend::available() {
+                    let got = match backend {
+                        SimdBackend::Avx512 => unsafe { lane_cells_avx512(&x, top) },
+                        SimdBackend::Avx2 => unsafe { lane_cells_avx2(&x, top) },
+                        _ => continue,
+                    };
+                    assert_eq!(got, want, "{} last {last}: {x:?}", backend.name());
                 }
             }
         }

@@ -13,6 +13,9 @@
 //! into virtual processors whose owners a replicated VP→core table names
 //! (the AMPI runtime, paper §IV-C).
 
+use pic_core::bin::{CellTable, OwnerMap};
+use pic_core::geometry::Grid;
+
 /// Factor `p` into `(px, py)` with `px ≥ py` and the pair as close to
 /// square as possible (minimizing `px − py`), mirroring the reference
 /// code's `MPI_Dims_create`-style choice.
@@ -206,6 +209,8 @@ pub struct OwnerTable {
     col: Vec<u32>,
     /// `px ·` processor row of each mesh row.
     row: Vec<u32>,
+    /// `0..ranks`: `col[c] + row[r]` is already the rank.
+    ranks: Vec<u32>,
 }
 
 impl OwnerTable {
@@ -230,6 +235,8 @@ impl OwnerTable {
         };
         fill(&mut self.col, &decomp.xcuts, 1);
         fill(&mut self.row, &decomp.ycuts, decomp.px);
+        self.ranks.clear();
+        self.ranks.extend(0..decomp.ranks() as u32);
         self.xcuts.clone_from(&decomp.xcuts);
         self.ycuts.clone_from(&decomp.ycuts);
     }
@@ -240,13 +247,22 @@ impl OwnerTable {
         (self.col[col] + self.row[row]) as usize
     }
 
-    /// [`Self::owner_of_cell`] for a single processor row (`py == 1`),
-    /// where the row cannot matter: no row lookup, and a caller that only
-    /// needs this never has to load the particle's `y`.
-    #[inline]
-    pub fn owner_of_col(&self, col: usize) -> usize {
-        debug_assert_eq!(self.ycuts.len(), 2, "owner_of_col needs py == 1");
-        self.col[col] as usize
+    /// The cells rank `me` keeps, as the drain's classifier reads them: on
+    /// a single processor row its column interval (the row cannot
+    /// matter, so the scan never loads `y`), otherwise the table itself.
+    pub fn map<'a>(&'a self, grid: &Grid, me: usize) -> OwnerMap<'a> {
+        if self.ycuts.len() == 2 {
+            let (lo, hi) = (self.xcuts[me], self.xcuts[me + 1]);
+            OwnerMap::Columns { lo, hi }
+        } else {
+            OwnerMap::Cells(self.cells(grid, &self.ranks, me))
+        }
+    }
+
+    /// This table's cells under `owner`, an owner per table entry (the
+    /// identity for the ranks of the cuts, a VP→core table for VPs).
+    fn cells<'a>(&'a self, grid: &Grid, owner: &'a [u32], me: usize) -> CellTable<'a> {
+        CellTable::new(grid, &self.col, &self.row, owner, me as u32)
     }
 }
 
@@ -329,6 +345,12 @@ impl VpGrid {
         self.owners.owner_of_cell(col, row)
     }
 
+    /// The cells core `me` keeps under `core_of_vp` (the VP→core table,
+    /// as `u32`): the drain's classifier table, whose index is the VP.
+    pub fn cells<'a>(&'a self, grid: &Grid, core_of_vp: &'a [u32], me: usize) -> CellTable<'a> {
+        self.owners.cells(grid, core_of_vp, me)
+    }
+
     /// Cells in one VP's subgrid.
     pub fn vp_cells(&self, vp: usize) -> usize {
         self.decomp.cell_count(vp)
@@ -361,9 +383,7 @@ mod tests {
         check(&d, &t);
         let strip = Decomp2d::columns(24, 4);
         t.refresh(&strip);
-        for c in 0..24 {
-            assert_eq!(t.owner_of_col(c), strip.owner_of_cell(c, 7));
-        }
+        check(&strip, &t);
     }
 
     #[test]

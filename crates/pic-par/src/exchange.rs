@@ -11,7 +11,7 @@
 use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
 use pic_comm::collective::{alltoallv_finish_into, alltoallv_start, AlltoallvHandle};
 use pic_comm::comm::Communicator;
-use pic_core::bin::BinnedStore;
+use pic_core::bin::{BinnedStore, Classifier, OwnerMap};
 use pic_core::geometry::Grid;
 use pic_core::particle::Particle;
 
@@ -185,20 +185,30 @@ where
     F: Fn(usize, usize) -> usize,
 {
     debug_assert_eq!(comm.rank(), my_rank);
+    let keep = |c, r| owner(c, r) == my_rank;
+    stage_start(comm, keep, &owner, active, store, grid, bufs)
+}
+
+/// The one staging body: drain what `classifier` finds leaving, send each
+/// leaver to `owner(col, row)`, post the sends.
+fn stage_start(
+    comm: &Communicator,
+    classifier: impl Classifier,
+    owner: impl Fn(usize, usize) -> usize,
+    active: impl FnMut(usize) -> bool,
+    store: &mut BinnedStore,
+    grid: &Grid,
+    bufs: &mut ExchangeBuffers,
+) -> ExchangeInFlight {
     bufs.begin_staging(comm.size());
     let outgoing = &mut bufs.outgoing;
-    let nranks = comm.size();
-    let sent = store.drain_leavers_cols_into(
-        grid,
-        active,
-        |c, r| owner(c, r) == my_rank,
-        |p| {
-            let (c, r) = grid.cell_of_point(p.x, p.y);
-            let dst = owner(c, r);
-            debug_assert!(dst < nranks && dst != my_rank, "bad destination {dst}");
-            outgoing[dst].push(p);
-        },
-    );
+    let (me, nranks) = (comm.rank(), comm.size());
+    let sent = store.drain_leavers_cols_into(grid, active, classifier, |p| {
+        let (c, r) = grid.cell_of_point(p.x, p.y);
+        let dst = owner(c, r);
+        debug_assert!(dst < nranks && dst != me, "bad destination {dst}");
+        outgoing[dst].push(p);
+    });
     let handle = bufs.start_wire(comm);
     ExchangeInFlight { handle, sent }
 }
@@ -216,9 +226,9 @@ pub fn route_binned_finish(
 }
 
 /// [`route_binned_start`] under the Cartesian decomposition, with
-/// ownership answered by the buffers' [`OwnerTable`] (refreshed against
-/// `decomp` first). A single processor row never looks at the row, which
-/// spares the scan the particle's `y`.
+/// ownership read from the buffers' [`OwnerTable`] (refreshed against
+/// `decomp` first): the drain classifies through [`OwnerTable::map`] — the
+/// rank's column interval on a single processor row, the table otherwise.
 pub(crate) fn rehome_binned_start(
     comm: &Communicator,
     decomp: &Decomp2d,
@@ -229,33 +239,49 @@ pub(crate) fn rehome_binned_start(
     bufs: &mut ExchangeBuffers,
 ) -> ExchangeInFlight {
     debug_assert_eq!(comm.size(), decomp.ranks());
-    // Out of `bufs` while the owner closure borrows it.
+    debug_assert_eq!(comm.rank(), my_rank);
+    // Out of `bufs` while the map and the owner closure borrow it.
     let mut owners = std::mem::take(&mut bufs.owners);
     owners.refresh(decomp);
-    let inflight = if decomp.py == 1 {
-        let owner = |c, _| owners.owner_of_col(c);
-        route_binned_start(comm, my_rank, owner, active, store, grid, bufs)
-    } else {
-        let owner = |c, r| owners.owner_of_cell(c, r);
-        route_binned_start(comm, my_rank, owner, active, store, grid, bufs)
-    };
+    let owner = |c, r| owners.owner_of_cell(c, r);
+    let inflight = stage_start(
+        comm,
+        owners.map(grid, my_rank),
+        owner,
+        active,
+        store,
+        grid,
+        bufs,
+    );
     bufs.owners = owners;
     inflight
 }
 
-/// [`route_binned_with`] under a VP map: every bin drained, each leaver
-/// routed to the core its VP is assigned to.
+/// [`route_binned_with`] under a VP map: every bin drained through the
+/// VP grid's cell table and `core_of_vp` (the VP→core table as `u32`),
+/// each leaver routed to the core its VP is assigned to.
 pub(crate) fn route_vps(
     comm: &Communicator,
     vps: &VpGrid,
-    assignment: &[usize],
-    my_rank: usize,
+    core_of_vp: &[u32],
     store: &mut BinnedStore,
     grid: &Grid,
     bufs: &mut ExchangeBuffers,
 ) -> (usize, usize) {
-    let owner = |c, r| assignment[vps.vp_of_cell(c, r)];
-    route_binned_with(comm, my_rank, owner, store, grid, bufs)
+    let cells = vps.cells(grid, core_of_vp, comm.rank());
+    let owner = |c, r| cells.owner_of_cell(c, r);
+    let inflight = stage_start(
+        comm,
+        OwnerMap::Cells(cells),
+        owner,
+        |_| true,
+        store,
+        grid,
+        bufs,
+    );
+    let sent = inflight.sent;
+    let received = route_binned_finish(comm, inflight, store, bufs);
+    (sent, received)
 }
 
 /// The synchronous `rehome_binned_start` + [`route_binned_finish`];

@@ -151,6 +151,9 @@ enum Ownership {
     Vps {
         grid: Box<VpGrid>,
         assignment: Vec<usize>,
+        /// `assignment` as `u32`, the owner table the drain's classifier
+        /// gathers from: rebuilt only when the assignment changes.
+        core_of_vp: Vec<u32>,
     },
 }
 
@@ -159,7 +162,9 @@ impl Ownership {
     fn owner_of_cell(&self, decomp: &Decomp2d, col: usize, row: usize) -> usize {
         match self {
             Ownership::Cuts { .. } => decomp.owner_of_cell(col, row),
-            Ownership::Vps { grid, assignment } => assignment[grid.vp_of_cell(col, row)],
+            Ownership::Vps {
+                grid, assignment, ..
+            } => assignment[grid.vp_of_cell(col, row)],
         }
     }
 }
@@ -230,6 +235,7 @@ impl RankState {
         let assignment = vps.initial_assignment();
         let owners = Ownership::Vps {
             grid: Box::new(vps),
+            core_of_vp: assignment.iter().map(|&c| c as u32).collect(),
             assignment,
         };
         RankState::build(setup, decomp, owners, rank, kernel)
@@ -456,9 +462,11 @@ impl RankState {
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
         let stride_x = match &self.owners {
             Ownership::Cuts { stride_x, .. } => *stride_x,
-            Ownership::Vps { grid, assignment } => {
+            Ownership::Vps {
+                grid, core_of_vp, ..
+            } => {
                 let (store, bufs) = (&mut self.store, &mut self.bufs);
-                return route_vps(comm, grid, assignment, self.rank, store, &self.grid, bufs);
+                return route_vps(comm, grid, core_of_vp, store, &self.grid, bufs);
             }
         };
         let ((x0, x1), rows) = self.decomp.bounds(self.rank);
@@ -517,20 +525,28 @@ impl RankState {
 
     /// Collectively sum the global per-VP particle counts into `out`: this
     /// rank's contribution is a position scan into the reused scratch
-    /// (VPs are 2D tiles, not column ranges), then one vector allreduce.
-    /// Leaves `out` empty under the cuts, which have no VPs.
+    /// (VPs are 2D tiles, not column ranges) through the drain
+    /// classifier's per-lane VP index, then one vector allreduce. Leaves
+    /// `out` empty under the cuts, which have no VPs.
     pub(crate) fn aggregate_vp_counts_into(&mut self, comm: &Communicator, out: &mut Vec<u64>) {
         out.clear();
-        let Ownership::Vps { grid, .. } = &self.owners else {
+        let Ownership::Vps {
+            grid, core_of_vp, ..
+        } = &self.owners
+        else {
             return;
         };
         self.lb_scratch.clear();
         self.lb_scratch.resize(grid.vp_count(), 0);
-        let batch = self.store.batch();
-        for (&x, &y) in batch.x.iter().zip(&batch.y) {
-            let (c, r) = self.grid.cell_of_point(x, y);
-            self.lb_scratch[grid.vp_of_cell(c, r)] += 1;
-        }
+        let (batch, backend) = (self.store.batch(), self.store.simd_backend());
+        let cells = grid.cells(&self.grid, core_of_vp, self.rank);
+        cells.count_into(
+            backend,
+            &self.grid,
+            &batch.x,
+            &batch.y,
+            &mut self.lb_scratch,
+        );
         allreduce_vec_u64_into(comm, &self.lb_scratch, ReduceOp::Sum, out);
     }
 
@@ -554,9 +570,18 @@ impl RankState {
     /// Adopt a VP balancer's new VP→core table; the next
     /// [`RankState::rehome`] routes the particles of every moved VP.
     pub(crate) fn set_vp_assignment(&mut self, new: Vec<usize>) {
-        let Ownership::Vps { assignment, .. } = &mut self.owners else {
+        let Ownership::Vps {
+            assignment,
+            core_of_vp,
+            ..
+        } = &mut self.owners
+        else {
             panic!("a VP reassignment under the Cartesian cuts");
         };
+        if *assignment != new {
+            core_of_vp.clear();
+            core_of_vp.extend(new.iter().map(|&c| c as u32));
+        }
         *assignment = new;
     }
 

@@ -19,9 +19,10 @@ echo "==> cargo test -q (every crate), SIMD on and forced off"
 # the bit-identity contract must hold just the same with it forced off.
 cargo test -q
 PIC_NO_SIMD=1 cargo test -q
-# The corner-fold suite's NaN-lane case needs a build without the
-# kernels' debug range checks (they reject NaN before any arithmetic).
-cargo test -q --release -p pic-core --lib simd::
+# The corner-fold suite's NaN-lane case, and the owner classifiers' lanes
+# outside the domain (NaN, ±inf, negatives), need a build without the
+# debug range checks (they reject such coordinates before any arithmetic).
+cargo test -q --release -p pic-core --lib -- simd:: bin::tests::owner_classifiers
 
 echo "==> cargo fmt --check"
 cargo fmt --check
