@@ -447,30 +447,19 @@ impl BinnedStore {
         self.age += 1;
     }
 
-    /// One serial sweep on the *calling* thread — the distributed rank
-    /// path, where each rank is already its own parallel unit and pool
-    /// dispatch would contend across rank threads. Rebins first if
-    /// structurally dirty, runs the hoisted kernel over every ordered bin
-    /// span and the per-lane-charge kernel over the mixed region, and does
-    /// **not** rebin at the end: the rank step rebins after the exchange
-    /// ([`BinnedStore::rebin_due`]) so the counting sort only ever sees
-    /// homed particles.
-    pub fn sweep_local(&mut self, grid: &Grid, consts: &SimConstants) {
-        self.prepare_sweep(grid);
-        self.sweep_bins(grid, consts, 0..self.ncols);
-        self.sweep_tail_pass(grid, consts);
-        self.end_sweep();
-    }
-
-    /// First stage of a split sweep: fold any pending structural edits in
-    /// (rebin if dirty) so the bin spans are valid for [`Self::sweep_cols`].
-    /// [`Self::sweep_local`] is exactly
-    /// `prepare_sweep → sweep_cols(all) → sweep_tail_pass → end_sweep`,
-    /// so a split sweep is bit-identical to the one-call form no matter
-    /// how the column range is partitioned: [`Self::sweep_cols`] reaches
-    /// exactly the ordered bins, [`Self::sweep_tail_pass`] exactly the
+    /// First stage of a split sweep — the distributed rank path, serial on
+    /// the *calling* thread (each rank is already its own parallel unit):
+    /// fold any pending structural edits in (rebin if dirty) so the bin
+    /// spans are valid for [`Self::sweep_cols`]. A whole sweep is
+    /// `prepare_sweep`, [`Self::sweep_cols`] over a partition of the
+    /// columns, [`Self::sweep_tail_pass`], [`Self::end_sweep`] —
+    /// bit-identical however the columns are partitioned: `sweep_cols`
+    /// reaches exactly the ordered bins, `sweep_tail_pass` exactly the
     /// rest, every particle runs the same arithmetic against the same
     /// fixed per-step mesh, and particles never interact within a step.
+    /// Nothing rebins at the end: the rank step rebins after the exchange
+    /// ([`Self::rebin_due`]) so the counting sort only ever sees homed
+    /// particles.
     pub fn prepare_sweep(&mut self, grid: &Grid) {
         if self.dirty {
             self.rebin(grid);
@@ -480,7 +469,7 @@ impl BinnedStore {
     /// Sweep the *ordered* bins of the **global** columns in `cols`
     /// (clamped to this store's slab and to the ordered range — bins a
     /// drain already made mixed belong to [`Self::sweep_tail_pass`]). The
-    /// overlapped rank step uses this to advance border columns first,
+    /// rank step uses this to advance border columns first,
     /// launch their exchange, then advance the interior while messages are
     /// in flight. Requires [`Self::prepare_sweep`]; no structural edits
     /// may intervene before [`Self::end_sweep`].
@@ -654,7 +643,7 @@ impl BinnedStore {
     /// an AoS round-trip. Only the mixed region plus the bins of global
     /// columns for which `active(col)` is true are tested (module docs,
     /// "Ordered interior, mixed border"). The caller guarantees inactive
-    /// columns hold no leavers — the overlapped exchange passes the
+    /// columns hold no leavers — the rank step passes its
     /// *border* columns, because interior particles cannot out-run the
     /// border width in one step. Returns the drain count.
     ///
@@ -1278,12 +1267,20 @@ mod tests {
         BinnedStore::new_owned(&ps, &grid, 16, 0, 16, |_, _| true);
     }
 
+    /// One whole sweep through the split calls, the columns in one piece.
+    fn sweep(store: &mut BinnedStore, grid: &Grid, consts: &SimConstants) {
+        store.prepare_sweep(grid);
+        store.sweep_cols(grid, consts, 0..grid.ncells());
+        store.sweep_tail_pass(grid, consts);
+        store.end_sweep();
+    }
+
     #[test]
     fn take_batch_moves_the_particles_out_and_leaves_an_empty_store() {
         let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
         let consts = SimConstants::CANONICAL;
         let mut store = BinnedStore::new(&ps, &grid, 4);
-        store.sweep_local(&grid, &consts);
+        sweep(&mut store, &grid, &consts);
         let before = store.batch().clone();
         assert_eq!(store.take_batch(), before, "storage order, no copy-sort");
         assert!(store.is_empty());
@@ -1505,8 +1502,8 @@ mod tests {
         let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
         for _ in 0..steps {
             advance_all(&grid, &consts, &mut reference);
-            left.sweep_local(&grid, &consts);
-            right.sweep_local(&grid, &consts);
+            sweep(&mut left, &grid, &consts);
+            sweep(&mut right, &grid, &consts);
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
             left.drain_leavers_into(&grid, |c, _| c < mid, |p| to_right.push(p));
             right.drain_leavers_into(&grid, |c, _| c >= mid, |p| to_left.push(p));
@@ -1822,7 +1819,7 @@ mod tests {
             .collect();
         let mut store = BinnedStore::new_subdomain(&left_ps, &grid, 16, 0, mid);
         assert_eq!(store.columns(), (0, mid));
-        store.sweep_local(&grid, &consts);
+        sweep(&mut store, &grid, &consts);
         let before = store.rebin_count();
         // A tail arrival must not force an early counting sort…
         let arrival = ps
@@ -1836,7 +1833,7 @@ mod tests {
             .unwrap();
         store.push_tail(arrival);
         assert_eq!(store.tail_len(), 1);
-        store.sweep_local(&grid, &consts);
+        sweep(&mut store, &grid, &consts);
         assert_eq!(store.rebin_count(), before, "tail push forced a rebin");
         // …and neither does a cut move: it re-anchors the column range
         // (everything is inside [0, mid), so widening the range is always
@@ -1884,7 +1881,7 @@ mod tests {
             .collect();
         let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, 8, 24);
         for _ in 0..age {
-            store.sweep_local(&grid, &SimConstants::CANONICAL);
+            sweep(&mut store, &grid, &SimConstants::CANONICAL);
         }
         (grid, store)
     }
@@ -1937,8 +1934,8 @@ mod tests {
                 // The next sweep is the one a freshly built store runs.
                 let mut fresh =
                     BinnedStore::new_subdomain(&store.to_particles(), &grid, 16, lo, hi);
-                store.sweep_local(&grid, &consts);
-                fresh.sweep_local(&grid, &consts);
+                sweep(&mut store, &grid, &consts);
+                sweep(&mut fresh, &grid, &consts);
                 assert_eq!(store.to_particles(), fresh.to_particles());
                 // …and the timer sort still folds everything back.
                 store.drain_leavers_into(&grid, |c, _| (lo..hi).contains(&c), |p| gone.push(p));

@@ -4,7 +4,7 @@
 //! branch-free so the compiler *could* vectorize it, but the baseline
 //! x86-64 target only licenses 2-lane SSE2 autovectorization and the
 //! sqrt/divide chain in [`coulomb`] dominates the critical path. This
-//! module vectorizes the kernel by hand, four particles per iteration
+//! module vectorizes the kernel by hand, four particles per iteration (eight on AVX-512)
 //! (**lane-per-particle**), with the widest instruction set the host
 //! actually has — selected once at engine construction, not at compile
 //! time, so one binary serves every deployment target.
@@ -23,12 +23,10 @@
 //!   would break bit-identity.
 //! * [`SimdBackend::Sse2`] — two 128-bit registers per quartet; SSE2 is
 //!   part of the x86-64 baseline, so this backend needs no detection.
-//! * `SimdBackend::Neon` — two 128-bit registers per quartet; NEON is
-//!   mandatory on aarch64, so this backend needs no detection.
 //! * [`SimdBackend::Scalar`] — the scalar reference kernel itself. Always
-//!   available, and forcible at runtime with `PIC_NO_SIMD=1` for A/B
-//!   measurements and for keeping the fallback path under test on
-//!   vector-capable hosts.
+//!   available, the only backend off x86-64, and forcible at runtime with
+//!   `PIC_NO_SIMD=1` for A/B measurements and for keeping the fallback
+//!   path under test on vector-capable hosts.
 //!
 //! ## Why the vector path is bit-identical (DESIGN.md §10)
 //!
@@ -74,9 +72,6 @@ pub enum SimdBackend {
     /// 4 × f64 in two 128-bit registers (x86-64 baseline).
     #[cfg(target_arch = "x86_64")]
     Sse2,
-    /// 4 × f64 in two 128-bit registers (aarch64 baseline).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
     /// The scalar reference kernel (any arch; forced by `PIC_NO_SIMD=1`).
     Scalar,
 }
@@ -104,11 +99,7 @@ impl SimdBackend {
             }
             SimdBackend::Sse2
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            SimdBackend::Neon
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             SimdBackend::Scalar
         }
@@ -129,8 +120,6 @@ impl SimdBackend {
             }
             v.push(SimdBackend::Sse2);
         }
-        #[cfg(target_arch = "aarch64")]
-        v.push(SimdBackend::Neon);
         v.push(SimdBackend::Scalar);
         v
     }
@@ -144,8 +133,6 @@ impl SimdBackend {
             SimdBackend::Avx2 => "avx2",
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Sse2 => "sse2",
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => "neon",
             SimdBackend::Scalar => "scalar",
         }
     }
@@ -163,8 +150,6 @@ impl SimdBackend {
             SimdBackend::Avx512 => 8,
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 | SimdBackend::Sse2 => LANES,
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => LANES,
             SimdBackend::Scalar => 1,
         }
     }
@@ -617,103 +602,6 @@ mod x86 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    use super::Lanes;
-    use std::arch::aarch64::*;
-
-    /// 4 × f64 in two NEON q registers (aarch64 baseline: no detection
-    /// needed).
-    #[derive(Clone, Copy)]
-    pub struct Neon(float64x2_t, float64x2_t);
-
-    impl Lanes for Neon {
-        const WIDTH: usize = 4;
-
-        #[inline(always)]
-        unsafe fn load(p: *const f64) -> Self {
-            Neon(vld1q_f64(p), vld1q_f64(p.add(2)))
-        }
-
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f64) {
-            vst1q_f64(p, self.0);
-            vst1q_f64(p.add(2), self.1);
-        }
-
-        #[inline(always)]
-        fn splat(v: f64) -> Self {
-            unsafe { Neon(vdupq_n_f64(v), vdupq_n_f64(v)) }
-        }
-
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            unsafe { Neon(vaddq_f64(self.0, o.0), vaddq_f64(self.1, o.1)) }
-        }
-
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            unsafe { Neon(vsubq_f64(self.0, o.0), vsubq_f64(self.1, o.1)) }
-        }
-
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            unsafe { Neon(vmulq_f64(self.0, o.0), vmulq_f64(self.1, o.1)) }
-        }
-
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            unsafe { Neon(vdivq_f64(self.0, o.0), vdivq_f64(self.1, o.1)) }
-        }
-
-        #[inline(always)]
-        fn sqrt(self) -> Self {
-            unsafe { Neon(vsqrtq_f64(self.0), vsqrtq_f64(self.1)) }
-        }
-
-        #[inline(always)]
-        fn trunc(self) -> Self {
-            unsafe {
-                Neon(
-                    vcvtq_f64_s64(vcvtq_s64_f64(self.0)),
-                    vcvtq_f64_s64(vcvtq_s64_f64(self.1)),
-                )
-            }
-        }
-
-        #[inline(always)]
-        fn zero_where_zero(self, r2: Self) -> Self {
-            unsafe {
-                let z = vdupq_n_f64(0.0);
-                Neon(
-                    vbslq_f64(vceqq_f64(r2.0, z), z, self.0),
-                    vbslq_f64(vceqq_f64(r2.1, z), z, self.1),
-                )
-            }
-        }
-
-        #[inline(always)]
-        fn all_in_range(self, hi: f64) -> bool {
-            unsafe {
-                let z = vdupq_n_f64(0.0);
-                let h = vdupq_n_f64(hi);
-                let lo = vandq_u64(vcgeq_f64(self.0, z), vcltq_f64(self.0, h));
-                let up = vandq_u64(vcgeq_f64(self.1, z), vcltq_f64(self.1, h));
-                let both = vandq_u64(lo, up);
-                vminvq_u32(vreinterpretq_u32_u64(both)) == u32::MAX
-            }
-        }
-
-        #[inline(always)]
-        fn all_eq(self, o: Self) -> bool {
-            unsafe {
-                let eq = vandq_u64(vceqq_f64(self.0, o.0), vceqq_f64(self.1, o.1));
-                vminvq_u32(vreinterpretq_u32_u64(eq)) == u32::MAX
-            }
-        }
-    }
-}
-
 /// Force-and-integrate over `groups` quartets starting at the span base —
 /// the vector transcription of the scalar kernel's first loop, lane per
 /// particle, four corner evaluations unrolled in the scalar pairing and
@@ -974,11 +862,6 @@ pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
             // SSE2 is unconditionally present on x86-64.
             advance_span_lanes::<x86::Sse2, C>(grid, consts, charge, x, y, vx, vy, q)
         },
-        #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => unsafe {
-            // NEON is unconditionally present on aarch64.
-            advance_span_lanes::<arm::Neon, C>(grid, consts, charge, x, y, vx, vy, q)
-        },
         SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, charge, x, y, vx, vy, q),
     }
 }
@@ -1120,8 +1003,8 @@ unsafe fn count_cells_avx2(grid: &Grid, t: &CellTable, x: &[f64], y: &[f64], c: 
 }
 
 /// Classify `x`/`y` against `map` with the selected backend — bit for bit
-/// the scalar rule on every backend; the backends without a gather (SSE2,
-/// NEON, scalar) run that rule itself.
+/// the scalar rule on every backend; the backends without a gather (SSE2
+/// and scalar) run that rule itself.
 pub(crate) fn owner_leavers(
     backend: SimdBackend,
     grid: &Grid,
@@ -1478,8 +1361,6 @@ mod tests {
                     SimdBackend::Avx2 => premise_avx2(ry),
                     #[cfg(target_arch = "x86_64")]
                     SimdBackend::Sse2 => premise::<x86::Sse2>(ry),
-                    #[cfg(target_arch = "aarch64")]
-                    SimdBackend::Neon => premise::<arm::Neon>(ry),
                     SimdBackend::Scalar => unreachable!(),
                 }
             };

@@ -205,7 +205,10 @@ fn store_build_and_rebin_hold_one_batch_plus_one_scratch_column_per_type() {
         let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
         // One sweep moves the cloud three columns right; the columns that
         // wrap around the grid reorder the bins, so the sort must gather.
-        store.sweep_local(&grid, &setup.consts);
+        store.prepare_sweep(&grid);
+        store.sweep_cols(&grid, &setup.consts, 0..grid.ncells());
+        store.sweep_tail_pass(&grid, &setup.consts);
+        store.end_sweep();
         let swept = order(&store);
         store.rebin(&grid);
         (swept, order(&store), store.len(), store.rebin_count())

@@ -255,8 +255,14 @@ impl OwnerTable {
             let (lo, hi) = (self.xcuts[me], self.xcuts[me + 1]);
             OwnerMap::Columns { lo, hi }
         } else {
-            OwnerMap::Cells(self.cells(grid, &self.ranks, me))
+            OwnerMap::Cells(self.rank_cells(grid, me))
         }
+    }
+
+    /// The table as a [`CellTable`] of ranks: where the exchange reads a
+    /// leaver's destination under the cuts.
+    pub fn rank_cells<'a>(&'a self, grid: &Grid, me: usize) -> CellTable<'a> {
+        self.cells(grid, &self.ranks, me)
     }
 
     /// This table's cells under `owner`, an owner per table entry (the

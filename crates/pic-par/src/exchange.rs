@@ -8,10 +8,9 @@
 //! load imbalances have a more (pseudo-)random nature" — via an
 //! owner-directed personalized all-to-all.
 
-use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
 use pic_comm::collective::{alltoallv_finish_into, alltoallv_start, AlltoallvHandle};
 use pic_comm::comm::Communicator;
-use pic_core::bin::{BinnedStore, Classifier, OwnerMap};
+use pic_core::bin::{BinnedStore, Classifier};
 use pic_core::geometry::Grid;
 use pic_core::particle::Particle;
 
@@ -39,9 +38,6 @@ pub struct ExchangeBuffers {
     inbox: Vec<Vec<Particle>>,
     /// Recycled buckets feeding the next staging pass.
     spare: Vec<Vec<Particle>>,
-    /// O(1) cell → rank table of the Cartesian decomposition, revalidated
-    /// against the live cuts by every [`rehome_binned_start`].
-    owners: OwnerTable,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
 }
@@ -123,15 +119,16 @@ impl ExchangeBuffers {
     }
 }
 
-/// The exchange: drain every mis-homed particle straight out of the rank's
-/// [`BinnedStore`] (holes refilled from the end of the batch — no
-/// shifting), route it to `owner(col, row)` (a communicator rank), and
-/// append arrivals to the store's mixed region, leaving the amortized
-/// rebin schedule untouched. Returns `(sent, received)` particle counts.
+/// The synchronous exchange under an owner closure: drain every mis-homed
+/// particle straight out of the rank's [`BinnedStore`] (holes refilled from
+/// the end of the batch — no shifting), route it to `owner(col, row)` (a
+/// communicator rank), and append arrivals to the store's mixed region,
+/// leaving the amortized rebin schedule untouched. Returns
+/// `(sent, received)` particle counts.
 ///
-/// This is the general routing primitive: the cut family derives ownership
-/// from the Cartesian decomposition, the AMPI runtime from its VP→core
-/// assignment table.
+/// The drain asks the closure one particle at a time: this is the door for
+/// the benchmark's route probe and the tests. The rank step hands
+/// [`route_start`] its ownership map's vector classifier instead.
 pub fn route_binned_with<F>(
     comm: &Communicator,
     my_rank: usize,
@@ -143,14 +140,16 @@ pub fn route_binned_with<F>(
 where
     F: Fn(usize, usize) -> usize,
 {
-    let inflight = route_binned_start(comm, my_rank, owner, |_| true, store, grid, bufs);
+    debug_assert_eq!(comm.rank(), my_rank);
+    let keep = |c, r| owner(c, r) == my_rank;
+    let inflight = route_start(comm, keep, &owner, |_| true, store, grid, bufs);
     let sent = inflight.sent;
     let received = route_binned_finish(comm, inflight, store, bufs);
     (sent, received)
 }
 
 /// An exchange whose sends are posted but whose receives have not been
-/// completed — the split between [`route_binned_start`] and
+/// completed — the split between [`route_start`] and
 /// [`route_binned_finish`]. Dropping it without finishing strands the
 /// matching receives on every peer.
 #[must_use = "a started exchange must be completed with route_binned_finish"]
@@ -160,38 +159,19 @@ pub struct ExchangeInFlight {
     pub sent: usize,
 }
 
-/// First half of the split-phase binned exchange: drain the leavers of the
-/// bins whose **global column** satisfies `active` (plus the mixed region,
-/// which is always tested), stage them per destination, and post all sends.
-/// It returns without waiting for any peer (the sends never block), so the
-/// overlapped rank step passes the border-column predicate here, then
-/// advances the interior while the messages are in flight, and calls
-/// [`route_binned_finish`] afterwards. Passing `|_| true` drains everything
-/// — the synchronous pattern.
+/// First half of the split-phase exchange, and the one staging entry:
+/// drain the leavers `classifier` finds in the bins whose **global
+/// column** satisfies `active` (plus the mixed region, which is always
+/// tested), stage each for `owner(col, row)`, and post all sends. It
+/// returns without waiting for any peer (the sends never block), so the
+/// rank step passes its border columns here, sweeps the interior while the
+/// messages are in flight, and calls [`route_binned_finish`] afterwards.
+/// Passing `|_| true` drains everything.
 ///
 /// The caller guarantees inactive columns hold no leavers; for a store
 /// swept with per-step column stride `s`, that is exactly the bins within
 /// [`BinnedStore::border_width`]`(s)` of a subdomain edge.
-pub fn route_binned_start<F>(
-    comm: &Communicator,
-    my_rank: usize,
-    owner: F,
-    active: impl FnMut(usize) -> bool,
-    store: &mut BinnedStore,
-    grid: &Grid,
-    bufs: &mut ExchangeBuffers,
-) -> ExchangeInFlight
-where
-    F: Fn(usize, usize) -> usize,
-{
-    debug_assert_eq!(comm.rank(), my_rank);
-    let keep = |c, r| owner(c, r) == my_rank;
-    stage_start(comm, keep, &owner, active, store, grid, bufs)
-}
-
-/// The one staging body: drain what `classifier` finds leaving, send each
-/// leaver to `owner(col, row)`, post the sends.
-fn stage_start(
+pub fn route_start(
     comm: &Communicator,
     classifier: impl Classifier,
     owner: impl Fn(usize, usize) -> usize,
@@ -225,87 +205,13 @@ pub fn route_binned_finish(
     bufs.finish_arrivals(comm, inflight.handle, |p| store.push_tail(p))
 }
 
-/// [`route_binned_start`] under the Cartesian decomposition, with
-/// ownership read from the buffers' [`OwnerTable`] (refreshed against
-/// `decomp` first): the drain classifies through [`OwnerTable::map`] — the
-/// rank's column interval on a single processor row, the table otherwise.
-pub(crate) fn rehome_binned_start(
-    comm: &Communicator,
-    decomp: &Decomp2d,
-    grid: &Grid,
-    my_rank: usize,
-    active: impl FnMut(usize) -> bool,
-    store: &mut BinnedStore,
-    bufs: &mut ExchangeBuffers,
-) -> ExchangeInFlight {
-    debug_assert_eq!(comm.size(), decomp.ranks());
-    debug_assert_eq!(comm.rank(), my_rank);
-    // Out of `bufs` while the map and the owner closure borrow it.
-    let mut owners = std::mem::take(&mut bufs.owners);
-    owners.refresh(decomp);
-    let owner = |c, r| owners.owner_of_cell(c, r);
-    let inflight = stage_start(
-        comm,
-        owners.map(grid, my_rank),
-        owner,
-        active,
-        store,
-        grid,
-        bufs,
-    );
-    bufs.owners = owners;
-    inflight
-}
-
-/// [`route_binned_with`] under a VP map: every bin drained through the
-/// VP grid's cell table and `core_of_vp` (the VP→core table as `u32`),
-/// each leaver routed to the core its VP is assigned to.
-pub(crate) fn route_vps(
-    comm: &Communicator,
-    vps: &VpGrid,
-    core_of_vp: &[u32],
-    store: &mut BinnedStore,
-    grid: &Grid,
-    bufs: &mut ExchangeBuffers,
-) -> (usize, usize) {
-    let cells = vps.cells(grid, core_of_vp, comm.rank());
-    let owner = |c, r| cells.owner_of_cell(c, r);
-    let inflight = stage_start(
-        comm,
-        OwnerMap::Cells(cells),
-        owner,
-        |_| true,
-        store,
-        grid,
-        bufs,
-    );
-    let sent = inflight.sent;
-    let received = route_binned_finish(comm, inflight, store, bufs);
-    (sent, received)
-}
-
-/// The synchronous `rehome_binned_start` + [`route_binned_finish`];
-/// `active` as in [`route_binned_start`].
-pub fn rehome_binned_with(
-    comm: &Communicator,
-    decomp: &Decomp2d,
-    grid: &Grid,
-    my_rank: usize,
-    active: impl FnMut(usize) -> bool,
-    store: &mut BinnedStore,
-    bufs: &mut ExchangeBuffers,
-) -> (usize, usize) {
-    let inflight = rehome_binned_start(comm, decomp, grid, my_rank, active, store, bufs);
-    let sent = inflight.sent;
-    let received = route_binned_finish(comm, inflight, store, bufs);
-    (sent, received)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::{Decomp2d, OwnerTable};
     use pic_comm::world::run_threads;
     use pic_core::bin::DEFAULT_REBIN;
+    use pic_core::charge::SimConstants;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
 
@@ -326,6 +232,58 @@ mod tests {
             .build()
             .unwrap();
         (grid, s.particles)
+    }
+
+    /// [`route_start`] as the rank step calls it under the cuts: the
+    /// owner table's drain classifier and its owner lookup.
+    fn start_cuts(
+        comm: &Communicator,
+        table: &OwnerTable,
+        grid: &Grid,
+        active: impl FnMut(usize) -> bool,
+        store: &mut BinnedStore,
+        bufs: &mut ExchangeBuffers,
+    ) -> ExchangeInFlight {
+        let classifier = table.map(grid, comm.rank());
+        let owner = |c, r| table.owner_of_cell(c, r);
+        route_start(comm, classifier, owner, active, store, grid, bufs)
+    }
+
+    /// One rank step on a subdomain store, in the rank step's order: the
+    /// border columns and the mixed region swept, their leavers staged,
+    /// the interior swept while the exchange is in flight, the arrivals
+    /// appended, the age bumped, then the timer sort. With `stride`
+    /// `None` the interior is empty: the whole slab is the border and the
+    /// drain tests every bin.
+    fn rank_step(
+        comm: &Communicator,
+        table: &OwnerTable,
+        grid: &Grid,
+        stride: Option<usize>,
+        store: &mut BinnedStore,
+        bufs: &mut ExchangeBuffers,
+    ) {
+        let consts = SimConstants::CANONICAL;
+        let (x0, x1) = store.columns();
+        store.prepare_sweep(grid);
+        let interior = match stride {
+            Some(s) => {
+                let w = store.border_width(s);
+                let lo = (x0 + w).min(x1);
+                lo..x1.saturating_sub(w).max(lo)
+            }
+            None => x1..x1,
+        };
+        store.sweep_cols(grid, &consts, x0..interior.start);
+        store.sweep_cols(grid, &consts, interior.end..x1);
+        store.sweep_tail_pass(grid, &consts);
+        let inflight = start_cuts(comm, table, grid, |c| !interior.contains(&c), store, bufs);
+        store.sweep_cols(grid, &consts, interior);
+        route_binned_finish(comm, inflight, store, bufs);
+        store.end_sweep();
+        if store.rebin_due() {
+            store.rebin(grid);
+        }
     }
 
     #[test]
@@ -388,6 +346,7 @@ mod tests {
         // watchdog so a hang fails, not stalls.
         let (grid, all) = setup(200);
         let decomp = Decomp2d::columns(16, 2);
+        let table = OwnerTable::new(&decomp);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let started = std::sync::Barrier::new(2);
@@ -398,9 +357,7 @@ mod tests {
                 if rank == 1 {
                     started.wait();
                 }
-                let owner = |c, r| decomp.owner_of_cell(c, r);
-                let inflight =
-                    route_binned_start(&comm, rank, owner, |_| true, &mut store, &grid, &mut bufs);
+                let inflight = start_cuts(&comm, &table, &grid, |_| true, &mut store, &mut bufs);
                 if rank == 0 {
                     started.wait();
                 }
@@ -420,16 +377,14 @@ mod tests {
 
     #[test]
     fn split_phase_start_finish_matches_synchronous() {
-        // Split the exchange around an (empty) compute window and restrict
-        // the drain to border columns — the tail and border bins still
-        // deliver every leaver, matching the synchronous full drain.
-        use pic_core::charge::SimConstants;
+        // The border drain (an interior swept while the exchange is in
+        // flight) against the whole-slab drain (an empty interior): the
+        // tail and border bins still deliver every leaver.
         let (grid, all) = setup(300);
         let decomp = Decomp2d::columns(16, 4);
-        let consts = SimConstants::CANONICAL;
+        let table = OwnerTable::new(&decomp);
         let steps = 10;
-        let stride = 1; // k = 0 population
-        let run = |split: bool| {
+        let run = |stride: Option<usize>| {
             run_threads(4, |comm| {
                 let rank = comm.rank();
                 let mine = local_slice(&decomp, &grid, rank, &all);
@@ -437,53 +392,19 @@ mod tests {
                 let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
                 let mut bufs = ExchangeBuffers::new();
                 for _ in 0..steps {
-                    if split {
-                        store.prepare_sweep(&grid);
-                        let w = store.border_width(stride);
-                        let b_lo = (x0 + w).min(x1);
-                        let b_hi = x1.saturating_sub(w).max(b_lo);
-                        store.sweep_cols(&grid, &consts, x0..b_lo);
-                        store.sweep_cols(&grid, &consts, b_hi..x1);
-                        store.sweep_tail_pass(&grid, &consts);
-                        let inflight = route_binned_start(
-                            &comm,
-                            rank,
-                            |c, r| decomp.owner_of_cell(c, r),
-                            |c| !(b_lo..b_hi).contains(&c),
-                            &mut store,
-                            &grid,
-                            &mut bufs,
-                        );
-                        store.sweep_cols(&grid, &consts, b_lo..b_hi);
-                        route_binned_finish(&comm, inflight, &mut store, &mut bufs);
-                        store.end_sweep();
-                    } else {
-                        store.sweep_local(&grid, &consts);
-                        rehome_binned_with(
-                            &comm,
-                            &decomp,
-                            &grid,
-                            rank,
-                            |_| true,
-                            &mut store,
-                            &mut bufs,
-                        );
-                    }
-                    if store.rebin_due() {
-                        store.rebin(&grid);
-                    }
+                    rank_step(&comm, &table, &grid, stride, &mut store, &mut bufs);
                 }
                 store.to_particles()
             })
         };
-        let sync = run(false);
-        let split = run(true);
+        let whole_slab = run(None);
+        let border = run(Some(1)); // k = 0 population: stride 1
         let flat = |rs: &[Vec<Particle>]| {
             let mut v: Vec<Particle> = rs.concat();
             v.sort_unstable_by_key(|p| p.id);
             v
         };
-        assert_eq!(flat(&sync), flat(&split), "split-phase diverged");
+        assert_eq!(flat(&whole_slab), flat(&border), "split-phase diverged");
     }
 
     #[test]
@@ -519,15 +440,14 @@ mod tests {
 
     #[test]
     fn binned_route_rehomes_and_matches_serial_sweep() {
-        use pic_core::charge::SimConstants;
         use pic_core::motion::advance_all;
         let (grid, all) = setup(400);
         let decomp = Decomp2d::columns(16, 4);
-        let consts = SimConstants::CANONICAL;
+        let table = OwnerTable::new(&decomp);
         let steps = 12;
         let mut want = all.clone();
         for _ in 0..steps {
-            advance_all(&grid, &consts, &mut want);
+            advance_all(&grid, &SimConstants::CANONICAL, &mut want);
         }
         want.sort_unstable_by_key(|p| p.id);
         let per_rank = run_threads(4, |comm| {
@@ -537,11 +457,7 @@ mod tests {
             let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
-                store.sweep_local(&grid, &consts);
-                rehome_binned_with(&comm, &decomp, &grid, rank, |_| true, &mut store, &mut bufs);
-                if store.rebin_due() {
-                    store.rebin(&grid);
-                }
+                rank_step(&comm, &table, &grid, None, &mut store, &mut bufs);
             }
             let local = store.to_particles();
             for p in &local {
@@ -559,16 +475,19 @@ mod tests {
     fn rehome_noop_when_all_owned() {
         let (grid, all) = setup(100);
         let decomp = Decomp2d::uniform(16, 2);
+        let table = OwnerTable::new(&decomp);
         let counts = run_threads(2, |comm| {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
             let ((x0, x1), _) = decomp.bounds(rank);
             let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
             let mut bufs = ExchangeBuffers::new();
-            let (sent, received) =
-                rehome_binned_with(&comm, &decomp, &grid, rank, |_| true, &mut store, &mut bufs);
-            assert_eq!(sent, 0);
-            assert_eq!(received, 0);
+            let inflight = start_cuts(&comm, &table, &grid, |_| true, &mut store, &mut bufs);
+            assert_eq!(inflight.sent, 0);
+            assert_eq!(
+                route_binned_finish(&comm, inflight, &mut store, &mut bufs),
+                0
+            );
             assert_eq!(store.len(), mine.len());
             mine.len()
         });

@@ -1,17 +1,15 @@
 //! Shared machinery for the rank-parallel runs: per-rank state, collective
 //! event application, and distributed verification.
 
-use crate::decomp::{Decomp2d, VpGrid};
-use crate::exchange::{
-    rehome_binned_start, rehome_binned_with, route_binned_finish, route_vps, ExchangeBuffers,
-};
+use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
+use crate::exchange::{route_binned_finish, route_start, ExchangeBuffers, ExchangeInFlight};
 use pic_cluster::balancer::Layout;
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
     allreduce_vec_u64_into, decode_u64s, encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
+use pic_core::bin::{BinnedStore, CellTable, OwnerMap, DEFAULT_REBIN};
 use pic_core::charge::SimConstants;
 use pic_core::events::{EventKind, EventLedger};
 use pic_core::geometry::Grid;
@@ -21,6 +19,7 @@ use pic_core::simd::SimdBackend;
 use pic_core::soa::ParticleBatch;
 use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
+use std::ops::Range;
 
 /// Rank-loop kernel selection of every distributed implementation. The
 /// CLI runs the default; the `with_*` handles are the bit-identity suites'.
@@ -145,6 +144,9 @@ enum Ownership {
         /// Largest `|m|` over the population and injections: the exact
         /// per-step row hop. Zero means no particle ever crosses a row.
         max_abs_m: i64,
+        /// O(1) cell → rank table of the cuts, revalidated against them
+        /// before every exchange (a balancer moves the cuts in place).
+        table: OwnerTable,
     },
     /// A VP grid and its replicated VP→core table (`ampi`). It has no
     /// column border, so it needs no motion bounds.
@@ -165,6 +167,31 @@ impl Ownership {
             Ownership::Vps {
                 grid, assignment, ..
             } => assignment[grid.vp_of_cell(col, row)],
+        }
+    }
+
+    /// What an exchange of rank `me` asks of the map: the drain's
+    /// classifier, and the table a leaver's destination is read from. The
+    /// cut table is revalidated against `decomp` first.
+    fn exchange_maps(
+        &mut self,
+        decomp: &Decomp2d,
+        grid: &Grid,
+        me: usize,
+    ) -> (OwnerMap<'_>, CellTable<'_>) {
+        match self {
+            Ownership::Cuts { table, .. } => {
+                table.refresh(decomp);
+                (table.map(grid, me), table.rank_cells(grid, me))
+            }
+            Ownership::Vps {
+                grid: vps,
+                core_of_vp,
+                ..
+            } => {
+                let cells = vps.cells(grid, core_of_vp, me);
+                (OwnerMap::Cells(cells), cells)
+            }
         }
     }
 }
@@ -189,13 +216,12 @@ pub struct RankState {
     /// Reused count scratch of the balancers' gathers (per-axis counts for
     /// diffusion, per-VP counts for the VP family).
     lb_scratch: Vec<u64>,
-    /// The row range every particle of the store is known to lie in (and
-    /// in the column range of that moment): set when an exchange
-    /// completes, `None` from the start of a sweep until then.
-    /// [`RankState::rehome`] reads it to tell a re-decomposition of a
-    /// settled store (only bins near a new column bound can hold a
-    /// leaver) from the step's own exchange (any bin can).
-    homed_rows: Option<(usize, usize)>,
+    /// The rows every particle of the store was homed under by the last
+    /// exchange (and in the column range of that moment).
+    /// [`RankState::rehome`] reads it to tell a re-decomposition that kept
+    /// the rows (only bins near a new column bound can hold a leaver) from
+    /// one that moved them (any bin can).
+    homed_rows: (usize, usize),
 }
 
 impl RankState {
@@ -216,15 +242,17 @@ impl RankState {
         let owners = Ownership::Cuts {
             stride_x,
             max_abs_m,
+            table: OwnerTable::new(&decomp),
         };
         RankState::build(setup, decomp, owners, rank, kernel)
     }
 
     /// A core of the VP runtime (paper §IV-C): cells are owned through
     /// `vps` and a replicated VP→core table, starting from the compact
-    /// blocks of [`VpGrid::initial_assignment`]. The step drains every bin
-    /// synchronously and runs no timer sort; a VP balancer's round moves
-    /// the table.
+    /// blocks of [`VpGrid::initial_assignment`]. The store bins the whole
+    /// grid and the step's interior is empty, so every step drains every
+    /// bin; it runs no timer sort, and a VP balancer's round moves the
+    /// table.
     pub fn with_vps(
         setup: &SimulationSetup,
         vps: VpGrid,
@@ -266,7 +294,7 @@ impl RankState {
             ledger: EventLedger::new(setup),
             bufs: ExchangeBuffers::new(),
             lb_scratch: Vec::new(),
-            homed_rows: Some(rows),
+            homed_rows: rows,
         }
     }
 
@@ -326,54 +354,85 @@ impl RankState {
         self.step_traced(comm, &mut Tracer::disabled());
     }
 
-    /// The column stride of the overlapped border/interior split, when
-    /// this step can run it. The split is column-based, so it only catches
-    /// leavers through the x-cuts: it is sound when the rank rows cannot be
-    /// crossed at all — a single processor row, or a population with no
-    /// vertical motion. Otherwise the step falls back to the synchronous
-    /// exchange (the full drain catches row leavers from any column). A VP
-    /// map has no column border, so it always takes the full drain.
-    fn overlap_stride(&self) -> Option<usize> {
-        let Ownership::Cuts {
-            stride_x,
-            max_abs_m,
-        } = self.owners
-        else {
-            return None;
-        };
-        (self.decomp.py == 1 || max_abs_m == 0).then_some(stride_x)
+    /// The columns of this step's sweep whose bins cannot hold a leaver
+    /// after it: swept while the exchange is in flight, and skipped by the
+    /// drain. The rest of the store's columns are the *border*. The border
+    /// is column-based, so it only catches leavers through the x-cuts: it
+    /// is `w = border_width(stride_x)` wide at each end when the rank rows
+    /// cannot be crossed at all — a single processor row, or a population
+    /// with no vertical motion. Otherwise (2-D cuts with vertical motion,
+    /// and every VP map, which has no column border) the interior is empty
+    /// and the drain tests every bin. The slab is the store's columns: the
+    /// subdomain under the cuts, the whole grid under a VP map. Call after
+    /// [`BinnedStore::prepare_sweep`], whose sort resets the age.
+    fn interior(&self) -> Range<usize> {
+        let (x0, x1) = self.store.columns();
+        match self.owners {
+            Ownership::Cuts {
+                stride_x,
+                max_abs_m,
+                ..
+            } if self.decomp.py == 1 || max_abs_m == 0 => {
+                let w = self.store.border_width(stride_x);
+                let lo = (x0 + w).min(x1);
+                lo..x1.saturating_sub(w).max(lo)
+            }
+            _ => x1..x1,
+        }
     }
 
-    /// [`RankState::step`] with telemetry: the advance loop is timed as
-    /// the `advance` phase, rehoming as `exchange` (interleaved when the
-    /// overlapped path runs). Returns the number of particles this rank
+    /// [`RankState::step`] with telemetry: the sweeps are timed as the
+    /// `advance` phase, staging, arrivals and the timer sort as
+    /// `exchange`, interleaved. Returns the number of particles this rank
     /// sent away (feeds the `rehomed` counter, which the rank loop sums
     /// globally at traced steps).
+    ///
+    /// The one step body (paper-faithful split-phase exchange): sweep the
+    /// border columns and the mixed region, launch the exchange for their
+    /// leavers, sweep the interior while the messages are in flight, then
+    /// complete the receives into the mixed region. Every particle is
+    /// advanced exactly once by the same arithmetic against the same fixed
+    /// per-step mesh wherever the store keeps it (ordered bin or mixed
+    /// region), the border drain finds exactly the leavers a drain of every
+    /// bin would (`RankState::interior`), and storage order is not
+    /// observable. With an empty interior the step makes the calls of a
+    /// whole sweep followed by a drain of every bin.
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         let rebins_before = self.store.rebin_count();
-        self.homed_rows = None;
-        let sent = if let Some(stride_x) = self.overlap_stride() {
-            self.step_overlapped(comm, stride_x, tracer)
-        } else {
-            tracer.phase_start(Phase::Advance);
-            // The serial engine's kernel stack, serial on this rank's own
-            // thread (each rank is already a parallel unit).
-            self.store.sweep_local(&self.grid, &self.consts);
-            tracer.phase_end(Phase::Advance);
-            tracer.phase_start(Phase::Exchange);
-            let (sent, _received) = self.rehome(comm);
-            tracer.phase_end(Phase::Exchange);
-            sent
-        };
+        let (grid, consts) = (self.grid, self.consts);
+        tracer.phase_start(Phase::Advance);
+        self.store.prepare_sweep(&grid);
+        let interior = self.interior();
+        let (x0, x1) = self.store.columns();
+        self.store.sweep_cols(&grid, &consts, x0..interior.start);
+        self.store.sweep_cols(&grid, &consts, interior.end..x1);
+        self.store.sweep_tail_pass(&grid, &consts);
+        tracer.phase_end(Phase::Advance);
+
+        tracer.phase_start(Phase::Exchange);
+        let inflight = self.start_exchange(comm, |c| !interior.contains(&c));
+        let sent = inflight.sent;
+        tracer.phase_end(Phase::Exchange);
+
+        tracer.phase_start(Phase::Advance);
+        let window_start = std::time::Instant::now();
+        self.store.sweep_cols(&grid, &consts, interior);
+        let overlap_ns = window_start.elapsed().as_nanos() as u64;
+        tracer.phase_end(Phase::Advance);
+
+        tracer.phase_start(Phase::Exchange);
+        route_binned_finish(comm, inflight, &mut self.store, &mut self.bufs);
+        self.store.end_sweep();
+        self.homed_rows = self.decomp.bounds(self.rank).1;
+        tracer.add(Counter::OverlapNs, overlap_ns);
         // The amortized rebin runs *after* the exchange so the counting
         // sort only ever sees homed particles (arrivals fold in from the
         // tail; column range is exactly the subdomain). A VP map runs no
-        // timer: its full drain reads no order, and the sweep sorts a
-        // store a structural edit left dirty.
-        tracer.phase_start(Phase::Exchange);
+        // timer: its drain of every bin reads no order, and the sweep
+        // sorts a store a structural edit left dirty.
         if matches!(self.owners, Ownership::Cuts { .. }) && self.store.rebin_due() {
-            self.store.rebin(&self.grid);
+            self.store.rebin(&grid);
         }
         tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
         tracer.phase_end(Phase::Exchange);
@@ -381,62 +440,29 @@ impl RankState {
         sent
     }
 
-    /// The overlapped step (paper-faithful split-phase exchange): advance
-    /// the *border* columns first, launch the exchange for their leavers,
-    /// advance the *interior* while the messages are in flight, then
-    /// complete the receives into the mixed region. Bit-identical to the
-    /// synchronous step: every particle is advanced exactly once by the
-    /// same arithmetic against the same fixed per-step mesh wherever the
-    /// store keeps it (ordered bin or mixed region), the border drain
-    /// finds exactly the leavers the full drain would (interior bins
-    /// cannot produce any — that is what [`BinnedStore::border_width`]
-    /// guarantees), and storage order is not observable.
-    fn step_overlapped(
+    /// Drain the store's leavers in the columns `active` accepts (and the
+    /// mixed region) through the ownership map's classifier, stage each
+    /// for its owner and post the sends — the one staging door of the
+    /// step and of [`RankState::rehome`].
+    fn start_exchange(
         &mut self,
         comm: &Communicator,
-        stride_x: usize,
-        tracer: &mut Tracer,
-    ) -> usize {
-        let b = &mut self.store;
-        tracer.phase_start(Phase::Advance);
-        b.prepare_sweep(&self.grid);
-        let ((x0, x1), _) = self.decomp.bounds(self.rank);
-        // Bin-space border: particles drift from their bin column between
-        // rebins, so the border widens with the store's age.
-        let w = b.border_width(stride_x);
-        let b_lo = (x0 + w).min(x1);
-        let b_hi = x1.saturating_sub(w).max(b_lo);
-        b.sweep_cols(&self.grid, &self.consts, x0..b_lo);
-        b.sweep_cols(&self.grid, &self.consts, b_hi..x1);
-        b.sweep_tail_pass(&self.grid, &self.consts);
-        tracer.phase_end(Phase::Advance);
-
-        tracer.phase_start(Phase::Exchange);
-        let inflight = rehome_binned_start(
+        active: impl FnMut(usize) -> bool,
+    ) -> ExchangeInFlight {
+        debug_assert_eq!(comm.rank(), self.rank);
+        let (classifier, owners) = self
+            .owners
+            .exchange_maps(&self.decomp, &self.grid, self.rank);
+        let owner = |c, r| owners.owner_of_cell(c, r);
+        route_start(
             comm,
-            &self.decomp,
+            classifier,
+            owner,
+            active,
+            &mut self.store,
             &self.grid,
-            self.rank,
-            |c| !(b_lo..b_hi).contains(&c),
-            b,
             &mut self.bufs,
-        );
-        let sent = inflight.sent;
-        tracer.phase_end(Phase::Exchange);
-
-        tracer.phase_start(Phase::Advance);
-        let window_start = std::time::Instant::now();
-        b.sweep_cols(&self.grid, &self.consts, b_lo..b_hi);
-        let overlap_ns = window_start.elapsed().as_nanos() as u64;
-        tracer.phase_end(Phase::Advance);
-
-        tracer.phase_start(Phase::Exchange);
-        route_binned_finish(comm, inflight, b, &mut self.bufs);
-        b.end_sweep();
-        self.homed_rows = Some(self.decomp.bounds(self.rank).1);
-        tracer.add(Counter::OverlapNs, overlap_ns);
-        tracer.phase_end(Phase::Exchange);
-        sent
+        )
     }
 
     /// Drain the wire messages this rank's exchanges sent since the
@@ -447,46 +473,32 @@ impl RankState {
         (self.bufs.take_messages_sent(), 0)
     }
 
-    /// Route every mis-homed particle to its owner, reusing this rank's
-    /// staging buffers (steady-state: no staging allocation). The store
-    /// drains leavers in place, and only where one can be: when the last
-    /// exchange left every particle inside bounds with the same rows as
-    /// now (a balance round moved x-cuts, or nothing), a particle of
-    /// ordered bin `c` sits within `stride · age` columns of `c` and is in
-    /// its old rows, so only bins within that drift of a *new* column bound
-    /// are drained — a margin at both ends, which also covers a bin whose
-    /// particles wrapped, and leaves nothing inactive when the range is no
-    /// wider than twice the drift. After a sweep, or when the rows moved,
-    /// every bin is drained — and always under a VP map, where any bin can
-    /// hold a leaver.
+    /// Route every mis-homed particle to its owner after a balance round
+    /// moved the ownership map, reusing this rank's staging buffers
+    /// (steady-state: no staging allocation). The store drains leavers in
+    /// place, and only where one can be: the last exchange left every
+    /// particle inside bounds, so when the rows are the same as then (a
+    /// round moved x-cuts, or nothing) a particle of ordered bin `c` sits
+    /// within `stride · age` columns of `c` and is in its old rows, and
+    /// only bins within that drift of a *new* column bound are drained — a
+    /// margin at both ends, which also covers a bin whose particles
+    /// wrapped, and leaves nothing inactive when the range is no wider than
+    /// twice the drift. When the rows moved, every bin is drained — and
+    /// always under a VP map, where any bin can hold a leaver.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
-        let stride_x = match &self.owners {
-            Ownership::Cuts { stride_x, .. } => *stride_x,
-            Ownership::Vps {
-                grid, core_of_vp, ..
-            } => {
-                let (store, bufs) = (&mut self.store, &mut self.bufs);
-                return route_vps(comm, grid, core_of_vp, store, &self.grid, bufs);
-            }
-        };
         let ((x0, x1), rows) = self.decomp.bounds(self.rank);
-        let quiet = if self.homed_rows == Some(rows) {
-            let drift = stride_x * self.store.age() as usize;
-            x0 + drift..x1.saturating_sub(drift)
-        } else {
-            0..0
+        let quiet = match self.owners {
+            Ownership::Cuts { stride_x, .. } if self.homed_rows == rows => {
+                let drift = stride_x * self.store.age() as usize;
+                x0 + drift..x1.saturating_sub(drift)
+            }
+            _ => 0..0,
         };
-        let moved = rehome_binned_with(
-            comm,
-            &self.decomp,
-            &self.grid,
-            self.rank,
-            |c| !quiet.contains(&c),
-            &mut self.store,
-            &mut self.bufs,
-        );
-        self.homed_rows = Some(rows);
-        moved
+        let inflight = self.start_exchange(comm, |c| !quiet.contains(&c));
+        let sent = inflight.sent;
+        let received = route_binned_finish(comm, inflight, &mut self.store, &mut self.bufs);
+        self.homed_rows = rows;
+        (sent, received)
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row

@@ -91,10 +91,10 @@ fn measured_window(st: &mut RankState, comm: &pic_comm::comm::Communicator) -> u
 #[derive(Debug, Clone, Copy)]
 enum Owners {
     /// The Cartesian cuts of the uniform (2 × 2) decomposition: with
-    /// `m = 1` every step takes the synchronous exchange.
+    /// `m = 1` every step's interior is empty and the drain tests every bin.
     Cuts,
-    /// One processor row of columns: every step takes the overlapped
-    /// split-phase exchange.
+    /// One processor row of columns: every step sweeps an interior while
+    /// its exchange is in flight.
     Columns,
     /// The VP runtime's map at over-decomposition 4.
     Vps,
@@ -135,11 +135,11 @@ fn audit(kernel: RankKernel, owners: Owners) -> Vec<(usize, usize)> {
 #[test]
 fn rank_step_loop_reaches_allocation_steady_state() {
     // The drifting uniform cloud keeps the exchange busy: every step moves
-    // boundary particles across at least one cut. Audit the synchronous
-    // step on a 2 × 2 grid, the overlapped step on a column world (the
-    // split-phase handle and the spare-bucket free-list must run off
-    // recycled buffers), a rebin on every step, and a VP-owned rank (the
-    // full synchronous drain, no timer sort).
+    // boundary particles across at least one cut. Audit the step with an
+    // empty interior on a 2 × 2 grid, with an interior on a column world
+    // (the split-phase handle and the spare-bucket free-list must run off
+    // recycled buffers), a rebin on every step, and a VP-owned rank (every
+    // bin drained, no timer sort).
     for (kernel, owners) in [
         (RankKernel::default(), Owners::Cuts),
         (RankKernel::default(), Owners::Columns),

@@ -206,8 +206,8 @@ fn ampi_binned_exact_bitwise_matches_aos_across_balancers() {
     }
 }
 
-/// The split-phase overlapped path specifically (not the synchronous
-/// fallback): horizontal-only motion keeps every rank row uncrossable, so
+/// The step with an interior specifically (not the empty one of vertical
+/// motion): horizontal-only motion keeps every rank row uncrossable, so
 /// the border/interior column split is active on every binned rank even
 /// under a 2D decomposition. Fast stride (k=2 ⇒ 5 cells/step) plus a
 /// mid-run injection keeps the exchange busy; the result must still match

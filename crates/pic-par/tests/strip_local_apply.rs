@@ -83,10 +83,17 @@ fn apply_round(comm: &Communicator, st: &mut RankState, round: &Round) {
     st.rebind_store();
     let (cols, _) = st.decomp.bounds(st.rank);
     assert_eq!(st.store.columns(), cols);
+    assert_homed(st, "after a round");
+}
+
+/// Every particle `st` holds lies in a cell its rank owns. Particles never
+/// interact, so a mis-homed one still verifies and still matches the
+/// oracle per id: only this check sees a leaver the drain missed.
+fn assert_homed(st: &RankState, when: &str) {
     let batch = st.store.batch();
     for (&x, &y) in batch.x.iter().zip(&batch.y) {
         let (c, r) = st.grid.cell_of_point(x, y);
-        assert_eq!(st.decomp.owner_of_cell(c, r), st.rank, "mis-homed survivor");
+        assert_eq!(st.decomp.owner_of_cell(c, r), st.rank, "mis-homed {when}");
     }
 }
 
@@ -103,6 +110,7 @@ fn check(
         let mut st = RankState::with_kernel(setup, decomp.clone(), comm.rank(), kernel);
         for s in 1..=steps {
             st.step(&comm);
+            assert_homed(&st, &format!("after step {s}"));
             for round in script.iter().filter(|r| r.after == s) {
                 apply_round(&comm, &mut st, round);
             }
@@ -267,9 +275,10 @@ fn events_beside_a_round() {
 
 #[test]
 fn two_by_two_with_x_y_and_two_phase_moves() {
-    // m = 0 keeps the overlapped step (rows cannot be crossed); m = 1
-    // runs the synchronous one, whose `rehome` follows a sweep and must
-    // stay a full drain. A y-move makes every column active.
+    // m = 0 keeps a step interior (rows cannot be crossed); with m = 1 the
+    // whole slab is the step's border, so every step drains every bin
+    // (`check` asserts homing after each one). A y-move makes every
+    // column active.
     let both = Round {
         after: 11,
         xcuts: Some(vec![0, 17, 32]),
