@@ -61,7 +61,7 @@ impl CostModel {
             sync_ns_per_log2: 1_200.0,
             lb_decision_ns: 25_000.0,
             vp_sched_ns: 250.0,
-            particle_bytes: 88.0, // Particle::WIRE_SIZE + framing
+            particle_bytes: 88.0, // a 76-byte particle record + framing
             cell_bytes: 8.0,
             // Calibrated against the paper's Figure 5 sensitivity: at 192
             // cores the gap between F = 20 and F = 160 implies roughly

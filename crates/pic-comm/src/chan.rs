@@ -1,112 +1,49 @@
-//! An unbounded MPMC channel on `Mutex` + `Condvar`, std-only.
+//! The mailbox: an unbounded FIFO queue on `Mutex` + `Condvar`, std-only.
 //!
-//! This is the wire under [`Endpoint`](crate::endpoint::Endpoint). The
-//! message-passing substrate needs exactly three things from a channel:
-//! unbounded buffering (eager-protocol sends never block), blocking
-//! receive, and disconnect detection so a dropped world turns into a clear
-//! panic instead of a deadlock. A mutex-guarded `VecDeque` provides all
-//! three; per-message lock traffic is irrelevant next to the simulated
-//! work per message, and the kernel's *hot* path (the particle sweep) does
-//! not touch channels at all.
+//! This is the wire under [`Communicator`](crate::comm::Communicator): the
+//! world holds one mailbox per ordered rank pair. The substrate needs
+//! exactly two things from it: unbounded buffering (eager-protocol sends
+//! never block) and a blocking receive, both in send order. A
+//! mutex-guarded `VecDeque` provides them; per-message lock traffic is
+//! irrelevant next to the simulated work per message, and the kernel's
+//! *hot* path (the particle sweep) does not touch mailboxes at all.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
-struct Inner<T> {
+/// No code panics while holding a mailbox lock: the critical sections are
+/// a `VecDeque` push or pop.
+const POISONED: &str = "mailbox lock poisoned";
+
+pub(crate) struct Mailbox<T> {
     queue: Mutex<VecDeque<T>>,
     ready: Condvar,
-    senders: AtomicUsize,
-    receivers: AtomicUsize,
 }
 
-/// Error returned by [`Sender::send`] when every receiver is gone; carries
-/// the unsent message back.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Error returned by [`Receiver::recv`] when the queue is empty and every
-/// sender is gone.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecvError;
-
-pub struct Sender<T> {
-    inner: Arc<Inner<T>>,
-}
-
-pub struct Receiver<T> {
-    inner: Arc<Inner<T>>,
-}
-
-/// Create an unbounded channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(Inner {
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
-    });
-    (
-        Sender {
-            inner: Arc::clone(&inner),
-        },
-        Receiver { inner },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueue a message. Never blocks; fails only if every receiver has
-    /// been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        if self.inner.receivers.load(Ordering::Acquire) == 0 {
-            return Err(SendError(value));
-        }
-        self.inner.queue.lock().unwrap().push_back(value);
-        self.inner.ready.notify_one();
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.inner.senders.fetch_add(1, Ordering::AcqRel);
-        Sender {
-            inner: Arc::clone(&self.inner),
+impl<T> Mailbox<T> {
+    pub(crate) fn new() -> Self {
+        Mailbox {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
         }
     }
-}
 
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: wake blocked receivers so they can error
-            // out instead of waiting forever.
-            let _guard = self.inner.queue.lock().unwrap();
-            self.inner.ready.notify_all();
-        }
+    /// Enqueue a message. Never blocks.
+    pub(crate) fn push(&self, value: T) {
+        self.queue.lock().expect(POISONED).push_back(value);
+        self.ready.notify_one();
     }
-}
 
-impl<T> Receiver<T> {
-    /// Blocking receive: returns the next message, or [`RecvError`] once
-    /// the queue is drained and no sender remains.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut queue = self.inner.queue.lock().unwrap();
+    /// Blocking receive: the oldest message, waiting for one if the queue
+    /// is empty.
+    pub(crate) fn pop(&self) -> T {
+        let mut queue = self.queue.lock().expect(POISONED);
         loop {
             if let Some(v) = queue.pop_front() {
-                return Ok(v);
+                return v;
             }
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                return Err(RecvError);
-            }
-            queue = self.inner.ready.wait(queue).unwrap();
+            queue = self.ready.wait(queue).expect(POISONED);
         }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -117,71 +54,40 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let (tx, rx) = unbounded();
+        let mb = Mailbox::new();
         for i in 0..10 {
-            tx.send(i).unwrap();
+            mb.push(i);
         }
         for i in 0..10 {
-            assert_eq!(rx.recv().unwrap(), i);
+            assert_eq!(mb.pop(), i);
         }
-    }
-
-    #[test]
-    fn recv_errors_after_all_senders_drop() {
-        let (tx, rx) = unbounded();
-        tx.send(1u8).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_errors_after_receiver_drops() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        assert_eq!(tx.send(9u8), Err(SendError(9)));
     }
 
     #[test]
     fn blocking_recv_wakes_on_send() {
-        let (tx, rx) = unbounded();
-        let t = thread::spawn(move || rx.recv().unwrap());
-        thread::sleep(std::time::Duration::from_millis(20));
-        tx.send(123u32).unwrap();
-        assert_eq!(t.join().unwrap(), 123);
-    }
-
-    #[test]
-    fn blocking_recv_wakes_on_disconnect() {
-        let (tx, rx) = unbounded::<u8>();
-        let t = thread::spawn(move || rx.recv());
-        thread::sleep(std::time::Duration::from_millis(20));
-        drop(tx);
-        assert_eq!(t.join().unwrap(), Err(RecvError));
+        let mb = Mailbox::new();
+        thread::scope(|s| {
+            let t = s.spawn(|| mb.pop());
+            thread::sleep(std::time::Duration::from_millis(20));
+            mb.push(123u32);
+            assert_eq!(t.join().unwrap(), 123);
+        });
     }
 
     #[test]
     fn many_producers_one_consumer() {
-        let (tx, rx) = unbounded();
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let tx = tx.clone();
-                thread::spawn(move || {
+        let mb = Mailbox::new();
+        let mut got = thread::scope(|s| {
+            for p in 0..4u64 {
+                let mb = &mb;
+                s.spawn(move || {
                     for i in 0..250u64 {
-                        tx.send(p * 1000 + i).unwrap();
+                        mb.push(p * 1000 + i);
                     }
-                })
-            })
-            .collect();
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        assert_eq!(got.len(), 1000);
+                });
+            }
+            (0..1000).map(|_| mb.pop()).collect::<Vec<_>>()
+        });
         got.sort_unstable();
         got.dedup();
         assert_eq!(got.len(), 1000, "no message lost or duplicated");

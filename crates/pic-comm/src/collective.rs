@@ -6,8 +6,10 @@
 //! collective and the substrate exercises realistic traffic patterns.
 //!
 //! All collectives must be called by **every** member of the communicator
-//! in the same order (the usual MPI rule); tag-sequence bookkeeping relies
-//! on it.
+//! in the same order (the usual MPI rule; for the split-phase all-to-all,
+//! the start and the finish each count). Messages carry no tag: each
+//! collective has a fixed message pattern, so under that rule the k-th
+//! message a rank takes from a peer is the k-th one the peer sent it.
 
 use crate::comm::{Communicator, ReduceOp};
 use crate::payload::{PayloadKind, WirePayload};
@@ -49,70 +51,47 @@ pub fn decode_u64s_into(buf: &[u8], out: &mut Vec<u64>) {
 
 /// Binomial-tree broadcast from `root`. Every rank returns the payload.
 pub fn broadcast(comm: &Communicator, root: usize, data: Vec<u8>) -> Vec<u8> {
-    let mut payload = data;
-    bcast_tree(comm, root, &mut payload, None::<fn(&[u8])>);
-    payload
+    let mut out = Vec::new();
+    broadcast_visit(comm, root, data, |b| out = b.to_vec());
+    out
 }
 
-/// Broadcast where each rank consumes the payload **by reference** via
-/// `visit` instead of keeping it. Because the buffer is dead after the
-/// forwarding sends, the last child send *moves* it instead of cloning —
-/// one fewer full-payload copy per forwarding rank than [`broadcast`].
-/// The hot allreduce paths pair this with the `_into` decoders.
+/// Binomial-tree broadcast from `root` where each rank consumes the
+/// payload **by reference** via `visit` instead of keeping it: receive
+/// leg, visit, send leg. Because the buffer is dead after the forwarding
+/// sends, the last child send *moves* it instead of cloning. The hot
+/// allreduce paths pair this with the `_into` decoders.
 pub fn broadcast_visit<F: FnOnce(&[u8])>(
     comm: &Communicator,
     root: usize,
     data: Vec<u8>,
     visit: F,
 ) {
-    let mut payload = data;
-    bcast_tree(comm, root, &mut payload, Some(visit));
-}
-
-/// Shared binomial tree: receive leg, optional in-place consumption, send
-/// leg. With a visitor the payload's last use is the final child send, so
-/// that send takes the buffer by value; without one the payload must
-/// survive for the caller, so every child send clones.
-fn bcast_tree<F: FnOnce(&[u8])>(
-    comm: &Communicator,
-    root: usize,
-    payload: &mut Vec<u8>,
-    visit: Option<F>,
-) {
-    let base = comm.next_coll_base();
     let size = comm.size();
     let rank = comm.rank();
-    if size == 1 {
-        if let Some(v) = visit {
-            v(payload);
-        }
-        return;
-    }
     let vrank = (rank + size - root) % size;
     let to_real = |v: usize| (v + root) % size;
 
+    let mut payload = data;
     let mut mask = 1usize;
     while mask < size {
         if vrank & mask != 0 {
-            *payload = comm.recv_coll(to_real(vrank - mask), base);
+            payload = comm.recv(to_real(vrank - mask));
             break;
         }
         mask <<= 1;
     }
-    let retain = visit.is_none();
-    if let Some(v) = visit {
-        v(payload);
-    }
+    visit(&payload);
     let mut m = mask >> 1;
     while m > 0 {
         if vrank + m < size {
             // If any child exists, a child at m == 1 exists too, so the
             // m == 1 send is always the last one.
-            if m == 1 && !retain {
-                comm.send_coll(to_real(vrank + 1), base, std::mem::take(payload));
+            if m == 1 {
+                comm.send(to_real(vrank + 1), payload);
                 return;
             }
-            comm.send_coll(to_real(vrank + m), base, payload.clone());
+            comm.send(to_real(vrank + m), payload.clone());
         }
         m >>= 1;
     }
@@ -125,7 +104,6 @@ fn bcast_tree<F: FnOnce(&[u8])>(
 /// Gather variable-length byte payloads to `root`. Returns `Some(vec of
 /// per-rank payloads in rank order)` at root, `None` elsewhere.
 pub fn gatherv(comm: &Communicator, root: usize, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-    let base = comm.next_coll_base();
     let rank = comm.rank();
     let size = comm.size();
     if rank == root {
@@ -135,12 +113,12 @@ pub fn gatherv(comm: &Communicator, root: usize, data: Vec<u8>) -> Option<Vec<Ve
             if src == root {
                 out.push(own.take().unwrap());
             } else {
-                out.push(comm.recv_coll(src, base));
+                out.push(comm.recv(src));
             }
         }
         Some(out)
     } else {
-        comm.send_coll(root, base, data);
+        comm.send(root, data);
         None
     }
 }
@@ -182,7 +160,6 @@ fn reduce_bytes<F>(comm: &Communicator, root: usize, mine: Vec<u8>, mut fold: F)
 where
     F: FnMut(Vec<u8>, Vec<u8>) -> Vec<u8>,
 {
-    let base = comm.next_coll_base();
     let size = comm.size();
     let rank = comm.rank();
     let vrank = (rank + size - root) % size;
@@ -194,11 +171,11 @@ where
         if vrank & mask == 0 {
             let peer = vrank | mask;
             if peer < size {
-                let theirs = comm.recv_coll(to_real(peer), base);
+                let theirs = comm.recv(to_real(peer));
                 acc = fold(acc, theirs);
             }
         } else {
-            comm.send_coll(to_real(vrank & !mask), base, acc);
+            comm.send(to_real(vrank & !mask), acc);
             return None;
         }
         mask <<= 1;
@@ -258,8 +235,11 @@ pub fn allreduce_f64(comm: &Communicator, mine: f64, op: ReduceOp) -> f64 {
         let y = f64::from_le_bytes(b.try_into().unwrap());
         op.fold_f64(x, y).to_le_bytes().to_vec()
     });
-    let packed = reduced.unwrap_or_default();
-    f64::from_le_bytes(broadcast(comm, 0, packed).try_into().unwrap())
+    let mut out = 0.0;
+    broadcast_visit(comm, 0, reduced.unwrap_or_default(), |b| {
+        out = f64::from_le_bytes(b.try_into().unwrap())
+    });
+    out
 }
 
 /// u128 allreduce (for the id checksum, which can exceed u64).
@@ -269,8 +249,11 @@ pub fn allreduce_u128(comm: &Communicator, mine: u128, op: ReduceOp) -> u128 {
         let y = u128::from_le_bytes(b.try_into().unwrap());
         op.fold_u128(x, y).to_le_bytes().to_vec()
     });
-    let packed = reduced.unwrap_or_default();
-    u128::from_le_bytes(broadcast(comm, 0, packed).try_into().unwrap())
+    let mut out = 0;
+    broadcast_visit(comm, 0, reduced.unwrap_or_default(), |b| {
+        out = u128::from_le_bytes(b.try_into().unwrap())
+    });
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -307,12 +290,12 @@ pub fn alltoallv_take_into<P: WirePayload>(
 
 /// Completion handle for an in-flight (split-phase) all-to-all. All sends
 /// have been posted when the handle exists; dropping it without calling
-/// [`alltoallv_finish_into`] strands the matching receives, so it is
+/// [`alltoallv_finish_into`] leaves its messages at the head of the
+/// mailboxes, where the next collective would take them, so it is
 /// `#[must_use]`.
 #[derive(Debug)]
 #[must_use = "an alltoallv start must be completed with alltoallv_finish_into"]
 pub struct AlltoallvHandle {
-    base: u64,
     /// Wire lane the start call put on the wire; the finish call must
     /// claim the same lane (asserted) — the receives would otherwise
     /// panic deep in the payload layer or, worse, mis-deliver.
@@ -331,12 +314,10 @@ pub fn alltoallv_start<P: WirePayload>(comm: &Communicator, outgoing: &mut [P]) 
         comm.size(),
         "alltoallv needs one payload per rank"
     );
-    let base = comm.next_coll_base();
     for (dst, payload) in outgoing.iter_mut().enumerate() {
-        comm.send_coll(dst, base, std::mem::replace(payload, P::empty()));
+        comm.send(dst, std::mem::replace(payload, P::empty()));
     }
     AlltoallvHandle {
-        base,
         payload_kind: P::KIND,
     }
 }
@@ -356,7 +337,7 @@ pub fn alltoallv_finish_into<P: WirePayload>(
         P::KIND.name()
     );
     incoming.clear();
-    incoming.extend((0..comm.size()).map(|src| comm.recv_coll::<P>(src, handle.base)));
+    incoming.extend((0..comm.size()).map(|src| comm.recv::<P>(src)));
 }
 
 #[cfg(test)]
@@ -544,12 +525,67 @@ mod tests {
     }
 
     #[test]
+    fn fifo_across_collectives() {
+        // Rank 0 holds its first exchange open while the others finish it
+        // and post their messages of three more collectives: every
+        // mailbox into rank 0 queues four collectives deep before rank 0
+        // takes the first, and each must still land in its own collective.
+        // The others run the rooted halves of an allreduce and an
+        // allgatherv (`reduce_vec_u64`, `gatherv` to rank 0), which never
+        // wait on rank 0. A barrier outside the communicator forces the
+        // order; the world runs under a 10 s watchdog.
+        let p = 4;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let posted = std::sync::Barrier::new(p);
+            let got = run_threads(p, |comm| {
+                let me = comm.rank() as u8;
+                let msgs = |mark: u8| -> Vec<Vec<u8>> {
+                    (0..p as u8).map(|d| vec![mark, me, d]).collect()
+                };
+                let mut first: Vec<Vec<u8>> = Vec::new();
+                let mut second: Vec<Vec<u8>> = Vec::new();
+                let h1 = alltoallv_start(&comm, &mut msgs(1));
+                if me == 0 {
+                    posted.wait();
+                }
+                alltoallv_finish_into(&comm, h1, &mut first);
+                let sum = reduce_vec_u64(&comm, 0, &[me as u64, 1], ReduceOp::Sum);
+                let gathered = gatherv(&comm, 0, vec![3, me]);
+                let h2 = alltoallv_start(&comm, &mut msgs(2));
+                if me != 0 {
+                    posted.wait();
+                }
+                alltoallv_finish_into(&comm, h2, &mut second);
+                (first, sum, gathered, second)
+            });
+            tx.send(got)
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the world hung or a rank panicked");
+        for (r, (first, sum, gathered, second)) in got.into_iter().enumerate() {
+            let want = |mark: u8| -> Vec<Vec<u8>> {
+                (0..p as u8).map(|s| vec![mark, s, r as u8]).collect()
+            };
+            assert_eq!(first, want(1), "rank {r}: first exchange");
+            assert_eq!(second, want(2), "rank {r}: second exchange");
+            if r == 0 {
+                assert_eq!(sum, Some(vec![6, 4]));
+                let parts: Vec<Vec<u8>> = (0..p as u8).map(|s| vec![3, s]).collect();
+                assert_eq!(gathered, Some(parts));
+            } else {
+                assert_eq!((sum, gathered), (None, None));
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "started on the typed lane but finished on the bytes lane")]
     fn lane_mismatch_between_start_and_finish_is_loud() {
         // Single-rank world on the test thread itself, so the panic is the
         // test's own (run_threads would wrap a rank-thread panic).
-        let eps = crate::endpoint::Endpoint::world(1);
-        let comm = Communicator::world(eps[0].clone());
+        let comm = Communicator::new(crate::world::World::new(1), 0);
         let mut outgoing: Vec<Vec<pic_core::particle::Particle>> = vec![Vec::new()];
         let mut incoming: Vec<Vec<u8>> = Vec::new();
         let h = alltoallv_start(&comm, &mut outgoing);

@@ -1,14 +1,8 @@
 //! The [`Communicator`] — a rank's handle on the world.
 
-use crate::endpoint::{CommMetrics, Endpoint};
 use crate::payload::WirePayload;
-use std::cell::Cell;
+use crate::world::{World, WORLD_ABORTED};
 use std::sync::Arc;
-
-/// User-visible message tag. Must not exceed
-/// [`Communicator::MAX_USER_TAG`]; larger values are reserved for
-/// collectives.
-pub type Tag = u64;
 
 /// Reduction operators for the numeric collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,111 +41,99 @@ impl ReduceOp {
     }
 }
 
-/// Highest tag bit flags a collective-internal message.
-const COLLECTIVE_FLAG: u64 = 1 << 63;
-
 /// A communicator: this rank's handle on the one world of ranks.
 /// Clone-free by design — each rank holds exactly one `Communicator`.
+///
+/// It has no tags: the collectives are its only public surface, every rank
+/// calls them in the same order, and each has a fixed message pattern, so
+/// the k-th message this rank takes from `src` is the k-th one `src` sent
+/// it — MPI's non-overtaking rule, kept by one FIFO mailbox per rank pair.
 pub struct Communicator {
-    ep: Arc<Endpoint>,
-    my_rank: usize,
-    coll_seq: Cell<u64>,
+    world: Arc<World>,
+    rank: usize,
 }
 
 impl Communicator {
-    /// Maximum user tag value.
-    pub const MAX_USER_TAG: u64 = (1 << 56) - 1;
-
-    /// Wrap an endpoint as the world communicator.
-    pub fn world(ep: Arc<Endpoint>) -> Communicator {
-        let my_rank = ep.world_rank();
-        Communicator {
-            ep,
-            my_rank,
-            coll_seq: Cell::new(0),
-        }
+    pub(crate) fn new(world: Arc<World>, rank: usize) -> Communicator {
+        Communicator { world, rank }
     }
 
     /// Rank of this process within the communicator.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.my_rank
+        self.rank
     }
 
     /// Number of ranks in the communicator.
     #[inline]
     pub fn size(&self) -> usize {
-        self.ep.world_size()
+        self.world.size()
     }
 
-    /// Send a buffer to communicator rank `dst` with a user tag,
-    /// surrendering its ownership to the transport. Generic over the wire
-    /// lane — `Vec<u8>` (oracle) or `Vec<Particle>` (typed fast lane).
-    pub fn send_payload<P: WirePayload>(&self, dst: usize, tag: Tag, data: P) {
-        assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        self.ep.send_payload(dst, tag, data);
+    /// Send a buffer to rank `dst`, surrendering its ownership to the
+    /// transport. Never blocks (unbounded mailboxes, like an eager-protocol
+    /// MPI for the message sizes this kernel uses).
+    pub(crate) fn send<P: WirePayload>(&self, dst: usize, data: P) {
+        self.world
+            .mailbox(self.rank, dst)
+            .push(Some(data.into_payload()));
     }
 
-    /// Blocking receive of a `P` buffer from communicator rank `src` with
-    /// a user tag. A matching message of the wrong payload kind panics.
-    pub fn recv_payload<P: WirePayload>(&self, src: usize, tag: Tag) -> P {
-        assert!(tag <= Self::MAX_USER_TAG, "tag {tag} exceeds MAX_USER_TAG");
-        self.ep.recv_payload(src, tag)
-    }
-
-    /// Send `data` to communicator rank `dst` with a user tag.
-    pub fn send(&self, dst: usize, tag: Tag, data: Vec<u8>) {
-        self.send_payload(dst, tag, data);
-    }
-
-    /// Blocking receive from communicator rank `src` with a user tag.
-    pub fn recv(&self, src: usize, tag: Tag) -> Vec<u8> {
-        self.recv_payload(src, tag)
-    }
-
-    /// Internal: send/recv with a collective-reserved tag. Generic over
-    /// the wire lane so the alltoallv family can route typed buffers.
-    pub(crate) fn send_coll<P: WirePayload>(&self, dst: usize, tag: u64, data: P) {
-        self.ep.send_payload(dst, COLLECTIVE_FLAG | tag, data);
-    }
-
-    pub(crate) fn recv_coll<P: WirePayload>(&self, src: usize, tag: u64) -> P {
-        self.ep.recv_payload(src, COLLECTIVE_FLAG | tag)
-    }
-
-    /// Allocate a fresh tag block for one collective operation. All members
-    /// call collectives in the same order (an MPI requirement), so the
-    /// sequence numbers agree across ranks.
-    pub(crate) fn next_coll_base(&self) -> u64 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
-        seq << 20 // up to 2^20 sub-messages per collective
-    }
-
-    /// Traffic counters of this rank's endpoint.
-    pub fn metrics(&self) -> CommMetrics {
-        self.ep.metrics()
+    /// Blocking receive of the next buffer from rank `src`, claimed as `P`;
+    /// a message of the other payload kind panics (see
+    /// [`WirePayload::from_payload`]). Pulling `src`'s poison panics: that
+    /// rank is gone and so is the world.
+    pub(crate) fn recv<P: WirePayload>(&self, src: usize) -> P {
+        match self.world.mailbox(src, self.rank).pop() {
+            Some(payload) => P::from_payload(payload),
+            None => panic!("rank {src} {WORLD_ABORTED}"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_core::particle::Particle;
+
+    /// One communicator per rank of a fresh world, on the calling thread.
+    fn comms(size: usize) -> Vec<Communicator> {
+        let world = World::new(size);
+        (0..size)
+            .map(|rank| Communicator::new(Arc::clone(&world), rank))
+            .collect()
+    }
 
     #[test]
     fn world_identity_mapping() {
-        let eps = Endpoint::world(3);
-        let c = Communicator::world(eps[1].clone());
+        let c = comms(3).swap_remove(1);
         assert_eq!(c.rank(), 1);
         assert_eq!(c.size(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MAX_USER_TAG")]
-    fn oversized_tag_rejected() {
-        let eps = Endpoint::world(1);
-        let c = Communicator::world(eps[0].clone());
-        c.send(0, u64::MAX, vec![]);
+    fn fifo_per_rank_pair() {
+        // Messages on one pair arrive in send order, whatever the traffic
+        // on the other pairs into the same rank.
+        let c = comms(3);
+        for i in 0..5u8 {
+            c[0].send(2, vec![i]);
+            c[1].send(2, vec![10 + i]);
+        }
+        for i in 0..5u8 {
+            assert_eq!(c[2].recv::<Vec<u8>>(1), vec![10 + i]);
+        }
+        for i in 0..5u8 {
+            assert_eq!(c[2].recv::<Vec<u8>>(0), vec![i]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "payload kind mismatch")]
+    fn typed_message_claimed_as_bytes_panics() {
+        let c = comms(1);
+        c[0].send(0, Vec::<Particle>::new());
+        let _ = c[0].recv::<Vec<u8>>(0);
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! The paper's reference implementations are MPI programs. This crate
 //! provides the subset of MPI semantics they call, with a **threads
 //! backend**: each rank is an OS thread of one world ([`run_threads`]),
-//! point-to-point messages are tag-matched payloads over in-process
-//! channels, and the collectives (broadcast, gatherv/allgatherv, `u64`
-//! vector reduce/allreduce, scalar `u64`/`f64`/`u128` allreduce, and the
-//! personalized alltoallv, synchronous or split-phase) are built on top of
-//! point-to-point exactly as a textbook MPI would build them — so the
-//! communication *structure* of the ported kernels is faithful even though
-//! the transport is shared memory.
+//! every ordered rank pair has one FIFO mailbox, and the collectives
+//! (broadcast, gatherv/allgatherv, `u64` vector reduce/allreduce, scalar
+//! `u64`/`f64`/`u128` allreduce, and the personalized alltoallv,
+//! synchronous or split-phase) are built on those messages exactly as a
+//! textbook MPI would build them on point-to-point — so the communication
+//! *structure* of the ported kernels is faithful even though the transport
+//! is shared memory.
 //!
 //! Key MPI semantics preserved:
 //!
-//! * **Tag + source matching with out-of-order delivery tolerance** — a
-//!   receive for `(src, tag)` skips over and queues non-matching messages;
-//!   collective-internal tags live apart from user tags.
+//! * **Non-overtaking without tags** — every rank calls the collectives in
+//!   the same order and each has a fixed message pattern, so per-pair FIFO
+//!   order is all the matching there is: the k-th message a rank takes
+//!   from a peer is the k-th one that peer sent it.
 //! * **Deterministic collectives** — reductions fold along a fixed
 //!   binomial tree, so floating-point results are reproducible run to run.
 //! * **Sends never block** — a split-phase start
@@ -35,14 +36,13 @@
 //! assert_eq!(sums, vec![6, 6, 6, 6]);
 //! ```
 
-pub mod chan;
+mod chan;
 pub mod collective;
 pub mod comm;
-pub mod endpoint;
 pub mod payload;
 pub mod world;
 
 pub use collective::*;
-pub use comm::{Communicator, ReduceOp, Tag};
+pub use comm::{Communicator, ReduceOp};
 pub use payload::{Payload, PayloadKind, WirePayload};
 pub use world::run_threads;

@@ -8,11 +8,8 @@
 //! per-particle copies — the staging bucket itself crosses the channel).
 //!
 //! [`WirePayload`] is the static side of the same contract: the alltoallv
-//! family and the point-to-point send/recv lanes are generic over it, so
-//! one protocol implementation serves both encodings. Byte accounting
-//! ([`WirePayload::len_bytes`]) is defined per type — a typed buffer
-//! accounts as if it had been encoded — keeping the `collective_bytes` and
-//! endpoint byte counters truthful across lanes.
+//! family is generic over it, so one protocol implementation serves both
+//! encodings.
 //!
 //! A receive must name the payload type it expects; a kind mismatch (a
 //! typed message arriving where bytes were posted, or vice versa) is a
@@ -55,16 +52,6 @@ impl Payload {
             Payload::Typed(_) => PayloadKind::Typed,
         }
     }
-
-    /// Wire-equivalent size: what this payload would occupy as bytes. The
-    /// basis of all traffic accounting, identical across lanes so telemetry
-    /// does not change when the lane does.
-    pub fn len_bytes(&self) -> usize {
-        match self {
-            Payload::Bytes(b) => b.len(),
-            Payload::Typed(p) => p.len() * Particle::WIRE_SIZE,
-        }
-    }
 }
 
 /// A buffer type the fabric can route. Implemented by `Vec<u8>` (oracle
@@ -73,9 +60,6 @@ impl Payload {
 pub trait WirePayload: Sized + Send + 'static {
     /// The [`Payload`] variant this type travels as.
     const KIND: PayloadKind;
-
-    /// Wire-equivalent size in bytes (see [`Payload::len_bytes`]).
-    fn len_bytes(&self) -> usize;
 
     /// A fresh empty buffer (no allocation).
     fn empty() -> Self;
@@ -91,10 +75,6 @@ pub trait WirePayload: Sized + Send + 'static {
 
 impl WirePayload for Vec<u8> {
     const KIND: PayloadKind = PayloadKind::Bytes;
-
-    fn len_bytes(&self) -> usize {
-        self.len()
-    }
 
     fn empty() -> Self {
         Vec::new()
@@ -117,10 +97,6 @@ impl WirePayload for Vec<u8> {
 
 impl WirePayload for Vec<Particle> {
     const KIND: PayloadKind = PayloadKind::Typed;
-
-    fn len_bytes(&self) -> usize {
-        self.len() * Particle::WIRE_SIZE
-    }
 
     fn empty() -> Self {
         Vec::new()
@@ -159,15 +135,6 @@ mod tests {
             m: -1,
             born_at: 0,
         }
-    }
-
-    #[test]
-    fn byte_accounting_is_lane_invariant() {
-        let ps = vec![particle(1), particle(2), particle(3)];
-        let encoded = vec![0u8; ps.len() * Particle::WIRE_SIZE];
-        assert_eq!(WirePayload::len_bytes(&ps), encoded.len());
-        assert_eq!(ps.clone().into_payload().len_bytes(), encoded.len());
-        assert_eq!(encoded.clone().into_payload().len_bytes(), encoded.len());
     }
 
     #[test]

@@ -1,34 +1,77 @@
-//! Spawning a world of ranks as OS threads.
+//! The world of ranks: its mailboxes, and spawning it as OS threads.
 
+use crate::chan::Mailbox;
 use crate::comm::Communicator;
-use crate::endpoint::{Endpoint, WORLD_ABORTED};
+use crate::payload::Payload;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// How the panic of a rank that pulled the poison ends — what
+/// `run_threads` tells a collateral panic from the original by.
+pub(crate) const WORLD_ABORTED: &str = "panicked; world aborted";
+
+/// The wire of a `size`-rank world: one FIFO mailbox per ordered rank
+/// pair, `boxes[src * size + dst]` holding what `src` sent `dst` in send
+/// order. `None` is the poison a panicked `src` leaves behind its last
+/// message.
+pub(crate) struct World {
+    size: usize,
+    boxes: Vec<Mailbox<Option<Payload>>>,
+}
+
+impl World {
+    pub(crate) fn new(size: usize) -> Arc<World> {
+        assert!(size > 0, "world must have at least one rank");
+        Arc::new(World {
+            size,
+            boxes: (0..size * size).map(|_| Mailbox::new()).collect(),
+        })
+    }
+
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    pub(crate) fn mailbox(&self, src: usize, dst: usize) -> &Mailbox<Option<Payload>> {
+        &self.boxes[src * self.size + dst]
+    }
+
+    /// Called for a rank whose closure panicked: poison every mailbox it
+    /// sends on, so a peer blocked in (or later entering) a receive from it
+    /// panics too instead of waiting forever.
+    fn poison(&self, rank: usize) {
+        for dst in 0..self.size {
+            self.mailbox(rank, dst).push(None);
+        }
+    }
+}
 
 /// Run `f(comm)` on `size` rank threads and return the per-rank results in
 /// rank order. This is the substrate's `mpiexec`.
 ///
-/// A rank that panics brings the world down instead of hanging it: its
-/// endpoint poisons every inbox, a peer blocked in (or later
-/// entering) a receive that can no longer be satisfied panics in turn,
-/// every rank is joined, and the panic is re-raised naming the lowest rank
-/// that failed on its own account.
+/// A rank that panics brings the world down instead of hanging it: it
+/// poisons the mailboxes it sends on, a peer blocked in (or later
+/// entering) a receive from it panics in turn and poisons its own, and so
+/// on down every chain of waiting ranks — which is why *every* caught
+/// panic poisons, collateral ones included. Every rank is joined, and the
+/// panic is re-raised naming the lowest rank that failed on its own
+/// account.
 pub fn run_threads<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Communicator) -> R + Send + Sync,
 {
-    // The endpoints outlive every rank thread, so a send to a rank that is
-    // already gone still finds its inbox.
-    let endpoints = Endpoint::world(size);
+    // The world outlives every rank thread, so a send to a rank that is
+    // already gone still finds its mailbox.
+    let world = World::new(size);
     let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .iter()
-            .map(|ep| {
-                let f = &f;
+        let handles: Vec<_> = (0..size)
+            .map(|rank| {
+                let (f, world) = (&f, &world);
                 scope.spawn(move || {
-                    let comm = Communicator::world(ep.clone());
-                    catch_unwind(AssertUnwindSafe(|| f(comm))).inspect_err(|_| ep.poison_world())
+                    let comm = Communicator::new(Arc::clone(world), rank);
+                    catch_unwind(AssertUnwindSafe(|| f(comm))).inspect_err(|_| world.poison(rank))
                 })
             })
             .collect();
@@ -63,7 +106,9 @@ fn panic_message(cause: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::allreduce_u64;
+    use crate::collective::{
+        allreduce_u64, alltoallv_finish_into, alltoallv_start, broadcast, gatherv,
+    };
     use crate::comm::ReduceOp;
     use std::time::Duration;
 
@@ -112,6 +157,23 @@ mod tests {
     }
 
     #[test]
+    fn collateral_panics_poison_in_turn() {
+        // Rank 0 never receives from rank 2: it waits on rank 1 in the
+        // broadcast, and rank 1 is gathering from rank 2. Only rank 1's
+        // own collateral panic, poisoning in turn, can wake rank 0.
+        let msg = panic_of(|| {
+            run_threads(3, |comm| {
+                if comm.rank() == 2 {
+                    panic!("boom in the leaf");
+                }
+                let _ = gatherv(&comm, 1, vec![comm.rank() as u8]);
+                broadcast(&comm, 1, Vec::new())
+            });
+        });
+        assert_eq!(msg, "rank 2 panicked: boom in the leaf");
+    }
+
+    #[test]
     fn run_threads_returns_in_rank_order() {
         let got = run_threads(6, |comm| comm.rank() * 10);
         assert_eq!(got, vec![0, 10, 20, 30, 40, 50]);
@@ -127,11 +189,11 @@ mod tests {
     fn pingpong_through_world() {
         let got = run_threads(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, vec![7]);
-                comm.recv(1, 2)
+                comm.send(1, vec![7u8]);
+                comm.recv::<Vec<u8>>(1)
             } else {
-                let v = comm.recv(0, 1);
-                comm.send(0, 2, v.iter().map(|x| x + 1).collect());
+                let v: Vec<u8> = comm.recv(0);
+                comm.send(0, v.iter().map(|x| x + 1).collect::<Vec<u8>>());
                 vec![]
             }
         });
@@ -139,46 +201,39 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate() {
-        let comms: Vec<Communicator> = Endpoint::world(2)
-            .into_iter()
-            .map(Communicator::world)
-            .collect();
-        comms[0].send(1, 3, vec![0; 100]);
-        let _ = comms[1].recv(0, 3);
-        let (m0, m1) = (comms[0].metrics(), comms[1].metrics());
-        assert_eq!((m0.messages_sent, m0.bytes_sent), (1, 100));
-        assert_eq!((m1.messages_received, m1.bytes_received), (1, 100));
-    }
-
-    #[test]
     fn single_rank_world_works() {
         let got = run_threads(1, |comm| {
-            comm.send(0, 1, vec![42]);
-            comm.recv(0, 1)
+            comm.send(0, vec![42u8]);
+            comm.recv::<Vec<u8>>(0)
         });
         assert_eq!(got, vec![vec![42]]);
     }
 
     #[test]
     fn heavy_traffic_no_loss() {
+        // 500 split-phase exchanges all in flight at once before the first
+        // finish: every mailbox queues 500 deep, and each finish must still
+        // take its own exchange's payload.
+        let n = 500usize;
         let got = run_threads(4, |comm| {
-            let n = 500usize;
-            for i in 0..n {
-                for dst in 0..comm.size() {
-                    comm.send(dst, (i % 7) as u64, vec![(i % 251) as u8]);
-                }
-            }
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let mut outgoing = vec![vec![(i % 251) as u8, comm.rank() as u8]; comm.size()];
+                    alltoallv_start(&comm, &mut outgoing)
+                })
+                .collect();
+            let mut incoming: Vec<Vec<u8>> = Vec::new();
             let mut sum = 0u64;
-            for i in 0..n {
-                for src in 0..comm.size() {
-                    let v = comm.recv(src, (i % 7) as u64);
+            for (i, h) in handles.into_iter().enumerate() {
+                alltoallv_finish_into(&comm, h, &mut incoming);
+                for (src, v) in incoming.iter().enumerate() {
+                    assert_eq!(v, &vec![(i % 251) as u8, src as u8]);
                     sum += v[0] as u64;
                 }
             }
             sum
         });
-        let expected: u64 = (0..500u64).map(|i| (i % 251) * 4).sum();
+        let expected: u64 = (0..n as u64).map(|i| (i % 251) * 4).sum();
         assert!(got.iter().all(|&g| g == expected));
     }
 }

@@ -59,10 +59,6 @@ impl Particle {
     pub fn cells_per_step_y(&self) -> i64 {
         self.m as i64
     }
-
-    /// Bytes one particle is accounted as on the wire, whichever lane
-    /// carries it (`pic-comm::payload`): id + 7 `f64` + `k`, `m`, `born_at`.
-    pub const WIRE_SIZE: usize = 8 * 8 + 4 + 4 + 4;
 }
 
 #[cfg(test)]

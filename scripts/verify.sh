@@ -60,6 +60,14 @@ while read -r item; do
         { echo "stale reference: $item" >&2; stale=1; }
 done < <(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md |
     tr -d '`' | sort -u)
+# Every backticked `pic_<crate>::<module>` path they name must resolve to
+# that module's file, so a deleted or renamed module cannot linger in prose
+# (a lowercase first segment is read as a module: name a crate-root item
+# through its module).
+while read -r item; do
+    dir="crates/$(tr _ - <<<"${item%%::*}")/src/${item#*::}"
+    test -f "$dir.rs" || test -f "$dir/mod.rs" || { echo "stale reference: $item" >&2; stale=1; }
+done < <(grep -ohE '`pic_[a-z]+::[a-z_][a-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
 test "$stale" -eq 0
 
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"
