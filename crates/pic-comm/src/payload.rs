@@ -3,13 +3,17 @@
 //! The transport is in-process, so a message need not be a byte string —
 //! ownership of any `Send` buffer can move through the channel. [`Payload`]
 //! is the closed set of buffer types the fabric routes: raw bytes (what
-//! every control-plane collective uses) and
-//! *typed particle buffers* (the zero-copy fast lane: no serialization, no
-//! per-particle copies — the staging bucket itself crosses the channel).
+//! every control-plane collective uses) and two *particle buffer* lanes
+//! (no serialization, no per-particle copies — the staging bucket itself
+//! crosses the channel): the column lane, a [`ParticleBatch`] — what the
+//! rank step's exchange moves, so the drain's slice copies and the
+//! arrival's per-field appends are the only copies a migrant sees — and
+//! the record lane, an owned `Vec<Particle>`, kept for the benchmark's
+//! wire probe.
 //!
 //! [`WirePayload`] is the static side of the same contract: the alltoallv
-//! family is generic over it, so one protocol implementation serves both
-//! encodings.
+//! family is generic over it, so one protocol implementation serves every
+//! lane.
 //!
 //! A receive must name the payload type it expects; a kind mismatch (a
 //! typed message arriving where bytes were posted, or vice versa) is a
@@ -17,14 +21,19 @@
 //! re-interpreting the message.
 
 use pic_core::particle::Particle;
+use pic_core::soa::ParticleBatch;
 
 /// Discriminant of a [`Payload`] — which lane a message travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
     /// Raw little-endian bytes (the collectives' ad-hoc encodings).
     Bytes,
-    /// An owned particle buffer, moved through the channel as-is.
+    /// An owned `Vec<Particle>` (AoS records), moved through the channel
+    /// as-is.
     Typed,
+    /// An owned [`ParticleBatch`] (one array per field), moved through
+    /// the channel as-is.
+    Batch,
 }
 
 impl PayloadKind {
@@ -32,6 +41,7 @@ impl PayloadKind {
         match self {
             PayloadKind::Bytes => "bytes",
             PayloadKind::Typed => "typed",
+            PayloadKind::Batch => "batch",
         }
     }
 }
@@ -39,10 +49,17 @@ impl PayloadKind {
 /// An owned message body. See the module docs for the closed-set rationale;
 /// an enum (rather than type erasure) keeps the transport allocation-free —
 /// no box per message — and makes kind mismatches detectable.
+///
+/// The batch variant holds its eleven column headers inline (264 B): a
+/// message moves by value into and out of a mailbox queue, and boxing the
+/// batch would cost an allocation per message, which the steady-state
+/// exchange must not pay.
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
 pub enum Payload {
     Bytes(Vec<u8>),
     Typed(Vec<Particle>),
+    Batch(ParticleBatch),
 }
 
 impl Payload {
@@ -50,13 +67,15 @@ impl Payload {
         match self {
             Payload::Bytes(_) => PayloadKind::Bytes,
             Payload::Typed(_) => PayloadKind::Typed,
+            Payload::Batch(_) => PayloadKind::Batch,
         }
     }
 }
 
 /// A buffer type the fabric can route. Implemented by `Vec<u8>` (oracle
-/// lane) and `Vec<Particle>` (typed lane); the protocol code is generic
-/// over this trait and never inspects the contents.
+/// lane), `Vec<Particle>` (typed lane) and [`ParticleBatch`] (batch
+/// lane); the protocol code is generic over this trait and never inspects
+/// the contents.
 pub trait WirePayload: Sized + Send + 'static {
     /// The [`Payload`] variant this type travels as.
     const KIND: PayloadKind;
@@ -117,6 +136,28 @@ impl WirePayload for Vec<Particle> {
     }
 }
 
+impl WirePayload for ParticleBatch {
+    const KIND: PayloadKind = PayloadKind::Batch;
+
+    fn empty() -> Self {
+        ParticleBatch::new()
+    }
+
+    fn into_payload(self) -> Payload {
+        Payload::Batch(self)
+    }
+
+    fn from_payload(p: Payload) -> Self {
+        match p {
+            Payload::Batch(b) => b,
+            other => panic!(
+                "payload kind mismatch: expected batch, received {} message",
+                other.kind().name()
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +186,41 @@ mod tests {
         let bytes = vec![1u8, 2, 3];
         let back = <Vec<u8>>::from_payload(bytes.clone().into_payload());
         assert_eq!(back, bytes);
+    }
+
+    #[test]
+    fn batch_roundtrips_through_payload() {
+        let batch: ParticleBatch = (1..=20).map(particle).collect();
+        let payload = batch.clone().into_payload();
+        assert_eq!(payload.kind(), PayloadKind::Batch);
+        assert_eq!(ParticleBatch::from_payload(payload), batch);
+        let empty = ParticleBatch::empty();
+        assert!(ParticleBatch::from_payload(empty.into_payload()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload kind mismatch: expected batch, received typed message")]
+    fn typed_message_where_batch_expected_is_loud() {
+        let _ = ParticleBatch::from_payload(vec![particle(1)].into_payload());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload kind mismatch: expected typed, received batch message")]
+    fn batch_message_where_typed_expected_is_loud() {
+        let batch: ParticleBatch = [particle(1)].into_iter().collect();
+        let _ = <Vec<Particle>>::from_payload(batch.into_payload());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload kind mismatch: expected batch, received bytes message")]
+    fn byte_message_where_batch_expected_is_loud() {
+        let _ = ParticleBatch::from_payload(vec![1u8].into_payload());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload kind mismatch: expected bytes, received batch message")]
+    fn batch_message_where_bytes_expected_is_loud() {
+        let _ = <Vec<u8>>::from_payload(ParticleBatch::new().into_payload());
     }
 
     #[test]

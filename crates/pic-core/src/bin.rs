@@ -41,12 +41,13 @@
 //! A rebin leaves every bin *ordered*: one column, one parity. The store
 //! tracks the contiguous bin range for which that still holds
 //! (`ordered`); every particle outside it — bins a drain has already
-//! touched, and exchange arrivals ([`BinnedStore::push_tail`]) — forms the
-//! dense, unordered *mixed* region at the two ends of the batch. A drain
-//! ([`BinnedStore::drain_leavers_cols_into`]) first trims the bins it is
-//! told may hold leavers off the ordered range, scans only the mixed
-//! region, and refills each hole with a survivor from the end of the batch:
-//! no shifting, the arrays stay dense, and ordered particles are never
+//! touched, and exchange arrivals ([`BinnedStore::append_tail`]) — forms
+//! the dense, unordered *mixed* region at the two ends of the batch. A
+//! drain ([`BinnedStore::drain_leavers_to_buckets`]) first trims the bins
+//! it is told may hold leavers off the ordered range, scans only the mixed
+//! region, stages the leavers by runs of consecutive indices, and refills
+//! each hole with a survivor from the end of the batch, a stretch at a
+//! time: no shifting, the arrays stay dense, and ordered particles are never
 //! moved relative to their bins. The ordered range only shrinks between
 //! rebins. The sweep runs the hoisted kernel over the ordered bins and the
 //! same kernel with a *per-particle* corner charge (read from the live
@@ -89,6 +90,13 @@ use std::ops::Range;
 /// it sorts only after an event.
 pub const DEFAULT_REBIN: u32 = 16;
 
+/// The shortest leaver run [`BinnedStore::drain_leavers_to_buckets`]
+/// stages with one slice copy per field; a shorter one is copied element
+/// by element. The cuts' drains are a few long runs, a VP map's are about
+/// two leavers each, and eleven slice copies for those cost more than
+/// they save.
+pub const SLICE_RUN: usize = 8;
+
 /// Cell-binned structure-of-arrays particle store (see module docs).
 #[derive(Debug, Clone)]
 pub struct BinnedStore {
@@ -108,9 +116,10 @@ pub struct BinnedStore {
     /// no particle is normalised to `0..0`; `dirty` overrides it (nothing
     /// is ordered).
     ordered: Range<usize>,
-    /// Indices the current drain vacated, ascending (`u32`: half the
-    /// footprint of `usize`; capacity retained across drains).
-    holes: Vec<u32>,
+    /// The runs of consecutive leavers the current drain vacated,
+    /// ascending, each with its destination (capacity retained across
+    /// drains).
+    leavers: Vec<LeaverRun>,
     /// Drains that ran out of mixed survivors and closed the remaining
     /// holes by shifting the ordered block (telemetry for the tests).
     shift_fallbacks: u64,
@@ -223,7 +232,7 @@ impl BinnedStore {
             scratch: GatherScratch::default(),
             offsets: vec![0; ncols + 1],
             ordered: 0..ncols,
-            holes: Vec::new(),
+            leavers: Vec::new(),
             shift_fallbacks: 0,
             col_lo,
             ncols,
@@ -243,7 +252,7 @@ impl BinnedStore {
     /// without a copy.
     pub fn take_batch(&mut self) -> ParticleBatch {
         self.scratch = GatherScratch::default();
-        (self.runs, self.holes) = (Vec::new(), Vec::new());
+        (self.runs, self.leavers) = (Vec::new(), Vec::new());
         self.offsets.fill(0);
         self.ordered = 0..self.ncols;
         (self.age, self.dirty) = (0, false);
@@ -486,7 +495,7 @@ impl BinnedStore {
     /// particle's *live* column charge per lane — no parity flip, because
     /// the column is read fresh rather than remembered from a rebin. Must
     /// run before the step's drain and before new
-    /// arrivals are appended with [`Self::push_tail`].
+    /// arrivals are appended with [`Self::append_tail`].
     pub fn sweep_tail_pass(&mut self, grid: &Grid, consts: &SimConstants) {
         let (lo_end, hi_start) = self.ordered_span();
         let parity = ColumnParity(consts.q);
@@ -620,9 +629,17 @@ impl BinnedStore {
     /// not force an early counting sort — this is what keeps the rebin
     /// amortized under steady migration traffic. The particle must be
     /// homed (inside this store's column range) so the eventual rebin
-    /// stays in range.
+    /// stays in range. The record-at-a-time door of
+    /// [`Self::append_tail`].
     pub fn push_tail(&mut self, p: Particle) {
         self.batch.push(p);
+    }
+
+    /// Append a batch of exchange arrivals to the mixed region, one slice
+    /// copy per field — [`Self::push_tail`] for a whole bucket, under the
+    /// same contract: every particle homed.
+    pub fn append_tail(&mut self, arrivals: &ParticleBatch) {
+        self.batch.extend_from_range(arrivals, 0..arrivals.len());
     }
 
     /// Drain every particle whose *current* cell fails `keep(col, row)`
@@ -638,20 +655,47 @@ impl BinnedStore {
         self.drain_leavers_cols_into(grid, |_| true, keep, out)
     }
 
-    /// Drain every particle that `classifier` finds leaving into `out`,
-    /// in index order — the exchange path, run every step without
-    /// an AoS round-trip. Only the mixed region plus the bins of global
-    /// columns for which `active(col)` is true are tested (module docs,
-    /// "Ordered interior, mixed border"). The caller guarantees inactive
-    /// columns hold no leavers — the rank step passes its
-    /// *border* columns, because interior particles cannot out-run the
-    /// border width in one step. Returns the drain count.
+    /// [`Self::drain_leavers_to_buckets`] with every leaver handed to
+    /// `out` as an AoS record, in index order — the closure door for
+    /// probes and tests. Returns the drain count.
+    pub fn drain_leavers_cols_into(
+        &mut self,
+        grid: &Grid,
+        active: impl FnMut(usize) -> bool,
+        classifier: impl Classifier,
+        mut out: impl FnMut(Particle),
+    ) -> usize {
+        self.drain_runs(
+            grid,
+            active,
+            classifier,
+            |_, _| 0,
+            |batch, run, _| run.for_each(|i| out(batch.get(i))),
+        )
+    }
+
+    /// Drain every particle that `classifier` finds leaving into
+    /// `buckets[owner(col, row)]`, `(col, row)` its current cell — the
+    /// exchange path, run every step without an AoS round-trip. Only the
+    /// mixed region plus the bins of global columns for which
+    /// `active(col)` is true are tested (module docs, "Ordered interior,
+    /// mixed border"). The caller guarantees inactive columns hold no
+    /// leavers — the rank step passes its *border* columns, because
+    /// interior particles cannot out-run the border width in one step.
+    /// Returns the drain count.
     ///
     /// The classifier ([`Classifier`]) answers a chunk of the mixed region
     /// at a time as a bitmask: an [`OwnerMap`] eight lanes at a time, a
     /// keep closure one particle at a time. Which one answers changes
     /// nothing downstream — the leaver set is the same, so are the holes,
     /// the refill and the storage order.
+    ///
+    /// Leavers are staged by runs — consecutive indices bound for one
+    /// bucket — in index order, so each bucket receives its leavers in
+    /// index order: a run of at least [`SLICE_RUN`] with one slice copy
+    /// per field, a shorter one element by element. A cut's border bin
+    /// leaves whole, so under the cuts a drain is a few long runs; a VP
+    /// map's leavers are scattered.
     ///
     /// The ordered range shrinks to its first run of inactive bins; every
     /// bin trimmed off joins the mixed region, so a caller draining
@@ -663,25 +707,46 @@ impl BinnedStore {
     /// sliding the ordered block left wholesale: its bins keep their
     /// contents and order, their offsets drop by a constant. When the
     /// store is dirty nothing is ordered and every particle is tested.
-    pub fn drain_leavers_cols_into(
+    pub fn drain_leavers_to_buckets(
+        &mut self,
+        grid: &Grid,
+        active: impl FnMut(usize) -> bool,
+        classifier: impl Classifier,
+        owner: impl FnMut(usize, usize) -> usize,
+        buckets: &mut [ParticleBatch],
+    ) -> usize {
+        self.drain_runs(grid, active, classifier, owner, |batch, run, dst| {
+            let bucket = &mut buckets[dst];
+            if run.len() >= SLICE_RUN {
+                bucket.extend_from_range(batch, run);
+            } else {
+                run.for_each(|i| bucket.push_from(batch, i));
+            }
+        })
+    }
+
+    /// The one drain body behind both doors: classify the mixed region
+    /// chunk by chunk, record the leavers as runs of consecutive indices
+    /// with one destination `dest(col, row)` each, hand every run to
+    /// `stage` in index order, then close the holes.
+    fn drain_runs(
         &mut self,
         grid: &Grid,
         active: impl FnMut(usize) -> bool,
         mut classifier: impl Classifier,
-        mut out: impl FnMut(Particle),
+        mut dest: impl FnMut(usize, usize) -> usize,
+        mut stage: impl FnMut(&ParticleBatch, Range<usize>, usize),
     ) -> usize {
         /// Particles classified per call: the bitmask lives on the stack.
         const CHUNK: usize = 4096;
         let n = self.batch.len();
-        assert!(n <= u32::MAX as usize, "hole indices are u32");
+        assert!(n <= u32::MAX as usize, "leaver indices are u32");
         if !self.dirty {
             self.trim_ordered(active);
         }
         let (lo_end, hi_start) = self.ordered_span();
 
-        // Classify the two mixed spans chunk by chunk, and emit each
-        // chunk's leavers in index order.
-        self.holes.clear();
+        self.leavers.clear();
         let mut mask = [0u64; CHUNK / 64];
         for span in [0..lo_end, hi_start..n] {
             for start in span.clone().step_by(CHUNK) {
@@ -694,55 +759,79 @@ impl BinnedStore {
                     while bits != 0 {
                         let i = w + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        out(self.batch.get(i));
-                        self.holes.push(i as u32);
+                        let (c, r) = grid.cell_of_point(self.batch.x[i], self.batch.y[i]);
+                        push_leaver(&mut self.leavers, i as u32, dest(c, r) as u32);
                     }
                 }
             }
         }
-        let holes = &self.holes[..];
-        let removed = holes.len();
-        let new_len = n - removed;
+        let mut removed = 0;
+        for run in &self.leavers {
+            stage(&self.batch, run.range(), run.dst as usize);
+            removed += run.len as usize;
+        }
+        self.close_holes(lo_end, hi_start, removed);
+        removed
+    }
 
-        // Refill the holes below `new_len`, lowest first, with survivors
-        // taken from the end of the batch (`holes[top..]` are the holes
-        // `src` has already stepped over).
+    /// Close the holes of `self.leavers` (`removed` of them, all in the
+    /// mixed region around the ordered block `lo_end..hi_start`): refill
+    /// the holes below the new length, lowest first, with the survivors at
+    /// the end of the batch, last first — one reversed run per stretch of
+    /// holes against a stretch of survivors — and slide the ordered block
+    /// left over what remains when those survivors run out.
+    fn close_holes(&mut self, lo_end: usize, hi_start: usize, removed: usize) {
+        let runs = &self.leavers[..];
+        let n = self.batch.len();
+        let new_len = n - removed;
         let floor = new_len.max(hi_start);
-        let (mut src, mut top, mut filled) = (n, removed, 0);
+        // `runs[f]` holds the next hole to fill, `h`; survivors are taken
+        // below `src`, and `runs[t..]` are the hole runs `src` has stepped
+        // over.
+        let (mut f, mut t, mut src) = (0, runs.len(), n);
+        let mut h = runs.first().map_or(n, |r| r.start as usize);
         let exhausted = loop {
-            if filled == removed || holes[filled] as usize >= new_len {
+            if f == runs.len() || h >= new_len {
                 break false;
             }
-            while src > floor && top > filled && holes[top - 1] as usize == src - 1 {
-                src -= 1;
-                top -= 1;
+            while src > floor && t > f && runs[t - 1].range().end == src {
+                src = floor.max(runs[t - 1].start as usize);
+                t -= 1;
             }
             if src == floor {
                 break true;
             }
-            src -= 1;
-            self.batch.copy_element(src, holes[filled] as usize);
-            filled += 1;
+            let survivors_from = floor.max(t.checked_sub(1).map_or(0, |j| runs[j].range().end));
+            let holes_to = new_len.min(runs[f].range().end);
+            let len = (src - survivors_from).min(holes_to - h);
+            self.batch.copy_reversed(src - len..src, h);
+            (src, h) = (src - len, h + len);
+            if h == runs[f].range().end {
+                f += 1;
+                h = runs.get(f).map_or(n, |r| r.start as usize);
+            }
         };
         if exhausted {
             // Every mixed survivor above the ordered block is spent and
-            // the holes in `open` (all below the block) remain: slide each
-            // hole-free run left over the holes before it. The last run
-            // carries the ordered block, intact.
-            let open = &holes[filled..holes.partition_point(|&h| (h as usize) < lo_end)];
-            let mut w = open[0] as usize;
-            for (j, &h) in open.iter().enumerate() {
-                let run = h as usize + 1..open.get(j + 1).map_or(hi_start, |&h| h as usize);
-                self.batch.copy_within(run.clone(), w);
-                w += run.len();
+            // the holes from `h` on below the block remain: slide each
+            // hole-free stretch left over the holes before it. The last
+            // stretch carries the ordered block, intact.
+            let open_runs = runs[f..].partition_point(|r| (r.start as usize) < lo_end);
+            let open = &runs[f..f + open_runs];
+            let (mut w, mut shift) = (h, 0);
+            for (j, run) in open.iter().enumerate() {
+                let hole_end = run.range().end;
+                shift += hole_end - h.max(run.start as usize);
+                let next = open.get(j + 1).map_or(hi_start, |r| r.start as usize);
+                self.batch.copy_within(hole_end..next, w);
+                w += next - hole_end;
             }
             for o in &mut self.offsets[self.ordered.start..=self.ordered.end] {
-                *o -= open.len();
+                *o -= shift;
             }
             self.shift_fallbacks += 1;
         }
         self.batch.truncate(new_len);
-        removed
     }
 
     /// Shrink the ordered range to its first run of bins that are not
@@ -1021,6 +1110,36 @@ struct Run {
     src: u32,
     dst: u32,
     len: u32,
+}
+
+/// Leavers at `start..start + len` bound for one destination `dst`: the
+/// unit a drain stages and whose holes it closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LeaverRun {
+    start: u32,
+    len: u32,
+    dst: u32,
+}
+
+impl LeaverRun {
+    fn range(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Record that leaver `i` goes to `dst`. Leavers are pushed in ascending
+/// order; the last run grows when `i` follows it with the same
+/// destination.
+#[inline(always)]
+fn push_leaver(runs: &mut Vec<LeaverRun>, i: u32, dst: u32) {
+    match runs.last_mut() {
+        Some(r) if r.start + r.len == i && r.dst == dst => r.len += 1,
+        _ => runs.push(LeaverRun {
+            start: i,
+            len: 1,
+            dst,
+        }),
+    }
 }
 
 /// Record that source `src` goes to `dst`. Sources must be pushed in
@@ -1984,6 +2103,264 @@ mod tests {
         assert_eq!(store.columns(), (6, 26));
         assert_eq!(store.rebin_count(), sorts + 1, "nothing ordered to keep");
         assert!(store.histogram_is_fresh());
+    }
+
+    /// The element-by-element drain the run-based body replaced, on AoS
+    /// records: `holes` ascending, the ordered block `lo_end..hi_start`.
+    /// Returns the storage order it leaves and how far it slid the block.
+    fn element_drain(
+        mut ps: Vec<Particle>,
+        holes: &[usize],
+        lo_end: usize,
+        hi_start: usize,
+    ) -> (Vec<Particle>, usize) {
+        let (n, removed) = (ps.len(), holes.len());
+        let new_len = n - removed;
+        let floor = new_len.max(hi_start);
+        let (mut src, mut top, mut filled) = (n, removed, 0);
+        let exhausted = loop {
+            if filled == removed || holes[filled] >= new_len {
+                break false;
+            }
+            while src > floor && top > filled && holes[top - 1] == src - 1 {
+                src -= 1;
+                top -= 1;
+            }
+            if src == floor {
+                break true;
+            }
+            src -= 1;
+            ps[holes[filled]] = ps[src];
+            filled += 1;
+        };
+        let mut shift = 0;
+        if exhausted {
+            let open = &holes[filled..holes.partition_point(|&h| h < lo_end)];
+            let mut w = open[0];
+            for (j, &h) in open.iter().enumerate() {
+                let run = h + 1..open.get(j + 1).copied().unwrap_or(hi_start);
+                ps.copy_within(run.clone(), w);
+                w += run.len();
+            }
+            shift = open.len();
+        }
+        ps.truncate(new_len);
+        (ps, shift)
+    }
+
+    /// What one drain of a store did: its leaver runs and whether its
+    /// refill ran out of survivors.
+    struct DrainShape {
+        runs: Vec<LeaverRun>,
+        exhausted: bool,
+    }
+
+    /// Drain two clones of `store` — one into `ndst` buckets through
+    /// [`BinnedStore::drain_leavers_to_buckets`] under `owner`, one through
+    /// the record door — and check that the buckets hold each
+    /// destination's records in the record door's order, that both leave
+    /// the same count, storage order, offsets and ordered range, and that
+    /// this is the storage order the element-by-element drain leaves.
+    fn check_doors<C: Classifier + Copy>(
+        store: &BinnedStore,
+        grid: &Grid,
+        active: impl Fn(usize) -> bool + Copy,
+        classifier: C,
+        owner: impl Fn(usize, usize) -> usize + Copy,
+        ndst: usize,
+    ) -> DrainShape {
+        let (mut by_bucket, mut by_record) = (store.clone(), store.clone());
+        let mut buckets = vec![ParticleBatch::new(); ndst];
+        let sent =
+            by_bucket.drain_leavers_to_buckets(grid, active, classifier, owner, &mut buckets);
+        let mut records = vec![Vec::new(); ndst];
+        let emitted = by_record.drain_leavers_cols_into(grid, active, classifier, |p| {
+            let (c, r) = grid.cell_of_point(p.x, p.y);
+            records[owner(c, r)].push(p);
+        });
+        assert_eq!(sent, emitted, "leaver counts differ");
+        for (d, (bucket, want)) in buckets.iter().zip(&records).enumerate() {
+            assert_eq!(&bucket.to_particles(), want, "destination {d}");
+        }
+        assert_eq!(by_bucket.batch, by_record.batch, "storage order differs");
+        assert_eq!(by_bucket.offsets, by_record.offsets);
+        assert_eq!(by_bucket.ordered, by_record.ordered);
+        let fell_back = by_bucket.shift_fallbacks - store.shift_fallbacks;
+        assert_eq!(fell_back, by_record.shift_fallbacks - store.shift_fallbacks);
+
+        // The element-by-element drain, on the same holes and block.
+        let mut probe = store.clone();
+        if !probe.dirty {
+            probe.trim_ordered(active);
+        }
+        let (lo_end, hi_start) = probe.ordered_span();
+        let position: std::collections::HashMap<u64, usize> = (store.batch.id.iter().enumerate())
+            .map(|(i, &id)| (id, i))
+            .collect();
+        let mut holes: Vec<usize> = (records.iter().flatten())
+            .map(|p| position[&p.id])
+            .collect();
+        holes.sort_unstable();
+        let (want, shift) = element_drain(store.batch.to_particles(), &holes, lo_end, hi_start);
+        assert_eq!(
+            by_bucket.batch.to_particles(),
+            want,
+            "not the element drain's order"
+        );
+        assert_eq!(fell_back, u64::from(shift > 0));
+        if shift > 0 {
+            let ordered = by_bucket.ordered.clone();
+            for b in ordered.start..=ordered.end {
+                assert_eq!(by_bucket.offsets[b], probe.offsets[b] - shift, "offset {b}");
+            }
+        }
+        DrainShape {
+            runs: by_bucket.leavers.clone(),
+            exhausted: shift > 0,
+        }
+    }
+
+    #[test]
+    fn batch_door_matches_record_door_for_one_contiguous_run_under_cuts() {
+        // A cut moved left to column 16: bins 16..20 of a fresh `[8, 24)`
+        // store leave whole, one run at the end of the batch.
+        let (grid, store) = drifted_store(0);
+        let owner = |c: usize, _| usize::from(c >= 16);
+        let keep = OwnerMap::Columns { lo: 8, hi: 16 };
+        let shape = check_doors(&store, &grid, |c| c >= 14, keep, owner, 2);
+        assert_eq!(shape.runs.len(), 1, "{:?}", shape.runs);
+        assert!(shape.runs[0].len as usize >= SLICE_RUN);
+        assert!(!shape.exhausted);
+    }
+
+    #[test]
+    fn batch_door_matches_record_door_for_scattered_vp_leavers() {
+        // A whole-grid store under a VP-style table: every bin tested,
+        // leavers scattered through each column by row.
+        let (grid, ps) = population(900, Distribution::Geometric { r: 0.9 });
+        let store = BinnedStore::new(&ps, &grid, 1);
+        let (col, row, owner) = tile_table(&grid);
+        let table = CellTable::new(&grid, &col, &row, &owner, 0);
+        let owner_of = |c, r| table.owner_of_cell(c, r);
+        let shape = check_doors(&store, &grid, |_| true, OwnerMap::Cells(table), owner_of, 3);
+        let short = (shape.runs.iter())
+            .filter(|r| (r.len as usize) < SLICE_RUN)
+            .count();
+        assert!(short > 10, "{} short runs of {}", short, shape.runs.len());
+    }
+
+    #[test]
+    fn batch_door_matches_record_door_with_three_destinations_in_one_run() {
+        // Rank 3 keeps only the columns 12..20, and a leaver's destination
+        // is its row modulo 3: the stretch of consecutive leavers left of
+        // column 12 is split three ways.
+        let (grid, ps) = population(600, Distribution::Uniform);
+        let store = BinnedStore::new(&ps, &grid, 1);
+        let keep = |c: usize, _| (12..20).contains(&c);
+        let owner = |c: usize, r: usize| if keep(c, r) { 3 } else { r % 3 };
+        let shape = check_doors(&store, &grid, |_| true, keep, owner, 4);
+        let first = shape.runs[0];
+        assert_eq!(first.start, 0);
+        // The runs that abut the first one: one stretch of leavers.
+        let mut end = first.range().end;
+        let mut dsts = vec![first.dst];
+        for r in &shape.runs[1..] {
+            if r.start as usize != end {
+                break;
+            }
+            end = r.range().end;
+            dsts.push(r.dst);
+        }
+        dsts.sort_unstable();
+        dsts.dedup();
+        assert_eq!(dsts, [0, 1, 2], "one stretch, three destinations");
+    }
+
+    #[test]
+    fn batch_door_matches_record_door_on_both_sides_of_the_slice_threshold() {
+        // Column 5 leaves whole (a long run, refilled by one reversed
+        // copy); column 9 loses its even rows (runs of one or two, copied
+        // element by element).
+        let (grid, ps) = population(600, Distribution::Uniform);
+        let store = BinnedStore::new(&ps, &grid, 1);
+        let keep = |c: usize, r: usize| c != 5 && !(c == 9 && r.is_multiple_of(2));
+        let owner = |c: usize, r: usize| match (keep(c, r), c) {
+            (true, _) => 0,
+            (false, 5) => 1,
+            _ => 2,
+        };
+        let shape = check_doors(&store, &grid, |_| true, keep, owner, 3);
+        let long = |r: &&LeaverRun| r.len as usize >= SLICE_RUN;
+        assert!(shape.runs.iter().any(|r| long(&r) && r.dst == 1));
+        assert!(shape.runs.iter().any(|r| !long(&r) && r.dst == 2));
+    }
+
+    #[test]
+    fn batch_door_matches_record_door_when_the_refill_runs_dry() {
+        // A cut moved right to column 10: bins 8 and 9 leave, from the
+        // front of the batch. With nothing after the ordered block the
+        // block slides at once; with three arrivals after it they fill
+        // the first three holes first.
+        for arrivals in [0u64, 3] {
+            let (grid, mut store) = drifted_store(0);
+            for id in 0..arrivals {
+                let p = store.particle_at(store.len() - 1 - id as usize);
+                store.push_tail(Particle {
+                    id: 10_000 + id,
+                    ..p
+                });
+            }
+            let keep = OwnerMap::Columns { lo: 10, hi: 24 };
+            let owner = |c: usize, _| usize::from(c >= 10);
+            let shape = check_doors(&store, &grid, |c| c < 12, keep, owner, 2);
+            assert!(
+                shape.exhausted,
+                "{arrivals} arrivals: the block did not slide"
+            );
+        }
+        // The drifting two-half run of `exhausted_refill_shifts_the_ordered_block`,
+        // checked at every drain.
+        let grid = Grid::new(32).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let ps = InitConfig::new(grid, 400, Distribution::Geometric { r: 0.9 })
+            .with_k(1)
+            .with_m(1)
+            .with_dir(-1)
+            .build()
+            .unwrap()
+            .particles;
+        let mid = grid.ncells() / 2;
+        let mut halves = [(0, mid), (mid, 32)].map(|(lo, hi)| {
+            let mine: Vec<Particle> = (ps.iter().copied())
+                .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
+                .collect();
+            BinnedStore::new_subdomain(&mine, &grid, 3, lo, hi)
+        });
+        let mut slid = 0;
+        for _ in 0..24 {
+            let mut moved = [ParticleBatch::new(), ParticleBatch::new()];
+            for (h, store) in halves.iter_mut().enumerate() {
+                let (lo, hi) = store.columns();
+                sweep(store, &grid, &consts);
+                let w = store.border_width(3);
+                let b_lo = (lo + w).min(hi);
+                let b_hi = hi.saturating_sub(w).max(b_lo);
+                let border = |c: usize| !(b_lo..b_hi).contains(&c);
+                let keep = |c: usize, _| (lo..hi).contains(&c);
+                let owner = |c: usize, _| usize::from(c >= mid);
+                slid += usize::from(check_doors(store, &grid, border, keep, owner, 2).exhausted);
+                let mut buckets = [ParticleBatch::new(), ParticleBatch::new()];
+                store.drain_leavers_to_buckets(&grid, border, keep, owner, &mut buckets);
+                moved[1 - h] = std::mem::take(&mut buckets[1 - h]);
+            }
+            for (store, arrivals) in halves.iter_mut().zip(&moved) {
+                store.append_tail(arrivals);
+                if store.rebin_due() {
+                    store.rebin(&grid);
+                }
+            }
+        }
+        assert!(slid > 0, "the refill never ran dry");
     }
 
     /// A VP-like table on `grid`: 4 × 3 tiles (fewer on a narrow grid),

@@ -8,6 +8,8 @@
 //! asserted by the [`crate::bin`] tests, and the property that lets
 //! implementations pick either layout freely.
 
+use std::ops::Range;
+
 use crate::events::Region;
 use crate::particle::Particle;
 
@@ -152,8 +154,7 @@ impl ParticleBatch {
         n - w
     }
 
-    /// Copy element `src` over element `dst` across all eleven arrays —
-    /// the hole-refill step of the binned drain.
+    /// Copy element `src` over element `dst` across all eleven arrays.
     pub(crate) fn copy_element(&mut self, src: usize, dst: usize) {
         self.id[dst] = self.id[src];
         self.x[dst] = self.x[src];
@@ -184,6 +185,84 @@ impl ParticleBatch {
         self.born_at.copy_within(src, dst);
     }
 
+    /// Copy the elements of `src` reversed over `dst..dst + src.len()`
+    /// across all eleven arrays: element `dst + j` takes `src.end − 1 − j`
+    /// — a run of the binned drain's refill, whose survivors come from the
+    /// end of the batch, last first. The destination lies wholly below the
+    /// source (panics otherwise).
+    pub(crate) fn copy_reversed(&mut self, src: Range<usize>, dst: usize) {
+        copy_reversed(&mut self.id, src.clone(), dst);
+        copy_reversed(&mut self.x, src.clone(), dst);
+        copy_reversed(&mut self.y, src.clone(), dst);
+        copy_reversed(&mut self.vx, src.clone(), dst);
+        copy_reversed(&mut self.vy, src.clone(), dst);
+        copy_reversed(&mut self.q, src.clone(), dst);
+        copy_reversed(&mut self.x0, src.clone(), dst);
+        copy_reversed(&mut self.y0, src.clone(), dst);
+        copy_reversed(&mut self.k, src.clone(), dst);
+        copy_reversed(&mut self.m, src.clone(), dst);
+        copy_reversed(&mut self.born_at, src, dst);
+    }
+
+    /// Append the elements `range` of `src`, one slice copy per field.
+    pub(crate) fn extend_from_range(&mut self, src: &ParticleBatch, range: Range<usize>) {
+        self.id.extend_from_slice(&src.id[range.clone()]);
+        self.x.extend_from_slice(&src.x[range.clone()]);
+        self.y.extend_from_slice(&src.y[range.clone()]);
+        self.vx.extend_from_slice(&src.vx[range.clone()]);
+        self.vy.extend_from_slice(&src.vy[range.clone()]);
+        self.q.extend_from_slice(&src.q[range.clone()]);
+        self.x0.extend_from_slice(&src.x0[range.clone()]);
+        self.y0.extend_from_slice(&src.y0[range.clone()]);
+        self.k.extend_from_slice(&src.k[range.clone()]);
+        self.m.extend_from_slice(&src.m[range.clone()]);
+        self.born_at.extend_from_slice(&src.born_at[range]);
+    }
+
+    /// Append element `i` of `src`, field by field with no AoS record in
+    /// between — cheaper than [`Self::extend_from_range`] for a run of a
+    /// few elements.
+    #[inline]
+    pub(crate) fn push_from(&mut self, src: &ParticleBatch, i: usize) {
+        self.id.push(src.id[i]);
+        self.x.push(src.x[i]);
+        self.y.push(src.y[i]);
+        self.vx.push(src.vx[i]);
+        self.vy.push(src.vy[i]);
+        self.q.push(src.q[i]);
+        self.x0.push(src.x0[i]);
+        self.y0.push(src.y0[i]);
+        self.k.push(src.k[i]);
+        self.m.push(src.m[i]);
+        self.born_at.push(src.born_at[i]);
+    }
+
+    /// Remove every particle, keeping each array's capacity.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// How many particles the batch holds without reallocating (the
+    /// smallest capacity of its eleven arrays).
+    pub fn capacity(&self) -> usize {
+        [
+            self.id.capacity(),
+            self.x.capacity(),
+            self.y.capacity(),
+            self.vx.capacity(),
+            self.vy.capacity(),
+            self.q.capacity(),
+            self.x0.capacity(),
+            self.y0.capacity(),
+            self.k.capacity(),
+            self.m.capacity(),
+            self.born_at.capacity(),
+        ]
+        .into_iter()
+        .min()
+        .unwrap_or(0)
+    }
+
     /// Shorten the batch to `len` particles.
     pub fn truncate(&mut self, len: usize) {
         self.id.truncate(len);
@@ -206,6 +285,16 @@ impl ParticleBatch {
     /// Sum of ids (checksum contribution).
     pub fn id_sum(&self) -> u128 {
         self.id.iter().map(|&i| i as u128).sum()
+    }
+}
+
+/// `field[dst + j] = field[src.end − 1 − j]` for every `j < src.len()`;
+/// the destination must end at or below `src.start`.
+fn copy_reversed<T: Copy>(field: &mut [T], src: Range<usize>, dst: usize) {
+    let (low, high) = field.split_at_mut(src.start);
+    let from = &high[..src.len()];
+    for (d, &s) in low[dst..dst + src.len()].iter_mut().zip(from.iter().rev()) {
+        *d = s;
     }
 }
 
@@ -260,6 +349,63 @@ mod tests {
         gone.push(removed.id);
         gone.sort_unstable();
         assert_eq!(gone, (1..=100).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn range_and_element_appends_match_the_records() {
+        let (_, ps) = population(60);
+        let src: ParticleBatch = ps.iter().copied().collect();
+        let mut by_range = ParticleBatch::new();
+        by_range.extend_from_range(&src, 10..25);
+        by_range.extend_from_range(&src, 40..40);
+        by_range.extend_from_range(&src, 50..53);
+        let mut by_element = ParticleBatch::new();
+        for i in (10..25).chain(50..53) {
+            by_element.push_from(&src, i);
+        }
+        let want: Vec<Particle> = ps[10..25].iter().chain(&ps[50..53]).copied().collect();
+        assert_eq!(by_range.to_particles(), want);
+        assert_eq!(by_element, by_range);
+        let mut whole = by_range.clone();
+        whole.extend_from_range(&src, 0..src.len());
+        assert_eq!(whole.to_particles(), [want, ps].concat());
+    }
+
+    #[test]
+    fn clear_keeps_capacity() {
+        let (_, ps) = population(40);
+        let mut batch: ParticleBatch = ps.iter().copied().collect();
+        let cap = batch.capacity();
+        assert!(cap >= 40);
+        batch.clear();
+        assert!(batch.is_empty());
+        assert_eq!(batch.capacity(), cap);
+        assert_eq!(ParticleBatch::new().capacity(), 0);
+    }
+
+    #[test]
+    fn copy_reversed_writes_the_source_last_first() {
+        let (_, ps) = population(30);
+        let mut batch: ParticleBatch = ps.iter().copied().collect();
+        batch.copy_reversed(20..25, 3);
+        let mut want = ps.clone();
+        for j in 0..5 {
+            want[3 + j] = ps[24 - j];
+        }
+        assert_eq!(batch.to_particles(), want);
+        // Adjacent ranges are legal: the destination ends at the source.
+        batch.copy_reversed(10..12, 8);
+        want[8] = want[11];
+        want[9] = want[10];
+        assert_eq!(batch.to_particles(), want);
+    }
+
+    #[test]
+    #[should_panic]
+    fn copy_reversed_rejects_a_destination_reaching_into_the_source() {
+        let (_, ps) = population(30);
+        let mut batch: ParticleBatch = ps.iter().copied().collect();
+        batch.copy_reversed(20..25, 17);
     }
 
     #[test]

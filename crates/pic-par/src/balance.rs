@@ -274,11 +274,9 @@ fn lb_round(
     }
     // Rehome particles under the new ownership map (border-cell residents
     // migrate to the adjacent ranks; a moved VP's residents to its new
-    // core), through the rank's reused buffers.
+    // core), through the rank's reused buffers; the store re-anchors its
+    // column range to the moved cuts on the way.
     let (sent, _received) = st.rehome(comm);
-    // Every surviving particle is now inside the new bounds, so a binned
-    // store can re-anchor its column range to the moved cuts.
-    st.rebind_store();
     sent
 }
 

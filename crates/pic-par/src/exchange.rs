@@ -12,7 +12,7 @@ use pic_comm::collective::{alltoallv_finish_into, alltoallv_start, AlltoallvHand
 use pic_comm::comm::Communicator;
 use pic_core::bin::{BinnedStore, Classifier};
 use pic_core::geometry::Grid;
-use pic_core::particle::Particle;
+use pic_core::soa::ParticleBatch;
 
 /// Upper bound on recycled buckets held between steps (bounds the
 /// capacity the free-list can pin on wildly asymmetric traffic).
@@ -23,21 +23,22 @@ const MAX_SPARE_BUFS: usize = 64;
 /// makes the steady-state exchange loop allocation-free — buckets are
 /// `clear()`ed, not dropped, and *recycled*:
 /// the staging buckets themselves are the wire payloads (owned
-/// `Vec<Particle>`, no encode or decode pass), so every send surrenders its
+/// [`ParticleBatch`]es, one array per field: the drain fills them with
+/// slice copies, no encode or decode pass), so every send surrenders its
 /// bucket (channel transfer, like an MPI send buffer), but the buckets
-/// received from other ranks donate their capacity back to the free-list
-/// afterwards, so steady symmetric traffic circulates buffers instead of
-/// allocating them.
+/// received from other ranks are appended to the store one slice per
+/// field and then donate their capacity back to the free-list, so steady
+/// symmetric traffic circulates buffers instead of allocating them.
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
     /// Per-destination staging buckets; they go on the wire as-is (slots
     /// are emptied by the take-based all-to-all and refilled from `spare`
     /// next step).
-    outgoing: Vec<Vec<Particle>>,
+    outgoing: Vec<ParticleBatch>,
     /// Arrival payloads (outer vector reused across steps).
-    inbox: Vec<Vec<Particle>>,
+    inbox: Vec<ParticleBatch>,
     /// Recycled buckets feeding the next staging pass.
-    spare: Vec<Vec<Particle>>,
+    spare: Vec<ParticleBatch>,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
 }
@@ -70,8 +71,8 @@ impl ExchangeBuffers {
     /// size the outer vector, clear every bucket, and — sends consume the
     /// buckets themselves — refill empty-capacity slots from the free-list.
     fn begin_staging(&mut self, nranks: usize) {
-        self.outgoing.resize_with(nranks, Vec::new);
-        self.outgoing.iter_mut().for_each(Vec::clear);
+        self.outgoing.resize_with(nranks, ParticleBatch::new);
+        self.outgoing.iter_mut().for_each(ParticleBatch::clear);
         for slot in &mut self.outgoing {
             if slot.capacity() == 0 {
                 if let Some(mut recycled) = self.spare.pop() {
@@ -89,25 +90,22 @@ impl ExchangeBuffers {
     }
 
     /// Complete an exchange started by [`ExchangeBuffers::start_wire`] and
-    /// deliver every arrival (in source-rank order, self excluded) to
-    /// `sink`, recycling the arrival buckets afterwards. Returns the
-    /// particle count delivered.
+    /// hand every arrival bucket (in source-rank order, self excluded) to
+    /// `sink` with its source rank, recycling the buckets afterwards.
+    /// Returns the particle count delivered.
     fn finish_arrivals(
         &mut self,
         comm: &Communicator,
         handle: AlltoallvHandle,
-        mut sink: impl FnMut(Particle),
+        mut sink: impl FnMut(usize, &ParticleBatch),
     ) -> usize {
         let me = comm.rank();
         let mut received = 0usize;
         alltoallv_finish_into(comm, handle, &mut self.inbox);
-        for (src, bucket) in self.inbox.iter_mut().enumerate() {
-            if src == me {
-                continue;
-            }
-            received += bucket.len();
-            for p in bucket.drain(..) {
-                sink(p);
+        for (src, bucket) in self.inbox.iter().enumerate() {
+            if src != me {
+                received += bucket.len();
+                sink(src, bucket);
             }
         }
         for bucket in self.inbox.drain(..) {
@@ -155,6 +153,9 @@ where
 #[must_use = "a started exchange must be completed with route_binned_finish"]
 pub struct ExchangeInFlight {
     handle: AlltoallvHandle,
+    /// The grid the leavers were routed on: what the arrival check reads
+    /// an arrival's column with.
+    grid: Grid,
     /// Particles this rank handed to other ranks at the start.
     pub sent: usize,
 }
@@ -162,7 +163,8 @@ pub struct ExchangeInFlight {
 /// First half of the split-phase exchange, and the one staging entry:
 /// drain the leavers `classifier` finds in the bins whose **global
 /// column** satisfies `active` (plus the mixed region, which is always
-/// tested), stage each for `owner(col, row)`, and post all sends. It
+/// tested), stage each in the bucket of `owner(col, row)`
+/// ([`BinnedStore::drain_leavers_to_buckets`]), and post all sends. It
 /// returns without waiting for any peer (the sends never block), so the
 /// rank step passes its border columns here, sweeps the interior while the
 /// messages are in flight, and calls [`route_binned_finish`] afterwards.
@@ -181,28 +183,54 @@ pub fn route_start(
     bufs: &mut ExchangeBuffers,
 ) -> ExchangeInFlight {
     bufs.begin_staging(comm.size());
-    let outgoing = &mut bufs.outgoing;
     let (me, nranks) = (comm.rank(), comm.size());
-    let sent = store.drain_leavers_cols_into(grid, active, classifier, |p| {
-        let (c, r) = grid.cell_of_point(p.x, p.y);
+    let dst_of = |c, r| {
         let dst = owner(c, r);
         debug_assert!(dst < nranks && dst != me, "bad destination {dst}");
-        outgoing[dst].push(p);
-    });
+        dst
+    };
+    let sent = store.drain_leavers_to_buckets(grid, active, classifier, dst_of, &mut bufs.outgoing);
     let handle = bufs.start_wire(comm);
-    ExchangeInFlight { handle, sent }
+    ExchangeInFlight {
+        handle,
+        grid: *grid,
+        sent,
+    }
 }
 
 /// Second half of the split-phase binned exchange: complete the receives
-/// and append every arrival to the store's mixed region. Returns the
-/// number of particles received.
+/// and append every arrival bucket to the store's mixed region, one slice
+/// copy per field. Returns the number of particles received. Debug builds
+/// check that every arrival lies in the store's column range, and name
+/// the particle and the rank that sent it if one does not.
 pub fn route_binned_finish(
     comm: &Communicator,
     inflight: ExchangeInFlight,
     store: &mut BinnedStore,
     bufs: &mut ExchangeBuffers,
 ) -> usize {
-    bufs.finish_arrivals(comm, inflight.handle, |p| store.push_tail(p))
+    let grid = inflight.grid;
+    bufs.finish_arrivals(comm, inflight.handle, |src, bucket| {
+        if cfg!(debug_assertions) {
+            check_homed(&grid, store.columns(), src, bucket);
+        }
+        store.append_tail(bucket);
+    })
+}
+
+/// Panic unless every particle of `arrivals` (sent by rank `src`) lies in
+/// the column range `cols` of the store it is about to join.
+fn check_homed(grid: &Grid, cols: (usize, usize), src: usize, arrivals: &ParticleBatch) {
+    for (&id, &x) in arrivals.id.iter().zip(&arrivals.x) {
+        let c = grid.cell_of(x);
+        assert!(
+            (cols.0..cols.1).contains(&c),
+            "mis-routed migrant: particle {id} from rank {src} lies in column {c}, \
+             outside this store's columns {}..{}",
+            cols.0,
+            cols.1
+        );
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +242,7 @@ mod tests {
     use pic_core::charge::SimConstants;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
+    use pic_core::particle::Particle;
 
     /// The particles of a full population owned by `rank`.
     fn local_slice(decomp: &Decomp2d, grid: &Grid, rank: usize, all: &[Particle]) -> Vec<Particle> {
@@ -469,6 +498,42 @@ mod tests {
         let mut got: Vec<Particle> = per_rank.into_iter().flatten().collect();
         got.sort_unstable_by_key(|p| p.id);
         assert_eq!(want, got, "binned rank loop diverged from serial sweep");
+    }
+
+    /// Rank 0 sends rank 1 a particle that lies in rank 0's own columns:
+    /// the arrival append names it and its sender at once, not the next
+    /// sort.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "rank 1 panicked: mis-routed migrant: particle 7 from rank 0 lies in column"
+    )]
+    fn a_mis_routed_arrival_fails_where_it_lands() {
+        let (grid, all) = setup(200);
+        let decomp = Decomp2d::columns(16, 2);
+        let mut stray = *(all.iter())
+            .find(|p| decomp.owner_of_cell(grid.cell_of(p.x), 0) == 0)
+            .unwrap();
+        stray.id = 7;
+        run_threads(2, |comm| {
+            let rank = comm.rank();
+            let ((x0, x1), _) = decomp.bounds(rank);
+            let mine = if rank == 0 { vec![stray] } else { Vec::new() };
+            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
+            let mut bufs = ExchangeBuffers::new();
+            // Rank 0 evicts everything to rank 1; rank 1 keeps everything.
+            let classifier = |_, _| rank == 1;
+            let inflight = route_start(
+                &comm,
+                classifier,
+                |_, _| 1,
+                |_| true,
+                &mut store,
+                &grid,
+                &mut bufs,
+            );
+            route_binned_finish(&comm, inflight, &mut store, &mut bufs)
+        });
     }
 
     #[test]

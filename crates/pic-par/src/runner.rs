@@ -318,9 +318,12 @@ impl RankState {
 
     /// Re-anchor the store's column range after a decomposition change —
     /// a relabel, not a sort ([`BinnedStore::set_columns`]). Leavers must
-    /// already have been drained under the *new* decomposition (the
-    /// balancer rehomes first); a no-op when the range is unchanged, and
-    /// under a VP map, whose store always bins the whole grid.
+    /// already have been drained under the *new* decomposition; a no-op
+    /// when the range is unchanged, and under a VP map, whose store always
+    /// bins the whole grid. [`RankState::rehome`] calls it between its
+    /// drain and its arrivals, so after a rehome this is a no-op; it stays
+    /// public because the benchmark's balance round
+    /// (`bench/src/adapter.rs`) calls it after `rehome`.
     pub fn rebind_store(&mut self) {
         let ((x0, x1), _) = self.decomp.bounds(self.rank);
         if matches!(self.owners, Ownership::Cuts { .. }) && self.store.columns() != (x0, x1) {
@@ -484,7 +487,10 @@ impl RankState {
     /// margin at both ends, which also covers a bin whose particles
     /// wrapped, and leaves nothing inactive when the range is no wider than
     /// twice the drift. When the rows moved, every bin is drained — and
-    /// always under a VP map, where any bin can hold a leaver.
+    /// always under a VP map, where any bin can hold a leaver. Once its
+    /// leavers are out the store is re-anchored to the new columns
+    /// ([`RankState::rebind_store`]) before the arrivals land, so they join
+    /// a store whose range homes them.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
         let ((x0, x1), rows) = self.decomp.bounds(self.rank);
         let quiet = match self.owners {
@@ -496,6 +502,7 @@ impl RankState {
         };
         let inflight = self.start_exchange(comm, |c| !quiet.contains(&c));
         let sent = inflight.sent;
+        self.rebind_store();
         let received = route_binned_finish(comm, inflight, &mut self.store, &mut self.bufs);
         self.homed_rows = rows;
         (sent, received)

@@ -100,13 +100,15 @@ enum Owners {
     Vps,
 }
 
-fn audit(kernel: RankKernel, owners: Owners) -> Vec<(usize, usize)> {
+fn audit(kernel: RankKernel, owners: Owners, k: u32) -> Vec<(usize, usize)> {
     // A *uniform* drifting cloud: per-rank populations are stationary (what
     // leaves a subdomain each step is replaced from the neighbor), so any
     // allocation in a warmed window is staging churn, not workload growth.
     // Boundary-cell residents still cross a cut every step, keeping the
-    // exchange path busy.
+    // exchange path busy; with `k = 2` every step moves five whole columns
+    // of the rank's eight.
     let setup = InitConfig::new(Grid::new(32).unwrap(), 3_000, Distribution::Uniform)
+        .with_k(k)
         .with_m(1)
         .build()
         .unwrap();
@@ -139,14 +141,23 @@ fn rank_step_loop_reaches_allocation_steady_state() {
     // empty interior on a 2 × 2 grid, with an interior on a column world
     // (the split-phase handle and the spare-bucket free-list must run off
     // recycled buffers), a rebin on every step, and a VP-owned rank (every
-    // bin drained, no timer sort).
-    for (kernel, owners) in [
-        (RankKernel::default(), Owners::Cuts),
-        (RankKernel::default(), Owners::Columns),
-        (RankKernel::default().with_rebin_interval(1), Owners::Cuts),
-        (RankKernel::default(), Owners::Vps),
+    // bin drained, no timer sort). Those four move a `k = 0` cloud, whose
+    // leaver runs are short and staged element by element; the fifth moves
+    // `k = 2` across one row of columns, where a leaving bin is a run far
+    // over `SLICE_RUN`, so the slice copies fill the recycled buckets —
+    // eleven arrays each — under bulk traffic.
+    for (kernel, owners, k) in [
+        (RankKernel::default(), Owners::Cuts, 0),
+        (RankKernel::default(), Owners::Columns, 0),
+        (
+            RankKernel::default().with_rebin_interval(1),
+            Owners::Cuts,
+            0,
+        ),
+        (RankKernel::default(), Owners::Vps, 0),
+        (RankKernel::default(), Owners::Columns, 2),
     ] {
-        let windows = audit(kernel, owners);
+        let windows = audit(kernel, owners, k);
         for (rank, &(first, second)) in windows.iter().enumerate() {
             // Steady state: a later warmed window allocates no more than
             // the one before it, modulo transport-queue jitter (channel
@@ -154,8 +165,8 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // thread interleaving, not on the staging code under audit).
             assert!(
                 second <= first + 2,
-                "{kernel:?} {owners:?} rank {rank}: allocation growth between \
-                 warmed windows ({first} then {second})"
+                "{kernel:?} {owners:?} k={k} rank {rank}: allocation growth \
+                 between warmed windows ({first} then {second})"
             );
             // Absolute budget: the old per-step staging path allocated at
             // least one buffer per active destination plus one
@@ -165,8 +176,8 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // allocation per step.
             assert!(
                 second as u32 <= WINDOW_STEPS / 2,
-                "{kernel:?} {owners:?} rank {rank}: {second} allocations in a \
-                 {WINDOW_STEPS}-step warmed window"
+                "{kernel:?} {owners:?} k={k} rank {rank}: {second} allocations \
+                 in a {WINDOW_STEPS}-step warmed window"
             );
         }
     }
