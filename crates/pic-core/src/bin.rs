@@ -76,16 +76,20 @@ use crate::soa::ParticleBatch;
 use std::ops::Range;
 
 /// Default interval of the *rank path's* rebin timer
-/// ([`BinnedStore::rebin_due`]). What the sort buys, measured at PR 21
-/// (300 k particles, `avx512/exact`): the hoisted kernel over ordered bins
-/// runs 4.3–4.5 ns per particle-step against 4.9–5.0 for the per-lane
-/// kernel over the mixed region, so order is worth ≈ 0.5 ns per
-/// particle-step, while one counting sort plus 11-array gather costs
+/// ([`BinnedStore::rebin_due`]). What the sort buys (300 k particles,
+/// L = 1 024, `avx512/exact` with both corner folds, one thread, medians
+/// of 9 rounds): the hoisted kernel over ordered bins runs 4.5–4.7 ns per
+/// particle-step against 4.8–5.1 for the per-lane kernel over the mixed
+/// region, so order is worth ≈ 0.3–0.4 ns per particle-step, while one
+/// counting sort plus 11-array gather costs
 /// ≈ 17 ns per particle — kernel speed alone never repays it. On the rank
 /// path it pays through the exchange: the border a drain must scan is
 /// `stride × (age + 1)` columns wide ([`BinnedStore::border_width`]) and
-/// arrivals pile up in the mixed tail, both reset by the sort; never
-/// sorting there costs ≈ 20 % of a `static_geo` run. The serial engine
+/// arrivals pile up in the mixed tail, both reset by the sort. What never
+/// sorting costs is now within the run-to-run spread: `static_geo` read
+/// `cpu_s` 1.01 / 0.91 / 0.94 s at intervals 16 / 64 / never (5 alternating
+/// runs each, medians, ±10 % spread), so the sort's cost and what it saves
+/// the drain roughly cancel, and the constant stays. The serial engine
 /// ([`BinnedStore::advance_all`]) has no exchange and therefore no timer:
 /// it sorts only after an event.
 pub const DEFAULT_REBIN: u32 = 16;

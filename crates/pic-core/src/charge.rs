@@ -106,25 +106,28 @@ pub fn coulomb(dx: f64, dy: f64, q1: f64, q2: f64) -> (f64, f64) {
 /// caller multiplies by `dx` and `dy`. Because every lane operation is
 /// IEEE-754 correctly rounded and no term is reassociated or fused, each
 /// lane's result is bit-identical to the scalar evaluation on that lane's
-/// operands (DESIGN.md §10). It depends on `dy` only through `dy·dy`,
-/// which is what lets the span kernel share it between the bottom and the
-/// top corner of a column when [`mid_height_lanes`] holds.
+/// operands (DESIGN.md §10). It depends on `dx` and `dy` only through
+/// their squares and on the charges only through their product, which is
+/// what lets the span kernel share it between the two corners of a column
+/// (top from bottom) and between the two columns (right from left,
+/// negated) when [`mid_cell_lanes`] holds on that axis.
 #[inline(always)]
 pub(crate) fn f_over_r_lanes<V: crate::simd::Lanes>(dx: V, dy: V, q1: V, q2: V) -> V {
     let r2 = dx.mul(dx).add(dy.mul(dy));
     q1.mul(q2).div(r2.mul(r2.sqrt())).zero_where_zero(r2)
 }
 
-/// The premise of the span kernel's corner fold (DESIGN.md §10): in every
-/// lane the top-corner displacement `ryh = ry − h` the kernel computed is
-/// *exactly* the negated bottom one, i.e. the particle sits at cell
-/// mid-height. Then `ryh·ryh ≡ ry·ry`, so `r²` and with it `f/r` of the
-/// top corner of each column are the bottom corner's bits and need not be
-/// evaluated again. No tolerance: one lane one ulp off (or NaN) is
-/// `false`, and the kernel evaluates all four corners.
+/// The premise of the span kernel's corner fold (DESIGN.md §10), for
+/// either axis: in every lane the far-corner displacement `rh = r − h` the
+/// kernel computed is *exactly* the negated near one, i.e. the particle
+/// sits at cell mid-height (`r = ry`) or mid-width (`r = rx`). Then
+/// `rh·rh ≡ r·r`, so the far corner's `r²` carries the near corner's bits,
+/// and `r ≠ 0` (with `h > 0`, `r − h == −r` fails at `r = 0`), so neither
+/// `r²` is zero. No tolerance: one lane one ulp off (or NaN) is `false`,
+/// and the kernel evaluates the corners along that axis.
 #[inline(always)]
-pub(crate) fn mid_height_lanes<V: crate::simd::Lanes>(ry: V, ryh: V) -> bool {
-    ryh.all_eq(V::splat(0.0).sub(ry))
+pub(crate) fn mid_cell_lanes<V: crate::simd::Lanes>(r: V, rh: V) -> bool {
+    rh.all_eq(V::splat(0.0).sub(r))
 }
 
 /// Where a span kernel reads its left-corner mesh charge from — the one

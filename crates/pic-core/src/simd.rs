@@ -38,10 +38,12 @@
 //! are unrolled across the lane group in the scalar kernel's pairing and
 //! summation order, nothing is reassociated across a particle's own
 //! arithmetic, and no FMA contraction is permitted. The one licensed
-//! shortcut reuses a value instead of recomputing it: a group whose lanes
-//! all sit at exact cell mid-height takes each column's top-corner `f/r`
-//! from the bottom corner, whose bits it provably shares (the corner
-//! fold, see `force_groups`). Span tails (`len mod WIDTH`) run the scalar
+//! shortcut reuses a value instead of recomputing it (the corner fold,
+//! see `force_groups`): a group whose lanes all sit at exact cell
+//! mid-height takes each column's top-corner `f/r` from the bottom
+//! corner, and one whose lanes all sit at exact mid-width takes the right
+//! column's `f/r` from the left column's, negated — values whose bits it
+//! provably shares. Span tails (`len mod WIDTH`) run the scalar
 //! kernel unchanged, and the wrap pass takes each lane through the exact
 //! scalar [`Grid::wrap_coord`] whenever any lane left the domain.
 //! Particles are independent within a step, so processing them four at a
@@ -52,7 +54,7 @@
 //! [`coulomb`]: crate::charge::coulomb
 
 use crate::bin::{CellTable, OwnerMap};
-use crate::charge::{f_over_r_lanes, mid_height_lanes, CornerCharge, SimConstants};
+use crate::charge::{f_over_r_lanes, mid_cell_lanes, CornerCharge, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -611,17 +613,22 @@ mod x86 {
 /// arithmetic downstream of the charge is the same instruction sequence
 /// either way.
 ///
-/// **The corner fold.** When every lane of a group is exactly at cell
-/// mid-height ([`mid_height_lanes`], tested on the `ryh` the kernel itself
-/// computed), the top corner of each column has the bottom corner's `r²`
-/// bit for bit, so its `f/r` — the `sqrt` and the `div` — is reused
-/// instead of evaluated: two divider chains per particle, not four. Every
-/// multiply and add downstream still runs, on identical operands, so the
-/// result is bit-identical by construction (DESIGN.md §10). A group with
-/// any lane off-centre evaluates all four corners, as a whole — as the
-/// scalar kernel ([`crate::bin::force_span`]: span tails, the `Scalar`
-/// backend) always does: it is not divider-bound, and a premise test
-/// there costs more than the fold saves.
+/// **The corner fold.** The four corner forces on a particle at the cell
+/// centre are pairwise mirror images, so the kernel evaluates `f/r` — the
+/// `sqrt` and the `div` — once per mirror pair, on whichever axes the
+/// group's lanes all sit exactly at the centre ([`mid_cell_lanes`],
+/// tested on the `ryh` and `rxh` the kernel itself computed). At
+/// mid-height the top corner of each column has the bottom corner's `r²`
+/// bit for bit, so it reuses that `f/r`. At mid-width the right column
+/// has the left column's `r²` and the negated charge, so it takes the left
+/// column's `f/r` times `−1`. A centred group runs one divider chain per
+/// particle, not four. Every multiply and add downstream still runs, on
+/// identical operands, so the result is bit-identical by construction
+/// (DESIGN.md §10). A group with any lane off-centre along an axis
+/// evaluates that axis's corners, as a whole — as the scalar kernel
+/// ([`crate::bin::force_span`]: span tails, the `Scalar` backend) always
+/// does: it is not divider-bound, and a premise test there costs more
+/// than the fold saves.
 ///
 /// # Safety
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
@@ -641,6 +648,7 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
     let dt = V::splat(consts.dt);
     let h = V::splat(consts.h);
     let half = V::splat(0.5);
+    let neg = V::splat(-1.0);
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -656,16 +664,27 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
         let rxh = rx.sub(h);
         let ryh = ry.sub(h);
         let qp = V::load(q.add(o));
+        let mid_height = mid_cell_lanes(ry, ryh);
         let f0 = f_over_r_lanes(rx, ry, ql, qp); // bottom-left
-        let f2 = f_over_r_lanes(rxh, ry, qr, qp); // bottom-right
-        let (f1, f3) = if mid_height_lanes(ry, ryh) {
-            debug_assert_same_r2(rx, rxh, ry, ryh);
-            (f0, f2)
+        let f1 = if mid_height {
+            debug_assert_same_r2("top", [[(rx, ry), (rx, ryh)], [(rxh, ry), (rxh, ryh)]]);
+            f0
         } else {
-            (
-                f_over_r_lanes(rx, ryh, ql, qp),  // top-left
-                f_over_r_lanes(rxh, ryh, qr, qp), // top-right
-            )
+            f_over_r_lanes(rx, ryh, ql, qp) // top-left
+        };
+        let (f2, f3) = if mid_cell_lanes(rx, rxh) {
+            debug_assert_same_r2("right", [[(rx, ry), (rxh, ry)], [(rx, ryh), (rxh, ryh)]]);
+            // `qr = −ql` and `×`, `÷` are sign-symmetric. Negating by a
+            // multiply keeps the sign of a zero `f/r` (`0 − f` would not).
+            (f0.mul(neg), f1.mul(neg))
+        } else {
+            let f2 = f_over_r_lanes(rxh, ry, qr, qp); // bottom-right
+            let f3 = if mid_height {
+                f2
+            } else {
+                f_over_r_lanes(rxh, ryh, qr, qp) // top-right
+            };
+            (f2, f3)
         };
         let ax = (f0.mul(rx).add(f1.mul(rx))).add(f2.mul(rxh).add(f3.mul(rxh)));
         let ay = (f0.mul(ry).add(f1.mul(ryh))).add(f2.mul(ry).add(f3.mul(ryh)));
@@ -681,26 +700,27 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
     }
 }
 
-/// Debug builds check the fold's claim on every folded group: the `r²` of
-/// each skipped top corner carries the bits of the bottom corner's `r²`
-/// whose `f/r` is reused (a NaN `x` lane makes both NaN, which also
-/// agrees).
+/// Debug builds check a fold's claim on every folded group: in each pair
+/// `[kept, reused]` of corner displacements `(dx, dy)`, the `r²` of the
+/// corner whose `f/r` is not evaluated carries the bits of the `r²` whose
+/// `f/r` it takes (a NaN lane makes both NaN, which also agrees).
 #[inline(always)]
-fn debug_assert_same_r2<V: Lanes>(rx: V, rxh: V, ry: V, ryh: V) {
+fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
     if !cfg!(debug_assertions) {
         return;
     }
-    for dx in [rx, rxh] {
-        let (mut bottom, mut top) = ([0.0; 8], [0.0; 8]);
-        // SAFETY: both arrays hold the widest backend's eight lanes.
-        unsafe {
-            dx.mul(dx).add(ry.mul(ry)).store(bottom.as_mut_ptr());
-            dx.mul(dx).add(ryh.mul(ryh)).store(top.as_mut_ptr());
-        }
-        for (b, t) in bottom.iter().zip(&top).take(V::WIDTH) {
+    let r2 = |(dx, dy): (V, V)| {
+        let mut out = [0.0; 8];
+        // SAFETY: the array holds the widest backend's eight lanes.
+        unsafe { dx.mul(dx).add(dy.mul(dy)).store(out.as_mut_ptr()) };
+        out
+    };
+    for [kept, reused] in pairs {
+        let (a, b) = (r2(kept), r2(reused));
+        for (a, b) in a.iter().zip(&b).take(V::WIDTH) {
             assert!(
-                b.to_bits() == t.to_bits() || (b.is_nan() && t.is_nan()),
-                "corner fold: top r² {t:e} is not the bottom r² {b:e}"
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "corner fold: {corner} r² {b:e} is not the reused r² {a:e}"
             );
         }
     }
@@ -1206,15 +1226,24 @@ mod tests {
         }
     }
 
-    /// How the corner-fold test displaces one lane per group off cell
-    /// mid-height (`None`: every lane stays spec-conforming).
+    /// How the corner-fold test displaces one lane per group off the cell
+    /// centre (`None`: every lane stays spec-conforming).
     #[derive(Debug, Clone, Copy)]
     enum OffCentre {
         /// `ry` = this fraction of the cell.
-        At(f64),
+        Y(f64),
+        /// `rx` = this fraction of the cell.
+        X(f64),
+        /// `rx` = this fraction of the cell, and `ry` in a neighbour lane.
+        Xy(f64),
         /// `y = NaN` (release builds only: the kernel's and the reference's
         /// debug range checks reject NaN before any arithmetic).
-        Nan,
+        NanY,
+        /// `x = NaN` (release builds only).
+        NanX,
+        /// Every lane centred, one with charge `−0.0` and `vx = −0.0`: both
+        /// folds fire on a signed-zero `f/r`.
+        ZeroCharge,
     }
 
     /// The corner fold never changes a bit: for every backend, span length
@@ -1223,25 +1252,24 @@ mod tests {
     /// the column-7 lanes wrap in x) and off-centre variant, the span
     /// kernel equals the **unfolded** scalar reference — `total_force` and
     /// the eqs. 1–2 integration of [`crate::motion::advance_particle`] —
-    /// per particle, bitwise. Groups whose lanes all sit at mid-height
-    /// take the fold; one lane at `0.5 ± 1 ulp`, `0.25`, on a mesh row
-    /// (`0.0`) or NaN must send its whole group down the four-evaluation
-    /// path while its neighbours' results stay untouched.
+    /// per particle, bitwise. Groups whose lanes all sit at the cell
+    /// centre take both folds; one lane at `0.5 ± 1 ulp`, `0.25`, on a
+    /// mesh line (`0.0`) or NaN along one axis must send its whole group
+    /// down that axis's unfolded path (along both, when the group is off
+    /// on both) while its neighbours' results stay untouched.
     #[test]
     fn corner_fold_bitwise_matches_unfolded_reference() {
         use crate::charge::ColumnParity;
         use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
-        let mut variants = vec![
-            None,
-            Some(OffCentre::At(0.5f64.next_up())),
-            Some(OffCentre::At(0.5f64.next_down())),
-            Some(OffCentre::At(0.25)),
-            Some(OffCentre::At(0.0)),
-        ];
+        let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0];
+        let mut variants = vec![None, Some(OffCentre::ZeroCharge)];
+        for r in off {
+            variants.extend([OffCentre::Y(r), OffCentre::X(r), OffCentre::Xy(r)].map(Some));
+        }
         if !cfg!(debug_assertions) {
-            variants.push(Some(OffCentre::Nan));
+            variants.extend([Some(OffCentre::NanY), Some(OffCentre::NanX)]);
         }
         let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         for backend in SimdBackend::available() {
@@ -1265,14 +1293,27 @@ mod tests {
                     // from group to group (span tails included).
                     for g in 0..len.div_ceil(width) {
                         let i = g * width + (3 * g + 1) % width;
+                        if i >= len {
+                            continue;
+                        }
                         match variant {
-                            Some(OffCentre::At(ry)) if i < len => b.y[i] = b.y[i].floor() + ry,
-                            Some(OffCentre::Nan) if i < len => b.y[i] = f64::NAN,
-                            _ => {}
+                            Some(OffCentre::Y(r)) => b.y[i] = b.y[i].floor() + r,
+                            Some(OffCentre::X(r)) => b.x[i] = b.x[i].floor() + r,
+                            Some(OffCentre::Xy(r)) => {
+                                b.x[i] = b.x[i].floor() + r;
+                                // The lane's pair partner, in the same group.
+                                let j = if i ^ 1 < len { i ^ 1 } else { i };
+                                b.y[j] = b.y[j].floor() + r;
+                            }
+                            Some(OffCentre::NanY) => b.y[i] = f64::NAN,
+                            Some(OffCentre::NanX) => b.x[i] = f64::NAN,
+                            Some(OffCentre::ZeroCharge) => (b.q[i], b.vx[i]) = (-0.0, -0.0),
+                            None => {}
                         }
                     }
-                    // An off-centre particle leaves the column lattice, so
-                    // only the conforming population runs on (and wraps).
+                    // An off-centre or uncharged particle leaves the column
+                    // lattice, so only the conforming population runs on
+                    // (and wraps).
                     let steps = if variant.is_none() { 3 } else { 1 };
                     let mut want = b.to_particles();
                     for step in 0..steps {
@@ -1327,7 +1368,7 @@ mod tests {
     #[inline(always)]
     unsafe fn premise<V: Lanes>(ry: &[f64; 8]) -> bool {
         let ry = V::load(ry.as_ptr());
-        mid_height_lanes(ry, ry.sub(V::splat(1.0)))
+        mid_cell_lanes(ry, ry.sub(V::splat(1.0)))
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -1,41 +1,68 @@
 #!/usr/bin/env bash
 # Alternating-pairs comparison of a parent revision and the working tree on
-# one benchmark workload (the protocol of the choosing-metrics guide, §8).
+# one or more benchmark workloads (the protocol of the choosing-metrics
+# guide, §8), kept as a commit-keyed record.
 #
-#   scripts/bench_pairs.sh PARENT_REV WORKLOAD PAIRS [SEED]
+#   scripts/bench_pairs.sh PARENT_REV WORKLOAD[,WORKLOAD...|all] PAIRS [SEED]
 #
 # Builds the benchmark harness twice, each into its own CARGO_TARGET_DIR
 # under target/pairs/: once from `git archive PARENT_REV`, once from the
-# working tree (uncommitted edits included). Then runs
-# `pic-e2e --workload WORKLOAD --trace 0 --seconds 2 [--seed SEED]` PAIRS
-# times per side, alternating which side runs first, and prints for each
-# end-to-end metric the parent's median [IQR], the change's median, how
-# many pairs the change read lower, and whether the gain rule holds: the
-# change lower in at least nine tenths of the pairs (ties count for
+# working tree (uncommitted edits included). Then, per workload (`all` =
+# every workload BENCHMARK.json declares, in its order), runs
+# `pic-e2e --workload W --trace 0 --seconds 2 [--seed SEED]` PAIRS times
+# per side, alternating which side runs first, and prints one block: for
+# each end-to-end metric the parent's median [IQR], the change's median,
+# how many pairs the change read lower, and whether the gain rule holds —
+# the change lower in at least nine tenths of the pairs (ties count for
 # neither) and the medians further apart than the parent's IQR.
 #
+# Each block is also appended as one JSON line to BENCH_e2e.jsonl at the
+# repo root: the parent and change revisions (the change's with a dirty
+# flag for uncommitted edits), the host's CPU model and count, workload,
+# seed, pairs, and per metric the two medians, the parent's IQR, the
+# change-lower count and the verdict. Commit the lines a change measured.
+#
 # Exits non-zero if a build fails or any run reports `"correct": false`
-# or `failed > 0`. Every result line is kept in target/pairs/runs.jsonl.
+# or `failed > 0` (its workload's line is still written, with
+# "correct": false). Every result line is kept in target/pairs/runs.jsonl.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 PARENT_REV WORKLOAD PAIRS [SEED]" >&2
+    echo "usage: $0 PARENT_REV WORKLOAD[,WORKLOAD...|all] PAIRS [SEED]" >&2
     exit 2
 fi
-rev="$1" workload="$2" pairs="$3" seed="${4:-}"
+rev="$1" workloads="$2" pairs="$3" seed="${4:-}"
 case "$pairs" in
     '' | *[!0-9]* | 0) echo "error: PAIRS must be a positive integer" >&2; exit 2 ;;
 esac
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
+declared="$(python3 -c 'import json; print(",".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+if [ "$workloads" = all ]; then
+    workloads="$declared"
+fi
+IFS=, read -r -a list <<<"$workloads"
+for w in "${list[@]}"; do
+    case ",$declared," in
+        *",$w,"*) ;;
+        *) echo "error: unknown workload '$w' (BENCHMARK.json declares $declared)" >&2; exit 2 ;;
+    esac
+done
+
+parent_rev="$(git rev-parse --verify "$rev^{commit}")"
+change_rev="$(git rev-parse HEAD)"
+dirty=false
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+    dirty=true
+fi
+
 work="$root/target/pairs"
 mkdir -p "$work"
-
 echo "==> building $rev (parent) and the working tree (change)" >&2
 rm -rf "$work/parent-src"
 mkdir -p "$work/parent-src"
-git archive "$rev" | tar -x -C "$work/parent-src"
+git archive "$parent_rev" | tar -x -C "$work/parent-src"
 CARGO_TARGET_DIR="$work/parent-target" cargo build --release --offline --quiet \
     --manifest-path "$work/parent-src/bench/Cargo.toml" >&2
 CARGO_TARGET_DIR="$work/change-target" cargo build --release --offline --quiet \
@@ -43,42 +70,45 @@ CARGO_TARGET_DIR="$work/change-target" cargo build --release --offline --quiet \
 parent_bin="$work/parent-target/release/pic-e2e"
 change_bin="$work/change-target/release/pic-e2e"
 
-args=(--workload "$workload" --trace 0 --seconds 2)
-if [ -n "$seed" ]; then
-    args+=(--seed "$seed")
-fi
-
 runs="$work/runs.jsonl"
 : >"$runs"
-# One run of side $1: append `{"side": ..., "pair": ..., "result": ...}`.
+: >"$work/stderr.log"
+# One run of side $1 on workload $3: append
+# `{"workload": ..., "side": ..., "pair": ..., "result": ...}`.
 run_side() {
-    local side="$1" pair="$2" bin line
+    local side="$1" pair="$2" workload="$3" bin line
+    local args=(--workload "$workload" --trace 0 --seconds 2)
+    if [ -n "$seed" ]; then
+        args+=(--seed "$seed")
+    fi
     if [ "$side" = parent ]; then bin="$parent_bin"; else bin="$change_bin"; fi
     line="$("$bin" "${args[@]}" 2>>"$work/stderr.log" | tail -n 1)" || {
-        echo "error: $side run of pair $pair failed (stderr in $work/stderr.log)" >&2
+        echo "error: $side run of $workload pair $pair failed (stderr in $work/stderr.log)" >&2
         exit 1
     }
-    printf '{"side": "%s", "pair": %d, "result": %s}\n' "$side" "$pair" "$line" >>"$runs"
+    printf '{"workload": "%s", "side": "%s", "pair": %d, "result": %s}\n' \
+        "$workload" "$side" "$pair" "$line" >>"$runs"
 }
 
-: >"$work/stderr.log"
-for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
-    echo "==> pair $((i + 1))/$pairs (${order[0]} first)" >&2
-    for side in "${order[@]}"; do
-        run_side "$side" "$i"
+status=0
+for w in "${list[@]}"; do
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        echo "==> $w: pair $((i + 1))/$pairs (${order[0]} first)" >&2
+        for side in "${order[@]}"; do
+            run_side "$side" "$i" "$w"
+        done
     done
-done
+    python3 - "$runs" "$w" "$rev" "$parent_rev" "$change_rev" "$dirty" "${seed:-default}" \
+        "$root/BENCH_e2e.jsonl" <<'EOF' || status=1
+import json, os, statistics, sys
 
-python3 - "$runs" "$rev" "$workload" "${seed:-default}" <<'EOF'
-import json, statistics, sys
-
-path, rev, workload, seed = sys.argv[1:]
-runs = [json.loads(line) for line in open(path)]
+path, workload, rev, parent_rev, change_rev, dirty, seed, record = sys.argv[1:]
+runs = [r for r in map(json.loads, open(path)) if r["workload"] == workload]
 bad = [r for r in runs
        if not r["result"].get("correct") or r["result"].get("failed", 0) > 0]
 for r in bad:
-    print(f"error: {r['side']} run of pair {r['pair']}: correct="
+    print(f"error: {workload}: {r['side']} run of pair {r['pair']}: correct="
           f"{r['result'].get('correct')} failed={r['result'].get('failed')}",
           file=sys.stderr)
 
@@ -87,8 +117,16 @@ def series(side, metric):
                   for r in runs if r["side"] == side)
     return [v for _, v in rows]
 
+def host():
+    model = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
+                  if line.startswith("model name")), "unknown")
+    return {"cpu": model, "cpus": os.cpu_count()}
+
 metrics = list(runs[0]["result"]["metrics"])
 pairs = len(series("parent", metrics[0]))
+line = {"parent": parent_rev, "change": change_rev, "dirty": dirty == "true",
+        "host": host(), "workload": workload, "seed": seed, "pairs": pairs,
+        "correct": not bad, "metrics": {}}
 print(f"{workload} (seed {seed}): parent {rev} vs working tree, {pairs} pairs")
 for m in metrics:
     p, c = series("parent", m), series("change", m)
@@ -100,5 +138,11 @@ for m in metrics:
     delta = f"{100 * (cm - pm) / pm:+.1f} %" if pm else "n/a"
     print(f"  {m:12s} {pm:.3f} [{iqr:.3f}] -> {cm:.3f} ({delta}), "
           f"change lower in {lower}/{pairs}, gain rule {'holds' if holds else 'does not hold'}")
+    line["metrics"][m] = {"parent_median": pm, "change_median": cm, "parent_iqr": iqr,
+                          "change_lower": lower, "gain_rule": holds}
+with open(record, "a") as f:
+    f.write(json.dumps(line) + "\n")
 sys.exit(1 if bad else 0)
 EOF
+done
+exit "$status"
