@@ -1,35 +1,37 @@
-//! The rank loop runs no timer rebin under a VP map (DESIGN.md §9): its
-//! route drains every column every step, so no ordered region survives for
-//! a counting sort to serve. `kernel.rebin` therefore cannot change a result, and the
-//! traced `rebins` counter audits that the sort only runs after a
-//! structural edit. Also passes under `PIC_NO_SIMD=1`.
+//! One sort rule for every rank store, under both ownership maps
+//! (DESIGN.md §9): a store is sorted at construction and before the sweep
+//! after a structural edit left it dirty, and never on a timer. The
+//! traced `rebins` counter audits the rule on the cuts (static and
+//! diffusion) and on a VP map, and every run ends in the AoS oracle's
+//! final state, per id, bit for bit. Also passes under `PIC_NO_SIMD=1`.
 
 use pic_ampi::Balancer;
 use pic_comm::world::run_threads;
-use pic_core::bin::DEFAULT_REBIN;
 use pic_core::dist::Distribution;
 use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
-use pic_core::init::InitConfig;
+use pic_core::init::{InitConfig, SimulationSetup};
 use pic_core::particle::Particle;
-use pic_par::runner::{ParConfig, RankKernel};
-use pic_par::{run_config_traced, BalancerSpec};
+use pic_par::runner::ParConfig;
+use pic_par::{run_config_traced, BalancerSpec, DiffusionMode, DiffusionParams};
 use pic_trace::{Counter, Tracer};
 
-const STEPS: u32 = 3 * DEFAULT_REBIN + 2;
+/// Three 16-step stretches and two more: the stretch the rank path used
+/// to sort on, with room on both sides of every edit.
+const STEPS: u32 = 50;
 /// The removal (a structural edit: the store goes dirty) fires first, the
 /// injection (tail appends: it does not) later.
 const REMOVE_AT: u32 = 12;
 const INJECT_AT: u32 = 30;
 
-fn cfg(kernel: RankKernel) -> ParConfig {
+fn setup() -> SimulationSetup {
     let region = Region {
         x0: 4,
         x1: 20,
         y0: 6,
         y1: 28,
     };
-    let setup = InitConfig::new(
+    InitConfig::new(
         Grid::new(32).unwrap(),
         700,
         Distribution::Geometric { r: 0.9 },
@@ -39,20 +41,35 @@ fn cfg(kernel: RankKernel) -> ParConfig {
     .build()
     .unwrap()
     .with_event(Event::remove(REMOVE_AT, Region::whole(32), 60))
-    .with_event(Event::inject(INJECT_AT, region, 90, 1, -2, -1));
-    ParConfig::new(setup, STEPS)
-        .with_kernel(kernel)
-        .with_balancer(BalancerSpec::Vp {
+    .with_event(Event::inject(INJECT_AT, region, 90, 1, -2, -1))
+}
+
+/// The maps under audit: the static cuts, diffusing cuts, and the VP
+/// runtime.
+fn specs() -> [BalancerSpec; 3] {
+    let params = DiffusionParams {
+        interval: 5,
+        tau: 0,
+        border_w: 2,
+    };
+    [
+        BalancerSpec::Static,
+        BalancerSpec::Diffusion {
+            params,
+            mode: DiffusionMode::XOnly,
+        },
+        BalancerSpec::Vp {
             d: 4,
             interval: 5,
             strategy: Balancer::paper_default(),
-        })
+        },
+    ]
 }
 
-/// Run on 4 cores; returns every core's final particles and core 0's
+/// Run on 4 ranks; returns every rank's final particles and rank 0's
 /// per-step `rebins` counter (one record per step).
-fn run(kernel: RankKernel) -> (Vec<Particle>, Vec<u64>) {
-    let cfg = cfg(kernel);
+fn run(spec: BalancerSpec) -> (Vec<Particle>, Vec<u64>) {
+    let cfg = ParConfig::new(setup(), STEPS).with_balancer(spec);
     let mut results = run_threads(4, |comm| {
         let mut tracer = if comm.rank() == 0 {
             Tracer::in_memory(1)
@@ -64,7 +81,7 @@ fn run(kernel: RankKernel) -> (Vec<Particle>, Vec<u64>) {
         assert_eq!(o.total_count, 700 - 60 + 90);
         (o, tracer.finish())
     });
-    let report = results[0].1.take().expect("core 0 traced");
+    let report = results[0].1.take().expect("rank 0 traced");
     assert_eq!(report.steps.len(), STEPS as usize);
     let rebins = report
         .steps
@@ -95,26 +112,24 @@ fn bit_finals(particles: &[Particle]) -> Vec<(u64, u64, u64, u64, u64)> {
 }
 
 #[test]
-fn rebin_interval_cannot_change_an_ampi_run() {
-    // The reference is the AoS oracle, which has no store to rebin.
-    let want = bit_finals(&pic_core::reference::run(
-        cfg(RankKernel::default()).setup,
-        STEPS,
-    ));
+fn a_removal_is_the_only_sort_on_every_map() {
+    // The reference is the AoS oracle, which has no store to sort.
+    let want = bit_finals(&pic_core::reference::run(setup(), STEPS));
     assert_eq!(want.len(), 730);
-    for rebin in [1u32, 3, 16] {
-        let (got, rebins) = run(RankKernel::default().with_rebin_interval(rebin));
-        assert_eq!(want, bit_finals(&got), "rebin {rebin}");
+    for spec in specs() {
+        let (got, rebins) = run(spec);
+        assert_eq!(want, bit_finals(&got), "{spec:?}");
         // Step `s` applies the events due at `s − 1` first, then sweeps:
         // the removal at REMOVE_AT dirties the store for step REMOVE_AT + 1
         // (record index REMOVE_AT), and nothing sorts it before that.
         let (before, after) = rebins.split_at(REMOVE_AT as usize);
         assert!(
             before.iter().all(|&r| r == 0),
-            "rebin {rebin}: a counting sort ran with no edit pending: {before:?}"
+            "{spec:?}: a counting sort ran with no edit pending: {before:?}"
         );
-        assert_eq!(after[0], 1, "rebin {rebin}: the removal must re-sort");
-        // Whatever the interval, the only sort is the one the edit forces.
-        assert_eq!(after.iter().sum::<u64>(), 1, "rebin {rebin}: {after:?}");
+        assert_eq!(after[0], 1, "{spec:?}: the removal must re-sort");
+        // The only sort is the one the edit forces: no timer, and neither
+        // a balance round nor the injection's tail appends sort.
+        assert_eq!(after.iter().sum::<u64>(), 1, "{spec:?}: {after:?}");
     }
 }

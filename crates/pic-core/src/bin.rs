@@ -4,14 +4,16 @@
 //! *column* — bin `c` is the contiguous span `offsets[c]..offsets[c+1]` —
 //! so the sweep walks memory in cell order and the per-column load
 //! histogram falls out of the prefix sums for free (O(columns) instead of
-//! an O(n) scan). The permutation is rebuilt with a stable counting sort
+//! an O(n) scan). The permutation is built with a stable counting sort
 //! and a gather that moves one field at a time through one scratch column
-//! per element type, and only when something is about to read the order
-//! it restores ([`DEFAULT_REBIN`]): a structural edit before the next
-//! sweep, and on the rank path the timer [`BinnedStore::rebin_due`]. The
-//! steady state allocates nothing (scratch capacity is retained between
-//! rebins; when the population is column-homogeneous the permutation is
-//! the identity and the gather is skipped entirely). Construction is the
+//! per element type. One rule decides when it runs, for every store under
+//! every ownership map: at construction, and before the next sweep after
+//! a structural edit left the store dirty. Nothing sorts on a timer — the
+//! kernel moves every particle exactly `±(2k+1)` columns per step, so the
+//! hoisted sweep below is exact at any store age. A sort allocates nothing
+//! once warm (scratch capacity is retained between rebins; when the
+//! population is column-homogeneous the permutation is the identity and
+//! the gather is skipped entirely). Construction is the
 //! same sort done once straight from the caller's records
 //! ([`BinnedStore::new_owned`]), and a finished rank hands the batch on
 //! without a copy ([`BinnedStore::take_batch`]), so a particle is resident
@@ -27,8 +29,8 @@
 //! particles flip column parity together each step (the periodic wrap
 //! preserves parity because the grid has an even number of columns).
 //! A bin's parity at sweep time is therefore
-//! `bin_column_parity XOR (steps_since_rebin & 1)`, valid for *any*
-//! rebin interval, and the corner pair `q_left = ±q`, `q_right =
+//! `bin_column_parity XOR (steps_since_rebin & 1)`, valid at *any*
+//! store age, and the corner pair `q_left = ±q`, `q_right =
 //! −q_left` hoist out of the inner loop. The actual column (needed for
 //! the corner displacement `rx`) is still derived per particle — that is
 //! one float-to-int truncation, with the branchy `mesh_charge` lookups
@@ -62,8 +64,7 @@
 //! integration, same wrap. Binning changes traversal order only, and
 //! particles are independent within a step, so the resulting population
 //! is bit-identical to the AoS oracle ([`crate::reference`]) — asserted by
-//! the property tests, and by the rank suites for rebin intervals
-//! {1, 3, 16}. Canonical
+//! the property tests and the rank suites. Canonical
 //! (ascending-id) order is restored on export by [`BinnedStore::to_particles`].
 
 use crate::charge::{coulomb, mesh_charge, ColumnParity, CornerCharge, SimConstants};
@@ -75,23 +76,11 @@ use crate::simd::{self, SimdBackend};
 use crate::soa::ParticleBatch;
 use std::ops::Range;
 
-/// Default interval of the *rank path's* rebin timer
-/// ([`BinnedStore::rebin_due`]). What the sort buys (300 k particles,
-/// L = 1 024, `avx512/exact` with both corner folds, one thread, medians
-/// of 9 rounds): the hoisted kernel over ordered bins runs 4.5–4.7 ns per
-/// particle-step against 4.8–5.1 for the per-lane kernel over the mixed
-/// region, so order is worth ≈ 0.3–0.4 ns per particle-step, while one
-/// counting sort plus 11-array gather costs
-/// ≈ 17 ns per particle — kernel speed alone never repays it. On the rank
-/// path it pays through the exchange: the border a drain must scan is
-/// `stride × (age + 1)` columns wide ([`BinnedStore::border_width`]) and
-/// arrivals pile up in the mixed tail, both reset by the sort. What never
-/// sorting costs is now within the run-to-run spread: `static_geo` read
-/// `cpu_s` 1.01 / 0.91 / 0.94 s at intervals 16 / 64 / never (5 alternating
-/// runs each, medians, ±10 % spread), so the sort's cost and what it saves
-/// the drain roughly cancel, and the constant stays. The serial engine
-/// ([`BinnedStore::advance_all`]) has no exchange and therefore no timer:
-/// it sorts only after an event.
+/// Kept only because the benchmark's probes pass it as the third argument
+/// of [`BinnedStore::new`] and [`BinnedStore::new_subdomain`], which
+/// ignore it (no store sorts on a timer; module docs). Both go with the
+/// benchmark's next adapter.
+#[doc(hidden)]
 pub const DEFAULT_REBIN: u32 = 16;
 
 /// The shortest leaver run [`BinnedStore::drain_leavers_to_buckets`]
@@ -141,11 +130,8 @@ pub struct BinnedStore {
     /// Sweeps executed since the last rebin.
     age: u32,
     /// Set by any structural edit (push/remove/mutate); forces a rebin
-    /// before the next sweep and disables the histogram fast path.
+    /// before the next sweep.
     dirty: bool,
-    /// Sweeps after which [`BinnedStore::rebin_due`] asks the rank step
-    /// for a sort (the serial engine does not read it).
-    rebin_interval: u32,
     /// Lifetime count of [`BinnedStore::rebin`] invocations (telemetry).
     rebins: u64,
     /// Instruction-set backend for the span kernel, selected once at
@@ -155,23 +141,25 @@ pub struct BinnedStore {
 }
 
 impl BinnedStore {
-    /// Bin `particles` on `grid`. `rebin_interval` is clamped to ≥ 1.
-    pub fn new(particles: &[Particle], grid: &Grid, rebin_interval: u32) -> BinnedStore {
-        BinnedStore::new_subdomain(particles, grid, rebin_interval, 0, grid.ncells())
+    /// Bin `particles` on `grid`. The third argument is ignored; it stays
+    /// while the benchmark passes [`DEFAULT_REBIN`].
+    pub fn new(particles: &[Particle], grid: &Grid, _rebin: u32) -> BinnedStore {
+        BinnedStore::new_owned(particles, grid, 0, grid.ncells(), |_, _| true)
     }
 
     /// Bin `particles` over the column range `[col_lo, col_hi)` only — the
     /// per-rank store of the distributed implementations. Every particle
     /// must lie inside the range whenever a rebin runs (the rank step
     /// drains leavers before rebinning, so this holds by construction).
+    /// The third argument is ignored, as in [`BinnedStore::new`].
     pub fn new_subdomain(
         particles: &[Particle],
         grid: &Grid,
-        rebin_interval: u32,
+        _rebin: u32,
         col_lo: usize,
         col_hi: usize,
     ) -> BinnedStore {
-        BinnedStore::new_owned(particles, grid, rebin_interval, col_lo, col_hi, |_, _| true)
+        BinnedStore::new_owned(particles, grid, col_lo, col_hi, |_, _| true)
     }
 
     /// Bin the particles of `particles` whose cell `owns(col, row)`
@@ -187,12 +175,11 @@ impl BinnedStore {
     pub fn new_owned(
         particles: &[Particle],
         grid: &Grid,
-        rebin_interval: u32,
         col_lo: usize,
         col_hi: usize,
         owns: impl Fn(usize, usize) -> bool,
     ) -> BinnedStore {
-        let mut store = BinnedStore::empty(grid, rebin_interval, col_lo, col_hi);
+        let mut store = BinnedStore::empty(grid, col_lo, col_hi);
         let bin_of = |p: &Particle| {
             let (c, r) = grid.cell_of_point(p.x, p.y);
             owns(c, r).then(|| {
@@ -224,7 +211,7 @@ impl BinnedStore {
 
     /// A store over `[col_lo, col_hi)` holding nothing: every bin ordered
     /// and empty, as a sort of no particles leaves it.
-    fn empty(grid: &Grid, rebin_interval: u32, col_lo: usize, col_hi: usize) -> BinnedStore {
+    fn empty(grid: &Grid, col_lo: usize, col_hi: usize) -> BinnedStore {
         assert!(
             col_lo < col_hi && col_hi <= grid.ncells(),
             "bad column range {col_lo}..{col_hi} on a {}-column grid",
@@ -244,7 +231,6 @@ impl BinnedStore {
             cursor: vec![0; ncols],
             age: 0,
             dirty: false,
-            rebin_interval: rebin_interval.max(1),
             rebins: 0,
             backend: SimdBackend::detect(),
         }
@@ -272,8 +258,7 @@ impl BinnedStore {
     /// move) by relabelling: the ordered bins keep their contents and
     /// their *global* columns, so only `col_lo` / `ncols` change and the
     /// maintained offsets move to their new bin indices — no particle is
-    /// touched, the mixed region stays mixed and the age carries on, so
-    /// the ordinary [`Self::rebin_due`] timer decides when to sort next.
+    /// touched, the mixed region stays mixed and the age carries on.
     /// Every particle must already lie inside the new range, and so must
     /// every ordered bin — callers drain leavers under the new
     /// decomposition first, trimming the bins a leaver can sit in. A dirty
@@ -334,11 +319,6 @@ impl BinnedStore {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.batch.is_empty()
-    }
-
-    /// The rebin interval `R` of the [`Self::rebin_due`] timer.
-    pub fn rebin_interval(&self) -> u32 {
-        self.rebin_interval
     }
 
     /// Direct view of the underlying batch — **storage order**, not
@@ -402,10 +382,7 @@ impl BinnedStore {
     /// unless every particle sits in an ordered bin (an event's structural
     /// edit or tail appends came before), then sweep bin spans through the pool with the
     /// parity-hoisted kernel, which is exact at any age (module docs,
-    /// *parity invariant*). There is no timer: nothing here reads the
-    /// column order a periodic sort would restore, and
-    /// [`Self::column_histogram_into`] falls back to the scan when the
-    /// binning is not fresh.
+    /// *parity invariant*).
     pub fn advance_all(&mut self, grid: &Grid, consts: &SimConstants, chunk_size: usize) {
         if !self.fully_ordered() {
             self.rebin(grid);
@@ -470,9 +447,9 @@ impl BinnedStore {
     /// reaches exactly the ordered bins, `sweep_tail_pass` exactly the
     /// rest, every particle runs the same arithmetic against the same
     /// fixed per-step mesh, and particles never interact within a step.
-    /// Nothing rebins at the end: the rank step rebins after the exchange
-    /// ([`Self::rebin_due`]) so the counting sort only ever sees homed
-    /// particles.
+    /// This is the rank path's only sort: nothing rebins at the end, and a
+    /// store that stays clean keeps its age and its shrinking ordered range
+    /// for the rest of the run.
     pub fn prepare_sweep(&mut self, grid: &Grid) {
         if self.dirty {
             self.rebin(grid);
@@ -581,13 +558,6 @@ impl BinnedStore {
         stride * (self.age as usize + 1)
     }
 
-    /// Whether the amortized rebin is due (interval elapsed or structural
-    /// edits pending). The rank step calls this *after* the exchange so
-    /// the counting sort only ever sees homed particles.
-    pub fn rebin_due(&self) -> bool {
-        self.dirty || self.age >= self.rebin_interval
-    }
-
     /// Number of particles outside the ordered bins (the mixed region:
     /// drained border bins and exchange arrivals).
     pub fn tail_len(&self) -> usize {
@@ -595,29 +565,16 @@ impl BinnedStore {
         self.batch.len() - (hi_start - lo_end)
     }
 
-    /// Fill `h` with the per-column particle counts. When the binning is
-    /// fresh (just rebinned; no sweep, drain, arrival or structural edit
-    /// since) this is the O(columns) prefix-sum difference; otherwise it
-    /// falls back to the O(n) position scan the unbinned stores use.
+    /// Fill `h` with the per-column particle counts of the *current*
+    /// positions (global column indexing): one O(n) scan. The bins cannot
+    /// answer it — after the first sweep they hold where the particles
+    /// were at the last sort, not where they are.
     pub fn column_histogram_into(&self, grid: &Grid, h: &mut Vec<u64>) {
         h.clear();
         h.resize(grid.ncells(), 0);
-        if self.histogram_is_fresh() {
-            for (i, w) in self.offsets.windows(2).enumerate() {
-                h[self.col_lo + i] = (w[1] - w[0]) as u64;
-            }
-        } else {
-            for &x in &self.batch.x {
-                h[grid.cell_of(x)] += 1;
-            }
+        for &x in &self.batch.x {
+            h[grid.cell_of(x)] += 1;
         }
-    }
-
-    /// Whether [`BinnedStore::column_histogram_into`] will take the
-    /// O(columns) fast path (true whenever the store was rebinned after
-    /// the last sweep/edit).
-    pub fn histogram_is_fresh(&self) -> bool {
-        self.age == 0 && self.fully_ordered()
     }
 
     /// Append a particle that may lie anywhere (marks the store dirty; the
@@ -629,11 +586,10 @@ impl BinnedStore {
 
     /// Append an exchange arrival **without** disturbing the ordered bins:
     /// the particle joins the mixed region at the end of the batch, is
-    /// swept by [`Self::sweep_tail_pass`] until the next rebin, and does
-    /// not force an early counting sort — this is what keeps the rebin
-    /// amortized under steady migration traffic. The particle must be
-    /// homed (inside this store's column range) so the eventual rebin
-    /// stays in range. The record-at-a-time door of
+    /// swept by [`Self::sweep_tail_pass`] from then on, and does not
+    /// force a counting sort — steady migration traffic never sorts. The
+    /// particle must be homed (inside this store's column range) so a
+    /// later sort stays in range. The record-at-a-time door of
     /// [`Self::append_tail`].
     pub fn push_tail(&mut self, p: Particle) {
         self.batch.push(p);
@@ -1322,7 +1278,7 @@ mod tests {
     #[test]
     fn binning_orders_by_column_and_is_stable() {
         let (grid, ps) = population(500, Distribution::Geometric { r: 0.9 });
-        let store = BinnedStore::new(&ps, &grid, 1);
+        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let b = store.batch();
         // Non-decreasing column across the batch…
         let cols: Vec<usize> = b.x.iter().map(|&x| grid.cell_of(x)).collect();
@@ -1362,14 +1318,14 @@ mod tests {
             ("VP tiles", 0, n, Box::new(|c, r| (c / 4 + r / 4) % 3 == 1)),
         ];
         for (name, lo, hi, owns) in cases {
-            let got = BinnedStore::new_owned(&ps, &grid, 5, lo, hi, &owns);
+            let got = BinnedStore::new_owned(&ps, &grid, lo, hi, &owns);
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| {
                     let (c, r) = grid.cell_of_point(p.x, p.y);
                     owns(c, r)
                 })
                 .collect();
-            let mut want = BinnedStore::empty(&grid, 5, lo, hi);
+            let mut want = BinnedStore::empty(&grid, lo, hi);
             want.batch = mine.into_iter().collect();
             want.rebin(&grid);
             assert_eq!(got.batch, want.batch, "{name}: storage order");
@@ -1377,7 +1333,7 @@ mod tests {
             assert_eq!(got.ordered, want.ordered, "{name}");
             assert_eq!(got.rebin_count(), 1, "{name}: the build is one sort");
             assert_eq!((got.age, got.dirty), (0, false), "{name}");
-            assert!(got.histogram_is_fresh(), "{name}");
+            assert!(got.fully_ordered(), "{name}");
             assert_eq!(got.len() == ps.len(), name == "keeps everything");
             assert_eq!(got.is_empty(), name == "keeps nothing", "{name}");
         }
@@ -1387,7 +1343,7 @@ mod tests {
     #[should_panic(expected = "outside 0..16")]
     fn owned_scatter_rejects_an_owned_particle_outside_the_columns() {
         let (grid, ps) = population(300, Distribution::Uniform);
-        BinnedStore::new_owned(&ps, &grid, 16, 0, 16, |_, _| true);
+        BinnedStore::new_owned(&ps, &grid, 0, 16, |_, _| true);
     }
 
     /// One whole sweep through the split calls, the columns in one piece.
@@ -1402,12 +1358,12 @@ mod tests {
     fn take_batch_moves_the_particles_out_and_leaves_an_empty_store() {
         let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, 4);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         sweep(&mut store, &grid, &consts);
         let before = store.batch().clone();
         assert_eq!(store.take_batch(), before, "storage order, no copy-sort");
         assert!(store.is_empty());
-        assert!(store.histogram_is_fresh(), "as built from no particles");
+        assert!(store.fully_ordered(), "as built from no particles");
         let mut h = Vec::new();
         store.column_histogram_into(&grid, &mut h);
         assert!(h.iter().all(|&c| c == 0));
@@ -1496,7 +1452,7 @@ mod tests {
     #[test]
     fn to_particles_restores_canonical_order() {
         let (grid, ps) = population(300, Distribution::Sinusoidal);
-        let store = BinnedStore::new(&ps, &grid, 4);
+        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         assert_eq!(store.to_particles(), ps);
         assert_eq!(store.id_sum(), triangular_id_sum(300));
     }
@@ -1529,7 +1485,7 @@ mod tests {
     fn binned_run_verifies() {
         let (grid, ps) = population(300, Distribution::PAPER_SKEW);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, 3);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         for _ in 0..60 {
             store.advance_all(&grid, &consts, DEFAULT_CHUNK);
         }
@@ -1544,39 +1500,20 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fast_path_matches_scan() {
-        let (grid, ps) = population(700, Distribution::Geometric { r: 0.8 });
-        let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
-        let mut fast = Vec::new();
-        let mut scan = vec![0u64; grid.ncells()];
-        for _ in 0..5 {
-            store.advance_all(&grid, &consts, DEFAULT_CHUNK);
-            // The serial sweep has no timer; a consumer that wants the
-            // O(columns) path sorts first.
-            assert!(!store.histogram_is_fresh(), "a sweep leaves the bins stale");
-            store.rebin(&grid);
-            assert!(store.histogram_is_fresh(), "a sort makes them fresh");
-            store.column_histogram_into(&grid, &mut fast);
-            scan.iter_mut().for_each(|c| *c = 0);
-            for &x in &store.batch().x {
-                scan[grid.cell_of(x)] += 1;
-            }
-            assert_eq!(fast, scan);
-        }
-    }
-
-    #[test]
     fn histogram_falls_back_when_stale() {
         let (grid, ps) = population(200, Distribution::Uniform);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, 16);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         store.advance_all(&grid, &consts, DEFAULT_CHUNK);
-        assert!(!store.histogram_is_fresh(), "age 1 of 16 is stale");
         let mut h = Vec::new();
         store.column_histogram_into(&grid, &mut h);
         assert_eq!(h.iter().sum::<u64>(), 200);
-        // Fallback still reflects *current* positions, not the stale bins.
+        // The histogram reflects *current* positions, not the bins the
+        // particles were sorted into a sweep ago.
+        let bins: Vec<u64> = (store.offsets.windows(2))
+            .map(|w| (w[1] - w[0]) as u64)
+            .collect();
+        assert_ne!(h, bins, "a k = 0 sweep moves every particle one column");
         let mut scan = vec![0u64; grid.ncells()];
         for &x in &store.batch().x {
             scan[grid.cell_of(x)] += 1;
@@ -1588,10 +1525,10 @@ mod tests {
     fn edits_mark_dirty_and_next_sweep_recovers() {
         let (grid, ps) = population(100, Distribution::Uniform);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, 8);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let doomed = store.remove_in_region_upto(&Region::whole(32), 10);
         assert_eq!(doomed, 10);
-        assert!(!store.histogram_is_fresh());
+        assert!(!store.fully_ordered());
         // The dirty rebin runs at the start of the next sweep; the sweep
         // itself then matches an unbinned sweep of the same survivors.
         let mut reference = store.to_particles();
@@ -1604,12 +1541,7 @@ mod tests {
 
     /// Reference rank loop: two subdomain stores exchanging via
     /// drain/push_tail, compared bitwise against the unbinned sweep.
-    fn run_split_stores(
-        rebin: u32,
-        steps: u32,
-        n: u64,
-        dist: Distribution,
-    ) -> (Vec<Particle>, Vec<Particle>) {
+    fn run_split_stores(steps: u32, n: u64, dist: Distribution) -> (Vec<Particle>, Vec<Particle>) {
         let (grid, ps) = population(n, dist);
         let consts = SimConstants::CANONICAL;
         let ncells = grid.ncells();
@@ -1621,8 +1553,9 @@ mod tests {
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect()
         };
-        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, rebin, 0, mid);
-        let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
+        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, DEFAULT_REBIN, 0, mid);
+        let mut right =
+            BinnedStore::new_subdomain(&split(mid, ncells), &grid, DEFAULT_REBIN, mid, ncells);
         for _ in 0..steps {
             advance_all(&grid, &consts, &mut reference);
             sweep(&mut left, &grid, &consts);
@@ -1632,12 +1565,6 @@ mod tests {
             right.drain_leavers_into(&grid, |c, _| c >= mid, |p| to_left.push(p));
             to_right.into_iter().for_each(|p| right.push_tail(p));
             to_left.into_iter().for_each(|p| left.push_tail(p));
-            if left.rebin_due() {
-                left.rebin(&grid);
-            }
-            if right.rebin_due() {
-                right.rebin(&grid);
-            }
         }
         let mut got = [left.to_particles(), right.to_particles()].concat();
         got.sort_unstable_by_key(|p| p.id);
@@ -1648,17 +1575,14 @@ mod tests {
 
     #[test]
     fn subdomain_stores_with_drain_match_unbinned_sweep() {
-        for rebin in [1u32, 3, 16] {
-            let (want, got) = run_split_stores(rebin, 40, 600, Distribution::Geometric { r: 0.9 });
-            assert_eq!(want, got, "rebin={rebin} diverged");
-        }
+        let (want, got) = run_split_stores(40, 600, Distribution::Geometric { r: 0.9 });
+        assert_eq!(want, got, "diverged");
     }
 
     /// The overlapped rank ordering — border sweep, tail sweep, border
     /// drain, interior sweep, arrivals, age bump — run on the same
     /// two-store split as [`run_split_stores`].
     fn run_split_stores_overlapped(
-        rebin: u32,
         steps: u32,
         n: u64,
         dist: Distribution,
@@ -1674,8 +1598,9 @@ mod tests {
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect()
         };
-        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, rebin, 0, mid);
-        let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
+        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, DEFAULT_REBIN, 0, mid);
+        let mut right =
+            BinnedStore::new_subdomain(&split(mid, ncells), &grid, DEFAULT_REBIN, mid, ncells);
         for _ in 0..steps {
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
             for (store, lo, hi, out) in [
@@ -1683,7 +1608,7 @@ mod tests {
                 (&mut right, mid, ncells, &mut to_left),
             ] {
                 store.prepare_sweep(&grid);
-                // Bins are indexed by the column at the last rebin;
+                // Bins are indexed by the column at the last sort;
                 // particles drift up to stride·age from it, so the border
                 // widens with bin age.
                 let w = store.border_width(border);
@@ -1706,12 +1631,6 @@ mod tests {
             to_left.into_iter().for_each(|p| left.push_tail(p));
             left.end_sweep();
             right.end_sweep();
-            if left.rebin_due() {
-                left.rebin(&grid);
-            }
-            if right.rebin_due() {
-                right.rebin(&grid);
-            }
         }
         let mut got = [left.to_particles(), right.to_particles()].concat();
         got.sort_unstable_by_key(|p| p.id);
@@ -1722,24 +1641,19 @@ mod tests {
     fn overlapped_split_sweep_is_bit_identical_to_synchronous() {
         // Border width 3 covers the k = 1 stride (2k + 1); the overlapped
         // ordering must not change a single bit vs the one-call sweep.
-        for rebin in [1u32, 3, 16] {
-            let (want, got) = run_split_stores(rebin, 40, 600, Distribution::Geometric { r: 0.9 });
-            assert_eq!(want, got, "sync harness self-check failed");
-            let overlapped =
-                run_split_stores_overlapped(rebin, 40, 600, Distribution::Geometric { r: 0.9 }, 3);
-            assert_eq!(
-                got, overlapped,
-                "rebin={rebin}: overlapped ordering diverged"
-            );
-        }
+        let (want, got) = run_split_stores(40, 600, Distribution::Geometric { r: 0.9 });
+        assert_eq!(want, got, "sync harness self-check failed");
+        let overlapped =
+            run_split_stores_overlapped(40, 600, Distribution::Geometric { r: 0.9 }, 3);
+        assert_eq!(got, overlapped, "overlapped ordering diverged");
     }
 
     #[test]
     fn drain_cols_skips_inactive_bins_and_matches_full_drain() {
         let (grid, ps) = population(700, Distribution::Geometric { r: 0.85 });
         let mid = grid.ncells() / 2;
-        let mut full = BinnedStore::new(&ps, &grid, 1);
-        let mut restricted = BinnedStore::new(&ps, &grid, 1);
+        let mut full = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut restricted = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let mut gone_full = Vec::new();
         // Leavers here are exactly the particles in columns ≥ mid, so the
         // active set {c ≥ mid} covers every leaver.
@@ -1761,16 +1675,15 @@ mod tests {
         gone_restricted.sort_unstable_by_key(|p| p.id);
         assert_eq!(gone_full, gone_restricted);
         assert_eq!(full.to_particles(), restricted.to_particles());
-        // A drain leaves mixed bins behind: the histogram takes the scan
-        // path until the next rebin restores the O(columns) one.
-        assert!(!restricted.histogram_is_fresh(), "drained bins are mixed");
+        // A drain leaves mixed bins behind until the next sort.
+        assert!(!restricted.fully_ordered(), "drained bins are mixed");
         let mut fa = Vec::new();
         let mut fb = Vec::new();
         full.column_histogram_into(&grid, &mut fa);
         restricted.column_histogram_into(&grid, &mut fb);
         assert_eq!(fa, fb);
         restricted.rebin(&grid);
-        assert!(restricted.histogram_is_fresh(), "rebin restores the order");
+        assert!(restricted.fully_ordered(), "rebin restores the order");
         restricted.column_histogram_into(&grid, &mut fb);
         assert_eq!(fa, fb);
         let cols: Vec<usize> = (restricted.batch().x.iter())
@@ -1780,9 +1693,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_keeps_bins_consistent_and_histogram_fast_path() {
+    fn drain_keeps_bins_consistent_and_rebin_restores_order() {
         let (grid, ps) = population(800, Distribution::Geometric { r: 0.85 });
-        let mut store = BinnedStore::new(&ps, &grid, 1);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         // Freshly rebinned: drain everything right of the midline.
         let mid = grid.ncells() / 2;
         let mut gone = Vec::new();
@@ -1792,9 +1705,9 @@ mod tests {
         let gone_sum: u128 = gone.iter().map(|p| p.id as u128).sum();
         assert_eq!(store.id_sum() + gone_sum, triangular_id_sum(800));
         // Holes were refilled from the end, so the drained store is mixed:
-        // the histogram (scan path) still matches, and the next rebin
-        // makes it fresh and column-sorted again.
-        assert!(!store.histogram_is_fresh());
+        // the histogram still matches, and the next rebin makes it
+        // column-sorted again.
+        assert!(!store.fully_ordered());
         let scan_of = |store: &BinnedStore| {
             let mut scan = vec![0u64; grid.ncells()];
             for &x in &store.batch().x {
@@ -1807,7 +1720,7 @@ mod tests {
         assert_eq!(hist, scan_of(&store));
         assert!(hist[mid..].iter().all(|&c| c == 0));
         store.rebin(&grid);
-        assert!(store.histogram_is_fresh());
+        assert!(store.fully_ordered());
         store.column_histogram_into(&grid, &mut hist);
         assert_eq!(hist, scan_of(&store));
         let cols: Vec<usize> = store.batch().x.iter().map(|&x| grid.cell_of(x)).collect();
@@ -1828,7 +1741,6 @@ mod tests {
         n: u64,
         k: u32,
         dir: i8,
-        rebin: u32,
         steps: u32,
         overlapped: bool,
         extra: u64,
@@ -1850,7 +1762,7 @@ mod tests {
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect();
-            BinnedStore::new_subdomain(&mine, &grid, rebin, lo, hi)
+            BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, lo, hi)
         });
         for step in 0..steps {
             advance_all(&grid, &consts, &mut reference);
@@ -1880,9 +1792,6 @@ mod tests {
             }
             for (store, arrivals) in halves.iter_mut().zip(moved) {
                 arrivals.into_iter().for_each(|p| store.push_tail(p));
-                if store.rebin_due() {
-                    store.rebin(&grid);
-                }
             }
             let mut got = [halves[0].to_particles(), halves[1].to_particles()].concat();
             got.sort_unstable_by_key(|p| p.id);
@@ -1901,13 +1810,12 @@ mod tests {
             n in 100u64..500,
             k in 0u32..2,
             leftwards in proptest::prelude::prop::bool::ANY,
-            rebin in proptest::prelude::prop::sample::select(vec![1u32, 3, 16]),
             steps in 10u32..40,
             overlapped in proptest::prelude::prop::bool::ANY,
             extra in proptest::prelude::any::<u64>(),
         ) {
             let dir = if leftwards { -1 } else { 1 };
-            check_drain_sequence(n, k, dir, rebin, steps, overlapped, extra);
+            check_drain_sequence(n, k, dir, steps, overlapped, extra);
         }
     }
 
@@ -1918,10 +1826,7 @@ mod tests {
         // hold, so the refill runs dry and the fallback must fire — and
         // `check_drain_sequence` proves it kept every unswept bin intact.
         for overlapped in [false, true] {
-            let fallbacks: u64 = [3, 16]
-                .map(|rebin| check_drain_sequence(400, 1, -1, rebin, 24, overlapped, 0))
-                .iter()
-                .sum();
+            let fallbacks = check_drain_sequence(400, 1, -1, 24, overlapped, 0);
             assert!(
                 fallbacks > 0,
                 "overlapped={overlapped}: fallback never fired"
@@ -1940,7 +1845,7 @@ mod tests {
             .copied()
             .filter(|p| grid.cell_of(p.x) < mid)
             .collect();
-        let mut store = BinnedStore::new_subdomain(&left_ps, &grid, 16, 0, mid);
+        let mut store = BinnedStore::new_subdomain(&left_ps, &grid, DEFAULT_REBIN, 0, mid);
         assert_eq!(store.columns(), (0, mid));
         sweep(&mut store, &grid, &consts);
         let before = store.rebin_count();
@@ -1960,14 +1865,14 @@ mod tests {
         assert_eq!(store.rebin_count(), before, "tail push forced a rebin");
         // …and neither does a cut move: it re-anchors the column range
         // (everything is inside [0, mid), so widening the range is always
-        // legal) by relabelling. Since PR 21 the tail is *not* folded —
-        // the rebin timer does that when it is due.
+        // legal) by relabelling. The tail is *not* folded: nothing sorts
+        // a clean store after its construction.
         store.set_columns(&grid, 0, ncells);
         assert_eq!(store.columns(), (0, ncells));
         assert_eq!(store.rebin_count(), before, "set_columns sorted");
         assert_eq!(store.tail_len(), 1, "the arrival stays in the tail");
         assert_eq!(store.age(), 2, "the age carries on");
-        assert!(!store.histogram_is_fresh());
+        assert!(!store.fully_ordered());
     }
 
     /// Nothing in a sweep reads the column range, so the sort is where a
@@ -1984,7 +1889,7 @@ mod tests {
         let mid = grid.ncells() / 2;
         let (left, right): (Vec<Particle>, Vec<Particle>) =
             ps.iter().partition(|p| grid.cell_of(p.x) < mid);
-        let mut store = BinnedStore::new_subdomain(&left, &grid, 16, 0, mid);
+        let mut store = BinnedStore::new_subdomain(&left, &grid, DEFAULT_REBIN, 0, mid);
         store.push_tail(right[0]);
         store.rebin(&grid);
     }
@@ -2056,15 +1961,15 @@ mod tests {
                 assert_eq!(h, scan);
                 // The next sweep is the one a freshly built store runs.
                 let mut fresh =
-                    BinnedStore::new_subdomain(&store.to_particles(), &grid, 16, lo, hi);
+                    BinnedStore::new_subdomain(&store.to_particles(), &grid, DEFAULT_REBIN, lo, hi);
                 sweep(&mut store, &grid, &consts);
                 sweep(&mut fresh, &grid, &consts);
                 assert_eq!(store.to_particles(), fresh.to_particles());
-                // …and the timer sort still folds everything back.
+                // …and a sort still folds everything back.
                 store.drain_leavers_into(&grid, |c, _| (lo..hi).contains(&c), |p| gone.push(p));
                 store.rebin(&grid);
                 assert_eq!(store.tail_len(), 0);
-                assert!(store.histogram_is_fresh());
+                assert!(store.fully_ordered());
             }
         }
     }
@@ -2106,7 +2011,7 @@ mod tests {
         store.set_columns(&grid, 6, 26);
         assert_eq!(store.columns(), (6, 26));
         assert_eq!(store.rebin_count(), sorts + 1, "nothing ordered to keep");
-        assert!(store.histogram_is_fresh());
+        assert!(store.fully_ordered());
     }
 
     /// The element-by-element drain the run-based body replaced, on AoS
@@ -2242,7 +2147,7 @@ mod tests {
         // A whole-grid store under a VP-style table: every bin tested,
         // leavers scattered through each column by row.
         let (grid, ps) = population(900, Distribution::Geometric { r: 0.9 });
-        let store = BinnedStore::new(&ps, &grid, 1);
+        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let (col, row, owner) = tile_table(&grid);
         let table = CellTable::new(&grid, &col, &row, &owner, 0);
         let owner_of = |c, r| table.owner_of_cell(c, r);
@@ -2259,7 +2164,7 @@ mod tests {
         // is its row modulo 3: the stretch of consecutive leavers left of
         // column 12 is split three ways.
         let (grid, ps) = population(600, Distribution::Uniform);
-        let store = BinnedStore::new(&ps, &grid, 1);
+        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let keep = |c: usize, _| (12..20).contains(&c);
         let owner = |c: usize, r: usize| if keep(c, r) { 3 } else { r % 3 };
         let shape = check_doors(&store, &grid, |_| true, keep, owner, 4);
@@ -2286,7 +2191,7 @@ mod tests {
         // copy); column 9 loses its even rows (runs of one or two, copied
         // element by element).
         let (grid, ps) = population(600, Distribution::Uniform);
-        let store = BinnedStore::new(&ps, &grid, 1);
+        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let keep = |c: usize, r: usize| c != 5 && !(c == 9 && r.is_multiple_of(2));
         let owner = |c: usize, r: usize| match (keep(c, r), c) {
             (true, _) => 0,
@@ -2338,7 +2243,7 @@ mod tests {
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect();
-            BinnedStore::new_subdomain(&mine, &grid, 3, lo, hi)
+            BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, lo, hi)
         });
         let mut slid = 0;
         for _ in 0..24 {
@@ -2359,9 +2264,6 @@ mod tests {
             }
             for (store, arrivals) in halves.iter_mut().zip(&moved) {
                 store.append_tail(arrivals);
-                if store.rebin_due() {
-                    store.rebin(&grid);
-                }
             }
         }
         assert!(slid > 0, "the refill never ran dry");
@@ -2506,7 +2408,7 @@ mod tests {
     #[test]
     fn pop_removes_largest_id() {
         let (grid, ps) = population(50, Distribution::Sinusoidal);
-        let mut store = BinnedStore::new(&ps, &grid, 1);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         let p = store.pop().unwrap();
         assert_eq!(p.id, 50);
         assert_eq!(store.len(), 49);
@@ -2516,7 +2418,7 @@ mod tests {
     #[test]
     fn empty_store_is_harmless() {
         let grid = Grid::new(8).unwrap();
-        let mut store = BinnedStore::new(&[], &grid, 1);
+        let mut store = BinnedStore::new(&[], &grid, DEFAULT_REBIN);
         store.advance_all(&grid, &SimConstants::CANONICAL, DEFAULT_CHUNK);
         assert!(store.is_empty());
         assert!(store.pop().is_none());

@@ -188,9 +188,8 @@ impl Simulation {
     }
 
     /// Fill `h` with the per-column histogram, reusing its storage
-    /// (allocation-free once `h` has reached grid capacity). With a fresh
-    /// binning (no sweep since the last sort) this is an O(columns)
-    /// prefix-sum read; otherwise the O(n) scan.
+    /// (allocation-free once `h` has reached grid capacity): one O(n) scan
+    /// of the current positions.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
         self.store.column_histogram_into(&self.grid, h)
     }

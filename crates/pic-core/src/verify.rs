@@ -332,7 +332,7 @@ mod tests {
     /// through a storage order that a rebin has shuffled.
     #[test]
     fn streamed_report_equals_canonical_verify_all() {
-        use crate::bin::BinnedStore;
+        use crate::bin::{BinnedStore, DEFAULT_REBIN};
         use crate::dist::Distribution;
         use crate::init::InitConfig;
         let grid = Grid::new(32).unwrap();
@@ -343,7 +343,7 @@ mod tests {
             .build()
             .unwrap()
             .particles;
-        let mut store = BinnedStore::new(&ps, &grid, 3);
+        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
         for _ in 0..20 {
             store.advance_all(&grid, &consts, 64);
         }

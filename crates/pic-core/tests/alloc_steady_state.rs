@@ -11,7 +11,8 @@
 //! allocates while parked waiting for results, and must not pollute the
 //! audit.
 //!
-//! Scope: the counted region is the engine step + histogram readback loop.
+//! Scope: the counted regions are the engine step + histogram readback
+//! loop, and a store's counting sort once its scratch is warm.
 //! `verify()` materializes a particle vector by design and is not part of
 //! the steady-state loop.
 //!
@@ -147,10 +148,10 @@ fn warmed_sim(backend: Option<SimdBackend>) -> Simulation {
 fn steady_state_step_loop_allocates_nothing() {
     // Once on the detected SIMD backend and once with the vector path
     // forced off: the quartet body, the scalar remainder loop, and the
-    // forced-scalar kernel must all stay allocation-free. (The serial
-    // engine sorts only after an event, so no counting sort runs in the
-    // counted region; the rank path's timer sort is held to the same bound
-    // by `pic-par/tests/alloc_steady_state.rs`.)
+    // forced-scalar kernel must all stay allocation-free. (A store sorts
+    // only after an event, so no counting sort runs in the counted region;
+    // the sort itself is audited by
+    // `rebin_of_a_warmed_store_allocates_nothing`.)
     for backend in [None, Some(SimdBackend::Scalar)] {
         let mut sim = warmed_sim(backend);
         let mut cols = Vec::new();
@@ -175,6 +176,51 @@ fn steady_state_step_loop_allocates_nothing() {
         // particle.
         assert_eq!(cols.iter().sum::<u64>(), 3_000 + 64 - 32);
     }
+}
+
+#[test]
+fn rebin_of_a_warmed_store_allocates_nothing() {
+    // A store sorts at construction and after a structural edit, never on
+    // a timer, so the steady-state loop above never reaches the sort. Hold
+    // the sort to the same bound on its own: once one gather has sized the
+    // scratch columns and the run list, sorting a swept store again reuses
+    // them.
+    let grid = Grid::new(64).unwrap();
+    let setup = InitConfig::new(grid, 5_000, Distribution::Geometric { r: 0.95 })
+        .with_k(1)
+        .with_m(1)
+        .build()
+        .unwrap();
+    let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
+    let sweep_and_sort = |store: &mut BinnedStore| {
+        store.prepare_sweep(&grid);
+        store.sweep_cols(&grid, &setup.consts, 0..grid.ncells());
+        store.sweep_tail_pass(&grid, &setup.consts);
+        store.end_sweep();
+        store.rebin(&grid);
+    };
+    for _ in 0..4 {
+        sweep_and_sort(&mut store);
+    }
+    let order = |store: &BinnedStore| store.batch().id[..64].to_vec();
+    let before_window = order(&store);
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    IN_SCOPE.with(|s| s.set(true));
+    for _ in 0..8 {
+        sweep_and_sort(&mut store);
+    }
+    IN_SCOPE.with(|s| s.set(false));
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "{} allocations in 8 sorts",
+        after - before
+    );
+    // The window sorted for real: the wrapping columns moved to the front.
+    assert_eq!(store.rebin_count(), 1 + 4 + 8);
+    assert_ne!(order(&store), before_window, "every sort was the identity");
+    assert_eq!(store.len(), 5_000);
 }
 
 /// Bytes of one particle in the SoA batch: `id`, seven `f64` fields,

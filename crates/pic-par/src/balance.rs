@@ -217,7 +217,7 @@ fn lb_round(
     let mut hist_scratch = Vec::new();
     let hist: Vec<u64> = if needs.col_hist {
         // One vector allreduce; each rank's contribution comes straight
-        // from its own store (O(columns) when the binned store is fresh).
+        // from a scan of its own store.
         let h = st.aggregate_column_histogram(comm, &mut hist_scratch);
         tracer.add(Counter::CollectiveBytes, h.len() as u64 * 8);
         h

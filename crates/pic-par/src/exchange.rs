@@ -281,9 +281,8 @@ mod tests {
     /// One rank step on a subdomain store, in the rank step's order: the
     /// border columns and the mixed region swept, their leavers staged,
     /// the interior swept while the exchange is in flight, the arrivals
-    /// appended, the age bumped, then the timer sort. With `stride`
-    /// `None` the interior is empty: the whole slab is the border and the
-    /// drain tests every bin.
+    /// appended, the age bumped. With `stride` `None` the interior is
+    /// empty: the whole slab is the border and the drain tests every bin.
     fn rank_step(
         comm: &Communicator,
         table: &OwnerTable,
@@ -310,9 +309,6 @@ mod tests {
         store.sweep_cols(grid, &consts, interior);
         route_binned_finish(comm, inflight, store, bufs);
         store.end_sweep();
-        if store.rebin_due() {
-            store.rebin(grid);
-        }
     }
 
     #[test]
@@ -418,7 +414,7 @@ mod tests {
                 let rank = comm.rank();
                 let mine = local_slice(&decomp, &grid, rank, &all);
                 let ((x0, x1), _) = decomp.bounds(rank);
-                let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
+                let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
                 let mut bufs = ExchangeBuffers::new();
                 for _ in 0..steps {
                     rank_step(&comm, &table, &grid, stride, &mut store, &mut bufs);
@@ -483,7 +479,7 @@ mod tests {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
             let ((x0, x1), _) = decomp.bounds(rank);
-            let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
+            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
                 rank_step(&comm, &table, &grid, None, &mut store, &mut bufs);

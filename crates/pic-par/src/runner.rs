@@ -9,7 +9,7 @@ use pic_comm::collective::{
     allreduce_vec_u64_into, decode_u64s, encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::bin::{BinnedStore, CellTable, OwnerMap, DEFAULT_REBIN};
+use pic_core::bin::{BinnedStore, CellTable, OwnerMap};
 use pic_core::charge::SimConstants;
 use pic_core::events::{EventKind, EventLedger};
 use pic_core::geometry::Grid;
@@ -22,22 +22,12 @@ use pic_trace::{Counter, Phase, Tracer};
 use std::ops::Range;
 
 /// Rank-loop kernel selection of every distributed implementation. The
-/// CLI runs the default; the `with_*` handles are the bit-identity suites'.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// CLI runs the default; [`RankKernel::with_backend`] is the bit-identity
+/// suites' handle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankKernel {
     /// Instruction-set override; `None` = runtime detection.
     pub backend: Option<SimdBackend>,
-    /// Sweeps between counting sorts.
-    pub rebin_interval: u32,
-}
-
-impl Default for RankKernel {
-    fn default() -> RankKernel {
-        RankKernel {
-            backend: None,
-            rebin_interval: DEFAULT_REBIN,
-        }
-    }
 }
 
 impl RankKernel {
@@ -54,17 +44,11 @@ impl RankKernel {
         cols: (usize, usize),
         owns: impl Fn(usize, usize) -> bool,
     ) -> BinnedStore {
-        let mut b =
-            BinnedStore::new_owned(particles, grid, self.rebin_interval, cols.0, cols.1, owns);
+        let mut b = BinnedStore::new_owned(particles, grid, cols.0, cols.1, owns);
         if let Some(backend) = self.backend {
             b.set_simd_backend(backend);
         }
         b
-    }
-
-    pub fn with_rebin_interval(mut self, rebin: u32) -> RankKernel {
-        self.rebin_interval = rebin.max(1);
-        self
     }
 
     pub fn with_backend(mut self, backend: SimdBackend) -> RankKernel {
@@ -251,8 +235,7 @@ impl RankState {
     /// `vps` and a replicated VP→core table, starting from the compact
     /// blocks of [`VpGrid::initial_assignment`]. The store bins the whole
     /// grid and the step's interior is empty, so every step drains every
-    /// bin; it runs no timer sort, and a VP balancer's round moves the
-    /// table.
+    /// bin, and a VP balancer's round moves the table.
     pub fn with_vps(
         setup: &SimulationSetup,
         vps: VpGrid,
@@ -309,8 +292,8 @@ impl RankState {
     }
 
     /// Fill `h` with this rank's per-column particle counts (global column
-    /// indexing, zero outside the subdomain) — O(columns) when the store's
-    /// histogram is fresh, O(n) otherwise. Summed across ranks this is the
+    /// indexing, zero outside the subdomain): one scan of the store.
+    /// Summed across ranks this is the
     /// balancer's input histogram.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
         self.store.column_histogram_into(&self.grid, h);
@@ -384,9 +367,9 @@ impl RankState {
         }
     }
 
-    /// [`RankState::step`] with telemetry: the sweeps are timed as the
-    /// `advance` phase, staging, arrivals and the timer sort as
-    /// `exchange`, interleaved. Returns the number of particles this rank
+    /// [`RankState::step`] with telemetry: the sort of a dirty store and
+    /// the sweeps are timed as the `advance` phase, staging and arrivals
+    /// as `exchange`, interleaved. Returns the number of particles this rank
     /// sent away (feeds the `rehomed` counter, which the rank loop sums
     /// globally at traced steps).
     ///
@@ -429,14 +412,6 @@ impl RankState {
         self.store.end_sweep();
         self.homed_rows = self.decomp.bounds(self.rank).1;
         tracer.add(Counter::OverlapNs, overlap_ns);
-        // The amortized rebin runs *after* the exchange so the counting
-        // sort only ever sees homed particles (arrivals fold in from the
-        // tail; column range is exactly the subdomain). A VP map runs no
-        // timer: its drain of every bin reads no order, and the sweep
-        // sorts a store a structural edit left dirty.
-        if matches!(self.owners, Ownership::Cuts { .. }) && self.store.rebin_due() {
-            self.store.rebin(&grid);
-        }
         tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
         tracer.phase_end(Phase::Exchange);
         self.step += 1;
@@ -533,7 +508,8 @@ impl RankState {
     }
 
     /// Collectively aggregate the global per-cell-column histogram from
-    /// every rank's own store — O(columns) local work on a fresh store. [`pic_cluster::balancer::per_column_counts_into`] folds the
+    /// every rank's own store — one O(n) scan per rank.
+    /// [`pic_cluster::balancer::per_column_counts_into`] folds the
     /// result onto processor columns, giving bit-identical cut decisions
     /// to [`RankState::aggregate_axis_counts_into`] (both count homed
     /// particles per column). Reuses `h` as local scratch.

@@ -100,7 +100,7 @@ enum Owners {
     Vps,
 }
 
-fn audit(kernel: RankKernel, owners: Owners, k: u32) -> Vec<(usize, usize)> {
+fn audit(owners: Owners, k: u32) -> Vec<(usize, usize)> {
     // A *uniform* drifting cloud: per-rank populations are stationary (what
     // leaves a subdomain each step is replaced from the neighbor), so any
     // allocation in a warmed window is staging churn, not workload growth.
@@ -115,13 +115,12 @@ fn audit(kernel: RankKernel, owners: Owners, k: u32) -> Vec<(usize, usize)> {
     run_threads(RANKS, |comm| {
         let rank = comm.rank();
         let mut st = match owners {
-            Owners::Cuts => {
-                RankState::with_kernel(&setup, Decomp2d::uniform(32, RANKS), rank, kernel)
+            Owners::Cuts => RankState::new(&setup, Decomp2d::uniform(32, RANKS), rank),
+            Owners::Columns => RankState::new(&setup, Decomp2d::columns(32, RANKS), rank),
+            Owners::Vps => {
+                let vps = VpGrid::new(32, RANKS, 4);
+                RankState::with_vps(&setup, vps, rank, RankKernel::default())
             }
-            Owners::Columns => {
-                RankState::with_kernel(&setup, Decomp2d::columns(32, RANKS), rank, kernel)
-            }
-            Owners::Vps => RankState::with_vps(&setup, VpGrid::new(32, RANKS, 4), rank, kernel),
         };
         for _ in 0..WARM_STEPS {
             st.step(&comm);
@@ -140,24 +139,19 @@ fn rank_step_loop_reaches_allocation_steady_state() {
     // boundary particles across at least one cut. Audit the step with an
     // empty interior on a 2 × 2 grid, with an interior on a column world
     // (the split-phase handle and the spare-bucket free-list must run off
-    // recycled buffers), a rebin on every step, and a VP-owned rank (every
-    // bin drained, no timer sort). Those four move a `k = 0` cloud, whose
-    // leaver runs are short and staged element by element; the fifth moves
-    // `k = 2` across one row of columns, where a leaving bin is a run far
-    // over `SLICE_RUN`, so the slice copies fill the recycled buckets —
-    // eleven arrays each — under bulk traffic.
-    for (kernel, owners, k) in [
-        (RankKernel::default(), Owners::Cuts, 0),
-        (RankKernel::default(), Owners::Columns, 0),
-        (
-            RankKernel::default().with_rebin_interval(1),
-            Owners::Cuts,
-            0,
-        ),
-        (RankKernel::default(), Owners::Vps, 0),
-        (RankKernel::default(), Owners::Columns, 2),
+    // recycled buffers), and a VP-owned rank (every bin drained). Those
+    // three move a `k = 0` cloud, whose leaver runs are short and staged
+    // element by element; the fourth moves `k = 2` across one row of
+    // columns, where a leaving bin is a run far over `SLICE_RUN`, so the
+    // slice copies fill the recycled buckets — eleven arrays each — under
+    // bulk traffic.
+    for (owners, k) in [
+        (Owners::Cuts, 0),
+        (Owners::Columns, 0),
+        (Owners::Vps, 0),
+        (Owners::Columns, 2),
     ] {
-        let windows = audit(kernel, owners, k);
+        let windows = audit(owners, k);
         for (rank, &(first, second)) in windows.iter().enumerate() {
             // Steady state: a later warmed window allocates no more than
             // the one before it, modulo transport-queue jitter (channel
@@ -165,7 +159,7 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // thread interleaving, not on the staging code under audit).
             assert!(
                 second <= first + 2,
-                "{kernel:?} {owners:?} k={k} rank {rank}: allocation growth \
+                "{owners:?} k={k} rank {rank}: allocation growth \
                  between warmed windows ({first} then {second})"
             );
             // Absolute budget: the old per-step staging path allocated at
@@ -176,7 +170,7 @@ fn rank_step_loop_reaches_allocation_steady_state() {
             // allocation per step.
             assert!(
                 second as u32 <= WINDOW_STEPS / 2,
-                "{kernel:?} {owners:?} k={k} rank {rank}: {second} allocations \
+                "{owners:?} k={k} rank {rank}: {second} allocations \
                  in a {WINDOW_STEPS}-step warmed window"
             );
         }

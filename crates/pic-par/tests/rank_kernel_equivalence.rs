@@ -1,7 +1,7 @@
 //! Rank-loop equivalence (DESIGN.md §13): the binned SIMD rank loop ends
 //! in the AoS oracle's final state (`pic_core::reference`), per id, bit for bit — same
 //! surviving ids, same position/velocity bit patterns — across
-//! distributions, rank counts, rebin intervals, SIMD backends, and all
+//! distributions, rank counts, SIMD backends, and all
 //! three distributed implementations (static baseline, diffusion LB, and
 //! the VP runtime whatever its balancer does to VP placement). Particles
 //! never interact, so decomposition, exchange and binning may reorder the
@@ -143,23 +143,21 @@ proptest! {
 
     /// The tentpole contract: rank loop ≡ AoS oracle, bit for bit,
     /// across the sampled cross product of distribution × rank count ×
-    /// rebin interval × implementation.
+    /// implementation.
     #[test]
     fn binned_exact_bitwise_matches_aos_rank_loop(
         dist_i in 0usize..4,
         ranks in prop::sample::select(vec![1usize, 2, 4]),
-        rebin in prop::sample::select(vec![1u32, 3, 16]),
         spec_i in 0usize..3,
     ) {
         let dist = distributions()[dist_i];
         let spec = specs()[spec_i];
         let aos = bit_finals(&serial(setup(dist)));
-        let kernel = RankKernel::default().with_rebin_interval(rebin);
-        let binned = bit_finals(&run_impl(dist, ranks, spec, kernel));
+        let binned = bit_finals(&run_impl(dist, ranks, spec, RankKernel::default()));
         prop_assert_eq!(
             &aos, &binned,
-            "dist {:?}, {} ranks, rebin {}, {:?}",
-            dist, ranks, rebin, spec
+            "dist {:?}, {} ranks, {:?}",
+            dist, ranks, spec
         );
     }
 }
@@ -178,19 +176,15 @@ fn binned_exact_bitwise_identical_across_backends() {
 }
 
 /// The VP runtime's full deterministic matrix: the paper's refinement at
-/// every rank count × rebin interval (the VP step runs no timer sort, so
-/// the interval must change nothing either).
+/// every rank count.
 #[test]
 fn ampi_binned_exact_bitwise_matches_aos() {
     let dist = Distribution::Geometric { r: 0.9 };
     let aos = bit_finals(&serial(setup(dist)));
     for ranks in [1usize, 2, 4] {
-        for rebin in [1u32, 3, 16] {
-            let kernel = RankKernel::default().with_rebin_interval(rebin);
-            let spec = vp(VpStrategy::paper_default());
-            let got = bit_finals(&run_impl(dist, ranks, spec, kernel));
-            assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}");
-        }
+        let spec = vp(VpStrategy::paper_default());
+        let got = bit_finals(&run_impl(dist, ranks, spec, RankKernel::default()));
+        assert_eq!(aos, got, "{ranks} ranks");
     }
 }
 
@@ -237,14 +231,11 @@ fn overlapped_split_phase_matches_dense_oracle_bitwise() {
     ));
     let aos = bit_finals(&serial(setup.clone()));
     for ranks in [1usize, 2, 4] {
-        for rebin in [1u32, 3, 16] {
-            let kernel = RankKernel::default().with_rebin_interval(rebin);
-            let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
-            assert_eq!(
-                aos,
-                bit_finals(&run_ranks(&cfg, ranks)),
-                "overlapped step diverged from the oracle ({ranks} ranks, rebin {rebin})"
-            );
-        }
+        let cfg = ParConfig::new(setup.clone(), STEPS);
+        assert_eq!(
+            aos,
+            bit_finals(&run_ranks(&cfg, ranks)),
+            "overlapped step diverged from the oracle ({ranks} ranks)"
+        );
     }
 }

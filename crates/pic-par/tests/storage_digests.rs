@@ -162,23 +162,14 @@ fn cases() -> Vec<(&'static str, u64)> {
     };
     let columns = Decomp2d::columns(32, 4);
     let blocks = Decomp2d::uniform(32, 4);
-    let rebin = |r| kernel.with_rebin_interval(r);
     vec![
         (
-            "1x4 columns, overlapped, rebin 16",
-            manual(&setup(geo, 1), &columns, rebin(16)),
+            "1x4 columns, overlapped",
+            manual(&setup(geo, 1), &columns, kernel),
         ),
         (
-            "1x4 columns, overlapped, rebin 1",
-            manual(&setup(geo, 1), &columns, rebin(1)),
-        ),
-        (
-            "2x2 cuts m=1, synchronous, rebin 16",
-            manual(&setup(geo, 1), &blocks, rebin(16)),
-        ),
-        (
-            "2x2 cuts m=1, synchronous, rebin 1",
-            manual(&setup(geo, 1), &blocks, rebin(1)),
+            "2x2 cuts m=1, synchronous",
+            manual(&setup(geo, 1), &blocks, kernel),
         ),
         (
             "inject + remove, 1x2 columns",
@@ -202,11 +193,9 @@ fn cases() -> Vec<(&'static str, u64)> {
 }
 
 #[rustfmt::skip]
-const PINNED: [(&str, u64); 10] = [
-    ("1x4 columns, overlapped, rebin 16", 0x9a08_6c04_f617_f799),
-    ("1x4 columns, overlapped, rebin 1", 0x8fec_5161_bb64_ca2b),
-    ("2x2 cuts m=1, synchronous, rebin 16", 0x4448_fa8e_fd78_b629),
-    ("2x2 cuts m=1, synchronous, rebin 1", 0x02f8_c1e2_9667_6708),
+const PINNED: [(&str, u64); 8] = [
+    ("1x4 columns, overlapped", 0x9a08_6c04_f617_f799),
+    ("2x2 cuts m=1, synchronous", 0x4448_fa8e_fd78_b629),
     ("inject + remove, 1x2 columns", 0x819a_a30f_427b_ba65),
     ("inject + remove, 2x2 cuts", 0x183f_f899_6737_ac0e),
     ("diffusion x-only, 2 ranks", 0xda57_7594_988f_a7d6),

@@ -16,7 +16,7 @@ use pic_core::geometry::Grid;
 use pic_core::init::{InitConfig, SimulationSetup};
 use pic_core::particle::Particle;
 use pic_par::decomp::Decomp2d;
-use pic_par::runner::{RankKernel, RankState};
+use pic_par::runner::RankState;
 use proptest::prelude::*;
 
 /// One balance round of a script: the cuts in force after step `after`.
@@ -99,15 +99,9 @@ fn assert_homed(st: &RankState, when: &str) {
 
 /// Run `steps` steps from `decomp` under `script` and hold the union of
 /// the ranks' final particles to the oracle, per id, bit for bit.
-fn check(
-    setup: &SimulationSetup,
-    decomp: &Decomp2d,
-    kernel: RankKernel,
-    steps: u32,
-    script: &[Round],
-) {
+fn check(setup: &SimulationSetup, decomp: &Decomp2d, steps: u32, script: &[Round]) {
     let per_rank = run_threads(decomp.ranks(), |comm| {
-        let mut st = RankState::with_kernel(setup, decomp.clone(), comm.rank(), kernel);
+        let mut st = RankState::new(setup, decomp.clone(), comm.rank());
         for s in 1..=steps {
             st.step(&comm);
             assert_homed(&st, &format!("after step {s}"));
@@ -123,12 +117,8 @@ fn check(
     assert_eq!(
         bit_finals(&oracle),
         bit_finals(&per_rank.concat()),
-        "{decomp:?} {kernel:?} {script:?}"
+        "{decomp:?} {script:?}"
     );
-}
-
-fn rebin(r: u32) -> RankKernel {
-    RankKernel::default().with_rebin_interval(r)
 }
 
 fn drifting(ncells: usize, n: u64, dist: Distribution, k: u32, m: i32, dir: i8) -> SimulationSetup {
@@ -141,10 +131,12 @@ fn drifting(ncells: usize, n: u64, dist: Distribution, k: u32, m: i32, dir: i8) 
 }
 
 #[test]
-fn cut_moves_at_store_age_0_and_15() {
-    // Stride 1 on 32-column subdomains: at age 15 the drift margin leaves
-    // a two-column interior undrained, at age 0 (the timer sort has just
-    // run) everything but the moved strip.
+fn cut_moves_at_store_ages_15_16_and_31() {
+    // Stride 1 on 64 columns, and no event, so the store's age is the step
+    // count. At age 15 the drift margin leaves rank 0's grown 36-column
+    // range a six-column interior undrained, at age 16 rank 1's grown
+    // 35-column range a three-column one; at age 31 twice the drift covers
+    // every range, so the whole slab is drained.
     let setup = drifting(64, 1_500, Distribution::Geometric { r: 0.95 }, 0, 1, 1);
     let script = [
         Round {
@@ -152,22 +144,24 @@ fn cut_moves_at_store_age_0_and_15() {
             ..x_move(15, &[0, 36, 64])
         },
         Round {
-            age: Some(0),
+            age: Some(16),
             ..x_move(16, &[0, 29, 64])
         },
         Round {
-            age: Some(15),
+            age: Some(31),
             ..x_move(31, &[0, 33, 64])
         },
     ];
-    check(&setup, &Decomp2d::columns(64, 2), rebin(16), 40, &script);
+    check(&setup, &Decomp2d::columns(64, 2), 40, &script);
 }
 
 #[test]
 fn moves_wider_than_what_is_still_ordered() {
     // At age 12 the step's own border drain has left 8 ordered columns per
     // rank; a 20-column move keeps them on the rank that grows and leaves
-    // the rank that shrinks no wider than twice the drift — all active.
+    // the rank that shrinks no wider than twice the drift — all active. By
+    // age 28 the step's border covers both slabs, so the second move meets
+    // stores with nothing ordered left.
     let setup = drifting(64, 1_500, Distribution::Sinusoidal, 0, 0, -1);
     let script = [
         Round {
@@ -175,11 +169,11 @@ fn moves_wider_than_what_is_still_ordered() {
             ..x_move(12, &[0, 52, 64])
         },
         Round {
-            age: Some(12),
+            age: Some(28),
             ..x_move(28, &[0, 12, 64])
         },
     ];
-    check(&setup, &Decomp2d::columns(64, 2), rebin(16), 36, &script);
+    check(&setup, &Decomp2d::columns(64, 2), 36, &script);
 }
 
 #[test]
@@ -199,9 +193,7 @@ fn moves_that_empty_a_rank() {
         x_move(9, &[0, 1, 2, 64]),
         x_move(20, &[0, 21, 42, 64]),
     ];
-    for r in [1, 4, 16] {
-        check(&setup, &Decomp2d::columns(64, 3), rebin(r), 30, &script);
-    }
+    check(&setup, &Decomp2d::columns(64, 3), 30, &script);
 }
 
 #[test]
@@ -221,9 +213,7 @@ fn edge_ranks_with_a_wrapping_population() {
             x_move(13, &[0, 16, 32]),
             x_move(14, &[0, 31, 32]),
         ];
-        for r in [1, 4, 16] {
-            check(&setup, &decomp, rebin(r), 24, &script);
-        }
+        check(&setup, &decomp, 24, &script);
     }
 }
 
@@ -245,9 +235,7 @@ fn mixed_strides() {
         x_move(9, &[0, 8, 56, 64]),
         x_move(12, &[0, 21, 42, 64]),
     ];
-    for r in [4, 16] {
-        check(&setup, &Decomp2d::columns(64, 3), rebin(r), 20, &script);
-    }
+    check(&setup, &Decomp2d::columns(64, 3), 20, &script);
 }
 
 #[test]
@@ -268,9 +256,7 @@ fn events_beside_a_round() {
             ..x_move(10, &[0, 19, 32])
         },
     ];
-    for r in [1, 16] {
-        check(&setup, &Decomp2d::columns(32, 2), rebin(r), 18, &script);
-    }
+    check(&setup, &Decomp2d::columns(32, 2), 18, &script);
 }
 
 #[test]
@@ -297,20 +283,14 @@ fn two_by_two_with_x_y_and_two_phase_moves() {
     ];
     for m in [0, 1] {
         let setup = drifting(32, 900, Distribution::Geometric { r: 0.9 }, 0, m, 1);
-        check(
-            &setup,
-            &Decomp2d::uniform_grid(32, 2, 2),
-            rebin(16),
-            20,
-            &script,
-        );
+        check(&setup, &Decomp2d::uniform_grid(32, 2, 2), 20, &script);
     }
 }
 
 /// Fails on the parent of PR 21: a round that moves no cut (τ blocks it,
 /// or the static arm of the adaptive ladder decides) used to drain with
-/// every bin active, which turned the whole ordered store mixed until the
-/// next timer sort.
+/// every bin active, which turned the whole ordered store mixed for the
+/// rest of the run.
 #[test]
 fn a_round_that_moves_no_cut_keeps_the_store_ordered() {
     let setup = drifting(64, 1_500, Distribution::Geometric { r: 0.95 }, 0, 0, 1);
@@ -346,7 +326,6 @@ proptest! {
         k in 0u32..2,
         m in -1i32..2,
         leftwards in any::<bool>(),
-        rebin_every in prop::sample::select(vec![1u32, 3, 16]),
         dist_i in 0usize..3,
         interval in 1u32..7,
         seeds in prop::collection::vec(any::<u64>(), 6),
@@ -382,6 +361,6 @@ proptest! {
             })
             .collect();
         let decomp = Decomp2d::uniform_grid(32, px, py);
-        check(&setup, &decomp, rebin(rebin_every), 6 * interval + 3, &script);
+        check(&setup, &decomp, 6 * interval + 3, &script);
     }
 }
