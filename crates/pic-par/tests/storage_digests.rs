@@ -194,12 +194,12 @@ fn cases() -> Vec<(&'static str, u64)> {
 
 #[rustfmt::skip]
 const PINNED: [(&str, u64); 8] = [
-    ("1x4 columns, overlapped", 0x9a08_6c04_f617_f799),
-    ("2x2 cuts m=1, synchronous", 0x4448_fa8e_fd78_b629),
+    ("1x4 columns, overlapped", 0x62be_4d6e_eab1_be33),
+    ("2x2 cuts m=1, synchronous", 0x8d37_4db7_12db_0d3e),
     ("inject + remove, 1x2 columns", 0x819a_a30f_427b_ba65),
     ("inject + remove, 2x2 cuts", 0x183f_f899_6737_ac0e),
-    ("diffusion x-only, 2 ranks", 0xda57_7594_988f_a7d6),
-    ("diffusion two-phase, 4 ranks", 0xa2b9_79ee_e784_3780),
+    ("diffusion x-only, 2 ranks", 0x3722_890f_f50e_38c6),
+    ("diffusion two-phase, 4 ranks", 0x5b71_bdb9_86d2_6903),
     ("vp d=4 refine, 2 ranks", 0x093f_56d1_9f8d_e13e),
     ("vp d=4 refine, 4 ranks", 0x8163_c142_bff2_a40f),
 ];
