@@ -12,15 +12,23 @@
 # `pic-e2e --workload W --trace 0 --seconds 2 [--seed SEED]` PAIRS times
 # per side, alternating which side runs first, and prints one block: for
 # each end-to-end metric the parent's median [IQR], the change's median,
-# how many pairs the change read lower, and whether the gain rule holds —
+# how many pairs the change read lower, whether the gain rule holds —
 # the change lower in at least nine tenths of the pairs (ties count for
-# neither) and the medians further apart than the parent's IQR.
+# neither) and the medians further apart than the parent's IQR — and the
+# regression verdict the merge gate applies, from the metric's `bound` in
+# BENCHMARK.json (read only; a bound is a share of the parent's median):
+#   worse         the change's median is worse than the parent's by more
+#                 than the bound;
+#   unresolved    otherwise, when the parent's IQR is wider than the bound
+#                 and not every change run beats every parent run;
+#   within bound  neither.
 #
 # Each block is also appended as one JSON line to BENCH_e2e.jsonl at the
 # repo root: the parent and change revisions (the change's with a dirty
 # flag for uncommitted edits), the host's CPU model and count, workload,
 # seed, pairs, and per metric the two medians, the parent's IQR, the
-# change-lower count and the verdict. Commit the lines a change measured.
+# change-lower count, the gain rule and the regression verdict. Commit the
+# lines a change measured.
 #
 # Exits non-zero if a build fails or any run reports `"correct": false`
 # or `failed > 0` (its workload's line is still written, with
@@ -100,10 +108,11 @@ for w in "${list[@]}"; do
         done
     done
     python3 - "$runs" "$w" "$rev" "$parent_rev" "$change_rev" "$dirty" "${seed:-default}" \
-        "$root/BENCH_e2e.jsonl" <<'EOF' || status=1
+        "$root/BENCH_e2e.jsonl" "$root/BENCHMARK.json" <<'EOF' || status=1
 import json, os, statistics, sys
 
-path, workload, rev, parent_rev, change_rev, dirty, seed, record = sys.argv[1:]
+path, workload, rev, parent_rev, change_rev, dirty, seed, record, bench = sys.argv[1:]
+declared = {m["name"]: m for m in json.load(open(bench))["end_to_end"]}
 runs = [r for r in map(json.loads, open(path)) if r["workload"] == workload]
 bad = [r for r in runs
        if not r["result"].get("correct") or r["result"].get("failed", 0) > 0]
@@ -116,6 +125,20 @@ def series(side, metric):
     rows = sorted((r["pair"], r["result"]["metrics"][metric]["value"])
                   for r in runs if r["side"] == side)
     return [v for _, v in rows]
+
+def regression(metric, p, c, pm, cm, iqr):
+    """The merge gate's verdict on one metric: worse / unresolved / within bound."""
+    spec = declared.get(metric)
+    if spec is None:
+        return "no bound"
+    sign = 1 if spec["better"] == "lower" else -1
+    bound = spec["bound"] * abs(pm)
+    if sign * (cm - pm) > bound:
+        return "worse"
+    beats_all = max(sign * v for v in c) < min(sign * v for v in p)
+    if iqr > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
 
 def host():
     model = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo")
@@ -135,11 +158,13 @@ for m in metrics:
     iqr = q[2] - q[0]
     lower = sum(b < a for a, b in zip(p, c))
     holds = lower >= 0.9 * pairs and pm - cm > iqr
+    verdict = regression(m, p, c, pm, cm, iqr)
     delta = f"{100 * (cm - pm) / pm:+.1f} %" if pm else "n/a"
     print(f"  {m:12s} {pm:.3f} [{iqr:.3f}] -> {cm:.3f} ({delta}), "
-          f"change lower in {lower}/{pairs}, gain rule {'holds' if holds else 'does not hold'}")
+          f"change lower in {lower}/{pairs}, gain rule {'holds' if holds else 'does not hold'}, "
+          f"{verdict}")
     line["metrics"][m] = {"parent_median": pm, "change_median": cm, "parent_iqr": iqr,
-                          "change_lower": lower, "gain_rule": holds}
+                          "change_lower": lower, "gain_rule": holds, "regression": verdict}
 with open(record, "a") as f:
     f.write(json.dumps(line) + "\n")
 sys.exit(1 if bad else 0)
