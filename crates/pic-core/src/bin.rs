@@ -2,9 +2,8 @@
 //!
 //! [`BinnedStore`] keeps a [`ParticleBatch`] physically ordered by cell
 //! *column* — bin `c` is the contiguous span `offsets[c]..offsets[c+1]` —
-//! so the sweep walks memory in cell order and the per-column load
-//! histogram falls out of the prefix sums for free (O(columns) instead of
-//! an O(n) scan). The permutation is built with a stable counting sort
+//! so the sweep walks memory in cell order and hoists each bin's corner
+//! charge. The permutation is built with a stable counting sort
 //! and a gather that moves one field at a time through one scratch column
 //! per element type. One rule decides when it runs, for every store under
 //! every ownership map: at construction, and before the next sweep after
@@ -1458,7 +1457,7 @@ mod tests {
     }
 
     #[test]
-    fn binned_sweep_bitwise_matches_unbinned_for_rebin_intervals() {
+    fn binned_sweep_bitwise_matches_unbinned_at_any_sort_cadence() {
         // `advance_all` runs no timer: the hoisted kernel is exact at any
         // age, and a caller's explicit sort at any cadence (or never)
         // changes traversal order only.

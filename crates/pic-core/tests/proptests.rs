@@ -448,9 +448,8 @@ proptest! {
         prop_assert!(negates(ay_e, ay_n), "{ay_e} vs {ay_n}");
     }
 
-    /// The binned store's histogram — the O(columns) prefix sums while
-    /// the binning is fresh (before the first sweep), the store's own scan
-    /// afterwards — agrees with a count over the canonical view for every
+    /// The binned store's histogram — a scan of the store's current
+    /// positions — agrees with a count over the canonical view for every
     /// distribution family with mid-run injection and removal, at every
     /// step of the run.
     #[test]

@@ -132,9 +132,8 @@ mod tests {
     #[test]
     fn binned_histogram_fast_path_drives_cut_movement() {
         // End to end: the column histogram the serial engine reads back
-        // from its store (it never re-sorts, so after the first sweep that
-        // is the store's scan, not the O(columns) prefix sums) alone steers the diffusion cuts after the paper's
-        // drifting skewed cloud.
+        // from its store (a scan of the current positions) alone steers
+        // the diffusion cuts after the paper's drifting skewed cloud.
         use pic_core::engine::Simulation;
         let grid = Grid::new(32).unwrap();
         let setup = InitConfig::new(grid, 2000, Distribution::Geometric { r: 0.8 })

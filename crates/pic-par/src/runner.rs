@@ -293,8 +293,7 @@ impl RankState {
 
     /// Fill `h` with this rank's per-column particle counts (global column
     /// indexing, zero outside the subdomain): one scan of the store.
-    /// Summed across ranks this is the
-    /// balancer's input histogram.
+    /// Summed across ranks this is the balancer's input histogram.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
         self.store.column_histogram_into(&self.grid, h);
     }

@@ -85,7 +85,7 @@ cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
 # The serial engine has one store, so there is no sweep mode to choose.
 ./target/release/pic --sweep serial 2>/dev/null && exit 1 || test $? -eq 2
-# The rebin interval is a constant (DEFAULT_REBIN), not an option.
+# No option sets a sort interval: no store sorts on a timer.
 ./target/release/pic --rebin 4 2>/dev/null && exit 1 || test $? -eq 2
 # A sampling interval past the last step would write no step record.
 ./target/release/pic --steps 5 --trace /dev/null --trace-every 50 2>/dev/null && exit 1 || test $? -eq 2
