@@ -6,13 +6,12 @@
 //! collective and the substrate exercises realistic traffic patterns.
 //!
 //! All collectives must be called by **every** member of the communicator
-//! in the same order (the usual MPI rule; for the split-phase all-to-all,
-//! the start and the finish each count). Messages carry no tag: each
+//! in the same order (the usual MPI rule). Messages carry no tag: each
 //! collective has a fixed message pattern, so under that rule the k-th
 //! message a rank takes from a peer is the k-th one the peer sent it.
 
 use crate::comm::{Communicator, ReduceOp};
-use crate::payload::{PayloadKind, WirePayload};
+use crate::payload::WirePayload;
 
 // ---------------------------------------------------------------------------
 // byte codecs
@@ -284,58 +283,15 @@ pub fn alltoallv_take_into<P: WirePayload>(
     outgoing: &mut [P],
     incoming: &mut Vec<P>,
 ) {
-    let handle = alltoallv_start(comm, outgoing);
-    alltoallv_finish_into(comm, handle, incoming);
-}
-
-/// Completion handle for an in-flight (split-phase) all-to-all. All sends
-/// have been posted when the handle exists; dropping it without calling
-/// [`alltoallv_finish_into`] leaves its messages at the head of the
-/// mailboxes, where the next collective would take them, so it is
-/// `#[must_use]`.
-#[derive(Debug)]
-#[must_use = "an alltoallv start must be completed with alltoallv_finish_into"]
-pub struct AlltoallvHandle {
-    /// Wire lane the start call put on the wire; the finish call must
-    /// claim the same lane (asserted) — the receives would otherwise
-    /// panic deep in the payload layer or, worse, mis-deliver.
-    payload_kind: PayloadKind,
-}
-
-/// Start a split-phase all-to-all: `outgoing[d]` is surrendered to the
-/// transport (replaced by `P::empty()`) and sent to rank `d` — including
-/// empty payloads, which serve as "nothing for you" markers. Sends never
-/// block, so the call returns without waiting for any peer: the caller can
-/// compute while the messages are in flight and complete the receives
-/// later with [`alltoallv_finish_into`] naming the same lane.
-pub fn alltoallv_start<P: WirePayload>(comm: &Communicator, outgoing: &mut [P]) -> AlltoallvHandle {
     assert_eq!(
         outgoing.len(),
         comm.size(),
         "alltoallv needs one payload per rank"
     );
+    // Sends never block: every message is posted before the first receive.
     for (dst, payload) in outgoing.iter_mut().enumerate() {
         comm.send(dst, std::mem::replace(payload, P::empty()));
     }
-    AlltoallvHandle {
-        payload_kind: P::KIND,
-    }
-}
-
-/// Complete a split-phase all-to-all: receives one payload from every
-/// rank, in rank order, into `incoming` (cleared, capacity retained).
-pub fn alltoallv_finish_into<P: WirePayload>(
-    comm: &Communicator,
-    handle: AlltoallvHandle,
-    incoming: &mut Vec<P>,
-) {
-    assert_eq!(
-        handle.payload_kind,
-        P::KIND,
-        "alltoallv started on the {} lane but finished on the {} lane",
-        handle.payload_kind.name(),
-        P::KIND.name()
-    );
     incoming.clear();
     incoming.extend((0..comm.size()).map(|src| comm.recv::<P>(src)));
 }
@@ -496,13 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_split_phase_matches_alltoallv() {
+    fn take_into_matches_alltoallv_and_takes_the_payloads() {
         let got = run_threads(4, |comm| {
             let mut outgoing: Vec<Vec<u8>> =
                 (0..4).map(|d| vec![(10 * comm.rank() + d) as u8]).collect();
-            let mut incoming: Vec<Vec<u8>> = Vec::new();
-            let h = alltoallv_start(&comm, &mut outgoing);
-            alltoallv_finish_into(&comm, h, &mut incoming);
+            let mut incoming: Vec<Vec<u8>> = vec![vec![9; 3]];
+            alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
             assert!(outgoing.iter().all(|p| p.is_empty()), "payloads taken");
             incoming
         });
@@ -510,30 +465,24 @@ mod tests {
             let want: Vec<Vec<u8>> = (0..4).map(|s| vec![(10 * s + r) as u8]).collect();
             assert_eq!(incoming, want);
         }
-    }
-
-    #[test]
-    fn dense_split_phase_single_rank_and_empty() {
-        let got = run_threads(1, |comm| {
-            let mut outgoing = vec![Vec::<u8>::new()];
+        let single = run_threads(1, |comm| {
             let mut incoming: Vec<Vec<u8>> = Vec::new();
-            let h = alltoallv_start(&comm, &mut outgoing);
-            alltoallv_finish_into(&comm, h, &mut incoming);
+            alltoallv_take_into(&comm, &mut [Vec::<u8>::new()], &mut incoming);
             incoming
         });
-        assert_eq!(got[0], vec![Vec::<u8>::new()]);
+        assert_eq!(single[0], vec![Vec::<u8>::new()]);
     }
 
     #[test]
     fn fifo_across_collectives() {
-        // Rank 0 holds its first exchange open while the others finish it
-        // and post their messages of three more collectives: every
-        // mailbox into rank 0 queues four collectives deep before rank 0
-        // takes the first, and each must still land in its own collective.
-        // The others run the rooted halves of an allreduce and an
+        // Rank 0 enters no collective until the others have posted their
+        // messages of three: the rooted halves of an allreduce and an
         // allgatherv (`reduce_vec_u64`, `gatherv` to rank 0), which never
-        // wait on rank 0. A barrier outside the communicator forces the
-        // order; the world runs under a 10 s watchdog.
+        // wait on rank 0, and the sends of an all-to-all. Every mailbox
+        // into rank 0 queues three collectives deep before rank 0 takes
+        // the first, and each must still land in its own collective. A
+        // barrier outside the communicator forces the order; the world
+        // runs under a 10 s watchdog.
         let p = 4;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -543,20 +492,24 @@ mod tests {
                 let msgs = |mark: u8| -> Vec<Vec<u8>> {
                     (0..p as u8).map(|d| vec![mark, me, d]).collect()
                 };
-                let mut first: Vec<Vec<u8>> = Vec::new();
-                let mut second: Vec<Vec<u8>> = Vec::new();
-                let h1 = alltoallv_start(&comm, &mut msgs(1));
+                let (mut first, mut second) = (Vec::new(), Vec::new());
                 if me == 0 {
                     posted.wait();
                 }
-                alltoallv_finish_into(&comm, h1, &mut first);
                 let sum = reduce_vec_u64(&comm, 0, &[me as u64, 1], ReduceOp::Sum);
                 let gathered = gatherv(&comm, 0, vec![3, me]);
-                let h2 = alltoallv_start(&comm, &mut msgs(2));
                 if me != 0 {
+                    // The all-to-all's sends go out before its receives
+                    // block; rank 0 is not in it yet.
+                    for (dst, m) in msgs(1).into_iter().enumerate() {
+                        comm.send(dst, m);
+                    }
                     posted.wait();
+                    first.extend((0..p).map(|src| comm.recv::<Vec<u8>>(src)));
+                } else {
+                    alltoallv_take_into(&comm, &mut msgs(1), &mut first);
                 }
-                alltoallv_finish_into(&comm, h2, &mut second);
+                alltoallv_take_into(&comm, &mut msgs(2), &mut second);
                 (first, sum, gathered, second)
             });
             tx.send(got)
@@ -578,17 +531,5 @@ mod tests {
                 assert_eq!((sum, gathered), (None, None));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "started on the typed lane but finished on the bytes lane")]
-    fn lane_mismatch_between_start_and_finish_is_loud() {
-        // Single-rank world on the test thread itself, so the panic is the
-        // test's own (run_threads would wrap a rank-thread panic).
-        let comm = Communicator::new(crate::world::World::new(1), 0);
-        let mut outgoing: Vec<Vec<pic_core::particle::Particle>> = vec![Vec::new()];
-        let mut incoming: Vec<Vec<u8>> = Vec::new();
-        let h = alltoallv_start(&comm, &mut outgoing);
-        alltoallv_finish_into(&comm, h, &mut incoming);
     }
 }

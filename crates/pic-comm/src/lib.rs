@@ -5,8 +5,8 @@
 //! backend**: each rank is an OS thread of one world ([`run_threads`]),
 //! every ordered rank pair has one FIFO mailbox, and the collectives
 //! (broadcast, gatherv/allgatherv, `u64` vector reduce/allreduce, scalar
-//! `u64`/`f64`/`u128` allreduce, and the personalized alltoallv,
-//! synchronous or split-phase) are built on those messages exactly as a
+//! `u64`/`f64`/`u128` allreduce, and the personalized alltoallv) are
+//! built on those messages exactly as a
 //! textbook MPI would build them on point-to-point — so the communication
 //! *structure* of the ported kernels is faithful even though the transport
 //! is shared memory.
@@ -19,9 +19,8 @@
 //!   from a peer is the k-th one that peer sent it.
 //! * **Deterministic collectives** — reductions fold along a fixed
 //!   binomial tree, so floating-point results are reproducible run to run.
-//! * **Sends never block** — a split-phase start
-//!   ([`alltoallv_start`]) posts every message and returns without waiting
-//!   for a peer, so a rank can compute while its messages are in flight.
+//! * **Sends never block** — [`alltoallv_take_into`] posts every message
+//!   before its first receive, so no rank waits on a peer to send.
 //! * **A failed rank fails the job** — a rank that panics aborts the world
 //!   with an error naming it; no peer is left blocked in a receive.
 //!

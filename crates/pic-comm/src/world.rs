@@ -106,9 +106,7 @@ fn panic_message(cause: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::{
-        allreduce_u64, alltoallv_finish_into, alltoallv_start, broadcast, gatherv,
-    };
+    use crate::collective::{allreduce_u64, alltoallv_take_into, broadcast, gatherv};
     use crate::comm::ReduceOp;
     use std::time::Duration;
 
@@ -211,21 +209,29 @@ mod tests {
 
     #[test]
     fn heavy_traffic_no_loss() {
-        // 500 split-phase exchanges all in flight at once before the first
-        // finish: every mailbox queues 500 deep, and each finish must still
-        // take its own exchange's payload.
+        // 500 messages to every peer all in flight at once before the
+        // first receive: every mailbox queues 500 deep, and each receive
+        // must still take its own round's payload. Then 500 all-to-alls
+        // back to back.
         let n = 500usize;
         let got = run_threads(4, |comm| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut outgoing = vec![vec![(i % 251) as u8, comm.rank() as u8]; comm.size()];
-                    alltoallv_start(&comm, &mut outgoing)
-                })
-                .collect();
-            let mut incoming: Vec<Vec<u8>> = Vec::new();
+            for i in 0..n {
+                for dst in 0..comm.size() {
+                    comm.send(dst, vec![(i % 251) as u8, comm.rank() as u8]);
+                }
+            }
             let mut sum = 0u64;
-            for (i, h) in handles.into_iter().enumerate() {
-                alltoallv_finish_into(&comm, h, &mut incoming);
+            for i in 0..n {
+                for src in 0..comm.size() {
+                    let v: Vec<u8> = comm.recv(src);
+                    assert_eq!(v, vec![(i % 251) as u8, src as u8]);
+                    sum += v[0] as u64;
+                }
+            }
+            let mut incoming: Vec<Vec<u8>> = Vec::new();
+            for i in 0..n {
+                let mut outgoing = vec![vec![(i % 251) as u8, comm.rank() as u8]; comm.size()];
+                alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
                 for (src, v) in incoming.iter().enumerate() {
                     assert_eq!(v, &vec![(i % 251) as u8, src as u8]);
                     sum += v[0] as u64;
@@ -233,7 +239,7 @@ mod tests {
             }
             sum
         });
-        let expected: u64 = (0..n as u64).map(|i| (i % 251) * 4).sum();
+        let expected: u64 = (0..n as u64).map(|i| (i % 251) * 4 * 2).sum();
         assert!(got.iter().all(|&g| g == expected));
     }
 }

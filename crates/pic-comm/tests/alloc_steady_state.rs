@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pic_comm::collective::{alltoallv_finish_into, alltoallv_start};
+use pic_comm::collective::alltoallv_take_into;
 use pic_comm::comm::Communicator;
 use pic_comm::payload::WirePayload;
 use pic_comm::world::run_threads;
@@ -123,8 +123,7 @@ fn ring_iter<B: Bucket>(comm: &Communicator, outgoing: &mut [B], incoming: &mut 
         let n = if d == left || d == right { NP } else { 0 };
         bucket.refill(it, n);
     }
-    let h = alltoallv_start(comm, outgoing);
-    alltoallv_finish_into(comm, h, incoming);
+    alltoallv_take_into(comm, outgoing, incoming);
     let arrived: usize = incoming.iter().map(B::count).sum();
     assert_eq!(arrived, 2 * NP, "rank {rank}: lost particles");
     for (slot, buf) in outgoing.iter_mut().zip(incoming.drain(..)) {

@@ -1,4 +1,4 @@
-//! The serial engine: the whole population in one cell-binned SoA store
+//! The serial engine: the whole population in one phase-split SoA store
 //! ([`BinnedStore`]), swept through the worker pool with the SIMD span
 //! kernel, events applied through the same [`EventLedger`] as every rank.
 //!
@@ -116,7 +116,7 @@ impl Simulation {
         self.store.to_particles()
     }
 
-    /// Direct view of the SoA store — in bin order, not canonical order;
+    /// Direct view of the SoA store — in storage order, not canonical order;
     /// use [`Simulation::particles`] when ordering matters.
     pub fn batch(&self) -> &ParticleBatch {
         self.store.batch()
@@ -124,12 +124,6 @@ impl Simulation {
 
     pub fn particle_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// Lifetime counting-sort (rebin) invocations. Telemetry hook for the
-    /// trace `rebins` counter.
-    pub fn rebin_count(&self) -> u64 {
-        self.store.rebin_count()
     }
 
     /// The checksum ledger: what the id sum of the surviving particles
@@ -220,7 +214,7 @@ impl Simulation {
     /// tests *only*.
     #[doc(hidden)]
     pub fn push_particle(&mut self, p: Particle) {
-        self.store.push(p);
+        self.store.push_tail(p);
     }
 }
 

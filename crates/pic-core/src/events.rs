@@ -155,7 +155,7 @@ impl EventLedger {
 
     /// Apply the events due at `step` (0-based) to `store`. Injections are
     /// materialized identically by every ledger (same id assignment) and
-    /// appended to the tail where `owns(col, row)` holds. A removal takes
+    /// stored where `owns(col, row)` holds. A removal takes
     /// the `count` lowest in-region ids of the whole population: the store
     /// offers its own `count` lowest (the global ones are among them),
     /// `agree` turns that offer into every store's offers — the identity
@@ -190,8 +190,6 @@ impl EventLedger {
                         self.expected_id_sum += p.id as u128;
                         let (c, r) = self.grid.cell_of_point(p.x, p.y);
                         if owns(c, r) {
-                            // Inside the store's columns, so the tail
-                            // append keeps the rebin amortized.
                             store.push_tail(*p);
                         }
                     }

@@ -54,7 +54,7 @@
 //! [`coulomb`]: crate::charge::coulomb
 
 use crate::bin::{CellTable, OwnerMap};
-use crate::charge::{f_over_r_lanes, mid_cell_lanes, CornerCharge, SimConstants};
+use crate::charge::{f_over_r_lanes, mid_cell_lanes, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -607,11 +607,10 @@ mod x86 {
 /// Force-and-integrate over `groups` quartets starting at the span base —
 /// the vector transcription of the scalar kernel's first loop, lane per
 /// particle, four corner evaluations unrolled in the scalar pairing and
-/// summation order. The corner charges come from `charge`: a hoisted
-/// `f64` splats once outside the loop (an ordered bin), the per-column
-/// source resolves each lane's own column (the mixed region) — the
-/// arithmetic downstream of the charge is the same instruction sequence
-/// either way.
+/// summation order. The corner charges `q_left` and `−q_left` are
+/// hoisted: every particle of a span shares one column parity (the
+/// store's phase contract, [`crate::bin`]), so both splat once outside
+/// the loop.
 ///
 /// **The corner fold.** The four corner forces on a particle at the cell
 /// centre are pairwise mirror images, so the kernel evaluates `f/r` — the
@@ -635,9 +634,9 @@ mod x86 {
 /// the x/y/vx/vy regions must be disjoint (they are distinct SoA columns).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn force_groups<V: Lanes, C: CornerCharge>(
+unsafe fn force_groups<V: Lanes>(
     consts: &SimConstants,
-    charge: C,
+    q_left: f64,
     x: *mut f64,
     y: *mut f64,
     vx: *mut f64,
@@ -649,6 +648,7 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
     let h = V::splat(consts.h);
     let half = V::splat(0.5);
     let neg = V::splat(-1.0);
+    let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -658,7 +658,6 @@ unsafe fn force_groups<V: Lanes, C: CornerCharge>(
         // the identical column/row index.
         let col = xi.trunc();
         let row = yi.trunc();
-        let (ql, qr) = charge.lanes(col);
         let rx = xi.sub(col);
         let ry = yi.sub(row);
         let rxh = rx.sub(h);
@@ -756,10 +755,10 @@ unsafe fn wrap_groups<V: Lanes>(grid: &Grid, c: *mut f64, groups: usize) {
 /// guarantees this via [`SimdBackend`] dispatch.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
+unsafe fn advance_span_lanes<V: Lanes>(
     grid: &Grid,
     consts: &SimConstants,
-    charge: C,
+    q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -776,16 +775,16 @@ unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
         debug_assert_eq!((col, row), (x[i] as usize, y[i] as usize));
         debug_assert_eq!(
             crate::charge::mesh_charge(col, consts.q),
-            charge.at(col),
+            q_left,
             "parity drift at x={}",
             x[i]
         );
     }
     let groups = n / V::WIDTH;
     let tail = groups * V::WIDTH;
-    force_groups::<V, C>(
+    force_groups::<V>(
         consts,
-        charge,
+        q_left,
         x.as_mut_ptr(),
         y.as_mut_ptr(),
         vx.as_mut_ptr(),
@@ -795,7 +794,7 @@ unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
     );
     crate::bin::force_span(
         consts,
-        charge,
+        q_left,
         &mut x[tail..],
         &mut y[tail..],
         &mut vx[tail..],
@@ -819,17 +818,17 @@ unsafe fn advance_span_lanes<V: Lanes, C: CornerCharge>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_avx2<C: CornerCharge>(
+unsafe fn advance_span_avx2(
     grid: &Grid,
     consts: &SimConstants,
-    charge: C,
+    q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
 ) {
-    advance_span_lanes::<x86::Avx2, C>(grid, consts, charge, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx2>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
 /// AVX-512 instantiation: 8 lanes per group, still
@@ -840,30 +839,29 @@ unsafe fn advance_span_avx2<C: CornerCharge>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn advance_span_avx512<C: CornerCharge>(
+unsafe fn advance_span_avx512(
     grid: &Grid,
     consts: &SimConstants,
-    charge: C,
+    q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
 ) {
-    advance_span_lanes::<x86::Avx512, C>(grid, consts, charge, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
 /// Advance one span with the selected backend — the SIMD counterpart of
 /// [`crate::bin::advance_bin_span`], bit-identical to it (and therefore to
-/// the AoS oracle) on every backend and for every corner-charge
-/// source: a hoisted `f64` for a bin-clipped span of an ordered bin, a
-/// per-column source for the store's mixed region.
+/// the AoS oracle) on every backend, for a span whose particles all sit
+/// in columns of `q_left`'s parity.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
+pub(crate) fn advance_bin_span_simd(
     backend: SimdBackend,
     grid: &Grid,
     consts: &SimConstants,
-    charge: C,
+    q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
     vx: &mut [f64],
@@ -873,16 +871,16 @@ pub(crate) fn advance_bin_span_simd<C: CornerCharge>(
     match backend {
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx512 => unsafe {
-            advance_span_avx512(grid, consts, charge, x, y, vx, vy, q)
+            advance_span_avx512(grid, consts, q_left, x, y, vx, vy, q)
         },
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { advance_span_avx2(grid, consts, charge, x, y, vx, vy, q) },
+        SimdBackend::Avx2 => unsafe { advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q) },
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Sse2 => unsafe {
             // SSE2 is unconditionally present on x86-64.
-            advance_span_lanes::<x86::Sse2, C>(grid, consts, charge, x, y, vx, vy, q)
+            advance_span_lanes::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
         },
-        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, charge, x, y, vx, vy, q),
+        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, q_left, x, y, vx, vy, q),
     }
 }
 
@@ -1170,62 +1168,6 @@ mod tests {
         }
     }
 
-    /// The per-lane-charge instantiation (the store's mixed region) is
-    /// bit-identical to running the scalar kernel one particle at a time
-    /// with that particle's own hoisted charge — for every backend, every
-    /// span length up to two groups plus one, with neighbouring lanes in
-    /// columns of opposite parity, one lane exactly on a mesh point, and
-    /// column-7 lanes that leave the domain and take the scalar wrap.
-    #[test]
-    fn per_lane_charge_kernel_bitwise_matches_scalar_per_particle() {
-        use crate::charge::ColumnParity;
-        let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
-        for backend in SimdBackend::available() {
-            for len in 0..=2 * backend.lanes() + 1 {
-                let mut seed = ParticleBatch::new();
-                for i in 0..len {
-                    let col = [6, 7, 1, 4, 3][i % 5];
-                    seed.push(column_population(&grid, col, i + 1, 0).get(i));
-                }
-                if len > 0 {
-                    seed.x[len / 2] = seed.x[len / 2].floor();
-                    seed.y[len / 2] = seed.y[len / 2].floor();
-                }
-                let mut want = seed.clone();
-                let mut parity = seed;
-                for step in 0..4 {
-                    for i in 0..len {
-                        crate::bin::advance_bin_span(
-                            &grid,
-                            &consts,
-                            mesh_charge(want.x[i] as usize, consts.q),
-                            &mut want.x[i..i + 1],
-                            &mut want.y[i..i + 1],
-                            &mut want.vx[i..i + 1],
-                            &mut want.vy[i..i + 1],
-                            &want.q[i..i + 1],
-                        );
-                    }
-                    let b = &mut parity;
-                    advance_bin_span_simd(
-                        backend,
-                        &grid,
-                        &consts,
-                        ColumnParity(consts.q),
-                        &mut b.x[..len],
-                        &mut b.y[..len],
-                        &mut b.vx[..len],
-                        &mut b.vy[..len],
-                        &b.q[..len],
-                    );
-                    let at = format!("backend {} len {len} step {step}", backend.name());
-                    assert_eq!(want, parity, "{at}: column-parity source diverged");
-                }
-            }
-        }
-    }
-
     /// How the corner-fold test displaces one lane per group off the cell
     /// centre (`None`: every lane stays spec-conforming).
     #[derive(Debug, Clone, Copy)]
@@ -1248,7 +1190,7 @@ mod tests {
 
     /// The corner fold never changes a bit: for every backend, span length
     /// (empty, every tail of both group widths, two groups plus one),
-    /// charge source, vertical stride `m` (rows wrap in both directions,
+    /// column pattern, vertical stride `m` (rows wrap in both directions,
     /// the column-7 lanes wrap in x) and off-centre variant, the span
     /// kernel equals the **unfolded** scalar reference — `total_force` and
     /// the eqs. 1–2 integration of [`crate::motion::advance_particle`] —
@@ -1259,7 +1201,6 @@ mod tests {
     /// on both) while its neighbours' results stay untouched.
     #[test]
     fn corner_fold_bitwise_matches_unfolded_reference() {
-        use crate::charge::ColumnParity;
         use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
@@ -1278,13 +1219,9 @@ mod tests {
                 for (source, m, variant) in product3(&[0, 1], &[-2, 0, 3], &variants) {
                     let mut b = ParticleBatch::new();
                     for i in 0..len {
-                        // One hoisted charge needs one column parity; the
-                        // per-column source mixes parities within a group.
-                        let col = if source == 0 {
-                            7
-                        } else {
-                            [6, 7, 1, 4, 3][i % 5]
-                        };
+                        // One hoisted charge needs one column parity: one
+                        // odd column, or odd columns mixed within a group.
+                        let col = if source == 0 { 7 } else { [5, 7, 1, 3][i % 4] };
                         let mut p = column_population(&grid, col, i + 1, 0).get(i);
                         (p.m, p.vy) = (m, m as f64);
                         b.push(p);
@@ -1321,22 +1258,10 @@ mod tests {
                             .for_each(|p| advance_particle(&grid, &consts, p));
                         let (x, y, vx, vy) =
                             (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                        match source {
-                            0 => {
-                                let ql = x
-                                    .first()
-                                    .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
-                                advance_bin_span_simd(
-                                    backend, &grid, &consts, ql, x, y, vx, vy, &b.q,
-                                )
-                            }
-                            _ => {
-                                let parity = ColumnParity(consts.q);
-                                advance_bin_span_simd(
-                                    backend, &grid, &consts, parity, x, y, vx, vy, &b.q,
-                                )
-                            }
-                        }
+                        let ql = x
+                            .first()
+                            .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
+                        advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
                         for (i, w) in want.iter().enumerate() {
                             assert!(
                                 same(w.x, b.x[i]) && same(w.y, b.y[i]) && same(w.vx, b.vx[i]) && same(w.vy, b.vy[i]),

@@ -138,11 +138,20 @@ impl ParticleBatch {
 
     /// Remove every particle inside `region` whose id is at most `max_id`,
     /// preserving the order of the survivors (the SoA counterpart of
-    /// `Vec::retain`). Returns how many were removed.
-    pub(crate) fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
+    /// `Vec::retain`). Returns how many were removed, and how many
+    /// survivors came from below index `mark`.
+    pub(crate) fn remove_in_region_upto(
+        &mut self,
+        region: &Region,
+        max_id: u64,
+        mark: usize,
+    ) -> (usize, usize) {
         let n = self.len();
-        let mut w = 0;
+        let (mut w, mut below) = (0, 0);
         for r in 0..n {
+            if r == mark {
+                below = w;
+            }
             if self.id[r] > max_id || !region.contains_point(self.x[r], self.y[r]) {
                 if w != r {
                     self.copy_element(r, w);
@@ -150,8 +159,11 @@ impl ParticleBatch {
                 w += 1;
             }
         }
+        if mark >= n {
+            below = w;
+        }
         self.truncate(w);
-        n - w
+        (n - w, below)
     }
 
     /// Copy element `src` over element `dst` across all eleven arrays.
@@ -183,6 +195,22 @@ impl ParticleBatch {
         self.k.copy_within(src.clone(), dst);
         self.m.copy_within(src.clone(), dst);
         self.born_at.copy_within(src, dst);
+    }
+
+    /// Exchange the elements `a..a + len` with `b..b + len` across all
+    /// eleven arrays (`a + len <= b`).
+    pub(crate) fn swap_blocks(&mut self, a: usize, b: usize, len: usize) {
+        swap_blocks(&mut self.id, a, b, len);
+        swap_blocks(&mut self.x, a, b, len);
+        swap_blocks(&mut self.y, a, b, len);
+        swap_blocks(&mut self.vx, a, b, len);
+        swap_blocks(&mut self.vy, a, b, len);
+        swap_blocks(&mut self.q, a, b, len);
+        swap_blocks(&mut self.x0, a, b, len);
+        swap_blocks(&mut self.y0, a, b, len);
+        swap_blocks(&mut self.k, a, b, len);
+        swap_blocks(&mut self.m, a, b, len);
+        swap_blocks(&mut self.born_at, a, b, len);
     }
 
     /// Copy the elements of `src` reversed over `dst..dst + src.len()`
@@ -286,6 +314,11 @@ impl ParticleBatch {
     pub fn id_sum(&self) -> u128 {
         self.id.iter().map(|&i| i as u128).sum()
     }
+}
+
+fn swap_blocks<T>(field: &mut [T], a: usize, b: usize, len: usize) {
+    let (lo, hi) = field.split_at_mut(b);
+    lo[a..a + len].swap_with_slice(&mut hi[..len]);
 }
 
 /// `field[dst + j] = field[src.end − 1 − j]` for every `j < src.len()`;

@@ -329,7 +329,7 @@ mod tests {
     /// The streamed SoA fold reports what `verify_all` reports for the
     /// canonical (ascending-id) view, field for field — on a clean store
     /// and on one with more failures than `failing_ids` holds, scattered
-    /// through a storage order that a rebin has shuffled.
+    /// through the storage order of a store's two phase halves.
     #[test]
     fn streamed_report_equals_canonical_verify_all() {
         use crate::bin::{BinnedStore, DEFAULT_REBIN};
@@ -347,9 +347,7 @@ mod tests {
         for _ in 0..20 {
             store.advance_all(&grid, &consts, 64);
         }
-        // The population has wrapped around the grid: sorting it by its
-        // current columns leaves the ids out of order.
-        store.rebin(&grid);
+        // The store keeps its two phase halves: the ids are out of order.
         let ids = &store.batch().id;
         assert!(ids.windows(2).any(|w| w[0] > w[1]), "storage is canonical");
         let sum = triangular_id_sum(900);

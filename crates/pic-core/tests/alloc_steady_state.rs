@@ -11,15 +11,14 @@
 //! allocates while parked waiting for results, and must not pollute the
 //! audit.
 //!
-//! Scope: the counted regions are the engine step + histogram readback
-//! loop, and a store's counting sort once its scratch is warm.
-//! `verify()` materializes a particle vector by design and is not part of
+//! Scope: the counted region is the engine step + histogram readback
+//! loop. `verify()` materializes a particle vector by design and is not part of
 //! the steady-state loop.
 //!
 //! The same allocator also keeps a per-thread balance of live bytes and its
 //! high-water mark, so the footprint contract of the store — one resident
-//! copy of each particle plus 24 B of sort scratch (DESIGN.md §9) — is
-//! pinned by bytes, not by reading.
+//! copy of each particle and no scratch (DESIGN.md §9) — is pinned by
+//! bytes, not by reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -148,10 +147,7 @@ fn warmed_sim(backend: Option<SimdBackend>) -> Simulation {
 fn steady_state_step_loop_allocates_nothing() {
     // Once on the detected SIMD backend and once with the vector path
     // forced off: the quartet body, the scalar remainder loop, and the
-    // forced-scalar kernel must all stay allocation-free. (A store sorts
-    // only after an event, so no counting sort runs in the counted region;
-    // the sort itself is audited by
-    // `rebin_of_a_warmed_store_allocates_nothing`.)
+    // forced-scalar kernel must all stay allocation-free.
     for backend in [None, Some(SimdBackend::Scalar)] {
         let mut sim = warmed_sim(backend);
         let mut cols = Vec::new();
@@ -178,64 +174,14 @@ fn steady_state_step_loop_allocates_nothing() {
     }
 }
 
-#[test]
-fn rebin_of_a_warmed_store_allocates_nothing() {
-    // A store sorts at construction and after a structural edit, never on
-    // a timer, so the steady-state loop above never reaches the sort. Hold
-    // the sort to the same bound on its own: once one gather has sized the
-    // scratch columns and the run list, sorting a swept store again reuses
-    // them.
-    let grid = Grid::new(64).unwrap();
-    let setup = InitConfig::new(grid, 5_000, Distribution::Geometric { r: 0.95 })
-        .with_k(1)
-        .with_m(1)
-        .build()
-        .unwrap();
-    let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
-    let sweep_and_sort = |store: &mut BinnedStore| {
-        store.prepare_sweep(&grid);
-        store.sweep_cols(&grid, &setup.consts, 0..grid.ncells());
-        store.sweep_tail_pass(&grid, &setup.consts);
-        store.end_sweep();
-        store.rebin(&grid);
-    };
-    for _ in 0..4 {
-        sweep_and_sort(&mut store);
-    }
-    let order = |store: &BinnedStore| store.batch().id[..64].to_vec();
-    let before_window = order(&store);
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    IN_SCOPE.with(|s| s.set(true));
-    for _ in 0..8 {
-        sweep_and_sort(&mut store);
-    }
-    IN_SCOPE.with(|s| s.set(false));
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "{} allocations in 8 sorts",
-        after - before
-    );
-    // The window sorted for real: the wrapping columns moved to the front.
-    assert_eq!(store.rebin_count(), 1 + 4 + 8);
-    assert_ne!(order(&store), before_window, "every sort was the identity");
-    assert_eq!(store.len(), 5_000);
-}
-
 /// Bytes of one particle in the SoA batch: `id`, seven `f64` fields,
 /// `k`, `m`, `born_at`.
 const BATCH_BYTES: usize = 8 + 7 * 8 + 3 * 4;
-/// Sort scratch per particle: one gather column per element type.
-const SCRATCH_BYTES: usize = 8 + 8 + 4 + 4;
-
 #[test]
-fn store_build_and_rebin_hold_one_batch_plus_one_scratch_column_per_type() {
-    // Building straight from the records keeps no intermediate copy, and a
-    // non-identity sort gathers field by field: the peak beyond the input
-    // is the batch, one column of each element type, and per-column (not
-    // per-particle) bookkeeping — where a double-buffered sort held a
-    // second batch.
+fn store_build_and_sweep_hold_one_batch_and_no_scratch() {
+    // Building straight from the records keeps no intermediate copy, and
+    // nothing sorts: the peak beyond the input is the batch and a few
+    // fixed-size words — no scratch column, no per-column bookkeeping.
     let grid = Grid::new(64).unwrap();
     let n = 20_000;
     let setup = InitConfig::new(grid, n as u64, Distribution::Geometric { r: 0.95 })
@@ -243,28 +189,16 @@ fn store_build_and_rebin_hold_one_batch_plus_one_scratch_column_per_type() {
         .with_m(1)
         .build()
         .unwrap();
-    // Order-sensitive fingerprint of the storage order, computed in place.
-    let order = |store: &BinnedStore| {
-        (store.batch().id.iter()).fold(0u64, |h, &id| h.wrapping_mul(0x100_0000_01b3) ^ id)
-    };
-    let ((swept, sorted, len, sorts), peak) = peak_bytes(|| {
+    let (len, peak) = peak_bytes(|| {
         let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
-        // One sweep moves the cloud three columns right; the columns that
-        // wrap around the grid reorder the bins, so the sort must gather.
-        store.prepare_sweep(&grid);
-        store.sweep_cols(&grid, &setup.consts, 0..grid.ncells());
-        store.sweep_tail_pass(&grid, &setup.consts);
-        store.end_sweep();
-        let swept = order(&store);
-        store.rebin(&grid);
-        (swept, order(&store), store.len(), store.rebin_count())
+        for _ in 0..2 {
+            store.sweep(&grid, &setup.consts);
+        }
+        store.len()
     });
     assert_eq!(len, n);
-    assert_eq!(sorts, 2, "the build and the forced sort");
-    assert_ne!(swept, sorted, "the forced sort must not be the identity");
-    let columns = 128 * grid.ncells() + 4096;
     assert!(
-        peak <= (BATCH_BYTES + SCRATCH_BYTES) * n + columns,
+        peak <= BATCH_BYTES * n + 4096,
         "peak {peak} B for {n} particles: {:.1} B per particle",
         peak as f64 / n as f64
     );

@@ -8,7 +8,7 @@
 //! load imbalances have a more (pseudo-)random nature" — via an
 //! owner-directed personalized all-to-all.
 
-use pic_comm::collective::{alltoallv_finish_into, alltoallv_start, AlltoallvHandle};
+use pic_comm::collective::alltoallv_take_into;
 use pic_comm::comm::Communicator;
 use pic_core::bin::{BinnedStore, Classifier};
 use pic_core::geometry::Grid;
@@ -83,25 +83,19 @@ impl ExchangeBuffers {
         }
     }
 
-    /// Put the staged buckets on the wire and account the message counter.
-    fn start_wire(&mut self, comm: &Communicator) -> AlltoallvHandle {
-        self.msgs_sent += comm.size() as u64;
-        alltoallv_start(comm, &mut self.outgoing)
-    }
-
-    /// Complete an exchange started by [`ExchangeBuffers::start_wire`] and
-    /// hand every arrival bucket (in source-rank order, self excluded) to
-    /// `sink` with its source rank, recycling the buckets afterwards.
-    /// Returns the particle count delivered.
-    fn finish_arrivals(
+    /// Put the staged buckets on the wire, hand every arrival bucket (in
+    /// source-rank order, self excluded) to `sink` with its source rank,
+    /// and recycle the buckets afterwards. Returns the particle count
+    /// delivered.
+    fn exchange(
         &mut self,
         comm: &Communicator,
-        handle: AlltoallvHandle,
         mut sink: impl FnMut(usize, &ParticleBatch),
     ) -> usize {
+        self.msgs_sent += comm.size() as u64;
+        alltoallv_take_into(comm, &mut self.outgoing, &mut self.inbox);
         let me = comm.rank();
         let mut received = 0usize;
-        alltoallv_finish_into(comm, handle, &mut self.inbox);
         for (src, bucket) in self.inbox.iter().enumerate() {
             if src != me {
                 received += bucket.len();
@@ -117,16 +111,9 @@ impl ExchangeBuffers {
     }
 }
 
-/// The synchronous exchange under an owner closure: drain every mis-homed
-/// particle straight out of the rank's [`BinnedStore`] (holes refilled from
-/// the end of the batch — no shifting), route it to `owner(col, row)` (a
-/// communicator rank), and append arrivals to the store's mixed region,
-/// leaving the amortized rebin schedule untouched. Returns
-/// `(sent, received)` particle counts.
-///
-/// The drain asks the closure one particle at a time: this is the door for
-/// the benchmark's route probe and the tests. The rank step hands
-/// [`route_start`] its ownership map's vector classifier instead.
+/// [`route_binned`] under an owner closure, which also answers the
+/// drain one particle at a time: the door for the benchmark's route probe
+/// and the tests. Returns `(sent, received)` particle counts.
 pub fn route_binned_with<F>(
     comm: &Communicator,
     my_rank: usize,
@@ -140,48 +127,26 @@ where
 {
     debug_assert_eq!(comm.rank(), my_rank);
     let keep = |c, r| owner(c, r) == my_rank;
-    let inflight = route_start(comm, keep, &owner, |_| true, store, grid, bufs);
-    let sent = inflight.sent;
-    let received = route_binned_finish(comm, inflight, store, bufs);
-    (sent, received)
+    route_binned(comm, keep, &owner, store, grid, bufs)
 }
 
-/// An exchange whose sends are posted but whose receives have not been
-/// completed — the split between [`route_start`] and
-/// [`route_binned_finish`]. Dropping it without finishing strands the
-/// matching receives on every peer.
-#[must_use = "a started exchange must be completed with route_binned_finish"]
-pub struct ExchangeInFlight {
-    handle: AlltoallvHandle,
-    /// The grid the leavers were routed on: what the arrival check reads
-    /// an arrival's column with.
-    grid: Grid,
-    /// Particles this rank handed to other ranks at the start.
-    pub sent: usize,
-}
-
-/// First half of the split-phase exchange, and the one staging entry:
-/// drain the leavers `classifier` finds in the bins whose **global
-/// column** satisfies `active` (plus the mixed region, which is always
-/// tested), stage each in the bucket of `owner(col, row)`
-/// ([`BinnedStore::drain_leavers_to_buckets`]), and post all sends. It
-/// returns without waiting for any peer (the sends never block), so the
-/// rank step passes its border columns here, sweeps the interior while the
-/// messages are in flight, and calls [`route_binned_finish`] afterwards.
-/// Passing `|_| true` drains everything.
-///
-/// The caller guarantees inactive columns hold no leavers; for a store
-/// swept with per-step column stride `s`, that is exactly the bins within
-/// [`BinnedStore::border_width`]`(s)` of a subdomain edge.
-pub fn route_start(
+/// The one exchange — of the step, of a rehome after a balance round, and
+/// of [`route_binned_with`]: drain every particle `classifier` finds
+/// leaving straight out of the rank's [`BinnedStore`], stage each in the
+/// bucket of `owner(col, row)` (a communicator rank;
+/// [`BinnedStore::drain_leavers_to_buckets`]), run the all-to-all, and
+/// append every arrival bucket to the store, one slice copy per field.
+/// Returns `(sent, received)` particle counts. Debug builds check that
+/// `owner` names this rank for every arrival, and name the particle and
+/// the rank that sent it if it does not.
+pub fn route_binned(
     comm: &Communicator,
     classifier: impl Classifier,
     owner: impl Fn(usize, usize) -> usize,
-    active: impl FnMut(usize) -> bool,
     store: &mut BinnedStore,
     grid: &Grid,
     bufs: &mut ExchangeBuffers,
-) -> ExchangeInFlight {
+) -> (usize, usize) {
     bufs.begin_staging(comm.size());
     let (me, nranks) = (comm.rank(), comm.size());
     let dst_of = |c, r| {
@@ -189,46 +154,32 @@ pub fn route_start(
         debug_assert!(dst < nranks && dst != me, "bad destination {dst}");
         dst
     };
-    let sent = store.drain_leavers_to_buckets(grid, active, classifier, dst_of, &mut bufs.outgoing);
-    let handle = bufs.start_wire(comm);
-    ExchangeInFlight {
-        handle,
-        grid: *grid,
-        sent,
-    }
-}
-
-/// Second half of the split-phase binned exchange: complete the receives
-/// and append every arrival bucket to the store's mixed region, one slice
-/// copy per field. Returns the number of particles received. Debug builds
-/// check that every arrival lies in the store's column range, and name
-/// the particle and the rank that sent it if one does not.
-pub fn route_binned_finish(
-    comm: &Communicator,
-    inflight: ExchangeInFlight,
-    store: &mut BinnedStore,
-    bufs: &mut ExchangeBuffers,
-) -> usize {
-    let grid = inflight.grid;
-    bufs.finish_arrivals(comm, inflight.handle, |src, bucket| {
+    let sent = store.drain_leavers_to_buckets(grid, classifier, dst_of, &mut bufs.outgoing);
+    let received = bufs.exchange(comm, |src, bucket| {
         if cfg!(debug_assertions) {
-            check_homed(&grid, store.columns(), src, bucket);
+            check_homed(grid, &owner, me, src, bucket);
         }
         store.append_tail(bucket);
-    })
+    });
+    (sent, received)
 }
 
-/// Panic unless every particle of `arrivals` (sent by rank `src`) lies in
-/// the column range `cols` of the store it is about to join.
-fn check_homed(grid: &Grid, cols: (usize, usize), src: usize, arrivals: &ParticleBatch) {
-    for (&id, &x) in arrivals.id.iter().zip(&arrivals.x) {
-        let c = grid.cell_of(x);
+/// Panic unless `owner` names rank `me` for the cell of every particle of
+/// `arrivals` (sent by rank `src`).
+fn check_homed(
+    grid: &Grid,
+    owner: impl Fn(usize, usize) -> usize,
+    me: usize,
+    src: usize,
+    arrivals: &ParticleBatch,
+) {
+    for ((&id, &x), &y) in arrivals.id.iter().zip(&arrivals.x).zip(&arrivals.y) {
+        let (c, r) = grid.cell_of_point(x, y);
+        let o = owner(c, r);
         assert!(
-            (cols.0..cols.1).contains(&c),
-            "mis-routed migrant: particle {id} from rank {src} lies in column {c}, \
-             outside this store's columns {}..{}",
-            cols.0,
-            cols.1
+            o == me,
+            "mis-routed migrant: particle {id} from rank {src} lies in cell ({c}, {r}), \
+             which rank {o} owns, not rank {me}"
         );
     }
 }
@@ -236,7 +187,7 @@ fn check_homed(grid: &Grid, cols: (usize, usize), src: usize, arrivals: &Particl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::{Decomp2d, OwnerTable};
+    use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
     use pic_comm::world::run_threads;
     use pic_core::bin::DEFAULT_REBIN;
     use pic_core::charge::SimConstants;
@@ -263,52 +214,18 @@ mod tests {
         (grid, s.particles)
     }
 
-    /// [`route_start`] as the rank step calls it under the cuts: the
+    /// [`route_binned`] as the rank step calls it under the cuts: the
     /// owner table's drain classifier and its owner lookup.
-    fn start_cuts(
+    fn route_cuts(
         comm: &Communicator,
         table: &OwnerTable,
         grid: &Grid,
-        active: impl FnMut(usize) -> bool,
         store: &mut BinnedStore,
         bufs: &mut ExchangeBuffers,
-    ) -> ExchangeInFlight {
+    ) -> (usize, usize) {
         let classifier = table.map(grid, comm.rank());
         let owner = |c, r| table.owner_of_cell(c, r);
-        route_start(comm, classifier, owner, active, store, grid, bufs)
-    }
-
-    /// One rank step on a subdomain store, in the rank step's order: the
-    /// border columns and the mixed region swept, their leavers staged,
-    /// the interior swept while the exchange is in flight, the arrivals
-    /// appended, the age bumped. With `stride` `None` the interior is
-    /// empty: the whole slab is the border and the drain tests every bin.
-    fn rank_step(
-        comm: &Communicator,
-        table: &OwnerTable,
-        grid: &Grid,
-        stride: Option<usize>,
-        store: &mut BinnedStore,
-        bufs: &mut ExchangeBuffers,
-    ) {
-        let consts = SimConstants::CANONICAL;
-        let (x0, x1) = store.columns();
-        store.prepare_sweep(grid);
-        let interior = match stride {
-            Some(s) => {
-                let w = store.border_width(s);
-                let lo = (x0 + w).min(x1);
-                lo..x1.saturating_sub(w).max(lo)
-            }
-            None => x1..x1,
-        };
-        store.sweep_cols(grid, &consts, x0..interior.start);
-        store.sweep_cols(grid, &consts, interior.end..x1);
-        store.sweep_tail_pass(grid, &consts);
-        let inflight = start_cuts(comm, table, grid, |c| !interior.contains(&c), store, bufs);
-        store.sweep_cols(grid, &consts, interior);
-        route_binned_finish(comm, inflight, store, bufs);
-        store.end_sweep();
+        route_binned(comm, classifier, owner, store, grid, bufs)
     }
 
     #[test]
@@ -364,75 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_start_posts_without_waiting_for_a_peer() {
-        // Rank 1 starts only once rank 0's start has returned (a barrier
-        // outside the communicator): a start that waited for a peer would
-        // deadlock here. The world runs on a helper thread under a 10 s
-        // watchdog so a hang fails, not stalls.
-        let (grid, all) = setup(200);
-        let decomp = Decomp2d::columns(16, 2);
-        let table = OwnerTable::new(&decomp);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let started = std::sync::Barrier::new(2);
-            let totals = run_threads(2, |comm| {
-                let rank = comm.rank();
-                let mut store = strided_store(&grid, &all, rank, 2);
-                let mut bufs = ExchangeBuffers::new();
-                if rank == 1 {
-                    started.wait();
-                }
-                let inflight = start_cuts(&comm, &table, &grid, |_| true, &mut store, &mut bufs);
-                if rank == 0 {
-                    started.wait();
-                }
-                route_binned_finish(&comm, inflight, &mut store, &mut bufs);
-                settled(&store, &grid, &decomp, rank)
-            });
-            tx.send(totals)
-        });
-        let totals = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("rank 0's start waited for rank 1");
-        let total: usize = totals.iter().map(|t| t.0).sum();
-        let idsum: u128 = totals.iter().map(|t| t.1).sum();
-        assert_eq!(total, 200);
-        assert_eq!(idsum, 200u128 * 201 / 2, "no particle lost or duplicated");
-    }
-
-    #[test]
-    fn split_phase_start_finish_matches_synchronous() {
-        // The border drain (an interior swept while the exchange is in
-        // flight) against the whole-slab drain (an empty interior): the
-        // tail and border bins still deliver every leaver.
-        let (grid, all) = setup(300);
-        let decomp = Decomp2d::columns(16, 4);
-        let table = OwnerTable::new(&decomp);
-        let steps = 10;
-        let run = |stride: Option<usize>| {
-            run_threads(4, |comm| {
-                let rank = comm.rank();
-                let mine = local_slice(&decomp, &grid, rank, &all);
-                let ((x0, x1), _) = decomp.bounds(rank);
-                let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
-                let mut bufs = ExchangeBuffers::new();
-                for _ in 0..steps {
-                    rank_step(&comm, &table, &grid, stride, &mut store, &mut bufs);
-                }
-                store.to_particles()
-            })
-        };
-        let whole_slab = run(None);
-        let border = run(Some(1)); // k = 0 population: stride 1
-        let flat = |rs: &[Vec<Particle>]| {
-            let mut v: Vec<Particle> = rs.concat();
-            v.sort_unstable_by_key(|p| p.id);
-            v
-        };
-        assert_eq!(flat(&whole_slab), flat(&border), "split-phase diverged");
-    }
-
-    #[test]
     fn reused_buffers_match_fresh_allocation_routing() {
         // Route the same mis-assigned population twice per rank through one
         // ExchangeBuffers — the second pass (warm buffers) must behave
@@ -482,7 +330,8 @@ mod tests {
             let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
-                rank_step(&comm, &table, &grid, None, &mut store, &mut bufs);
+                store.sweep(&grid, &SimConstants::CANONICAL);
+                route_cuts(&comm, &table, &grid, &mut store, &mut bufs);
             }
             let local = store.to_particles();
             for p in &local {
@@ -496,40 +345,58 @@ mod tests {
         assert_eq!(want, got, "binned rank loop diverged from serial sweep");
     }
 
-    /// Rank 0 sends rank 1 a particle that lies in rank 0's own columns:
-    /// the arrival append names it and its sender at once, not the next
-    /// sort.
+    /// Rank 0 routes by a map that hands rank 1 every cell, rank 1 by
+    /// `owner`; `stray` (id 7) starts on rank 0, and its cell is rank 0's
+    /// under `owner`. The arrival check names it and its sender at once.
+    fn send_a_stray(grid: Grid, stray: Particle, owner: impl Fn(usize, usize) -> usize + Sync) {
+        run_threads(2, |comm| {
+            let rank = comm.rank();
+            let mine = if rank == 0 { vec![stray] } else { Vec::new() };
+            let mut store = BinnedStore::new(&mine, &grid, DEFAULT_REBIN);
+            let mut bufs = ExchangeBuffers::new();
+            let to_rank_1 = |_, _| 1;
+            if rank == 0 {
+                route_binned_with(&comm, rank, to_rank_1, &mut store, &grid, &mut bufs)
+            } else {
+                route_binned_with(&comm, rank, &owner, &mut store, &grid, &mut bufs)
+            }
+        });
+    }
+
+    /// Under the cuts: the stray lies in rank 0's columns.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(
-        expected = "rank 1 panicked: mis-routed migrant: particle 7 from rank 0 lies in column"
+        expected = "rank 1 panicked: mis-routed migrant: particle 7 from rank 0 lies in cell"
     )]
     fn a_mis_routed_arrival_fails_where_it_lands() {
         let (grid, all) = setup(200);
         let decomp = Decomp2d::columns(16, 2);
+        let owner = |c, r| decomp.owner_of_cell(c, r);
         let mut stray = *(all.iter())
             .find(|p| decomp.owner_of_cell(grid.cell_of(p.x), 0) == 0)
             .unwrap();
         stray.id = 7;
-        run_threads(2, |comm| {
-            let rank = comm.rank();
-            let ((x0, x1), _) = decomp.bounds(rank);
-            let mine = if rank == 0 { vec![stray] } else { Vec::new() };
-            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
-            let mut bufs = ExchangeBuffers::new();
-            // Rank 0 evicts everything to rank 1; rank 1 keeps everything.
-            let classifier = |_, _| rank == 1;
-            let inflight = route_start(
-                &comm,
-                classifier,
-                |_, _| 1,
-                |_| true,
-                &mut store,
-                &grid,
-                &mut bufs,
-            );
-            route_binned_finish(&comm, inflight, &mut store, &mut bufs)
-        });
+        send_a_stray(grid, stray, owner);
+    }
+
+    /// Under a VP map, whose store spans the whole grid: the stray lies in
+    /// a VP of rank 0's, which a stale table on rank 0 gives rank 1.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "rank 1 panicked: mis-routed migrant: particle 7 from rank 0 lies in cell"
+    )]
+    fn a_mis_routed_arrival_under_a_vp_map_fails_where_it_lands() {
+        let (grid, all) = setup(200);
+        let vps = VpGrid::new(16, 2, 4);
+        let assignment = vps.initial_assignment();
+        let owner = |c, r| assignment[vps.vp_of_cell(c, r)];
+        let mut stray = *(all.iter())
+            .find(|p| owner(grid.cell_of(p.x), grid.cell_of(p.y)) == 0)
+            .unwrap();
+        stray.id = 7;
+        send_a_stray(grid, stray, owner);
     }
 
     #[test]
@@ -543,12 +410,8 @@ mod tests {
             let ((x0, x1), _) = decomp.bounds(rank);
             let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
             let mut bufs = ExchangeBuffers::new();
-            let inflight = start_cuts(&comm, &table, &grid, |_| true, &mut store, &mut bufs);
-            assert_eq!(inflight.sent, 0);
-            assert_eq!(
-                route_binned_finish(&comm, inflight, &mut store, &mut bufs),
-                0
-            );
+            let moved = route_cuts(&comm, &table, &grid, &mut store, &mut bufs);
+            assert_eq!(moved, (0, 0));
             assert_eq!(store.len(), mine.len());
             mine.len()
         });

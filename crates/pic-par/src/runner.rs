@@ -2,7 +2,7 @@
 //! event application, and distributed verification.
 
 use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
-use crate::exchange::{route_binned_finish, route_start, ExchangeBuffers, ExchangeInFlight};
+use crate::exchange::{route_binned, ExchangeBuffers};
 use pic_cluster::balancer::Layout;
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
@@ -11,7 +11,7 @@ use pic_comm::collective::{
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, CellTable, OwnerMap};
 use pic_core::charge::SimConstants;
-use pic_core::events::{EventKind, EventLedger};
+use pic_core::events::EventLedger;
 use pic_core::geometry::Grid;
 use pic_core::init::SimulationSetup;
 use pic_core::particle::Particle;
@@ -19,7 +19,6 @@ use pic_core::simd::SimdBackend;
 use pic_core::soa::ParticleBatch;
 use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
-use std::ops::Range;
 
 /// Rank-loop kernel selection of every distributed implementation. The
 /// CLI runs the default; [`RankKernel::with_backend`] is the bit-identity
@@ -32,19 +31,16 @@ pub struct RankKernel {
 
 impl RankKernel {
     /// Build the rank's particle store from the shared `particles`,
-    /// keeping those whose cell `owns(col, row)` accepts and binning the
-    /// columns `cols.0..cols.1` (a rank subdomain, or the whole grid for
-    /// ownership maps that are not column-contiguous) — one scatter
-    /// straight into column order, no rank-local copy of the records
-    /// ([`BinnedStore::new_owned`]).
+    /// keeping those whose cell `owns(col, row)` accepts — one scatter
+    /// straight into the two phase halves, no rank-local copy of the
+    /// records ([`BinnedStore::new_owned`]).
     pub fn build_store(
         &self,
         particles: &[Particle],
         grid: &Grid,
-        cols: (usize, usize),
         owns: impl Fn(usize, usize) -> bool,
     ) -> BinnedStore {
-        let mut b = BinnedStore::new_owned(particles, grid, cols.0, cols.1, owns);
+        let mut b = BinnedStore::new_owned(particles, grid, owns);
         if let Some(backend) = self.backend {
             b.set_simd_backend(backend);
         }
@@ -117,23 +113,11 @@ pub struct ParOutcome {
 /// Who owns a cell — the question every store scatter, event, exchange and
 /// rehome asks.
 enum Ownership {
-    /// The Cartesian cuts of [`RankState::decomp`] (`mpi-2d`, `mpi-2d-LB`),
-    /// with the motion bounds a column border is drawn from.
-    Cuts {
-        /// Per-step column stride bound: `2·k_max + 1` over the initial
-        /// population and every injection event — no particle can hop
-        /// more columns than this in one sweep (the analytic motion
-        /// contract).
-        stride_x: usize,
-        /// Largest `|m|` over the population and injections: the exact
-        /// per-step row hop. Zero means no particle ever crosses a row.
-        max_abs_m: i64,
-        /// O(1) cell → rank table of the cuts, revalidated against them
-        /// before every exchange (a balancer moves the cuts in place).
-        table: OwnerTable,
-    },
-    /// A VP grid and its replicated VP→core table (`ampi`). It has no
-    /// column border, so it needs no motion bounds.
+    /// The Cartesian cuts of [`RankState::decomp`] (`mpi-2d`, `mpi-2d-LB`)
+    /// as an O(1) cell → rank table, revalidated against them before every
+    /// exchange (a balancer moves the cuts in place).
+    Cuts(OwnerTable),
+    /// A VP grid and its replicated VP→core table (`ampi`).
     Vps {
         grid: Box<VpGrid>,
         assignment: Vec<usize>,
@@ -147,7 +131,7 @@ impl Ownership {
     /// Rank owning cell `(col, row)`.
     fn owner_of_cell(&self, decomp: &Decomp2d, col: usize, row: usize) -> usize {
         match self {
-            Ownership::Cuts { .. } => decomp.owner_of_cell(col, row),
+            Ownership::Cuts(_) => decomp.owner_of_cell(col, row),
             Ownership::Vps {
                 grid, assignment, ..
             } => assignment[grid.vp_of_cell(col, row)],
@@ -164,7 +148,7 @@ impl Ownership {
         me: usize,
     ) -> (OwnerMap<'_>, CellTable<'_>) {
         match self {
-            Ownership::Cuts { table, .. } => {
+            Ownership::Cuts(table) => {
                 table.refresh(decomp);
                 (table.map(grid, me), table.rank_cells(grid, me))
             }
@@ -188,8 +172,7 @@ pub struct RankState {
     /// initial VP blocks tile, and ownership is never read from it.
     pub decomp: Decomp2d,
     pub rank: usize,
-    /// Local particles, binned over this rank's subdomain columns (the
-    /// whole grid under a VP map, which is not column-contiguous).
+    /// Local particles, in the two phase halves of one batch.
     pub store: BinnedStore,
     pub step: u32,
     owners: Ownership,
@@ -200,12 +183,6 @@ pub struct RankState {
     /// Reused count scratch of the balancers' gathers (per-axis counts for
     /// diffusion, per-VP counts for the VP family).
     lb_scratch: Vec<u64>,
-    /// The rows every particle of the store was homed under by the last
-    /// exchange (and in the column range of that moment).
-    /// [`RankState::rehome`] reads it to tell a re-decomposition that kept
-    /// the rows (only bins near a new column bound can hold a leaver) from
-    /// one that moved them (any bin can).
-    homed_rows: (usize, usize),
 }
 
 impl RankState {
@@ -222,20 +199,14 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let (stride_x, max_abs_m) = motion_bounds(setup);
-        let owners = Ownership::Cuts {
-            stride_x,
-            max_abs_m,
-            table: OwnerTable::new(&decomp),
-        };
+        let owners = Ownership::Cuts(OwnerTable::new(&decomp));
         RankState::build(setup, decomp, owners, rank, kernel)
     }
 
     /// A core of the VP runtime (paper §IV-C): cells are owned through
     /// `vps` and a replicated VP→core table, starting from the compact
-    /// blocks of [`VpGrid::initial_assignment`]. The store bins the whole
-    /// grid and the step's interior is empty, so every step drains every
-    /// bin, and a VP balancer's round moves the table.
+    /// blocks of [`VpGrid::initial_assignment`]. A VP balancer's round
+    /// moves the table.
     pub fn with_vps(
         setup: &SimulationSetup,
         vps: VpGrid,
@@ -259,13 +230,8 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let ((x0, x1), rows) = decomp.bounds(rank);
-        let cols = match owners {
-            Ownership::Cuts { .. } => (x0, x1),
-            Ownership::Vps { .. } => (0, setup.grid.ncells()),
-        };
         let owns = |c, r| owners.owner_of_cell(&decomp, c, r) == rank;
-        let store = kernel.build_store(&setup.particles, &setup.grid, cols, owns);
+        let store = kernel.build_store(&setup.particles, &setup.grid, owns);
         RankState {
             grid: setup.grid,
             consts: setup.consts,
@@ -277,7 +243,6 @@ impl RankState {
             ledger: EventLedger::new(setup),
             bufs: ExchangeBuffers::new(),
             lb_scratch: Vec::new(),
-            homed_rows: rows,
         }
     }
 
@@ -298,20 +263,11 @@ impl RankState {
         self.store.column_histogram_into(&self.grid, h);
     }
 
-    /// Re-anchor the store's column range after a decomposition change —
-    /// a relabel, not a sort ([`BinnedStore::set_columns`]). Leavers must
-    /// already have been drained under the *new* decomposition; a no-op
-    /// when the range is unchanged, and under a VP map, whose store always
-    /// bins the whole grid. [`RankState::rehome`] calls it between its
-    /// drain and its arrivals, so after a rehome this is a no-op; it stays
-    /// public because the benchmark's balance round
-    /// (`bench/src/adapter.rs`) calls it after `rehome`.
-    pub fn rebind_store(&mut self) {
-        let ((x0, x1), _) = self.decomp.bounds(self.rank);
-        if matches!(self.owners, Ownership::Cuts { .. }) && self.store.columns() != (x0, x1) {
-            self.store.set_columns(&self.grid, x0, x1);
-        }
-    }
+    /// Does nothing: the store has no column range to re-anchor. Kept only
+    /// because the benchmark's balance round (`bench/src/adapter.rs`)
+    /// calls it after `rehome`; adapter v2 deletes it.
+    #[doc(hidden)]
+    pub fn rebind_store(&mut self) {}
 
     /// Does nothing: the mesh is the parity formula, so a cut move leaves no
     /// stored mesh to refill; the name stays while `bench/` calls it.
@@ -339,103 +295,40 @@ impl RankState {
         self.step_traced(comm, &mut Tracer::disabled());
     }
 
-    /// The columns of this step's sweep whose bins cannot hold a leaver
-    /// after it: swept while the exchange is in flight, and skipped by the
-    /// drain. The rest of the store's columns are the *border*. The border
-    /// is column-based, so it only catches leavers through the x-cuts: it
-    /// is `w = border_width(stride_x)` wide at each end when the rank rows
-    /// cannot be crossed at all — a single processor row, or a population
-    /// with no vertical motion. Otherwise (2-D cuts with vertical motion,
-    /// and every VP map, which has no column border) the interior is empty
-    /// and the drain tests every bin. The slab is the store's columns: the
-    /// subdomain under the cuts, the whole grid under a VP map. Call after
-    /// [`BinnedStore::prepare_sweep`], whose sort resets the age.
-    fn interior(&self) -> Range<usize> {
-        let (x0, x1) = self.store.columns();
-        match self.owners {
-            Ownership::Cuts {
-                stride_x,
-                max_abs_m,
-                ..
-            } if self.decomp.py == 1 || max_abs_m == 0 => {
-                let w = self.store.border_width(stride_x);
-                let lo = (x0 + w).min(x1);
-                lo..x1.saturating_sub(w).max(lo)
-            }
-            _ => x1..x1,
-        }
-    }
-
-    /// [`RankState::step`] with telemetry: the sort of a dirty store and
-    /// the sweeps are timed as the `advance` phase, staging and arrivals
-    /// as `exchange`, interleaved. Returns the number of particles this rank
-    /// sent away (feeds the `rehomed` counter, which the rank loop sums
-    /// globally at traced steps).
+    /// [`RankState::step`] with telemetry: the sweep is timed as the
+    /// `advance` phase, the exchange as `exchange`. Returns the number of
+    /// particles this rank sent away (feeds the `rehomed` counter, which
+    /// the rank loop sums globally at traced steps).
     ///
-    /// The one step body (paper-faithful split-phase exchange): sweep the
-    /// border columns and the mixed region, launch the exchange for their
-    /// leavers, sweep the interior while the messages are in flight, then
-    /// complete the receives into the mixed region. Every particle is
-    /// advanced exactly once by the same arithmetic against the same fixed
-    /// per-step mesh wherever the store keeps it (ordered bin or mixed
-    /// region), the border drain finds exactly the leavers a drain of every
-    /// bin would (`RankState::interior`), and storage order is not
-    /// observable. With an empty interior the step makes the calls of a
-    /// whole sweep followed by a drain of every bin.
+    /// The one step body: events, one sweep of the whole store, one
+    /// exchange of every leaver under the ownership map. The trace's
+    /// `rebins` and `overlap_ns` counters stay at 0 (schema v2).
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
-        let rebins_before = self.store.rebin_count();
-        let (grid, consts) = (self.grid, self.consts);
         tracer.phase_start(Phase::Advance);
-        self.store.prepare_sweep(&grid);
-        let interior = self.interior();
-        let (x0, x1) = self.store.columns();
-        self.store.sweep_cols(&grid, &consts, x0..interior.start);
-        self.store.sweep_cols(&grid, &consts, interior.end..x1);
-        self.store.sweep_tail_pass(&grid, &consts);
+        self.store.sweep(&self.grid, &self.consts);
         tracer.phase_end(Phase::Advance);
-
         tracer.phase_start(Phase::Exchange);
-        let inflight = self.start_exchange(comm, |c| !interior.contains(&c));
-        let sent = inflight.sent;
-        tracer.phase_end(Phase::Exchange);
-
-        tracer.phase_start(Phase::Advance);
-        let window_start = std::time::Instant::now();
-        self.store.sweep_cols(&grid, &consts, interior);
-        let overlap_ns = window_start.elapsed().as_nanos() as u64;
-        tracer.phase_end(Phase::Advance);
-
-        tracer.phase_start(Phase::Exchange);
-        route_binned_finish(comm, inflight, &mut self.store, &mut self.bufs);
-        self.store.end_sweep();
-        self.homed_rows = self.decomp.bounds(self.rank).1;
-        tracer.add(Counter::OverlapNs, overlap_ns);
-        tracer.add(Counter::Rebins, self.store.rebin_count() - rebins_before);
+        let (sent, _) = self.exchange(comm);
         tracer.phase_end(Phase::Exchange);
         self.step += 1;
         sent
     }
 
-    /// Drain the store's leavers in the columns `active` accepts (and the
-    /// mixed region) through the ownership map's classifier, stage each
-    /// for its owner and post the sends — the one staging door of the
-    /// step and of [`RankState::rehome`].
-    fn start_exchange(
-        &mut self,
-        comm: &Communicator,
-        active: impl FnMut(usize) -> bool,
-    ) -> ExchangeInFlight {
+    /// Route every particle the ownership map no longer gives this rank
+    /// to its owner and take in the ones it now does
+    /// ([`route_binned`]), reusing this rank's staging buffers. Returns
+    /// `(sent, received)`.
+    fn exchange(&mut self, comm: &Communicator) -> (usize, usize) {
         debug_assert_eq!(comm.rank(), self.rank);
         let (classifier, owners) = self
             .owners
             .exchange_maps(&self.decomp, &self.grid, self.rank);
         let owner = |c, r| owners.owner_of_cell(c, r);
-        route_start(
+        route_binned(
             comm,
             classifier,
             owner,
-            active,
             &mut self.store,
             &self.grid,
             &mut self.bufs,
@@ -451,35 +344,9 @@ impl RankState {
     }
 
     /// Route every mis-homed particle to its owner after a balance round
-    /// moved the ownership map, reusing this rank's staging buffers
-    /// (steady-state: no staging allocation). The store drains leavers in
-    /// place, and only where one can be: the last exchange left every
-    /// particle inside bounds, so when the rows are the same as then (a
-    /// round moved x-cuts, or nothing) a particle of ordered bin `c` sits
-    /// within `stride · age` columns of `c` and is in its old rows, and
-    /// only bins within that drift of a *new* column bound are drained — a
-    /// margin at both ends, which also covers a bin whose particles
-    /// wrapped, and leaves nothing inactive when the range is no wider than
-    /// twice the drift. When the rows moved, every bin is drained — and
-    /// always under a VP map, where any bin can hold a leaver. Once its
-    /// leavers are out the store is re-anchored to the new columns
-    /// ([`RankState::rebind_store`]) before the arrivals land, so they join
-    /// a store whose range homes them.
+    /// moved the ownership map: the step's exchange, under the new map.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
-        let ((x0, x1), rows) = self.decomp.bounds(self.rank);
-        let quiet = match self.owners {
-            Ownership::Cuts { stride_x, .. } if self.homed_rows == rows => {
-                let drift = stride_x * self.store.age() as usize;
-                x0 + drift..x1.saturating_sub(drift)
-            }
-            _ => 0..0,
-        };
-        let inflight = self.start_exchange(comm, |c| !quiet.contains(&c));
-        let sent = inflight.sent;
-        self.rebind_store();
-        let received = route_binned_finish(comm, inflight, &mut self.store, &mut self.bufs);
-        self.homed_rows = rows;
-        (sent, received)
+        self.exchange(comm)
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row
@@ -549,7 +416,7 @@ impl RankState {
     /// other kind is empty).
     pub(crate) fn layout(&self) -> Layout<'_> {
         let (xcuts, ycuts, vp_assignment) = match &self.owners {
-            Ownership::Cuts { .. } => (&self.decomp.xcuts[..], &self.decomp.ycuts[..], &[][..]),
+            Ownership::Cuts(_) => (&self.decomp.xcuts[..], &self.decomp.ycuts[..], &[][..]),
             Ownership::Vps { assignment, .. } => (&[][..], &[][..], &assignment[..]),
         };
         Layout {
@@ -672,28 +539,6 @@ pub(crate) fn snapshot_loads(
     let loads: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
     tracer.record_loads(&loads);
     counts[..n].iter().sum()
-}
-
-/// Bounds on per-step motion over the whole simulation (initial
-/// population plus every scheduled injection): the maximum x-stride
-/// `2·k + 1` and the largest per-step row displacement `|m|`. Both are
-/// exact analytic contracts of the kernel (see
-/// [`Particle::cells_per_step_x`] / `cells_per_step_y`), so the border
-/// width computed from the stride is a guarantee, not a heuristic.
-fn motion_bounds(setup: &SimulationSetup) -> (usize, i64) {
-    let mut max_k = 0u32;
-    let mut max_m = 0i64;
-    for p in &setup.particles {
-        max_k = max_k.max(p.k);
-        max_m = max_m.max((p.m as i64).abs());
-    }
-    for e in &setup.events {
-        if let EventKind::Inject { k, m, .. } = e.kind {
-            max_k = max_k.max(k);
-            max_m = max_m.max((m as i64).abs());
-        }
-    }
-    (2 * max_k as usize + 1, max_m)
 }
 
 /// Globally merge per-rank failing-id diagnostics: allgather, sort, dedup,

@@ -1,12 +1,12 @@
-//! The strip-local apply of a balance round (DESIGN.md §13) against the one
-//! oracle: scripted cut moves driven through the three pinned steps —
-//! `rebuild_charges` (empty since PR 24), `rehome` (drift-bounded
-//! drain), `rebind_store` (relabel, no sort) — must end in the AoS oracle's
-//! final state (`pic_core::reference`), per id, bit for bit, on the degenerate shapes a
-//! balancer can produce: any store age, moves wider than what is still
-//! ordered, emptied ranks, ranks at the domain edges with a wrapping
-//! population, mixed strides, events beside a round, 2 × 2 decompositions
-//! with x-, y- and two-phase moves, and rounds that move nothing.
+//! The apply of a balance round (DESIGN.md §12) against the one oracle:
+//! scripted cut moves driven through the three pinned steps —
+//! `rebuild_charges` and `rebind_store` (both empty), `rehome` (the step's
+//! exchange under the new map) — must end in the AoS oracle's final state
+//! (`pic_core::reference`), per id, bit for bit, on the degenerate shapes
+//! a balancer can produce: moves at any step, wide moves, emptied ranks,
+//! ranks at the domain edges with a wrapping population, mixed strides,
+//! events beside a round, 2 × 2 decompositions with x-, y- and two-phase
+//! moves, and rounds that move nothing.
 
 use pic_comm::comm::Communicator;
 use pic_comm::world::run_threads;
@@ -26,10 +26,8 @@ struct Round {
     xcuts: Option<Vec<usize>>,
     ycuts: Option<Vec<usize>>,
     /// Apply the events due at the next step before the round, so the
-    /// round meets tail arrivals and a dirty store.
+    /// round meets injected and removed particles.
     events_first: bool,
-    /// The store age the script means to hit on every rank.
-    age: Option<u32>,
 }
 
 fn x_move(after: u32, xcuts: &[usize]) -> Round {
@@ -64,9 +62,6 @@ fn apply_round(comm: &Communicator, st: &mut RankState, round: &Round) {
     if round.events_first {
         st.apply_due_events(comm);
     }
-    if let Some(age) = round.age {
-        assert_eq!(st.store.age(), age, "script missed its age");
-    }
     let mut moved = false;
     if let Some(x) = round.xcuts.as_ref().filter(|x| **x != st.decomp.xcuts) {
         st.decomp.set_xcuts(x.clone());
@@ -81,8 +76,6 @@ fn apply_round(comm: &Communicator, st: &mut RankState, round: &Round) {
     }
     st.rehome(comm);
     st.rebind_store();
-    let (cols, _) = st.decomp.bounds(st.rank);
-    assert_eq!(st.store.columns(), cols);
     assert_homed(st, "after a round");
 }
 
@@ -132,47 +125,23 @@ fn drifting(ncells: usize, n: u64, dist: Distribution, k: u32, m: i32, dir: i8) 
 
 #[test]
 fn cut_moves_at_store_ages_15_16_and_31() {
-    // Stride 1 on 64 columns, and no event, so the store's age is the step
-    // count. At age 15 the drift margin leaves rank 0's grown 36-column
-    // range a six-column interior undrained, at age 16 rank 1's grown
-    // 35-column range a three-column one; at age 31 twice the drift covers
-    // every range, so the whole slab is drained.
+    // Stride 1 on 64 columns, and no event: moves after steps 15, 16
+    // and 31, one of each phase parity and one a stride past the first.
     let setup = drifting(64, 1_500, Distribution::Geometric { r: 0.95 }, 0, 1, 1);
     let script = [
-        Round {
-            age: Some(15),
-            ..x_move(15, &[0, 36, 64])
-        },
-        Round {
-            age: Some(16),
-            ..x_move(16, &[0, 29, 64])
-        },
-        Round {
-            age: Some(31),
-            ..x_move(31, &[0, 33, 64])
-        },
+        x_move(15, &[0, 36, 64]),
+        x_move(16, &[0, 29, 64]),
+        x_move(31, &[0, 33, 64]),
     ];
     check(&setup, &Decomp2d::columns(64, 2), 40, &script);
 }
 
 #[test]
 fn moves_wider_than_what_is_still_ordered() {
-    // At age 12 the step's own border drain has left 8 ordered columns per
-    // rank; a 20-column move keeps them on the rank that grows and leaves
-    // the rank that shrinks no wider than twice the drift — all active. By
-    // age 28 the step's border covers both slabs, so the second move meets
-    // stores with nothing ordered left.
+    // A 20-column move after step 12, then a 40-column move back after
+    // step 28: most of a rank's slab changes hands at once.
     let setup = drifting(64, 1_500, Distribution::Sinusoidal, 0, 0, -1);
-    let script = [
-        Round {
-            age: Some(12),
-            ..x_move(12, &[0, 52, 64])
-        },
-        Round {
-            age: Some(28),
-            ..x_move(28, &[0, 12, 64])
-        },
-    ];
+    let script = [x_move(12, &[0, 52, 64]), x_move(28, &[0, 12, 64])];
     check(&setup, &Decomp2d::columns(64, 2), 36, &script);
 }
 
@@ -200,8 +169,7 @@ fn moves_that_empty_a_rank() {
 fn edge_ranks_with_a_wrapping_population() {
     // Rank 0 touches column 0, rank 1 column L − 1, and rank 1 is thinner
     // than the stride: particles of rank 0 hop over it and wrap back into
-    // rank 0 without ever leaving, so an ordered bin holds particles a
-    // whole grid away from its label.
+    // rank 0 without ever leaving.
     for dir in [1i8, -1] {
         let setup = drifting(32, 800, Distribution::Uniform, 1, 1, dir);
         let mut decomp = Decomp2d::columns(32, 2);
@@ -219,8 +187,8 @@ fn edge_ranks_with_a_wrapping_population() {
 
 #[test]
 fn mixed_strides() {
-    // The drift bound comes from the fastest particle (an injected k = 2
-    // burst, stride 5, moving left); the k = 0 bulk moves right beside it.
+    // An injected k = 2 burst (stride 5) moves left; the k = 0 bulk moves
+    // right beside it.
     let burst = Region {
         x0: 30,
         x1: 50,
@@ -244,9 +212,8 @@ fn events_beside_a_round() {
         // Fired by the step the first round follows…
         .with_event(Event::inject(5, Region::whole(32), 120, 0, 1, -1))
         .with_event(Event::remove(5, Region::whole(32), 90))
-        // …and applied right before the second, which therefore meets a
-        // dirty store: `rehome` tests every particle and `rebind_store`
-        // takes the sort.
+        // …and applied right before the second, which therefore meets the
+        // newcomers and the removal's compaction.
         .with_event(Event::inject(10, Region::whole(32), 60, 1, 0, 1))
         .with_event(Event::remove(10, Region::whole(32), 200));
     let script = [
@@ -261,10 +228,8 @@ fn events_beside_a_round() {
 
 #[test]
 fn two_by_two_with_x_y_and_two_phase_moves() {
-    // m = 0 keeps a step interior (rows cannot be crossed); with m = 1 the
-    // whole slab is the step's border, so every step drains every bin
-    // (`check` asserts homing after each one). A y-move makes every
-    // column active.
+    // m = 0 never crosses a row, m = 1 crosses every step (`check` asserts
+    // homing after each one).
     let both = Round {
         after: 11,
         xcuts: Some(vec![0, 17, 32]),
@@ -287,39 +252,11 @@ fn two_by_two_with_x_y_and_two_phase_moves() {
     }
 }
 
-/// Fails on the parent of PR 21: a round that moves no cut (τ blocks it,
-/// or the static arm of the adaptive ladder decides) used to drain with
-/// every bin active, which turned the whole ordered store mixed for the
-/// rest of the run.
-#[test]
-fn a_round_that_moves_no_cut_keeps_the_store_ordered() {
-    let setup = drifting(64, 1_500, Distribution::Geometric { r: 0.95 }, 0, 0, 1);
-    let decomp = Decomp2d::columns(64, 2);
-    run_threads(2, |comm| {
-        let mut st = RankState::new(&setup, decomp.clone(), comm.rank());
-        for _ in 0..5 {
-            st.step(&comm);
-        }
-        let (tail, len) = (st.store.tail_len(), st.store.len());
-        assert!(
-            tail < len,
-            "five steps at stride 1 leave an ordered interior"
-        );
-        let same = Round {
-            xcuts: Some(decomp.xcuts.clone()),
-            ..Round::default()
-        };
-        apply_round(&comm, &mut st, &same);
-        assert_eq!(st.store.tail_len(), tail, "the round un-ordered the store");
-        assert_eq!(st.store.len(), len);
-    });
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random cut sequences on random shapes: whatever a balancer could
-    /// decide, at whatever store age, the apply is invisible per id.
+    /// decide, after whatever step, the apply is invisible per id.
     #[test]
     fn random_cut_sequences_match_the_serial_engine(
         shape in prop::sample::select(vec![(2usize, 1usize), (3, 1), (4, 1), (2, 2), (1, 2)]),

@@ -6,7 +6,7 @@
 //!
 //! * **phase timers** — advance / exchange / balance / verify wall time,
 //! * **counters** — particles rehomed, border cells handed over by cut
-//!   movement, bytes through collectives, rebin invocations,
+//!   movement, bytes through collectives, wire messages,
 //! * **load snapshots** — a per-rank (or per-column, serially) load
 //!   vector reduced into [`pic_cluster::stats::BalanceStats`].
 //!

@@ -2,17 +2,17 @@
 //!
 //! The parallel runners thread a [`Tracer`] through their own loops (see
 //! `pic-par`); the serial engine has no runner, so this module provides
-//! one: step the simulation, time the sweep as the `advance` phase, count
-//! rebins, and snapshot the per-*column* particle histogram as the load
+//! one: step the simulation, time the sweep as the `advance` phase, and
+//! snapshot the per-*column* particle histogram as the load
 //! vector at sampled steps (a single process has no per-rank loads — the
 //! column distribution is the serial analogue, and it is exactly what the
 //! x-cut balancers partition).
 
-use crate::tracer::{Counter, Phase, Tracer};
+use crate::tracer::{Phase, Tracer};
 use pic_core::engine::Simulation;
 
 /// Run `steps` steps of `sim` under `tracer`. With a disabled tracer this
-/// is `sim.run(steps)` plus one counter read per step — no clocks, no
+/// is `sim.run(steps)` — no clocks, no
 /// allocation on the sweep path (pinned by `tests/disabled_overhead.rs`).
 pub fn trace_simulation(sim: &mut Simulation, steps: u32, tracer: &mut Tracer) {
     if tracer.enabled() {
@@ -30,16 +30,12 @@ pub fn trace_simulation(sim: &mut Simulation, steps: u32, tracer: &mut Tracer) {
     }
     let mut hist: Vec<u64> = Vec::new();
     let mut loads: Vec<f64> = Vec::new();
-    let mut rebins_seen = sim.rebin_count();
     for _ in 0..steps {
         let s = sim.step_index() as u64 + 1;
         tracer.begin_step(s);
         tracer.phase_start(Phase::Advance);
         sim.step();
         tracer.phase_end(Phase::Advance);
-        let rebins = sim.rebin_count();
-        tracer.add(Counter::Rebins, rebins - rebins_seen);
-        rebins_seen = rebins;
         if tracer.wants_step(s) {
             sim.column_histogram_into(&mut hist);
             loads.clear();
@@ -88,23 +84,6 @@ mod tests {
         assert_eq!(rec.loads.iter().sum::<f64>(), 800.0);
         let stats = rec.stats.unwrap();
         assert!(stats.imbalance >= 1.0 && stats.imbalance.is_finite());
-    }
-
-    #[test]
-    fn binned_mode_reports_rebins() {
-        use pic_core::events::{Event, Region};
-        let setup = setup().with_event(Event::remove(20, Region::whole(16), 50));
-        let mut s = Simulation::new(setup);
-        let mut tracer = Tracer::in_memory(1);
-        trace_simulation(&mut s, 32, &mut tracer);
-        let report = tracer.finish().unwrap();
-        let idx = Counter::ALL
-            .iter()
-            .position(|c| matches!(c, Counter::Rebins))
-            .unwrap();
-        // The serial engine has no rebin timer: the one sort in 32 steps
-        // is the one that folds the removal event in.
-        assert_eq!(report.summary.counters[idx], 1);
     }
 
     #[test]

@@ -131,13 +131,14 @@ pub enum Counter {
     BorderCells,
     /// Bytes pushed through collectives by the recording rank.
     CollectiveBytes,
-    /// Counting-sort (rebin) invocations in the binned store.
+    /// Counting-sort invocations; no store sorts, so it reads 0 (kept for
+    /// schema v2).
     Rebins,
     /// Exchange payload messages put on the wire (global sum at traced
     /// steps; the all-to-all sends one per rank pair per exchange).
     MsgsSent,
-    /// Nanoseconds the recording rank spent advancing interior columns
-    /// while exchange messages were in flight (the overlap window).
+    /// Nanoseconds of sweep overlapped with an exchange in flight; the
+    /// step overlaps nothing, so it reads 0 (kept for schema v2).
     OverlapNs,
 }
 
