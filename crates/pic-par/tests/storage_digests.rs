@@ -163,14 +163,8 @@ fn cases() -> Vec<(&'static str, u64)> {
     let columns = Decomp2d::columns(32, 4);
     let blocks = Decomp2d::uniform(32, 4);
     vec![
-        (
-            "1x4 columns, overlapped",
-            manual(&setup(geo, 1), &columns, kernel),
-        ),
-        (
-            "2x2 cuts m=1, synchronous",
-            manual(&setup(geo, 1), &blocks, kernel),
-        ),
+        ("1x4 columns", manual(&setup(geo, 1), &columns, kernel)),
+        ("2x2 cuts m=1", manual(&setup(geo, 1), &blocks, kernel)),
         (
             "inject + remove, 1x2 columns",
             manual(&schedule, &Decomp2d::columns(32, 2), kernel),
@@ -194,14 +188,14 @@ fn cases() -> Vec<(&'static str, u64)> {
 
 #[rustfmt::skip]
 const PINNED: [(&str, u64); 8] = [
-    ("1x4 columns, overlapped", 0x62be_4d6e_eab1_be33),
-    ("2x2 cuts m=1, synchronous", 0x8d37_4db7_12db_0d3e),
-    ("inject + remove, 1x2 columns", 0x819a_a30f_427b_ba65),
-    ("inject + remove, 2x2 cuts", 0x183f_f899_6737_ac0e),
-    ("diffusion x-only, 2 ranks", 0x3722_890f_f50e_38c6),
-    ("diffusion two-phase, 4 ranks", 0x5b71_bdb9_86d2_6903),
-    ("vp d=4 refine, 2 ranks", 0x093f_56d1_9f8d_e13e),
-    ("vp d=4 refine, 4 ranks", 0x8163_c142_bff2_a40f),
+    ("1x4 columns", 0x801e_7c32_19a4_84de),
+    ("2x2 cuts m=1", 0xf2c7_c990_b768_136c),
+    ("inject + remove, 1x2 columns", 0xd3f9_ac87_ff26_ede2),
+    ("inject + remove, 2x2 cuts", 0x5d32_21e4_c822_482e),
+    ("diffusion x-only, 2 ranks", 0x334e_263a_2aa6_084d),
+    ("diffusion two-phase, 4 ranks", 0x13ab_1c2c_f96f_9403),
+    ("vp d=4 refine, 2 ranks", 0x7eb5_0a6d_6ca8_72ca),
+    ("vp d=4 refine, 4 ranks", 0x1c65_aa29_6d49_53b2),
 ];
 
 #[test]
