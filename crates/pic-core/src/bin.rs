@@ -275,8 +275,11 @@ impl BinnedStore {
     pub fn push_tail(&mut self, p: Particle) {
         self.batch.push(p);
         if phase(p.x, self.sweeps) == 0 {
+            let last = self.batch.len() - 1;
+            if self.split < last {
+                self.batch.swap_blocks(self.split, last, 1);
+            }
             self.split += 1;
-            self.swap(self.split - 1, self.batch.len() - 1);
         }
     }
 
@@ -473,13 +476,6 @@ impl BinnedStore {
         }
         self.batch.swap_remove(i);
         p
-    }
-
-    /// Exchange the particles at `a <= b`.
-    fn swap(&mut self, a: usize, b: usize) {
-        if a < b {
-            self.batch.swap_blocks(a, b, 1);
-        }
     }
 
     /// Sum of ids (checksum contribution) — order-independent.

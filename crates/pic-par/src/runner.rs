@@ -309,17 +309,18 @@ impl RankState {
         self.store.sweep(&self.grid, &self.consts);
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
-        let (sent, _) = self.exchange(comm);
+        let (sent, _) = self.rehome(comm);
         tracer.phase_end(Phase::Exchange);
         self.step += 1;
         sent
     }
 
-    /// Route every particle the ownership map no longer gives this rank
-    /// to its owner and take in the ones it now does
-    /// ([`route_binned`]), reusing this rank's staging buffers. Returns
-    /// `(sent, received)`.
-    fn exchange(&mut self, comm: &Communicator) -> (usize, usize) {
+    /// Route every particle the ownership map does not give this rank to
+    /// its owner and take in the ones it does ([`route_binned`]), reusing
+    /// this rank's staging buffers (steady state: no staging allocation).
+    /// Returns `(sent, received)`. This is the step's exchange, and after
+    /// a balance round moved the map, the round's.
+    pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
         debug_assert_eq!(comm.rank(), self.rank);
         let (classifier, owners) = self
             .owners
@@ -341,12 +342,6 @@ impl RankState {
     /// (`bench/src/adapter.rs:446`) reads it; adapter v2 deletes it.
     pub fn take_message_counts(&mut self) -> (u64, u64) {
         (self.bufs.take_messages_sent(), 0)
-    }
-
-    /// Route every mis-homed particle to its owner after a balance round
-    /// moved the ownership map: the step's exchange, under the new map.
-    pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
-        self.exchange(comm)
     }
 
     /// Collectively aggregate per-processor-column (`along_x`) or per-row
