@@ -43,7 +43,8 @@
 //! mid-height takes each column's top-corner `f/r` from the bottom
 //! corner, and one whose lanes all sit at exact mid-width takes the right
 //! column's `f/r` from the left column's, negated — values whose bits it
-//! provably shares. Span tails (`len mod WIDTH`) run the scalar
+//! provably shares; a group centred on both axes divides by the centre's
+//! `r²·√r²`, evaluated once per call by the same operations. Span tails (`len mod WIDTH`) run the scalar
 //! kernel unchanged, and the wrap pass takes each lane through the exact
 //! scalar [`Grid::wrap_coord`] whenever any lane left the domain.
 //! Particles are independent within a step, so processing them four at a
@@ -54,7 +55,7 @@
 //! [`coulomb`]: crate::charge::coulomb
 
 use crate::bin::{CellTable, OwnerMap};
-use crate::charge::{f_over_r_lanes, mid_cell_lanes, SimConstants};
+use crate::charge::{centre_r2, f_over_r_lanes, mid_cell_lanes, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -620,10 +621,12 @@ mod x86 {
 /// mid-height the top corner of each column has the bottom corner's `r²`
 /// bit for bit, so it reuses that `f/r`. At mid-width the right column
 /// has the left column's `r²` and the negated charge, so it takes the left
-/// column's `f/r` times `−1`. A centred group runs one divider chain per
-/// particle, not four. Every multiply and add downstream still runs, on
-/// identical operands, so the result is bit-identical by construction
-/// (DESIGN.md §10). A group with any lane off-centre along an axis
+/// column's `f/r` times `−1`. On both axes (**the centre fold**) every
+/// lane sits at `rx = ry = h/2` exactly, so the one remaining `f/r` divides
+/// by a constant of the call ([`centre_r2`]): a centred group runs one
+/// `div` per particle and no `sqrt`. Every multiply and add downstream
+/// still runs, on identical operands, so the result is bit-identical by
+/// construction (DESIGN.md §10). A group with any lane off-centre along an axis
 /// evaluates that axis's corners, as a whole — as the scalar kernel
 /// ([`crate::bin::force_span`]: span tails, the `Scalar` backend) always
 /// does: it is not divider-bound, and a premise test there costs more
@@ -649,6 +652,8 @@ unsafe fn force_groups<V: Lanes>(
     let half = V::splat(0.5);
     let neg = V::splat(-1.0);
     let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
+    let (r2c, dc) = centre_r2(consts.h);
+    let (r2c_v, dc) = (V::splat(r2c), V::splat(dc));
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -664,14 +669,22 @@ unsafe fn force_groups<V: Lanes>(
         let ryh = ry.sub(h);
         let qp = V::load(q.add(o));
         let mid_height = mid_cell_lanes(ry, ryh);
-        let f0 = f_over_r_lanes(rx, ry, ql, qp); // bottom-left
+        let mid_width = mid_cell_lanes(rx, rxh);
+        let f0 = if mid_height && mid_width {
+            debug_assert_centre_r2(rx, ry, r2c);
+            // `f_over_r_lanes` with its `r²` and divisor taken as constants;
+            // the guard stays, for an `h` whose `r²c` underflows.
+            ql.mul(qp).div(dc).zero_where_zero(r2c_v)
+        } else {
+            f_over_r_lanes(rx, ry, ql, qp) // bottom-left
+        };
         let f1 = if mid_height {
             debug_assert_same_r2("top", [[(rx, ry), (rx, ryh)], [(rxh, ry), (rxh, ryh)]]);
             f0
         } else {
             f_over_r_lanes(rx, ryh, ql, qp) // top-left
         };
-        let (f2, f3) = if mid_cell_lanes(rx, rxh) {
+        let (f2, f3) = if mid_width {
             debug_assert_same_r2("right", [[(rx, ry), (rxh, ry)], [(rx, ryh), (rxh, ryh)]]);
             // `qr = −ql` and `×`, `÷` are sign-symmetric. Negating by a
             // multiply keeps the sign of a zero `f/r` (`0 − f` would not).
@@ -708,14 +721,8 @@ fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
     if !cfg!(debug_assertions) {
         return;
     }
-    let r2 = |(dx, dy): (V, V)| {
-        let mut out = [0.0; 8];
-        // SAFETY: the array holds the widest backend's eight lanes.
-        unsafe { dx.mul(dx).add(dy.mul(dy)).store(out.as_mut_ptr()) };
-        out
-    };
     for [kept, reused] in pairs {
-        let (a, b) = (r2(kept), r2(reused));
+        let (a, b) = (r2_lanes(kept), r2_lanes(reused));
         for (a, b) in a.iter().zip(&b).take(V::WIDTH) {
             assert!(
                 a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
@@ -723,6 +730,32 @@ fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
             );
         }
     }
+}
+
+/// Debug builds check the centre fold's claim on every centre-folded
+/// group: each lane's bottom-left `r²` carries the bits of the constant
+/// `r2c` whose divisor it takes.
+#[inline(always)]
+fn debug_assert_centre_r2<V: Lanes>(rx: V, ry: V, r2c: f64) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for r2 in r2_lanes((rx, ry)).iter().take(V::WIDTH) {
+        assert!(
+            r2.to_bits() == r2c.to_bits(),
+            "centre fold: r² {r2:e} is not the constant r² {r2c:e}"
+        );
+    }
+}
+
+/// `dx·dx + dy·dy` per lane, as the kernel computes it, for the debug
+/// checks (the first `V::WIDTH` entries).
+#[inline(always)]
+fn r2_lanes<V: Lanes>((dx, dy): (V, V)) -> [f64; 8] {
+    let mut out = [0.0; 8];
+    // SAFETY: the array holds the widest backend's eight lanes.
+    unsafe { dx.mul(dx).add(dy.mul(dy)).store(out.as_mut_ptr()) };
+    out
 }
 
 /// Periodic wrap over `groups` quartets: a vector range test selects the
@@ -1338,6 +1371,98 @@ mod tests {
                     assert!(
                         !holds(&lanes),
                         "backend {} lane {lane} ry {ry:e}",
+                        backend.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `f_over_r_lanes` at `(h/2, h/2)` in every lane of one backend, the
+    /// particle charges from `qp`.
+    #[inline(always)]
+    unsafe fn centre_f<V: Lanes>(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
+        let (c, ql) = (V::splat(h / 2.0), V::splat(q_left));
+        let mut out = [0.0; 8];
+        for o in (0..8).step_by(V::WIDTH) {
+            f_over_r_lanes(c, c, ql, V::load(qp.as_ptr().add(o))).store(out.as_mut_ptr().add(o));
+        }
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn centre_f_avx2(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
+        centre_f::<x86::Avx2>(h, q_left, qp)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn centre_f_avx512(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
+        centre_f::<x86::Avx512>(h, q_left, qp)
+    }
+
+    /// The centre fold's constant is the evaluated one: at `(h/2, h/2)`
+    /// every lane of every vector backend's `f_over_r_lanes` carries the
+    /// bits of `(q_left·q_p) ÷ D`, `D` from [`centre_r2`] — across cell
+    /// sizes, both corner charges and particle charges from near-underflow
+    /// to near-overflow, signed zero included. And the kernel divides by
+    /// it: one step of a centred group with those charges is the unfolded
+    /// reference's, bitwise, on every backend (a multiply by `1 ÷ D` is
+    /// not, in the `±1e300` lanes at `h = 1`).
+    #[test]
+    fn centre_fold_constant_is_the_evaluated_divisor() {
+        use crate::motion::advance_particle;
+        let qp = [1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, -0.0, 0.5];
+        for backend in SimdBackend::available()
+            .into_iter()
+            .filter(|b| b.is_vector())
+        {
+            for h in [0.5, 1.0, 3.0] {
+                let (_, d) = centre_r2(h);
+                for q_left in [1.0, -1.0] {
+                    let got = unsafe {
+                        match backend {
+                            #[cfg(target_arch = "x86_64")]
+                            SimdBackend::Avx512 => centre_f_avx512(h, q_left, &qp),
+                            #[cfg(target_arch = "x86_64")]
+                            SimdBackend::Avx2 => centre_f_avx2(h, q_left, &qp),
+                            #[cfg(target_arch = "x86_64")]
+                            SimdBackend::Sse2 => centre_f::<x86::Sse2>(h, q_left, &qp),
+                            SimdBackend::Scalar => unreachable!(),
+                        }
+                    };
+                    for (&q, got) in qp.iter().zip(got) {
+                        let want = (q_left * q) / d;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "backend {} h {h} q_left {q_left} q_p {q:e}: {got:e} vs {want:e}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
+        let grid = Grid::new(8).unwrap();
+        let consts = SimConstants::CANONICAL;
+        for backend in SimdBackend::available() {
+            for col in [2, 3] {
+                let mut b = column_population(&grid, col, qp.len(), 0);
+                b.q.copy_from_slice(&qp);
+                let mut want = b.to_particles();
+                want.iter_mut()
+                    .for_each(|p| advance_particle(&grid, &consts, p));
+                let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                let ql = mesh_charge(col, consts.q);
+                advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                for (i, w) in want.iter().enumerate() {
+                    let got = b.get(i);
+                    assert!(
+                        [(got.x, w.x), (got.y, w.y), (got.vx, w.vx), (got.vy, w.vy)]
+                            .iter()
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "backend {} column {col}: particle {i} is {got:?}, reference {w:?}",
                         backend.name()
                     );
                 }
