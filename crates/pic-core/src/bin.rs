@@ -848,6 +848,11 @@ mod tests {
     use crate::rng::SplitMix64;
     use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
 
+    /// A store of every particle of `ps`.
+    fn whole_store(ps: &[Particle], grid: &Grid) -> BinnedStore {
+        BinnedStore::new_owned(ps, grid, |_, _| true)
+    }
+
     fn population(n: u64, dist: Distribution) -> (Grid, Vec<Particle>) {
         let grid = Grid::new(32).unwrap();
         let s = InitConfig::new(grid, n, dist)
@@ -920,7 +925,7 @@ mod tests {
     fn take_batch_moves_the_particles_out_and_leaves_an_empty_store() {
         let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         store.sweep(&grid, &consts);
         let before = store.batch().clone();
         assert_eq!(store.take_batch(), before, "storage order, no copy-sort");
@@ -936,7 +941,7 @@ mod tests {
     #[test]
     fn to_particles_restores_canonical_order() {
         let (grid, ps) = population(300, Distribution::Sinusoidal);
-        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let store = whole_store(&ps, &grid);
         assert_eq!(store.to_particles(), ps);
         assert_eq!(store.id_sum(), triangular_id_sum(300));
     }
@@ -950,7 +955,7 @@ mod tests {
         let consts = SimConstants::CANONICAL;
         for rebin in [1u32, 3, 16, u32::MAX] {
             let mut reference = ps.clone();
-            let mut binned = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+            let mut binned = whole_store(&ps, &grid);
             for step in 1..=40u32 {
                 advance_all(&grid, &consts, &mut reference);
                 if step % 2 == 0 {
@@ -975,7 +980,7 @@ mod tests {
     fn binned_run_verifies() {
         let (grid, ps) = population(300, Distribution::PAPER_SKEW);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         for _ in 0..60 {
             store.advance_all(&grid, &consts, DEFAULT_CHUNK);
         }
@@ -995,7 +1000,7 @@ mod tests {
         // it no longer matches the population the store was built from.
         let (grid, ps) = population(200, Distribution::Uniform);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         let mut built = Vec::new();
         store.column_histogram_into(&grid, &mut built);
         store.advance_all(&grid, &consts, DEFAULT_CHUNK);
@@ -1014,7 +1019,7 @@ mod tests {
     fn edits_keep_the_phase_halves_and_the_next_sweep_exact() {
         let (grid, ps) = population(100, Distribution::Uniform);
         let consts = SimConstants::CANONICAL;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         store.sweep(&grid, &consts);
         let doomed = store.remove_in_region_upto(&Region::whole(32), 10);
         assert_eq!(doomed, 10);
@@ -1047,9 +1052,8 @@ mod tests {
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect()
         };
-        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, DEFAULT_REBIN, 0, mid);
-        let mut right =
-            BinnedStore::new_subdomain(&split(mid, ncells), &grid, DEFAULT_REBIN, mid, ncells);
+        let mut left = whole_store(&split(0, mid), &grid);
+        let mut right = whole_store(&split(mid, ncells), &grid);
         for _ in 0..steps {
             advance_all(&grid, &consts, &mut reference);
             left.sweep(&grid, &consts);
@@ -1075,7 +1079,7 @@ mod tests {
     #[test]
     fn construction_splits_by_phase_and_is_stable() {
         let (grid, ps) = population(500, Distribution::Geometric { r: 0.9 });
-        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let store = whole_store(&ps, &grid);
         assert_phases(&store, "built");
         // Ascending id within each half (stability from canonical order).
         let b = store.batch();
@@ -1088,7 +1092,7 @@ mod tests {
     #[test]
     fn drain_keeps_the_phase_halves_consistent() {
         let (grid, ps) = population(800, Distribution::Geometric { r: 0.85 });
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         let mid = grid.ncells() / 2;
         let mut gone = Vec::new();
         let removed = store.drain_leavers_into(&grid, |c, _| c < mid, |p| gone.push(p));
@@ -1130,7 +1134,7 @@ mod tests {
             let mine: Vec<Particle> = (ps.iter().copied())
                 .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
                 .collect();
-            BinnedStore::new(&mine, &grid, DEFAULT_REBIN)
+            whole_store(&mine, &grid)
         });
         for step in 0..steps {
             advance_all(&grid, &consts, &mut reference);
@@ -1192,7 +1196,7 @@ mod tests {
             .unwrap()
             .particles;
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         let mut reference = ps.clone();
         let mut next_id = n + 1;
         for (j, &op) in ops.iter().enumerate() {
@@ -1306,7 +1310,7 @@ mod tests {
         let mine: Vec<Particle> = (ps.into_iter())
             .filter(|p| (8..20).contains(&grid.cell_of(p.x)))
             .collect();
-        let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, 8, 24);
+        let mut store = whole_store(&mine, &grid);
         for _ in 0..age {
             store.sweep(&grid, &SimConstants::CANONICAL);
         }
@@ -1429,7 +1433,7 @@ mod tests {
         // A whole-grid store under a VP-style table: leavers scattered
         // through each column by row.
         let (grid, ps) = population(900, Distribution::Geometric { r: 0.9 });
-        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let store = whole_store(&ps, &grid);
         let (col, row, owner) = tile_table(&grid);
         let table = CellTable::new(&grid, &col, &row, &owner, 0);
         let owner_of = |c, r| table.owner_of_cell(c, r);
@@ -1446,7 +1450,7 @@ mod tests {
         // is its row modulo 3: the stretch of consecutive leavers left of
         // column 12 is split three ways.
         let (grid, ps) = population(600, Distribution::Uniform);
-        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let store = whole_store(&ps, &grid);
         let keep = |c: usize, _| (12..20).contains(&c);
         let owner = |c: usize, r: usize| if keep(c, r) { 3 } else { r % 3 };
         let shape = check_doors(&store, &grid, keep, owner, 4);
@@ -1473,7 +1477,7 @@ mod tests {
         // copy); column 10 loses its even rows (runs of one or two, copied
         // element by element).
         let (grid, ps) = population(600, Distribution::Uniform);
-        let store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let store = whole_store(&ps, &grid);
         let keep = |c: usize, r: usize| c != 6 && !(c == 10 && r.is_multiple_of(2));
         let owner = |c: usize, r: usize| match (keep(c, r), c) {
             (true, _) => 0,
@@ -1512,7 +1516,7 @@ mod tests {
     #[test]
     fn a_map_spanning_the_grid_drains_nothing() {
         let (grid, ps) = population(300, Distribution::Uniform);
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         let whole = OwnerMap::Columns { lo: 0, hi: 32 };
         assert!(whole.keeps_all(&grid));
         assert!(!OwnerMap::Columns { lo: 1, hi: 32 }.keeps_all(&grid));
@@ -1663,7 +1667,7 @@ mod tests {
     #[test]
     fn pop_removes_largest_id() {
         let (grid, ps) = population(50, Distribution::Sinusoidal);
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&ps, &grid);
         let p = store.pop().unwrap();
         assert_eq!(p.id, 50);
         assert_eq!(store.len(), 49);
@@ -1673,7 +1677,7 @@ mod tests {
     #[test]
     fn empty_store_is_harmless() {
         let grid = Grid::new(8).unwrap();
-        let mut store = BinnedStore::new(&[], &grid, DEFAULT_REBIN);
+        let mut store = whole_store(&[], &grid);
         store.advance_all(&grid, &SimConstants::CANONICAL, DEFAULT_CHUNK);
         assert!(store.is_empty());
         assert!(store.pop().is_none());

@@ -9,7 +9,7 @@
 //! [`crate::reference::run`] — asserted by this module's tests and the
 //! property tests — as does every distributed implementation.
 
-use crate::bin::{BinnedStore, DEFAULT_REBIN};
+use crate::bin::BinnedStore;
 use crate::charge::SimConstants;
 use crate::events::EventLedger;
 use crate::geometry::Grid;
@@ -51,7 +51,7 @@ impl Simulation {
         Simulation {
             grid: setup.grid,
             consts: setup.consts,
-            store: BinnedStore::new(&setup.particles, &setup.grid, DEFAULT_REBIN),
+            store: BinnedStore::new_owned(&setup.particles, &setup.grid, |_, _| true),
             ledger: EventLedger::new(&setup),
             step: 0,
             chunk_size: None,

@@ -332,7 +332,7 @@ mod tests {
     /// through the storage order of a store's two phase halves.
     #[test]
     fn streamed_report_equals_canonical_verify_all() {
-        use crate::bin::{BinnedStore, DEFAULT_REBIN};
+        use crate::bin::BinnedStore;
         use crate::dist::Distribution;
         use crate::init::InitConfig;
         let grid = Grid::new(32).unwrap();
@@ -343,7 +343,7 @@ mod tests {
             .build()
             .unwrap()
             .particles;
-        let mut store = BinnedStore::new(&ps, &grid, DEFAULT_REBIN);
+        let mut store = BinnedStore::new_owned(&ps, &grid, |_, _| true);
         for _ in 0..20 {
             store.advance_all(&grid, &consts, 64);
         }

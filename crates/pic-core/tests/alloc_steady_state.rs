@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pic_core::bin::{BinnedStore, DEFAULT_REBIN};
+use pic_core::bin::BinnedStore;
 use pic_core::dist::Distribution;
 use pic_core::engine::Simulation;
 use pic_core::events::{Event, Region};
@@ -190,7 +190,7 @@ fn store_build_and_sweep_hold_one_batch_and_no_scratch() {
         .build()
         .unwrap();
     let (len, peak) = peak_bytes(|| {
-        let mut store = BinnedStore::new(&setup.particles, &grid, DEFAULT_REBIN);
+        let mut store = BinnedStore::new_owned(&setup.particles, &grid, |_, _| true);
         for _ in 0..2 {
             store.sweep(&grid, &setup.consts);
         }

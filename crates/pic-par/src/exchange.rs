@@ -189,7 +189,6 @@ mod tests {
     use super::*;
     use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
     use pic_comm::world::run_threads;
-    use pic_core::bin::DEFAULT_REBIN;
     use pic_core::charge::SimConstants;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
@@ -204,6 +203,11 @@ mod tests {
             })
             .copied()
             .collect()
+    }
+
+    /// A store of every particle of `ps`.
+    fn whole_store(ps: &[Particle], grid: &Grid) -> BinnedStore {
+        BinnedStore::new_owned(ps, grid, |_, _| true)
     }
 
     fn setup(n: u64) -> (Grid, Vec<Particle>) {
@@ -247,7 +251,7 @@ mod tests {
             .filter(|p| (p.id as usize) % ranks == rank)
             .copied()
             .collect();
-        BinnedStore::new(&mine, grid, DEFAULT_REBIN)
+        whole_store(&mine, grid)
     }
 
     /// Assert every held particle is owned by `rank`; `(count, id sum)`.
@@ -327,7 +331,7 @@ mod tests {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
             let ((x0, x1), _) = decomp.bounds(rank);
-            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
+            let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
                 store.sweep(&grid, &SimConstants::CANONICAL);
@@ -352,7 +356,7 @@ mod tests {
         run_threads(2, |comm| {
             let rank = comm.rank();
             let mine = if rank == 0 { vec![stray] } else { Vec::new() };
-            let mut store = BinnedStore::new(&mine, &grid, DEFAULT_REBIN);
+            let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             let to_rank_1 = |_, _| 1;
             if rank == 0 {
@@ -408,7 +412,7 @@ mod tests {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
             let ((x0, x1), _) = decomp.bounds(rank);
-            let mut store = BinnedStore::new_subdomain(&mine, &grid, DEFAULT_REBIN, x0, x1);
+            let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             let moved = route_cuts(&comm, &table, &grid, &mut store, &mut bufs);
             assert_eq!(moved, (0, 0));
