@@ -274,8 +274,9 @@ fn lb_round(
     }
     // Rehome particles under the new ownership map (border-cell residents
     // migrate to the adjacent ranks; a moved VP's residents to its new
-    // core), through the rank's reused buffers; the store re-anchors its
-    // column range to the moved cuts on the way.
+    // core), through the rank's reused buffers: the step's one exchange,
+    // classifying by the new map, so the store keeps its phase halves and
+    // has nothing else to update.
     let (sent, _received) = st.rehome(comm);
     sent
 }
