@@ -26,13 +26,17 @@
 # Each block is also appended as one JSON line to BENCH_e2e.jsonl at the
 # repo root: the parent and change revisions (the change's with a dirty
 # flag for uncommitted edits), the host's CPU model and count, workload,
-# seed, pairs, and per metric the two medians, the parent's IQR, the
-# change-lower count, the gain rule and the regression verdict. Commit the
-# lines a change measured.
+# the seed and kernel the runs' `stamp` lines report (the harness's
+# default seed when SEED is not given), pairs, and per metric the two
+# medians, the parent's IQR, the change-lower count, the gain rule and the
+# regression verdict. Commit the lines a change measured.
 #
-# Exits non-zero if a build fails or any run reports `"correct": false`
-# or `failed > 0` (its workload's line is still written, with
-# "correct": false). Every result line is kept in target/pairs/runs.jsonl.
+# Exits non-zero if a build fails, if the two sides of a pair report a
+# different seed, kernel or shape (`ncells`, `n`, `steps`, `smoke`) in
+# their stamps (no line is written for that workload), or if any run
+# reports `"correct": false` or `failed > 0` (its workload's line is still
+# written, with "correct": false). Every run's stamp and result line is
+# kept in target/pairs/runs.jsonl.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -82,20 +86,25 @@ runs="$work/runs.jsonl"
 : >"$runs"
 : >"$work/stderr.log"
 # One run of side $1 on workload $3: append
-# `{"workload": ..., "side": ..., "pair": ..., "result": ...}`.
+# `{"workload": ..., "side": ..., "pair": ..., "stamp": ..., "result": ...}`.
 run_side() {
-    local side="$1" pair="$2" workload="$3" bin line
+    local side="$1" pair="$2" workload="$3" bin out stamp
     local args=(--workload "$workload" --trace 0 --seconds 2)
     if [ -n "$seed" ]; then
         args+=(--seed "$seed")
     fi
     if [ "$side" = parent ]; then bin="$parent_bin"; else bin="$change_bin"; fi
-    line="$("$bin" "${args[@]}" 2>>"$work/stderr.log" | tail -n 1)" || {
+    out="$("$bin" "${args[@]}" 2>>"$work/stderr.log")" || {
         echo "error: $side run of $workload pair $pair failed (stderr in $work/stderr.log)" >&2
         exit 1
     }
-    printf '{"workload": "%s", "side": "%s", "pair": %d, "result": %s}\n' \
-        "$workload" "$side" "$pair" "$line" >>"$runs"
+    stamp="$(sed -n 's/^stamp //p' <<<"$out" | head -n 1)"
+    if [ -z "$stamp" ]; then
+        echo "error: $side run of $workload pair $pair printed no stamp line" >&2
+        exit 1
+    fi
+    printf '{"workload": "%s", "side": "%s", "pair": %d, "stamp": %s, "result": %s}\n' \
+        "$workload" "$side" "$pair" "$stamp" "$(tail -n 1 <<<"$out")" >>"$runs"
 }
 
 status=0
@@ -107,13 +116,29 @@ for w in "${list[@]}"; do
             run_side "$side" "$i" "$w"
         done
     done
-    python3 - "$runs" "$w" "$rev" "$parent_rev" "$change_rev" "$dirty" "${seed:-default}" \
+    python3 - "$runs" "$w" "$rev" "$parent_rev" "$change_rev" "$dirty" \
         "$root/BENCH_e2e.jsonl" "$root/BENCHMARK.json" <<'EOF' || status=1
 import json, os, statistics, sys
 
-path, workload, rev, parent_rev, change_rev, dirty, seed, record, bench = sys.argv[1:]
+path, workload, rev, parent_rev, change_rev, dirty, record, bench = sys.argv[1:]
 declared = {m["name"]: m for m in json.load(open(bench))["end_to_end"]}
 runs = [r for r in map(json.loads, open(path)) if r["workload"] == workload]
+
+def ran(r):
+    """What a run's stamp says it ran: both sides of a pair must agree."""
+    return {k: r["stamp"].get(k) for k in ("seed", "kernel", "ncells", "n", "steps", "smoke")}
+
+mismatched = False
+for i in sorted({r["pair"] for r in runs}):
+    sides = {r["side"]: ran(r) for r in runs if r["pair"] == i}
+    if sides.get("parent") != sides.get("change"):
+        print(f"error: {workload}: pair {i}: parent ran {sides.get('parent')}, "
+              f"change ran {sides.get('change')}", file=sys.stderr)
+        mismatched = True
+if mismatched:
+    sys.exit(1)
+seed, kernel = ran(runs[0])["seed"], ran(runs[0])["kernel"]
+
 bad = [r for r in runs
        if not r["result"].get("correct") or r["result"].get("failed", 0) > 0]
 for r in bad:
@@ -148,9 +173,9 @@ def host():
 metrics = list(runs[0]["result"]["metrics"])
 pairs = len(series("parent", metrics[0]))
 line = {"parent": parent_rev, "change": change_rev, "dirty": dirty == "true",
-        "host": host(), "workload": workload, "seed": seed, "pairs": pairs,
+        "host": host(), "workload": workload, "seed": seed, "kernel": kernel, "pairs": pairs,
         "correct": not bad, "metrics": {}}
-print(f"{workload} (seed {seed}): parent {rev} vs working tree, {pairs} pairs")
+print(f"{workload} (seed {seed}, kernel {kernel}): parent {rev} vs working tree, {pairs} pairs")
 for m in metrics:
     p, c = series("parent", m), series("change", m)
     pm, cm = statistics.median(p), statistics.median(c)
