@@ -330,7 +330,6 @@ mod tests {
         let per_rank = run_threads(4, |comm| {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
-            let ((x0, x1), _) = decomp.bounds(rank);
             let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
@@ -411,7 +410,6 @@ mod tests {
         let counts = run_threads(2, |comm| {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);
-            let ((x0, x1), _) = decomp.bounds(rank);
             let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             let moved = route_cuts(&comm, &table, &grid, &mut store, &mut bufs);
