@@ -44,9 +44,10 @@
 //! corner, and one whose lanes all sit at exact mid-width takes the right
 //! column's `f/r` from the left column's, negated — values whose bits it
 //! provably shares; a group centred on both axes divides by the centre's
-//! `r²·√r²`, evaluated once per call by the same operations. Span tails (`len mod WIDTH`) run the scalar
-//! kernel unchanged, and the wrap pass takes each lane through the exact
-//! scalar [`Grid::wrap_coord`] whenever any lane left the domain.
+//! `r²·√r²`, evaluated once per call by the same operations. Span tails
+//! (`len mod WIDTH`) run the scalar kernel unchanged, and the wrap pass
+//! takes each lane through the exact scalar [`Grid::wrap_coord`] whenever
+//! any lane left the domain.
 //! Particles are independent within a step, so processing them four at a
 //! time changes *where* arithmetic happens, never *what* arithmetic
 //! happens — asserted by the SIMD-vs-scalar property-test family across
@@ -626,8 +627,8 @@ mod x86 {
 /// by a constant of the call ([`centre_r2`]): a centred group runs one
 /// `div` per particle and no `sqrt`. Every multiply and add downstream
 /// still runs, on identical operands, so the result is bit-identical by
-/// construction (DESIGN.md §10). A group with any lane off-centre along an axis
-/// evaluates that axis's corners, as a whole — as the scalar kernel
+/// construction (DESIGN.md §10). A group with any lane off-centre along an
+/// axis evaluates that axis's corners, as a whole — as the scalar kernel
 /// ([`crate::bin::force_span`]: span tails, the `Scalar` backend) always
 /// does: it is not divider-bound, and a premise test there costs more
 /// than the fold saves.
