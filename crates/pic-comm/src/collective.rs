@@ -1,13 +1,16 @@
 //! Collective operations over a [`Communicator`].
 //!
-//! Implemented with the classic binomial-tree algorithms on top of
-//! point-to-point messages — the same structure an MPI
-//! implementation uses — so message counts scale as `O(P log P)` per
-//! collective and the substrate exercises realistic traffic patterns.
+//! Every collective is one all-to-all round: [`alltoallv_take_into`], the
+//! primitive every step's exchange runs, sends exactly one message on every
+//! ordered rank pair. [`allgatherv`] posts this rank's bytes to every rank;
+//! a reduction is an allgather that every rank folds in rank order, so
+//! every rank folds the same sequence and returns the same bits, floating
+//! point included. A round costs `P²` messages; at the few thread-ranks of
+//! this in-process world that is one hop where a tree would take `log P`.
 //!
 //! All collectives must be called by **every** member of the communicator
-//! in the same order (the usual MPI rule). Messages carry no tag: each
-//! collective has a fixed message pattern, so under that rule the k-th
+//! in the same order (the usual MPI rule). Messages carry no tag: every
+//! collective sends one message per rank pair, so under that rule the k-th
 //! message a rank takes from a peer is the k-th one the peer sent it.
 
 use crate::comm::{Communicator, ReduceOp};
@@ -45,165 +48,18 @@ pub fn decode_u64s_into(buf: &[u8], out: &mut Vec<u64>) {
 }
 
 // ---------------------------------------------------------------------------
-// broadcast
+// allgather and reductions
 // ---------------------------------------------------------------------------
 
-/// Binomial-tree broadcast from `root`. Every rank returns the payload.
-pub fn broadcast(comm: &Communicator, root: usize, data: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::new();
-    broadcast_visit(comm, root, data, |b| out = b.to_vec());
-    out
-}
-
-/// Binomial-tree broadcast from `root` where each rank consumes the
-/// payload **by reference** via `visit` instead of keeping it: receive
-/// leg, visit, send leg. Because the buffer is dead after the forwarding
-/// sends, the last child send *moves* it instead of cloning. The hot
-/// allreduce paths pair this with the `_into` decoders.
-pub fn broadcast_visit<F: FnOnce(&[u8])>(
-    comm: &Communicator,
-    root: usize,
-    data: Vec<u8>,
-    visit: F,
-) {
-    let size = comm.size();
-    let rank = comm.rank();
-    let vrank = (rank + size - root) % size;
-    let to_real = |v: usize| (v + root) % size;
-
-    let mut payload = data;
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            payload = comm.recv(to_real(vrank - mask));
-            break;
-        }
-        mask <<= 1;
-    }
-    visit(&payload);
-    let mut m = mask >> 1;
-    while m > 0 {
-        if vrank + m < size {
-            // If any child exists, a child at m == 1 exists too, so the
-            // m == 1 send is always the last one.
-            if m == 1 {
-                comm.send(to_real(vrank + 1), payload);
-                return;
-            }
-            comm.send(to_real(vrank + m), payload.clone());
-        }
-        m >>= 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// gather / allgather
-// ---------------------------------------------------------------------------
-
-/// Gather variable-length byte payloads to `root`. Returns `Some(vec of
-/// per-rank payloads in rank order)` at root, `None` elsewhere.
-pub fn gatherv(comm: &Communicator, root: usize, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-    let rank = comm.rank();
-    let size = comm.size();
-    if rank == root {
-        let mut own = Some(data);
-        let mut out = Vec::with_capacity(size);
-        for src in 0..size {
-            if src == root {
-                out.push(own.take().unwrap());
-            } else {
-                out.push(comm.recv(src));
-            }
-        }
-        Some(out)
-    } else {
-        comm.send(root, data);
-        None
-    }
-}
-
-/// All ranks receive every rank's payload, in rank order.
+/// All ranks receive every rank's payload, in rank order: one all-to-all
+/// round that posts `data` to every rank. This rank's own message is
+/// moved; the others are copies.
 pub fn allgatherv(comm: &Communicator, data: Vec<u8>) -> Vec<Vec<u8>> {
-    let gathered = gatherv(comm, 0, data);
-    // Flatten with length prefixes for the broadcast leg.
-    let packed = if comm.rank() == 0 {
-        let parts = gathered.unwrap();
-        let mut buf = Vec::new();
-        for p in &parts {
-            buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            buf.extend_from_slice(p);
-        }
-        buf
-    } else {
-        Vec::new()
-    };
-    let mut out = Vec::with_capacity(comm.size());
-    broadcast_visit(comm, 0, packed, |buf| {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let len = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()) as usize;
-            off += 8;
-            out.push(buf[off..off + len].to_vec());
-            off += len;
-        }
-    });
-    assert_eq!(out.len(), comm.size(), "allgatherv framing corrupt");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// reductions
-// ---------------------------------------------------------------------------
-
-fn reduce_bytes<F>(comm: &Communicator, root: usize, mine: Vec<u8>, mut fold: F) -> Option<Vec<u8>>
-where
-    F: FnMut(Vec<u8>, Vec<u8>) -> Vec<u8>,
-{
-    let size = comm.size();
-    let rank = comm.rank();
-    let vrank = (rank + size - root) % size;
-    let to_real = |v: usize| (v + root) % size;
-
-    let mut acc = mine;
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask == 0 {
-            let peer = vrank | mask;
-            if peer < size {
-                let theirs = comm.recv(to_real(peer));
-                acc = fold(acc, theirs);
-            }
-        } else {
-            comm.send(to_real(vrank & !mask), acc);
-            return None;
-        }
-        mask <<= 1;
-    }
-    Some(acc)
-}
-
-/// Element-wise reduction of equal-length `u64` vectors to `root`. The
-/// fold rewrites the accumulator's byte buffer in place — no per-fold
-/// decode/encode allocations.
-pub fn reduce_vec_u64(
-    comm: &Communicator,
-    root: usize,
-    mine: &[u64],
-    op: ReduceOp,
-) -> Option<Vec<u64>> {
-    let n = mine.len();
-    let mut bv: Vec<u64> = Vec::new();
-    reduce_bytes(comm, root, encode_u64s(mine), move |mut a, b| {
-        decode_u64s_into(&b, &mut bv);
-        assert_eq!(a.len(), n * 8, "reduce_vec_u64 length mismatch");
-        assert_eq!(bv.len(), n, "reduce_vec_u64 length mismatch");
-        for (chunk, y) in a.chunks_exact_mut(8).zip(&bv) {
-            let x = u64::from_le_bytes(chunk.try_into().unwrap());
-            chunk.copy_from_slice(&op.fold_u64(x, *y).to_le_bytes());
-        }
-        a
-    })
-    .map(|b| decode_u64s(&b))
+    let mut outgoing = vec![data.clone(); comm.size() - 1];
+    outgoing.insert(comm.rank(), data);
+    let mut incoming = Vec::with_capacity(comm.size());
+    alltoallv_take_into(comm, &mut outgoing, &mut incoming);
+    incoming
 }
 
 /// Element-wise allreduce of equal-length `u64` vectors.
@@ -214,12 +70,20 @@ pub fn allreduce_vec_u64(comm: &Communicator, mine: &[u64], op: ReduceOp) -> Vec
 }
 
 /// [`allreduce_vec_u64`] into a caller-owned vector (cleared, capacity
-/// retained) — the per-step load aggregations use this to stay
-/// allocation-free in steady state.
+/// retained). The round's messages are allocated per call.
 pub fn allreduce_vec_u64_into(comm: &Communicator, mine: &[u64], op: ReduceOp, out: &mut Vec<u64>) {
-    let reduced = reduce_vec_u64(comm, 0, mine, op);
-    let packed = reduced.map(|v| encode_u64s(&v)).unwrap_or_default();
-    broadcast_visit(comm, 0, packed, |b| decode_u64s_into(b, out));
+    let parts = allgatherv(comm, encode_u64s(mine));
+    decode_u64s_into(&parts[0], out);
+    for part in &parts[1..] {
+        assert_eq!(
+            part.len(),
+            out.len() * 8,
+            "allreduce_vec_u64 length mismatch"
+        );
+        for (x, c) in out.iter_mut().zip(part.chunks_exact(8)) {
+            *x = op.fold_u64(*x, u64::from_le_bytes(c.try_into().unwrap()));
+        }
+    }
 }
 
 /// Scalar u64 allreduce.
@@ -227,32 +91,23 @@ pub fn allreduce_u64(comm: &Communicator, mine: u64, op: ReduceOp) -> u64 {
     allreduce_vec_u64(comm, &[mine], op)[0]
 }
 
-/// Scalar f64 allreduce (deterministic fold order: fixed binomial tree).
+/// Scalar f64 allreduce; every rank returns the bits of the serial fold in
+/// rank order.
 pub fn allreduce_f64(comm: &Communicator, mine: f64, op: ReduceOp) -> f64 {
-    let reduced = reduce_bytes(comm, 0, mine.to_le_bytes().to_vec(), move |a, b| {
-        let x = f64::from_le_bytes(a.try_into().unwrap());
-        let y = f64::from_le_bytes(b.try_into().unwrap());
-        op.fold_f64(x, y).to_le_bytes().to_vec()
-    });
-    let mut out = 0.0;
-    broadcast_visit(comm, 0, reduced.unwrap_or_default(), |b| {
-        out = f64::from_le_bytes(b.try_into().unwrap())
-    });
-    out
+    allgatherv(comm, mine.to_le_bytes().to_vec())
+        .iter()
+        .map(|b| f64::from_le_bytes(b[..].try_into().unwrap()))
+        .reduce(|a, b| op.fold_f64(a, b))
+        .expect("a world has at least one rank")
 }
 
 /// u128 allreduce (for the id checksum, which can exceed u64).
 pub fn allreduce_u128(comm: &Communicator, mine: u128, op: ReduceOp) -> u128 {
-    let reduced = reduce_bytes(comm, 0, mine.to_le_bytes().to_vec(), move |a, b| {
-        let x = u128::from_le_bytes(a.try_into().unwrap());
-        let y = u128::from_le_bytes(b.try_into().unwrap());
-        op.fold_u128(x, y).to_le_bytes().to_vec()
-    });
-    let mut out = 0;
-    broadcast_visit(comm, 0, reduced.unwrap_or_default(), |b| {
-        out = u128::from_le_bytes(b.try_into().unwrap())
-    });
-    out
+    allgatherv(comm, mine.to_le_bytes().to_vec())
+        .iter()
+        .map(|b| u128::from_le_bytes(b[..].try_into().unwrap()))
+        .reduce(|a, b| op.fold_u128(a, b))
+        .expect("a world has at least one rank")
 }
 
 // ---------------------------------------------------------------------------
@@ -318,27 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_visit_matches_broadcast() {
-        for p in [1usize, 2, 3, 5, 8] {
-            for root in 0..p {
-                let got = run_threads(p, move |comm| {
-                    let data = if comm.rank() == root {
-                        vec![7, root as u8]
-                    } else {
-                        Vec::new()
-                    };
-                    let mut seen = Vec::new();
-                    broadcast_visit(&comm, root, data, |b| seen.extend_from_slice(b));
-                    seen
-                });
-                for g in got {
-                    assert_eq!(g, vec![7, root as u8]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn allreduce_vec_into_reuses_scratch() {
         let got = run_threads(3, |comm| {
             let mut out = Vec::new();
@@ -350,43 +184,6 @@ mod tests {
         });
         for out in got {
             assert_eq!(out, vec![3 + 3 * 2, 3]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_every_root() {
-        for p in [1usize, 2, 3, 5, 8] {
-            for root in 0..p {
-                let got = run_threads(p, move |comm| {
-                    let data = if comm.rank() == root {
-                        vec![9, 9, root as u8]
-                    } else {
-                        Vec::new()
-                    };
-                    broadcast(&comm, root, data)
-                });
-                for g in got {
-                    assert_eq!(g, vec![9, 9, root as u8]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gatherv_collects_in_rank_order() {
-        let got = run_threads(5, |comm| {
-            gatherv(&comm, 2, vec![comm.rank() as u8; comm.rank()])
-        });
-        for (r, g) in got.into_iter().enumerate() {
-            if r == 2 {
-                let parts = g.unwrap();
-                assert_eq!(parts.len(), 5);
-                for (i, p) in parts.iter().enumerate() {
-                    assert_eq!(p, &vec![i as u8; i]);
-                }
-            } else {
-                assert!(g.is_none());
-            }
         }
     }
 
@@ -474,62 +271,71 @@ mod tests {
     }
 
     #[test]
+    fn allreduce_f64_folds_in_rank_order() {
+        // Order-sensitive summands: 1e16 on rank 0 rounds each small `r`
+        // away or not depending on what has been added before it, so the
+        // reverse fold (P = 3, 5, 8) and a binomial tree (P = 8) give other
+        // bits. Every rank must return those of the serial fold in rank
+        // order.
+        let value = |r: usize| if r == 0 { 1e16 } else { r as f64 };
+        for p in [1usize, 2, 3, 5, 8] {
+            let want = (0..p).map(value).reduce(|a, b| a + b).unwrap();
+            let got = run_threads(p, |comm| {
+                allreduce_f64(&comm, value(comm.rank()), ReduceOp::Sum)
+            });
+            for (r, g) in got.into_iter().enumerate() {
+                assert_eq!(g.to_bits(), want.to_bits(), "{p} ranks, rank {r}");
+            }
+        }
+    }
+
+    #[test]
     fn fifo_across_collectives() {
-        // Rank 0 enters no collective until the others have posted their
-        // messages of three: the rooted halves of an allreduce and an
-        // allgatherv (`reduce_vec_u64`, `gatherv` to rank 0), which never
-        // wait on rank 0, and the sends of an all-to-all. Every mailbox
-        // into rank 0 queues three collectives deep before rank 0 takes
-        // the first, and each must still land in its own collective. A
-        // barrier outside the communicator forces the order; the world
-        // runs under a 10 s watchdog.
+        // 200 mixed collectives back to back, each rank entering every one
+        // after a delay of its own, so ranks run up to a round apart and a
+        // mailbox can hold two collectives' messages at once. Each message
+        // must still land in its own collective. The world runs under a
+        // 10 s watchdog.
         let p = 4;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let posted = std::sync::Barrier::new(p);
             let got = run_threads(p, |comm| {
-                let me = comm.rank() as u8;
-                let msgs = |mark: u8| -> Vec<Vec<u8>> {
-                    (0..p as u8).map(|d| vec![mark, me, d]).collect()
-                };
-                let (mut first, mut second) = (Vec::new(), Vec::new());
-                if me == 0 {
-                    posted.wait();
-                }
-                let sum = reduce_vec_u64(&comm, 0, &[me as u64, 1], ReduceOp::Sum);
-                let gathered = gatherv(&comm, 0, vec![3, me]);
-                if me != 0 {
-                    // The all-to-all's sends go out before its receives
-                    // block; rank 0 is not in it yet.
-                    for (dst, m) in msgs(1).into_iter().enumerate() {
-                        comm.send(dst, m);
+                let me = comm.rank();
+                let mut incoming: Vec<Vec<u8>> = Vec::new();
+                for i in 0..200usize {
+                    let delay = (i + me) % p * 50;
+                    std::thread::sleep(std::time::Duration::from_micros(delay as u64));
+                    let mark = i as u64;
+                    match i % 4 {
+                        0 => {
+                            let got = allreduce_vec_u64(&comm, &[mark, me as u64], ReduceOp::Sum);
+                            assert_eq!(got, vec![p as u64 * mark, 6], "round {i}");
+                        }
+                        1 => {
+                            let got = allgatherv(&comm, vec![i as u8, me as u8]);
+                            let want: Vec<Vec<u8>> =
+                                (0..p as u8).map(|s| vec![i as u8, s]).collect();
+                            assert_eq!(got, want, "round {i}");
+                        }
+                        2 => {
+                            let mut outgoing: Vec<Vec<u8>> =
+                                (0..p as u8).map(|d| vec![i as u8, me as u8, d]).collect();
+                            alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
+                            let want: Vec<Vec<u8>> =
+                                (0..p as u8).map(|s| vec![i as u8, s, me as u8]).collect();
+                            assert_eq!(incoming, want, "round {i}");
+                        }
+                        _ => {
+                            let got =
+                                allreduce_f64(&comm, (mark + me as u64) as f64, ReduceOp::Max);
+                            assert_eq!(got, (mark + p as u64 - 1) as f64, "round {i}");
+                        }
                     }
-                    posted.wait();
-                    first.extend((0..p).map(|src| comm.recv::<Vec<u8>>(src)));
-                } else {
-                    alltoallv_take_into(&comm, &mut msgs(1), &mut first);
                 }
-                alltoallv_take_into(&comm, &mut msgs(2), &mut second);
-                (first, sum, gathered, second)
             });
             tx.send(got)
         });
-        let got = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
+        rx.recv_timeout(std::time::Duration::from_secs(10))
             .expect("the world hung or a rank panicked");
-        for (r, (first, sum, gathered, second)) in got.into_iter().enumerate() {
-            let want = |mark: u8| -> Vec<Vec<u8>> {
-                (0..p as u8).map(|s| vec![mark, s, r as u8]).collect()
-            };
-            assert_eq!(first, want(1), "rank {r}: first exchange");
-            assert_eq!(second, want(2), "rank {r}: second exchange");
-            if r == 0 {
-                assert_eq!(sum, Some(vec![6, 4]));
-                let parts: Vec<Vec<u8>> = (0..p as u8).map(|s| vec![3, s]).collect();
-                assert_eq!(gathered, Some(parts));
-            } else {
-                assert_eq!((sum, gathered), (None, None));
-            }
-        }
     }
 }

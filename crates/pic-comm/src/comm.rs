@@ -44,8 +44,8 @@ impl ReduceOp {
 /// A communicator: this rank's handle on the one world of ranks.
 /// Clone-free by design — each rank holds exactly one `Communicator`.
 ///
-/// It has no tags: the collectives are its only public surface, every rank
-/// calls them in the same order, and each has a fixed message pattern, so
+/// It has no tags: every rank calls the collectives, its only public
+/// surface, in the same order, and each sends one message per rank pair, so
 /// the k-th message this rank takes from `src` is the k-th one `src` sent
 /// it — MPI's non-overtaking rule, kept by one FIFO mailbox per rank pair.
 pub struct Communicator {

@@ -3,22 +3,18 @@
 //! The paper's reference implementations are MPI programs. This crate
 //! provides the subset of MPI semantics they call, with a **threads
 //! backend**: each rank is an OS thread of one world ([`run_threads`]),
-//! every ordered rank pair has one FIFO mailbox, and the collectives
-//! (broadcast, gatherv/allgatherv, `u64` vector reduce/allreduce, scalar
-//! `u64`/`f64`/`u128` allreduce, and the personalized alltoallv) are
-//! built on those messages exactly as a
-//! textbook MPI would build them on point-to-point — so the communication
-//! *structure* of the ported kernels is faithful even though the transport
-//! is shared memory.
+//! every ordered rank pair has one FIFO mailbox, and every collective
+//! (allgatherv, `u64` vector allreduce, scalar `u64`/`f64`/`u128`
+//! allreduce) is one round of the personalized all-to-all that every step's
+//! exchange runs ([`alltoallv_take_into`]).
 //!
 //! Key MPI semantics preserved:
 //!
 //! * **Non-overtaking without tags** — every rank calls the collectives in
-//!   the same order and each has a fixed message pattern, so per-pair FIFO
-//!   order is all the matching there is: the k-th message a rank takes
-//!   from a peer is the k-th one that peer sent it.
-//! * **Deterministic collectives** — reductions fold along a fixed
-//!   binomial tree, so floating-point results are reproducible run to run.
+//!   the same order and each sends one message per rank pair, so the k-th
+//!   message a rank takes from a peer is the k-th one that peer sent it.
+//! * **Deterministic collectives** — every rank folds every rank's
+//!   contribution in rank order, so every rank returns the same bits.
 //! * **Sends never block** — [`alltoallv_take_into`] posts every message
 //!   before its first receive, so no rank waits on a peer to send.
 //! * **A failed rank fails the job** — a rank that panics aborts the world

@@ -106,7 +106,7 @@ fn panic_message(cause: &(dyn Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::{allreduce_u64, alltoallv_take_into, broadcast, gatherv};
+    use crate::collective::{allreduce_u64, alltoallv_take_into};
     use crate::comm::ReduceOp;
     use std::time::Duration;
 
@@ -156,16 +156,14 @@ mod tests {
 
     #[test]
     fn collateral_panics_poison_in_turn() {
-        // Rank 0 never receives from rank 2: it waits on rank 1 in the
-        // broadcast, and rank 1 is gathering from rank 2. Only rank 1's
-        // own collateral panic, poisoning in turn, can wake rank 0.
+        // Rank 0 never receives from rank 2: it waits on rank 1, and rank 1
+        // waits on rank 2. Only rank 1's own collateral panic, poisoning in
+        // turn, can wake rank 0.
         let msg = panic_of(|| {
-            run_threads(3, |comm| {
-                if comm.rank() == 2 {
-                    panic!("boom in the leaf");
-                }
-                let _ = gatherv(&comm, 1, vec![comm.rank() as u8]);
-                broadcast(&comm, 1, Vec::new())
+            run_threads(3, |comm| match comm.rank() {
+                0 => comm.recv::<Vec<u8>>(1),
+                1 => comm.recv::<Vec<u8>>(2),
+                _ => panic!("boom in the leaf"),
             });
         });
         assert_eq!(msg, "rank 2 panicked: boom in the leaf");

@@ -5,8 +5,7 @@ use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
 use crate::exchange::{route_binned, ExchangeBuffers};
 use pic_cluster::balancer::Layout;
 use pic_comm::collective::{
-    allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
-    allreduce_vec_u64_into, decode_u64s, encode_u64s,
+    allgatherv, allreduce_u64, allreduce_vec_u64, allreduce_vec_u64_into, decode_u64s, encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::{BinnedStore, CellTable, OwnerMap};
@@ -447,6 +446,15 @@ impl RankState {
     /// error and failing ids are merged globally, so every rank returns the
     /// identical report.
     pub fn verify(&self, comm: &Communicator) -> VerifyReport {
+        self.gather_finish(comm).0
+    }
+
+    /// The rank finish's one collective: every rank posts a fixed record of
+    /// its local check and particle count, plus its ≤ [`MAX_FAILING_IDS`]
+    /// smallest failing ids, and folds every record in rank order. Returns
+    /// the global report and the (max per-rank, total) particle counts,
+    /// identical on every rank.
+    fn gather_finish(&self, comm: &Communicator) -> (VerifyReport, u64, u64) {
         let local = verify_batch(
             &self.grid,
             self.store.batch(),
@@ -454,23 +462,43 @@ impl RankState {
             0,
             DEFAULT_TOLERANCE,
         );
-        VerifyReport {
-            checked: allreduce_u64(comm, local.checked, ReduceOp::Sum),
-            position_failures: allreduce_u64(comm, local.position_failures, ReduceOp::Sum),
-            max_error: allreduce_f64(comm, local.max_error, ReduceOp::Max),
-            id_sum: allreduce_u128(comm, local.id_sum, ReduceOp::Sum),
-            failing_ids: merge_failing_ids(comm, &local.failing_ids),
+        let mut record = vec![
+            local.checked,
+            local.position_failures,
+            local.max_error.to_bits(),
+            local.id_sum as u64,
+            (local.id_sum >> 64) as u64,
+            self.local_count() as u64,
+        ];
+        record.extend_from_slice(&local.failing_ids);
+        let mut report = VerifyReport {
+            checked: 0,
+            position_failures: 0,
+            max_error: 0.0,
+            failing_ids: Vec::new(),
+            id_sum: 0,
             expected_id_sum: self.expected_id_sum(),
             tolerance: DEFAULT_TOLERANCE,
+        };
+        let (mut max_count, mut total_count) = (0, 0);
+        for bytes in allgatherv(comm, encode_u64s(&record)) {
+            let [checked, failures, max_error, id_lo, id_hi, count, ref ids @ ..] =
+                decode_u64s(&bytes)[..]
+            else {
+                panic!("rank finish record truncated");
+            };
+            report.checked += checked;
+            report.position_failures += failures;
+            report.max_error = report.max_error.max(f64::from_bits(max_error));
+            report.id_sum += (id_hi as u128) << 64 | id_lo as u128;
+            max_count = max_count.max(count);
+            total_count += count;
+            report.failing_ids.extend_from_slice(ids);
         }
-    }
-
-    /// Collective imbalance probe: (max per-rank count, total count).
-    pub fn count_stats(&self, comm: &Communicator) -> (u64, u64) {
-        let local = self.local_count() as u64;
-        let max = allreduce_u64(comm, local, ReduceOp::Max);
-        let total = allreduce_u64(comm, local, ReduceOp::Sum);
-        (max, total)
+        report.failing_ids.sort_unstable();
+        report.failing_ids.dedup();
+        report.failing_ids.truncate(MAX_FAILING_IDS);
+        (report, max_count, total_count)
     }
 
     /// Final outcome assembly: verify, count, and move the store's batch
@@ -481,13 +509,12 @@ impl RankState {
         self.finish_traced(comm, &mut Tracer::disabled())
     }
 
-    /// [`RankState::finish`] with the verification collectives timed as
-    /// the `verify` phase.
+    /// [`RankState::finish`] with the finish collective timed as the
+    /// `verify` phase.
     pub fn finish_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
-        let verify = self.verify(comm);
+        let (verify, max_count, total_count) = self.gather_finish(comm);
         tracer.phase_end(Phase::Verify);
-        let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
             verify,
             local_count: self.local_count(),
@@ -534,19 +561,6 @@ pub(crate) fn snapshot_loads(
     let loads: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
     tracer.record_loads(&loads);
     counts[..n].iter().sum()
-}
-
-/// Globally merge per-rank failing-id diagnostics: allgather, sort, dedup,
-/// cap at [`MAX_FAILING_IDS`]. Every rank ends with the identical list no
-/// matter which rank held the failing particles — previously each rank
-/// reported only its local ids while the rest of the report was global.
-fn merge_failing_ids(comm: &Communicator, local: &[u64]) -> Vec<u64> {
-    let gathered = allgatherv(comm, encode_u64s(local));
-    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-    all.sort_unstable();
-    all.dedup();
-    all.truncate(MAX_FAILING_IDS);
-    all
 }
 
 #[cfg(test)]

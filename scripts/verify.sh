@@ -17,8 +17,10 @@ echo "==> cargo test -q (every crate), SIMD on and forced off"
 # `default-members` makes the tier-1 command cover every crate's suite.
 # The serial engine and the rank loops default to the binned SIMD kernel;
 # the bit-identity contract must hold just the same with it forced off.
-cargo test -q
-PIC_NO_SIMD=1 cargo test -q
+# `--no-fail-fast` runs every test binary of a pass even after one fails,
+# so a red run names every failing suite; the pass still exits non-zero.
+cargo test -q --no-fail-fast
+PIC_NO_SIMD=1 cargo test -q --no-fail-fast
 # The corner-fold suite's NaN-lane case, and the owner classifiers' lanes
 # outside the domain (NaN, ±inf, negatives), need a build without the
 # debug range checks (they reject such coordinates before any arithmetic).
