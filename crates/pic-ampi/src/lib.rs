@@ -15,7 +15,9 @@
 //!   [`pic_cluster::balancer`]): [`Balancer::Refine`] ("migrates VPs from
 //!   the most loaded to the least loaded core", the strategy the paper
 //!   selected), [`Balancer::Greedy`] (full Charm++-GreedyLB-style remap)
-//!   and `None`. Object-migration strategies in the Charm++ mold, and
+//!   and `None` (over-decomposition alone, the ablation). A run keeps
+//!   one strategy, as the paper's runs do: there is no switching ladder
+//!   over them. Object-migration strategies in the Charm++ mold, and
 //!   deliberately locality-oblivious — the property the paper's
 //!   experiments probe;
 //! * [`runtime`] — [`run_ampi`], the [`AmpiParams`] door into that loop

@@ -34,7 +34,7 @@ mod tests {
     use pic_core::geometry::Grid;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
-    use pic_par::{run_config_traced, BalancerSpec};
+    use pic_par::run_config_traced;
 
     fn cfg(n: u64, dist: Distribution, steps: u32) -> ParConfig {
         ParConfig::new(
@@ -183,36 +183,6 @@ mod tests {
         // Skewed start under greedy VP placement must register migrations.
         let rehomed: u64 = report.steps.iter().map(|s| s.counters[0]).sum();
         assert!(rehomed > 0, "migration counter never moved");
-    }
-
-    #[test]
-    fn adaptive_vp_run_verifies_and_switches() {
-        // Geometric skew under the keep-everything arm sustains a high
-        // per-core imbalance, so the adaptive ladder must escalate from
-        // vp-none to vp-refine once its window fills.
-        let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 40)
-            .with_balancer(BalancerSpec::VpAdaptive { d: 4, interval: 4 });
-        let results = run_threads(4, |comm| {
-            let mut tracer = if comm.rank() == 0 {
-                Tracer::in_memory(2)
-            } else {
-                Tracer::disabled()
-            };
-            let out = run_config_traced(&comm, &c, &mut tracer);
-            (out, tracer.finish())
-        });
-        for (out, _) in &results {
-            assert!(out.verify.passed(), "{:?}", out.verify);
-            assert_eq!(out.total_count, 1200);
-        }
-        let report = results[0].1.as_ref().expect("rank 0 traced");
-        assert_eq!(report.summary.balancer, "adaptive");
-        assert!(
-            !report.switches.is_empty(),
-            "sustained skew must escalate off the vp-none arm"
-        );
-        assert_eq!(report.switches[0].from, "vp-none");
-        assert_eq!(report.switches[0].to, "vp-refine");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Every strategy — static (never move), diffusion cut-shifting (§IV-B),
 //! greedy/refining VP reassignment (§IV-C), and the online adaptive
-//! switcher — implements [`LoadBalancer`]: given replicated load counts
-//! plus the current layout, produce a typed [`BalanceDecision`]. The
-//! runners own the collectives and the application of decisions; the
-//! strategies here are pure, deterministic functions of their inputs so
-//! every rank computes the identical decision from allreduced data
-//! without any extra communication.
+//! switcher over the cut ladder — implements [`LoadBalancer`]: given
+//! replicated load counts plus the current layout, produce a typed
+//! [`BalanceDecision`]. The runners own the collectives and the
+//! application of decisions; the strategies here are pure, deterministic
+//! functions of their inputs so every rank computes the identical
+//! decision from allreduced data without any extra communication.
 
 use crate::stats::BalanceStats;
 use std::cmp::Reverse;
@@ -303,16 +303,6 @@ pub struct BalanceNeeds {
     pub vp_counts: bool,
 }
 
-impl BalanceNeeds {
-    pub fn union(self, other: BalanceNeeds) -> BalanceNeeds {
-        BalanceNeeds {
-            col_hist: self.col_hist || other.col_hist,
-            row_counts: self.row_counts || other.row_counts,
-            vp_counts: self.vp_counts || other.vp_counts,
-        }
-    }
-}
-
 /// Replicated (allreduced) load snapshots for one balance step. Arrays
 /// not requested via [`BalanceNeeds`] are empty.
 pub struct BalanceInput<'a> {
@@ -573,18 +563,20 @@ const ADAPTIVE_LO: f64 = 1.1;
 /// Balance rounds to wait after a switch before reconsidering.
 const ADAPTIVE_COOLDOWN: usize = 2;
 
-/// Online adaptive balancer: owns an escalation ladder of arms, watches
-/// the measured imbalance over a sliding window of balance rounds, and
-/// switches arms when the windowed mean crosses the thresholds.
+/// Online adaptive balancer over the cut-family escalation ladder
+/// static → diffusion → a wider (2× border) diffusion: it watches the
+/// measured imbalance over a sliding window of balance rounds and steps
+/// one rung when the windowed mean crosses the thresholds.
 ///
 /// Determinism: the signal is computed from the same replicated load
 /// arrays every rank already gathered, and the window/cooldown state
 /// advances identically on every rank — so all ranks switch at the same
 /// step with no extra collectives.
 pub struct AdaptiveLb {
-    arms: Vec<Box<dyn LoadBalancer>>,
+    /// The two moving rungs, `diffusion` and `diffusion-wide`.
+    diffusion: [DiffusionLb; 2],
+    /// Rung in use: 0 is static, `i > 0` is `diffusion[i - 1]`.
     active: usize,
-    interval: u64,
     window: Vec<f64>,
     cooldown_left: usize,
     scratch: Vec<u64>,
@@ -592,13 +584,16 @@ pub struct AdaptiveLb {
 }
 
 impl AdaptiveLb {
-    pub fn new(arms: Vec<Box<dyn LoadBalancer>>, interval: u64) -> Self {
-        assert!(!arms.is_empty(), "adaptive balancer needs at least one arm");
-        assert!(interval > 0, "balance interval must be positive");
+    /// The ladder, starting static: a skewed workload demonstrably forces
+    /// at least one escalation.
+    pub fn cut_arms(interval: u64, tau: u64, border_w: usize, axes: Axes) -> Self {
+        let wide = border_w.saturating_mul(2).max(border_w);
         AdaptiveLb {
-            arms,
+            diffusion: [
+                DiffusionLb::named("diffusion", interval, tau, border_w, axes),
+                DiffusionLb::named("diffusion-wide", interval, tau, wide, axes),
+            ],
             active: 0,
-            interval,
             window: Vec::new(),
             cooldown_left: 0,
             scratch: Vec::new(),
@@ -606,56 +601,24 @@ impl AdaptiveLb {
         }
     }
 
-    /// The cut-family escalation ladder: static → diffusion → a wider
-    /// (2× border) diffusion. Starting static means a skewed workload
-    /// demonstrably forces at least one escalation.
-    pub fn cut_arms(interval: u64, tau: u64, border_w: usize, axes: Axes) -> Self {
-        let arms: Vec<Box<dyn LoadBalancer>> = vec![
-            Box::new(StaticLb),
-            Box::new(DiffusionLb::named(
-                "diffusion",
-                interval,
-                tau,
-                border_w,
-                axes,
-            )),
-            Box::new(DiffusionLb::named(
-                "diffusion-wide",
-                interval,
-                tau,
-                border_w.saturating_mul(2).max(border_w),
-                axes,
-            )),
-        ];
-        AdaptiveLb::new(arms, interval)
-    }
-
-    /// The VP-family escalation ladder: keep → refine → greedy repack.
-    pub fn vp_arms(interval: u64) -> Self {
-        let arms: Vec<Box<dyn LoadBalancer>> = vec![
-            Box::new(VpLb::new(interval, VpStrategy::None)),
-            Box::new(VpLb::new(interval, VpStrategy::paper_default())),
-            Box::new(VpLb::new(interval, VpStrategy::Greedy)),
-        ];
-        AdaptiveLb::new(arms, interval)
+    fn arm_name(&self, rung: usize) -> &'static str {
+        match rung {
+            0 => StaticLb.name(),
+            _ => self.diffusion[rung - 1].name(),
+        }
     }
 
     /// Name of the currently active arm.
     pub fn active_arm(&self) -> &'static str {
-        self.arms[self.active].name()
+        self.arm_name(self.active)
     }
 
     /// Imbalance signal from whatever load view is available, in a fixed
-    /// precedence (VP counts, then column histogram, then row counts) so
-    /// all ranks agree by construction.
+    /// precedence (column histogram, then row counts) so all ranks agree
+    /// by construction.
     fn signal(&mut self, input: &BalanceInput, layout: &Layout) -> f64 {
         self.loads.clear();
-        if !input.vp_counts.is_empty() && !layout.vp_assignment.is_empty() {
-            self.loads.resize(layout.ranks, 0.0);
-            for (vp, &core) in layout.vp_assignment.iter().enumerate() {
-                self.loads[core] += input.vp_counts[vp] as f64;
-            }
-        } else if !input.col_hist.is_empty() && layout.xcuts.len() >= 2 {
+        if !input.col_hist.is_empty() && layout.xcuts.len() >= 2 {
             per_column_counts_into(input.col_hist, layout.xcuts, &mut self.scratch);
             self.loads.extend(self.scratch.iter().map(|&c| c as f64));
         } else if !input.row_counts.is_empty() {
@@ -672,16 +635,14 @@ impl LoadBalancer for AdaptiveLb {
     fn name(&self) -> &'static str {
         "adaptive"
     }
+    // Both moving rungs share their interval and axes, so the first one's
+    // cadence and needs are the whole ladder's, whichever rung is active:
+    // otherwise collective traffic would depend on switch history.
     fn wants(&self, step: u64) -> bool {
-        step.is_multiple_of(self.interval)
+        self.diffusion[0].wants(step)
     }
     fn needs(&self) -> BalanceNeeds {
-        // Union over every arm: the gather pattern must not change when
-        // the active arm does, or collective traffic would depend on
-        // switch history.
-        self.arms
-            .iter()
-            .fold(BalanceNeeds::default(), |acc, arm| acc.union(arm.needs()))
+        self.diffusion[0].needs()
     }
     fn decide(&mut self, input: &BalanceInput, layout: &Layout) -> BalanceDecision {
         let signal = self.signal(input, layout);
@@ -696,7 +657,7 @@ impl LoadBalancer for AdaptiveLb {
         } else if self.window.len() == ADAPTIVE_WINDOW {
             let mean = self.window.iter().sum::<f64>() / ADAPTIVE_WINDOW as f64;
             // NaN means compare false on both branches: no switch.
-            let target = if mean > ADAPTIVE_HI && self.active + 1 < self.arms.len() {
+            let target = if mean > ADAPTIVE_HI && self.active < self.diffusion.len() {
                 Some(self.active + 1)
             } else if mean < ADAPTIVE_LO && self.active > 0 {
                 Some(self.active - 1)
@@ -706,8 +667,8 @@ impl LoadBalancer for AdaptiveLb {
             if let Some(next) = target {
                 switched = Some(SwitchEvent {
                     step: input.step,
-                    from: self.arms[self.active].name(),
-                    to: self.arms[next].name(),
+                    from: self.arm_name(self.active),
+                    to: self.arm_name(next),
                     imbalance: mean,
                 });
                 self.active = next;
@@ -716,7 +677,10 @@ impl LoadBalancer for AdaptiveLb {
             }
         }
 
-        let mut decision = self.arms[self.active].decide(input, layout);
+        let mut decision = match self.active {
+            0 => BalanceDecision::default(),
+            rung => self.diffusion[rung - 1].decide(input, layout),
+        };
         decision.switched = switched;
         decision
     }
@@ -746,6 +710,8 @@ mod tests {
         let cuts = vec![0, 8, 16];
         let new = diffuse_xcuts(&cuts, &[60, 50], 20, 1, 16);
         assert_eq!(new, cuts, "difference below tau must not move cuts");
+        let new = diffuse_xcuts(&cuts, &[100, 95], 10, 2, 16);
+        assert_eq!(new, cuts, "difference below tau must not move cuts");
     }
 
     #[test]
@@ -754,6 +720,9 @@ mod tests {
         let counts = vec![100, 1];
         let new = diffuse_xcuts(&cuts, &counts, 0, 4, 16);
         assert_eq!(new[1], 1, "column must keep at least one cell");
+        // Right end: the last column keeps one cell.
+        let new = diffuse_xcuts(&[0, 15, 16], &[10, 100], 0, 3, 16);
+        assert_eq!(new, vec![0, 15, 16], "last column must keep one cell");
     }
 
     #[test]
@@ -806,6 +775,17 @@ mod tests {
         let mut out = Vec::new();
         per_column_counts_into(&hist, &cuts, &mut out);
         assert_eq!(out, vec![3, 18]);
+
+        let hist = [5u64, 0, 3, 7, 1, 2, 0, 4];
+        let mut out = vec![99; 7]; // stale contents must be overwritten
+        per_column_counts_into(&hist, &[0, 2, 5, 8], &mut out);
+        assert_eq!(out, vec![5, 11, 6]);
+        // Degenerate single-column world.
+        per_column_counts_into(&hist, &[0, 8], &mut out);
+        assert_eq!(out, vec![22]);
+        // The histogram-driven decision equals the counts-driven one.
+        let cuts = diffuse_xcuts_from_histogram(&[0, 2, 5, 8], &hist, 0, 1);
+        assert_eq!(cuts, diffuse_xcuts(&[0, 2, 5, 8], &[5, 11, 6], 0, 1, 8));
     }
 
     // -- VP assignment fns (moved from pic-ampi) ------------------------
@@ -1082,8 +1062,8 @@ mod tests {
                 vp_counts: false
             }
         );
-        let lb = AdaptiveLb::vp_arms(5);
-        assert!(lb.needs().vp_counts && !lb.needs().col_hist);
+        let lb = AdaptiveLb::cut_arms(5, 0, 1, Axes::XY);
+        assert!(lb.needs().col_hist && lb.needs().row_counts && !lb.needs().vp_counts);
     }
 
     #[test]
@@ -1091,7 +1071,7 @@ mod tests {
         // An all-empty layout yields the neutral signal 1.0; a NaN mean
         // (impossible from counts, but guarded) compares false on both
         // thresholds. Either way: no panic, no switch.
-        let mut lb = AdaptiveLb::vp_arms(5);
+        let mut lb = AdaptiveLb::cut_arms(5, 0, 1, Axes::X);
         let layout = Layout {
             ncells: 16,
             ranks: 2,

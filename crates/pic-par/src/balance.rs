@@ -2,7 +2,7 @@
 //!
 //! The baseline (`StaticLb`, paper §IV-A `mpi-2d`), diffusion
 //! (`DiffusionLb`, §IV-B `mpi-2d-LB`), the VP runtime (`VpLb`, §IV-C
-//! `ampi`) and the two adaptive ladders (`AdaptiveLb`) are selected by
+//! `ampi`) and the adaptive cut ladder (`AdaptiveLb`) are selected by
 //! [`BalancerSpec`] through [`run_config`] and all execute through one
 //! private rank loop. What differs is the ownership map the rank state is
 //! built with — the Cartesian cuts, or a [`VpGrid`] and its VP→core table.
@@ -11,7 +11,7 @@
 //! the application of the returned [`pic_cluster::BalanceDecision`]; the
 //! strategy itself is a pure replicated function. Decisions are derived
 //! only from allreduced data, so every rank computes the same cuts or VP
-//! table — and, for the adaptive balancers, the same strategy switches —
+//! table — and, for the adaptive balancer, the same strategy switches —
 //! without any decision broadcast.
 
 use crate::decomp::{Decomp2d, VpGrid};
@@ -46,9 +46,6 @@ pub enum BalancerSpec {
         interval: u32,
         strategy: VpStrategy,
     },
-    /// The VP runtime under online switching over the vp-none → vp-refine
-    /// → vp-greedy ladder.
-    VpAdaptive { d: usize, interval: u32 },
 }
 
 /// The VP runtime's parameters: the two knobs of the paper's Figure 5 and
@@ -114,10 +111,6 @@ pub fn run_spec_traced(
         let decomp = Decomp2d::uniform(ncells, comm.size());
         RankState::with_kernel(&cfg.setup, decomp, comm.rank(), cfg.kernel)
     };
-    let vps = |d| {
-        let grid = VpGrid::new(ncells, comm.size(), d);
-        RankState::with_vps(&cfg.setup, grid, comm.rank(), cfg.kernel)
-    };
     match spec {
         // `StaticLb::wants` is always false, so no balance phase ever
         // opens: the static 2D block decomposition of the paper's baseline.
@@ -150,11 +143,9 @@ pub fn run_spec_traced(
             strategy,
         } => {
             let mut lb = VpLb::new(interval as u64, strategy);
-            run_balanced_traced(comm, cfg, vps(d), "ampi", &mut lb, tracer)
-        }
-        BalancerSpec::VpAdaptive { d, interval } => {
-            let mut lb = AdaptiveLb::vp_arms(interval as u64);
-            run_balanced_traced(comm, cfg, vps(d), "ampi", &mut lb, tracer)
+            let grid = VpGrid::new(ncells, comm.size(), d);
+            let st = RankState::with_vps(&cfg.setup, grid, comm.rank(), cfg.kernel);
+            run_balanced_traced(comm, cfg, st, "ampi", &mut lb, tracer)
         }
     }
 }

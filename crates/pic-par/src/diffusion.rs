@@ -57,9 +57,7 @@ mod tests {
     use super::*;
     use crate::balance::{run_config, BalancerSpec};
     use crate::runner::ParConfig;
-    use pic_cluster::balancer::{
-        diffuse_xcuts, diffuse_xcuts_from_histogram, per_column_counts_into,
-    };
+    use pic_cluster::balancer::{diffuse_xcuts_from_histogram, per_column_counts_into};
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
     use pic_core::geometry::Grid;
@@ -80,53 +78,6 @@ mod tests {
     fn diffusing(cfg: &ParConfig, params: DiffusionParams, mode: DiffusionMode) -> ParConfig {
         cfg.clone()
             .with_balancer(BalancerSpec::Diffusion { params, mode })
-    }
-
-    #[test]
-    fn diffuse_xcuts_moves_toward_heavy() {
-        // Heavy left column: cut 1 moves left.
-        let cuts = diffuse_xcuts(&[0, 8, 16], &[100, 10], 0, 2, 16);
-        assert_eq!(cuts, vec![0, 6, 16]);
-        // Heavy right column: cut moves right.
-        let cuts = diffuse_xcuts(&[0, 8, 16], &[10, 100], 0, 2, 16);
-        assert_eq!(cuts, vec![0, 10, 16]);
-        // Within threshold: no move.
-        let cuts = diffuse_xcuts(&[0, 8, 16], &[100, 95], 10, 2, 16);
-        assert_eq!(cuts, vec![0, 8, 16]);
-    }
-
-    #[test]
-    fn diffuse_xcuts_clamps_minimum_width() {
-        // Column 0 is already one cell wide; it cannot shrink further.
-        let cuts = diffuse_xcuts(&[0, 1, 16], &[100, 10], 0, 3, 16);
-        assert_eq!(cuts, vec![0, 1, 16]);
-        // Right end clamp: last column keeps one cell.
-        let cuts = diffuse_xcuts(&[0, 15, 16], &[10, 100], 0, 3, 16);
-        assert_eq!(cuts, vec![0, 15, 16]);
-    }
-
-    #[test]
-    fn diffuse_xcuts_cascading_clamp_stays_sorted() {
-        let cuts = diffuse_xcuts(&[0, 2, 4, 6, 16], &[1000, 900, 800, 0], 0, 3, 16);
-        for w in cuts.windows(2) {
-            assert!(w[0] < w[1], "{cuts:?}");
-        }
-        assert_eq!(cuts[0], 0);
-        assert_eq!(cuts[4], 16);
-    }
-
-    #[test]
-    fn per_column_counts_aggregates_histogram_slices() {
-        let hist = [5u64, 0, 3, 7, 1, 2, 0, 4];
-        let mut out = vec![99; 7]; // stale contents must be overwritten
-        per_column_counts_into(&hist, &[0, 2, 5, 8], &mut out);
-        assert_eq!(out, vec![5, 11, 6]);
-        // Degenerate single-column world.
-        per_column_counts_into(&hist, &[0, 8], &mut out);
-        assert_eq!(out, vec![22]);
-        // The histogram-driven decision equals the counts-driven one.
-        let cuts = diffuse_xcuts_from_histogram(&[0, 2, 5, 8], &hist, 0, 1);
-        assert_eq!(cuts, diffuse_xcuts(&[0, 2, 5, 8], &[5, 11, 6], 0, 1, 8));
     }
 
     #[test]

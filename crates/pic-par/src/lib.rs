@@ -19,12 +19,13 @@
 //!   affected cells' particles migrate to the horizontal neighbor. The
 //!   decomposition stays a Cartesian product (rectangular subdomains,
 //!   regular neighbor communication) exactly as the paper argues for.
-//! * `BalancerSpec::Adaptive` — online switching over that ladder.
+//! * `BalancerSpec::Adaptive` — online switching over the cut ladder
+//!   static → diffusion → wide diffusion.
 //! * `BalancerSpec::Vp` — **`ampi`** (paper §IV-C): the baseline
 //!   over-decomposed onto `d · P` virtual processors, with a runtime
 //!   balancer migrating VPs between cores every `interval` steps
 //!   ([`AmpiParams`] names the same run; `pic-ampi` holds its door).
-//! * `BalancerSpec::VpAdaptive` — online switching over the VP ladder.
+//!   One [`pic_cluster::VpStrategy`] serves the whole run, as in the paper.
 //!
 //! All are *verified*: each rank checks its final particles against the
 //! analytic trajectories and the world reduces the id checksum.

@@ -117,32 +117,20 @@ PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
     --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
 
-echo "==> traced vp-adaptive smoke run (the VP ladder through the one rank loop)"
-# The same checks under a VP ownership map: the VP escalation ladder must
-# switch at least once, the header must name the VP runtime and the
-# adaptive balancer, and the forced-scalar path must pass the same run.
-trace_file="$(mktemp /tmp/pic-trace-vp-adaptive.XXXXXX.ndjson)"
-out="$(./target/release/pic --balancer vp-adaptive --ranks 4 --grid 32 \
-    --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
-    --trace "$trace_file" --trace-every 2)"
-echo "$out" | grep -q "verification          : PASS"
-head -1 "$trace_file" | grep -q '"impl":"ampi".*"balancer":"adaptive"'
-switches="$(grep -c '"type":"switch"' "$trace_file")"
-test "$switches" -ge 1
-cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
-rm -f "$trace_file"
-PIC_NO_SIMD=1 ./target/release/pic --balancer vp-adaptive --ranks 4 --grid 32 \
-    --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
-    --quiet | grep -qx PASS
-
 echo "==> traced vp-refine smoke run (the VP family through trace_check)"
+# The same checks under a VP ownership map: the header must name the VP
+# runtime and its strategy, the sampled stream must validate, and the
+# forced-scalar path must pass the same run.
 trace_file="$(mktemp /tmp/pic-trace-vp.XXXXXX.ndjson)"
 ./target/release/pic --balancer vp-refine --ranks 4 --grid 32 \
     --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
-    --trace "$trace_file" --quiet | grep -qx PASS
+    --trace "$trace_file" --trace-every 2 --quiet | grep -qx PASS
 head -1 "$trace_file" | grep -q '"impl":"ampi".*"balancer":"vp-refine"'
 cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
 rm -f "$trace_file"
+PIC_NO_SIMD=1 ./target/release/pic --balancer vp-refine --ranks 4 --grid 32 \
+    --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
+    --quiet | grep -qx PASS
 
 echo "==> paper_all reproduces results/ byte for byte (~2 min)"
 # Every E1–E5 number in EXPERIMENTS.md is read from results/; the modeled

@@ -59,8 +59,6 @@ Strategy:
                         vp-none      VP runtime, assignment never changes
                         vp-refine    ampi: VP runtime, RefineLB
                         vp-greedy    VP runtime, GreedyLB
-                        vp-adaptive  VP ladder, switched online
-                                     (vp-none -> vp-refine -> vp-greedy)
   --ranks P           thread-ranks (any --balancer; default 4)
 
 Single-process engine (no --balancer):
@@ -76,7 +74,7 @@ Cut family (--balancer diffusion | adaptive):
   --border W          border width in cells (default {diff_border})
   --mode M            x | y | 2phase (default x)
 
-VP family (--balancer vp-none | vp-refine | vp-greedy | vp-adaptive):
+VP family (--balancer vp-none | vp-refine | vp-greedy):
   --d D               over-decomposition degree (default 4)
   --lb-interval F     steps between LB invocations (default {ampi_interval})
 
@@ -133,7 +131,7 @@ const VALUE_OPTS: &[&str] = &[
 const FLAGS: &[&str] = &["--quiet", "--help", "-h"];
 
 /// The `--balancer` values: the names the balancers report through
-/// `LoadBalancer::name()`, with the VP ladder under its family prefix.
+/// `LoadBalancer::name()`.
 const BALANCERS: &[&str] = &[
     "static",
     "diffusion",
@@ -141,7 +139,6 @@ const BALANCERS: &[&str] = &[
     "vp-none",
     "vp-refine",
     "vp-greedy",
-    "vp-adaptive",
 ];
 
 /// What runs without `--balancer`, as [`OPTION_SCOPE`] and its error name it.
@@ -154,19 +151,12 @@ const OPTION_SCOPE: &[(&str, &[&str])] = &[
     ("--ranks", BALANCERS),
     (
         "--lb-interval",
-        &[
-            "diffusion",
-            "adaptive",
-            "vp-none",
-            "vp-refine",
-            "vp-greedy",
-            "vp-adaptive",
-        ],
+        &["diffusion", "adaptive", "vp-none", "vp-refine", "vp-greedy"],
     ),
     ("--tau", &["diffusion", "adaptive"]),
     ("--border", &["diffusion", "adaptive"]),
     ("--mode", &["diffusion", "adaptive"]),
-    ("--d", &["vp-none", "vp-refine", "vp-greedy", "vp-adaptive"]),
+    ("--d", &["vp-none", "vp-refine", "vp-greedy"]),
 ];
 
 struct Args(Vec<String>);
@@ -470,10 +460,9 @@ fn main() {
     };
 
     // Resolve the name once into the library's spec type, then one run.
-    let vp_interval = lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT);
     let vp = |strategy| BalancerSpec::Vp {
         d,
-        interval: vp_interval,
+        interval: lb_interval.unwrap_or(AMPI_LB_INTERVAL_DEFAULT),
         strategy,
     };
     let spec = match balancer {
@@ -499,10 +488,6 @@ fn main() {
         "vp-none" => vp(Balancer::None),
         "vp-refine" => vp(Balancer::paper_default()),
         "vp-greedy" => vp(Balancer::Greedy),
-        "vp-adaptive" => BalancerSpec::VpAdaptive {
-            d,
-            interval: vp_interval,
-        },
         _ => unreachable!("--balancer was checked against BALANCERS"),
     };
     let cfg = ParConfig::new(setup, steps).with_balancer(spec);

@@ -143,7 +143,7 @@ fn ampi_bitwise_matches_serial() {
 
 #[test]
 fn every_balancer_spec_matches_serial() {
-    // All seven `--balancer` values, the two adaptive ladders included,
+    // All six `--balancer` values, the adaptive cut ladder included,
     // through the one `run_config` door on a skew that makes them move.
     let serial = serial_final(&make_cfg(48));
     let params = DiffusionParams {
@@ -164,7 +164,6 @@ fn every_balancer_spec_matches_serial() {
         vp(Balancer::None),
         vp(Balancer::paper_default()),
         vp(Balancer::Greedy),
-        BalancerSpec::VpAdaptive { d: 4, interval: 4 },
     ] {
         let cfg = make_cfg(48).with_balancer(spec);
         let outcomes = run_threads(4, |comm| {

@@ -433,11 +433,3 @@ fn adaptive_switch_sequence_is_replicated_on_every_rank() {
     let outcomes = traced("adaptive", 4, |comm, t| run_config_traced(comm, &c, t));
     replicated_switches(&outcomes);
 }
-
-#[test]
-fn ampi_adaptive_switch_sequence_is_replicated_on_every_rank() {
-    let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 40)
-        .with_balancer(BalancerSpec::VpAdaptive { d: 4, interval: 4 });
-    let outcomes = traced("vp-adaptive", 4, |comm, t| run_config_traced(comm, &c, t));
-    replicated_switches(&outcomes);
-}
