@@ -4,9 +4,9 @@
 //! primitive every step's exchange runs, sends exactly one message on every
 //! ordered rank pair. [`allgatherv`] posts this rank's bytes to every rank;
 //! a reduction is an allgather that every rank folds in rank order, so
-//! every rank folds the same sequence and returns the same bits, floating
-//! point included. A round costs `P²` messages; at the few thread-ranks of
-//! this in-process world that is one hop where a tree would take `log P`.
+//! every rank folds the same sequence and returns the same result. A round
+//! costs `P²` messages; at the few thread-ranks of this in-process world
+//! that is one hop where a tree would take `log P`.
 //!
 //! All collectives must be called by **every** member of the communicator
 //! in the same order (the usual MPI rule). Messages carry no tag: every
@@ -91,48 +91,20 @@ pub fn allreduce_u64(comm: &Communicator, mine: u64, op: ReduceOp) -> u64 {
     allreduce_vec_u64(comm, &[mine], op)[0]
 }
 
-/// Scalar f64 allreduce; every rank returns the bits of the serial fold in
-/// rank order.
-pub fn allreduce_f64(comm: &Communicator, mine: f64, op: ReduceOp) -> f64 {
-    allgatherv(comm, mine.to_le_bytes().to_vec())
-        .iter()
-        .map(|b| f64::from_le_bytes(b[..].try_into().unwrap()))
-        .reduce(|a, b| op.fold_f64(a, b))
-        .expect("a world has at least one rank")
-}
-
-/// u128 allreduce (for the id checksum, which can exceed u64).
-pub fn allreduce_u128(comm: &Communicator, mine: u128, op: ReduceOp) -> u128 {
-    allgatherv(comm, mine.to_le_bytes().to_vec())
-        .iter()
-        .map(|b| u128::from_le_bytes(b[..].try_into().unwrap()))
-        .reduce(|a, b| op.fold_u128(a, b))
-        .expect("a world has at least one rank")
-}
-
 // ---------------------------------------------------------------------------
 // alltoallv
 // ---------------------------------------------------------------------------
 
-/// Personalized all-to-all: `outgoing[d]` goes to rank `d`; returns the
-/// payload received from every rank (in rank order). Zero-length payloads
-/// are delivered too (they serve as "nothing for you" markers). Generic
-/// over the wire lane — byte buffers or typed particle buffers.
-pub fn alltoallv<P: WirePayload>(comm: &Communicator, outgoing: Vec<P>) -> Vec<P> {
-    let mut outgoing = outgoing;
-    let mut incoming = Vec::new();
-    alltoallv_take_into(comm, &mut outgoing, &mut incoming);
-    incoming
-}
-
-/// [`alltoallv`] with caller-owned scratch on both sides: each payload is
-/// *taken* out of `outgoing` (replaced by an empty buffer, so the outer
-/// vector and its slots survive for reuse) and arrivals land in
-/// `incoming` (cleared, capacity retained). The payload buffers
-/// themselves still move into the transport — channel ownership transfer,
-/// like an MPI send buffer — but receivers can recycle the buffers they
-/// get, so a steady-state exchange *circulates* capacity instead of
-/// allocating it.
+/// Personalized all-to-all: `outgoing[d]` goes to rank `d`, and `incoming`
+/// (cleared, capacity retained) receives the payload of every rank, in
+/// rank order. Zero-length payloads are delivered too (they serve as
+/// "nothing for you" markers). Generic over the wire lane — byte buffers
+/// or typed particle buffers. Each payload is *taken* out of `outgoing`
+/// (replaced by an empty buffer, so the outer vector and its slots survive
+/// for reuse). The payload buffers themselves still move into the
+/// transport — channel ownership transfer, like an MPI send buffer — but
+/// receivers can recycle the buffers they get, so a steady-state exchange
+/// *circulates* capacity instead of allocating it.
 pub fn alltoallv_take_into<P: WirePayload>(
     comm: &Communicator,
     outgoing: &mut [P],
@@ -202,14 +174,10 @@ mod tests {
                 allreduce_u64(&comm, comm.rank() as u64 + 1, ReduceOp::Sum)
             });
             assert!(sums.iter().all(|&s| s == (p * (p + 1) / 2) as u64));
-            let mins = run_threads(p, |comm| {
-                allreduce_u64(&comm, comm.rank() as u64 + 5, ReduceOp::Min)
-            });
-            assert!(mins.iter().all(|&m| m == 5));
             let maxs = run_threads(p, |comm| {
-                allreduce_f64(&comm, comm.rank() as f64, ReduceOp::Max)
+                allreduce_u64(&comm, comm.rank() as u64 + 5, ReduceOp::Max)
             });
-            assert!(maxs.iter().all(|&m| m == (p - 1) as f64));
+            assert!(maxs.iter().all(|&m| m == (p + 4) as u64));
         }
     }
 
@@ -225,21 +193,13 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_u128_checksums() {
-        let big = (u64::MAX as u128) * 3;
-        let got = run_threads(4, move |comm| {
-            allreduce_u128(&comm, big / 4 + comm.rank() as u128, ReduceOp::Sum)
-        });
-        let want = (big / 4) * 4 + 6;
-        assert!(got.iter().all(|&g| g == want));
-    }
-
-    #[test]
     fn alltoallv_personalized_exchange() {
         let got = run_threads(4, |comm| {
-            let outgoing: Vec<Vec<u8>> =
+            let mut outgoing: Vec<Vec<u8>> =
                 (0..4).map(|d| vec![(10 * comm.rank() + d) as u8]).collect();
-            alltoallv(&comm, outgoing)
+            let mut incoming = Vec::new();
+            alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
+            incoming
         });
         for (r, incoming) in got.into_iter().enumerate() {
             for (s, payload) in incoming.into_iter().enumerate() {
@@ -268,25 +228,6 @@ mod tests {
             incoming
         });
         assert_eq!(single[0], vec![Vec::<u8>::new()]);
-    }
-
-    #[test]
-    fn allreduce_f64_folds_in_rank_order() {
-        // Order-sensitive summands: 1e16 on rank 0 rounds each small `r`
-        // away or not depending on what has been added before it, so the
-        // reverse fold (P = 3, 5, 8) and a binomial tree (P = 8) give other
-        // bits. Every rank must return those of the serial fold in rank
-        // order.
-        let value = |r: usize| if r == 0 { 1e16 } else { r as f64 };
-        for p in [1usize, 2, 3, 5, 8] {
-            let want = (0..p).map(value).reduce(|a, b| a + b).unwrap();
-            let got = run_threads(p, |comm| {
-                allreduce_f64(&comm, value(comm.rank()), ReduceOp::Sum)
-            });
-            for (r, g) in got.into_iter().enumerate() {
-                assert_eq!(g.to_bits(), want.to_bits(), "{p} ranks, rank {r}");
-            }
-        }
     }
 
     #[test]
@@ -326,9 +267,8 @@ mod tests {
                             assert_eq!(incoming, want, "round {i}");
                         }
                         _ => {
-                            let got =
-                                allreduce_f64(&comm, (mark + me as u64) as f64, ReduceOp::Max);
-                            assert_eq!(got, (mark + p as u64 - 1) as f64, "round {i}");
+                            let got = allreduce_u64(&comm, mark + me as u64, ReduceOp::Max);
+                            assert_eq!(got, mark + p as u64 - 1, "round {i}");
                         }
                     }
                 }

@@ -8,7 +8,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     Sum,
-    Min,
     Max,
 }
 
@@ -17,25 +16,6 @@ impl ReduceOp {
     pub fn fold_u64(&self, a: u64, b: u64) -> u64 {
         match self {
             ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    #[inline]
-    pub fn fold_f64(&self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    #[inline]
-    pub fn fold_u128(&self, a: u128, b: u128) -> u128 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
             ReduceOp::Max => a.max(b),
         }
     }
@@ -139,9 +119,6 @@ mod tests {
     #[test]
     fn reduce_ops() {
         assert_eq!(ReduceOp::Sum.fold_u64(2, 3), 5);
-        assert_eq!(ReduceOp::Min.fold_u64(2, 3), 2);
         assert_eq!(ReduceOp::Max.fold_u64(2, 3), 3);
-        assert_eq!(ReduceOp::Sum.fold_f64(0.5, 0.25), 0.75);
-        assert_eq!(ReduceOp::Max.fold_u128(7, 9), 9);
     }
 }

@@ -4,9 +4,9 @@
 //! provides the subset of MPI semantics they call, with a **threads
 //! backend**: each rank is an OS thread of one world ([`run_threads`]),
 //! every ordered rank pair has one FIFO mailbox, and every collective
-//! (allgatherv, `u64` vector allreduce, scalar `u64`/`f64`/`u128`
-//! allreduce) is one round of the personalized all-to-all that every step's
-//! exchange runs ([`alltoallv_take_into`]).
+//! (allgatherv, `u64` vector and scalar allreduce) is one round of the
+//! personalized all-to-all that every step's exchange runs
+//! ([`alltoallv_take_into`]).
 //!
 //! Key MPI semantics preserved:
 //!

@@ -1,7 +1,7 @@
 //! Property tests of the message-passing substrate: arbitrary payload
 //! matrices and world sizes must all deliver exactly what was sent.
 
-use pic_comm::collective::{allgatherv, allreduce_vec_u64, alltoallv};
+use pic_comm::collective::{allgatherv, allreduce_vec_u64, alltoallv_take_into};
 use pic_comm::comm::ReduceOp;
 use pic_comm::world::run_threads;
 use proptest::prelude::*;
@@ -22,10 +22,12 @@ proptest! {
         let sizes2 = sizes.clone();
         let results = run_threads(p, move |comm| {
             let me = comm.rank();
-            let outgoing: Vec<Vec<u8>> = (0..p)
+            let mut outgoing: Vec<Vec<u8>> = (0..p)
                 .map(|d| vec![(me * 31 + d) as u8; sizes2[me][d]])
                 .collect();
-            alltoallv(&comm, outgoing)
+            let mut incoming = Vec::new();
+            alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
+            incoming
         });
         for (dst, incoming) in results.into_iter().enumerate() {
             for (src, payload) in incoming.into_iter().enumerate() {

@@ -203,19 +203,6 @@ impl Simulation {
     pub fn particle_at(&self, idx: usize) -> Particle {
         self.store.particle_at(idx)
     }
-
-    /// Drop the canonically-last particle — failure-injection tests *only*.
-    #[doc(hidden)]
-    pub fn pop_particle(&mut self) -> Option<Particle> {
-        self.store.pop()
-    }
-
-    /// Append a particle without touching the ledger — failure-injection
-    /// tests *only*.
-    #[doc(hidden)]
-    pub fn push_particle(&mut self, p: Particle) {
-        self.store.push_tail(p);
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +347,7 @@ mod tests {
     fn failure_injection_lost_particle_detected_by_checksum() {
         let mut sim = Simulation::new(setup(50, Distribution::Uniform));
         sim.run(10);
-        sim.pop_particle();
+        sim.store.pop();
         let report = sim.verify();
         assert!(!report.passed());
         assert_eq!(report.position_failures, 0, "positions fine, checksum not");
@@ -372,7 +359,7 @@ mod tests {
         let mut sim = Simulation::new(setup(50, Distribution::Uniform));
         sim.run(10);
         let dup = sim.particle_at(0);
-        sim.push_particle(dup);
+        sim.store.push_tail(dup);
         let report = sim.verify();
         assert!(!report.passed());
     }

@@ -75,27 +75,6 @@ pub fn expected_velocity(
     (vx, vy)
 }
 
-/// Verify a particle's velocity against the analytic alternation. Separate
-/// from the position check because the paper's specification verifies
-/// positions only; this is a strictly stronger (optional) test that can
-/// catch a corrupted velocity *before* it shows up as a position error in
-/// the next step.
-pub fn verify_velocity(
-    grid: &Grid,
-    consts: &SimConstants,
-    p: &Particle,
-    steps: u64,
-    tol: f64,
-) -> ParticleVerdict {
-    let (evx, evy) = expected_velocity(grid, consts, p, steps);
-    let error = (p.vx - evx).abs().max((p.vy - evy).abs());
-    ParticleVerdict {
-        id: p.id,
-        ok: error <= tol,
-        error,
-    }
-}
-
 /// Outcome of verifying one particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParticleVerdict {
@@ -168,21 +147,6 @@ impl VerifyReport {
     /// True if both the trajectory check and the checksum pass.
     pub fn passed(&self) -> bool {
         self.position_failures == 0 && self.id_sum == self.expected_id_sum
-    }
-
-    /// Merge reports from disjoint particle subsets (e.g. per-rank
-    /// verification in the parallel implementations).
-    pub fn merge(mut self, other: &VerifyReport) -> VerifyReport {
-        self.checked += other.checked;
-        self.position_failures += other.position_failures;
-        self.max_error = self.max_error.max(other.max_error);
-        self.id_sum += other.id_sum;
-        for &id in &other.failing_ids {
-            if self.failing_ids.len() < MAX_FAILING_IDS {
-                self.failing_ids.push(id);
-            }
-        }
-        self
     }
 }
 
@@ -425,24 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let g = Grid::new(8).unwrap();
-        let a = vec![particle_at(&g, 0, 0, 0, 0, 1)];
-        let mut b0 = particle_at(&g, 2, 0, 0, 0, 1);
-        b0.id = 2;
-        b0.x = 7.5; // wrong
-        let ra = verify_all(&g, &a, 0, 0, DEFAULT_TOLERANCE);
-        let rb = verify_all(&g, &[b0], 0, 0, DEFAULT_TOLERANCE);
-        let mut merged = ra.merge(&rb);
-        merged.expected_id_sum = 3;
-        assert_eq!(merged.checked, 2);
-        assert_eq!(merged.position_failures, 1);
-        assert_eq!(merged.id_sum, 3);
-        assert_eq!(merged.failing_ids, vec![2]);
-        assert!(!merged.passed());
-    }
-
-    #[test]
     fn triangular_sum() {
         assert_eq!(triangular_id_sum(0), 0);
         assert_eq!(triangular_id_sum(1), 1);
@@ -457,28 +403,15 @@ mod tests {
         let mut p = particle_at(&g, 0, 0, 1, 2, 1); // stride 3 rightward
         for s in 1..=9u64 {
             advance_particle(&g, &c, &mut p);
-            let v = verify_velocity(&g, &c, &p, s, 1e-9);
-            assert!(v.ok, "step {s}: vx = {}, error {}", p.vx, v.error);
-            let (evx, _) = expected_velocity(&g, &c, &p, s);
+            let (evx, evy) = expected_velocity(&g, &c, &p, s);
+            let error = (p.vx - evx).abs().max((p.vy - evy).abs());
+            assert!(error <= 1e-9, "step {s}: vx = {}, error {error}", p.vx);
             if s % 2 == 1 {
                 assert!((evx - 6.0).abs() < 1e-12, "odd step evx {evx}");
             } else {
                 assert_eq!(evx, 0.0);
             }
         }
-    }
-
-    #[test]
-    fn velocity_corruption_detected() {
-        let g = Grid::new(16).unwrap();
-        let c = SimConstants::CANONICAL;
-        let mut p = particle_at(&g, 0, 0, 0, 1, 1);
-        p.vx = 0.5; // should be 0 at step 0
-        let v = verify_velocity(&g, &c, &p, 0, DEFAULT_TOLERANCE);
-        assert!(!v.ok);
-        // Position check alone would NOT see this yet.
-        let pos = verify_particle(&g, &p, 0, DEFAULT_TOLERANCE);
-        assert!(pos.ok);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! Rank numbering: rank = `cy · px + cx` — processor columns are
 //! contiguous in `cx`, so a processor column is `{cx, cx + px, ...}`.
 //!
-//! The second ownership map, [`VpGrid`], over-decomposes the same mesh
-//! into virtual processors whose owners a replicated VP→core table names
-//! (the AMPI runtime, paper §IV-C).
+//! [`VpGrid`] over-decomposes the same mesh into virtual processors whose
+//! owners a replicated VP→core table names (the AMPI runtime, paper
+//! §IV-C). One [`OwnerTable`] answers "who owns this cell?" for both: the
+//! ranks of the cuts on the identity placement, or the VPs on their cores.
 
 use pic_core::bin::{CellTable, OwnerMap};
 use pic_core::geometry::Grid;
@@ -193,9 +194,11 @@ impl Decomp2d {
     }
 }
 
-/// O(1) cell → rank lookup for one [`Decomp2d`]: `rank = col[c] + row[r]`
-/// instead of the two binary searches of [`Decomp2d::owner_of_cell`] — the
-/// per-particle question of every exchange scan.
+/// The one ownership map: an O(1) cell → unit table, `unit = col[c] +
+/// row[r]` (the binary searches of [`Decomp2d::owner_of_cell`] become two
+/// loads), and the core each unit lives on. The units are the ranks of
+/// the cuts on the identity placement, or the VPs of a [`VpGrid`] and their
+/// VP→core table.
 ///
 /// The cuts are public and balancers move them in place, so the table
 /// keeps a copy of the cuts it was built from and [`OwnerTable::refresh`]
@@ -205,12 +208,12 @@ impl Decomp2d {
 pub struct OwnerTable {
     xcuts: Vec<usize>,
     ycuts: Vec<usize>,
-    /// Processor column of each mesh column.
+    /// Unit column of each mesh column.
     col: Vec<u32>,
-    /// `px ·` processor row of each mesh row.
+    /// `px ·` unit row of each mesh row.
     row: Vec<u32>,
-    /// `0..ranks`: `col[c] + row[r]` is already the rank.
-    ranks: Vec<u32>,
+    /// Core of each unit: the identity after a rebuild.
+    core: Vec<u32>,
 }
 
 impl OwnerTable {
@@ -220,13 +223,14 @@ impl OwnerTable {
         t
     }
 
-    /// Rebuild the table unless it was built from exactly `decomp`'s cuts
-    /// (capacity is retained: steady-state refreshes allocate nothing).
+    /// Rebuild the table, on the identity placement, unless it was built
+    /// from exactly `decomp`'s cuts (capacity is retained: steady-state
+    /// refreshes allocate nothing).
     pub fn refresh(&mut self, decomp: &Decomp2d) {
         if self.xcuts == decomp.xcuts && self.ycuts == decomp.ycuts {
             return;
         }
-        assert!(decomp.ranks() <= u32::MAX as usize, "ranks fit in u32");
+        assert!(decomp.ranks() <= u32::MAX as usize, "units fit in u32");
         let fill = |tab: &mut Vec<u32>, cuts: &[usize], scale: usize| {
             tab.clear();
             for (i, w) in cuts.windows(2).enumerate() {
@@ -235,40 +239,50 @@ impl OwnerTable {
         };
         fill(&mut self.col, &decomp.xcuts, 1);
         fill(&mut self.row, &decomp.ycuts, decomp.px);
-        self.ranks.clear();
-        self.ranks.extend(0..decomp.ranks() as u32);
+        self.core.clear();
+        self.core.extend(0..decomp.ranks() as u32);
         self.xcuts.clone_from(&decomp.xcuts);
         self.ycuts.clone_from(&decomp.ycuts);
     }
 
-    /// Rank owning cell `(col, row)` — [`Decomp2d::owner_of_cell`].
+    /// Place unit `u` on core `cores[u]` (a VP→core table).
+    pub(crate) fn set_cores(&mut self, cores: &[usize]) {
+        assert_eq!(cores.len(), self.core.len(), "one core per unit");
+        self.core.clear();
+        self.core.extend(cores.iter().map(|&c| c as u32));
+    }
+
+    /// Unit owning cell `(col, row)` — [`VpGrid::vp_of_cell`].
     #[inline]
-    pub fn owner_of_cell(&self, col: usize, row: usize) -> usize {
+    pub(crate) fn unit_of_cell(&self, col: usize, row: usize) -> usize {
         (self.col[col] + self.row[row]) as usize
     }
 
-    /// The cells rank `me` keeps, as the drain's classifier reads them: on
-    /// a single processor row its column interval (the row cannot
-    /// matter, so the scan never loads `y`), otherwise the table itself.
+    /// Core owning cell `(col, row)` — [`Decomp2d::owner_of_cell`] under
+    /// the identity placement.
+    #[inline]
+    pub fn owner_of_cell(&self, col: usize, row: usize) -> usize {
+        self.core[self.unit_of_cell(col, row)] as usize
+    }
+
+    /// The cells core `me` keeps, as the drain's classifier reads them: on
+    /// one unit row under the identity placement its column interval (the
+    /// row cannot matter, so the scan never loads `y`), otherwise the
+    /// table itself.
     pub fn map<'a>(&'a self, grid: &Grid, me: usize) -> OwnerMap<'a> {
-        if self.ycuts.len() == 2 {
+        let identity = (0..).zip(&self.core).all(|(u, &c)| u == c);
+        if self.ycuts.len() == 2 && identity {
             let (lo, hi) = (self.xcuts[me], self.xcuts[me + 1]);
             OwnerMap::Columns { lo, hi }
         } else {
-            OwnerMap::Cells(self.rank_cells(grid, me))
+            OwnerMap::Cells(self.cells(grid, me))
         }
     }
 
-    /// The table as a [`CellTable`] of ranks: where the exchange reads a
-    /// leaver's destination under the cuts.
-    pub fn rank_cells<'a>(&'a self, grid: &Grid, me: usize) -> CellTable<'a> {
-        self.cells(grid, &self.ranks, me)
-    }
-
-    /// This table's cells under `owner`, an owner per table entry (the
-    /// identity for the ranks of the cuts, a VP→core table for VPs).
-    fn cells<'a>(&'a self, grid: &Grid, owner: &'a [u32], me: usize) -> CellTable<'a> {
-        CellTable::new(grid, &self.col, &self.row, owner, me as u32)
+    /// The table as a [`CellTable`] of core `me`: the index is the unit,
+    /// the owner its core.
+    pub(crate) fn cells<'a>(&'a self, grid: &Grid, me: usize) -> CellTable<'a> {
+        CellTable::new(grid, &self.col, &self.row, &self.core, me as u32)
     }
 }
 
@@ -283,8 +297,8 @@ pub struct VpGrid {
     /// Fixed at construction — VP balancing moves the VP→core assignment,
     /// never these cuts — which is what lets `owners` be built once.
     decomp: Decomp2d,
-    /// O(1) cell → VP table of `decomp` (the routing scan asks this once
-    /// per resident particle per step).
+    /// O(1) cell → VP table of `decomp`, read by [`VpGrid::vp_of_cell`]
+    /// (the benchmark's VP route probe asks it once per resident).
     owners: OwnerTable,
     /// Physical core grid.
     pub px: usize,
@@ -348,13 +362,7 @@ impl VpGrid {
     /// VP owning cell `(col, row)`.
     #[inline]
     pub fn vp_of_cell(&self, col: usize, row: usize) -> usize {
-        self.owners.owner_of_cell(col, row)
-    }
-
-    /// The cells core `me` keeps under `core_of_vp` (the VP→core table,
-    /// as `u32`): the drain's classifier table, whose index is the VP.
-    pub fn cells<'a>(&'a self, grid: &Grid, core_of_vp: &'a [u32], me: usize) -> CellTable<'a> {
-        self.owners.cells(grid, core_of_vp, me)
+        self.owners.unit_of_cell(col, row)
     }
 
     /// Cells in one VP's subgrid.
@@ -390,6 +398,40 @@ mod tests {
         let strip = Decomp2d::columns(24, 4);
         t.refresh(&strip);
         check(&strip, &t);
+        // One unit row on the identity placement drains by columns.
+        let grid = Grid::new(24).unwrap();
+        let columns = |t: &OwnerTable, me| match t.map(&grid, me) {
+            OwnerMap::Columns { lo, hi } => Some((lo, hi)),
+            OwnerMap::Cells(_) => None,
+        };
+        assert_eq!(columns(&t, 1), Some((6, 12)));
+
+        // A VP grid: the table follows the VP→core table it is given.
+        let vps = VpGrid::new(24, 2, 2); // one row of 4 VPs on 2 cores
+        let mut t = OwnerTable::new(vps.decomp());
+        let mut assignment = vps.initial_assignment();
+        t.set_cores(&assignment);
+        assert_eq!(columns(&t, 0), None);
+        assignment.swap(1, 2);
+        t.set_cores(&assignment);
+        for c in 0..24 {
+            for r in 0..24 {
+                assert_eq!(t.owner_of_cell(c, r), assignment[vps.vp_of_cell(c, r)]);
+            }
+        }
+        // d = 1: the VPs are the ranks, and drain by columns until one moves.
+        let d1 = VpGrid::new(24, 2, 1);
+        let mut t = OwnerTable::new(d1.decomp());
+        t.set_cores(&d1.initial_assignment());
+        assert_eq!(columns(&t, 1), Some((12, 24)));
+        t.set_cores(&[1, 0]);
+        assert_eq!(columns(&t, 1), None);
+        // A cut move rebuilds the table on the identity placement.
+        let mut moved = d1.decomp().clone();
+        moved.set_xcuts(vec![0, 10, 24]);
+        t.refresh(&moved);
+        check(&moved, &t);
+        assert_eq!(columns(&t, 1), Some((10, 24)));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Shared machinery for the rank-parallel runs: per-rank state, collective
-//! event application, and distributed verification.
+//! event application, and distributed verification. A rank answers "who
+//! owns this cell?" from one [`OwnerTable`] — the ranks of the cuts, or
+//! the VPs on their cores — for its store build, events, exchanges and
+//! VP counts.
 
 use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
 use crate::exchange::{route_binned, ExchangeBuffers};
@@ -8,7 +11,7 @@ use pic_comm::collective::{
     allgatherv, allreduce_u64, allreduce_vec_u64, allreduce_vec_u64_into, decode_u64s, encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
-use pic_core::bin::{BinnedStore, CellTable, OwnerMap};
+use pic_core::bin::BinnedStore;
 use pic_core::charge::SimConstants;
 use pic_core::events::EventLedger;
 use pic_core::geometry::Grid;
@@ -109,60 +112,6 @@ pub struct ParOutcome {
     pub particles: ParticleBatch,
 }
 
-/// Who owns a cell — the question every store scatter, event, exchange and
-/// rehome asks.
-enum Ownership {
-    /// The Cartesian cuts of [`RankState::decomp`] (`mpi-2d`, `mpi-2d-LB`)
-    /// as an O(1) cell → rank table, revalidated against them before every
-    /// exchange (a balancer moves the cuts in place).
-    Cuts(OwnerTable),
-    /// A VP grid and its replicated VP→core table (`ampi`).
-    Vps {
-        grid: Box<VpGrid>,
-        assignment: Vec<usize>,
-        /// `assignment` as `u32`, the owner table the drain's classifier
-        /// gathers from: rebuilt only when the assignment changes.
-        core_of_vp: Vec<u32>,
-    },
-}
-
-impl Ownership {
-    /// Rank owning cell `(col, row)`.
-    fn owner_of_cell(&self, decomp: &Decomp2d, col: usize, row: usize) -> usize {
-        match self {
-            Ownership::Cuts(_) => decomp.owner_of_cell(col, row),
-            Ownership::Vps {
-                grid, assignment, ..
-            } => assignment[grid.vp_of_cell(col, row)],
-        }
-    }
-
-    /// What an exchange of rank `me` asks of the map: the drain's
-    /// classifier, and the table a leaver's destination is read from. The
-    /// cut table is revalidated against `decomp` first.
-    fn exchange_maps(
-        &mut self,
-        decomp: &Decomp2d,
-        grid: &Grid,
-        me: usize,
-    ) -> (OwnerMap<'_>, CellTable<'_>) {
-        match self {
-            Ownership::Cuts(table) => {
-                table.refresh(decomp);
-                (table.map(grid, me), table.rank_cells(grid, me))
-            }
-            Ownership::Vps {
-                grid: vps,
-                core_of_vp,
-                ..
-            } => {
-                let cells = vps.cells(grid, core_of_vp, me);
-                (OwnerMap::Cells(cells), cells)
-            }
-        }
-    }
-}
-
 /// Per-rank simulation state.
 pub struct RankState {
     pub grid: Grid,
@@ -174,7 +123,12 @@ pub struct RankState {
     /// Local particles, in the two phase halves of one batch.
     pub store: BinnedStore,
     pub step: u32,
-    owners: Ownership,
+    /// Who owns a cell — the question every store scatter, event, exchange
+    /// and rehome asks: the cuts of `decomp`, one unit per rank, or the
+    /// VPs on the cores of `vp_assignment`.
+    owners: OwnerTable,
+    /// The VP→core table; empty under the cuts.
+    vp_assignment: Vec<usize>,
     ledger: EventLedger,
     /// Reused exchange staging buffers: the steady-state step loop routes
     /// particles without reallocating the per-destination buckets.
@@ -198,14 +152,15 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let owners = Ownership::Cuts(OwnerTable::new(&decomp));
-        RankState::build(setup, decomp, owners, rank, kernel)
+        let owners = OwnerTable::new(&decomp);
+        RankState::build(setup, decomp, owners, Vec::new(), rank, kernel)
     }
 
     /// A core of the VP runtime (paper §IV-C): cells are owned through
-    /// `vps` and a replicated VP→core table, starting from the compact
-    /// blocks of [`VpGrid::initial_assignment`]. A VP balancer's round
-    /// moves the table.
+    /// the VPs of `vps`, placed on cores by a replicated VP→core table
+    /// that starts from the compact blocks of
+    /// [`VpGrid::initial_assignment`]. A VP balancer's round moves the
+    /// table.
     pub fn with_vps(
         setup: &SimulationSetup,
         vps: VpGrid,
@@ -214,22 +169,20 @@ impl RankState {
     ) -> RankState {
         let decomp = Decomp2d::uniform_grid(setup.grid.ncells(), vps.px, vps.py);
         let assignment = vps.initial_assignment();
-        let owners = Ownership::Vps {
-            grid: Box::new(vps),
-            core_of_vp: assignment.iter().map(|&c| c as u32).collect(),
-            assignment,
-        };
-        RankState::build(setup, decomp, owners, rank, kernel)
+        let mut owners = OwnerTable::new(vps.decomp());
+        owners.set_cores(&assignment);
+        RankState::build(setup, decomp, owners, assignment, rank, kernel)
     }
 
     fn build(
         setup: &SimulationSetup,
         decomp: Decomp2d,
-        owners: Ownership,
+        owners: OwnerTable,
+        vp_assignment: Vec<usize>,
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let owns = |c, r| owners.owner_of_cell(&decomp, c, r) == rank;
+        let owns = |c, r| owners.owner_of_cell(c, r) == rank;
         let store = kernel.build_store(&setup.particles, &setup.grid, owns);
         RankState {
             grid: setup.grid,
@@ -239,6 +192,7 @@ impl RankState {
             store,
             step: 0,
             owners,
+            vp_assignment,
             ledger: EventLedger::new(setup),
             bufs: ExchangeBuffers::new(),
             lb_scratch: Vec::new(),
@@ -280,7 +234,8 @@ impl RankState {
     /// injection and keeps the newcomers it owns; a removal's offers are
     /// gathered from every rank, so all ranks agree on the doomed set.
     pub fn apply_due_events(&mut self, comm: &Communicator) {
-        let owns = |c, r| self.owners.owner_of_cell(&self.decomp, c, r) == self.rank;
+        self.refresh_owners();
+        let owns = |c, r| self.owners.owner_of_cell(c, r) == self.rank;
         let agree = |offered: Vec<u64>| {
             let gathered = allgatherv(comm, encode_u64s(&offered));
             gathered.iter().flat_map(|b| decode_u64s(b)).collect()
@@ -300,8 +255,7 @@ impl RankState {
     /// the rank loop sums globally at traced steps).
     ///
     /// The one step body: events, one sweep of the whole store, one
-    /// exchange of every leaver under the ownership map. The trace's
-    /// `rebins` and `overlap_ns` counters stay at 0 (schema v2).
+    /// exchange of every leaver under the ownership map.
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         tracer.phase_start(Phase::Advance);
@@ -321,14 +275,12 @@ impl RankState {
     /// a balance round moved the map, the round's.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
         debug_assert_eq!(comm.rank(), self.rank);
-        let (classifier, owners) = self
-            .owners
-            .exchange_maps(&self.decomp, &self.grid, self.rank);
-        let owner = |c, r| owners.owner_of_cell(c, r);
+        self.refresh_owners();
+        let owners = &self.owners;
         route_binned(
             comm,
-            classifier,
-            owner,
+            owners.map(&self.grid, self.rank),
+            |c, r| owners.owner_of_cell(c, r),
             &mut self.store,
             &self.grid,
             &mut self.bufs,
@@ -380,21 +332,18 @@ impl RankState {
 
     /// Collectively sum the global per-VP particle counts into `out`: this
     /// rank's contribution is a position scan into the reused scratch
-    /// (VPs are 2D tiles, not column ranges) through the drain
-    /// classifier's per-lane VP index, then one vector allreduce. Leaves
+    /// (VPs are 2D tiles, not column ranges) through the ownership
+    /// table's per-lane unit index, then one vector allreduce. Leaves
     /// `out` empty under the cuts, which have no VPs.
     pub(crate) fn aggregate_vp_counts_into(&mut self, comm: &Communicator, out: &mut Vec<u64>) {
         out.clear();
-        let Ownership::Vps {
-            grid, core_of_vp, ..
-        } = &self.owners
-        else {
+        if self.vp_assignment.is_empty() {
             return;
-        };
+        }
         self.lb_scratch.clear();
-        self.lb_scratch.resize(grid.vp_count(), 0);
+        self.lb_scratch.resize(self.vp_assignment.len(), 0);
         let (batch, backend) = (self.store.batch(), self.store.simd_backend());
-        let cells = grid.cells(&self.grid, core_of_vp, self.rank);
+        let cells = self.owners.cells(&self.grid, self.rank);
         cells.count_into(
             backend,
             &self.grid,
@@ -409,9 +358,11 @@ impl RankState {
     /// Cartesian decomposition, the VP→core table under a VP map (the
     /// other kind is empty).
     pub(crate) fn layout(&self) -> Layout<'_> {
-        let (xcuts, ycuts, vp_assignment) = match &self.owners {
-            Ownership::Cuts(_) => (&self.decomp.xcuts[..], &self.decomp.ycuts[..], &[][..]),
-            Ownership::Vps { assignment, .. } => (&[][..], &[][..], &assignment[..]),
+        let vp_assignment = &self.vp_assignment[..];
+        let (xcuts, ycuts) = if vp_assignment.is_empty() {
+            (&self.decomp.xcuts[..], &self.decomp.ycuts[..])
+        } else {
+            (&[][..], &[][..])
         };
         Layout {
             ncells: self.decomp.ncells,
@@ -425,19 +376,21 @@ impl RankState {
     /// Adopt a VP balancer's new VP→core table; the next
     /// [`RankState::rehome`] routes the particles of every moved VP.
     pub(crate) fn set_vp_assignment(&mut self, new: Vec<usize>) {
-        let Ownership::Vps {
-            assignment,
-            core_of_vp,
-            ..
-        } = &mut self.owners
-        else {
-            panic!("a VP reassignment under the Cartesian cuts");
-        };
-        if *assignment != new {
-            core_of_vp.clear();
-            core_of_vp.extend(new.iter().map(|&c| c as u32));
+        assert!(
+            !self.vp_assignment.is_empty(),
+            "a VP reassignment under the Cartesian cuts"
+        );
+        self.owners.set_cores(&new);
+        self.vp_assignment = new;
+    }
+
+    /// Rebuild a cut table whose cuts moved since it was read (a balancer,
+    /// a test or the benchmark moves `decomp`'s cuts in place); a VP
+    /// table's cuts never move.
+    fn refresh_owners(&mut self) {
+        if self.vp_assignment.is_empty() {
+            self.owners.refresh(&self.decomp);
         }
-        *assignment = new;
     }
 
     /// Distributed verification of this rank's store at the current step:

@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn run_header_records_kernel_descriptor() {
         use crate::json::Json;
-        // "<backend>/exact" (the schema-v2 spelling).
+        // "<backend>/exact": the suffix the benchmark's stamps compare.
         let mut s = sim();
         let mut tracer = Tracer::in_memory(1);
         trace_simulation(&mut s, 20, &mut tracer);

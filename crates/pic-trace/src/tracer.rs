@@ -32,7 +32,7 @@ use std::io::Write;
 use std::time::Instant;
 
 /// Trace schema version, stamped into run-header and summary records.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Nanoseconds of CPU time consumed by the calling thread.
 ///
@@ -131,19 +131,13 @@ pub enum Counter {
     BorderCells,
     /// Bytes pushed through collectives by the recording rank.
     CollectiveBytes,
-    /// Counting-sort invocations; no store sorts, so it reads 0 (kept for
-    /// schema v2).
-    Rebins,
     /// Exchange payload messages put on the wire (global sum at traced
     /// steps; the all-to-all sends one per rank pair per exchange).
     MsgsSent,
-    /// Nanoseconds of sweep overlapped with an exchange in flight; the
-    /// step overlaps nothing, so it reads 0 (kept for schema v2).
-    OverlapNs,
 }
 
 /// Number of [`Counter`] variants (array-index bound).
-pub const COUNTER_COUNT: usize = 6;
+pub const COUNTER_COUNT: usize = 4;
 
 impl Counter {
     /// All counters, in emission order.
@@ -151,9 +145,7 @@ impl Counter {
         Counter::Rehomed,
         Counter::BorderCells,
         Counter::CollectiveBytes,
-        Counter::Rebins,
         Counter::MsgsSent,
-        Counter::OverlapNs,
     ];
 
     /// JSON field name.
@@ -162,9 +154,7 @@ impl Counter {
             Counter::Rehomed => "rehomed",
             Counter::BorderCells => "border_cells",
             Counter::CollectiveBytes => "collective_bytes",
-            Counter::Rebins => "rebins",
             Counter::MsgsSent => "msgs_sent",
-            Counter::OverlapNs => "overlap_ns",
         }
     }
 
@@ -228,8 +218,8 @@ pub struct TraceSummary {
     pub phase_ns: [u64; PHASE_COUNT],
     /// Whole-run per-phase *CPU* nanoseconds ([`thread_cpu_ns`] deltas):
     /// work only, excluding blocked time, where `phase_ns` includes the
-    /// waiting. In-memory only — the ndjson summary record (schema 2)
-    /// carries the wall totals.
+    /// waiting. In-memory only — the ndjson summary record carries the
+    /// wall totals.
     pub phase_cpu_ns: [u64; PHASE_COUNT],
     /// Whole-run counter totals.
     pub counters: [u64; COUNTER_COUNT],
@@ -849,15 +839,15 @@ mod tests {
         for s in 1..=10u64 {
             assert_eq!(t.wants_step(s), s % 5 == 0);
             t.begin_step(s);
-            t.add(Counter::Rebins, 1);
+            t.add(Counter::BorderCells, 1);
             t.end_step(50);
         }
         let report = t.finish().unwrap();
         assert_eq!(report.steps.len(), 2);
         // Each record covers the 5-step window since the previous one.
-        assert_eq!(report.steps[0].counters[Counter::Rebins.idx()], 5);
-        assert_eq!(report.steps[1].counters[Counter::Rebins.idx()], 5);
-        assert_eq!(report.summary.counters[Counter::Rebins.idx()], 10);
+        assert_eq!(report.steps[0].counters[Counter::BorderCells.idx()], 5);
+        assert_eq!(report.steps[1].counters[Counter::BorderCells.idx()], 5);
+        assert_eq!(report.summary.counters[Counter::BorderCells.idx()], 10);
         assert_eq!(report.summary.steps, 10);
         assert_eq!(report.summary.records, 2);
     }

@@ -132,6 +132,13 @@ PIC_NO_SIMD=1 ./target/release/pic --balancer vp-refine --ranks 4 --grid 32 \
     --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
 
+echo "==> vp-refine at d = 1 (one VP row on the identity placement drains by columns)"
+for simd_env in "" PIC_NO_SIMD=1; do
+    env $simd_env ./target/release/pic --balancer vp-refine --ranks 2 --d 1 --grid 32 \
+        --particles 2000 --steps 40 --m 1 --dist geometric:0.9 --lb-interval 5 \
+        --quiet | grep -qx PASS
+done
+
 echo "==> paper_all reproduces results/ byte for byte (~2 min)"
 # Every E1–E5 number in EXPERIMENTS.md is read from results/; the modeled
 # runs are deterministic, so the committed figures must be exactly what

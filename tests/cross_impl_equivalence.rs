@@ -141,11 +141,34 @@ fn ampi_bitwise_matches_serial() {
     }
 }
 
+/// A second input for the spec matrix: a removal first (an
+/// order-preserving compaction of every store), then an injection whose
+/// particles move against the population's (k = 1, m = −2, dir = −1).
+fn removal_then_injection_cfg() -> ParConfig {
+    let region = Region {
+        x0: 4,
+        x1: 20,
+        y0: 6,
+        y1: 28,
+    };
+    let setup = InitConfig::new(
+        Grid::new(32).unwrap(),
+        700,
+        Distribution::Geometric { r: 0.9 },
+    )
+    .with_k(1)
+    .with_m(-2)
+    .build()
+    .unwrap()
+    .with_event(Event::remove(12, Region::whole(32), 60))
+    .with_event(Event::inject(30, region, 90, 1, -2, -1));
+    ParConfig::new(setup, 50)
+}
+
 #[test]
 fn every_balancer_spec_matches_serial() {
     // All six `--balancer` values, the adaptive cut ladder included,
-    // through the one `run_config` door on a skew that makes them move.
-    let serial = serial_final(&make_cfg(48));
+    // through the one `run_config` door on skews that make them move.
     let params = DiffusionParams {
         interval: 3,
         tau: 0,
@@ -157,21 +180,24 @@ fn every_balancer_spec_matches_serial() {
         interval: 4,
         strategy,
     };
-    for spec in [
-        BalancerSpec::Static,
-        BalancerSpec::Diffusion { params, mode },
-        BalancerSpec::Adaptive { params, mode },
-        vp(Balancer::None),
-        vp(Balancer::paper_default()),
-        vp(Balancer::Greedy),
-    ] {
-        let cfg = make_cfg(48).with_balancer(spec);
-        let outcomes = run_threads(4, |comm| {
-            let o = run_config(&comm, &cfg);
-            assert!(o.verify.passed(), "{spec:?}: {:?}", o.verify);
-            o
-        });
-        assert_eq!(serial, gather_finals(outcomes), "{spec:?}");
+    for input in [make_cfg(48), removal_then_injection_cfg()] {
+        let serial = serial_final(&input);
+        for spec in [
+            BalancerSpec::Static,
+            BalancerSpec::Diffusion { params, mode },
+            BalancerSpec::Adaptive { params, mode },
+            vp(Balancer::None),
+            vp(Balancer::paper_default()),
+            vp(Balancer::Greedy),
+        ] {
+            let cfg = input.clone().with_balancer(spec);
+            let outcomes = run_threads(4, |comm| {
+                let o = run_config(&comm, &cfg);
+                assert!(o.verify.passed(), "{spec:?}: {:?}", o.verify);
+                o
+            });
+            assert_eq!(serial, gather_finals(outcomes), "{spec:?}");
+        }
     }
 }
 

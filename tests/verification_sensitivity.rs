@@ -3,8 +3,8 @@
 //! particle, a dropped exchange payload, a duplicated migration — and must
 //! stay quiet on correct runs (no false positives over long horizons).
 
-use pic_comm::collective::{allreduce_u128, alltoallv};
-use pic_comm::comm::{Communicator, ReduceOp};
+use pic_comm::collective::{allgatherv, alltoallv_take_into};
+use pic_comm::comm::Communicator;
 use pic_comm::world::run_threads;
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
@@ -61,7 +61,9 @@ fn buggy_exchange(
             }
         }
     }
-    for (src, arrivals) in alltoallv(comm, outgoing).into_iter().enumerate() {
+    let mut incoming = Vec::new();
+    alltoallv_take_into(comm, &mut outgoing, &mut incoming);
+    for (src, arrivals) in incoming.into_iter().enumerate() {
         if src != me {
             particles.extend(arrivals);
         }
@@ -83,7 +85,10 @@ fn run_with_bug(drop_at_step: Option<u32>) -> (bool, u128, u128) {
             buggy_exchange(&comm, &decomp, &grid, me, &mut particles, bug);
         }
         let local = verify_all(&grid, &particles, 20, 0, DEFAULT_TOLERANCE);
-        let id_sum = allreduce_u128(&comm, local.id_sum, ReduceOp::Sum);
+        let id_sum: u128 = allgatherv(&comm, local.id_sum.to_le_bytes().to_vec())
+            .iter()
+            .map(|b| u128::from_le_bytes(b[..].try_into().unwrap()))
+            .sum();
         (local.position_failures, id_sum)
     });
     let failures: u64 = outcomes.iter().map(|o| o.0).sum();
