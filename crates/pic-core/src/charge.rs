@@ -130,20 +130,6 @@ pub(crate) fn mid_cell_lanes<V: crate::simd::Lanes>(r: V, rh: V) -> bool {
     rh.all_eq(V::splat(0.0).sub(r))
 }
 
-/// The centre fold's constants (DESIGN.md §10): `(r²c, r²c·√r²c)` with
-/// `r²c = (h/2)·(h/2) + (h/2)·(h/2)` — the bottom-left corner's `r²` and
-/// [`f_over_r_lanes`]' divisor for a particle at the exact cell centre,
-/// by the same IEEE operations on the same operands. When
-/// [`mid_cell_lanes`] holds on both axes, every lane has `rx = ry = h/2`
-/// exactly (and `h/2` is representable, or the premise could not hold), so
-/// its `f/r` is `q1·q2 ÷ (r²c·√r²c)` bit for bit.
-#[inline]
-pub(crate) fn centre_r2(h: f64) -> (f64, f64) {
-    let c = h * 0.5;
-    let r2 = c * c + c * c;
-    (r2, r2 * r2.sqrt())
-}
-
 /// Total Coulomb force on a particle with charge `qp` at position `(x, y)`
 /// from the four fixed charges at the corners of its containing cell.
 ///

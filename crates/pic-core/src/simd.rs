@@ -38,13 +38,14 @@
 //! are unrolled across the lane group in the scalar kernel's pairing and
 //! summation order, nothing is reassociated across a particle's own
 //! arithmetic, and no FMA contraction is permitted. The one licensed
-//! shortcut reuses a value instead of recomputing it (the corner fold,
-//! see `force_groups`): a group whose lanes all sit at exact cell
-//! mid-height takes each column's top-corner `f/r` from the bottom
-//! corner, and one whose lanes all sit at exact mid-width takes the right
-//! column's `f/r` from the left column's, negated — values whose bits it
-//! provably shares; a group centred on both axes divides by the centre's
-//! `r²·√r²`, evaluated once per call by the same operations. Span tails
+//! shortcut reuses a value instead of recomputing it (the folds, see
+//! `force_groups`): a group whose lanes all sit at exact cell mid-height
+//! takes each column's top-corner `f/r` from the bottom corner, and one
+//! whose lanes all sit at exact mid-width takes the right column's `f/r`
+//! from the left column's, negated — values whose bits it provably
+//! shares; a group centred on both axes whose every lane carries the
+//! span's first charge takes its whole force from four constants of the
+//! call, evaluated once by the same operations on the same bits. Span tails
 //! (`len mod WIDTH`) run the scalar kernel unchanged, and the wrap pass
 //! takes each lane through the exact scalar [`Grid::wrap_coord`] whenever
 //! any lane left the domain.
@@ -56,7 +57,7 @@
 //! [`coulomb`]: crate::charge::coulomb
 
 use crate::bin::{CellTable, OwnerMap};
-use crate::charge::{centre_r2, f_over_r_lanes, mid_cell_lanes, SimConstants};
+use crate::charge::{f_over_r_lanes, mid_cell_lanes, SimConstants};
 use crate::geometry::Grid;
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
@@ -213,7 +214,8 @@ pub(crate) trait Lanes: Copy {
     fn all_in_range(self, hi: f64) -> bool;
     /// Whether every lane of `self` equals its lane in `o` — the exact
     /// IEEE `==` per lane (so `-0.0 == 0.0`, and a NaN on either side is
-    /// `false`). The corner fold's premise test.
+    /// `false`). The corner folds' premise test, and the force fold's
+    /// charge test.
     fn all_eq(self, o: Self) -> bool;
 }
 
@@ -609,29 +611,31 @@ mod x86 {
 /// Force-and-integrate over `groups` quartets starting at the span base —
 /// the vector transcription of the scalar kernel's first loop, lane per
 /// particle, four corner evaluations unrolled in the scalar pairing and
-/// summation order. The corner charges `q_left` and `−q_left` are
-/// hoisted: every particle of a span shares one column parity (the
-/// store's phase contract, [`crate::bin`]), so both splat once outside
-/// the loop.
+/// summation order ([`group_force`]). The corner charges `q_left` and
+/// `−q_left` are hoisted: every particle of a span shares one column
+/// parity (the store's phase contract, [`crate::bin`]), so both splat once
+/// outside the loop.
 ///
-/// **The corner fold.** The four corner forces on a particle at the cell
-/// centre are pairwise mirror images, so the kernel evaluates `f/r` — the
-/// `sqrt` and the `div` — once per mirror pair, on whichever axes the
-/// group's lanes all sit exactly at the centre ([`mid_cell_lanes`],
-/// tested on the `ryh` and `rxh` the kernel itself computed). At
-/// mid-height the top corner of each column has the bottom corner's `r²`
-/// bit for bit, so it reuses that `f/r`. At mid-width the right column
-/// has the left column's `r²` and the negated charge, so it takes the left
-/// column's `f/r` times `−1`. On both axes (**the centre fold**) every
-/// lane sits at `rx = ry = h/2` exactly, so the one remaining `f/r` divides
-/// by a constant of the call ([`centre_r2`]): a centred group runs one
-/// `div` per particle and no `sqrt`. Every multiply and add downstream
-/// still runs, on identical operands, so the result is bit-identical by
-/// construction (DESIGN.md §10). A group with any lane off-centre along an
-/// axis evaluates that axis's corners, as a whole — as the scalar kernel
-/// ([`crate::bin::force_span`]: span tails, the `Scalar` backend) always
-/// does: it is not divider-bound, and a premise test there costs more
-/// than the fold saves.
+/// **The force fold.** A group whose lanes all sit exactly at the cell
+/// centre on both axes ([`mid_cell_lanes`], tested on the `rx`, `ry`,
+/// `rxh`, `ryh` the kernel itself computed) has `rx = ry = h/2` in every
+/// lane; if every lane's charge also equals the charge of the call's first
+/// particle (the span charge, tested on the loaded `q` lanes), every lane
+/// feels one force. [`group_force`] evaluates it once per call, on splatted
+/// centre operands `(h/2, h/2, h/2 − h)` and the span charge, and
+/// [`Kick`] turns it into the four constants `½·ax·dt`, `½·ay·dt`, `ax·dt`,
+/// `ay·dt`; such a group runs only the integration adds and multiplies and
+/// the wrap. The constants are the loop's own operations on the same bits,
+/// so the result is bit-identical by construction (DESIGN.md §10).
+/// `Lanes::all_eq` is exact bit equality only for a non-zero, non-NaN span
+/// charge (`−0.0 == +0.0`), so a span whose first charge is `±0.0` or NaN
+/// never force-folds.
+///
+/// Any other group runs [`group_force`] itself, with the corner folds that
+/// hold — as a whole, on the axes where all its lanes are centred. The
+/// scalar kernel ([`crate::bin::force_span`]: span tails, the `Scalar`
+/// backend) folds nothing: it is not divider-bound, and a premise test
+/// there costs more than the fold saves.
 ///
 /// # Safety
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
@@ -648,13 +652,15 @@ unsafe fn force_groups<V: Lanes>(
     q: *const f64,
     groups: usize,
 ) {
+    if groups == 0 {
+        return;
+    }
     let dt = V::splat(consts.dt);
     let h = V::splat(consts.h);
-    let half = V::splat(0.5);
-    let neg = V::splat(-1.0);
     let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
-    let (r2c, dc) = centre_r2(consts.h);
-    let (r2c_v, dc) = (V::splat(r2c), V::splat(dc));
+    // A NaN span charge fails every `all_eq`, so a `±0.0` one folds nothing.
+    let q_span = V::splat(if *q == 0.0 { f64::NAN } else { *q });
+    let folded = centre_kick(consts, ql, qr, q_span);
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -666,51 +672,117 @@ unsafe fn force_groups<V: Lanes>(
         let row = yi.trunc();
         let rx = xi.sub(col);
         let ry = yi.sub(row);
-        let rxh = rx.sub(h);
-        let ryh = ry.sub(h);
+        let (rxh, ryh) = (rx.sub(h), ry.sub(h));
+        let r = [rx, ry, rxh, ryh];
         let qp = V::load(q.add(o));
         let mid_height = mid_cell_lanes(ry, ryh);
         let mid_width = mid_cell_lanes(rx, rxh);
-        let f0 = if mid_height && mid_width {
-            debug_assert_centre_r2(rx, ry, r2c);
-            // `f_over_r_lanes` with its `r²` and divisor taken as constants;
-            // the guard stays, for an `h` whose `r²c` underflows.
-            ql.mul(qp).div(dc).zero_where_zero(r2c_v)
+        let kick = if mid_height && mid_width && qp.all_eq(q_span) {
+            debug_assert_force_fold(folded, r, [ql, qr, qp], dt);
+            folded
         } else {
-            f_over_r_lanes(rx, ry, ql, qp) // bottom-left
+            Kick::of(group_force(r, [ql, qr, qp], [mid_height, mid_width]), dt)
         };
-        let f1 = if mid_height {
-            debug_assert_same_r2("top", [[(rx, ry), (rx, ryh)], [(rxh, ry), (rxh, ryh)]]);
-            f0
-        } else {
-            f_over_r_lanes(rx, ryh, ql, qp) // top-left
-        };
-        let (f2, f3) = if mid_width {
-            debug_assert_same_r2("right", [[(rx, ry), (rxh, ry)], [(rx, ryh), (rxh, ryh)]]);
-            // `qr = −ql` and `×`, `÷` are sign-symmetric. Negating by a
-            // multiply keeps the sign of a zero `f/r` (`0 − f` would not).
-            (f0.mul(neg), f1.mul(neg))
-        } else {
-            let f2 = f_over_r_lanes(rxh, ry, qr, qp); // bottom-right
-            let f3 = if mid_height {
-                f2
-            } else {
-                f_over_r_lanes(rxh, ryh, qr, qp) // top-right
-            };
-            (f2, f3)
-        };
-        let ax = (f0.mul(rx).add(f1.mul(rx))).add(f2.mul(rxh).add(f3.mul(rxh)));
-        let ay = (f0.mul(ry).add(f1.mul(ryh))).add(f2.mul(ry).add(f3.mul(ryh)));
         let vxi = V::load(vx.add(o));
         let vyi = V::load(vy.add(o));
         // x += (vx + 0.5·ax·dt)·dt — same association as the scalar kernel.
-        xi.add(vxi.add(half.mul(ax).mul(dt)).mul(dt))
-            .store(x.add(o));
-        yi.add(vyi.add(half.mul(ay).mul(dt)).mul(dt))
-            .store(y.add(o));
-        vxi.add(ax.mul(dt)).store(vx.add(o));
-        vyi.add(ay.mul(dt)).store(vy.add(o));
+        xi.add(vxi.add(kick.x).mul(dt)).store(x.add(o));
+        yi.add(vyi.add(kick.y).mul(dt)).store(y.add(o));
+        vxi.add(kick.vx).store(vx.add(o));
+        vyi.add(kick.vy).store(vy.add(o));
     }
+}
+
+/// What one step's acceleration `(ax, ay)` adds per lane: `½·a·dt` to the
+/// velocity that moves the position, `a·dt` to the velocity itself — the
+/// scalar kernel's `(0.5·a)·dt` and `a·dt`, in its association.
+#[derive(Clone, Copy)]
+struct Kick<V> {
+    x: V,
+    y: V,
+    vx: V,
+    vy: V,
+}
+
+impl<V: Lanes> Kick<V> {
+    #[inline(always)]
+    fn of((ax, ay): (V, V), dt: V) -> Self {
+        let half = V::splat(0.5);
+        Kick {
+            x: half.mul(ax).mul(dt),
+            y: half.mul(ay).mul(dt),
+            vx: ax.mul(dt),
+            vy: ay.mul(dt),
+        }
+    }
+
+    #[inline(always)]
+    fn lanes(self) -> [[f64; 8]; 4] {
+        [self.x, self.y, self.vx, self.vy].map(lanes_of)
+    }
+}
+
+/// The force fold's constants: [`group_force`] at the exact cell centre,
+/// `r = (h/2, h/2, h/2 − h, h/2 − h)` in every lane (`h/2` is `h·0.5`:
+/// where that rounds, no lane can pass the premise), with both corner
+/// folds and the span charge, turned into a [`Kick`].
+#[inline(always)]
+fn centre_kick<V: Lanes>(consts: &SimConstants, ql: V, qr: V, q_span: V) -> Kick<V> {
+    let (c, h) = (V::splat(consts.h * 0.5), V::splat(consts.h));
+    let r = [c, c, c.sub(h), c.sub(h)];
+    Kick::of(
+        group_force(r, [ql, qr, q_span], [true, true]),
+        V::splat(consts.dt),
+    )
+}
+
+/// The force on one group, `r = [rx, ry, rxh, ryh]` the displacements from
+/// the bottom-left and top-right corners, `[q_left, q_right, q_p]` the
+/// charges: the four corner `f/r` times their displacements, in the scalar
+/// kernel's pairing `(f0 + f1) + (f2 + f3)`.
+///
+/// **The corner folds.** The four corner forces on a particle at the cell
+/// centre are pairwise mirror images, so `f/r` — the `sqrt` and the `div`
+/// — is evaluated once per mirror pair on whichever axes `folds =
+/// [mid_height, mid_width]` claims every lane sits exactly at the centre.
+/// At mid-height the top corner of each column has the bottom corner's
+/// `r²` bit for bit, so it reuses that `f/r`. At mid-width the right column
+/// has the left column's `r²` and the negated charge, so it takes the left
+/// column's `f/r` times `−1`. Every multiply and add downstream still runs,
+/// on identical operands, so the result is bit-identical by construction
+/// (DESIGN.md §10).
+#[inline(always)]
+fn group_force<V: Lanes>(
+    r: [V; 4],
+    [ql, qr, qp]: [V; 3],
+    [mid_height, mid_width]: [bool; 2],
+) -> (V, V) {
+    let [rx, ry, rxh, ryh] = r;
+    let f0 = f_over_r_lanes(rx, ry, ql, qp); // bottom-left
+    let f1 = if mid_height {
+        debug_assert_same_r2("top", [[(rx, ry), (rx, ryh)], [(rxh, ry), (rxh, ryh)]]);
+        f0
+    } else {
+        f_over_r_lanes(rx, ryh, ql, qp) // top-left
+    };
+    let (f2, f3) = if mid_width {
+        debug_assert_same_r2("right", [[(rx, ry), (rxh, ry)], [(rx, ryh), (rxh, ryh)]]);
+        // `qr = −ql` and `×`, `÷` are sign-symmetric. Negating by a
+        // multiply keeps the sign of a zero `f/r` (`0 − f` would not).
+        let neg = V::splat(-1.0);
+        (f0.mul(neg), f1.mul(neg))
+    } else {
+        let f2 = f_over_r_lanes(rxh, ry, qr, qp); // bottom-right
+        let f3 = if mid_height {
+            f2
+        } else {
+            f_over_r_lanes(rxh, ryh, qr, qp) // top-right
+        };
+        (f2, f3)
+    };
+    let ax = (f0.mul(rx).add(f1.mul(rx))).add(f2.mul(rxh).add(f3.mul(rxh)));
+    let ay = (f0.mul(ry).add(f1.mul(ryh))).add(f2.mul(ry).add(f3.mul(ryh)));
+    (ax, ay)
 }
 
 /// Debug builds check a fold's claim on every folded group: in each pair
@@ -726,36 +798,53 @@ fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
         let (a, b) = (r2_lanes(kept), r2_lanes(reused));
         for (a, b) in a.iter().zip(&b).take(V::WIDTH) {
             assert!(
-                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                same_bits(*a, *b),
                 "corner fold: {corner} r² {b:e} is not the reused r² {a:e}"
             );
         }
     }
 }
 
-/// Debug builds check the centre fold's claim on every centre-folded
-/// group: each lane's bottom-left `r²` carries the bits of the constant
-/// `r2c` whose divisor it takes.
+/// Debug builds check the force fold's claim on every force-folded group:
+/// the unfolded evaluation of the loaded lanes — four corner `f/r`, no
+/// fold — gives the constants' bits in every lane.
 #[inline(always)]
-fn debug_assert_centre_r2<V: Lanes>(rx: V, ry: V, r2c: f64) {
+fn debug_assert_force_fold<V: Lanes>(folded: Kick<V>, r: [V; 4], q: [V; 3], dt: V) {
     if !cfg!(debug_assertions) {
         return;
     }
-    for r2 in r2_lanes((rx, ry)).iter().take(V::WIDTH) {
-        assert!(
-            r2.to_bits() == r2c.to_bits(),
-            "centre fold: r² {r2:e} is not the constant r² {r2c:e}"
-        );
+    let unfolded = Kick::of(group_force(r, q, [false, false]), dt);
+    for (name, (a, b)) in ["x", "y", "vx", "vy"]
+        .iter()
+        .zip(folded.lanes().into_iter().zip(unfolded.lanes()))
+    {
+        for (a, b) in a.iter().zip(&b).take(V::WIDTH) {
+            assert!(
+                same_bits(*a, *b),
+                "force fold: the {name} kick {b:e} is not the constant {a:e}"
+            );
+        }
     }
+}
+
+/// Equal bits, or both NaN.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 /// `dx·dx + dy·dy` per lane, as the kernel computes it, for the debug
 /// checks (the first `V::WIDTH` entries).
 #[inline(always)]
 fn r2_lanes<V: Lanes>((dx, dy): (V, V)) -> [f64; 8] {
+    lanes_of(dx.mul(dx).add(dy.mul(dy)))
+}
+
+/// The lanes of `v` (the first `V::WIDTH` entries), for the debug checks.
+#[inline(always)]
+fn lanes_of<V: Lanes>(v: V) -> [f64; 8] {
     let mut out = [0.0; 8];
     // SAFETY: the array holds the widest backend's eight lanes.
-    unsafe { dx.mul(dx).add(dy.mul(dy)).store(out.as_mut_ptr()) };
+    unsafe { v.store(out.as_mut_ptr()) };
     out
 }
 
@@ -1202,8 +1291,9 @@ mod tests {
         }
     }
 
-    /// How the corner-fold test displaces one lane per group off the cell
-    /// centre (`None`: every lane stays spec-conforming).
+    /// How the corner-fold test perturbs one lane per group: off the cell
+    /// centre, or off the span charge (`None`: every lane stays
+    /// spec-conforming, and every full group takes the force fold).
     #[derive(Debug, Clone, Copy)]
     enum OffCentre {
         /// `ry` = this fraction of the cell.
@@ -1218,8 +1308,16 @@ mod tests {
         /// `x = NaN` (release builds only).
         NanX,
         /// Every lane centred, one with charge `−0.0` and `vx = −0.0`: both
-        /// folds fire on a signed-zero `f/r`.
+        /// corner folds fire on a signed-zero `f/r`.
         ZeroCharge,
+        /// Every lane centred, one with the opposite-sign charge, as an
+        /// injection on an odd step leaves in a phase half: the group takes
+        /// both corner folds, not the force fold.
+        OppositeCharge,
+        /// Every lane centred and uncharged: the span charge `+0.0`, one
+        /// lane `−0.0` with `vx = −0.0`, which `all_eq` cannot tell apart —
+        /// so the span must not force-fold.
+        SignedZeroSpan,
     }
 
     /// The corner fold never changes a bit: for every backend, span length
@@ -1229,7 +1327,9 @@ mod tests {
     /// kernel equals the **unfolded** scalar reference — `total_force` and
     /// the eqs. 1–2 integration of [`crate::motion::advance_particle`] —
     /// per particle, bitwise. Groups whose lanes all sit at the cell
-    /// centre take both folds; one lane at `0.5 ± 1 ulp`, `0.25`, on a
+    /// centre with the span charge take the force fold; one lane of the
+    /// opposite charge (or `−0.0` against a `+0.0` span charge) sends its
+    /// group to both corner folds; one lane at `0.5 ± 1 ulp`, `0.25`, on a
     /// mesh line (`0.0`) or NaN along one axis must send its whole group
     /// down that axis's unfolded path (along both, when the group is off
     /// on both) while its neighbours' results stay untouched.
@@ -1239,14 +1339,18 @@ mod tests {
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
         let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0];
-        let mut variants = vec![None, Some(OffCentre::ZeroCharge)];
+        let mut variants = vec![
+            None,
+            Some(OffCentre::ZeroCharge),
+            Some(OffCentre::OppositeCharge),
+            Some(OffCentre::SignedZeroSpan),
+        ];
         for r in off {
             variants.extend([OffCentre::Y(r), OffCentre::X(r), OffCentre::Xy(r)].map(Some));
         }
         if !cfg!(debug_assertions) {
             variants.extend([Some(OffCentre::NanY), Some(OffCentre::NanX)]);
         }
-        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         for backend in SimdBackend::available() {
             let width = backend.lanes();
             for len in 0..=2 * width + 1 {
@@ -1259,6 +1363,9 @@ mod tests {
                         let mut p = column_population(&grid, col, i + 1, 0).get(i);
                         (p.m, p.vy) = (m, m as f64);
                         b.push(p);
+                    }
+                    if let Some(OffCentre::SignedZeroSpan) = variant {
+                        b.q.fill(0.0);
                     }
                     // One lane per group, at a lane position that moves
                     // from group to group (span tails included).
@@ -1278,14 +1385,20 @@ mod tests {
                             }
                             Some(OffCentre::NanY) => b.y[i] = f64::NAN,
                             Some(OffCentre::NanX) => b.x[i] = f64::NAN,
-                            Some(OffCentre::ZeroCharge) => (b.q[i], b.vx[i]) = (-0.0, -0.0),
+                            Some(OffCentre::ZeroCharge | OffCentre::SignedZeroSpan) => {
+                                (b.q[i], b.vx[i]) = (-0.0, -0.0)
+                            }
+                            Some(OffCentre::OppositeCharge) => b.q[i] = -b.q[i],
                             None => {}
                         }
                     }
                     // An off-centre or uncharged particle leaves the column
-                    // lattice, so only the conforming population runs on
-                    // (and wraps).
-                    let steps = if variant.is_none() { 3 } else { 1 };
+                    // lattice, so only the conforming populations run on
+                    // (and wrap).
+                    let steps = match variant {
+                        None | Some(OffCentre::OppositeCharge) => 3,
+                        _ => 1,
+                    };
                     let mut want = b.to_particles();
                     for step in 0..steps {
                         want.iter_mut()
@@ -1298,7 +1411,7 @@ mod tests {
                         advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
                         for (i, w) in want.iter().enumerate() {
                             assert!(
-                                same(w.x, b.x[i]) && same(w.y, b.y[i]) && same(w.vx, b.vx[i]) && same(w.vy, b.vy[i]),
+                                same_bits(w.x, b.x[i]) && same_bits(w.y, b.y[i]) && same_bits(w.vx, b.vx[i]) && same_bits(w.vy, b.vy[i]),
                                 "backend {} len {len} source {source} m {m} {variant:?} step {step}: \
                                  particle {i} is {:?}, reference {w:?}",
                                 backend.name(),
@@ -1379,93 +1492,129 @@ mod tests {
         }
     }
 
-    /// `f_over_r_lanes` at `(h/2, h/2)` in every lane of one backend, the
-    /// particle charges from `qp`.
+    /// The force fold's constants through one backend: [`centre_kick`]
+    /// for corner charge `q_left` and span charge `q_span`, as the lanes
+    /// of `½·ax·dt`, `½·ay·dt`, `ax·dt`, `ay·dt`.
     #[inline(always)]
-    unsafe fn centre_f<V: Lanes>(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
-        let (c, ql) = (V::splat(h / 2.0), V::splat(q_left));
-        let mut out = [0.0; 8];
-        for o in (0..8).step_by(V::WIDTH) {
-            f_over_r_lanes(c, c, ql, V::load(qp.as_ptr().add(o))).store(out.as_mut_ptr().add(o));
-        }
-        out
+    unsafe fn centre_kick_lanes<V: Lanes>(
+        consts: &SimConstants,
+        q_left: f64,
+        q_span: f64,
+    ) -> [[f64; 8]; 4] {
+        let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
+        centre_kick(consts, ql, qr, V::splat(q_span)).lanes()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn centre_f_avx2(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
-        centre_f::<x86::Avx2>(h, q_left, qp)
+    unsafe fn centre_kick_avx2(c: &SimConstants, q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
+        centre_kick_lanes::<x86::Avx2>(c, q_left, q_span)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn centre_f_avx512(h: f64, q_left: f64, qp: &[f64; 8]) -> [f64; 8] {
-        centre_f::<x86::Avx512>(h, q_left, qp)
+    unsafe fn centre_kick_avx512(c: &SimConstants, q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
+        centre_kick_lanes::<x86::Avx512>(c, q_left, q_span)
     }
 
-    /// The centre fold's constant is the evaluated one: at `(h/2, h/2)`
-    /// every lane of every vector backend's `f_over_r_lanes` carries the
-    /// bits of `(q_left·q_p) ÷ D`, `D` from [`centre_r2`] — across cell
-    /// sizes, both corner charges and particle charges from near-underflow
-    /// to near-overflow, signed zero included. And the kernel divides by
-    /// it: one step of a centred group with those charges is the unfolded
-    /// reference's, bitwise, on every backend (a multiply by `1 ÷ D` is
-    /// not, in the `±1e300` lanes at `h = 1`).
+    /// The force fold never changes a bit. Its constants are the unfolded
+    /// force: on every executable vector backend, every lane of
+    /// [`centre_kick`] carries the bits of the four [`coulomb`] corners at
+    /// `(h/2, h/2)`, paired and integrated as `total_force` and the eqs.
+    /// 1–2 step do, for `h ∈ {0.5, 1, 3}`, `dt ∈ {1, 0.7}`, both corner
+    /// charges and span charges `±1e−300`, `±1`, `±1e300`. And one
+    /// span-kernel step equals [`crate::motion::advance_particle`] per
+    /// particle, bitwise, on every backend: for a span of centred
+    /// particles of one such charge (two full 8-lane groups and a tail;
+    /// at `h = 3` the centre lies outside the unit cell, so nothing
+    /// folds), and for spans whose first charge is `+0.0`, `−0.0` or NaN,
+    /// which must not fold. The zero spans carry the other signed zero in
+    /// every other lane and `vx = −0.0`, so a force folded from the wrong
+    /// zero shows in the sign of `vx`.
+    ///
+    /// [`coulomb`]: crate::charge::coulomb
     #[test]
-    fn centre_fold_constant_is_the_evaluated_divisor() {
+    fn force_fold_is_the_unfolded_force() {
+        use crate::charge::coulomb;
         use crate::motion::advance_particle;
-        let qp = [1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, -0.0, 0.5];
-        for backend in SimdBackend::available()
-            .into_iter()
-            .filter(|b| b.is_vector())
-        {
-            for h in [0.5, 1.0, 3.0] {
-                let (_, d) = centre_r2(h);
-                for q_left in [1.0, -1.0] {
+        let charges = [1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300];
+        for (h, dt, q_left) in product3(&[0.5, 1.0, 3.0], &[1.0, 0.7], &[1.0, -1.0]) {
+            let consts = SimConstants { h, dt, q: 1.0 };
+            for q_span in charges {
+                let c = h * 0.5;
+                let (fx0, fy0) = coulomb(c, c, q_left, q_span);
+                let (fx1, fy1) = coulomb(c, c - h, q_left, q_span);
+                let (fx2, fy2) = coulomb(c - h, c, -q_left, q_span);
+                let (fx3, fy3) = coulomb(c - h, c - h, -q_left, q_span);
+                let (ax, ay) = ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3));
+                let want = [0.5 * ax * dt, 0.5 * ay * dt, ax * dt, ay * dt];
+                for backend in SimdBackend::available()
+                    .into_iter()
+                    .filter(|b| b.is_vector())
+                {
                     let got = unsafe {
                         match backend {
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx512 => centre_f_avx512(h, q_left, &qp),
+                            SimdBackend::Avx512 => centre_kick_avx512(&consts, q_left, q_span),
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx2 => centre_f_avx2(h, q_left, &qp),
+                            SimdBackend::Avx2 => centre_kick_avx2(&consts, q_left, q_span),
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Sse2 => centre_f::<x86::Sse2>(h, q_left, &qp),
+                            SimdBackend::Sse2 => {
+                                centre_kick_lanes::<x86::Sse2>(&consts, q_left, q_span)
+                            }
                             SimdBackend::Scalar => unreachable!(),
                         }
                     };
-                    for (&q, got) in qp.iter().zip(got) {
-                        let want = (q_left * q) / d;
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "backend {} h {h} q_left {q_left} q_p {q:e}: {got:e} vs {want:e}",
-                            backend.name()
-                        );
+                    for (lanes, want) in got.iter().zip(want) {
+                        for got in &lanes[..backend.lanes()] {
+                            assert!(
+                                same_bits(*got, want),
+                                "backend {} h {h} dt {dt} q_left {q_left} q_span {q_span:e}: \
+                                 {got:e} vs {want:e}",
+                                backend.name()
+                            );
+                        }
                     }
                 }
             }
         }
-        let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
+        let grid = Grid::new(32).unwrap();
+        let mut spans: Vec<Vec<f64>> = charges.iter().map(|&q| vec![q; 19]).collect();
+        for (first, rest) in [(0.0, -0.0), (-0.0, 0.0), (f64::NAN, 1.0)] {
+            let mut span = vec![rest; 19];
+            span[0] = first;
+            spans.push(span);
+        }
         for backend in SimdBackend::available() {
-            for col in [2, 3] {
-                let mut b = column_population(&grid, col, qp.len(), 0);
-                b.q.copy_from_slice(&qp);
-                let mut want = b.to_particles();
-                want.iter_mut()
-                    .for_each(|p| advance_particle(&grid, &consts, p));
-                let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                let ql = mesh_charge(col, consts.q);
-                advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
-                for (i, w) in want.iter().enumerate() {
-                    let got = b.get(i);
-                    assert!(
-                        [(got.x, w.x), (got.y, w.y), (got.vx, w.vx), (got.vy, w.vy)]
-                            .iter()
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "backend {} column {col}: particle {i} is {got:?}, reference {w:?}",
-                        backend.name()
-                    );
+            for (h, dt, col) in product3(&[0.5, 1.0, 3.0], &[1.0, 0.7], &[2, 3]) {
+                let consts = SimConstants { h, dt, q: 1.0 };
+                let c = if h < 2.0 { h * 0.5 } else { 0.5 };
+                for span in &spans {
+                    let mut b = column_population(&grid, col, span.len(), 0);
+                    for (i, &q) in span.iter().enumerate() {
+                        b.x[i] = col as f64 + c;
+                        b.y[i] = i as f64 + c;
+                        b.q[i] = q;
+                        b.vx[i] = if q == 0.0 { -0.0 } else { 0.0 };
+                    }
+                    let mut want = b.to_particles();
+                    want.iter_mut()
+                        .for_each(|p| advance_particle(&grid, &consts, p));
+                    let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                    let ql = mesh_charge(col, consts.q);
+                    advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                    for (i, w) in want.iter().enumerate() {
+                        let got = b.get(i);
+                        assert!(
+                            [(got.x, w.x), (got.y, w.y), (got.vx, w.vx), (got.vy, w.vy)]
+                                .iter()
+                                .all(|&(a, b)| same_bits(a, b)),
+                            "backend {} h {h} dt {dt} column {col} span charge {:e}: \
+                             particle {i} is {got:?}, reference {w:?}",
+                            backend.name(),
+                            span[0],
+                        );
+                    }
                 }
             }
         }

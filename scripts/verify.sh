@@ -139,6 +139,17 @@ for simd_env in "" PIC_NO_SIMD=1; do
         --quiet | grep -qx PASS
 done
 
+echo "==> an odd-step injection (two charges in one phase half; the force fold's fallback)"
+# Particles injected on step 7 carry the opposite charge of the residents
+# that drifted into their columns: a group that mixes the two must take the
+# corner folds, not the force fold.
+for run in "--threads 1" "--balancer static --ranks 2"; do
+    for simd_env in "" PIC_NO_SIMD=1; do
+        env $simd_env ./target/release/pic --grid 32 --particles 2000 --steps 40 --k 1 --m 1 \
+            --dist uniform --inject 7,0,16,0,32,500 $run --quiet | grep -qx PASS
+    done
+done
+
 echo "==> paper_all reproduces results/ byte for byte (~2 min)"
 # Every E1–E5 number in EXPERIMENTS.md is read from results/; the modeled
 # runs are deterministic, so the committed figures must be exactly what

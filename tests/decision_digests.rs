@@ -10,9 +10,9 @@
 //! those suites proved copy == trait loop — so a digest compares the code
 //! with that answer, not with itself. The per-id final state of every
 //! balancer is held to `pic_core::reference::run` elsewhere
-//! (`cross_impl_equivalence`, `rank_kernel_equivalence`,
-//! `rebin_independence`); here it is only checked against the closed form
-//! (`verify.passed()`).
+//! (`cross_impl_equivalence::every_balancer_spec_matches_serial`,
+//! `rank_kernel_equivalence`); here it is only checked against the closed
+//! form (`verify.passed()`).
 //!
 //! The matrix: 3 distributions × ranks {1, 2, 4} for the static baseline,
 //! × interval {1, 5} for x-only diffusion, ranks {2, 4} for two-phase
