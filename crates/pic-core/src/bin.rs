@@ -50,6 +50,7 @@
 use crate::charge::{coulomb, mesh_charge, SimConstants};
 use crate::events::Region;
 use crate::geometry::Grid;
+use crate::owner::mark_by_cell;
 use crate::particle::Particle;
 use crate::pool::{self, SyncMutPtr};
 use crate::simd::{self, SimdBackend};
@@ -330,10 +331,10 @@ impl BinnedStore {
     /// the drain count.
     ///
     /// The classifier ([`Classifier`]) answers a chunk of positions at a
-    /// time as a bitmask: an [`OwnerMap`] eight lanes at a time, a keep
-    /// closure one particle at a time. Which one answers changes nothing
-    /// downstream — the leaver set is the same, so are the holes, the
-    /// refill and the storage order.
+    /// time as a bitmask: an [`OwnerMap`](crate::owner::OwnerMap) eight
+    /// lanes at a time, a keep closure one particle at a time. Which one
+    /// answers changes nothing downstream — the leaver set is the same, so
+    /// are the holes, the refill and the storage order.
     ///
     /// Leavers are staged by runs — consecutive indices of one phase bound
     /// for one bucket — phase 0 first, so each bucket receives
@@ -525,9 +526,9 @@ fn fill_holes(batch: &mut ParticleBatch, runs: &[LeaverRun], end: usize) -> usiz
 /// A classifier answers a span of positions at once as a bitmask — bit
 /// `j % 64` of `leave[j / 64]` set when lane `j` leaves — so the drain's
 /// emission order, holes and refill are one body whoever answers. Three
-/// classifiers serve it: the two data maps of [`OwnerMap`], eight lanes at
-/// a time on AVX-512, and any `FnMut(col, row) -> bool` keep rule, one
-/// particle at a time (the door for probes and tests).
+/// classifiers serve it: the two maps of [`crate::owner::OwnerMap`], eight
+/// lanes at a time on AVX-512, and any `FnMut(col, row) -> bool` keep
+/// rule, one particle at a time (the door for probes and tests).
 pub trait Classifier {
     /// Set the bit of every lane of `x`/`y` that leaves; `leave` holds at
     /// least `x.len().div_ceil(64)` words, zeroed.
@@ -550,174 +551,6 @@ impl<F: FnMut(usize, usize) -> bool> Classifier for F {
     #[inline]
     fn leavers(&mut self, _: SimdBackend, grid: &Grid, x: &[f64], y: &[f64], leave: &mut [u64]) {
         mark_by_cell(grid, x, y, leave, 0, self);
-    }
-}
-
-/// Set bit `from + j` of `leave` for each point `j` whose cell `keep`
-/// rejects — the scalar rule. Zipped slices: no bounds checks, and a
-/// `keep` that ignores the row leaves the `y` load dead. The store sits
-/// behind a branch: leavers are rare, so the common path is the test
-/// alone, as cheap as the per-particle drain loop this replaced.
-#[inline(always)]
-fn mark_by_cell(
-    grid: &Grid,
-    x: &[f64],
-    y: &[f64],
-    leave: &mut [u64],
-    from: usize,
-    mut keep: impl FnMut(usize, usize) -> bool,
-) {
-    for (j, (&x, &y)) in (from..).zip(x.iter().zip(y)) {
-        let (c, r) = grid.cell_of_point(x, y);
-        if !keep(c, r) {
-            leave[j / 64] |= 1 << (j % 64);
-        }
-    }
-}
-
-/// Cell ownership as data a vector classifier can scan: whether this
-/// store's rank keeps a cell, read from the particle's position exactly
-/// as [`Grid::cell_of`] reads it, for every `f64` (NaN and ±∞ included).
-#[derive(Debug, Clone, Copy)]
-pub enum OwnerMap<'a> {
-    /// One processor row of cuts: the rank keeps the columns `lo..hi`,
-    /// whatever the row — two compares on the clamped `x`, no conversion
-    /// and no table.
-    Columns { lo: usize, hi: usize },
-    /// A 2-D map (VP tiles, or cuts with more than one processor row):
-    /// the owner of a cell is read from a [`CellTable`].
-    Cells(CellTable<'a>),
-}
-
-impl OwnerMap<'_> {
-    /// The scalar rule: bit `from + j` of `leave` for each point `j` this
-    /// rank does not keep.
-    #[inline]
-    pub(crate) fn mark_leavers(
-        &self,
-        grid: &Grid,
-        x: &[f64],
-        y: &[f64],
-        leave: &mut [u64],
-        from: usize,
-    ) {
-        match *self {
-            OwnerMap::Columns { lo, hi } => {
-                mark_by_cell(grid, x, y, leave, from, |c, _| (lo..hi).contains(&c))
-            }
-            OwnerMap::Cells(t) => mark_by_cell(grid, x, y, leave, from, |c, r| {
-                t.owner_of_cell(c, r) == t.me as usize
-            }),
-        }
-    }
-}
-
-impl Classifier for OwnerMap<'_> {
-    #[inline]
-    fn leavers(
-        &mut self,
-        backend: SimdBackend,
-        grid: &Grid,
-        x: &[f64],
-        y: &[f64],
-        leave: &mut [u64],
-    ) {
-        // The vector groups read `y` by `x`'s length.
-        assert_eq!(x.len(), y.len(), "x and y spans differ");
-        simd::owner_leavers(backend, grid, self, x, y, leave);
-    }
-
-    /// A column interval spanning the grid keeps every `f64`: the cell
-    /// index clamps into it.
-    fn keeps_all(&self, grid: &Grid) -> bool {
-        matches!(*self, OwnerMap::Columns { lo: 0, hi } if hi >= grid.ncells())
-    }
-}
-
-/// A 2-D ownership table: the owner of cell `(c, r)` is
-/// `owner[col[c] + row[r]]` — a Cartesian decomposition's ranks (`col` the
-/// processor column, `row` `px ×` the processor row, `owner` the identity),
-/// or a VP grid's tiles and their VP→core table.
-///
-/// The fields stay private: the vector classifiers gather from the tables
-/// unchecked, on the bounds [`CellTable::new`] asserts.
-#[derive(Debug, Clone, Copy)]
-pub struct CellTable<'a> {
-    col: &'a [u32],
-    row: &'a [u32],
-    owner: &'a [u32],
-    /// The rank whose cells are kept.
-    me: u32,
-}
-
-impl<'a> CellTable<'a> {
-    /// Panics unless `col` and `row` have one entry per cell of a side of
-    /// `grid` and every `col[c] + row[r]` indexes `owner` — what the
-    /// vector gathers rely on. O(cells per side).
-    pub fn new(grid: &Grid, col: &'a [u32], row: &'a [u32], owner: &'a [u32], me: u32) -> Self {
-        let n = grid.ncells();
-        assert!(
-            col.len() == n && row.len() == n,
-            "cell tables of {} and {} entries on a {n}-cell side",
-            col.len(),
-            row.len()
-        );
-        let top = |t: &[u32]| t.iter().copied().max().unwrap_or(0) as usize;
-        assert!(
-            top(col) + top(row) < owner.len(),
-            "cell index {} outside an owner table of {}",
-            top(col) + top(row),
-            owner.len()
-        );
-        CellTable {
-            col,
-            row,
-            owner,
-            me,
-        }
-    }
-
-    /// The tables `(col, row, owner)` and the kept rank, as checked by
-    /// [`Self::new`].
-    #[inline]
-    pub(crate) fn parts(&self) -> (&'a [u32], &'a [u32], &'a [u32], u32) {
-        (self.col, self.row, self.owner, self.me)
-    }
-
-    /// The table index `col[c] + row[r]` of cell `(c, r)` (the VP of a
-    /// VP grid's cell).
-    #[inline]
-    pub fn index(&self, c: usize, r: usize) -> usize {
-        (self.col[c] + self.row[r]) as usize
-    }
-
-    /// Owner of cell `(c, r)`.
-    #[inline]
-    pub fn owner_of_cell(&self, c: usize, r: usize) -> usize {
-        self.owner[self.index(c, r)] as usize
-    }
-
-    /// `counts[index of the cell of (x[j], y[j])] += 1` for every point,
-    /// through the classifier's per-lane index on `backend`.
-    pub fn count_into(
-        &self,
-        backend: SimdBackend,
-        grid: &Grid,
-        x: &[f64],
-        y: &[f64],
-        counts: &mut [u64],
-    ) {
-        assert_eq!(x.len(), y.len());
-        simd::count_cells(backend, grid, self, x, y, counts);
-    }
-
-    /// [`Self::count_into`] one point at a time.
-    #[inline]
-    pub(crate) fn count_scalar(&self, grid: &Grid, x: &[f64], y: &[f64], counts: &mut [u64]) {
-        for (&x, &y) in x.iter().zip(y) {
-            let (c, r) = grid.cell_of_point(x, y);
-            counts[self.index(c, r)] += 1;
-        }
     }
 }
 
@@ -845,6 +678,7 @@ mod tests {
     use crate::dist::Distribution;
     use crate::init::InitConfig;
     use crate::motion::advance_all;
+    use crate::owner::{tile_table, OwnerMap};
     use crate::pool::DEFAULT_CHUNK;
     use crate::rng::SplitMix64;
     use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
@@ -1435,10 +1269,9 @@ mod tests {
         // through each column by row.
         let (grid, ps) = population(900, Distribution::Geometric { r: 0.9 });
         let store = whole_store(&ps, &grid);
-        let (col, row, owner) = tile_table(&grid);
-        let table = CellTable::new(&grid, &col, &row, &owner, 0);
+        let table = tile_table(&grid);
         let owner_of = |c, r| table.owner_of_cell(c, r);
-        let shape = check_doors(&store, &grid, OwnerMap::Cells(table), owner_of, 3);
+        let shape = check_doors(&store, &grid, table.map(0), owner_of, 3);
         let short = (shape.runs.iter())
             .filter(|r| (r.len as usize) < SLICE_RUN)
             .count();
@@ -1527,142 +1360,6 @@ mod tests {
         assert_eq!(store.batch(), &before);
         let one_less = OwnerMap::Columns { lo: 0, hi: 31 };
         assert!(store.drain_leavers_into(&grid, one_less, |_| ()) > 0);
-    }
-
-    /// A VP-like table on `grid`: 4 × 3 tiles (fewer on a narrow grid),
-    /// tile `v` owned by `v * 7 % 3`.
-    fn tile_table(grid: &Grid) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let n = grid.ncells();
-        let (tx, ty) = (n.min(4), n.min(3));
-        let col = (0..n).map(|c| (c * tx / n) as u32).collect();
-        let row = (0..n).map(|r| (tx * (r * ty / n)) as u32).collect();
-        let owner = (0..tx * ty).map(|v| (v * 7 % 3) as u32).collect();
-        (col, row, owner)
-    }
-
-    /// The owner classifiers are the scalar rule — [`Grid::cell_of`] and
-    /// the owner test — to the bit, and so is the table's VP count, on
-    /// every backend the host can execute: for the column interval and
-    /// the 2-D table, on every value class of the cell-index test (the
-    /// values outside `[0, L)`, NaN and ±∞ among them, in builds without
-    /// the debug range check only), for span lengths up to two groups plus
-    /// one at unaligned starts, spans longer than a mask word, and spans in
-    /// which every lane, no lane, or one lane per group leaves. A grid
-    /// whose last index is 2³² − 1 takes the interval, where a signed
-    /// 32-bit convert would break (the table's convert is
-    /// `simd::tests::cell_index_lanes_cover_the_whole_u32_range`).
-    #[cfg(target_pointer_width = "64")]
-    #[test]
-    fn owner_classifiers_equal_the_scalar_rule_on_every_backend() {
-        let wide = |n: usize| move |x: f64| (x as usize).min(n - 1);
-        for ncells in [2usize, 64, 1024, 1 << 32] {
-            let grid = Grid::new(ncells).unwrap();
-            let l = grid.extent();
-            let (mut values, outside) = if ncells < 1 << 20 {
-                crate::geometry::cell_index_cases(ncells)
-            } else {
-                // The edges of a grid this wide, without its every cell.
-                let (_, v) = crate::geometry::cell_index_cases(2);
-                v.into_iter().partition(|x| (0.0..l).contains(x))
-            };
-            if !cfg!(debug_assertions) {
-                values.extend(outside);
-            }
-            // `y` walks the same values from another start.
-            let ys: Vec<f64> = (0..values.len())
-                .map(|i| values[(i * 7 + 3) % values.len()])
-                .collect();
-            let small = ncells < 1 << 20;
-            let (col, row, owner) = if small {
-                tile_table(&grid)
-            } else {
-                Default::default()
-            };
-            let mut maps = vec![
-                OwnerMap::Columns {
-                    lo: 0,
-                    hi: ncells / 2,
-                },
-                OwnerMap::Columns {
-                    lo: ncells / 4,
-                    hi: ncells,
-                },
-                OwnerMap::Columns { lo: 0, hi: ncells },
-                OwnerMap::Columns { lo: 1, hi: 1 },
-            ];
-            if small {
-                for me in 0..3 {
-                    maps.push(OwnerMap::Cells(CellTable::new(
-                        &grid, &col, &row, &owner, me,
-                    )));
-                }
-            }
-            let cell = wide(ncells);
-            for map in maps {
-                let keeps = |x: f64, y: f64| match map {
-                    OwnerMap::Columns { lo, hi } => (lo..hi).contains(&cell(x)),
-                    OwnerMap::Cells(t) => t.owner_of_cell(cell(x), cell(y)) == t.me as usize,
-                };
-                let want = |x: &[f64], y: &[f64]| {
-                    let mut w = vec![0u64; x.len().div_ceil(64)];
-                    for (j, (&x, &y)) in x.iter().zip(y).enumerate() {
-                        w[j / 64] |= u64::from(!keeps(x, y)) << (j % 64);
-                    }
-                    w
-                };
-                // A kept and a leaving point, where the map has both.
-                let pick = |leaves: bool| {
-                    (values.iter().zip(&ys))
-                        .map(|(&x, &y)| (x, y))
-                        .find(|&(x, y)| keeps(x, y) != leaves)
-                };
-                for backend in SimdBackend::available() {
-                    let at = |what: &str| format!("{} {map:?} {ncells}: {what}", backend.name());
-                    let check = |x: &[f64], y: &[f64], what: &str| {
-                        let mut got = vec![0u64; x.len().div_ceil(64)];
-                        let mut map = map;
-                        map.leavers(backend, &grid, x, y, &mut got);
-                        assert_eq!(got, want(x, y), "{}", at(what));
-                    };
-                    check(&values, &ys, "every value");
-                    let width = backend.lanes();
-                    for start in [1, 3] {
-                        for len in 0..=2 * width + 1 {
-                            let span = start..(start + len).min(values.len());
-                            check(
-                                &values[span.clone()],
-                                &ys[span],
-                                &format!("{len} from {start}"),
-                            );
-                        }
-                    }
-                    let len = 2 * width + 1;
-                    if let (Some(stay), Some(go)) = (pick(false), pick(true)) {
-                        let patterns: [(&str, &dyn Fn(usize) -> bool); 3] = [
-                            ("all leave", &|_| true),
-                            ("none leave", &|_| false),
-                            ("one per group", &|j| {
-                                j % width == (j / width * 3 + 1) % width
-                            }),
-                        ];
-                        for (what, leaves) in patterns {
-                            let (x, y): (Vec<f64>, Vec<f64>) =
-                                (0..len).map(|j| if leaves(j) { go } else { stay }).unzip();
-                            check(&x, &y, what);
-                        }
-                    }
-                    if let OwnerMap::Cells(t) = map {
-                        let mut got = vec![0u64; owner.len()];
-                        t.count_into(backend, &grid, &values, &ys, &mut got);
-                        let mut want = vec![0u64; owner.len()];
-                        for (&x, &y) in values.iter().zip(&ys) {
-                            want[t.index(cell(x), cell(y))] += 1;
-                        }
-                        assert_eq!(got, want, "{}", at("count"));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

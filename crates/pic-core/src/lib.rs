@@ -47,6 +47,7 @@ pub mod events;
 pub mod geometry;
 pub mod init;
 pub mod motion;
+pub mod owner;
 pub mod particle;
 pub mod pool;
 pub mod reference;

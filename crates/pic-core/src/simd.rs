@@ -56,9 +56,9 @@
 //!
 //! [`coulomb`]: crate::charge::coulomb
 
-use crate::bin::{CellTable, OwnerMap};
 use crate::charge::{f_over_r_lanes, mid_cell_lanes, SimConstants};
 use crate::geometry::Grid;
+use crate::owner::{OwnerMap, OwnerTable};
 
 /// Number of f64 lanes in the narrowest vector backend (the historical
 /// fixed width; AVX-512 runs `Lanes::WIDTH` = 8).
@@ -219,7 +219,7 @@ pub(crate) trait Lanes: Copy {
     fn all_eq(self, o: Self) -> bool;
 }
 
-/// The ops of the owner classifiers ([`crate::bin::OwnerMap`]): the
+/// The ops of the owner classifiers ([`crate::owner::OwnerMap`]): the
 /// saturating cell index of [`Grid::cell_of`] per lane, and `u32` table
 /// lanes beside the `f64` ones. Implemented by the two backends with a
 /// gather (AVX-512 and AVX2); the others classify through the scalar rule.
@@ -1007,22 +1007,24 @@ pub(crate) fn advance_bin_span_simd(
     }
 }
 
-/// The table index `col[c] + row[r]` of each lane's cell, for one group.
+/// The unit `col[c] + row[r]` of each lane's cell, for one group.
 ///
 /// # Safety
-/// `x` and `y` must be valid for `V::WIDTH` reads.
+/// `x` and `y` must be valid for `V::WIDTH` reads, and `t` must span the
+/// grid whose last cell index `last` is (`OwnerTable::count_into` and the
+/// map's classifier assert it).
 #[inline(always)]
 unsafe fn cell_index<V: OwnerLanes>(
-    t: &CellTable,
+    t: &OwnerTable,
     last: V,
     x: *const f64,
     y: *const f64,
 ) -> V::Index {
-    let (col, row, _, _) = t.parts();
+    let (col, row, _) = t.tables();
     let c = V::load(x).clamp_cell(last).index();
     let r = V::load(y).clamp_cell(last).index();
-    // SAFETY: `c` and `r` are at most `last`, and `CellTable::new` checked
-    // that both tables have a side's worth of cells.
+    // SAFETY: `c` and `r` are at most `last`, and a table spanning the
+    // grid has a side's worth of cells in both `col` and `row`.
     V::add_index(V::gather(col.as_ptr(), c), V::gather(row.as_ptr(), r))
 }
 
@@ -1031,7 +1033,8 @@ unsafe fn cell_index<V: OwnerLanes>(
 /// `j % 64` of `leave[j / 64]` for each lane `j` that leaves.
 ///
 /// # Safety
-/// Vector ops of `V` must be executable on the current CPU.
+/// Vector ops of `V` must be executable on the current CPU, and a
+/// [`OwnerMap::Cells`] table must span `grid`.
 #[inline(always)]
 unsafe fn owner_leavers_lanes<V: OwnerLanes>(
     grid: &Grid,
@@ -1054,15 +1057,15 @@ unsafe fn owner_leavers_lanes<V: OwnerLanes>(
                 put(o, V::load(xp.add(o)).clamp_cell(last).within(lo, hi));
             }
         }
-        OwnerMap::Cells(t) => {
-            let (_, _, owner, me) = t.parts();
+        OwnerMap::Cells { table, me } => {
+            let (_, _, core) = table.tables();
             for o in (0..groups).map(|g| g * V::WIDTH) {
                 // SAFETY: whole groups lie inside `x` and `y` (equal
                 // lengths, asserted by the caller).
-                let i = cell_index::<V>(t, last, xp.add(o), yp.add(o));
-                // SAFETY: `CellTable::new` checked every `col[c] + row[r]`
-                // against the owner table.
-                put(o, V::index_eq(V::gather(owner.as_ptr(), i), me));
+                let i = cell_index::<V>(table, last, xp.add(o), yp.add(o));
+                // SAFETY: every `col[c] + row[r]` of a table indexes its
+                // `core` (`OwnerTable` builds it so).
+                put(o, V::index_eq(V::gather(core.as_ptr(), i), *me));
             }
         }
     }
@@ -1074,11 +1077,12 @@ unsafe fn owner_leavers_lanes<V: OwnerLanes>(
 /// backend (the scalar rule for the tail).
 ///
 /// # Safety
-/// Vector ops of `V` must be executable on the current CPU.
+/// Vector ops of `V` must be executable on the current CPU, and `t` must
+/// span `grid`.
 #[inline(always)]
 unsafe fn count_cells_lanes<V: OwnerLanes>(
     grid: &Grid,
-    t: &CellTable,
+    t: &OwnerTable,
     x: &[f64],
     y: &[f64],
     counts: &mut [u64],
@@ -1119,7 +1123,7 @@ unsafe fn owner_leavers_avx512(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn count_cells_avx512(grid: &Grid, t: &CellTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+unsafe fn count_cells_avx512(grid: &Grid, t: &OwnerTable, x: &[f64], y: &[f64], c: &mut [u64]) {
     count_cells_lanes::<x86::Avx512>(grid, t, x, y, c)
 }
 
@@ -1139,7 +1143,7 @@ unsafe fn owner_leavers_avx2(grid: &Grid, map: &OwnerMap, x: &[f64], y: &[f64], 
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn count_cells_avx2(grid: &Grid, t: &CellTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+unsafe fn count_cells_avx2(grid: &Grid, t: &OwnerTable, x: &[f64], y: &[f64], c: &mut [u64]) {
     count_cells_lanes::<x86::Avx2>(grid, t, x, y, c)
 }
 
@@ -1155,7 +1159,8 @@ pub(crate) fn owner_leavers(
     leave: &mut [u64],
 ) {
     // SAFETY: a vector backend is only ever one the CPU was detected to
-    // run (`SimdBackend::detect` / `available`).
+    // run (`SimdBackend::detect` / `available`); the map's
+    // `Classifier::leavers` asserted equal lengths and the table's span.
     match backend {
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx512 => unsafe { owner_leavers_avx512(grid, map, x, y, leave) },
@@ -1165,18 +1170,18 @@ pub(crate) fn owner_leavers(
     }
 }
 
-/// Count the points per table index with the selected backend
-/// ([`CellTable::count_into`]).
+/// Count the points per unit with the selected backend
+/// ([`OwnerTable::count_into`]).
 pub(crate) fn count_cells(
     backend: SimdBackend,
     grid: &Grid,
-    t: &CellTable,
+    t: &OwnerTable,
     x: &[f64],
     y: &[f64],
     counts: &mut [u64],
 ) {
-    // SAFETY: as in `owner_leavers`; `CellTable::count_into` asserted
-    // equal `x` and `y` lengths.
+    // SAFETY: as in `owner_leavers`; `OwnerTable::count_into` asserted
+    // equal `x` and `y` lengths and a table spanning `grid`.
     match backend {
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx512 => unsafe { count_cells_avx512(grid, t, x, y, counts) },

@@ -13,9 +13,9 @@
 //! owners a replicated VP→core table names (the AMPI runtime, paper
 //! §IV-C). One [`OwnerTable`] answers "who owns this cell?" for both: the
 //! ranks of the cuts on the identity placement, or the VPs on their cores.
+//! [`Decomp2d::owner_of_cell`] is the tests' oracle for it.
 
-use pic_core::bin::{CellTable, OwnerMap};
-use pic_core::geometry::Grid;
+use pic_core::owner::OwnerTable;
 
 /// Factor `p` into `(px, py)` with `px ≥ py` and the pair as close to
 /// square as possible (minimizing `px − py`), mirroring the reference
@@ -194,98 +194,6 @@ impl Decomp2d {
     }
 }
 
-/// The one ownership map: an O(1) cell → unit table, `unit = col[c] +
-/// row[r]` (the binary searches of [`Decomp2d::owner_of_cell`] become two
-/// loads), and the core each unit lives on. The units are the ranks of
-/// the cuts on the identity placement, or the VPs of a [`VpGrid`] and their
-/// VP→core table.
-///
-/// The cuts are public and balancers move them in place, so the table
-/// keeps a copy of the cuts it was built from and [`OwnerTable::refresh`]
-/// compares them (O(px + py)) before every use; a stale table cannot
-/// survive a cut move, however the move was made.
-#[derive(Debug, Clone, Default)]
-pub struct OwnerTable {
-    xcuts: Vec<usize>,
-    ycuts: Vec<usize>,
-    /// Unit column of each mesh column.
-    col: Vec<u32>,
-    /// `px ·` unit row of each mesh row.
-    row: Vec<u32>,
-    /// Core of each unit: the identity after a rebuild.
-    core: Vec<u32>,
-}
-
-impl OwnerTable {
-    pub fn new(decomp: &Decomp2d) -> OwnerTable {
-        let mut t = OwnerTable::default();
-        t.refresh(decomp);
-        t
-    }
-
-    /// Rebuild the table, on the identity placement, unless it was built
-    /// from exactly `decomp`'s cuts (capacity is retained: steady-state
-    /// refreshes allocate nothing).
-    pub fn refresh(&mut self, decomp: &Decomp2d) {
-        if self.xcuts == decomp.xcuts && self.ycuts == decomp.ycuts {
-            return;
-        }
-        assert!(decomp.ranks() <= u32::MAX as usize, "units fit in u32");
-        let fill = |tab: &mut Vec<u32>, cuts: &[usize], scale: usize| {
-            tab.clear();
-            for (i, w) in cuts.windows(2).enumerate() {
-                tab.resize(w[1], (i * scale) as u32);
-            }
-        };
-        fill(&mut self.col, &decomp.xcuts, 1);
-        fill(&mut self.row, &decomp.ycuts, decomp.px);
-        self.core.clear();
-        self.core.extend(0..decomp.ranks() as u32);
-        self.xcuts.clone_from(&decomp.xcuts);
-        self.ycuts.clone_from(&decomp.ycuts);
-    }
-
-    /// Place unit `u` on core `cores[u]` (a VP→core table).
-    pub(crate) fn set_cores(&mut self, cores: &[usize]) {
-        assert_eq!(cores.len(), self.core.len(), "one core per unit");
-        self.core.clear();
-        self.core.extend(cores.iter().map(|&c| c as u32));
-    }
-
-    /// Unit owning cell `(col, row)` — [`VpGrid::vp_of_cell`].
-    #[inline]
-    pub(crate) fn unit_of_cell(&self, col: usize, row: usize) -> usize {
-        (self.col[col] + self.row[row]) as usize
-    }
-
-    /// Core owning cell `(col, row)` — [`Decomp2d::owner_of_cell`] under
-    /// the identity placement.
-    #[inline]
-    pub fn owner_of_cell(&self, col: usize, row: usize) -> usize {
-        self.core[self.unit_of_cell(col, row)] as usize
-    }
-
-    /// The cells core `me` keeps, as the drain's classifier reads them: on
-    /// one unit row under the identity placement its column interval (the
-    /// row cannot matter, so the scan never loads `y`), otherwise the
-    /// table itself.
-    pub fn map<'a>(&'a self, grid: &Grid, me: usize) -> OwnerMap<'a> {
-        let identity = (0..).zip(&self.core).all(|(u, &c)| u == c);
-        if self.ycuts.len() == 2 && identity {
-            let (lo, hi) = (self.xcuts[me], self.xcuts[me + 1]);
-            OwnerMap::Columns { lo, hi }
-        } else {
-            OwnerMap::Cells(self.cells(grid, me))
-        }
-    }
-
-    /// The table as a [`CellTable`] of core `me`: the index is the unit,
-    /// the owner its core.
-    pub(crate) fn cells<'a>(&'a self, grid: &Grid, me: usize) -> CellTable<'a> {
-        CellTable::new(grid, &self.col, &self.row, &self.core, me as u32)
-    }
-}
-
 /// The virtual-processor grid of the AMPI runtime (paper §IV-C): the mesh
 /// split into `d · P` subdomains exactly as if there were `d · P` ranks,
 /// with each physical core initially receiving a compact `a × b` block of
@@ -298,8 +206,9 @@ pub struct VpGrid {
     /// never these cuts — which is what lets `owners` be built once.
     decomp: Decomp2d,
     /// O(1) cell → VP table of `decomp`, read by [`VpGrid::vp_of_cell`]
-    /// (the benchmark's VP route probe asks it once per resident).
-    owners: OwnerTable,
+    /// (the benchmark's VP route probe asks it once per resident); a VP
+    /// rank's ownership table once a VP→core table places it.
+    pub(crate) owners: OwnerTable,
     /// Physical core grid.
     pub px: usize,
     pub py: usize,
@@ -318,7 +227,7 @@ impl VpGrid {
         let (a, b) = factor_2d(d);
         let decomp = Decomp2d::uniform_grid(ncells, px * a, py * b);
         VpGrid {
-            owners: OwnerTable::new(&decomp),
+            owners: OwnerTable::new(&decomp.xcuts, &decomp.ycuts),
             decomp,
             px,
             py,
@@ -374,11 +283,12 @@ impl VpGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_core::owner::OwnerMap;
 
     #[test]
     fn owner_table_matches_binary_search_and_follows_cut_moves() {
         let mut d = Decomp2d::uniform_grid(24, 3, 2);
-        let mut t = OwnerTable::new(&d);
+        let mut t = OwnerTable::new(&d.xcuts, &d.ycuts);
         let check = |d: &Decomp2d, t: &OwnerTable| {
             for c in 0..d.ncells {
                 for r in 0..d.ncells {
@@ -390,25 +300,24 @@ mod tests {
         // Cuts moved through the setter and by direct field mutation: the
         // refresh notices both.
         d.set_xcuts(vec![0, 1, 23, 24]);
-        t.refresh(&d);
+        t.refresh(&d.xcuts, &d.ycuts);
         check(&d, &t);
         d.ycuts[1] = 5;
-        t.refresh(&d);
+        t.refresh(&d.xcuts, &d.ycuts);
         check(&d, &t);
         let strip = Decomp2d::columns(24, 4);
-        t.refresh(&strip);
+        t.refresh(&strip.xcuts, &strip.ycuts);
         check(&strip, &t);
         // One unit row on the identity placement drains by columns.
-        let grid = Grid::new(24).unwrap();
-        let columns = |t: &OwnerTable, me| match t.map(&grid, me) {
+        let columns = |t: &OwnerTable, me| match t.map(me) {
             OwnerMap::Columns { lo, hi } => Some((lo, hi)),
-            OwnerMap::Cells(_) => None,
+            OwnerMap::Cells { .. } => None,
         };
         assert_eq!(columns(&t, 1), Some((6, 12)));
 
         // A VP grid: the table follows the VP→core table it is given.
         let vps = VpGrid::new(24, 2, 2); // one row of 4 VPs on 2 cores
-        let mut t = OwnerTable::new(vps.decomp());
+        let mut t = vps.owners.clone();
         let mut assignment = vps.initial_assignment();
         t.set_cores(&assignment);
         assert_eq!(columns(&t, 0), None);
@@ -421,7 +330,7 @@ mod tests {
         }
         // d = 1: the VPs are the ranks, and drain by columns until one moves.
         let d1 = VpGrid::new(24, 2, 1);
-        let mut t = OwnerTable::new(d1.decomp());
+        let mut t = d1.owners.clone();
         t.set_cores(&d1.initial_assignment());
         assert_eq!(columns(&t, 1), Some((12, 24)));
         t.set_cores(&[1, 0]);
@@ -429,7 +338,7 @@ mod tests {
         // A cut move rebuilds the table on the identity placement.
         let mut moved = d1.decomp().clone();
         moved.set_xcuts(vec![0, 10, 24]);
-        t.refresh(&moved);
+        t.refresh(&moved.xcuts, &moved.ycuts);
         check(&moved, &t);
         assert_eq!(columns(&t, 1), Some((10, 24)));
     }

@@ -187,11 +187,12 @@ fn check_homed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
+    use crate::decomp::{Decomp2d, VpGrid};
     use pic_comm::world::run_threads;
     use pic_core::charge::SimConstants;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
+    use pic_core::owner::OwnerTable;
     use pic_core::particle::Particle;
 
     /// The particles of a full population owned by `rank`.
@@ -227,7 +228,7 @@ mod tests {
         store: &mut BinnedStore,
         bufs: &mut ExchangeBuffers,
     ) -> (usize, usize) {
-        let classifier = table.map(grid, comm.rank());
+        let classifier = table.map(comm.rank());
         let owner = |c, r| table.owner_of_cell(c, r);
         route_binned(comm, classifier, owner, store, grid, bufs)
     }
@@ -320,7 +321,7 @@ mod tests {
         use pic_core::motion::advance_all;
         let (grid, all) = setup(400);
         let decomp = Decomp2d::columns(16, 4);
-        let table = OwnerTable::new(&decomp);
+        let table = OwnerTable::new(&decomp.xcuts, &decomp.ycuts);
         let steps = 12;
         let mut want = all.clone();
         for _ in 0..steps {
@@ -406,7 +407,7 @@ mod tests {
     fn rehome_noop_when_all_owned() {
         let (grid, all) = setup(100);
         let decomp = Decomp2d::uniform(16, 2);
-        let table = OwnerTable::new(&decomp);
+        let table = OwnerTable::new(&decomp.xcuts, &decomp.ycuts);
         let counts = run_threads(2, |comm| {
             let rank = comm.rank();
             let mine = local_slice(&decomp, &grid, rank, &all);

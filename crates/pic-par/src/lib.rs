@@ -4,9 +4,9 @@
 //! `pic-comm` substrate. One door, [`run_config`] (traced form
 //! [`run_config_traced`]), runs whichever [`BalancerSpec`] the
 //! [`ParConfig`] names through the one trait-driven rank loop, whose rank
-//! state owns cells through one [`decomp::OwnerTable`]: the Cartesian
-//! cuts, one unit per rank, or the virtual processors of a [`VpGrid`] on
-//! the cores a VP→core table names:
+//! state owns cells through one [`pic_core::owner::OwnerTable`]: the
+//! Cartesian cuts, one unit per rank, or the virtual processors of a
+//! [`VpGrid`] on the cores a VP→core table names:
 //!
 //! * `BalancerSpec::Static` — **`mpi-2d`** (paper §IV-A): static 2D block
 //!   decomposition, no load balancing. Each rank advances the particles in

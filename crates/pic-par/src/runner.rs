@@ -4,7 +4,7 @@
 //! the VPs on their cores — for its store build, events, exchanges and
 //! VP counts.
 
-use crate::decomp::{Decomp2d, OwnerTable, VpGrid};
+use crate::decomp::{Decomp2d, VpGrid};
 use crate::exchange::{route_binned, ExchangeBuffers};
 use pic_cluster::balancer::Layout;
 use pic_comm::collective::{
@@ -16,6 +16,7 @@ use pic_core::charge::SimConstants;
 use pic_core::events::EventLedger;
 use pic_core::geometry::Grid;
 use pic_core::init::SimulationSetup;
+use pic_core::owner::OwnerTable;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
 use pic_core::soa::ParticleBatch;
@@ -152,7 +153,7 @@ impl RankState {
         rank: usize,
         kernel: RankKernel,
     ) -> RankState {
-        let owners = OwnerTable::new(&decomp);
+        let owners = OwnerTable::new(&decomp.xcuts, &decomp.ycuts);
         RankState::build(setup, decomp, owners, Vec::new(), rank, kernel)
     }
 
@@ -169,7 +170,7 @@ impl RankState {
     ) -> RankState {
         let decomp = Decomp2d::uniform_grid(setup.grid.ncells(), vps.px, vps.py);
         let assignment = vps.initial_assignment();
-        let mut owners = OwnerTable::new(vps.decomp());
+        let mut owners = vps.owners.clone();
         owners.set_cores(&assignment);
         RankState::build(setup, decomp, owners, assignment, rank, kernel)
     }
@@ -279,7 +280,7 @@ impl RankState {
         let owners = &self.owners;
         route_binned(
             comm,
-            owners.map(&self.grid, self.rank),
+            owners.map(self.rank),
             |c, r| owners.owner_of_cell(c, r),
             &mut self.store,
             &self.grid,
@@ -343,8 +344,7 @@ impl RankState {
         self.lb_scratch.clear();
         self.lb_scratch.resize(self.vp_assignment.len(), 0);
         let (batch, backend) = (self.store.batch(), self.store.simd_backend());
-        let cells = self.owners.cells(&self.grid, self.rank);
-        cells.count_into(
+        self.owners.count_into(
             backend,
             &self.grid,
             &batch.x,
@@ -389,7 +389,7 @@ impl RankState {
     /// table's cuts never move.
     fn refresh_owners(&mut self) {
         if self.vp_assignment.is_empty() {
-            self.owners.refresh(&self.decomp);
+            self.owners.refresh(&self.decomp.xcuts, &self.decomp.ycuts);
         }
     }
 

@@ -7,8 +7,8 @@
 //! option; every hot-path method is `#[inline]` and reduces to one null
 //! check — no clock reads, no allocation, no branching on record
 //! contents. `tests/disabled_overhead.rs` pins this with the workspace
-//! counting-allocator pattern, and `benches/trace_overhead.rs` guards the
-//! sweep loop.
+//! counting-allocator pattern; its time is guarded by the benchmark's
+//! end-to-end `run_s`, whose workloads run with the tracer disabled.
 //!
 //! # Record stream
 //!

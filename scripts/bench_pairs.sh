@@ -24,12 +24,18 @@
 #   within bound  neither.
 #
 # Each block is also appended as one JSON line to BENCH_e2e.jsonl at the
-# repo root: the parent and change revisions (the change's with a dirty
-# flag for uncommitted edits), the host's CPU model and count, workload,
-# the seed and kernel the runs' `stamp` lines report (the harness's
-# default seed when SEED is not given), pairs, and per metric the two
-# medians, the parent's IQR, the change-lower count, the gain rule and the
-# regression verdict. Commit the lines a change measured.
+# repo root: the parent and change revisions, the host's CPU model and
+# count, workload, the seed and kernel the runs' `stamp` lines report (the
+# harness's default seed when SEED is not given), pairs, and per metric
+# the two medians, the parent's IQR, the change-lower count, the gain rule
+# and the regression verdict. Commit the lines a change measured.
+#
+# The change revision names the code the runs measured: HEAD on a clean
+# tree; otherwise, with "dirty": true, the commit `git stash create` makes
+# of the tracked edits (written to the object store only: no ref, index
+# or file changes). Untracked files are built but not in that commit, so
+# `git add` new sources before a run. The commit is unreferenced; keep it
+# with `git stash store HASH` or a tag where it must outlive `git gc`.
 #
 # Exits non-zero if a build fails, if the two sides of a pair report a
 # different seed, kernel or shape (`ncells`, `n`, `steps`, `smoke`) in
@@ -67,6 +73,10 @@ change_rev="$(git rev-parse HEAD)"
 dirty=false
 if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
     dirty=true
+    change_rev="$(git stash create)"
+    if [ -z "$change_rev" ]; then
+        change_rev="$(git rev-parse HEAD)"
+    fi
 fi
 
 work="$root/target/pairs"

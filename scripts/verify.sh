@@ -24,7 +24,22 @@ PIC_NO_SIMD=1 cargo test -q --no-fail-fast
 # The corner-fold suite's NaN-lane case, and the owner classifiers' lanes
 # outside the domain (NaN, ±inf, negatives), need a build without the
 # debug range checks (they reject such coordinates before any arithmetic).
-cargo test -q --release -p pic-core --lib -- simd:: bin::tests::owner_classifiers
+# Each filter runs on its own, and one that matches no test (after a
+# rename or a move) fails the step instead of passing empty.
+release_lib_tests() {
+    local out
+    out="$(cargo test -q --release -p pic-core --lib -- "$1" 2>&1)" || {
+        printf '%s\n' "$out"
+        return 1
+    }
+    printf '%s\n' "$out"
+    grep -qE '^running [1-9][0-9]* tests?$' <<<"$out" || {
+        echo "error: no pic-core release test matches '$1'" >&2
+        return 1
+    }
+}
+release_lib_tests simd::
+release_lib_tests owner::tests::owner_classifiers
 
 echo "==> cargo fmt --check"
 cargo fmt --check
