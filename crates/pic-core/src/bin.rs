@@ -38,19 +38,20 @@
 //!
 //! ## Bit-exactness
 //!
-//! `advance_bin_span` performs, per particle, the *same sequence of
-//! floating-point operations* as the unbinned sweep (`total_force` +
-//! eqs. 1–2): same `coulomb` corner evaluations in the same pairing, same
-//! integration, same wrap. The store changes traversal order only, and
-//! particles are independent within a step, so the resulting population
-//! is bit-identical to the AoS oracle ([`crate::reference`]) — asserted by
-//! the property tests and the rank suites. Canonical
-//! (ascending-id) order is restored on export by [`BinnedStore::to_particles`].
+//! The span kernel (`simd::advance_bin_span_simd`, one generic body at
+//! every backend's width and at one lane) performs, per particle, the
+//! *same sequence of floating-point operations* as the unbinned sweep
+//! (`total_force` + eqs. 1–2): same `coulomb` corner evaluations in the
+//! same pairing, same integration, same wrap. The store changes traversal
+//! order only, and particles are independent within a step, so the
+//! resulting population is bit-identical to the AoS oracle
+//! ([`crate::reference`]) — asserted by the property tests and the rank
+//! suites. Canonical (ascending-id) order is restored on export by
+//! [`BinnedStore::to_particles`].
 
-use crate::charge::{coulomb, mesh_charge, SimConstants};
+use crate::charge::{mesh_charge, SimConstants};
 use crate::events::Region;
 use crate::geometry::Grid;
-use crate::owner::mark_by_cell;
 use crate::particle::Particle;
 use crate::pool::{self, SyncMutPtr};
 use crate::simd::{self, SimdBackend};
@@ -547,10 +548,18 @@ pub trait Classifier {
     }
 }
 
+/// The keep rule one point at a time. Zipped slices: no bounds checks, and
+/// a rule that ignores the row leaves the `y` load dead. The store sits
+/// behind a branch: leavers are rare, so the common path is the test alone.
 impl<F: FnMut(usize, usize) -> bool> Classifier for F {
     #[inline]
     fn leavers(&mut self, _: SimdBackend, grid: &Grid, x: &[f64], y: &[f64], leave: &mut [u64]) {
-        mark_by_cell(grid, x, y, leave, 0, self);
+        for (j, (&x, &y)) in x.iter().zip(y).enumerate() {
+            let (c, r) = grid.cell_of_point(x, y);
+            if !self(c, r) {
+                leave[j / 64] |= 1 << (j % 64);
+            }
+        }
     }
 }
 
@@ -582,93 +591,6 @@ fn push_leaver(runs: &mut Vec<LeaverRun>, floor: usize, i: u32, dst: u32) {
             len: 1,
             dst,
         }),
-    }
-}
-
-/// The force-and-integrate half of the parity-specialized sweep kernel
-/// ([`advance_bin_span`]), exposed separately so the SIMD layer can run
-/// span tails (`len mod 4`) through exactly this code. `q_left` is the
-/// hoisted left-corner charge of the span's phase.
-#[inline(always)]
-pub(crate) fn force_span(
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    let dt = consts.dt;
-    let h = consts.h;
-    for i in 0..x.len() {
-        let xi = x[i];
-        let yi = y[i];
-        // `cell_of` minus the defensive clamp: wrapped coordinates lie in
-        // [0, L), where the truncation alone yields the identical index.
-        let col = xi as usize;
-        let row = yi as usize;
-        let q_right = -q_left;
-        // The phase contract (module docs): every particle in the span
-        // agrees with the hoisted corner charge.
-        debug_assert_eq!(mesh_charge(col, consts.q), q_left, "parity drift at x={xi}");
-        let rx = xi - col as f64;
-        let ry = yi - row as f64;
-        let qp = q[i];
-        let (fx0, fy0) = coulomb(rx, ry, q_left, qp); // bottom-left
-        let (fx1, fy1) = coulomb(rx, ry - h, q_left, qp); // top-left
-        let (fx2, fy2) = coulomb(rx - h, ry, q_right, qp); // bottom-right
-        let (fx3, fy3) = coulomb(rx - h, ry - h, q_right, qp); // top-right
-        let ax = (fx0 + fx1) + (fx2 + fx3);
-        let ay = (fy0 + fy1) + (fy2 + fy3);
-        x[i] = xi + (vx[i] + 0.5 * ax * dt) * dt;
-        y[i] = yi + (vy[i] + 0.5 * ay * dt) * dt;
-        vx[i] += ax * dt;
-        vy[i] += ay * dt;
-    }
-}
-
-/// The parity-specialized sweep kernel: eqs. 1–2 over one span whose
-/// mesh-corner pair `q_left` (left column) and `−q_left` (right
-/// column) is one hoisted value shared by the span, whose particles are
-/// of one phase. This is the scalar reference
-/// the SIMD backends ([`crate::simd`]) are proven bit-identical against,
-/// and the kernel the `Scalar` backend runs directly.
-///
-/// Per particle this is the *same operation sequence* as
-/// `total_force` + [`crate::motion::advance_particle`]: the same four [`coulomb`]
-/// corner evaluations in the same pairing, the same half-acceleration
-/// integration, the same wrap. What the phase split removes is per-particle
-/// work that is invariant across the span: the `mesh_charge` parity
-/// branches are gone (hoisted to `q_left`), and the force/integrate loop
-/// ([`force_span`]) is split from the (branchy) wrap pass so the hot loop
-/// is branch-free — `coulomb`'s zero-distance guard is a value select —
-/// and eligible for autovectorization. Splitting is bit-neutral:
-/// particles are independent and each particle's own operation order is
-/// unchanged.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn advance_bin_span(
-    grid: &Grid,
-    consts: &SimConstants,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) {
-    #[cfg(debug_assertions)]
-    for i in 0..x.len() {
-        debug_assert_eq!(
-            (x[i] as usize, y[i] as usize),
-            grid.cell_of_point(x[i], y[i])
-        );
-    }
-    force_span(consts, q_left, x, y, vx, vy, q);
-    for i in 0..x.len() {
-        x[i] = grid.wrap_coord(x[i]);
-        y[i] = grid.wrap_coord(y[i]);
     }
 }
 

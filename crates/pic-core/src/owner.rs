@@ -21,11 +21,12 @@ use crate::simd::{self, SimdBackend};
 /// compares them (O(px + py)) before every use; a stale table cannot
 /// survive a cut move, however the move was made.
 ///
-/// The vector backends gather from the tables unchecked, on what a build
-/// asserts: cuts that start at 0, rise strictly and end at one side length
-/// (so `col` and `row` hold a side's cells and every `col[c] + row[r]` is
-/// a unit), and one core per unit. A classifier or a count then checks
-/// only that the table spans the grid it reads, O(1).
+/// The classifiers read the tables unchecked at every width, one lane
+/// included, on what a build asserts: cuts that start at 0, rise strictly
+/// and end at one side length (so `col` and `row` hold a side's cells and
+/// every `col[c] + row[r]` is a unit), and one core per unit. A classifier
+/// or a count then checks only that the table spans the grid it reads,
+/// O(1).
 #[derive(Debug, Clone, Default)]
 pub struct OwnerTable {
     xcuts: Vec<usize>,
@@ -133,16 +134,7 @@ impl OwnerTable {
         simd::count_cells(backend, grid, self, x, y, counts);
     }
 
-    /// [`Self::count_into`] one point at a time.
-    #[inline]
-    pub(crate) fn count_scalar(&self, grid: &Grid, x: &[f64], y: &[f64], counts: &mut [u64]) {
-        for (&x, &y) in x.iter().zip(y) {
-            let (c, r) = grid.cell_of_point(x, y);
-            counts[self.unit_of_cell(c, r)] += 1;
-        }
-    }
-
-    /// The tables `(col, row, core)` the vector gathers read.
+    /// The tables `(col, row, core)` the classifiers' gathers read.
     #[inline]
     pub(crate) fn tables(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.col, &self.row, &self.core)
@@ -152,28 +144,6 @@ impl OwnerTable {
     /// reads inside `col` and `row`.
     fn assert_spans(&self, grid: &Grid) {
         assert_eq!(self.col.len(), grid.ncells(), "table and grid sides differ");
-    }
-}
-
-/// Set bit `from + j` of `leave` for each point `j` whose cell `keep`
-/// rejects — the scalar rule. Zipped slices: no bounds checks, and a
-/// `keep` that ignores the row leaves the `y` load dead. The store sits
-/// behind a branch: leavers are rare, so the common path is the test
-/// alone, as cheap as the per-particle drain loop this replaced.
-#[inline(always)]
-pub(crate) fn mark_by_cell(
-    grid: &Grid,
-    x: &[f64],
-    y: &[f64],
-    leave: &mut [u64],
-    from: usize,
-    mut keep: impl FnMut(usize, usize) -> bool,
-) {
-    for (j, (&x, &y)) in (from..).zip(x.iter().zip(y)) {
-        let (c, r) = grid.cell_of_point(x, y);
-        if !keep(c, r) {
-            leave[j / 64] |= 1 << (j % 64);
-        }
     }
 }
 
@@ -189,29 +159,6 @@ pub enum OwnerMap<'a> {
     /// A 2-D map (VP tiles, or cuts with more than one processor row):
     /// core `me` keeps the cells `table` gives it.
     Cells { table: &'a OwnerTable, me: u32 },
-}
-
-impl OwnerMap<'_> {
-    /// The scalar rule: bit `from + j` of `leave` for each point `j` this
-    /// rank does not keep.
-    #[inline]
-    pub(crate) fn mark_leavers(
-        &self,
-        grid: &Grid,
-        x: &[f64],
-        y: &[f64],
-        leave: &mut [u64],
-        from: usize,
-    ) {
-        match *self {
-            OwnerMap::Columns { lo, hi } => {
-                mark_by_cell(grid, x, y, leave, from, |c, _| (lo..hi).contains(&c))
-            }
-            OwnerMap::Cells { table, me } => mark_by_cell(grid, x, y, leave, from, |c, r| {
-                table.owner_of_cell(c, r) == me as usize
-            }),
-        }
-    }
 }
 
 impl Classifier for OwnerMap<'_> {

@@ -1,13 +1,15 @@
-//! Explicit SIMD backends for the binned sweep kernel.
+//! The span kernel of the binned sweep and the owner classifiers, each one
+//! generic body over `Lanes` (**lane per particle**).
 //!
-//! The binned kernel (`advance_bin_span`, see [`crate::bin`]) was shaped
-//! branch-free so the compiler *could* vectorize it, but the baseline
-//! x86-64 target only licenses 2-lane SSE2 autovectorization and the
-//! sqrt/divide chain in [`coulomb`] dominates the critical path. This
-//! module vectorizes the kernel by hand, four particles per iteration (eight on AVX-512)
-//! (**lane-per-particle**), with the widest instruction set the host
-//! actually has — selected once at engine construction, not at compile
-//! time, so one binary serves every deployment target.
+//! The sqrt/divide chain in [`coulomb`] dominates the sweep's critical
+//! path, and the baseline x86-64 target only licenses 2-lane SSE2
+//! autovectorization, so the kernel is vectorized by hand: four particles
+//! per iteration (eight on AVX-512), with the widest instruction set the
+//! host actually has — selected once at engine construction, not at
+//! compile time, so one binary serves every deployment target. The same
+//! bodies run at one lane (`f64` implements `Lanes` and `OwnerLanes`)
+//! for the `Scalar` backend and for the `len mod WIDTH` tail of every
+//! vector call.
 //!
 //! ## Backends
 //!
@@ -19,11 +21,11 @@
 //! * [`SimdBackend::Avx2`] — one 256-bit register per quartet (x86-64,
 //!   runtime-detected via `is_x86_feature_detected!`). AVX2 only: the
 //!   backend deliberately does **not** enable FMA, because a fused
-//!   multiply-add rounds once where the scalar kernel rounds twice and
+//!   multiply-add rounds once where the oracle rounds twice and
 //!   would break bit-identity.
 //! * [`SimdBackend::Sse2`] — two 128-bit registers per quartet; SSE2 is
 //!   part of the x86-64 baseline, so this backend needs no detection.
-//! * [`SimdBackend::Scalar`] — the scalar reference kernel itself. Always
+//! * [`SimdBackend::Scalar`] — the generic bodies at one lane. Always
 //!   available, the only backend off x86-64, and forcible at runtime with
 //!   `PIC_NO_SIMD=1` for A/B measurements and for keeping the fallback
 //!   path under test on vector-capable hosts.
@@ -34,10 +36,10 @@
 //! supported backend, i.e. each lane computes exactly what the scalar
 //! instruction computes on that lane's operands. The kernel assigns one
 //! particle per lane and performs, per lane, the *same operation sequence
-//! in the same order* as the scalar kernel — the four corner evaluations
-//! are unrolled across the lane group in the scalar kernel's pairing and
-//! summation order, nothing is reassociated across a particle's own
-//! arithmetic, and no FMA contraction is permitted. The one licensed
+//! in the same order* as the AoS oracle (`total_force` and
+//! [`crate::motion::advance_particle`]) — the four corner evaluations in
+//! its pairing and summation order, nothing reassociated across a
+//! particle's own arithmetic, and no FMA contraction is permitted. The one licensed
 //! shortcut reuses a value instead of recomputing it (the folds, see
 //! `force_groups`): a group whose lanes all sit at exact cell mid-height
 //! takes each column's top-corner `f/r` from the bottom corner, and one
@@ -46,13 +48,13 @@
 //! shares; a group centred on both axes whose every lane carries the
 //! span's first charge takes its whole force from four constants of the
 //! call, evaluated once by the same operations on the same bits. Span tails
-//! (`len mod WIDTH`) run the scalar kernel unchanged, and the wrap pass
-//! takes each lane through the exact scalar [`Grid::wrap_coord`] whenever
-//! any lane left the domain.
+//! (`len mod WIDTH`) run the same body at one lane, folds included, and the
+//! wrap pass takes each lane through the exact scalar [`Grid::wrap_coord`]
+//! whenever any lane left the domain.
 //! Particles are independent within a step, so processing them four at a
 //! time changes *where* arithmetic happens, never *what* arithmetic
-//! happens — asserted by the SIMD-vs-scalar property-test family across
-//! every backend the host can run.
+//! happens — asserted against the oracle, per particle, across every
+//! backend the host can run.
 //!
 //! [`coulomb`]: crate::charge::coulomb
 
@@ -64,7 +66,8 @@ use crate::owner::{OwnerMap, OwnerTable};
 /// fixed width; AVX-512 runs `Lanes::WIDTH` = 8).
 pub const LANES: usize = 4;
 
-/// The instruction-set backend driving `advance_bin_span_simd`.
+/// The instruction-set backend driving the span kernel and the owner
+/// classifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// 8 × f64 in one 512-bit register (x86-64, runtime-detected).
@@ -77,7 +80,7 @@ pub enum SimdBackend {
     /// 4 × f64 in two 128-bit registers (x86-64 baseline).
     #[cfg(target_arch = "x86_64")]
     Sse2,
-    /// The scalar reference kernel (any arch; forced by `PIC_NO_SIMD=1`).
+    /// The generic bodies at one lane (any arch; forced by `PIC_NO_SIMD=1`).
     Scalar,
 }
 
@@ -142,12 +145,6 @@ impl SimdBackend {
         }
     }
 
-    /// Whether this backend uses vector registers (false only for the
-    /// scalar fallback).
-    pub fn is_vector(self) -> bool {
-        self != SimdBackend::Scalar
-    }
-
     /// f64 lanes per kernel iteration on this backend (1 for scalar).
     pub fn lanes(self) -> usize {
         match self {
@@ -200,8 +197,8 @@ pub(crate) trait Lanes: Copy {
     fn div(self, o: Self) -> Self;
     fn sqrt(self) -> Self;
     /// Truncate toward zero through the arch's f64→int→f64 round trip —
-    /// exactly the scalar kernel's `x as usize as f64` for in-domain
-    /// coordinates (which fit comfortably in the narrowest intermediate,
+    /// exactly the column [`Grid::cell_of`] gives an in-domain coordinate
+    /// (on the vector backends, one that fits the narrowest intermediate,
     /// i32).
     fn trunc(self) -> Self;
     /// Zero every lane of `self` whose lane in `r2` equals `0.0` — the
@@ -222,7 +219,8 @@ pub(crate) trait Lanes: Copy {
 /// The ops of the owner classifiers ([`crate::owner::OwnerMap`]): the
 /// saturating cell index of [`Grid::cell_of`] per lane, and `u32` table
 /// lanes beside the `f64` ones. Implemented by the two backends with a
-/// gather (AVX-512 and AVX2); the others classify through the scalar rule.
+/// gather (AVX-512 and AVX2) and by one lane, which classifies for the
+/// others and for every tail.
 pub(crate) trait OwnerLanes: Lanes {
     /// [`Lanes::WIDTH`] `u32` lanes.
     type Index: Copy;
@@ -608,13 +606,123 @@ mod x86 {
     }
 }
 
-/// Force-and-integrate over `groups` quartets starting at the span base —
-/// the vector transcription of the scalar kernel's first loop, lane per
-/// particle, four corner evaluations unrolled in the scalar pairing and
-/// summation order ([`group_force`]). The corner charges `q_left` and
-/// `−q_left` are hoisted: every particle of a span shares one column
-/// parity (the store's phase contract, [`crate::bin`]), so both splat once
-/// outside the loop.
+/// One lane: the `Scalar` backend, and the `len mod WIDTH` tail of every
+/// vector call. Each op is the scalar instruction itself; the truncation
+/// is [`Grid::cell_of`]'s narrow cast, exact over the whole domain.
+impl Lanes for f64 {
+    const WIDTH: usize = 1;
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        *p
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        *p = self
+    }
+
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        v
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self * o
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        self / o
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+
+    #[inline(always)]
+    fn trunc(self) -> Self {
+        self as u32 as f64
+    }
+
+    #[inline(always)]
+    fn zero_where_zero(self, r2: Self) -> Self {
+        if r2 == 0.0 {
+            0.0
+        } else {
+            self
+        }
+    }
+
+    #[inline(always)]
+    fn all_in_range(self, hi: f64) -> bool {
+        (0.0..hi).contains(&self)
+    }
+
+    #[inline(always)]
+    fn all_eq(self, o: Self) -> bool {
+        self == o
+    }
+}
+
+impl OwnerLanes for f64 {
+    type Index = u32;
+
+    #[inline(always)]
+    fn clamp_cell(self, last: Self) -> Self {
+        // `max` answers the number when either operand is NaN.
+        self.max(0.0).min(last)
+    }
+
+    #[inline(always)]
+    fn within(self, lo: Self, hi: Self) -> u64 {
+        u64::from(lo <= self && self < hi)
+    }
+
+    #[inline(always)]
+    fn index(self) -> u32 {
+        self as u32
+    }
+
+    #[inline(always)]
+    unsafe fn gather(tab: *const u32, i: u32) -> u32 {
+        *tab.add(i as usize)
+    }
+
+    #[inline(always)]
+    fn add_index(a: u32, b: u32) -> u32 {
+        a.wrapping_add(b)
+    }
+
+    #[inline(always)]
+    fn index_eq(i: u32, v: u32) -> u64 {
+        u64::from(i == v)
+    }
+
+    #[inline(always)]
+    unsafe fn store_index(i: u32, out: *mut u32) {
+        *out = i
+    }
+}
+
+/// Force-and-integrate over `groups` groups starting at the span base —
+/// eqs. 1–2 lane per particle, the four corner evaluations in the
+/// oracle's pairing and summation order ([`group_force`]). The corner
+/// charges `q_left` and `−q_left` are hoisted: every particle of a span
+/// shares one column parity (the store's phase contract, [`crate::bin`]),
+/// so both splat once outside the loop.
 ///
 /// **The force fold.** A group whose lanes all sit exactly at the cell
 /// centre on both axes ([`mid_cell_lanes`], tested on the `rx`, `ry`,
@@ -632,10 +740,9 @@ mod x86 {
 /// never force-folds.
 ///
 /// Any other group runs [`group_force`] itself, with the corner folds that
-/// hold — as a whole, on the axes where all its lanes are centred. The
-/// scalar kernel ([`crate::bin::force_span`]: span tails, the `Scalar`
-/// backend) folds nothing: it is not divider-bound, and a premise test
-/// there costs more than the fold saves.
+/// hold — as a whole, on the axes where all its lanes are centred. At one
+/// lane (span tails, the `Scalar` backend) a group is one particle, and
+/// the folds apply to it alone.
 ///
 /// # Safety
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
@@ -665,9 +772,9 @@ unsafe fn force_groups<V: Lanes>(
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
         let yi = V::load(y.add(o));
-        // `cell_of` minus the defensive clamp, as in the scalar kernel:
-        // wrapped coordinates lie in [0, L) where truncation alone yields
-        // the identical column/row index.
+        // `cell_of` minus the defensive clamp: wrapped coordinates lie in
+        // [0, L), where truncation alone yields the identical column/row
+        // index.
         let col = xi.trunc();
         let row = yi.trunc();
         let rx = xi.sub(col);
@@ -685,7 +792,7 @@ unsafe fn force_groups<V: Lanes>(
         };
         let vxi = V::load(vx.add(o));
         let vyi = V::load(vy.add(o));
-        // x += (vx + 0.5·ax·dt)·dt — same association as the scalar kernel.
+        // x += (vx + 0.5·ax·dt)·dt — same association as the oracle.
         xi.add(vxi.add(kick.x).mul(dt)).store(x.add(o));
         yi.add(vyi.add(kick.y).mul(dt)).store(y.add(o));
         vxi.add(kick.vx).store(vx.add(o));
@@ -695,7 +802,7 @@ unsafe fn force_groups<V: Lanes>(
 
 /// What one step's acceleration `(ax, ay)` adds per lane: `½·a·dt` to the
 /// velocity that moves the position, `a·dt` to the velocity itself — the
-/// scalar kernel's `(0.5·a)·dt` and `a·dt`, in its association.
+/// oracle's `(0.5·a)·dt` and `a·dt`, in its association.
 #[derive(Clone, Copy)]
 struct Kick<V> {
     x: V,
@@ -738,8 +845,8 @@ fn centre_kick<V: Lanes>(consts: &SimConstants, ql: V, qr: V, q_span: V) -> Kick
 
 /// The force on one group, `r = [rx, ry, rxh, ryh]` the displacements from
 /// the bottom-left and top-right corners, `[q_left, q_right, q_p]` the
-/// charges: the four corner `f/r` times their displacements, in the scalar
-/// kernel's pairing `(f0 + f1) + (f2 + f3)`.
+/// charges: the four corner `f/r` times their displacements, in the
+/// oracle's pairing `(f0 + f1) + (f2 + f3)`.
 ///
 /// **The corner folds.** The four corner forces on a particle at the cell
 /// centre are pairwise mirror images, so `f/r` — the `sqrt` and the `div`
@@ -848,10 +955,10 @@ fn lanes_of<V: Lanes>(v: V) -> [f64; 8] {
     out
 }
 
-/// Periodic wrap over `groups` quartets: a vector range test selects the
-/// (overwhelmingly common) all-in-domain fast path; any quartet with an
+/// Periodic wrap over `groups` groups: a vector range test selects the
+/// (overwhelmingly common) all-in-domain fast path; any group with an
 /// escaped lane goes through the exact scalar [`Grid::wrap_coord`], so the
-/// pass is bit-identical to the scalar wrap loop by construction.
+/// pass is bit-identical to the oracle's wrap by construction.
 ///
 /// # Safety
 /// `c` must be valid for `groups * V::WIDTH` elements.
@@ -869,9 +976,11 @@ unsafe fn wrap_groups<V: Lanes>(grid: &Grid, c: *mut f64, groups: usize) {
     }
 }
 
-/// The full span kernel for one vector backend: quartets through
-/// [`force_groups`], the `len mod 4` tail through the scalar kernel, then
-/// the wrap pass (vector fast-path test, scalar wrap for escaped lanes).
+/// The span kernel at the width of `V`: the whole groups of the span
+/// through [`force_groups`], then the wrap pass (vector fast-path test,
+/// scalar wrap for escaped lanes). Returns how many particles it advanced,
+/// `len − len mod WIDTH`; [`advance_bin_span_simd`] runs the rest through
+/// this body at one lane.
 ///
 /// # Safety
 /// Vector ops of `V` must be executable on the current CPU; the caller
@@ -887,11 +996,11 @@ unsafe fn advance_span_lanes<V: Lanes>(
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
-) {
-    let n = x.len();
-    debug_assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
-    // The scalar kernel's per-particle invariant checks, hoisted out of
-    // the vector loop (debug builds only).
+) -> usize {
+    let groups = x.len() / V::WIDTH;
+    let n = groups * V::WIDTH;
+    // Per-particle invariant checks, hoisted out of the loop (debug
+    // builds only).
     #[cfg(debug_assertions)]
     for i in 0..n {
         let (col, row) = grid.cell_of_point(x[i], y[i]);
@@ -903,8 +1012,6 @@ unsafe fn advance_span_lanes<V: Lanes>(
             x[i]
         );
     }
-    let groups = n / V::WIDTH;
-    let tail = groups * V::WIDTH;
     force_groups::<V>(
         consts,
         q_left,
@@ -915,21 +1022,9 @@ unsafe fn advance_span_lanes<V: Lanes>(
         q.as_ptr(),
         groups,
     );
-    crate::bin::force_span(
-        consts,
-        q_left,
-        &mut x[tail..],
-        &mut y[tail..],
-        &mut vx[tail..],
-        &mut vy[tail..],
-        &q[tail..],
-    );
     wrap_groups::<V>(grid, x.as_mut_ptr(), groups);
     wrap_groups::<V>(grid, y.as_mut_ptr(), groups);
-    for i in tail..n {
-        x[i] = grid.wrap_coord(x[i]);
-        y[i] = grid.wrap_coord(y[i]);
-    }
+    n
 }
 
 /// AVX2 instantiation. `#[target_feature]` licenses 256-bit codegen for
@@ -950,7 +1045,7 @@ unsafe fn advance_span_avx2(
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
-) {
+) -> usize {
     advance_span_lanes::<x86::Avx2>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
@@ -971,14 +1066,14 @@ unsafe fn advance_span_avx512(
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
-) {
+) -> usize {
     advance_span_lanes::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
 }
 
-/// Advance one span with the selected backend — the SIMD counterpart of
-/// [`crate::bin::advance_bin_span`], bit-identical to it (and therefore to
-/// the AoS oracle) on every backend, for a span whose particles all sit
-/// in columns of `q_left`'s parity.
+/// Advance one span with the selected backend: its whole groups at the
+/// backend's width, the rest (all of it on `Scalar`) through the same body
+/// at one lane — bit-identical to the AoS oracle on every backend, for a
+/// span whose particles all sit in columns of `q_left`'s parity.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_bin_span_simd(
     backend: SimdBackend,
@@ -991,19 +1086,33 @@ pub(crate) fn advance_bin_span_simd(
     vy: &mut [f64],
     q: &[f64],
 ) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => unsafe {
-            advance_span_avx512(grid, consts, q_left, x, y, vx, vy, q)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q) },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => unsafe {
-            // SSE2 is unconditionally present on x86-64.
-            advance_span_lanes::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
-        },
-        SimdBackend::Scalar => crate::bin::advance_bin_span(grid, consts, q_left, x, y, vx, vy, q),
+    let n = x.len();
+    debug_assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
+    // SAFETY: a vector backend is only ever one the CPU was detected to
+    // run (`SimdBackend::detect` / `available`; SSE2 is unconditionally
+    // present on x86-64), and one lane needs no extension at all.
+    unsafe {
+        let done = match backend {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => advance_span_avx512(grid, consts, q_left, x, y, vx, vy, q),
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q),
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Sse2 => {
+                advance_span_lanes::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
+            }
+            SimdBackend::Scalar => 0,
+        };
+        advance_span_lanes::<f64>(
+            grid,
+            consts,
+            q_left,
+            &mut x[done..],
+            &mut y[done..],
+            &mut vx[done..],
+            &mut vy[done..],
+            &q[done..],
+        );
     }
 }
 
@@ -1028,9 +1137,10 @@ unsafe fn cell_index<V: OwnerLanes>(
     V::add_index(V::gather(col.as_ptr(), c), V::gather(row.as_ptr(), r))
 }
 
-/// The owner classifier on one vector backend: whole groups through the
-/// lane ops, the `len mod WIDTH` tail through the scalar rule. Sets bit
-/// `j % 64` of `leave[j / 64]` for each lane `j` that leaves.
+/// The owner classifier at the width of `V`, over the whole groups of
+/// `x`/`y`: sets bit `j % 64` of `leave[j / 64]`, `j = from + i`, for each
+/// lane `i` that leaves. Returns how many lanes it classified; `from` is
+/// where `x` starts in the span `leave` covers, a multiple of `WIDTH`.
 ///
 /// # Safety
 /// Vector ops of `V` must be executable on the current CPU, and a
@@ -1042,13 +1152,17 @@ unsafe fn owner_leavers_lanes<V: OwnerLanes>(
     x: &[f64],
     y: &[f64],
     leave: &mut [u64],
-) {
+    from: usize,
+) -> usize {
     let groups = x.len() / V::WIDTH;
     let last = V::splat((grid.ncells() - 1) as f64);
     let (xp, yp) = (x.as_ptr(), y.as_ptr());
     let lanes = u64::MAX >> (64 - V::WIDTH);
     // `WIDTH` divides 64, so a group's lanes share one word.
-    let mut put = |o: usize, keep: u64| leave[o / 64] |= (!keep & lanes) << (o % 64);
+    let mut put = |o: usize, keep: u64| {
+        let j = from + o;
+        leave[j / 64] |= (!keep & lanes) << (j % 64)
+    };
     match map {
         OwnerMap::Columns { lo, hi } => {
             let (lo, hi) = (V::splat(*lo as f64), V::splat(*hi as f64));
@@ -1069,12 +1183,12 @@ unsafe fn owner_leavers_lanes<V: OwnerLanes>(
             }
         }
     }
-    let tail = groups * V::WIDTH;
-    map.mark_leavers(grid, &x[tail..], &y[tail..], leave, tail);
+    groups * V::WIDTH
 }
 
-/// `counts[col[c] + row[r]] += 1` for each point's cell on one vector
-/// backend (the scalar rule for the tail).
+/// `counts[col[c] + row[r]] += 1` for each point's cell, over the whole
+/// groups of `x`/`y` at the width of `V`. Returns how many points it
+/// counted.
 ///
 /// # Safety
 /// Vector ops of `V` must be executable on the current CPU, and `t` must
@@ -1086,7 +1200,7 @@ unsafe fn count_cells_lanes<V: OwnerLanes>(
     x: &[f64],
     y: &[f64],
     counts: &mut [u64],
-) {
+) -> usize {
     let groups = x.len() / V::WIDTH;
     let last = V::splat((grid.ncells() - 1) as f64);
     let mut idx = [0u32; 8];
@@ -1097,8 +1211,7 @@ unsafe fn count_cells_lanes<V: OwnerLanes>(
             counts[i as usize] += 1;
         }
     }
-    let tail = groups * V::WIDTH;
-    t.count_scalar(grid, &x[tail..], &y[tail..], counts);
+    groups * V::WIDTH
 }
 
 /// AVX-512 instantiations of the owner classifier and the cell count.
@@ -1113,8 +1226,8 @@ unsafe fn owner_leavers_avx512(
     x: &[f64],
     y: &[f64],
     leave: &mut [u64],
-) {
-    owner_leavers_lanes::<x86::Avx512>(grid, map, x, y, leave)
+) -> usize {
+    owner_leavers_lanes::<x86::Avx512>(grid, map, x, y, leave, 0)
 }
 
 /// See [`owner_leavers_avx512`].
@@ -1123,7 +1236,13 @@ unsafe fn owner_leavers_avx512(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn count_cells_avx512(grid: &Grid, t: &OwnerTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+unsafe fn count_cells_avx512(
+    grid: &Grid,
+    t: &OwnerTable,
+    x: &[f64],
+    y: &[f64],
+    c: &mut [u64],
+) -> usize {
     count_cells_lanes::<x86::Avx512>(grid, t, x, y, c)
 }
 
@@ -1133,8 +1252,14 @@ unsafe fn count_cells_avx512(grid: &Grid, t: &OwnerTable, x: &[f64], y: &[f64], 
 /// The CPU must support AVX2 (guaranteed by [`SimdBackend::detect`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn owner_leavers_avx2(grid: &Grid, map: &OwnerMap, x: &[f64], y: &[f64], leave: &mut [u64]) {
-    owner_leavers_lanes::<x86::Avx2>(grid, map, x, y, leave)
+unsafe fn owner_leavers_avx2(
+    grid: &Grid,
+    map: &OwnerMap,
+    x: &[f64],
+    y: &[f64],
+    leave: &mut [u64],
+) -> usize {
+    owner_leavers_lanes::<x86::Avx2>(grid, map, x, y, leave, 0)
 }
 
 /// See [`owner_leavers_avx2`].
@@ -1143,13 +1268,19 @@ unsafe fn owner_leavers_avx2(grid: &Grid, map: &OwnerMap, x: &[f64], y: &[f64], 
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn count_cells_avx2(grid: &Grid, t: &OwnerTable, x: &[f64], y: &[f64], c: &mut [u64]) {
+unsafe fn count_cells_avx2(
+    grid: &Grid,
+    t: &OwnerTable,
+    x: &[f64],
+    y: &[f64],
+    c: &mut [u64],
+) -> usize {
     count_cells_lanes::<x86::Avx2>(grid, t, x, y, c)
 }
 
-/// Classify `x`/`y` against `map` with the selected backend — bit for bit
-/// the scalar rule on every backend; the backends without a gather (SSE2
-/// and scalar) run that rule itself.
+/// Classify `x`/`y` against `map` with the selected backend: the whole
+/// groups on a backend with a gather (AVX-512, AVX2), the rest (all of it
+/// on SSE2 and `Scalar`) through the same body at one lane.
 pub(crate) fn owner_leavers(
     backend: SimdBackend,
     grid: &Grid,
@@ -1161,17 +1292,20 @@ pub(crate) fn owner_leavers(
     // SAFETY: a vector backend is only ever one the CPU was detected to
     // run (`SimdBackend::detect` / `available`); the map's
     // `Classifier::leavers` asserted equal lengths and the table's span.
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => unsafe { owner_leavers_avx512(grid, map, x, y, leave) },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { owner_leavers_avx2(grid, map, x, y, leave) },
-        _ => map.mark_leavers(grid, x, y, leave, 0),
+    unsafe {
+        let done = match backend {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => owner_leavers_avx512(grid, map, x, y, leave),
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => owner_leavers_avx2(grid, map, x, y, leave),
+            _ => 0,
+        };
+        owner_leavers_lanes::<f64>(grid, map, &x[done..], &y[done..], leave, done);
     }
 }
 
 /// Count the points per unit with the selected backend
-/// ([`OwnerTable::count_into`]).
+/// ([`OwnerTable::count_into`]), split as in [`owner_leavers`].
 pub(crate) fn count_cells(
     backend: SimdBackend,
     grid: &Grid,
@@ -1182,12 +1316,15 @@ pub(crate) fn count_cells(
 ) {
     // SAFETY: as in `owner_leavers`; `OwnerTable::count_into` asserted
     // equal `x` and `y` lengths and a table spanning `grid`.
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => unsafe { count_cells_avx512(grid, t, x, y, counts) },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { count_cells_avx2(grid, t, x, y, counts) },
-        _ => t.count_scalar(grid, x, y, counts),
+    unsafe {
+        let done = match backend {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => count_cells_avx512(grid, t, x, y, counts),
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => count_cells_avx2(grid, t, x, y, counts),
+            _ => 0,
+        };
+        count_cells_lanes::<f64>(grid, t, &x[done..], &y[done..], counts);
     }
 }
 
@@ -1224,74 +1361,37 @@ mod tests {
         b
     }
 
-    /// Advance `steps` steps through the raw span kernel, recomputing the
-    /// hoisted corner charge from the (column-coherent) population each
-    /// step. Returns the final batch.
-    fn run_kernel(
-        mut b: ParticleBatch,
-        grid: &Grid,
-        steps: u32,
-        advance: &mut dyn FnMut(&Grid, f64, &mut ParticleBatch),
-    ) -> ParticleBatch {
-        let consts = SimConstants::CANONICAL;
-        for _ in 0..steps {
-            let q_left = if b.is_empty() {
-                consts.q
-            } else {
-                mesh_charge(b.x[0] as usize, consts.q)
-            };
-            advance(grid, q_left, &mut b);
-        }
-        b
-    }
-
-    /// Every available backend is bit-identical to the scalar kernel for
-    /// every span length 0..=16 (covers the empty span, every remainder
-    /// tail of both the 4-lane and the 8-lane group widths, and full
-    /// groups plus each tail) and a couple of larger spans, including
-    /// steps where the particles wrap the boundary.
+    /// Every available backend advances each particle bit for bit as
+    /// [`crate::motion::advance_particle`] does, for every span length
+    /// 0..=16 (the empty span, every remainder tail of both the 4-lane and
+    /// the 8-lane group widths, and full groups plus each tail) and two
+    /// larger spans, over steps where the particles wrap the boundary.
     #[test]
-    fn all_backends_bitwise_match_scalar_for_all_tail_lengths() {
+    fn every_backend_matches_advance_particle_at_every_tail_length() {
+        use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
         let consts = SimConstants::CANONICAL;
         for backend in SimdBackend::available() {
             for len in (0..=16).chain([17, 37]) {
                 // Column 6 with stride 1: wraps off the right edge within
                 // a few steps, exercising the escaped-lane wrap path.
-                let seed = column_population(&grid, 6, len, 0);
-                let scalar = run_kernel(seed.clone(), &grid, 5, &mut |g, ql, b| {
-                    let n = b.len();
-                    crate::bin::advance_bin_span(
-                        g,
-                        &consts,
-                        ql,
-                        &mut b.x[..n],
-                        &mut b.y[..n],
-                        &mut b.vx[..n],
-                        &mut b.vy[..n],
-                        &b.q[..n],
+                let mut b = column_population(&grid, 6, len, 0);
+                let mut want = b.to_particles();
+                for step in 0..5 {
+                    want.iter_mut()
+                        .for_each(|p| advance_particle(&grid, &consts, p));
+                    let ql =
+                        b.x.first()
+                            .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
+                    let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                    advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                    assert_eq!(
+                        b.to_particles(),
+                        want,
+                        "backend {} span length {len} step {step}",
+                        backend.name()
                     );
-                });
-                let simd = run_kernel(seed, &grid, 5, &mut |g, ql, b| {
-                    let n = b.len();
-                    advance_bin_span_simd(
-                        backend,
-                        g,
-                        &consts,
-                        ql,
-                        &mut b.x[..n],
-                        &mut b.y[..n],
-                        &mut b.vx[..n],
-                        &mut b.vy[..n],
-                        &b.q[..n],
-                    );
-                });
-                assert_eq!(
-                    scalar,
-                    simd,
-                    "backend {} diverged at span length {len}",
-                    backend.name()
-                );
+                }
             }
         }
     }
@@ -1462,15 +1562,11 @@ mod tests {
 
     /// The premise helper is exact: true at `ry = h/2` in every lane,
     /// false as soon as any single lane is one ulp either side, elsewhere
-    /// in the cell, or NaN — on every vector backend.
+    /// in the cell, or NaN — on every backend, one lane included.
     #[test]
     fn fold_premise_is_exact_in_every_lane() {
         let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0, f64::NAN];
-        // The scalar kernel evaluates all four corners: no premise there.
-        for backend in SimdBackend::available()
-            .into_iter()
-            .filter(|b| b.is_vector())
-        {
+        for backend in SimdBackend::available() {
             let holds = |ry: &[f64; 8]| unsafe {
                 match backend {
                     #[cfg(target_arch = "x86_64")]
@@ -1479,7 +1575,7 @@ mod tests {
                     SimdBackend::Avx2 => premise_avx2(ry),
                     #[cfg(target_arch = "x86_64")]
                     SimdBackend::Sse2 => premise::<x86::Sse2>(ry),
-                    SimdBackend::Scalar => unreachable!(),
+                    SimdBackend::Scalar => premise::<f64>(ry),
                 }
             };
             assert!(holds(&[0.5; 8]), "backend {}", backend.name());
@@ -1523,7 +1619,7 @@ mod tests {
     }
 
     /// The force fold never changes a bit. Its constants are the unfolded
-    /// force: on every executable vector backend, every lane of
+    /// force: on every executable backend, one lane included, every lane of
     /// [`centre_kick`] carries the bits of the four [`coulomb`] corners at
     /// `(h/2, h/2)`, paired and integrated as `total_force` and the eqs.
     /// 1–2 step do, for `h ∈ {0.5, 1, 3}`, `dt ∈ {1, 0.7}`, both corner
@@ -1553,10 +1649,7 @@ mod tests {
                 let (fx3, fy3) = coulomb(c - h, c - h, -q_left, q_span);
                 let (ax, ay) = ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3));
                 let want = [0.5 * ax * dt, 0.5 * ay * dt, ax * dt, ay * dt];
-                for backend in SimdBackend::available()
-                    .into_iter()
-                    .filter(|b| b.is_vector())
-                {
+                for backend in SimdBackend::available() {
                     let got = unsafe {
                         match backend {
                             #[cfg(target_arch = "x86_64")]
@@ -1567,7 +1660,9 @@ mod tests {
                             SimdBackend::Sse2 => {
                                 centre_kick_lanes::<x86::Sse2>(&consts, q_left, q_span)
                             }
-                            SimdBackend::Scalar => unreachable!(),
+                            SimdBackend::Scalar => {
+                                centre_kick_lanes::<f64>(&consts, q_left, q_span)
+                            }
                         }
                     };
                     for (lanes, want) in got.iter().zip(want) {
@@ -1653,7 +1748,7 @@ mod tests {
 
     /// The owner classifiers' cell index is `Grid::cell_of`'s,
     /// `(x as usize).min(last)`, in every lane of every backend with the
-    /// ops, up to the widest grid ([`Grid::new`] caps the last index at
+    /// ops (one lane included), up to the widest grid ([`Grid::new`] caps the last index at
     /// `u32::MAX`) — past 2³¹, where a signed 32-bit convert breaks — and
     /// for NaN, ±∞ and negatives.
     #[cfg(target_arch = "x86_64")]
@@ -1672,7 +1767,8 @@ mod tests {
                     let got = match backend {
                         SimdBackend::Avx512 => unsafe { lane_cells_avx512(&x, top) },
                         SimdBackend::Avx2 => unsafe { lane_cells_avx2(&x, top) },
-                        _ => continue,
+                        SimdBackend::Sse2 => continue,
+                        SimdBackend::Scalar => unsafe { lane_cells::<f64>(&x, top) },
                     };
                     assert_eq!(got, want, "{} last {last}: {x:?}", backend.name());
                 }

@@ -68,15 +68,17 @@ done < <(grep -ohE -- '(--(bin|example) |target/release/)[A-Za-z0-9_-]+' "${docs
 while read -r path; do
     compgen -G "$path" >/dev/null || { echo "stale reference: $path" >&2; stale=1; }
 done < <(grep -ohE '(scripts/[A-Za-z0-9_.*-]+\.sh|results/[A-Za-z0-9_.*-]+)' "${docs[@]}" | sed 's/[.]$//' | sort -u)
-# Every backticked `Type::member` README, DESIGN or EXPERIMENTS names must
-# have its member defined in the sources: a fn or const, a field, or a
-# variant of that name.
+# Every backticked `Type::member` README, DESIGN or EXPERIMENTS names, and
+# every lowercase `module::item` path (any depth, std, core and primitive
+# types skipped), must have its last segment defined in the sources: an
+# item, a field, or a variant of that name.
 while read -r item; do
     member="${item##*::}"
-    grep -rqE "\b(fn|const|static|type) $member\b|\b$member *:([^:]|$)|^\s*$member\b" crates/*/src src ||
+    grep -rqE "\b(fn|const|static|type|struct|enum|trait|mod) $member\b|\b$member *:([^:]|$)|^\s*$member\b" crates/*/src src ||
         { echo "stale reference: $item" >&2; stale=1; }
-done < <(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md |
-    tr -d '`' | sort -u)
+done < <(grep -ohE '`([A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*|[a-z][a-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+)' \
+    README.md DESIGN.md EXPERIMENTS.md | tr -d '`' |
+    grep -vE '^(std|core|bool|char|str|f32|f64|[iu](8|16|32|64|128|size))::' | sort -u)
 # Every backticked `pic_<crate>::<module>` path they name must resolve to
 # that module's file, so a deleted or renamed module cannot linger in prose
 # (a lowercase first segment is read as a module: name a crate-root item
