@@ -96,24 +96,24 @@ mod tests {
         // Messages on one pair arrive in send order, whatever the traffic
         // on the other pairs into the same rank.
         let c = comms(3);
-        for i in 0..5u8 {
+        for i in 0..5u64 {
             c[0].send(2, vec![i]);
             c[1].send(2, vec![10 + i]);
         }
-        for i in 0..5u8 {
-            assert_eq!(c[2].recv::<Vec<u8>>(1), vec![10 + i]);
+        for i in 0..5u64 {
+            assert_eq!(c[2].recv::<Vec<u64>>(1), vec![10 + i]);
         }
-        for i in 0..5u8 {
-            assert_eq!(c[2].recv::<Vec<u8>>(0), vec![i]);
+        for i in 0..5u64 {
+            assert_eq!(c[2].recv::<Vec<u64>>(0), vec![i]);
         }
     }
 
     #[test]
     #[should_panic(expected = "payload kind mismatch")]
-    fn typed_message_claimed_as_bytes_panics() {
+    fn typed_message_claimed_as_words_panics() {
         let c = comms(1);
         c[0].send(0, Vec::<Particle>::new());
-        let _ = c[0].recv::<Vec<u8>>(0);
+        let _ = c[0].recv::<Vec<u64>>(0);
     }
 
     #[test]

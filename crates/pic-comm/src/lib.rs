@@ -6,7 +6,9 @@
 //! every ordered rank pair has one FIFO mailbox, and every collective
 //! (allgatherv, `u64` vector and scalar allreduce) is one round of the
 //! personalized all-to-all that every step's exchange runs
-//! ([`alltoallv_take_into`]).
+//! ([`alltoallv_take_into`]). A message is `u64` words (every collective)
+//! or a particle buffer (the exchange), moved through the mailbox by
+//! ownership.
 //!
 //! Key MPI semantics preserved:
 //!
@@ -39,5 +41,5 @@ pub mod world;
 
 pub use collective::*;
 pub use comm::{Communicator, ReduceOp};
-pub use payload::{Payload, PayloadKind, WirePayload};
+pub use payload::{Payload, WirePayload};
 pub use world::run_threads;

@@ -2,49 +2,26 @@
 //!
 //! The transport is in-process, so a message need not be a byte string —
 //! ownership of any `Send` buffer can move through the channel. [`Payload`]
-//! is the closed set of buffer types the fabric routes: raw bytes (what
-//! every control-plane collective uses) and two *particle buffer* lanes
-//! (no serialization, no per-particle copies — the staging bucket itself
-//! crosses the channel): the column lane, a [`ParticleBatch`] — what the
-//! rank step's exchange moves, so the drain's slice copies and the
-//! arrival's per-field appends are the only copies a migrant sees — and
-//! the record lane, an owned `Vec<Particle>`, kept for the benchmark's
-//! wire probe.
+//! is the closed set of buffer types the fabric routes: `u64` words (what
+//! every control-plane collective sends, as the ranks hold them) and two
+//! *particle buffer* lanes (no serialization, no per-particle copies — the
+//! staging bucket itself crosses the channel): the column lane, a
+//! [`ParticleBatch`] — what the rank step's exchange moves, so the drain's
+//! slice copies and the arrival's per-field appends are the only copies a
+//! migrant sees — and the record lane, an owned `Vec<Particle>`, kept for
+//! the benchmark's wire probe.
 //!
 //! [`WirePayload`] is the static side of the same contract: the alltoallv
 //! family is generic over it, so one protocol implementation serves every
 //! lane.
 //!
 //! A receive must name the payload type it expects; a kind mismatch (a
-//! typed message arriving where bytes were posted, or vice versa) is a
+//! particle message arriving where words were posted, or vice versa) is a
 //! protocol bug and panics loudly rather than silently dropping or
 //! re-interpreting the message.
 
 use pic_core::particle::Particle;
 use pic_core::soa::ParticleBatch;
-
-/// Discriminant of a [`Payload`] — which lane a message travels on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadKind {
-    /// Raw little-endian bytes (the collectives' ad-hoc encodings).
-    Bytes,
-    /// An owned `Vec<Particle>` (AoS records), moved through the channel
-    /// as-is.
-    Typed,
-    /// An owned [`ParticleBatch`] (one array per field), moved through
-    /// the channel as-is.
-    Batch,
-}
-
-impl PayloadKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            PayloadKind::Bytes => "bytes",
-            PayloadKind::Typed => "typed",
-            PayloadKind::Batch => "batch",
-        }
-    }
-}
 
 /// An owned message body. See the module docs for the closed-set rationale;
 /// an enum (rather than type erasure) keeps the transport allocation-free —
@@ -57,28 +34,29 @@ impl PayloadKind {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum Payload {
-    Bytes(Vec<u8>),
+    Words(Vec<u64>),
     Typed(Vec<Particle>),
     Batch(ParticleBatch),
 }
 
 impl Payload {
-    pub fn kind(&self) -> PayloadKind {
+    /// The lane this message travels on, as the mismatch panic names it.
+    pub fn name(&self) -> &'static str {
         match self {
-            Payload::Bytes(_) => PayloadKind::Bytes,
-            Payload::Typed(_) => PayloadKind::Typed,
-            Payload::Batch(_) => PayloadKind::Batch,
+            Payload::Words(_) => <Vec<u64>>::NAME,
+            Payload::Typed(_) => <Vec<Particle>>::NAME,
+            Payload::Batch(_) => ParticleBatch::NAME,
         }
     }
 }
 
-/// A buffer type the fabric can route. Implemented by `Vec<u8>` (oracle
-/// lane), `Vec<Particle>` (typed lane) and [`ParticleBatch`] (batch
-/// lane); the protocol code is generic over this trait and never inspects
-/// the contents.
+/// A buffer type the fabric can route. Implemented by `Vec<u64>` (the
+/// collectives' lane), `Vec<Particle>` (typed lane) and [`ParticleBatch`]
+/// (batch lane); the protocol code is generic over this trait and never
+/// inspects the contents.
 pub trait WirePayload: Sized + Send + 'static {
-    /// The [`Payload`] variant this type travels as.
-    const KIND: PayloadKind;
+    /// The lane's name, as the mismatch panic names it.
+    const NAME: &'static str;
 
     /// A fresh empty buffer (no allocation).
     fn empty() -> Self;
@@ -87,35 +65,40 @@ pub trait WirePayload: Sized + Send + 'static {
     fn into_payload(self) -> Payload;
 
     /// Claim a buffer back from the transport. Panics (loudly, with both
-    /// kinds named) if the message on the wire is not of this type — a
+    /// lanes named) if the message on the wire is not of this type — a
     /// lane mismatch must never be silently coerced.
     fn from_payload(p: Payload) -> Self;
 }
 
-impl WirePayload for Vec<u8> {
-    const KIND: PayloadKind = PayloadKind::Bytes;
+/// The panic of a receive that expected lane `expected` and took `got`.
+fn mismatch(expected: &str, got: &Payload) -> ! {
+    panic!(
+        "payload kind mismatch: expected {expected}, received {} message",
+        got.name()
+    )
+}
+
+impl WirePayload for Vec<u64> {
+    const NAME: &'static str = "words";
 
     fn empty() -> Self {
         Vec::new()
     }
 
     fn into_payload(self) -> Payload {
-        Payload::Bytes(self)
+        Payload::Words(self)
     }
 
     fn from_payload(p: Payload) -> Self {
         match p {
-            Payload::Bytes(b) => b,
-            other => panic!(
-                "payload kind mismatch: expected bytes, received {} message",
-                other.kind().name()
-            ),
+            Payload::Words(w) => w,
+            other => mismatch(Self::NAME, &other),
         }
     }
 }
 
 impl WirePayload for Vec<Particle> {
-    const KIND: PayloadKind = PayloadKind::Typed;
+    const NAME: &'static str = "typed";
 
     fn empty() -> Self {
         Vec::new()
@@ -128,16 +111,13 @@ impl WirePayload for Vec<Particle> {
     fn from_payload(p: Payload) -> Self {
         match p {
             Payload::Typed(t) => t,
-            other => panic!(
-                "payload kind mismatch: expected typed, received {} message",
-                other.kind().name()
-            ),
+            other => mismatch(Self::NAME, &other),
         }
     }
 }
 
 impl WirePayload for ParticleBatch {
-    const KIND: PayloadKind = PayloadKind::Batch;
+    const NAME: &'static str = "batch";
 
     fn empty() -> Self {
         ParticleBatch::new()
@@ -150,10 +130,7 @@ impl WirePayload for ParticleBatch {
     fn from_payload(p: Payload) -> Self {
         match p {
             Payload::Batch(b) => b,
-            other => panic!(
-                "payload kind mismatch: expected batch, received {} message",
-                other.kind().name()
-            ),
+            other => mismatch(Self::NAME, &other),
         }
     }
 }
@@ -183,16 +160,16 @@ mod tests {
         let ps = vec![particle(7)];
         let back = <Vec<Particle>>::from_payload(ps.clone().into_payload());
         assert_eq!(back, ps);
-        let bytes = vec![1u8, 2, 3];
-        let back = <Vec<u8>>::from_payload(bytes.clone().into_payload());
-        assert_eq!(back, bytes);
+        let words = vec![1u64, 2, u64::MAX];
+        let back = <Vec<u64>>::from_payload(words.clone().into_payload());
+        assert_eq!(back, words);
     }
 
     #[test]
     fn batch_roundtrips_through_payload() {
         let batch: ParticleBatch = (1..=20).map(particle).collect();
         let payload = batch.clone().into_payload();
-        assert_eq!(payload.kind(), PayloadKind::Batch);
+        assert_eq!(payload.name(), "batch");
         assert_eq!(ParticleBatch::from_payload(payload), batch);
         let empty = ParticleBatch::empty();
         assert!(ParticleBatch::from_payload(empty.into_payload()).is_empty());
@@ -212,26 +189,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload kind mismatch: expected batch, received bytes message")]
-    fn byte_message_where_batch_expected_is_loud() {
-        let _ = ParticleBatch::from_payload(vec![1u8].into_payload());
+    #[should_panic(expected = "payload kind mismatch: expected batch, received words message")]
+    fn word_message_where_batch_expected_is_loud() {
+        let _ = ParticleBatch::from_payload(vec![1u64].into_payload());
     }
 
     #[test]
-    #[should_panic(expected = "payload kind mismatch: expected bytes, received batch message")]
-    fn batch_message_where_bytes_expected_is_loud() {
-        let _ = <Vec<u8>>::from_payload(ParticleBatch::new().into_payload());
+    #[should_panic(expected = "payload kind mismatch: expected words, received batch message")]
+    fn batch_message_where_words_expected_is_loud() {
+        let _ = <Vec<u64>>::from_payload(ParticleBatch::new().into_payload());
     }
 
     #[test]
-    #[should_panic(expected = "payload kind mismatch: expected bytes")]
-    fn typed_message_where_bytes_expected_is_loud() {
-        let _ = <Vec<u8>>::from_payload(vec![particle(1)].into_payload());
+    #[should_panic(expected = "payload kind mismatch: expected words, received typed message")]
+    fn typed_message_where_words_expected_is_loud() {
+        let _ = <Vec<u64>>::from_payload(vec![particle(1)].into_payload());
     }
 
     #[test]
-    #[should_panic(expected = "payload kind mismatch: expected typed")]
-    fn byte_message_where_typed_expected_is_loud() {
-        let _ = <Vec<Particle>>::from_payload(vec![1u8].into_payload());
+    #[should_panic(expected = "payload kind mismatch: expected typed, received words message")]
+    fn word_message_where_typed_expected_is_loud() {
+        let _ = <Vec<Particle>>::from_payload(vec![1u64].into_payload());
     }
 }

@@ -161,8 +161,8 @@ mod tests {
         // turn, can wake rank 0.
         let msg = panic_of(|| {
             run_threads(3, |comm| match comm.rank() {
-                0 => comm.recv::<Vec<u8>>(1),
-                1 => comm.recv::<Vec<u8>>(2),
+                0 => comm.recv::<Vec<u64>>(1),
+                1 => comm.recv::<Vec<u64>>(2),
                 _ => panic!("boom in the leaf"),
             });
         });
@@ -185,11 +185,11 @@ mod tests {
     fn pingpong_through_world() {
         let got = run_threads(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, vec![7u8]);
-                comm.recv::<Vec<u8>>(1)
+                comm.send(1, vec![7u64]);
+                comm.recv::<Vec<u64>>(1)
             } else {
-                let v: Vec<u8> = comm.recv(0);
-                comm.send(0, v.iter().map(|x| x + 1).collect::<Vec<u8>>());
+                let v: Vec<u64> = comm.recv(0);
+                comm.send(0, v.iter().map(|x| x + 1).collect::<Vec<u64>>());
                 vec![]
             }
         });
@@ -199,8 +199,8 @@ mod tests {
     #[test]
     fn single_rank_world_works() {
         let got = run_threads(1, |comm| {
-            comm.send(0, vec![42u8]);
-            comm.recv::<Vec<u8>>(0)
+            comm.send(0, vec![42u64]);
+            comm.recv::<Vec<u64>>(0)
         });
         assert_eq!(got, vec![vec![42]]);
     }
@@ -211,33 +211,34 @@ mod tests {
         // first receive: every mailbox queues 500 deep, and each receive
         // must still take its own round's payload. Then 500 all-to-alls
         // back to back.
-        let n = 500usize;
+        let n = 500u64;
         let got = run_threads(4, |comm| {
+            let me = comm.rank() as u64;
             for i in 0..n {
                 for dst in 0..comm.size() {
-                    comm.send(dst, vec![(i % 251) as u8, comm.rank() as u8]);
+                    comm.send(dst, vec![i, me]);
                 }
             }
             let mut sum = 0u64;
             for i in 0..n {
                 for src in 0..comm.size() {
-                    let v: Vec<u8> = comm.recv(src);
-                    assert_eq!(v, vec![(i % 251) as u8, src as u8]);
-                    sum += v[0] as u64;
+                    let v: Vec<u64> = comm.recv(src);
+                    assert_eq!(v, vec![i, src as u64]);
+                    sum += v[0];
                 }
             }
-            let mut incoming: Vec<Vec<u8>> = Vec::new();
+            let mut incoming: Vec<Vec<u64>> = Vec::new();
             for i in 0..n {
-                let mut outgoing = vec![vec![(i % 251) as u8, comm.rank() as u8]; comm.size()];
+                let mut outgoing = vec![vec![i, me]; comm.size()];
                 alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
                 for (src, v) in incoming.iter().enumerate() {
-                    assert_eq!(v, &vec![(i % 251) as u8, src as u8]);
-                    sum += v[0] as u64;
+                    assert_eq!(v, &vec![i, src as u64]);
+                    sum += v[0];
                 }
             }
             sum
         });
-        let expected: u64 = (0..n as u64).map(|i| (i % 251) * 4 * 2).sum();
+        let expected: u64 = (0..n).map(|i| i * 4 * 2).sum();
         assert!(got.iter().all(|&g| g == expected));
     }
 }

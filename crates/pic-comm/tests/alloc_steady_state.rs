@@ -4,12 +4,13 @@
 //!
 //! The rank-loop audit (`pic-par/tests/alloc_steady_state.rs`) covers the
 //! full step; this one isolates the transport: a warmed split-phase
-//! alltoallv iteration, with staging buffers recycled the way the
-//! runtime's spare free-list does, must not allocate. Typed payload
-//! buffers circulate by ownership (send surrenders them, arrivals come
-//! back with capacity) and the channels reuse their queue capacity, so a
-//! later measurement window must not allocate more than an earlier one and
-//! the absolute budget stays far under one allocation per iteration.
+//! alltoallv iteration, with each arrival bucket becoming the staging
+//! bucket for the rank it came from, as the runtime's exchange does, must
+//! not allocate. Typed payload buffers circulate by ownership (send
+//! surrenders them, arrivals come back with capacity) and the channels
+//! reuse their queue capacity, so a later measurement window must not
+//! allocate more than an earlier one and the absolute budget stays far
+//! under one allocation per iteration.
 //!
 //! Counters are thread-local, so each rank audits exactly its own work.
 
@@ -114,7 +115,8 @@ impl Bucket for ParticleBatch {
 /// One exchange iteration on ring traffic: stage `NP` particles for each
 /// ring neighbor, move the buckets through the fabric, recycle every
 /// arrival buffer (capacity included) into the next iteration's staging
-/// slots — the same circulation the runtime's spare free-list performs.
+/// slots, each to the slot of its sender — the same circulation the
+/// runtime's exchange performs.
 fn ring_iter<B: Bucket>(comm: &Communicator, outgoing: &mut [B], incoming: &mut Vec<B>, it: u64) {
     let size = comm.size();
     let rank = comm.rank();
@@ -153,7 +155,7 @@ fn audit<B: Bucket>() {
         let second = window(WINDOW_ITERS, &mut outgoing, &mut incoming);
         (first, second)
     });
-    let lane = B::KIND.name();
+    let lane = B::NAME;
     for (rank, &(first, second)) in windows.iter().enumerate() {
         // Steady state: no growth between warmed windows, modulo
         // transport-queue jitter (channel queue depth depends on thread

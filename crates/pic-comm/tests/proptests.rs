@@ -22,8 +22,8 @@ proptest! {
         let sizes2 = sizes.clone();
         let results = run_threads(p, move |comm| {
             let me = comm.rank();
-            let mut outgoing: Vec<Vec<u8>> = (0..p)
-                .map(|d| vec![(me * 31 + d) as u8; sizes2[me][d]])
+            let mut outgoing: Vec<Vec<u64>> = (0..p)
+                .map(|d| vec![(me * 31 + d) as u64; sizes2[me][d]])
                 .collect();
             let mut incoming = Vec::new();
             alltoallv_take_into(&comm, &mut outgoing, &mut incoming);
@@ -32,7 +32,7 @@ proptest! {
         for (dst, incoming) in results.into_iter().enumerate() {
             for (src, payload) in incoming.into_iter().enumerate() {
                 prop_assert_eq!(payload.len(), sizes[src][dst]);
-                prop_assert!(payload.iter().all(|&b| b == (src * 31 + dst) as u8));
+                prop_assert!(payload.iter().all(|&w| w == (src * 31 + dst) as u64));
             }
         }
     }
@@ -65,13 +65,13 @@ proptest! {
     ) {
         let lens2 = lens.clone();
         let got = run_threads(p, move |comm| {
-            allgatherv(&comm, vec![comm.rank() as u8; lens2[comm.rank()]])
+            allgatherv(&comm, vec![comm.rank() as u64; lens2[comm.rank()]])
         });
         for g in got {
             prop_assert_eq!(g.len(), p);
             for (src, payload) in g.iter().enumerate() {
                 prop_assert_eq!(payload.len(), lens[src]);
-                prop_assert!(payload.iter().all(|&b| b == src as u8));
+                prop_assert!(payload.iter().all(|&w| w == src as u64));
             }
         }
     }

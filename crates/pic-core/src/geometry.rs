@@ -25,8 +25,8 @@ pub enum GridError {
     OddSize(usize),
     /// Fewer than two cells per side.
     TooSmall(usize),
-    /// A side whose last cell index does not fit `u32`, the type
-    /// [`Grid::cell_of`] truncates through.
+    /// A side whose last cell index does not fit `i32`, the type the
+    /// vector sweep truncates columns through (2³¹ cells at most).
     TooLarge(usize),
 }
 
@@ -38,7 +38,7 @@ impl fmt::Display for GridError {
                 "grid size {n} is odd; periodic boundaries require an even number of cells"
             ),
             GridError::TooSmall(n) => write!(f, "grid size {n} is too small (minimum 2)"),
-            GridError::TooLarge(n) => write!(f, "grid size {n} is too large (maximum 2^32)"),
+            GridError::TooLarge(n) => write!(f, "grid size {n} is too large (maximum 2^31)"),
         }
     }
 }
@@ -54,7 +54,7 @@ impl Grid {
         if !ncells.is_multiple_of(2) {
             return Err(GridError::OddSize(ncells));
         }
-        if u32::try_from(ncells - 1).is_err() {
+        if i32::try_from(ncells - 1).is_err() {
             return Err(GridError::TooLarge(ncells));
         }
         Ok(Grid { ncells })
@@ -212,14 +212,14 @@ mod tests {
         assert!(Grid::new(5998).is_ok());
     }
 
-    /// The last cell index must fit the `u32` that `cell_of` truncates
-    /// through: 2³² − 2 is the largest even side that does.
+    /// The last cell index must fit the `i32` that the vector sweep
+    /// truncates columns through: 2³¹ is the largest side that does.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn grid_rejects_a_side_wider_than_the_narrow_cast() {
-        let edge = 1usize << 32;
+        let edge = 1usize << 31;
         assert!(Grid::new(edge - 2).is_ok());
-        assert!(Grid::new(edge).is_ok(), "last cell u32::MAX still fits");
+        assert!(Grid::new(edge).is_ok(), "last cell i32::MAX still fits");
         assert_eq!(
             Grid::new(edge + 2).unwrap_err(),
             GridError::TooLarge(edge + 2)

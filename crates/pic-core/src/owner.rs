@@ -209,15 +209,14 @@ mod tests {
     /// values outside `[0, L)`, NaN and ±∞ among them, in builds without
     /// the debug range check only), for span lengths up to two groups plus
     /// one at unaligned starts, spans longer than a mask word, and spans in
-    /// which every lane, no lane, or one lane per group leaves. A grid
-    /// whose last index is 2³² − 1 takes the interval, where a signed
-    /// 32-bit convert would break (the table's convert is
-    /// `simd::tests::cell_index_lanes_cover_the_whole_u32_range`).
+    /// which every lane, no lane, or one lane per group leaves. The widest
+    /// grid, whose last index is 2³¹ − 1, takes the interval (the table's
+    /// convert is `simd::tests::cell_index_lanes_cover_every_grid_side`).
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn owner_classifiers_equal_the_scalar_rule_on_every_backend() {
         let wide = |n: usize| move |x: f64| (x as usize).min(n - 1);
-        for ncells in [2usize, 64, 1024, 1 << 32] {
+        for ncells in [2usize, 64, 1024, 1 << 31] {
             let grid = Grid::new(ncells).unwrap();
             let l = grid.extent();
             let (mut values, outside) = if ncells < 1 << 20 {

@@ -197,9 +197,9 @@ pub(crate) trait Lanes: Copy {
     fn div(self, o: Self) -> Self;
     fn sqrt(self) -> Self;
     /// Truncate toward zero through the arch's f64→int→f64 round trip —
-    /// exactly the column [`Grid::cell_of`] gives an in-domain coordinate
-    /// (on the vector backends, one that fits the narrowest intermediate,
-    /// i32).
+    /// exactly the column [`Grid::cell_of`] gives an in-domain coordinate:
+    /// the narrowest intermediate, the vector backends' `i32`, holds every
+    /// column [`Grid::new`] accepts.
     fn trunc(self) -> Self;
     /// Zero every lane of `self` whose lane in `r2` equals `0.0` — the
     /// vector form of [`coulomb`]'s value-select zero-distance guard.
@@ -231,8 +231,8 @@ pub(crate) trait OwnerLanes: Lanes {
     fn clamp_cell(self, last: Self) -> Self;
     /// Bit `j` set where lane `j` lies in `[lo, hi)`.
     fn within(self, lo: Self, hi: Self) -> u64;
-    /// Truncate clamped lanes (each in `[0, 2³²)`) to `u32`, over the
-    /// whole range: a signed 32-bit convert breaks from 2³¹ up.
+    /// Truncate clamped lanes (each in `[0, 2³¹)`: [`Grid::new`] caps the
+    /// last cell index at `i32::MAX`) to `u32`.
     fn index(self) -> Self::Index;
     /// `tab[i]` per lane, the index zero-extended (so it never reads
     /// below `tab`, whatever its top bit).
@@ -483,13 +483,7 @@ mod x86 {
 
         #[inline(always)]
         fn index(self) -> __m128i {
-            // No unsigned convert below AVX-512: floor, move the range down
-            // by 2³¹ (exact), convert signed, and flip the top bit back.
-            unsafe {
-                let floor = _mm256_floor_pd(self.0);
-                let low = _mm256_sub_pd(floor, _mm256_set1_pd(2_147_483_648.0));
-                _mm_xor_si128(_mm256_cvttpd_epi32(low), _mm_set1_epi32(i32::MIN))
-            }
+            unsafe { _mm256_cvttpd_epi32(self.0) }
         }
 
         #[inline(always)]
@@ -1396,6 +1390,31 @@ mod tests {
         }
     }
 
+    /// The widest grid [`Grid::new`] accepts: a span in column 2³¹ − 3,
+    /// the top of the range every backend's `i32` truncation covers,
+    /// advances one step as [`crate::motion::advance_particle`] does —
+    /// with stride 1, and with stride 3, which wraps it past the last
+    /// column to 0.
+    #[test]
+    fn every_backend_matches_advance_particle_on_the_widest_grid() {
+        use crate::motion::advance_particle;
+        let grid = Grid::new(1 << 31).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let col = (1 << 31) - 3;
+        for backend in SimdBackend::available() {
+            for k in [0, 1] {
+                let mut b = column_population(&grid, col, 9, k);
+                let mut want = b.to_particles();
+                want.iter_mut()
+                    .for_each(|p| advance_particle(&grid, &consts, p));
+                let ql = mesh_charge(col, consts.q);
+                let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                assert_eq!(b.to_particles(), want, "backend {} k {k}", backend.name());
+            }
+        }
+    }
+
     /// How the corner-fold test perturbs one lane per group: off the cell
     /// centre, or off the span charge (`None`: every lane stays
     /// spec-conforming, and every full group takes the force fold).
@@ -1748,14 +1767,14 @@ mod tests {
 
     /// The owner classifiers' cell index is `Grid::cell_of`'s,
     /// `(x as usize).min(last)`, in every lane of every backend with the
-    /// ops (one lane included), up to the widest grid ([`Grid::new`] caps the last index at
-    /// `u32::MAX`) — past 2³¹, where a signed 32-bit convert breaks — and
-    /// for NaN, ±∞ and negatives.
+    /// ops (one lane included), up to the widest grid ([`Grid::new`] caps
+    /// the last index at `i32::MAX`, 2³¹ − 1), and for NaN, ±∞ and
+    /// negatives.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn cell_index_lanes_cover_the_whole_u32_range() {
+    fn cell_index_lanes_cover_every_grid_side() {
         let (_, edges) = crate::geometry::cell_index_cases(2);
-        for last in [1usize, 1023, (1 << 31) + 1, u32::MAX as usize] {
+        for last in [1usize, 1023, i32::MAX as usize] {
             let mut values = edges.clone();
             let top = last as f64;
             values.extend([top - 0.5, top, top + 0.5, (top / 2.0).floor() + 0.5]);

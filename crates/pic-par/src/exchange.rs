@@ -14,31 +14,27 @@ use pic_core::bin::{BinnedStore, Classifier};
 use pic_core::geometry::Grid;
 use pic_core::soa::ParticleBatch;
 
-/// Upper bound on recycled buckets held between steps (bounds the
-/// capacity the free-list can pin on wildly asymmetric traffic).
-const MAX_SPARE_BUFS: usize = 64;
-
 /// Reusable scratch for the exchange path: per-destination staging
 /// buckets and the arrival side. Holding one of these in per-rank state
 /// makes the steady-state exchange loop allocation-free — buckets are
-/// `clear()`ed, not dropped, and *recycled*:
-/// the staging buckets themselves are the wire payloads (owned
-/// [`ParticleBatch`]es, one array per field: the drain fills them with
-/// slice copies, no encode or decode pass), so every send surrenders its
-/// bucket (channel transfer, like an MPI send buffer), but the buckets
-/// received from other ranks are appended to the store one slice per
-/// field and then donate their capacity back to the free-list, so steady
-/// symmetric traffic circulates buffers instead of allocating them.
+/// `clear()`ed, not dropped, and *circulate*: the staging buckets
+/// themselves are the wire payloads (owned [`ParticleBatch`]es, one array
+/// per field: the drain fills them with slice copies, no encode or decode
+/// pass), so every send surrenders its bucket (channel transfer, like an
+/// MPI send buffer), and the bucket received from each rank is appended
+/// to the store one slice per field, cleared, and becomes the staging
+/// bucket for that rank. The two buckets of a rank pair trade ends every
+/// exchange, so steady traffic circulates buffers instead of allocating
+/// them.
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
     /// Per-destination staging buckets; they go on the wire as-is (slots
-    /// are emptied by the take-based all-to-all and refilled from `spare`
-    /// next step).
+    /// are emptied by the take-based all-to-all and refilled with the
+    /// arrival bucket from the same rank).
     outgoing: Vec<ParticleBatch>,
-    /// Arrival payloads (outer vector reused across steps).
+    /// Arrival payloads, one per source rank (outer vector reused across
+    /// steps).
     inbox: Vec<ParticleBatch>,
-    /// Recycled buckets feeding the next staging pass.
-    spare: Vec<ParticleBatch>,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
 }
@@ -67,26 +63,10 @@ impl ExchangeBuffers {
         std::mem::take(&mut self.msgs_sent)
     }
 
-    /// Prepare the per-destination staging buckets for a new exchange:
-    /// size the outer vector, clear every bucket, and — sends consume the
-    /// buckets themselves — refill empty-capacity slots from the free-list.
-    fn begin_staging(&mut self, nranks: usize) {
-        self.outgoing.resize_with(nranks, ParticleBatch::new);
-        self.outgoing.iter_mut().for_each(ParticleBatch::clear);
-        for slot in &mut self.outgoing {
-            if slot.capacity() == 0 {
-                if let Some(mut recycled) = self.spare.pop() {
-                    recycled.clear();
-                    *slot = recycled;
-                }
-            }
-        }
-    }
-
     /// Put the staged buckets on the wire, hand every arrival bucket (in
     /// source-rank order, self excluded) to `sink` with its source rank,
-    /// and recycle the buckets afterwards. Returns the particle count
-    /// delivered.
+    /// then clear each arrival bucket into the staging slot of the rank it
+    /// came from. Returns the particle count delivered.
     fn exchange(
         &mut self,
         comm: &Communicator,
@@ -96,17 +76,14 @@ impl ExchangeBuffers {
         alltoallv_take_into(comm, &mut self.outgoing, &mut self.inbox);
         let me = comm.rank();
         let mut received = 0usize;
-        for (src, bucket) in self.inbox.iter().enumerate() {
+        for (src, bucket) in self.inbox.iter_mut().enumerate() {
             if src != me {
                 received += bucket.len();
                 sink(src, bucket);
             }
+            bucket.clear();
         }
-        for bucket in self.inbox.drain(..) {
-            if bucket.capacity() > 0 && self.spare.len() < MAX_SPARE_BUFS {
-                self.spare.push(bucket);
-            }
-        }
+        std::mem::swap(&mut self.outgoing, &mut self.inbox);
         received
     }
 }
@@ -147,8 +124,8 @@ pub fn route_binned(
     grid: &Grid,
     bufs: &mut ExchangeBuffers,
 ) -> (usize, usize) {
-    bufs.begin_staging(comm.size());
     let (me, nranks) = (comm.rank(), comm.size());
+    bufs.outgoing.resize_with(nranks, ParticleBatch::new);
     let dst_of = |c, r| {
         let dst = owner(c, r);
         debug_assert!(dst < nranks && dst != me, "bad destination {dst}");
@@ -314,6 +291,36 @@ mod tests {
             warm.len()
         });
         assert_eq!(totals.iter().sum::<usize>(), 240);
+    }
+
+    #[test]
+    fn arrival_buckets_become_the_staging_buckets_of_their_senders() {
+        // Rank 0 holds the whole population and every other rank nothing,
+        // so each rank pair carries traffic one way only: 0 → r.
+        let (grid, all) = setup(300);
+        let decomp = Decomp2d::columns(16, 3);
+        let per_rank = run_threads(3, |comm| {
+            let rank = comm.rank();
+            let mine = if rank == 0 { all.clone() } else { Vec::new() };
+            let mut store = whole_store(&mine, &grid);
+            let owner = |c, r| decomp.owner_of_cell(c, r);
+            let mut bufs = ExchangeBuffers::new();
+            let (_, received) = route_binned_with(&comm, rank, owner, &mut store, &grid, &mut bufs);
+            assert!(
+                bufs.outgoing.iter().all(ParticleBatch::is_empty),
+                "rank {rank}"
+            );
+            let caps: Vec<usize> = bufs.outgoing.iter().map(ParticleBatch::capacity).collect();
+            (received, caps)
+        });
+        for (rank, (received, caps)) in per_rank.iter().enumerate().skip(1) {
+            assert!(*received > 0, "rank {rank} got no traffic");
+            assert!(
+                caps[0] >= *received,
+                "rank {rank}: the slot for rank 0 holds capacity {}, rank 0 sent {received}",
+                caps[0]
+            );
+        }
     }
 
     #[test]

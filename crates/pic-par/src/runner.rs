@@ -7,9 +7,7 @@
 use crate::decomp::{Decomp2d, VpGrid};
 use crate::exchange::{route_binned, ExchangeBuffers};
 use pic_cluster::balancer::Layout;
-use pic_comm::collective::{
-    allgatherv, allreduce_u64, allreduce_vec_u64, allreduce_vec_u64_into, decode_u64s, encode_u64s,
-};
+use pic_comm::collective::{allgatherv, allreduce_u64, allreduce_vec_u64, allreduce_vec_u64_into};
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::BinnedStore;
 use pic_core::charge::SimConstants;
@@ -237,10 +235,7 @@ impl RankState {
     pub fn apply_due_events(&mut self, comm: &Communicator) {
         self.refresh_owners();
         let owns = |c, r| self.owners.owner_of_cell(c, r) == self.rank;
-        let agree = |offered: Vec<u64>| {
-            let gathered = allgatherv(comm, encode_u64s(&offered));
-            gathered.iter().flat_map(|b| decode_u64s(b)).collect()
-        };
+        let agree = |offered| allgatherv(comm, offered).concat();
         self.ledger
             .apply_due(self.step, &mut self.store, owns, agree);
     }
@@ -434,9 +429,8 @@ impl RankState {
             tolerance: DEFAULT_TOLERANCE,
         };
         let (mut max_count, mut total_count) = (0, 0);
-        for bytes in allgatherv(comm, encode_u64s(&record)) {
-            let [checked, failures, max_error, id_lo, id_hi, count, ref ids @ ..] =
-                decode_u64s(&bytes)[..]
+        for words in allgatherv(comm, record) {
+            let [checked, failures, max_error, id_lo, id_hi, count, ref ids @ ..] = words[..]
             else {
                 panic!("rank finish record truncated");
             };

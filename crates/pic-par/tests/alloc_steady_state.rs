@@ -138,9 +138,9 @@ fn rank_step_loop_reaches_allocation_steady_state() {
     // The drifting uniform cloud keeps the exchange busy: every step moves
     // boundary particles across at least one cut. Audit the step with an
     // empty interior on a 2 × 2 grid, with an interior on a column world
-    // (the split-phase handle and the spare-bucket free-list must run off
-    // recycled buffers), and a VP-owned rank (every bin drained). Those
-    // three move a `k = 0` cloud, whose leaver runs are short and staged
+    // (the split-phase handle and the buckets each rank pair trades must
+    // run off recycled buffers), and a VP-owned rank (every bin drained).
+    // Those three move a `k = 0` cloud, whose leaver runs are short and staged
     // element by element; the fourth moves `k = 2` across one row of
     // columns, where a leaving bin is a run far over `SLICE_RUN`, so the
     // slice copies fill the recycled buckets — eleven arrays each — under

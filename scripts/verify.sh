@@ -87,6 +87,13 @@ while read -r item; do
     dir="crates/$(tr _ - <<<"${item%%::*}")/src/${item#*::}"
     test -f "$dir.rs" || test -f "$dir/mod.rs" || { echo "stale reference: $item" >&2; stale=1; }
 done < <(grep -ohE '`pic_[a-z]+::[a-z_][a-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
+# Every backticked `SCREAMING_SNAKE` name they name must be a `const` or
+# `static` of that name in the sources, or a string literal there (the
+# environment variables the program reads).
+while read -r name; do
+    grep -rqE "\b(const|static) $name\b|\"$name\"" crates/*/src src ||
+        { echo "stale reference: $name" >&2; stale=1; }
+done < <(grep -ohE '`[A-Z][A-Z0-9]*(_[A-Z0-9]+)+`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
 test "$stale" -eq 0
 
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"

@@ -180,6 +180,10 @@ fn bad_arguments_fail_cleanly() {
     let (ok, _, stderr) = run(&["--grid", "15"]);
     assert!(!ok);
     assert!(stderr.contains("odd"));
+    assert_rejected(
+        &["--grid", "2147483650"],
+        "grid size 2147483650 is too large",
+    );
     // What the driver does not understand it refuses, naming the flag and
     // the value, before any rank thread is spawned.
     assert_rejected(&["--bogus", "3", "--quiet"], "--bogus");

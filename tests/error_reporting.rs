@@ -18,6 +18,9 @@ fn grid_errors_explain_the_constraint() {
     assert!(as_error(&odd).contains("even"));
     let tiny = Grid::new(0).unwrap_err();
     assert!(as_error(&tiny).contains("too small"));
+    let wide = Grid::new((1 << 31) + 2).unwrap_err();
+    assert_eq!(wide, GridError::TooLarge((1 << 31) + 2));
+    assert!(as_error(&wide).contains("too large (maximum 2^31)"));
 }
 
 #[test]

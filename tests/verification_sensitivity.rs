@@ -85,9 +85,10 @@ fn run_with_bug(drop_at_step: Option<u32>) -> (bool, u128, u128) {
             buggy_exchange(&comm, &decomp, &grid, me, &mut particles, bug);
         }
         let local = verify_all(&grid, &particles, 20, 0, DEFAULT_TOLERANCE);
-        let id_sum: u128 = allgatherv(&comm, local.id_sum.to_le_bytes().to_vec())
+        let halves = vec![local.id_sum as u64, (local.id_sum >> 64) as u64];
+        let id_sum: u128 = allgatherv(&comm, halves)
             .iter()
-            .map(|b| u128::from_le_bytes(b[..].try_into().unwrap()))
+            .map(|w| (w[1] as u128) << 64 | w[0] as u128)
             .sum();
         (local.position_failures, id_sum)
     });
