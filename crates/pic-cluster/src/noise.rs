@@ -13,6 +13,8 @@
 //! the application-specific diffusion scheme equalizes *particle counts*
 //! and is blind to them.
 
+use pic_core::rng::SplitMix64;
+
 /// Deterministic compute-speed perturbation model.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum NoiseModel {
@@ -26,14 +28,6 @@ pub enum NoiseModel {
     /// `1 + amplitude · u(core, step)` with `u ∈ [0, 1)` from a
     /// deterministic hash — OS-noise-like interference.
     Jitter { amplitude: f64, seed: u64 },
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 impl NoiseModel {
@@ -55,7 +49,7 @@ impl NoiseModel {
             NoiseModel::None => 1.0,
             NoiseModel::CoreSpeeds { factors } => factors.get(core).copied().unwrap_or(1.0),
             NoiseModel::Jitter { amplitude, seed } => {
-                let h = splitmix64(seed ^ ((core as u64) << 32) ^ step);
+                let h = SplitMix64::seed_from_u64(seed ^ ((core as u64) << 32) ^ step).next_u64();
                 1.0 + amplitude * (h >> 11) as f64 / (1u64 << 53) as f64
             }
         }

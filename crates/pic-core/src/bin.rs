@@ -8,7 +8,7 @@
 //! the periodic wrap keeps parity too. A particle's *phase*
 //! `(column + sweeps done) & 1` therefore never changes, and all particles
 //! of one phase sit in columns of one parity at every step. The corner
-//! pair `q_left = ±q`, `q_right = −q_left` of a phase is one value per
+//! pair `q_left = ±1`, `q_right = −q_left` of a phase is one value per
 //! sweep, wherever its particles sit.
 //!
 //! [`BinnedStore`] keeps one [`ParticleBatch`] and a `split`:
@@ -49,7 +49,7 @@
 //! suites. Canonical (ascending-id) order is restored on export by
 //! [`BinnedStore::to_particles`].
 
-use crate::charge::{mesh_charge, SimConstants};
+use crate::charge::mesh_charge;
 use crate::events::Region;
 use crate::geometry::Grid;
 use crate::particle::Particle;
@@ -203,32 +203,27 @@ impl BinnedStore {
     /// Advance every particle one step through the worker pool — the
     /// serial engine's sweep ([`Self::sweep`] with the blocks of each
     /// chunk spread over the pool's threads).
-    pub fn advance_all(&mut self, grid: &Grid, consts: &SimConstants, chunk_size: usize) {
-        self.sweep_with(grid, consts, |n, span| {
+    pub fn advance_all(&mut self, grid: &Grid, chunk_size: usize) {
+        self.sweep_with(grid, |n, span| {
             pool::global().run_chunked(n, chunk_size, span)
         });
     }
 
     /// Advance every particle one step on the calling thread — the rank
     /// path, where each rank is already its own parallel unit.
-    pub fn sweep(&mut self, grid: &Grid, consts: &SimConstants) {
-        self.sweep_with(grid, consts, |n, span| span(0, n));
+    pub fn sweep(&mut self, grid: &Grid) {
+        self.sweep_with(grid, |n, span| span(0, n));
     }
 
     /// The one sweep body: `run(n, span)` must call `span` on disjoint
     /// ranges covering `0..n`. Each range is swept in blocks of at most
     /// [`SWEEP_BLOCK`] that never cross `split`, with the block's phase
     /// charge hoisted.
-    fn sweep_with(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        run: impl FnOnce(usize, &(dyn Fn(usize, usize) + Sync)),
-    ) {
+    fn sweep_with(&mut self, grid: &Grid, run: impl FnOnce(usize, &(dyn Fn(usize, usize) + Sync))) {
         let n = self.batch.len();
         let (split, backend) = (self.split, self.backend);
         // Phase-0 particles sit in columns of the sweep count's parity.
-        let q0 = mesh_charge(self.sweeps as usize & 1, consts.q);
+        let q0 = mesh_charge(self.sweeps as usize & 1);
         let xp = SyncMutPtr::new(self.batch.x.as_mut_ptr());
         let yp = SyncMutPtr::new(self.batch.y.as_mut_ptr());
         let vxp = SyncMutPtr::new(self.batch.vx.as_mut_ptr());
@@ -254,7 +249,7 @@ impl BinnedStore {
                     )
                 };
                 let q = &q[i..stop];
-                simd::advance_bin_span_simd(backend, grid, consts, q_left, x, y, vx, vy, q);
+                simd::advance_bin_span_simd(backend, grid, q_left, x, y, vx, vy, q);
                 i = stop;
             }
         };
@@ -603,7 +598,7 @@ mod tests {
     use crate::owner::{tile_table, OwnerMap};
     use crate::pool::DEFAULT_CHUNK;
     use crate::rng::SplitMix64;
-    use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
+    use crate::verify::{triangular_id_sum, verify_all};
 
     /// A store of every particle of `ps`.
     fn whole_store(ps: &[Particle], grid: &Grid) -> BinnedStore {
@@ -648,7 +643,7 @@ mod tests {
     fn owned_scatter_matches_filter_convert_and_sort() {
         let (grid, mut ps) = population(700, Distribution::Geometric { r: 0.9 });
         for _ in 0..3 {
-            advance_all(&grid, &SimConstants::CANONICAL, &mut ps);
+            advance_all(&grid, &mut ps);
         }
         let (n, half) = (grid.ncells(), grid.ncells() / 2);
         type Owns = Box<dyn Fn(usize, usize) -> bool>;
@@ -681,9 +676,8 @@ mod tests {
     #[test]
     fn take_batch_moves_the_particles_out_and_leaves_an_empty_store() {
         let (grid, ps) = population(300, Distribution::Geometric { r: 0.9 });
-        let consts = SimConstants::CANONICAL;
         let mut store = whole_store(&ps, &grid);
-        store.sweep(&grid, &consts);
+        store.sweep(&grid);
         let before = store.batch().clone();
         assert_eq!(store.take_batch(), before, "storage order, no copy-sort");
         assert!(store.is_empty());
@@ -691,7 +685,7 @@ mod tests {
         let mut h = Vec::new();
         store.column_histogram_into(&grid, &mut h);
         assert!(h.iter().all(|&c| c == 0));
-        store.advance_all(&grid, &consts, DEFAULT_CHUNK);
+        store.advance_all(&grid, DEFAULT_CHUNK);
         assert!(store.is_empty());
     }
 
@@ -709,16 +703,15 @@ mod tests {
         // cadence (or never) changes nothing, and both sweep doors are
         // exact at any store age.
         let (grid, ps) = population(400, Distribution::Geometric { r: 0.9 });
-        let consts = SimConstants::CANONICAL;
         for rebin in [1u32, 3, 16, u32::MAX] {
             let mut reference = ps.clone();
             let mut binned = whole_store(&ps, &grid);
             for step in 1..=40u32 {
-                advance_all(&grid, &consts, &mut reference);
+                advance_all(&grid, &mut reference);
                 if step % 2 == 0 {
-                    binned.advance_all(&grid, &consts, DEFAULT_CHUNK);
+                    binned.advance_all(&grid, DEFAULT_CHUNK);
                 } else {
-                    binned.sweep(&grid, &consts);
+                    binned.sweep(&grid);
                 }
                 if step % rebin == 0 {
                     binned.rebin(&grid);
@@ -736,18 +729,11 @@ mod tests {
     #[test]
     fn binned_run_verifies() {
         let (grid, ps) = population(300, Distribution::PAPER_SKEW);
-        let consts = SimConstants::CANONICAL;
         let mut store = whole_store(&ps, &grid);
         for _ in 0..60 {
-            store.advance_all(&grid, &consts, DEFAULT_CHUNK);
+            store.advance_all(&grid, DEFAULT_CHUNK);
         }
-        let report = verify_all(
-            &grid,
-            &store.to_particles(),
-            60,
-            triangular_id_sum(300),
-            DEFAULT_TOLERANCE,
-        );
+        let report = verify_all(&grid, &store.to_particles(), 60, triangular_id_sum(300));
         assert!(report.passed(), "{report:?}");
     }
 
@@ -756,11 +742,10 @@ mod tests {
         // The histogram is a scan of the current positions: after a sweep
         // it no longer matches the population the store was built from.
         let (grid, ps) = population(200, Distribution::Uniform);
-        let consts = SimConstants::CANONICAL;
         let mut store = whole_store(&ps, &grid);
         let mut built = Vec::new();
         store.column_histogram_into(&grid, &mut built);
-        store.advance_all(&grid, &consts, DEFAULT_CHUNK);
+        store.advance_all(&grid, DEFAULT_CHUNK);
         let mut h = Vec::new();
         store.column_histogram_into(&grid, &mut h);
         assert_eq!(h.iter().sum::<u64>(), 200);
@@ -775,9 +760,8 @@ mod tests {
     #[test]
     fn edits_keep_the_phase_halves_and_the_next_sweep_exact() {
         let (grid, ps) = population(100, Distribution::Uniform);
-        let consts = SimConstants::CANONICAL;
         let mut store = whole_store(&ps, &grid);
-        store.sweep(&grid, &consts);
+        store.sweep(&grid);
         let doomed = store.remove_in_region_upto(&Region::whole(32), 10);
         assert_eq!(doomed, 10);
         assert_phases(&store, "after a removal");
@@ -789,8 +773,8 @@ mod tests {
         assert_phases(&store, "after a set");
         assert_ne!(store.split, split, "the edited particle changed halves");
         let mut reference = store.to_particles();
-        store.sweep(&grid, &consts);
-        advance_all(&grid, &consts, &mut reference);
+        store.sweep(&grid);
+        advance_all(&grid, &mut reference);
         assert_eq!(store.len(), 90);
         assert_eq!(reference, store.to_particles());
     }
@@ -799,7 +783,6 @@ mod tests {
     /// drain/push_tail, compared bitwise against the unbinned sweep.
     fn run_split_stores(steps: u32, n: u64, dist: Distribution) -> (Vec<Particle>, Vec<Particle>) {
         let (grid, ps) = population(n, dist);
-        let consts = SimConstants::CANONICAL;
         let ncells = grid.ncells();
         let mid = ncells / 2;
         let mut reference = ps.clone();
@@ -812,9 +795,9 @@ mod tests {
         let mut left = whole_store(&split(0, mid), &grid);
         let mut right = whole_store(&split(mid, ncells), &grid);
         for _ in 0..steps {
-            advance_all(&grid, &consts, &mut reference);
-            left.sweep(&grid, &consts);
-            right.sweep(&grid, &consts);
+            advance_all(&grid, &mut reference);
+            left.sweep(&grid);
+            right.sweep(&grid);
             let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
             left.drain_leavers_into(&grid, |c, _| c < mid, |p| to_right.push(p));
             right.drain_leavers_into(&grid, |c, _| c >= mid, |p| to_left.push(p));
@@ -876,7 +859,6 @@ mod tests {
     /// through the pool with a small chunk.
     fn check_drain_sequence(n: u64, k: u32, dir: i8, steps: u32, cut: u64, pooled: bool) {
         let grid = Grid::new(32).unwrap();
-        let consts = SimConstants::CANONICAL;
         let ps = InitConfig::new(grid, n, Distribution::Geometric { r: 0.9 })
             .with_k(k)
             .with_m(1)
@@ -894,14 +876,14 @@ mod tests {
             whole_store(&mine, &grid)
         });
         for step in 0..steps {
-            advance_all(&grid, &consts, &mut reference);
+            advance_all(&grid, &mut reference);
             mid = 1 + ((cut >> (step % 60)) as usize) % (ncells - 1);
             let mut moved = [ParticleBatch::new(), ParticleBatch::new()];
             for (h, store) in halves.iter_mut().enumerate() {
                 if pooled {
-                    store.advance_all(&grid, &consts, 7);
+                    store.advance_all(&grid, 7);
                 } else {
-                    store.sweep(&grid, &consts);
+                    store.sweep(&grid);
                 }
                 let side = |c: usize| usize::from(c >= mid);
                 let keep = |c: usize, _| side(c) == h;
@@ -945,7 +927,6 @@ mod tests {
     /// same population, per id, bit for bit.
     fn check_random_edits(n: u64, k: u32, m: i32, seed: u64, ops: &[u8]) {
         let grid = Grid::new(32).unwrap();
-        let consts = SimConstants::CANONICAL;
         let ps = InitConfig::new(grid, n, Distribution::Sinusoidal)
             .with_k(k)
             .with_m(m)
@@ -959,12 +940,12 @@ mod tests {
         for (j, &op) in ops.iter().enumerate() {
             match op {
                 0 => {
-                    store.sweep(&grid, &consts);
-                    advance_all(&grid, &consts, &mut reference);
+                    store.sweep(&grid);
+                    advance_all(&grid, &mut reference);
                 }
                 1 => {
-                    store.advance_all(&grid, &consts, 13);
-                    advance_all(&grid, &consts, &mut reference);
+                    store.advance_all(&grid, 13);
+                    advance_all(&grid, &mut reference);
                 }
                 2 => {
                     // Keep each column with probability 1/4 to 1, or none.
@@ -1069,7 +1050,7 @@ mod tests {
             .collect();
         let mut store = whole_store(&mine, &grid);
         for _ in 0..age {
-            store.sweep(&grid, &SimConstants::CANONICAL);
+            store.sweep(&grid);
         }
         (grid, store)
     }
@@ -1298,7 +1279,7 @@ mod tests {
     fn empty_store_is_harmless() {
         let grid = Grid::new(8).unwrap();
         let mut store = whole_store(&[], &grid);
-        store.advance_all(&grid, &SimConstants::CANONICAL, DEFAULT_CHUNK);
+        store.advance_all(&grid, DEFAULT_CHUNK);
         assert!(store.is_empty());
         assert!(store.pop().is_none());
         let mut h = Vec::new();

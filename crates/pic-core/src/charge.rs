@@ -1,7 +1,12 @@
 //! Mesh charges and the Coulomb force kernel.
 //!
-//! Mesh points in columns with **even** x-index carry charge `+q`, odd
-//! columns carry `−q` (paper §III-C, Figure 2). At every time step, each
+//! The kernel runs in the reference units of the PRK codes: cell edge
+//! `h = 1`, time step `dt = 1` and mesh charge magnitude `q = 1`, with the
+//! paper's normalization `k_e / m = 1`. Positions are in cells, so a
+//! cell's far corner is `1.0` away and its centre `0.5`.
+//!
+//! Mesh points in columns with **even** x-index carry charge `+1`, odd
+//! columns carry `−1` (paper §III-C, Figure 2). At every time step, each
 //! particle interacts only with the four charges at the corners of the cell
 //! containing it; the total Coulomb force determines its acceleration for
 //! the whole step (`F = m·a` with `k_e / m = 1`).
@@ -11,59 +16,15 @@
 //! ([`charge_denominator`]) and during the per-step force evaluation
 //! ([`total_force`]). That is the paper's "certain reordering constraints":
 //! it keeps the realized per-step displacement within one ulp of the exact
-//! `(2k+1)·h`, so errors do not accumulate over thousands of steps.
+//! `2k+1` cells, so errors do not accumulate over thousands of steps.
 
 use crate::geometry::Grid;
 
-/// Fixed physical constants of the kernel.
-///
-/// The paper normalizes `k_e / m = 1`; the reference implementations
-/// additionally fix `h = 1`, `dt = 1` and mesh charge magnitude `q = 1`.
-/// They are kept symbolic here so tests can probe other values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConstants {
-    /// Cell edge length `h`.
-    pub h: f64,
-    /// Time-step length `dt`.
-    pub dt: f64,
-    /// Mesh charge magnitude `q`.
-    pub q: f64,
-}
-
-impl Default for SimConstants {
-    fn default() -> Self {
-        SimConstants {
-            h: 1.0,
-            dt: 1.0,
-            q: 1.0,
-        }
-    }
-}
-
-impl SimConstants {
-    /// The canonical constants used by the paper's experiments.
-    pub const CANONICAL: SimConstants = SimConstants {
-        h: 1.0,
-        dt: 1.0,
-        q: 1.0,
-    };
-}
-
-/// Charge at a mesh point in column `col`: `+q` for even columns, `−q` for
+/// Charge at a mesh point in column `col`: `+1` for even columns, `−1` for
 /// odd columns. The row does not matter — all cells in a column are of the
 /// same type (paper §III-D).
 #[inline]
-pub fn mesh_charge(col: usize, q: f64) -> f64 {
-    if col.is_multiple_of(2) {
-        q
-    } else {
-        -q
-    }
-}
-
-/// Sign (+1/−1) of the mesh charge in column `col`.
-#[inline]
-pub fn column_sign(col: usize) -> f64 {
+pub fn mesh_charge(col: usize) -> f64 {
     if col.is_multiple_of(2) {
         1.0
     } else {
@@ -118,12 +79,12 @@ pub(crate) fn f_over_r_lanes<V: crate::simd::Lanes>(dx: V, dy: V, q1: V, q2: V) 
 }
 
 /// The premise of the span kernel's corner fold (DESIGN.md §10), for
-/// either axis: in every lane the far-corner displacement `rh = r − h` the
+/// either axis: in every lane the far-corner displacement `rh = r − 1` the
 /// kernel computed is *exactly* the negated near one, i.e. the particle
 /// sits at cell mid-height (`r = ry`) or mid-width (`r = rx`). Then
 /// `rh·rh ≡ r·r`, so the far corner's `r²` carries the near corner's bits,
-/// and `r ≠ 0` (with `h > 0`, `r − h == −r` fails at `r = 0`), so neither
-/// `r²` is zero. No tolerance: one lane one ulp off (or NaN) is `false`,
+/// and `r ≠ 0` (`r − 1 == −r` fails at `r = 0`), so neither `r²` is
+/// zero. No tolerance: one lane one ulp off (or NaN) is `false`,
 /// and the kernel evaluates the corners along that axis.
 #[inline(always)]
 pub(crate) fn mid_cell_lanes<V: crate::simd::Lanes>(r: V, rh: V) -> bool {
@@ -138,7 +99,7 @@ pub(crate) fn mid_cell_lanes<V: crate::simd::Lanes>(r: V, rh: V) -> bool {
 /// charge for migrating one (`CostModel::migration_ns`), the functional
 /// runs do not store it.
 #[inline]
-pub fn total_force(grid: &Grid, consts: &SimConstants, x: f64, y: f64, qp: f64) -> (f64, f64) {
+pub fn total_force(grid: &Grid, x: f64, y: f64, qp: f64) -> (f64, f64) {
     let (col, row) = grid.cell_of_point(x, y);
     // Displacements from the four corners to the particle. Note the right
     // corners sit at column col+1, which may be the periodic image of
@@ -146,49 +107,49 @@ pub fn total_force(grid: &Grid, consts: &SimConstants, x: f64, y: f64, qp: f64) 
     // of col+1 is the parity of the *physical* mesh column either way.
     let rx = x - col as f64;
     let ry = y - row as f64;
-    let q_left = mesh_charge(col, consts.q);
-    let q_right = mesh_charge(col + 1, consts.q);
+    let q_left = mesh_charge(col);
+    let q_right = mesh_charge(col + 1);
 
     let (fx0, fy0) = coulomb(rx, ry, q_left, qp); // bottom-left
-    let (fx1, fy1) = coulomb(rx, ry - consts.h, q_left, qp); // top-left
-    let (fx2, fy2) = coulomb(rx - consts.h, ry, q_right, qp); // bottom-right
-    let (fx3, fy3) = coulomb(rx - consts.h, ry - consts.h, q_right, qp); // top-right
+    let (fx1, fy1) = coulomb(rx, ry - 1.0, q_left, qp); // top-left
+    let (fx2, fy2) = coulomb(rx - 1.0, ry, q_right, qp); // bottom-right
+    let (fx3, fy3) = coulomb(rx - 1.0, ry - 1.0, q_right, qp); // top-right
 
     // Pair the symmetric contributions (bottom+top of each column) so the
-    // y-components cancel bit-exactly when ry == h/2.
+    // y-components cancel bit-exactly when ry == 1/2.
     ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3))
 }
 
-/// The denominator of paper eq. 3: `q · (cos θ / d1² + cos φ / d2²)`,
-/// evaluated through the same [`coulomb`] kernel used at run time so the
-/// assigned charge and the realized force agree to within rounding.
+/// The denominator of paper eq. 3, `cos θ / d1² + cos φ / d2²`, for a
+/// particle at the cell centre `x_π = 1/2` (where every particle is
+/// placed), evaluated through the same [`coulomb`] kernel used at run time
+/// so the assigned charge and the realized force agree to within rounding.
 ///
-/// For a particle on the horizontal axis of symmetry at relative position
-/// `x_rel ∈ (0, h)`, this equals half the magnitude of the horizontal
-/// acceleration the particle would feel with unit charge (the other half
-/// coming from the second corner of each column).
+/// This equals half the magnitude of the horizontal acceleration the
+/// particle would feel with unit charge (the other half coming from the
+/// second corner of each column).
 #[inline]
-pub fn charge_denominator(consts: &SimConstants, x_rel: f64) -> f64 {
-    let h = consts.h;
+pub fn charge_denominator() -> f64 {
     // Unit-charge force from one bottom-left corner and one bottom-right
-    // corner at vertical offset h/2; cos θ / d1² is exactly the x-component
-    // of the unit Coulomb force from the left corner.
-    let (fx_left, _) = coulomb(x_rel, h / 2.0, consts.q, 1.0);
-    let (fx_right, _) = coulomb(x_rel - h, h / 2.0, -consts.q, 1.0);
+    // corner at vertical offset 1/2; cos θ / d1² is exactly the x-component
+    // of the unit Coulomb force from the left corner. The operands are the
+    // sweep's own at the centre: `rx = ry = 0.5`, `rx − 1`.
+    let c = 0.5;
+    let (fx_left, _) = coulomb(c, c, 1.0, 1.0);
+    let (fx_right, _) = coulomb(c - 1.0, c, -1.0, 1.0);
     fx_left + fx_right
 }
 
-/// Particle charge per paper eq. 3, for relative position `x_rel` and
-/// odd multiple `2k+1`, with `sign = ±1` selecting the orientation of the
-/// charge relative to the containing column's mesh charge.
+/// Particle charge per paper eq. 3 at the cell centre, for odd multiple
+/// `2k+1`, with `sign = ±1` selecting the orientation of the charge
+/// relative to the containing column's mesh charge.
 ///
 /// A particle whose charge has the *same* sign as its column's mesh charge
 /// is pushed towards increasing x; opposite sign pushes it towards
 /// decreasing x.
 #[inline]
-pub fn particle_charge(consts: &SimConstants, x_rel: f64, k: u32, sign: f64) -> f64 {
-    let denom = charge_denominator(consts, x_rel);
-    let base = consts.h / (consts.dt * consts.dt * denom);
+pub fn particle_charge(k: u32, sign: f64) -> f64 {
+    let base = 1.0 / charge_denominator();
     sign * (2.0 * k as f64 + 1.0) * base
 }
 
@@ -200,14 +161,14 @@ pub fn particle_charge(consts: &SimConstants, x_rel: f64, k: u32, sign: f64) -> 
 #[inline]
 pub fn sign_for_direction(col: usize, dir: i8) -> f64 {
     debug_assert!(dir == 1 || dir == -1);
-    column_sign(col) * dir as f64
+    mesh_charge(col) * dir as f64
 }
 
 /// Drift direction (+1/−1) implied by a particle's charge sign and its
 /// initial cell column — the inverse of [`sign_for_direction`].
 #[inline]
 pub fn direction_from_charge(col: usize, qp: f64) -> i8 {
-    if column_sign(col) * qp > 0.0 {
+    if mesh_charge(col) * qp > 0.0 {
         1
     } else {
         -1
@@ -218,16 +179,12 @@ pub fn direction_from_charge(col: usize, qp: f64) -> i8 {
 mod tests {
     use super::*;
 
-    fn consts() -> SimConstants {
-        SimConstants::default()
-    }
-
     #[test]
     fn mesh_charge_alternates_by_column() {
-        assert_eq!(mesh_charge(0, 1.0), 1.0);
-        assert_eq!(mesh_charge(1, 1.0), -1.0);
-        assert_eq!(mesh_charge(2, 1.0), 1.0);
-        assert_eq!(mesh_charge(5997, 3.5), -3.5);
+        assert_eq!(mesh_charge(0), 1.0);
+        assert_eq!(mesh_charge(1), -1.0);
+        assert_eq!(mesh_charge(2), 1.0);
+        assert_eq!(mesh_charge(5997), -1.0);
     }
 
     #[test]
@@ -248,8 +205,7 @@ mod tests {
         assert_eq!(fy, 0.0);
         // The other three corners still contribute finite force.
         let g = Grid::new(8).unwrap();
-        let c = consts();
-        let (ax, ay) = total_force(&g, &c, 3.0, 5.0, 0.7);
+        let (ax, ay) = total_force(&g, 3.0, 5.0, 0.7);
         assert!(ax.is_finite() && ay.is_finite(), "ax={ax} ay={ay}");
     }
 
@@ -263,10 +219,9 @@ mod tests {
     #[test]
     fn vertical_force_cancels_on_axis_of_symmetry() {
         let g = Grid::new(8).unwrap();
-        let c = consts();
         // Any relative x, y exactly at cell mid-height.
         for x in [0.5, 1.25, 3.75, 6.5] {
-            let (_, fy) = total_force(&g, &c, x, 2.5, 0.7);
+            let (_, fy) = total_force(&g, x, 2.5, 0.7);
             assert_eq!(fy, 0.0, "fy must cancel bit-exactly at ry = 0.5 (x={x})");
         }
     }
@@ -274,32 +229,28 @@ mod tests {
     #[test]
     fn horizontal_force_direction_matches_column_parity() {
         let g = Grid::new(8).unwrap();
-        let c = consts();
         // Positive particle in even column: pushed right.
-        let (fx, _) = total_force(&g, &c, 0.5, 0.5, 1.0);
+        let (fx, _) = total_force(&g, 0.5, 0.5, 1.0);
         assert!(fx > 0.0);
         // Positive particle in odd column: pushed left.
-        let (fx, _) = total_force(&g, &c, 1.5, 0.5, 1.0);
+        let (fx, _) = total_force(&g, 1.5, 0.5, 1.0);
         assert!(fx < 0.0);
         // Negative particle in odd column: pushed right.
-        let (fx, _) = total_force(&g, &c, 1.5, 0.5, -1.0);
+        let (fx, _) = total_force(&g, 1.5, 0.5, -1.0);
         assert!(fx > 0.0);
     }
 
     #[test]
     fn assigned_charge_yields_exact_unit_acceleration() {
         // With charge from eq. 3 (k = 0), the acceleration magnitude must be
-        // 2h/dt² to within an ulp, giving displacement h in the first step.
+        // 2 to within an ulp, giving a displacement of one cell in the first
+        // step.
         let g = Grid::new(8).unwrap();
-        let c = consts();
         for col in 0..4usize {
-            let qp = particle_charge(&c, 0.5, 0, sign_for_direction(col, 1));
+            let qp = particle_charge(0, sign_for_direction(col, 1));
             let (x, y) = g.cell_center(col, 0);
-            let (ax, ay) = total_force(&g, &c, x, y, qp);
-            assert!(
-                (ax - 2.0).abs() < 1e-13,
-                "col {col}: ax = {ax}, expected 2h/dt² = 2"
-            );
+            let (ax, ay) = total_force(&g, x, y, qp);
+            assert!((ax - 2.0).abs() < 1e-13, "col {col}: ax = {ax}, expected 2");
             assert_eq!(ay, 0.0);
         }
     }
@@ -307,10 +258,9 @@ mod tests {
     #[test]
     fn k_scales_acceleration_oddly() {
         let g = Grid::new(8).unwrap();
-        let c = consts();
         for k in [0u32, 1, 2, 5] {
-            let qp = particle_charge(&c, 0.5, k, 1.0);
-            let (ax, _) = total_force(&g, &c, 0.5, 0.5, qp);
+            let qp = particle_charge(k, 1.0);
+            let (ax, _) = total_force(&g, 0.5, 0.5, qp);
             let want = 2.0 * (2.0 * k as f64 + 1.0);
             assert!(
                 (ax - want).abs() < 1e-12 * want,
@@ -321,22 +271,11 @@ mod tests {
 
     #[test]
     fn direction_roundtrip() {
-        let c = consts();
         for col in 0..6usize {
             for dir in [1i8, -1] {
-                let qp = particle_charge(&c, 0.5, 3, sign_for_direction(col, dir));
+                let qp = particle_charge(3, sign_for_direction(col, dir));
                 assert_eq!(direction_from_charge(col, qp), dir);
             }
-        }
-    }
-
-    #[test]
-    fn charge_denominator_symmetric_about_half() {
-        let c = consts();
-        for d in [0.1, 0.2, 0.3, 0.45] {
-            let lo = charge_denominator(&c, 0.5 - d);
-            let hi = charge_denominator(&c, 0.5 + d);
-            assert!((lo - hi).abs() < 1e-12, "denominator must be symmetric");
         }
     }
 
@@ -346,9 +285,8 @@ mod tests {
         // image of column 0, whose parity (even) equals that of column L
         // because L is even.
         let g = Grid::new(8).unwrap();
-        let c = consts();
-        let qp = particle_charge(&c, 0.5, 0, sign_for_direction(7, 1));
-        let (ax, _) = total_force(&g, &c, 7.5, 0.5, qp);
+        let qp = particle_charge(0, sign_for_direction(7, 1));
+        let (ax, _) = total_force(&g, 7.5, 0.5, qp);
         assert!((ax - 2.0).abs() < 1e-13, "ax={ax}");
     }
 }

@@ -10,7 +10,6 @@
 //! property tests — as does every distributed implementation.
 
 use crate::bin::BinnedStore;
-use crate::charge::SimConstants;
 use crate::events::EventLedger;
 use crate::geometry::Grid;
 use crate::init::SimulationSetup;
@@ -18,7 +17,7 @@ use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
 use crate::soa::ParticleBatch;
-use crate::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE};
+use crate::verify::{verify_batch, VerifyReport};
 
 /// What [`Simulation::with_mode`] once chose between; the binned store is
 /// now the only one. Kept only because the benchmark's adapter
@@ -34,7 +33,6 @@ pub enum SweepMode {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     grid: Grid,
-    consts: SimConstants,
     store: BinnedStore,
     ledger: EventLedger,
     step: u32,
@@ -50,7 +48,6 @@ impl Simulation {
     pub fn new(setup: SimulationSetup) -> Simulation {
         Simulation {
             grid: setup.grid,
-            consts: setup.consts,
             store: BinnedStore::new_owned(&setup.particles, &setup.grid, |_, _| true),
             ledger: EventLedger::new(&setup),
             step: 0,
@@ -105,10 +102,6 @@ impl Simulation {
         self.step
     }
 
-    pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
     /// The current population, materialized as AoS records in ascending-id
     /// order (allocates). For allocation-free bulk reads use the histogram
     /// `_into` methods or [`Simulation::batch`].
@@ -146,7 +139,7 @@ impl Simulation {
     pub fn step(&mut self) {
         self.apply_due_events();
         let chunk = self.chunk_size();
-        self.store.advance_all(&self.grid, &self.consts, chunk);
+        self.store.advance_all(&self.grid, chunk);
         self.step += 1;
     }
 
@@ -158,18 +151,12 @@ impl Simulation {
     }
 
     /// Verify the current population against eqs. 5–6 (within
-    /// [`DEFAULT_TOLERANCE`]) and the checksum. Streams over the store in
+    /// [`crate::verify::DEFAULT_TOLERANCE`]) and the checksum. Streams over the store in
     /// storage order — no AoS copy, no sort; the report is the one
     /// [`crate::verify::verify_all`] gives for [`Simulation::particles`].
     pub fn verify(&self) -> VerifyReport {
         let sum = self.expected_id_sum();
-        verify_batch(
-            &self.grid,
-            self.store.batch(),
-            self.step,
-            sum,
-            DEFAULT_TOLERANCE,
-        )
+        verify_batch(&self.grid, self.store.batch(), self.step, sum)
     }
 
     /// Histogram of particle counts per cell column — the quantity the

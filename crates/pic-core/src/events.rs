@@ -14,7 +14,6 @@
 //! ([`crate::reference`]) keeps its own copy of the rules, on purpose.
 
 use crate::bin::BinnedStore;
-use crate::charge::SimConstants;
 use crate::geometry::Grid;
 use crate::init::{build_injection, SimulationSetup};
 
@@ -127,7 +126,6 @@ impl Event {
 #[derive(Debug, Clone)]
 pub struct EventLedger {
     grid: Grid,
-    consts: SimConstants,
     events: Vec<Event>,
     next_event: usize,
     next_id: u64,
@@ -140,7 +138,6 @@ impl EventLedger {
         events.sort_by_key(|e| e.at_step);
         EventLedger {
             grid: setup.grid,
-            consts: setup.consts,
             events,
             next_event: 0,
             next_id: setup.next_id,
@@ -177,7 +174,6 @@ impl EventLedger {
                 EventKind::Inject { count, k, m, dir } => {
                     let newcomers = build_injection(
                         self.grid,
-                        self.consts,
                         e.region,
                         count,
                         k,

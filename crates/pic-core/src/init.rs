@@ -1,10 +1,10 @@
 //! Particle initialization (paper §III-C).
 //!
 //! Particles are placed at **cell centers** — on the horizontal axis of
-//! symmetry at relative position `x_π = h/2` — the configuration the paper
+//! symmetry at relative position `x_π = 1/2` — the configuration the paper
 //! singles out for finite-precision exactness. Each particle's charge is
 //! assigned per eq. 3 (scaled by an odd multiple `2k+1` for faster drift)
-//! and its initial velocity is `(0, m·h/dt)` per eq. 4.
+//! and its initial velocity is `(0, m)` cells per step per eq. 4.
 //!
 //! Placement is fully deterministic given the configuration: the
 //! distribution fixes a count per cell column, and within each column the
@@ -13,7 +13,7 @@
 //! repeatable across the serial engine, the threaded parallel runs, and the
 //! analytic load model.
 
-use crate::charge::{particle_charge, sign_for_direction, SimConstants};
+use crate::charge::{particle_charge, sign_for_direction};
 use crate::dist::{largest_remainder, Distribution};
 use crate::events::{Event, EventKind, Region};
 use crate::geometry::{Grid, GridError};
@@ -59,7 +59,6 @@ pub struct InitConfig {
     pub grid: Grid,
     pub n: u64,
     pub dist: Distribution,
-    pub consts: SimConstants,
     /// Horizontal stride parameter: particles travel `2k+1` cells/step.
     pub k: u32,
     /// Vertical cells per step (eq. 4 velocity multiplier).
@@ -125,14 +124,13 @@ impl fmt::Display for InitError {
 impl std::error::Error for InitError {}
 
 impl InitConfig {
-    /// Start a configuration with defaults: canonical constants, `k = 0`,
-    /// `m = 0`, rightward drift, even row spread.
+    /// Start a configuration with defaults: `k = 0`, `m = 0`, rightward
+    /// drift, even row spread.
     pub fn new(grid: Grid, n: u64, dist: Distribution) -> InitConfig {
         InitConfig {
             grid,
             n,
             dist,
-            consts: SimConstants::CANONICAL,
             k: 0,
             m: 0,
             dir: 1,
@@ -168,16 +166,7 @@ impl InitConfig {
     }
 
     fn validate(&self) -> Result<(), InitError> {
-        if self.dir != 1 && self.dir != -1 {
-            return Err(InitError::BadDirection(self.dir));
-        }
-        let stride = 2 * self.k as u64 + 1;
-        if stride > self.grid.ncells() as u64 {
-            return Err(InitError::StrideTooLarge {
-                stride,
-                ncells: self.grid.ncells(),
-            });
-        }
+        validate_motion(&self.grid, self.k, self.dir)?;
         let ncells = self.grid.ncells();
         if let Distribution::Patch { x0, x1, y0, y1 } = self.dist {
             if x0 >= x1 || y0 >= y1 || x0 >= ncells || y0 >= ncells {
@@ -209,15 +198,7 @@ impl InitConfig {
         self.validate()?;
         let counts = self.dist.column_counts(self.grid.ncells(), self.n);
         let (range_lo, range_hi) = self.dist.row_range(self.grid.ncells());
-        let mut placer = Placer::new(
-            self.grid,
-            self.consts,
-            self.spread,
-            self.k,
-            self.m,
-            self.dir,
-            0,
-        );
+        let mut placer = Placer::new(self.grid, self.spread, self.k, self.m, self.dir, 0);
         let mut particles = Vec::with_capacity(self.n as usize);
         let mut next_id = 1u64;
         // Under the Y axis the profile is transposed: `counts[j]`
@@ -236,7 +217,6 @@ impl InitConfig {
         debug_assert_eq!(particles.len() as u64, self.n);
         Ok(SimulationSetup {
             grid: self.grid,
-            consts: self.consts,
             particles,
             events: Vec::new(),
             next_id,
@@ -244,12 +224,11 @@ impl InitConfig {
     }
 }
 
-/// Everything needed to start a simulation: grid, constants, the initial
-/// particle population and the (possibly empty) event schedule.
+/// Everything needed to start a simulation: grid, the initial particle
+/// population and the (possibly empty) event schedule.
 #[derive(Debug, Clone)]
 pub struct SimulationSetup {
     pub grid: Grid,
-    pub consts: SimConstants,
     pub particles: Vec<Particle>,
     pub events: Vec<Event>,
     /// Next unassigned particle id (for injections).
@@ -279,22 +258,13 @@ struct Placer {
     /// Eq. 3 charge in an even and in an odd column: the sign is all that
     /// depends on the cell, so two evaluations serve every particle.
     q: [f64; 2],
-    vy0: f64,
     k: u32,
     m: i32,
     born_at: u32,
 }
 
 impl Placer {
-    fn new(
-        grid: Grid,
-        consts: SimConstants,
-        spread: RowSpread,
-        k: u32,
-        m: i32,
-        dir: i8,
-        born_at: u32,
-    ) -> Placer {
+    fn new(grid: Grid, spread: RowSpread, k: u32, m: i32, dir: i8, born_at: u32) -> Placer {
         let rng = match spread {
             RowSpread::Even => None,
             RowSpread::Random { seed } => Some(SplitMix64::seed_from_u64(seed)),
@@ -302,8 +272,7 @@ impl Placer {
         Placer {
             grid,
             rng,
-            q: [0, 1].map(|col| particle_charge(&consts, 0.5, k, sign_for_direction(col, dir))),
-            vy0: m as f64 * consts.h / consts.dt,
+            q: [0, 1].map(|col| particle_charge(k, sign_for_direction(col, dir))),
             k,
             m,
             born_at,
@@ -336,7 +305,7 @@ impl Placer {
                 x,
                 y,
                 vx: 0.0,
-                vy: self.vy0,
+                vy: self.m as f64,
                 q: self.q[col % 2],
                 x0: x,
                 y0: y,
@@ -379,7 +348,6 @@ impl Placer {
 #[allow(clippy::too_many_arguments)]
 pub fn build_injection(
     grid: Grid,
-    consts: SimConstants,
     region: Region,
     count: u64,
     k: u32,
@@ -394,7 +362,7 @@ pub fn build_injection(
     }
     let weights = vec![1.0f64; ncols];
     let per_col = largest_remainder(&weights, count);
-    let mut placer = Placer::new(grid, consts, RowSpread::Even, k, m, dir, born_at);
+    let mut placer = Placer::new(grid, RowSpread::Even, k, m, dir, born_at);
     let mut out = Vec::with_capacity(count as usize);
     for (ci, &cnt) in per_col.iter().enumerate() {
         let rows = region.y0..region.y1;
@@ -434,16 +402,23 @@ pub fn validate_event(grid: &Grid, event: &Event) -> Result<(), InitError> {
         return Err(InitError::EmptyRegion);
     }
     if let EventKind::Inject { k, dir, .. } = event.kind {
-        if dir != 1 && dir != -1 {
-            return Err(InitError::BadDirection(dir));
-        }
-        let stride = 2 * k as u64 + 1;
-        if stride > grid.ncells() as u64 {
-            return Err(InitError::StrideTooLarge {
-                stride,
-                ncells: grid.ncells(),
-            });
-        }
+        validate_motion(grid, k, dir)?;
+    }
+    Ok(())
+}
+
+/// A motion recipe's checks, for the initial population and injections
+/// alike: `dir ∈ {±1}` and a stride `2k+1` no wider than the grid.
+fn validate_motion(grid: &Grid, k: u32, dir: i8) -> Result<(), InitError> {
+    if dir != 1 && dir != -1 {
+        return Err(InitError::BadDirection(dir));
+    }
+    let stride = 2 * k as u64 + 1;
+    if stride > grid.ncells() as u64 {
+        return Err(InitError::StrideTooLarge {
+            stride,
+            ncells: grid.ncells(),
+        });
     }
     Ok(())
 }
@@ -669,7 +644,6 @@ mod tests {
         let mut next_id = 101;
         let ps = build_injection(
             grid(),
-            SimConstants::CANONICAL,
             Region {
                 x0: 0,
                 x1: 4,

@@ -59,7 +59,7 @@ pub mod verify;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::bin::BinnedStore;
-    pub use crate::charge::{mesh_charge, total_force, SimConstants};
+    pub use crate::charge::{mesh_charge, total_force};
     pub use crate::dist::Distribution;
     pub use crate::engine::Simulation;
     pub use crate::events::{Event, EventKind, Region};

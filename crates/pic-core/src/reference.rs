@@ -24,7 +24,6 @@ use crate::particle::Particle;
 pub fn run(setup: SimulationSetup, steps: u32) -> Vec<Particle> {
     let SimulationSetup {
         grid,
-        consts,
         mut particles,
         mut events,
         mut next_id,
@@ -36,7 +35,6 @@ pub fn run(setup: SimulationSetup, steps: u32) -> Vec<Particle> {
             match e.kind {
                 EventKind::Inject { count, k, m, dir } => particles.extend(build_injection(
                     grid,
-                    consts,
                     e.region,
                     count,
                     k,
@@ -50,7 +48,7 @@ pub fn run(setup: SimulationSetup, steps: u32) -> Vec<Particle> {
                 }
             }
         }
-        advance_all(&grid, &consts, &mut particles);
+        advance_all(&grid, &mut particles);
     }
     particles.sort_unstable_by_key(|p| p.id);
     particles
@@ -63,7 +61,7 @@ mod tests {
     use crate::events::{Event, Region};
     use crate::geometry::Grid;
     use crate::init::InitConfig;
-    use crate::verify::{triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
+    use crate::verify::{triangular_id_sum, verify_all};
 
     #[test]
     fn events_fire_at_their_step_and_the_run_verifies() {
@@ -89,7 +87,7 @@ mod tests {
         // The removal took the 50 lowest ids, all initial particles.
         assert_eq!(finals[0].id, 51);
         let sum = triangular_id_sum(340) - triangular_id_sum(50);
-        let report = verify_all(&grid, &finals, 30, sum, DEFAULT_TOLERANCE);
+        let report = verify_all(&grid, &finals, 30, sum);
         assert!(report.passed(), "{report:?}");
     }
 }

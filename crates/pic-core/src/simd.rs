@@ -56,9 +56,12 @@
 //! happens — asserted against the oracle, per particle, across every
 //! backend the host can run.
 //!
+//! The kernel runs in the reference units of [`crate::charge`]: a cell's
+//! far corners sit at `r − 1` and eqs. 1–2 carry no `dt` factor.
+//!
 //! [`coulomb`]: crate::charge::coulomb
 
-use crate::charge::{f_over_r_lanes, mid_cell_lanes, SimConstants};
+use crate::charge::{f_over_r_lanes, mid_cell_lanes};
 use crate::geometry::Grid;
 use crate::owner::{OwnerMap, OwnerTable};
 
@@ -720,15 +723,15 @@ impl OwnerLanes for f64 {
 ///
 /// **The force fold.** A group whose lanes all sit exactly at the cell
 /// centre on both axes ([`mid_cell_lanes`], tested on the `rx`, `ry`,
-/// `rxh`, `ryh` the kernel itself computed) has `rx = ry = h/2` in every
+/// `rxh`, `ryh` the kernel itself computed) has `rx = ry = ½` in every
 /// lane; if every lane's charge also equals the charge of the call's first
 /// particle (the span charge, tested on the loaded `q` lanes), every lane
 /// feels one force. [`group_force`] evaluates it once per call, on splatted
-/// centre operands `(h/2, h/2, h/2 − h)` and the span charge, and
-/// [`Kick`] turns it into the four constants `½·ax·dt`, `½·ay·dt`, `ax·dt`,
-/// `ay·dt`; such a group runs only the integration adds and multiplies and
-/// the wrap. The constants are the loop's own operations on the same bits,
-/// so the result is bit-identical by construction (DESIGN.md §10).
+/// centre operands `(½, ½, ½ − 1)` and the span charge, and [`Kick`] turns
+/// it into the four constants `½·ax`, `½·ay`, `ax`, `ay`; such a group
+/// runs only the integration adds and the wrap. The constants are the
+/// loop's own operations on the same bits, so the result is bit-identical
+/// by construction (DESIGN.md §10).
 /// `Lanes::all_eq` is exact bit equality only for a non-zero, non-NaN span
 /// charge (`−0.0 == +0.0`), so a span whose first charge is `±0.0` or NaN
 /// never force-folds.
@@ -742,9 +745,7 @@ impl OwnerLanes for f64 {
 /// The pointers must each be valid for `groups * V::WIDTH` elements and
 /// the x/y/vx/vy regions must be disjoint (they are distinct SoA columns).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn force_groups<V: Lanes>(
-    consts: &SimConstants,
     q_left: f64,
     x: *mut f64,
     y: *mut f64,
@@ -756,12 +757,11 @@ unsafe fn force_groups<V: Lanes>(
     if groups == 0 {
         return;
     }
-    let dt = V::splat(consts.dt);
-    let h = V::splat(consts.h);
+    let one = V::splat(1.0);
     let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
     // A NaN span charge fails every `all_eq`, so a `±0.0` one folds nothing.
     let q_span = V::splat(if *q == 0.0 { f64::NAN } else { *q });
-    let folded = centre_kick(consts, ql, qr, q_span);
+    let folded = centre_kick(ql, qr, q_span);
     for g in 0..groups {
         let o = g * V::WIDTH;
         let xi = V::load(x.add(o));
@@ -773,30 +773,30 @@ unsafe fn force_groups<V: Lanes>(
         let row = yi.trunc();
         let rx = xi.sub(col);
         let ry = yi.sub(row);
-        let (rxh, ryh) = (rx.sub(h), ry.sub(h));
+        let (rxh, ryh) = (rx.sub(one), ry.sub(one));
         let r = [rx, ry, rxh, ryh];
         let qp = V::load(q.add(o));
         let mid_height = mid_cell_lanes(ry, ryh);
         let mid_width = mid_cell_lanes(rx, rxh);
         let kick = if mid_height && mid_width && qp.all_eq(q_span) {
-            debug_assert_force_fold(folded, r, [ql, qr, qp], dt);
+            debug_assert_force_fold(folded, r, [ql, qr, qp]);
             folded
         } else {
-            Kick::of(group_force(r, [ql, qr, qp], [mid_height, mid_width]), dt)
+            Kick::of(group_force(r, [ql, qr, qp], [mid_height, mid_width]))
         };
         let vxi = V::load(vx.add(o));
         let vyi = V::load(vy.add(o));
-        // x += (vx + 0.5·ax·dt)·dt — same association as the oracle.
-        xi.add(vxi.add(kick.x).mul(dt)).store(x.add(o));
-        yi.add(vyi.add(kick.y).mul(dt)).store(y.add(o));
+        // x += vx + 0.5·ax — same association as the oracle.
+        xi.add(vxi.add(kick.x)).store(x.add(o));
+        yi.add(vyi.add(kick.y)).store(y.add(o));
         vxi.add(kick.vx).store(vx.add(o));
         vyi.add(kick.vy).store(vy.add(o));
     }
 }
 
-/// What one step's acceleration `(ax, ay)` adds per lane: `½·a·dt` to the
-/// velocity that moves the position, `a·dt` to the velocity itself — the
-/// oracle's `(0.5·a)·dt` and `a·dt`, in its association.
+/// What one step's acceleration `(ax, ay)` adds per lane: `½·a` to the
+/// velocity that moves the position, `a` to the velocity itself — the
+/// oracle's `0.5·a` and `a`.
 #[derive(Clone, Copy)]
 struct Kick<V> {
     x: V,
@@ -807,13 +807,13 @@ struct Kick<V> {
 
 impl<V: Lanes> Kick<V> {
     #[inline(always)]
-    fn of((ax, ay): (V, V), dt: V) -> Self {
+    fn of((ax, ay): (V, V)) -> Self {
         let half = V::splat(0.5);
         Kick {
-            x: half.mul(ax).mul(dt),
-            y: half.mul(ay).mul(dt),
-            vx: ax.mul(dt),
-            vy: ay.mul(dt),
+            x: half.mul(ax),
+            y: half.mul(ay),
+            vx: ax,
+            vy: ay,
         }
     }
 
@@ -824,17 +824,13 @@ impl<V: Lanes> Kick<V> {
 }
 
 /// The force fold's constants: [`group_force`] at the exact cell centre,
-/// `r = (h/2, h/2, h/2 − h, h/2 − h)` in every lane (`h/2` is `h·0.5`:
-/// where that rounds, no lane can pass the premise), with both corner
-/// folds and the span charge, turned into a [`Kick`].
+/// `r = (½, ½, ½ − 1, ½ − 1)` in every lane, with both corner folds and
+/// the span charge, turned into a [`Kick`].
 #[inline(always)]
-fn centre_kick<V: Lanes>(consts: &SimConstants, ql: V, qr: V, q_span: V) -> Kick<V> {
-    let (c, h) = (V::splat(consts.h * 0.5), V::splat(consts.h));
-    let r = [c, c, c.sub(h), c.sub(h)];
-    Kick::of(
-        group_force(r, [ql, qr, q_span], [true, true]),
-        V::splat(consts.dt),
-    )
+fn centre_kick<V: Lanes>(ql: V, qr: V, q_span: V) -> Kick<V> {
+    let (c, one) = (V::splat(0.5), V::splat(1.0));
+    let r = [c, c, c.sub(one), c.sub(one)];
+    Kick::of(group_force(r, [ql, qr, q_span], [true, true]))
 }
 
 /// The force on one group, `r = [rx, ry, rxh, ryh]` the displacements from
@@ -910,11 +906,11 @@ fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
 /// the unfolded evaluation of the loaded lanes — four corner `f/r`, no
 /// fold — gives the constants' bits in every lane.
 #[inline(always)]
-fn debug_assert_force_fold<V: Lanes>(folded: Kick<V>, r: [V; 4], q: [V; 3], dt: V) {
+fn debug_assert_force_fold<V: Lanes>(folded: Kick<V>, r: [V; 4], q: [V; 3]) {
     if !cfg!(debug_assertions) {
         return;
     }
-    let unfolded = Kick::of(group_force(r, q, [false, false]), dt);
+    let unfolded = Kick::of(group_force(r, q, [false, false]));
     for (name, (a, b)) in ["x", "y", "vx", "vy"]
         .iter()
         .zip(folded.lanes().into_iter().zip(unfolded.lanes()))
@@ -979,11 +975,9 @@ unsafe fn wrap_groups<V: Lanes>(grid: &Grid, c: *mut f64, groups: usize) {
 /// # Safety
 /// Vector ops of `V` must be executable on the current CPU; the caller
 /// guarantees this via [`SimdBackend`] dispatch.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn advance_span_lanes<V: Lanes>(
     grid: &Grid,
-    consts: &SimConstants,
     q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
@@ -1000,14 +994,13 @@ unsafe fn advance_span_lanes<V: Lanes>(
         let (col, row) = grid.cell_of_point(x[i], y[i]);
         debug_assert_eq!((col, row), (x[i] as usize, y[i] as usize));
         debug_assert_eq!(
-            crate::charge::mesh_charge(col, consts.q),
+            crate::charge::mesh_charge(col),
             q_left,
             "parity drift at x={}",
             x[i]
         );
     }
     force_groups::<V>(
-        consts,
         q_left,
         x.as_mut_ptr(),
         y.as_mut_ptr(),
@@ -1029,10 +1022,8 @@ unsafe fn advance_span_lanes<V: Lanes>(
 /// The CPU must support AVX2 (guaranteed by [`SimdBackend::detect`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn advance_span_avx2(
     grid: &Grid,
-    consts: &SimConstants,
     q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
@@ -1040,7 +1031,7 @@ unsafe fn advance_span_avx2(
     vy: &mut [f64],
     q: &[f64],
 ) -> usize {
-    advance_span_lanes::<x86::Avx2>(grid, consts, q_left, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx2>(grid, q_left, x, y, vx, vy, q)
 }
 
 /// AVX-512 instantiation: 8 lanes per group, still
@@ -1050,10 +1041,8 @@ unsafe fn advance_span_avx2(
 /// The CPU must support AVX-512F (guaranteed by [`SimdBackend::detect`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn advance_span_avx512(
     grid: &Grid,
-    consts: &SimConstants,
     q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
@@ -1061,7 +1050,7 @@ unsafe fn advance_span_avx512(
     vy: &mut [f64],
     q: &[f64],
 ) -> usize {
-    advance_span_lanes::<x86::Avx512>(grid, consts, q_left, x, y, vx, vy, q)
+    advance_span_lanes::<x86::Avx512>(grid, q_left, x, y, vx, vy, q)
 }
 
 /// Advance one span with the selected backend: its whole groups at the
@@ -1072,7 +1061,6 @@ unsafe fn advance_span_avx512(
 pub(crate) fn advance_bin_span_simd(
     backend: SimdBackend,
     grid: &Grid,
-    consts: &SimConstants,
     q_left: f64,
     x: &mut [f64],
     y: &mut [f64],
@@ -1088,18 +1076,15 @@ pub(crate) fn advance_bin_span_simd(
     unsafe {
         let done = match backend {
             #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => advance_span_avx512(grid, consts, q_left, x, y, vx, vy, q),
+            SimdBackend::Avx512 => advance_span_avx512(grid, q_left, x, y, vx, vy, q),
             #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => advance_span_avx2(grid, consts, q_left, x, y, vx, vy, q),
+            SimdBackend::Avx2 => advance_span_avx2(grid, q_left, x, y, vx, vy, q),
             #[cfg(target_arch = "x86_64")]
-            SimdBackend::Sse2 => {
-                advance_span_lanes::<x86::Sse2>(grid, consts, q_left, x, y, vx, vy, q)
-            }
+            SimdBackend::Sse2 => advance_span_lanes::<x86::Sse2>(grid, q_left, x, y, vx, vy, q),
             SimdBackend::Scalar => 0,
         };
         advance_span_lanes::<f64>(
             grid,
-            consts,
             q_left,
             &mut x[done..],
             &mut y[done..],
@@ -1332,7 +1317,6 @@ mod tests {
     /// `n` spec-conforming particles, all in cell column `col` (distinct
     /// rows, jittered x within the column so corner distances differ).
     fn column_population(grid: &Grid, col: usize, n: usize, k: u32) -> ParticleBatch {
-        let consts = SimConstants::CANONICAL;
         let mut b = ParticleBatch::new();
         for i in 0..n {
             let row = i % grid.ncells();
@@ -1344,7 +1328,7 @@ mod tests {
                 y,
                 vx: 0.0,
                 vy: 1.0,
-                q: particle_charge(&consts, 0.5, k, sign_for_direction(col, 1)),
+                q: particle_charge(k, sign_for_direction(col, 1)),
                 x0: x,
                 y0: y,
                 k,
@@ -1364,7 +1348,6 @@ mod tests {
     fn every_backend_matches_advance_particle_at_every_tail_length() {
         use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
         for backend in SimdBackend::available() {
             for len in (0..=16).chain([17, 37]) {
                 // Column 6 with stride 1: wraps off the right edge within
@@ -1372,13 +1355,10 @@ mod tests {
                 let mut b = column_population(&grid, 6, len, 0);
                 let mut want = b.to_particles();
                 for step in 0..5 {
-                    want.iter_mut()
-                        .for_each(|p| advance_particle(&grid, &consts, p));
-                    let ql =
-                        b.x.first()
-                            .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
+                    want.iter_mut().for_each(|p| advance_particle(&grid, p));
+                    let ql = b.x.first().map_or(1.0, |&x| mesh_charge(x as usize));
                     let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                    advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                    advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
                     assert_eq!(
                         b.to_particles(),
                         want,
@@ -1399,17 +1379,15 @@ mod tests {
     fn every_backend_matches_advance_particle_on_the_widest_grid() {
         use crate::motion::advance_particle;
         let grid = Grid::new(1 << 31).unwrap();
-        let consts = SimConstants::CANONICAL;
         let col = (1 << 31) - 3;
         for backend in SimdBackend::available() {
             for k in [0, 1] {
                 let mut b = column_population(&grid, col, 9, k);
                 let mut want = b.to_particles();
-                want.iter_mut()
-                    .for_each(|p| advance_particle(&grid, &consts, p));
-                let ql = mesh_charge(col, consts.q);
+                want.iter_mut().for_each(|p| advance_particle(&grid, p));
+                let ql = mesh_charge(col);
                 let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
                 assert_eq!(b.to_particles(), want, "backend {} k {k}", backend.name());
             }
         }
@@ -1461,7 +1439,6 @@ mod tests {
     fn corner_fold_bitwise_matches_unfolded_reference() {
         use crate::motion::advance_particle;
         let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
         let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0];
         let mut variants = vec![
             None,
@@ -1525,14 +1502,11 @@ mod tests {
                     };
                     let mut want = b.to_particles();
                     for step in 0..steps {
-                        want.iter_mut()
-                            .for_each(|p| advance_particle(&grid, &consts, p));
+                        want.iter_mut().for_each(|p| advance_particle(&grid, p));
                         let (x, y, vx, vy) =
                             (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                        let ql = x
-                            .first()
-                            .map_or(1.0, |&x| mesh_charge(x as usize, consts.q));
-                        advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
+                        let ql = x.first().map_or(1.0, |&x| mesh_charge(x as usize));
+                        advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
                         for (i, w) in want.iter().enumerate() {
                             assert!(
                                 same_bits(w.x, b.x[i]) && same_bits(w.y, b.y[i]) && same_bits(w.vx, b.vx[i]) && same_bits(w.vy, b.vy[i]),
@@ -1579,7 +1553,7 @@ mod tests {
         premise::<x86::Avx512>(ry)
     }
 
-    /// The premise helper is exact: true at `ry = h/2` in every lane,
+    /// The premise helper is exact: true at `ry = ½` in every lane,
     /// false as soon as any single lane is one ulp either side, elsewhere
     /// in the cell, or NaN — on every backend, one lane included.
     #[test]
@@ -1614,43 +1588,38 @@ mod tests {
 
     /// The force fold's constants through one backend: [`centre_kick`]
     /// for corner charge `q_left` and span charge `q_span`, as the lanes
-    /// of `½·ax·dt`, `½·ay·dt`, `ax·dt`, `ay·dt`.
+    /// of `½·ax`, `½·ay`, `ax`, `ay`.
     #[inline(always)]
-    unsafe fn centre_kick_lanes<V: Lanes>(
-        consts: &SimConstants,
-        q_left: f64,
-        q_span: f64,
-    ) -> [[f64; 8]; 4] {
+    unsafe fn centre_kick_lanes<V: Lanes>(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
         let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
-        centre_kick(consts, ql, qr, V::splat(q_span)).lanes()
+        centre_kick(ql, qr, V::splat(q_span)).lanes()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn centre_kick_avx2(c: &SimConstants, q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
-        centre_kick_lanes::<x86::Avx2>(c, q_left, q_span)
+    unsafe fn centre_kick_avx2(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
+        centre_kick_lanes::<x86::Avx2>(q_left, q_span)
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn centre_kick_avx512(c: &SimConstants, q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
-        centre_kick_lanes::<x86::Avx512>(c, q_left, q_span)
+    unsafe fn centre_kick_avx512(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
+        centre_kick_lanes::<x86::Avx512>(q_left, q_span)
     }
 
     /// The force fold never changes a bit. Its constants are the unfolded
     /// force: on every executable backend, one lane included, every lane of
     /// [`centre_kick`] carries the bits of the four [`coulomb`] corners at
-    /// `(h/2, h/2)`, paired and integrated as `total_force` and the eqs.
-    /// 1–2 step do, for `h ∈ {0.5, 1, 3}`, `dt ∈ {1, 0.7}`, both corner
-    /// charges and span charges `±1e−300`, `±1`, `±1e300`. And one
-    /// span-kernel step equals [`crate::motion::advance_particle`] per
-    /// particle, bitwise, on every backend: for a span of centred
-    /// particles of one such charge (two full 8-lane groups and a tail;
-    /// at `h = 3` the centre lies outside the unit cell, so nothing
-    /// folds), and for spans whose first charge is `+0.0`, `−0.0` or NaN,
-    /// which must not fold. The zero spans carry the other signed zero in
-    /// every other lane and `vx = −0.0`, so a force folded from the wrong
-    /// zero shows in the sign of `vx`.
+    /// `(½, ½)`, paired and integrated as `total_force` and the eqs. 1–2
+    /// step do, for both corner charges and span charges `±1e−300`, `±1`,
+    /// `±1e300`. And one span-kernel step equals
+    /// [`crate::motion::advance_particle`] per particle, bitwise, on every
+    /// backend: for a span of particles of one such charge (two full 8-lane
+    /// groups and a tail) at the cell centre, and at offset `0.25` in the
+    /// cell, where nothing folds; and for spans whose first charge is
+    /// `+0.0`, `−0.0` or NaN, which must not fold. The zero spans carry the
+    /// other signed zero in every other lane and `vx = −0.0`, so a force
+    /// folded from the wrong zero shows in the sign of `vx`.
     ///
     /// [`coulomb`]: crate::charge::coulomb
     #[test]
@@ -1658,37 +1627,32 @@ mod tests {
         use crate::charge::coulomb;
         use crate::motion::advance_particle;
         let charges = [1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300];
-        for (h, dt, q_left) in product3(&[0.5, 1.0, 3.0], &[1.0, 0.7], &[1.0, -1.0]) {
-            let consts = SimConstants { h, dt, q: 1.0 };
+        for q_left in [1.0, -1.0] {
             for q_span in charges {
-                let c = h * 0.5;
+                let c = 0.5;
                 let (fx0, fy0) = coulomb(c, c, q_left, q_span);
-                let (fx1, fy1) = coulomb(c, c - h, q_left, q_span);
-                let (fx2, fy2) = coulomb(c - h, c, -q_left, q_span);
-                let (fx3, fy3) = coulomb(c - h, c - h, -q_left, q_span);
+                let (fx1, fy1) = coulomb(c, c - 1.0, q_left, q_span);
+                let (fx2, fy2) = coulomb(c - 1.0, c, -q_left, q_span);
+                let (fx3, fy3) = coulomb(c - 1.0, c - 1.0, -q_left, q_span);
                 let (ax, ay) = ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3));
-                let want = [0.5 * ax * dt, 0.5 * ay * dt, ax * dt, ay * dt];
+                let want = [0.5 * ax, 0.5 * ay, ax, ay];
                 for backend in SimdBackend::available() {
                     let got = unsafe {
                         match backend {
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx512 => centre_kick_avx512(&consts, q_left, q_span),
+                            SimdBackend::Avx512 => centre_kick_avx512(q_left, q_span),
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx2 => centre_kick_avx2(&consts, q_left, q_span),
+                            SimdBackend::Avx2 => centre_kick_avx2(q_left, q_span),
                             #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Sse2 => {
-                                centre_kick_lanes::<x86::Sse2>(&consts, q_left, q_span)
-                            }
-                            SimdBackend::Scalar => {
-                                centre_kick_lanes::<f64>(&consts, q_left, q_span)
-                            }
+                            SimdBackend::Sse2 => centre_kick_lanes::<x86::Sse2>(q_left, q_span),
+                            SimdBackend::Scalar => centre_kick_lanes::<f64>(q_left, q_span),
                         }
                     };
                     for (lanes, want) in got.iter().zip(want) {
                         for got in &lanes[..backend.lanes()] {
                             assert!(
                                 same_bits(*got, want),
-                                "backend {} h {h} dt {dt} q_left {q_left} q_span {q_span:e}: \
+                                "backend {} q_left {q_left} q_span {q_span:e}: \
                                  {got:e} vs {want:e}",
                                 backend.name()
                             );
@@ -1704,36 +1668,31 @@ mod tests {
             span[0] = first;
             spans.push(span);
         }
+        let spans: Vec<&Vec<f64>> = spans.iter().collect();
         for backend in SimdBackend::available() {
-            for (h, dt, col) in product3(&[0.5, 1.0, 3.0], &[1.0, 0.7], &[2, 3]) {
-                let consts = SimConstants { h, dt, q: 1.0 };
-                let c = if h < 2.0 { h * 0.5 } else { 0.5 };
-                for span in &spans {
-                    let mut b = column_population(&grid, col, span.len(), 0);
-                    for (i, &q) in span.iter().enumerate() {
-                        b.x[i] = col as f64 + c;
-                        b.y[i] = i as f64 + c;
-                        b.q[i] = q;
-                        b.vx[i] = if q == 0.0 { -0.0 } else { 0.0 };
-                    }
-                    let mut want = b.to_particles();
-                    want.iter_mut()
-                        .for_each(|p| advance_particle(&grid, &consts, p));
-                    let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                    let ql = mesh_charge(col, consts.q);
-                    advance_bin_span_simd(backend, &grid, &consts, ql, x, y, vx, vy, &b.q);
-                    for (i, w) in want.iter().enumerate() {
-                        let got = b.get(i);
-                        assert!(
-                            [(got.x, w.x), (got.y, w.y), (got.vx, w.vx), (got.vy, w.vy)]
-                                .iter()
-                                .all(|&(a, b)| same_bits(a, b)),
-                            "backend {} h {h} dt {dt} column {col} span charge {:e}: \
-                             particle {i} is {got:?}, reference {w:?}",
-                            backend.name(),
-                            span[0],
-                        );
-                    }
+            for (c, col, span) in product3(&[0.5, 0.25], &[2, 3], &spans) {
+                let mut b = column_population(&grid, col, span.len(), 0);
+                for (i, &q) in span.iter().enumerate() {
+                    b.x[i] = col as f64 + c;
+                    b.y[i] = i as f64 + c;
+                    b.q[i] = q;
+                    b.vx[i] = if q == 0.0 { -0.0 } else { 0.0 };
+                }
+                let mut want = b.to_particles();
+                want.iter_mut().for_each(|p| advance_particle(&grid, p));
+                let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                advance_bin_span_simd(backend, &grid, mesh_charge(col), x, y, vx, vy, &b.q);
+                for (i, w) in want.iter().enumerate() {
+                    let got = b.get(i);
+                    assert!(
+                        [(got.x, w.x), (got.y, w.y), (got.vx, w.vx), (got.vy, w.vy)]
+                            .iter()
+                            .all(|&(a, b)| same_bits(a, b)),
+                        "backend {} offset {c} column {col} span charge {:e}: \
+                         particle {i} is {got:?}, reference {w:?}",
+                        backend.name(),
+                        span[0],
+                    );
                 }
             }
         }
@@ -1801,7 +1760,6 @@ mod tests {
     #[test]
     fn corner_particle_is_finite_in_every_lane() {
         let grid = Grid::new(8).unwrap();
-        let consts = SimConstants::CANONICAL;
         for backend in SimdBackend::available() {
             let width = backend.lanes().max(LANES);
             for lane in 0..width {
@@ -1813,8 +1771,7 @@ mod tests {
                 advance_bin_span_simd(
                     backend,
                     &grid,
-                    &consts,
-                    mesh_charge(2, consts.q),
+                    mesh_charge(2),
                     &mut b.x[..n],
                     &mut b.y[..n],
                     &mut b.vx[..n],

@@ -5,21 +5,25 @@
 //! (paper eqs. 5–6):
 //!
 //! ```text
-//! x_s = (x_0 + sign(a_x,0)·(2k+1)·s·h) mod L
-//! y_s = (y_0 + m·h·s) mod L
+//! x_s = (x_0 + sign(a_x,0)·(2k+1)·s) mod L
+//! y_s = (y_0 + m·s) mod L
 //! ```
+//!
+//! in the kernel's reference units (cells and steps, `h = dt = 1`; see
+//! [`crate::charge`]). A particle passes when both coordinates lie within
+//! [`DEFAULT_TOLERANCE`] of these, the one gate every run applies.
 //!
 //! The check is O(1) per particle, trivially parallel, and "even a single
 //! force miscalculation will be reflected rigorously in the final result".
 //! A second, independent check — the id checksum `Σ id = n(n+1)/2` — catches
 //! particles lost or duplicated in transit between processors.
 
-use crate::charge::SimConstants;
 use crate::geometry::Grid;
 use crate::particle::Particle;
 use crate::soa::ParticleBatch;
 
-/// Default absolute position tolerance, matching the PRK reference codes.
+/// Absolute position tolerance, in cells, matching the PRK reference codes:
+/// the one verification gate.
 pub const DEFAULT_TOLERANCE: f64 = 1e-5;
 
 /// Cap on `failing_ids` kept for diagnostics, locally and after merging.
@@ -32,7 +36,7 @@ pub fn expected_position(grid: &Grid, p: &Particle, steps: u64) -> (f64, f64) {
     let n = grid.ncells();
     let col = wrapped_cell(grid.cell_of(p.x0), p.cells_per_step_x(grid), steps, n);
     let row = wrapped_cell(grid.cell_of(p.y0), p.cells_per_step_y(), steps, n);
-    // Preserve the sub-cell offset of the initial position (h/2 for
+    // Preserve the sub-cell offset of the initial position (1/2 for
     // spec-conforming placements).
     let fx = p.x0 - p.x0.floor();
     let fy = p.y0 - p.y0.floor();
@@ -56,21 +60,16 @@ fn wrapped_cell(c0: usize, per_step: i64, steps: u64, n: usize) -> usize {
 }
 
 /// Expected velocity after `steps` steps (starting from the spec's rest
-/// state in x): the vertical velocity is constant `m·h/dt`; the horizontal
-/// velocity alternates between `0` (even step counts — the particle has
-/// just decelerated back to rest) and `±2(2k+1)·h/dt` (odd step counts —
-/// mid-flight between the accelerate/decelerate pair).
-pub fn expected_velocity(
-    grid: &Grid,
-    consts: &SimConstants,
-    p: &Particle,
-    steps: u64,
-) -> (f64, f64) {
-    let vy = p.m as f64 * consts.h / consts.dt;
+/// state in x), in cells per step: the vertical velocity is constant `m`;
+/// the horizontal velocity alternates between `0` (even step counts — the
+/// particle has just decelerated back to rest) and `±2(2k+1)` (odd step
+/// counts — mid-flight between the accelerate/decelerate pair).
+pub fn expected_velocity(grid: &Grid, p: &Particle, steps: u64) -> (f64, f64) {
+    let vy = p.m as f64;
     let vx = if steps.is_multiple_of(2) {
         0.0
     } else {
-        2.0 * p.cells_per_step_x(grid) as f64 * consts.h / consts.dt
+        2.0 * p.cells_per_step_x(grid) as f64
     };
     (vx, vy)
 }
@@ -85,7 +84,7 @@ pub struct ParticleVerdict {
 }
 
 /// Verify one particle that has participated in `steps` steps.
-pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64, tol: f64) -> ParticleVerdict {
+pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64) -> ParticleVerdict {
     let (ex, ey) = expected_position(grid, p, steps);
     // Compare with minimum-image distance so an actual position of
     // L−ε and expected 0 (or vice versa) count as matching.
@@ -94,7 +93,7 @@ pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64, tol: f64) -> Parti
     let error = dx.max(dy);
     ParticleVerdict {
         id: p.id,
-        ok: error <= tol,
+        ok: error <= DEFAULT_TOLERANCE,
         error,
     }
 }
@@ -104,7 +103,7 @@ pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64, tol: f64) -> Parti
 pub struct VerifyReport {
     /// Number of particles checked.
     pub checked: u64,
-    /// Number of particles whose position deviates beyond tolerance.
+    /// Number of particles whose position deviates beyond [`DEFAULT_TOLERANCE`].
     pub position_failures: u64,
     /// Largest observed deviation.
     pub max_error: f64,
@@ -114,12 +113,10 @@ pub struct VerifyReport {
     pub id_sum: u128,
     /// Expected id sum given the injections/removals that occurred.
     pub expected_id_sum: u128,
-    /// Tolerance used.
-    pub tolerance: f64,
 }
 
 impl VerifyReport {
-    fn empty(expected_id_sum: u128, tol: f64) -> VerifyReport {
+    fn empty(expected_id_sum: u128) -> VerifyReport {
         VerifyReport {
             checked: 0,
             position_failures: 0,
@@ -127,7 +124,6 @@ impl VerifyReport {
             failing_ids: Vec::new(),
             id_sum: 0,
             expected_id_sum,
-            tolerance: tol,
         }
     }
 
@@ -136,7 +132,7 @@ impl VerifyReport {
     #[inline]
     fn check(&mut self, grid: &Grid, p: &Particle, final_step: u32) -> bool {
         let steps = final_step.saturating_sub(p.born_at) as u64;
-        let v = verify_particle(grid, p, steps, self.tolerance);
+        let v = verify_particle(grid, p, steps);
         self.checked += 1;
         self.id_sum += p.id as u128;
         self.max_error = self.max_error.max(v.error);
@@ -158,9 +154,8 @@ pub fn verify_all(
     particles: &[Particle],
     final_step: u32,
     expected_id_sum: u128,
-    tol: f64,
 ) -> VerifyReport {
-    let mut report = VerifyReport::empty(expected_id_sum, tol);
+    let mut report = VerifyReport::empty(expected_id_sum);
     for p in particles {
         if !report.check(grid, p, final_step) && report.failing_ids.len() < MAX_FAILING_IDS {
             report.failing_ids.push(p.id);
@@ -179,9 +174,8 @@ pub fn verify_batch(
     batch: &ParticleBatch,
     final_step: u32,
     expected_id_sum: u128,
-    tol: f64,
 ) -> VerifyReport {
-    let mut report = VerifyReport::empty(expected_id_sum, tol);
+    let mut report = VerifyReport::empty(expected_id_sum);
     let mut failing = Vec::new();
     for i in 0..batch.len() {
         let p = batch.get(i);
@@ -210,7 +204,6 @@ mod tests {
     use crate::charge::{particle_charge, sign_for_direction};
 
     fn particle_at(grid: &Grid, col: usize, row: usize, k: u32, m: i32, dir: i8) -> Particle {
-        let c = SimConstants::CANONICAL;
         let (x, y) = grid.cell_center(col, row);
         Particle {
             id: 1,
@@ -218,7 +211,7 @@ mod tests {
             y,
             vx: 0.0,
             vy: m as f64,
-            q: particle_charge(&c, 0.5, k, sign_for_direction(col, dir)),
+            q: particle_charge(k, sign_for_direction(col, dir)),
             x0: x,
             y0: y,
             k,
@@ -300,7 +293,6 @@ mod tests {
         use crate::dist::Distribution;
         use crate::init::InitConfig;
         let grid = Grid::new(32).unwrap();
-        let consts = SimConstants::CANONICAL;
         let ps = InitConfig::new(grid, 900, Distribution::Geometric { r: 0.9 })
             .with_k(1)
             .with_m(-1)
@@ -309,18 +301,15 @@ mod tests {
             .particles;
         let mut store = BinnedStore::new_owned(&ps, &grid, |_, _| true);
         for _ in 0..20 {
-            store.advance_all(&grid, &consts, 64);
+            store.advance_all(&grid, 64);
         }
         // The store keeps its two phase halves: the ids are out of order.
         let ids = &store.batch().id;
         assert!(ids.windows(2).any(|w| w[0] > w[1]), "storage is canonical");
         let sum = triangular_id_sum(900);
-        let clean = verify_batch(&grid, store.batch(), 20, sum, DEFAULT_TOLERANCE);
+        let clean = verify_batch(&grid, store.batch(), 20, sum);
         assert!(clean.passed() && clean.checked == 900, "{clean:?}");
-        assert_eq!(
-            clean,
-            verify_all(&grid, &store.to_particles(), 20, sum, DEFAULT_TOLERANCE)
-        );
+        assert_eq!(clean, verify_all(&grid, &store.to_particles(), 20, sum));
         // 40 failures (> 2·MAX_FAILING_IDS, so the bounded id buffer
         // compacts mid-scan).
         for j in 0..40 {
@@ -329,13 +318,10 @@ mod tests {
             p.x = grid.wrap_coord(p.x + 1.0 + j as f64 * 0.125);
             store.set(idx, p);
         }
-        let streamed = verify_batch(&grid, store.batch(), 20, sum, DEFAULT_TOLERANCE);
+        let streamed = verify_batch(&grid, store.batch(), 20, sum);
         assert_eq!(streamed.position_failures, 40);
         assert_eq!(streamed.failing_ids.len(), MAX_FAILING_IDS);
-        assert_eq!(
-            streamed,
-            verify_all(&grid, &store.to_particles(), 20, sum, DEFAULT_TOLERANCE)
-        );
+        assert_eq!(streamed, verify_all(&grid, &store.to_particles(), 20, sum));
     }
 
     #[test]
@@ -343,7 +329,7 @@ mod tests {
         let g = Grid::new(8).unwrap();
         let mut p = particle_at(&g, 0, 0, 0, 0, 1);
         p.x = 2.5; // pretend it moved 2 cells in 1 step instead of 1
-        let v = verify_particle(&g, &p, 1, DEFAULT_TOLERANCE);
+        let v = verify_particle(&g, &p, 1);
         assert!(!v.ok);
         assert!((v.error - 1.0).abs() < 1e-12);
     }
@@ -354,7 +340,7 @@ mod tests {
         let mut p = particle_at(&g, 0, 0, 0, 2, 1);
         p.x = 3.5;
         p.y = g.wrap_coord(0.5 + 6.0);
-        let v = verify_particle(&g, &p, 3, DEFAULT_TOLERANCE);
+        let v = verify_particle(&g, &p, 3);
         assert!(v.ok, "error = {}", v.error);
         assert_eq!(v.error, 0.0);
     }
@@ -369,11 +355,11 @@ mod tests {
         // expected = 0.5 → naive |p.x − 0.5| = 7.5 would fail, but the
         // expected cell for one step from col 7 is col 0 (x = 0.5), and
         // p.x = L−ε is distance 0.5+ε away — that *is* a failure.
-        let v = verify_particle(&g, &p, 1, DEFAULT_TOLERANCE);
+        let v = verify_particle(&g, &p, 1);
         assert!(!v.ok);
         // But p.x = 0.5 − tiny wraps cleanly:
         p.x = 0.5 - 1e-9;
-        let v = verify_particle(&g, &p, 1, DEFAULT_TOLERANCE);
+        let v = verify_particle(&g, &p, 1);
         assert!(v.ok);
     }
 
@@ -381,10 +367,10 @@ mod tests {
     fn report_checksum_mismatch_fails() {
         let g = Grid::new(8).unwrap();
         let ps = vec![particle_at(&g, 0, 0, 0, 0, 1)];
-        let r = verify_all(&g, &ps, 0, 99, DEFAULT_TOLERANCE);
+        let r = verify_all(&g, &ps, 0, 99);
         assert_eq!(r.id_sum, 1);
         assert!(!r.passed(), "wrong checksum must fail");
-        let r = verify_all(&g, &ps, 0, 1, DEFAULT_TOLERANCE);
+        let r = verify_all(&g, &ps, 0, 1);
         assert!(r.passed());
     }
 
@@ -399,11 +385,10 @@ mod tests {
     fn velocity_alternates_between_rest_and_double_stride() {
         use crate::motion::advance_particle;
         let g = Grid::new(16).unwrap();
-        let c = SimConstants::CANONICAL;
         let mut p = particle_at(&g, 0, 0, 1, 2, 1); // stride 3 rightward
         for s in 1..=9u64 {
-            advance_particle(&g, &c, &mut p);
-            let (evx, evy) = expected_velocity(&g, &c, &p, s);
+            advance_particle(&g, &mut p);
+            let (evx, evy) = expected_velocity(&g, &p, s);
             let error = (p.vx - evx).abs().max((p.vy - evy).abs());
             assert!(error <= 1e-9, "step {s}: vx = {}, error {error}", p.vx);
             if s % 2 == 1 {
@@ -421,7 +406,7 @@ mod tests {
         p.born_at = 10;
         // Participates in 5 steps of a 15-step run → expected col 5.
         p.x = 5.5;
-        let r = verify_all(&g, &[p], 15, 1, DEFAULT_TOLERANCE);
+        let r = verify_all(&g, &[p], 15, 1);
         assert!(r.passed(), "{r:?}");
     }
 }

@@ -192,7 +192,7 @@ fn store_build_and_sweep_hold_one_batch_and_no_scratch() {
     let (len, peak) = peak_bytes(|| {
         let mut store = BinnedStore::new_owned(&setup.particles, &grid, |_, _| true);
         for _ in 0..2 {
-            store.sweep(&grid, &setup.consts);
+            store.sweep(&grid);
         }
         store.len()
     });

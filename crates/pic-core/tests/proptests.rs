@@ -2,7 +2,6 @@
 
 use pic_core::charge::{
     direction_from_charge, mesh_charge, particle_charge, sign_for_direction, total_force,
-    SimConstants,
 };
 use pic_core::dist::{largest_remainder, Distribution};
 use pic_core::engine::Simulation;
@@ -13,7 +12,7 @@ use pic_core::motion::advance_particle;
 use pic_core::particle::Particle;
 use pic_core::reference;
 use pic_core::soa::ParticleBatch;
-use pic_core::verify::{expected_position, triangular_id_sum, verify_all, DEFAULT_TOLERANCE};
+use pic_core::verify::{expected_position, triangular_id_sum, verify_all};
 use proptest::prelude::*;
 
 fn grids() -> impl Strategy<Value = Grid> {
@@ -41,15 +40,15 @@ proptest! {
 
     /// Mesh charge depends only on column parity.
     #[test]
-    fn mesh_charge_parity(col in 0usize..1_000_000, q in 0.1f64..10.0) {
-        let c = mesh_charge(col, q);
-        prop_assert_eq!(c.abs(), q);
+    fn mesh_charge_parity(col in 0usize..1_000_000) {
+        let c = mesh_charge(col);
+        prop_assert_eq!(c.abs(), 1.0);
         prop_assert_eq!(c > 0.0, col % 2 == 0);
-        prop_assert_eq!(mesh_charge(col + 2, q), c);
+        prop_assert_eq!(mesh_charge(col + 2), c);
     }
 
     /// The charge assignment of eq. 3 always realizes an acceleration of
-    /// ±2(2k+1)·h/dt² at a cell center, whatever the cell and direction.
+    /// ±2(2k+1) at a cell center, whatever the cell and direction.
     #[test]
     fn eq3_realizes_exact_stride_acceleration(
         grid in grids(),
@@ -61,10 +60,9 @@ proptest! {
         let col = ((grid.ncells() as f64 * colfrac) as usize).min(grid.ncells() - 1);
         let row = ((grid.ncells() as f64 * rowfrac) as usize).min(grid.ncells() - 1);
         let dir = if dir { 1i8 } else { -1 };
-        let c = SimConstants::CANONICAL;
-        let qp = particle_charge(&c, 0.5, k, sign_for_direction(col, dir));
+        let qp = particle_charge(k, sign_for_direction(col, dir));
         let (x, y) = grid.cell_center(col, row);
-        let (ax, ay) = total_force(&grid, &c, x, y, qp);
+        let (ax, ay) = total_force(&grid, x, y, qp);
         let want = 2.0 * (2 * k + 1) as f64 * dir as f64;
         prop_assert!((ax - want).abs() < 1e-11 * want.abs().max(1.0), "ax={ax} want={want}");
         prop_assert_eq!(ay, 0.0);
@@ -84,14 +82,13 @@ proptest! {
     ) {
         let grid = Grid::new(gridhalf * 2).unwrap();
         let dir = if dir { 1i8 } else { -1 };
-        let c = SimConstants::CANONICAL;
         let (x, y) = grid.cell_center(col, row);
         let mut p = Particle {
             id: 1, x, y, vx: 0.0, vy: m as f64,
-            q: particle_charge(&c, 0.5, k, sign_for_direction(col, dir)),
+            q: particle_charge(k, sign_for_direction(col, dir)),
             x0: x, y0: y, k, m, born_at: 0,
         };
-        advance_particle(&grid, &c, &mut p);
+        advance_particle(&grid, &mut p);
         let (ex, ey) = expected_position(&grid, &p, 1);
         prop_assert!((grid.periodic_delta(p.x, ex)).abs() < 1e-10, "x={} expected {ex}", p.x);
         prop_assert!((grid.periodic_delta(p.y, ey)).abs() < 1e-10, "y={} expected {ey}", p.y);
@@ -261,19 +258,18 @@ proptest! {
         use pic_core::motion::advance_particle;
         let grid = Grid::new(gridhalf * 2).unwrap();
         prop_assume!(2 * (k as u64) < grid.ncells() as u64);
-        let consts = SimConstants::CANONICAL;
         let dir = if dirb { 1i8 } else { -1 };
         let (x, y) = grid.cell_center(col, row);
         let mut p = Particle {
             id: 1, x, y, vx: 0.0, vy: m as f64,
-            q: particle_charge(&consts, 0.5, k, sign_for_direction(col, dir)),
+            q: particle_charge(k, sign_for_direction(col, dir)),
             x0: x, y0: y, k, m, born_at: 0,
         };
         for _ in 0..probe {
-            advance_particle(&grid, &consts, &mut p);
+            advance_particle(&grid, &mut p);
         }
         let (x, y) = expected_position(&grid, &p, probe);
-        let (vx, vy) = expected_velocity(&grid, &consts, &p, probe);
+        let (vx, vy) = expected_velocity(&grid, &p, probe);
         prop_assert!(grid.periodic_delta(p.x, x).abs() < 1e-8);
         prop_assert!(grid.periodic_delta(p.y, y).abs() < 1e-8);
         prop_assert!((p.vx - vx).abs() < 1e-8, "vx {} vs {}", p.vx, vx);
@@ -437,13 +433,13 @@ proptest! {
         // +0.0 in both parities (IEEE `-a + a = +0.0`), so a bitwise
         // negation check must treat ±0.0 as one value.
         let negates = |a: f64, b: f64| (a == 0.0 && b == 0.0) || a.to_bits() == (-b).to_bits();
-        let (ax_e, ay_e) = total_force(&grid, &SimConstants::CANONICAL, even_col as f64 + f, y, qp);
-        let (ax_o, ay_o) = total_force(&grid, &SimConstants::CANONICAL, odd_col as f64 + (1.0 - f), y, qp);
+        let (ax_e, ay_e) = total_force(&grid, even_col as f64 + f, y, qp);
+        let (ax_o, ay_o) = total_force(&grid, odd_col as f64 + (1.0 - f), y, qp);
         prop_assert!(negates(ax_e, ax_o), "fx must negate exactly: {ax_e} vs {ax_o}");
         prop_assert_eq!(ay_e.to_bits(), ay_o.to_bits(), "fy must match exactly");
         // Same relative position, opposite parity: every corner charge
         // negates, so the whole force negates bit-exactly.
-        let (ax_n, ay_n) = total_force(&grid, &SimConstants::CANONICAL, odd_col as f64 + f, y, qp);
+        let (ax_n, ay_n) = total_force(&grid, odd_col as f64 + f, y, qp);
         prop_assert!(negates(ax_e, ax_n), "{ax_e} vs {ax_n}");
         prop_assert!(negates(ay_e, ay_n), "{ay_e} vs {ay_n}");
     }
@@ -517,8 +513,8 @@ fn partitioned_verification_merges() {
     let whole = sim.verify();
     let particles = sim.particles();
     let (a, b) = particles.split_at(100);
-    let ra = verify_all(&grid, a, 25, 0, DEFAULT_TOLERANCE);
-    let rb = verify_all(&grid, b, 25, 0, DEFAULT_TOLERANCE);
+    let ra = verify_all(&grid, a, 25, 0);
+    let rb = verify_all(&grid, b, 25, 0);
     assert_eq!(ra.checked + rb.checked, whole.checked);
     assert_eq!(ra.id_sum + rb.id_sum, whole.id_sum);
     assert_eq!(whole.id_sum, triangular_id_sum(300));

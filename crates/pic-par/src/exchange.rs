@@ -166,7 +166,6 @@ mod tests {
     use super::*;
     use crate::decomp::{Decomp2d, VpGrid};
     use pic_comm::world::run_threads;
-    use pic_core::charge::SimConstants;
     use pic_core::dist::Distribution;
     use pic_core::init::InitConfig;
     use pic_core::owner::OwnerTable;
@@ -332,7 +331,7 @@ mod tests {
         let steps = 12;
         let mut want = all.clone();
         for _ in 0..steps {
-            advance_all(&grid, &SimConstants::CANONICAL, &mut want);
+            advance_all(&grid, &mut want);
         }
         want.sort_unstable_by_key(|p| p.id);
         let per_rank = run_threads(4, |comm| {
@@ -341,7 +340,7 @@ mod tests {
             let mut store = whole_store(&mine, &grid);
             let mut bufs = ExchangeBuffers::new();
             for _ in 0..steps {
-                store.sweep(&grid, &SimConstants::CANONICAL);
+                store.sweep(&grid);
                 route_cuts(&comm, &table, &grid, &mut store, &mut bufs);
             }
             let local = store.to_particles();

@@ -10,7 +10,6 @@ use pic_cluster::balancer::Layout;
 use pic_comm::collective::{allgatherv, allreduce_u64, allreduce_vec_u64, allreduce_vec_u64_into};
 use pic_comm::comm::{Communicator, ReduceOp};
 use pic_core::bin::BinnedStore;
-use pic_core::charge::SimConstants;
 use pic_core::events::EventLedger;
 use pic_core::geometry::Grid;
 use pic_core::init::SimulationSetup;
@@ -18,7 +17,7 @@ use pic_core::owner::OwnerTable;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
 use pic_core::soa::ParticleBatch;
-use pic_core::verify::{verify_batch, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
+use pic_core::verify::{verify_batch, VerifyReport, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
 
 /// Rank-loop kernel selection of every distributed implementation. The
@@ -114,7 +113,6 @@ pub struct ParOutcome {
 /// Per-rank simulation state.
 pub struct RankState {
     pub grid: Grid,
-    pub consts: SimConstants,
     /// The Cartesian decomposition. Under a VP map it is the core grid the
     /// initial VP blocks tile, and ownership is never read from it.
     pub decomp: Decomp2d,
@@ -185,7 +183,6 @@ impl RankState {
         let store = kernel.build_store(&setup.particles, &setup.grid, owns);
         RankState {
             grid: setup.grid,
-            consts: setup.consts,
             decomp,
             rank,
             store,
@@ -255,7 +252,7 @@ impl RankState {
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         tracer.phase_start(Phase::Advance);
-        self.store.sweep(&self.grid, &self.consts);
+        self.store.sweep(&self.grid);
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
         let (sent, _) = self.rehome(comm);
@@ -403,13 +400,7 @@ impl RankState {
     /// the global report and the (max per-rank, total) particle counts,
     /// identical on every rank.
     fn gather_finish(&self, comm: &Communicator) -> (VerifyReport, u64, u64) {
-        let local = verify_batch(
-            &self.grid,
-            self.store.batch(),
-            self.step,
-            0,
-            DEFAULT_TOLERANCE,
-        );
+        let local = verify_batch(&self.grid, self.store.batch(), self.step, 0);
         let mut record = vec![
             local.checked,
             local.position_failures,
@@ -426,7 +417,6 @@ impl RankState {
             failing_ids: Vec::new(),
             id_sum: 0,
             expected_id_sum: self.expected_id_sum(),
-            tolerance: DEFAULT_TOLERANCE,
         };
         let (mut max_count, mut total_count) = (0, 0);
         for words in allgatherv(comm, record) {

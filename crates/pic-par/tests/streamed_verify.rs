@@ -10,7 +10,7 @@ use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::particle::Particle;
-use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
+use pic_core::verify::{verify_all, VerifyReport, MAX_FAILING_IDS};
 use pic_par::decomp::Decomp2d;
 use pic_par::runner::{RankKernel, RankState};
 
@@ -79,13 +79,7 @@ fn streamed_distributed_verify_equals_verify_all_over_the_sorted_world() {
             .flat_map(|r| pick(r).1.iter().copied())
             .collect();
         world.sort_unstable_by_key(|p| p.id);
-        verify_all(
-            &grid,
-            &world,
-            STEPS,
-            results[0].expected_id_sum,
-            DEFAULT_TOLERANCE,
-        )
+        verify_all(&grid, &world, STEPS, results[0].expected_id_sum)
     };
 
     let clean = reference(|r| &r.clean);

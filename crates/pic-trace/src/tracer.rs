@@ -238,14 +238,19 @@ pub struct TraceSummary {
 }
 
 /// Everything an enabled tracer captured, returned by [`Tracer::finish`].
+///
+/// The records and the text are kept only by a [`Tracer::in_memory`]
+/// tracer. A [`Tracer::to_writer`] tracer streams them and keeps only the
+/// aggregates its summary needs, so its memory does not grow with the
+/// step count: its `steps`, `cuts`, `switches` and `ndjson` are empty,
+/// and `summary` is complete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     pub summary: TraceSummary,
     pub steps: Vec<StepRecord>,
     pub cuts: Vec<CutRecord>,
     pub switches: Vec<SwitchRecord>,
-    /// The full ndjson stream, byte-identical to what the writer received
-    /// unless `write_error` is set.
+    /// The full ndjson stream (in memory only).
     pub ndjson: String,
     /// The first I/O error of the writer, as it displays (`None` in memory
     /// or when every line and the final flush went through). The stream was
@@ -255,6 +260,8 @@ pub struct TraceReport {
 
 struct Inner {
     every: u32,
+    /// Keep the records and the text ([`Tracer::in_memory`]).
+    keep: bool,
     writer: Option<Box<dyn Write + Send>>,
     write_error: Option<String>,
     ndjson: String,
@@ -279,6 +286,8 @@ struct Inner {
     gini_max: f64,
     n_stats: u64,
     last_particles: u64,
+    n_records: u64,
+    n_switches: u64,
 }
 
 /// Step-scoped telemetry recorder; see the [module docs](self) for the
@@ -295,13 +304,15 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer that keeps records in memory only (tests, bench
-    /// reports). `every` is the step-record sampling interval (clamped ≥ 1).
+    /// An enabled tracer that keeps records and the ndjson text in memory
+    /// (tests, bench reports). `every` is the step-record sampling interval
+    /// (clamped ≥ 1).
     pub fn in_memory(every: u32) -> Tracer {
         Tracer::build(None, every)
     }
 
-    /// An enabled tracer that additionally streams ndjson lines to `w`.
+    /// An enabled tracer that streams ndjson lines to `w` and keeps only
+    /// the summary's aggregates ([`TraceReport`]).
     pub fn to_writer(w: Box<dyn Write + Send>, every: u32) -> Tracer {
         Tracer::build(Some(w), every)
     }
@@ -310,6 +321,7 @@ impl Tracer {
         Tracer {
             inner: Some(Box::new(Inner {
                 every: every.max(1),
+                keep: writer.is_none(),
                 writer,
                 write_error: None,
                 ndjson: String::new(),
@@ -332,6 +344,8 @@ impl Tracer {
                 gini_max: 0.0,
                 n_stats: 0,
                 last_particles: 0,
+                n_records: 0,
+                n_switches: 0,
             })),
         }
     }
@@ -475,7 +489,9 @@ impl Tracer {
             push_usize_arr(&mut line, &rec.new);
             line.push('}');
             i.emit(&line);
-            i.cuts.push(rec);
+            if i.keep {
+                i.cuts.push(rec);
+            }
         }
     }
 
@@ -501,7 +517,10 @@ impl Tracer {
             push_f64(&mut line, imbalance);
             line.push('}');
             i.emit(&line);
-            i.switches.push(rec);
+            i.n_switches += 1;
+            if i.keep {
+                i.switches.push(rec);
+            }
         }
     }
 
@@ -536,7 +555,7 @@ impl Tracer {
         let mut i = self.inner?;
         let summary = TraceSummary {
             steps: i.total_steps,
-            records: i.steps.len() as u64,
+            records: i.n_records,
             phase_ns: i.total_phase_ns,
             phase_cpu_ns: i.total_phase_cpu_ns,
             counters: i.total_counters,
@@ -549,7 +568,7 @@ impl Tracer {
             max_gini: i.gini_max,
             final_particles: i.last_particles,
             balancer: i.balancer.clone(),
-            switches: i.switches.len() as u64,
+            switches: i.n_switches,
         };
         let mut line = String::with_capacity(256);
         let _ = write!(
@@ -591,8 +610,10 @@ impl Tracer {
 
 impl Inner {
     fn emit(&mut self, line: &str) {
-        self.ndjson.push_str(line);
-        self.ndjson.push('\n');
+        if self.keep {
+            self.ndjson.push_str(line);
+            self.ndjson.push('\n');
+        }
         self.stream(|w| writeln!(w, "{line}"));
     }
 
@@ -660,7 +681,10 @@ impl Inner {
         }
         line.push('}');
         self.emit(&line);
-        self.steps.push(rec);
+        self.n_records += 1;
+        if self.keep {
+            self.steps.push(rec);
+        }
     }
 }
 
@@ -918,16 +942,48 @@ mod tests {
         }
     }
 
+    /// A run of two steps, a cut and a switch, with no phase timers, so
+    /// the stream is the same bytes on every call.
+    fn feed(t: &mut Tracer) {
+        t.emit_run_header("w", 2, 10, 2, "none", "adaptive");
+        for s in 1..=2u64 {
+            t.begin_step(s);
+            t.add(Counter::Rehomed, s);
+            t.record_loads(&[6.0, 4.0]);
+            if s == 1 {
+                t.record_cuts('x', &[0, 4, 8], &[6, 4], &[0, 5, 8]);
+                t.record_switch("static", "diffusion", 1.2);
+            }
+            t.end_step(10);
+        }
+    }
+
     #[test]
     fn writer_receives_the_same_bytes() {
         let sink = Sink::with_room(usize::MAX);
         let mut t = Tracer::to_writer(Box::new(sink.clone()), 1);
-        t.emit_run_header("w", 1, 10, 1, "none", "none");
-        t.begin_step(1);
-        t.end_step(10);
+        feed(&mut t);
         let report = t.finish().unwrap();
-        assert_eq!(sink.written(), report.ndjson);
+        let mut memory = Tracer::in_memory(1);
+        feed(&mut memory);
+        let memory = memory.finish().unwrap();
+        assert_eq!(sink.written(), memory.ndjson);
+        assert_eq!(report.summary, memory.summary);
         assert_eq!(report.write_error, None);
+    }
+
+    /// A writer tracer keeps no records and no text, so its memory does not
+    /// grow with the step count, and still counts them for its summary.
+    #[test]
+    fn writer_tracer_keeps_only_the_summary() {
+        let sink = Sink::with_room(usize::MAX);
+        let mut t = Tracer::to_writer(Box::new(sink.clone()), 1);
+        feed(&mut t);
+        let report = t.finish().unwrap();
+        assert!(report.steps.is_empty() && report.cuts.is_empty() && report.switches.is_empty());
+        assert!(report.ndjson.is_empty());
+        assert_eq!((report.summary.records, report.summary.switches), (2, 1));
+        assert_eq!(sink.written().lines().count(), 6);
     }
 
     #[test]
@@ -941,8 +997,12 @@ mod tests {
         t.end_step(10);
         let report = t.finish().unwrap();
         assert_eq!(report.write_error.as_deref(), Some("refusal 1"));
-        assert_eq!(report.ndjson.lines().count(), 3, "memory keeps every line");
-        let header = report.ndjson.lines().next().unwrap();
-        assert_eq!(sink.written(), format!("{header}\n"));
+        let mut memory = Tracer::in_memory(1);
+        memory.emit_run_header("w", 1, 10, 1, "none", "none");
+        let header = memory.finish().unwrap().ndjson;
+        assert_eq!(
+            sink.written(),
+            header.lines().next().unwrap().to_owned() + "\n"
+        );
     }
 }

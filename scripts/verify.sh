@@ -94,6 +94,15 @@ while read -r name; do
     grep -rqE "\b(const|static) $name\b|\"$name\"" crates/*/src src ||
         { echo "stale reference: $name" >&2; stale=1; }
 done < <(grep -ohE '`[A-Z][A-Z0-9]*(_[A-Z0-9]+)+`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u)
+# Every bare backticked `CamelCase` name they name must be a `struct`,
+# `enum`, `trait`, `type` or `mod` of that name in the sources, a variant
+# (a line that starts with the name) or an `as Name` re-export; `Option`
+# and `Vec` are the standard library's.
+while read -r name; do
+    grep -rqE "\b(struct|enum|trait|type|mod) $name\b|^\s*$name\b|\bas $name\b" crates/*/src src ||
+        { echo "stale reference: $name" >&2; stale=1; }
+done < <(grep -ohE '`[A-Z][a-z][A-Za-z0-9]*`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' |
+    grep -vxE 'Option|Vec' | sort -u)
 test "$stale" -eq 0
 
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"

@@ -2,26 +2,27 @@
 //! specification (§III). Each test names the paper artifact it checks.
 
 use pic_prk::core::charge::{
-    charge_denominator, mesh_charge, particle_charge, sign_for_direction, total_force, SimConstants,
+    charge_denominator, mesh_charge, particle_charge, sign_for_direction, total_force,
 };
 use pic_prk::core::motion::advance_particle;
 use pic_prk::core::verify::expected_position;
 use pic_prk::prelude::*;
 
-fn consts() -> SimConstants {
-    SimConstants::CANONICAL
-}
+/// The paper's cell edge, time step and mesh charge magnitude, at the
+/// reference codes' values (the kernel runs in these units).
+const H: f64 = 1.0;
+const DT: f64 = 1.0;
+const Q: f64 = 1.0;
 
 fn particle(grid: &Grid, col: usize, row: usize, k: u32, m: i32, dir: i8) -> Particle {
-    let c = consts();
     let (x, y) = grid.cell_center(col, row);
     Particle {
         id: 1,
         x,
         y,
         vx: 0.0,
-        vy: m as f64 * c.h / c.dt,
-        q: particle_charge(&c, 0.5, k, sign_for_direction(col, dir)),
+        vy: m as f64 * H / DT,
+        q: particle_charge(k, sign_for_direction(col, dir)),
         x0: x,
         y0: y,
         k,
@@ -34,12 +35,11 @@ fn particle(grid: &Grid, col: usize, row: usize, k: u32, m: i32, dir: i8) -> Par
 #[test]
 fn eq1_position_update() {
     let grid = Grid::new(16).unwrap();
-    let c = consts();
     let mut p = particle(&grid, 4, 4, 0, 0, 1);
     p.vx = 0.25; // arbitrary initial velocity to exercise the v·dt term
-    let (ax, _) = total_force(&grid, &c, p.x, p.y, p.q);
-    let expect = grid.wrap_coord(p.x + p.vx * c.dt + 0.5 * ax * c.dt * c.dt);
-    advance_particle(&grid, &c, &mut p);
+    let (ax, _) = total_force(&grid, p.x, p.y, p.q);
+    let expect = grid.wrap_coord(p.x + p.vx * DT + 0.5 * ax * DT * DT);
+    advance_particle(&grid, &mut p);
     assert_eq!(p.x, expect);
 }
 
@@ -47,34 +47,33 @@ fn eq1_position_update() {
 #[test]
 fn eq2_velocity_update() {
     let grid = Grid::new(16).unwrap();
-    let c = consts();
     let mut p = particle(&grid, 4, 4, 1, 2, 1);
-    let (ax, ay) = total_force(&grid, &c, p.x, p.y, p.q);
+    let (ax, ay) = total_force(&grid, p.x, p.y, p.q);
     let (vx0, vy0) = (p.vx, p.vy);
-    advance_particle(&grid, &c, &mut p);
-    assert_eq!(p.vx, vx0 + ax * c.dt);
-    assert_eq!(p.vy, vy0 + ay * c.dt);
+    advance_particle(&grid, &mut p);
+    assert_eq!(p.vx, vx0 + ax * DT);
+    assert_eq!(p.vy, vy0 + ay * DT);
 }
 
 /// §III-C, eq. 3: q_π = ±h / (dt²·q·(cosθ/d1² + cosφ/d2²)).
 #[test]
 fn eq3_charge_formula() {
-    let c = consts();
-    let x_rel = 0.5f64;
+    // The cell centre, where every particle is placed.
+    let x_rel = H / 2.0;
     // Direct evaluation of the printed formula.
-    let d1 = (c.h * c.h / 4.0 + x_rel * x_rel).sqrt();
-    let d2 = (c.h * c.h / 4.0 + (c.h - x_rel) * (c.h - x_rel)).sqrt();
+    let d1 = (H * H / 4.0 + x_rel * x_rel).sqrt();
+    let d2 = (H * H / 4.0 + (H - x_rel) * (H - x_rel)).sqrt();
     let cos_theta = x_rel / d1;
-    let cos_phi = (c.h - x_rel) / d2;
-    let denom_paper = c.q * (cos_theta / (d1 * d1) + cos_phi / (d2 * d2));
-    let q_paper = c.h / (c.dt * c.dt * denom_paper);
+    let cos_phi = (H - x_rel) / d2;
+    let denom_paper = Q * (cos_theta / (d1 * d1) + cos_phi / (d2 * d2));
+    let q_paper = H / (DT * DT * denom_paper);
     // Our implementation (routed through the runtime force kernel).
-    let q_impl = particle_charge(&c, x_rel, 0, 1.0);
+    let q_impl = particle_charge(0, 1.0);
     assert!(
         (q_paper - q_impl).abs() < 1e-12 * q_paper.abs(),
         "paper {q_paper} vs impl {q_impl}"
     );
-    assert!((charge_denominator(&c, x_rel) - denom_paper).abs() < 1e-12);
+    assert!((charge_denominator() - denom_paper).abs() < 1e-12);
     // With h = 1, x_rel = 1/2: q_π = 1/(2√2).
     assert!((q_impl - 1.0 / (2.0 * 2.0f64.sqrt())).abs() < 1e-12);
 }
@@ -215,11 +214,10 @@ fn distribution_drift_velocity() {
 fn even_grid_requirement() {
     assert!(Grid::new(15).is_err());
     let grid = Grid::new(14).unwrap();
-    let c = consts();
     let mut p = particle(&grid, 13, 0, 0, 0, 1); // last column, moving right
-    advance_particle(&grid, &c, &mut p);
+    advance_particle(&grid, &mut p);
     assert!((p.x - 0.5).abs() < 1e-12, "crossed the seam to column 0");
-    advance_particle(&grid, &c, &mut p);
+    advance_particle(&grid, &mut p);
     assert!(
         (p.x - 1.5).abs() < 1e-12,
         "pattern continues after the seam"
@@ -232,7 +230,7 @@ fn even_grid_requirement() {
 #[test]
 fn mesh_charge_pattern() {
     for col in 0..100usize {
-        let q = mesh_charge(col, 1.0);
+        let q = mesh_charge(col);
         assert_eq!(q, if col % 2 == 0 { 1.0 } else { -1.0 });
     }
 }

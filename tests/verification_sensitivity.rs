@@ -74,17 +74,16 @@ fn run_with_bug(drop_at_step: Option<u32>) -> (bool, u128, u128) {
     let s = setup(400);
     let expected = s.initial_id_sum();
     let grid = s.grid;
-    let consts = s.consts;
     let outcomes = run_threads(4, |comm| {
         let decomp = Decomp2d::uniform(32, 4);
         let me = comm.rank();
         let mut particles = local_slice(&decomp, &grid, me, &s.particles);
         for step in 0..20u32 {
-            advance_all(&grid, &consts, &mut particles);
+            advance_all(&grid, &mut particles);
             let bug = drop_at_step == Some(step) && me == 0;
             buggy_exchange(&comm, &decomp, &grid, me, &mut particles, bug);
         }
-        let local = verify_all(&grid, &particles, 20, 0, DEFAULT_TOLERANCE);
+        let local = verify_all(&grid, &particles, 20, 0);
         let halves = vec![local.id_sum as u64, (local.id_sum >> 64) as u64];
         let id_sum: u128 = allgatherv(&comm, halves)
             .iter()
@@ -116,19 +115,18 @@ fn dropped_particle_in_transit_caught_by_checksum() {
 fn single_force_error_caught_by_trajectory_check() {
     // Corrupt one force evaluation in one step on a 500-particle run.
     let grid = Grid::new(32).unwrap();
-    let consts = pic_core::charge::SimConstants::CANONICAL;
     let s = setup(500);
     let mut particles = s.particles.clone();
     for step in 0..30u32 {
         for (i, p) in particles.iter_mut().enumerate() {
-            let (mut ax, ay) = pic_core::charge::total_force(&grid, &consts, p.x, p.y, p.q);
+            let (mut ax, ay) = pic_core::charge::total_force(&grid, p.x, p.y, p.q);
             if step == 13 && i == 250 {
                 ax *= 1.0 + 1e-3; // one slightly wrong force, once
             }
-            pic_core::motion::advance_with_acceleration(&grid, &consts, p, ax, ay);
+            pic_core::motion::advance_with_acceleration(&grid, p, ax, ay);
         }
     }
-    let report = verify_all(&grid, &particles, 30, s.initial_id_sum(), DEFAULT_TOLERANCE);
+    let report = verify_all(&grid, &particles, 30, s.initial_id_sum());
     assert_eq!(
         report.position_failures, 1,
         "exactly the corrupted particle fails"
@@ -165,7 +163,7 @@ fn duplicated_migration_caught() {
     let mut particles = s.particles.clone();
     let dup = particles[42];
     particles.push(dup);
-    let report = verify_all(&grid, &particles, 0, s.initial_id_sum(), DEFAULT_TOLERANCE);
+    let report = verify_all(&grid, &particles, 0, s.initial_id_sum());
     assert!(!report.passed());
     assert_eq!(report.id_sum, s.initial_id_sum() + dup.id as u128);
 }
@@ -177,9 +175,9 @@ fn tolerance_boundary_behaviour() {
     let mut p = s.particles[0];
     // Nudge just under and just over the tolerance.
     p.x += DEFAULT_TOLERANCE * 0.5;
-    let r = verify_all(&grid, &[p], 0, p.id as u128, DEFAULT_TOLERANCE);
+    let r = verify_all(&grid, &[p], 0, p.id as u128);
     assert!(r.passed(), "under-tolerance nudge must pass");
     p.x += DEFAULT_TOLERANCE;
-    let r = verify_all(&grid, &[p], 0, p.id as u128, DEFAULT_TOLERANCE);
+    let r = verify_all(&grid, &[p], 0, p.id as u128);
     assert!(!r.passed(), "over-tolerance nudge must fail");
 }
