@@ -94,7 +94,7 @@ proptest! {
         }
         prop_assert!(per_core.iter().all(|&n| n == d), "{per_core:?}");
         // Coverage.
-        let total: usize = (0..g.vp_count()).map(|vp| g.vp_cells(vp)).sum();
+        let total: usize = (0..g.vp_count()).map(|vp| g.decomp().cell_count(vp)).sum();
         prop_assert_eq!(total, ncells * ncells);
     }
 }

@@ -28,15 +28,3 @@ pub mod loadmodel;
 pub mod machine;
 pub mod noise;
 pub mod stats;
-
-pub use balancer::{
-    diffuse_xcuts, diffuse_xcuts_from_histogram, greedy_assign, imbalance, per_column_counts_into,
-    refine_assign, AdaptiveLb, Axes, BalanceDecision, BalanceInput, BalanceNeeds, CutMove,
-    DiffusionLb, Layout, LoadBalancer, StaticLb, SwitchEvent, VpLb, VpMove, VpStrategy,
-};
-pub use bsp::{BspSimulator, RunStats};
-pub use cost::CostModel;
-pub use loadmodel::ColumnLoadModel;
-pub use machine::{Distance, MachineModel};
-pub use noise::NoiseModel;
-pub use stats::BalanceStats;

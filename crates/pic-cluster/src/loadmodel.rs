@@ -15,9 +15,8 @@ use pic_core::dist::Distribution;
 /// The rotating column histogram of a drifting particle population.
 #[derive(Debug, Clone)]
 pub struct ColumnLoadModel {
-    /// Initial per-column counts (index = original column).
-    counts: Vec<u64>,
-    /// Prefix sums of `counts`, length `c + 1`.
+    /// Prefix sums of the initial per-column counts (index = original
+    /// column), length `c + 1`.
     prefix: Vec<u64>,
     /// Cells per side.
     c: usize,
@@ -47,7 +46,6 @@ impl ColumnLoadModel {
         }
         let total = *prefix.last().unwrap();
         ColumnLoadModel {
-            counts,
             prefix,
             c,
             stride: dir as i64 * (2 * k as i64 + 1),
@@ -71,14 +69,6 @@ impl ColumnLoadModel {
     #[inline]
     pub fn advance(&mut self, steps: u64) {
         self.shift = (self.shift + self.stride * steps as i64).rem_euclid(self.c as i64);
-    }
-
-    /// Particle count currently in cell column `j`.
-    #[inline]
-    pub fn count_in_column(&self, j: usize) -> u64 {
-        debug_assert!(j < self.c);
-        let orig = (j as i64 - self.shift).rem_euclid(self.c as i64) as usize;
-        self.counts[orig]
     }
 
     /// Particle count currently in columns `[a, b)`, `a ≤ b ≤ c`.
@@ -155,7 +145,7 @@ mod tests {
         let m = model(d, 16, 10_000);
         let counts = d.column_counts(16, 10_000);
         for (j, &count) in counts.iter().enumerate() {
-            assert_eq!(m.count_in_column(j), count);
+            assert_eq!(m.count_in_columns(j, j + 1), count);
         }
         assert_eq!(m.count_in_columns(0, 16), 10_000);
         assert_eq!(m.total(), 10_000);
@@ -165,10 +155,10 @@ mod tests {
     fn advance_rotates_right() {
         let d = Distribution::Geometric { r: 0.8 };
         let mut m = model(d, 8, 1_000);
-        let before: Vec<u64> = (0..8).map(|j| m.count_in_column(j)).collect();
+        let before: Vec<u64> = (0..8).map(|j| m.count_in_columns(j, j + 1)).collect();
         m.advance(3);
         for (j, &was) in before.iter().enumerate() {
-            assert_eq!(m.count_in_column((j + 3) % 8), was);
+            assert_eq!(m.count_in_columns((j + 3) % 8, (j + 3) % 8 + 1), was);
         }
     }
 
@@ -176,10 +166,13 @@ mod tests {
     fn leftward_stride_rotates_left() {
         let mut m = ColumnLoadModel::new(Distribution::Geometric { r: 0.8 }, 8, 1_000, 1, -1);
         assert_eq!(m.stride(), -3);
-        let before: Vec<u64> = (0..8).map(|j| m.count_in_column(j)).collect();
+        let before: Vec<u64> = (0..8).map(|j| m.count_in_columns(j, j + 1)).collect();
         m.advance(1);
         for (j, &was) in before.iter().enumerate() {
-            assert_eq!(m.count_in_column((j + 8 - 3) % 8), was);
+            assert_eq!(
+                m.count_in_columns((j + 8 - 3) % 8, (j + 8 - 3) % 8 + 1),
+                was
+            );
         }
     }
 
@@ -189,7 +182,7 @@ mod tests {
         for steps in [0u64, 1, 7, 100] {
             m.advance(steps);
             for &(a, b) in &[(0usize, 32usize), (0, 5), (10, 20), (31, 32), (5, 5)] {
-                let direct: u64 = (a..b).map(|j| m.count_in_column(j)).sum();
+                let direct: u64 = (a..b).map(|j| m.count_in_columns(j, j + 1)).sum();
                 assert_eq!(
                     m.count_in_columns(a, b),
                     direct,
@@ -204,7 +197,7 @@ mod tests {
         let mut m = model(Distribution::Geometric { r: 0.7 }, 8, 1_000);
         m.advance(5);
         // Window that crosses the internal wrap of the rotated histogram.
-        let direct: u64 = (2..7).map(|j| m.count_in_column(j)).sum();
+        let direct: u64 = (2..7).map(|j| m.count_in_columns(j, j + 1)).sum();
         assert_eq!(m.count_in_columns(2, 7), direct);
     }
 
@@ -270,7 +263,11 @@ mod tests {
             sim.column_histogram_into(&mut hist);
             assert_eq!(hist.len(), 32);
             for (j, &seen) in hist.iter().enumerate() {
-                assert_eq!(m.count_in_column(j), seen, "step {step}, column {j}");
+                assert_eq!(
+                    m.count_in_columns(j, j + 1),
+                    seen,
+                    "step {step}, column {j}"
+                );
             }
             sim.step();
             m.advance(1);
@@ -297,7 +294,7 @@ mod tests {
         sim.column_histogram_into(&mut hist);
         assert_eq!(hist.len(), 32);
         for (j, &seen) in hist.iter().enumerate() {
-            assert_eq!(m.count_in_column(j), seen, "column {j}");
+            assert_eq!(m.count_in_columns(j, j + 1), seen, "column {j}");
         }
     }
 }

@@ -22,7 +22,7 @@ pub enum Distance {
 impl Distance {
     /// Index into per-distance cost arrays.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Distance::SameCore => 0,
             Distance::SameSocket => 1,
@@ -68,7 +68,7 @@ impl MachineModel {
     }
 
     #[inline]
-    pub fn cores_per_node(&self) -> usize {
+    pub(crate) fn cores_per_node(&self) -> usize {
         self.sockets_per_node * self.cores_per_socket
     }
 

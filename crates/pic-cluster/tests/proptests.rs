@@ -1,7 +1,7 @@
 //! Property tests of the machine model, cost model, BSP accounting, the
 //! analytic load model, and the balance decision functions.
 
-use pic_cluster::balancer::{diffuse_xcuts_from_histogram, greedy_assign, refine_assign};
+use pic_cluster::balancer::{diffuse_xcuts, greedy_assign, per_column_counts_into, refine_assign};
 use pic_cluster::bsp::BspSimulator;
 use pic_cluster::cost::CostModel;
 use pic_cluster::loadmodel::ColumnLoadModel;
@@ -10,6 +10,14 @@ use pic_core::dist::Distribution;
 use proptest::prelude::*;
 
 /// A uniform partition of `ncells` into `px` columns, `xcuts` style.
+/// One diffusion round from a cell histogram: the column counts, then the
+/// cut shift — the pair `DiffusionLb::decide` runs.
+fn diffuse_from_histogram(xcuts: &[usize], hist: &[u64], tau: u64, w: usize) -> Vec<usize> {
+    let mut counts = Vec::new();
+    per_column_counts_into(hist, xcuts, &mut counts);
+    diffuse_xcuts(xcuts, &counts, tau, w, hist.len())
+}
+
 fn uniform_cuts(px: usize, ncells: usize) -> Vec<usize> {
     (0..=px).map(|i| i * ncells / px).collect()
 }
@@ -139,13 +147,13 @@ proptest! {
         a.advance(y);
         b.advance(x + y);
         for j in 0..c {
-            prop_assert_eq!(a.count_in_column(j), b.count_in_column(j));
+            prop_assert_eq!(a.count_in_columns(j, j + 1), b.count_in_columns(j, j + 1));
         }
         // Full period: stride 1, so c steps restore the histogram.
         let mut p = ColumnLoadModel::new(dist, c, n, 0, 1);
-        let initial: Vec<u64> = (0..c).map(|j| p.count_in_column(j)).collect();
+        let initial: Vec<u64> = (0..c).map(|j| p.count_in_columns(j, j + 1)).collect();
         p.advance(c as u64);
-        let after: Vec<u64> = (0..c).map(|j| p.count_in_column(j)).collect();
+        let after: Vec<u64> = (0..c).map(|j| p.count_in_columns(j, j + 1)).collect();
         prop_assert_eq!(initial, after);
     }
 
@@ -179,7 +187,7 @@ proptest! {
         let ncells = px * cells_per;
         let cuts = uniform_cuts(px, ncells);
         let hist = vec![0u64; ncells];
-        let out = diffuse_xcuts_from_histogram(&cuts, &hist, tau, border_w);
+        let out = diffuse_from_histogram(&cuts, &hist, tau, border_w);
         prop_assert_eq!(out, cuts);
     }
 
@@ -203,7 +211,7 @@ proptest! {
         // Iterate the decision a few times: the fixed point must stay a
         // partition too (cascading clamps interact across rounds).
         for _ in 0..=adv {
-            cuts = diffuse_xcuts_from_histogram(&cuts, &hist, 0, border_w);
+            cuts = diffuse_from_histogram(&cuts, &hist, 0, border_w);
             assert_partition(&cuts, px, ncells)?;
         }
     }
@@ -224,8 +232,8 @@ proptest! {
         let hist: Vec<u64> = (0..ncells)
             .map(|i| seed.rotate_left((i % 64) as u32) % 100_000)
             .collect();
-        let a = diffuse_xcuts_from_histogram(&cuts, &hist, tau, border_w);
-        let b = diffuse_xcuts_from_histogram(&cuts, &hist, tau, border_w);
+        let a = diffuse_from_histogram(&cuts, &hist, tau, border_w);
+        let b = diffuse_from_histogram(&cuts, &hist, tau, border_w);
         assert_partition(&a, px, ncells)?;
         prop_assert_eq!(a, b);
     }

@@ -13,7 +13,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     #[inline]
-    pub fn fold_u64(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn fold_u64(&self, a: u64, b: u64) -> u64 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Max => a.max(b),

@@ -41,7 +41,7 @@ pub enum Payload {
 
 impl Payload {
     /// The lane this message travels on, as the mismatch panic names it.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Payload::Words(_) => <Vec<u64>>::NAME,
             Payload::Typed(_) => <Vec<Particle>>::NAME,

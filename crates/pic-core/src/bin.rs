@@ -416,7 +416,7 @@ impl BinnedStore {
     /// across the stores first ([`crate::events::EventLedger`]).
     /// Order-preserving, so both halves stay whole. Returns the number
     /// removed.
-    pub fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
+    pub(crate) fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
         let (removed, split) = self.batch.remove_in_region_upto(region, max_id, self.split);
         self.split = split;
         removed
@@ -455,7 +455,8 @@ impl BinnedStore {
     /// Remove and return the particle with the largest id (the canonical
     /// tail, matching `Vec::pop` on an ascending-id AoS store) —
     /// failure-injection tests *only*.
-    pub fn pop(&mut self) -> Option<Particle> {
+    #[cfg(test)]
+    fn pop(&mut self) -> Option<Particle> {
         if self.batch.is_empty() {
             return None;
         }
@@ -474,11 +475,6 @@ impl BinnedStore {
         }
         self.batch.swap_remove(i);
         p
-    }
-
-    /// Sum of ids (checksum contribution) — order-independent.
-    pub fn id_sum(&self) -> u128 {
-        self.batch.id_sum()
     }
 }
 
@@ -629,6 +625,11 @@ mod tests {
         }
     }
 
+    /// The store's id checksum.
+    fn id_sum(store: &BinnedStore) -> u128 {
+        store.batch().id.iter().map(|&i| i as u128).sum()
+    }
+
     /// Ids sorted, for comparing populations as multisets.
     fn sorted(mut ps: Vec<Particle>) -> Vec<Particle> {
         ps.sort_unstable_by_key(|p| p.id);
@@ -694,7 +695,7 @@ mod tests {
         let (grid, ps) = population(300, Distribution::Sinusoidal);
         let store = whole_store(&ps, &grid);
         assert_eq!(store.to_particles(), ps);
-        assert_eq!(store.id_sum(), triangular_id_sum(300));
+        assert_eq!(id_sum(&store), triangular_id_sum(300));
     }
 
     #[test]
@@ -839,7 +840,7 @@ mod tests {
         assert_eq!(removed, gone.len());
         assert_eq!(store.len() + removed, 800);
         let gone_sum: u128 = gone.iter().map(|p| p.id as u128).sum();
-        assert_eq!(store.id_sum() + gone_sum, triangular_id_sum(800));
+        assert_eq!(id_sum(&store) + gone_sum, triangular_id_sum(800));
         assert_phases(&store, "drained");
         let mut hist = Vec::new();
         store.column_histogram_into(&grid, &mut hist);

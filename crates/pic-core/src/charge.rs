@@ -53,14 +53,14 @@ pub fn mesh_charge(col: usize) -> f64 {
 /// would produce; the selection is written value-wise (not as an early
 /// return) so the inner sweep loops stay branch-free and vectorizable.
 #[inline]
-pub fn coulomb(dx: f64, dy: f64, q1: f64, q2: f64) -> (f64, f64) {
+pub(crate) fn coulomb(dx: f64, dy: f64, q1: f64, q2: f64) -> (f64, f64) {
     let r2 = dx * dx + dy * dy;
     let f_over_r = q1 * q2 / (r2 * r2.sqrt());
     let f_over_r = if r2 == 0.0 { 0.0 } else { f_over_r };
     (f_over_r * dx, f_over_r * dy)
 }
 
-/// The magnitude half of a lane-wise [`coulomb`]: `f/r = q1·q2/(r²·√r²)`,
+/// The magnitude half of a lane-wise `coulomb`: `f/r = q1·q2/(r²·√r²)`,
 /// zero at zero distance, by the identical operation sequence — two
 /// squares, one add, one sqrt, two multiplies, one divide, the
 /// zero-distance value select — applied to one particle per lane; the
@@ -122,7 +122,7 @@ pub fn total_force(grid: &Grid, x: f64, y: f64, qp: f64) -> (f64, f64) {
 
 /// The denominator of paper eq. 3, `cos θ / d1² + cos φ / d2²`, for a
 /// particle at the cell centre `x_π = 1/2` (where every particle is
-/// placed), evaluated through the same [`coulomb`] kernel used at run time
+/// placed), evaluated through the same `coulomb` kernel used at run time
 /// so the assigned charge and the realized force agree to within rounding.
 ///
 /// This equals half the magnitude of the horizontal acceleration the

@@ -75,6 +75,17 @@ impl Distribution {
         }
     }
 
+    /// Whether every column's share `n·w/Σw` of `n` particles over `c`
+    /// columns is finite — what [`largest_remainder`] needs. A ratio above 1
+    /// or a steep ramp overflows the weights (or `n` times one of them) to
+    /// `inf` on a large enough grid.
+    pub(crate) fn shares_are_finite(&self, c: usize, n: u64) -> bool {
+        let (total, max) = (0..c)
+            .map(|i| self.weight(i, c))
+            .fold((0.0, 0.0), |(t, m), w| (t + w, f64::max(m, w)));
+        f64::is_finite(total) && (n as f64 * max).is_finite()
+    }
+
     /// Deterministic particle count per cell **column**, summing exactly to
     /// `n`, via the largest-remainder (Hamilton) method.
     pub fn column_counts(&self, c: usize, n: u64) -> Vec<u64> {

@@ -16,7 +16,6 @@ use crate::init::SimulationSetup;
 use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
-use crate::soa::ParticleBatch;
 use crate::verify::{verify_batch, VerifyReport};
 
 /// What [`Simulation::with_mode`] once chose between; the binned store is
@@ -37,7 +36,7 @@ pub struct Simulation {
     ledger: EventLedger,
     step: u32,
     /// Explicit chunk size for the pooled sweep; `None` (the default)
-    /// selects [`pool::adaptive_chunk`] from the population size and the
+    /// selects `pool::adaptive_chunk` from the population size and the
     /// active thread count at each step.
     chunk_size: Option<usize>,
 }
@@ -65,7 +64,7 @@ impl Simulation {
     /// Set an explicit chunk size for the pooled sweep — the
     /// schedule-independence test handle. Values are clamped to at least 1.
     /// Without this, the engine picks an adaptive default —
-    /// [`pool::adaptive_chunk`] — that scales with the population and the
+    /// `pool::adaptive_chunk` — that scales with the population and the
     /// active thread count so per-chunk dispatch overhead never dominates.
     /// Chunk size affects scheduling only; results are bit-identical for
     /// any value.
@@ -76,7 +75,7 @@ impl Simulation {
 
     /// The chunk size the next chunked sweep would use (the explicit
     /// setting, or the adaptive default for the current population).
-    pub fn chunk_size(&self) -> usize {
+    fn chunk_size(&self) -> usize {
         self.chunk_size.unwrap_or_else(|| {
             pool::adaptive_chunk(self.store.len(), pool::global().active_threads())
         })
@@ -103,16 +102,9 @@ impl Simulation {
     }
 
     /// The current population, materialized as AoS records in ascending-id
-    /// order (allocates). For allocation-free bulk reads use the histogram
-    /// `_into` methods or [`Simulation::batch`].
+    /// order (allocates) — the test handle the oracle comparisons read.
     pub fn particles(&self) -> Vec<Particle> {
         self.store.to_particles()
-    }
-
-    /// Direct view of the SoA store — in storage order, not canonical order;
-    /// use [`Simulation::particles`] when ordering matters.
-    pub fn batch(&self) -> &ParticleBatch {
-        self.store.batch()
     }
 
     pub fn particle_count(&self) -> usize {
@@ -125,11 +117,10 @@ impl Simulation {
         self.ledger.expected_id_sum()
     }
 
-    /// Apply all events scheduled for the current step. Called by
-    /// [`Simulation::step`], exposed for harnesses that drive sub-phases.
-    /// The store holds the whole population, so the removal set it offers
-    /// is already agreed.
-    pub fn apply_due_events(&mut self) {
+    /// Apply all events scheduled for the current step (the first phase of
+    /// [`Simulation::step`]). The store holds the whole population, so the
+    /// removal set it offers is already agreed.
+    pub(crate) fn apply_due_events(&mut self) {
         self.ledger
             .apply_due(self.step, &mut self.store, |_, _| true, |ids| ids);
     }
@@ -173,22 +164,6 @@ impl Simulation {
     /// of the current positions.
     pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
         self.store.column_histogram_into(&self.grid, h)
-    }
-
-    /// Corrupt one particle (by canonical index) in place —
-    /// failure-injection tests *only*.
-    #[doc(hidden)]
-    pub fn mutate_particle(&mut self, idx: usize, f: impl FnOnce(&mut Particle)) {
-        let mut p = self.store.particle_at(idx);
-        f(&mut p);
-        self.store.set(idx, p);
-    }
-
-    /// Read one particle by canonical index — failure-injection tests
-    /// *only*.
-    #[doc(hidden)]
-    pub fn particle_at(&self, idx: usize) -> Particle {
-        self.store.particle_at(idx)
     }
 }
 
@@ -246,7 +221,7 @@ mod tests {
     fn soa_store_is_native_no_aos_roundtrip() {
         let mut sim = Simulation::new(setup(100, Distribution::Uniform));
         sim.run(5);
-        assert_eq!(sim.batch().len(), 100);
+        assert_eq!(sim.store.batch().len(), 100);
         let mut h = Vec::new();
         sim.column_histogram_into(&mut h);
         assert_eq!(h.iter().sum::<u64>(), 100);
@@ -323,7 +298,9 @@ mod tests {
         // minor as a single particle miscalculation in a single time step."
         let mut sim = Simulation::new(setup(200, Distribution::Uniform));
         sim.run(19);
-        sim.mutate_particle(77, |p| p.x += 1.0); // one particle, one cell, one step
+        let mut p = sim.store.particle_at(77);
+        p.x += 1.0; // one particle, one cell, one step
+        sim.store.set(77, p);
         sim.run(1);
         let report = sim.verify();
         assert_eq!(report.position_failures, 1);
@@ -334,7 +311,8 @@ mod tests {
     fn failure_injection_lost_particle_detected_by_checksum() {
         let mut sim = Simulation::new(setup(50, Distribution::Uniform));
         sim.run(10);
-        sim.store.pop();
+        // Lose particle 1 behind the ledger's back.
+        assert_eq!(sim.store.remove_in_region_upto(&Region::whole(32), 1), 1);
         let report = sim.verify();
         assert!(!report.passed());
         assert_eq!(report.position_failures, 0, "positions fine, checksum not");
@@ -345,7 +323,7 @@ mod tests {
     fn failure_injection_duplicated_particle_detected() {
         let mut sim = Simulation::new(setup(50, Distribution::Uniform));
         sim.run(10);
-        let dup = sim.particle_at(0);
+        let dup = sim.store.particle_at(0);
         sim.store.push_tail(dup);
         let report = sim.verify();
         assert!(!report.passed());

@@ -37,20 +37,9 @@ impl Region {
         }
     }
 
-    /// Number of cells in the region.
-    pub fn cell_count(&self) -> usize {
-        self.x1.saturating_sub(self.x0) * self.y1.saturating_sub(self.y0)
-    }
-
-    /// Whether the cell `(col, row)` lies inside the region.
-    #[inline]
-    pub fn contains_cell(&self, col: usize, row: usize) -> bool {
-        col >= self.x0 && col < self.x1 && row >= self.y0 && row < self.y1
-    }
-
     /// Whether a continuous position lies inside the region.
     #[inline]
-    pub fn contains_point(&self, x: f64, y: f64) -> bool {
+    pub(crate) fn contains_point(&self, x: f64, y: f64) -> bool {
         x >= self.x0 as f64 && x < self.x1 as f64 && y >= self.y0 as f64 && y < self.y1 as f64
     }
 }
@@ -88,7 +77,7 @@ pub struct Event {
 /// when none is. Inside the event's region, `id <= cutoff` then names
 /// exactly the doomed particles, so a store can remove them in one
 /// order-preserving pass without a set. A selection, not a sort: O(len).
-pub fn lowest_ids(ids: &mut Vec<u64>, count: u64) -> Option<u64> {
+pub(crate) fn lowest_ids(ids: &mut Vec<u64>, count: u64) -> Option<u64> {
     let keep = usize::try_from(count).map_or(ids.len(), |c| c.min(ids.len()));
     if keep == 0 {
         ids.clear();
@@ -225,21 +214,19 @@ mod tests {
             y0: 1,
             y1: 3,
         };
-        assert!(r.contains_cell(2, 1));
-        assert!(r.contains_cell(4, 2));
-        assert!(!r.contains_cell(5, 2));
-        assert!(!r.contains_cell(4, 3));
         assert!(r.contains_point(2.0, 1.0));
         assert!(r.contains_point(4.999, 2.999));
         assert!(!r.contains_point(5.0, 2.0));
-        assert_eq!(r.cell_count(), 6);
+        assert!(!r.contains_point(4.5, 3.0));
+        assert!(!r.contains_point(1.999, 1.5));
     }
 
     #[test]
     fn whole_grid_region() {
         let r = Region::whole(8);
-        assert_eq!(r.cell_count(), 64);
-        assert!(r.contains_cell(7, 7));
+        assert!(r.contains_point(0.0, 0.0));
+        assert!(r.contains_point(7.5, 7.5));
+        assert!(!r.contains_point(8.0, 7.5));
     }
 
     #[test]
@@ -269,7 +256,7 @@ mod tests {
             y0: 0,
             y1: 10,
         };
-        assert_eq!(r.cell_count(), 0);
-        assert!(!r.contains_cell(5, 3));
+        assert!(!r.contains_point(5.0, 3.0));
+        assert!(!r.contains_point(5.5, 3.5));
     }
 }

@@ -72,12 +72,6 @@ impl Grid {
         self.ncells as f64
     }
 
-    /// Total number of cells.
-    #[inline]
-    pub fn cell_count(&self) -> usize {
-        self.ncells * self.ncells
-    }
-
     /// Wrap a continuous coordinate into `[0, L)`.
     ///
     /// Particle displacements per step are bounded by `(2k+1) ≤ L` in
@@ -100,13 +94,6 @@ impl Grid {
             x += l;
         }
         x
-    }
-
-    /// Wrap a (possibly negative) cell index into `0..ncells`.
-    #[inline]
-    pub fn wrap_cell(&self, i: i64) -> usize {
-        let n = self.ncells as i64;
-        (((i % n) + n) % n) as usize
     }
 
     /// Cell column containing coordinate `x ∈ [0, L)`.
@@ -275,18 +262,6 @@ mod tests {
             assert_eq!(w.fract().abs(), 0.5, "wrap of {base} lost exactness: {w}");
             assert!((0.0..g.extent()).contains(&w));
         }
-    }
-
-    #[test]
-    fn wrap_cell_handles_negatives() {
-        let g = Grid::new(8).unwrap();
-        assert_eq!(g.wrap_cell(0), 0);
-        assert_eq!(g.wrap_cell(7), 7);
-        assert_eq!(g.wrap_cell(8), 0);
-        assert_eq!(g.wrap_cell(-1), 7);
-        assert_eq!(g.wrap_cell(-8), 0);
-        assert_eq!(g.wrap_cell(-17), 7);
-        assert_eq!(g.wrap_cell(23), 7);
     }
 
     #[test]

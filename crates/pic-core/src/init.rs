@@ -85,11 +85,16 @@ pub enum InitError {
     },
     /// Empty patch/region cannot receive particles.
     EmptyRegion,
-    /// Distribution parameters outside their documented domain, or a
-    /// patch reaching beyond the grid.
+    /// Distribution parameters outside their documented domain, a patch
+    /// reaching beyond the grid, or column weights that overflow `f64` on
+    /// this grid.
     BadDistribution {
         dist: Distribution,
         ncells: usize,
+    },
+    /// More particles than one allocation can hold.
+    TooManyParticles {
+        n: u64,
     },
 }
 
@@ -103,8 +108,21 @@ impl fmt::Display for InitError {
             }
             InitError::EmptyRegion => write!(f, "target region contains no cells"),
             InitError::BadDistribution { dist, ncells } => match dist {
+                Distribution::Geometric { r } if r.is_finite() && *r > 0.0 => write!(
+                    f,
+                    "geometric ratio {r} overflows the column weights of the {ncells}-cell grid"
+                ),
                 Distribution::Geometric { r } => {
                     write!(f, "geometric ratio must be finite and > 0, got {r}")
+                }
+                Distribution::Linear { alpha, beta }
+                    if alpha.is_finite() && beta.is_finite() && alpha <= beta && *beta > 0.0 =>
+                {
+                    write!(
+                        f,
+                        "linear ramp alpha {alpha:e}, beta {beta:e} overflows the column \
+                         weights of the {ncells}-cell grid"
+                    )
                 }
                 Distribution::Linear { alpha, beta } => write!(
                     f,
@@ -117,6 +135,11 @@ impl fmt::Display for InitError {
                 ),
                 other => write!(f, "bad distribution {other:?}"),
             },
+            InitError::TooManyParticles { n } => write!(
+                f,
+                "{n} particles exceed the largest allocation ({} bytes each)",
+                std::mem::size_of::<Particle>()
+            ),
         }
     }
 }
@@ -167,6 +190,13 @@ impl InitConfig {
 
     fn validate(&self) -> Result<(), InitError> {
         validate_motion(&self.grid, self.k, self.dir)?;
+        // The population is one `Vec<Particle>`; past `isize::MAX` bytes
+        // no allocation can hold it, and the apportionment's sums would
+        // wrap on the way there.
+        let bytes = u128::from(self.n) * std::mem::size_of::<Particle>() as u128;
+        if bytes > isize::MAX as u128 {
+            return Err(InitError::TooManyParticles { n: self.n });
+        }
         let ncells = self.grid.ncells();
         if let Distribution::Patch { x0, x1, y0, y1 } = self.dist {
             if x0 >= x1 || y0 >= y1 || x0 >= ncells || y0 >= ncells {
@@ -184,7 +214,7 @@ impl InitConfig {
             }
             Distribution::Patch { x1, y1, .. } => x1 <= ncells && y1 <= ncells,
         };
-        if !in_domain {
+        if !in_domain || !self.dist.shares_are_finite(ncells, self.n) {
             return Err(InitError::BadDistribution {
                 dist: self.dist,
                 ncells,
@@ -214,7 +244,7 @@ impl InitConfig {
                 &mut particles,
             );
         }
-        debug_assert_eq!(particles.len() as u64, self.n);
+        assert_eq!(particles.len() as u64, self.n, "apportionment missed n");
         Ok(SimulationSetup {
             grid: self.grid,
             particles,
@@ -346,7 +376,7 @@ impl Placer {
 // The argument list mirrors EventKind::Inject field-for-field; bundling
 // them into a struct would just duplicate that type.
 #[allow(clippy::too_many_arguments)]
-pub fn build_injection(
+pub(crate) fn build_injection(
     grid: Grid,
     region: Region,
     count: u64,
@@ -374,7 +404,11 @@ pub fn build_injection(
 /// Apply a removal event to a particle vector: remove up to `count`
 /// particles inside the region, lowest ids first (deterministic across any
 /// partitioning of the particles). Returns the removed particles.
-pub fn apply_removal(particles: &mut Vec<Particle>, region: Region, count: u64) -> Vec<Particle> {
+pub(crate) fn apply_removal(
+    particles: &mut Vec<Particle>,
+    region: Region,
+    count: u64,
+) -> Vec<Particle> {
     let mut candidate_ids: Vec<u64> = particles
         .iter()
         .filter(|p| region.contains_point(p.x, p.y))
@@ -467,7 +501,6 @@ mod tests {
             assert_eq!(p.vy, -2.0);
             assert_eq!(p.k, 1);
             assert_eq!(p.m, -2);
-            assert_eq!(p.direction(&grid()), 1);
             assert_eq!(p.cells_per_step_x(&grid()), 3);
         }
     }

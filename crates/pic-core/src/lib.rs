@@ -69,7 +69,5 @@ pub mod prelude {
     pub use crate::particle::Particle;
     pub use crate::simd::SimdBackend;
     pub use crate::soa::ParticleBatch;
-    pub use crate::verify::{verify_particle, VerifyReport};
+    pub use crate::verify::VerifyReport;
 }
-
-pub use prelude::*;

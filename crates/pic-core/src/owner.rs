@@ -357,7 +357,7 @@ mod tests {
         let x = [31.5; 8];
         let mut leave = [0u64];
         t.map(0)
-            .leavers(SimdBackend::widest_available(), &grid, &x, &x, &mut leave);
+            .leavers(SimdBackend::available()[0], &grid, &x, &x, &mut leave);
     }
 
     /// The same on the unit count.
@@ -368,6 +368,6 @@ mod tests {
         let grid = Grid::new(32).unwrap();
         let x = [31.5; 8];
         let mut counts = [0u64; 4];
-        t.count_into(SimdBackend::widest_available(), &grid, &x, &x, &mut counts);
+        t.count_into(SimdBackend::available()[0], &grid, &x, &x, &mut counts);
     }
 }

@@ -39,24 +39,19 @@ pub struct Particle {
 }
 
 impl Particle {
-    /// Horizontal drift direction (+1 right / −1 left), derived from the
+    /// Signed horizontal displacement in cells per step: `±(2k+1)`. The
+    /// sign is the drift direction (+1 right / −1 left), derived from the
     /// charge sign and the parity of the initial cell column (paper eq. 5's
     /// `sign(a_x,0)`).
     #[inline]
-    pub fn direction(&self, grid: &Grid) -> i8 {
-        let col0 = grid.cell_of(self.x0);
-        direction_from_charge(col0, self.q)
-    }
-
-    /// Signed horizontal displacement in cells per step: `±(2k+1)`.
-    #[inline]
-    pub fn cells_per_step_x(&self, grid: &Grid) -> i64 {
-        self.direction(grid) as i64 * (2 * self.k as i64 + 1)
+    pub(crate) fn cells_per_step_x(&self, grid: &Grid) -> i64 {
+        let dir = direction_from_charge(grid.cell_of(self.x0), self.q);
+        dir as i64 * (2 * self.k as i64 + 1)
     }
 
     /// Vertical displacement in cells per step.
     #[inline]
-    pub fn cells_per_step_y(&self) -> i64 {
+    pub(crate) fn cells_per_step_y(&self) -> i64 {
         self.m as i64
     }
 }
@@ -88,13 +83,11 @@ mod tests {
         let mut p = sample(1);
         p.x0 = 0.5;
         p.q = 0.35;
-        assert_eq!(p.direction(&g), 1);
         assert_eq!(p.cells_per_step_x(&g), 5); // k = 2
         p.q = -0.35;
-        assert_eq!(p.direction(&g), -1);
         assert_eq!(p.cells_per_step_x(&g), -5);
         // Odd initial column flips the rule.
         p.x0 = 1.5;
-        assert_eq!(p.direction(&g), 1);
+        assert_eq!(p.cells_per_step_x(&g), 5);
     }
 }

@@ -36,11 +36,11 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// Default sweep chunk size: big enough that the claim `fetch_add` is
 /// amortized to noise, small enough that a skewed tail still spreads over
 /// the pool.
-/// This is also the *floor* of [`adaptive_chunk`] — the engine's default
+/// This is also the *floor* of `adaptive_chunk` — the engine's default
 /// when no explicit chunk size is configured.
 pub const DEFAULT_CHUNK: usize = 4096;
 
-/// Chunks-per-thread target of [`adaptive_chunk`]. More than one chunk per
+/// Chunks-per-thread target of `adaptive_chunk`. More than one chunk per
 /// thread keeps dynamic self-scheduling meaningful (a late thread can pick
 /// up slack); too many re-introduces the per-chunk dispatch overhead the
 /// adaptive size exists to amortize.
@@ -59,7 +59,7 @@ pub const CHUNK_OVERSUBSCRIPTION: usize = 4;
 /// `DEFAULT_CHUNK` floor keeps small populations from degenerating into
 /// per-particle dispatch. Chunk size never affects results — only
 /// scheduling — so the adaptive choice preserves bit-identity trivially.
-pub fn adaptive_chunk(len: usize, threads: usize) -> usize {
+pub(crate) fn adaptive_chunk(len: usize, threads: usize) -> usize {
     let slots = threads.max(1).saturating_mul(CHUNK_OVERSUBSCRIPTION);
     (len / slots).max(DEFAULT_CHUNK)
 }
@@ -68,21 +68,21 @@ pub fn adaptive_chunk(len: usize, threads: usize) -> usize {
 /// drain handshake guarantees exclusive, disjoint use: each chunk of the
 /// index space is claimed by exactly one thread.
 ///
-/// The pointer is reachable only through [`SyncMutPtr::get`] so closures
+/// The pointer is reachable only through `SyncMutPtr::get` so closures
 /// capture the whole wrapper (which is `Sync`) rather than the raw
 /// pointer field (which is not, under edition-2021 disjoint capture).
-pub struct SyncMutPtr<T>(*mut T);
+pub(crate) struct SyncMutPtr<T>(*mut T);
 
 unsafe impl<T> Send for SyncMutPtr<T> {}
 unsafe impl<T> Sync for SyncMutPtr<T> {}
 
 impl<T> SyncMutPtr<T> {
-    pub fn new(ptr: *mut T) -> SyncMutPtr<T> {
+    pub(crate) fn new(ptr: *mut T) -> SyncMutPtr<T> {
         SyncMutPtr(ptr)
     }
 
     #[inline]
-    pub fn get(&self) -> *mut T {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -182,13 +182,14 @@ impl Pool {
     }
 
     /// Total threads that can participate in a sweep (workers + submitter).
-    pub fn threads(&self) -> usize {
+    #[cfg(test)]
+    fn threads(&self) -> usize {
         self.workers + 1
     }
 
     /// Cap the number of threads (including the submitter) that take part
     /// in subsequent sweeps, without tearing down workers. Clamped to
-    /// `[1, threads()]`; returns the effective value. Results are
+    /// `[1, workers + 1]`; returns the effective value. Results are
     /// bit-identical at any setting — only scheduling changes — which is
     /// what lets the scaling harness scan thread counts in one process.
     pub fn set_active_threads(&self, t: usize) -> usize {
@@ -198,7 +199,7 @@ impl Pool {
     }
 
     /// Threads (including the submitter) the next sweep will use.
-    pub fn active_threads(&self) -> usize {
+    pub(crate) fn active_threads(&self) -> usize {
         self.active_cap.load(Ordering::SeqCst).min(self.workers) + 1
     }
 
@@ -206,7 +207,12 @@ impl Pool {
     /// Chunks are disjoint, cover the range exactly, and each runs on
     /// exactly one thread. Returns after all chunks complete; panics if
     /// any chunk panicked.
-    pub fn run_chunked(&self, len: usize, chunk: usize, body: &(dyn Fn(usize, usize) + Sync)) {
+    pub(crate) fn run_chunked(
+        &self,
+        len: usize,
+        chunk: usize,
+        body: &(dyn Fn(usize, usize) + Sync),
+    ) {
         let chunk = chunk.max(1);
         if len == 0 {
             return;

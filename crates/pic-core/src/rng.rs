@@ -40,7 +40,7 @@ impl SplitMix64 {
     /// the bias is < 2^-40 for any grid-sized span, far below anything the
     /// placement distribution tests can observe.
     #[inline]
-    pub fn gen_range(&mut self, range: Range<usize>) -> usize {
+    pub(crate) fn gen_range(&mut self, range: Range<usize>) -> usize {
         assert!(range.start < range.end, "gen_range on empty range");
         let span = (range.end - range.start) as u64;
         let hi = ((self.next_u64() as u128 * span as u128) >> 64) as u64;

@@ -1,7 +1,7 @@
 //! The span kernel of the binned sweep and the owner classifiers, each one
 //! generic body over `Lanes` (**lane per particle**).
 //!
-//! The sqrt/divide chain in [`coulomb`] dominates the sweep's critical
+//! The sqrt/divide chain in `coulomb` dominates the sweep's critical
 //! path, and the baseline x86-64 target only licenses 2-lane SSE2
 //! autovectorization, so the kernel is vectorized by hand: four particles
 //! per iteration (eight on AVX-512), with the widest instruction set the
@@ -58,8 +58,6 @@
 //!
 //! The kernel runs in the reference units of [`crate::charge`]: a cell's
 //! far corners sit at `r − 1` and eqs. 1–2 carry no `dt` factor.
-//!
-//! [`coulomb`]: crate::charge::coulomb
 
 use crate::charge::{f_over_r_lanes, mid_cell_lanes};
 use crate::geometry::Grid;
@@ -99,7 +97,7 @@ impl SimdBackend {
     }
 
     /// The widest backend the host supports, ignoring `PIC_NO_SIMD`.
-    pub fn widest_available() -> SimdBackend {
+    fn widest_available() -> SimdBackend {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
@@ -149,7 +147,8 @@ impl SimdBackend {
     }
 
     /// f64 lanes per kernel iteration on this backend (1 for scalar).
-    pub fn lanes(self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn lanes(self) -> usize {
         match self {
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 => 8,
@@ -205,9 +204,7 @@ pub(crate) trait Lanes: Copy {
     /// column [`Grid::new`] accepts.
     fn trunc(self) -> Self;
     /// Zero every lane of `self` whose lane in `r2` equals `0.0` — the
-    /// vector form of [`coulomb`]'s value-select zero-distance guard.
-    ///
-    /// [`coulomb`]: crate::charge::coulomb
+    /// vector form of `coulomb`'s value-select zero-distance guard.
     fn zero_where_zero(self, r2: Self) -> Self;
     /// Whether every lane lies in `[0.0, hi)` — the wrap pass's fast-path
     /// test.
@@ -1609,7 +1606,7 @@ mod tests {
 
     /// The force fold never changes a bit. Its constants are the unfolded
     /// force: on every executable backend, one lane included, every lane of
-    /// [`centre_kick`] carries the bits of the four [`coulomb`] corners at
+    /// [`centre_kick`] carries the bits of the four `coulomb` corners at
     /// `(½, ½)`, paired and integrated as `total_force` and the eqs. 1–2
     /// step do, for both corner charges and span charges `±1e−300`, `±1`,
     /// `±1e300`. And one span-kernel step equals
@@ -1620,8 +1617,6 @@ mod tests {
     /// `+0.0`, `−0.0` or NaN, which must not fold. The zero spans carry the
     /// other signed zero in every other lane and `vx = −0.0`, so a force
     /// folded from the wrong zero shows in the sign of `vx`.
-    ///
-    /// [`coulomb`]: crate::charge::coulomb
     #[test]
     fn force_fold_is_the_unfolded_force() {
         use crate::charge::coulomb;

@@ -78,7 +78,7 @@ impl ParticleBatch {
     }
 
     /// Materialize element `i` as an AoS record.
-    pub fn get(&self, i: usize) -> Particle {
+    pub(crate) fn get(&self, i: usize) -> Particle {
         Particle {
             id: self.id[i],
             x: self.x[i],
@@ -114,7 +114,7 @@ impl ParticleBatch {
 
     /// Overwrite element `i` from an AoS record (failure-injection and
     /// test harness support).
-    pub fn set(&mut self, i: usize, p: Particle) {
+    pub(crate) fn set(&mut self, i: usize, p: Particle) {
         self.id[i] = p.id;
         self.x[i] = p.x;
         self.y[i] = p.y;
@@ -129,7 +129,8 @@ impl ParticleBatch {
     }
 
     /// Remove and return the last particle.
-    pub fn pop(&mut self) -> Option<Particle> {
+    #[cfg(test)]
+    fn pop(&mut self) -> Option<Particle> {
         if self.is_empty() {
             return None;
         }
@@ -272,7 +273,8 @@ impl ParticleBatch {
 
     /// How many particles the batch holds without reallocating (the
     /// smallest capacity of its eleven arrays).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         [
             self.id.capacity(),
             self.x.capacity(),
@@ -292,7 +294,7 @@ impl ParticleBatch {
     }
 
     /// Shorten the batch to `len` particles.
-    pub fn truncate(&mut self, len: usize) {
+    pub(crate) fn truncate(&mut self, len: usize) {
         self.id.truncate(len);
         self.x.truncate(len);
         self.y.truncate(len);
@@ -308,11 +310,6 @@ impl ParticleBatch {
 
     pub fn to_particles(&self) -> Vec<Particle> {
         (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Sum of ids (checksum contribution).
-    pub fn id_sum(&self) -> u128 {
-        self.id.iter().map(|&i| i as u128).sum()
     }
 }
 
@@ -365,7 +362,8 @@ mod tests {
         let batch: ParticleBatch = ps.iter().copied().collect();
         assert_eq!(batch.len(), 257);
         assert_eq!(batch.to_particles(), ps);
-        assert_eq!(batch.id_sum(), triangular_id_sum(257));
+        let ids: u128 = batch.id.iter().map(|&i| i as u128).sum();
+        assert_eq!(ids, triangular_id_sum(257));
     }
 
     #[test]

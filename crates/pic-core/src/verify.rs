@@ -84,7 +84,7 @@ pub struct ParticleVerdict {
 }
 
 /// Verify one particle that has participated in `steps` steps.
-pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64) -> ParticleVerdict {
+pub(crate) fn verify_particle(grid: &Grid, p: &Particle, steps: u64) -> ParticleVerdict {
     let (ex, ey) = expected_position(grid, p, steps);
     // Compare with minimum-image distance so an actual position of
     // L−ε and expected 0 (or vice versa) count as matching.

@@ -1,5 +1,6 @@
 //! Property-based tests of the kernel specification's invariants.
 
+use pic_core::bin::BinnedStore;
 use pic_core::charge::{
     direction_from_charge, mesh_charge, particle_charge, sign_for_direction, total_force,
 };
@@ -12,7 +13,7 @@ use pic_core::motion::advance_particle;
 use pic_core::particle::Particle;
 use pic_core::reference;
 use pic_core::soa::ParticleBatch;
-use pic_core::verify::{expected_position, triangular_id_sum, verify_all};
+use pic_core::verify::{expected_position, triangular_id_sum, verify_all, verify_batch};
 use proptest::prelude::*;
 
 fn grids() -> impl Strategy<Value = Grid> {
@@ -28,14 +29,6 @@ proptest! {
     fn wrap_coord_in_range(grid in grids(), x in -1e6f64..1e6) {
         let w = grid.wrap_coord(x);
         prop_assert!((0.0..grid.extent()).contains(&w), "wrap({x}) = {w}");
-    }
-
-    #[test]
-    fn wrap_cell_in_range(grid in grids(), i in -100_000i64..100_000) {
-        let c = grid.wrap_cell(i);
-        prop_assert!(c < grid.ncells());
-        // Consistency: wrapping i and i + n agree.
-        prop_assert_eq!(c, grid.wrap_cell(i + grid.ncells() as i64));
     }
 
     /// Mesh charge depends only on column parity.
@@ -175,11 +168,15 @@ proptest! {
     ) {
         let grid = Grid::new(32).unwrap();
         let cfg = InitConfig::new(grid, 100, Distribution::Uniform).with_m(1);
-        let mut sim = Simulation::new(cfg.build().unwrap());
-        sim.run(steps);
+        let mut store = BinnedStore::new_owned(&cfg.build().unwrap().particles, &grid, |_, _| true);
+        for _ in 0..steps {
+            store.advance_all(&grid, 16);
+        }
         let idx = ((100.0 * victim_frac) as usize).min(99);
-        sim.mutate_particle(idx, |p| p.x = grid.wrap_coord(p.x + offset));
-        let report = sim.verify();
+        let mut p = store.particle_at(idx);
+        p.x = grid.wrap_coord(p.x + offset);
+        store.set(idx, p);
+        let report = verify_batch(&grid, store.batch(), steps, triangular_id_sum(100));
         prop_assert_eq!(report.position_failures, 1);
         prop_assert!(!report.passed());
     }
@@ -616,7 +613,7 @@ fn assert_conforming_populations_stay_centred(
             let mut sim = Simulation::new(setup);
             for step in 0..=100 {
                 assert!(
-                    coord(sim.batch())
+                    coord(&sim.particles().into_iter().collect())
                         .iter()
                         .all(|c| c.fract().to_bits() == 0.5f64.to_bits()),
                     "{dist:?} k={k} m={m} dir={dir}: a particle left {what} by step {step}"

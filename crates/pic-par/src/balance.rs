@@ -7,8 +7,8 @@
 //! private rank loop. What differs is the ownership map the rank state is
 //! built with — the Cartesian cuts, or a [`VpGrid`] and its VP→core table.
 //! The runner owns the collectives (gathering exactly the load arrays the
-//! strategy's [`pic_cluster::BalanceNeeds`] requests, in a fixed order) and
-//! the application of the returned [`pic_cluster::BalanceDecision`]; the
+//! strategy's [`pic_cluster::balancer::BalanceNeeds`] requests, in a fixed order) and
+//! the application of the returned [`pic_cluster::balancer::BalanceDecision`]; the
 //! strategy itself is a pure replicated function. Decisions are derived
 //! only from allreduced data, so every rank computes the same cuts or VP
 //! table — and, for the adaptive balancer, the same strategy switches —

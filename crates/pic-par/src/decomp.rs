@@ -63,13 +63,6 @@ impl Decomp2d {
         Self::uniform_grid(ncells, p, 1)
     }
 
-    /// 1D block-row decomposition (`1 × p`). §III-E1: switching to this to
-    /// dodge a column skew "can easily be defeated by rotating the
-    /// particle distribution over 90°".
-    pub fn rows(ncells: usize, p: usize) -> Decomp2d {
-        Self::uniform_grid(ncells, 1, p)
-    }
-
     /// Uniform decomposition over an explicit `px × py` rank grid.
     pub fn uniform_grid(ncells: usize, px: usize, py: usize) -> Decomp2d {
         assert!(px >= 1 && py >= 1);
@@ -94,27 +87,27 @@ impl Decomp2d {
 
     /// Rank of grid coordinates `(cx, cy)`.
     #[inline]
-    pub fn rank_of(&self, cx: usize, cy: usize) -> usize {
+    pub(crate) fn rank_of(&self, cx: usize, cy: usize) -> usize {
         debug_assert!(cx < self.px && cy < self.py);
         cy * self.px + cx
     }
 
     /// Grid coordinates of a rank.
     #[inline]
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
+    pub(crate) fn coords_of(&self, rank: usize) -> (usize, usize) {
         debug_assert!(rank < self.ranks());
         (rank % self.px, rank / self.px)
     }
 
     /// Column range `[lo, hi)` owned by processor column `cx`.
     #[inline]
-    pub fn col_range(&self, cx: usize) -> (usize, usize) {
+    pub(crate) fn col_range(&self, cx: usize) -> (usize, usize) {
         (self.xcuts[cx], self.xcuts[cx + 1])
     }
 
     /// Row range `[lo, hi)` owned by processor row `cy`.
     #[inline]
-    pub fn row_range(&self, cy: usize) -> (usize, usize) {
+    pub(crate) fn row_range(&self, cy: usize) -> (usize, usize) {
         (self.ycuts[cy], self.ycuts[cy + 1])
     }
 
@@ -132,7 +125,7 @@ impl Decomp2d {
 
     /// Processor column owning mesh column `col`.
     #[inline]
-    pub fn pcol_of(&self, col: usize) -> usize {
+    pub(crate) fn pcol_of(&self, col: usize) -> usize {
         debug_assert!(col < self.ncells);
         // partition_point: first cut greater than col, minus one.
         self.xcuts.partition_point(|&c| c <= col) - 1
@@ -140,7 +133,7 @@ impl Decomp2d {
 
     /// Processor row owning mesh row `row`.
     #[inline]
-    pub fn prow_of(&self, row: usize) -> usize {
+    pub(crate) fn prow_of(&self, row: usize) -> usize {
         debug_assert!(row < self.ncells);
         self.ycuts.partition_point(|&c| c <= row) - 1
     }
@@ -149,13 +142,6 @@ impl Decomp2d {
     #[inline]
     pub fn owner_of_cell(&self, col: usize, row: usize) -> usize {
         self.rank_of(self.pcol_of(col), self.prow_of(row))
-    }
-
-    /// Whether a rank owns cell `(col, row)`.
-    #[inline]
-    pub fn owns(&self, rank: usize, col: usize, row: usize) -> bool {
-        let ((x0, x1), (y0, y1)) = self.bounds(rank);
-        col >= x0 && col < x1 && row >= y0 && row < y1
     }
 
     /// Replace the x-cuts (diffusion balancing). The new cuts must keep
@@ -248,12 +234,6 @@ impl VpGrid {
         self.decomp.ranks()
     }
 
-    /// Number of physical cores.
-    #[inline]
-    pub fn cores(&self) -> usize {
-        self.px * self.py
-    }
-
     /// Initial locality-preserving VP→core assignment: VP `(vx, vy)` goes
     /// to core `(vx / a, vy / b)`. Core `c`'s blocks tile exactly rank
     /// `c`'s subdomain of `Decomp2d::uniform(ncells, cores)`.
@@ -272,11 +252,6 @@ impl VpGrid {
     #[inline]
     pub fn vp_of_cell(&self, col: usize, row: usize) -> usize {
         self.owners.unit_of_cell(col, row)
-    }
-
-    /// Cells in one VP's subgrid.
-    pub fn vp_cells(&self, vp: usize) -> usize {
-        self.decomp.cell_count(vp)
     }
 }
 
@@ -381,7 +356,11 @@ mod tests {
         for col in 0..60 {
             for row in [0usize, 19, 20, 40, 59] {
                 let owner = d.owner_of_cell(col, row);
-                assert!(d.owns(owner, col, row), "cell ({col},{row}) owner {owner}");
+                let ((x0, x1), (y0, y1)) = d.bounds(owner);
+                assert!(
+                    (x0..x1).contains(&col) && (y0..y1).contains(&row),
+                    "cell ({col},{row}) owner {owner}"
+                );
             }
         }
     }
@@ -411,7 +390,7 @@ mod tests {
         let cols = Decomp2d::columns(64, 8);
         assert_eq!((cols.px, cols.py), (8, 1));
         assert!(cols.is_partition());
-        let rows = Decomp2d::rows(64, 8);
+        let rows = Decomp2d::uniform_grid(64, 1, 8);
         assert_eq!((rows.px, rows.py), (1, 8));
         assert!(rows.is_partition());
         // A block-row rank owns full-width strips.
@@ -424,7 +403,9 @@ mod tests {
     fn row_decomposition_defeated_by_rotated_skew() {
         // The §III-E1 argument, in particles: a block-ROW decomposition is
         // immune to a column skew, but the 90°-rotated skew hits it with
-        // exactly the imbalance the column skew inflicts on block columns.
+        // exactly the imbalance the column skew inflicts on block columns:
+        // a switch to rows to dodge a column skew "can easily be defeated by
+        // rotating the particle distribution over 90°".
         use pic_core::dist::Distribution;
         use pic_core::geometry::Grid;
         use pic_core::init::{InitConfig, SkewAxis};
@@ -449,7 +430,7 @@ mod tests {
                 })
                 .fold(0.0f64, f64::max)
         };
-        let rows = Decomp2d::rows(64, p);
+        let rows = Decomp2d::uniform_grid(64, 1, p);
         let cols = Decomp2d::columns(64, p);
         let ideal = 64_000.0 / p as f64;
         // Column skew: rows are balanced, columns are not.
@@ -468,7 +449,7 @@ mod tests {
         assert_eq!(g.decomp().px, 12);
         assert_eq!(g.decomp().py, 8);
         assert_eq!(g.vp_count(), 96);
-        assert_eq!(g.cores(), 24);
+        assert_eq!(g.px * g.py, 24);
     }
 
     #[test]
@@ -521,7 +502,7 @@ mod tests {
         assert!(counts.iter().all(|&c| c > 0));
         assert_eq!(counts.len(), g.vp_count());
         for (vp, &count) in counts.iter().enumerate() {
-            assert_eq!(count, g.vp_cells(vp));
+            assert_eq!(count, g.decomp().cell_count(vp));
         }
     }
 

@@ -57,7 +57,7 @@ mod tests {
     use super::*;
     use crate::balance::{run_config, BalancerSpec};
     use crate::runner::ParConfig;
-    use pic_cluster::balancer::{diffuse_xcuts_from_histogram, per_column_counts_into};
+    use pic_cluster::balancer::{diffuse_xcuts, per_column_counts_into};
     use pic_comm::world::run_threads;
     use pic_core::dist::Distribution;
     use pic_core::geometry::Grid;
@@ -112,7 +112,8 @@ mod tests {
             // Track worst-case per-processor-column load under moving vs
             // frozen cuts (border_w 2 per step outruns the 1 cell/step
             // drift, as in `balancing_reduces_max_count_vs_baseline`).
-            cuts = diffuse_xcuts_from_histogram(&cuts, &hist, 0, 2);
+            per_column_counts_into(&hist, &cuts, &mut counts);
+            cuts = diffuse_xcuts(&cuts, &counts, 0, 2, ncells);
             per_column_counts_into(&hist, &cuts, &mut counts);
             max_balanced = max_balanced.max(*counts.iter().max().unwrap());
             per_column_counts_into(&hist, &static_cuts, &mut counts);

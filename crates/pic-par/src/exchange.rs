@@ -88,7 +88,7 @@ impl ExchangeBuffers {
     }
 }
 
-/// [`route_binned`] under an owner closure, which also answers the
+/// `route_binned` under an owner closure, which also answers the
 /// drain one particle at a time: the door for the benchmark's route probe
 /// and the tests. Returns `(sent, received)` particle counts.
 pub fn route_binned_with<F>(
@@ -116,7 +116,7 @@ where
 /// Returns `(sent, received)` particle counts. Debug builds check that
 /// `owner` names this rank for every arrival, and name the particle and
 /// the rank that sent it if it does not.
-pub fn route_binned(
+pub(crate) fn route_binned(
     comm: &Communicator,
     classifier: impl Classifier,
     owner: impl Fn(usize, usize) -> usize,
@@ -195,7 +195,7 @@ mod tests {
         (grid, s.particles)
     }
 
-    /// [`route_binned`] as the rank step calls it under the cuts: the
+    /// `route_binned` as the rank step calls it under the cuts: the
     /// owner table's drain classifier and its owner lookup.
     fn route_cuts(
         comm: &Communicator,
@@ -309,7 +309,7 @@ mod tests {
                 bufs.outgoing.iter().all(ParticleBatch::is_empty),
                 "rank {rank}"
             );
-            let caps: Vec<usize> = bufs.outgoing.iter().map(ParticleBatch::capacity).collect();
+            let caps: Vec<usize> = bufs.outgoing.iter().map(|b| b.id.capacity()).collect();
             (received, caps)
         });
         for (rank, (received, caps)) in per_rank.iter().enumerate().skip(1) {

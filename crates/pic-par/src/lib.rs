@@ -6,7 +6,7 @@
 //! [`ParConfig`] names through the one trait-driven rank loop, whose rank
 //! state owns cells through one [`pic_core::owner::OwnerTable`]: the
 //! Cartesian cuts, one unit per rank, or the virtual processors of a
-//! [`VpGrid`] on the cores a VP→core table names:
+//! [`decomp::VpGrid`] on the cores a VP→core table names:
 //!
 //! * `BalancerSpec::Static` — **`mpi-2d`** (paper §IV-A): static 2D block
 //!   decomposition, no load balancing. Each rank advances the particles in
@@ -27,7 +27,7 @@
 //!   over-decomposed onto `d · P` virtual processors, with a runtime
 //!   balancer migrating VPs between cores every `interval` steps
 //!   ([`AmpiParams`] names the same run; `pic-ampi` holds its door).
-//!   One [`pic_cluster::VpStrategy`] serves the whole run, as in the paper.
+//!   One [`pic_cluster::balancer::VpStrategy`] serves the whole run, as in the paper.
 //!
 //! All are *verified*: each rank checks its final particles against the
 //! analytic trajectories and the world reduces the id checksum.
@@ -44,7 +44,6 @@ pub mod model_impl;
 pub mod runner;
 
 pub use balance::{run_config, run_config_traced, run_spec_traced, AmpiParams, BalancerSpec};
-pub use decomp::{Decomp2d, VpGrid};
+pub use decomp::Decomp2d;
 pub use diffusion::{DiffusionMode, DiffusionParams};
-pub use model_impl::{model_ampi, model_baseline, model_diffusion, ModelConfig, ModelOutcome};
 pub use runner::{ParConfig, ParOutcome};

@@ -9,7 +9,7 @@
 //! round moves through [`VpStrategy::rebalance`] (`ampi`). The decisions
 //! are the functional runtimes' own; only the particle bookkeeping is
 //! replaced by O(1) count queries, and time is charged through
-//! [`pic_cluster::CostModel`] + [`pic_cluster::BspSimulator`]. This is what
+//! [`pic_cluster::cost::CostModel`] + [`pic_cluster::bsp::BspSimulator`]. This is what
 //! lets Figures 5–7 run at 24–3,072 modeled cores on one host.
 //!
 //! Every step charges each unit, in index order, its compute and one

@@ -34,7 +34,7 @@ impl RankKernel {
     /// keeping those whose cell `owns(col, row)` accepts — one scatter
     /// straight into the two phase halves, no rank-local copy of the
     /// records ([`BinnedStore::new_owned`]).
-    pub fn build_store(
+    pub(crate) fn build_store(
         &self,
         particles: &[Particle],
         grid: &Grid,
@@ -201,14 +201,14 @@ impl RankState {
     }
 
     /// Kernel descriptor of the hot loop ([`BinnedStore::kernel_desc`]).
-    pub fn kernel_desc(&self) -> String {
+    pub(crate) fn kernel_desc(&self) -> String {
         self.store.kernel_desc()
     }
 
     /// Fill `h` with this rank's per-column particle counts (global column
     /// indexing, zero outside the subdomain): one scan of the store.
     /// Summed across ranks this is the balancer's input histogram.
-    pub fn column_histogram_into(&self, h: &mut Vec<u64>) {
+    pub(crate) fn column_histogram_into(&self, h: &mut Vec<u64>) {
         self.store.column_histogram_into(&self.grid, h);
     }
 
@@ -262,7 +262,7 @@ impl RankState {
     }
 
     /// Route every particle the ownership map does not give this rank to
-    /// its owner and take in the ones it does ([`route_binned`]), reusing
+    /// its owner and take in the ones it does (`route_binned`), reusing
     /// this rank's staging buffers (steady state: no staging allocation).
     /// Returns `(sent, received)`. This is the step's exchange, and after
     /// a balance round moved the map, the round's.
@@ -448,7 +448,7 @@ impl RankState {
 
     /// [`RankState::finish`] with the finish collective timed as the
     /// `verify` phase.
-    pub fn finish_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
+    pub(crate) fn finish_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
         let (verify, max_count, total_count) = self.gather_finish(comm);
         tracer.phase_end(Phase::Verify);

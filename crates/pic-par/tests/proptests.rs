@@ -32,7 +32,8 @@ proptest! {
         for col in [0, ncells / 3, ncells - 1] {
             for row in [0, ncells / 2, ncells - 1] {
                 let owner = d.owner_of_cell(col, row);
-                prop_assert!(d.owns(owner, col, row));
+                let ((x0, x1), (y0, y1)) = d.bounds(owner);
+                prop_assert!((x0..x1).contains(&col) && (y0..y1).contains(&row));
             }
         }
     }
@@ -95,7 +96,8 @@ proptest! {
         }
     }
 
-    /// pcol_of is the inverse of the cut ranges for arbitrary valid cuts.
+    /// The owner lookup is the inverse of the cut ranges for arbitrary
+    /// valid cuts (one processor row, so the owner is the column index).
     #[test]
     fn pcol_lookup_matches_ranges(
         widths in prop::collection::vec(1usize..20, 2..16),
@@ -115,7 +117,7 @@ proptest! {
         d.set_xcuts(cuts.clone());
         for cx in 0..px {
             for col in cuts[cx]..cuts[cx + 1] {
-                prop_assert_eq!(d.pcol_of(col), cx);
+                prop_assert_eq!(d.owner_of_cell(col, 0), cx);
             }
         }
     }

@@ -80,17 +80,6 @@ impl Json {
             _ => None,
         }
     }
-
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
 }
 
 struct Parser<'a> {
@@ -367,9 +356,11 @@ mod tests {
     fn parses_nested_structures() {
         let v = Json::parse(r#"{"a":[1,2,{"b":null}],"c":"x"}"#).unwrap();
         assert_eq!(v.get("c").and_then(Json::as_str), Some("x"));
-        let arr = v.get("a").and_then(Json::as_array).unwrap();
+        let Some(Json::Arr(arr)) = v.get("a") else {
+            panic!("`a` is not an array: {v:?}");
+        };
         assert_eq!(arr[1].as_u64(), Some(2));
-        assert!(arr[2].get("b").unwrap().is_null());
+        assert_eq!(arr[2].get("b"), Some(&Json::Null));
     }
 
     #[test]

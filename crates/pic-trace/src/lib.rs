@@ -22,9 +22,6 @@ pub mod json;
 pub mod serial;
 pub mod tracer;
 
-pub use json::{validate_ndjson, Json, NdjsonCheck, ParseError};
+pub use json::{validate_ndjson, Json};
 pub use serial::trace_simulation;
-pub use tracer::{
-    Counter, CutRecord, Phase, StepRecord, SwitchRecord, TraceReport, TraceSummary, Tracer,
-    COUNTER_COUNT, PHASE_COUNT, SCHEMA_VERSION,
-};
+pub use tracer::{Counter, CutRecord, Phase, SwitchRecord, TraceReport, Tracer};

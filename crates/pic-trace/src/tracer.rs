@@ -43,7 +43,7 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// accrues exchange wall time but no exchange CPU time. On non-Linux
 /// targets this falls back to a monotonic wall clock (CPU == wall).
 #[inline]
-pub fn thread_cpu_ns() -> u64 {
+pub(crate) fn thread_cpu_ns() -> u64 {
     #[cfg(target_os = "linux")]
     {
         // CLOCK_THREAD_CPUTIME_ID, per-thread CPU clock. Declared by
@@ -105,7 +105,7 @@ impl Phase {
     ];
 
     /// Field-name stem; records use `"<name>_ns"`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Advance => "advance",
             Phase::Exchange => "exchange",
@@ -116,7 +116,7 @@ impl Phase {
 
     /// Index into `phase_ns` arrays.
     #[inline]
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self as usize
     }
 }
@@ -149,7 +149,7 @@ impl Counter {
     ];
 
     /// JSON field name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Counter::Rehomed => "rehomed",
             Counter::BorderCells => "border_cells",
@@ -160,7 +160,7 @@ impl Counter {
 
     /// Index into `counters` arrays.
     #[inline]
-    pub fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self as usize
     }
 }
@@ -216,7 +216,7 @@ pub struct TraceSummary {
     pub records: u64,
     /// Whole-run per-phase nanoseconds.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Whole-run per-phase *CPU* nanoseconds ([`thread_cpu_ns`] deltas):
+    /// Whole-run per-phase *CPU* nanoseconds (`thread_cpu_ns` deltas):
     /// work only, excluding blocked time, where `phase_ns` includes the
     /// waiting. In-memory only — the ndjson summary record carries the
     /// wall totals.
@@ -351,7 +351,7 @@ impl Tracer {
     }
 
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -369,7 +369,7 @@ impl Tracer {
     /// Would `end_step` emit a record for `step`? Callers gate the work of
     /// assembling a load snapshot on this.
     #[inline]
-    pub fn wants_step(&self, step: u64) -> bool {
+    pub(crate) fn wants_step(&self, step: u64) -> bool {
         match &self.inner {
             Some(i) => step.is_multiple_of(i.every as u64),
             None => false,
@@ -454,7 +454,7 @@ impl Tracer {
 
     /// Record the load vector for the current step; reduces it into
     /// [`BalanceStats`] for the step record. Call only at steps where
-    /// [`Tracer::wants_step`] is true (snapshots at other steps are
+    /// `Tracer::wants_step` is true (snapshots at other steps are
     /// overwritten unseen).
     pub fn record_loads(&mut self, loads: &[f64]) {
         if let Some(i) = &mut self.inner {
@@ -845,14 +845,10 @@ mod tests {
             .find(|l| l.contains("\"type\":\"step\""))
             .unwrap();
         let v = Json::parse(first_step).unwrap();
-        let loads: Vec<f64> = v
-            .get("loads")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|x| x.as_f64().unwrap())
-            .collect();
+        let Some(Json::Arr(loads)) = v.get("loads") else {
+            panic!("`loads` is not an array: {v:?}");
+        };
+        let loads: Vec<f64> = loads.iter().map(|x| x.as_f64().unwrap()).collect();
         assert_eq!(loads, vec![4.0, 2.0, 1.0, 1.0]);
     }
 
@@ -889,7 +885,10 @@ mod tests {
             .find(|l| l.contains("\"type\":\"step\""))
             .unwrap();
         let v = Json::parse(line).expect("null-for-NaN keeps the line valid JSON");
-        assert!(v.get("loads").unwrap().as_array().unwrap()[0].is_null());
+        let Some(Json::Arr(loads)) = v.get("loads") else {
+            panic!("`loads` is not an array: {v:?}");
+        };
+        assert_eq!(loads[0], Json::Null);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md) plus the static gates:
 #   build (release) -> tests (every crate; SIMD on and forced off) -> fmt ->
-#   clippy, rustdoc (deny warnings) and the stale-reference gate over the
-#   docs -> CLI smokes -> the paper figures regenerated and diffed against
+#   clippy, rustdoc (deny warnings), the stale-reference gate over the
+#   docs and the public-surface gate -> CLI smokes -> the paper figures regenerated and diffed against
 #   results/ -> the benchmark harness's unit tests -> benchmark smokes.
 # Run from anywhere; operates on the repository root. CI
 # (.github/workflows/verify.yml) calls this script rather than repeating
@@ -104,6 +104,26 @@ while read -r name; do
 done < <(grep -ohE '`[A-Z][a-z][A-Za-z0-9]*`' README.md DESIGN.md EXPERIMENTS.md | tr -d '`' |
     grep -vxE 'Option|Vec' | sort -u)
 test "$stale" -eq 0
+
+echo "==> public-surface gate (every pub fn has a caller outside tests)"
+# A `pub fn` under crates/*/src or src needs a caller in the production
+# text, bench/src and examples included, or an allow-list entry with its
+# reason (the oracles and the test handles other crates' suites need).
+# Callers are matched by name, so two methods with the same name can hide
+# a door: the compiler census (scripts/public_surface.py) covers that. The
+# gate must also reject a copy of the tree with a planted door.
+python3 scripts/public_surface.py
+planted="$(mktemp -d /tmp/pic-surface.XXXXXX)"
+mkdir "$planted/bench"
+cp -r crates src examples "$planted/"
+cp -r bench/src "$planted/bench/"
+echo 'pub fn planted_door_without_a_caller() {}' >>"$planted/crates/pic-core/src/geometry.rs"
+if python3 scripts/public_surface.py "$planted" 2>"$planted/log" >/dev/null ||
+    ! grep -q 'planted_door_without_a_caller' "$planted/log"; then
+    echo "error: the public-surface gate did not reject a planted door" >&2
+    exit 1
+fi
+rm -rf "$planted"
 
 echo "==> traced diffusion smoke run (binned rank path, --trace + trace_check)"
 # 4 thread-ranks on the default (binned) rank kernel: the summary must

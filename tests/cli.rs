@@ -184,6 +184,26 @@ fn bad_arguments_fail_cleanly() {
         &["--grid", "2147483650"],
         "grid size 2147483650 is too large",
     );
+    // Column weights that overflow `f64`, and populations no allocation
+    // can hold, are named errors, not a panic or a run that never ends.
+    assert_rejected(
+        &["--dist", "geometric:2", "--grid", "1100"],
+        "geometric ratio 2 overflows the column weights of the 1100-cell grid",
+    );
+    assert_rejected(
+        &["--dist", "geometric:10", "--grid", "400"],
+        "geometric ratio 10 overflows the column weights of the 400-cell grid",
+    );
+    assert_rejected(
+        &["--dist", "linear:1e308,1.7e308", "--grid", "64"],
+        "linear ramp alpha 1e308, beta 1.7e308 overflows the column weights of the 64-cell grid",
+    );
+    for n in ["18446744073709551615", "9223372036854775808"] {
+        assert_rejected(
+            &["--particles", n],
+            &format!("{n} particles exceed the largest allocation"),
+        );
+    }
     // What the driver does not understand it refuses, naming the flag and
     // the value, before any rank thread is spawned.
     assert_rejected(&["--bogus", "3", "--quiet"], "--bogus");

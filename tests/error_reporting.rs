@@ -79,6 +79,55 @@ fn init_errors_name_the_offending_value() {
         y1: 8,
     });
     assert!(patch.contains("100") && patch.contains("8-cell"), "{patch}");
+
+    // Parameters inside the domain whose column weights overflow `f64` on
+    // a large grid: the same `Err`, naming the parameter and the grid side,
+    // where there used to be a panic in the apportionment.
+    let overflow = |dist, ncells, n| {
+        let grid = Grid::new(ncells).unwrap();
+        let err = InitConfig::new(grid, n, dist).build().unwrap_err();
+        assert!(matches!(err, InitError::BadDistribution { .. }), "{err:?}");
+        as_error(&err)
+    };
+    let msg = overflow(Distribution::Geometric { r: 2.0 }, 1100, 100);
+    assert!(
+        msg.contains("ratio 2 ") && msg.contains("1100-cell"),
+        "{msg}"
+    );
+    let msg = overflow(Distribution::Geometric { r: 10.0 }, 400, 100);
+    assert!(
+        msg.contains("ratio 10 ") && msg.contains("400-cell"),
+        "{msg}"
+    );
+    let ramp = Distribution::Linear {
+        alpha: 1e308,
+        beta: 1.7e308,
+    };
+    let msg = overflow(ramp, 64, 100);
+    assert!(
+        msg.contains("alpha 1e308") && msg.contains("beta 1.7e308") && msg.contains("64-cell"),
+        "{msg}"
+    );
+    // Each weight finite, but `n` times the largest is not.
+    let ramp = Distribution::Linear {
+        alpha: 1e300,
+        beta: 1e300,
+    };
+    assert!(overflow(ramp, 64, 10_000_000_000).contains("alpha 1e300"));
+    // The same grids at ratios whose weights stay finite still build.
+    let grid = Grid::new(1100).unwrap();
+    let dist = Distribution::Geometric { r: 1.5 };
+    assert!(InitConfig::new(grid, 100, dist).build().is_ok());
+
+    // A population no allocation can hold: an `Err` naming `n`, where the
+    // apportionment used to spin for ever or the allocation panic.
+    for n in [u64::MAX, 1 << 63] {
+        let err = InitConfig::new(grid, n, Distribution::Uniform)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, InitError::TooManyParticles { n });
+        assert!(as_error(&err).contains(&n.to_string()));
+    }
 }
 
 #[test]
