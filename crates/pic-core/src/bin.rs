@@ -14,7 +14,7 @@
 //! [`BinnedStore`] keeps one [`ParticleBatch`] and a `split`:
 //! `batch[..split]` holds phase 0 and `batch[split..]` phase 1. Nothing
 //! sorts. Each half is swept through the span kernel with its hoisted
-//! `q_left`, in blocks of [`SWEEP_BLOCK`] so the kernel's wrap pass
+//! `q_left`, in blocks of `SWEEP_BLOCK` so the kernel's wrap pass
 //! re-reads `x, y` from cache. The actual column (for the corner
 //! displacement `rx`) is still one truncation per particle, and debug
 //! builds check the hoisted charge against each particle's live column.
@@ -70,11 +70,11 @@ pub const DEFAULT_REBIN: u32 = 16;
 /// by element. The cuts' drains are a few long runs, a VP map's are about
 /// two leavers each, and eleven slice copies for those cost more than
 /// they save.
-pub const SLICE_RUN: usize = 8;
+pub(crate) const SLICE_RUN: usize = 8;
 
 /// Particles per span-kernel call of a sweep: small enough that the
 /// kernel's wrap pass finds the block's `x, y` still in cache.
-pub const SWEEP_BLOCK: usize = 2048;
+pub(crate) const SWEEP_BLOCK: usize = 2048;
 
 /// Particle store in two phase halves (see module docs).
 #[derive(Debug, Clone)]
@@ -335,7 +335,7 @@ impl BinnedStore {
     /// Leavers are staged by runs — consecutive indices of one phase bound
     /// for one bucket — phase 0 first, so each bucket receives
     /// `[phase 0 | phase 1]`, each in index order: a run of at least
-    /// [`SLICE_RUN`] with one slice copy per field, a shorter one element
+    /// `SLICE_RUN` with one slice copy per field, a shorter one element
     /// by element.
     pub fn drain_leavers_to_buckets(
         &mut self,

@@ -38,13 +38,13 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// the pool.
 /// This is also the *floor* of `adaptive_chunk` — the engine's default
 /// when no explicit chunk size is configured.
-pub const DEFAULT_CHUNK: usize = 4096;
+pub(crate) const DEFAULT_CHUNK: usize = 4096;
 
 /// Chunks-per-thread target of `adaptive_chunk`. More than one chunk per
 /// thread keeps dynamic self-scheduling meaningful (a late thread can pick
 /// up slack); too many re-introduces the per-chunk dispatch overhead the
 /// adaptive size exists to amortize.
-pub const CHUNK_OVERSUBSCRIPTION: usize = 4;
+pub(crate) const CHUNK_OVERSUBSCRIPTION: usize = 4;
 
 /// Adaptive default chunk size for a sweep over `len` indices on `threads`
 /// participating threads: `max(DEFAULT_CHUNK, len / (threads ·

@@ -1,30 +1,36 @@
 //! The span kernel of the binned sweep and the owner classifiers, each one
-//! generic body over `Lanes` (**lane per particle**).
+//! generic body (**lane per particle**).
 //!
 //! The sqrt/divide chain in `coulomb` dominates the sweep's critical
 //! path, and the baseline x86-64 target only licenses 2-lane SSE2
 //! autovectorization, so the kernel is vectorized by hand: four particles
 //! per iteration (eight on AVX-512), with the widest instruction set the
 //! host actually has — selected once at engine construction, not at
-//! compile time, so one binary serves every deployment target. The same
-//! bodies run at one lane (`f64` implements `Lanes` and `OwnerLanes`)
-//! for the `Scalar` backend and for the `len mod WIDTH` tail of every
-//! vector call.
+//! compile time, so one binary serves every deployment target.
+//!
+//! ## One dispatch
+//!
+//! Each body is written once, as the method of a small body type: the
+//! span sweep over `Lanes` ops (`LanesBody`), the owner classifier and the
+//! unit count over `OwnerLanes` ops (`OwnerBody`). The only `match` on the
+//! backend and the only `#[target_feature]` functions sit in the two
+//! dispatchers, `SimdBackend::run` and `SimdBackend::run_owner`, which
+//! first refuse, with a panic naming it, a backend this CPU does not run:
+//! the variants are public, so safe code can name any of them. The same
+//! bodies run at one lane (`f64` implements `Lanes` and `OwnerLanes`) for
+//! the `Scalar` backend and for the `len mod WIDTH` tail of every call.
 //!
 //! ## Backends
 //!
 //! * [`SimdBackend::Avx512`] — eight f64 lanes in one 512-bit register
-//!   (x86-64, runtime-detected via `is_x86_feature_detected!("avx512f")`).
-//!   Bit-identity is a **per-lane** property, so the exact kernel runs
-//!   unchanged at twice the width — only the grouping of particles into
-//!   registers differs, never any lane's arithmetic.
+//!   (x86-64, runtime-detected). Bit-identity is a **per-lane** property,
+//!   so the exact kernel runs unchanged at twice the width.
 //! * [`SimdBackend::Avx2`] — one 256-bit register per quartet (x86-64,
-//!   runtime-detected via `is_x86_feature_detected!`). AVX2 only: the
-//!   backend deliberately does **not** enable FMA, because a fused
-//!   multiply-add rounds once where the oracle rounds twice and
-//!   would break bit-identity.
-//! * [`SimdBackend::Sse2`] — two 128-bit registers per quartet; SSE2 is
-//!   part of the x86-64 baseline, so this backend needs no detection.
+//!   runtime-detected). AVX2 only: the backend deliberately does **not**
+//!   enable FMA, because a fused multiply-add rounds once where the
+//!   oracle rounds twice and would break bit-identity.
+//! * [`SimdBackend::Sse2`] — two 128-bit registers per quartet (the
+//!   x86-64 baseline). It has no gather, so it classifies at one lane.
 //! * [`SimdBackend::Scalar`] — the generic bodies at one lane. Always
 //!   available, the only backend off x86-64, and forcible at runtime with
 //!   `PIC_NO_SIMD=1` for A/B measurements and for keeping the fallback
@@ -41,7 +47,7 @@
 //! its pairing and summation order, nothing reassociated across a
 //! particle's own arithmetic, and no FMA contraction is permitted. The one licensed
 //! shortcut reuses a value instead of recomputing it (the folds, see
-//! `force_groups`): a group whose lanes all sit at exact cell mid-height
+//! the span body): a group whose lanes all sit at exact cell mid-height
 //! takes each column's top-corner `f/r` from the bottom corner, and one
 //! whose lanes all sit at exact mid-width takes the right column's `f/r`
 //! from the left column's, negated — values whose bits it provably
@@ -63,10 +69,6 @@ use crate::charge::{f_over_r_lanes, mid_cell_lanes};
 use crate::geometry::Grid;
 use crate::owner::{OwnerMap, OwnerTable};
 
-/// Number of f64 lanes in the narrowest vector backend (the historical
-/// fixed width; AVX-512 runs `Lanes::WIDTH` = 8).
-pub const LANES: usize = 4;
-
 /// The instruction-set backend driving the span kernel and the owner
 /// classifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +88,17 @@ pub enum SimdBackend {
 }
 
 impl SimdBackend {
+    /// Every backend, widest first.
+    const ALL: &'static [SimdBackend] = &[
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Sse2,
+        SimdBackend::Scalar,
+    ];
+
     /// Pick the widest backend the host supports, honouring the
     /// `PIC_NO_SIMD` escape hatch. Called once per engine construction;
     /// the choice is recorded so benchmarks and logs can report it.
@@ -98,39 +111,31 @@ impl SimdBackend {
 
     /// The widest backend the host supports, ignoring `PIC_NO_SIMD`.
     fn widest_available() -> SimdBackend {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return SimdBackend::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdBackend::Avx2;
-            }
-            SimdBackend::Sse2
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdBackend::Scalar
-        }
+        Self::available()[0]
     }
 
     /// Every backend the host can execute, scalar last — the test grid
     /// iterates this so vector-vs-scalar identity is proven on whatever
     /// hardware runs the suite.
     pub fn available() -> Vec<SimdBackend> {
-        let mut v = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                v.push(SimdBackend::Avx512);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(SimdBackend::Avx2);
-            }
-            v.push(SimdBackend::Sse2);
+        Self::ALL
+            .iter()
+            .copied()
+            .filter(|b| b.runs_here())
+            .collect()
+    }
+
+    /// Whether this CPU executes the backend's instructions: the one
+    /// feature test behind [`SimdBackend::available`], [`SimdBackend::detect`]
+    /// and the dispatchers' refusal. SSE2 is part of the x86-64 baseline.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            _ => true,
         }
-        v.push(SimdBackend::Scalar);
-        v
     }
 
     /// Stable lower-case name for logs and benchmark metadata.
@@ -149,27 +154,110 @@ impl SimdBackend {
     /// f64 lanes per kernel iteration on this backend (1 for scalar).
     #[cfg(test)]
     pub(crate) fn lanes(self) -> usize {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => 8,
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 | SimdBackend::Sse2 => LANES,
-            SimdBackend::Scalar => 1,
+        self.run(&mut tests::Width)
+    }
+
+    /// Panic, naming the backend, unless this CPU runs it: the variants
+    /// are public, so safe code can ask for a backend the host lacks.
+    #[inline]
+    fn assert_runs_here(self) {
+        assert!(
+            self.runs_here(),
+            "SIMD backend {} is not supported by this CPU",
+            self.name()
+        );
+    }
+
+    /// Run `body` at this backend's width: the one place that picks the
+    /// instantiation of a [`LanesBody`] and the target feature it runs
+    /// under. `#[target_feature]` licenses the wider codegen for
+    /// everything inlined beneath it — but not FMA contraction, which
+    /// stays off to keep bit-identity.
+    ///
+    /// # Panics
+    /// If this CPU does not run the backend.
+    #[inline]
+    pub(crate) fn run<B: LanesBody>(self, body: &mut B) -> B::Out {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512<B: LanesBody>(body: &mut B) -> B::Out {
+            body.run::<x86::Avx512>()
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<B: LanesBody>(body: &mut B) -> B::Out {
+            body.run::<x86::Avx2>()
+        }
+        self.assert_runs_here();
+        // SAFETY: the CPU runs this backend (asserted above); SSE2 is in
+        // the x86-64 baseline and one lane needs no extension.
+        unsafe {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                SimdBackend::Avx512 => avx512(body),
+                #[cfg(target_arch = "x86_64")]
+                SimdBackend::Avx2 => avx2(body),
+                #[cfg(target_arch = "x86_64")]
+                SimdBackend::Sse2 => body.run::<x86::Sse2>(),
+                SimdBackend::Scalar => body.run::<f64>(),
+            }
         }
     }
+
+    /// Run `body` at this backend's width, as [`SimdBackend::run`] does:
+    /// the backends with a gather (AVX-512, AVX2) at theirs, SSE2 and
+    /// `Scalar` at one lane.
+    ///
+    /// # Panics
+    /// If this CPU does not run the backend.
+    #[inline]
+    pub(crate) fn run_owner<B: OwnerBody>(self, body: &mut B) -> B::Out {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512<B: OwnerBody>(body: &mut B) -> B::Out {
+            body.run::<x86::Avx512>()
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<B: OwnerBody>(body: &mut B) -> B::Out {
+            body.run::<x86::Avx2>()
+        }
+        self.assert_runs_here();
+        // SAFETY: as in `run`.
+        unsafe {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                SimdBackend::Avx512 => avx512(body),
+                #[cfg(target_arch = "x86_64")]
+                SimdBackend::Avx2 => avx2(body),
+                _ => body.run::<f64>(),
+            }
+        }
+    }
+}
+
+/// A kernel body over [`Lanes`] ops, written once and run at a backend's
+/// width by [`SimdBackend::run`].
+pub(crate) trait LanesBody {
+    type Out;
+    /// # Safety
+    /// The ops of `V` must be executable on this CPU.
+    unsafe fn run<V: Lanes>(&mut self) -> Self::Out;
+}
+
+/// A kernel body over [`OwnerLanes`] ops, run by [`SimdBackend::run_owner`].
+pub(crate) trait OwnerBody {
+    type Out;
+    /// # Safety
+    /// The ops of `V` must be executable on this CPU.
+    unsafe fn run<V: OwnerLanes>(&mut self) -> Self::Out;
 }
 
 /// `PIC_NO_SIMD` semantics, factored out so the parse is testable without
 /// mutating the process environment: any value other than empty/`0` forces
 /// the scalar backend.
 fn scalar_forced_by(val: Option<&str>) -> bool {
-    match val {
-        None => false,
-        Some(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        }
-    }
+    val.is_some_and(|v| !matches!(v.trim(), "" | "0"))
 }
 
 /// A group of f64 lanes ([`Lanes::WIDTH`] of them) with correctly-rounded
@@ -711,83 +799,120 @@ impl OwnerLanes for f64 {
     }
 }
 
-/// Force-and-integrate over `groups` groups starting at the span base —
-/// eqs. 1–2 lane per particle, the four corner evaluations in the
-/// oracle's pairing and summation order ([`group_force`]). The corner
-/// charges `q_left` and `−q_left` are hoisted: every particle of a span
-/// shares one column parity (the store's phase contract, [`crate::bin`]),
-/// so both splat once outside the loop.
-///
-/// **The force fold.** A group whose lanes all sit exactly at the cell
-/// centre on both axes ([`mid_cell_lanes`], tested on the `rx`, `ry`,
-/// `rxh`, `ryh` the kernel itself computed) has `rx = ry = ½` in every
-/// lane; if every lane's charge also equals the charge of the call's first
-/// particle (the span charge, tested on the loaded `q` lanes), every lane
-/// feels one force. [`group_force`] evaluates it once per call, on splatted
-/// centre operands `(½, ½, ½ − 1)` and the span charge, and [`Kick`] turns
-/// it into the four constants `½·ax`, `½·ay`, `ax`, `ay`; such a group
-/// runs only the integration adds and the wrap. The constants are the
-/// loop's own operations on the same bits, so the result is bit-identical
-/// by construction (DESIGN.md §10).
-/// `Lanes::all_eq` is exact bit equality only for a non-zero, non-NaN span
-/// charge (`−0.0 == +0.0`), so a span whose first charge is `±0.0` or NaN
-/// never force-folds.
-///
-/// Any other group runs [`group_force`] itself, with the corner folds that
-/// hold — as a whole, on the axes where all its lanes are centred. At one
-/// lane (span tails, the `Scalar` backend) a group is one particle, and
-/// the folds apply to it alone.
-///
-/// # Safety
-/// The pointers must each be valid for `groups * V::WIDTH` elements and
-/// the x/y/vx/vy regions must be disjoint (they are distinct SoA columns).
-#[inline(always)]
-unsafe fn force_groups<V: Lanes>(
+/// The span kernel: one span of a store's columns, all in columns of
+/// `q_left`'s parity, advanced in place from particle `from` on.
+struct Span<'a> {
+    grid: &'a Grid,
     q_left: f64,
-    x: *mut f64,
-    y: *mut f64,
-    vx: *mut f64,
-    vy: *mut f64,
-    q: *const f64,
-    groups: usize,
-) {
-    if groups == 0 {
-        return;
-    }
-    let one = V::splat(1.0);
-    let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
-    // A NaN span charge fails every `all_eq`, so a `±0.0` one folds nothing.
-    let q_span = V::splat(if *q == 0.0 { f64::NAN } else { *q });
-    let folded = centre_kick(ql, qr, q_span);
-    for g in 0..groups {
-        let o = g * V::WIDTH;
-        let xi = V::load(x.add(o));
-        let yi = V::load(y.add(o));
-        // `cell_of` minus the defensive clamp: wrapped coordinates lie in
-        // [0, L), where truncation alone yields the identical column/row
-        // index.
-        let col = xi.trunc();
-        let row = yi.trunc();
-        let rx = xi.sub(col);
-        let ry = yi.sub(row);
-        let (rxh, ryh) = (rx.sub(one), ry.sub(one));
-        let r = [rx, ry, rxh, ryh];
-        let qp = V::load(q.add(o));
-        let mid_height = mid_cell_lanes(ry, ryh);
-        let mid_width = mid_cell_lanes(rx, rxh);
-        let kick = if mid_height && mid_width && qp.all_eq(q_span) {
-            debug_assert_force_fold(folded, r, [ql, qr, qp]);
-            folded
-        } else {
-            Kick::of(group_force(r, [ql, qr, qp], [mid_height, mid_width]))
-        };
-        let vxi = V::load(vx.add(o));
-        let vyi = V::load(vy.add(o));
-        // x += vx + 0.5·ax — same association as the oracle.
-        xi.add(vxi.add(kick.x)).store(x.add(o));
-        yi.add(vyi.add(kick.y)).store(y.add(o));
-        vxi.add(kick.vx).store(vx.add(o));
-        vyi.add(kick.vy).store(vy.add(o));
+    x: &'a mut [f64],
+    y: &'a mut [f64],
+    vx: &'a mut [f64],
+    vy: &'a mut [f64],
+    q: &'a [f64],
+    from: usize,
+}
+
+impl LanesBody for Span<'_> {
+    type Out = usize;
+
+    /// Force-and-integrate over the whole groups of the span from `from`
+    /// on, then the wrap pass; returns where it stopped. Eqs. 1–2 run lane
+    /// per particle, the four corner evaluations in the oracle's pairing
+    /// and summation order ([`group_force`]). The corner charges `q_left`
+    /// and `−q_left` are hoisted: every particle of a span shares one
+    /// column parity (the store's phase contract, [`crate::bin`]), so both
+    /// splat once outside the loop.
+    ///
+    /// **The force fold.** A group whose lanes all sit exactly at the cell
+    /// centre on both axes ([`mid_cell_lanes`], tested on the `rx`, `ry`,
+    /// `rxh`, `ryh` the kernel itself computed) has `rx = ry = ½` in every
+    /// lane; if every lane's charge also equals the charge of the run's
+    /// first particle (the span charge, tested on the loaded `q` lanes),
+    /// every lane feels one force. [`group_force`] evaluates it once per
+    /// run, on splatted centre operands `(½, ½, ½ − 1)` and the span
+    /// charge, and [`Kick`] turns it into the four constants `½·ax`,
+    /// `½·ay`, `ax`, `ay`; such a group runs only the integration adds and
+    /// the wrap. The constants are the loop's own operations on the same
+    /// bits, so the result is bit-identical by construction (DESIGN.md
+    /// §10). `Lanes::all_eq` is exact bit equality only for a non-zero,
+    /// non-NaN span charge (`−0.0 == +0.0`), so a span whose first charge
+    /// is `±0.0` or NaN never force-folds.
+    ///
+    /// Any other group runs [`group_force`] itself, with the corner folds
+    /// that hold — as a whole, on the axes where all its lanes are
+    /// centred. At one lane (span tails, the `Scalar` backend) a group is
+    /// one particle, and the folds apply to it alone.
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(&mut self) -> usize {
+        let from = self.from;
+        let groups = (self.x.len() - from) / V::WIDTH;
+        if groups == 0 {
+            return from;
+        }
+        // Per-particle invariant checks, hoisted out of the loop (debug
+        // builds only).
+        #[cfg(debug_assertions)]
+        for i in from..from + groups * V::WIDTH {
+            let (col, row) = self.grid.cell_of_point(self.x[i], self.y[i]);
+            debug_assert_eq!((col, row), (self.x[i] as usize, self.y[i] as usize));
+            let q_left = crate::charge::mesh_charge(col);
+            debug_assert_eq!(q_left, self.q_left, "parity drift at x={}", self.x[i]);
+        }
+        // SAFETY: the five columns have one length (asserted by
+        // `advance_bin_span_simd`), and the whole groups from `from` lie
+        // inside it; x, y, vx and vy are distinct columns.
+        let [x, y, vx, vy] = [&mut self.x, &mut self.y, &mut self.vx, &mut self.vy]
+            .map(|c| c.as_mut_ptr().add(from));
+        let q = self.q.as_ptr().add(from);
+        let one = V::splat(1.0);
+        let (ql, qr) = (V::splat(self.q_left), V::splat(-self.q_left));
+        // A NaN span charge fails every `all_eq`, so a `±0.0` one folds nothing.
+        let q_span = V::splat(if *q == 0.0 { f64::NAN } else { *q });
+        let folded = centre_kick(ql, qr, q_span);
+        for o in (0..groups).map(|g| g * V::WIDTH) {
+            let xi = V::load(x.add(o));
+            let yi = V::load(y.add(o));
+            // `cell_of` minus the defensive clamp: wrapped coordinates lie
+            // in [0, L), where truncation alone yields the identical
+            // column/row index.
+            let col = xi.trunc();
+            let row = yi.trunc();
+            let rx = xi.sub(col);
+            let ry = yi.sub(row);
+            let (rxh, ryh) = (rx.sub(one), ry.sub(one));
+            let r = [rx, ry, rxh, ryh];
+            let qp = V::load(q.add(o));
+            let mid_height = mid_cell_lanes(ry, ryh);
+            let mid_width = mid_cell_lanes(rx, rxh);
+            let kick = if mid_height && mid_width && qp.all_eq(q_span) {
+                debug_assert_force_fold(folded, r, [ql, qr, qp]);
+                folded
+            } else {
+                Kick::of(group_force(r, [ql, qr, qp], [mid_height, mid_width]))
+            };
+            let vxi = V::load(vx.add(o));
+            let vyi = V::load(vy.add(o));
+            // x += vx + 0.5·ax — same association as the oracle.
+            xi.add(vxi.add(kick.x)).store(x.add(o));
+            yi.add(vyi.add(kick.y)).store(y.add(o));
+            vxi.add(kick.vx).store(vx.add(o));
+            vyi.add(kick.vy).store(vy.add(o));
+        }
+        // The periodic wrap: a vector range test selects the
+        // (overwhelmingly common) all-in-domain fast path; a group with an
+        // escaped lane goes through the exact scalar `Grid::wrap_coord`, so
+        // the pass is bit-identical to the oracle's wrap by construction.
+        let l = self.grid.extent();
+        for c in [x, y] {
+            for p in (0..groups).map(|g| c.add(g * V::WIDTH)) {
+                if !V::load(p).all_in_range(l) {
+                    for k in 0..V::WIDTH {
+                        *p.add(k) = self.grid.wrap_coord(*p.add(k));
+                    }
+                }
+            }
+        }
+        from + groups * V::WIDTH
     }
 }
 
@@ -889,7 +1014,8 @@ fn debug_assert_same_r2<V: Lanes>(corner: &str, pairs: [[(V, V); 2]; 2]) {
         return;
     }
     for [kept, reused] in pairs {
-        let (a, b) = (r2_lanes(kept), r2_lanes(reused));
+        // `dx·dx + dy·dy` per lane, as the kernel computes it.
+        let [a, b] = [kept, reused].map(|(dx, dy)| lanes_of(dx.mul(dx).add(dy.mul(dy))));
         for (a, b) in a.iter().zip(&b).take(V::WIDTH) {
             assert!(
                 same_bits(*a, *b),
@@ -926,13 +1052,6 @@ fn same_bits(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-/// `dx·dx + dy·dy` per lane, as the kernel computes it, for the debug
-/// checks (the first `V::WIDTH` entries).
-#[inline(always)]
-fn r2_lanes<V: Lanes>((dx, dy): (V, V)) -> [f64; 8] {
-    lanes_of(dx.mul(dx).add(dy.mul(dy)))
-}
-
 /// The lanes of `v` (the first `V::WIDTH` entries), for the debug checks.
 #[inline(always)]
 fn lanes_of<V: Lanes>(v: V) -> [f64; 8] {
@@ -942,118 +1061,13 @@ fn lanes_of<V: Lanes>(v: V) -> [f64; 8] {
     out
 }
 
-/// Periodic wrap over `groups` groups: a vector range test selects the
-/// (overwhelmingly common) all-in-domain fast path; any group with an
-/// escaped lane goes through the exact scalar [`Grid::wrap_coord`], so the
-/// pass is bit-identical to the oracle's wrap by construction.
-///
-/// # Safety
-/// `c` must be valid for `groups * V::WIDTH` elements.
-#[inline(always)]
-unsafe fn wrap_groups<V: Lanes>(grid: &Grid, c: *mut f64, groups: usize) {
-    let l = grid.extent();
-    for g in 0..groups {
-        let p = c.add(g * V::WIDTH);
-        if V::load(p).all_in_range(l) {
-            continue;
-        }
-        for k in 0..V::WIDTH {
-            *p.add(k) = grid.wrap_coord(*p.add(k));
-        }
-    }
-}
-
-/// The span kernel at the width of `V`: the whole groups of the span
-/// through [`force_groups`], then the wrap pass (vector fast-path test,
-/// scalar wrap for escaped lanes). Returns how many particles it advanced,
-/// `len − len mod WIDTH`; [`advance_bin_span_simd`] runs the rest through
-/// this body at one lane.
-///
-/// # Safety
-/// Vector ops of `V` must be executable on the current CPU; the caller
-/// guarantees this via [`SimdBackend`] dispatch.
-#[inline(always)]
-unsafe fn advance_span_lanes<V: Lanes>(
-    grid: &Grid,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) -> usize {
-    let groups = x.len() / V::WIDTH;
-    let n = groups * V::WIDTH;
-    // Per-particle invariant checks, hoisted out of the loop (debug
-    // builds only).
-    #[cfg(debug_assertions)]
-    for i in 0..n {
-        let (col, row) = grid.cell_of_point(x[i], y[i]);
-        debug_assert_eq!((col, row), (x[i] as usize, y[i] as usize));
-        debug_assert_eq!(
-            crate::charge::mesh_charge(col),
-            q_left,
-            "parity drift at x={}",
-            x[i]
-        );
-    }
-    force_groups::<V>(
-        q_left,
-        x.as_mut_ptr(),
-        y.as_mut_ptr(),
-        vx.as_mut_ptr(),
-        vy.as_mut_ptr(),
-        q.as_ptr(),
-        groups,
-    );
-    wrap_groups::<V>(grid, x.as_mut_ptr(), groups);
-    wrap_groups::<V>(grid, y.as_mut_ptr(), groups);
-    n
-}
-
-/// AVX2 instantiation. `#[target_feature]` licenses 256-bit codegen for
-/// everything inlined beneath it — but not FMA contraction, which stays
-/// disabled to preserve bit-identity.
-///
-/// # Safety
-/// The CPU must support AVX2 (guaranteed by [`SimdBackend::detect`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn advance_span_avx2(
-    grid: &Grid,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) -> usize {
-    advance_span_lanes::<x86::Avx2>(grid, q_left, x, y, vx, vy, q)
-}
-
-/// AVX-512 instantiation: 8 lanes per group, still
-/// bit-identical (per-lane ops only; no FMA, no reassociation).
-///
-/// # Safety
-/// The CPU must support AVX-512F (guaranteed by [`SimdBackend::detect`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn advance_span_avx512(
-    grid: &Grid,
-    q_left: f64,
-    x: &mut [f64],
-    y: &mut [f64],
-    vx: &mut [f64],
-    vy: &mut [f64],
-    q: &[f64],
-) -> usize {
-    advance_span_lanes::<x86::Avx512>(grid, q_left, x, y, vx, vy, q)
-}
-
 /// Advance one span with the selected backend: its whole groups at the
 /// backend's width, the rest (all of it on `Scalar`) through the same body
 /// at one lane — bit-identical to the AoS oracle on every backend, for a
 /// span whose particles all sit in columns of `q_left`'s parity.
+///
+/// # Panics
+/// If the columns differ in length, or this CPU does not run `backend`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_bin_span_simd(
     backend: SimdBackend,
@@ -1066,30 +1080,19 @@ pub(crate) fn advance_bin_span_simd(
     q: &[f64],
 ) {
     let n = x.len();
-    debug_assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
-    // SAFETY: a vector backend is only ever one the CPU was detected to
-    // run (`SimdBackend::detect` / `available`; SSE2 is unconditionally
-    // present on x86-64), and one lane needs no extension at all.
-    unsafe {
-        let done = match backend {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => advance_span_avx512(grid, q_left, x, y, vx, vy, q),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => advance_span_avx2(grid, q_left, x, y, vx, vy, q),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Sse2 => advance_span_lanes::<x86::Sse2>(grid, q_left, x, y, vx, vy, q),
-            SimdBackend::Scalar => 0,
-        };
-        advance_span_lanes::<f64>(
-            grid,
-            q_left,
-            &mut x[done..],
-            &mut y[done..],
-            &mut vx[done..],
-            &mut vy[done..],
-            &q[done..],
-        );
-    }
+    assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
+    let mut span = Span {
+        grid,
+        q_left,
+        x,
+        y,
+        vx,
+        vy,
+        q,
+        from: 0,
+    };
+    span.from = backend.run(&mut span);
+    SimdBackend::Scalar.run(&mut span);
 }
 
 /// The unit `col[c] + row[r]` of each lane's cell, for one group.
@@ -1113,150 +1116,94 @@ unsafe fn cell_index<V: OwnerLanes>(
     V::add_index(V::gather(col.as_ptr(), c), V::gather(row.as_ptr(), r))
 }
 
-/// The owner classifier at the width of `V`, over the whole groups of
-/// `x`/`y`: sets bit `j % 64` of `leave[j / 64]`, `j = from + i`, for each
-/// lane `i` that leaves. Returns how many lanes it classified; `from` is
-/// where `x` starts in the span `leave` covers, a multiple of `WIDTH`.
-///
-/// # Safety
-/// Vector ops of `V` must be executable on the current CPU, and a
-/// [`OwnerMap::Cells`] table must span `grid`.
-#[inline(always)]
-unsafe fn owner_leavers_lanes<V: OwnerLanes>(
-    grid: &Grid,
-    map: &OwnerMap,
-    x: &[f64],
-    y: &[f64],
-    leave: &mut [u64],
+/// The owner classifier: sets bit `j % 64` of `leave[j / 64]` for each
+/// point `j` of `x`/`y`, from `from` on, that leaves `map`.
+struct Leavers<'a> {
+    grid: &'a Grid,
+    map: &'a OwnerMap<'a>,
+    x: &'a [f64],
+    y: &'a [f64],
+    leave: &'a mut [u64],
     from: usize,
-) -> usize {
-    let groups = x.len() / V::WIDTH;
-    let last = V::splat((grid.ncells() - 1) as f64);
-    let (xp, yp) = (x.as_ptr(), y.as_ptr());
-    let lanes = u64::MAX >> (64 - V::WIDTH);
-    // `WIDTH` divides 64, so a group's lanes share one word.
-    let mut put = |o: usize, keep: u64| {
-        let j = from + o;
-        leave[j / 64] |= (!keep & lanes) << (j % 64)
-    };
-    match map {
-        OwnerMap::Columns { lo, hi } => {
-            let (lo, hi) = (V::splat(*lo as f64), V::splat(*hi as f64));
-            for o in (0..groups).map(|g| g * V::WIDTH) {
-                // SAFETY: whole groups lie inside `x`.
-                put(o, V::load(xp.add(o)).clamp_cell(last).within(lo, hi));
+}
+
+impl OwnerBody for Leavers<'_> {
+    type Out = usize;
+
+    /// The whole groups from `from` (a multiple of `WIDTH`) on, at the
+    /// width of `V`. Returns where it stopped.
+    #[inline(always)]
+    unsafe fn run<V: OwnerLanes>(&mut self) -> usize {
+        let (from, leave) = (self.from, &mut *self.leave);
+        let end = from + (self.x.len() - from) / V::WIDTH * V::WIDTH;
+        let last = V::splat((self.grid.ncells() - 1) as f64);
+        let (xp, yp) = (self.x.as_ptr(), self.y.as_ptr());
+        let lanes = u64::MAX >> (64 - V::WIDTH);
+        // `WIDTH` divides 64 and `from`, so a group's lanes share one word.
+        let mut put = |j: usize, keep: u64| leave[j / 64] |= (!keep & lanes) << (j % 64);
+        match self.map {
+            OwnerMap::Columns { lo, hi } => {
+                let (lo, hi) = (V::splat(*lo as f64), V::splat(*hi as f64));
+                for o in (from..end).step_by(V::WIDTH) {
+                    // SAFETY: whole groups lie inside `x`.
+                    put(o, V::load(xp.add(o)).clamp_cell(last).within(lo, hi));
+                }
+            }
+            OwnerMap::Cells { table, me } => {
+                let (_, _, core) = table.tables();
+                for o in (from..end).step_by(V::WIDTH) {
+                    // SAFETY: whole groups lie inside `x` and `y` (equal
+                    // lengths, asserted by the caller).
+                    let i = cell_index::<V>(table, last, xp.add(o), yp.add(o));
+                    // SAFETY: every `col[c] + row[r]` of a table indexes its
+                    // `core` (`OwnerTable` builds it so).
+                    put(o, V::index_eq(V::gather(core.as_ptr(), i), *me));
+                }
             }
         }
-        OwnerMap::Cells { table, me } => {
-            let (_, _, core) = table.tables();
-            for o in (0..groups).map(|g| g * V::WIDTH) {
-                // SAFETY: whole groups lie inside `x` and `y` (equal
-                // lengths, asserted by the caller).
-                let i = cell_index::<V>(table, last, xp.add(o), yp.add(o));
-                // SAFETY: every `col[c] + row[r]` of a table indexes its
-                // `core` (`OwnerTable` builds it so).
-                put(o, V::index_eq(V::gather(core.as_ptr(), i), *me));
+        end
+    }
+}
+
+/// The unit count: `counts[col[c] + row[r]] += 1` for each point's cell,
+/// from `from` on.
+struct Count<'a> {
+    grid: &'a Grid,
+    table: &'a OwnerTable,
+    x: &'a [f64],
+    y: &'a [f64],
+    counts: &'a mut [u64],
+    from: usize,
+}
+
+impl OwnerBody for Count<'_> {
+    type Out = usize;
+
+    /// The whole groups from `from` on, at the width of `V`. Returns where
+    /// it stopped.
+    #[inline(always)]
+    unsafe fn run<V: OwnerLanes>(&mut self) -> usize {
+        let (x, y, from, counts) = (self.x, self.y, self.from, &mut *self.counts);
+        let end = from + (x.len() - from) / V::WIDTH * V::WIDTH;
+        let last = V::splat((self.grid.ncells() - 1) as f64);
+        let mut idx = [0u32; 8];
+        for o in (from..end).step_by(V::WIDTH) {
+            // SAFETY: whole groups lie inside `x` and `y` (equal lengths,
+            // asserted by the caller), and the table spans the grid.
+            let i = cell_index::<V>(self.table, last, x.as_ptr().add(o), y.as_ptr().add(o));
+            V::store_index(i, idx.as_mut_ptr());
+            for &i in &idx[..V::WIDTH] {
+                counts[i as usize] += 1;
             }
         }
+        end
     }
-    groups * V::WIDTH
-}
-
-/// `counts[col[c] + row[r]] += 1` for each point's cell, over the whole
-/// groups of `x`/`y` at the width of `V`. Returns how many points it
-/// counted.
-///
-/// # Safety
-/// Vector ops of `V` must be executable on the current CPU, and `t` must
-/// span `grid`.
-#[inline(always)]
-unsafe fn count_cells_lanes<V: OwnerLanes>(
-    grid: &Grid,
-    t: &OwnerTable,
-    x: &[f64],
-    y: &[f64],
-    counts: &mut [u64],
-) -> usize {
-    let groups = x.len() / V::WIDTH;
-    let last = V::splat((grid.ncells() - 1) as f64);
-    let mut idx = [0u32; 8];
-    for o in (0..groups).map(|g| g * V::WIDTH) {
-        let i = cell_index::<V>(t, last, x.as_ptr().add(o), y.as_ptr().add(o));
-        V::store_index(i, idx.as_mut_ptr());
-        for &i in &idx[..V::WIDTH] {
-            counts[i as usize] += 1;
-        }
-    }
-    groups * V::WIDTH
-}
-
-/// AVX-512 instantiations of the owner classifier and the cell count.
-///
-/// # Safety
-/// The CPU must support AVX-512F (guaranteed by [`SimdBackend::detect`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn owner_leavers_avx512(
-    grid: &Grid,
-    map: &OwnerMap,
-    x: &[f64],
-    y: &[f64],
-    leave: &mut [u64],
-) -> usize {
-    owner_leavers_lanes::<x86::Avx512>(grid, map, x, y, leave, 0)
-}
-
-/// See [`owner_leavers_avx512`].
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn count_cells_avx512(
-    grid: &Grid,
-    t: &OwnerTable,
-    x: &[f64],
-    y: &[f64],
-    c: &mut [u64],
-) -> usize {
-    count_cells_lanes::<x86::Avx512>(grid, t, x, y, c)
-}
-
-/// AVX2 instantiations of the owner classifier and the cell count.
-///
-/// # Safety
-/// The CPU must support AVX2 (guaranteed by [`SimdBackend::detect`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn owner_leavers_avx2(
-    grid: &Grid,
-    map: &OwnerMap,
-    x: &[f64],
-    y: &[f64],
-    leave: &mut [u64],
-) -> usize {
-    owner_leavers_lanes::<x86::Avx2>(grid, map, x, y, leave, 0)
-}
-
-/// See [`owner_leavers_avx2`].
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_cells_avx2(
-    grid: &Grid,
-    t: &OwnerTable,
-    x: &[f64],
-    y: &[f64],
-    c: &mut [u64],
-) -> usize {
-    count_cells_lanes::<x86::Avx2>(grid, t, x, y, c)
 }
 
 /// Classify `x`/`y` against `map` with the selected backend: the whole
 /// groups on a backend with a gather (AVX-512, AVX2), the rest (all of it
-/// on SSE2 and `Scalar`) through the same body at one lane.
+/// on SSE2 and `Scalar`) through the same body at one lane. The map's
+/// `Classifier::leavers` asserts equal lengths and the table's span.
 pub(crate) fn owner_leavers(
     backend: SimdBackend,
     grid: &Grid,
@@ -1265,43 +1212,39 @@ pub(crate) fn owner_leavers(
     y: &[f64],
     leave: &mut [u64],
 ) {
-    // SAFETY: a vector backend is only ever one the CPU was detected to
-    // run (`SimdBackend::detect` / `available`); the map's
-    // `Classifier::leavers` asserted equal lengths and the table's span.
-    unsafe {
-        let done = match backend {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => owner_leavers_avx512(grid, map, x, y, leave),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => owner_leavers_avx2(grid, map, x, y, leave),
-            _ => 0,
-        };
-        owner_leavers_lanes::<f64>(grid, map, &x[done..], &y[done..], leave, done);
-    }
+    let mut body = Leavers {
+        grid,
+        map,
+        x,
+        y,
+        leave,
+        from: 0,
+    };
+    body.from = backend.run_owner(&mut body);
+    SimdBackend::Scalar.run_owner(&mut body);
 }
 
 /// Count the points per unit with the selected backend
-/// ([`OwnerTable::count_into`]), split as in [`owner_leavers`].
+/// ([`OwnerTable::count_into`], which asserts equal lengths and the
+/// table's span), split as in [`owner_leavers`].
 pub(crate) fn count_cells(
     backend: SimdBackend,
     grid: &Grid,
-    t: &OwnerTable,
+    table: &OwnerTable,
     x: &[f64],
     y: &[f64],
     counts: &mut [u64],
 ) {
-    // SAFETY: as in `owner_leavers`; `OwnerTable::count_into` asserted
-    // equal `x` and `y` lengths and a table spanning `grid`.
-    unsafe {
-        let done = match backend {
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => count_cells_avx512(grid, t, x, y, counts),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => count_cells_avx2(grid, t, x, y, counts),
-            _ => 0,
-        };
-        count_cells_lanes::<f64>(grid, t, &x[done..], &y[done..], counts);
-    }
+    let mut body = Count {
+        grid,
+        table,
+        x,
+        y,
+        counts,
+        from: 0,
+    };
+    body.from = backend.run_owner(&mut body);
+    SimdBackend::Scalar.run_owner(&mut body);
 }
 
 #[cfg(test)]
@@ -1531,23 +1474,25 @@ mod tests {
         })
     }
 
-    /// The fold premise on eight `ry` values through one backend's lanes.
-    #[inline(always)]
-    unsafe fn premise<V: Lanes>(ry: &[f64; 8]) -> bool {
-        let ry = V::load(ry.as_ptr());
-        mid_cell_lanes(ry, ry.sub(V::splat(1.0)))
+    /// The fold premise on eight `ry` values, through one backend's lanes.
+    struct Premise([f64; 8]);
+
+    impl LanesBody for Premise {
+        type Out = bool;
+        unsafe fn run<V: Lanes>(&mut self) -> bool {
+            let ry = V::load(self.0.as_ptr());
+            mid_cell_lanes(ry, ry.sub(V::splat(1.0)))
+        }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn premise_avx2(ry: &[f64; 8]) -> bool {
-        premise::<x86::Avx2>(ry)
-    }
+    /// [`Lanes::WIDTH`] on each backend.
+    pub(super) struct Width;
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn premise_avx512(ry: &[f64; 8]) -> bool {
-        premise::<x86::Avx512>(ry)
+    impl LanesBody for Width {
+        type Out = usize;
+        unsafe fn run<V: Lanes>(&mut self) -> usize {
+            V::WIDTH
+        }
     }
 
     /// The premise helper is exact: true at `ry = ½` in every lane,
@@ -1557,24 +1502,14 @@ mod tests {
     fn fold_premise_is_exact_in_every_lane() {
         let off = [0.5f64.next_up(), 0.5f64.next_down(), 0.25, 0.0, f64::NAN];
         for backend in SimdBackend::available() {
-            let holds = |ry: &[f64; 8]| unsafe {
-                match backend {
-                    #[cfg(target_arch = "x86_64")]
-                    SimdBackend::Avx512 => premise_avx512(ry),
-                    #[cfg(target_arch = "x86_64")]
-                    SimdBackend::Avx2 => premise_avx2(ry),
-                    #[cfg(target_arch = "x86_64")]
-                    SimdBackend::Sse2 => premise::<x86::Sse2>(ry),
-                    SimdBackend::Scalar => premise::<f64>(ry),
-                }
-            };
-            assert!(holds(&[0.5; 8]), "backend {}", backend.name());
+            let holds = |ry: [f64; 8]| backend.run(&mut Premise(ry));
+            assert!(holds([0.5; 8]), "backend {}", backend.name());
             for lane in 0..backend.lanes() {
                 for ry in off {
                     let mut lanes = [0.5; 8];
                     lanes[lane] = ry;
                     assert!(
-                        !holds(&lanes),
+                        !holds(lanes),
                         "backend {} lane {lane} ry {ry:e}",
                         backend.name()
                     );
@@ -1586,22 +1521,14 @@ mod tests {
     /// The force fold's constants through one backend: [`centre_kick`]
     /// for corner charge `q_left` and span charge `q_span`, as the lanes
     /// of `½·ax`, `½·ay`, `ax`, `ay`.
-    #[inline(always)]
-    unsafe fn centre_kick_lanes<V: Lanes>(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
-        let (ql, qr) = (V::splat(q_left), V::splat(-q_left));
-        centre_kick(ql, qr, V::splat(q_span)).lanes()
-    }
+    struct CentreKick(f64, f64);
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn centre_kick_avx2(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
-        centre_kick_lanes::<x86::Avx2>(q_left, q_span)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn centre_kick_avx512(q_left: f64, q_span: f64) -> [[f64; 8]; 4] {
-        centre_kick_lanes::<x86::Avx512>(q_left, q_span)
+    impl LanesBody for CentreKick {
+        type Out = [[f64; 8]; 4];
+        unsafe fn run<V: Lanes>(&mut self) -> [[f64; 8]; 4] {
+            let (ql, qr) = (V::splat(self.0), V::splat(-self.0));
+            centre_kick(ql, qr, V::splat(self.1)).lanes()
+        }
     }
 
     /// The force fold never changes a bit. Its constants are the unfolded
@@ -1632,17 +1559,7 @@ mod tests {
                 let (ax, ay) = ((fx0 + fx1) + (fx2 + fx3), (fy0 + fy1) + (fy2 + fy3));
                 let want = [0.5 * ax, 0.5 * ay, ax, ay];
                 for backend in SimdBackend::available() {
-                    let got = unsafe {
-                        match backend {
-                            #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx512 => centre_kick_avx512(q_left, q_span),
-                            #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Avx2 => centre_kick_avx2(q_left, q_span),
-                            #[cfg(target_arch = "x86_64")]
-                            SimdBackend::Sse2 => centre_kick_lanes::<x86::Sse2>(q_left, q_span),
-                            SimdBackend::Scalar => centre_kick_lanes::<f64>(q_left, q_span),
-                        }
-                    };
+                    let got = backend.run(&mut CentreKick(q_left, q_span));
                     for (lanes, want) in got.iter().zip(want) {
                         for got in &lanes[..backend.lanes()] {
                             assert!(
@@ -1693,30 +1610,23 @@ mod tests {
         }
     }
 
-    /// Eight coordinates through one backend's clamp and `u32` convert.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn lane_cells<V: OwnerLanes>(x: &[f64; 8], last: f64) -> [u32; 8] {
-        let mut out = [0u32; 8];
-        for o in (0..8).step_by(V::WIDTH) {
-            let i = V::load(x.as_ptr().add(o))
-                .clamp_cell(V::splat(last))
-                .index();
-            V::store_index(i, out.as_mut_ptr().add(o));
+    /// Eight coordinates through one backend's clamp and `u32` convert,
+    /// `last` the last cell index.
+    struct LaneCells([f64; 8], f64);
+
+    impl OwnerBody for LaneCells {
+        type Out = [u32; 8];
+        unsafe fn run<V: OwnerLanes>(&mut self) -> [u32; 8] {
+            let mut out = [0u32; 8];
+            for o in (0..8).step_by(V::WIDTH) {
+                let x = V::load(self.0.as_ptr().add(o));
+                V::store_index(
+                    x.clamp_cell(V::splat(self.1)).index(),
+                    out.as_mut_ptr().add(o),
+                );
+            }
+            out
         }
-        out
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_cells_avx2(x: &[f64; 8], last: f64) -> [u32; 8] {
-        lane_cells::<x86::Avx2>(x, last)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn lane_cells_avx512(x: &[f64; 8], last: f64) -> [u32; 8] {
-        lane_cells::<x86::Avx512>(x, last)
     }
 
     /// The owner classifiers' cell index is `Grid::cell_of`'s,
@@ -1724,7 +1634,6 @@ mod tests {
     /// ops (one lane included), up to the widest grid ([`Grid::new`] caps
     /// the last index at `i32::MAX`, 2³¹ − 1), and for NaN, ±∞ and
     /// negatives.
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn cell_index_lanes_cover_every_grid_side() {
         let (_, edges) = crate::geometry::cell_index_cases(2);
@@ -1737,12 +1646,7 @@ mod tests {
                 x[..chunk.len()].copy_from_slice(chunk);
                 let want = x.map(|x| (x as usize).min(last) as u32);
                 for backend in SimdBackend::available() {
-                    let got = match backend {
-                        SimdBackend::Avx512 => unsafe { lane_cells_avx512(&x, top) },
-                        SimdBackend::Avx2 => unsafe { lane_cells_avx2(&x, top) },
-                        SimdBackend::Sse2 => continue,
-                        SimdBackend::Scalar => unsafe { lane_cells::<f64>(&x, top) },
-                    };
+                    let got = backend.run_owner(&mut LaneCells(x, top));
                     assert_eq!(got, want, "{} last {last}: {x:?}", backend.name());
                 }
             }
@@ -1756,24 +1660,14 @@ mod tests {
     fn corner_particle_is_finite_in_every_lane() {
         let grid = Grid::new(8).unwrap();
         for backend in SimdBackend::available() {
-            let width = backend.lanes().max(LANES);
+            let width = backend.lanes().max(4);
             for lane in 0..width {
                 let mut b = column_population(&grid, 2, width, 0);
                 b.x[lane] = 2.0; // exactly on the bottom-left corner
                 b.y[lane] = 3.0;
-                let q = b.q.clone();
-                let n = b.len();
-                advance_bin_span_simd(
-                    backend,
-                    &grid,
-                    mesh_charge(2),
-                    &mut b.x[..n],
-                    &mut b.y[..n],
-                    &mut b.vx[..n],
-                    &mut b.vy[..n],
-                    &q,
-                );
-                for i in 0..n {
+                let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
+                advance_bin_span_simd(backend, &grid, mesh_charge(2), x, y, vx, vy, &b.q);
+                for i in 0..width {
                     assert!(
                         b.x[i].is_finite() && b.y[i].is_finite(),
                         "backend {} lane {lane}: non-finite state",
@@ -1803,5 +1697,29 @@ mod tests {
         // Names are unique and stable.
         let names: std::collections::HashSet<_> = avail.iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), avail.len());
+    }
+
+    /// Safe code can name any variant, so the dispatchers run a body only
+    /// on a CPU that runs its backend: every variant either runs through
+    /// both or panics naming itself, and `available` lists exactly the
+    /// variants the CPU runs.
+    #[test]
+    fn dispatch_refuses_a_backend_the_cpu_lacks() {
+        for &backend in SimdBackend::ALL {
+            let (name, listed) = (backend.name(), SimdBackend::available().contains(&backend));
+            assert_eq!(listed, backend.runs_here(), "{name}");
+            let ran = std::panic::catch_unwind(|| {
+                backend.run(&mut Width);
+                backend.run_owner(&mut LaneCells([0.5; 8], 1.0))
+            });
+            let refusal = format!("SIMD backend {name} is not supported by this CPU");
+            match ran {
+                Ok(cells) => assert_eq!((cells, backend.runs_here()), ([0; 8], true)),
+                Err(panic) => {
+                    let msg = panic.downcast_ref::<String>().unwrap();
+                    assert!(*msg == refusal && !backend.runs_here(), "{msg}");
+                }
+            }
+        }
     }
 }

@@ -76,7 +76,7 @@ pub fn expected_velocity(grid: &Grid, p: &Particle, steps: u64) -> (f64, f64) {
 
 /// Outcome of verifying one particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParticleVerdict {
+pub(crate) struct ParticleVerdict {
     pub id: u64,
     pub ok: bool,
     /// max(|Δx|, |Δy|) against the analytic position.

@@ -32,7 +32,7 @@ use std::io::Write;
 use std::time::Instant;
 
 /// Trace schema version, stamped into run-header and summary records.
-pub const SCHEMA_VERSION: u64 = 3;
+pub(crate) const SCHEMA_VERSION: u64 = 3;
 
 /// Nanoseconds of CPU time consumed by the calling thread.
 ///

@@ -11,8 +11,8 @@
 # every workload BENCHMARK.json declares, in its order), runs
 # `pic-e2e --workload W --trace 0 --seconds 2 [--seed SEED]` PAIRS times
 # per side, alternating which side runs first, and prints one block: for
-# each end-to-end metric the parent's median [IQR], the change's median,
-# how many pairs the change read lower, whether the gain rule holds —
+# each end-to-end metric the parent's median [IQR] and min–max spread,
+# the change's median and spread, how many pairs the change read lower, whether the gain rule holds —
 # the change lower in at least nine tenths of the pairs (ties count for
 # neither) and the medians further apart than the parent's IQR — and the
 # regression verdict the merge gate applies, from the metric's `bound` in
@@ -27,8 +27,10 @@
 # repo root: the parent and change revisions, the host's CPU model and
 # count, workload, the seed and kernel the runs' `stamp` lines report (the
 # harness's default seed when SEED is not given), pairs, and per metric
-# the two medians, the parent's IQR, the change-lower count, the gain rule
-# and the regression verdict. Commit the lines a change measured.
+# the two medians, the parent's IQR, both sides' `[min, max]` spread
+# (`parent_range`, `change_range`; lines written before these fields
+# existed lack them), the change-lower count, the gain rule and the
+# regression verdict. Commit the lines a change measured.
 #
 # The change revision names the code the runs measured: HEAD on a clean
 # tree; otherwise, with "dirty": true, the commit `git stash create` makes
@@ -195,10 +197,12 @@ for m in metrics:
     holds = lower >= 0.9 * pairs and pm - cm > iqr
     verdict = regression(m, p, c, pm, cm, iqr)
     delta = f"{100 * (cm - pm) / pm:+.1f} %" if pm else "n/a"
-    print(f"  {m:12s} {pm:.3f} [{iqr:.3f}] -> {cm:.3f} ({delta}), "
+    print(f"  {m:12s} {pm:.3f} [{iqr:.3f}] {{{min(p):.3f}-{max(p):.3f}}} -> "
+          f"{cm:.3f} {{{min(c):.3f}-{max(c):.3f}}} ({delta}), "
           f"change lower in {lower}/{pairs}, gain rule {'holds' if holds else 'does not hold'}, "
           f"{verdict}")
     line["metrics"][m] = {"parent_median": pm, "change_median": cm, "parent_iqr": iqr,
+                          "parent_range": [min(p), max(p)], "change_range": [min(c), max(c)],
                           "change_lower": lower, "gain_rule": holds, "regression": verdict}
 with open(record, "a") as f:
     f.write(json.dumps(line) + "\n")

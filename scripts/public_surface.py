@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Public-surface gate: every `pub fn` has a caller outside tests.
+"""Public-surface gate: every `pub fn` has a caller outside tests, and
+every `pub const` / `pub static` a use outside its crate.
 
 Usage: python3 scripts/public_surface.py [ROOT]   (ROOT defaults to the repo)
 
@@ -10,7 +11,13 @@ or `::NAME` token in the production text: those same trees with their
 ROOT/examples (the benchmark's pinned API and the examples count as
 production). A definition `fn NAME` is not a caller. A function with no
 caller must be on ALLOWED below, with the reason it stays public; an entry
-that names no `pub fn` fails the gate too.
+that names no `pub fn`, `pub const` or `pub static` fails the gate too.
+
+Every `pub const NAME` / `pub static NAME` there needs a use in the
+production text of another crate (ROOT/src, bench/src and examples each
+count as one): a `NAME` token for a free item, `Type::NAME` for an
+associated one. One that only its own crate reads is `pub(crate)`, or on
+ALLOWED with its reason.
 
 Limit: callers are matched by name, so a method that shares its name with
 a called one elsewhere (`run`, `new`, `set`) passes whether or not it is
@@ -27,9 +34,10 @@ import re
 import sys
 from pathlib import Path
 
-# Public functions with no production caller, one per line, with why they
-# stay public: the oracles the suites compare against (DESIGN §6, §8) and
-# the test handles that suites in other crates need.
+# Public functions with no production caller, and public consts with no
+# use outside their crate, one per line, with why they stay public: the
+# oracles the suites compare against (DESIGN §6, §8), the test handles
+# that suites in other crates need, and the shape of public trace arrays.
 ALLOWED = {
     "reference::run": "the AoS oracle every suite that compares populations names",
     "verify::verify_all": "the AoS verifier streamed_verify holds the streamed fold to",
@@ -49,7 +57,15 @@ ALLOWED = {
     "RankState::new": "the rank suites build one rank's state outside the rank loop",
     "RankState::step": "the rank suites drive one rank step by step",
     "RankState::verify": "the rank suites verify one rank's residents",
+    "verify::DEFAULT_TOLERANCE": "verification_sensitivity perturbs particles against the one gate",
+    "Distance::ALL": "pic-cluster's proptests iterate every distance class",
+    "tracer::PHASE_COUNT": "the length of TraceReport's public per-phase arrays",
+    "tracer::COUNTER_COUNT": "the length of TraceReport's public counter arrays",
+    "Phase::ALL": "the index order of TraceReport's per-phase arrays, which their docs name",
+    "Counter::ALL": "the index order of TraceReport's counter arrays, which their docs name",
 }
+
+PUB_ITEM = re.compile(r"\bpub\s+(?:const|static)\s+(?:mut\s+)?([A-Z_][A-Z0-9_]*)\b")
 
 PUB_FN = re.compile(r"\bpub\s+(?:(?:const|unsafe|async)\s+)*fn\s+(\w+)")
 RAW_STR = re.compile(r'b?r(#*)"')
@@ -130,33 +146,54 @@ def impl_blocks(text):
     return blocks
 
 
+def crate_of(root, path):
+    """The crate a source file belongs to: `crates/NAME`, `src`, `bench`
+    or `examples`."""
+    parts = path.relative_to(root).parts
+    return "/".join(parts[:2]) if parts[0] == "crates" else parts[0]
+
+
 def main(root):
     checked = sorted(p for d in [*root.glob("crates/*/src"), root / "src"] for p in d.rglob("*.rs"))
     extra = sorted(p for d in (root / "bench/src", root / "examples") for p in d.rglob("*.rs"))
-    production, doors = [], []
+    production, by_crate, doors, items = [], {}, [], []
     for path in checked + extra:
         text = drop_test_items(strip(path.read_text()))
         production.append(text)
+        by_crate.setdefault(crate_of(root, path), []).append(text)
         if path in extra:
             continue
-        blocks = impl_blocks(text)
-        for m in PUB_FN.finditer(text):
-            owner = [name for start, end, name in blocks if start < m.start() < end]
-            qual = f"{owner[-1] if owner else path.stem}::{m.group(1)}"
+        blocks, crate = impl_blocks(text), crate_of(root, path)
+
+        def found(m):
+            owner = ([name for start, end, name in blocks if start < m.start() < end] or [None])[-1]
             line = text.count("\n", 0, m.start()) + 1
-            doors.append((qual, m.group(1), f"{path.relative_to(root)}:{line}"))
+            where = f"{path.relative_to(root)}:{line}"
+            return f"{owner or path.stem}::{m.group(1)}", m.group(1), owner, crate, where
+
+        doors += map(found, PUB_FN.finditer(text))
+        items += map(found, PUB_ITEM.finditer(text))
     production = "\n".join(production)
 
     bad = 0
-    for qual, name, where in doors:
+    for qual, name, _, _, where in doors:
         call = rf"(?<![\w.:])(?<!fn ){name}\s*(?:\(|::<)|(?<=\.){name}\b|(?<=::){name}\b"
         if qual not in ALLOWED and not re.search(call, production):
             print(f"public surface: {where}: `pub fn {qual}` has no caller outside tests", file=sys.stderr)
             bad += 1
-    for qual in sorted(set(ALLOWED) - {q for q, _, _ in doors}):
-        print(f"public surface: allow-list entry `{qual}` names no `pub fn`", file=sys.stderr)
+    for qual, name, owner, crate, where in items:
+        use = rf"\b{owner}::{name}\b" if owner else rf"(?<!const )(?<!static )\b{name}\b"
+        others = "\n".join(t for c, texts in by_crate.items() if c != crate for t in texts)
+        if qual not in ALLOWED and not re.search(use, others):
+            print(f"public surface: {where}: `pub {qual}` has no use outside {crate}", file=sys.stderr)
+            bad += 1
+    for qual in sorted(set(ALLOWED) - {door[0] for door in doors + items}):
+        print(f"public surface: allow-list entry `{qual}` names no public item", file=sys.stderr)
         bad += 1
-    print(f"public surface: {len(doors)} pub fns, {len(ALLOWED)} on the allow-list, {bad} problem(s)")
+    print(
+        f"public surface: {len(doors)} pub fns, {len(items)} pub consts and statics, "
+        f"{len(ALLOWED)} on the allow-list, {bad} problem(s)"
+    )
     return 1 if bad else 0
 
 

@@ -105,22 +105,25 @@ done < <(grep -ohE '`[A-Z][a-z][A-Za-z0-9]*`' README.md DESIGN.md EXPERIMENTS.md
     grep -vxE 'Option|Vec' | sort -u)
 test "$stale" -eq 0
 
-echo "==> public-surface gate (every pub fn has a caller outside tests)"
+echo "==> public-surface gate (every pub fn has a caller outside tests, every pub const a use outside its crate)"
 # A `pub fn` under crates/*/src or src needs a caller in the production
-# text, bench/src and examples included, or an allow-list entry with its
-# reason (the oracles and the test handles other crates' suites need).
+# text, bench/src and examples included, and a `pub const` / `pub static`
+# a use in another crate's production text, or an allow-list entry with
+# its reason (the oracles and the test handles other crates' suites need).
 # Callers are matched by name, so two methods with the same name can hide
 # a door: the compiler census (scripts/public_surface.py) covers that. The
-# gate must also reject a copy of the tree with a planted door.
+# gate must also reject a copy of the tree with a planted door and const.
 python3 scripts/public_surface.py
 planted="$(mktemp -d /tmp/pic-surface.XXXXXX)"
 mkdir "$planted/bench"
 cp -r crates src examples "$planted/"
 cp -r bench/src "$planted/bench/"
-echo 'pub fn planted_door_without_a_caller() {}' >>"$planted/crates/pic-core/src/geometry.rs"
+printf '%s\n' 'pub fn planted_door_without_a_caller() {}' \
+    'pub const PLANTED_CONST_WITHOUT_A_USE: u8 = 0;' >>"$planted/crates/pic-core/src/geometry.rs"
 if python3 scripts/public_surface.py "$planted" 2>"$planted/log" >/dev/null ||
-    ! grep -q 'planted_door_without_a_caller' "$planted/log"; then
-    echo "error: the public-surface gate did not reject a planted door" >&2
+    ! grep -q 'planted_door_without_a_caller' "$planted/log" ||
+    ! grep -q 'PLANTED_CONST_WITHOUT_A_USE' "$planted/log"; then
+    echo "error: the public-surface gate did not reject a planted door and const" >&2
     exit 1
 fi
 rm -rf "$planted"
