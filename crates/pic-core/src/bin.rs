@@ -36,6 +36,14 @@
 //! end of phase 0, and the gap this leaves at `split` takes at most as
 //! many phase-1 particles as it is wide.
 //!
+//! The leave bits have two sources. A sweep under a column interval
+//! ([`BinnedStore::sweep_marking`]) sets them in the span kernel's wrap
+//! pass, from the `x` it has just wrapped, into a mask the store owns,
+//! each phase half's bits from a word of their own; a drain under the
+//! same interval reads them while they are fresh — nothing drained,
+//! appended, injected, removed or swept without marks since. Every other
+//! drain scans with its classifier, 4 096 particles at a time.
+//!
 //! ## Bit-exactness
 //!
 //! The span kernel (`simd::advance_bin_span_simd`, one generic body at
@@ -52,9 +60,10 @@
 use crate::charge::mesh_charge;
 use crate::events::Region;
 use crate::geometry::Grid;
+use crate::owner::OwnerMap;
 use crate::particle::Particle;
 use crate::pool::{self, SyncMutPtr};
-use crate::simd::{self, SimdBackend};
+use crate::simd::{self, ColumnMarks, Mark, NoMark, SimdBackend};
 use crate::soa::ParticleBatch;
 use std::ops::Range;
 
@@ -89,6 +98,15 @@ pub struct BinnedStore {
     /// ascending, each with its destination (capacity retained across
     /// drains).
     leavers: Vec<LeaverRun>,
+    /// The leave bits the last sweep marked, each phase half's from its
+    /// own word (phase 0 from bit 0, phase 1 from `split` rounded up to a
+    /// word), so sweep blocks and drain chunks stay word-aligned
+    /// (capacity retained across sweeps).
+    leave: Vec<u64>,
+    /// The column interval `leave` was marked against, while nothing has
+    /// moved, entered or left the store since: a drain under the same
+    /// interval reads the bits instead of scanning.
+    marked: Option<(usize, usize)>,
     /// Instruction-set backend for the span kernel, selected once at
     /// construction ([`SimdBackend::detect`]); every backend is
     /// bit-identical, so this is a pure throughput knob.
@@ -146,6 +164,8 @@ impl BinnedStore {
             split: counts[0],
             sweeps: 0,
             leavers: Vec::new(),
+            leave: Vec::new(),
+            marked: None,
             backend: SimdBackend::detect(),
         }
     }
@@ -155,6 +175,8 @@ impl BinnedStore {
     /// finished rank hands its population to the outcome without a copy.
     pub fn take_batch(&mut self) -> ParticleBatch {
         self.leavers = Vec::new();
+        self.leave = Vec::new();
+        self.marked = None;
         self.split = 0;
         std::mem::take(&mut self.batch)
     }
@@ -205,23 +227,50 @@ impl BinnedStore {
     /// chunk spread over the pool's threads).
     pub fn advance_all(&mut self, grid: &Grid, chunk_size: usize) {
         self.sweep_with(grid, |n, span| {
-            pool::global().run_chunked(n, chunk_size, span)
+            pool::global().run_chunked(n, chunk_size, &|start, end| span(start, end, &mut NoMark))
         });
     }
 
     /// Advance every particle one step on the calling thread — the rank
     /// path, where each rank is already its own parallel unit.
     pub fn sweep(&mut self, grid: &Grid) {
-        self.sweep_with(grid, |n, span| span(0, n));
+        self.sweep_with(grid, |n, span| span(0, n, &mut NoMark));
+    }
+
+    /// [`Self::sweep`] under the rank's ownership map: a column interval
+    /// also has every particle's leave bit set in the span kernel's wrap
+    /// pass, from the `x` it just wrapped, for the next drain under the
+    /// same interval to read. A 2-D map marks nothing; its drain scans.
+    pub fn sweep_marking(&mut self, grid: &Grid, map: &OwnerMap) {
+        let OwnerMap::Columns { lo, hi } = *map else {
+            return self.sweep(grid);
+        };
+        let (n, split) = (self.batch.len(), self.split);
+        let mut leave = std::mem::take(&mut self.leave);
+        leave.clear();
+        leave.resize(split.div_ceil(64) + (n - split).div_ceil(64), 0);
+        let mut marks = ColumnMarks::new(grid, lo, hi, &mut leave);
+        self.sweep_with(grid, |n, span| span(0, n, &mut marks));
+        self.leave = leave;
+        self.marked = Some((lo, hi));
     }
 
     /// The one sweep body: `run(n, span)` must call `span` on disjoint
-    /// ranges covering `0..n`. Each range is swept in blocks of at most
-    /// [`SWEEP_BLOCK`] that never cross `split`, with the block's phase
-    /// charge hoisted.
-    fn sweep_with(&mut self, grid: &Grid, run: impl FnOnce(usize, &(dyn Fn(usize, usize) + Sync))) {
+    /// ranges covering `0..n`, each with a mark for its particles' final
+    /// `x`. Each range is swept in blocks of at most [`SWEEP_BLOCK`] that
+    /// never cross `split`, with the block's phase charge hoisted; a
+    /// block's particle `i` is bit `i` of the mask in phase 0 and bit
+    /// `i − split` of phase 1's words, which start at word
+    /// `split.div_ceil(64)`.
+    fn sweep_with<M: Mark>(
+        &mut self,
+        grid: &Grid,
+        run: impl FnOnce(usize, &(dyn Fn(usize, usize, &mut M) + Sync)),
+    ) {
+        self.marked = None;
         let n = self.batch.len();
         let (split, backend) = (self.split, self.backend);
+        let phase1_bit = split.div_ceil(64) * 64;
         // Phase-0 particles sit in columns of the sweep count's parity.
         let q0 = mesh_charge(self.sweeps as usize & 1);
         let xp = SyncMutPtr::new(self.batch.x.as_mut_ptr());
@@ -229,7 +278,7 @@ impl BinnedStore {
         let vxp = SyncMutPtr::new(self.batch.vx.as_mut_ptr());
         let vyp = SyncMutPtr::new(self.batch.vy.as_mut_ptr());
         let q = &self.batch.q[..n];
-        let span = |start: usize, end: usize| {
+        let span = |start: usize, end: usize, mark: &mut M| {
             let mut i = start;
             while i < end {
                 let mut stop = end.min(i + SWEEP_BLOCK);
@@ -249,7 +298,8 @@ impl BinnedStore {
                     )
                 };
                 let q = &q[i..stop];
-                simd::advance_bin_span_simd(backend, grid, q_left, x, y, vx, vy, q);
+                let bit = if i < split { i } else { phase1_bit + i - split };
+                simd::advance_bin_span_simd(backend, grid, q_left, x, y, vx, vy, q, mark, bit);
                 i = stop;
             }
         };
@@ -271,6 +321,7 @@ impl BinnedStore {
     /// arrival, an injection, or a failure-injection edit. The
     /// record-at-a-time door of [`Self::append_tail`].
     pub fn push_tail(&mut self, p: Particle) {
+        self.marked = None;
         self.batch.push(p);
         if phase(p.x, self.sweeps) == 0 {
             let last = self.batch.len() - 1;
@@ -287,6 +338,7 @@ impl BinnedStore {
     /// run, against the run's own tail), and its phase-1 run joins the end
     /// of the batch.
     pub fn append_tail(&mut self, arrivals: &ParticleBatch) {
+        self.marked = None;
         let sweeps = self.sweeps;
         let a0 = arrivals.x.partition_point(|&x| phase(x, sweeps) == 0);
         debug_assert!(
@@ -327,7 +379,7 @@ impl BinnedStore {
     /// the drain count.
     ///
     /// The classifier ([`Classifier`]) answers a chunk of positions at a
-    /// time as a bitmask: an [`OwnerMap`](crate::owner::OwnerMap) eight
+    /// time as a bitmask: an [`OwnerMap`] eight
     /// lanes at a time, a keep closure one particle at a time. Which one
     /// answers changes nothing downstream — the leaver set is the same, so
     /// are the holes, the refill and the storage order.
@@ -354,10 +406,13 @@ impl BinnedStore {
         })
     }
 
-    /// The one drain body behind both doors: classify each half chunk by
-    /// chunk, record the leavers as runs of consecutive indices with one
+    /// The one drain body behind both doors: take each half's leave bits
+    /// chunk by chunk — the ones the last sweep marked, when they are
+    /// fresh for this classifier's column interval, else the classifier's
+    /// scan — record the leavers as runs of consecutive indices with one
     /// destination `dest(col, row)` each, hand every run to `stage` in
-    /// index order, then close the holes (module docs).
+    /// index order, then close the holes (module docs). Under a column
+    /// interval `dest` is asked with row 0, so `y` is never loaded.
     fn drain_runs(
         &mut self,
         grid: &Grid,
@@ -370,27 +425,50 @@ impl BinnedStore {
         let (n, split) = (self.batch.len(), self.split);
         assert!(n <= u32::MAX as usize, "leaver indices are u32");
         self.leavers.clear();
+        let columns = classifier.columns();
+        let marked = self.marked.take().is_some_and(|m| Some(m) == columns);
         if classifier.keeps_all(grid) {
             return 0;
         }
         let mut mask = [0u64; CHUNK / 64];
         let mut phase1_runs = 0;
-        for span in [0..split, split..n] {
+        for (span, word0) in [(0..split, 0), (split..n, split.div_ceil(64))] {
             // A run never grows across `split`.
             let floor = self.leavers.len();
             phase1_runs = floor;
             for start in span.clone().step_by(CHUNK) {
                 let end = span.end.min(start + CHUNK);
-                let words = &mut mask[..(end - start).div_ceil(64)];
-                words.fill(0);
-                let (x, y) = (&self.batch.x[start..end], &self.batch.y[start..end]);
-                classifier.leavers(self.backend, grid, x, y, words);
+                let len = (end - start).div_ceil(64);
+                let words = if marked {
+                    let w = word0 + (start - span.start) / 64;
+                    &self.leave[w..w + len]
+                } else {
+                    let words = &mut mask[..len];
+                    words.fill(0);
+                    let (x, y) = (&self.batch.x[start..end], &self.batch.y[start..end]);
+                    classifier.leavers(self.backend, grid, x, y, words);
+                    words
+                };
                 for (w, mut bits) in (start..).step_by(64).zip(words.iter().copied()) {
                     while bits != 0 {
                         let i = w + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let (c, r) = grid.cell_of_point(self.batch.x[i], self.batch.y[i]);
-                        push_leaver(&mut self.leavers, floor, i as u32, dest(c, r) as u32);
+                        let dst = match columns {
+                            Some(_) => {
+                                let c = grid.cell_of(self.batch.x[i]);
+                                debug_assert_eq!(
+                                    dest(c, 0),
+                                    dest(c, grid.cell_of(self.batch.y[i])),
+                                    "a column map's destination depends on the row"
+                                );
+                                dest(c, 0)
+                            }
+                            None => {
+                                let (c, r) = grid.cell_of_point(self.batch.x[i], self.batch.y[i]);
+                                dest(c, r)
+                            }
+                        };
+                        push_leaver(&mut self.leavers, floor, i as u32, dst as u32);
                     }
                 }
             }
@@ -417,6 +495,7 @@ impl BinnedStore {
     /// Order-preserving, so both halves stay whole. Returns the number
     /// removed.
     pub(crate) fn remove_in_region_upto(&mut self, region: &Region, max_id: u64) -> usize {
+        self.marked = None;
         let (removed, split) = self.batch.remove_in_region_upto(region, max_id, self.split);
         self.split = split;
         removed
@@ -467,6 +546,7 @@ impl BinnedStore {
     /// last phase-0 particle and moves to the start of phase 1, whose hole
     /// takes the last particle of the batch.
     fn remove_at(&mut self, mut i: usize) -> Particle {
+        self.marked = None;
         let p = self.batch.get(i);
         if i < self.split {
             self.split -= 1;
@@ -536,6 +616,15 @@ pub trait Classifier {
     /// Whether no particle on `grid` can leave, so a drain need not scan.
     fn keeps_all(&self, _grid: &Grid) -> bool {
         false
+    }
+
+    /// `Some((lo, hi))` when this classifier keeps the cell columns
+    /// `lo..hi` of every row and every cell's owner depends on its column
+    /// alone: a drain then reads the leave bits a sweep marked against
+    /// the same interval ([`BinnedStore::sweep_marking`]) while they are
+    /// fresh, and asks a leaver's destination with row 0.
+    fn columns(&self) -> Option<(usize, usize)> {
+        None
     }
 }
 
@@ -1264,6 +1353,167 @@ mod tests {
         assert_eq!(store.batch(), &before);
         let one_less = OwnerMap::Columns { lo: 0, hi: 31 };
         assert!(store.drain_leavers_into(&grid, one_less, |_| ()) > 0);
+    }
+
+    /// The leave bits a sweep marks equal the column classifier's scan of
+    /// the positions it leaves — [`OwnerMap::leavers`] on the same backend
+    /// and the scalar rule `lo <= cell_of(x) < hi` — bit for bit, in each
+    /// phase half's own words, on every backend the host can execute: for
+    /// intervals at both grid edges, one spanning it and an empty one; on
+    /// stores from empty through one-lane tails to halves wider than a
+    /// sweep block; on velocities that send whole groups through the
+    /// scalar wrap; and, in builds without the kernel's debug range
+    /// checks, on the NaN, ±∞ and other out-of-domain values of the owner
+    /// classifiers' suite.
+    #[test]
+    fn sweep_marks_equal_the_column_classifier_on_every_backend() {
+        for ncells in [2usize, 64, 1024] {
+            let grid = Grid::new(ncells).unwrap();
+            let (mut xs, outside) = crate::geometry::cell_index_cases(ncells);
+            if !cfg!(debug_assertions) {
+                xs.extend(outside);
+            }
+            let l = grid.extent();
+            let vxs = [0.0, 1.0, -1.0, 3.0, -3.0, l / 2.0 + 0.25];
+            let particle = |j: usize| {
+                let x = xs[j * 7 % xs.len()];
+                let y = (j % ncells) as f64 + 0.5;
+                Particle {
+                    id: j as u64 + 1,
+                    x,
+                    y,
+                    vx: vxs[j % vxs.len()],
+                    vy: 1.0,
+                    q: if j.is_multiple_of(3) { -1.0 } else { 1.0 },
+                    x0: x,
+                    y0: y,
+                    k: 0,
+                    m: 1,
+                    born_at: 0,
+                }
+            };
+            let maps = [
+                OwnerMap::Columns {
+                    lo: 0,
+                    hi: ncells / 2,
+                },
+                OwnerMap::Columns {
+                    lo: ncells / 4,
+                    hi: ncells,
+                },
+                OwnerMap::Columns { lo: 0, hi: ncells },
+                OwnerMap::Columns { lo: 1, hi: 1 },
+            ];
+            let cell = |x: f64| (x as usize).min(ncells - 1);
+            for len in [0, 1, 7, 13, 37, 2 * SWEEP_BLOCK + 141] {
+                let ps: Vec<Particle> = (0..len).map(particle).collect();
+                for (backend, map) in SimdBackend::available()
+                    .into_iter()
+                    .flat_map(|b| maps.map(|m| (b, m)))
+                {
+                    let at = format!("{} {map:?} {ncells} cells, {len} particles", backend.name());
+                    let mut store = whole_store(&ps, &grid);
+                    store.set_simd_backend(backend);
+                    store.sweep_marking(&grid, &map);
+                    let OwnerMap::Columns { lo, hi } = map else {
+                        unreachable!()
+                    };
+                    assert_eq!(store.marked, Some((lo, hi)), "{at}");
+                    let (n, split) = (store.len(), store.split);
+                    let words = split.div_ceil(64) + (n - split).div_ceil(64);
+                    assert_eq!(store.leave.len(), words, "{at}");
+                    for (half, word0) in [(0..split, 0), (split..n, split.div_ceil(64))] {
+                        let (x, y) = (&store.batch.x[half.clone()], &store.batch.y[half.clone()]);
+                        let mut want = vec![0u64; x.len().div_ceil(64)];
+                        map.clone().leavers(backend, &grid, x, y, &mut want);
+                        let mut rule = vec![0u64; want.len()];
+                        for (j, &x) in x.iter().enumerate() {
+                            rule[j / 64] |= u64::from(!(lo..hi).contains(&cell(x))) << (j % 64);
+                        }
+                        assert_eq!(want, rule, "{at}: the classifier against the rule");
+                        let got = &store.leave[word0..word0 + want.len()];
+                        assert_eq!(got, want, "{at}: the half from {}", half.start);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drain `marked` (swept with marks) and `scanned` (the same store
+    /// swept without) under `map`, and check that both send the same
+    /// leavers to the same buckets and leave the same storage order.
+    fn check_same_drain(
+        marked: &mut BinnedStore,
+        scanned: &mut BinnedStore,
+        grid: &Grid,
+        map: OwnerMap,
+        when: &str,
+    ) {
+        let OwnerMap::Columns { lo, hi } = map else {
+            unreachable!()
+        };
+        let owner = |c: usize, _| usize::from(!(lo..hi).contains(&c));
+        let mut buckets = [vec![ParticleBatch::new(); 2], vec![ParticleBatch::new(); 2]];
+        let sent = [&mut *marked, &mut *scanned]
+            .into_iter()
+            .zip(&mut buckets)
+            .map(|(store, buckets)| store.drain_leavers_to_buckets(grid, map, owner, buckets))
+            .collect::<Vec<_>>();
+        assert_eq!(sent[0], sent[1], "{when}: leaver counts");
+        assert_eq!(buckets[0], buckets[1], "{when}: the leavers");
+        assert_eq!(marked.batch, scanned.batch, "{when}: storage order");
+        assert_eq!(marked.split, scanned.split, "{when}: split");
+        assert_eq!(marked.marked, None, "{when}: a drain spends the marks");
+    }
+
+    /// Marks are read only while fresh: after a sweep marked under one
+    /// interval, a drain under another (a cut move's rehome), a drain
+    /// after an injection, and the second of two drains each leave what a
+    /// classifier scan of the same store leaves — the same leavers, to
+    /// the same buckets, in the same storage order. A 2-D map marks
+    /// nothing.
+    #[test]
+    fn stale_marks_are_never_read() {
+        let (grid, ps) = population(3000, Distribution::Geometric { r: 0.95 });
+        let (mine, moved) = (
+            OwnerMap::Columns { lo: 8, hi: 20 },
+            OwnerMap::Columns { lo: 11, hi: 24 },
+        );
+        let fresh = || {
+            let mut scanned = whole_store(&ps, &grid);
+            scanned.sweep(&grid);
+            let mut marked = whole_store(&ps, &grid);
+            marked.sweep_marking(&grid, &mine);
+            assert_eq!(marked.marked, Some((8, 20)));
+            assert_eq!(marked.batch, scanned.batch);
+            (marked, scanned)
+        };
+        // (a) The cuts move, then the rehome drains under the new interval.
+        let (mut marked, mut scanned) = fresh();
+        check_same_drain(&mut marked, &mut scanned, &grid, moved, "cut move");
+        // (b) An injection lands in a leaving column, then the drain.
+        let (mut marked, mut scanned) = fresh();
+        for (i, col) in [(0, 2), (1, 25), (2, 9)] {
+            let p = Particle {
+                id: 10_000 + i,
+                x: col as f64 + 0.5,
+                y: 3.5,
+                ..ps[0]
+            };
+            marked.push_tail(p);
+            scanned.push_tail(p);
+        }
+        check_same_drain(&mut marked, &mut scanned, &grid, mine, "injection");
+        // (c) Two drains under the marked interval: the first reads the
+        // marks, the second must scan.
+        let (mut marked, mut scanned) = fresh();
+        check_same_drain(&mut marked, &mut scanned, &grid, mine, "first drain");
+        check_same_drain(&mut marked, &mut scanned, &grid, mine, "second drain");
+        // A 2-D map marks nothing.
+        let table = tile_table(&grid);
+        let mut store = whole_store(&ps, &grid);
+        store.sweep_marking(&grid, &table.map(0));
+        assert_eq!(store.marked, None);
     }
 
     #[test]

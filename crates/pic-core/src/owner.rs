@@ -152,9 +152,10 @@ impl OwnerTable {
 /// as [`Grid::cell_of`] reads it, for every `f64` (NaN and ±∞ included).
 #[derive(Debug, Clone, Copy)]
 pub enum OwnerMap<'a> {
-    /// One processor row of cuts: the rank keeps the columns `lo..hi`,
-    /// whatever the row — two compares on the clamped `x`, no conversion
-    /// and no table.
+    /// One processor row of cuts on the identity placement: the rank
+    /// keeps the columns `lo..hi`, whatever the row, and every cell's
+    /// owner depends on its column alone — two compares on the clamped
+    /// `x`, no conversion and no table.
     Columns { lo: usize, hi: usize },
     /// A 2-D map (VP tiles, or cuts with more than one processor row):
     /// core `me` keeps the cells `table` gives it.
@@ -183,6 +184,13 @@ impl Classifier for OwnerMap<'_> {
     /// index clamps into it.
     fn keeps_all(&self, grid: &Grid) -> bool {
         matches!(*self, OwnerMap::Columns { lo: 0, hi } if hi >= grid.ncells())
+    }
+
+    fn columns(&self) -> Option<(usize, usize)> {
+        match *self {
+            OwnerMap::Columns { lo, hi } => Some((lo, hi)),
+            OwnerMap::Cells { .. } => None,
+        }
     }
 }
 

@@ -45,8 +45,7 @@ impl Particle {
     /// `sign(a_x,0)`).
     #[inline]
     pub(crate) fn cells_per_step_x(&self, grid: &Grid) -> i64 {
-        let dir = direction_from_charge(grid.cell_of(self.x0), self.q);
-        dir as i64 * (2 * self.k as i64 + 1)
+        stride_x(grid.cell_of(self.x0), self.q, self.k)
     }
 
     /// Vertical displacement in cells per step.
@@ -54,6 +53,13 @@ impl Particle {
     pub(crate) fn cells_per_step_y(&self) -> i64 {
         self.m as i64
     }
+}
+
+/// [`Particle::cells_per_step_x`] from its fields: the initial column
+/// `col0`, the charge and `k`.
+#[inline]
+pub(crate) fn stride_x(col0: usize, q: f64, k: u32) -> i64 {
+    direction_from_charge(col0, q) as i64 * (2 * k as i64 + 1)
 }
 
 #[cfg(test)]

@@ -302,23 +302,24 @@ pub(crate) trait Lanes: Copy {
     /// `false`). The corner folds' premise test, and the force fold's
     /// charge test.
     fn all_eq(self, o: Self) -> bool;
-}
-
-/// The ops of the owner classifiers ([`crate::owner::OwnerMap`]): the
-/// saturating cell index of [`Grid::cell_of`] per lane, and `u32` table
-/// lanes beside the `f64` ones. Implemented by the two backends with a
-/// gather (AVX-512 and AVX2) and by one lane, which classifies for the
-/// others and for every tail.
-pub(crate) trait OwnerLanes: Lanes {
-    /// [`Lanes::WIDTH`] `u32` lanes.
-    type Index: Copy;
     /// `min(max(x, 0), last)` per lane, NaN → 0: the value whose
     /// truncation is `Grid::cell_of(x)` for every `f64`, `last` the last
     /// cell index. A kept interval `lo..hi` of columns is then
     /// `lo <= v < hi` on the clamped value, with no conversion.
     fn clamp_cell(self, last: Self) -> Self;
-    /// Bit `j` set where lane `j` lies in `[lo, hi)`.
-    fn within(self, lo: Self, hi: Self) -> u64;
+    /// Bit `j` set where lane `j` does not lie in `[lo, hi)` (a NaN lane
+    /// included): `!(lo <= v && v < hi)` per lane.
+    fn outside(self, lo: Self, hi: Self) -> u64;
+}
+
+/// The table ops of the owner classifiers ([`crate::owner::OwnerMap`]):
+/// `u32` table lanes beside the `f64` ones, indexed by the clamped cell of
+/// [`Lanes::clamp_cell`]. Implemented by the two backends with a gather
+/// (AVX-512 and AVX2) and by one lane, which classifies for the others and
+/// for every tail.
+pub(crate) trait OwnerLanes: Lanes {
+    /// [`Lanes::WIDTH`] `u32` lanes.
+    type Index: Copy;
     /// Truncate clamped lanes (each in `[0, 2³¹)`: [`Grid::new`] caps the
     /// last cell index at `i32::MAX`) to `u32`.
     fn index(self) -> Self::Index;
@@ -418,10 +419,6 @@ mod x86 {
         fn all_eq(self, o: Self) -> bool {
             unsafe { _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, o.0) == 0xff }
         }
-    }
-
-    impl OwnerLanes for Avx512 {
-        type Index = __m256i;
 
         #[inline(always)]
         fn clamp_cell(self, last: Self) -> Self {
@@ -435,12 +432,16 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn within(self, lo: Self, hi: Self) -> u64 {
+        fn outside(self, lo: Self, hi: Self) -> u64 {
             unsafe {
-                let ge = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(self.0, lo.0);
-                (ge & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, hi.0)) as u64
+                let below = _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(self.0, lo.0);
+                (below | _mm512_cmp_pd_mask::<_CMP_NLT_UQ>(self.0, hi.0)) as u64
             }
         }
+    }
+
+    impl OwnerLanes for Avx512 {
+        type Index = __m256i;
 
         #[inline(always)]
         fn index(self) -> __m256i {
@@ -544,10 +545,6 @@ mod x86 {
         fn all_eq(self, o: Self) -> bool {
             unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0)) == 0b1111 }
         }
-    }
-
-    impl OwnerLanes for Avx2 {
-        type Index = __m128i;
 
         #[inline(always)]
         fn clamp_cell(self, last: Self) -> Self {
@@ -561,13 +558,17 @@ mod x86 {
         }
 
         #[inline(always)]
-        fn within(self, lo: Self, hi: Self) -> u64 {
+        fn outside(self, lo: Self, hi: Self) -> u64 {
             unsafe {
-                let ge = _mm256_cmp_pd::<_CMP_GE_OQ>(self.0, lo.0);
-                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, hi.0);
-                _mm256_movemask_pd(_mm256_and_pd(ge, lt)) as u64
+                let below = _mm256_cmp_pd::<_CMP_NGE_UQ>(self.0, lo.0);
+                let above = _mm256_cmp_pd::<_CMP_NLT_UQ>(self.0, hi.0);
+                _mm256_movemask_pd(_mm256_or_pd(below, above)) as u64
             }
         }
+    }
+
+    impl OwnerLanes for Avx2 {
+        type Index = __m128i;
 
         #[inline(always)]
         fn index(self) -> __m128i {
@@ -685,6 +686,27 @@ mod x86 {
                 _mm_movemask_pd(eq) == 0b11
             }
         }
+
+        #[inline(always)]
+        fn clamp_cell(self, last: Self) -> Self {
+            // `max` answers its second operand when either is NaN.
+            unsafe {
+                let z = _mm_setzero_pd();
+                Sse2(
+                    _mm_min_pd(_mm_max_pd(self.0, z), last.0),
+                    _mm_min_pd(_mm_max_pd(self.1, z), last.1),
+                )
+            }
+        }
+
+        #[inline(always)]
+        fn outside(self, lo: Self, hi: Self) -> u64 {
+            unsafe {
+                let a = _mm_or_pd(_mm_cmpnge_pd(self.0, lo.0), _mm_cmpnlt_pd(self.0, hi.0));
+                let b = _mm_or_pd(_mm_cmpnge_pd(self.1, lo.1), _mm_cmpnlt_pd(self.1, hi.1));
+                (_mm_movemask_pd(a) | _mm_movemask_pd(b) << 2) as u64
+            }
+        }
     }
 }
 
@@ -757,10 +779,6 @@ impl Lanes for f64 {
     fn all_eq(self, o: Self) -> bool {
         self == o
     }
-}
-
-impl OwnerLanes for f64 {
-    type Index = u32;
 
     #[inline(always)]
     fn clamp_cell(self, last: Self) -> Self {
@@ -769,9 +787,13 @@ impl OwnerLanes for f64 {
     }
 
     #[inline(always)]
-    fn within(self, lo: Self, hi: Self) -> u64 {
-        u64::from(lo <= self && self < hi)
+    fn outside(self, lo: Self, hi: Self) -> u64 {
+        u64::from(!(lo <= self && self < hi))
     }
+}
+
+impl OwnerLanes for f64 {
+    type Index = u32;
 
     #[inline(always)]
     fn index(self) -> u32 {
@@ -799,9 +821,80 @@ impl OwnerLanes for f64 {
     }
 }
 
+/// What the span body's wrap pass does with each group's final `x`:
+/// nothing ([`NoMark`], the serial pool sweep), or set the group's leave
+/// bits against a column interval ([`ColumnMarks`], the rank sweep).
+pub(crate) trait Mark {
+    /// `false` for [`NoMark`]: the span body then wraps `x` as the sweep
+    /// without a mask always has, and asks nothing of the mark.
+    const MARKS: bool;
+    /// The group test at width `V`, built once per run of the body so its
+    /// operands sit in registers: bit `j` set where lane `j` of the final
+    /// `x` leaves.
+    fn test<V: Lanes>(&self) -> impl Fn(V) -> u64 + Copy + use<Self, V>;
+    /// OR `bits` into mask word `word`.
+    fn put(&mut self, word: usize, bits: u64);
+}
+
+/// The mark that does nothing: its instantiation of the span body is the
+/// sweep without a mask.
+pub(crate) struct NoMark;
+
+impl Mark for NoMark {
+    const MARKS: bool = false;
+
+    #[inline(always)]
+    fn test<V: Lanes>(&self) -> impl Fn(V) -> u64 + Copy + use<V> {
+        |_| 0
+    }
+
+    #[inline(always)]
+    fn put(&mut self, _: usize, _: u64) {}
+}
+
+/// The leave bits of [`OwnerMap::Columns`] `{ lo, hi }` in `leave`: bit
+/// `j % 64` of word `j / 64` set for each point `j` whose cell column
+/// lies outside `lo..hi`.
+pub(crate) struct ColumnMarks<'a> {
+    last: f64,
+    lo: f64,
+    hi: f64,
+    leave: &'a mut [u64],
+}
+
+impl<'a> ColumnMarks<'a> {
+    pub(crate) fn new(grid: &Grid, lo: usize, hi: usize, leave: &'a mut [u64]) -> Self {
+        ColumnMarks {
+            last: (grid.ncells() - 1) as f64,
+            lo: lo as f64,
+            hi: hi as f64,
+            leave,
+        }
+    }
+}
+
+impl<'a> Mark for ColumnMarks<'a> {
+    const MARKS: bool = true;
+
+    /// [`Lanes::clamp_cell`] then [`Lanes::outside`]: the one rule of
+    /// the classifier's scan and of the sweep's wrap pass.
+    #[inline(always)]
+    fn test<V: Lanes>(&self) -> impl Fn(V) -> u64 + Copy + use<'a, V> {
+        let (last, lo, hi) = (V::splat(self.last), V::splat(self.lo), V::splat(self.hi));
+        move |x: V| x.clamp_cell(last).outside(lo, hi)
+    }
+
+    #[inline(always)]
+    fn put(&mut self, word: usize, bits: u64) {
+        self.leave[word] |= bits;
+    }
+}
+
 /// The span kernel: one span of a store's columns, all in columns of
-/// `q_left`'s parity, advanced in place from particle `from` on.
-struct Span<'a> {
+/// `q_left`'s parity, advanced in place from particle `from` on, each
+/// group's final `x` handed to `mark` — the span's particle `j` at bit
+/// `bit + j`.
+struct Span<'a, M> {
     grid: &'a Grid,
     q_left: f64,
     x: &'a mut [f64],
@@ -810,9 +903,11 @@ struct Span<'a> {
     vy: &'a mut [f64],
     q: &'a [f64],
     from: usize,
+    mark: &'a mut M,
+    bit: usize,
 }
 
-impl LanesBody for Span<'_> {
+impl<M: Mark> LanesBody for Span<'_, M> {
     type Out = usize;
 
     /// Force-and-integrate over the whole groups of the span from `from`
@@ -842,6 +937,11 @@ impl LanesBody for Span<'_> {
     /// that hold — as a whole, on the axes where all its lanes are
     /// centred. At one lane (span tails, the `Scalar` backend) a group is
     /// one particle, and the folds apply to it alone.
+    ///
+    /// **The wrap pass** takes each group's final `x`, then `y`, through
+    /// [`wrap_group`] and hands the wrapped `x` vector to the mark: under
+    /// [`ColumnMarks`] two compares on a clamp set the group's leave bits
+    /// while `x` is in a register, so the drain need not load it again.
     #[inline(always)]
     unsafe fn run<V: Lanes>(&mut self) -> usize {
         let from = self.from;
@@ -898,21 +998,94 @@ impl LanesBody for Span<'_> {
             vxi.add(kick.vx).store(vx.add(o));
             vyi.add(kick.vy).store(vy.add(o));
         }
-        // The periodic wrap: a vector range test selects the
-        // (overwhelmingly common) all-in-domain fast path; a group with an
-        // escaped lane goes through the exact scalar `Grid::wrap_coord`, so
-        // the pass is bit-identical to the oracle's wrap by construction.
-        let l = self.grid.extent();
-        for c in [x, y] {
-            for p in (0..groups).map(|g| c.add(g * V::WIDTH)) {
-                if !V::load(p).all_in_range(l) {
-                    for k in 0..V::WIDTH {
-                        *p.add(k) = self.grid.wrap_coord(*p.add(k));
-                    }
-                }
+        let (grid, l) = (self.grid, self.grid.extent());
+        if M::MARKS {
+            wrap_marking::<V, M>(grid, l, x, groups, self.bit + from, self.mark);
+        } else {
+            for o in (0..groups).map(|g| g * V::WIDTH) {
+                wrap_group::<V>(grid, l, x.add(o));
             }
         }
+        for o in (0..groups).map(|g| g * V::WIDTH) {
+            wrap_group::<V>(grid, l, y.add(o));
+        }
         from + groups * V::WIDTH
+    }
+}
+
+/// The wrap pass over `groups` groups of `x` that also hands each group's
+/// wrapped lanes to `mark`'s test, the first group at mask bit `bit`. Whole
+/// mask words gather in a register, one group after another at constant
+/// shifts, and are stored once; the groups of a part word (a span's last
+/// few, or a one-lane tail that starts inside a word) are stored one by
+/// one. `bit` is a multiple of `WIDTH`, which divides 64, so no group
+/// straddles a word.
+///
+/// # Safety
+/// `x` must be valid for reading and writing `groups · V::WIDTH` f64
+/// values.
+#[inline(always)]
+unsafe fn wrap_marking<V: Lanes, M: Mark>(
+    grid: &Grid,
+    l: f64,
+    x: *mut f64,
+    groups: usize,
+    bit: usize,
+    mark: &mut M,
+) {
+    debug_assert_eq!(bit % V::WIDTH, 0, "a group straddles a mask word");
+    let leaves = mark.test::<V>();
+    let n = groups * V::WIDTH;
+    let mut o = 0;
+    if bit.is_multiple_of(64) {
+        while o + 64 <= n {
+            let mut word = 0;
+            for g in 0..64 / V::WIDTH {
+                let xi = wrap_group::<V>(grid, l, x.add(o + g * V::WIDTH));
+                word |= leaves(xi) << (g * V::WIDTH);
+            }
+            mark.put((bit + o) / 64, word);
+            o += 64;
+        }
+    }
+    while o < n {
+        let j = bit + o;
+        mark.put(
+            j / 64,
+            leaves(wrap_group::<V>(grid, l, x.add(o))) << (j % 64),
+        );
+        o += V::WIDTH;
+    }
+}
+
+/// The periodic wrap of one group in place, returning its wrapped lanes: a
+/// vector range test against `[0, l)`, `l` the grid's extent, selects the
+/// (overwhelmingly common) all-in-domain fast path; a group with an
+/// escaped lane goes through the exact scalar [`Grid::wrap_coord`], so the
+/// pass is bit-identical to the oracle's wrap by construction.
+///
+/// # Safety
+/// `p` must be valid for reading and writing `V::WIDTH` f64 values.
+#[inline(always)]
+unsafe fn wrap_group<V: Lanes>(grid: &Grid, l: f64, p: *mut f64) -> V {
+    let v = V::load(p);
+    if v.all_in_range(l) {
+        return v;
+    }
+    wrap_lanes(grid, p, V::WIDTH);
+    V::load(p)
+}
+
+/// [`Grid::wrap_coord`] on `n` values in place: the rare escaped group,
+/// kept out of line so the wrap loops stay small enough to unroll.
+///
+/// # Safety
+/// `p` must be valid for reading and writing `n` f64 values.
+#[cold]
+#[inline(never)]
+unsafe fn wrap_lanes(grid: &Grid, p: *mut f64, n: usize) {
+    for k in 0..n {
+        *p.add(k) = grid.wrap_coord(*p.add(k));
     }
 }
 
@@ -1064,12 +1237,15 @@ fn lanes_of<V: Lanes>(v: V) -> [f64; 8] {
 /// Advance one span with the selected backend: its whole groups at the
 /// backend's width, the rest (all of it on `Scalar`) through the same body
 /// at one lane — bit-identical to the AoS oracle on every backend, for a
-/// span whose particles all sit in columns of `q_left`'s parity.
+/// span whose particles all sit in columns of `q_left`'s parity. Every
+/// particle's final `x` goes to `mark`, the span's particle `j` at bit
+/// `bit + j` (a multiple of the widest group, so each group's bits share
+/// one mask word).
 ///
 /// # Panics
 /// If the columns differ in length, or this CPU does not run `backend`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_bin_span_simd(
+pub(crate) fn advance_bin_span_simd<M: Mark>(
     backend: SimdBackend,
     grid: &Grid,
     q_left: f64,
@@ -1078,6 +1254,8 @@ pub(crate) fn advance_bin_span_simd(
     vx: &mut [f64],
     vy: &mut [f64],
     q: &[f64],
+    mark: &mut M,
+    bit: usize,
 ) {
     let n = x.len();
     assert!(y.len() == n && vx.len() == n && vy.len() == n && q.len() == n);
@@ -1090,6 +1268,8 @@ pub(crate) fn advance_bin_span_simd(
         vy,
         q,
         from: 0,
+        mark,
+        bit,
     };
     span.from = backend.run(&mut span);
     SimdBackend::Scalar.run(&mut span);
@@ -1134,22 +1314,21 @@ impl OwnerBody for Leavers<'_> {
     /// width of `V`. Returns where it stopped.
     #[inline(always)]
     unsafe fn run<V: OwnerLanes>(&mut self) -> usize {
-        let (from, leave) = (self.from, &mut *self.leave);
+        let from = self.from;
         let end = from + (self.x.len() - from) / V::WIDTH * V::WIDTH;
-        let last = V::splat((self.grid.ncells() - 1) as f64);
         let (xp, yp) = (self.x.as_ptr(), self.y.as_ptr());
-        let lanes = u64::MAX >> (64 - V::WIDTH);
         // `WIDTH` divides 64 and `from`, so a group's lanes share one word.
-        let mut put = |j: usize, keep: u64| leave[j / 64] |= (!keep & lanes) << (j % 64);
-        match self.map {
+        match *self.map {
             OwnerMap::Columns { lo, hi } => {
-                let (lo, hi) = (V::splat(*lo as f64), V::splat(*hi as f64));
+                let leaves = ColumnMarks::new(self.grid, lo, hi, &mut []).test::<V>();
                 for o in (from..end).step_by(V::WIDTH) {
                     // SAFETY: whole groups lie inside `x`.
-                    put(o, V::load(xp.add(o)).clamp_cell(last).within(lo, hi));
+                    self.leave[o / 64] |= leaves(V::load(xp.add(o))) << (o % 64);
                 }
             }
             OwnerMap::Cells { table, me } => {
+                let last = V::splat((self.grid.ncells() - 1) as f64);
+                let lanes = u64::MAX >> (64 - V::WIDTH);
                 let (_, _, core) = table.tables();
                 for o in (from..end).step_by(V::WIDTH) {
                     // SAFETY: whole groups lie inside `x` and `y` (equal
@@ -1157,7 +1336,8 @@ impl OwnerBody for Leavers<'_> {
                     let i = cell_index::<V>(table, last, xp.add(o), yp.add(o));
                     // SAFETY: every `col[c] + row[r]` of a table indexes its
                     // `core` (`OwnerTable` builds it so).
-                    put(o, V::index_eq(V::gather(core.as_ptr(), i), *me));
+                    let keep = V::index_eq(V::gather(core.as_ptr(), i), me);
+                    self.leave[o / 64] |= (!keep & lanes) << (o % 64);
                 }
             }
         }
@@ -1298,7 +1478,7 @@ mod tests {
                     want.iter_mut().for_each(|p| advance_particle(&grid, p));
                     let ql = b.x.first().map_or(1.0, |&x| mesh_charge(x as usize));
                     let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                    advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
+                    advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q, &mut NoMark, 0);
                     assert_eq!(
                         b.to_particles(),
                         want,
@@ -1327,7 +1507,7 @@ mod tests {
                 want.iter_mut().for_each(|p| advance_particle(&grid, p));
                 let ql = mesh_charge(col);
                 let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
+                advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q, &mut NoMark, 0);
                 assert_eq!(b.to_particles(), want, "backend {} k {k}", backend.name());
             }
         }
@@ -1446,7 +1626,18 @@ mod tests {
                         let (x, y, vx, vy) =
                             (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
                         let ql = x.first().map_or(1.0, |&x| mesh_charge(x as usize));
-                        advance_bin_span_simd(backend, &grid, ql, x, y, vx, vy, &b.q);
+                        advance_bin_span_simd(
+                            backend,
+                            &grid,
+                            ql,
+                            x,
+                            y,
+                            vx,
+                            vy,
+                            &b.q,
+                            &mut NoMark,
+                            0,
+                        );
                         for (i, w) in want.iter().enumerate() {
                             assert!(
                                 same_bits(w.x, b.x[i]) && same_bits(w.y, b.y[i]) && same_bits(w.vx, b.vx[i]) && same_bits(w.vy, b.vy[i]),
@@ -1593,7 +1784,18 @@ mod tests {
                 let mut want = b.to_particles();
                 want.iter_mut().for_each(|p| advance_particle(&grid, p));
                 let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                advance_bin_span_simd(backend, &grid, mesh_charge(col), x, y, vx, vy, &b.q);
+                advance_bin_span_simd(
+                    backend,
+                    &grid,
+                    mesh_charge(col),
+                    x,
+                    y,
+                    vx,
+                    vy,
+                    &b.q,
+                    &mut NoMark,
+                    0,
+                );
                 for (i, w) in want.iter().enumerate() {
                     let got = b.get(i);
                     assert!(
@@ -1666,7 +1868,18 @@ mod tests {
                 b.x[lane] = 2.0; // exactly on the bottom-left corner
                 b.y[lane] = 3.0;
                 let (x, y, vx, vy) = (&mut b.x[..], &mut b.y[..], &mut b.vx[..], &mut b.vy[..]);
-                advance_bin_span_simd(backend, &grid, mesh_charge(2), x, y, vx, vy, &b.q);
+                advance_bin_span_simd(
+                    backend,
+                    &grid,
+                    mesh_charge(2),
+                    x,
+                    y,
+                    vx,
+                    vy,
+                    &b.q,
+                    &mut NoMark,
+                    0,
+                );
                 for i in 0..width {
                     assert!(
                         b.x[i].is_finite() && b.y[i].is_finite(),

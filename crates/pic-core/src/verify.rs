@@ -19,7 +19,7 @@
 //! particles lost or duplicated in transit between processors.
 
 use crate::geometry::Grid;
-use crate::particle::Particle;
+use crate::particle::{stride_x, Particle};
 use crate::soa::ParticleBatch;
 
 /// Absolute position tolerance, in cells, matching the PRK reference codes:
@@ -127,17 +127,17 @@ impl VerifyReport {
         }
     }
 
-    /// Fold one particle into every order-free field (`failing_ids` is the
-    /// caller's); returns whether its position is within tolerance.
+    /// Fold one particle, its id and its position error, into every
+    /// order-free field (`failing_ids` is the caller's); returns whether
+    /// the error is within tolerance.
     #[inline]
-    fn check(&mut self, grid: &Grid, p: &Particle, final_step: u32) -> bool {
-        let steps = final_step.saturating_sub(p.born_at) as u64;
-        let v = verify_particle(grid, p, steps);
+    fn fold(&mut self, id: u64, error: f64) -> bool {
+        let ok = error <= DEFAULT_TOLERANCE;
         self.checked += 1;
-        self.id_sum += p.id as u128;
-        self.max_error = self.max_error.max(v.error);
-        self.position_failures += !v.ok as u64;
-        v.ok
+        self.id_sum += id as u128;
+        self.max_error = self.max_error.max(error);
+        self.position_failures += !ok as u64;
+        ok
     }
 
     /// True if both the trajectory check and the checksum pass.
@@ -157,7 +157,9 @@ pub fn verify_all(
 ) -> VerifyReport {
     let mut report = VerifyReport::empty(expected_id_sum);
     for p in particles {
-        if !report.check(grid, p, final_step) && report.failing_ids.len() < MAX_FAILING_IDS {
+        let steps = final_step.saturating_sub(p.born_at) as u64;
+        let error = verify_particle(grid, p, steps).error;
+        if !report.fold(p.id, error) && report.failing_ids.len() < MAX_FAILING_IDS {
             report.failing_ids.push(p.id);
         }
     }
@@ -168,7 +170,14 @@ pub fn verify_all(
 /// copy and no sort: every field but `failing_ids` is order-free, and
 /// `failing_ids` is the [`MAX_FAILING_IDS`] smallest failing ids,
 /// ascending — exactly what `verify_all` reports for the same population
-/// in canonical (ascending-id) order.
+/// in canonical (ascending-id) order, bit for bit.
+///
+/// It reads the columns in place, and reduces each axis's displacement
+/// `per_step · steps` modulo `L` once per run of particles that share it
+/// (`Shift`), where [`expected_position`] reduces the start cell plus
+/// the displacement once per particle: `(c0 + d) mod L` equals
+/// `(c0 + (d mod L)) mod L`, and `c0 < L` makes the outer reduction one
+/// conditional subtract.
 pub fn verify_batch(
     grid: &Grid,
     batch: &ParticleBatch,
@@ -177,10 +186,27 @@ pub fn verify_batch(
 ) -> VerifyReport {
     let mut report = VerifyReport::empty(expected_id_sum);
     let mut failing = Vec::new();
-    for i in 0..batch.len() {
-        let p = batch.get(i);
-        if !report.check(grid, &p, final_step) {
-            failing.push(p.id);
+    let n = batch.len();
+    let b = batch;
+    let (id, x, y, q) = (&b.id[..n], &b.x[..n], &b.y[..n], &b.q[..n]);
+    let (x0, y0, k, m, born_at) = (
+        &b.x0[..n],
+        &b.y0[..n],
+        &b.k[..n],
+        &b.m[..n],
+        &b.born_at[..n],
+    );
+    let (mut shift_x, mut shift_y) = (Shift::default(), Shift::default());
+    let side = grid.ncells();
+    for i in 0..n {
+        let steps = final_step.saturating_sub(born_at[i]) as u64;
+        let (c0, r0) = grid.cell_of_point(x0[i], y0[i]);
+        let dx = shift_x.of(stride_x(c0, q[i], k[i]), steps, side);
+        let dy = shift_y.of(m[i] as i64, steps, side);
+        let (ex, ey) = (moved(x0[i], c0, dx, side), moved(y0[i], r0, dy, side));
+        let error = (grid.periodic_delta(x[i], ex).abs()).max(grid.periodic_delta(y[i], ey).abs());
+        if !report.fold(id[i], error) {
+            failing.push(id[i]);
             if failing.len() == 2 * MAX_FAILING_IDS {
                 failing.sort_unstable();
                 failing.truncate(MAX_FAILING_IDS);
@@ -191,6 +217,43 @@ pub fn verify_batch(
     failing.truncate(MAX_FAILING_IDS);
     report.failing_ids = failing;
     report
+}
+
+/// `(per_step · steps) mod L` for the last `(per_step, steps)` pair asked,
+/// so a run of particles that share the pair reduces it once. The empty
+/// memo holds the pair `(0, 0)`, whose displacement is 0.
+#[derive(Default)]
+struct Shift {
+    key: (i64, u64),
+    cells: usize,
+}
+
+impl Shift {
+    #[inline]
+    fn of(&mut self, per_step: i64, steps: u64, n: usize) -> usize {
+        if self.key != (per_step, steps) {
+            self.key = (per_step, steps);
+            self.cells = wrapped_cell(0, per_step, steps, n);
+        }
+        self.cells
+    }
+}
+
+/// The coordinate of cell `(cell0 + shift) mod n` at the sub-cell offset
+/// of `start`, whose cell `cell0` is, for `shift < n`: the value
+/// [`expected_position`] gives on one axis. In the domain `[0, n)`, where
+/// every particle starts, `start.floor()` is `cell0`, so the `floor` call
+/// is left to any other start.
+#[inline]
+fn moved(start: f64, cell0: usize, shift: usize, n: usize) -> f64 {
+    let c = cell0 + shift;
+    let c = if c >= n { c - n } else { c };
+    let whole = if (0.0..n as f64).contains(&start) {
+        cell0 as f64
+    } else {
+        start.floor()
+    };
+    c as f64 + (start - whole)
 }
 
 /// Convenience: the closed-form checksum `n(n+1)/2` for an event-free run.
@@ -322,6 +385,55 @@ mod tests {
         assert_eq!(streamed.position_failures, 40);
         assert_eq!(streamed.failing_ids.len(), MAX_FAILING_IDS);
         assert_eq!(streamed, verify_all(&grid, &store.to_particles(), 20, sum));
+    }
+
+    /// The streamed fold's per-run displacement memo misses whenever a
+    /// particle's stride, vertical speed or age differs from the one
+    /// before: populations of every `(k, m, direction)` mix, interleaved,
+    /// some born late, some advanced to their expected position and some
+    /// left where they started, still give `verify_all`'s report bit for
+    /// bit — at final steps before, at and after every birth.
+    #[test]
+    fn streamed_report_equals_verify_all_over_mixed_strides_and_ages() {
+        use crate::dist::Distribution;
+        use crate::init::InitConfig;
+        use crate::motion::advance_particle;
+        let grid = Grid::new(16).unwrap();
+        let mut groups = Vec::new();
+        for (g, (k, m, dir)) in [(0, 0, 1), (1, -1, -1), (2, 3, 1), (0, 5, -1)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut ps = InitConfig::new(grid, 40, Distribution::Uniform)
+                .with_k(k)
+                .with_m(m)
+                .with_dir(dir)
+                .build()
+                .unwrap()
+                .particles;
+            for (j, p) in ps.iter_mut().enumerate() {
+                p.id = (j * 4 + g) as u64 + 1;
+                p.born_at = [0, 0, 3, 7][j % 4];
+                for _ in 0..j % 3 * 2 {
+                    advance_particle(&grid, p);
+                }
+            }
+            groups.push(ps);
+        }
+        let mixed: Vec<Particle> = (0..40)
+            .flat_map(|j| groups.iter().map(move |ps| ps[j]))
+            .collect();
+        let batch: ParticleBatch = mixed.iter().copied().collect();
+        for final_step in [0, 2, 4, 7, 9, 40] {
+            let want = verify_all(&grid, &mixed, final_step, 0);
+            let got = verify_batch(&grid, &batch, final_step, 0);
+            assert_eq!(
+                got.max_error.to_bits(),
+                want.max_error.to_bits(),
+                "step {final_step}"
+            );
+            assert_eq!(got, want, "step {final_step}");
+        }
     }
 
     #[test]

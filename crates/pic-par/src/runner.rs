@@ -247,12 +247,14 @@ impl RankState {
     /// particles this rank sent away (feeds the `rehomed` counter, which
     /// the rank loop sums globally at traced steps).
     ///
-    /// The one step body: events, one sweep of the whole store, one
-    /// exchange of every leaver under the ownership map.
+    /// The one step body: events, one sweep of the whole store under the
+    /// ownership map (a column interval's leavers are marked as they
+    /// move), one exchange of every leaver under the map.
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
         tracer.phase_start(Phase::Advance);
-        self.store.sweep(&self.grid);
+        self.store
+            .sweep_marking(&self.grid, &self.owners.map(self.rank));
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
         let (sent, _) = self.rehome(comm);

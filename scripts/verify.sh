@@ -21,9 +21,10 @@ echo "==> cargo test -q (every crate), SIMD on and forced off"
 # so a red run names every failing suite; the pass still exits non-zero.
 cargo test -q --no-fail-fast
 PIC_NO_SIMD=1 cargo test -q --no-fail-fast
-# The corner-fold suite's NaN-lane case, and the owner classifiers' lanes
-# outside the domain (NaN, ±inf, negatives), need a build without the
-# debug range checks (they reject such coordinates before any arithmetic).
+# The corner-fold suite's NaN-lane case, and the owner classifiers' and
+# the sweep's leave marks' lanes outside the domain (NaN, ±inf,
+# negatives), need a build without the debug range checks (they reject
+# such coordinates before any arithmetic).
 # Each filter runs on its own, and one that matches no test (after a
 # rename or a move) fails the step instead of passing empty.
 release_lib_tests() {
@@ -40,6 +41,7 @@ release_lib_tests() {
 }
 release_lib_tests simd::
 release_lib_tests owner::tests::owner_classifiers
+release_lib_tests bin::tests::sweep_marks
 
 echo "==> cargo fmt --check"
 cargo fmt --check
